@@ -1,28 +1,41 @@
 """The SparqLog engine façade.
 
-Ties the three translation methods together with the Datalog± engine:
+Ties the three translation methods together with the Datalog± engine.
 
-1. the active dataset is assembled from FROM / FROM NAMED clauses,
-2. T_D turns it into facts (cached per dataset),
-3. ontology axioms (if any) are added as Datalog± rules,
-4. T_Q translates the parsed query into rules,
-5. the Datalog engine materialises the program,
-6. T_S converts the answer relation into a SPARQL solution sequence.
+Once per dataset state (on first use, and again after any graph of the
+dataset has changed):
+
+1. T_D turns the dataset into facts and the auxiliary rules (``term``,
+   ``comp``, ``subjectOrObject``), ontology axioms (if any) are added as
+   Datalog± rules, and the Datalog engine closes that program into a
+   :class:`~repro.datalog.engine.Materialisation` — the only copy of the
+   data the engine keeps, with the hash indexes the queries build on it.
+
+Per query:
+
+2. T_Q translates the parsed query into rules,
+3. the Datalog engine evaluates only those rules on top of the
+   materialisation (which it reads and indexes but never writes),
+4. T_S converts the answer relation into a SPARQL solution sequence.
+
+A query with FROM / FROM NAMED clauses assembles its own active dataset
+and materialises it for that query alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.data_translation import DataTranslator
 from repro.core.ontology import Ontology
 from repro.core.query_translation import QueryTranslator, TranslationResult
 from repro.core.solution_translation import SolutionTranslator
-from repro.datalog.engine import DatalogEngine
+from repro.datalog.engine import DatalogEngine, Materialisation
 from repro.datalog.rules import Program
+from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI
-from repro.sparql.algebra import AskQuery, DatasetClause, Query, SelectQuery
+from repro.sparql.algebra import DatasetClause, Query
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
 
@@ -59,55 +72,52 @@ class SparqLogEngine:
         ontology: Optional[Ontology] = None,
         timeout_seconds: Optional[float] = None,
         max_facts: int = 5_000_000,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.dataset = dataset
         self.ontology = ontology
         self.timeout_seconds = timeout_seconds
         self.max_facts = max_facts
+        #: Optional span tracer: ``datalog.base`` when the materialisation
+        #: is (re)built, ``datalog.stratum`` per stratum of every query.
+        self.tracer = tracer
         self._data_translator = DataTranslator()
         self._solution_translator = SolutionTranslator()
-        self._cached_data_program: Optional[Program] = None
-        #: Semi-naive delta rounds of the most recent query's fixpoint —
-        #: the Datalog-side observability hook (each query runs a fresh
-        #: DatalogEngine, so the count is copied out here).
+        # The dataset's closed T_D + ontology program, keyed on the state it
+        # was built from: every graph's (id, version) and the axioms.  The
+        # graphs are held so that no other graph can take over their ids.
+        self._base: Optional[Materialisation] = None
+        self._base_key: Tuple = ()
+        self._base_graphs: List[Graph] = []
+        #: Semi-naive delta rounds of the most recent query's fixpoint.
         self.last_fixpoint_iterations = 0
+        #: Queries answered on the kept materialisation / times it was
+        #: (re)built, per-query FROM datasets included.
+        self.base_hits = 0
+        self.base_rebuilds = 0
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def load(self, dataset: Dataset) -> None:
-        """Replace the dataset (invalidates the cached data translation)."""
+        """Replace the dataset (its materialisation is rebuilt on next use)."""
         self.dataset = dataset
-        self._cached_data_program = None
 
     def query(self, query: Union[str, Query]) -> Union[SolutionSequence, bool]:
         """Parse (if needed), translate and evaluate a SPARQL query."""
         parsed = parse_query(query) if isinstance(query, str) else query
-        program, translation = self.translate(parsed)
-        engine = DatalogEngine(
-            max_facts=self.max_facts, timeout_seconds=self.timeout_seconds
-        )
-        relations = engine.evaluate(program)
+        translation = QueryTranslator().translate(parsed)
+        base = self._base_for(getattr(parsed, "dataset_clauses", ()))
+        engine = self._datalog_engine()
+        relations = engine.evaluate(translation.program, base)
         self.last_fixpoint_iterations = engine.fixpoint_iterations
         return self._solution_translator.translate(relations, translation)
 
     def translate(self, query: Union[str, Query]) -> Tuple[Program, TranslationResult]:
         """Return the full Datalog± program (data + ontology + query rules)."""
         parsed = parse_query(query) if isinstance(query, str) else query
-        clauses = getattr(parsed, "dataset_clauses", ())
-        data_program = self._data_program(clauses)
-
-        program = Program()
-        program.facts = list(data_program.facts)
-        program.rules = list(data_program.rules)
-        program.aggregate_rules = list(data_program.aggregate_rules)
-        program.directives = list(data_program.directives)
-
-        if self.ontology is not None and len(self.ontology):
-            program.extend(self.ontology.to_rules())
-
-        translator = QueryTranslator()
-        translation = translator.translate(parsed)
+        program = self._data_program(getattr(parsed, "dataset_clauses", ()))
+        translation = QueryTranslator().translate(parsed)
         program.extend(translation.program)
         return program, translation
 
@@ -119,10 +129,51 @@ class SparqLogEngine:
     # ------------------------------------------------------------------
     # internal
     # ------------------------------------------------------------------
+    def _datalog_engine(self) -> DatalogEngine:
+        return DatalogEngine(
+            max_facts=self.max_facts,
+            timeout_seconds=self.timeout_seconds,
+            tracer=self.tracer,
+        )
+
     def _data_program(self, clauses: Sequence[DatasetClause]) -> Program:
-        if not clauses:
-            if self._cached_data_program is None:
-                self._cached_data_program = self._data_translator.translate(self.dataset)
-            return self._cached_data_program
-        active = resolve_dataset_clauses(self.dataset, clauses)
-        return self._data_translator.translate(active)
+        """T_D of the active dataset plus the ontology rules (a fresh program)."""
+        program = self._data_translator.translate(
+            resolve_dataset_clauses(self.dataset, clauses)
+        )
+        if self.ontology is not None and len(self.ontology):
+            program.extend(self.ontology.to_rules())
+        return program
+
+    def _base_for(self, clauses: Sequence[DatasetClause]) -> Materialisation:
+        """The closed data program the query's rules run on."""
+        if clauses:
+            return self._build_base(clauses)
+        dataset = self.dataset
+        graphs = [dataset.default_graph, *dataset.named_graphs.values()]
+        key = (
+            tuple(dataset.named_graphs),
+            tuple((id(graph), graph.version) for graph in graphs),
+            tuple(self.ontology.axioms) if self.ontology is not None else (),
+        )
+        if self._base is None or key != self._base_key:
+            self._base = self._build_base(())
+            self._base_key = key
+            self._base_graphs = graphs
+        else:
+            self.base_hits += 1
+        return self._base
+
+    def _build_base(self, clauses: Sequence[DatasetClause]) -> Materialisation:
+        """Translate the active dataset (T_D + ontology rules) and close it."""
+        self.base_rebuilds += 1
+        tracer = self.tracer
+        span = tracer.span("datalog.base", "datalog") if tracer is not None else NULL_SPAN
+        with span:
+            program = self._data_program(clauses)
+            base = self._datalog_engine().materialise(program)
+            span.annotate(
+                facts=len(program.facts), rules=len(program.rules), closure=base.fact_count
+            )
+        return base
+

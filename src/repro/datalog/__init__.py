@@ -14,7 +14,9 @@ The engine supports the language fragment SparqLog's translation targets:
 * aggregation rules (GROUP BY with COUNT / SUM / MIN / MAX / AVG),
 * `@output` / `@post` directives recorded on the program.
 
-Evaluation is bottom-up semi-naive per stratum.  A wardedness analysis
+Evaluation is bottom-up semi-naive per stratum, each rule compiled once
+per stratum; the evaluated state (a ``Materialisation``) can serve as the
+read-only base of further evaluations.  A wardedness analysis
 (:mod:`repro.datalog.wardedness`) checks the syntactic Warded Datalog±
 condition of the generated programs.
 """
@@ -31,7 +33,7 @@ from repro.datalog.rules import (
     Program,
     Rule,
 )
-from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded
+from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded, Materialisation
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.wardedness import WardednessReport, analyze_wardedness
 
@@ -45,6 +47,7 @@ __all__ = [
     "DatalogEngine",
     "EvaluationLimitExceeded",
     "FilterCondition",
+    "Materialisation",
     "Negation",
     "Program",
     "Rule",

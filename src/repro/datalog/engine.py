@@ -5,6 +5,21 @@ stratum.  Within a stratum, recursion is evaluated with the semi-naive
 (delta) technique; negated atoms, comparisons, assignments and embedded
 filter conditions are evaluated as soon as their variables are bound.
 
+Rules are *compiled once per stratum*: after :meth:`DatalogEngine._order_body`
+has fixed the body order from the live relation sizes, every rule is
+lowered to a chain of closures over one register file (a plain list).
+Variables become register indexes and constants pre-filled registers, so
+an index key, the values an atom binds and the head tuple are all built
+by ``operator.itemgetter`` — the per-row work is tuple indexing, never a
+substitution dictionary.
+
+The evaluated state is a :class:`Materialisation` (relations with their
+lazily built hash indexes, plus the fact count).  A program can be
+evaluated *on top of* a materialisation: the base relations are shared,
+never written, and keep their indexes between evaluations — which is how
+the SparqLog engine closes a dataset's T_D program once and then runs
+only the query rules per query.
+
 Existential head variables are instantiated with Skolem terms over the
 frontier variables, which is exactly the abstraction the paper adopts for
 its duplicate-preservation model (labelled nulls represented as Skolem
@@ -13,12 +28,15 @@ terms, Appendix C).
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
     AggregateRule,
+    AggregateSpec,
     Assignment,
     Atom,
     BodyElement,
@@ -30,8 +48,10 @@ from repro.datalog.rules import (
     SkolemExpr,
 )
 from repro.datalog.stratify import stratify
-from repro.datalog.terms import Const, SkolemTerm, Term, Var
-from repro.rdf.terms import Literal, Term as RdfTerm
+from repro.datalog.terms import Const, SkolemTerm, Var
+from repro.obs.tracer import NULL_SPAN, Tracer
+from repro.rdf.terms import Literal, Term as RdfTerm, term_sort_key
+from repro.sparql.expressions import satisfies
 from repro.sparql.functions import ExpressionError, term_compare
 from repro.sparql.physical import select_cheapest
 from repro.sparql.solutions import Binding
@@ -42,7 +62,32 @@ class EvaluationLimitExceeded(RuntimeError):
 
 
 GroundTuple = Tuple[object, ...]
-Substitution = Dict[Var, object]
+Registers = List[object]
+#: One compiled body element (or the head): runs on the register file and
+#: calls the next step once per solution it finds.
+Step = Callable[[Registers], None]
+StepMaker = Callable[[Step], Step]
+#: A compiled rule: calling it enumerates the body and derives the heads.
+Plan = Callable[[], None]
+
+#: The deadline is read once per this many body-atom probes (and once per
+#: this many derived facts), never per row.
+_CLOCK_CADENCE = 4096
+
+
+def _getter(positions: Sequence[int]) -> Callable:
+    """``itemgetter`` over ``positions``: a scalar for one, a tuple for more."""
+    if not positions:
+        return lambda _sequence: ()
+    return itemgetter(*positions)
+
+
+def _tuple_getter(positions: Sequence[int]) -> Callable:
+    """Like :func:`_getter` but a 1-tuple for a single position."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda sequence: (sequence[position],)
+    return _getter(positions)
 
 
 class Relation:
@@ -52,19 +97,41 @@ class Relation:
 
     def __init__(self) -> None:
         self.tuples: Set[GroundTuple] = set()
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, List[GroundTuple]]] = {}
+        # positions -> (key getter, key -> rows); one position keys by the
+        # bare value, several by the tuple of values.
+        self._indexes: Dict[Tuple[int, ...], Tuple[Callable, Dict[object, List[GroundTuple]]]] = {}
         # position -> (relation size when computed, distinct count)
         self._distinct_cache: Dict[int, Tuple[int, int]] = {}
 
     def add(self, row: GroundTuple) -> bool:
         """Insert a row; returns True when the row is new."""
-        if row in self.tuples:
+        tuples = self.tuples
+        size = len(tuples)
+        tuples.add(row)
+        if len(tuples) == size:
             return False
-        self.tuples.add(row)
-        for positions, index in self._indexes.items():
-            key = tuple(row[position] for position in positions)
-            index.setdefault(key, []).append(row)
+        for key_of, index in self._indexes.values():
+            key = key_of(row)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
         return True
+
+    def replace(self, rows: Iterable[GroundTuple]) -> None:
+        """Make ``rows`` the whole extension, keeping the index objects.
+
+        The semi-naive loop refills one delta relation per predicate every
+        round; compiled rules hold on to its index dictionaries, so those
+        are emptied and rebuilt in place.
+        """
+        self.tuples = tuples = set(rows)
+        self._distinct_cache.clear()
+        for key_of, index in self._indexes.values():
+            index.clear()
+            for row in tuples:
+                index.setdefault(key_of(row), []).append(row)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -72,16 +139,21 @@ class Relation:
     def __iter__(self) -> Iterator[GroundTuple]:
         return iter(self.tuples)
 
-    def index(self, positions: Tuple[int, ...]) -> Dict[Tuple, List[GroundTuple]]:
-        """Return (building lazily) a hash index on the given positions."""
+    def index(self, positions: Tuple[int, ...]) -> Dict[object, List[GroundTuple]]:
+        """Return (building lazily) a hash index on the given positions.
+
+        ``positions`` is non-empty and ascending.  The dictionary stays the
+        same object for the life of the relation and is kept up to date by
+        :meth:`add`; no bucket is ever empty.
+        """
         existing = self._indexes.get(positions)
         if existing is not None:
-            return existing
-        index: Dict[Tuple, List[GroundTuple]] = defaultdict(list)
+            return existing[1]
+        key_of = _getter(positions)
+        index: Dict[object, List[GroundTuple]] = {}
         for row in self.tuples:
-            key = tuple(row[position] for position in positions)
-            index[key].append(row)
-        self._indexes[positions] = index
+            index.setdefault(key_of(row), []).append(row)
+        self._indexes[positions] = (key_of, index)
         return index
 
     def distinct_count(self, position: int) -> int:
@@ -98,14 +170,29 @@ class Relation:
         self._distinct_cache[position] = (size, count)
         return count
 
-    def lookup(self, bound: Dict[int, object]) -> Iterable[GroundTuple]:
-        """Return candidate rows matching the bound positions."""
-        if not bound:
-            return self.tuples
-        positions = tuple(sorted(bound))
-        index = self.index(positions)
-        key = tuple(bound[position] for position in positions)
-        return index.get(key, [])
+
+class Materialisation:
+    """An evaluated program: its relations and how many facts they hold.
+
+    ``relations`` has an entry for every predicate the evaluated program
+    mentions (defined or only read).  Used as the ``base`` of a further
+    evaluation, the relations are shared — read, indexed, never written —
+    and ``fact_count`` carries over, so ``max_facts`` bounds base plus
+    overlay exactly as it bounds one program evaluated in one go.
+    """
+
+    __slots__ = ("relations", "fact_count")
+
+    def __init__(self, relations: Dict[str, Relation], fact_count: int) -> None:
+        self.relations = relations
+        self.fact_count = fact_count
+
+    def tuples(self) -> Dict[str, Set[GroundTuple]]:
+        """Predicate -> set of ground tuples (the sets are live, not copies)."""
+        return {predicate: relation.tuples for predicate, relation in self.relations.items()}
+
+
+_EMPTY = Materialisation({}, 0)
 
 
 class DatalogEngine:
@@ -115,53 +202,99 @@ class DatalogEngine:
         self,
         max_facts: int = 5_000_000,
         timeout_seconds: Optional[float] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.max_facts = max_facts
         self.timeout_seconds = timeout_seconds
+        #: Optional span tracer: one ``datalog.stratum`` span per stratum.
+        self.tracer = tracer
         self._deadline: Optional[float] = None
         self._fact_count = 0
+        self._probe_tick: Callable[[], int] = itertools.count(1).__next__
         #: Semi-naive delta rounds executed across every stratum of the
-        #: last :meth:`evaluate` call — an observability counter (the
-        #: metrics registry reads it through a callback), not a limit.
+        #: last evaluation — an observability counter (the metrics
+        #: registry reads it through a callback), not a limit.
         self.fixpoint_iterations = 0
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def evaluate(self, program: Program) -> Dict[str, Set[GroundTuple]]:
-        """Evaluate the program and return predicate -> set of ground tuples."""
-        self._deadline = (
-            time.monotonic() + self.timeout_seconds if self.timeout_seconds else None
-        )
-        self._fact_count = 0
-        self.fixpoint_iterations = 0
-        relations: Dict[str, Relation] = defaultdict(Relation)
-        for fact in program.facts:
-            values = tuple(self._ground_value(argument) for argument in fact.arguments)
-            if relations[fact.predicate].add(values):
-                self._count_fact()
+    def evaluate(
+        self, program: Program, base: Materialisation = _EMPTY
+    ) -> Dict[str, Set[GroundTuple]]:
+        """Evaluate the program and return predicate -> set of ground tuples.
 
-        strata = stratify(program)
+        With ``base``, the program runs on top of that materialisation and
+        the result covers both.
+        """
+        return self.materialise(program, base).tuples()
+
+    def materialise(self, program: Program, base: Materialisation = _EMPTY) -> Materialisation:
+        """Evaluate ``program`` on top of ``base`` and keep the evaluated state.
+
+        The program may read the base's predicates but not define them
+        (``ValueError``): the base is closed under its own rules, and a new
+        fact below them would leave it stale.
+        """
+        self._deadline = (
+            time.monotonic() + self.timeout_seconds
+            if self.timeout_seconds is not None
+            else None
+        )
+        self._fact_count = base.fact_count
+        self.fixpoint_iterations = 0
+
         rules_by_head: Dict[str, List[Rule]] = defaultdict(list)
         for rule in program.rules:
             rules_by_head[rule.head.predicate].append(rule)
         aggregates_by_head: Dict[str, List[AggregateRule]] = defaultdict(list)
         for aggregate_rule in program.aggregate_rules:
             aggregates_by_head[aggregate_rule.head.predicate].append(aggregate_rule)
+        defined = {fact.predicate for fact in program.facts}
+        defined.update(rules_by_head, aggregates_by_head)
+        clash = defined & base.relations.keys()
+        if clash:
+            raise ValueError(
+                f"program defines predicates of its base materialisation: {sorted(clash)}"
+            )
 
-        for stratum in strata:
-            # Aggregate rules first: their bodies live strictly below.
-            for predicate in sorted(stratum):
-                for aggregate_rule in aggregates_by_head.get(predicate, []):
-                    self._evaluate_aggregate_rule(aggregate_rule, relations)
+        relations: Dict[str, Relation] = dict(base.relations)
+        for predicate in program.predicates():
+            if predicate not in relations:
+                relations[predicate] = Relation()
+        for fact in program.facts:
+            values = tuple(_ground_value(argument) for argument in fact.arguments)
+            if relations[fact.predicate].add(values):
+                self._count_fact()
+
+        tracer = self.tracer
+        for stratum in stratify(program):
             stratum_rules = [
-                rule
-                for predicate in stratum
-                for rule in rules_by_head.get(predicate, [])
+                rule for predicate in stratum for rule in rules_by_head.get(predicate, ())
             ]
-            if stratum_rules:
-                self._fixpoint(stratum_rules, stratum, relations)
-        return {predicate: relation.tuples for predicate, relation in relations.items()}
+            stratum_aggregates = [
+                aggregate_rule
+                for predicate in sorted(stratum)
+                for aggregate_rule in aggregates_by_head.get(predicate, ())
+            ]
+            if not stratum_rules and not stratum_aggregates:
+                continue
+            span = tracer.span("datalog.stratum", "datalog") if tracer is not None else NULL_SPAN
+            with span:
+                self._check_limits()
+                rounds, facts = self.fixpoint_iterations, self._fact_count
+                # Aggregate rules first: their bodies live strictly below.
+                for aggregate_rule in stratum_aggregates:
+                    self._evaluate_aggregate_rule(aggregate_rule, relations)
+                if stratum_rules:
+                    self._fixpoint(stratum_rules, stratum, relations)
+                span.annotate(
+                    predicates=sorted(stratum & defined),
+                    rules=len(stratum_rules) + len(stratum_aggregates),
+                    rounds=self.fixpoint_iterations - rounds,
+                    derived=self._fact_count - facts,
+                )
+        return Materialisation(relations, self._fact_count)
 
     # ------------------------------------------------------------------
     # fixpoint computation
@@ -172,42 +305,51 @@ class DatalogEngine:
         stratum: Set[str],
         relations: Dict[str, Relation],
     ) -> None:
-        ordered_bodies = {
-            id(rule): self._order_body(rule, relations, stratum) for rule in rules
-        }
-        deltas: Dict[str, Set[GroundTuple]] = defaultdict(set)
+        # Per head predicate the rows derived in the running round; per
+        # recursive predicate the previous round's rows as a relation of
+        # their own, refilled in place so each delta plan is compiled once
+        # (when its delta is first non-empty: most never are).
+        fresh: Dict[str, List[GroundTuple]] = {rule.head.predicate: [] for rule in rules}
+        deltas: Dict[str, Relation] = defaultdict(Relation)
+        plans: List[Plan] = []
+        delta_plans: List[Tuple[Relation, Plan]] = []
+
+        def compiled_on_first_run(*arguments) -> Plan:
+            plan: Optional[Plan] = None
+
+            def run() -> None:
+                nonlocal plan
+                if plan is None:
+                    plan = self._compile_rule(*arguments)
+                plan()
+
+            return run
+
+        for rule in rules:
+            body = self._order_body(rule, relations, stratum)
+            derived = fresh[rule.head.predicate]
+            plans.append(self._compile_rule(rule, body, relations, fresh, derived))
+            for position, element in enumerate(body):
+                if isinstance(element, Atom) and element.predicate in fresh:
+                    delta = deltas[element.predicate]
+                    plan = compiled_on_first_run(
+                        rule, body, relations, fresh, derived, position, delta
+                    )
+                    delta_plans.append((delta, plan))
 
         # Initial round: evaluate every rule against the full relations.
-        for rule in rules:
-            for row in self._evaluate_rule(rule, ordered_bodies[id(rule)], relations):
-                if relations[rule.head.predicate].add(row):
-                    self._count_fact()
-                    deltas[rule.head.predicate].add(row)
-
-        recursive_rules = [
-            rule for rule in rules if rule.body_predicates() & stratum
-        ]
-        while any(deltas.values()):
+        for plan in plans:
+            plan()
+        while any(fresh.values()):
             self.fixpoint_iterations += 1
             self._check_limits()
-            new_deltas: Dict[str, Set[GroundTuple]] = defaultdict(set)
-            for rule in recursive_rules:
-                body = ordered_bodies[id(rule)]
-                delta_positions = [
-                    index
-                    for index, element in enumerate(body)
-                    if isinstance(element, Atom)
-                    and element.predicate in stratum
-                    and deltas.get(element.predicate)
-                ]
-                for delta_position in delta_positions:
-                    for row in self._evaluate_rule(
-                        rule, body, relations, delta_position, deltas
-                    ):
-                        if relations[rule.head.predicate].add(row):
-                            self._count_fact()
-                            new_deltas[rule.head.predicate].add(row)
-            deltas = new_deltas
+            for predicate, rows in fresh.items():
+                if predicate in deltas:
+                    deltas[predicate].replace(rows)
+                rows.clear()
+            for delta, plan in delta_plans:
+                if delta.tuples:
+                    plan()
 
     def _order_body(
         self,
@@ -253,16 +395,10 @@ class DatalogEngine:
                     progressed = True
                     break
                 required: Set[Var]
-                if isinstance(element, Negation):
-                    required = element.variables()
-                elif isinstance(element, Comparison):
-                    required = element.variables()
-                elif isinstance(element, Assignment):
+                if isinstance(element, Assignment):
                     required = element.input_variables()
-                elif isinstance(element, FilterCondition):
+                else:
                     required = element.variables()
-                else:  # pragma: no cover - defensive
-                    required = set()
                 if required <= bound:
                     ordered.append(element)
                     if isinstance(element, Assignment):
@@ -303,201 +439,177 @@ class DatalogEngine:
             estimate /= max(1, relation.distinct_count(position))
         return estimate
 
-    def _evaluate_rule(
+    # ------------------------------------------------------------------
+    # rule compilation
+    # ------------------------------------------------------------------
+    def _compile_rule(
         self,
         rule: Rule,
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
-        delta_position: Optional[int] = None,
-        deltas: Optional[Dict[str, Set[GroundTuple]]] = None,
-    ) -> Iterator[GroundTuple]:
-        substitutions: Iterable[Substitution] = [dict()]
-        for index, element in enumerate(body):
-            use_delta = delta_position is not None and index == delta_position
-            substitutions = self._apply_element(
-                element, substitutions, relations, use_delta, deltas
-            )
-        for substitution in substitutions:
-            yield self._instantiate_head(rule, substitution)
+        growing: Iterable[str],
+        derived: List[GroundTuple],
+        delta_position: int = -1,
+        delta: Optional[Relation] = None,
+    ) -> Plan:
+        """Lower ``rule`` with its ordered ``body`` to a callable plan.
 
-    def _apply_element(
-        self,
-        element: BodyElement,
-        substitutions: Iterable[Substitution],
-        relations: Dict[str, Relation],
-        use_delta: bool,
-        deltas: Optional[Dict[str, Set[GroundTuple]]],
-    ) -> Iterator[Substitution]:
-        if isinstance(element, Atom):
-            yield from self._match_atom(element, substitutions, relations, use_delta, deltas)
-            return
-        if isinstance(element, Negation):
-            for substitution in substitutions:
-                if not self._atom_holds(element.atom, substitution, relations):
-                    yield substitution
-            return
-        if isinstance(element, Comparison):
-            for substitution in substitutions:
-                if self._comparison_holds(element, substitution):
-                    yield substitution
-            return
-        if isinstance(element, Assignment):
-            for substitution in substitutions:
-                value = self._evaluate_assignment(element, substitution)
-                existing = substitution.get(element.variable)
-                if existing is None:
-                    extended = dict(substitution)
-                    extended[element.variable] = value
-                    yield extended
-                elif existing == value:
-                    yield substitution
-            return
-        if isinstance(element, FilterCondition):
-            for substitution in substitutions:
-                if self._filter_holds(element, substitution):
-                    yield substitution
-            return
-        raise TypeError(f"unsupported body element {element!r}")
+        Calling the plan enumerates the body depth-first — the atom at
+        ``delta_position`` over ``delta``, every other atom over its full,
+        live relation — adds each new head tuple to the head relation and
+        appends it to ``derived``.  ``growing`` names the predicates other
+        plans of the stratum derive into meanwhile.
+        """
+        registers = _RegisterFile()
+        makers = self._lower_body(body, registers, relations, growing, delta_position, delta)
 
-    def _match_atom(
-        self,
-        atom: Atom,
-        substitutions: Iterable[Substitution],
-        relations: Dict[str, Relation],
-        use_delta: bool,
-        deltas: Optional[Dict[str, Set[GroundTuple]]],
-    ) -> Iterator[Substitution]:
-        relation = relations.get(atom.predicate)
-        delta_rows = deltas.get(atom.predicate, set()) if (use_delta and deltas) else None
-        if relation is None and delta_rows is None:
-            return
-        for substitution in substitutions:
-            self._check_limits()
-            bound_positions: Dict[int, object] = {}
-            for position, argument in enumerate(atom.arguments):
-                if isinstance(argument, Var):
-                    value = substitution.get(argument)
-                    if value is not None:
-                        bound_positions[position] = value
-                else:
-                    bound_positions[position] = self._ground_value(argument)
-            if use_delta and delta_rows is not None:
-                candidates: Iterable[GroundTuple] = delta_rows
-            elif relation is not None:
-                candidates = relation.lookup(bound_positions)
-            else:
-                candidates = ()
-            for row in candidates:
-                extended = self._unify(atom, row, substitution, bound_positions)
-                if extended is not None:
-                    yield extended
-
-    def _unify(
-        self,
-        atom: Atom,
-        row: GroundTuple,
-        substitution: Substitution,
-        bound_positions: Dict[int, object],
-    ) -> Optional[Substitution]:
-        for position, value in bound_positions.items():
-            if row[position] != value:
-                return None
-        extended = dict(substitution)
-        for position, argument in enumerate(atom.arguments):
-            if isinstance(argument, Var):
-                existing = extended.get(argument)
-                if existing is None:
-                    extended[argument] = row[position]
-                elif existing != row[position]:
-                    return None
-        return extended
-
-    def _atom_holds(
-        self, atom: Atom, substitution: Substitution, relations: Dict[str, Relation]
-    ) -> bool:
-        relation = relations.get(atom.predicate)
-        if relation is None:
-            return False
-        bound: Dict[int, object] = {}
-        for position, argument in enumerate(atom.arguments):
-            if isinstance(argument, Var):
-                value = substitution.get(argument)
-                if value is None:
-                    # Unbound variable under negation: existential check.
-                    continue
-                bound[position] = value
-            else:
-                bound[position] = self._ground_value(argument)
-        for _ in relation.lookup(bound):
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # built-ins
-    # ------------------------------------------------------------------
-    def _comparison_holds(self, comparison: Comparison, substitution: Substitution) -> bool:
-        left = self._resolve(comparison.left, substitution)
-        right = self._resolve(comparison.right, substitution)
-        if left is None or right is None:
-            return False
-        return compare_values(comparison.operator, left, right)
-
-    def _evaluate_assignment(self, assignment: Assignment, substitution: Substitution):
-        expression = assignment.expression
-        if isinstance(expression, SkolemExpr):
-            values = tuple(
-                self._resolve(argument, substitution) for argument in expression.arguments
-            )
-            return SkolemTerm(expression.functor, values)
-        return self._resolve(expression, substitution)
-
-    def _filter_holds(self, condition: FilterCondition, substitution: Substitution) -> bool:
-        from repro.sparql.expressions import satisfies
-
-        mapping = {}
-        for sparql_variable, datalog_variable in condition.variable_map:
-            value = substitution.get(datalog_variable)
-            if isinstance(value, RdfTerm):
-                mapping[sparql_variable] = value
-        return satisfies(condition.expression, Binding(mapping))
-
-    def _resolve(self, term: Term, substitution: Substitution):
-        if isinstance(term, Var):
-            return substitution.get(term)
-        return self._ground_value(term)
-
-    @staticmethod
-    def _ground_value(term):
-        if isinstance(term, Const):
-            return term.value
-        return term
-
-    # ------------------------------------------------------------------
-    # head instantiation
-    # ------------------------------------------------------------------
-    def _instantiate_head(self, rule: Rule, substitution: Substitution) -> GroundTuple:
-        existential = set(rule.existential_variables)
-        values: List[object] = []
-        frontier = tuple(
-            substitution[variable]
-            for variable in sorted(rule.frontier_variables(), key=lambda v: v.name)
-            if variable in substitution
-        )
+        frontier: Optional[List[int]] = None
         for argument in rule.head.arguments:
-            if isinstance(argument, Var):
-                if argument in substitution:
-                    values.append(substitution[argument])
-                elif argument in existential:
-                    values.append(
-                        SkolemTerm(f"∃{rule.label or rule.head.predicate}:{argument.name}", frontier)
-                    )
-                else:
-                    raise ValueError(
-                        f"unbound head variable {argument!r} in rule {rule!r}"
-                    )
+            if not isinstance(argument, Var) or argument in registers.slots:
+                continue
+            if argument not in rule.existential_variables:
+                def unbound(regs: Registers, argument: Var = argument) -> None:
+                    raise ValueError(f"unbound head variable {argument!r} in rule {rule!r}")
+
+                return _link(makers, unbound, registers)
+            # An existential head variable: a Skolem term over the frontier,
+            # whose order is fixed here rather than per derived row.
+            if frontier is None:
+                frontier = [
+                    registers.slots[variable]
+                    for variable in sorted(rule.frontier_variables(), key=lambda v: v.name)
+                    if variable in registers.slots
+                ]
+            functor = f"∃{rule.label or rule.head.predicate}:{argument.name}"
+            makers.append(_skolem_step(functor, frontier, registers.bind(argument)))
+
+        head = _tuple_getter([registers.operand(argument) for argument in rule.head.arguments])
+        add = relations[rule.head.predicate].add
+        count_fact, keep = self._count_fact, derived.append
+
+        def emit(regs: Registers) -> None:
+            row = head(regs)
+            if add(row):
+                count_fact()
+                keep(row)
+
+        return _link(makers, emit, registers)
+
+    def _lower_body(
+        self,
+        body: Sequence[BodyElement],
+        registers: "_RegisterFile",
+        relations: Dict[str, Relation],
+        growing: Iterable[str] = (),
+        delta_position: int = -1,
+        delta: Optional[Relation] = None,
+    ) -> List[StepMaker]:
+        """One step maker per body element, allocating registers in body order."""
+        makers: List[StepMaker] = []
+        for position, element in enumerate(body):
+            if isinstance(element, Atom):
+                source = delta if position == delta_position else relations[element.predicate]
+                # A rule may add to the very relation it is scanning.
+                snapshot = source is not delta and element.predicate in growing
+                makers.append(self._atom_step(element, source, registers, snapshot))
+            elif isinstance(element, Negation):
+                makers.append(
+                    _negation_step(element.atom, relations[element.atom.predicate], registers)
+                )
+            elif isinstance(element, Comparison):
+                makers.append(_comparison_step(element, registers))
+            elif isinstance(element, Assignment):
+                makers.append(_assignment_step(element, registers))
+            elif isinstance(element, FilterCondition):
+                makers.append(_filter_step(element, registers))
             else:
-                values.append(self._ground_value(argument))
-        return tuple(values)
+                raise TypeError(f"unsupported body element {element!r}")
+        return makers
+
+    def _atom_step(
+        self, atom: Atom, relation: Relation, registers: "_RegisterFile", snapshot: bool
+    ) -> StepMaker:
+        """A positive atom: probe the index on its bound positions, bind the rest."""
+        bound_positions: List[int] = []
+        key_slots: List[int] = []
+        free_positions: List[int] = []
+        free_variables: List[Var] = []
+        # (position, earlier position) pairs of one variable within the atom.
+        repeats: List[Tuple[int, int]] = []
+        for position, argument in enumerate(atom.arguments):
+            if not isinstance(argument, Var) or argument in registers.slots:
+                bound_positions.append(position)
+                key_slots.append(registers.operand(argument))
+            elif argument in free_variables:
+                repeats.append((position, free_positions[free_variables.index(argument)]))
+            else:
+                free_positions.append(position)
+                free_variables.append(argument)
+        # The atom's new variables get adjacent registers: one slice write.
+        low = len(registers.values)
+        for variable in free_variables:
+            registers.bind(variable)
+        high = len(registers.values)
+        positions = tuple(bound_positions)
+        key_of = _getter(key_slots)
+        take = _tuple_getter(free_positions)
+        tick, check_clock = self._probe_tick, self._check_limits
+
+        def make(next_step: Step) -> Step:
+            lookup = None
+
+            if repeats:
+                def step(regs: Registers) -> None:
+                    nonlocal lookup
+                    if lookup is None:
+                        lookup = _lookup(relation, positions, snapshot)
+                    if not tick() % _CLOCK_CADENCE:
+                        check_clock()
+                    for row in lookup(key_of(regs)) or ():
+                        for position, earlier in repeats:
+                            if row[position] != row[earlier]:
+                                break
+                        else:
+                            regs[low:high] = take(row)
+                            next_step(regs)
+            elif not free_positions:
+                def step(regs: Registers) -> None:
+                    nonlocal lookup
+                    if lookup is None:
+                        lookup = _lookup(relation, positions, snapshot)
+                    if not tick() % _CLOCK_CADENCE:
+                        check_clock()
+                    if lookup(key_of(regs)):
+                        next_step(regs)
+            elif len(free_positions) == 1:
+                (only,) = free_positions
+
+                def step(regs: Registers) -> None:
+                    nonlocal lookup
+                    if lookup is None:
+                        lookup = _lookup(relation, positions, snapshot)
+                    if not tick() % _CLOCK_CADENCE:
+                        check_clock()
+                    rows = lookup(key_of(regs))
+                    if rows:
+                        for row in rows:
+                            regs[low] = row[only]
+                            next_step(regs)
+            else:
+                def step(regs: Registers) -> None:
+                    nonlocal lookup
+                    if lookup is None:
+                        lookup = _lookup(relation, positions, snapshot)
+                    if not tick() % _CLOCK_CADENCE:
+                        check_clock()
+                    rows = lookup(key_of(regs))
+                    if rows:
+                        for row in rows:
+                            regs[low:high] = take(row)
+                            next_step(regs)
+            return step
+
+        return make
 
     # ------------------------------------------------------------------
     # aggregation
@@ -509,30 +621,38 @@ class DatalogEngine:
             Rule(aggregate_rule.head, aggregate_rule.body, label=aggregate_rule.label),
             relations,
         )
-        substitutions: Iterable[Substitution] = [dict()]
-        for element in body:
-            substitutions = self._apply_element(element, substitutions, relations, False, None)
-        groups: Dict[Tuple, List[Substitution]] = defaultdict(list)
-        for substitution in substitutions:
-            key = tuple(substitution.get(variable) for variable in aggregate_rule.group_variables)
-            groups[key].append(substitution)
-        for key, members in groups.items():
+        registers = _RegisterFile()
+        makers = self._lower_body(body, registers, relations)
+        # Every body solution, as a copy of the whole register file.
+        members: List[Registers] = []
+        _link(makers, lambda regs: members.append(regs[:]), registers)()
+
+        group_variables = aggregate_rule.group_variables
+        group_of = _tuple_getter([registers.operand(variable) for variable in group_variables])
+        groups: Dict[Tuple, List[Registers]] = defaultdict(list)
+        for member in members:
+            groups[group_of(member)].append(member)
+        relation = relations[aggregate_rule.head.predicate]
+        for key, group in groups.items():
             values_by_target: Dict[Var, object] = {}
             for spec in aggregate_rule.aggregates:
-                values_by_target[spec.target] = _aggregate(spec, members)
+                if spec.argument is None:
+                    values: List[object] = [1] * len(group)
+                else:
+                    slot = registers.operand(spec.argument)
+                    values = [member[slot] for member in group if member[slot] is not None]
+                values_by_target[spec.target] = _aggregate(spec, values)
             row: List[object] = []
             for argument in aggregate_rule.head.arguments:
-                if isinstance(argument, Var):
-                    if argument in aggregate_rule.group_variables:
-                        index = aggregate_rule.group_variables.index(argument)
-                        row.append(key[index])
-                    elif argument in values_by_target:
-                        row.append(values_by_target[argument])
-                    else:
-                        row.append(members[0].get(argument))
+                if not isinstance(argument, Var):
+                    row.append(_ground_value(argument))
+                elif argument in group_variables:
+                    row.append(key[group_variables.index(argument)])
+                elif argument in values_by_target:
+                    row.append(values_by_target[argument])
                 else:
-                    row.append(self._ground_value(argument))
-            if relations[aggregate_rule.head.predicate].add(tuple(row)):
+                    row.append(group[0][registers.operand(argument)])
+            if relation.add(tuple(row)):
                 self._count_fact()
 
     # ------------------------------------------------------------------
@@ -544,12 +664,175 @@ class DatalogEngine:
             raise EvaluationLimitExceeded(
                 f"derived more than {self.max_facts} facts"
             )
-        if self._fact_count % 4096 == 0:
+        if self._fact_count % _CLOCK_CADENCE == 0:
             self._check_limits()
 
     def _check_limits(self) -> None:
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        if self._deadline is not None and time.monotonic() >= self._deadline:
             raise EvaluationLimitExceeded("evaluation timeout exceeded")
+
+
+def _ground_value(term):
+    if isinstance(term, Const):
+        return term.value
+    return term
+
+
+# ----------------------------------------------------------------------
+# compiled rule bodies
+# ----------------------------------------------------------------------
+class _RegisterFile:
+    """Compile-time register allocation for one rule.
+
+    ``values`` is the register file the compiled steps run on: register 0
+    stays ``None`` and stands for any variable that is never bound, every
+    constant occurrence gets a pre-filled register, and a variable gets
+    the next free register where the body first binds it.
+    """
+
+    __slots__ = ("values", "slots")
+
+    def __init__(self) -> None:
+        self.values: Registers = [None]
+        self.slots: Dict[Var, int] = {}
+
+    def bind(self, variable: Var) -> int:
+        """Allocate the register of a variable bound from here on."""
+        self.slots[variable] = slot = len(self.values)
+        self.values.append(None)
+        return slot
+
+    def operand(self, term: object) -> int:
+        """The register to read ``term`` from."""
+        if isinstance(term, Var):
+            return self.slots.get(term, 0)
+        self.values.append(_ground_value(term))
+        return len(self.values) - 1
+
+
+def _link(makers: Sequence[StepMaker], last: Step, registers: _RegisterFile) -> Plan:
+    """Chain the steps back to front; the plan runs them on the register file."""
+    step = last
+    for make in reversed(makers):
+        step = make(step)
+    values = registers.values
+    return lambda: step(values)
+
+
+def _lookup(relation: Relation, positions: Tuple[int, ...], snapshot: bool = False) -> Callable:
+    """``key -> candidate rows`` (falsy when there are none) on ``positions``."""
+    if positions:
+        return relation.index(positions).get
+    if snapshot:
+        return lambda _key: tuple(relation.tuples)
+    return lambda _key: relation.tuples
+
+
+def _negation_step(atom: Atom, relation: Relation, registers: _RegisterFile) -> StepMaker:
+    """``not atom``: no row agrees on the bound positions (others are existential)."""
+    positions: List[int] = []
+    key_slots: List[int] = []
+    for position, argument in enumerate(atom.arguments):
+        if not isinstance(argument, Var) or argument in registers.slots:
+            positions.append(position)
+            key_slots.append(registers.operand(argument))
+    key_of = _getter(key_slots)
+
+    def make(next_step: Step) -> Step:
+        lookup = None
+
+        def step(regs: Registers) -> None:
+            nonlocal lookup
+            if lookup is None:
+                lookup = _lookup(relation, tuple(positions))
+            if not lookup(key_of(regs)):
+                next_step(regs)
+
+        return step
+
+    return make
+
+
+def _comparison_step(comparison: Comparison, registers: _RegisterFile) -> StepMaker:
+    operator = comparison.operator
+    left, right = registers.operand(comparison.left), registers.operand(comparison.right)
+
+    def make(next_step: Step) -> Step:
+        def step(regs: Registers) -> None:
+            first, second = regs[left], regs[right]
+            # None is an unbound variable: the comparison fails.
+            if first is not None and second is not None and compare_values(operator, first, second):
+                next_step(regs)
+
+        return step
+
+    return make
+
+
+def _skolem_step(functor: str, argument_slots: Sequence[int], target: int) -> StepMaker:
+    """``target := functor(arguments)`` for a variable not bound before."""
+    arguments = _tuple_getter(argument_slots)
+
+    def make(next_step: Step) -> Step:
+        def step(regs: Registers) -> None:
+            regs[target] = SkolemTerm(functor, arguments(regs))
+            next_step(regs)
+
+        return step
+
+    return make
+
+
+def _assignment_step(assignment: Assignment, registers: _RegisterFile) -> StepMaker:
+    expression = assignment.expression
+    bound = assignment.variable in registers.slots
+    if isinstance(expression, SkolemExpr):
+        slots = [registers.operand(argument) for argument in expression.arguments]
+        if not bound:
+            return _skolem_step(expression.functor, slots, registers.bind(assignment.variable))
+        functor, arguments = expression.functor, _tuple_getter(slots)
+
+        def value_of(regs: Registers) -> object:
+            return SkolemTerm(functor, arguments(regs))
+    else:
+        value_of = itemgetter(registers.operand(expression))
+    target = registers.slots[assignment.variable] if bound else registers.bind(assignment.variable)
+
+    def make(next_step: Step) -> Step:
+        if bound:
+            def step(regs: Registers) -> None:
+                if regs[target] == value_of(regs):
+                    next_step(regs)
+        else:
+            def step(regs: Registers) -> None:
+                regs[target] = value_of(regs)
+                next_step(regs)
+        return step
+
+    return make
+
+
+def _filter_step(condition: FilterCondition, registers: _RegisterFile) -> StepMaker:
+    """An embedded SPARQL filter over the bound variables carrying RDF terms."""
+    expression = condition.expression
+    slot_of = {
+        variable: registers.slots[datalog_variable]
+        for variable, datalog_variable in condition.variable_map
+        if datalog_variable in registers.slots
+    }
+    pairs = sorted(slot_of.items(), key=lambda pair: pair[0].name)
+
+    def make(next_step: Step) -> Step:
+        def step(regs: Registers) -> None:
+            items = tuple(
+                (variable, regs[slot]) for variable, slot in pairs if isinstance(regs[slot], RdfTerm)
+            )
+            if satisfies(expression, Binding.from_sorted_items(items)):
+                next_step(regs)
+
+        return step
+
+    return make
 
 
 def compare_values(operator: str, left: object, right: object) -> bool:
@@ -577,45 +860,25 @@ def compare_values(operator: str, left: object, right: object) -> bool:
     raise ValueError(f"unknown comparison operator {operator!r}")
 
 
-def _aggregate(spec, members: List[Substitution]):
-    """Compute one aggregate value over the substitutions of a group."""
+def _aggregate(spec: AggregateSpec, raw_values: List[object]):
+    """Compute one aggregate over a group's bound argument values."""
     operation = spec.operation.upper()
-    if spec.argument is None:
-        raw_values: List[object] = [1] * len(members)
-    else:
-        raw_values = [member.get(spec.argument) for member in members]
-        raw_values = [value for value in raw_values if value is not None]
     if spec.distinct:
-        seen = set()
-        unique = []
-        for value in raw_values:
-            if value not in seen:
-                seen.add(value)
-                unique.append(value)
-        raw_values = unique
+        raw_values = list(dict.fromkeys(raw_values))
     if operation == "COUNT":
         return Literal.from_python(len(raw_values))
 
     numeric: List[float] = []
-    comparable: List[object] = []
     for value in raw_values:
         if isinstance(value, Literal):
-            as_python = value.as_python()
-            if isinstance(as_python, (int, float)) and not isinstance(as_python, bool):
-                numeric.append(as_python)
-            comparable.append(value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = value.as_python()
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             numeric.append(value)
-            comparable.append(value)
-        else:
-            comparable.append(value)
     if operation in ("MIN", "MAX"):
-        if not comparable:
+        if not raw_values:
             return None
-        from repro.rdf.terms import term_sort_key
-
         ordered = sorted(
-            comparable,
+            raw_values,
             key=lambda value: term_sort_key(value) if isinstance(value, RdfTerm) else (0, str(value)),
         )
         return ordered[0] if operation == "MIN" else ordered[-1]

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded, compare_values
+from repro.datalog.engine import (
+    DatalogEngine,
+    EvaluationLimitExceeded,
+    Materialisation,
+    compare_values,
+)
 from repro.datalog.rules import (
     AggregateRule,
     AggregateSpec,
@@ -16,6 +21,7 @@ from repro.datalog.rules import (
 )
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.terms import Const, SkolemTerm, Var
+from repro.obs import Tracer, trace_to_dict
 from repro.rdf.terms import Literal
 
 
@@ -199,6 +205,128 @@ class TestLimits:
         )
         with pytest.raises(EvaluationLimitExceeded):
             DatalogEngine(timeout_seconds=0.05).evaluate(program)
+
+
+    def test_timeout_zero_expires_immediately(self):
+        program = edge_program([("a", "b")])
+        program.add_rule(Rule(Atom("node", (X,)), (Atom("edge", (X, Y)),)))
+        with pytest.raises(EvaluationLimitExceeded):
+            DatalogEngine(timeout_seconds=0).evaluate(program)
+        assert DatalogEngine(timeout_seconds=None).evaluate(program)["node"] == {("a",)}
+
+    def test_timeout_fires_while_nothing_is_derived(self):
+        # 8M candidate rows, every one rejected by the comparison: the
+        # deadline is read on the probe cadence, not only per derived fact.
+        program = Program()
+        for index in range(200):
+            program.add_fact(Atom("n", (c(index),)))
+        program.add_rule(
+            Rule(
+                Atom("none", (X,)),
+                (Atom("n", (X,)), Atom("n", (Y,)), Atom("n", (Z,)), Comparison("<", Z, c(-1))),
+            )
+        )
+        with pytest.raises(EvaluationLimitExceeded):
+            DatalogEngine(timeout_seconds=0.05).evaluate(program)
+
+
+class TestCompiledRules:
+    def test_rule_scanning_its_own_head_relation(self):
+        program = edge_program([("a", "b"), ("b", "c")])
+        program.add_rule(Rule(Atom("sym", (X, Y)), (Atom("edge", (X, Y)),)))
+        program.add_rule(Rule(Atom("sym", (X, Y)), (Atom("sym", (Y, X)),)))
+        result = DatalogEngine().evaluate(program)
+        assert result["sym"] == {("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
+
+    def test_variable_repeated_within_an_atom(self):
+        program = edge_program([("a", "a"), ("a", "b"), ("b", "b")])
+        program.add_rule(Rule(Atom("loop", (X,)), (Atom("edge", (X, X)),)))
+        assert DatalogEngine().evaluate(program)["loop"] == {("a",), ("b",)}
+
+    def test_assignment_to_a_bound_variable_compares(self):
+        program = edge_program([("a", "b"), ("c", "c")])
+        program.add_rule(
+            Rule(Atom("same", (X,)), (Atom("edge", (X, Y)), Assignment(Y, X)))
+        )
+        assert DatalogEngine().evaluate(program)["same"] == {("c",)}
+
+    def test_unbound_head_variable_raises_only_when_derived(self):
+        program = edge_program([("a", "b")])
+        program.add_rule(Rule(Atom("never", (Z,)), (Atom("missing", (X,)),)))
+        DatalogEngine().evaluate(program)
+        program.add_rule(Rule(Atom("bad", (Z,)), (Atom("edge", (X, Y)),)))
+        with pytest.raises(ValueError):
+            DatalogEngine().evaluate(program)
+
+
+def closure_program():
+    lower = edge_program([("a", "b"), ("b", "c"), ("c", "d")])
+    lower.add_rule(Rule(Atom("tc", (X, Y)), (Atom("edge", (X, Y)),)))
+    lower.add_rule(Rule(Atom("tc", (X, Z)), (Atom("edge", (X, Y)), Atom("tc", (Y, Z)))))
+    upper = Program()
+    upper.add_rule(
+        Rule(Atom("far", (X, Y)), (Atom("tc", (X, Y)), Negation(Atom("edge", (X, Y)))))
+    )
+    return lower, upper
+
+
+class TestMaterialisation:
+    def test_overlay_on_a_base_equals_one_evaluation(self):
+        lower, upper = closure_program()
+        everything = Program()
+        everything.extend(lower)
+        everything.extend(upper)
+        engine = DatalogEngine()
+        base = engine.materialise(lower)
+        assert isinstance(base, Materialisation)
+        assert engine.evaluate(upper, base) == DatalogEngine().evaluate(everything)
+        assert engine.evaluate(upper, base)["far"] == {("a", "c"), ("a", "d"), ("b", "d")}
+
+    def test_base_is_unchanged_by_evaluations_on_top(self):
+        lower, upper = closure_program()
+        base = DatalogEngine().materialise(lower)
+        sizes = {predicate: len(relation) for predicate, relation in base.relations.items()}
+        assert base.fact_count == 3 + 6
+        for _ in range(100):
+            DatalogEngine().evaluate(upper, base)
+        assert sizes == {
+            predicate: len(relation) for predicate, relation in base.relations.items()
+        }
+        assert base.fact_count == 9
+        assert "far" not in base.relations
+
+    def test_defining_a_base_predicate_raises(self):
+        lower, _ = closure_program()
+        base = DatalogEngine().materialise(lower)
+        into_base = Program()
+        into_base.add_rule(Rule(Atom("edge", (Y, X)), (Atom("edge", (X, Y)),)))
+        with pytest.raises(ValueError):
+            DatalogEngine().evaluate(into_base, base)
+        fact_into_base = Program()
+        fact_into_base.add_fact(Atom("tc", (c("x"), c("y"))))
+        with pytest.raises(ValueError):
+            DatalogEngine().evaluate(fact_into_base, base)
+
+    def test_max_facts_counts_the_base(self):
+        lower, upper = closure_program()
+        base = DatalogEngine().materialise(lower)
+        assert DatalogEngine(max_facts=12).evaluate(upper, base)["far"]
+        with pytest.raises(EvaluationLimitExceeded):
+            DatalogEngine(max_facts=11).evaluate(upper, base)
+
+
+class TestStratumSpans:
+    def test_one_span_per_stratum_with_rules(self):
+        lower, upper = closure_program()
+        lower.extend(upper)
+        tracer = Tracer("datalog")
+        DatalogEngine(tracer=tracer).evaluate(lower)
+        spans = [span for span in tracer.spans if span.name == "datalog.stratum"]
+        assert [span.args["predicates"] for span in spans] == [["edge", "tc"], ["far"]]
+        assert [span.args["rules"] for span in spans] == [2, 1]
+        assert [span.args["derived"] for span in spans] == [6, 3]
+        assert spans[0].args["rounds"] >= 1
+        trace_to_dict(tracer, validate=True)
 
 
 class TestStratification:

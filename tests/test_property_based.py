@@ -10,7 +10,15 @@ from repro.baselines.native import NativeSparqlEngine
 from repro.compliance.compare import results_equal
 from repro.core.engine import SparqLogEngine
 from repro.datalog.engine import DatalogEngine
-from repro.datalog.rules import Atom, Program, Rule
+from repro.datalog.rules import (
+    AggregateRule,
+    AggregateSpec,
+    Atom,
+    Comparison,
+    Negation,
+    Program,
+    Rule,
+)
 from repro.datalog.terms import Const, Var
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
@@ -149,6 +157,107 @@ class TestDatalogClosureProperties:
                 expected.add((source, successor))
         computed = relations.get("tc", set())
         assert computed == expected
+
+
+# ----------------------------------------------------------------------
+# Evaluating on top of a materialisation
+# ----------------------------------------------------------------------
+_VARS = [Var("X"), Var("Y"), Var("Z")]
+_DOMAIN = range(4)
+
+
+@st.composite
+def layered_programs(draw):
+    """A stratified program as ``(facts, [rules of layer 1, 2, ...])``.
+
+    Layer ``k`` defines one predicate ``p<k>`` from the predicates of the
+    layers up to ``k``: positive atoms may use ``p<k>`` itself (recursion),
+    negated atoms, existential heads and aggregates read strictly lower
+    layers only, comparisons relate the bound variables.
+    """
+    facts = Program()
+    for name in ("e0", "e1"):
+        for left, right in draw(
+            st.sets(
+                st.tuples(st.sampled_from(_DOMAIN), st.sampled_from(_DOMAIN)), min_size=2, max_size=8
+            )
+        ):
+            facts.add_fact(Atom(name, (Const(left), Const(right))))
+    arity = {"e0": 2, "e1": 2}
+    term = st.one_of(st.sampled_from(_VARS), st.sampled_from(_DOMAIN).map(Const))
+
+    def atom_over(predicates):
+        name = draw(st.sampled_from(sorted(predicates)))
+        return Atom(name, tuple(draw(term) for _ in range(arity[name])))
+
+    layers = []
+    for layer in range(1, draw(st.integers(2, 4)) + 1):
+        name = f"p{layer}"
+        lower = set(arity)
+        kind = draw(st.sampled_from(["plain", "plain", "negation", "existential", "aggregate"]))
+        arity[name] = 2 if kind in ("existential", "aggregate") else draw(st.integers(1, 2))
+        readable = lower if kind in ("existential", "aggregate") else lower | {name}
+        program = Program()
+        for _ in range(draw(st.integers(1, 2))):
+            body = [Atom("e0", (_VARS[0], draw(term)))]
+            body += [atom_over(readable) for _ in range(draw(st.integers(0, 2)))]
+            bound = sorted({v for atom in body for v in atom.variables()}, key=lambda v: v.name)
+            if draw(st.booleans()):
+                operator = draw(st.sampled_from(["=", "!=", "<", ">="]))
+                body.append(Comparison(operator, draw(st.sampled_from(bound)), draw(term)))
+            if kind == "negation":
+                body.append(Negation(atom_over(lower)))
+            head_term = st.one_of(st.sampled_from(bound), st.sampled_from(_DOMAIN).map(Const))
+            if kind == "aggregate":
+                group, counted = draw(st.sampled_from(bound)), draw(st.sampled_from(bound))
+                program.aggregate_rules.append(
+                    AggregateRule(
+                        head=Atom(name, (group, Var("N"))),
+                        body=tuple(body),
+                        group_variables=(group,),
+                        aggregates=(AggregateSpec("COUNT", counted, Var("N")),),
+                    )
+                )
+            elif kind == "existential":
+                head = Atom(name, (draw(head_term), Var("E")))
+                program.add_rule(
+                    Rule(head, tuple(body), existential_variables=(Var("E"),), label=f"r{layer}")
+                )
+            else:
+                head = Atom(name, tuple(draw(head_term) for _ in range(arity[name])))
+                program.add_rule(Rule(head, tuple(body)))
+        layers.append(program)
+    return facts, layers
+
+
+def _merged(programs) -> Program:
+    merged = Program()
+    for program in programs:
+        merged.extend(program)
+    return merged
+
+
+def _non_empty(relations):
+    return {predicate: rows for predicate, rows in relations.items() if rows}
+
+
+class TestMaterialisationProperties:
+    @given(layered_programs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_rules_on_a_materialised_base_equal_one_evaluation(self, generated, data):
+        facts, layers = generated
+        split = data.draw(st.integers(0, len(layers)))
+        everything = DatalogEngine(max_facts=50_000).evaluate(_merged([facts, *layers]))
+
+        engine = DatalogEngine(max_facts=50_000)
+        base = engine.materialise(_merged([facts, *layers[:split]]))
+        sizes = {predicate: len(relation) for predicate, relation in base.relations.items()}
+        on_base = engine.evaluate(_merged(layers[split:]), base)
+
+        assert _non_empty(on_base) == _non_empty(everything)
+        assert sizes == {
+            predicate: len(relation) for predicate, relation in base.relations.items()
+        }
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,24 @@ import pytest
 from collections import Counter
 
 from repro.core.engine import SparqLogEngine, resolve_dataset_clauses
+from repro.core.ontology import Ontology
 from repro.core.solution_translation import SolutionTranslator
 from repro.datalog.engine import EvaluationLimitExceeded
+from repro.obs import Tracer, trace_to_dict
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI, Literal, Triple, Variable
+from repro.rdf.terms import IRI, RDF, Literal, Triple, Variable
 from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
 from repro.sparql.solutions import Binding
+from repro.store import EncodedGraph
 
-from tests.helpers import EX, countries_dataset, countries_graph, directors_dataset
+from tests.helpers import (
+    EX,
+    countries_dataset,
+    countries_graph,
+    directors_dataset,
+    rows_multiset,
+)
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -70,6 +79,91 @@ class TestEngineBasics:
             engine.query(
                 PREFIX + "SELECT ?a ?b ?c ?d WHERE { ?a ex:p ?b . ?c ex:p ?d }"
             )
+
+
+    def test_zero_timeout_expires_immediately(self):
+        engine = SparqLogEngine(countries_dataset(), timeout_seconds=0.0)
+        with pytest.raises(EvaluationLimitExceeded):
+            engine.query(PREFIX + "SELECT ?x WHERE { ex:spain ex:borders ?x }")
+
+
+BORDERS = PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }"
+
+
+class TestMaterialisedDataset:
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph])
+    def test_graph_mutation_between_queries_changes_the_answer(self, backend):
+        graph = backend()
+        graph.update(countries_graph())
+        engine = SparqLogEngine(Dataset.from_graph(graph))
+        assert len(engine.query(BORDERS)) == 5
+        version = graph.version
+        graph.add(Triple(EX.austria, EX.borders, EX.italy))
+        assert graph.version > version
+        assert len(engine.query(BORDERS)) == 6
+        graph.remove(Triple(EX.spain, EX.borders, EX.france))
+        assert len(engine.query(BORDERS)) == 5
+        assert (engine.base_rebuilds, engine.base_hits) == (3, 0)
+
+    def test_named_graph_mutation_and_registration_are_seen(self):
+        dataset = Dataset()
+        named = Graph([Triple(EX.a, EX.p, EX.b)])
+        dataset.add_named_graph(IRI("http://g1"), named)
+        engine = SparqLogEngine(dataset)
+        query = PREFIX + "SELECT ?g ?s WHERE { GRAPH ?g { ?s ex:p ?o } }"
+        assert len(engine.query(query)) == 1
+        named.add(Triple(EX.c, EX.p, EX.d))
+        assert len(engine.query(query)) == 2
+        dataset.add_named_graph(IRI("http://g2"), Graph([Triple(EX.e, EX.p, EX.f)]))
+        assert len(engine.query(query)) == 3
+
+    def test_ontology_change_is_seen(self):
+        graph = Graph([Triple(EX.rex, RDF.type, EX.Dog)])
+        ontology = Ontology()
+        engine = SparqLogEngine(Dataset.from_graph(graph), ontology=ontology)
+        query = PREFIX + "SELECT ?x WHERE { ?x a ex:Animal }"
+        assert len(engine.query(query)) == 0
+        ontology.add_subclass(EX.Dog, EX.Animal)
+        assert len(engine.query(query)) == 1
+
+    def test_hundred_queries_leave_the_materialisation_unchanged(self):
+        engine = SparqLogEngine(countries_dataset())
+        queries = [
+            BORDERS,
+            PREFIX + "SELECT ?b WHERE { ex:spain ex:borders+ ?b }",
+            PREFIX + "SELECT ?x ?z WHERE { ?x ex:borders ?y OPTIONAL { ?y ex:borders ?z } }",
+            PREFIX + "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:borders ?b } GROUP BY ?a",
+            PREFIX + "ASK WHERE { ?x ex:borders+ ex:austria }",
+        ]
+        expected = [rows_multiset(engine.query(query)) for query in queries]
+        base = engine._base
+        sizes = {predicate: len(relation) for predicate, relation in base.relations.items()}
+        fact_count = base.fact_count
+        for _ in range(20):
+            for query, answer in zip(queries, expected):
+                assert rows_multiset(engine.query(query)) == answer
+        assert engine._base is base and base.fact_count == fact_count
+        assert sizes == {
+            predicate: len(relation) for predicate, relation in base.relations.items()
+        }
+        assert (engine.base_rebuilds, engine.base_hits) == (1, 104)
+
+    def test_base_and_stratum_spans(self):
+        tracer = Tracer("sparqlog")
+        engine = SparqLogEngine(countries_dataset(), tracer=tracer)
+        engine.query(BORDERS)
+        engine.query(BORDERS)
+        bases = [span for span in tracer.spans if span.name == "datalog.base"]
+        assert len(bases) == 1
+        assert bases[0].args["facts"] > 0 and bases[0].args["closure"] > bases[0].args["facts"]
+        strata = [span for span in tracer.spans if span.name == "datalog.stratum"]
+        assert strata and all(
+            {"predicates", "rules", "rounds", "derived"} <= set(span.args) for span in strata
+        )
+        # The closure's strata nest under the base span, the queries' do not.
+        assert any(span.parent is bases[0] for span in strata)
+        assert any(span.parent is None for span in strata)
+        trace_to_dict(tracer, validate=True)
 
 
 class TestDatasetClauses:
