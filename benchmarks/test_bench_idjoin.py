@@ -3,8 +3,8 @@
 A ~90k-triple two-fan workload over the encoded store: every subject
 carries a small ``:small`` fan and a larger ``:big`` fan, and the query
 joins both fans then FILTERs the ``:small`` object down to a handful of
-rows.  The PR 2 decoded path (``use_id_execution=False,
-use_filter_pushdown=False``) materialises the full two-fan join as boxed
+rows.  The PR 2 decoded path (id execution and FILTER pushdown off in
+the profile) materialises the full two-fan join as boxed
 ``Term`` bindings and post-filters it; the id-native pipeline joins over
 raw dictionary ids and kills non-qualifying rows right after the step
 that binds the filtered variable, so the second fan is only probed for
@@ -24,7 +24,13 @@ from collections import Counter
 from repro.rdf.graph import Dataset
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.store import bulk_load_ntriples
+
+#: The decoded, post-filtered pipeline on the encoded store.
+DECODED = ExecutionProfile.FULL.with_options(
+    use_id_execution=False, use_filter_pushdown=False
+)
 
 N_TRIPLES = 90_000
 
@@ -85,7 +91,7 @@ def _compare(query_text, rounds=3):
     dataset = Dataset.from_graph(_encoded_graph())
     query = parse_query(query_text)
     decoded_time, decoded = _best_time(
-        SparqlEvaluator(dataset, use_id_execution=False, use_filter_pushdown=False),
+        SparqlEvaluator(dataset, profile=DECODED),
         query,
         rounds,
     )

@@ -30,6 +30,7 @@ from collections import Counter
 
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.workloads.gmark import GMarkWorkload
 from repro.workloads.gmark import test_scenario as gmark_test_scenario
 
@@ -85,7 +86,10 @@ def _compare(query_texts):
     dataset = _dataset()
     queries = [parse_query(PREFIX + text) for text in query_texts]
     term_time, term_results = _run_workload(
-        SparqlEvaluator(dataset, use_id_paths=False), queries
+        SparqlEvaluator(
+            dataset, profile=ExecutionProfile.FULL.with_options(use_id_paths=False)
+        ),
+        queries,
     )
     id_time, id_results = _run_workload(SparqlEvaluator(dataset), queries)
     for position, (expected, actual) in enumerate(zip(term_results, id_results)):

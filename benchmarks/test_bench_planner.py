@@ -19,9 +19,12 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Triple
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 
 EX = Namespace("http://ex.org/")
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
+#: Textual-order evaluation, the baseline the planner is gated against.
+NAIVE = ExecutionProfile.FULL.with_options(use_planner=False)
 
 
 def _star_dataset(n_subjects: int = 350, fanout: int = 5) -> Dataset:
@@ -68,7 +71,7 @@ def _best_time(evaluator, query, rounds: int = 3) -> float:
 
 def _compare(dataset, query_text):
     query = parse_query(PREFIX + query_text)
-    naive_time, naive = _best_time(SparqlEvaluator(dataset, use_planner=False), query)
+    naive_time, naive = _best_time(SparqlEvaluator(dataset, profile=NAIVE), query)
     planned_time, planned = _best_time(SparqlEvaluator(dataset), query)
     assert Counter(planned.rows()) == Counter(naive.rows())
     return naive_time, planned_time
@@ -123,7 +126,7 @@ def test_bench_planner_ask_short_circuits():
     planned_time, result = _best_time(SparqlEvaluator(dataset), query)
     assert result is True
     naive_time, naive_result = _best_time(
-        SparqlEvaluator(dataset, use_planner=False), query
+        SparqlEvaluator(dataset, profile=NAIVE), query
     )
     assert naive_result is True
     print(f"\nask: naive={naive_time * 1e3:.2f}ms planned={planned_time * 1e3:.2f}ms")

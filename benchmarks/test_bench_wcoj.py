@@ -29,6 +29,7 @@ from repro.rdf.graph import Dataset
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.physical import IndexNestedLoopJoin, LeapfrogJoin
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.store import bulk_load_ntriples
 
 #: Spokes of the hub: each contributes the wedge (spoke -> hub -> spoke').
@@ -107,7 +108,7 @@ def _compare_cyclic(query_text, rounds):
     """Time the binary-join plan vs the leapfrog plan on a cyclic query."""
     dataset = Dataset.from_graph(_encoded_graph())
     query = parse_query(query_text)
-    binary_evaluator = SparqlEvaluator(dataset, use_wcoj=False)
+    binary_evaluator = SparqlEvaluator(dataset, profile=ExecutionProfile.ID_NATIVE)
     leapfrog_evaluator = SparqlEvaluator(dataset)
     binary_time, binary = _best_time(binary_evaluator, query, rounds)
     leapfrog_time, leapfrog = _best_time(leapfrog_evaluator, query, rounds)
@@ -158,7 +159,7 @@ def test_bench_wcoj_acyclic_no_regression(bench_metrics):
     dataset = Dataset.from_graph(_encoded_graph())
     query = parse_query(CHAIN_QUERY)
     wcoj_on = SparqlEvaluator(dataset)
-    wcoj_off = SparqlEvaluator(dataset, use_wcoj=False)
+    wcoj_off = SparqlEvaluator(dataset, profile=ExecutionProfile.ID_NATIVE)
     off_time, off_rows = _best_time(wcoj_off, query, rounds=3)
     on_time, on_rows = _best_time(wcoj_on, query, rounds=3)
     assert isinstance(wcoj_on.last_physical_plan.root.child, IndexNestedLoopJoin)

@@ -19,7 +19,7 @@ one :class:`Engine` handle:
 
 Execution is configured with an
 :class:`~repro.sparql.profile.ExecutionProfile` (presets ``FULL``,
-``ID_NATIVE``, ``BASELINE``) instead of the deprecated boolean knobs.
+``ID_NATIVE``, ``BASELINE``) — the only configuration value there is.
 """
 
 from __future__ import annotations
@@ -79,13 +79,25 @@ class Engine:
         return self.evaluator.evaluate(query)
 
     def explain(self, query: Union[str, Query]) -> str:
-        """Render the physical plan the query would execute."""
+        """Render the physical plan of the query's BGP.
+
+        Accepts a planned BGP, a lone triple pattern or a lone path
+        pattern, each optionally FILTER-wrapped.  Note that
+        :meth:`query` evaluates a *lone* pattern directly, not through
+        the physical layer: for those the rendering shows the plan of
+        the equivalent singleton BGP, not what ``query`` runs.
+        """
         if isinstance(query, str):
             query = parse_query(query)
         return self.evaluator.explain(query)
 
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeReport:
-        """Execute the query and render the plan with measured counters."""
+        """Execute the query's BGP and render the plan with measured counters.
+
+        Same shapes as :meth:`explain`, with the same caveat: a lone
+        pattern is measured here as a singleton BGP on the physical
+        layer, while :meth:`query` evaluates it directly.
+        """
         return self.evaluator.explain_analyze(query)
 
     def metrics(self):

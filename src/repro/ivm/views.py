@@ -36,16 +36,16 @@ from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Term, Variable, term_sort_key
 from repro.sparql.algebra import (
     BGP,
-    Filter,
     GraphGraphPattern,
     GraphPatternNode,
     PathPattern,
     Query,
     SelectQuery,
     TriplePatternNode,
+    peel_filters,
     walk,
 )
-from repro.sparql.expressions import Expression, conjuncts
+from repro.sparql.expressions import Expression
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
 from repro.ivm.delta import DeltaBatch, DeltaPipeline, RowDelta, differentiate
@@ -369,10 +369,7 @@ class ViewRegistry:
         ):
             return None, query, False
         conditions: List[Expression] = []
-        current: GraphPatternNode = query.pattern
-        while isinstance(current, Filter):
-            conditions.extend(conjuncts(current.condition))
-            current = current.pattern
+        current = peel_filters(query.pattern, conditions)
         if isinstance(current, (TriplePatternNode,)):
             current = BGP((current,))
         if not (
@@ -382,9 +379,11 @@ class ViewRegistry:
         ):
             return None, query, False
         evaluator = self.evaluator
-        if not evaluator.use_planner:
+        if not evaluator.profile.use_planner:
             return None, query, False
-        plan = evaluator._lower_bgp(current, graph, tuple(conditions))
+        plan = evaluator.lowered_plans.get(
+            graph, current.patterns, tuple(conditions), evaluator.profile
+        )
         pipeline = differentiate(plan, graph, query.projected_variables())
         if pipeline is None:
             return None, query, False

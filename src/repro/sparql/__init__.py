@@ -9,8 +9,8 @@ The parser turns a SPARQL query string into an algebra tree
 * the SparqLog translator (:mod:`repro.core`), which compiles the tree into
   a Warded Datalog± program.
 
-Query planning
---------------
+Query planning and execution
+----------------------------
 
 Basic graph patterns are *not* executed in textual order.  The planner in
 :mod:`repro.sparql.plan` prices every triple / path pattern against the
@@ -18,24 +18,28 @@ exact incremental statistics kept by :class:`repro.rdf.Graph`
 (per-predicate cardinalities, distinct subject/object counts), greedily
 orders the patterns by estimated cardinality with bound-variable
 propagation, and materialises the result as a :class:`~repro.sparql.plan.BGPPlan`
-— an explicit, inspectable plan object.  Execution is a streaming
-index-nested-loop pipeline: each partial solution substitutes its bound
-variables into the next pattern before probing the SPO/POS/OSP indexes,
-and solutions are yielded lazily so ASK and plain-LIMIT queries
-short-circuit instead of materialising full intermediate multisets.  The
-same cardinality model drives body-atom ordering in
-:class:`repro.datalog.engine.DatalogEngine`.  ``SparqlEvaluator(dataset,
-use_planner=False)`` recovers the naive textual-order evaluation, which
-the property-based tests use as the differential baseline.
+— an explicit, inspectable plan object.  The same cardinality model
+drives body-atom ordering in :class:`repro.datalog.engine.DatalogEngine`.
 
 The ordered plan is then *lowered* to a physical operator DAG
-(:mod:`repro.sparql.physical`): the lowering pass picks term-space or
-id-space operators per backend capability, attaches FILTER conjuncts as
-``Filter`` operators, and selects the leapfrog-triejoin
+(:func:`repro.sparql.physical.lower_plan`): the lowering pass picks
+term-space or id-space operators per backend capability, attaches FILTER
+conjuncts as ``Filter`` operators, and selects the leapfrog-triejoin
 :class:`~repro.sparql.physical.LeapfrogJoin` operator — worst-case
 optimal over the encoded store's sorted id runs — when statistics detect
-a cyclic join graph.  ``SparqlEvaluator.explain()`` renders the lowered
-DAG, and executed plans expose per-operator row/probe counters.
+a cyclic join graph.  :func:`repro.sparql.physical.execute` is the one
+way to run a lowered plan: a streaming pipeline in which each partial
+solution substitutes its bound variables into the next pattern before
+probing the SPO/POS/OSP indexes, so ASK and plain-LIMIT queries
+short-circuit instead of materialising full intermediate multisets.
+``SparqlEvaluator.explain()`` renders the lowered DAG, and executed plans
+expose per-operator row/probe counters.
+
+All of it is configured by one value, an
+:class:`~repro.sparql.profile.ExecutionProfile` handed to
+``SparqlEvaluator(dataset, profile=...)`` (and on to ``lower_plan``); a
+profile with the planner off recovers the naive textual-order evaluation
+the property-based tests use as the differential baseline.
 """
 
 from repro.sparql.algebra import (
@@ -71,13 +75,12 @@ from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.physical import (
     IndexNestedLoopJoin,
     LeapfrogJoin,
-    LoweringOptions,
     PhysicalPlan,
     lower_bgp,
     lower_plan,
     supports_leapfrog,
 )
-from repro.sparql.plan import BGPPlan, PlanStep, evaluate_bgp, plan_bgp
+from repro.sparql.plan import BGPPlan, PlanStep, plan_bgp
 from repro.sparql.solutions import Binding, SolutionSequence
 
 __all__ = [
@@ -96,7 +99,6 @@ __all__ = [
     "LeapfrogJoin",
     "LeftJoin",
     "LinkPath",
-    "LoweringOptions",
     "Minus",
     "NegatedPropertySet",
     "OneOrMorePath",
@@ -115,7 +117,6 @@ __all__ = [
     "Union",
     "ZeroOrMorePath",
     "ZeroOrOnePath",
-    "evaluate_bgp",
     "lower_bgp",
     "lower_plan",
     "parse_query",

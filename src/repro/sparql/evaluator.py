@@ -8,13 +8,10 @@ The evaluator implements the W3C SPARQL algebra directly over a
 * it provides the ground truth against which the SparqLog translation is
   differentially tested.
 
-Property-path evaluation follows the spec's ALP procedure: closure
-operators (``?``, ``*``, ``+``) are evaluated per start node with set
-semantics, all other path operators preserve duplicates.  Like Jena's ARQ
-engine, a recursive path with two unbound endpoints is evaluated by
-running the per-node expansion from every node of the active graph — this
-is what makes the native engine slow on the gMark workloads, matching the
-performance shape reported in the paper.
+Property paths run through the id-native engine
+(:mod:`repro.sparql.idpaths`) where the graph and the profile allow it
+and through the spec's term-level ALP procedure (:mod:`repro.sparql.alp`)
+otherwise.
 
 Basic graph patterns are evaluated through the cost-based planner in
 :mod:`repro.sparql.plan` and the physical operator layer in
@@ -23,24 +20,24 @@ reordered by estimated cardinality, lowered to a physical operator DAG
 (term- or id-space per backend capability, with a leapfrog-triejoin
 operator for cyclic BGPs) and executed as a streaming pipeline, so ASK
 and plain LIMIT queries short-circuit instead of materialising the full
-join.  The execution knobs are configured through
+join.  Both steps are cached per graph state (:mod:`repro.sparql.plancache`).
+A lone triple or path pattern is not a BGP to the parser and is
+evaluated directly, without a physical plan.
+
+Execution is configured by one value, an
 :class:`repro.sparql.profile.ExecutionProfile` (``profile=`` — presets
-``FULL`` / ``ID_NATIVE`` / ``BASELINE``); ``use_planner=False`` recovers
-the naive textual-order evaluation (used as the differential-testing
-baseline and by the planner benchmarks) and the remaining knobs map onto
-:class:`repro.sparql.physical.LoweringOptions`.  The historical boolean
-constructor kwargs still work but emit a ``DeprecationWarning``.
+``FULL`` / ``ID_NATIVE`` / ``BASELINE``, see that module for what each
+field switches); a profile with the planner off recovers the naive
+textual-order evaluation used as the differential-testing baseline.
 """
 
 from __future__ import annotations
 
-import warnings
-import weakref
-from collections import OrderedDict, defaultdict, deque
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Literal, Term, Triple, Variable, term_sort_key
@@ -58,13 +55,14 @@ from repro.sparql.algebra import (
     Minus,
     OrderCondition,
     PathPattern,
-    ProjectionItem,
     Query,
     SelectQuery,
     TriplePatternNode,
     Union as UnionNode,
     ValuesPattern,
+    peel_filters,
 )
+from repro.sparql.alp import EvaluationError, eval_path_pattern_terms
 from repro.sparql.expressions import (
     Aggregate,
     Expression,
@@ -75,38 +73,12 @@ from repro.sparql.expressions import (
 from repro.sparql.functions import ExpressionError
 from repro.sparql import physical
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
-from repro.sparql.plan import (
-    BGPPlan,
-    match_triple,
-    plan_bgp,
-)
-from repro.sparql.paths import (
-    AlternativePath,
-    InversePath,
-    LinkPath,
-    NegatedPropertySet,
-    OneOrMorePath,
-    PropertyPath,
-    SequencePath,
-    ZeroOrMorePath,
-    ZeroOrOnePath,
-    matches_zero_length,
-    normalize_path,
-)
+from repro.sparql.plan import match_triple, plan_bgp
+from repro.sparql.plancache import PlanCache
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, EMPTY_BINDING, SolutionSequence
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
-
-
-class EvaluationError(RuntimeError):
-    """Raised when a query cannot be evaluated (unsupported construct)."""
-
-
-#: Sentinel distinguishing "knob not passed" from an explicit value, so
-#: the deprecation shim only fires for callers actually using the old
-#: boolean-kwarg surface.
-_UNSET = object()
+from repro.obs.tracer import NULL_SPAN, Tracer
 
 
 @dataclass
@@ -131,73 +103,17 @@ class ExplainAnalyzeReport:
 class SparqlEvaluator:
     """Direct algebra evaluator over an RDF dataset."""
 
-    #: Upper bound on cached BGP plans (LRU-evicted beyond this).
-    PLAN_CACHE_SIZE = 256
-
     def __init__(
         self,
         dataset: Dataset,
-        use_planner: bool = _UNSET,
-        use_id_execution: bool = _UNSET,
-        use_filter_pushdown: bool = _UNSET,
-        use_id_paths: bool = _UNSET,
-        use_wcoj: bool = _UNSET,
         tracer: Optional[Tracer] = None,
         profile: Optional[ExecutionProfile] = None,
     ) -> None:
         self.dataset = dataset
-        # The boolean knobs are a deprecated spelling of ExecutionProfile:
-        # explicit values are folded into a custom profile (with a
-        # DeprecationWarning); new code passes profile= directly.
-        legacy = {
-            name: value
-            for name, value in (
-                ("use_planner", use_planner),
-                ("use_id_execution", use_id_execution),
-                ("use_filter_pushdown", use_filter_pushdown),
-                ("use_id_paths", use_id_paths),
-                ("use_wcoj", use_wcoj),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                "SparqlEvaluator's boolean knobs (use_planner, "
-                "use_id_execution, use_filter_pushdown, use_id_paths, "
-                "use_wcoj) are deprecated; pass "
-                "profile=ExecutionProfile(...) instead "
-                "(see docs/MIGRATION.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if profile is not None:
-                raise ValueError(
-                    "pass either profile= or the legacy use_* knobs, not both"
-                )
-            profile = ExecutionProfile.FULL.with_options(**legacy)
-        elif profile is None:
-            profile = ExecutionProfile.FULL
-        #: The resolved execution profile; the knob attributes below are
-        #: read-only views of it kept for the internal call sites.
-        self.profile = profile
-        self.use_planner = profile.use_planner
-        # Execute planned BGPs entirely over integer term ids when the
-        # active graph is an encoded store (decode only at the result
-        # boundary); off recovers the decoded-Term join pipeline.
-        self.use_id_execution = profile.use_id_execution
-        # Push FILTER conjuncts over planned BGPs into the streaming
-        # pipeline (earliest step binding their variables); off recovers
-        # the evaluate-then-post-filter baseline.
-        self.use_filter_pushdown = profile.use_filter_pushdown
-        # Evaluate property paths through the id-native engine
-        # (repro.sparql.idpaths) when the active graph exposes the id
-        # navigation surface; off recovers the term-level ALP procedure
-        # on every backend (the differential baseline).
-        self.use_id_paths = profile.use_id_paths
-        # Allow the lowering pass to pick the leapfrog-triejoin operator
-        # for cyclic all-triple BGPs over a sorted-id-capable graph; off
-        # pins every planned BGP to the binary index-nested-loop join.
-        self.use_wcoj = profile.use_wcoj
+        #: The execution profile — the one configuration value, read
+        #: field by field where a decision is taken and handed as is to
+        #: the lowering pass and the plan-cache key.
+        self.profile = profile if profile is not None else ExecutionProfile.FULL
         # The most recent physical plan produced by lowering — inspection
         # hook for tests, benchmarks and explain()-style tooling.
         self.last_physical_plan: Optional[physical.PhysicalPlan] = None
@@ -210,20 +126,6 @@ class SparqlEvaluator:
         # size; id() keys stay valid precisely because the values keep
         # their graphs alive.
         self._path_engine_cache: "OrderedDict[int, IdPathEngine]" = OrderedDict()
-        # BGP plans keyed by (graph identity, graph version, pattern tuple):
-        # repeated workload queries skip re-planning, and any mutation of
-        # the graph bumps its version stamp, invalidating stale entries.
-        # Values pair the plan with a weakref to the graph that produced
-        # it, guarding against id() reuse after garbage collection.
-        self._plan_cache: "OrderedDict[Tuple, Tuple[weakref.ref, BGPPlan]]" = (
-            OrderedDict()
-        )
-        # Lowered physical plans, keyed like the plan cache plus the
-        # FILTER conjuncts and the lowering options, so repeated queries
-        # skip operator construction and eligibility analysis too.
-        self._physical_cache: "OrderedDict[Tuple, Tuple[weakref.ref, physical.PhysicalPlan]]" = (
-            OrderedDict()
-        )
         # Optional span tracer: when attached (and enabled) the evaluator
         # opens plan / lower / execute phase spans and samples per-operator
         # summaries at stream exhaustion.  ``None`` keeps the hot paths on
@@ -233,64 +135,52 @@ class SparqlEvaluator:
         # increments, live sizes as collection-time callbacks.  Exposed
         # for store binding (bind_store_metrics) and Prometheus rendering;
         # :meth:`metrics` snapshots it.
-        self.metrics_registry = MetricsRegistry()
-        registry = self.metrics_registry
-        self._logical_plan_hits = registry.counter(
+        registry = self.metrics_registry = MetricsRegistry()
+        logical_hits = registry.counter(
             "sparql_plan_cache_hits_total", "Logical BGP plan cache hits"
         )
-        self._logical_plan_misses = registry.counter(
+        logical_misses = registry.counter(
             "sparql_plan_cache_misses_total",
             "Logical BGP plans built fresh (cache misses)",
         )
-        self._physical_plan_hits = registry.counter(
+        lowered_hits = registry.counter(
             "sparql_physical_cache_hits_total", "Lowered physical plan cache hits"
         )
-        self._physical_plan_misses = registry.counter(
+        lowered_misses = registry.counter(
             "sparql_physical_cache_misses_total",
             "Physical plans lowered fresh (cache misses)",
         )
-        self._cache_evictions = registry.counter(
+        evictions = registry.counter(
             "sparql_plan_cache_evictions_total",
-            "Plan/physical cache entries evicted (LRU overflow or dead graph)",
+            "Plan/physical cache entries evicted (bound overflow or dead graph)",
         )
         self._wcoj_fallbacks = registry.counter(
             "sparql_wcoj_fallback_total",
             "GYO-cyclic BGPs where WCOJ selection was structurally rejected",
         )
+        #: Logical BGP plans, ``logical_plans.get(graph, patterns)``.
+        self.logical_plans = PlanCache(plan_bgp, logical_hits, logical_misses, evictions)
+        #: Lowered physical plans, ``lowered_plans.get(graph, patterns,
+        #: conditions, profile)`` — a hit skips planning, operator
+        #: construction and eligibility analysis alike.  The public way
+        #: to a physical plan for code outside the evaluator (live views).
+        self.lowered_plans = PlanCache(
+            self._lower_fresh, lowered_hits, lowered_misses, evictions
+        )
         registry.gauge(
             "sparql_plan_cache_size",
             "Live logical plan cache entries",
-            callback=lambda: len(self._plan_cache),
+            callback=lambda: len(self.logical_plans),
         )
         registry.gauge(
             "sparql_physical_cache_size",
             "Live physical plan cache entries",
-            callback=lambda: len(self._physical_cache),
+            callback=lambda: len(self.lowered_plans),
         )
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    @property
-    def plan_cache_hits(self) -> int:
-        """Deprecated alias for the cache-hit counters (combined).
-
-        A physical-cache hit subsumes the logical lookup, so this keeps
-        the historical meaning — "evaluations that skipped planning" —
-        as logical plus physical hits.  Prefer :meth:`metrics` for the
-        split counters.
-        """
-        return self._logical_plan_hits.value + self._physical_plan_hits.value
-
-    @property
-    def plan_cache_misses(self) -> int:
-        """Deprecated alias for logical plans built fresh.
-
-        Prefer :meth:`metrics`, which also exposes the physical-cache
-        miss count this alias never covered.
-        """
-        return self._logical_plan_misses.value
-
     def metrics(self) -> Dict[str, object]:
         """Snapshot every registered metric (cache traffic, sizes, ...).
 
@@ -299,6 +189,11 @@ class SparqlEvaluator:
         :func:`repro.obs.metrics.bind_store_metrics`.
         """
         return self.metrics_registry.snapshot()
+
+    def _span(self, name: str):
+        """A phase span of the attached tracer; a no-op one without it."""
+        tracer = self.tracer
+        return tracer.span(name) if tracer is not None else NULL_SPAN
 
     # ------------------------------------------------------------------
     # public API
@@ -359,7 +254,7 @@ class SparqlEvaluator:
         if query.having is not None and not query.group_by and not query.has_aggregates():
             bindings = [b for b in bindings if satisfies(query.having, b)]
         if query.order_by:
-            bindings = self._apply_order_by(query.order_by, bindings)
+            bindings = apply_order_by(query.order_by, bindings)
         variables = query.projected_variables()
         projected = [binding.project(variables) for binding in bindings]
         if query.distinct or query.reduced:
@@ -460,7 +355,8 @@ class SparqlEvaluator:
             right = self._eval_pattern(node.right, active_graph, dataset)
             return left + right
         if isinstance(node, Minus):
-            return self._eval_minus(node, active_graph, dataset)
+            left = self._eval_pattern(node.left, active_graph, dataset)
+            return list(self._minus(left, node.right, active_graph, dataset))
         if isinstance(node, Filter):
             pushed = self._try_filter_pushdown(node, active_graph, dataset)
             if pushed is not None:
@@ -477,7 +373,7 @@ class SparqlEvaluator:
 
     def _plannable_bgp(self, node: BGP) -> bool:
         """A BGP is planned when enabled and built only of triple/path patterns."""
-        return self.use_planner and all(
+        return self.profile.use_planner and all(
             isinstance(pattern, (TriplePatternNode, PathPattern))
             for pattern in node.patterns
         )
@@ -510,44 +406,38 @@ class SparqlEvaluator:
         R)``.  Returns ``None`` when pushdown does not apply (disabled,
         or no eligible shape).
         """
-        if not self.use_filter_pushdown:
+        if not self.profile.use_filter_pushdown:
             return None
         conditions: List[Expression] = []
-        current: GraphPatternNode = node
-        while isinstance(current, Filter):
-            conditions.extend(conjuncts(current.condition))
-            current = current.pattern
+        current = peel_filters(node, conditions)
         if isinstance(current, BGP) and self._plannable_bgp(current):
             return self._eval_bgp_stream(current, active_graph, tuple(conditions))
         if isinstance(current, Minus):
-            left: GraphPatternNode = current.left
-            while isinstance(left, Filter):
-                conditions.extend(conjuncts(left.condition))
-                left = left.pattern
-            left = self._as_bgp(left)
+            left = self._as_bgp(peel_filters(current.left, conditions))
             if isinstance(left, BGP) and self._plannable_bgp(left):
-                return self._minus_stream(
-                    left, tuple(conditions), current.right, active_graph, dataset
+                return self._minus(
+                    self._eval_bgp_stream(left, active_graph, tuple(conditions)),
+                    current.right,
+                    active_graph,
+                    dataset,
                 )
         return None
 
-    def _minus_stream(
+    def _minus(
         self,
-        left_bgp: BGP,
-        conditions: Tuple[Expression, ...],
+        left: Iterable[Binding],
         right_node: GraphPatternNode,
         active_graph: Graph,
         dataset: Dataset,
     ) -> Iterator[Binding]:
-        """Stream MINUS over a filtered left BGP pipeline.
+        """Stream ``left MINUS right_node`` over any source of left rows.
 
-        The right side is evaluated lazily, on the first surviving left
-        row, so an empty (or fully filtered) left side never pays for the
-        right pattern — mirroring the materialising evaluator's
-        short-circuit.
+        The right side is evaluated lazily, on the first left row, so an
+        empty (or fully filtered) left side never pays for the right
+        pattern.
         """
         right: Optional[List[Binding]] = None
-        for left_binding in self._eval_bgp_stream(left_bgp, active_graph, conditions):
+        for left_binding in left:
             if right is None:
                 right = self._eval_pattern(right_node, active_graph, dataset)
             excluded = False
@@ -559,100 +449,49 @@ class SparqlEvaluator:
             if not excluded:
                 yield left_binding
 
-    def _lowering_options(self) -> physical.LoweringOptions:
-        """Map the evaluator's compatibility knobs onto lowering options."""
-        return physical.LoweringOptions(
-            id_execution=self.use_id_execution,
-            filter_pushdown=self.use_filter_pushdown,
-            id_paths=self.use_id_paths,
-            wcoj=self.use_wcoj,
-        )
+    def _lower_fresh(
+        self,
+        graph: Graph,
+        patterns: Tuple[GraphPatternNode, ...],
+        conditions: Tuple[Expression, ...],
+        profile: ExecutionProfile,
+    ) -> physical.PhysicalPlan:
+        """Plan + lower a BGP — what :attr:`lowered_plans` builds on a miss.
 
-    def _lower_bgp(
+        Lowering (operator construction, WCOJ eligibility analysis) is
+        pure in the pattern tuple, the FILTER conjuncts, the profile and
+        the graph statistics, which is exactly the cache key.  The
+        logical plan comes through :attr:`logical_plans`, so one BGP
+        under different FILTER conjuncts is ordered once.  With a tracer
+        attached the two steps run under ``plan`` / ``lower`` spans.
+        """
+        with self._span("plan"):
+            plan = self.logical_plans.get(graph, patterns)
+        with self._span("lower") as span:
+            physical_plan = physical.lower_plan(plan, graph, conditions, profile)
+            span.annotate(space=physical_plan.space)
+            if physical_plan.wcoj_fallback is not None:
+                span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
+                # Counted per fresh lowering, not per execution: the cache
+                # replays the same decision without re-analysing it.
+                self._wcoj_fallbacks.inc()
+        return physical_plan
+
+    def _lower(
         self,
         node: BGP,
         active_graph: Graph,
         conditions: Tuple[Expression, ...] = (),
     ) -> physical.PhysicalPlan:
-        """Plan + lower a BGP to a physical operator DAG, caching both.
+        """The (cached) physical plan of a BGP under FILTER ``conditions``.
 
-        Lowering (operator construction, WCOJ eligibility analysis) is
-        pure in the pattern tuple, the FILTER conjuncts, the lowering
-        options and the graph statistics, so lowered plans are cached
-        under the same version-stamp discipline as logical plans.  A hit
-        here counts as a plan-cache hit: it subsumes the logical lookup.
         Cached plans share their ``OperatorStats`` objects, but the
-        executor resets them at the start of every execution, so each run
-        reports its own counters (``execute(..., reset_stats=False)``
-        opts back into accumulation).
+        executor resets them at the start of every execution, so each
+        run reports its own counters.
         """
-        version = getattr(active_graph, "version", None)
-        key = None
-        if version is not None:
-            cache = self._physical_cache
-            knobs = (
-                self.use_id_execution,
-                self.use_filter_pushdown,
-                self.use_id_paths,
-                self.use_wcoj,
-            )
-            try:
-                key = (id(active_graph), version, node.patterns, conditions, knobs)
-                cached = cache.get(key)
-            except TypeError:  # unhashable pattern or condition component
-                key = None
-                cached = None
-            if cached is not None:
-                graph_ref, physical_plan = cached
-                # Same id()-reuse guard as the logical plan cache.  No
-                # move_to_end here: recency upkeep would re-hash the whole
-                # key on the hot path, so eviction is insertion-ordered —
-                # fine for a cache that exists to amortise repeat queries.
-                if graph_ref() is active_graph:
-                    self._physical_plan_hits.inc()
-                    self.last_physical_plan = physical_plan
-                    return physical_plan
-        self._physical_plan_misses.inc()
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("plan"):
-                plan = self._bgp_plan(node, active_graph)
-            with tracer.span("lower") as span:
-                physical_plan = physical.lower_plan(
-                    plan,
-                    active_graph,
-                    conditions=conditions,
-                    options=self._lowering_options(),
-                )
-                span.annotate(space=physical_plan.space)
-                if physical_plan.wcoj_fallback is not None:
-                    span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
-        else:
-            plan = self._bgp_plan(node, active_graph)
-            physical_plan = physical.lower_plan(
-                plan,
-                active_graph,
-                conditions=conditions,
-                options=self._lowering_options(),
-            )
-        if physical_plan.wcoj_fallback is not None:
-            # Counted per fresh lowering, not per execution: the physical
-            # cache replays the same decision without re-analysing it.
-            self._wcoj_fallbacks.inc()
-        if key is not None:
-            cache = self._physical_cache
-            dead = [
-                stale_key
-                for stale_key, (graph_ref, _) in cache.items()
-                if graph_ref() is None
-            ]
-            for stale_key in dead:
-                del cache[stale_key]
-            self._cache_evictions.inc(len(dead))
-            cache[key] = (weakref.ref(active_graph), physical_plan)
-            if len(cache) > self.PLAN_CACHE_SIZE:
-                cache.popitem(last=False)
-                self._cache_evictions.inc()
+        physical_plan = self.lowered_plans.get(
+            active_graph, node.patterns, conditions, self.profile
+        )
         self.last_physical_plan = physical_plan
         return physical_plan
 
@@ -661,6 +500,7 @@ class SparqlEvaluator:
         node: BGP,
         active_graph: Graph,
         conditions: Tuple[Expression, ...] = (),
+        timed: bool = False,
     ) -> Iterator[Binding]:
         """Plan, lower and stream a BGP through the physical executor.
 
@@ -669,13 +509,14 @@ class SparqlEvaluator:
         variables so non-qualifying rows die before later joins multiply
         them.  The choice of term-space vs id-space operators — and of
         the leapfrog-triejoin operator for cyclic BGPs — is made by the
-        lowering pass per backend capability, shaped by the evaluator's
-        compatibility knobs.
+        lowering pass per backend capability, within what the profile
+        allows.  ``timed`` turns on per-operator self time (for
+        :meth:`explain_analyze`).
         """
-        physical_plan = self._lower_bgp(node, active_graph, conditions)
+        physical_plan = self._lower(node, active_graph, conditions)
         engine = (
             self._id_path_engine(active_graph)
-            if physical_plan.space == "id" and self.use_id_paths
+            if physical_plan.space == "id" and self.profile.use_id_paths
             else None
         )
         stream = physical.execute(
@@ -683,6 +524,7 @@ class SparqlEvaluator:
             active_graph,
             path_evaluator=self._eval_path_pattern,
             path_engine=engine,
+            timed=timed,
         )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -726,40 +568,45 @@ class SparqlEvaluator:
                         probes=stats.probes,
                     )
 
-    def explain(self, query: Query) -> str:
-        """Render the physical operator plan for a query's pattern.
+    def _explainable(
+        self, query: Query, caller: str
+    ) -> Tuple[BGP, Tuple[Expression, ...], Graph]:
+        """Peel a query down to the planned BGP that ``caller`` renders.
 
-        Supports queries whose pattern is a planned BGP, optionally
-        wrapped in FILTER nodes (the conjuncts show up as ``Filter``
-        operators or leapfrog level filters).  The lowered plan is also
-        left in :attr:`last_physical_plan` so callers can execute-then-
-        inspect per-operator counters.
+        Returns the BGP (a lone triple/path pattern is promoted to one),
+        the FILTER conjuncts scoped over it, and the graph it runs on.
         """
         conditions: List[Expression] = []
-        pattern: GraphPatternNode = query.pattern
-        while isinstance(pattern, Filter):
-            conditions.extend(conjuncts(pattern.condition))
-            pattern = pattern.pattern
+        pattern = self._as_bgp(peel_filters(query.pattern, conditions))
         if not isinstance(pattern, BGP) or not self._plannable_bgp(pattern):
             raise EvaluationError(
-                "explain() supports planned BGPs (optionally FILTER-wrapped); "
+                f"{caller} supports planned BGPs (optionally FILTER-wrapped); "
                 f"got {type(pattern).__name__}"
             )
         dataset = self._active_dataset(query.dataset_clauses)
-        physical_plan = self._lower_bgp(
-            pattern, dataset.default_graph, tuple(conditions)
-        )
-        return physical_plan.explain()
+        return pattern, tuple(conditions), dataset.default_graph
+
+    def explain(self, query: Query) -> str:
+        """Render the physical operator plan for a query's pattern.
+
+        Supports queries whose pattern is a planned BGP — or a lone
+        triple/path pattern, rendered as the singleton BGP it is —
+        optionally wrapped in FILTER nodes (the conjuncts show up as
+        ``Filter`` operators or leapfrog level filters).  The lowered
+        plan is also left in :attr:`last_physical_plan` so callers can
+        execute-then-inspect per-operator counters.
+        """
+        pattern, conditions, graph = self._explainable(query, "explain()")
+        return self._lower(pattern, graph, conditions).explain()
 
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeReport:
         """Execute a query's planned BGP and render the measured plan.
 
         Accepts a query string (parsed here, under a ``parse`` span when
         a tracer is attached) or a parsed query; supports the same shapes
-        as :meth:`explain` — a planned BGP, optionally FILTER-wrapped.
-        The plan executes with per-operator timing enabled
-        (``execute(..., timed=True)``) and the stream is drained fully,
-        so the report shows wall time, actual rows/probes, and the
+        as :meth:`explain`.  The plan executes with per-operator timing
+        enabled (``execute(..., timed=True)``) and the stream is drained
+        fully, so the report shows wall time, actual rows/probes, and the
         estimated-vs-actual cardinality error per operator — errors
         beyond 10x in either direction are flagged ``!``.  ``str()`` of
         the report is the rendered tree; the executed plan rides along
@@ -768,41 +615,11 @@ class SparqlEvaluator:
         if isinstance(query, str):
             from repro.sparql.parser import parse_query
 
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                with tracer.span("parse"):
-                    query = parse_query(query)
-            else:
+            with self._span("parse"):
                 query = parse_query(query)
-        conditions: List[Expression] = []
-        pattern: GraphPatternNode = query.pattern
-        while isinstance(pattern, Filter):
-            conditions.extend(conjuncts(pattern.condition))
-            pattern = pattern.pattern
-        pattern = self._as_bgp(pattern)
-        if not isinstance(pattern, BGP) or not self._plannable_bgp(pattern):
-            raise EvaluationError(
-                "explain_analyze() supports planned BGPs (optionally "
-                f"FILTER-wrapped); got {type(pattern).__name__}"
-            )
-        dataset = self._active_dataset(query.dataset_clauses)
-        active_graph = dataset.default_graph
-        physical_plan = self._lower_bgp(pattern, active_graph, tuple(conditions))
-        engine = (
-            self._id_path_engine(active_graph)
-            if physical_plan.space == "id" and self.use_id_paths
-            else None
-        )
-        stream = physical.execute(
-            physical_plan,
-            active_graph,
-            path_evaluator=self._eval_path_pattern,
-            path_engine=engine,
-            timed=True,
-        )
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            stream = self._traced_execution(physical_plan, stream, tracer)
+        pattern, conditions, graph = self._explainable(query, "explain_analyze()")
+        stream = self._eval_bgp_stream(pattern, graph, conditions, timed=True)
+        physical_plan = self.last_physical_plan
         started = perf_counter()
         rows = sum(1 for _ in stream)
         total_seconds = perf_counter() - started
@@ -812,53 +629,6 @@ class SparqlEvaluator:
             total_seconds=total_seconds,
             rows=rows,
         )
-
-    def _bgp_plan(self, node: BGP, active_graph: Graph) -> BGPPlan:
-        """Return a (possibly cached) join plan for the BGP.
-
-        Plans are pure functions of the pattern tuple and the graph
-        statistics, so a cached plan is valid exactly while the graph's
-        ``version`` stamp is unchanged.  Graphs without a version stamp,
-        and patterns that are not hashable (exotic path operators), are
-        planned afresh every time.
-        """
-        version = getattr(active_graph, "version", None)
-        if version is None:
-            return plan_bgp(active_graph, node.patterns)
-        key = (id(active_graph), version, node.patterns)
-        cache = self._plan_cache
-        try:
-            cached = cache.get(key)
-        except TypeError:  # unhashable pattern component
-            return plan_bgp(active_graph, node.patterns)
-        if cached is not None:
-            graph_ref, plan = cached
-            # id() values can be reused after garbage collection, so the
-            # entry only counts as a hit while the weakly-held graph that
-            # produced it is still the graph being queried.
-            if graph_ref() is active_graph:
-                self._logical_plan_hits.inc()
-                cache.move_to_end(key)
-                return plan
-        self._logical_plan_misses.inc()
-        # A miss is the cheap moment to drop entries whose graph has been
-        # collected: they can never hit again (the weakref is dead) yet
-        # would otherwise squat in the LRU until SIZE evictions push them
-        # out, crowding out plans for live graphs.
-        dead = [
-            stale_key
-            for stale_key, (graph_ref, _) in cache.items()
-            if graph_ref() is None
-        ]
-        for stale_key in dead:
-            del cache[stale_key]
-        self._cache_evictions.inc(len(dead))
-        plan = plan_bgp(active_graph, node.patterns)
-        cache[key] = (weakref.ref(active_graph), plan)
-        if len(cache) > self.PLAN_CACHE_SIZE:
-            cache.popitem(last=False)
-            self._cache_evictions.inc()
-        return plan
 
     def _eval_pattern_stream(
         self,
@@ -976,13 +746,9 @@ class SparqlEvaluator:
         condition_conjuncts: Tuple[Expression, ...] = (
             tuple(conjuncts(node.condition)) if node.condition is not None else ()
         )
-        if condition_conjuncts and self.use_filter_pushdown:
+        if condition_conjuncts and self.profile.use_filter_pushdown:
             inner_conditions: List[Expression] = []
-            core: GraphPatternNode = node.right
-            while isinstance(core, Filter):
-                inner_conditions.extend(conjuncts(core.condition))
-                core = core.pattern
-            core = self._as_bgp(core)
+            core = self._as_bgp(peel_filters(node.right, inner_conditions))
             if isinstance(core, BGP) and self._plannable_bgp(core):
                 core_variables = core.variables()
                 pushed: List[Expression] = []
@@ -1004,25 +770,6 @@ class SparqlEvaluator:
                     return rows, tuple(kept)
         right = self._eval_pattern(node.right, active_graph, dataset)
         return right, condition_conjuncts
-
-    def _eval_minus(
-        self, node: Minus, active_graph: Graph, dataset: Dataset
-    ) -> List[Binding]:
-        left = self._eval_pattern(node.left, active_graph, dataset)
-        if not left:
-            return []
-        right = self._eval_pattern(node.right, active_graph, dataset)
-        results: List[Binding] = []
-        for left_binding in left:
-            excluded = False
-            for right_binding in right:
-                shared = left_binding.variables() & right_binding.variables()
-                if shared and left_binding.is_compatible(right_binding):
-                    excluded = True
-                    break
-            if not excluded:
-                results.append(left_binding)
-        return results
 
     def _eval_graph(self, node: GraphGraphPattern, dataset: Dataset) -> List[Binding]:
         if isinstance(node.graph, Variable):
@@ -1075,14 +822,15 @@ class SparqlEvaluator:
         On an id-capable graph (the encoded store) paths run through
         :class:`repro.sparql.idpaths.IdPathEngine` — integer frontier
         sets, statistics-driven expansion direction, decode only at the
-        result boundary.  ``use_id_paths=False`` (or a term-only backend)
-        recovers the spec's term-level ALP procedure.
+        result boundary.  A profile with id paths off (or a term-only
+        backend) recovers the spec's term-level ALP procedure
+        (:mod:`repro.sparql.alp`).
         """
-        if self.use_id_paths:
+        if self.profile.use_id_paths:
             engine = self._id_path_engine(graph)
             if engine is not None:
                 return engine.evaluate(node)
-        return self._eval_path_pattern_terms(node, graph)
+        return eval_path_pattern_terms(node, graph)
 
     #: Upper bound on cached per-graph path engines.
     PATH_ENGINE_CACHE_SIZE = 8
@@ -1101,255 +849,6 @@ class SparqlEvaluator:
         if len(cache) > self.PATH_ENGINE_CACHE_SIZE:
             cache.popitem(last=False)
         return engine
-
-    def _eval_path_pattern_terms(
-        self, node: PathPattern, graph: Graph
-    ) -> List[Binding]:
-        path = normalize_path(node.path)
-        subject, obj = node.subject, node.object
-        pairs = self._path_pairs(path, graph, subject, obj)
-        results: List[Binding] = []
-        for start, end in pairs:
-            mapping: Dict[Variable, Term] = {}
-            if isinstance(subject, Variable):
-                mapping[subject] = start
-            elif subject != start:
-                continue
-            if isinstance(obj, Variable):
-                if obj in mapping and mapping[obj] != end:
-                    continue
-                mapping[obj] = end
-            elif obj != end:
-                continue
-            results.append(Binding(mapping))
-        return results
-
-    def _path_pairs(
-        self,
-        path: PropertyPath,
-        graph: Graph,
-        subject: Union[Term, Variable],
-        obj: Union[Term, Variable],
-    ) -> List[Tuple[Term, Term]]:
-        """Return the (start, end) pairs matched by a path expression.
-
-        Non-closure operators preserve duplicates; the closure operators
-        return distinct pairs, following the SPARQL property-path
-        semantics.
-        """
-        if isinstance(path, LinkPath):
-            return [
-                (triple.subject, triple.object)
-                for triple in graph.triples(None, path.iri, None)
-            ]
-        if isinstance(path, InversePath):
-            return [
-                (end, start)
-                for start, end in self._path_pairs(path.path, graph, obj, subject)
-            ]
-        if isinstance(path, AlternativePath):
-            return self._path_pairs(path.left, graph, subject, obj) + self._path_pairs(
-                path.right, graph, subject, obj
-            )
-        if isinstance(path, SequencePath):
-            left_pairs = self._path_pairs(path.left, graph, subject, None)
-            right_pairs = self._path_pairs(path.right, graph, None, obj)
-            by_start: Dict[Term, List[Term]] = defaultdict(list)
-            for start, end in right_pairs:
-                by_start[start].append(end)
-            if matches_zero_length(path.left):
-                # A bound endpoint outside the graph self-pairs through a
-                # zero-length left half, but the left extension only
-                # self-pairs graph nodes; graft the missing pair so the
-                # join can reach it (mirrors the id engine's per-middle
-                # evaluation, which gets this for free).  When the middle
-                # *is* the bound subject, the left extension already
-                # contains the self-pair (the bound-endpoint zero rule) —
-                # grafting again would double the solution.
-                for middle in list(by_start):
-                    if self._is_ground(subject) and subject == middle:
-                        continue
-                    if not self._is_graph_node(graph, middle):
-                        left_pairs.append((middle, middle))
-            right_zero = matches_zero_length(path.right)
-            results: List[Tuple[Term, Term]] = []
-            for start, middle in left_pairs:
-                ends = by_start.get(middle)
-                if ends is None:
-                    # Symmetric graft: a non-node middle (a zero-length
-                    # self-pair of a bound subject) matches a zero-length
-                    # right half even though the right extension never
-                    # mentions it.
-                    if right_zero and not self._is_graph_node(graph, middle):
-                        ends = (middle,)
-                    else:
-                        continue
-                for end in ends:  # bag semantics
-                    results.append((start, end))
-            return results
-        if isinstance(path, NegatedPropertySet):
-            return self._negated_pairs(path, graph)
-        if isinstance(path, ZeroOrOnePath):
-            return self._zero_or_one_pairs(path, graph, subject, obj)
-        if isinstance(path, OneOrMorePath):
-            return self._closure_pairs(path.path, graph, subject, obj, include_zero=False)
-        if isinstance(path, ZeroOrMorePath):
-            return self._closure_pairs(path.path, graph, subject, obj, include_zero=True)
-        raise EvaluationError(f"unsupported property path {path!r}")
-
-    def _negated_pairs(
-        self, path: NegatedPropertySet, graph: Graph
-    ) -> List[Tuple[Term, Term]]:
-        forbidden_forward = set(path.forward)
-        forbidden_inverse = set(path.inverse)
-        results: List[Tuple[Term, Term]] = []
-        if path.forward or not path.inverse:
-            for triple in graph:
-                if triple.predicate not in forbidden_forward:
-                    results.append((triple.subject, triple.object))
-        if path.inverse:
-            for triple in graph:
-                if triple.predicate not in forbidden_inverse:
-                    results.append((triple.object, triple.subject))
-        return results
-
-    @staticmethod
-    def _is_graph_node(graph: Graph, term: Term) -> bool:
-        """True when ``term`` occurs in subject or object position."""
-        return bool(
-            graph.subject_cardinality(term) or graph.object_cardinality(term)
-        )
-
-    @staticmethod
-    def _is_ground(part: Union[Term, Variable, None]) -> bool:
-        """True for a bound term endpoint (``None`` marks a free position).
-
-        ``_path_pairs`` threads endpoint *hints* down the operator tree;
-        a sequence hands its halves ``None`` for the shared middle, which
-        must read as "free", never as a bindable term.
-        """
-        return part is not None and not isinstance(part, Variable)
-
-    def _zero_pairs(
-        self,
-        graph: Graph,
-        subject: Union[Term, Variable, None],
-        obj: Union[Term, Variable, None],
-    ) -> Set[Tuple[Term, Term]]:
-        """Zero-length path pairs, including bound endpoints not in the graph."""
-        pairs: Set[Tuple[Term, Term]] = {(node, node) for node in graph.nodes()}
-        subject_is_term = self._is_ground(subject)
-        object_is_term = self._is_ground(obj)
-        if subject_is_term and not object_is_term:
-            pairs.add((subject, subject))
-        if object_is_term and not subject_is_term:
-            pairs.add((obj, obj))
-        if subject_is_term and object_is_term and subject == obj:
-            pairs.add((subject, subject))
-        return pairs
-
-    def _zero_or_one_pairs(
-        self,
-        path: ZeroOrOnePath,
-        graph: Graph,
-        subject: Union[Term, Variable],
-        obj: Union[Term, Variable],
-    ) -> List[Tuple[Term, Term]]:
-        pairs = set(self._zero_pairs(graph, subject, obj))
-        pairs.update(self._path_pairs(path.path, graph, subject, obj))
-        return list(pairs)
-
-    def _closure_pairs(
-        self,
-        inner: PropertyPath,
-        graph: Graph,
-        subject: Union[Term, Variable, None],
-        obj: Union[Term, Variable, None],
-        include_zero: bool,
-    ) -> List[Tuple[Term, Term]]:
-        """Evaluate ``inner+`` / ``inner*`` with set semantics.
-
-        Per-node breadth-first expansion in the style of the spec's ALP
-        procedure.  When the subject is bound we expand only from it —
-        and when the object is *also* bound, the expansion stops at the
-        first sighting of the target instead of materialising the full
-        reachable set.  When only the object is bound we expand
-        backwards; otherwise we expand from every node in the graph (the
-        expensive two-variable case).  ``None`` endpoints (sequence
-        middles) count as free, exactly like fresh variables.
-        """
-        successors = self._single_step_function(inner, graph)
-        pairs: Set[Tuple[Term, Term]] = set()
-
-        def expand(start: Term, target: Optional[Term] = None) -> Set[Term]:
-            reached: Set[Term] = set()
-            frontier = deque(successors(start))
-            while frontier:
-                current = frontier.popleft()
-                if current in reached:
-                    continue
-                reached.add(current)
-                if target is not None and current == target:
-                    # The caller only asks whether ``target`` is
-                    # reachable: the rest of the closure is never needed.
-                    return reached
-                frontier.extend(successors(current))
-            return reached
-
-        if self._is_ground(subject):
-            if self._is_ground(obj):
-                if include_zero and subject == obj:
-                    return [(subject, obj)]
-                reachable = expand(subject, target=obj)
-                return [(subject, obj)] if obj in reachable else []
-            reachable = expand(subject)
-            if include_zero:
-                reachable = reachable | {subject}
-            return [(subject, end) for end in reachable]
-
-        if self._is_ground(obj):
-            inverse = InversePath(inner)
-            inverted = self._closure_pairs(inverse, graph, obj, subject, include_zero)
-            return [(end, start) for start, end in inverted]
-
-        # Two unbound endpoints: expand from every node of the graph.
-        start_nodes = graph.nodes()
-        for start in start_nodes:
-            reachable = expand(start)
-            if include_zero:
-                reachable = reachable | {start}
-            for end in reachable:
-                pairs.add((start, end))
-        if include_zero:
-            pairs.update(self._zero_pairs(graph, subject, obj))
-        return list(pairs)
-
-    def _single_step_function(self, path: PropertyPath, graph: Graph):
-        """Return a function mapping a node to its one-step path successors."""
-        if isinstance(path, LinkPath):
-            predicate = path.iri
-
-            def link_step(node: Term) -> List[Term]:
-                return [t.object for t in graph.triples(node, predicate, None)]
-
-            return link_step
-
-        if isinstance(path, InversePath) and isinstance(path.path, LinkPath):
-            predicate = path.path.iri
-
-            def inverse_step(node: Term) -> List[Term]:
-                return [t.subject for t in graph.triples(None, predicate, node)]
-
-            return inverse_step
-
-        def generic_step(node: Term) -> List[Term]:
-            return [
-                end
-                for start, end in self._path_pairs(path, graph, node, None)
-                if start == node
-            ]
-
-        return generic_step
 
     # ------------------------------------------------------------------
     # solution modifiers
@@ -1465,11 +964,6 @@ class SparqlEvaluator:
         if operation == "AVG":
             return Literal.from_python(sum(numeric) / len(numeric))
         raise EvaluationError(f"unsupported aggregate {operation}")
-
-    def _apply_order_by(
-        self, conditions: Sequence[OrderCondition], bindings: List[Binding]
-    ) -> List[Binding]:
-        return apply_order_by(conditions, bindings)
 
 
 def apply_order_by(

@@ -1,11 +1,9 @@
-"""Id-native streaming execution of BGP plans over the encoded store.
+"""Id-space building blocks of BGP execution over the encoded store.
 
 The dictionary-encoded store (:mod:`repro.store.encoded`) keeps its
-SPO/POS/OSP indexes over integer term ids, but until this module the
-evaluator joined over decoded :class:`~repro.rdf.terms.Term` objects, so
-every index probe paid a dictionary decode and every intermediate row
-materialised boxed terms.  :func:`execute_plan_ids` runs the planner's
-index-nested-loop pipeline entirely in id space instead:
+SPO/POS/OSP indexes over integer term ids.  On such a graph the physical
+layer (:func:`repro.sparql.physical.execute` over an id-space plan) runs
+the planner's index-nested-loop pipeline entirely in id space:
 
 * partial solutions are plain ``{Variable: int}`` environments mutated
   in place down the depth-first pipeline (bind on match, unbind on
@@ -20,13 +18,17 @@ index-nested-loop pipeline entirely in id space instead:
   order so the :class:`~repro.sparql.solutions.Binding` construction
   skips its sort.
 
+This module holds the two pieces of that which are not operators: the
+capability check :func:`supports_id_execution` the lowering pass consults,
+and the compiled FILTER conjunct :class:`IdFilter`.
+
 Property paths run id-natively too: a path step hands its bound endpoint
 *ids* straight to the :class:`~repro.sparql.idpaths.IdPathEngine`
 (integer frontier expansion, statistics-driven direction selection) and
 binds the resulting id pairs without a single decode.  Backends exposing
-the join surface but not the navigation surface — and runs with
-``use_id_paths=False`` — fall back to the term-level bridge: decode the
-bound endpoints, run the evaluator's path machinery, re-intern the fresh
+the join surface but not the navigation surface — and profiles with id
+paths off — fall back to the term-level bridge: decode the bound
+endpoints, run the evaluator's path machinery, re-intern the fresh
 endpoint bindings.
 
 When is the raw-id fast path sound?  Id equality always implies term
@@ -39,7 +41,7 @@ distinct literal ids may still be value-equal (``"1"^^xsd:integer`` vs
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.rdf.terms import Term, Variable
 from repro.sparql.expressions import (
@@ -50,9 +52,7 @@ from repro.sparql.expressions import (
     VariableExpr,
     satisfies,
 )
-from repro.sparql.idpaths import IdPathEngine
-from repro.sparql.plan import BGPPlan, PathEvaluator, StepFilters
-from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.sparql.solutions import Binding
 from repro.store.dictionary import TermDictionary
 
 #: An id-space partial solution: variable -> interned term id.
@@ -158,57 +158,3 @@ class IdFilter:
             if term_id is not None:
                 mapping[variable] = decode(term_id)
         return satisfies(self.condition, Binding(mapping))
-
-
-def _compile_step_filters(
-    step_filters: Optional[StepFilters], dictionary: TermDictionary
-) -> Optional[List[Tuple[IdFilter, ...]]]:
-    if step_filters is None:
-        return None
-    return [
-        tuple(IdFilter(condition, dictionary) for condition in slot)
-        for slot in step_filters
-    ]
-
-
-# ----------------------------------------------------------------------
-# id-space index-nested-loop pipeline
-# ----------------------------------------------------------------------
-def execute_plan_ids(
-    plan: BGPPlan,
-    graph,
-    path_evaluator: Optional[PathEvaluator] = None,
-    step_filters: Optional[StepFilters] = None,
-    initial: Binding = EMPTY_BINDING,
-    use_id_paths: bool = True,
-    path_engine: Optional[IdPathEngine] = None,
-) -> Iterator[Binding]:
-    """Run a BGP plan over an id-capable graph, decoding only results.
-
-    Compatibility shim: the pipeline body moved to the physical operator
-    layer (:mod:`repro.sparql.physical`); this lowers the plan to an
-    id-space operator DAG (never the leapfrog operator — WCOJ selection
-    belongs to the evaluator's lowering, not this legacy entry point)
-    and executes it with the original signature and semantics.  Path
-    steps run through the id-native :class:`IdPathEngine` when the graph
-    exposes the navigation surface and ``use_id_paths`` is on (or a
-    pre-built ``path_engine`` is handed in); otherwise they bridge to
-    the term-level ``path_evaluator``.
-    """
-    from repro.sparql import physical
-
-    options = physical.LoweringOptions(
-        id_execution=True,
-        id_paths=use_id_paths or path_engine is not None,
-        wcoj=False,
-    )
-    physical_plan = physical.lower_plan(
-        plan, graph, options=options, step_filters=step_filters
-    )
-    return physical.execute(
-        physical_plan,
-        graph,
-        path_evaluator=path_evaluator,
-        path_engine=path_engine,
-        initial=initial,
-    )

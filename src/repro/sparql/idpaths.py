@@ -1,6 +1,6 @@
 """Id-native, cardinality-aware property-path evaluation.
 
-The term-level ALP procedure in :mod:`repro.sparql.evaluator` expands
+The term-level ALP procedure in :mod:`repro.sparql.alp` expands
 closures over boxed :class:`~repro.rdf.terms.Term` objects: every step
 hashes terms, every compound inner path re-materialises its full
 extension, and every result crossing the planner boundary is re-interned.
@@ -135,14 +135,14 @@ class IdPathEngine:
     def evaluate(self, node: PathPattern) -> List[Binding]:
         """Evaluate a path pattern, decoding only at the result boundary.
 
-        Multiset-identical to ``SparqlEvaluator._eval_path_pattern_terms``;
-        used by the evaluator when ``use_id_paths`` is on and the active
-        graph is id-capable.
+        Multiset-identical to :func:`repro.sparql.alp.eval_path_pattern_terms`;
+        used by the evaluator when the profile allows id paths and the
+        active graph is id-capable.
         """
         path = normalize_path(node.path)
         subject, obj = node.subject, node.object
-        subject_id = self._endpoint_id(subject, path)
-        object_id = self._endpoint_id(obj, path)
+        subject_id = self.endpoint_id(subject, path)
+        object_id = self.endpoint_id(obj, path)
         if subject_id is _ABSENT or object_id is _ABSENT:
             return []
         same_variable = (
@@ -192,9 +192,6 @@ class IdPathEngine:
         if matches_zero_length(path):
             return self._dict.encode(part)
         return _ABSENT
-
-    #: Backwards-compatible alias (pre-physical-layer name).
-    _endpoint_id = endpoint_id
 
     def pair_ids(
         self,

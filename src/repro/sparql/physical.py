@@ -13,18 +13,18 @@ and executes it.  The split gives every execution strategy one home:
   renders through :meth:`PhysicalPlan.explain`.
 
 * **Lowering** — :func:`lower_plan` chooses term-space vs. id-space
-  operators per *backend capability* (duck-typed store surfaces) rather
-  than per evaluator knob: an id-capable graph gets the id-native
-  pipeline, everything else the term pipeline, and the knobs of
-  :class:`~repro.sparql.evaluator.SparqlEvaluator` merely map onto
-  :class:`LoweringOptions`.  FILTER conjuncts arrive here and become
-  :class:`Filter` operators wrapped around the earliest input that binds
-  their variables (:func:`repro.sparql.plan.attach_filters`).
+  operators per *backend capability* (duck-typed store surfaces): an
+  id-capable graph gets the id-native pipeline, everything else the term
+  pipeline.  The :class:`~repro.sparql.profile.ExecutionProfile` it is
+  handed can only *disable* a capability (to recover the differential
+  oracle pipelines), never force an unsupported one.  FILTER conjuncts
+  arrive here and become :class:`Filter` operators wrapped around the
+  earliest input that binds their variables
+  (:func:`repro.sparql.plan.attach_filters`).
 
-* **Executors** — :func:`execute` walks the DAG with streaming
-  iterators.  The index-nested-loop pipelines (term- and id-space) moved
-  here verbatim from ``plan.execute_plan`` / ``idexec.execute_plan_ids``,
-  which survive as thin compatibility shims.
+* **Executor** — :func:`execute` is the one entry point for running a
+  planned BGP: it walks the DAG with streaming iterators, as a term-space
+  or an id-space index-nested-loop pipeline or a leapfrog triejoin.
 
 * **Worst-case-optimal join** — :class:`LeapfrogJoin` implements the
   leapfrog-triejoin of Veldhuizen over the encoded store's sorted id
@@ -70,7 +70,9 @@ from repro.sparql.plan import (
     _match_path,
     attach_filters,
     match_triple,
+    plan_bgp,
 )
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, EMPTY_BINDING
 
 logger = logging.getLogger(__name__)
@@ -189,8 +191,7 @@ class OperatorStats:
     operators, total pipeline time on the ``Project`` root).  Counters
     are reset at the start of every :func:`execute` call — cached plans
     therefore report the numbers of exactly one run, never an
-    accumulation across reuses (pass ``reset_stats=False`` to opt back
-    into accumulation).  Surfaced through :meth:`PhysicalPlan.counters`
+    accumulation across reuses.  Surfaced through :meth:`PhysicalPlan.counters`
     for the bench metrics hooks and ``explain(counters=True)``.
     """
 
@@ -524,21 +525,6 @@ def _estimation_error(estimate: float, actual: float) -> Optional[float]:
 # ----------------------------------------------------------------------
 # lowering
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LoweringOptions:
-    """Evaluator knobs mapped onto the lowering pass.
-
-    The operators themselves are chosen per backend capability; these
-    options only *disable* capabilities (to recover the differential
-    oracle pipelines), never force an unsupported one.
-    """
-
-    id_execution: bool = True
-    filter_pushdown: bool = True
-    id_paths: bool = True
-    wcoj: bool = True
-
-
 #: The sorted-run/seek surface the leapfrog operator needs from a store.
 LEAPFROG_SURFACE = (
     "sorted_subjects_for_predicate",
@@ -671,38 +657,32 @@ def lower_plan(
     plan: BGPPlan,
     graph,
     conditions: Sequence[Expression] = (),
-    options: Optional[LoweringOptions] = None,
-    step_filters: Optional[StepFilters] = None,
+    profile: ExecutionProfile = ExecutionProfile.FULL,
 ) -> PhysicalPlan:
     """Lower a logical BGP plan to a physical operator DAG.
 
     Chooses the execution space from the backend's capabilities
-    (``supports_id_execution`` → id pipeline) intersected with
-    ``options``; picks :class:`LeapfrogJoin` for cyclic join graphs on a
-    sorted-run-capable store, :class:`IndexNestedLoopJoin` otherwise.
-    FILTER conjuncts (``conditions``, or a precomputed ``step_filters``
-    attachment) become :class:`Filter` operators at the earliest input
-    binding their variables; with ``filter_pushdown`` disabled they all
-    run at the final slot, i.e. as a plain post-filter.
+    (``supports_id_execution`` → id pipeline) intersected with what
+    ``profile`` allows; picks :class:`LeapfrogJoin` for cyclic join
+    graphs on a sorted-run-capable store, :class:`IndexNestedLoopJoin`
+    otherwise.  FILTER conjuncts (``conditions``) become :class:`Filter`
+    operators at the earliest input binding their variables; with
+    ``profile.use_filter_pushdown`` off they all run at the final slot,
+    i.e. as a plain post-filter.
     """
-    options = options if options is not None else LoweringOptions()
-    id_space = options.id_execution and supports_id_execution(graph)
+    id_space = profile.use_id_execution and supports_id_execution(graph)
     space = "id" if id_space else "term"
-    if step_filters is None and conditions:
-        if options.filter_pushdown:
-            step_filters = attach_filters(plan, tuple(conditions))
-        else:
-            slots: List[Tuple[Expression, ...]] = [()] * (len(plan.steps) + 1)
-            slots[len(plan.steps)] = tuple(conditions)
-            step_filters = tuple(slots)
-    flat_conditions = (
-        [c for slot in step_filters for c in slot] if step_filters is not None else []
-    )
+    step_filters: StepFilters
+    if conditions and profile.use_filter_pushdown:
+        step_filters = attach_filters(plan, tuple(conditions))
+    else:
+        step_filters = ((),) * len(plan.steps) + (tuple(conditions),)
+    flat_conditions = [c for slot in step_filters for c in slot]
     prefilters = tuple(c for c in flat_conditions if not c.variables())
     join: PhysicalOperator
     use_leapfrog = False
     wcoj_fallback: Optional[str] = None
-    if id_space and options.wcoj:
+    if id_space and profile.use_wcoj:
         use_leapfrog, wcoj_fallback = _leapfrog_assessment(plan, graph)
         if wcoj_fallback is not None:
             logger.warning(
@@ -721,7 +701,9 @@ def lower_plan(
         join = LeapfrogJoin(scans, var_order, level_conditions)
     else:
         path_mode = (
-            "id" if id_space and options.id_paths and supports_id_paths(graph) else "term"
+            "id"
+            if id_space and profile.use_id_paths and supports_id_paths(graph)
+            else "term"
         )
         inputs: List[PhysicalOperator] = []
         for position, step in enumerate(plan.steps):
@@ -732,10 +714,10 @@ def lower_plan(
                 leaf = PathExpand(step.node, step.estimate, step.source_index, path_mode)
             else:  # pragma: no cover - plan_bgp only admits the two kinds above
                 raise TypeError(f"unsupported plan node {type(step.node).__name__}")
-            slot = step_filters[position + 1] if step_filters is not None else ()
-            inputs.append(Filter(leaf, tuple(slot)) if slot else leaf)
+            slot = step_filters[position + 1]
+            inputs.append(Filter(leaf, slot) if slot else leaf)
         join = IndexNestedLoopJoin(tuple(inputs))
-        prefilters = tuple(step_filters[0]) if step_filters is not None else ()
+        prefilters = step_filters[0]
     child = Filter(join, prefilters) if prefilters else join
     result_variables: Set[Variable] = set()
     for step in plan.steps:
@@ -753,12 +735,10 @@ def lower_bgp(
     graph,
     patterns: Sequence,
     conditions: Sequence[Expression] = (),
-    options: Optional[LoweringOptions] = None,
+    profile: ExecutionProfile = ExecutionProfile.FULL,
 ) -> PhysicalPlan:
     """Plan and lower a BGP in one call (convenience for tests/tools)."""
-    from repro.sparql.plan import plan_bgp
-
-    return lower_plan(plan_bgp(graph, patterns), graph, conditions, options)
+    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile)
 
 
 # ----------------------------------------------------------------------
@@ -804,7 +784,6 @@ def execute(
     path_evaluator: Optional[PathEvaluator] = None,
     path_engine: Optional[IdPathEngine] = None,
     initial: Binding = EMPTY_BINDING,
-    reset_stats: bool = True,
     timed: bool = False,
 ) -> Iterator[Binding]:
     """Execute a physical plan, streaming bindings.
@@ -812,18 +791,16 @@ def execute(
     ``path_evaluator`` backs term-mode :class:`PathExpand` operators (and
     the bridge inside id pipelines); ``path_engine`` is an optional
     pre-built :class:`IdPathEngine` (the evaluator passes its cached one).
-    ``initial`` pre-binds variables exactly like the legacy pipelines.
+    ``initial`` pre-binds variables: every solution extends it, and a
+    pre-bound term the graph has never seen simply matches nothing.
 
     Counters are reset here, so every execution reports its own rows and
-    probes even when the physical plan came out of a cache; pass
-    ``reset_stats=False`` to opt back into accumulation across
-    executions.  ``timed=True`` additionally measures per-operator self
-    time into :attr:`OperatorStats.seconds` (one extra clock read per
-    produced row — ``explain_analyze`` turns it on, normal evaluation
-    leaves it off).
+    probes even when the physical plan came out of a cache.
+    ``timed=True`` additionally measures per-operator self time into
+    :attr:`OperatorStats.seconds` (one extra clock read per produced row
+    — ``explain_analyze`` turns it on, normal evaluation leaves it off).
     """
-    if reset_stats:
-        plan.reset_stats()
+    plan.reset_stats()
     prefilter_op, join = _unwrap_root(plan)
     if plan.space == "id":
         stream = _execute_id(
@@ -847,7 +824,7 @@ def _execute_term(
     initial: Binding,
     timed: bool = False,
 ) -> Iterator[Binding]:
-    """Term-space index-nested-loop pipeline (ex ``plan.execute_plan``)."""
+    """Term-space index-nested-loop pipeline."""
     if prefilter_op is not None:
         prefilter_op.stats.probes += 1
         if not all(satisfies(c, initial) for c in prefilter_op.conditions):
@@ -911,7 +888,7 @@ def _execute_id(
     initial: Binding,
     timed: bool = False,
 ) -> Iterator[Binding]:
-    """Id-space pipelines (ex ``idexec.execute_plan_ids`` + leapfrog)."""
+    """Id-space pipelines: index-nested-loop or leapfrog, per the join operator."""
     dictionary = graph.dictionary
     env: Dict[Variable, int] = {}
     if len(initial):

@@ -1,4 +1,4 @@
-"""Cost-based planning and streaming evaluation of basic graph patterns.
+"""Cost-based planning of basic graph patterns.
 
 The reference evaluator used to execute BGPs in textual order, fully
 materialising every triple pattern's extension before joining — the
@@ -20,17 +20,16 @@ explicit planning pipeline:
    :class:`PlanStep` values, i.e. *plans as data* that can be inspected,
    logged and (in later work) cached or shipped to shards.
 
-3. **Streaming execution** — :func:`execute_plan` runs the ordered plan as
-   an index-nested-loop pipeline: for each partial solution it substitutes
-   the bound variables into the next pattern and probes the graph's
-   SPO/POS/OSP indexes directly, yielding bindings lazily so ASK / LIMIT /
-   short-circuiting consumers never pay for the full extension.
+3. **FILTER attachment and term-space probes** — :func:`attach_filters`
+   assigns each FILTER conjunct to the earliest step binding its
+   variables; :func:`match_triple` and the path-step matcher substitute a
+   partial solution's bound variables into the next pattern and probe the
+   graph's SPO/POS/OSP indexes directly, yielding bindings lazily.
 
-Both the greedy ordering loop and the pipeline body now live in the
-physical operator layer (:mod:`repro.sparql.physical`) — shared with the
-id-native executor, the leapfrog triejoin and the Datalog engine's body
-ordering; :func:`plan_bgp` and :func:`execute_plan` remain the stable
-logical-planning API on top of it.
+A plan is run by lowering it (:func:`repro.sparql.physical.lower_plan`)
+and executing the result (:func:`repro.sparql.physical.execute`); the
+greedy ordering loop lives in that layer too, shared with the Datalog
+engine's body ordering.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Triple, Variable
 from repro.sparql.algebra import GraphPatternNode, PathPattern, TriplePatternNode
-from repro.sparql.expressions import Expression, satisfies
+from repro.sparql.expressions import Expression
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -55,7 +54,7 @@ from repro.sparql.paths import (
     ZeroOrOnePath,
     matches_zero_length as _matches_zero_length,
 )
-from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.sparql.solutions import Binding
 
 #: Callback evaluating a (possibly partially substituted) path pattern
 #: against a graph; the evaluator passes its own path machinery in so this
@@ -275,7 +274,7 @@ def attach_filters(
 
 
 # ----------------------------------------------------------------------
-# streaming index-nested-loop execution
+# term-space index probes (the physical term pipeline's per-step work)
 # ----------------------------------------------------------------------
 def match_triple(
     graph: Graph, pattern: Triple, binding: Binding
@@ -356,42 +355,3 @@ def _match_path(
         # Substitution removed every variable already bound, so the result
         # binds only fresh variables and the merge is always compatible.
         yield binding.merge(result) if len(result) else binding
-
-
-def execute_plan(
-    plan: BGPPlan,
-    graph: Graph,
-    path_evaluator: Optional[PathEvaluator] = None,
-    initial: Binding = EMPTY_BINDING,
-    step_filters: Optional[StepFilters] = None,
-) -> Iterator[Binding]:
-    """Run a plan as a streaming index-nested-loop pipeline.
-
-    Compatibility shim: the pipeline body moved to the physical operator
-    layer (:mod:`repro.sparql.physical`); this lowers the plan to a
-    term-space operator DAG and executes it, preserving the original
-    signature and semantics exactly.  ``step_filters`` (from
-    :func:`attach_filters`) interleaves FILTER checks with the joins: a
-    row failing its slot's conditions dies immediately instead of being
-    extended by every later step and post-filtered at the end.
-    """
-    from repro.sparql import physical
-
-    physical_plan = physical.lower_plan(
-        plan,
-        graph,
-        options=physical.LoweringOptions(id_execution=False, wcoj=False),
-        step_filters=step_filters,
-    )
-    return physical.execute(
-        physical_plan, graph, path_evaluator=path_evaluator, initial=initial
-    )
-
-
-def evaluate_bgp(
-    graph: Graph,
-    patterns: Sequence[GraphPatternNode],
-    path_evaluator: Optional[PathEvaluator] = None,
-) -> Iterator[Binding]:
-    """Plan and lazily evaluate a basic graph pattern."""
-    return execute_plan(plan_bgp(graph, patterns), graph, path_evaluator)

@@ -1,13 +1,22 @@
-"""Named execution profiles for the SPARQL evaluator.
+"""Execution profiles: the one configuration value of the native engine.
 
-Historically every optimisation of the evaluation stack grew its own
-boolean constructor knob on :class:`~repro.sparql.evaluator.SparqlEvaluator`
-(``use_planner``, ``use_id_execution``, ``use_filter_pushdown``,
-``use_id_paths``, ``use_wcoj``).  The knobs exist for differential testing
-and ablation benchmarks, but five independent booleans make 32 nominal
-configurations of which only a handful are meaningful.
-:class:`ExecutionProfile` packages the knobs into one immutable value with
-three named presets:
+An :class:`ExecutionProfile` is handed to
+:func:`repro.create_engine` / :class:`~repro.sparql.evaluator.SparqlEvaluator`
+(``profile=``) and travels unchanged down to
+:func:`repro.sparql.physical.lower_plan` and into the plan-cache key.
+Its fields exist for differential testing and ablation benchmarks; five
+independent booleans make 32 nominal configurations of which only a
+handful are meaningful, hence three named presets:
+
+===================== ======== ============= ============
+field                 ``FULL`` ``ID_NATIVE`` ``BASELINE``
+===================== ======== ============= ============
+``use_planner``       on       on            on
+``use_id_execution``  on       on            off
+``use_filter_pushdown`` on     on            off
+``use_id_paths``      on       on            off
+``use_wcoj``          on       off           off
+===================== ======== ============= ============
 
 ``FULL``
     Everything on — the production configuration (cost-based planning,
@@ -25,8 +34,12 @@ three named presets:
     apply after the join, property paths use the spec's term-level ALP
     procedure.
 
-Profiles are plain frozen dataclasses: ablations needing an unnamed
-configuration use :meth:`ExecutionProfile.with_options`.
+A field can only switch a capability *off*: which operators run is
+decided per backend capability, so ``FULL`` on the hash backend is the
+term pipeline.  Profiles are plain frozen (hashable) dataclasses;
+ablations needing an unnamed configuration — e.g. the all-off naive
+evaluator, ``BASELINE.with_options(use_planner=False)`` — use
+:meth:`ExecutionProfile.with_options`.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from typing import ClassVar
 
 @dataclass(frozen=True)
 class ExecutionProfile:
-    """An immutable bundle of the evaluator's execution knobs."""
+    """An immutable bundle of the native engine's execution switches."""
 
     name: str = "custom"
     #: Cost-based BGP planning (off recovers textual-order evaluation).

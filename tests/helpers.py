@@ -8,9 +8,21 @@ from typing import Union
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal, Triple
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import SolutionSequence
 
 EX = Namespace("http://ex.org/")
+
+# The unnamed differential configurations the suites compare against
+# ``ExecutionProfile.FULL`` (the named presets live in ``profile.py``).
+#: Textual-order evaluation: the planner's baseline.
+NAIVE = ExecutionProfile.FULL.with_options(use_planner=False)
+#: The term-space pipeline with post-pass FILTERs on any backend.
+DECODED = ExecutionProfile.FULL.with_options(
+    use_id_execution=False, use_filter_pushdown=False
+)
+#: The term-level ALP path procedure on any backend.
+TERM_PATHS = ExecutionProfile.FULL.with_options(use_id_paths=False)
 
 
 def countries_graph() -> Graph:
@@ -51,3 +63,23 @@ def rows_multiset(result: Union[SolutionSequence, bool]) -> Counter:
 def assert_same_solutions(left, right) -> None:
     """Assert two engine results are equal as multisets."""
     assert rows_multiset(left) == rows_multiset(right)
+
+
+#: The two :class:`~repro.sparql.plancache.PlanCache` instances of an
+#: evaluator, by attribute name — cache-policy tests run over both.
+PLAN_CACHES = ["logical_plans", "lowered_plans"]
+
+
+def plan_cache_lookup(evaluator, cache_name: str):
+    """``(cache, lookup)`` for one of an evaluator's plan caches.
+
+    ``lookup(graph, patterns)`` goes through ``cache.get`` with the key
+    shape that instance is used with, so one test body exercises the
+    logical and the lowered-plan cache alike.
+    """
+    cache = getattr(evaluator, cache_name)
+    if cache_name == "logical_plans":
+        return cache, lambda graph, patterns: cache.get(graph, patterns)
+    return cache, lambda graph, patterns: cache.get(
+        graph, patterns, (), evaluator.profile
+    )

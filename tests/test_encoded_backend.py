@@ -32,8 +32,7 @@ def _encoded_backend(request, monkeypatch):
         reference = evaluator_suite.SparqlEvaluator
 
         def decoded_evaluator(dataset, **kwargs):
-            kwargs.setdefault("use_id_execution", False)
-            kwargs.setdefault("use_filter_pushdown", False)
+            kwargs.setdefault("profile", helpers.DECODED)
             return reference(dataset, **kwargs)
 
         monkeypatch.setattr(evaluator_suite, "SparqlEvaluator", decoded_evaluator)

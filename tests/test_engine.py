@@ -2,15 +2,13 @@
 
 Covers the API-redesign surface:
 
-* :class:`~repro.sparql.profile.ExecutionProfile` presets and the
-  deprecation shims for the legacy ``use_*`` evaluator kwargs,
+* :class:`~repro.sparql.profile.ExecutionProfile` presets as the one
+  configuration surface of the evaluator,
 * :func:`repro.open_graph` — one entry point over files, backends and
   snapshot warm starts,
 * :func:`repro.create_engine` / :class:`~repro.engine.Engine` — query,
   explain, metrics, live views and lifecycle.
 """
-
-import warnings
 
 import pytest
 
@@ -82,7 +80,7 @@ class TestExecutionProfile:
         dataset = Dataset.from_graph(Graph(triples()))
         evaluator = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)
         assert evaluator.profile is ExecutionProfile.BASELINE
-        assert not evaluator.use_id_execution
+        assert not evaluator.profile.use_id_execution
         assert len(list(evaluator.evaluate(parse_query(QUERY)).rows())) == 2
 
     def test_default_profile_is_full(self):
@@ -90,46 +88,12 @@ class TestExecutionProfile:
         assert evaluator.profile is ExecutionProfile.FULL
 
 
-class TestDeprecatedKwargs:
-    def test_legacy_kwargs_warn_and_resolve_to_custom_profile(self):
-        dataset = Dataset.from_graph(Graph(triples()))
-        with pytest.warns(DeprecationWarning, match="ExecutionProfile"):
-            evaluator = SparqlEvaluator(dataset, use_wcoj=False)
-        assert evaluator.profile.name == "custom"
-        assert not evaluator.use_wcoj
-        assert evaluator.use_id_execution  # untouched knobs keep FULL values
-        assert len(list(evaluator.evaluate(parse_query(QUERY)).rows())) == 2
-
-    def test_legacy_kwargs_match_baseline_semantics(self):
-        dataset = Dataset.from_graph(Graph(triples()))
-        with pytest.warns(DeprecationWarning):
-            legacy = SparqlEvaluator(
-                dataset,
-                use_id_execution=False,
-                use_filter_pushdown=False,
-                use_id_paths=False,
-                use_wcoj=False,
-            )
-        for knob in (
-            "use_planner",
-            "use_id_execution",
-            "use_filter_pushdown",
-            "use_id_paths",
-            "use_wcoj",
-        ):
-            assert getattr(legacy, knob) == getattr(
-                ExecutionProfile.BASELINE, knob
-            )
-
-    def test_mixing_profile_and_legacy_kwargs_is_an_error(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                SparqlEvaluator(
-                    Dataset(),
-                    profile=ExecutionProfile.FULL,
-                    use_wcoj=False,
-                )
+class TestSingleConfigurationSurface:
+    def test_boolean_kwargs_are_gone(self):
+        # The per-knob constructor kwargs were removed, not deprecated:
+        # an ExecutionProfile is the only way to configure an evaluator.
+        with pytest.raises(TypeError):
+            SparqlEvaluator(Dataset(), use_wcoj=False)
 
 
 # ----------------------------------------------------------------------

@@ -142,3 +142,28 @@ def test_non_bgp_forms_are_rejected():
     )
     with pytest.raises(EvaluationError):
         evaluator.explain_analyze(union)
+    with pytest.raises(EvaluationError):
+        evaluator.explain(parse_query(union))
+
+
+@pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
+@pytest.mark.parametrize(
+    "group",
+    [
+        "?s ex:p ?o",
+        "?s ex:p+ ?o",
+        "?s ex:p ?o FILTER(?o != ex:a)",
+        "?s ex:p+ ?o FILTER(?s != ?o)",
+        "?s ex:p ?o . ?o ex:p ?t FILTER(?s != ?t)",
+    ],
+    ids=["triple", "path", "filtered-triple", "filtered-path", "filtered-bgp"],
+)
+def test_explain_accepts_every_shape_explain_analyze_does(backend, group):
+    # Regression: explain() used to reject lone triple/path patterns that
+    # explain_analyze() accepted (the two peel loops had drifted).
+    evaluator = _evaluator(backend)
+    query = parse_query(PREFIX + "SELECT * WHERE { " + group + " }")
+    rendered = evaluator.explain(query)
+    report = evaluator.explain_analyze(query)
+    assert rendered == report.plan.explain()
+    assert report.rows == len(evaluator.evaluate(query))

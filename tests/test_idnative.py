@@ -32,7 +32,8 @@ from repro.sparql.expressions import (
     VariableExpr,
     conjuncts,
 )
-from repro.sparql.idexec import IdFilter, execute_plan_ids, supports_id_execution
+from repro.sparql import physical
+from repro.sparql.idexec import IdFilter, supports_id_execution
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
@@ -256,26 +257,67 @@ class TestIdNativeEvaluation:
         )
         assert rows == Counter({(EX.loop,): 1})
 
-    def test_execute_plan_ids_rejects_paths_without_evaluator(self):
+    def test_path_step_requires_evaluator_only_off_the_id_engine(self):
         from repro.sparql.algebra import PathPattern
         from repro.sparql.paths import LinkPath
 
-        graph = EncodedGraph(self._triples())
-        plan = plan_bgp(
-            graph, [PathPattern(Variable("a"), LinkPath(EX.p), Variable("b"))]
-        )
+        patterns = [PathPattern(Variable("a"), LinkPath(EX.p), Variable("b"))]
+        encoded = EncodedGraph(self._triples())
         # The id engine needs no term-level path evaluator at all ...
-        assert len(list(execute_plan_ids(plan, graph))) == 2
-        # ... but the term-level bridge still requires one.
+        id_plan = physical.lower_bgp(encoded, patterns)
+        assert id_plan.space == "id"
+        assert len(list(physical.execute(id_plan, encoded))) == 2
+        # ... but the term-level bridge inside an id pipeline requires one,
+        bridge_plan = physical.lower_bgp(
+            encoded,
+            patterns,
+            profile=ExecutionProfile.FULL.with_options(use_id_paths=False),
+        )
+        assert bridge_plan.space == "id"
         with pytest.raises(TypeError):
-            list(execute_plan_ids(plan, graph, use_id_paths=False))
+            list(physical.execute(bridge_plan, encoded))
+        # ... and so does the term pipeline.
+        plain = Graph(self._triples())
+        term_plan = physical.lower_bgp(plain, patterns)
+        assert term_plan.space == "term"
+        with pytest.raises(TypeError):
+            list(physical.execute(term_plan, plain))
 
-    def test_initial_binding_with_foreign_term_yields_nothing(self):
-        graph = EncodedGraph(self._triples())
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
+    def test_unseen_constant_empties_the_bgp(self, backend):
+        graph = backend(self._triples())
+        s, o = Variable("s"), Variable("o")
+        # The second pattern alone has matches; the unseen constant in the
+        # first one empties the whole conjunction, whatever the join order.
+        plan = physical.lower_bgp(graph, [tp(s, EX.p, EX.never_seen), tp(s, EX.q, o)])
+        before = len(graph.dictionary) if backend is EncodedGraph else None
+        assert list(physical.execute(plan, graph)) == []
+        if backend is EncodedGraph:
+            # Looking the constant up must not intern it.
+            assert len(graph.dictionary) == before
+
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
+    def test_initial_binding_seeds_every_solution(self, backend):
+        graph = backend(self._triples())
+        x, o, extra = Variable("x"), Variable("o"), Variable("extra")
+        plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
+        assert len(list(physical.execute(plan, graph))) == 2
+        # A pre-bound plan variable restricts the probe; a pre-bound
+        # variable the plan never mentions rides along into every row.
+        initial = Binding({x: EX.s1, extra: EX.o2})
+        rows = list(physical.execute(plan, graph, initial=initial))
+        assert rows == [Binding({x: EX.s1, o: EX.o1, extra: EX.o2})]
+        # The same plan object is reusable with another seed.
+        other = list(physical.execute(plan, graph, initial=Binding({x: EX.s2})))
+        assert other == [Binding({x: EX.s2, o: EX.o2})]
+
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
+    def test_initial_binding_with_foreign_term_yields_nothing(self, backend):
+        graph = backend(self._triples())
         x, o = Variable("x"), Variable("o")
-        plan = plan_bgp(graph, [tp(x, EX.p, o)])
+        plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
         initial = Binding({x: EX.unseen_subject})
-        assert list(execute_plan_ids(plan, graph, initial=initial)) == []
+        assert list(physical.execute(plan, graph, initial=initial)) == []
 
     def test_ask_short_circuits_through_id_pipeline(self):
         dataset = Dataset.from_graph(EncodedGraph(self._triples()))

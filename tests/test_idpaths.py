@@ -12,7 +12,7 @@ the term-level ALP procedure:
   multiset through the id engine and the term-level fallback, on both
   backends and through both join pipelines,
 * gMark workload parity: every query of a recursive-only gMark workload
-  agrees between ``use_id_paths=True`` and the ALP baseline.
+  agrees between the id path engine and the ALP baseline.
 """
 
 from collections import Counter
@@ -26,6 +26,7 @@ from repro.sparql.algebra import BGP, PathPattern, ProjectionItem, SelectQuery, 
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -41,7 +42,7 @@ from repro.sparql.paths import (
 )
 from repro.store import EncodedGraph
 
-from tests.helpers import EX
+from tests.helpers import DECODED, EX, TERM_PATHS
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -59,27 +60,23 @@ def _select(pattern_nodes):
     )
 
 
+#: FULL, term-level paths only, the decoded post-filtered pipeline (still
+#: with id paths), and the all-off naive evaluator.
+_PROFILES = (
+    ExecutionProfile.FULL,
+    TERM_PATHS,
+    DECODED,
+    DECODED.with_options(use_id_paths=False, use_planner=False),
+)
+
+
 def _evaluators(triples):
     """Every (backend, pipeline, path engine) combination under test."""
     evaluators = []
     for backend in (Graph, EncodedGraph):
         dataset = Dataset.from_graph(backend(triples))
-        evaluators.append(SparqlEvaluator(dataset))
-        evaluators.append(SparqlEvaluator(dataset, use_id_paths=False))
-        evaluators.append(
-            SparqlEvaluator(
-                dataset, use_id_execution=False, use_filter_pushdown=False
-            )
-        )
-        evaluators.append(
-            SparqlEvaluator(
-                dataset,
-                use_id_execution=False,
-                use_filter_pushdown=False,
-                use_id_paths=False,
-                use_planner=False,
-            )
-        )
+        for profile in _PROFILES:
+            evaluators.append(SparqlEvaluator(dataset, profile=profile))
     return evaluators
 
 
@@ -417,7 +414,7 @@ def test_differential_engine_vs_term_alp(edges, path):
     graph = EncodedGraph(Triple(*edge) for edge in edges)
     dataset = Dataset.from_graph(graph)
     idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, use_id_paths=False)
+    termlevel = SparqlEvaluator(dataset, profile=TERM_PATHS)
     node = PathPattern(X, path, Y)
     expected = Counter(
         tuple(sorted(binding.items()))
@@ -445,7 +442,7 @@ def test_gmark_recursive_workload_parity():
     )
     dataset = workload.dataset()
     idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, use_id_paths=False)
+    termlevel = SparqlEvaluator(dataset, profile=TERM_PATHS)
     compared = 0
     for query in workload.queries():
         parsed = parse_query(query.text)

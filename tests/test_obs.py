@@ -3,9 +3,8 @@
 Covers the tracer (span nesting, disabled no-ops, iterator tracing), the
 metrics registry (instrument kinds, get-or-create, Prometheus text
 exposition), both trace exporters against the committed schema, and the
-integration points: evaluator cache metrics with the deprecated
-``plan_cache_*`` aliases, per-execution operator-stat reset on cached
-physical plans, counter consistency under LIMIT/ASK early exit, the
+integration points: evaluator cache metrics, per-execution
+operator-stat reset on cached physical plans, counter consistency under LIMIT/ASK early exit, the
 WCOJ-fallback warning/counter, store and dictionary counters bound
 through :func:`repro.obs.metrics.bind_store_metrics`, the Datalog
 fixpoint-iteration counter, and the harness ``time_call`` tracer hook.
@@ -32,6 +31,7 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -228,7 +228,7 @@ class TestExporters:
 # evaluator integration
 # ----------------------------------------------------------------------
 class TestEvaluatorObservability:
-    def test_metrics_and_deprecated_aliases(self):
+    def test_cache_metrics(self):
         evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)))
         query = parse_query(_TRIANGLE)
         evaluator.evaluate(query)
@@ -239,9 +239,6 @@ class TestEvaluatorObservability:
         assert metrics["sparql_physical_cache_hits_total"] == 1
         assert metrics["sparql_plan_cache_size"] == 1
         assert metrics["sparql_physical_cache_size"] == 1
-        # Deprecated aliases keep the historical combined semantics.
-        assert evaluator.plan_cache_misses == 1
-        assert evaluator.plan_cache_hits == 1
 
     def test_phase_spans_and_operator_events(self):
         tracer = Tracer("q")
@@ -326,7 +323,8 @@ class TestEvaluatorObservability:
             assert evaluator.metrics()["sparql_wcoj_fallback_total"] == 0
             # Deliberate opt-out is not a fallback either.
             opted_out = SparqlEvaluator(
-                Dataset.from_graph(EncodedGraph(_TRIPLES)), use_wcoj=False
+                Dataset.from_graph(EncodedGraph(_TRIPLES)),
+                profile=ExecutionProfile.ID_NATIVE,
             )
             opted_out.evaluate(parse_query(_TRIANGLE))
             assert opted_out.metrics()["sparql_wcoj_fallback_total"] == 0

@@ -31,7 +31,6 @@ from repro.sparql.parser import parse_query
 from repro.sparql.physical import (
     IndexNestedLoopJoin,
     LeapfrogJoin,
-    LoweringOptions,
     PathExpand,
     Scan,
     _leapfrog_intersect,
@@ -40,9 +39,10 @@ from repro.sparql.physical import (
     supports_leapfrog,
 )
 from repro.sparql.plan import plan_bgp
+from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
-from tests.helpers import EX
+from tests.helpers import DECODED, EX, PLAN_CACHES, plan_cache_lookup
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -261,7 +261,7 @@ class TestOperatorSelection:
     def test_wcoj_option_off_pins_binary_join(self):
         graph = EncodedGraph(_TRIPLES)
         plan = lower_bgp(
-            graph, _triangle_patterns(), options=LoweringOptions(wcoj=False)
+            graph, _triangle_patterns(), profile=ExecutionProfile.ID_NATIVE
         )
         assert isinstance(plan.root.child, IndexNestedLoopJoin)
 
@@ -296,7 +296,7 @@ class TestOperatorSelection:
         plan = lower_bgp(
             graph,
             _triangle_patterns(),
-            options=LoweringOptions(id_execution=False),
+            profile=ExecutionProfile.FULL.with_options(use_id_execution=False),
         )
         assert plan.space == "term"
         assert isinstance(plan.root.child, IndexNestedLoopJoin)
@@ -320,7 +320,7 @@ class TestExecution:
         graph = self._clique()
         patterns = _triangle_patterns()
         leapfrog = lower_bgp(graph, patterns)
-        binary = lower_bgp(graph, patterns, options=LoweringOptions(wcoj=False))
+        binary = lower_bgp(graph, patterns, profile=ExecutionProfile.ID_NATIVE)
         assert isinstance(leapfrog.root.child, LeapfrogJoin)
         assert isinstance(binary.root.child, IndexNestedLoopJoin)
         left = Counter(map(str, physical.execute(leapfrog, graph)))
@@ -369,35 +369,25 @@ class TestExecution:
 # ----------------------------------------------------------------------
 # plan cache hygiene
 # ----------------------------------------------------------------------
-def test_plan_cache_purges_dead_graph_entries():
+@pytest.mark.parametrize("cache_name", PLAN_CACHES)
+def test_plan_cache_purges_dead_graph_entries(cache_name):
     dataset = Dataset.from_graph(EncodedGraph(_TRIPLES))
-    # use_id_paths=False keeps the path-engine cache (which holds graphs
-    # strongly by design) out of the lifetime picture.
-    evaluator = SparqlEvaluator(dataset, use_id_paths=False)
-    query = parse_query(PREFIX + "SELECT * WHERE { ?s ex:p ?o . ?o ex:p ?t }")
+    evaluator = SparqlEvaluator(dataset)
+    cache, lookup = plan_cache_lookup(evaluator, cache_name)
+    s, o, t = _vars("s", "o", "t")
 
     transient = EncodedGraph(_TRIPLES)
-    list(
-        evaluator._eval_pattern_stream(
-            parse_query(
-                PREFIX + "SELECT * WHERE { ?s ex:q ?o . ?o ex:p ?t }"
-            ).pattern,
-            transient,
-            dataset,
-        )
-    )
-    assert any(
-        reference() is transient for reference, _ in evaluator._plan_cache.values()
-    )
+    lookup(transient, (tp(s, EX.q, o), tp(o, EX.p, t)))
+    assert len(cache) == 1
     del transient
     gc.collect()
 
     # The next miss sweeps every entry whose graph has been collected.
-    list(evaluator.evaluate(query).rows())
-    assert all(
-        reference() is not None for reference, _ in evaluator._plan_cache.values()
-    )
-    assert len(evaluator._plan_cache) == 1
+    lookup(dataset.default_graph, (tp(s, EX.p, o), tp(o, EX.p, t)))
+    assert len(cache) == 1
+    # (One counter serves both caches; a lowered-plan miss sweeps the
+    # logical cache as well.)
+    assert evaluator.metrics()["sparql_plan_cache_evictions_total"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -445,9 +435,7 @@ _PUSHDOWN_QUERIES = [
 def test_extended_pushdown_matches_baseline(backend, query_text):
     dataset = Dataset.from_graph(backend(_PUSHDOWN_TRIPLES))
     pushdown = SparqlEvaluator(dataset)
-    baseline = SparqlEvaluator(
-        dataset, use_id_execution=False, use_filter_pushdown=False
-    )
+    baseline = SparqlEvaluator(dataset, profile=DECODED)
     query = parse_query(query_text)
     assert Counter(pushdown.evaluate(query).rows()) == Counter(
         baseline.evaluate(query).rows()

@@ -10,11 +10,24 @@ from repro.sparql.algebra import BGP, PathPattern, TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.paths import LinkPath, OneOrMorePath
-from repro.sparql.plan import evaluate_bgp, plan_bgp
+from repro.sparql.physical import execute, lower_bgp
+from repro.sparql.plan import plan_bgp
 
-from tests.helpers import EX, countries_dataset, rows_multiset
+from tests.helpers import (
+    EX,
+    NAIVE,
+    PLAN_CACHES,
+    countries_dataset,
+    plan_cache_lookup,
+    rows_multiset,
+)
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
+
+
+def run_bgp(graph, patterns, path_evaluator=None):
+    """Plan, lower and lazily run a BGP on the physical layer alone."""
+    return execute(lower_bgp(graph, patterns), graph, path_evaluator=path_evaluator)
 
 
 def tp(subject, predicate, obj) -> TriplePatternNode:
@@ -159,7 +172,7 @@ class TestStreamingExecution:
         graph = star_graph(20, 2)
         v, x, y = Variable("v"), Variable("x"), Variable("y")
         patterns = [tp(v, EX.a, x), tp(v, EX.b, y), tp(v, EX.selective, EX.target)]
-        streamed = list(evaluate_bgp(graph, patterns))
+        streamed = list(run_bgp(graph, patterns))
         assert len(streamed) == 4  # 2 :a edges x 2 :b edges of s0
         assert all(binding[v] == EX.s0 for binding in streamed)
 
@@ -175,7 +188,7 @@ class TestStreamingExecution:
         for i in range(100):
             graph.add(Triple(EX[f"s{i}"], EX.p, EX[f"o{i}"]))
         v, o = Variable("v"), Variable("o")
-        stream = evaluate_bgp(graph, [tp(v, EX.p, o)])
+        stream = run_bgp(graph, [tp(v, EX.p, o)])
         CountingGraph.probes = 0
         first = next(iter(stream))
         assert first is not None
@@ -185,7 +198,7 @@ class TestStreamingExecution:
     def test_repeated_variable_within_pattern(self):
         graph = Graph([Triple(EX.a, EX.p, EX.a), Triple(EX.a, EX.p, EX.b)])
         x = Variable("x")
-        results = list(evaluate_bgp(graph, [tp(x, EX.p, x)]))
+        results = list(run_bgp(graph, [tp(x, EX.p, x)]))
         assert len(results) == 1
         assert results[0][x] == EX.a
 
@@ -204,7 +217,7 @@ class TestStreamingExecution:
         # The selective triple pattern must be probed before the closure.
         assert plan.order() == [1, 0]
         results = list(
-            evaluate_bgp(graph, patterns, path_evaluator=evaluator._eval_path_pattern)
+            run_bgp(graph, patterns, path_evaluator=evaluator._eval_path_pattern)
         )
         assert {binding[end] for binding in results} == {
             EX[f"n{i}"] for i in range(1, 6)
@@ -223,7 +236,7 @@ class TestZeroLengthPathSubstitution:
             PREFIX + "SELECT ?p ?z WHERE { ?s ?p ?o . ?p ex:q? ?z }"
         )
         planned = SparqlEvaluator(ds).evaluate(query)
-        naive = SparqlEvaluator(ds, use_planner=False).evaluate(query)
+        naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
         assert rows_multiset(planned) == rows_multiset(naive)
         assert len(planned) == 0
 
@@ -237,7 +250,7 @@ class TestZeroLengthPathSubstitution:
                 PREFIX + "SELECT ?p ?z WHERE { ?s ?p ?o . ?p " + path_text + " ?z }"
             )
             planned = SparqlEvaluator(ds).evaluate(query)
-            naive = SparqlEvaluator(ds, use_planner=False).evaluate(query)
+            naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
             assert rows_multiset(planned) == rows_multiset(naive), path_text
             assert len(planned) == 0, path_text
 
@@ -248,7 +261,7 @@ class TestZeroLengthPathSubstitution:
             PREFIX + "SELECT ?s ?z WHERE { ?s ?p ?o . ?s ex:q* ?z }"
         )
         planned = SparqlEvaluator(ds).evaluate(query)
-        naive = SparqlEvaluator(ds, use_planner=False).evaluate(query)
+        naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
         assert rows_multiset(planned) == rows_multiset(naive)
         assert (EX.s, EX.s) in planned.to_set()
 
@@ -267,7 +280,7 @@ class TestPlannedEvaluatorEquivalence:
         dataset = countries_dataset()
         query = parse_query(PREFIX + query_text)
         planned = SparqlEvaluator(dataset).evaluate(query)
-        naive = SparqlEvaluator(dataset, use_planner=False).evaluate(query)
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         elif "LIMIT" in query_text:
@@ -289,8 +302,25 @@ class TestPlanCache:
         first = evaluator.evaluate(query)
         second = evaluator.evaluate(query)
         assert rows_multiset(first) == rows_multiset(second)
-        assert evaluator.plan_cache_misses == 1
-        assert evaluator.plan_cache_hits == 1
+        metrics = evaluator.metrics()
+        # The second run is served by the lowered-plan cache, which
+        # subsumes the logical lookup.
+        assert metrics["sparql_plan_cache_misses_total"] == 1
+        assert metrics["sparql_physical_cache_misses_total"] == 1
+        assert metrics["sparql_physical_cache_hits_total"] == 1
+
+    def test_logical_plan_shared_across_filter_conjuncts(self):
+        evaluator = SparqlEvaluator(countries_dataset())
+        bgp = "?a ex:borders ?b . ?b ex:borders ?c"
+        evaluator.evaluate(parse_query(PREFIX + f"SELECT * WHERE {{ {bgp} }}"))
+        evaluator.evaluate(
+            parse_query(PREFIX + f"SELECT * WHERE {{ {bgp} FILTER(?a != ?c) }}")
+        )
+        metrics = evaluator.metrics()
+        # Two lowered plans (different conjuncts), one join order.
+        assert metrics["sparql_physical_cache_misses_total"] == 2
+        assert metrics["sparql_plan_cache_misses_total"] == 1
+        assert metrics["sparql_plan_cache_hits_total"] == 1
 
     def test_mutation_invalidates_cache(self):
         dataset = countries_dataset()
@@ -300,8 +330,8 @@ class TestPlanCache:
         before = rows_multiset(evaluator.evaluate(query))
         dataset.default_graph.add(Triple(EX.austria, EX.borders, EX.italy))
         after = evaluator.evaluate(query)
-        assert evaluator.plan_cache_misses == 2
-        naive = SparqlEvaluator(dataset, use_planner=False).evaluate(query)
+        assert evaluator.metrics()["sparql_plan_cache_misses_total"] == 2
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
         assert rows_multiset(after) != before
 
@@ -316,16 +346,68 @@ class TestPlanCache:
         graph.remove(triple)  # removing a missing triple does not bump
         assert graph.version == 2
 
-    def test_cache_is_bounded(self):
+    @pytest.mark.parametrize("cache_name", PLAN_CACHES)
+    def test_cache_is_bounded(self, cache_name):
         evaluator = SparqlEvaluator(countries_dataset())
-        evaluator.PLAN_CACHE_SIZE = 4
-        for index in range(10):
-            query = parse_query(
-                PREFIX
-                + f"SELECT ?a ?b WHERE {{ ?a ex:borders ?b . ?b ex:borders ex:n{index} }}"
-            )
-            evaluator.evaluate(query)
-        assert len(evaluator._plan_cache) <= 4
+        cache, lookup = plan_cache_lookup(evaluator, cache_name)
+        cache.size = 4
+        graph = evaluator.dataset.default_graph
+        a, b = Variable("a"), Variable("b")
+        keys = [
+            (tp(a, EX.borders, b), tp(b, EX.borders, EX[f"n{index}"]))
+            for index in range(10)
+        ]
+        plans = [lookup(graph, patterns) for patterns in keys]
+        assert len(cache) == 4
+        assert evaluator.metrics()["sparql_plan_cache_evictions_total"] >= 6
+        # Oldest-inserted goes first, and a hit does not refresh an entry:
+        # the newest four are still served from the cache ...
+        for patterns, plan in zip(keys[-4:], plans[-4:]):
+            assert lookup(graph, patterns) is plan
+        # ... the oldest is rebuilt.
+        assert lookup(graph, keys[0]) is not plans[0]
+
+    @pytest.mark.parametrize("cache_name", PLAN_CACHES)
+    def test_version_bump_invalidates_entry(self, cache_name):
+        evaluator = SparqlEvaluator(countries_dataset())
+        cache, lookup = plan_cache_lookup(evaluator, cache_name)
+        graph = evaluator.dataset.default_graph
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        patterns = (tp(a, EX.borders, b), tp(b, EX.borders, c))
+        plan = lookup(graph, patterns)
+        assert lookup(graph, patterns) is plan
+        graph.add(Triple(EX.austria, EX.borders, EX.italy))
+        assert lookup(graph, patterns) is not plan
+
+    @pytest.mark.parametrize("cache_name", PLAN_CACHES)
+    def test_recycled_id_does_not_hit(self, cache_name):
+        # id() values are reused after garbage collection: an entry must
+        # only hit while the graph that produced it is the one queried.
+        # The policy never looks inside a graph or a plan, so stand-ins
+        # make the recycling reproducible.
+        cache = getattr(SparqlEvaluator(Dataset()), cache_name)
+        cache.build = lambda graph, *key: object()
+
+        class StubGraph:
+            version = 7
+
+        graph = StubGraph()
+        stale = cache.get(graph, "key")
+        assert cache.get(graph, "key") is stale
+        stale_id = id(graph)
+        del graph
+        others = []
+        for _ in range(256):
+            candidate = StubGraph()
+            if id(candidate) == stale_id:
+                break
+            others.append(candidate)
+        else:
+            pytest.skip("the allocator did not recycle the graph's id")
+        # Same id, same version stamp: only the weakref guard tells the
+        # recycled id from the dead graph.
+        assert cache.get(candidate, "key") is not stale
+        assert len(cache) == 1
 
     def test_distinct_graphs_cached_separately(self):
         query = self._two_pattern_query()
@@ -333,5 +415,5 @@ class TestPlanCache:
         second = SparqlEvaluator(countries_dataset())
         first.evaluate(query)
         second.evaluate(query)
-        assert first.plan_cache_misses == 1
-        assert second.plan_cache_misses == 1
+        assert first.metrics()["sparql_plan_cache_misses_total"] == 1
+        assert second.metrics()["sparql_plan_cache_misses_total"] == 1

@@ -309,11 +309,12 @@ class TestPlannerDifferentialProperties:
     def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text):
         from repro.sparql.evaluator import SparqlEvaluator
         from repro.sparql.parser import parse_query
+        from tests.helpers import NAIVE
 
         dataset = Dataset.from_graph(graph_from_edges(edges))
         query = parse_query(query_text)
-        planned = SparqlEvaluator(dataset, use_planner=True).evaluate(query)
-        naive = SparqlEvaluator(dataset, use_planner=False).evaluate(query)
+        planned = SparqlEvaluator(dataset).evaluate(query)
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         else:

@@ -17,7 +17,7 @@ from repro.sparql.paths import (
     normalize_path,
 )
 
-from tests.helpers import EX, countries_dataset
+from tests.helpers import EX, TERM_PATHS, countries_dataset
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -272,7 +272,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_reachability_probe_stops_at_adjacent_target(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), use_id_paths=False)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_PATHS)
         graph.probes = 0
         result = evaluator.evaluate(
             parse_query(PREFIX + "ASK { ex:n0 ex:next+ ex:n1 }")
@@ -285,7 +285,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_unreachable_target_still_correct(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), use_id_paths=False)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_PATHS)
         assert (
             evaluator.evaluate(
                 parse_query(PREFIX + "ASK { ex:n5 ex:next+ ex:n0 }")
@@ -295,7 +295,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_short_circuit_preserves_bound_pair_results(self):
         graph = self._long_chain(20)
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), use_id_paths=False)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_PATHS)
         result = evaluator.evaluate(
             parse_query(PREFIX + "SELECT ?x WHERE { ex:n0 ex:next* ex:n20 . ?x ex:next ex:n1 }")
         )
