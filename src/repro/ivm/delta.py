@@ -351,7 +351,8 @@ def differentiate(
     """Differentiate a lowered physical plan, or ``None`` if ineligible.
 
     Eligible plans are ``Project ∘ Filter? ∘ IndexNestedLoopJoin`` DAGs
-    whose every input is a (possibly Filter-wrapped) triple ``Scan`` —
+    whose every input is a (possibly Filter-wrapped) triple ``Scan`` or
+    ``HashProbe`` (differentiated as the scan + equality it stands for) —
     the shape the lowering pass emits for acyclic all-triple BGPs.
     ``LeapfrogJoin`` plans (cyclic BGPs) and plans containing
     ``PathExpand`` (property paths) return ``None``; their views are
@@ -373,7 +374,11 @@ def differentiate(
         if isinstance(leaf, physical.Filter):
             conditions = leaf.conditions
             leaf = leaf.child
-        if not isinstance(leaf, physical.Scan):
+        if isinstance(leaf, physical.HashProbe):
+            # A delta touches one side of the implicit join at a time:
+            # the pattern is scanned like any other, its equality checked.
+            conditions += (leaf.condition,)
+        elif not isinstance(leaf, physical.Scan):
             return None
         steps.append(
             DeltaScan(

@@ -93,6 +93,10 @@ _NUMERIC_DATATYPES = frozenset(
     }
 )
 
+#: The same set as IRI strings, for code that classifies a literal from
+#: its interned ``(lexical, datatype, language)`` key without a ``Literal``.
+NUMERIC_DATATYPE_VALUES = frozenset(iri.value for iri in _NUMERIC_DATATYPES)
+
 
 @dataclass(frozen=True)
 class Literal(Term):

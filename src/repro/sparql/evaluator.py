@@ -158,10 +158,14 @@ class SparqlEvaluator:
             "sparql_wcoj_fallback_total",
             "GYO-cyclic BGPs where WCOJ selection was structurally rejected",
         )
+        self._term_fallbacks = registry.counter(
+            "sparql_filter_term_fallbacks_total",
+            "FILTER conjunct evaluations an id-space plan ran on decoded terms",
+        )
         #: Logical BGP plans, ``logical_plans.get(graph, patterns)``.
         self.logical_plans = PlanCache(plan_bgp, logical_hits, logical_misses, evictions)
         #: Lowered physical plans, ``lowered_plans.get(graph, patterns,
-        #: conditions, profile)`` — a hit skips planning, operator
+        #: conditions, profile[, project])`` — a hit skips planning, operator
         #: construction and eligibility analysis alike.  The public way
         #: to a physical plan for code outside the evaluator (live views).
         self.lowered_plans = PlanCache(
@@ -246,7 +250,7 @@ class SparqlEvaluator:
     # ------------------------------------------------------------------
     def _evaluate_select(self, query: SelectQuery) -> SolutionSequence:
         dataset = self._active_dataset(query.dataset_clauses)
-        bindings = self._eval_select_pattern(query, dataset)
+        bindings, carried = self._eval_select_pattern(query, dataset)
         if query.has_aggregates():
             bindings = self._apply_grouping(query, bindings)
         else:
@@ -256,7 +260,16 @@ class SparqlEvaluator:
         if query.order_by:
             bindings = apply_order_by(query.order_by, bindings)
         variables = query.projected_variables()
-        projected = [binding.project(variables) for binding in bindings]
+        if (
+            carried is not None
+            and set(carried) == set(variables)
+            and not query.has_aggregates()
+        ):
+            # The rows are still the pipeline's (no grouping; an AS alias
+            # would be in one set only) and their domain is the projection.
+            projected = bindings
+        else:
+            projected = [binding.project(variables) for binding in bindings]
         if query.distinct or query.reduced:
             seen = set()
             unique: List[Binding] = []
@@ -271,19 +284,37 @@ class SparqlEvaluator:
             projected = projected[: query.limit]
         return SolutionSequence(variables, projected)
 
+    def _query_stream(
+        self, query: Query, dataset: Dataset
+    ) -> Tuple[Iterator[Binding], Optional[Tuple[Variable, ...]]]:
+        """Stream a query form's pattern; say which variables its rows carry.
+
+        When the whole pattern is one planned pipeline
+        (:meth:`_planned_stream`) the variables the query form reads from
+        its rows (:func:`_variables_read`) go down as the projection, so
+        an id-space plan decodes nothing else, and the second element is
+        the plan's ``Project`` list: exactly the domain of every row.  It
+        is ``None`` for any other pattern, which streams as
+        :meth:`_eval_pattern_stream` does.
+        """
+        graph = dataset.default_graph
+        stream = self._planned_stream(query.pattern, graph, _variables_read(query))
+        if stream is not None:
+            return stream, self.last_physical_plan.root.variables
+        return self._eval_pattern_stream(query.pattern, graph, dataset), None
+
     def _eval_select_pattern(
         self, query: SelectQuery, dataset: Dataset
-    ) -> List[Binding]:
+    ) -> Tuple[List[Binding], Optional[Tuple[Variable, ...]]]:
         """Evaluate a SELECT query's pattern, short-circuiting when safe.
 
         A query whose only solution modifiers are LIMIT/OFFSET consumes
         exactly ``offset + limit`` solutions from the streaming pipeline;
         anything involving ordering, grouping or DISTINCT needs the full
-        multiset.
+        multiset.  Returns the rows and :meth:`_query_stream`'s word on
+        the variables they carry.
         """
-        stream = self._eval_pattern_stream(
-            query.pattern, dataset.default_graph, dataset
-        )
+        stream, carried = self._query_stream(query, dataset)
         can_short_circuit = (
             query.limit is not None
             and not query.order_by
@@ -300,14 +331,12 @@ class SparqlEvaluator:
             close = getattr(stream, "close", None)
             if close is not None:
                 close()
-            return results
-        return list(stream)
+            return results, carried
+        return list(stream), carried
 
     def _evaluate_ask(self, query: AskQuery) -> bool:
         dataset = self._active_dataset(query.dataset_clauses)
-        stream = self._eval_pattern_stream(
-            query.pattern, dataset.default_graph, dataset
-        )
+        stream, _ = self._query_stream(query, dataset)
         try:
             return next(iter(stream), None) is not None
         finally:
@@ -390,6 +419,31 @@ class SparqlEvaluator:
             return BGP((node,))
         return node
 
+    def _planned_stream(
+        self,
+        node: GraphPatternNode,
+        active_graph: Graph,
+        project: Optional[Tuple[Variable, ...]] = None,
+    ) -> Optional[Iterator[Binding]]:
+        """Stream ``node`` as one planned pipeline, or ``None`` if it is not one.
+
+        One pipeline is a plannable BGP under zero or more FILTERs whose
+        conjuncts push into it (so, with any FILTER, pushdown enabled).
+        The plan is in :attr:`last_physical_plan` when this returns a
+        stream; ``project`` is :meth:`_eval_bgp_stream`'s.
+        """
+        conditions: List[Expression] = []
+        core = peel_filters(node, conditions)
+        if (
+            isinstance(core, BGP)
+            and self._plannable_bgp(core)
+            and (not conditions or self.profile.use_filter_pushdown)
+        ):
+            return self._eval_bgp_stream(
+                core, active_graph, tuple(conditions), project=project
+            )
+        return None
+
     def _try_filter_pushdown(
         self, node: Filter, active_graph: Graph, dataset: Dataset
     ) -> Optional[Iterator[Binding]]:
@@ -408,10 +462,11 @@ class SparqlEvaluator:
         """
         if not self.profile.use_filter_pushdown:
             return None
+        planned = self._planned_stream(node, active_graph)
+        if planned is not None:
+            return planned
         conditions: List[Expression] = []
         current = peel_filters(node, conditions)
-        if isinstance(current, BGP) and self._plannable_bgp(current):
-            return self._eval_bgp_stream(current, active_graph, tuple(conditions))
         if isinstance(current, Minus):
             left = self._as_bgp(peel_filters(current.left, conditions))
             if isinstance(left, BGP) and self._plannable_bgp(left):
@@ -455,12 +510,13 @@ class SparqlEvaluator:
         patterns: Tuple[GraphPatternNode, ...],
         conditions: Tuple[Expression, ...],
         profile: ExecutionProfile,
+        project: Optional[Tuple[Variable, ...]] = None,
     ) -> physical.PhysicalPlan:
         """Plan + lower a BGP — what :attr:`lowered_plans` builds on a miss.
 
         Lowering (operator construction, WCOJ eligibility analysis) is
-        pure in the pattern tuple, the FILTER conjuncts, the profile and
-        the graph statistics, which is exactly the cache key.  The
+        pure in the pattern tuple, the FILTER conjuncts, the profile, the
+        projection and the graph statistics, which is exactly the cache key.  The
         logical plan comes through :attr:`logical_plans`, so one BGP
         under different FILTER conjuncts is ordered once.  With a tracer
         attached the two steps run under ``plan`` / ``lower`` spans.
@@ -468,7 +524,7 @@ class SparqlEvaluator:
         with self._span("plan"):
             plan = self.logical_plans.get(graph, patterns)
         with self._span("lower") as span:
-            physical_plan = physical.lower_plan(plan, graph, conditions, profile)
+            physical_plan = physical.lower_plan(plan, graph, conditions, profile, project)
             span.annotate(space=physical_plan.space)
             if physical_plan.wcoj_fallback is not None:
                 span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
@@ -482,16 +538,18 @@ class SparqlEvaluator:
         node: BGP,
         active_graph: Graph,
         conditions: Tuple[Expression, ...] = (),
+        project: Optional[Tuple[Variable, ...]] = None,
     ) -> physical.PhysicalPlan:
         """The (cached) physical plan of a BGP under FILTER ``conditions``.
 
-        Cached plans share their ``OperatorStats`` objects, but the
-        executor resets them at the start of every execution, so each
-        run reports its own counters.
+        Cached plans share their ``OperatorStats`` objects, but every
+        execution reports its own counters (see ``physical.execute``).
         """
-        physical_plan = self.lowered_plans.get(
-            active_graph, node.patterns, conditions, self.profile
-        )
+        key = (node.patterns, conditions, self.profile)
+        if project is not None:
+            # Without one, the key every other caller (live views) looks up.
+            key += (project,)
+        physical_plan = self.lowered_plans.get(active_graph, *key)
         self.last_physical_plan = physical_plan
         return physical_plan
 
@@ -501,6 +559,7 @@ class SparqlEvaluator:
         active_graph: Graph,
         conditions: Tuple[Expression, ...] = (),
         timed: bool = False,
+        project: Optional[Tuple[Variable, ...]] = None,
     ) -> Iterator[Binding]:
         """Plan, lower and stream a BGP through the physical executor.
 
@@ -511,9 +570,11 @@ class SparqlEvaluator:
         the leapfrog-triejoin operator for cyclic BGPs — is made by the
         lowering pass per backend capability, within what the profile
         allows.  ``timed`` turns on per-operator self time (for
-        :meth:`explain_analyze`).
+        :meth:`explain_analyze`).  ``project`` names the variables the
+        caller reads from the rows (sorted by name; ``None``: all of
+        them) — an id-space plan decodes no others.
         """
-        physical_plan = self._lower(node, active_graph, conditions)
+        physical_plan = self._lower(node, active_graph, conditions, project)
         engine = (
             self._id_path_engine(active_graph)
             if physical_plan.space == "id" and self.profile.use_id_paths
@@ -525,6 +586,7 @@ class SparqlEvaluator:
             path_evaluator=self._eval_path_pattern,
             path_engine=engine,
             timed=timed,
+            term_fallbacks=self._term_fallbacks,
         )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -553,6 +615,11 @@ class SparqlEvaluator:
                     rows += 1
                     yield binding
             finally:
+                # An abandoned stream (LIMIT / ASK) publishes its batched
+                # counters when closed: do that before sampling them.
+                close = getattr(stream, "close", None)
+                if close is not None:
+                    close()
                 span.annotate(rows=rows)
                 if physical_plan.wcoj_fallback is not None:
                     span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
@@ -570,11 +637,13 @@ class SparqlEvaluator:
 
     def _explainable(
         self, query: Query, caller: str
-    ) -> Tuple[BGP, Tuple[Expression, ...], Graph]:
+    ) -> Tuple[BGP, Tuple[Expression, ...], Graph, Optional[Tuple[Variable, ...]]]:
         """Peel a query down to the planned BGP that ``caller`` renders.
 
         Returns the BGP (a lone triple/path pattern is promoted to one),
-        the FILTER conjuncts scoped over it, and the graph it runs on.
+        the FILTER conjuncts scoped over it, the graph it runs on and the
+        variables the query form reads from its rows — what evaluation
+        hands to :meth:`_eval_bgp_stream`, so the plan shown is the plan run.
         """
         conditions: List[Expression] = []
         pattern = self._as_bgp(peel_filters(query.pattern, conditions))
@@ -584,7 +653,8 @@ class SparqlEvaluator:
                 f"got {type(pattern).__name__}"
             )
         dataset = self._active_dataset(query.dataset_clauses)
-        return pattern, tuple(conditions), dataset.default_graph
+        project = _variables_read(query)
+        return pattern, tuple(conditions), dataset.default_graph, project
 
     def explain(self, query: Query) -> str:
         """Render the physical operator plan for a query's pattern.
@@ -596,8 +666,8 @@ class SparqlEvaluator:
         plan is also left in :attr:`last_physical_plan` so callers can
         execute-then-inspect per-operator counters.
         """
-        pattern, conditions, graph = self._explainable(query, "explain()")
-        return self._lower(pattern, graph, conditions).explain()
+        pattern, conditions, graph, project = self._explainable(query, "explain()")
+        return self._lower(pattern, graph, conditions, project).explain()
 
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeReport:
         """Execute a query's planned BGP and render the measured plan.
@@ -617,8 +687,10 @@ class SparqlEvaluator:
 
             with self._span("parse"):
                 query = parse_query(query)
-        pattern, conditions, graph = self._explainable(query, "explain_analyze()")
-        stream = self._eval_bgp_stream(pattern, graph, conditions, timed=True)
+        pattern, conditions, graph, project = self._explainable(query, "explain_analyze()")
+        stream = self._eval_bgp_stream(
+            pattern, graph, conditions, timed=True, project=project
+        )
         physical_plan = self.last_physical_plan
         started = perf_counter()
         rows = sum(1 for _ in stream)
@@ -964,6 +1036,31 @@ class SparqlEvaluator:
         if operation == "AVG":
             return Literal.from_python(sum(numeric) / len(numeric))
         raise EvaluationError(f"unsupported aggregate {operation}")
+
+
+def _variables_read(query: Query) -> Optional[Tuple[Variable, ...]]:
+    """The variables a query form reads from its pattern's rows, sorted by name.
+
+    For a SELECT: projection ∪ projection/aggregate expressions ∪ GROUP BY
+    ∪ HAVING ∪ ORDER BY, or ``None`` for ``SELECT *``, which reads them
+    all.  An ASK reads none.
+    """
+    if not isinstance(query, SelectQuery):
+        return ()
+    if query.select_all:
+        return None
+    read = set()
+    for item in query.projection:
+        read.add(item.variable)
+        if item.expression is not None:
+            read |= item.expression.variables()
+    for expression in query.group_by:
+        read |= expression.variables()
+    if query.having is not None:
+        read |= query.having.variables()
+    for condition in query.order_by:
+        read |= condition.expression.variables()
+    return tuple(sorted(read, key=lambda variable: variable.name))
 
 
 def apply_order_by(

@@ -1,49 +1,64 @@
-"""Id-space building blocks of BGP execution over the encoded store.
+"""Id-space execution of index-nested-loop plans: compiled once per plan.
 
 The dictionary-encoded store (:mod:`repro.store.encoded`) keeps its
 SPO/POS/OSP indexes over integer term ids.  On such a graph the physical
-layer (:func:`repro.sparql.physical.execute` over an id-space plan) runs
-the planner's index-nested-loop pipeline entirely in id space:
+layer hands an id-space :class:`~repro.sparql.physical.IndexNestedLoopJoin`
+plan to :func:`run`, which compiles it — once per plan and per domain of
+the initial binding, cached on the plan for as long as the graph version
+it was compiled against — into a chain of step closures over one
+per-execution *register file* (a plain list):
 
-* partial solutions are plain ``{Variable: int}`` environments mutated
-  in place down the depth-first pipeline (bind on match, unbind on
-  backtrack) — no per-row allocation at all for intermediate rows,
-* triple patterns probe :meth:`EncodedGraph.match_triple_ids` directly,
-* FILTER conjuncts pushed between steps (:func:`repro.sparql.plan.attach_filters`)
-  are compiled by :class:`IdFilter`: ``sameTerm`` and ``=`` / ``!=``
-  comparisons decide on raw ids and kind tags whenever that is sound,
-  and every other condition decodes *only the variables it mentions*,
-* terms are decoded through the :class:`~repro.store.dictionary.TermDictionary`
-  exactly once, at the result boundary, through a precomputed variable
-  order so the :class:`~repro.sparql.solutions.Binding` construction
-  skips its sort.
+* **Registers.**  A short header (this execution's result-row and
+  term-fallback counts, the store's probe function, the path machinery),
+  then per-operator row/probe counters, one pre-filled register per
+  pattern constant, one register per variable and one per hash table.
+  Everything a step touches is addressed by an index fixed at compile
+  time; the file is copied from a template per execution, so a cached
+  plan is re-entrant and every execution publishes its own counters to
+  the plan's :class:`~repro.sparql.physical.OperatorStats` when its
+  stream ends or is closed.
 
-This module holds the two pieces of that which are not operators: the
-capability check :func:`supports_id_execution` the lowering pass consults,
-and the compiled FILTER conjunct :class:`IdFilter`.
+* **Steps.**  Decided at compile time per step: the three registers the
+  index probe reads (a constant, a bound variable, or the always-``None``
+  register of a free position), the registers a match writes, whether
+  repeated-variable checks are needed at all, the conjuncts that run
+  after it, and — for path steps — which endpoints are bound.  What is
+  left per row is a register write, a counter increment and the next
+  step.  :class:`~repro.sparql.physical.HashProbe` steps build their
+  pattern's matches into a table keyed by the equality key once per
+  execution and probe it per outer row.
 
-Property paths run id-natively too: a path step hands its bound endpoint
-*ids* straight to the :class:`~repro.sparql.idpaths.IdPathEngine`
-(integer frontier expansion, statistics-driven direction selection) and
-binds the resulting id pairs without a single decode.  Backends exposing
-the join surface but not the navigation surface — and profiles with id
-paths off — fall back to the term-level bridge: decode the bound
-endpoints, run the evaluator's path machinery, re-intern the fresh
-endpoint bindings.
+* **FILTER kernels.**  ``= != < <= > >=`` between variables and/or
+  constants and ``sameTerm`` run on ids, kind tags and — for literals —
+  per-id *comparison keys* (:func:`comparison_key`) memoised in
+  :attr:`TermDictionary.compare_keys
+  <repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
+  ``Binding``, no expression walk.  Every other conjunct decodes only the
+  variables it mentions and runs the term-level semantics, counted as a
+  term fallback.  :func:`condition_kernel` tells the two apart by shape,
+  which is what ``explain`` prints.
 
-When is the raw-id fast path sound?  Id equality always implies term
-equality (interning is structural), so equal ids decide ``sameTerm``,
-``=`` and ``!=`` immediately.  *Unequal* ids decide ``sameTerm`` always,
-but decide ``=`` / ``!=`` only when the two ids are not both literals:
-distinct literal ids may still be value-equal (``"1"^^xsd:integer`` vs
-``"01"^^xsd:integer``), so that single case falls back to decoding.
+* **Result boundary.**  Only the variables of the plan's ``Project`` are
+  decoded, through a precomputed variable order so the
+  :class:`~repro.sparql.solutions.Binding` construction skips its sort.
+
+Property-path steps hand bound endpoint *ids* straight to the
+:class:`~repro.sparql.idpaths.IdPathEngine`; with id paths off (or on a
+backend without the navigation surface) they bridge through the
+term-level path machinery, re-interning the fresh endpoints.
+
+The leapfrog executor (:mod:`repro.sparql.physical`) runs on the same
+register header and the same kernels via :func:`compile_condition`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import operator
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Variable
+from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.expressions import (
     Comparison,
     Expression,
@@ -52,11 +67,36 @@ from repro.sparql.expressions import (
     VariableExpr,
     satisfies,
 )
-from repro.sparql.solutions import Binding
-from repro.store.dictionary import TermDictionary
+from repro.sparql.idpaths import _ABSENT, IdPathEngine
+from repro.sparql.paths import matches_zero_length, normalize_path
+from repro.sparql.plan import _match_path
+from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.store.dictionary import (
+    _KIND_MASK,
+    KIND_BLANK,
+    KIND_IRI,
+    KIND_LITERAL,
+    TermDictionary,
+    term_structure,
+)
 
-#: An id-space partial solution: variable -> interned term id.
-IdEnv = Dict[Variable, int]
+Registers = List[object]
+#: A compiled conjunct: the verdict for the row currently in the registers.
+Test = Callable[[Registers], bool]
+#: A compiled step: the result rows below the row currently in the registers.
+Step = Callable[[Registers], Iterable[Binding]]
+
+# Register file header.  Counters first, then what an execution brings
+# along; everything after ``HEADER`` is allocated by the compiler.
+_FALLBACKS = 0  #: conjunct evaluations that ran in term space
+_RESULTS = 1  #: rows emitted at the result boundary
+_FREE = 2  #: always ``None``: what a free pattern position reads
+_MATCH = 3  #: ``graph.match_triple_ids`` (fetched per execution: counters wrap it)
+_TIMED = 4  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
+_GRAPH = 5
+_PATH_ENGINE = 6
+_PATH_EVALUATOR = 7
+HEADER: Tuple[object, ...] = (0, 0, None, None, None, None, None, None)
 
 
 def supports_id_execution(graph: object) -> bool:
@@ -70,91 +110,799 @@ def supports_id_execution(graph: object) -> bool:
 
 
 # ----------------------------------------------------------------------
+# comparison keys
+# ----------------------------------------------------------------------
+def comparison_key(kind: int, key) -> Tuple[object, int, object, str]:
+    """``(equality key, order class, order value, lexical form)`` of a term.
+
+    ``kind`` / ``key`` are the term's interned structure
+    (:meth:`TermDictionary.structural_key`,
+    :func:`repro.store.dictionary.term_structure`).  The tuple restates
+    :func:`repro.sparql.functions.term_compare` per operand, so that a
+    comparison is a few tuple reads:
+
+    * two terms are ``=`` exactly when their *equality keys* are equal —
+      numeric literals by ``float(lexical)``, simple and ``xsd:string``
+      literals by lexical form, everything else (IRIs, blank nodes,
+      malformed or NaN numerics, language-tagged and other typed
+      literals) by its full structure, i.e. only to itself;
+    * ``< <= > >=`` compare the *order values* of two terms of the same
+      even *order class* (0 IRI by value, 2 numeric by float, 4 any other
+      literal by lexical form), compare lexical forms when exactly one
+      side is a non-numeric literal and the other a literal, and are an
+      error — false under FILTER — otherwise (odd classes: 1 blank node,
+      3 malformed or NaN numeric).
+    """
+    if kind == KIND_IRI:
+        return (0, key), 0, key, key
+    if kind == KIND_BLANK:
+        return (1, key), 1, None, key
+    lexical, datatype, language = key
+    if datatype in NUMERIC_DATATYPE_VALUES:
+        try:
+            value = float(lexical)
+        except ValueError:
+            value = None
+        if value is not None and value == value:
+            return (2, value), 2, value, lexical
+        return (3,) + key, 3, None, lexical
+    if language is None and (datatype is None or datatype == XSD_STRING.value):
+        return (4, lexical), 4, lexical, lexical
+    return (5,) + key, 4, lexical, lexical
+
+
+def _key_miss(dictionary: TermDictionary) -> Callable[[int], tuple]:
+    """The cold half of a key lookup: compute, memoise, return.
+
+    Kernels read ``dictionary.compare_keys[term_id]`` inline and only
+    call this on ``KeyError``.
+    """
+    keys = dictionary.compare_keys
+    structural_key = dictionary.structural_key
+
+    def miss(term_id: int) -> tuple:
+        key = keys[term_id] = comparison_key(*structural_key(term_id))
+        return key
+
+    return miss
+
+
+def _mixed_order(compare: Callable, left: tuple, right: tuple) -> bool:
+    """Ordering of two terms of different order classes (see :func:`comparison_key`)."""
+    left_class, right_class = left[1], right[1]
+    if left_class >= 2 and right_class >= 2 and (left_class == 4 or right_class == 4):
+        return compare(left[3], right[3])
+    return False
+
+
+# ----------------------------------------------------------------------
 # compiled FILTER conjuncts
 # ----------------------------------------------------------------------
-#: Operand of a fast probe: (is_variable, Variable | constant id).
-_OperandSpec = Tuple[bool, object]
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _operand_spec(
-    expression: Expression, dictionary: TermDictionary
-) -> Optional[_OperandSpec]:
-    """Compile a probe operand, or None when no id fast path exists.
-
-    A constant that was never interned gets no spec: the dictionary can
-    still intern it mid-execution (e.g. a zero-length path endpoint), so
-    a stale "absent" verdict could go wrong — those conditions just take
-    the decoding slow path.
-    """
-    if isinstance(expression, VariableExpr):
-        return (True, expression.variable)
-    if isinstance(expression, TermExpr):
-        term_id = dictionary.id_for(expression.term)
-        if term_id is None:
+def _kernel_operands(condition: Expression) -> Optional[Tuple[Expression, Expression]]:
+    """The two operands of a conjunct the id kernels cover, else ``None``."""
+    if isinstance(condition, Comparison):
+        if condition.operator not in ("=", "!=") and condition.operator not in _ORDERINGS:
             return None
-        return (False, term_id)
+        operands = (condition.left, condition.right)
+    elif (
+        isinstance(condition, FunctionCall)
+        and condition.name.upper() == "SAMETERM"
+        and len(condition.arguments) == 2
+    ):
+        operands = (condition.arguments[0], condition.arguments[1])
+    else:
+        return None
+    if all(isinstance(operand, (VariableExpr, TermExpr)) for operand in operands):
+        return operands
     return None
 
 
-class IdFilter:
-    """A FILTER conjunct compiled against a term dictionary.
+def condition_kernel(condition: Expression) -> str:
+    """``"id"`` when the conjunct runs as an id-space kernel, else ``"term"``.
 
-    ``test`` first consults the raw-id probe (when one was compiled); a
-    probe may return a definitive verdict or ``None`` for "undecidable on
-    ids" (distinct literal ids under ``=``), in which case — like for any
-    condition without a probe — only the variables the condition mentions
-    are decoded and the full SPARQL semantics run on a tiny binding.
+    A property of the conjunct's shape alone — comparisons and
+    ``sameTerm`` between variables and/or constants — so the lowering
+    pass can print it without a dictionary.
+    """
+    return "id" if _kernel_operands(condition) is not None else "term"
+
+
+def _never(_registers: Registers) -> bool:
+    return False
+
+
+def compile_condition(
+    condition: Expression,
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+    bound: Set[Variable],
+) -> Test:
+    """Compile a FILTER conjunct to a test over the register file.
+
+    ``bound`` is the set of variables that hold an id where the test
+    runs; ``register_of`` says where.  A kernel operand outside ``bound``
+    is an unbound variable — an error, which FILTER reads as false — so
+    the whole test folds to a constant.
+    """
+    operands = _kernel_operands(condition)
+    if operands is None:
+        return _term_test(condition, dictionary, register_of, bound)
+    variables = condition.variables()
+    if not variables:
+        verdict = satisfies(condition, EMPTY_BINDING)
+        return lambda _registers: verdict
+    if not variables <= bound:
+        return _never
+    left, right = operands
+    name = condition.operator if isinstance(condition, Comparison) else "sameTerm"
+    if isinstance(left, TermExpr):
+        # One constant at most from here on: keep it on the right.
+        left, right = right, left
+        name = _FLIPPED.get(name, name)
+    first = register_of[left.variable]
+    if name == "sameTerm":
+        return _same_term_test(True, first, right, dictionary, register_of)
+    if isinstance(right, VariableExpr):
+        second = register_of[right.variable]
+        if name in _ORDERINGS:
+            return _ordering_test(_ORDERINGS[name], first, second, dictionary)
+        return _equality_test(name == "=", first, second, dictionary)
+    kind, key = term_structure(right.term)
+    if name in _ORDERINGS:
+        constant = comparison_key(kind, key)
+        return _constant_ordering_test(_ORDERINGS[name], first, constant, dictionary)
+    if kind != KIND_LITERAL:
+        # An IRI or blank node is equal only to itself.
+        return _same_term_test(name == "=", first, right, dictionary, register_of)
+    return _constant_equality_test(name == "=", first, comparison_key(kind, key)[0], dictionary)
+
+
+def _same_term_test(
+    same: bool,
+    first: int,
+    right: Expression,
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+) -> Test:
+    """``sameTerm`` (or its negation): structural identity, which interning
+    makes id identity."""
+    if isinstance(right, VariableExpr):
+        second = register_of[right.variable]
+        return lambda registers: (registers[first] == registers[second]) == same
+    constant = dictionary.id_for(right.term)
+    if constant is not None:
+        return lambda registers: (registers[first] == constant) == same
+    # Not interned now, but a cached plan may outlive that (a zero-length
+    # path endpoint or an initial binding interns without a version bump):
+    # compare structures, which holds either way.
+    structure = term_structure(right.term)
+    structural_key = dictionary.structural_key
+    return lambda registers: (structural_key(registers[first]) == structure) == same
+
+
+# The kernels below consult the comparison-key memo for literal ids only:
+# an IRI or blank node is equal only to itself (id equality) and ordered
+# only against another IRI (by value, read from the dictionary), so a
+# FILTER over a large scan of resources leaves nothing behind.
+def _equality_test(equal: bool, first: int, second: int, dictionary: TermDictionary) -> Test:
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+
+    def test(registers: Registers) -> bool:
+        left = registers[first]
+        right = registers[second]
+        if left == right:
+            return equal
+        if left & _KIND_MASK != KIND_LITERAL or right & _KIND_MASK != KIND_LITERAL:
+            return not equal
+        try:
+            left_key = keys[left]
+        except KeyError:
+            left_key = miss(left)
+        try:
+            right_key = keys[right]
+        except KeyError:
+            right_key = miss(right)
+        return (left_key[0] == right_key[0]) == equal
+
+    return test
+
+
+def _constant_equality_test(
+    equal: bool, first: int, constant: object, dictionary: TermDictionary
+) -> Test:
+    """``?x = "literal"``: ``constant`` is the literal's equality key."""
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+
+    # Decided on keys alone, never on the constant's id: the constant need
+    # not be in the dictionary, now or for as long as the plan is cached.
+    def test(registers: Registers) -> bool:
+        term_id = registers[first]
+        if term_id & _KIND_MASK != KIND_LITERAL:
+            return not equal
+        try:
+            key = keys[term_id]
+        except KeyError:
+            key = miss(term_id)
+        return (key[0] == constant) == equal
+
+    return test
+
+
+def _ordering_test(compare: Callable, first: int, second: int, dictionary: TermDictionary) -> Test:
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+    structural_key = dictionary.structural_key
+
+    def test(registers: Registers) -> bool:
+        left = registers[first]
+        right = registers[second]
+        if left & _KIND_MASK != KIND_LITERAL or right & _KIND_MASK != KIND_LITERAL:
+            return (
+                left & _KIND_MASK == KIND_IRI
+                and right & _KIND_MASK == KIND_IRI
+                and compare(structural_key(left)[1], structural_key(right)[1])
+            )
+        try:
+            left_key = keys[left]
+        except KeyError:
+            left_key = miss(left)
+        try:
+            right_key = keys[right]
+        except KeyError:
+            right_key = miss(right)
+        order_class = left_key[1]
+        if order_class == right_key[1]:
+            return not order_class & 1 and compare(left_key[2], right_key[2])
+        return _mixed_order(compare, left_key, right_key)
+
+    return test
+
+
+def _constant_ordering_test(
+    compare: Callable, first: int, constant: tuple, dictionary: TermDictionary
+) -> Test:
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+    structural_key = dictionary.structural_key
+    constant_class = constant[1]
+    constant_value = constant[2]
+
+    def test(registers: Registers) -> bool:
+        term_id = registers[first]
+        if term_id & _KIND_MASK != KIND_LITERAL:
+            return (
+                constant_class == 0
+                and term_id & _KIND_MASK == KIND_IRI
+                and compare(structural_key(term_id)[1], constant_value)
+            )
+        try:
+            key = keys[term_id]
+        except KeyError:
+            key = miss(term_id)
+        if key[1] == constant_class:
+            return not constant_class & 1 and compare(key[2], constant_value)
+        return _mixed_order(compare, key, constant)
+
+    return test
+
+
+def _term_test(
+    condition: Expression,
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+    bound: Set[Variable],
+) -> Test:
+    """The fallback: decode only what the conjunct mentions, evaluate on terms."""
+    decode = dictionary.term
+    needed = tuple(
+        (variable, register_of[variable])
+        for variable in sorted(condition.variables() & bound, key=lambda v: v.name)
+    )
+    from_sorted = Binding.from_sorted_items
+
+    def test(registers: Registers) -> bool:
+        registers[_FALLBACKS] += 1
+        return satisfies(
+            condition,
+            from_sorted(
+                tuple([(variable, decode(registers[register])) for variable, register in needed])
+            ),
+        )
+
+    return test
+
+
+def compile_conditions(
+    conditions: Sequence[Expression],
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+    bound: Set[Variable],
+) -> Optional[Test]:
+    """One test for a filter slot's conjunction; ``None`` for an empty slot."""
+    tests = [compile_condition(c, dictionary, register_of, bound) for c in conditions]
+    if not tests:
+        return None
+    if len(tests) == 1:
+        return tests[0]
+
+    def test(registers: Registers) -> bool:
+        for conjunct in tests:
+            if not conjunct(registers):
+                return False
+        return True
+
+    return test
+
+
+def flush_term_fallbacks(registers: Registers, term_fallbacks) -> None:
+    """Add an execution's term-space conjunct evaluations to the counter."""
+    if term_fallbacks is not None and registers[_FALLBACKS]:
+        term_fallbacks.inc(registers[_FALLBACKS])
+
+
+# ----------------------------------------------------------------------
+# the compiled pipeline
+# ----------------------------------------------------------------------
+class CompiledPipeline:
+    """One plan compiled for one domain of the initial binding."""
+
+    __slots__ = ("dictionary", "version", "template", "first", "initial", "counters", "needs_paths")
+
+    def __init__(self, dictionary: TermDictionary, version: int) -> None:
+        #: What the compiled form is valid for: constants were resolved
+        #: against this dictionary at this graph version.
+        self.dictionary = dictionary
+        self.version = version
+        self.template: Registers = list(HEADER)
+        #: Entry step; ``None`` when a pattern constant is in no triple,
+        #: so the plan has no solutions at this version.
+        self.first: Optional[Step] = None
+        #: ``(variable, register)`` of the initial binding's domain.
+        self.initial: Tuple[Tuple[Variable, int], ...] = ()
+        #: ``(operator stats, rows register, probes register)`` to publish.
+        self.counters: List[Tuple[object, int, int]] = []
+        #: True when a path step bridges through the term-level evaluator.
+        self.needs_paths = False
+
+
+def run(
+    plan,
+    graph,
+    path_evaluator,
+    path_engine: Optional[IdPathEngine],
+    initial: Binding,
+    timed_iter: Optional[Callable],
+    term_fallbacks,
+) -> Iterable[Binding]:
+    """Execute an id-space index-nested-loop ``plan``, streaming bindings.
+
+    ``timed_iter`` is the physical layer's self-time wrapper under
+    ``execute(timed=True)``; ``term_fallbacks`` an optional counter
+    (``inc(n)``) of conjunct evaluations that left id space.
+    """
+    dictionary = graph.dictionary
+    domain = tuple(initial)
+    compiled = plan._compiled.get(domain)
+    if (
+        compiled is None
+        or compiled.version != graph.version
+        or compiled.dictionary is not dictionary
+    ):
+        compiled = plan._compiled[domain] = _compile(plan, graph, set(domain), path_engine)
+    if compiled.first is None:
+        return iter(())
+    if compiled.needs_paths and path_evaluator is None:
+        raise TypeError("plan contains a path pattern but no path evaluator")
+    registers = compiled.template.copy()
+    registers[_MATCH] = graph.match_triple_ids
+    registers[_TIMED] = timed_iter
+    registers[_GRAPH] = graph
+    registers[_PATH_ENGINE] = path_engine
+    registers[_PATH_EVALUATOR] = path_evaluator
+    # encode (not id_for): an initial term outside the graph gets a fresh
+    # id that simply never matches a probe — identical, by construction,
+    # to the term-space pipeline finding no triples.
+    for variable, register in compiled.initial:
+        registers[register] = dictionary.encode(initial[variable])
+    return _stream(compiled, registers, term_fallbacks)
+
+
+def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) -> Iterable[Binding]:
+    try:
+        yield from compiled.first(registers)
+    finally:
+        # Runs after every step's own ``finally`` has flushed its batched
+        # counts into the registers — on exhaustion and on ``close()``.
+        for stats, rows, probes in compiled.counters:
+            stats.rows = registers[rows]
+            stats.probes = registers[probes]
+        flush_term_fallbacks(registers, term_fallbacks)
+
+
+def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEngine]):
+    """Compile ``plan`` for executions whose initial binding has ``domain``."""
+    # physical imports this module at load time, hence not at the top.
+    from repro.sparql.physical import Filter, HashProbe, Scan
+
+    dictionary = graph.dictionary
+    compiled = CompiledPipeline(dictionary, graph.version)
+    template = compiled.template
+
+    def allocate(value: object = None) -> int:
+        template.append(value)
+        return len(template) - 1
+
+    zero = allocate(0)
+    register_of: Dict[Variable, int] = {}
+    bound: Set[Variable] = set()
+    for variable in sorted(domain, key=lambda v: v.name):
+        register_of[variable] = allocate()
+        bound.add(variable)
+    compiled.initial = tuple(register_of.items())
+
+    def reads_of(parts, before, constant_id) -> Optional[List[int]]:
+        """The register each pattern position is read from: its constant's
+        pre-filled one, its variable's when an earlier step (or the initial
+        binding) bound it, the always-None one when this step binds it.
+        ``None`` when a constant rules out any solution."""
+        reads = []
+        for part in parts:
+            if isinstance(part, Variable):
+                reads.append(register_of[part] if part in before else _FREE)
+            else:
+                term_id = constant_id(part)
+                if term_id is None:
+                    return None
+                reads.append(allocate(term_id))
+        return reads
+
+    root = plan.root
+    join = root.child
+    makers: List[Callable[[Step], Step]] = []
+    if isinstance(join, Filter):
+        # Conjuncts without variables: one verdict per execution.
+        gate_rows, gate_probes = allocate(0), allocate(0)
+        compiled.counters.append((join.stats, gate_rows, gate_probes))
+        test = compile_conditions(join.conditions, dictionary, register_of, bound)
+        makers.append(partial(_gate_step, test=test, rows=gate_rows, probes=gate_probes))
+        join = join.child
+    compiled.counters.append((root.stats, _RESULTS, zero))
+    compiled.counters.append((join.stats, _RESULTS, zero))
+
+    for input_op in join.inputs:
+        leaf, conditions, filter_stats = input_op, (), None
+        if isinstance(leaf, Filter):
+            leaf, conditions, filter_stats = leaf.child, leaf.conditions, leaf.stats
+        node = leaf.node
+        parts = (
+            tuple(node.triple)
+            if isinstance(node, TriplePatternNode)
+            else (node.subject, node.object)
+        )
+        before = set(bound)
+        fresh = [
+            part
+            for part in dict.fromkeys(parts)
+            if isinstance(part, Variable) and part not in bound
+        ]
+        for variable in fresh:
+            register_of[variable] = allocate()
+        bound.update(fresh)
+        if isinstance(leaf, (Scan, HashProbe)):
+            # A constant the dictionary has never seen is in no triple.
+            reads = reads_of(parts, before, dictionary.id_for)
+            if reads is None:
+                return compiled
+            writes: List[Tuple[int, int]] = []
+            repeats: List[Tuple[int, int]] = []
+            first_position: Dict[Variable, int] = {}
+            for position, part in enumerate(parts):
+                if reads[position] != _FREE:
+                    continue
+                if part in first_position:
+                    repeats.append((position, first_position[part]))
+                else:
+                    first_position[part] = position
+                    writes.append((register_of[part], position))
+            if isinstance(leaf, HashProbe):
+                bind = _hash_probe_rows(
+                    _scan_rows(reads, writes, repeats),
+                    key_register=register_of[leaf.probe],
+                    build_register=register_of[leaf.build],
+                    written=tuple(target for target, _ in writes),
+                    table=allocate(),
+                    dictionary=dictionary,
+                )
+            else:
+                bind = _scan_rows(reads, writes, repeats)
+        elif leaf.mode == "id":
+            engine = path_engine if path_engine is not None else IdPathEngine(graph)
+            path = normalize_path(node.path)
+
+            def endpoint_id(part):
+                # The engine's unknown-constant rule: an unseen constant
+                # can only match zero-length; where the path cannot, it
+                # empties the whole BGP.
+                term_id = engine.endpoint_id(part, path)
+                return None if term_id is _ABSENT else term_id
+
+            reads = reads_of(parts, before, endpoint_id)
+            if reads is None:
+                return compiled
+            bind = _id_path_rows(
+                path,
+                reads,
+                targets=[register_of.get(part) for part in parts],
+                # A *substituted* variable endpoint only ranges over graph
+                # nodes, so its zero-length self-match requires node
+                # membership (constants stay syntactic) — the id-space
+                # mirror of plan._match_path's pre-check.
+                node_checks=tuple(register_of[part] for part in parts if part in before)
+                if matches_zero_length(path)
+                else (),
+            )
+        else:
+            compiled.needs_paths = True
+            bind = _term_path_rows(
+                node,
+                bound_ends=tuple(
+                    (part, register_of[part]) for part in dict.fromkeys(parts) if part in before
+                ),
+                free_ends=tuple((variable, register_of[variable]) for variable in fresh),
+                dictionary=dictionary,
+            )
+
+        rows, probes = allocate(0), allocate(0)
+        compiled.counters.append((leaf.stats, rows, probes))
+        passed = None
+        if filter_stats is not None:
+            passed = allocate(0)
+            # A filter tests every row its input produced.
+            compiled.counters.append((filter_stats, passed, rows))
+        makers.append(
+            partial(
+                _step,
+                bind=bind,
+                test=compile_conditions(conditions, dictionary, register_of, bound),
+                rows=rows,
+                probes=probes,
+                passed=passed,
+                stats=leaf.stats,
+            )
+        )
+
+    step: Step = emit_step(
+        tuple(
+            (variable, register_of[variable])
+            for variable in sorted(set(root.variables) | domain, key=lambda v: v.name)
+        ),
+        dictionary.term,
+    )
+    for make in reversed(makers):
+        step = make(step)
+    compiled.first = step
+    return compiled
+
+
+# ----------------------------------------------------------------------
+# steps
+# ----------------------------------------------------------------------
+_NO_BINDINGS = (EMPTY_BINDING,)
+
+
+def emit_step(pairs: Tuple[Tuple[Variable, int], ...], decode: Callable) -> Step:
+    """The result boundary: decode ``pairs`` (already in variable order).
+
+    The step returns a one-row tuple rather than yielding, so the step
+    above it pays no generator per result row.
+    """
+    from_sorted = Binding.from_sorted_items
+    if not pairs:
+
+        def emit(registers: Registers) -> Iterable[Binding]:
+            registers[_RESULTS] += 1
+            return _NO_BINDINGS
+
+        return emit
+
+    def emit(registers: Registers) -> Iterable[Binding]:
+        registers[_RESULTS] += 1
+        return (
+            from_sorted(
+                tuple([(variable, decode(registers[register])) for variable, register in pairs])
+            ),
+        )
+
+    return emit
+
+
+def _gate_step(next_step: Step, test: Test, rows: int, probes: int) -> Step:
+    def step(registers: Registers) -> Iterable[Binding]:
+        registers[probes] += 1
+        if not test(registers):
+            return ()
+        registers[rows] += 1
+        return next_step(registers)
+
+    return step
+
+
+def _step(
+    next_step: Step,
+    bind: Callable[[Registers], Iterable],
+    test: Optional[Test],
+    rows: int,
+    probes: int,
+    passed: Optional[int],
+    stats,
+) -> Step:
+    """One join step: for every row ``bind`` writes into the registers and
+    ``test`` passes, the rows of ``next_step``.
+
+    Row counts batch into locals and flush in the ``finally`` block: on
+    the innermost loops a list increment per intermediate row is
+    measurable, an ``int +=`` is not.  The flush also runs when a
+    partially consumed stream is closed, so abandoned executions still
+    report the rows they actually produced.
     """
 
-    __slots__ = ("condition", "needed", "_probe")
+    def step(registers: Registers) -> Iterable[Binding]:
+        registers[probes] += 1
+        candidates = bind(registers)
+        if registers[_TIMED] is not None:
+            candidates = registers[_TIMED](candidates, stats)
+        seen = kept = 0
+        try:
+            for _ in candidates:
+                seen += 1
+                if test is None or test(registers):
+                    kept += 1
+                    yield from next_step(registers)
+        finally:
+            registers[rows] += seen
+            if passed is not None:
+                registers[passed] += kept
 
-    def __init__(self, condition: Expression, dictionary: TermDictionary) -> None:
-        self.condition = condition
-        self.needed = tuple(condition.variables())
-        self._probe = self._compile_probe(condition, dictionary)
+    return step
 
-    @staticmethod
-    def _compile_probe(condition: Expression, dictionary: TermDictionary):
-        if (
-            isinstance(condition, FunctionCall)
-            and condition.name.upper() == "SAMETERM"
-            and len(condition.arguments) == 2
+
+def _scan_rows(
+    reads: Sequence[int],
+    writes: Sequence[Tuple[int, int]],
+    repeats: Sequence[Tuple[int, int]],
+) -> Callable[[Registers], Iterable]:
+    """One triple pattern: probe on the ``reads`` registers, bind the rest.
+
+    ``writes`` pairs a register with the match position that fills it;
+    ``repeats`` pairs the positions of a variable occurring twice among
+    the free ones (``?x p ?x``).
+    """
+    subject, predicate, obj = reads
+
+    def rows(registers: Registers) -> Iterable:
+        for ids in registers[_MATCH](registers[subject], registers[predicate], registers[obj]):
+            for position, earlier in repeats:
+                if ids[position] != ids[earlier]:
+                    break
+            else:
+                for target, position in writes:
+                    registers[target] = ids[position]
+                yield
+
+    return rows
+
+
+def _hash_probe_rows(
+    scan: Callable[[Registers], Iterable],
+    key_register: int,
+    build_register: int,
+    written: Tuple[int, ...],
+    table: int,
+    dictionary: TermDictionary,
+) -> Callable[[Registers], Iterable]:
+    """An implicit equality join: build the pattern once, probe per outer row.
+
+    The pattern shares no variable with the rows above it, so its matches
+    (``scan``) are the same for every outer row of one execution; what
+    each wrote goes into a table keyed by the equality key
+    (:func:`comparison_key`) of the pattern-side variable, and an outer
+    row looks up the key of its own.  Equal keys are exactly ``=``, so the
+    pairs produced are those the cross product would have kept.
+    """
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+
+    def equality_key(term_id: int) -> object:
+        if term_id & _KIND_MASK != KIND_LITERAL:
+            # Equal only to itself; an int never collides with a literal's key.
+            return term_id
+        try:
+            return keys[term_id][0]
+        except KeyError:
+            return miss(term_id)[0]
+
+    def rows(registers: Registers) -> Iterable:
+        built = registers[table]
+        if built is None:
+            built = registers[table] = {}
+            for _ in scan(registers):
+                built.setdefault(equality_key(registers[build_register]), []).append(
+                    [registers[register] for register in written]
+                )
+        for values in built.get(equality_key(registers[key_register]), ()):
+            for register, value in zip(written, values):
+                registers[register] = value
+            yield
+
+    return rows
+
+
+def _id_path_rows(
+    path,
+    reads: Sequence[int],
+    targets: Sequence[Optional[int]],
+    node_checks: Tuple[int, ...],
+) -> Callable[[Registers], Iterable]:
+    """A property path on the id engine: bound endpoint ids in, id pairs out.
+
+    ``reads`` are the registers the two endpoints are read from (the
+    always-``None`` one for a free end), ``targets`` the registers of the
+    endpoint variables (``None`` for a constant), ``node_checks`` those
+    that must hold a graph node for the path to match at all.
+    """
+    subject, obj = reads
+    subject_target = targets[0] if subject == _FREE else None
+    object_target = targets[1] if obj == _FREE else None
+    # ?x path ?x with both ends free: one register, and only loops match.
+    looped = subject_target is not None and subject_target == object_target
+
+    def rows(registers: Registers) -> Iterable:
+        engine = registers[_PATH_ENGINE]
+        if engine is None:
+            engine = registers[_PATH_ENGINE] = IdPathEngine(registers[_GRAPH])
+        for register in node_checks:
+            if not engine.is_node(registers[register]):
+                return
+        for start, end in engine.pair_ids(path, registers[subject], registers[obj]):
+            if looped and start != end:
+                continue
+            if subject_target is not None:
+                registers[subject_target] = start
+            if object_target is not None:
+                registers[object_target] = end
+            yield
+
+    return rows
+
+
+def _term_path_rows(
+    node,
+    bound_ends: Tuple[Tuple[Variable, int], ...],
+    free_ends: Tuple[Tuple[Variable, int], ...],
+    dictionary: TermDictionary,
+) -> Callable[[Registers], Iterable]:
+    """A property path over the term-level machinery, bridged per probe:
+    decode the bound endpoints, evaluate, re-intern the fresh ones."""
+    decode = dictionary.term
+    # Interning is idempotent for graph terms and harmlessly append-only
+    # for the rare zero-length-path endpoint outside the graph.
+    encode = dictionary.encode
+
+    def rows(registers: Registers) -> Iterable:
+        base = Binding(
+            {variable: decode(registers[register]) for variable, register in bound_ends}
+        )
+        for extension in _match_path(
+            registers[_GRAPH], node, base, registers[_PATH_EVALUATOR]
         ):
-            left = _operand_spec(condition.arguments[0], dictionary)
-            right = _operand_spec(condition.arguments[1], dictionary)
-            if left is not None and right is not None:
-                return (left, right, None)
-        if isinstance(condition, Comparison) and condition.operator in ("=", "!="):
-            left = _operand_spec(condition.left, dictionary)
-            right = _operand_spec(condition.right, dictionary)
-            if left is not None and right is not None:
-                return (left, right, condition.operator == "=")
-        return None
+            for variable, register in free_ends:
+                registers[register] = encode(extension[variable])
+            yield
 
-    def test(self, env: IdEnv, dictionary: TermDictionary) -> bool:
-        probe = self._probe
-        if probe is not None:
-            (left_is_var, left), (right_is_var, right), equality = probe
-            left_id = env.get(left) if left_is_var else left
-            right_id = env.get(right) if right_is_var else right
-            if left_id is None or right_id is None:
-                # An unbound variable raises in SPARQL; FILTER counts the
-                # error as "not satisfied" for sameTerm, = and != alike.
-                return False
-            if equality is None:  # sameTerm: structural identity == id identity
-                return left_id == right_id
-            if left_id == right_id:
-                return equality
-            if not (
-                TermDictionary.is_literal(left_id)
-                and TermDictionary.is_literal(right_id)
-            ):
-                return not equality
-            # Two distinct literal ids may still be value-equal: decode.
-        decode = dictionary.term
-        mapping: Dict[Variable, Term] = {}
-        for variable in self.needed:
-            term_id = env.get(variable)
-            if term_id is not None:
-                mapping[variable] = decode(term_id)
-        return satisfies(self.condition, Binding(mapping))
+    return rows

@@ -5,9 +5,9 @@ Logical planning (:mod:`repro.sparql.plan`) stops at an ordered
 into an explicit *physical* plan — a small DAG of operator dataclasses —
 and executes it.  The split gives every execution strategy one home:
 
-* **IR** — :class:`Scan`, :class:`IndexNestedLoopJoin`,
-  :class:`LeapfrogJoin`, :class:`Filter`, :class:`PathExpand` and
-  :class:`Project` describe *how* a BGP runs.  Operators carry the
+* **IR** — :class:`Scan`, :class:`HashProbe`,
+  :class:`IndexNestedLoopJoin`, :class:`LeapfrogJoin`, :class:`Filter`,
+  :class:`PathExpand` and :class:`Project` describe *how* a BGP runs.  Operators carry the
   estimates the lowering pass used plus mutable :class:`OperatorStats`
   row/probe counters filled in during execution, and the whole tree
   renders through :meth:`PhysicalPlan.explain`.
@@ -23,8 +23,10 @@ and executes it.  The split gives every execution strategy one home:
   (:func:`repro.sparql.plan.attach_filters`).
 
 * **Executor** — :func:`execute` is the one entry point for running a
-  planned BGP: it walks the DAG with streaming iterators, as a term-space
-  or an id-space index-nested-loop pipeline or a leapfrog triejoin.
+  planned BGP, always as a stream: the term-space index-nested-loop
+  pipeline and the leapfrog triejoin interpret the DAG here; an id-space
+  index-nested-loop plan is compiled once into a chain of step closures
+  by :mod:`repro.sparql.idexec` and cached on the plan.
 
 * **Worst-case-optimal join** — :class:`LeapfrogJoin` implements the
   leapfrog-triejoin of Veldhuizen over the encoded store's sorted id
@@ -60,9 +62,9 @@ from repro.sparql.expressions import (
     VariableExpr,
     satisfies,
 )
-from repro.sparql.idexec import IdFilter, supports_id_execution
-from repro.sparql.idpaths import _ABSENT, IdPathEngine, supports_id_paths
-from repro.sparql.paths import matches_zero_length, normalize_path
+from repro.sparql import idexec
+from repro.sparql.idexec import supports_id_execution
+from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.plan import (
     BGPPlan,
     PathEvaluator,
@@ -265,11 +267,42 @@ class PathExpand(PhysicalOperator):
 
 
 @dataclass(eq=False)
+class HashProbe(PhysicalOperator):
+    """An implicit equality join: a pattern linked to the rows above it
+    only by a FILTER conjunct ``?probe = ?build``.
+
+    The pattern's matches do not depend on the outer row, so they are
+    built once per execution into a table keyed by the equality key of
+    ``?build`` and probed with the key of ``?probe`` per outer row — the
+    join the conjunct spells out, instead of a cross product filtered
+    afterwards.  ``probes`` counts outer rows, ``rows`` the pairs kept.
+    """
+
+    node: TriplePatternNode
+    condition: Comparison
+    probe: Variable
+    build: Variable
+    build_estimate: float
+    source_index: int
+    stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
+
+    def describe(self) -> str:
+        return (
+            f"HashProbe {self.node!r} on {_condition_label(self.condition)} "
+            f"build_est={self.build_estimate:g}"
+        )
+
+
+@dataclass(eq=False)
 class Filter(PhysicalOperator):
     """FILTER conjuncts checked against each row of the wrapped input."""
 
     child: PhysicalOperator
     conditions: Tuple[Expression, ...]
+    #: Where the conjuncts are decided: ``"id"`` (id-space comparison
+    #: kernels), ``"term"`` (decoded, term-level semantics — always so in
+    #: a term-space plan) or ``"id+term"`` for a mixed slot.
+    kernel: str = "term"
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -277,7 +310,7 @@ class Filter(PhysicalOperator):
 
     def describe(self) -> str:
         rendered = " && ".join(_condition_label(c) for c in self.conditions)
-        return f"Filter {rendered}"
+        return f"Filter {rendered} kernel={self.kernel}"
 
 
 @dataclass(eq=False)
@@ -329,7 +362,11 @@ class LeapfrogJoin(PhysicalOperator):
 
 @dataclass(eq=False)
 class Project(PhysicalOperator):
-    """Result boundary: decodes ids / fixes the output variable order."""
+    """Result boundary: decodes ids / fixes the output variable order.
+
+    ``variables`` is what an id-space plan decodes per result row: every
+    plan variable, or the subset the query reads above the BGP.
+    """
 
     child: PhysicalOperator
     variables: Tuple[Variable, ...]
@@ -361,6 +398,9 @@ class PhysicalPlan:
         default=None, repr=False
     )
     _step_cache: Optional[List[Tuple]] = field(default=None, repr=False)
+    #: Compiled id-space pipelines by domain of the initial binding
+    #: (:func:`repro.sparql.idexec.run` fills and validates it).
+    _compiled: Dict[Tuple[Variable, ...], object] = field(default_factory=dict, repr=False)
 
     def operators(self) -> List[PhysicalOperator]:
         """Every operator of the DAG in depth-first pre-order.
@@ -653,11 +693,49 @@ def _attach_level_conditions(
     return tuple(tuple(slot) for slot in slots)
 
 
+def _implicit_join(
+    node, slot: Tuple[Expression, ...], bound: Set[Variable]
+) -> Optional[Tuple[Comparison, Variable, Variable]]:
+    """The conjunct ``?bound = ?fresh`` that is a step's only link, if any.
+
+    Returns ``(conjunct, probe variable, build variable)`` when the
+    pattern shares no variable with the steps before it (``bound``) and
+    one of the conjuncts checked right after it equates one of its
+    variables with a bound one.  A pattern that *does* share a variable
+    is already an index probe on that variable; the rule leaves it alone.
+    """
+    variables = node.variables()
+    if not bound or variables & bound:
+        return None
+    for condition in slot:
+        if (
+            isinstance(condition, Comparison)
+            and condition.operator == "="
+            and isinstance(condition.left, VariableExpr)
+            and isinstance(condition.right, VariableExpr)
+        ):
+            left, right = condition.left.variable, condition.right.variable
+            if left in bound and right in variables:
+                return condition, left, right
+            if right in bound and left in variables:
+                return condition, right, left
+    return None
+
+
+def _filtered(child: PhysicalOperator, slot: Tuple[Expression, ...], id_space: bool):
+    """``child`` under a :class:`Filter` for ``slot`` (bare when empty)."""
+    if not slot:
+        return child
+    kernels = {idexec.condition_kernel(c) for c in slot} if id_space else {"term"}
+    return Filter(child, slot, "+".join(sorted(kernels)))
+
+
 def lower_plan(
     plan: BGPPlan,
     graph,
     conditions: Sequence[Expression] = (),
     profile: ExecutionProfile = ExecutionProfile.FULL,
+    project: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
     """Lower a logical BGP plan to a physical operator DAG.
 
@@ -668,7 +746,13 @@ def lower_plan(
     otherwise.  FILTER conjuncts (``conditions``) become :class:`Filter`
     operators at the earliest input binding their variables; with
     ``profile.use_filter_pushdown`` off they all run at the final slot,
-    i.e. as a plain post-filter.
+    i.e. as a plain post-filter.  In id space a step linked to the steps
+    before it only by an equality conjunct becomes a :class:`HashProbe`
+    (:func:`_implicit_join`).
+
+    ``project`` names the variables read above the BGP; an id-space plan
+    decodes only those at the result boundary (``None``: every plan
+    variable).  A term-space plan has nothing to decode and ignores it.
     """
     id_space = profile.use_id_execution and supports_id_execution(graph)
     space = "id" if id_space else "term"
@@ -706,22 +790,31 @@ def lower_plan(
             else "term"
         )
         inputs: List[PhysicalOperator] = []
+        bound: Set[Variable] = set()
         for position, step in enumerate(plan.steps):
             leaf: PhysicalOperator
+            slot = step_filters[position + 1]
             if isinstance(step.node, TriplePatternNode):
-                leaf = Scan(step.node, step.estimate, step.source_index)
+                link = _implicit_join(step.node, slot, bound) if id_space else None
+                if link is not None:
+                    leaf = HashProbe(step.node, *link, step.estimate, step.source_index)
+                    slot = tuple(c for c in slot if c is not link[0])
+                else:
+                    leaf = Scan(step.node, step.estimate, step.source_index)
             elif isinstance(step.node, PathPattern):
                 leaf = PathExpand(step.node, step.estimate, step.source_index, path_mode)
             else:  # pragma: no cover - plan_bgp only admits the two kinds above
                 raise TypeError(f"unsupported plan node {type(step.node).__name__}")
-            slot = step_filters[position + 1]
-            inputs.append(Filter(leaf, slot) if slot else leaf)
+            inputs.append(_filtered(leaf, slot, id_space))
+            bound |= step.node.variables()
         join = IndexNestedLoopJoin(tuple(inputs))
         prefilters = step_filters[0]
-    child = Filter(join, prefilters) if prefilters else join
+    child = _filtered(join, prefilters, id_space)
     result_variables: Set[Variable] = set()
     for step in plan.steps:
         result_variables |= step.node.variables()
+    if id_space and project is not None:
+        result_variables &= set(project)
     ordered = tuple(sorted(result_variables, key=lambda v: v.name))
     return PhysicalPlan(
         root=Project(child, ordered, space),
@@ -736,9 +829,10 @@ def lower_bgp(
     patterns: Sequence,
     conditions: Sequence[Expression] = (),
     profile: ExecutionProfile = ExecutionProfile.FULL,
+    project: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
     """Plan and lower a BGP in one call (convenience for tests/tools)."""
-    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile)
+    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile, project)
 
 
 # ----------------------------------------------------------------------
@@ -785,6 +879,7 @@ def execute(
     path_engine: Optional[IdPathEngine] = None,
     initial: Binding = EMPTY_BINDING,
     timed: bool = False,
+    term_fallbacks=None,
 ) -> Iterator[Binding]:
     """Execute a physical plan, streaming bindings.
 
@@ -793,22 +888,37 @@ def execute(
     pre-built :class:`IdPathEngine` (the evaluator passes its cached one).
     ``initial`` pre-binds variables: every solution extends it, and a
     pre-bound term the graph has never seen simply matches nothing.
+    ``term_fallbacks`` is an optional counter (``inc(n)``) of FILTER
+    conjunct evaluations an id-space plan had to run on decoded terms.
 
-    Counters are reset here, so every execution reports its own rows and
-    probes even when the physical plan came out of a cache.
+    Every execution reports its own rows and probes even when the
+    physical plan came out of a cache: counters are reset here, and the
+    compiled id pipeline (:mod:`repro.sparql.idexec`) counts per
+    execution and publishes when its stream ends or is closed, so nested
+    and interleaved executions of one plan do not mix.
     ``timed=True`` additionally measures per-operator self time into
     :attr:`OperatorStats.seconds` (one extra clock read per produced row
     — ``explain_analyze`` turns it on, normal evaluation leaves it off).
     """
     plan.reset_stats()
     prefilter_op, join = _unwrap_root(plan)
-    if plan.space == "id":
-        stream = _execute_id(
-            plan, graph, prefilter_op, join, path_evaluator, path_engine, initial, timed
-        )
-    else:
+    if plan.space != "id":
         stream = _execute_term(
             plan, graph, prefilter_op, join, path_evaluator, initial, timed
+        )
+    elif isinstance(join, LeapfrogJoin):
+        stream = _execute_leapfrog(
+            plan, graph, prefilter_op, join, initial, timed, term_fallbacks
+        )
+    else:
+        stream = idexec.run(
+            plan,
+            graph,
+            path_evaluator,
+            path_engine,
+            initial,
+            _timed_iter if timed else None,
+            term_fallbacks,
         )
     if timed:
         return _timed_iter(stream, plan.root.stats)
@@ -878,286 +988,6 @@ def _execute_term(
     return recurse(0, initial)
 
 
-def _execute_id(
-    plan: PhysicalPlan,
-    graph,
-    prefilter_op: Optional[Filter],
-    join: PhysicalOperator,
-    path_evaluator: Optional[PathEvaluator],
-    path_engine: Optional[IdPathEngine],
-    initial: Binding,
-    timed: bool = False,
-) -> Iterator[Binding]:
-    """Id-space pipelines: index-nested-loop or leapfrog, per the join operator."""
-    dictionary = graph.dictionary
-    env: Dict[Variable, int] = {}
-    if len(initial):
-        # encode (not id_for): an initial term outside the graph gets a
-        # fresh id that simply never matches a probe — identical, by
-        # construction, to the term-space pipeline finding no triples.
-        encode = dictionary.encode
-        for variable, term in initial.items():
-            env[variable] = encode(term)
-    if prefilter_op is not None:
-        prefilter_op.stats.probes += 1
-        compiled_pre = tuple(IdFilter(c, dictionary) for c in prefilter_op.conditions)
-        if not all(id_filter.test(env, dictionary) for id_filter in compiled_pre):
-            return iter(())
-        prefilter_op.stats.rows += 1
-    if isinstance(join, LeapfrogJoin):
-        return _execute_leapfrog(plan, graph, join, env, dictionary, timed)
-    return _execute_id_inlj(
-        plan, graph, join, env, dictionary, path_evaluator, path_engine, timed
-    )
-
-
-def _decode_order(env: Dict[Variable, int], plan: PhysicalPlan) -> Tuple[Variable, ...]:
-    """Result decode order: plan variables plus initial-bound ones, sorted.
-
-    The environment's domain at the leaf is the same for every result
-    row (every operator binds its variables), so the decode order — and
-    the Binding sort — is computed once.
-    """
-    if not env:
-        return plan.root.variables
-    result_variables = set(env) | set(plan.root.variables)
-    return tuple(sorted(result_variables, key=lambda variable: variable.name))
-
-
-def _execute_id_inlj(
-    plan: PhysicalPlan,
-    graph,
-    join: PhysicalOperator,
-    env: Dict[Variable, int],
-    dictionary,
-    path_evaluator: Optional[PathEvaluator],
-    path_engine: Optional[IdPathEngine],
-    timed: bool = False,
-) -> Iterator[Binding]:
-    """Id-space index-nested-loop pipeline with in-place environments."""
-    steps = [_unwrap_input(input_op) for input_op in join.inputs]
-    needs_engine = any(
-        isinstance(leaf, PathExpand) and leaf.mode == "id" for leaf, _, _ in steps
-    )
-    if path_engine is not None:
-        engine: Optional[IdPathEngine] = path_engine
-    elif needs_engine and supports_id_paths(graph):
-        engine = IdPathEngine(graph)
-    else:
-        engine = None
-
-    # Compile each step: triple patterns to (is_variable, value) component
-    # triples with constants pre-interned; a constant the dictionary has
-    # never seen cannot occur in any triple, so the BGP is empty.  Path
-    # steps destined for the id engine pre-normalize their path and
-    # pre-intern constant endpoints (a fresh id for an unseen constant is
-    # harmless: it only ever matches syntactically, via zero-length).
-    compiled: List[Tuple[str, object, Tuple[IdFilter, ...], OperatorStats, object]] = []
-    for leaf, conditions, filter_op in steps:
-        id_filters = tuple(IdFilter(c, dictionary) for c in conditions)
-        filter_stats = filter_op.stats if filter_op is not None else None
-        if isinstance(leaf, Scan):
-            parts = []
-            for part in leaf.node.triple:
-                if isinstance(part, Variable):
-                    parts.append((True, part))
-                else:
-                    term_id = dictionary.id_for(part)
-                    if term_id is None:
-                        return iter(())
-                    parts.append((False, term_id))
-            compiled.append(("triple", tuple(parts), id_filters, leaf.stats, filter_stats))
-        elif leaf.mode == "id" and engine is not None:
-            node = leaf.node
-            path = normalize_path(node.path)
-            subject_is_var = isinstance(node.subject, Variable)
-            object_is_var = isinstance(node.object, Variable)
-            # Constant endpoints resolve through the engine's shared
-            # unknown-constant rule: _ABSENT (a non-zero-admitting
-            # path with an unseen constant) empties the whole BGP.
-            subject_spec = (
-                node.subject if subject_is_var else engine.endpoint_id(node.subject, path)
-            )
-            object_spec = (
-                node.object if object_is_var else engine.endpoint_id(node.object, path)
-            )
-            if subject_spec is _ABSENT or object_spec is _ABSENT:
-                return iter(())
-            spec = (
-                path,
-                subject_is_var,
-                subject_spec,
-                object_is_var,
-                object_spec,
-                matches_zero_length(path),
-            )
-            compiled.append(("idpath", spec, id_filters, leaf.stats, filter_stats))
-        else:
-            if path_evaluator is None:
-                raise TypeError("plan contains a path pattern but no path evaluator")
-            compiled.append(("path", leaf.node, id_filters, leaf.stats, filter_stats))
-
-    ordered = _decode_order(env, plan)
-    decode = dictionary.term
-    match_ids = graph.match_triple_ids
-    total = len(compiled)
-    join_stats = join.stats
-    project_stats = plan.root.stats
-
-    def test_slot(slot: Tuple[IdFilter, ...], filter_stats) -> bool:
-        if not slot:
-            return True
-        filter_stats.probes += 1
-        if all(id_filter.test(env, dictionary) for id_filter in slot):
-            filter_stats.rows += 1
-            return True
-        return False
-
-    def recurse(position: int) -> Iterator[Binding]:
-        if position == total:
-            join_stats.rows += 1
-            project_stats.rows += 1
-            yield Binding.from_sorted_items(
-                tuple((variable, decode(env[variable])) for variable in ordered)
-            )
-            return
-        kind, data, slot, leaf_stats, filter_stats = compiled[position]
-        leaf_stats.probes += 1
-        if kind == "triple":
-            probe = []
-            free: List[Tuple[int, Variable]] = []
-            for index, (is_variable, value) in enumerate(data):
-                if is_variable:
-                    bound = env.get(value)
-                    probe.append(bound)
-                    if bound is None:
-                        free.append((index, value))
-                else:
-                    probe.append(value)
-            # The per-row counters batch into locals and flush in the
-            # finally block: on this innermost loop an attribute increment
-            # per intermediate row is measurable (tens of thousands of
-            # rows per probe on fan-heavy workloads), an int += is not.
-            # The flush also runs when a partially-consumed stream is
-            # closed, so abandoned executions still report the rows they
-            # actually produced.
-            rows_seen = 0
-            slot_probes = 0
-            slot_rows = 0
-            matches = match_ids(probe[0], probe[1], probe[2])
-            if timed:
-                matches = _timed_iter(matches, leaf_stats)
-            try:
-                for ids in matches:
-                    added: List[Variable] = []
-                    consistent = True
-                    for index, variable in free:
-                        value = ids[index]
-                        current = env.get(variable)
-                        if current is None:
-                            env[variable] = value
-                            added.append(variable)
-                        elif current != value:
-                            # Repeated variable (?x p ?x) matched two ids.
-                            consistent = False
-                            break
-                    if consistent:
-                        rows_seen += 1
-                        if slot:
-                            slot_probes += 1
-                            passed = True
-                            for id_filter in slot:
-                                if not id_filter.test(env, dictionary):
-                                    passed = False
-                                    break
-                            if passed:
-                                slot_rows += 1
-                                yield from recurse(position + 1)
-                        else:
-                            yield from recurse(position + 1)
-                    for variable in added:
-                        del env[variable]
-            finally:
-                leaf_stats.rows += rows_seen
-                if filter_stats is not None:
-                    filter_stats.probes += slot_probes
-                    filter_stats.rows += slot_rows
-        elif kind == "idpath":
-            path, subject_is_var, subject, object_is_var, obj, admits_zero = data
-            subject_id = env.get(subject) if subject_is_var else subject
-            object_id = env.get(obj) if object_is_var else obj
-            if admits_zero:
-                # A *substituted* variable endpoint only ranges over graph
-                # nodes, so its zero-length self-match requires node
-                # membership (constants stay syntactic) — the id-space
-                # mirror of plan._match_path's pre-check.
-                if (
-                    subject_is_var
-                    and subject_id is not None
-                    and not engine.is_node(subject_id)
-                ):
-                    return
-                if (
-                    object_is_var
-                    and object_id is not None
-                    and not engine.is_node(object_id)
-                ):
-                    return
-            pairs = engine.pair_ids(path, subject_id, object_id)
-            if timed:
-                pairs = _timed_iter(pairs, leaf_stats)
-            for start, end in pairs:
-                added = []
-                consistent = True
-                if subject_is_var and subject_id is None:
-                    env[subject] = start
-                    added.append(subject)
-                if object_is_var and object_id is None:
-                    current = env.get(obj)
-                    if current is None:
-                        env[obj] = end
-                        added.append(obj)
-                    elif current != end:
-                        # ?x path ?x with both ends free: the subject
-                        # binding above already fixed the shared variable.
-                        consistent = False
-                if consistent:
-                    leaf_stats.rows += 1
-                    if test_slot(slot, filter_stats):
-                        yield from recurse(position + 1)
-                for variable in added:
-                    del env[variable]
-        else:
-            node = data
-            endpoint_mapping = {}
-            for part in (node.subject, node.object):
-                if isinstance(part, Variable):
-                    term_id = env.get(part)
-                    if term_id is not None:
-                        endpoint_mapping[part] = decode(term_id)
-            base = Binding(endpoint_mapping)
-            encode = dictionary.encode
-            extensions = _match_path(graph, node, base, path_evaluator)
-            if timed:
-                extensions = _timed_iter(extensions, leaf_stats)
-            for extension in extensions:
-                added = []
-                for variable, term in extension.items():
-                    if variable not in endpoint_mapping:
-                        # Fresh endpoint: interning is idempotent for graph
-                        # terms and harmlessly append-only for the rare
-                        # zero-length-path endpoint outside the graph.
-                        env[variable] = encode(term)
-                        added.append(variable)
-                leaf_stats.rows += 1
-                if test_slot(slot, filter_stats):
-                    yield from recurse(position + 1)
-                for variable in added:
-                    del env[variable]
-
-    return recurse(0)
-
-
 # ----------------------------------------------------------------------
 # leapfrog triejoin
 # ----------------------------------------------------------------------
@@ -1210,10 +1040,11 @@ def _leapfrog_intersect(arrays: Sequence[Sequence[int]]) -> Iterator[int]:
 def _execute_leapfrog(
     plan: PhysicalPlan,
     graph,
+    prefilter_op: Optional[Filter],
     join: LeapfrogJoin,
-    env: Dict[Variable, int],
-    dictionary,
-    timed: bool = False,
+    initial: Binding,
+    timed: bool,
+    term_fallbacks,
 ) -> Iterator[Binding]:
     """Run a :class:`LeapfrogJoin`: one sorted intersection per variable.
 
@@ -1222,125 +1053,161 @@ def _execute_leapfrog(
     above it), so each total assignment is enumerated at most once —
     multiset-identical to the binary pipeline on pure-triple BGPs, where
     every pattern admits multiplicity one per assignment.
+
+    The partial solution lives in a register list behind the id
+    executor's header — one register per variable (``None`` while
+    unbound) and per pattern constant — so FILTER conjuncts compile to
+    the same kernels as in the binary pipeline.
     """
+    dictionary = graph.dictionary
     var_order = join.var_order
     levels = len(var_order)
-    compiled: List[Tuple[object, int, object, OperatorStats]] = []
-    for scan in join.scans:
-        triple = scan.node.triple
-        specs = []
-        for part in (triple.subject, triple.object):
-            if isinstance(part, Variable):
-                specs.append(part)
-            else:
-                term_id = dictionary.id_for(part)
-                if term_id is None:
-                    return iter(())
-                specs.append(term_id)
-        predicate_id = dictionary.id_for(triple.predicate)
-        if predicate_id is None:
-            return iter(())
-        compiled.append((specs[0], predicate_id, specs[1], scan.stats))
-    # Fully-ground patterns constrain no variable: membership check once.
-    for subject, predicate_id, obj, stats in compiled:
-        if not isinstance(subject, Variable) and not isinstance(obj, Variable):
-            stats.probes += 1
-            if not graph.pattern_cardinality_ids(subject, predicate_id, obj):
-                return iter(())
-            stats.rows += 1
-    level_of = {variable: level for level, variable in enumerate(var_order)}
-    occurrences: List[List[Tuple[Tuple, int]]] = [[] for _ in range(levels)]
-    for entry in compiled:
-        subject, _, obj, _ = entry
-        if isinstance(subject, Variable):
-            occurrences[level_of[subject]].append((entry, 0))
-        if isinstance(obj, Variable):
-            occurrences[level_of[obj]].append((entry, 1))
-    level_filters = [
-        tuple(IdFilter(c, dictionary) for c in slot) for slot in join.level_conditions
-    ]
-    sorted_sp = graph.sorted_subjects_for_predicate
-    sorted_op = graph.sorted_objects_for_predicate
-    sorted_spo = graph.sorted_objects_for_subject_predicate
-    sorted_pos = graph.sorted_subjects_for_predicate_object
-
-    def candidates(entry: Tuple, position: int) -> Sequence[int]:
-        """Sorted candidate run of one pattern at one level, given ``env``.
-
-        ``rows`` counts the candidate ids each run contributes — the
-        scan-level "rows produced" of the leapfrog pipeline, and the
-        actual the per-probe cardinality estimates are compared against.
-        """
-        stats = entry[3]
-        stats.probes += 1
-        if timed:
-            started = perf_counter()
-            run = _candidate_run(entry, position)
-            stats.seconds += perf_counter() - started
-        else:
-            run = _candidate_run(entry, position)
-        stats.rows += len(run)
-        return run
-
-    def _candidate_run(entry: Tuple, position: int) -> Sequence[int]:
-        subject, predicate_id, obj, _stats = entry
-        if position == 0:  # level variable sits at the subject
-            other = obj
-            if isinstance(other, Variable):
-                bound = env.get(other)
-                if bound is None:
-                    return sorted_sp(predicate_id)
-                return sorted_pos(predicate_id, bound)
-            return sorted_pos(predicate_id, other)
-        other = subject  # level variable sits at the object
-        if isinstance(other, Variable):
-            bound = env.get(other)
-            if bound is None:
-                return sorted_op(predicate_id)
-            return sorted_spo(bound, predicate_id)
-        return sorted_spo(other, predicate_id)
-
-    ordered = _decode_order(env, plan)
-    decode = dictionary.term
-    join_stats = join.stats
-    project_stats = plan.root.stats
-    post_filters = level_filters[levels]
-
-    def recurse(level: int) -> Iterator[Binding]:
-        if level == levels:
-            if post_filters and not all(
-                id_filter.test(env, dictionary) for id_filter in post_filters
-            ):
+    registers: List[object] = list(idexec.HEADER)
+    register_of: Dict[Variable, int] = {}
+    for variable in (*initial, *var_order):
+        if variable not in register_of:
+            register_of[variable] = len(registers)
+            registers.append(None)
+    bound = set(initial)
+    try:
+        # encode (not id_for): an initial term outside the graph gets a
+        # fresh id that simply never matches a probe.
+        for variable, term in initial.items():
+            registers[register_of[variable]] = dictionary.encode(term)
+        if prefilter_op is not None:
+            prefilter_op.stats.probes += 1
+            gate = idexec.compile_conditions(
+                prefilter_op.conditions, dictionary, register_of, bound
+            )
+            if not gate(registers):
                 return
+            prefilter_op.stats.rows += 1
+        # (subject register, predicate id, object register, stats): a
+        # constant gets a pre-filled register, so "the other end" of a
+        # pattern reads the same way whether it is a constant, a bound
+        # variable or (None) a variable of a deeper level.
+        compiled: List[Tuple[int, int, int, OperatorStats]] = []
+        occurrences: List[List[Tuple[Tuple, int]]] = [[] for _ in range(levels)]
+        level_of = {variable: level for level, variable in enumerate(var_order)}
+        for scan in join.scans:
+            triple = scan.node.triple
+            predicate_id = dictionary.id_for(triple.predicate)
+            if predicate_id is None:
+                return
+            ends = []
+            for part in (triple.subject, triple.object):
+                if isinstance(part, Variable):
+                    ends.append(register_of[part])
+                else:
+                    term_id = dictionary.id_for(part)
+                    if term_id is None:
+                        return
+                    ends.append(len(registers))
+                    registers.append(term_id)
+            entry = (ends[0], predicate_id, ends[1], scan.stats)
+            compiled.append(entry)
+            if isinstance(triple.subject, Variable):
+                occurrences[level_of[triple.subject]].append((entry, 0))
+            if isinstance(triple.object, Variable):
+                occurrences[level_of[triple.object]].append((entry, 1))
+            if not scan.node.variables():
+                # Fully ground: constrains no variable, one membership check.
+                scan.stats.probes += 1
+                if not graph.pattern_cardinality_ids(
+                    registers[ends[0]], predicate_id, registers[ends[1]]
+                ):
+                    return
+                scan.stats.rows += 1
+        level_tests = []
+        for level, slot in enumerate(join.level_conditions):
+            if level < levels:
+                bound.add(var_order[level])
+            level_tests.append(
+                idexec.compile_conditions(slot, dictionary, register_of, bound)
+            )
+        sorted_sp = graph.sorted_subjects_for_predicate
+        sorted_op = graph.sorted_objects_for_predicate
+        sorted_spo = graph.sorted_objects_for_subject_predicate
+        sorted_pos = graph.sorted_subjects_for_predicate_object
+
+        def candidates(entry: Tuple, position: int) -> Sequence[int]:
+            """Sorted candidate run of one pattern at one level.
+
+            ``rows`` counts the candidate ids each run contributes — the
+            scan-level "rows produced" of the leapfrog pipeline, and the
+            actual the per-probe cardinality estimates are compared against.
+            """
+            stats = entry[3]
+            stats.probes += 1
+            if timed:
+                started = perf_counter()
+                run = _candidate_run(entry, position)
+                stats.seconds += perf_counter() - started
+            else:
+                run = _candidate_run(entry, position)
+            stats.rows += len(run)
+            return run
+
+        def _candidate_run(entry: Tuple, position: int) -> Sequence[int]:
+            subject, predicate_id, obj, _stats = entry
+            if position == 0:  # level variable sits at the subject
+                other = registers[obj]
+                if other is None:
+                    return sorted_sp(predicate_id)
+                return sorted_pos(predicate_id, other)
+            other = registers[subject]  # level variable sits at the object
+            if other is None:
+                return sorted_op(predicate_id)
+            return sorted_spo(other, predicate_id)
+
+        emit_row = idexec.emit_step(
+            tuple(
+                (variable, register_of[variable])
+                for variable in sorted(
+                    set(plan.root.variables) | set(initial), key=lambda v: v.name
+                )
+            ),
+            dictionary.term,
+        )
+        join_stats = join.stats
+        project_stats = plan.root.stats
+        final_test = level_tests[levels]
+
+        def emit() -> Iterable[Binding]:
+            """The result row in the registers (none if a post-filter rejects it)."""
+            if final_test is not None and not final_test(registers):
+                return ()
             join_stats.rows += 1
             project_stats.rows += 1
-            yield Binding.from_sorted_items(
-                tuple((variable, decode(env[variable])) for variable in ordered)
-            )
-            return
-        variable = var_order[level]
-        slot = level_filters[level]
-        arrays = [candidates(entry, position) for entry, position in occurrences[level]]
-        prebound = env.get(variable)
-        if prebound is not None:
-            # Initial-binding variable: membership probe into every run.
-            for array in arrays:
-                position = bisect_left(array, prebound)
-                if position == len(array) or array[position] != prebound:
-                    return
-            if not slot or all(id_filter.test(env, dictionary) for id_filter in slot):
-                yield from recurse(level + 1)
-            return
-        intersection = _leapfrog_intersect(arrays)
-        if timed:
-            # The galloping search is the join's own work; its time lands
-            # on the LeapfrogJoin operator, the run construction above on
-            # the scans that produced each array.
-            intersection = _timed_iter(intersection, join_stats)
-        for value in intersection:
-            env[variable] = value
-            if not slot or all(id_filter.test(env, dictionary) for id_filter in slot):
-                yield from recurse(level + 1)
-        env.pop(variable, None)
+            return emit_row(registers)
 
-    return recurse(0)
+        def recurse(level: int) -> Iterator[Binding]:
+            test = level_tests[level]
+            last = level + 1 == levels
+            register = register_of[var_order[level]]
+            arrays = [candidates(entry, position) for entry, position in occurrences[level]]
+            prebound = registers[register]
+            if prebound is not None:
+                # Initial-binding variable: membership probe into every run.
+                for array in arrays:
+                    position = bisect_left(array, prebound)
+                    if position == len(array) or array[position] != prebound:
+                        return
+                if test is None or test(registers):
+                    yield from emit() if last else recurse(level + 1)
+                return
+            intersection = _leapfrog_intersect(arrays)
+            if timed:
+                # The galloping search is the join's own work; its time lands
+                # on the LeapfrogJoin operator, the run construction above on
+                # the scans that produced each array.
+                intersection = _timed_iter(intersection, join_stats)
+            for value in intersection:
+                registers[register] = value
+                if test is None or test(registers):
+                    yield from emit() if last else recurse(level + 1)
+            registers[register] = None
+
+        yield from recurse(0) if levels else emit()
+    finally:
+        idexec.flush_term_fallbacks(registers, term_fallbacks)

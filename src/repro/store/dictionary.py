@@ -47,6 +47,21 @@ def _literal_key(
     return (lexical, datatype_value, language)
 
 
+def term_structure(term: Term) -> Tuple[int, Union[str, LiteralKey]]:
+    """``(kind, key)`` under which ``term`` is (or would be) interned."""
+    if isinstance(term, IRI):
+        return KIND_IRI, term.value
+    if isinstance(term, Literal):
+        return KIND_LITERAL, _literal_key(
+            term.lexical,
+            term.datatype.value if term.datatype is not None else None,
+            term.language,
+        )
+    if isinstance(term, BlankNode):
+        return KIND_BLANK, term.label
+    raise TypeError(f"{term!r} is not an RDF term")
+
+
 class DictionaryCounters:
     """Optional encode/decode counters (see ``TermDictionary.enable_counters``)."""
 
@@ -70,6 +85,7 @@ class TermDictionary:
         "_kinds",
         "_cache",
         "_counters",
+        "compare_keys",
     )
 
     def __init__(self) -> None:
@@ -84,6 +100,13 @@ class TermDictionary:
         #: Observability counters; ``None`` (a bare identity check on the
         #: encode/decode paths) until enable_counters().
         self._counters: Optional[DictionaryCounters] = None
+        #: Per-id memo of the id executor's FILTER comparison keys
+        #: (:func:`repro.sparql.idexec.comparison_key`), filled on first
+        #: comparison of a literal's id (other kinds compare on the id).  It lives here because it is valid exactly
+        #: as long as the id space: a key is a function of the term and ids
+        #: are never reused, so nothing ever invalidates an entry.  Interning
+        #: never touches it — loads and writes do not pay for it.
+        self.compare_keys: Dict[int, tuple] = {}
 
     def enable_counters(self) -> DictionaryCounters:
         """Switch on encode/decode counting (idempotent) and return it."""
@@ -210,6 +233,11 @@ class TermDictionary:
                 term = Literal(lexical, datatype, language)
             self._cache[index] = term
         return term
+
+    def structural_key(self, term_id: int) -> Tuple[int, Union[str, LiteralKey]]:
+        """``(kind, key)`` of an id: what it was interned under, no ``Term`` built."""
+        index = term_id >> _KIND_SHIFT
+        return self._kinds[index], self._keys[index]
 
     @staticmethod
     def kind(term_id: int) -> int:

@@ -4,9 +4,9 @@ Three layers of assurance that the id-space pipeline
 (:mod:`repro.sparql.idexec`) is a pure optimisation:
 
 * targeted unit tests for the moving parts — filter attachment, the
-  raw-id fast paths (including the one genuinely subtle case: distinct
-  dictionary ids for value-equal literals), path patterns inside an
-  id-native plan,
+  compiled FILTER conjuncts (including the one genuinely subtle case:
+  distinct dictionary ids for value-equal literals), path patterns
+  inside an id-native plan,
 * a hypothesis differential property: random BGP + FILTER queries on
   random graphs return the identical multiset of solutions across all
   four evaluator configurations (hash / encoded backend x decoded /
@@ -33,7 +33,12 @@ from repro.sparql.expressions import (
     conjuncts,
 )
 from repro.sparql import physical
-from repro.sparql.idexec import IdFilter, supports_id_execution
+from repro.sparql.idexec import (
+    HEADER,
+    compile_condition,
+    condition_kernel,
+    supports_id_execution,
+)
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
@@ -121,9 +126,9 @@ class TestAttachFilters:
 
 
 # ----------------------------------------------------------------------
-# raw-id fast paths
+# compiled FILTER conjuncts (the operand matrix is tests/test_idkernels.py)
 # ----------------------------------------------------------------------
-class TestIdFilterFastPaths:
+class TestCompiledConditions:
     def _graph(self):
         graph = EncodedGraph()
         graph.add(Triple(EX.a, EX.p, Literal("1", XSD_INTEGER)))
@@ -131,64 +136,102 @@ class TestIdFilterFastPaths:
         graph.add(Triple(EX.c, EX.p, EX.a))
         return graph
 
+    def _test(self, graph, condition, bound=True):
+        """Compile over one register for ?v; returns ``id -> verdict``."""
+        v = Variable("v")
+        registers = list(HEADER) + [None]
+        test = compile_condition(
+            condition, graph.dictionary, {v: len(HEADER)}, {v} if bound else set()
+        )
+
+        def verdict(term_id):
+            registers[len(HEADER)] = term_id
+            return test(registers)
+
+        return verdict, registers
+
     def test_value_equal_literals_with_distinct_ids(self):
         # "1"^^xsd:integer and "01"^^xsd:integer intern to different ids
-        # but compare =-equal by value: the fast path must *not* decide
-        # this case on ids and must fall back to decoding.
+        # but compare =-equal by value: ids alone must not decide this.
         graph = self._graph()
-        v = Variable("v")
         condition = Comparison(
-            "=", VariableExpr(v), TermExpr(Literal("01", XSD_INTEGER))
+            "=", VariableExpr(Variable("v")), TermExpr(Literal("01", XSD_INTEGER))
         )
-        id_filter = IdFilter(condition, graph.dictionary)
+        assert condition_kernel(condition) == "id"
+        verdict, registers = self._test(graph, condition)
         one = graph.dictionary.id_for(Literal("1", XSD_INTEGER))
         zero_one = graph.dictionary.id_for(Literal("01", XSD_INTEGER))
         assert one != zero_one
-        assert id_filter.test({v: one}, graph.dictionary) is True
-        assert id_filter.test({v: zero_one}, graph.dictionary) is True
+        assert verdict(one) is True
+        assert verdict(zero_one) is True
+        assert registers[0] == 0  # decided in id space: no term fallback
+        assert set(graph.dictionary.compare_keys) == {one, zero_one}
 
     def test_sameterm_distinguishes_value_equal_literals(self):
         graph = self._graph()
-        v = Variable("v")
         condition = FunctionCall(
             "SAMETERM",
-            (VariableExpr(v), TermExpr(Literal("01", XSD_INTEGER))),
+            (VariableExpr(Variable("v")), TermExpr(Literal("01", XSD_INTEGER))),
         )
-        id_filter = IdFilter(condition, graph.dictionary)
-        assert id_filter._probe is not None  # the fast path compiled
-        one = graph.dictionary.id_for(Literal("1", XSD_INTEGER))
-        zero_one = graph.dictionary.id_for(Literal("01", XSD_INTEGER))
-        assert id_filter.test({v: zero_one}, graph.dictionary) is True
-        assert id_filter.test({v: one}, graph.dictionary) is False
+        assert condition_kernel(condition) == "id"
+        verdict, _ = self._test(graph, condition)
+        assert verdict(graph.dictionary.id_for(Literal("01", XSD_INTEGER))) is True
+        assert verdict(graph.dictionary.id_for(Literal("1", XSD_INTEGER))) is False
 
-    def test_iri_inequality_decided_on_ids(self):
+    def test_iri_inequality_of_two_variables_needs_no_keys(self):
         graph = self._graph()
-        v = Variable("v")
-        condition = Comparison("!=", VariableExpr(v), TermExpr(EX.a))
-        id_filter = IdFilter(condition, graph.dictionary)
-        assert id_filter._probe is not None
-        a = graph.dictionary.id_for(EX.a)
-        b = graph.dictionary.id_for(EX.b)
-        assert id_filter.test({v: a}, graph.dictionary) is False
-        assert id_filter.test({v: b}, graph.dictionary) is True
+        v, w = Variable("v"), Variable("w")
+        base = len(HEADER)
+        test = compile_condition(
+            Comparison("!=", VariableExpr(v), VariableExpr(w)),
+            graph.dictionary,
+            {v: base, w: base + 1},
+            {v, w},
+        )
+        a, b = graph.dictionary.id_for(EX.a), graph.dictionary.id_for(EX.b)
+        assert test(list(HEADER) + [a, a]) is False
+        assert test(list(HEADER) + [a, b]) is True
+        assert not graph.dictionary.compare_keys  # decided on ids and kind tags
 
     def test_unbound_variable_is_an_error_hence_false(self):
         graph = self._graph()
-        v = Variable("v")
+        v = VariableExpr(Variable("v"))
         for condition in (
-            Comparison("=", VariableExpr(v), TermExpr(EX.a)),
-            FunctionCall("SAMETERM", (VariableExpr(v), TermExpr(EX.a))),
+            Comparison("=", v, TermExpr(EX.a)),
+            Comparison("!=", v, TermExpr(EX.a)),
+            Comparison("<", v, TermExpr(Literal("1", XSD_INTEGER))),
+            FunctionCall("SAMETERM", (v, TermExpr(EX.a))),
         ):
-            assert IdFilter(condition, graph.dictionary).test({}, graph.dictionary) is False
+            verdict, _ = self._test(graph, condition, bound=False)
+            assert verdict(None) is False
 
-    def test_uninterned_constant_takes_the_slow_path(self):
+    def test_uninterned_constant_is_compared_by_key(self):
         graph = self._graph()
-        v = Variable("v")
-        condition = Comparison("=", VariableExpr(v), TermExpr(EX.never_seen))
-        id_filter = IdFilter(condition, graph.dictionary)
-        assert id_filter._probe is None
+        v = VariableExpr(Variable("v"))
         a = graph.dictionary.id_for(EX.a)
-        assert id_filter.test({v: a}, graph.dictionary) is False
+        before = len(graph.dictionary)
+        for condition, expected in (
+            (Comparison("=", v, TermExpr(EX.never_seen)), False),
+            (Comparison("!=", v, TermExpr(EX.never_seen)), True),
+            (FunctionCall("SAMETERM", (v, TermExpr(EX.never_seen))), False),
+        ):
+            verdict, registers = self._test(graph, condition)
+            assert verdict(a) is expected
+            assert registers[0] == 0
+        assert len(graph.dictionary) == before  # compiling interned nothing
+        # ... and the verdict stays right once the constant *is* interned
+        # (a cached plan can outlive that: no version bump).
+        verdict, _ = self._test(graph, Comparison("=", v, TermExpr(EX.never_seen)))
+        assert verdict(graph.dictionary.encode(EX.never_seen)) is True
+
+    def test_other_conjuncts_fall_back_to_terms_and_count(self):
+        graph = self._graph()
+        condition = FunctionCall("ISIRI", (VariableExpr(Variable("v")),))
+        assert condition_kernel(condition) == "term"
+        verdict, registers = self._test(graph, condition)
+        assert verdict(graph.dictionary.id_for(EX.a)) is True
+        assert verdict(graph.dictionary.id_for(Literal("1", XSD_INTEGER))) is False
+        assert registers[0] == 2
 
 
 # ----------------------------------------------------------------------

@@ -176,7 +176,7 @@ Project [?a, ?b, ?c] decode=term
     ("term", _FILTERED_TRIANGLE): """\
 Project [?a, ?b, ?c] decode=term
 └─ IndexNestedLoopJoin steps=3
-   ├─ Filter (?a != ?b)
+   ├─ Filter (?a != ?b) kernel=term
    │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5
    ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
    └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
