@@ -15,10 +15,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.query_translation import TranslationResult
 from repro.datalog.terms import SkolemTerm
-from repro.rdf.terms import BlankNode, Literal, Term as RdfTerm, Variable
+from repro.rdf.terms import BlankNode, Literal, Term as RdfTerm
 from repro.sparql.algebra import AskQuery, OrderCondition, SelectQuery
 from repro.sparql.evaluator import apply_order_by
-from repro.sparql.solutions import Binding, SolutionSequence
+from repro.sparql.solutions import Binding, SolutionSequence, distinct_rows
 
 
 class SolutionTranslator:
@@ -55,27 +55,34 @@ class SolutionTranslator:
         query = translation.query
         assert isinstance(query, SelectQuery)
         offset = 1 if translation.has_id_column else 0
-        variables = translation.answer_variables
+        # The row layout — which column fills which variable, in name
+        # order — is the translation's: fixed here, not per row.
+        columns = sorted(
+            {
+                variable: offset + position
+                for position, variable in enumerate(translation.answer_variables)
+            }.items(),
+            key=lambda column: column[0].name,
+        )
+        to_term = self._to_rdf_term
         bindings: List[Binding] = []
         for row in rows:
-            mapping: Dict[Variable, RdfTerm] = {}
-            for position, variable in enumerate(variables):
-                value = row[offset + position]
-                term = self._to_rdf_term(value)
-                if term is not None:
-                    mapping[variable] = term
-            bindings.append(Binding(mapping))
+            bindings.append(
+                Binding.from_sorted_items(
+                    tuple(
+                        [
+                            (variable, term)
+                            for variable, column in columns
+                            if (term := to_term(row[column])) is not None
+                        ]
+                    )
+                )
+            )
 
         if query.order_by:
             bindings = self._order(bindings, query.order_by)
         if query.distinct or query.reduced:
-            seen = set()
-            unique: List[Binding] = []
-            for binding in bindings:
-                if binding not in seen:
-                    seen.add(binding)
-                    unique.append(binding)
-            bindings = unique
+            bindings = distinct_rows(bindings)
         if query.offset:
             bindings = bindings[query.offset:]
         if query.limit is not None:

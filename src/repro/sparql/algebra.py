@@ -56,6 +56,21 @@ class PathPattern(GraphPatternNode):
     def variables(self) -> set:
         return {part for part in (self.subject, self.object) if isinstance(part, Variable)}
 
+    def endpoint_slots(self) -> List[Tuple[Variable, int]]:
+        """``(variable, side)`` per distinct endpoint variable, in name order.
+
+        ``side`` indexes a ``(start, end)`` pair.  A path evaluator fixes
+        the layout of its result rows with this once per pattern; for
+        ``?x path ?x`` the one slot reads either side of a ``start == end``
+        pair.
+        """
+        slots = {
+            part: side
+            for side, part in enumerate((self.subject, self.object))
+            if isinstance(part, Variable)
+        }
+        return sorted(slots.items(), key=lambda slot: slot[0].name)
+
     def __repr__(self) -> str:
         return f"Path({self.subject!r} {self.path!r} {self.object!r})"
 

@@ -45,21 +45,24 @@ class EvaluationError(RuntimeError):
 def eval_path_pattern_terms(node: PathPattern, graph: Graph) -> List[Binding]:
     path = normalize_path(node.path)
     subject, obj = node.subject, node.object
-    pairs = path_pairs(path, graph, subject, obj)
+    slots = node.endpoint_slots()
+    subject_free = isinstance(subject, Variable)
+    object_free = isinstance(obj, Variable)
+    same_variable = subject_free and subject == obj
     results: List[Binding] = []
-    for start, end in pairs:
-        mapping: Dict[Variable, Term] = {}
-        if isinstance(subject, Variable):
-            mapping[subject] = start
-        elif subject != start:
+    for pair in path_pairs(path, graph, subject, obj):
+        start, end = pair
+        if (
+            (same_variable and start != end)
+            or not (subject_free or subject == start)
+            or not (object_free or obj == end)
+        ):
             continue
-        if isinstance(obj, Variable):
-            if obj in mapping and mapping[obj] != end:
-                continue
-            mapping[obj] = end
-        elif obj != end:
-            continue
-        results.append(Binding(mapping))
+        results.append(
+            Binding.from_sorted_items(
+                tuple([(variable, pair[side]) for variable, side in slots])
+            )
+        )
     return results
 
 

@@ -76,7 +76,13 @@ from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.plan import match_triple, plan_bgp
 from repro.sparql.plancache import PlanCache
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, EMPTY_BINDING, SolutionSequence
+from repro.sparql.solutions import (
+    Binding,
+    CompatIndex,
+    EMPTY_BINDING,
+    SolutionSequence,
+    distinct_rows,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
 
@@ -161,6 +167,14 @@ class SparqlEvaluator:
         self._term_fallbacks = registry.counter(
             "sparql_filter_term_fallbacks_total",
             "FILTER conjunct evaluations an id-space plan ran on decoded terms",
+        )
+        self._index_builds = registry.counter(
+            "sparql_compat_index_builds_total",
+            "Compatibility indexes built (one per MINUS / OPTIONAL / join / GRAPH ?g evaluation)",
+        )
+        self._index_probes = registry.counter(
+            "sparql_compat_index_probes_total",
+            "Hash lookups of left rows in a compatibility index",
         )
         #: Logical BGP plans, ``logical_plans.get(graph, patterns)``.
         self.logical_plans = PlanCache(plan_bgp, logical_hits, logical_misses, evictions)
@@ -269,15 +283,10 @@ class SparqlEvaluator:
             # would be in one set only) and their domain is the projection.
             projected = bindings
         else:
-            projected = [binding.project(variables) for binding in bindings]
+            wanted = frozenset(variables)
+            projected = [binding.project(wanted) for binding in bindings]
         if query.distinct or query.reduced:
-            seen = set()
-            unique: List[Binding] = []
-            for binding in projected:
-                if binding not in seen:
-                    seen.add(binding)
-                    unique.append(binding)
-            projected = unique
+            projected = distinct_rows(projected)
         if query.offset:
             projected = projected[query.offset:]
         if query.limit is not None:
@@ -491,18 +500,23 @@ class SparqlEvaluator:
         empty (or fully filtered) left side never pays for the right
         pattern.
         """
-        right: Optional[List[Binding]] = None
-        for left_binding in left:
-            if right is None:
-                right = self._eval_pattern(right_node, active_graph, dataset)
-            excluded = False
-            for right_binding in right:
-                shared = left_binding.variables() & right_binding.variables()
-                if shared and left_binding.is_compatible(right_binding):
-                    excluded = True
-                    break
-            if not excluded:
-                yield left_binding
+        index: Optional[CompatIndex] = None
+        try:
+            for left_binding in left:
+                if index is None:
+                    index = self._compat_index(
+                        self._eval_pattern(right_node, active_graph, dataset)
+                    )
+                if not index.excludes(left_binding):
+                    yield left_binding
+        finally:
+            if index is not None:
+                self._index_probes.inc(index.probes)
+
+    def _compat_index(self, rows: List[Binding]) -> CompatIndex:
+        """Index the right-hand rows of one operator evaluation (counted)."""
+        self._index_builds.inc()
+        return CompatIndex(rows)
 
     def _lower_fresh(
         self,
@@ -730,53 +744,14 @@ class SparqlEvaluator:
         return list(match_triple(graph, pattern, EMPTY_BINDING))
 
     def _join(self, left: List[Binding], right: List[Binding]) -> List[Binding]:
-        """Bag join of two solution multisets on compatible mappings.
-
-        A hash join on the shared variables that are bound on both sides is
-        used when possible; mappings where a shared variable is unbound
-        fall back to the nested-loop compatibility check.
-        """
+        """Bag join of two solution multisets on compatible mappings."""
         if not left or not right:
             return []
-        left_vars = set()
-        for binding in left:
-            left_vars |= binding.variables()
-        right_vars = set()
-        for binding in right:
-            right_vars |= binding.variables()
-        shared = tuple(sorted(left_vars & right_vars, key=lambda v: v.name))
+        index = self._compat_index(right)
         results: List[Binding] = []
-        if shared:
-            index: Dict[Tuple, List[Binding]] = defaultdict(list)
-            loose_right: List[Binding] = []
-            for binding in right:
-                key = tuple(binding.get(var) for var in shared)
-                if any(value is None for value in key):
-                    loose_right.append(binding)
-                else:
-                    index[key].append(binding)
-            for left_binding in left:
-                key = tuple(left_binding.get(var) for var in shared)
-                if any(value is None for value in key):
-                    # Some shared variable is unbound on the left: fall back
-                    # to the compatibility check against the full right side.
-                    for right_binding in right:
-                        if left_binding.is_compatible(right_binding):
-                            results.append(left_binding.merge(right_binding))
-                    continue
-                # Both sides bind every shared variable with equal values,
-                # and any variable common to the two bindings is shared —
-                # the mappings are compatible by construction.
-                for right_binding in index.get(key, ()):
-                    results.append(left_binding.merge(right_binding))
-                for right_binding in loose_right:
-                    if left_binding.is_compatible(right_binding):
-                        results.append(left_binding.merge(right_binding))
-        else:
-            for left_binding in left:
-                for right_binding in right:
-                    if left_binding.is_compatible(right_binding):
-                        results.append(left_binding.merge(right_binding))
+        for left_binding in left:
+            results.extend(index.merged(left_binding))
+        self._index_probes.inc(index.probes)
         return results
 
     def _eval_left_join(
@@ -786,18 +761,21 @@ class SparqlEvaluator:
         if not left:
             return []
         right, residual = self._eval_optional_right(node, active_graph, dataset)
+        index = self._compat_index(right)
         results: List[Binding] = []
         for left_binding in left:
-            extended: List[Binding] = []
-            for right_binding in right:
-                if left_binding.is_compatible(right_binding):
-                    merged = left_binding.merge(right_binding)
-                    if all(satisfies(c, merged) for c in residual):
-                        extended.append(merged)
+            extended = index.merged(left_binding)
+            if residual:
+                extended = [
+                    merged
+                    for merged in extended
+                    if all(satisfies(c, merged) for c in residual)
+                ]
             if extended:
                 results.extend(extended)
             else:
                 results.append(left_binding)
+        self._index_probes.inc(index.probes)
         return results
 
     def _eval_optional_right(
@@ -847,11 +825,9 @@ class SparqlEvaluator:
         if isinstance(node.graph, Variable):
             results: List[Binding] = []
             for name, graph in dataset.named_graphs.items():
-                inner = self._eval_pattern(node.pattern, graph, dataset)
-                name_binding = Binding({node.graph: name})
-                for binding in inner:
-                    if binding.is_compatible(name_binding):
-                        results.append(binding.merge(name_binding))
+                index = self._compat_index(self._eval_pattern(node.pattern, graph, dataset))
+                results.extend(index.merged(Binding({node.graph: name})))
+                self._index_probes.inc(index.probes)
             return results
         graph = dataset.named_graphs.get(node.graph)
         if graph is None:
@@ -939,7 +915,7 @@ class SparqlEvaluator:
             extended = binding
             for item in expression_items:
                 try:
-                    value = evaluate_expression(item.expression, binding)
+                    value = evaluate_expression(item.expression, extended)
                 except ExpressionError:
                     continue
                 extended = extended.extend(item.variable, value)

@@ -71,7 +71,7 @@ from repro.sparql.paths import (
     normalize_path,
     reverse_path,
 )
-from repro.sparql.solutions import Binding
+from repro.sparql.solutions import Binding, EMPTY_BINDING
 
 #: An id pair (start, end) matched by a path.
 IdPair = Tuple[int, int]
@@ -145,23 +145,25 @@ class IdPathEngine:
         object_id = self.endpoint_id(obj, path)
         if subject_id is _ABSENT or object_id is _ABSENT:
             return []
-        same_variable = (
-            isinstance(subject, Variable)
-            and isinstance(obj, Variable)
-            and subject == obj
-        )
         decode = self._dict.term
-        results: List[Binding] = []
-        for start, end in self.pair_ids(path, subject_id, object_id):
-            if same_variable and start != end:
-                continue
-            mapping = {}
-            if isinstance(subject, Variable):
-                mapping[subject] = decode(start)
-            if isinstance(obj, Variable):
-                mapping[obj] = decode(end)
-            results.append(Binding(mapping))
-        return results
+        row = Binding.from_sorted_items
+        pairs = self.pair_ids(path, subject_id, object_id)
+        slots = node.endpoint_slots()
+        if len(slots) == 2:
+            (first, i), (second, j) = slots
+            return [
+                row(((first, decode(pair[i])), (second, decode(pair[j]))))
+                for pair in pairs
+            ]
+        if not slots:
+            return [EMPTY_BINDING for _ in pairs]
+        ((variable, side),) = slots
+        same_variable = subject == obj
+        return [
+            row(((variable, decode(pair[side])),))
+            for pair in pairs
+            if not same_variable or pair[0] == pair[1]
+        ]
 
     def is_node(self, term_id: int) -> bool:
         """True when the id occurs in subject or object position."""

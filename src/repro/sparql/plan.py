@@ -285,26 +285,28 @@ def match_triple(
     probing, so the most selective available index is always used.
     """
     parts: List[Optional[Term]] = []
-    for part in pattern:
+    free: Dict[Variable, int] = {}
+    repeats: List[Tuple[int, int]] = []
+    for position, part in enumerate(pattern):
         if isinstance(part, Variable):
-            parts.append(binding.get(part))
+            value = binding.get(part)
+            if value is None and free.setdefault(part, position) != position:
+                repeats.append((free[part], position))
+            parts.append(value)
         else:
             parts.append(part)
-    subject, predicate, obj = parts
-    for triple in graph.triples(subject, predicate, obj):
-        mapping: Dict[Variable, Term] = {}
-        consistent = True
-        for pattern_part, probe_part, triple_part in zip(pattern, parts, triple):
-            if probe_part is not None or not isinstance(pattern_part, Variable):
-                continue
-            existing = mapping.get(pattern_part)
-            if existing is None:
-                mapping[pattern_part] = triple_part
-            elif existing != triple_part:
-                consistent = False
-                break
-        if consistent:
-            yield binding.merge(Binding(mapping)) if mapping else binding
+    # Which triple position fills which new variable, in name order: the
+    # layout of every extension, fixed here and not per matching triple.
+    slots = sorted(free.items(), key=lambda slot: slot[0].name)
+    for triple in graph.triples(*parts):
+        values = (triple.subject, triple.predicate, triple.object)
+        if repeats and any(values[first] != values[again] for first, again in repeats):
+            continue
+        yield binding.merge(
+            Binding.from_sorted_items(
+                tuple([(variable, values[position]) for variable, position in slots])
+            )
+        )
 
 
 def _match_path(

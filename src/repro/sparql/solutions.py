@@ -10,6 +10,7 @@ can be counted, deduplicated and compared across engines.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import Term, Variable, term_sort_key
@@ -20,15 +21,18 @@ class Binding:
 
     Unbound variables are simply absent; the SPARQL compatibility relation
     and OPTIONAL semantics are expressed in terms of the *domain* of the
-    mapping.
+    mapping.  The items are kept sorted by variable name, which is what
+    equality and hashing rely on; the hash is computed on first use, so a
+    row that is never counted or deduplicated never pays for it.
     """
 
     __slots__ = ("_items", "_hash")
 
     def __init__(self, mapping: Optional[Dict[Variable, Term]] = None) -> None:
-        items = tuple(sorted((mapping or {}).items(), key=lambda kv: kv[0].name))
-        self._items: Tuple[Tuple[Variable, Term], ...] = items
-        self._hash = hash(items)
+        self._items: Tuple[Tuple[Variable, Term], ...] = (
+            tuple(sorted(mapping.items(), key=_item_name)) if mapping else ()
+        )
+        self._hash: Optional[int] = None
 
     @classmethod
     def from_sorted_items(
@@ -36,31 +40,37 @@ class Binding:
     ) -> "Binding":
         """Build a binding from pairs already sorted by variable name.
 
-        Skips the per-construction sort of ``__init__`` — the id-native
-        executor decodes every result row through a precomputed variable
-        order, so re-sorting at the decode boundary would only burn time.
-        The caller guarantees sortedness; equality/hashing rely on it.
+        Skips the per-construction sort of ``__init__`` — a producer that
+        fixes its variable order once per pattern (the executors, the path
+        engines, the compatibility index) builds every row through here.
+        The caller guarantees sortedness and distinct variables;
+        equality/hashing rely on it.
         """
         binding = object.__new__(cls)
         binding._items = items
-        binding._hash = hash(items)
+        binding._hash = None
         return binding
 
     # -- mapping protocol ----------------------------------------------
+    # Producers hand out the query's own Variable objects, so identity
+    # settles nearly every lookup before the dataclass ``__eq__`` runs.
     def __getitem__(self, variable: Variable) -> Term:
         for var, term in self._items:
-            if var == variable:
+            if var is variable or var == variable:
                 return term
         raise KeyError(variable)
 
     def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
         for var, term in self._items:
-            if var == variable:
+            if var is variable or var == variable:
                 return term
         return default
 
     def __contains__(self, variable: Variable) -> bool:
-        return any(var == variable for var, _ in self._items)
+        for var, _ in self._items:
+            if var is variable or var == variable:
+                return True
+        return False
 
     def __iter__(self) -> Iterator[Variable]:
         return (var for var, _ in self._items)
@@ -83,7 +93,10 @@ class Binding:
         return isinstance(other, Binding) and other._items == self._items
 
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._items)
+        return value
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{var}={term!r}" for var, term in self._items)
@@ -101,28 +114,194 @@ class Binding:
         return True
 
     def merge(self, other: "Binding") -> "Binding":
-        """Union of two compatible mappings."""
-        if not other._items:
+        """Union of two compatible mappings (``self`` wins a shared variable)."""
+        mine, theirs = self._items, other._items
+        if not theirs:
             return self
-        if not self._items:
+        if not mine:
             return other
-        merged = dict(other._items)
-        merged.update(dict(self._items))
-        return Binding(merged)
+        if mine[-1][0].name < theirs[0][0].name:
+            return Binding.from_sorted_items(mine + theirs)
+        if theirs[-1][0].name < mine[0][0].name:
+            return Binding.from_sorted_items(theirs + mine)
+        merged: List[Tuple[Variable, Term]] = []
+        position, end = 0, len(theirs)
+        for item in mine:
+            name = item[0].name
+            while position < end and theirs[position][0].name < name:
+                merged.append(theirs[position])
+                position += 1
+            if position < end and theirs[position][0].name == name:
+                position += 1
+            merged.append(item)
+        merged.extend(theirs[position:])
+        return Binding.from_sorted_items(tuple(merged))
 
     def project(self, variables: Iterable[Variable]) -> "Binding":
-        """Restrict the mapping to ``variables``."""
-        wanted = set(variables)
-        return Binding({var: term for var, term in self._items if var in wanted})
+        """Restrict the mapping to ``variables``.
+
+        Returns ``self`` when nothing is dropped.  A caller projecting many
+        rows passes one ``set`` / ``frozenset``, which is used as is.
+        """
+        wanted = (
+            variables if isinstance(variables, (set, frozenset)) else set(variables)
+        )
+        items = self._items
+        kept = tuple([item for item in items if item[0] in wanted])
+        if len(kept) == len(items):
+            return self
+        return Binding.from_sorted_items(kept)
 
     def extend(self, variable: Variable, term: Term) -> "Binding":
         """Return a new mapping with one extra (or replaced) assignment."""
-        mapping = dict(self._items)
-        mapping[variable] = term
-        return Binding(mapping)
+        items = self._items
+        name = variable.name
+        position = 0
+        for var, _ in items:
+            if var.name >= name:
+                break
+            position += 1
+        replaced = position < len(items) and items[position][0].name == name
+        return Binding.from_sorted_items(
+            items[:position] + ((variable, term),) + items[position + replaced:]
+        )
+
+
+def _item_name(item: Tuple[Variable, Term]) -> str:
+    return item[0].name
 
 
 EMPTY_BINDING = Binding()
+
+
+class CompatIndex:
+    """Right-hand rows of a join-like operator, indexed for compatibility probes.
+
+    SPARQL pairs solution multisets by *compatibility*: a left row ``l``
+    and a right row ``r`` are compatible iff they agree on ``dom(l) ∩
+    dom(r)`` (an unbound variable constrains nothing).  The rows are
+    partitioned by their domain, so against left rows of one domain the
+    shared set is a constant per partition, every row of the partition
+    binds all of it, and "compatible" is exactly "equal on the shared
+    variables": one hash lookup, built lazily per (partition, shared set)
+    the first time a left row of that domain arrives.  A partition that
+    shares nothing with the left row is compatible wholesale.  That holds
+    for any mix of domains on either side (UNION- or OPTIONAL-fed), so
+    there is no pairwise fallback.
+
+    The three operators read it differently: join / OPTIONAL / GRAPH take
+    :meth:`merged`, MINUS takes :meth:`excludes`.  ``probes`` counts hash
+    lookups.  An index serves one operator evaluation and is dropped.
+    """
+
+    __slots__ = ("_partitions", "_plans", "_last_domain", "_last_plan", "probes")
+
+    def __init__(self, rows: Iterable[Binding]) -> None:
+        partitions: Dict[Tuple[Variable, ...], List[Tuple[int, Binding]]] = {}
+        domain: Optional[Tuple[Variable, ...]] = None
+        members: List[Tuple[int, Binding]] = []
+        for member in enumerate(rows):
+            row_domain = tuple([var for var, _ in member[1]._items])
+            # Consecutive rows mostly come from one producer and carry the
+            # same Variable objects: the comparison is settled by identity.
+            if row_domain != domain:
+                domain = row_domain
+                members = partitions.setdefault(domain, [])
+            members.append(member)
+        #: Per domain: the (position, row) members in right-hand order and
+        #: the hash tables built so far, keyed by the positions hashed.
+        self._partitions = [
+            (domain, members, {}) for domain, members in partitions.items()
+        ]
+        self._plans: Dict[Tuple[Variable, ...], list] = {}
+        self._last_domain: Optional[Tuple[Variable, ...]] = None
+        self._last_plan: list = []
+        self.probes = 0
+
+    def _plan(self, items: Tuple[Tuple[Variable, Term], ...]) -> list:
+        """Per partition, how a left row with these items probes it.
+
+        One ``(key_positions, table)`` per partition: ``key_positions``
+        index the left items holding the shared variables and ``table``
+        maps their values to the partition's members — or ``None`` and
+        all the members when nothing is shared.
+        """
+        domain = tuple([var for var, _ in items])
+        if domain == self._last_domain:
+            return self._last_plan
+        plan = self._plans.get(domain)
+        if plan is None:
+            plan = self._plans[domain] = [
+                _probe_plan(domain, *partition) for partition in self._partitions
+            ]
+        self._last_domain, self._last_plan = domain, plan
+        return plan
+
+    def excludes(self, left: Binding) -> bool:
+        """MINUS: some row is compatible with ``left`` *and* shares a variable."""
+        items = left._items
+        for key_positions, table in self._plan(items):
+            if key_positions is not None:
+                self.probes += 1
+                if tuple([items[position][1] for position in key_positions]) in table:
+                    return True
+        return False
+
+    def merged(self, left: Binding) -> List[Binding]:
+        """``left`` merged with each compatible row, in right-hand order."""
+        items = left._items
+        found: List[Tuple[int, Binding]] = []
+        hits = 0
+        for key_positions, table in self._plan(items):
+            if key_positions is None:
+                members = table
+            else:
+                self.probes += 1
+                members = table.get(
+                    tuple([items[position][1] for position in key_positions])
+                )
+                if members is None:
+                    continue
+            hits += 1
+            found.extend(members)
+        if hits > 1:
+            found.sort(key=_position)
+        return [left.merge(row) for _, row in found]
+
+
+_position = itemgetter(0)
+
+
+def _probe_plan(
+    left_domain: Tuple[Variable, ...],
+    right_domain: Tuple[Variable, ...],
+    members: List[Tuple[int, Binding]],
+    tables: Dict[Tuple[int, ...], Dict[Tuple[Term, ...], List[Tuple[int, Binding]]]],
+):
+    """One entry of :meth:`CompatIndex._plan`; builds the hash table it needs."""
+    shared = [var for var in left_domain if var in right_domain]
+    if not shared:
+        return None, members
+    right_positions = tuple([right_domain.index(var) for var in shared])
+    table = tables.get(right_positions)
+    if table is None:
+        table = tables[right_positions] = {}
+        for member in members:
+            row_items = member[1]._items
+            key = tuple([row_items[position][1] for position in right_positions])
+            table.setdefault(key, []).append(member)
+    return tuple([left_domain.index(var) for var in shared]), table
+
+
+def distinct_rows(bindings: Iterable[Binding]) -> List[Binding]:
+    """The rows with duplicates removed, first occurrence kept (DISTINCT / REDUCED)."""
+    seen = set()
+    unique: List[Binding] = []
+    for binding in bindings:
+        if binding not in seen:
+            seen.add(binding)
+            unique.append(binding)
+    return unique
 
 
 class SolutionSequence:
@@ -161,13 +340,7 @@ class SolutionSequence:
 
     def distinct(self) -> "SolutionSequence":
         """Return a copy with duplicate rows removed (first occurrence kept)."""
-        seen = set()
-        unique: List[Binding] = []
-        for binding in self.bindings:
-            if binding not in seen:
-                seen.add(binding)
-                unique.append(binding)
-        return SolutionSequence(self.variables, unique)
+        return SolutionSequence(self.variables, distinct_rows(self.bindings))
 
     def rows(self) -> List[Tuple[Optional[Term], ...]]:
         """Return rows as tuples aligned with ``self.variables``."""

@@ -23,10 +23,12 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import BGP, PathPattern, ProjectionItem, SelectQuery, TriplePatternNode
+from repro.sparql.alp import eval_path_pattern_terms
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
+from repro.sparql.solutions import Binding
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -193,6 +195,59 @@ class TestEngineSurface:
         assert list(engine.pair_ids(LinkPath(EX.never_seen), a, None)) == []
         pairs = list(engine.pair_ids(ZeroOrMorePath(LinkPath(EX.never_seen)), a, None))
         assert pairs == [(a, a)]
+
+
+class TestResultRowLayout:
+    """``evaluate`` fixes the variable order once per pattern: rows stay
+    sorted by name (what ``Binding`` equality and hashing rely on), on
+    the id engine and on the term-level procedure alike."""
+
+    TRIPLES = [
+        Triple(EX.a, EX.p, EX.b),
+        Triple(EX.b, EX.p, EX.a),
+        Triple(EX.b, EX.p, EX.c),
+    ]
+
+    def _rows(self, node):
+        by_id = IdPathEngine(EncodedGraph(self.TRIPLES)).evaluate(node)
+        by_term = eval_path_pattern_terms(node, Graph(self.TRIPLES))
+        assert Counter(by_id) == Counter(by_term)
+        for binding in by_id + by_term:
+            names = [variable.name for variable, _ in binding.items()]
+            assert names == sorted(set(names))
+            assert binding == Binding(binding.as_dict())
+            assert hash(binding) == hash(Binding(binding.as_dict()))
+        return Counter(by_id)
+
+    def test_subject_named_after_object(self):
+        plus = OneOrMorePath(LinkPath(EX.p))
+        forward = self._rows(PathPattern(X, plus, Y))
+        swapped = self._rows(PathPattern(Y, plus, X))
+        assert len(forward) == 6  # a and b each reach a, b, c; c reaches nothing
+        assert {(b[X], b[Y]) for b in forward} == {(b[Y], b[X]) for b in swapped}
+        assert all(binding.items()[0][0] == X for binding in swapped)
+
+    def test_same_variable_at_both_ends(self):
+        star = ZeroOrMorePath(LinkPath(EX.p))
+        rows = self._rows(PathPattern(X, star, X))
+        assert {binding.items() for binding in rows} == {
+            ((X, EX.a),), ((X, EX.b),), ((X, EX.c),)
+        }
+        plus = OneOrMorePath(LinkPath(EX.p))
+        assert {binding[X] for binding in self._rows(PathPattern(X, plus, X))} == {EX.a, EX.b}
+
+    def test_constant_endpoints(self):
+        plus = OneOrMorePath(LinkPath(EX.p))
+        assert {b.items() for b in self._rows(PathPattern(EX.a, plus, Y))} == {
+            ((Y, EX.a),), ((Y, EX.b),), ((Y, EX.c),)
+        }
+        assert {b.items() for b in self._rows(PathPattern(X, plus, EX.c))} == {
+            ((X, EX.a),), ((X, EX.b),)
+        }
+        # Both ends constant: one empty mapping per matching pair.
+        both = self._rows(PathPattern(EX.a, LinkPath(EX.p), EX.b))
+        assert both == Counter([Binding()])
+        assert not self._rows(PathPattern(EX.a, LinkPath(EX.p), EX.c))
 
 
 class TestReversePath:

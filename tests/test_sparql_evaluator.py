@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI, Literal, Triple
+from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.solutions import Binding, SolutionSequence
+from repro.store import EncodedGraph
 
 from tests.helpers import EX, countries_dataset, directors_dataset
 
@@ -163,6 +165,109 @@ class TestFiltersAndModifiers:
         )
         assert (EX.spain, EX.france) in result.to_set()
         assert all(row[0] in {EX.spain, EX.france} for row in result.rows())
+
+
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph])
+    def test_select_expression_reads_an_earlier_one(self, backend):
+        # SPARQL 1.1 §18.2.4.4: (expr AS ?v) extends the row, so a later
+        # select expression sees ?v.  Regression: every expression used
+        # to be evaluated against the original row, leaving ?c unbound.
+        graph = backend([Triple(EX.a, EX.p, Literal.from_python(2))])
+        result = run(
+            Dataset.from_graph(graph),
+            "SELECT ?s (?v + 1 AS ?b) (?b * 2 AS ?c) WHERE { ?s ex:p ?v }",
+        )
+        assert result.rows() == [(EX.a, Literal.from_python(3), Literal.from_python(6))]
+        # An errored expression leaves its variable unbound for the next.
+        result = run(
+            Dataset.from_graph(graph),
+            "SELECT (?s + 1 AS ?b) (?b * 2 AS ?c) (?v AS ?d) WHERE { ?s ex:p ?v }",
+        )
+        assert result.rows() == [(None, None, Literal.from_python(2))]
+
+
+class TestBinding:
+    """Value semantics of a row however it was built (lazy hash, sorted items)."""
+
+    A, B, C = (Variable(name) for name in "abc")
+
+    def _equal_rows(self):
+        A, B, C = self.A, self.B, self.C
+        full = Binding({C: EX.z, A: EX.x, B: EX.y})
+        return [
+            Binding({A: EX.x, B: EX.y}),
+            Binding({B: EX.y, A: EX.x}),
+            Binding.from_sorted_items(((A, EX.x), (B, EX.y))),
+            full.project([A, B]),
+            full.project(frozenset([B, A, Variable("unused")])),
+            Binding({A: EX.x}).merge(Binding({B: EX.y})),
+            Binding({B: EX.y}).merge(Binding({A: EX.x})),
+            Binding({A: EX.x, B: EX.y}).merge(Binding({B: EX.y})),
+            Binding({A: EX.x}).extend(B, EX.y),
+            Binding({B: EX.y}).extend(A, EX.x),
+            Binding({A: EX.x, B: EX.z}).extend(B, EX.y),
+            Binding({Variable("a"): EX.x, Variable("b"): EX.y}),
+        ]
+
+    def test_equal_rows_hash_equal_across_constructors(self):
+        rows = self._equal_rows()
+        for binding in rows:
+            assert binding == rows[0]
+            assert hash(binding) == hash(rows[0])
+            assert binding.items() == rows[0].items()
+        assert Binding({self.A: EX.x}) != rows[0]
+        assert Binding() == Binding.from_sorted_items(()) == rows[0].project([])
+        assert hash(Binding()) == hash(Binding.from_sorted_items(()))
+
+    def test_rows_are_counter_and_set_keys(self):
+        rows = self._equal_rows()
+        other = Binding({self.A: EX.x, self.B: EX.z})
+        assert Counter(rows + [other]) == {rows[0]: len(rows), other: 1}
+        assert set(rows) == {rows[3]}
+        assert len(SolutionSequence([self.A, self.B], rows + [other]).distinct()) == 2
+        assert SolutionSequence([self.A], rows) == SolutionSequence([self.A], rows[::-1])
+
+    def test_project_returns_self_when_nothing_is_dropped(self):
+        A, B, C = self.A, self.B, self.C
+        binding = Binding({A: EX.x, B: EX.y})
+        assert binding.project([A, B]) is binding
+        assert binding.project({A, B, C}) is binding
+        assert binding.project(iter([B, A])) is binding
+        narrowed = binding.project([B, C])
+        assert narrowed is not binding
+        assert narrowed.items() == ((B, EX.y),)
+
+    def test_merge_keeps_items_sorted_and_left_wins(self):
+        A, B, C = self.A, self.B, self.C
+        D = Variable("d")
+        merged = Binding({A: EX.x, C: EX.z}).merge(Binding({B: EX.y, D: EX.w}))
+        assert merged.items() == ((A, EX.x), (B, EX.y), (C, EX.z), (D, EX.w))
+        merged = Binding({B: EX.y, D: EX.w}).merge(Binding({A: EX.x, B: EX.other, C: EX.z}))
+        assert merged.items() == ((A, EX.x), (B, EX.y), (C, EX.z), (D, EX.w))
+        assert Binding({C: EX.z}).merge(Binding({A: EX.x})).items() == ((A, EX.x), (C, EX.z))
+        binding = Binding({A: EX.x})
+        assert binding.merge(Binding()) is binding
+        assert Binding().merge(binding) is binding
+
+    def test_extend_inserts_in_order_and_replaces(self):
+        A, B, C = self.A, self.B, self.C
+        binding = Binding({A: EX.x, C: EX.z})
+        assert binding.extend(B, EX.y).items() == ((A, EX.x), (B, EX.y), (C, EX.z))
+        assert binding.extend(Variable("0"), EX.y).items()[0] == (Variable("0"), EX.y)
+        assert binding.extend(Variable("d"), EX.y).items()[-1] == (Variable("d"), EX.y)
+        assert binding.extend(Variable("c"), EX.y).items() == ((A, EX.x), (C, EX.y))
+        assert binding.items() == ((A, EX.x), (C, EX.z))
+        assert Binding().extend(A, EX.x) == Binding({A: EX.x})
+
+    def test_lookup_by_equal_but_distinct_variable(self):
+        binding = Binding({self.A: EX.x})
+        assert binding[Variable("a")] == EX.x
+        assert binding.get(Variable("a")) == EX.x
+        assert Variable("a") in binding
+        assert Variable("b") not in binding
+        assert binding.get(Variable("b")) is None
+        with pytest.raises(KeyError):
+            binding[Variable("b")]
 
 
 class TestJoinSharedVariables:
