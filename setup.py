@@ -22,7 +22,6 @@ setup(
     packages=find_packages(where="src"),
     install_requires=[
         "numpy",
-        "networkx",
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],

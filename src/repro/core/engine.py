@@ -14,8 +14,9 @@ dataset has changed):
 Per query:
 
 2. T_Q translates the parsed query into rules,
-3. the Datalog engine evaluates only those rules on top of the
-   materialisation (which it reads and indexes but never writes),
+3. the Datalog engine evaluates only those rules — unfolded into the few
+   joins they describe, see :meth:`SparqLogEngine.explain` — on top of
+   the materialisation (which it reads and indexes but never writes),
 4. T_S converts the answer relation into a SPARQL solution sequence.
 
 A query with FROM / FROM NAMED clauses assembles its own active dataset
@@ -79,7 +80,8 @@ class SparqLogEngine:
         self.timeout_seconds = timeout_seconds
         self.max_facts = max_facts
         #: Optional span tracer: ``datalog.base`` when the materialisation
-        #: is (re)built, ``datalog.stratum`` per stratum of every query.
+        #: is (re)built, ``datalog.unfold`` and one ``datalog.stratum`` per
+        #: evaluated component for every query.
         self.tracer = tracer
         self._data_translator = DataTranslator()
         self._solution_translator = SolutionTranslator()
@@ -125,6 +127,44 @@ class SparqLogEngine:
         """Return only the rules generated by the query translation T_Q."""
         parsed = parse_query(query) if isinstance(query, str) else query
         return QueryTranslator().translate(parsed).program
+
+    def explain(self, query: Union[str, Query]) -> str:
+        """Render what is evaluated for ``query`` — not T_Q as written.
+
+        The query is evaluated with a tracer of its own and the spans are
+        rendered: how many T_Q rules were left after unfolding and which
+        predicates went, then every evaluated component in order with its
+        ``recursive`` flag, semi-naive rounds and derived tuples, and each
+        of its rules with the body in the order it ran in; ``[est n]``
+        after a positive atom is the row estimate it was chosen on.
+        """
+        parsed = parse_query(query) if isinstance(query, str) else query
+        program = QueryTranslator().translate(parsed).program
+        base = self._base_for(getattr(parsed, "dataset_clauses", ()))
+        tracer = Tracer("explain")
+        DatalogEngine(
+            max_facts=self.max_facts, timeout_seconds=self.timeout_seconds, tracer=tracer
+        ).materialise(program, base)
+        lines: List[str] = []
+        for span in tracer.spans:
+            args = span.args
+            if span.name == "datalog.unfold":
+                lines.append(
+                    f"unfold: {args['rules_before']} rules -> {args['rules_after']}"
+                    f" (unfolded: {', '.join(args['unfolded']) or 'none'})"
+                )
+            elif span.name == "datalog.stratum":
+                lines.append(
+                    f"component {', '.join(args['predicates'])}:"
+                    f" recursive={args['recursive']} rounds={args['rounds']}"
+                    f" derived={args['derived']}"
+                )
+                for plan in args["plans"]:
+                    lines.append(f"  {plan['head']} :-")
+                    for element, estimate in plan["body"]:
+                        suffix = "" if estimate is None else f"  [est {estimate:.4g}]"
+                        lines.append(f"    {element}{suffix}")
+        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # internal

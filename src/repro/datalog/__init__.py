@@ -14,11 +14,16 @@ The engine supports the language fragment SparqLog's translation targets:
 * aggregation rules (GROUP BY with COUNT / SUM / MIN / MAX / AVG),
 * `@output` / `@post` directives recorded on the program.
 
-Evaluation is bottom-up semi-naive per stratum, each rule compiled once
-per stratum; the evaluated state (a ``Materialisation``) can serve as the
-read-only base of further evaluations.  A wardedness analysis
-(:mod:`repro.datalog.wardedness`) checks the syntactic Warded Datalog±
-condition of the generated programs.
+Evaluation is bottom-up, one strongly connected component of the
+dependency graph after the other: a component without recursion runs each
+rule once, a recursive one semi-naive; each rule is compiled once.  A
+program that declares ``@output`` predicates is first unfolded
+(:mod:`repro.datalog.optimise`): single-rule predicates outside the answer
+are replaced by their bodies, so chains of one-rule-per-operator
+intermediates become joins the engine orders as a whole.  The evaluated
+state (a ``Materialisation``) can serve as the read-only base of further
+evaluations.  A wardedness analysis (:mod:`repro.datalog.wardedness`)
+checks the syntactic Warded Datalog± condition of the generated programs.
 """
 
 from repro.datalog.terms import Const, SkolemTerm, Var
@@ -34,6 +39,7 @@ from repro.datalog.rules import (
     Rule,
 )
 from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded, Materialisation
+from repro.datalog.optimise import unfold
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.wardedness import WardednessReport, analyze_wardedness
 
@@ -57,4 +63,5 @@ __all__ = [
     "WardednessReport",
     "analyze_wardedness",
     "stratify",
+    "unfold",
 ]

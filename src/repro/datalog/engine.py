@@ -1,11 +1,17 @@
-"""Bottom-up semi-naive evaluation of Datalog± programs.
+"""Bottom-up evaluation of Datalog± programs, semi-naive where recursive.
 
-The engine materialises the extension of every predicate, stratum by
-stratum.  Within a stratum, recursion is evaluated with the semi-naive
-(delta) technique; negated atoms, comparisons, assignments and embedded
-filter conditions are evaluated as soon as their variables are bound.
+The engine materialises the extension of every predicate, one strongly
+connected component of the dependency graph after the other (the finest
+stratification).  A component without recursion runs each of its rules
+exactly once; a recursive one is evaluated with the semi-naive (delta)
+technique.  Negated atoms, comparisons, assignments and embedded filter
+conditions are evaluated as soon as their variables are bound.  A program
+that declares ``@output`` predicates — T_Q always does — is first
+rewritten by :func:`repro.datalog.optimise.unfold`, so that what is
+evaluated is a few multi-atom joins rather than one materialised relation
+per algebra operator.
 
-Rules are *compiled once per stratum*: after :meth:`DatalogEngine._order_body`
+Rules are *compiled once per component*: after :meth:`DatalogEngine._order_body`
 has fixed the body order from the live relation sizes, every rule is
 lowered to a chain of closures over one register file (a plain list).
 Variables become register indexes and constants pre-filled registers, so
@@ -47,11 +53,17 @@ from repro.datalog.rules import (
     Rule,
     SkolemExpr,
 )
-from repro.datalog.stratify import stratify
-from repro.datalog.terms import Const, SkolemTerm, Var
+from repro.datalog.optimise import unfold
+from repro.datalog.stratify import components
+from repro.datalog.terms import SkolemTerm, Var, ground_value
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.rdf.terms import Literal, Term as RdfTerm, term_sort_key
-from repro.sparql.expressions import satisfies
+from repro.sparql.expressions import (
+    Comparison as FilterComparison,
+    TermExpr,
+    VariableExpr,
+    satisfies,
+)
 from repro.sparql.functions import ExpressionError, term_compare
 from repro.sparql.physical import select_cheapest
 from repro.sparql.solutions import Binding
@@ -206,13 +218,14 @@ class DatalogEngine:
     ) -> None:
         self.max_facts = max_facts
         self.timeout_seconds = timeout_seconds
-        #: Optional span tracer: one ``datalog.stratum`` span per stratum.
+        #: Optional span tracer: one ``datalog.unfold`` span per rewritten
+        #: program, one ``datalog.stratum`` span per evaluated component.
         self.tracer = tracer
         self._deadline: Optional[float] = None
         self._fact_count = 0
         self._probe_tick: Callable[[], int] = itertools.count(1).__next__
-        #: Semi-naive delta rounds executed across every stratum of the
-        #: last evaluation — an observability counter (the metrics
+        #: Semi-naive delta rounds executed across every recursive component
+        #: of the last evaluation — an observability counter (the metrics
         #: registry reads it through a callback), not a limit.
         self.fixpoint_iterations = 0
 
@@ -235,6 +248,12 @@ class DatalogEngine:
         The program may read the base's predicates but not define them
         (``ValueError``): the base is closed under its own rules, and a new
         fact below them would leave it stale.
+
+        A program with ``@output`` directives has named its answer, so it
+        is unfolded first (:func:`repro.datalog.optimise.unfold`): the
+        output predicates come out tuple for tuple as written, predicates
+        the rewrite replaced by their bodies are not materialised at all.
+        A program without directives is evaluated exactly as written.
         """
         self._deadline = (
             time.monotonic() + self.timeout_seconds
@@ -243,6 +262,32 @@ class DatalogEngine:
         )
         self._fact_count = base.fact_count
         self.fixpoint_iterations = 0
+        tracer = self.tracer
+
+        defined = {fact.predicate for fact in program.facts}
+        defined.update(rule.head.predicate for rule in program.rules)
+        defined.update(rule.head.predicate for rule in program.aggregate_rules)
+        clash = defined & base.relations.keys()
+        if clash:
+            raise ValueError(
+                f"program defines predicates of its base materialisation: {sorted(clash)}"
+            )
+
+        keep = program.output_predicates()
+        if keep:
+            # The program says which predicates are its answer: the others
+            # need not exist, and chains of them are evaluated as one join.
+            span = tracer.span("datalog.unfold", "datalog") if tracer is not None else NULL_SPAN
+            with span:
+                written, program = program, unfold(program, keep)
+                if tracer is not None:
+                    remaining = {rule.head.predicate for rule in program.rules}
+                    heads = dict.fromkeys(rule.head.predicate for rule in written.rules)
+                    span.annotate(
+                        rules_before=len(written.rules),
+                        rules_after=len(program.rules),
+                        unfolded=[head for head in heads if head not in remaining],
+                    )
 
         rules_by_head: Dict[str, List[Rule]] = defaultdict(list)
         for rule in program.rules:
@@ -250,50 +295,67 @@ class DatalogEngine:
         aggregates_by_head: Dict[str, List[AggregateRule]] = defaultdict(list)
         for aggregate_rule in program.aggregate_rules:
             aggregates_by_head[aggregate_rule.head.predicate].append(aggregate_rule)
-        defined = {fact.predicate for fact in program.facts}
-        defined.update(rules_by_head, aggregates_by_head)
-        clash = defined & base.relations.keys()
-        if clash:
-            raise ValueError(
-                f"program defines predicates of its base materialisation: {sorted(clash)}"
-            )
 
         relations: Dict[str, Relation] = dict(base.relations)
-        for predicate in program.predicates():
+        # An output predicate whose every rule the rewrite found unsatisfiable
+        # is mentioned nowhere any more; it is empty, not absent.
+        for predicate in (*program.predicates(), *keep):
             if predicate not in relations:
                 relations[predicate] = Relation()
         for fact in program.facts:
-            values = tuple(_ground_value(argument) for argument in fact.arguments)
+            values = tuple(ground_value(argument) for argument in fact.arguments)
             if relations[fact.predicate].add(values):
                 self._count_fact()
 
-        tracer = self.tracer
-        for stratum in stratify(program):
-            stratum_rules = [
-                rule for predicate in stratum for rule in rules_by_head.get(predicate, ())
+        for component in components(program):
+            rules = [
+                rule
+                for predicate in component.predicates
+                for rule in rules_by_head.get(predicate, ())
             ]
-            stratum_aggregates = [
+            aggregates = [
                 aggregate_rule
-                for predicate in sorted(stratum)
+                for predicate in component.predicates
                 for aggregate_rule in aggregates_by_head.get(predicate, ())
             ]
-            if not stratum_rules and not stratum_aggregates:
+            if not rules and not aggregates:
                 continue
             span = tracer.span("datalog.stratum", "datalog") if tracer is not None else NULL_SPAN
             with span:
                 self._check_limits()
                 rounds, facts = self.fixpoint_iterations, self._fact_count
-                # Aggregate rules first: their bodies live strictly below.
-                for aggregate_rule in stratum_aggregates:
-                    self._evaluate_aggregate_rule(aggregate_rule, relations)
-                if stratum_rules:
-                    self._fixpoint(stratum_rules, stratum, relations)
-                span.annotate(
-                    predicates=sorted(stratum & defined),
-                    rules=len(stratum_rules) + len(stratum_aggregates),
-                    rounds=self.fixpoint_iterations - rounds,
-                    derived=self._fact_count - facts,
-                )
+                # Everything read from outside the component is complete, so
+                # every body is ordered before anything runs.  Aggregate
+                # rules read strictly below their component.
+                volatile = component.predicates if component.recursive else ()
+                aggregate_bodies = [self._order_body(rule.body, relations) for rule in aggregates]
+                bodies = [self._order_body(rule.body, relations, volatile) for rule in rules]
+                for aggregate_rule, (body, _) in zip(aggregates, aggregate_bodies):
+                    self._evaluate_aggregate_rule(aggregate_rule, body, relations)
+                ordered = [(rule, body) for rule, (body, _) in zip(rules, bodies)]
+                if component.recursive:
+                    self._fixpoint(ordered, relations)
+                else:
+                    # No rule reads what another derives here: one pass each.
+                    for rule, body in ordered:
+                        self._compile_rule(rule, body, relations)()
+                if tracer is not None:
+                    span.annotate(
+                        predicates=sorted(component.predicates),
+                        recursive=component.recursive,
+                        rules=len(aggregates) + len(rules),
+                        rounds=self.fixpoint_iterations - rounds,
+                        derived=self._fact_count - facts,
+                        plans=[
+                            {
+                                "head": repr(rule.head),
+                                "body": [list(pair) for pair in zip(map(repr, body), estimates)],
+                            }
+                            for rule, (body, estimates) in zip(
+                                (*aggregates, *rules), (*aggregate_bodies, *bodies)
+                            )
+                        ],
+                    )
         return Materialisation(relations, self._fact_count)
 
     # ------------------------------------------------------------------
@@ -301,15 +363,15 @@ class DatalogEngine:
     # ------------------------------------------------------------------
     def _fixpoint(
         self,
-        rules: Sequence[Rule],
-        stratum: Set[str],
+        rules: Sequence[Tuple[Rule, List[BodyElement]]],
         relations: Dict[str, Relation],
     ) -> None:
+        """Semi-naive evaluation of a recursive component's ordered rules."""
         # Per head predicate the rows derived in the running round; per
         # recursive predicate the previous round's rows as a relation of
         # their own, refilled in place so each delta plan is compiled once
         # (when its delta is first non-empty: most never are).
-        fresh: Dict[str, List[GroundTuple]] = {rule.head.predicate: [] for rule in rules}
+        fresh: Dict[str, List[GroundTuple]] = {rule.head.predicate: [] for rule, _ in rules}
         deltas: Dict[str, Relation] = defaultdict(Relation)
         plans: List[Plan] = []
         delta_plans: List[Tuple[Relation, Plan]] = []
@@ -325,8 +387,7 @@ class DatalogEngine:
 
             return run
 
-        for rule in rules:
-            body = self._order_body(rule, relations, stratum)
+        for rule, body in rules:
             derived = fresh[rule.head.predicate]
             plans.append(self._compile_rule(rule, body, relations, fresh, derived))
             for position, element in enumerate(body):
@@ -353,91 +414,92 @@ class DatalogEngine:
 
     def _order_body(
         self,
-        rule: Rule,
-        relations: Optional[Dict[str, Relation]] = None,
-        volatile: Iterable[str] = (),
-    ) -> List[BodyElement]:
+        body: Sequence[BodyElement],
+        relations: Dict[str, Relation],
+        volatile: Sequence[str] = (),
+    ) -> Tuple[List[BodyElement], List[Optional[float]]]:
         """Greedy sideways-information-passing order for body evaluation.
 
-        Positive atoms are ordered by estimated candidate count — the same
-        cardinality/selectivity model the SPARQL BGP planner uses: relation
-        size divided by the distinct counts of bound positions.  Predicates
-        in ``volatile`` (the current stratum, whose extensions grow during
-        the fixpoint) are priced pessimistically so stable EDB atoms bind
-        variables first.  Negations, comparisons, assignments and filters
-        are still scheduled as soon as their input variables are bound.
-        When ``relations`` is omitted the estimates tie and atoms keep
-        source order (ties are broken by position, keeping ordering
-        deterministic).
-        """
-        volatile_set = set(volatile)
-        pending = list(rule.body)
-        ordered: List[BodyElement] = []
-        bound: Set[Var] = set()
-        while pending:
-            progressed = False
-            for element in list(pending):
-                if isinstance(element, Atom):
-                    # Atom choice goes through the shared greedy-ordering
-                    # helper of the physical layer — the same cost-first,
-                    # source-position-tie rule the BGP planner lowers with.
-                    atoms = [e for e in pending if isinstance(e, Atom)]
-                    best = select_cheapest(
-                        atoms,
-                        lambda atom: self._estimate_atom(
-                            atom, bound, relations, volatile_set
-                        ),
-                        pending.index,
-                    )
-                    ordered.append(best)
-                    bound |= best.variables()
-                    pending.remove(best)
-                    progressed = True
-                    break
-                required: Set[Var]
-                if isinstance(element, Assignment):
-                    required = element.input_variables()
-                else:
-                    required = element.variables()
-                if required <= bound:
-                    ordered.append(element)
-                    if isinstance(element, Assignment):
-                        bound.add(element.variable)
-                    pending.remove(element)
-                    progressed = True
-                    break
-            if not progressed:
-                # Schedule remaining non-atom elements anyway (they will be
-                # evaluated with whatever bindings exist; unbound comparisons
-                # fail, matching safe-rule expectations).
-                ordered.extend(pending)
-                break
-        return ordered
+        Returns the ordered body and, for every positive atom in it, the
+        estimate it was chosen on (``None`` for the other elements).
 
-    @staticmethod
-    def _estimate_atom(
-        atom: Atom,
-        bound: Set[Var],
-        relations: Optional[Dict[str, Relation]],
-        volatile: Set[str],
-    ) -> float:
-        """Estimate candidate rows for matching ``atom`` given bound vars."""
-        if relations is None:
-            return 1.0
-        if atom.predicate in volatile:
-            # Recursive predicate: its extension grows during the fixpoint,
-            # so price it above every stable relation.
-            total = sum(len(relation) for relation in relations.values())
-            return float(total) + 1.0
-        relation = relations.get(atom.predicate)
-        if relation is None or not len(relation):
-            return 0.0
-        estimate = float(len(relation))
-        for position, argument in enumerate(atom.arguments):
-            if isinstance(argument, Var) and argument not in bound:
-                continue
-            estimate /= max(1, relation.distinct_count(position))
-        return estimate
+        Negations, comparisons, assignments and filters are placed as soon
+        as their input variables are bound — before the next atom is
+        chosen, so a selection never waits behind a join.  Positive atoms
+        are then ordered by estimated candidate count: the rows agreeing
+        with the atom's constants (:func:`_matching_rows`), divided by the
+        distinct count of every position a bound variable fixes — the
+        independence model of the SPARQL BGP planner.  Predicates in
+        ``volatile`` (the heads of a recursive component, whose extensions
+        grow during the fixpoint) are priced pessimistically so stable
+        atoms bind variables first.  Ties are broken by source position,
+        keeping ordering deterministic.
+        """
+        pending = list(body)
+        ordered: List[BodyElement] = []
+        estimates: List[Optional[float]] = []
+        bound: Set[Var] = set()
+        # Per stable atom the rows agreeing with its constants; what the
+        # variables bound so far leave of them is worked out per choice.
+        matching = {
+            id(element): _matching_rows(element, relations[element.predicate])
+            for element in pending
+            if isinstance(element, Atom) and element.predicate not in volatile
+        }
+        # A recursive predicate's extension grows during the fixpoint, so
+        # it is priced above every stable relation.
+        ceiling = sum(len(relation) for relation in relations.values()) + 1.0 if volatile else 0.0
+
+        def estimate(atom: Atom) -> float:
+            rows = matching.get(id(atom))
+            if rows is None:
+                return ceiling
+            if rows:
+                relation = relations[atom.predicate]
+                for position, argument in enumerate(atom.arguments):
+                    if isinstance(argument, Var) and argument in bound:
+                        rows /= max(1, relation.distinct_count(position))
+            return rows
+
+        while pending:
+            placed = True
+            while placed:
+                placed = False
+                for element in pending:
+                    if isinstance(element, Atom):
+                        continue
+                    if isinstance(element, Assignment):
+                        required = element.input_variables()
+                    else:
+                        required = element.variables()
+                    if required <= bound:
+                        ordered.append(element)
+                        estimates.append(None)
+                        if isinstance(element, Assignment):
+                            bound.add(element.variable)
+                        pending.remove(element)
+                        placed = True
+                        break
+            atoms = [element for element in pending if isinstance(element, Atom)]
+            if not atoms:
+                # What is left waits for a variable nothing binds: it runs
+                # on whatever bindings exist (unbound comparisons fail,
+                # matching safe-rule expectations).
+                ordered.extend(pending)
+                estimates.extend([None] * len(pending))
+                break
+            # Atom choice goes through the shared greedy-ordering helper of
+            # the physical layer — the same cost-first, source-position-tie
+            # rule the BGP planner lowers with.
+            costs = [estimate(atom) for atom in atoms]
+            position, best = select_cheapest(
+                list(enumerate(atoms)), lambda item: costs[item[0]], itemgetter(0)
+            )
+            ordered.append(best)
+            estimates.append(costs[position])
+            bound |= best.variables()
+            pending.remove(best)
+        return ordered, estimates
 
     # ------------------------------------------------------------------
     # rule compilation
@@ -447,8 +509,8 @@ class DatalogEngine:
         rule: Rule,
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
-        growing: Iterable[str],
-        derived: List[GroundTuple],
+        growing: Iterable[str] = (),
+        derived: Optional[List[GroundTuple]] = None,
         delta_position: int = -1,
         delta: Optional[Relation] = None,
     ) -> Plan:
@@ -456,9 +518,10 @@ class DatalogEngine:
 
         Calling the plan enumerates the body depth-first — the atom at
         ``delta_position`` over ``delta``, every other atom over its full,
-        live relation — adds each new head tuple to the head relation and
-        appends it to ``derived``.  ``growing`` names the predicates other
-        plans of the stratum derive into meanwhile.
+        live relation — and adds each new head tuple to the head relation.
+        In a recursive component the new tuples are also appended to
+        ``derived`` (the next round's delta) and ``growing`` names the
+        predicates the component's plans derive into meanwhile.
         """
         registers = _RegisterFile()
         makers = self._lower_body(body, registers, relations, growing, delta_position, delta)
@@ -485,13 +548,20 @@ class DatalogEngine:
 
         head = _tuple_getter([registers.operand(argument) for argument in rule.head.arguments])
         add = relations[rule.head.predicate].add
-        count_fact, keep = self._count_fact, derived.append
+        count_fact = self._count_fact
 
-        def emit(regs: Registers) -> None:
-            row = head(regs)
-            if add(row):
-                count_fact()
-                keep(row)
+        if derived is None:
+            def emit(regs: Registers) -> None:
+                if add(head(regs)):
+                    count_fact()
+        else:
+            keep = derived.append
+
+            def emit(regs: Registers) -> None:
+                row = head(regs)
+                if add(row):
+                    count_fact()
+                    keep(row)
 
         return _link(makers, emit, registers)
 
@@ -615,12 +685,11 @@ class DatalogEngine:
     # aggregation
     # ------------------------------------------------------------------
     def _evaluate_aggregate_rule(
-        self, aggregate_rule: AggregateRule, relations: Dict[str, Relation]
+        self,
+        aggregate_rule: AggregateRule,
+        body: Sequence[BodyElement],
+        relations: Dict[str, Relation],
     ) -> None:
-        body = self._order_body(
-            Rule(aggregate_rule.head, aggregate_rule.body, label=aggregate_rule.label),
-            relations,
-        )
         registers = _RegisterFile()
         makers = self._lower_body(body, registers, relations)
         # Every body solution, as a copy of the whole register file.
@@ -645,7 +714,7 @@ class DatalogEngine:
             row: List[object] = []
             for argument in aggregate_rule.head.arguments:
                 if not isinstance(argument, Var):
-                    row.append(_ground_value(argument))
+                    row.append(ground_value(argument))
                 elif argument in group_variables:
                     row.append(key[group_variables.index(argument)])
                 elif argument in values_by_target:
@@ -670,12 +739,6 @@ class DatalogEngine:
     def _check_limits(self) -> None:
         if self._deadline is not None and time.monotonic() >= self._deadline:
             raise EvaluationLimitExceeded("evaluation timeout exceeded")
-
-
-def _ground_value(term):
-    if isinstance(term, Const):
-        return term.value
-    return term
 
 
 # ----------------------------------------------------------------------
@@ -706,7 +769,7 @@ class _RegisterFile:
         """The register to read ``term`` from."""
         if isinstance(term, Var):
             return self.slots.get(term, 0)
-        self.values.append(_ground_value(term))
+        self.values.append(ground_value(term))
         return len(self.values) - 1
 
 
@@ -717,6 +780,25 @@ def _link(makers: Sequence[StepMaker], last: Step, registers: _RegisterFile) -> 
         step = make(step)
     values = registers.values
     return lambda: step(values)
+
+
+def _matching_rows(atom: Atom, relation: Relation) -> float:
+    """How many rows of ``relation`` agree with the constants of ``atom``.
+
+    Counted, not estimated: the size of the constants' bucket in the index
+    on their positions.  Constants such as ``rdf:type`` and a class
+    correlate, so dividing by distinct counts can be off by orders of
+    magnitude.
+    """
+    positions = tuple(
+        position
+        for position, argument in enumerate(atom.arguments)
+        if not isinstance(argument, Var)
+    )
+    if not positions:
+        return float(len(relation))
+    key = _getter(positions)([ground_value(argument) for argument in atom.arguments])
+    return float(len(relation.index(positions).get(key, ())))
 
 
 def _lookup(relation: Relation, positions: Tuple[int, ...], snapshot: bool = False) -> Callable:
@@ -820,6 +902,35 @@ def _filter_step(condition: FilterCondition, registers: _RegisterFile) -> StepMa
         for variable, datalog_variable in condition.variable_map
         if datalog_variable in registers.slots
     }
+    if isinstance(expression, FilterComparison) and all(
+        isinstance(side, (VariableExpr, TermExpr)) for side in (expression.left, expression.right)
+    ):
+        # One comparison of variables / constants: no Binding, no interpreter.
+        # An unbound or non-RDF operand and a type error reject the row,
+        # as ``satisfies`` does.
+        operator = expression.operator
+        left, right = (
+            registers.operand(side.term)
+            if isinstance(side, TermExpr)
+            else slot_of.get(side.variable, 0)
+            for side in (expression.left, expression.right)
+        )
+
+        def make_comparison(next_step: Step) -> Step:
+            def step(regs: Registers) -> None:
+                first, second = regs[left], regs[right]
+                if isinstance(first, RdfTerm) and isinstance(second, RdfTerm):
+                    try:
+                        passed = term_compare(operator, first, second)
+                    except ExpressionError:
+                        return
+                    if passed:
+                        next_step(regs)
+
+            return step
+
+        return make_comparison
+
     pairs = sorted(slot_of.items(), key=lambda pair: pair[0].name)
 
     def make(next_step: Step) -> Step:

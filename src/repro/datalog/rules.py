@@ -191,26 +191,21 @@ class Rule:
         head variables are exempt.
         """
         bound: Set[Var] = set()
-        for atom in self.positive_atoms():
-            bound |= atom.variables()
         for element in self.body:
-            if isinstance(element, Assignment):
+            if isinstance(element, Atom):
+                bound.update(element.arguments)  # constants in it are harmless
+            elif isinstance(element, Assignment):
                 bound.add(element.variable)
-        existential = set(self.existential_variables)
-        for variable in self.head.variables():
-            if variable not in bound and variable not in existential:
+        for argument in self.head.arguments:
+            if (
+                isinstance(argument, Var)
+                and argument not in bound
+                and argument not in self.existential_variables
+            ):
                 return False
         for element in self.body:
-            if isinstance(element, Negation) and not element.variables() <= bound:
+            if isinstance(element, (Negation, Comparison)) and not element.variables() <= bound:
                 return False
-            if isinstance(element, Comparison):
-                free = {
-                    term
-                    for term in (element.left, element.right)
-                    if isinstance(term, Var)
-                }
-                if not free <= bound:
-                    return False
         return True
 
 

@@ -4,52 +4,125 @@ A program is stratifiable when no predicate depends on itself through
 negation (or through an aggregate).  The stratification assigns every
 predicate to a stratum such that positive dependencies stay within or
 below the stratum and negative/aggregate dependencies point strictly
-below.  Evaluation then proceeds stratum by stratum.
+below.
+
+Everything here comes from one Tarjan pass over the predicate dependency
+graph (:func:`components`): the strongly connected components in
+topological order — the finest stratification, which is what the engine
+evaluates and what the unfolding rewrite walks —, whether each is
+recursive, the negation-through-recursion check and the stratum numbers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
-import networkx as nx
-
-from repro.datalog.rules import AggregateRule, Negation, Program, Rule
+from repro.datalog.rules import Atom, Negation, Program
 
 
 class StratificationError(ValueError):
     """Raised when a program uses negation/aggregation through recursion."""
 
 
-def dependency_graph(program: Program) -> nx.DiGraph:
-    """Build the predicate dependency graph.
+class Component(NamedTuple):
+    """One strongly connected component of the dependency graph."""
 
-    Edges go from a body predicate to the head predicate.  Edges that stem
-    from negated body atoms or from aggregate rules are marked with
-    ``negative=True``.
+    predicates: Tuple[str, ...]
+    #: More than one predicate, or one that reads itself.
+    recursive: bool
+    #: Longest chain of negative/aggregate dependencies below it.
+    stratum: int
+
+
+def dependencies(program: Program) -> Dict[str, Dict[str, bool]]:
+    """Predicate -> the predicates its rules read -> read negatively?
+
+    Reads under negation and every read of an aggregate rule are negative.
+    Every predicate of the program is a key, in order of first mention
+    (rules, aggregate rules, then facts), so what is derived from the graph
+    does not depend on string hashing.
     """
-    graph = nx.DiGraph()
-    for predicate in program.predicates():
-        graph.add_node(predicate)
+    graph: Dict[str, Dict[str, bool]] = {}
     for rule in program.rules:
-        head = rule.head.predicate
+        reads = graph.setdefault(rule.head.predicate, {})
         for element in rule.body:
-            if isinstance(element, Negation):
-                _add_edge(graph, element.atom.predicate, head, negative=True)
-            elif hasattr(element, "predicate"):
-                _add_edge(graph, element.predicate, head, negative=False)
+            if isinstance(element, Atom):
+                reads.setdefault(element.predicate, False)
+            elif isinstance(element, Negation):
+                reads[element.atom.predicate] = True
     for aggregate_rule in program.aggregate_rules:
-        head = aggregate_rule.head.predicate
+        reads = graph.setdefault(aggregate_rule.head.predicate, {})
         for predicate in aggregate_rule.body_predicates():
-            _add_edge(graph, predicate, head, negative=True)
+            reads[predicate] = True
+    for reads in list(graph.values()):
+        for predicate in reads:
+            graph.setdefault(predicate, {})
+    for fact in program.facts:
+        graph.setdefault(fact.predicate, {})
     return graph
 
 
-def _add_edge(graph: nx.DiGraph, source: str, target: str, negative: bool) -> None:
-    if graph.has_edge(source, target):
-        if negative:
-            graph[source][target]["negative"] = True
-    else:
-        graph.add_edge(source, target, negative=negative)
+def components(program: Program) -> List[Component]:
+    """The strongly connected components, every one after those it reads.
+
+    Raises :class:`StratificationError` when a negative dependency lies
+    inside a component (negation through recursion).
+    """
+    graph = dependencies(program)
+    # Tarjan's algorithm with an explicit stack; following read edges, a
+    # component is complete only after everything it reads.
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stratum_of: Dict[str, int] = {}  # assigned when the component is complete
+    stack: List[str] = []
+    found: List[Component] = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, reads = work[-1]
+            for read in reads:
+                if read not in index:
+                    index[read] = low[read] = len(index)
+                    stack.append(read)
+                    work.append((read, iter(graph[read])))
+                    break
+                if read not in stratum_of and index[read] < low[node]:
+                    low[node] = index[read]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    found.append(_component(members[::-1], graph, stratum_of))
+    return found
+
+
+def _component(
+    members: List[str], graph: Dict[str, Dict[str, bool]], stratum_of: Dict[str, int]
+) -> Component:
+    inside = set(members)
+    stratum = 0
+    recursive = len(members) > 1
+    for member in members:
+        for read, negative in graph[member].items():
+            if read not in inside:
+                stratum = max(stratum, stratum_of[read] + negative)
+            elif negative:
+                raise StratificationError(
+                    f"negation through recursion between {read!r} and {member!r}"
+                )
+            else:
+                recursive = True
+    for member in members:
+        stratum_of[member] = stratum
+    return Component(tuple(members), recursive, stratum)
 
 
 def stratify(program: Program) -> List[Set[str]]:
@@ -59,55 +132,19 @@ def stratify(program: Program) -> List[Set[str]]:
     :class:`StratificationError` when a negative edge occurs inside a
     strongly connected component (negation through recursion).
     """
-    graph = dependency_graph(program)
-    condensation = nx.condensation(graph)
-    # Check: no negative edge within a strongly connected component.
-    for component in nx.strongly_connected_components(graph):
-        for source in component:
-            for target in graph.successors(source):
-                if target in component and graph[source][target].get("negative"):
-                    raise StratificationError(
-                        f"negation through recursion between {source!r} and {target!r}"
-                    )
-
-    # Assign stratum numbers: longest chain of negative edges below a node.
-    component_of: Dict[str, int] = {}
-    for component_id, data in condensation.nodes(data=True):
-        for predicate in data["members"]:
-            component_of[predicate] = component_id
-
-    stratum_of_component: Dict[int, int] = {}
-    for component_id in nx.topological_sort(condensation):
-        stratum = 0
-        members = condensation.nodes[component_id]["members"]
-        for predecessor_id in condensation.predecessors(component_id):
-            predecessor_members = condensation.nodes[predecessor_id]["members"]
-            negative = any(
-                graph[source][target].get("negative")
-                for source in predecessor_members
-                for target in members
-                if graph.has_edge(source, target)
-            )
-            candidate = stratum_of_component[predecessor_id] + (1 if negative else 0)
-            stratum = max(stratum, candidate)
-        stratum_of_component[component_id] = stratum
-
-    max_stratum = max(stratum_of_component.values(), default=0)
-    strata: List[Set[str]] = [set() for _ in range(max_stratum + 1)]
-    for predicate, component_id in component_of.items():
-        strata[stratum_of_component[component_id]].add(predicate)
+    strata: List[Set[str]] = [set()]
+    for component in components(program):
+        while len(strata) <= component.stratum:
+            strata.append(set())
+        strata[component.stratum].update(component.predicates)
     return strata
 
 
 def recursive_predicates(program: Program) -> Set[str]:
     """Return the predicates involved in a dependency cycle."""
-    graph = dependency_graph(program)
-    recursive: Set[str] = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            recursive |= component
-        else:
-            (predicate,) = component
-            if graph.has_edge(predicate, predicate):
-                recursive.add(predicate)
-    return recursive
+    return {
+        predicate
+        for component in components(program)
+        if component.recursive
+        for predicate in component.predicates
+    }

@@ -84,6 +84,13 @@ def is_ground(term: Term) -> bool:
     return not isinstance(term, Var)
 
 
+def ground_value(term):
+    """What a ground term is stored as in a relation: a constant's value."""
+    if isinstance(term, Const):
+        return term.value
+    return term
+
+
 def substitute(term: Term, substitution: dict) -> Term:
     """Apply a variable substitution to a term."""
     if isinstance(term, Var):

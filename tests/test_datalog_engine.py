@@ -317,16 +317,80 @@ class TestMaterialisation:
 
 class TestStratumSpans:
     def test_one_span_per_stratum_with_rules(self):
+        # One span per evaluated component: ``edge`` has no rules, so none.
         lower, upper = closure_program()
         lower.extend(upper)
         tracer = Tracer("datalog")
         DatalogEngine(tracer=tracer).evaluate(lower)
         spans = [span for span in tracer.spans if span.name == "datalog.stratum"]
-        assert [span.args["predicates"] for span in spans] == [["edge", "tc"], ["far"]]
+        assert [span.args["predicates"] for span in spans] == [["tc"], ["far"]]
+        assert [span.args["recursive"] for span in spans] == [True, False]
         assert [span.args["rules"] for span in spans] == [2, 1]
         assert [span.args["derived"] for span in spans] == [6, 3]
-        assert spans[0].args["rounds"] >= 1
+        assert spans[0].args["rounds"] >= 1 and spans[1].args["rounds"] == 0
+        assert [len(span.args["plans"]) for span in spans] == [2, 1]
         trace_to_dict(tracer, validate=True)
+
+
+def evaluated_bodies(program):
+    """Per evaluated rule the ordered body as ``(element, estimate)`` pairs."""
+    tracer = Tracer("order")
+    DatalogEngine(tracer=tracer).materialise(program)
+    return [
+        [tuple(pair) for pair in plan["body"]]
+        for span in tracer.spans
+        if span.name == "datalog.stratum"
+        for plan in span.args["plans"]
+    ]
+
+
+class TestBodyOrder:
+    """The order a body runs in, observed through ``materialise``."""
+
+    def test_small_relation_binds_before_the_big_one(self):
+        # Used to keep source order: every predicate of the stratum, EDB
+        # included, was priced as volatile, so all atoms tied.
+        program = Program()
+        for index in range(50):
+            program.add_fact(Atom("big", (c(index % 5), c(index))))
+        program.add_fact(Atom("small", (c(1),)))
+        program.add_fact(Atom("small", (c(2),)))
+        program.add_rule(Rule(Atom("out", (X, Y)), (Atom("big", (X, Y)), Atom("small", (X,)))))
+        (body,) = evaluated_bodies(program)
+        assert body == [("small(X)", 2.0), ("big(X, Y)", 10.0)]
+
+    def test_recursive_atom_is_priced_above_stable_ones(self):
+        program = edge_program([("a", "b"), ("b", "c")])
+        program.add_rule(Rule(Atom("tc", (X, Y)), (Atom("edge", (X, Y)),)))
+        program.add_rule(Rule(Atom("tc", (X, Z)), (Atom("tc", (Y, Z)), Atom("edge", (X, Y)))))
+        _, recursive = evaluated_bodies(program)
+        assert [element for element, _ in recursive] == ["edge(X, Y)", "tc(Y, Z)"]
+
+    def test_comparison_runs_as_soon_as_its_variable_is_bound(self):
+        # Used to wait for b(Y): a built-in was only placed when it preceded
+        # the next atom in source order.
+        program = Program()
+        for index in range(6):
+            program.add_fact(Atom("a", (c(index),)))
+            program.add_fact(Atom("b", (c(index),)))
+        program.add_rule(
+            Rule(Atom("out", (X, Y)), (Atom("a", (X,)), Atom("b", (Y,)), Comparison("<", X, c(3))))
+        )
+        (body,) = evaluated_bodies(program)
+        assert [element for element, _ in body] == ["a(X)", "X < «3»", "b(Y)"]
+        assert len(DatalogEngine().evaluate(program)["out"]) == 18
+
+    def test_constants_are_priced_by_their_bucket(self):
+        # 1000 rows, 3 of them (S, "c1", "c2"): dividing 1000 by the distinct
+        # counts of both positions says 0.001 rows.
+        program = Program()
+        for index in range(997):
+            program.add_fact(Atom("t", (c(index), c(index), c(index))))
+        for index in range(3):
+            program.add_fact(Atom("t", (c(index), c("c1"), c("c2"))))
+        program.add_rule(Rule(Atom("out", (X,)), (Atom("t", (X, c("c1"), c("c2"))),)))
+        (body,) = evaluated_bodies(program)
+        assert body == [("t(X, «'c1'», «'c2'»)", 3.0)]
 
 
 class TestStratification:

@@ -4,6 +4,7 @@ import string
 from collections import Counter
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.native import NativeSparqlEngine
@@ -18,6 +19,12 @@ from repro.datalog.rules import (
     Negation,
     Program,
     Rule,
+)
+from repro.datalog.stratify import (
+    StratificationError,
+    components,
+    recursive_predicates,
+    stratify,
 )
 from repro.datalog.terms import Const, Var
 from repro.rdf.graph import Dataset, Graph
@@ -157,6 +164,82 @@ class TestDatalogClosureProperties:
                 expected.add((source, successor))
         computed = relations.get("tc", set())
         assert computed == expected
+
+
+# ----------------------------------------------------------------------
+# Stratification vs networkx
+# ----------------------------------------------------------------------
+_PREDICATES = [f"p{i}" for i in range(7)]
+
+
+def _networkx_strata(graph: nx.DiGraph):
+    """Strata from ``networkx``'s condensation (edges body -> head); ``None``
+    when a negative edge lies inside a strongly connected component."""
+    condensation = nx.condensation(graph)
+    component_of = condensation.graph["mapping"]
+    for source, target, negative in graph.edges(data="negative"):
+        if negative and component_of[source] == component_of[target]:
+            return None
+    stratum = {}
+    for component in nx.topological_sort(condensation):
+        stratum[component] = max(
+            (
+                stratum[component_of[source]] + negative
+                for member in condensation.nodes[component]["members"]
+                for source, _, negative in graph.in_edges(member, data="negative")
+                if component_of[source] != component
+            ),
+            default=0,
+        )
+    strata = [set() for _ in range(max(stratum.values(), default=0) + 1)]
+    for predicate, component in component_of.items():
+        strata[stratum[component]].add(predicate)
+    return strata
+
+
+class TestStratificationProperties:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_PREDICATES), st.sampled_from(_PREDICATES), st.booleans()),
+            max_size=14,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_components_and_strata_match_networkx(self, edges):
+        X = Var("X")
+        program = Program()
+        graph = nx.DiGraph()
+        for body, head, negative in edges:
+            read = Atom(body, (X,))
+            program.add_rule(Rule(Atom(head, (X,)), (Negation(read) if negative else read,)))
+            negative = negative or graph.get_edge_data(body, head, {}).get("negative", False)
+            graph.add_edge(body, head, negative=negative)
+
+        expected = _networkx_strata(graph)
+        if expected is None:
+            for function in (components, stratify, recursive_predicates):
+                with pytest.raises(StratificationError):
+                    function(program)
+            return
+        assert stratify(program) == expected
+
+        found = components(program)
+        assert sorted(sorted(component.predicates) for component in found) == sorted(
+            sorted(members) for members in nx.strongly_connected_components(graph)
+        )
+        position = {
+            predicate: index
+            for index, component in enumerate(found)
+            for predicate in component.predicates
+        }
+        assert all(position[body] <= position[head] for body, head in graph.edges)
+        cyclic = {
+            predicate
+            for members in nx.strongly_connected_components(graph)
+            if len(members) > 1 or graph.has_edge(*members, *members)
+            for predicate in members
+        }
+        assert recursive_predicates(program) == cyclic
 
 
 # ----------------------------------------------------------------------

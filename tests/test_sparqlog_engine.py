@@ -1,5 +1,7 @@
 """Tests for the SparqLog engine façade and the solution translation."""
 
+import re
+
 import pytest
 
 from collections import Counter
@@ -15,6 +17,7 @@ from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
+from repro.workloads.sp2bench import SP2BenchWorkload
 
 from tests.helpers import (
     EX,
@@ -164,6 +167,91 @@ class TestMaterialisedDataset:
         assert any(span.parent is bases[0] for span in strata)
         assert any(span.parent is None for span in strata)
         trace_to_dict(tracer, validate=True)
+
+
+def people_graph() -> Graph:
+    graph = Graph()
+    for index in range(6):
+        graph.add(Triple(EX[f"n{index}"], EX.p, EX[f"n{index + 1}"]))
+        graph.add(Triple(EX[f"n{index}"], EX.age, Literal.from_python(20 + index)))
+    graph.add(Triple(EX.n0, EX.knows, EX.n3))
+    graph.add(Triple(EX.n1, EX.knows, EX.n3))
+    return graph
+
+
+class TestWhatIsEvaluated:
+    """T_Q is unfolded before it runs; counts and ``explain``, no wall clock."""
+
+    def test_bgp_queries_run_one_rule_and_derive_only_answers(self):
+        # q4 / q5a: eight- and six-pattern BGPs under a FILTER, 17 and 13
+        # T_Q rules whose intermediates used to be materialised one by one.
+        workload = SP2BenchWorkload(scale=0.05)
+        queries = {query.query_id: query.text for query in workload.queries()}
+        for query_id, rules_written in (("q4", 17), ("q5a", 13)):
+            tracer = Tracer(query_id)
+            engine = SparqLogEngine(workload.dataset(), tracer=tracer)
+            engine.query("ASK { ?s ?p ?o }")  # closes the dataset
+            del tracer.spans[:]
+            answers = engine.query(queries[query_id])
+            (unfolding,) = [span for span in tracer.spans if span.name == "datalog.unfold"]
+            assert unfolding.args["rules_before"] == rules_written
+            assert unfolding.args["rules_after"] == 1
+            assert len(unfolding.args["unfolded"]) == rules_written - 1
+            (component,) = [span for span in tracer.spans if span.name == "datalog.stratum"]
+            assert component.args["rules"] == 1 and not component.args["recursive"]
+            assert len(answers) > 0 and component.args["derived"] == len(answers)
+            trace_to_dict(tracer, validate=True)
+
+    def test_delta_rounds_only_where_there_is_recursion(self):
+        workload = SP2BenchWorkload(scale=0.05)
+        engine = SparqLogEngine(workload.dataset())
+        for query in workload.queries():
+            engine.query(query.text)
+            assert engine.last_fixpoint_iterations == 0, query.query_id
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()))
+        assert len(engine.query(PREFIX + "SELECT ?x WHERE { ex:n1 ex:p+ ?x }")) == 5
+        assert engine.last_fixpoint_iterations >= 1
+
+    def test_translate_and_query_program_still_return_t_q_as_written(self):
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()))
+        query = PREFIX + "SELECT ?x WHERE { ?x ex:p ?y . ?y ex:p ?z }"
+        engine.query(query)
+        assert len(engine.query_program(query).rules) == 4
+        program, translation = engine.translate(query)
+        assert {"ans1", "ans2", "ans3", translation.answer_predicate} <= program.predicates()
+
+    def test_explain_bgp_with_filter(self):
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()))
+        text = engine.explain(
+            PREFIX
+            + "SELECT DISTINCT ?x ?a WHERE { ?x ex:p ?y . ?x ex:knows ?z . ?x ex:age ?a FILTER(?a > 20) }"
+        )
+        assert text == """\
+unfold: 7 rules -> 1 (unfolded: ans1, ans2, ans3, ans4, ans5, ans6)
+component select7: recursive=False rounds=0 derived=1
+  select7(V_a, V_x, D) :-
+    D := «'default'»
+    triple(V_x, «<http://ex.org/knows>», V_z, «'default'»)  [est 2]
+    triple(V_x, «<http://ex.org/p>», V_y, «'default'»)  [est 1]
+    triple(V_x, «<http://ex.org/age>», V_a, «'default'»)  [est 1]
+    filter[Comparison(operator='>', left=?a, right="20"^^<http://www.w3.org/2001/XMLSchema#integer>)]"""
+
+    def test_explain_recursive_path(self):
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()))
+        text = engine.explain(PREFIX + "SELECT DISTINCT ?x ?y WHERE { ?x ex:p+ ?y }")
+        # How many delta rounds the closure takes depends on set iteration order.
+        assert re.sub(r"rounds=[1-9]\d*", "rounds=N", text) == """\
+unfold: 5 rules -> 3 (unfolded: path1, ans3)
+component path2: recursive=True rounds=N derived=21
+  path2(X, Y, «'default'») :-
+    triple(X, «<http://ex.org/p>», Y, «'default'»)  [est 6]
+  path2(X, Z, «'default'») :-
+    triple(X, «<http://ex.org/p>», Y, «'default'»)  [est 6]
+    path2(Y, Z, «'default'»)  [est 110]
+component select4: recursive=False rounds=0 derived=21
+  select4(V_x, V_y, D) :-
+    D := «'default'»
+    path2(V_x, V_y, «'default'»)  [est 21]"""
 
 
 class TestDatasetClauses:
