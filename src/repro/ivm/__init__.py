@@ -1,7 +1,7 @@
 """Incremental view maintenance (IVM) over the physical operator layer.
 
 Z-set (weighted-multiset) deltas flow from the stores' change-capture
-hooks through differentiated physical operators into continuously
+hooks through differentiated physical plans into continuously
 maintained materialized views:
 
 * :mod:`repro.ivm.zset` — the ±weighted-row primitives,
@@ -23,15 +23,7 @@ The public entry point is the engine facade::
     view.rows()   # always current, maintained in O(|change|)
 """
 
-from repro.ivm.delta import (
-    DeltaFilter,
-    DeltaJoin,
-    DeltaPipeline,
-    DeltaProject,
-    DeltaScan,
-    DeltaStats,
-    differentiate,
-)
+from repro.ivm.delta import DeltaPipeline, DeltaStats, differentiate
 from repro.ivm.views import MaterializedView, ViewRegistry
 from repro.ivm.zset import (
     ZSet,
@@ -44,11 +36,7 @@ from repro.ivm.zset import (
 )
 
 __all__ = [
-    "DeltaFilter",
-    "DeltaJoin",
     "DeltaPipeline",
-    "DeltaProject",
-    "DeltaScan",
     "DeltaStats",
     "MaterializedView",
     "ViewRegistry",

@@ -1,4 +1,4 @@
-"""Differentiated physical operators: O(|Δ|) maintenance of BGP views.
+"""Differentiated BGP plans: O(|Δ|) maintenance of join views.
 
 The physical layer (:mod:`repro.sparql.physical`) executes a BGP as a
 ``Project ∘ Filter? ∘ IndexNestedLoopJoin`` DAG over ``Scan`` leaves.
@@ -22,11 +22,27 @@ position::
 
 The listener protocol delivers batches *after* the store mutated, so the
 live graph is ``G_m`` and the intermediate states are virtual.  They are
-reconstructed with a *corrections overlay*: a ``Triple -> ±1`` adjustment
-dict holding the not-yet-processed suffix of the batch negated
-(``G_k = G_m − Σ_{j>k} w_j·t_j``), consulted by :class:`DeltaScan` on
-every probe.  Because change capture only fires on effective transitions,
-presence under any overlay stays in ``{0, 1}``.
+reconstructed with a *corrections overlay* per side of the seed — the
+triples a virtual state lacks although the store has them, and those it
+has although the store does not (``G_k = G_m − Σ_{j>k} w_j·t_j``) —
+consulted on every probe.  Because change capture only fires on effective
+transitions, presence under any overlay stays in ``{0, 1}``.
+
+**One join, compiled once, in the store's key space.**  Each seed
+position is compiled when the pipeline is built into a chain of step
+closures over one register list (the :mod:`repro.sparql.idexec` model):
+per step the three registers the probe reads (a constant's, a bound
+variable's, or the always-``None`` one), the registers a match writes,
+the repeated-variable checks, the side whose overlay applies and the
+FILTER conjuncts that become decidable there.  What the registers hold
+is chosen by the store (:class:`KeySpace`): term ids on a
+dictionary-encoded store, where probes are ``match_triple_ids`` and
+conjuncts the id-space comparison kernels, and the terms themselves
+otherwise.  Changed triples are translated to keys on entry, delta rows
+accumulate as key tuples, and only rows with a non-zero net weight are
+decoded.  Pattern constants resolve lazily — one that is in no triple
+yet matches nothing and is looked up again on the next batch — so a
+compiled pipeline stays valid for the life of its graph.
 
 Plans containing a :class:`~repro.sparql.physical.LeapfrogJoin` or
 :class:`~repro.sparql.physical.PathExpand` operator are not
@@ -37,18 +53,14 @@ layer (:mod:`repro.ivm.views`) falls back to scoped re-evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Triple, Variable
-from repro.sparql import physical
+from repro.sparql import idexec, physical
 from repro.sparql.expressions import Expression, satisfies
-from repro.sparql.plan import match_triple
 from repro.sparql.solutions import Binding, EMPTY_BINDING
-from repro.ivm.zset import ZSet, zset_add
-
-#: A corrections overlay: triple -> presence adjustment vs. the live graph
-#: (+1 = treat as present although absent, -1 = treat as absent).
-Overlay = Dict[Triple, int]
+from repro.ivm.zset import ZSet
 
 #: One change-capture batch, as delivered by the store listeners.
 DeltaBatch = Sequence[Tuple[Triple, int]]
@@ -56,41 +68,29 @@ DeltaBatch = Sequence[Tuple[Triple, int]]
 #: A view delta: result row (terms aligned with the projection) -> weight.
 RowDelta = ZSet
 
+#: What a register holds for a term: its id on an id store, else the term.
+Key = object
+KeyTriple = Tuple[Key, Key, Key]
+Registers = List[object]
+Step = Callable[[Registers], None]
+Test = Callable[[Registers], bool]
+#: Per seed position: the conjuncts decidable on the seed alone, then the
+#: remaining plan positions in probe order, each with the conjuncts that
+#: become decidable there.
+ProbeOrder = Tuple[Tuple[Expression, ...], Tuple[Tuple[int, Tuple[Expression, ...]], ...]]
 
-def _unify(pattern: Triple, triple: Triple, binding: Binding) -> Optional[Binding]:
-    """Extend ``binding`` so that ``pattern`` matches exactly ``triple``.
+# Register file: the id executor's header (the conjunct kernels count
+# their term fallbacks in it), then what one batch brings along;
+# constants and variables are allocated behind by the compiler.
+_FREE = len(idexec.HEADER)  #: always ``None``: what a free pattern position reads
+_WEIGHT = _FREE + 1  #: weight of the change being joined
+_DELTA = _FREE + 2  #: key row -> weight accumulated over the batch
+_NEW = _FREE + 3  #: overlay of ``G_k``: absent set here, present dict behind it
+_OLD = _FREE + 5  #: overlay of ``G_{k-1}``, same layout
 
-    Returns ``None`` when a constant or an already-bound (or repeated)
-    variable disagrees with the corresponding component of ``triple``.
-    """
-    mapping: Dict[Variable, Term] = {}
-    for pattern_part, triple_part in zip(pattern, triple):
-        if isinstance(pattern_part, Variable):
-            bound = binding.get(pattern_part)
-            if bound is None:
-                bound = mapping.get(pattern_part)
-            if bound is None:
-                mapping[pattern_part] = triple_part
-            elif bound != triple_part:
-                return None
-        elif pattern_part != triple_part:
-            return None
-    return binding.merge(Binding(mapping)) if mapping else binding
-
-
-def _ground(pattern: Triple, binding: Binding) -> Triple:
-    """Substitute ``binding`` into ``pattern`` (every variable bound)."""
-    return Triple(
-        binding.get(pattern.subject)
-        if isinstance(pattern.subject, Variable)
-        else pattern.subject,
-        binding.get(pattern.predicate)
-        if isinstance(pattern.predicate, Variable)
-        else pattern.predicate,
-        binding.get(pattern.object)
-        if isinstance(pattern.object, Variable)
-        else pattern.object,
-    )
+#: Held by the register of a pattern constant that is in no triple yet:
+#: equal to no key, and a probe on it finds nothing.
+_UNRESOLVED = object()
 
 
 @dataclass
@@ -103,188 +103,193 @@ class DeltaStats:
     rows: int = 0
 
 
-class DeltaFilter:
-    """Differentiated ``Filter``: the same conjuncts, applied per delta row.
+class KeySpace(NamedTuple):
+    """How one store backend is joined: what a key is, and four callables."""
 
-    Selections are linear operators, so the delta of a filter is the
-    filter of the delta — the conditions simply run against each candidate
-    binding of the differentiated join.
-    """
-
-    __slots__ = ("conditions",)
-
-    def __init__(self, conditions: Tuple[Expression, ...]) -> None:
-        self.conditions = conditions
-
-    def accepts(self, binding: Binding) -> bool:
-        return all(satisfies(condition, binding) for condition in self.conditions)
+    name: str  #: ``"id"`` or ``"term"``
+    #: Term -> key; ``None`` while the term is in no triple of the store.
+    key_of: Callable[[Term], Optional[Key]]
+    #: Index probe on three keys (``None`` = wildcard) -> key triples.
+    match: Callable[[Optional[Key], Optional[Key], Optional[Key]], Iterable[KeyTriple]]
+    #: ``(conjuncts, register_of, bound)`` -> one test over the registers.
+    conditions: Callable[[Sequence[Expression], Dict[Variable, int], Set[Variable]], Optional[Test]]
+    decode: Callable[[Key], Term]
 
 
-class DeltaScan:
-    """Differentiated ``Scan``: pattern matching under a corrections overlay.
-
-    Two roles, mirroring the two factor kinds of the maintenance rule:
-    :meth:`seed` unifies the pattern against the changed triple itself
-    (the ``δ_i`` factor), :meth:`matches` probes the live graph adjusted
-    by an overlay to act as the virtual old/new state (the ``p_j``
-    factors).
-    """
-
-    __slots__ = ("pattern", "filter")
-
-    def __init__(self, pattern: Triple, delta_filter: Optional[DeltaFilter]) -> None:
-        self.pattern = pattern
-        self.filter = delta_filter
-
-    def seed(self, triple: Triple, binding: Binding) -> Optional[Binding]:
-        return _unify(self.pattern, triple, binding)
-
-    def matches(
-        self, graph, binding: Binding, overlay: Overlay
-    ) -> Iterator[Binding]:
-        if not overlay:
-            yield from match_triple(graph, self.pattern, binding)
-            return
-        removed = {triple for triple, adjust in overlay.items() if adjust < 0}
-        for extended in match_triple(graph, self.pattern, binding):
-            if removed and _ground(self.pattern, extended) in removed:
-                continue
-            yield extended
-        for triple, adjust in overlay.items():
-            if adjust > 0:
-                extended = _unify(self.pattern, triple, binding)
-                if extended is not None:
-                    yield extended
+def _id_space(graph) -> KeySpace:
+    dictionary = graph.dictionary
+    return KeySpace(
+        "id",
+        dictionary.id_for,
+        # Read off the instance per probe: enable_counters() shadows it there.
+        lambda subject, predicate, obj: graph.match_triple_ids(subject, predicate, obj),
+        lambda conditions, register_of, bound: idexec.compile_conditions(
+            conditions, dictionary, register_of, bound
+        ),
+        dictionary.term,
+    )
 
 
-class DeltaProject:
-    """Differentiated ``Project``: bindings to projection-aligned rows.
+def _term_space(graph) -> KeySpace:
+    def identity(term: Term) -> Term:
+        return term
 
-    Projection is linear too; weights of distinct bindings collapsing to
-    one row accumulate in the output Z-set.
-    """
-
-    __slots__ = ("variables",)
-
-    def __init__(self, variables: Tuple[Variable, ...]) -> None:
-        self.variables = variables
-
-    def row(self, binding: Binding) -> Tuple[Optional[Term], ...]:
-        return tuple(binding.get(variable) for variable in self.variables)
+    return KeySpace(
+        "term",
+        identity,
+        lambda subject, predicate, obj: map(tuple, graph.triples(subject, predicate, obj)),
+        _term_conditions,
+        identity,
+    )
 
 
-class DeltaJoin:
-    """Differentiated ``IndexNestedLoopJoin`` over :class:`DeltaScan` steps.
+def _term_conditions(
+    conditions: Sequence[Expression], register_of: Dict[Variable, int], bound: Set[Variable]
+) -> Optional[Test]:
+    """The conjuncts on a :class:`Binding` of just the variables they read."""
+    if not conditions:
+        return None
+    mentioned = set().union(*(condition.variables() for condition in conditions))
+    needed = tuple(
+        (variable, register_of[variable])
+        for variable in sorted(mentioned & bound, key=lambda v: v.name)
+    )
+    from_sorted = Binding.from_sorted_items
 
-    For one change ``(t, w)`` the join emits, per seed position ``i``, the
-    bindings of ``p_{<i}(new) ⋈ δ_i(t) ⋈ p_{>i}(old)``.  The overlay a
-    factor sees is fixed by its *plan* position relative to the seed, but
-    the *evaluation* order is not: joins commute, and walking the plan
-    left-to-right would probe positions before the seed completely
-    unbound — an O(|G|) scan per change.  Instead each seed gets a
-    statically precomputed order: the seed binds first (O(1) unification
-    against the changed triple), then the remaining steps greedily by
-    how many of their components are already bound, with every FILTER
-    conjunct re-anchored to the earliest point its variables are all
-    bound.  Per-change work is then proportional to the bindings joined
-    through the changed triple, not to the graph.
-    """
-
-    __slots__ = ("steps", "_plans")
-
-    def __init__(self, steps: Sequence[DeltaScan]) -> None:
-        self.steps = tuple(steps)
-        self._plans = tuple(
-            self._order_for(seed) for seed in range(len(self.steps))
+    def test(registers: Registers) -> bool:
+        binding = from_sorted(
+            tuple([(variable, registers[register]) for variable, register in needed])
         )
+        for condition in conditions:
+            if not satisfies(condition, binding):
+                return False
+        return True
 
-    @staticmethod
-    def _pattern_variables(pattern: Triple) -> set:
-        return {part for part in pattern if isinstance(part, Variable)}
+    return test
 
-    def _order_for(self, seed: int):
-        """Static evaluation order for one seed position.
 
-        Returns ``(seed_conditions, order)`` where ``order`` is a tuple
-        of ``(plan_position, conditions)`` pairs: the position to probe
-        next and the filter conjuncts that become fully bound there.
-        """
-        steps = self.steps
-        pending = [
-            (condition, condition.variables())
-            for step in steps
-            if step.filter is not None
-            for condition in step.filter.conditions
-        ]
-        bound = set(self._pattern_variables(steps[seed].pattern))
+def _pattern_variables(pattern: Triple) -> Set[Variable]:
+    return {part for part in pattern if isinstance(part, Variable)}
 
-        def take_ready() -> Tuple[Expression, ...]:
-            ready = tuple(c for c, vs in pending if vs <= bound)
-            pending[:] = [(c, vs) for c, vs in pending if not vs <= bound]
-            return ready
 
-        seed_conditions = take_ready()
-        remaining = [i for i in range(len(steps)) if i != seed]
-        order: List[Tuple[int, Tuple[Expression, ...]]] = []
-        while remaining:
+def _probe_order(
+    patterns: Sequence[Triple], conditions: Sequence[Expression], seed: int
+) -> ProbeOrder:
+    """Static evaluation order for one seed position.
 
-            def bound_components(position: int) -> Tuple[bool, int]:
-                pattern = steps[position].pattern
-                score = sum(
-                    1
-                    for part in pattern
-                    if not isinstance(part, Variable) or part in bound
-                )
-                connected = bool(self._pattern_variables(pattern) & bound)
-                return (connected, score)
+    The overlay a factor sees is fixed by its *plan* position relative
+    to the seed, but the *evaluation* order is not: joins commute, and
+    walking the plan left-to-right would probe positions before the seed
+    completely unbound — an O(|G|) scan per change.  Instead the seed
+    binds first (O(1) unification against the changed triple), then the
+    remaining positions greedily by how many of their components are
+    already bound, with every FILTER conjunct re-anchored to the earliest
+    point its variables are all bound.  Per-change work is then
+    proportional to the bindings joined through the changed triple, not
+    to the graph.
+    """
+    pending = [(condition, condition.variables()) for condition in conditions]
+    bound = _pattern_variables(patterns[seed])
 
-            best = max(remaining, key=bound_components)
-            remaining.remove(best)
-            bound |= self._pattern_variables(steps[best].pattern)
-            order.append((best, take_ready()))
-        if pending:  # defensive: conjuncts with variables the BGP never binds
-            leftovers = tuple(c for c, _ in pending)
-            if order:
-                position, conditions = order[-1]
-                order[-1] = (position, conditions + leftovers)
-            else:
-                seed_conditions += leftovers
-        return seed_conditions, tuple(order)
+    def take_ready() -> Tuple[Expression, ...]:
+        ready = tuple(c for c, vs in pending if vs <= bound)
+        pending[:] = [(c, vs) for c, vs in pending if not vs <= bound]
+        return ready
 
-    def deltas(
-        self,
-        graph,
-        triple: Triple,
-        new_overlay: Overlay,
-        old_overlay: Overlay,
-        stats: DeltaStats,
-    ) -> Iterator[Binding]:
-        steps = self.steps
+    seed_conditions = take_ready()
+    remaining = [i for i in range(len(patterns)) if i != seed]
+    order: List[Tuple[int, Tuple[Expression, ...]]] = []
+    while remaining:
 
-        for seed in range(len(steps)):
-            seeded = steps[seed].seed(triple, EMPTY_BINDING)
-            if seeded is None:
-                continue
-            seed_conditions, order = self._plans[seed]
-            if not all(satisfies(c, seeded) for c in seed_conditions):
-                continue
-            stats.seed_matches += 1
+        def bound_components(position: int) -> Tuple[bool, int]:
+            pattern = patterns[position]
+            score = sum(
+                1 for part in pattern if not isinstance(part, Variable) or part in bound
+            )
+            return (bool(_pattern_variables(pattern) & bound), score)
 
-            def expand(index: int, binding: Binding) -> Iterator[Binding]:
-                if index == len(order):
-                    yield binding
-                    return
-                position, conditions = order[index]
-                step = steps[position]
-                overlay = new_overlay if position < seed else old_overlay
-                for extended in step.matches(graph, binding, overlay):
-                    if conditions and not all(
-                        satisfies(c, extended) for c in conditions
-                    ):
-                        continue
-                    yield from expand(index + 1, extended)
+        best = max(remaining, key=bound_components)
+        remaining.remove(best)
+        bound |= _pattern_variables(patterns[best])
+        order.append((best, take_ready()))
+    if pending:  # conjuncts with variables the BGP never binds
+        leftovers = tuple(c for c, _ in pending)
+        if order:
+            position, anchored = order[-1]
+            order[-1] = (position, anchored + leftovers)
+        else:
+            seed_conditions += leftovers
+    return seed_conditions, tuple(order)
 
-            yield from expand(0, seeded)
+
+Unifier = Callable[[Registers, KeyTriple], bool]
+
+
+def _unifier(
+    reads: Sequence[int], writes: Sequence[Tuple[int, int]], repeats: Sequence[Tuple[int, int]]
+) -> Unifier:
+    """Match one given key triple against a pattern, binding what it frees.
+
+    ``reads`` are the registers the three positions are compared with
+    (the always-``None`` one where the pattern is free), ``writes`` pairs
+    a register with the position that fills it, ``repeats`` pairs the
+    positions of a variable occurring twice among the free ones.
+    """
+    checks = tuple(
+        (position, register) for position, register in enumerate(reads) if register != _FREE
+    )
+
+    def unify(registers: Registers, ids: KeyTriple) -> bool:
+        for position, register in checks:
+            if registers[register] != ids[position]:
+                return False
+        for position, earlier in repeats:
+            if ids[position] != ids[earlier]:
+                return False
+        for target, position in writes:
+            registers[target] = ids[position]
+        return True
+
+    return unify
+
+
+def _probe_step(
+    next_step: Step,
+    match: Callable,
+    reads: Sequence[int],
+    unify: Unifier,
+    test: Optional[Test],
+    side: int,
+) -> Step:
+    """One pattern joined in: probe the store on the ``reads`` registers,
+    corrected to the virtual state of ``side``, and run ``next_step`` per
+    match ``test`` passes."""
+    subject, predicate, obj = reads
+
+    def step(registers: Registers) -> None:
+        absent = registers[side]
+        # What the store has, then what only the virtual state has.
+        for ids in chain(
+            match(registers[subject], registers[predicate], registers[obj]), registers[side + 1]
+        ):
+            if ids not in absent and unify(registers, ids) and (test is None or test(registers)):
+                next_step(registers)
+
+    return step
+
+
+def _shift(registers: Registers, side: int, triple: KeyTriple, weight: int) -> None:
+    """Move ``triple``'s presence in one virtual state by ``weight`` (±1)."""
+    absent, present = registers[side], registers[side + 1]
+    if weight > 0:
+        if triple in absent:
+            absent.remove(triple)
+        else:
+            present[triple] = None
+    elif triple in present:
+        del present[triple]
+    else:
+        absent.add(triple)
 
 
 class DeltaPipeline:
@@ -299,17 +304,117 @@ class DeltaPipeline:
     def __init__(
         self,
         graph,
-        join: DeltaJoin,
-        project: DeltaProject,
+        patterns: Sequence[Triple],
+        conditions: Sequence[Expression],
+        variables: Sequence[Variable],
         prefilters: Tuple[Expression, ...] = (),
     ) -> None:
-        self.graph = graph
-        self.join = join
-        self.project = project
+        self.patterns = tuple(patterns)
+        self.variables = tuple(variables)
         self.stats = DeltaStats()
+        self.space = _id_space(graph) if idexec.supports_id_execution(graph) else _term_space(graph)
         # Variable-free conjuncts are constant: evaluate once.  A false
         # prefilter makes the view permanently empty, so every delta is ∅.
         self._live = all(satisfies(c, EMPTY_BINDING) for c in prefilters)
+        self.orders: Tuple[ProbeOrder, ...] = tuple(
+            _probe_order(self.patterns, conditions, seed) for seed in range(len(self.patterns))
+        )
+        # The present halves are dicts for their order: rows must not be
+        # found in hash order.
+        self._registers: Registers = [*idexec.HEADER, None, 0, None, set(), {}, set(), {}]
+        #: ``(register, term)`` of the constants that are in no triple yet.
+        self._unresolved: List[Tuple[int, Term]] = []
+        self._seeds = self._compile()
+        self._resolve_constants()
+
+    def _compile(self) -> List[Callable[[Registers, KeyTriple], None]]:
+        """One seed closure per pattern position over the shared registers."""
+        registers = self._registers
+        space = self.space
+        stats = self.stats
+
+        def allocate(value: object = None) -> int:
+            registers.append(value)
+            return len(registers) - 1
+
+        register_of: Dict[Variable, int] = {}
+        constants: List[Dict[int, int]] = []
+        for pattern in self.patterns:
+            constant_registers = {}
+            for position, part in enumerate(pattern):
+                if isinstance(part, Variable):
+                    if part not in register_of:
+                        register_of[part] = allocate()
+                else:
+                    constant_registers[position] = allocate(_UNRESOLVED)
+                    self._unresolved.append((constant_registers[position], part))
+            constants.append(constant_registers)
+
+        def layout(position: int, bound: Set[Variable]) -> Tuple[List[int], Unifier]:
+            """The registers a probe of one pattern reads and its unifier,
+            given the ``bound`` variables — to which the pattern's are added."""
+            reads: List[int] = []
+            writes: List[Tuple[int, int]] = []
+            repeats: List[Tuple[int, int]] = []
+            first_position: Dict[Variable, int] = {}
+            for index, part in enumerate(self.patterns[position]):
+                if not isinstance(part, Variable):
+                    reads.append(constants[position][index])
+                elif part in bound:
+                    reads.append(register_of[part])
+                else:
+                    reads.append(_FREE)
+                    if part in first_position:
+                        repeats.append((index, first_position[part]))
+                    else:
+                        first_position[part] = index
+                        writes.append((register_of[part], index))
+            bound.update(first_position)
+            return reads, _unifier(reads, tuple(writes), tuple(repeats))
+
+        projection = tuple(register_of.get(variable, _FREE) for variable in self.variables)
+
+        def emit(registers: Registers) -> None:
+            stats.rows += 1
+            row = tuple([registers[register] for register in projection])
+            delta = registers[_DELTA]
+            delta[row] = delta.get(row, 0) + registers[_WEIGHT]
+
+        def seed_of(unify: Unifier, test: Optional[Test], first: Step):
+            def seed(registers: Registers, ids: KeyTriple) -> None:
+                if unify(registers, ids) and (test is None or test(registers)):
+                    stats.seed_matches += 1
+                    first(registers)
+
+            return seed
+
+        seeds = []
+        for seed, (seed_conditions, order) in enumerate(self.orders):
+            bound: Set[Variable] = set()
+            _, unify_seed = layout(seed, bound)
+            seed_test = space.conditions(seed_conditions, register_of, bound)
+            probes = []
+            for position, anchored in order:
+                reads, unify = layout(position, bound)
+                test = space.conditions(anchored, register_of, bound)
+                # Plan positions before the seed join the new state.
+                probes.append((reads, unify, test, _NEW if position < seed else _OLD))
+            step: Step = emit
+            for reads, unify, test, side in reversed(probes):
+                step = _probe_step(step, space.match, reads, unify, test, side)
+            seeds.append(seed_of(unify_seed, seed_test, step))
+        return seeds
+
+    def _resolve_constants(self) -> None:
+        key_of = self.space.key_of
+        still = []
+        for register, term in self._unresolved:
+            key = key_of(term)
+            if key is None:
+                still.append((register, term))
+            else:
+                self._registers[register] = key
+        self._unresolved = still
 
     def apply(self, batch: DeltaBatch) -> RowDelta:
         """Return the view delta (row -> ±weight) caused by ``batch``.
@@ -322,25 +427,62 @@ class DeltaPipeline:
         stats.changes += len(batch)
         if not self._live:
             return {}
-        # corrections == live − G_0; adding back each change's weight as
-        # it is processed walks the overlay forward through the virtual
-        # states G_1 … G_m of the batch.
-        corrections: Overlay = {}
-        for triple, weight in batch:
-            zset_add(corrections, triple, -weight)
-        delta: RowDelta = {}
-        graph = self.graph
-        row_of = self.project.row
-        for triple, weight in batch:
-            zset_add(corrections, triple, weight)  # new side is now G_k
-            old_overlay = dict(corrections)
-            zset_add(old_overlay, triple, -weight)  # old side is G_{k-1}
-            for binding in self.join.deltas(
-                graph, triple, corrections, old_overlay, stats
-            ):
-                stats.rows += 1
-                zset_add(delta, row_of(binding), weight)
-        return delta
+        if self._unresolved:
+            self._resolve_constants()
+        registers = self._registers
+        key_of = self.space.key_of
+        changes = [
+            ((key_of(triple.subject), key_of(triple.predicate), key_of(triple.object)), weight)
+            for triple, weight in batch
+        ]
+        delta: Dict[Tuple[Key, ...], int] = {}
+        registers[_DELTA] = delta
+        try:
+            # Both sides start at G_0 = live − batch; giving each change's
+            # weight back to a side as it is processed walks that side
+            # through the virtual states G_1 … G_m.
+            for triple, weight in changes:
+                _shift(registers, _NEW, triple, -weight)
+                _shift(registers, _OLD, triple, -weight)
+            for triple, weight in changes:
+                _shift(registers, _NEW, triple, weight)  # new side is now G_k
+                registers[_WEIGHT] = weight
+                for seed in self._seeds:
+                    seed(registers, triple)
+                _shift(registers, _OLD, triple, weight)  # old side catches up
+        finally:
+            registers[_DELTA] = None
+            for side in (_NEW, _OLD):
+                registers[side].clear()
+                registers[side + 1].clear()
+        decode = self.space.decode
+        return {
+            tuple([None if key is None else decode(key) for key in row]): weight
+            for row, weight in delta.items()
+            if weight
+        }
+
+    def explain(self) -> List[str]:
+        """Per seed position, the probe order with every conjunct's anchor."""
+        id_space = self.space.name == "id"
+
+        def anchored(conditions: Tuple[Expression, ...]) -> str:
+            return "".join(
+                f"; Filter {physical._condition_label(c)} "
+                f"kernel={idexec.condition_kernel(c) if id_space else 'term'}"
+                for c in conditions
+            )
+
+        lines = []
+        for seed, (seed_conditions, order) in enumerate(self.orders):
+            lines.append(f"seed #{seed} {self.patterns[seed]!r}{anchored(seed_conditions)}")
+            for position, conditions in order:
+                state = "new" if position < seed else "old"
+                lines.append(
+                    f"  probe #{position} {self.patterns[position]!r} "
+                    f"state={state}{anchored(conditions)}"
+                )
+        return lines
 
 
 def differentiate(
@@ -359,36 +501,24 @@ def differentiate(
     maintained by scoped re-evaluation instead.  ``variables`` fixes the
     projection of the emitted row deltas.
     """
-    root = plan.root
-    child = root.child
+    child = plan.root.child
     prefilters: Tuple[Expression, ...] = ()
     if isinstance(child, physical.Filter):
         prefilters = child.conditions
         child = child.child
     if not isinstance(child, physical.IndexNestedLoopJoin):
         return None
-    steps: List[DeltaScan] = []
-    for input_op in child.inputs:
-        conditions: Tuple[Expression, ...] = ()
-        leaf = input_op
+    patterns: List[Triple] = []
+    conditions: List[Expression] = []
+    for leaf in child.inputs:
         if isinstance(leaf, physical.Filter):
-            conditions = leaf.conditions
+            conditions.extend(leaf.conditions)
             leaf = leaf.child
         if isinstance(leaf, physical.HashProbe):
             # A delta touches one side of the implicit join at a time:
             # the pattern is scanned like any other, its equality checked.
-            conditions += (leaf.condition,)
+            conditions.append(leaf.condition)
         elif not isinstance(leaf, physical.Scan):
             return None
-        steps.append(
-            DeltaScan(
-                leaf.node.triple,
-                DeltaFilter(conditions) if conditions else None,
-            )
-        )
-    return DeltaPipeline(
-        graph,
-        DeltaJoin(steps),
-        DeltaProject(tuple(variables)),
-        prefilters,
-    )
+        patterns.append(leaf.node.triple)
+    return DeltaPipeline(graph, patterns, conditions, variables, prefilters)

@@ -21,16 +21,26 @@ routes every ±1-weighted triple batch to the views over that graph:
 View state is a Z-set of projected result rows, so bag semantics and
 multiplicities survive maintenance exactly; DISTINCT/REDUCED queries keep
 full multiplicities internally (deletions need the counting algorithm)
-and present the support.  Every view also self-heals: reads compare the
+and present the support.  Beside the Z-set a view keeps its distinct rows
+as a list in presentation order, and every delta places exactly the rows
+it makes appear or vanish, so a read is a list copy and a write costs
+what it changed.  Every view also self-heals: reads compare the
 graph's version stamp against the last synchronised one and fall back to
 a full refresh when they diverge, so a view can never silently serve
 stale rows even across bulk loads that defer their version bump.
+
+Subscriber callbacks run inside the mutating call.  One that raises does
+not cost the other subscribers or views their delta: everything is served
+first, then the first exception propagates from ``add`` / ``remove`` /
+``update`` (the store keeps the mutation).  One that mutates the watched
+graph gets a ``RuntimeError`` from the store instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Term, Variable, term_sort_key
@@ -45,11 +55,12 @@ from repro.sparql.algebra import (
     peel_filters,
     walk,
 )
+from repro.sparql import physical
 from repro.sparql.expressions import Expression
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
 from repro.ivm.delta import DeltaBatch, DeltaPipeline, RowDelta, differentiate
-from repro.ivm.zset import ZSet, zset_diff, zset_expand, zset_from_rows, zset_merge
+from repro.ivm.zset import ZSet, zset_diff, zset_from_rows
 
 #: A view row: terms aligned with the view's projected variables.
 Row = Tuple[Optional[Term], ...]
@@ -62,10 +73,29 @@ ChangeEvent = Tuple[Row, int]
 ChangeCallback = Callable[[List[ChangeEvent]], None]
 
 
+def _call_all(callables: Iterable[Callable], argument) -> None:
+    """Call every callable with ``argument``, then let the first failure out.
+
+    One subscriber that raises must not cost the subscribers and views
+    behind it their delta: a view left a batch short is only repaired by
+    the self-healing refresh of its next read, and its subscribers never
+    see what it missed.
+    """
+    failure: Optional[Exception] = None
+    for call in callables:
+        try:
+            call(argument)
+        except Exception as error:
+            if failure is None:
+                failure = error
+    if failure is not None:
+        raise failure
+
+
 def _row_sort_key(row: Row):
     """Deterministic, ``None``-safe ordering of view rows."""
     return tuple(
-        (0, ()) if term is None else (1, term_sort_key(term)) for term in row
+        [(0, ()) if term is None else (1, term_sort_key(term)) for term in row]
     )
 
 
@@ -87,6 +117,7 @@ class MaterializedView:
         pipeline: Optional[DeltaPipeline],
         distinct: bool,
         relevant_predicates: Optional[Set[IRI]],
+        reeval_reason: Optional[str],
     ) -> None:
         self._registry = registry
         self.query = query
@@ -95,10 +126,15 @@ class MaterializedView:
         self._pipeline = pipeline
         self.distinct = distinct
         self._relevant_predicates = relevant_predicates
+        self._reeval_reason = reeval_reason
         self.variables: Tuple[Variable, ...] = tuple(query.projected_variables())
         self.closed = False
         self._callbacks: List[ChangeCallback] = []
         self._state: ZSet = {}
+        #: The rows of ``_state`` in ``_row_sort_key`` order (rows with
+        #: equal keys in the order they arrived), and the size of the bag.
+        self._order: List[Row] = []
+        self._total = 0
         #: Graph version the state was last synchronised against; ``None``
         #: marks the state dirty (next read refreshes).
         self._synced_version: Optional[int] = None
@@ -115,8 +151,35 @@ class MaterializedView:
         """Counters of the delta pipeline (``None`` for re-eval views)."""
         return self._pipeline.stats if self._pipeline is not None else None
 
+    def explain(self) -> str:
+        """How this view is maintained.
+
+        A delta view: the key space of its join (``id`` / ``term``) and,
+        per seed position — the pattern a changed triple is unified with
+        — the order the other patterns are probed in, the virtual state
+        each reads (``new`` = with the change, ``old`` = without) and
+        every FILTER conjunct at the step that decides it, with the
+        kernel it runs on.  A re-evaluated view: why it is not
+        differentiated, and which batches the predicate gate lets through.
+        """
+        if self._pipeline is not None:
+            lines = [f"MaterializedView maintenance=delta keys={self._pipeline.space.name}"]
+            lines += [f"  {line}" for line in self._pipeline.explain()]
+            return "\n".join(lines)
+        if self._relevant_predicates is None:
+            gate = "every batch"
+        else:
+            gate = "batches touching " + ", ".join(
+                sorted(repr(predicate) for predicate in self._relevant_predicates)
+            )
+        return (
+            "MaterializedView maintenance=reeval\n"
+            f"  reason: {self._reeval_reason}\n"
+            f"  re-evaluated after: {gate}"
+        )
+
     def __repr__(self) -> str:
-        state = "closed" if self.closed else f"{len(self._state)} distinct rows"
+        state = "closed" if self.closed else f"{len(self._order)} distinct rows"
         return f"MaterializedView({self.maintenance}, {state})"
 
     # -- reads ---------------------------------------------------------
@@ -131,21 +194,18 @@ class MaterializedView:
         if self.closed:
             raise RuntimeError("view is closed")
         self._ensure_fresh()
+        order = self._order
         use_distinct = self.distinct if distinct is None else distinct
-        if use_distinct:
-            result = list(self._state)
-        else:
-            result = list(zset_expand(self._state))
-        result.sort(key=_row_sort_key)
-        return result
+        if use_distinct or self._total == len(order):
+            return order.copy()
+        state = self._state
+        return [row for row in order for _ in range(state[row])]
 
     def __len__(self) -> int:
         if self.closed:
             raise RuntimeError("view is closed")
         self._ensure_fresh()
-        if self.distinct:
-            return len(self._state)
-        return sum(self._state.values())
+        return len(self._order) if self.distinct else self._total
 
     def _ensure_fresh(self) -> None:
         if self._synced_version != getattr(self.graph, "version", None):
@@ -200,16 +260,17 @@ class MaterializedView:
         assert isinstance(result, SolutionSequence)
         return zset_from_rows(tuple(row) for row in result.rows())
 
-    def _apply_batch(self, batch: DeltaBatch) -> int:
-        """Route one change-capture batch into the view. Returns |Δrows|."""
+    def _apply_batch(self, batch: DeltaBatch) -> None:
+        """Route one change-capture batch into the view."""
         if self.closed:
-            return 0
+            return
         if self._pipeline is not None:
             delta = self._pipeline.apply(batch)
             self._synced_version = getattr(self.graph, "version", None)
             if delta:
+                self._registry._delta_rows.inc(len(delta))
                 self._commit(delta)
-            return len(delta)
+            return
         if self._relevant_predicates is not None and not any(
             triple.predicate in self._relevant_predicates for triple, _ in batch
         ):
@@ -218,32 +279,63 @@ class MaterializedView:
             self._registry._skipped.inc()
             if self._synced_version is not None:
                 self._synced_version = getattr(self.graph, "version", None)
-            return 0
-        if self._callbacks:
+        elif self._callbacks:
             self.refresh()
         else:
             # No subscriber needs the delta now: defer the re-evaluation
             # to the next read instead of paying it per mutation.
             self._synced_version = None
-        return 0
 
     def _commit(self, delta: RowDelta) -> None:
+        """Merge ``delta`` into the state, keep the order, tell subscribers."""
+        state = self._state
+        distinct = self.distinct
+        subscribed = bool(self._callbacks)
         events: List[ChangeEvent] = []
-        if self.distinct:
-            for row, weight in delta.items():
-                before = self._state.get(row, 0)
-                after = before + weight
-                if before <= 0 < after:
-                    events.append((row, 1))
-                elif after <= 0 < before:
-                    events.append((row, -1))
-        else:
-            events.extend(delta.items())
-        zset_merge(self._state, delta)
-        if events and self._callbacks:
+        appeared: List[Row] = []
+        vanished: List[Row] = []
+        for row, weight in delta.items():
+            before = state.get(row, 0)
+            after = before + weight
+            if after:
+                state[row] = after
+                if not before:
+                    appeared.append(row)
+            else:
+                del state[row]
+                vanished.append(row)
+            if not subscribed:
+                continue
+            if not distinct:
+                events.append((row, weight))
+            elif before <= 0 < after:
+                events.append((row, 1))
+            elif after <= 0 < before:
+                events.append((row, -1))
+        self._total += sum(delta.values())
+        self._place(appeared, vanished)
+        if events:
             events.sort(key=lambda event: _row_sort_key(event[0]))
-            for callback in list(self._callbacks):
-                callback(events)
+            _call_all(list(self._callbacks), events)
+
+    def _place(self, appeared: List[Row], vanished: List[Row]) -> None:
+        """Bring ``_order`` in line with a state that gained and lost rows."""
+        order = self._order
+        key = self._registry._sort_key
+        size = len(self._state)
+        if (len(appeared) + len(vanished)) * size.bit_length() >= size:
+            # |state| / log2 |state| rows or more move: one sort is cheaper.
+            self._order = sorted(self._state, key=key)
+            return
+        for row in vanished:
+            try:
+                del order[order.index(row, bisect_left(order, key(row), key=key))]
+            except ValueError:
+                # NaN keys do not order totally, so the bisect can land
+                # behind the row: look everywhere.
+                order.remove(row)
+        for row in appeared:
+            insort(order, row, key=key)
 
 
 def _relevant_predicates(pattern: GraphPatternNode) -> Optional[Set[IRI]]:
@@ -272,8 +364,8 @@ class ViewRegistry:
     removed when the graph's last view closes, so an idle engine leaves
     no trace on its graphs.  All IVM metrics live on the evaluator's
     metrics registry: ``ivm_delta_batches_total``, ``ivm_delta_rows_total``,
-    ``ivm_view_refreshes_total``, ``ivm_skipped_batches_total`` and the
-    ``ivm_views_active`` gauge.
+    ``ivm_view_refreshes_total``, ``ivm_skipped_batches_total``,
+    ``ivm_view_sort_keys_total`` and the ``ivm_views_active`` gauge.
     """
 
     def __init__(self, evaluator, tracer=None) -> None:
@@ -298,6 +390,17 @@ class ViewRegistry:
             "ivm_skipped_batches_total",
             "Batches skipped by the relevant-predicate gate",
         )
+        sort_keys = registry.counter(
+            "ivm_view_sort_keys_total",
+            "Rows keyed to place them in a view's order",
+        )
+
+        def sort_key(row: Row):
+            sort_keys.value += 1
+            return _row_sort_key(row)
+
+        #: ``_row_sort_key``, counted: what views order their rows by.
+        self._sort_key = sort_key
         registry.gauge(
             "ivm_views_active",
             "Materialized views currently open",
@@ -334,12 +437,12 @@ class ViewRegistry:
             raise TypeError(
                 f"{type(graph).__name__} does not support change capture"
             )
-        pipeline, state_query, distinct = self._build_maintenance(query, graph)
+        pipeline, reason, state_query, distinct = self._build_maintenance(query, graph)
         relevant = (
             _relevant_predicates(query.pattern) if pipeline is None else None
         )
         view = MaterializedView(
-            self, query, state_query, graph, pipeline, distinct, relevant
+            self, query, state_query, graph, pipeline, distinct, relevant, reason
         )
         self._views.append(view)
         self._attach(graph)
@@ -347,13 +450,15 @@ class ViewRegistry:
 
     def _build_maintenance(
         self, query: SelectQuery, graph
-    ) -> Tuple[Optional[DeltaPipeline], SelectQuery, bool]:
+    ) -> Tuple[Optional[DeltaPipeline], Optional[str], SelectQuery, bool]:
         """Choose delta vs. re-eval maintenance for ``query``.
 
-        Delta eligibility: no solution modifiers beyond DISTINCT/REDUCED,
-        plain-variable projection, and a pattern peeling (FILTER*) down
-        to a plannable all-triple BGP whose lowered plan differentiates
-        (acyclic → IndexNestedLoopJoin of Scans).  DISTINCT is handled by
+        Returns ``(pipeline, reason, state query, distinct)``: a delta
+        pipeline, or ``None`` and why not.  Delta eligibility: no
+        solution modifiers beyond DISTINCT/REDUCED, plain-variable
+        projection, and a pattern peeling (FILTER*) down to a plannable
+        all-triple BGP whose lowered plan differentiates (acyclic →
+        IndexNestedLoopJoin of Scans).  DISTINCT is handled by
         maintaining the un-DISTINCT state (multiplicities are required to
         know when a deletion empties a row) and presenting the support.
         """
@@ -367,7 +472,7 @@ class ViewRegistry:
             or query.has_aggregates()
             or any(item.expression is not None for item in query.projection)
         ):
-            return None, query, False
+            return None, "solution modifiers, aggregates or select expressions", query, False
         conditions: List[Expression] = []
         current = peel_filters(query.pattern, conditions)
         if isinstance(current, (TriplePatternNode,)):
@@ -377,20 +482,23 @@ class ViewRegistry:
             and current.patterns
             and all(isinstance(p, TriplePatternNode) for p in current.patterns)
         ):
-            return None, query, False
+            return None, "the pattern is not a FILTER-wrapped BGP of triple patterns", query, False
         evaluator = self.evaluator
         if not evaluator.profile.use_planner:
-            return None, query, False
+            return None, "the profile runs without the planner", query, False
         plan = evaluator.lowered_plans.get(
             graph, current.patterns, tuple(conditions), evaluator.profile
         )
         pipeline = differentiate(plan, graph, query.projected_variables())
         if pipeline is None:
-            return None, query, False
+            joined = plan.root.child
+            if isinstance(joined, physical.Filter):
+                joined = joined.child
+            return None, f"{type(joined).__name__} plans do not differentiate", query, False
         state_query = (
             replace(query, distinct=False, reduced=False) if distinct else query
         )
-        return pipeline, state_query, distinct
+        return pipeline, None, state_query, distinct
 
     def _state_evaluator(self, graph):
         """The evaluator that re-evaluates views watching ``graph``.
@@ -440,20 +548,30 @@ class ViewRegistry:
         self._batches.inc()
         tracer = self.tracer
         views = [view for view in self._views if view.graph is graph]
+        calls = [view._apply_batch for view in views]
         if tracer is not None and tracer.enabled:
             with tracer.span(
                 "ivm.apply", category="ivm", changes=len(batch), views=len(views)
             ) as span:
-                rows = 0
-                for view in views:
-                    rows += view._apply_batch(batch)
-                span.annotate(rows=rows)
+                rows = self._delta_rows.value
+                seed_matches = self._seed_matches(views)
+                try:
+                    _call_all(calls, batch)
+                finally:
+                    span.annotate(
+                        rows=self._delta_rows.value - rows,
+                        seed_matches=self._seed_matches(views) - seed_matches,
+                    )
         else:
-            rows = 0
-            for view in views:
-                rows += view._apply_batch(batch)
-        if rows:
-            self._delta_rows.inc(rows)
+            _call_all(calls, batch)
+
+    @staticmethod
+    def _seed_matches(views: List[MaterializedView]) -> int:
+        return sum(
+            view._pipeline.stats.seed_matches
+            for view in views
+            if view._pipeline is not None
+        )
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

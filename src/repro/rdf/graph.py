@@ -29,7 +29,85 @@ from repro.rdf.terms import IRI, Term, Triple
 DeltaBatch = Sequence[Tuple[Triple, int]]
 
 
-class Graph:
+class ChangeCapture:
+    """The change-listener half of a graph backend.
+
+    Shared by :class:`Graph` and :class:`repro.store.encoded.EncodedGraph`,
+    whose mutation paths call :meth:`_notify_delta` after every effective
+    change and check :attr:`_notifying` before making one.
+    """
+
+    def __init__(self) -> None:
+        # Called with a DeltaBatch after every effective mutation
+        # (post-mutation, so listeners observe the new state).  Copies of
+        # a graph never inherit listeners.
+        self._delta_listeners: List[Callable[[DeltaBatch], None]] = []
+        # True while listeners run: a mutation from inside one is refused.
+        self._notifying = False
+        # The batch update() is collecting, None outside update().
+        self._coalescing: Optional[List[Tuple[Triple, int]]] = None
+
+    def add_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
+        """Register ``listener`` to receive every effective mutation.
+
+        The listener is called *after* the mutation is applied, on every
+        mutation path of the backend, with a batch of ``(triple, ±1)``
+        deltas: one change per ``add`` / ``remove`` (or loader insert),
+        one batch per :meth:`update` call.  It must not mutate the graph
+        re-entrantly — every mutation path raises ``RuntimeError`` while
+        listeners run, before touching the graph.  Materialized views
+        (:mod:`repro.ivm`) use this to stay consistent in O(|delta|).
+        """
+        if listener not in self._delta_listeners:
+            self._delta_listeners.append(listener)
+
+    def remove_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
+        """Unregister a change listener (missing listeners are ignored)."""
+        try:
+            self._delta_listeners.remove(listener)
+        except ValueError:
+            pass
+
+    def update(self, triples: Iterable[Triple]) -> None:
+        """Add every triple from ``triples``.
+
+        Change listeners receive the effective additions as one batch
+        when the call ends (also when it ends in an exception).
+        """
+        if not self._delta_listeners:
+            for triple in triples:
+                self.add(triple)
+            return
+        if self._notifying:
+            self._refuse_reentrant_mutation()
+        batch = self._coalescing = []
+        try:
+            for triple in triples:
+                self.add(triple)
+        finally:
+            self._coalescing = None
+            if batch:
+                self._notify_delta(batch)
+
+    def _notify_delta(self, batch: DeltaBatch) -> None:
+        if self._coalescing is not None:
+            self._coalescing.extend(batch)
+            return
+        self._notifying = True
+        try:
+            for listener in list(self._delta_listeners):
+                listener(batch)
+        finally:
+            self._notifying = False
+
+    def _refuse_reentrant_mutation(self) -> None:
+        raise RuntimeError(
+            "graph mutated from inside a change listener: the views being "
+            "notified have not seen the current batch yet"
+        )
+
+
+class Graph(ChangeCapture):
     """A set of RDF triples with SPO / POS / OSP indexes.
 
     The graph behaves like a collection: ``len``, ``in`` and iteration are
@@ -38,6 +116,7 @@ class Graph:
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None) -> None:
+        ChangeCapture.__init__(self)
         self._triples: Set[Triple] = set()
         self._spo: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(
             lambda: defaultdict(set)
@@ -56,10 +135,6 @@ class Graph:
         self._object_counts: Counter = Counter()
         self._pred_subject_counts: Dict[Term, Counter] = defaultdict(Counter)
         self._version = 0
-        # Change-capture listeners: called with a DeltaBatch after every
-        # effective mutation (post-mutation, so listeners observe the new
-        # state).  Copies never inherit listeners.
-        self._delta_listeners: List[Callable[[DeltaBatch], None]] = []
         if triples:
             for triple in triples:
                 self.add(triple)
@@ -77,35 +152,12 @@ class Graph:
         return self._version
 
     # ------------------------------------------------------------------
-    # change capture
-    # ------------------------------------------------------------------
-    def add_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
-        """Register ``listener`` to receive every effective mutation.
-
-        The listener is called *after* the mutation is applied with a
-        batch of ``(triple, ±1)`` deltas; it must not mutate the graph
-        re-entrantly.  Materialized views
-        (:mod:`repro.ivm`) use this to stay consistent in O(|delta|).
-        """
-        if listener not in self._delta_listeners:
-            self._delta_listeners.append(listener)
-
-    def remove_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
-        """Unregister a change listener (missing listeners are ignored)."""
-        try:
-            self._delta_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_delta(self, batch: DeltaBatch) -> None:
-        for listener in list(self._delta_listeners):
-            listener(batch)
-
-    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, triple: Triple) -> None:
         """Add a ground triple to the graph (idempotent)."""
+        if self._notifying:
+            self._refuse_reentrant_mutation()
         if not triple.is_ground():
             raise ValueError(f"cannot add non-ground triple: {triple!r}")
         if triple in self._triples:
@@ -127,11 +179,6 @@ class Graph:
         """Convenience wrapper to add a triple from its components."""
         self.add(Triple(subject, predicate, obj))
 
-    def update(self, triples: Iterable[Triple]) -> None:
-        """Add every triple from ``triples``."""
-        for triple in triples:
-            self.add(triple)
-
     def remove(self, triple: Triple) -> None:
         """Remove a triple; missing triples are ignored.
 
@@ -140,6 +187,8 @@ class Graph:
         and :meth:`subjects` / :meth:`predicates` / :meth:`objects` rely on
         this, and it keeps memory bounded under add/remove churn.
         """
+        if self._notifying:
+            self._refuse_reentrant_mutation()
         if triple not in self._triples:
             return
         self._triples.discard(triple)

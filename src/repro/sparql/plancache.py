@@ -5,8 +5,7 @@
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
-from typing import Callable, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.obs.metrics import Counter
 
@@ -18,19 +17,24 @@ class PlanCache:
     statistics, so a plan is reusable exactly while the graph is
     unchanged.  The policy, stated once:
 
-    * **Validity** — an entry is keyed by ``(id(graph), graph.version,
-      key)``.  Every mutation bumps the graph's version stamp, so a stale
-      plan can never be looked up again.  A key with an unhashable
-      component is built afresh every time (counted as a miss).
+    * **One slot per (graph, key)** — an entry is ``(id(graph), key) ->
+      (weak graph reference, graph.version, plan)``.  Every mutation
+      bumps the graph's version stamp; a slot whose stamp differs is a
+      miss and is overwritten in place (keeping its place in the
+      eviction order), because a plan for an older version can never be
+      asked for again.  A graph under write churn therefore holds one
+      entry per distinct query, not one per query and version.  A key
+      with an unhashable component is built afresh every time (counted
+      as a miss).
     * **id() reuse** — ``id()`` values are recycled after garbage
-      collection, so each entry holds a weak reference to the graph that
-      produced it and only counts as a hit while that graph is still the
-      one being queried.
-    * **Dead-graph sweep** — a miss is the cheap moment to drop entries
+      collection, so a slot only counts as a hit while the graph its weak
+      reference names is still the one being queried.
+    * **Dead-graph sweep** — a miss is the cheap moment to drop slots
       whose graph has been collected: they can never hit again, yet would
       otherwise crowd out plans for live graphs until the bound pushed
-      them out.
-    * **Bound** — beyond ``size`` entries the oldest *inserted* entry is
+      them out.  The walk reads values of a plain ``dict``, so it hashes
+      no key.
+    * **Bound** — beyond ``size`` slots the oldest *inserted* slot is
       evicted.  Deliberately not LRU: recency upkeep on a hit would
       re-hash the whole key (pattern tuples, FILTER expressions) on the
       hot path, and the cache exists to amortise repeated queries, not to
@@ -54,7 +58,7 @@ class PlanCache:
         self._hits = hits
         self._misses = misses
         self._evictions = evictions
-        self._entries: "OrderedDict[Tuple, Tuple[weakref.ref, object]]" = OrderedDict()
+        self._entries: Dict[Tuple, Tuple[weakref.ref, int, object]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,28 +66,27 @@ class PlanCache:
     def get(self, graph, *key):
         """Return the plan for ``key`` over ``graph``, building it on a miss."""
         entries = self._entries
+        version = graph.version
         try:
-            full_key = (id(graph), graph.version, key)
-            cached = entries.get(full_key)
+            slot = (id(graph), key)
+            cached = entries.get(slot)
         except TypeError:  # unhashable pattern or condition component
-            full_key = cached = None
-        if cached is not None and cached[0]() is graph:
+            slot = cached = None
+        if cached is not None and cached[1] == version and cached[0]() is graph:
             self._hits.inc()
-            return cached[1]
+            return cached[2]
         self._misses.inc()
         plan = self.build(graph, *key)
-        if full_key is not None:
+        if slot is not None:
             dead = [
-                stale_key
-                for stale_key, (graph_ref, _) in entries.items()
-                if graph_ref() is None
+                stale for stale, entry in entries.items() if entry[0]() is None
             ]
-            for stale_key in dead:
-                del entries[stale_key]
-            entries[full_key] = (weakref.ref(graph), plan)
+            for stale in dead:
+                del entries[stale]
+            entries[slot] = (weakref.ref(graph), version, plan)
             evicted = len(dead)
             if len(entries) > self.size:
-                entries.popitem(last=False)
+                del entries[next(iter(entries))]
                 evicted += 1
             if evicted:
                 self._evictions.inc(evicted)

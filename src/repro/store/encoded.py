@@ -25,14 +25,11 @@ identically on both backends.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
+from repro.rdf.graph import ChangeCapture
 from repro.rdf.terms import Term, Triple, Variable
 from repro.store.dictionary import TermDictionary
-
-#: A change-capture batch, mirroring :data:`repro.rdf.graph.DeltaBatch`:
-#: ``(triple, ±1)`` pairs describing effective insert/delete transitions.
-DeltaBatch = Sequence[Tuple[Triple, int]]
 
 #: A hybrid innermost index entry: one id, or a set of ids.
 Entry = Union[int, Set[int]]
@@ -120,7 +117,7 @@ class StoreCounters:
         self.sorted_run_invalidations = 0
 
 
-class EncodedGraph:
+class EncodedGraph(ChangeCapture):
     """A set of RDF triples stored as dictionary-encoded integer ids.
 
     Implements the same collection protocol, pattern matching and
@@ -133,6 +130,10 @@ class EncodedGraph:
         triples: Optional[Iterable[Triple]] = None,
         dictionary: Optional[TermDictionary] = None,
     ) -> None:
+        # Listeners get decoded (triple, ±1) batches after every effective
+        # mutation, including the stats-deferred bulk-load inserts, so a
+        # materialized view can never miss a loader path.
+        ChangeCapture.__init__(self)
         self._dict = dictionary if dictionary is not None else TermDictionary()
         self._spo: IdIndex = {}
         self._pos: IdIndex = {}
@@ -153,12 +154,6 @@ class EncodedGraph:
         # sorted-run sites below guard on None, match_triple_ids counting
         # happens in an instance-attribute wrapper installed on demand.
         self._counters: Optional[StoreCounters] = None
-        # Change-capture listeners (see Graph._delta_listeners): notified
-        # with decoded (triple, ±1) batches after every effective
-        # mutation, including the stats-deferred bulk-load inserts, so a
-        # materialized view can never miss a loader path.  copy() clones
-        # start with no listeners.
-        self._delta_listeners: List[Callable[[DeltaBatch], None]] = []
         if triples:
             for triple in triples:
                 self.add(triple)
@@ -199,31 +194,6 @@ class EncodedGraph:
         return self._version
 
     # ------------------------------------------------------------------
-    # change capture
-    # ------------------------------------------------------------------
-    def add_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
-        """Register ``listener`` for post-mutation ``(triple, ±1)`` batches.
-
-        Fires on every effective mutation path — ``add`` / ``add_triple``
-        / ``remove``, the streaming Turtle sink, and the bulk/snapshot
-        loaders' direct ``_add_ids`` inserts (statistics deferral does not
-        defer change capture).
-        """
-        if listener not in self._delta_listeners:
-            self._delta_listeners.append(listener)
-
-    def remove_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
-        """Unregister a change listener (missing listeners are ignored)."""
-        try:
-            self._delta_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_delta(self, batch: DeltaBatch) -> None:
-        for listener in list(self._delta_listeners):
-            listener(batch)
-
-    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, triple: Triple) -> None:
@@ -248,11 +218,6 @@ class EncodedGraph:
         encode = self._dict.encode
         self._add_ids(encode(subject), encode(predicate), encode(obj))
 
-    def update(self, triples: Iterable[Triple]) -> None:
-        """Add every triple from ``triples``."""
-        for triple in triples:
-            self.add(triple)
-
     def _add_ids(self, sid: int, pid: int, oid: int, stats: bool = True) -> bool:
         """Insert an id triple into the indexes; return True when new.
 
@@ -260,6 +225,8 @@ class EncodedGraph:
         the bulk loader and snapshot loader use this and rebuild the
         statistics in one pass at the end (:meth:`_rebuild_statistics`).
         """
+        if self._notifying:
+            self._refuse_reentrant_mutation()
         by_predicate = self._spo.get(sid)
         if by_predicate is None:
             by_predicate = self._spo[sid] = {}
@@ -349,6 +316,8 @@ class EncodedGraph:
 
     def remove(self, triple: Triple) -> None:
         """Remove a triple; missing triples are ignored."""
+        if self._notifying:
+            self._refuse_reentrant_mutation()
         lookup = self._dict.id_for
         sid = lookup(triple.subject)
         pid = lookup(triple.predicate)

@@ -10,11 +10,16 @@ Four layers:
   subscriptions and close(),
 * loader regressions — a view can never serve stale rows after *any*
   loader touched its graph,
-* a hypothesis differential — random add/remove churn against random
-  BGP + FILTER views on both backends: the maintained Z-set equals the
-  re-evaluated multiset at every step.
+* listener robustness — re-entrant mutation is refused before the store
+  is touched, a raising subscriber costs nobody else their delta,
+* count tests — what a read, a write and a re-plan cost, as counters,
+* hypothesis differentials — random add/remove churn against random
+  BGP + FILTER views, and multi-triple ``update()`` batches against
+  self-join views, on both backends: the maintained Z-set equals the
+  re-evaluated multiset, in presentation order, at every step.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -22,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import create_engine
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import Literal, Triple, Variable, XSD_INTEGER
+from repro.rdf.terms import Literal, Triple, Variable, XSD_DOUBLE, XSD_INTEGER
 from repro.rdf.turtle import parse_turtle
 from repro.sparql.algebra import BGP, Filter, ProjectionItem, SelectQuery, TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
@@ -30,6 +35,8 @@ from repro.sparql.expressions import Comparison, FunctionCall, TermExpr, Variabl
 from repro.sparql.parser import parse_query
 from repro.store import EncodedGraph, bulk_load_ntriples, load_snapshot, save_snapshot
 from repro.ivm import ViewRegistry, zset_diff, zset_from_rows, zset_merge
+from repro.ivm.views import _row_sort_key
+from repro.obs import Tracer
 
 from tests.helpers import EX
 
@@ -76,6 +83,47 @@ class TestChangeCapture:
         graph.remove(triple)
         graph.remove(triple)  # already gone
         assert seen == [(triple, 1), (triple, -1)]
+
+    def test_update_delivers_one_batch_of_the_effective_additions(self, backend):
+        graph = backend([chain(1, 2)])
+        batches = []
+        graph.add_change_listener(lambda batch: batches.append(list(batch)))
+        graph.update([chain(1, 2), chain(2, 3), chain(3, 4), chain(2, 3)])
+        assert batches == [[(chain(2, 3), 1), (chain(3, 4), 1)]]
+        graph.update([chain(1, 2)])  # nothing effective: nothing delivered
+        assert len(batches) == 1
+
+    def test_update_delivers_what_it_applied_before_failing(self, backend):
+        graph = backend()
+        batches = []
+        graph.add_change_listener(lambda batch: batches.append(list(batch)))
+        with pytest.raises(ValueError):
+            graph.update([chain(1, 2), Triple(Variable("x"), EX.p, EX.n1), chain(2, 3)])
+        assert batches == [[(chain(1, 2), 1)]]
+        graph.add(chain(5, 6))  # and the graph is not left collecting
+        assert batches[-1] == [(chain(5, 6), 1)]
+
+    @pytest.mark.parametrize("mutate", ["add", "remove", "update"])
+    def test_mutation_from_a_listener_is_refused_untouched(self, backend, mutate):
+        graph = backend([chain(1, 2)])
+        argument = {
+            "add": chain(7, 8),
+            "remove": chain(1, 2),
+            "update": [chain(7, 8)],
+        }[mutate]
+
+        def listener(batch):
+            getattr(graph, mutate)(argument)
+
+        graph.add_change_listener(listener)
+        with pytest.raises(RuntimeError, match="change listener"):
+            graph.add(chain(2, 3))
+        # The outer mutation stands, the inner one never reached the store.
+        assert set(graph) == {chain(1, 2), chain(2, 3)}
+        # The refusal ends with the notification.
+        graph.remove_change_listener(listener)
+        graph.add(chain(7, 8))
+        assert chain(7, 8) in graph
 
     def test_removed_listener_stops_receiving(self, backend):
         graph = backend()
@@ -431,6 +479,281 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
+# listener robustness
+# ----------------------------------------------------------------------
+PLAIN_TWO_HOP = (
+    "PREFIX ex: <http://ex.org/>\n"
+    "SELECT ?a ?c WHERE { ?a ex:p ?b . ?b ex:p ?c }"
+)
+EDGES = "PREFIX ex: <http://ex.org/>\nSELECT ?a ?b WHERE { ?a ex:p ?b }"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestSubscriberRobustness:
+    def test_reentrant_mutation_cannot_double_count(self, backend):
+        engine = create_engine(backend())
+        graph = engine.graph
+        # Notified first: its subscriber adds (y p z) while (x p y) is
+        # being delivered.  Unchecked, the join view below is handed
+        # (y p z) against a store holding both edges, and then (x p y)
+        # against the same store: (x, z) twice.
+        edges = engine.materialize(EDGES)
+        two_hop = engine.materialize(PLAIN_TWO_HOP)
+        edges.on_change(lambda events: graph.add(chain(2, 3)))
+        with pytest.raises(RuntimeError, match="change listener"):
+            graph.add(chain(1, 2))
+        assert chain(2, 3) not in graph
+        edges.close()
+        graph.add(chain(2, 3))
+        assert two_hop.rows() == [(EX.n1, EX.n3)]
+        assert Counter(two_hop.rows()) == fresh_counter(
+            engine.evaluator, parse_query(PLAIN_TWO_HOP)
+        )
+
+    def test_closing_and_subscribing_inside_a_callback_stay_legal(self, backend):
+        engine = create_engine(backend())
+        view = engine.materialize(EDGES)
+        other = engine.materialize(EDGES)
+        late = []
+
+        def first(events):
+            other.close()
+            view.on_change(late.append)
+
+        view.on_change(first)
+        engine.graph.add(chain(1, 2))
+        assert other.closed
+        assert late == []  # subscribed during the delivery: from the next one on
+        engine.graph.add(chain(2, 3))
+        assert late == [[((EX.n2, EX.n3), 1)]]
+        assert view.rows() == [(EX.n1, EX.n2), (EX.n2, EX.n3)]
+
+    def test_raising_subscriber_costs_nobody_else_their_delta(self, backend):
+        engine = create_engine(backend([chain(1, 2)]))
+        first = engine.materialize(EDGES)
+        second = engine.materialize(TWO_HOP)
+        seen_by_sibling, seen_by_second = [], []
+
+        def broken(events):
+            raise ValueError("subscriber bug")
+
+        first.on_change(broken)
+        first.on_change(seen_by_sibling.append)
+        second.on_change(seen_by_second.append)
+        refreshes = engine.metrics()["ivm_view_refreshes_total"]
+        with pytest.raises(ValueError, match="subscriber bug"):
+            engine.graph.add(chain(2, 3))
+        # The store keeps the mutation; everybody was served in that call.
+        assert chain(2, 3) in engine.graph
+        assert seen_by_sibling == [[((EX.n2, EX.n3), 1)]]
+        assert seen_by_second == [[((EX.n1, EX.n3), 1)]]
+        for view in (first, second):
+            assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
+        # ... by their deltas, not by a self-healing refresh on the read.
+        assert engine.metrics()["ivm_view_refreshes_total"] == refreshes
+
+
+# ----------------------------------------------------------------------
+# what a read, a write and a re-plan cost (counts, no wall clock)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMaintenanceCounts:
+    def test_a_write_keys_what_it_changed_and_a_read_nothing(self, backend):
+        # A 30 x 30 bipartite two-hop through one hub: 900 rows.
+        size = 30
+        triples = [Triple(EX[f"a{i}"], EX.p, EX.hub) for i in range(size)]
+        triples += [Triple(EX.hub, EX.p, EX[f"c{i}"]) for i in range(size)]
+        engine = create_engine(backend(triples))
+        view = engine.materialize(PLAIN_TWO_HOP)
+        rows = len(view)
+        assert rows == size * size
+
+        def keyed():
+            return engine.metrics()["ivm_view_sort_keys_total"]
+
+        before = keyed()
+        assert len(view.rows()) == rows
+        assert len(view.rows(distinct=True)) == rows
+        assert keyed() == before
+        edge = Triple(EX.extra, EX.p, EX.hub)
+        for mutate in (engine.graph.add, engine.graph.remove):
+            before = keyed()
+            mutate(edge)
+            changed = size  # (extra, c_i) for every c_i
+            assert 0 < keyed() - before <= changed * (math.log2(rows + changed) + 2)
+            keys = [_row_sort_key(row) for row in view.rows()]
+            assert keys == sorted(keys)
+        assert len(view) == rows
+
+    def test_a_delta_larger_than_the_order_pays_for_sorts_once(self, backend):
+        engine = create_engine(backend([chain(1, 2)]))
+        view = engine.materialize(EDGES)
+        before = engine.metrics()["ivm_view_sort_keys_total"]
+        engine.graph.update([chain(9 - i, 10 - i) for i in range(6)])
+        assert engine.metrics()["ivm_view_sort_keys_total"] - before == 7
+        keys = [_row_sort_key(row) for row in view.rows()]
+        assert keys == sorted(keys) and len(keys) == 7
+
+    def test_rows_that_do_not_order_can_come_and_go(self, backend):
+        # NaN is neither below nor above any number, so once it is in the
+        # order a bisect may look for a row on the wrong side of it: after
+        # 4, NaN, 5, 2 the order is [4, NaN, 2, 5] and the search for 4
+        # lands behind it.
+        def value(lexical):
+            return Triple(EX[f"s{lexical}"], EX.p, Literal(lexical, XSD_DOUBLE))
+
+        engine = create_engine(backend())
+        view = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\nSELECT ?v WHERE { ?s ex:p ?v }"
+        )
+        script = [
+            ("add", "4"),
+            ("add", "NaN"),
+            ("add", "5"),
+            ("add", "2"),
+            ("remove", "4"),
+            ("remove", "NaN"),
+            ("add", "3"),
+            ("remove", "5"),
+        ]
+        for action, lexical in script:
+            getattr(engine.graph, action)(value(lexical))
+            assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
+        assert view.rows() == [(Literal("2", XSD_DOUBLE),), (Literal("3", XSD_DOUBLE),)]
+
+    def test_replanning_under_churn_keeps_one_slot_per_query(self, backend):
+        engine = create_engine(backend([chain(1, 2), chain(2, 3)]))
+        evaluator = engine.evaluator
+        for round_number in range(50):
+            engine.graph.add(chain(100 + round_number, 101 + round_number))
+            engine.query(TWO_HOP)
+        assert len(evaluator.lowered_plans) == len(evaluator.logical_plans) == 1
+        metrics = engine.metrics()
+        assert metrics["sparql_plan_cache_evictions_total"] == 0
+        assert metrics["sparql_physical_cache_misses_total"] == 50
+
+    def test_constant_interned_after_the_view_starts_matching(self, backend):
+        engine = create_engine(backend([chain(1, 2)]))
+        view = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\nSELECT ?s WHERE { ?s ex:p ex:late }"
+        )
+        assert view.maintenance == "delta"
+        if backend is EncodedGraph:
+            assert engine.graph.dictionary.id_for(EX.late) is None
+        refreshes = engine.metrics()["ivm_view_refreshes_total"]
+        engine.graph.add(chain(1, 3))
+        assert view.rows() == []
+        engine.graph.add(Triple(EX.n1, EX.p, EX.late))
+        assert view.rows() == [(EX.n1,)]
+        engine.graph.remove(Triple(EX.n1, EX.p, EX.late))
+        assert view.rows() == []
+        assert engine.metrics()["ivm_view_refreshes_total"] == refreshes
+
+    def test_delta_stats_of_a_fixed_churn_script(self, backend):
+        engine = create_engine(backend([chain(i, i + 1) for i in range(1, 9)]))
+        view = engine.materialize(TWO_HOP)
+        graph = engine.graph
+        for step in range(30):
+            triple = chain(1 + (step * 3) % 8, 1 + (step * 5 + 2) % 8)
+            if triple in graph:
+                graph.remove(triple)
+            else:
+                graph.add(triple)
+        stats = view.delta_stats
+        # The values the term-space join (before PR 18) counted.
+        assert (stats.batches, stats.changes, stats.seed_matches, stats.rows) == (
+            30,
+            30,
+            60,
+            56,
+        )
+        assert len(view.rows()) == 11
+
+    def test_update_is_one_batch_to_the_views(self, backend):
+        engine = create_engine(backend([chain(1, 2)]))
+        view = engine.materialize(TWO_HOP)
+        engine.graph.update([chain(2, 3), chain(3, 4), chain(4, 5)])
+        assert engine.metrics()["ivm_delta_batches_total"] == 1
+        assert (view.delta_stats.batches, view.delta_stats.changes) == (1, 3)
+        assert view.rows() == [(EX.n1, EX.n3), (EX.n2, EX.n4), (EX.n3, EX.n5)]
+
+
+# ----------------------------------------------------------------------
+# explain
+# ----------------------------------------------------------------------
+_BENCH_PREFIX = "PREFIX bench: <http://localhost/vocabulary/bench/>\n"
+
+
+class TestExplain:
+    def test_delta_view_golden(self):
+        # The benchmark's two_hop shape.
+        engine = create_engine(EncodedGraph())
+        view = engine.materialize(
+            _BENCH_PREFIX
+            + "SELECT ?a ?c WHERE { ?a bench:cites ?b . ?b bench:cites ?c . FILTER(?a != ?c) }"
+        )
+        cites = "<http://localhost/vocabulary/bench/cites>"
+        assert view.explain() == (
+            "MaterializedView maintenance=delta keys=id\n"
+            f"  seed #0 (?a {cites} ?b)\n"
+            f"    probe #1 (?b {cites} ?c) state=old; Filter (?a != ?c) kernel=id\n"
+            f"  seed #1 (?b {cites} ?c)\n"
+            f"    probe #0 (?a {cites} ?b) state=new; Filter (?a != ?c) kernel=id"
+        )
+
+    def test_term_space_and_term_kernels_are_named(self):
+        engine = create_engine(Graph())
+        view = engine.materialize(TWO_HOP)
+        assert "keys=term" in view.explain()
+        assert "kernel=id" not in view.explain()
+        engine = create_engine(EncodedGraph())
+        view = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\n"
+            'SELECT ?a WHERE { ?a ex:p ?b FILTER(regex(str(?b), "x")) }'
+        )
+        assert view.explain() == (
+            "MaterializedView maintenance=delta keys=id\n"
+            '  seed #0 (?a <http://ex.org/p> ?b); Filter REGEX(STR(?b), "x") kernel=term'
+        )
+
+    def test_reevaluated_view_golden(self):
+        # The benchmark's path shape.
+        engine = create_engine(EncodedGraph())
+        view = engine.materialize(
+            _BENCH_PREFIX
+            + "SELECT ?b WHERE { <http://localhost/articles/Article7> bench:cites+ ?b }"
+        )
+        assert view.explain() == (
+            "MaterializedView maintenance=reeval\n"
+            "  reason: the pattern is not a FILTER-wrapped BGP of triple patterns\n"
+            "  re-evaluated after: every batch"
+        )
+
+    def test_reevaluated_view_names_its_plan_and_gate(self):
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
+        view = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\n"
+            "SELECT ?a ?b ?c WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a }"
+        )
+        assert view.explain() == (
+            "MaterializedView maintenance=reeval\n"
+            "  reason: LeapfrogJoin plans do not differentiate\n"
+            "  re-evaluated after: batches touching <http://ex.org/p>, <http://ex.org/q>"
+        )
+
+    def test_apply_span_reports_seed_matches(self):
+        tracer = Tracer("ivm")
+        engine = create_engine(EncodedGraph([chain(1, 2)]), tracer=tracer)
+        engine.materialize(TWO_HOP)
+        tracer.clear()
+        engine.graph.add(chain(2, 3))
+        (span,) = [span for span in tracer.spans if span.name == "ivm.apply"]
+        assert span.args["changes"] == 1
+        assert span.args["rows"] == 1
+        assert span.args["seed_matches"] == 2
+
+
+# ----------------------------------------------------------------------
 # z-set primitives
 # ----------------------------------------------------------------------
 class TestZSets:
@@ -514,5 +837,70 @@ def test_differential_random_churn(
         else:
             engine.graph.add(triple)
         expected = Counter(tuple(row) for row in reference.evaluate(query).rows())
-        assert Counter(view.rows()) == expected
+        rows = view.rows()
+        assert Counter(rows) == expected
+        keys = [_row_sort_key(row) for row in rows]
+        assert keys == sorted(keys)
+    engine.close()
+
+
+_SELF_JOINS = [
+    # A triple can match both patterns, and a loop matches them at once.
+    (tp(_VARIABLES[0], EX.p, _VARIABLES[1]), tp(_VARIABLES[1], EX.p, _VARIABLES[2])),
+    (tp(_VARIABLES[0], EX.p, _VARIABLES[1]), tp(_VARIABLES[1], EX.p, _VARIABLES[0])),
+    (tp(_VARIABLES[0], EX.p, _VARIABLES[0]), tp(_VARIABLES[0], EX.p, _VARIABLES[1])),
+    (
+        tp(_VARIABLES[0], EX.p, _VARIABLES[1]),
+        tp(_VARIABLES[1], EX.p, _VARIABLES[2]),
+        tp(_VARIABLES[2], EX.q, _NODES[0]),
+    ),
+    (tp(_VARIABLES[0], _VARIABLES[1], _VARIABLES[2]), tp(_VARIABLES[2], EX.p, _VARIABLES[0])),
+]
+_small_edge = st.tuples(
+    st.sampled_from(_NODES[:4]), st.sampled_from(_PREDICATES), st.sampled_from(_NODES[:4])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    initial=st.lists(_small_edge, min_size=0, max_size=8),
+    batches=st.lists(st.lists(_small_edge, min_size=1, max_size=6), min_size=1, max_size=6),
+    shape=st.integers(min_value=0, max_value=len(_SELF_JOINS) - 1),
+    filtered=st.booleans(),
+    distinct=st.booleans(),
+    backend_index=st.integers(min_value=0, max_value=1),
+)
+def test_differential_update_batches_over_self_joins(
+    initial, batches, shape, filtered, distinct, backend_index
+):
+    """Multi-change batches: every change joins its own virtual old and new
+    state, so edges of one ``update()`` must see each other exactly once."""
+    backend = BACKENDS[backend_index]
+    pattern_node = BGP(_SELF_JOINS[shape])
+    if filtered:
+        pattern_node = Filter(
+            pattern_node,
+            Comparison("!=", VariableExpr(_VARIABLES[0]), VariableExpr(_VARIABLES[1])),
+        )
+    variables = sorted(pattern_node.variables(), key=lambda v: v.name)
+    query = SelectQuery(
+        projection=tuple(ProjectionItem(variable) for variable in variables),
+        pattern=pattern_node,
+        distinct=distinct,
+    )
+    engine = create_engine(backend(Triple(*edge) for edge in initial))
+    view = engine.materialize(query)
+    assert view.maintenance == "delta"
+    reference = SparqlEvaluator(engine.dataset)
+    refreshes = engine.metrics()["ivm_view_refreshes_total"]
+    for batch in batches:
+        engine.graph.update(Triple(*edge) for edge in batch)
+        # ... and take the first edge out again, so both signs occur.
+        engine.graph.remove(Triple(*batch[0]))
+        expected = Counter(tuple(row) for row in reference.evaluate(query).rows())
+        rows = view.rows()
+        assert Counter(rows) == expected
+        keys = [_row_sort_key(row) for row in rows]
+        assert keys == sorted(keys)
+    assert engine.metrics()["ivm_view_refreshes_total"] == refreshes
     engine.close()
