@@ -30,19 +30,21 @@ transitions, presence under any overlay stays in ``{0, 1}``.
 
 **One join, compiled once, in the store's key space.**  Each seed
 position is compiled when the pipeline is built into a chain of step
-closures over one register list (the :mod:`repro.sparql.idexec` model):
-per step the three registers the probe reads (a constant's, a bound
-variable's, or the always-``None`` one), the registers a match writes,
-the repeated-variable checks, the side whose overlay applies and the
-FILTER conjuncts that become decidable there.  What the registers hold
-is chosen by the store (:class:`KeySpace`): term ids on a
-dictionary-encoded store, where probes are ``match_triple_ids`` and
-conjuncts the id-space comparison kernels, and the terms themselves
-otherwise.  Changed triples are translated to keys on entry, delta rows
-accumulate as key tuples, and only rows with a non-zero net weight are
-decoded.  Pattern constants resolve lazily — one that is in no triple
-yet matches nothing and is looked up again on the next batch — so a
-compiled pipeline stays valid for the life of its graph.
+closures over one register list, with the key space and the register
+layout of the step compiler (:class:`repro.sparql.idexec.KeySpace`,
+:func:`~repro.sparql.idexec.pattern_layout`): per step the three
+registers the probe reads (a constant's, a bound variable's, or the
+always-``None`` one), the registers a match writes and the
+repeated-variable checks; then what is this module's own — the side
+whose overlay applies and the FILTER conjuncts that become decidable
+there.  The registers hold term ids on a dictionary-encoded store, where
+probes are ``match_triple_ids`` and conjuncts the id-space comparison
+kernels, and the terms themselves otherwise.  Changed triples are
+translated to keys on entry, delta rows accumulate as key tuples, and
+only rows with a non-zero net weight are decoded.  Pattern constants
+resolve lazily — one that is in no triple yet matches nothing and is
+looked up again on the next batch — so a compiled pipeline stays valid
+for the life of its graph.
 
 Plans containing a :class:`~repro.sparql.physical.LeapfrogJoin` or
 :class:`~repro.sparql.physical.PathExpand` operator are not
@@ -54,12 +56,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Triple, Variable
 from repro.sparql import idexec, physical
 from repro.sparql.expressions import Expression, satisfies
-from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.sparql.solutions import EMPTY_BINDING
 from repro.ivm.zset import ZSet
 
 #: One change-capture batch, as delivered by the store listeners.
@@ -68,9 +70,8 @@ DeltaBatch = Sequence[Tuple[Triple, int]]
 #: A view delta: result row (terms aligned with the projection) -> weight.
 RowDelta = ZSet
 
-#: What a register holds for a term: its id on an id store, else the term.
-Key = object
-KeyTriple = Tuple[Key, Key, Key]
+Key = idexec.Key
+KeyTriple = idexec.KeyTriple
 Registers = List[object]
 Step = Callable[[Registers], None]
 Test = Callable[[Registers], bool]
@@ -79,14 +80,14 @@ Test = Callable[[Registers], bool]
 #: become decidable there.
 ProbeOrder = Tuple[Tuple[Expression, ...], Tuple[Tuple[int, Tuple[Expression, ...]], ...]]
 
-# Register file: the id executor's header (the conjunct kernels count
-# their term fallbacks in it), then what one batch brings along;
-# constants and variables are allocated behind by the compiler.
-_FREE = len(idexec.HEADER)  #: always ``None``: what a free pattern position reads
-_WEIGHT = _FREE + 1  #: weight of the change being joined
-_DELTA = _FREE + 2  #: key row -> weight accumulated over the batch
-_NEW = _FREE + 3  #: overlay of ``G_k``: absent set here, present dict behind it
-_OLD = _FREE + 5  #: overlay of ``G_{k-1}``, same layout
+# Register file: the id executor's header (its always-``None`` register,
+# the conjunct kernels' term-fallback count), then what one batch brings
+# along; constants and variables are allocated behind by the compiler.
+_FREE = idexec._FREE
+_WEIGHT = len(idexec.HEADER)  #: weight of the change being joined
+_DELTA = _WEIGHT + 1  #: key row -> weight accumulated over the batch
+_NEW = _WEIGHT + 2  #: overlay of ``G_k``: absent set here, present dict behind it
+_OLD = _WEIGHT + 4  #: overlay of ``G_{k-1}``, same layout
 
 #: Held by the register of a pattern constant that is in no triple yet:
 #: equal to no key, and a probe on it finds nothing.
@@ -101,71 +102,6 @@ class DeltaStats:
     changes: int = 0
     seed_matches: int = 0
     rows: int = 0
-
-
-class KeySpace(NamedTuple):
-    """How one store backend is joined: what a key is, and four callables."""
-
-    name: str  #: ``"id"`` or ``"term"``
-    #: Term -> key; ``None`` while the term is in no triple of the store.
-    key_of: Callable[[Term], Optional[Key]]
-    #: Index probe on three keys (``None`` = wildcard) -> key triples.
-    match: Callable[[Optional[Key], Optional[Key], Optional[Key]], Iterable[KeyTriple]]
-    #: ``(conjuncts, register_of, bound)`` -> one test over the registers.
-    conditions: Callable[[Sequence[Expression], Dict[Variable, int], Set[Variable]], Optional[Test]]
-    decode: Callable[[Key], Term]
-
-
-def _id_space(graph) -> KeySpace:
-    dictionary = graph.dictionary
-    return KeySpace(
-        "id",
-        dictionary.id_for,
-        # Read off the instance per probe: enable_counters() shadows it there.
-        lambda subject, predicate, obj: graph.match_triple_ids(subject, predicate, obj),
-        lambda conditions, register_of, bound: idexec.compile_conditions(
-            conditions, dictionary, register_of, bound
-        ),
-        dictionary.term,
-    )
-
-
-def _term_space(graph) -> KeySpace:
-    def identity(term: Term) -> Term:
-        return term
-
-    return KeySpace(
-        "term",
-        identity,
-        lambda subject, predicate, obj: map(tuple, graph.triples(subject, predicate, obj)),
-        _term_conditions,
-        identity,
-    )
-
-
-def _term_conditions(
-    conditions: Sequence[Expression], register_of: Dict[Variable, int], bound: Set[Variable]
-) -> Optional[Test]:
-    """The conjuncts on a :class:`Binding` of just the variables they read."""
-    if not conditions:
-        return None
-    mentioned = set().union(*(condition.variables() for condition in conditions))
-    needed = tuple(
-        (variable, register_of[variable])
-        for variable in sorted(mentioned & bound, key=lambda v: v.name)
-    )
-    from_sorted = Binding.from_sorted_items
-
-    def test(registers: Registers) -> bool:
-        binding = from_sorted(
-            tuple([(variable, registers[register]) for variable, register in needed])
-        )
-        for condition in conditions:
-            if not satisfies(condition, binding):
-                return False
-        return True
-
-    return test
 
 
 def _pattern_variables(pattern: Triple) -> Set[Variable]:
@@ -312,7 +248,16 @@ class DeltaPipeline:
         self.patterns = tuple(patterns)
         self.variables = tuple(variables)
         self.stats = DeltaStats()
-        self.space = _id_space(graph) if idexec.supports_id_execution(graph) else _term_space(graph)
+        self.space = idexec.key_space(
+            graph, "id" if idexec.supports_id_execution(graph) else "term"
+        )
+        match = self.space.match
+        if self.space.name == "id":
+            # A view outlives an execution: read the probe off the instance
+            # per call, where enable_counters() shadows it.
+            def match(subject, predicate, obj):
+                return graph.match_triple_ids(subject, predicate, obj)
+
         # Variable-free conjuncts are constant: evaluate once.  A false
         # prefilter makes the view permanently empty, so every delta is ∅.
         self._live = all(satisfies(c, EMPTY_BINDING) for c in prefilters)
@@ -321,14 +266,15 @@ class DeltaPipeline:
         )
         # The present halves are dicts for their order: rows must not be
         # found in hash order.
-        self._registers: Registers = [*idexec.HEADER, None, 0, None, set(), {}, set(), {}]
+        self._registers: Registers = [*idexec.HEADER, 0, None, set(), {}, set(), {}]
         #: ``(register, term)`` of the constants that are in no triple yet.
         self._unresolved: List[Tuple[int, Term]] = []
-        self._seeds = self._compile()
+        self._seeds = self._compile(match)
         self._resolve_constants()
 
-    def _compile(self) -> List[Callable[[Registers, KeyTriple], None]]:
-        """One seed closure per pattern position over the shared registers."""
+    def _compile(self, match: Callable) -> List[Callable[[Registers, KeyTriple], None]]:
+        """One seed closure per pattern position over the shared registers,
+        probing the store through ``match``."""
         registers = self._registers
         space = self.space
         stats = self.stats
@@ -353,23 +299,11 @@ class DeltaPipeline:
         def layout(position: int, bound: Set[Variable]) -> Tuple[List[int], Unifier]:
             """The registers a probe of one pattern reads and its unifier,
             given the ``bound`` variables — to which the pattern's are added."""
-            reads: List[int] = []
-            writes: List[Tuple[int, int]] = []
-            repeats: List[Tuple[int, int]] = []
-            first_position: Dict[Variable, int] = {}
-            for index, part in enumerate(self.patterns[position]):
-                if not isinstance(part, Variable):
-                    reads.append(constants[position][index])
-                elif part in bound:
-                    reads.append(register_of[part])
-                else:
-                    reads.append(_FREE)
-                    if part in first_position:
-                        repeats.append((index, first_position[part]))
-                    else:
-                        first_position[part] = index
-                        writes.append((register_of[part], index))
-            bound.update(first_position)
+            pattern = self.patterns[position]
+            reads, writes, repeats = idexec.pattern_layout(
+                pattern, bound, register_of, lambda index, _term: constants[position][index]
+            )
+            bound |= _pattern_variables(pattern)
             return reads, _unifier(reads, tuple(writes), tuple(repeats))
 
         projection = tuple(register_of.get(variable, _FREE) for variable in self.variables)
@@ -401,7 +335,7 @@ class DeltaPipeline:
                 probes.append((reads, unify, test, _NEW if position < seed else _OLD))
             step: Step = emit
             for reads, unify, test, side in reversed(probes):
-                step = _probe_step(step, space.match, reads, unify, test, side)
+                step = _probe_step(step, match, reads, unify, test, side)
             seeds.append(seed_of(unify_seed, seed_test, step))
         return seeds
 

@@ -45,18 +45,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Term, Variable, term_sort_key
 from repro.sparql.algebra import (
-    BGP,
     GraphGraphPattern,
     GraphPatternNode,
     PathPattern,
     Query,
     SelectQuery,
     TriplePatternNode,
-    peel_filters,
     walk,
 )
 from repro.sparql import physical
-from repro.sparql.expressions import Expression
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
 from repro.ivm.delta import DeltaBatch, DeltaPipeline, RowDelta, differentiate
@@ -473,22 +470,20 @@ class ViewRegistry:
             or any(item.expression is not None for item in query.projection)
         ):
             return None, "solution modifiers, aggregates or select expressions", query, False
-        conditions: List[Expression] = []
-        current = peel_filters(query.pattern, conditions)
-        if isinstance(current, (TriplePatternNode,)):
-            current = BGP((current,))
-        if not (
-            isinstance(current, BGP)
-            and current.patterns
-            and all(isinstance(p, TriplePatternNode) for p in current.patterns)
-        ):
-            return None, "the pattern is not a FILTER-wrapped BGP of triple patterns", query, False
         evaluator = self.evaluator
         if not evaluator.profile.use_planner:
             return None, "the profile runs without the planner", query, False
-        plan = evaluator.lowered_plans.get(
-            graph, current.patterns, tuple(conditions), evaluator.profile
-        )
+        # The evaluator's definition of a planned pipeline, with the
+        # differentiation as what is pushed into a lone pattern.
+        planned = evaluator._pipeline(query.pattern, pushing=True)
+        if (
+            planned is None
+            or not planned[0].patterns
+            or not all(isinstance(p, TriplePatternNode) for p in planned[0].patterns)
+        ):
+            return None, "the pattern is not a FILTER-wrapped BGP of triple patterns", query, False
+        bgp, conditions = planned
+        plan = evaluator.lowered_plans.get(graph, bgp.patterns, conditions, evaluator.profile)
         pipeline = differentiate(plan, graph, query.projected_variables())
         if pipeline is None:
             joined = plan.root.child

@@ -30,8 +30,8 @@ optimal over the encoded store's sorted id runs — when statistics detect
 a cyclic join graph, and a hash probe
 (:class:`~repro.sparql.physical.HashProbe`) where a FILTER equality is a
 pattern's only link to the rest.  :func:`repro.sparql.physical.execute`
-is the one way to run a lowered plan (an id-space binary plan compiled
-once by :mod:`repro.sparql.idexec`): a streaming pipeline in which each partial
+is the one way to run a lowered plan (a binary plan of either space
+compiled once by :mod:`repro.sparql.idexec`): a streaming pipeline in which each partial
 solution substitutes its bound variables into the next pattern before
 probing the SPO/POS/OSP indexes, so ASK and plain-LIMIT queries
 short-circuit instead of materialising full intermediate multisets.

@@ -21,8 +21,10 @@ reordered by estimated cardinality, lowered to a physical operator DAG
 operator for cyclic BGPs) and executed as a streaming pipeline, so ASK
 and plain LIMIT queries short-circuit instead of materialising the full
 join.  Both steps are cached per graph state (:mod:`repro.sparql.plancache`).
-A lone triple or path pattern is not a BGP to the parser and is
-evaluated directly, without a physical plan.
+A lone triple or path pattern is not a BGP to the parser: it runs as the
+singleton pipeline it is when a FILTER is pushed into it, and a *bare*
+one by a direct index probe (``SparqlEvaluator._pipeline`` has the rule
+and the measurement behind it).
 
 Execution is configured by one value, an
 :class:`repro.sparql.profile.ExecutionProfile` (``profile=`` — presets
@@ -66,6 +68,7 @@ from repro.sparql.alp import EvaluationError, eval_path_pattern_terms
 from repro.sparql.expressions import (
     Aggregate,
     Expression,
+    VariableExpr,
     conjuncts,
     evaluate as evaluate_expression,
     satisfies,
@@ -299,7 +302,7 @@ class SparqlEvaluator:
         """Stream a query form's pattern; say which variables its rows carry.
 
         When the whole pattern is one planned pipeline
-        (:meth:`_planned_stream`) the variables the query form reads from
+        (:meth:`_pipeline`) the variables the query form reads from
         its rows (:func:`_variables_read`) go down as the projection, so
         an id-space plan decodes nothing else, and the second element is
         the plan's ``Project`` list: exactly the domain of every row.  It
@@ -307,10 +310,12 @@ class SparqlEvaluator:
         :meth:`_eval_pattern_stream` does.
         """
         graph = dataset.default_graph
-        stream = self._planned_stream(query.pattern, graph, _variables_read(query))
-        if stream is not None:
-            return stream, self.last_physical_plan.root.variables
-        return self._eval_pattern_stream(query.pattern, graph, dataset), None
+        pipeline = self._pipeline(query.pattern)
+        if pipeline is None or (pipeline[1] and not self.profile.use_filter_pushdown):
+            return self._eval_pattern_stream(query.pattern, graph, dataset), None
+        bgp, conditions = pipeline
+        stream = self._eval_bgp_stream(bgp, graph, conditions, project=_variables_read(query))
+        return stream, self.last_physical_plan.root.variables
 
     def _eval_select_pattern(
         self, query: SelectQuery, dataset: Dataset
@@ -371,7 +376,7 @@ class SparqlEvaluator:
         if isinstance(node, PathPattern):
             return self._eval_path_pattern(node, active_graph)
         if isinstance(node, BGP):
-            if self._plannable_bgp(node):
+            if self._pipeline(node) is not None:
                 return list(self._eval_bgp_stream(node, active_graph))
             results = [EMPTY_BINDING]
             for pattern in node.patterns:
@@ -396,11 +401,7 @@ class SparqlEvaluator:
             left = self._eval_pattern(node.left, active_graph, dataset)
             return list(self._minus(left, node.right, active_graph, dataset))
         if isinstance(node, Filter):
-            pushed = self._try_filter_pushdown(node, active_graph, dataset)
-            if pushed is not None:
-                return list(pushed)
-            inner = self._eval_pattern(node.pattern, active_graph, dataset)
-            return [binding for binding in inner if satisfies(node.condition, binding)]
+            return list(self._eval_pattern_stream(node, active_graph, dataset))
         if isinstance(node, GraphGraphPattern):
             return self._eval_graph(node, dataset)
         if isinstance(node, Bind):
@@ -409,82 +410,44 @@ class SparqlEvaluator:
             return self._eval_values(node)
         raise EvaluationError(f"unsupported pattern node {type(node).__name__}")
 
-    def _plannable_bgp(self, node: BGP) -> bool:
-        """A BGP is planned when enabled and built only of triple/path patterns."""
-        return self.profile.use_planner and all(
-            isinstance(pattern, (TriplePatternNode, PathPattern))
-            for pattern in node.patterns
-        )
+    def _pipeline(
+        self, node: GraphPatternNode, pushing: bool = False
+    ) -> Optional[Tuple[BGP, Tuple[Expression, ...]]]:
+        """``(BGP, FILTER conjuncts)`` when ``node`` is one planned pipeline, else ``None``.
 
-    @staticmethod
-    def _as_bgp(node: GraphPatternNode) -> GraphPatternNode:
-        """Promote a lone triple/path pattern to a singleton BGP.
+        The one definition, for evaluation, ``explain`` and live views
+        alike: with the planner on, FILTER* (conjuncts outermost first)
+        over a BGP built only of triple/path patterns.  A lone pattern —
+        the parser emits a bare node for a one-pattern group — counts as
+        the singleton BGP it is when something is pushed into it: FILTER
+        conjuncts of its own, or the caller's (``pushing``: an outer
+        FILTER through MINUS, OPTIONAL condition conjuncts, ``explain``,
+        view differentiation), which then run in the compiled pipeline
+        (id kernels on the encoded store) instead of per decoded match.
 
-        The parser emits bare pattern nodes for one-pattern groups; the
-        pushdown helpers work on BGPs, so wrapping lets single-pattern
-        OPTIONAL and MINUS sides join the streaming pipeline too.
-        """
-        if isinstance(node, (TriplePatternNode, PathPattern)):
-            return BGP((node,))
-        return node
+        A *bare* lone pattern is not one: it keeps the direct index probe
+        (:meth:`_eval_triple_pattern`, :meth:`_eval_path_pattern`).
+        Promoting it is correct and measured faster on warm caches
+        (``gmark_native`` 825 -> 967 ops/s), but a plan-cache miss costs
+        ``plan_bgp`` 5.7 + ``lower_plan`` 7.1 + ``idexec._compile`` 12.7 µs
+        plus key hashing, ~65 µs against a 6 µs probe, and a re-evaluated
+        live view misses once per store version: ``ivm_churn``
+        ``op_geomean_ms`` 0.218 -> 0.289.  It waits for compiled plans
+        that stay valid across versions (ROADMAP item 5a).
 
-    def _planned_stream(
-        self,
-        node: GraphPatternNode,
-        active_graph: Graph,
-        project: Optional[Tuple[Variable, ...]] = None,
-    ) -> Optional[Iterator[Binding]]:
-        """Stream ``node`` as one planned pipeline, or ``None`` if it is not one.
-
-        One pipeline is a plannable BGP under zero or more FILTERs whose
-        conjuncts push into it (so, with any FILTER, pushdown enabled).
-        The plan is in :attr:`last_physical_plan` when this returns a
-        stream; ``project`` is :meth:`_eval_bgp_stream`'s.
+        Whether conjuncts may be pushed at all
+        (``profile.use_filter_pushdown``) is the calling route's test.
         """
         conditions: List[Expression] = []
         core = peel_filters(node, conditions)
+        if isinstance(core, (TriplePatternNode, PathPattern)) and (conditions or pushing):
+            core = BGP((core,))
         if (
             isinstance(core, BGP)
-            and self._plannable_bgp(core)
-            and (not conditions or self.profile.use_filter_pushdown)
+            and self.profile.use_planner
+            and all(isinstance(p, (TriplePatternNode, PathPattern)) for p in core.patterns)
         ):
-            return self._eval_bgp_stream(
-                core, active_graph, tuple(conditions), project=project
-            )
-        return None
-
-    def _try_filter_pushdown(
-        self, node: Filter, active_graph: Graph, dataset: Dataset
-    ) -> Optional[Iterator[Binding]]:
-        """Stream a FILTER stack with conditions pushed into the pipeline.
-
-        Peels nested FILTER wrappers down to the pattern they scope over.
-        When that is a plannable BGP, the conjuncts are attached to the
-        earliest physical operator binding their variables and the whole
-        stack evaluates in one streaming pass.  When it is a MINUS whose
-        *left* side is (a FILTER stack over) a plannable BGP, the
-        conjuncts push into that left pipeline — sound because MINUS is a
-        per-row selection on the left multiset that leaves bindings
-        untouched, so ``FILTER(MINUS(L, R), c)`` ≡ ``MINUS(FILTER(L, c),
-        R)``.  Returns ``None`` when pushdown does not apply (disabled,
-        or no eligible shape).
-        """
-        if not self.profile.use_filter_pushdown:
-            return None
-        planned = self._planned_stream(node, active_graph)
-        if planned is not None:
-            return planned
-        conditions: List[Expression] = []
-        current = peel_filters(node, conditions)
-        if isinstance(current, Minus):
-            left = self._as_bgp(peel_filters(current.left, conditions))
-            if isinstance(left, BGP) and self._plannable_bgp(left):
-                return self._minus(
-                    self._eval_bgp_stream(left, active_graph, tuple(conditions)),
-                    current.right,
-                    active_graph,
-                    dataset,
-                )
+            return core, tuple(conditions)
         return None
 
     def _minus(
@@ -652,23 +615,22 @@ class SparqlEvaluator:
     def _explainable(
         self, query: Query, caller: str
     ) -> Tuple[BGP, Tuple[Expression, ...], Graph, Optional[Tuple[Variable, ...]]]:
-        """Peel a query down to the planned BGP that ``caller`` renders.
+        """The planned pipeline of ``query`` that ``caller`` renders.
 
-        Returns the BGP (a lone triple/path pattern is promoted to one),
-        the FILTER conjuncts scoped over it, the graph it runs on and the
+        Returns the BGP (a lone triple/path pattern is promoted to one:
+        :meth:`_pipeline` with the rendering as what is pushed), the
+        FILTER conjuncts scoped over it, the graph it runs on and the
         variables the query form reads from its rows — what evaluation
         hands to :meth:`_eval_bgp_stream`, so the plan shown is the plan run.
         """
-        conditions: List[Expression] = []
-        pattern = self._as_bgp(peel_filters(query.pattern, conditions))
-        if not isinstance(pattern, BGP) or not self._plannable_bgp(pattern):
+        pipeline = self._pipeline(query.pattern, pushing=True)
+        if pipeline is None:
             raise EvaluationError(
                 f"{caller} supports planned BGPs (optionally FILTER-wrapped); "
-                f"got {type(pattern).__name__}"
+                f"got {type(query.pattern).__name__}"
             )
         dataset = self._active_dataset(query.dataset_clauses)
-        project = _variables_read(query)
-        return pattern, tuple(conditions), dataset.default_graph, project
+        return (*pipeline, dataset.default_graph, _variables_read(query))
 
     def explain(self, query: Query) -> str:
         """Render the physical operator plan for a query's pattern.
@@ -721,27 +683,47 @@ class SparqlEvaluator:
         node: GraphPatternNode,
         active_graph: Graph,
         dataset: Dataset,
+        outer: Tuple[Expression, ...] = (),
     ) -> Iterator[Binding]:
-        """Lazily evaluate a pattern where streaming helps.
+        """Lazily evaluate ``node`` under the conjuncts ``outer``, where streaming helps.
 
-        Planned BGPs and FILTERs over them stream; every other node falls
-        back to the materialising :meth:`_eval_pattern`.  Used by ASK and by
-        LIMIT-only SELECTs so they stop as soon as enough solutions exist.
+        A planned pipeline (:meth:`_pipeline`) streams with its FILTER
+        conjuncts attached to the earliest physical operator binding
+        their variables; every other node falls back to the materialising
+        :meth:`_eval_pattern`.  Used by ASK and by LIMIT-only SELECTs so
+        they stop as soon as enough solutions exist.
+
+        ``outer`` is how a FILTER stack over something else travels when
+        the profile pushes filters: its conjuncts (outermost first) go
+        down to the pattern the stack scopes over.  A MINUS whose *left*
+        side is a pipeline takes them into it — sound because MINUS is a
+        per-row selection on the left multiset that leaves bindings
+        untouched, so ``FILTER(MINUS(L, R), c)`` ≡ ``MINUS(FILTER(L, c),
+        R)``; anything else is evaluated and its rows tested.
+        Per-conjunct application is faithful to the conjunction: an
+        errored conjunct reads as unsatisfied either way.
         """
-        if isinstance(node, BGP) and self._plannable_bgp(node):
-            return self._eval_bgp_stream(node, active_graph)
+        pushdown = self.profile.use_filter_pushdown
+        pipeline = self._pipeline(node, pushing=bool(outer))
+        if pipeline is not None and (pushdown or not pipeline[1]):
+            bgp, conditions = pipeline
+            return self._eval_bgp_stream(bgp, active_graph, outer + conditions)
         if isinstance(node, Filter):
-            pushed = self._try_filter_pushdown(node, active_graph, dataset)
-            if pushed is not None:
-                return pushed
+            if pushdown:
+                outer += tuple(conjuncts(node.condition))
+                return self._eval_pattern_stream(node.pattern, active_graph, dataset, outer)
             inner = self._eval_pattern_stream(node.pattern, active_graph, dataset)
-            return (
-                binding for binding in inner if satisfies(node.condition, binding)
-            )
-        return iter(self._eval_pattern(node, active_graph, dataset))
+            return (binding for binding in inner if satisfies(node.condition, binding))
+        if outer and isinstance(node, Minus) and self._pipeline(node.left, pushing=True):
+            left = self._eval_pattern_stream(node.left, active_graph, dataset, outer)
+            return self._minus(left, node.right, active_graph, dataset)
+        rows = iter(self._eval_pattern(node, active_graph, dataset))
+        if outer:
+            return (row for row in rows if all(satisfies(c, row) for c in outer))
+        return rows
 
     def _eval_triple_pattern(self, pattern: Triple, graph: Graph) -> List[Binding]:
-        return list(match_triple(graph, pattern, EMPTY_BINDING))
+        return list(match_triple(graph, pattern))
 
     def _join(self, left: List[Binding], right: List[Binding]) -> List[Binding]:
         """Bag join of two solution multisets on compatible mappings."""
@@ -797,9 +779,9 @@ class SparqlEvaluator:
             tuple(conjuncts(node.condition)) if node.condition is not None else ()
         )
         if condition_conjuncts and self.profile.use_filter_pushdown:
-            inner_conditions: List[Expression] = []
-            core = self._as_bgp(peel_filters(node.right, inner_conditions))
-            if isinstance(core, BGP) and self._plannable_bgp(core):
+            pipeline = self._pipeline(node.right, pushing=True)
+            if pipeline is not None:
+                core, inner_conditions = pipeline
                 core_variables = core.variables()
                 pushed: List[Expression] = []
                 kept: List[Expression] = []
@@ -814,7 +796,7 @@ class SparqlEvaluator:
                         self._eval_bgp_stream(
                             core,
                             active_graph,
-                            tuple(inner_conditions) + tuple(pushed),
+                            inner_conditions + tuple(pushed),
                         )
                     )
                     return rows, tuple(kept)
@@ -944,8 +926,6 @@ class SparqlEvaluator:
                 continue
             mapping: Dict[Variable, Term] = {}
             for key_expression, value in zip(group_keys, key_parts):
-                from repro.sparql.expressions import VariableExpr
-
                 if isinstance(key_expression, VariableExpr) and value is not None:
                     mapping[key_expression.variable] = value
             for item in query.projection:

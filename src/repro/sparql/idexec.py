@@ -1,12 +1,14 @@
-"""Id-space execution of index-nested-loop plans: compiled once per plan.
+"""Execution of index-nested-loop plans: compiled once per plan, in its key space.
 
-The dictionary-encoded store (:mod:`repro.store.encoded`) keeps its
-SPO/POS/OSP indexes over integer term ids.  On such a graph the physical
-layer hands an id-space :class:`~repro.sparql.physical.IndexNestedLoopJoin`
-plan to :func:`run`, which compiles it — once per plan and per domain of
-the initial binding, cached on the plan for as long as the graph version
-it was compiled against — into a chain of step closures over one
-per-execution *register file* (a plain list):
+The physical layer hands every
+:class:`~repro.sparql.physical.IndexNestedLoopJoin` plan to :func:`run`,
+which compiles it — once per plan and per domain of the initial binding,
+cached on the plan for as long as the graph version it was compiled
+against — into a chain of step closures over one per-execution *register
+file* (a plain list).  What a register holds for a term is the plan's
+``space`` (:class:`KeySpace`): its integer id on the dictionary-encoded
+store (:mod:`repro.store.encoded`), or the term itself — same steps,
+same layout, same counters.
 
 * **Registers.**  A short header (this execution's result-row and
   term-fallback counts, the store's probe function, the path machinery),
@@ -18,46 +20,48 @@ per-execution *register file* (a plain list):
   the plan's :class:`~repro.sparql.physical.OperatorStats` when its
   stream ends or is closed.
 
-* **Steps.**  Decided at compile time per step: the three registers the
-  index probe reads (a constant, a bound variable, or the always-``None``
-  register of a free position), the registers a match writes, whether
-  repeated-variable checks are needed at all, the conjuncts that run
-  after it, and — for path steps — which endpoints are bound.  What is
-  left per row is a register write, a counter increment and the next
-  step.  :class:`~repro.sparql.physical.HashProbe` steps build their
-  pattern's matches into a table keyed by the equality key once per
-  execution and probe it per outer row.
+* **Steps.**  Decided at compile time per step (:func:`pattern_layout`):
+  the three registers the index probe reads (a constant, a bound
+  variable, or the always-``None`` register of a free position), the
+  registers a match writes, whether repeated-variable checks are needed
+  at all, the conjuncts that run after it, and — for path steps — which
+  endpoints are bound.  What is left per row is a register write, a
+  counter increment and the next step.  Id space only:
+  :class:`~repro.sparql.physical.HashProbe` steps build their pattern's
+  matches into a table keyed by the equality key once per execution and
+  probe it per outer row.
 
-* **FILTER kernels.**  ``= != < <= > >=`` between variables and/or
-  constants and ``sameTerm`` run on ids, kind tags and — for literals —
-  per-id *comparison keys* (:func:`comparison_key`) memoised in
-  :attr:`TermDictionary.compare_keys
+* **FILTER kernels (id space).**  ``= != < <= > >=`` between variables
+  and/or constants and ``sameTerm`` run on ids, kind tags and — for
+  literals — per-id *comparison keys* (:func:`comparison_key`) memoised
+  in :attr:`TermDictionary.compare_keys
   <repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
   ``Binding``, no expression walk.  Every other conjunct decodes only the
   variables it mentions and runs the term-level semantics, counted as a
-  term fallback.  :func:`condition_kernel` tells the two apart by shape,
+  term fallback — which is all a term-space conjunct ever does,
+  uncounted.  :func:`condition_kernel` tells the two apart by shape,
   which is what ``explain`` prints.
 
 * **Result boundary.**  Only the variables of the plan's ``Project`` are
   decoded, through a precomputed variable order so the
   :class:`~repro.sparql.solutions.Binding` construction skips its sort.
 
-Property-path steps hand bound endpoint *ids* straight to the
-:class:`~repro.sparql.idpaths.IdPathEngine`; with id paths off (or on a
-backend without the navigation surface) they bridge through the
-term-level path machinery, re-interning the fresh endpoints.
+Id-mode property-path steps hand bound endpoint *ids* straight to the
+:class:`~repro.sparql.idpaths.IdPathEngine`; term-mode ones bridge
+through the term-level path machinery, re-interning the fresh endpoints.
 
 The leapfrog executor (:mod:`repro.sparql.physical`) runs on the same
-register header and the same kernels via :func:`compile_condition`.
+register header and kernels (:func:`compile_condition`), the live-view
+join (:mod:`repro.ivm.delta`) on the same key spaces and layout.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Variable
+from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Term, Variable
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.expressions import (
     Comparison,
@@ -447,17 +451,136 @@ def flush_term_fallbacks(registers: Registers, term_fallbacks) -> None:
 
 
 # ----------------------------------------------------------------------
+# key spaces
+# ----------------------------------------------------------------------
+#: What a register holds for a term: its id in id space, the term in term space.
+Key = object
+KeyTriple = Tuple[Key, Key, Key]
+
+
+class KeySpace(NamedTuple):
+    """What the registers of a compiled join hold and how one graph is read in it:
+    consulted when compiling and once per execution (or change batch of
+    :mod:`repro.ivm.delta`), never per row."""
+
+    name: str  #: ``"id"`` or ``"term"``: a plan's ``space``
+    #: Term -> key; ``None`` while the term is in no triple of the store.
+    key_of: Callable[[Term], Optional[Key]]
+    #: Term -> key, always: a term outside the graph gets a key no probe finds.
+    encode: Callable[[Term], Key]
+    decode: Callable[[Key], Term]
+    #: Index probe on three keys (``None`` = wildcard) -> key triples.  Fetched
+    #: per execution: ``enable_counters()`` shadows it on the graph instance.
+    match: Callable[[Optional[Key], Optional[Key], Optional[Key]], Iterable[KeyTriple]]
+    #: ``(conjuncts, register_of, bound)`` -> one test over the registers.
+    conditions: Callable[[Sequence[Expression], Dict[Variable, int], Set[Variable]], Optional[Test]]
+
+
+def _identity(term):
+    return term
+
+
+def key_space(graph, name: str) -> KeySpace:
+    """Ids and the comparison kernels on a dictionary-encoded store
+    (``"id"``), the terms themselves on any graph (``"term"``)."""
+    if name == "id":
+        dictionary = graph.dictionary
+
+        def conditions(conjuncts, register_of, bound):
+            return compile_conditions(conjuncts, dictionary, register_of, bound)
+
+        return KeySpace(
+            name,
+            dictionary.id_for,
+            dictionary.encode,
+            dictionary.term,
+            graph.match_triple_ids,
+            conditions,
+        )
+
+    def match(subject, predicate, obj):
+        return map(tuple, graph.triples(subject, predicate, obj))
+
+    return KeySpace(name, _identity, _identity, _identity, match, _term_conditions)
+
+
+def _term_conditions(
+    conditions: Sequence[Expression], register_of: Dict[Variable, int], bound: Set[Variable]
+) -> Optional[Test]:
+    """Term-space conjuncts: on a :class:`Binding` of just the variables they read."""
+    if not conditions:
+        return None
+    mentioned = set().union(*(condition.variables() for condition in conditions))
+    needed = tuple(
+        (variable, register_of[variable])
+        for variable in sorted(mentioned & bound, key=lambda v: v.name)
+    )
+    from_sorted = Binding.from_sorted_items
+
+    def test(registers: Registers) -> bool:
+        binding = from_sorted(
+            tuple([(variable, registers[register]) for variable, register in needed])
+        )
+        for condition in conditions:
+            if not satisfies(condition, binding):
+                return False
+        return True
+
+    return test
+
+
+def pattern_layout(
+    parts: Sequence,
+    bound: Set[Variable],
+    register_of: Dict[Variable, int],
+    constant_register: Callable[[int, Term], Optional[int]],
+) -> Optional[Tuple[List[int], List[Tuple[int, int]], List[Tuple[int, int]]]]:
+    """``(reads, writes, repeats)`` of one pattern probed with ``bound`` bound.
+
+    ``reads`` is the register each position is read from: a constant's
+    (``constant_register(position, term)``: filled now or later, as the
+    caller has it), its variable's when something earlier bound it, the
+    always-``None`` one when this probe binds it.  ``writes`` pairs a
+    register with the match position that fills it, ``repeats`` the
+    positions of a variable occurring twice among the free ones
+    (``?x p ?x``).  ``None`` when a constant has no register: it is in
+    no triple, so nothing matches.
+    """
+    reads: List[int] = []
+    writes: List[Tuple[int, int]] = []
+    repeats: List[Tuple[int, int]] = []
+    first_position: Dict[Variable, int] = {}
+    for position, part in enumerate(parts):
+        if not isinstance(part, Variable):
+            register = constant_register(position, part)
+            if register is None:
+                return None
+            reads.append(register)
+        elif part in bound:
+            reads.append(register_of[part])
+        else:
+            reads.append(_FREE)
+            if part in first_position:
+                repeats.append((position, first_position[part]))
+            else:
+                first_position[part] = position
+                writes.append((register_of[part], position))
+    return reads, writes, repeats
+
+
+# ----------------------------------------------------------------------
 # the compiled pipeline
 # ----------------------------------------------------------------------
 class CompiledPipeline:
     """One plan compiled for one domain of the initial binding."""
 
-    __slots__ = ("dictionary", "version", "template", "first", "initial", "counters", "needs_paths")
+    __slots__ = ("key_of", "version", "template", "first", "initial", "counters", "needs_paths")
 
-    def __init__(self, dictionary: TermDictionary, version: int) -> None:
+    def __init__(self, key_of: Callable, version: int) -> None:
         #: What the compiled form is valid for: constants were resolved
-        #: against this dictionary at this graph version.
-        self.dictionary = dictionary
+        #: through this ``key_of`` (a dictionary's, or the identity) at
+        #: this graph version.
+        self.key_of = key_of
         self.version = version
         self.template: Registers = list(HEADER)
         #: Entry step; ``None`` when a pattern constant is in no triple,
@@ -480,36 +603,32 @@ def run(
     timed_iter: Optional[Callable],
     term_fallbacks,
 ) -> Iterable[Binding]:
-    """Execute an id-space index-nested-loop ``plan``, streaming bindings.
+    """Execute an index-nested-loop ``plan`` in its key space, streaming bindings.
 
     ``timed_iter`` is the physical layer's self-time wrapper under
     ``execute(timed=True)``; ``term_fallbacks`` an optional counter
     (``inc(n)``) of conjunct evaluations that left id space.
     """
-    dictionary = graph.dictionary
+    space = key_space(graph, plan.space)
     domain = tuple(initial)
     compiled = plan._compiled.get(domain)
-    if (
-        compiled is None
-        or compiled.version != graph.version
-        or compiled.dictionary is not dictionary
-    ):
-        compiled = plan._compiled[domain] = _compile(plan, graph, set(domain), path_engine)
+    if compiled is None or compiled.version != graph.version or compiled.key_of != space.key_of:
+        compiled = plan._compiled[domain] = _compile(plan, graph, space, set(domain), path_engine)
     if compiled.first is None:
         return iter(())
     if compiled.needs_paths and path_evaluator is None:
         raise TypeError("plan contains a path pattern but no path evaluator")
     registers = compiled.template.copy()
-    registers[_MATCH] = graph.match_triple_ids
+    registers[_MATCH] = space.match
     registers[_TIMED] = timed_iter
     registers[_GRAPH] = graph
     registers[_PATH_ENGINE] = path_engine
     registers[_PATH_EVALUATOR] = path_evaluator
-    # encode (not id_for): an initial term outside the graph gets a fresh
-    # id that simply never matches a probe — identical, by construction,
-    # to the term-space pipeline finding no triples.
+    # encode (not key_of): an initial term outside the graph gets a fresh
+    # id that simply never matches a probe — as the term itself does in
+    # term space.
     for variable, register in compiled.initial:
-        registers[register] = dictionary.encode(initial[variable])
+        registers[register] = space.encode(initial[variable])
     return _stream(compiled, registers, term_fallbacks)
 
 
@@ -525,19 +644,28 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
         flush_term_fallbacks(registers, term_fallbacks)
 
 
-def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEngine]):
+def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[IdPathEngine]):
     """Compile ``plan`` for executions whose initial binding has ``domain``."""
     # physical imports this module at load time, hence not at the top.
     from repro.sparql.physical import Filter, HashProbe, Scan
 
-    dictionary = graph.dictionary
-    compiled = CompiledPipeline(dictionary, graph.version)
+    compiled = CompiledPipeline(space.key_of, graph.version)
     template = compiled.template
 
     def allocate(value: object = None) -> int:
         template.append(value)
         return len(template) - 1
 
+    def prefilled(key_of: Callable[[Term], Optional[Key]]):
+        def constant_register(_position: int, term: Term) -> Optional[int]:
+            key = key_of(term)
+            return None if key is None else allocate(key)
+
+        return constant_register
+
+    # An id-space constant the dictionary has never seen is in no triple;
+    # a term-space constant is its own key.
+    scan_constant = prefilled(space.key_of)
     zero = allocate(0)
     register_of: Dict[Variable, int] = {}
     bound: Set[Variable] = set()
@@ -546,22 +674,6 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
         bound.add(variable)
     compiled.initial = tuple(register_of.items())
 
-    def reads_of(parts, before, constant_id) -> Optional[List[int]]:
-        """The register each pattern position is read from: its constant's
-        pre-filled one, its variable's when an earlier step (or the initial
-        binding) bound it, the always-None one when this step binds it.
-        ``None`` when a constant rules out any solution."""
-        reads = []
-        for part in parts:
-            if isinstance(part, Variable):
-                reads.append(register_of[part] if part in before else _FREE)
-            else:
-                term_id = constant_id(part)
-                if term_id is None:
-                    return None
-                reads.append(allocate(term_id))
-        return reads
-
     root = plan.root
     join = root.child
     makers: List[Callable[[Step], Step]] = []
@@ -569,7 +681,7 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
         # Conjuncts without variables: one verdict per execution.
         gate_rows, gate_probes = allocate(0), allocate(0)
         compiled.counters.append((join.stats, gate_rows, gate_probes))
-        test = compile_conditions(join.conditions, dictionary, register_of, bound)
+        test = space.conditions(join.conditions, register_of, bound)
         makers.append(partial(_gate_step, test=test, rows=gate_rows, probes=gate_probes))
         join = join.child
     compiled.counters.append((root.stats, _RESULTS, zero))
@@ -595,32 +707,19 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
             register_of[variable] = allocate()
         bound.update(fresh)
         if isinstance(leaf, (Scan, HashProbe)):
-            # A constant the dictionary has never seen is in no triple.
-            reads = reads_of(parts, before, dictionary.id_for)
-            if reads is None:
+            layout = pattern_layout(parts, before, register_of, scan_constant)
+            if layout is None:
                 return compiled
-            writes: List[Tuple[int, int]] = []
-            repeats: List[Tuple[int, int]] = []
-            first_position: Dict[Variable, int] = {}
-            for position, part in enumerate(parts):
-                if reads[position] != _FREE:
-                    continue
-                if part in first_position:
-                    repeats.append((position, first_position[part]))
-                else:
-                    first_position[part] = position
-                    writes.append((register_of[part], position))
+            bind = _scan_rows(*layout)
             if isinstance(leaf, HashProbe):
                 bind = _hash_probe_rows(
-                    _scan_rows(reads, writes, repeats),
+                    bind,
                     key_register=register_of[leaf.probe],
                     build_register=register_of[leaf.build],
-                    written=tuple(target for target, _ in writes),
+                    written=tuple(target for target, _ in layout[1]),
                     table=allocate(),
-                    dictionary=dictionary,
+                    dictionary=graph.dictionary,
                 )
-            else:
-                bind = _scan_rows(reads, writes, repeats)
         elif leaf.mode == "id":
             engine = path_engine if path_engine is not None else IdPathEngine(graph)
             path = normalize_path(node.path)
@@ -632,12 +731,12 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
                 term_id = engine.endpoint_id(part, path)
                 return None if term_id is _ABSENT else term_id
 
-            reads = reads_of(parts, before, endpoint_id)
-            if reads is None:
+            layout = pattern_layout(parts, before, register_of, prefilled(endpoint_id))
+            if layout is None:
                 return compiled
             bind = _id_path_rows(
                 path,
-                reads,
+                layout[0],
                 targets=[register_of.get(part) for part in parts],
                 # A *substituted* variable endpoint only ranges over graph
                 # nodes, so its zero-length self-match requires node
@@ -655,7 +754,7 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
                     (part, register_of[part]) for part in dict.fromkeys(parts) if part in before
                 ),
                 free_ends=tuple((variable, register_of[variable]) for variable in fresh),
-                dictionary=dictionary,
+                space=space,
             )
 
         rows, probes = allocate(0), allocate(0)
@@ -669,7 +768,7 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
             partial(
                 _step,
                 bind=bind,
-                test=compile_conditions(conditions, dictionary, register_of, bound),
+                test=space.conditions(conditions, register_of, bound),
                 rows=rows,
                 probes=probes,
                 passed=passed,
@@ -682,7 +781,7 @@ def _compile(plan, graph, domain: Set[Variable], path_engine: Optional[IdPathEng
             (variable, register_of[variable])
             for variable in sorted(set(root.variables) | domain, key=lambda v: v.name)
         ),
-        dictionary.term,
+        space.decode,
     )
     for make in reversed(makers):
         step = make(step)
@@ -885,14 +984,15 @@ def _term_path_rows(
     node,
     bound_ends: Tuple[Tuple[Variable, int], ...],
     free_ends: Tuple[Tuple[Variable, int], ...],
-    dictionary: TermDictionary,
+    space: KeySpace,
 ) -> Callable[[Registers], Iterable]:
     """A property path over the term-level machinery, bridged per probe:
-    decode the bound endpoints, evaluate, re-intern the fresh ones."""
-    decode = dictionary.term
+    decode the bound endpoints, evaluate, re-intern the fresh ones (both
+    the identity in term space)."""
+    decode = space.decode
     # Interning is idempotent for graph terms and harmlessly append-only
     # for the rare zero-length-path endpoint outside the graph.
-    encode = dictionary.encode
+    encode = space.encode
 
     def rows(registers: Registers) -> Iterable:
         base = Binding(

@@ -14,19 +14,20 @@ and executes it.  The split gives every execution strategy one home:
 
 * **Lowering** — :func:`lower_plan` chooses term-space vs. id-space
   operators per *backend capability* (duck-typed store surfaces): an
-  id-capable graph gets the id-native pipeline, everything else the term
-  pipeline.  The :class:`~repro.sparql.profile.ExecutionProfile` it is
-  handed can only *disable* a capability (to recover the differential
-  oracle pipelines), never force an unsupported one.  FILTER conjuncts
+  id-capable graph gets ids in the registers, everything else the terms
+  themselves (``plan.space``, the one selector of the key space).  The
+  :class:`~repro.sparql.profile.ExecutionProfile` it is handed can only
+  *disable* a capability (to recover the differential reference
+  configurations), never force an unsupported one.  FILTER conjuncts
   arrive here and become :class:`Filter` operators wrapped around the
   earliest input that binds their variables
   (:func:`repro.sparql.plan.attach_filters`).
 
 * **Executor** — :func:`execute` is the one entry point for running a
-  planned BGP, always as a stream: the term-space index-nested-loop
-  pipeline and the leapfrog triejoin interpret the DAG here; an id-space
-  index-nested-loop plan is compiled once into a chain of step closures
-  by :mod:`repro.sparql.idexec` and cached on the plan.
+  planned BGP, always as a stream, and dispatches on the join operator
+  alone: an index-nested-loop plan of either space is compiled once
+  into a chain of step closures by :mod:`repro.sparql.idexec` and cached
+  on the plan; the leapfrog triejoin interprets its DAG here.
 
 * **Worst-case-optimal join** — :class:`LeapfrogJoin` implements the
   leapfrog-triejoin of Veldhuizen over the encoded store's sorted id
@@ -60,7 +61,6 @@ from repro.sparql.expressions import (
     FunctionCall,
     TermExpr,
     VariableExpr,
-    satisfies,
 )
 from repro.sparql import idexec
 from repro.sparql.idexec import supports_id_execution
@@ -69,9 +69,7 @@ from repro.sparql.plan import (
     BGPPlan,
     PathEvaluator,
     StepFilters,
-    _match_path,
     attach_filters,
-    match_triple,
     plan_bgp,
 )
 from repro.sparql.profile import ExecutionProfile
@@ -397,8 +395,7 @@ class PhysicalPlan:
     _operator_cache: Optional[List[PhysicalOperator]] = field(
         default=None, repr=False
     )
-    _step_cache: Optional[List[Tuple]] = field(default=None, repr=False)
-    #: Compiled id-space pipelines by domain of the initial binding
+    #: Compiled pipelines by domain of the initial binding
     #: (:func:`repro.sparql.idexec.run` fills and validates it).
     _compiled: Dict[Tuple[Variable, ...], object] = field(default_factory=dict, repr=False)
 
@@ -846,13 +843,6 @@ def _unwrap_root(plan: PhysicalPlan):
     return None, child
 
 
-def _unwrap_input(input_op: PhysicalOperator):
-    """Split a join input into (leaf, conditions, Filter op or None)."""
-    if isinstance(input_op, Filter):
-        return input_op.child, input_op.conditions, input_op
-    return input_op, (), None
-
-
 def _timed_iter(iterator: Iterator, stats: OperatorStats) -> Iterator:
     """Accumulate an iterator's ``next()`` self-time into ``stats.seconds``.
 
@@ -893,20 +883,16 @@ def execute(
 
     Every execution reports its own rows and probes even when the
     physical plan came out of a cache: counters are reset here, and the
-    compiled id pipeline (:mod:`repro.sparql.idexec`) counts per
-    execution and publishes when its stream ends or is closed, so nested
-    and interleaved executions of one plan do not mix.
+    compiled pipeline (:mod:`repro.sparql.idexec`, either key space)
+    counts per execution and publishes when its stream ends or is
+    closed, so nested and interleaved executions of one plan do not mix.
     ``timed=True`` additionally measures per-operator self time into
     :attr:`OperatorStats.seconds` (one extra clock read per produced row
     — ``explain_analyze`` turns it on, normal evaluation leaves it off).
     """
     plan.reset_stats()
     prefilter_op, join = _unwrap_root(plan)
-    if plan.space != "id":
-        stream = _execute_term(
-            plan, graph, prefilter_op, join, path_evaluator, initial, timed
-        )
-    elif isinstance(join, LeapfrogJoin):
+    if isinstance(join, LeapfrogJoin):
         stream = _execute_leapfrog(
             plan, graph, prefilter_op, join, initial, timed, term_fallbacks
         )
@@ -923,69 +909,6 @@ def execute(
     if timed:
         return _timed_iter(stream, plan.root.stats)
     return stream
-
-
-def _execute_term(
-    plan: PhysicalPlan,
-    graph,
-    prefilter_op: Optional[Filter],
-    join: PhysicalOperator,
-    path_evaluator: Optional[PathEvaluator],
-    initial: Binding,
-    timed: bool = False,
-) -> Iterator[Binding]:
-    """Term-space index-nested-loop pipeline."""
-    if prefilter_op is not None:
-        prefilter_op.stats.probes += 1
-        if not all(satisfies(c, initial) for c in prefilter_op.conditions):
-            return iter(())
-        prefilter_op.stats.rows += 1
-    steps = plan._step_cache
-    if steps is None:
-        steps = [_unwrap_input(input_op) for input_op in join.inputs]
-        plan._step_cache = steps
-    total = len(steps)
-    join_stats = join.stats
-    project_stats = plan.root.stats
-
-    def recurse(position: int, binding: Binding) -> Iterator[Binding]:
-        if position == total:
-            join_stats.rows += 1
-            project_stats.rows += 1
-            yield binding
-            return
-        leaf, conditions, filter_op = steps[position]
-        leaf.stats.probes += 1
-        if isinstance(leaf, Scan):
-            matches: Iterator[Binding] = match_triple(graph, leaf.node.triple, binding)
-        else:
-            if path_evaluator is None:
-                raise TypeError("plan contains a path pattern but no path evaluator")
-            matches = _match_path(graph, leaf.node, binding, path_evaluator)
-        if timed:
-            matches = _timed_iter(matches, leaf.stats)
-        # Counters batch into locals, flushed in the finally block (which
-        # also covers partially-consumed streams) — a per-row attribute
-        # increment is measurable on fan-heavy inner loops, an int += not.
-        rows_seen = 0
-        slot_probes = 0
-        slot_rows = 0
-        try:
-            for extended in matches:
-                rows_seen += 1
-                if conditions:
-                    slot_probes += 1
-                    if not all(satisfies(c, extended) for c in conditions):
-                        continue
-                    slot_rows += 1
-                yield from recurse(position + 1, extended)
-        finally:
-            leaf.stats.rows += rows_seen
-            if filter_op is not None:
-                filter_op.stats.probes += slot_probes
-                filter_op.stats.rows += slot_rows
-
-    return recurse(0, initial)
 
 
 # ----------------------------------------------------------------------

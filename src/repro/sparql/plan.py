@@ -20,11 +20,12 @@ explicit planning pipeline:
    :class:`PlanStep` values, i.e. *plans as data* that can be inspected,
    logged and (in later work) cached or shipped to shards.
 
-3. **FILTER attachment and term-space probes** — :func:`attach_filters`
+3. **FILTER attachment and direct probes** — :func:`attach_filters`
    assigns each FILTER conjunct to the earliest step binding its
-   variables; :func:`match_triple` and the path-step matcher substitute a
-   partial solution's bound variables into the next pattern and probe the
-   graph's SPO/POS/OSP indexes directly, yielding bindings lazily.
+   variables; :func:`match_triple` answers one lone triple pattern from
+   a single SPO/POS/OSP index probe, and the path-step matcher
+   substitutes a partial solution's bound endpoints into a path pattern
+   before handing it to the term-level path machinery.
 
 A plan is run by lowering it (:func:`repro.sparql.physical.lower_plan`)
 and executing the result (:func:`repro.sparql.physical.execute`); the
@@ -274,38 +275,29 @@ def attach_filters(
 
 
 # ----------------------------------------------------------------------
-# term-space index probes (the physical term pipeline's per-step work)
+# direct probes: a lone triple pattern, and the term-level path step
 # ----------------------------------------------------------------------
-def match_triple(
-    graph: Graph, pattern: Triple, binding: Binding
-) -> Iterator[Binding]:
-    """Yield extensions of ``binding`` matching ``pattern`` via index probes.
+def match_triple(graph: Graph, pattern: Triple) -> Iterator[Binding]:
+    """Yield the solutions of one triple pattern from a single index probe.
 
-    Variables bound in ``binding`` are substituted into the pattern before
-    probing, so the most selective available index is always used.
+    What the evaluator runs for a bare lone pattern and for every pattern
+    of the unplanned (textual-order) evaluation; joins go through the
+    compiled pipeline (:mod:`repro.sparql.idexec`) instead.
     """
-    parts: List[Optional[Term]] = []
     free: Dict[Variable, int] = {}
     repeats: List[Tuple[int, int]] = []
     for position, part in enumerate(pattern):
-        if isinstance(part, Variable):
-            value = binding.get(part)
-            if value is None and free.setdefault(part, position) != position:
-                repeats.append((free[part], position))
-            parts.append(value)
-        else:
-            parts.append(part)
-    # Which triple position fills which new variable, in name order: the
-    # layout of every extension, fixed here and not per matching triple.
+        if isinstance(part, Variable) and free.setdefault(part, position) != position:
+            repeats.append((free[part], position))
+    # Which triple position fills which variable, in name order: the
+    # layout of every solution, fixed here and not per matching triple.
     slots = sorted(free.items(), key=lambda slot: slot[0].name)
-    for triple in graph.triples(*parts):
+    for triple in graph.triples(*map(_component, pattern)):
         values = (triple.subject, triple.predicate, triple.object)
         if repeats and any(values[first] != values[again] for first, again in repeats):
             continue
-        yield binding.merge(
-            Binding.from_sorted_items(
-                tuple([(variable, values[position]) for variable, position in slots])
-            )
+        yield Binding.from_sorted_items(
+            tuple([(variable, values[position]) for variable, position in slots])
         )
 
 

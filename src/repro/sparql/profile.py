@@ -30,16 +30,20 @@ field                 ``FULL`` ``ID_NATIVE`` ``BASELINE``
 
 ``BASELINE``
     Planned, decoded, post-filtered term-level evaluation — the
-    differential-testing oracle.  Joins run over boxed terms, FILTERs
-    apply after the join, property paths use the spec's term-level ALP
-    procedure.
+    differential reference for the id-space machinery.  Joins run in the
+    same compiled pipeline as ``FULL`` with boxed terms in the registers
+    (:class:`repro.sparql.idexec.KeySpace`), FILTERs apply after the
+    join through the term-level interpreter, property paths use the
+    spec's term-level ALP procedure.  The oracle that shares *no* code
+    with the step compiler is the unplanned evaluation below.
 
 A field can only switch a capability *off*: which operators run is
-decided per backend capability, so ``FULL`` on the hash backend is the
-term pipeline.  Profiles are plain frozen (hashable) dataclasses;
-ablations needing an unnamed configuration — e.g. the all-off naive
-evaluator, ``BASELINE.with_options(use_planner=False)`` — use
-:meth:`ExecutionProfile.with_options`.
+decided per backend capability, so ``FULL`` on the hash backend runs
+the pipeline in term space.  Profiles are plain frozen (hashable)
+dataclasses; ablations needing an unnamed configuration — e.g. the
+all-off naive evaluator, ``BASELINE.with_options(use_planner=False)``
+(no planner: pattern by pattern in textual order, joined through
+``CompatIndex``) — use :meth:`ExecutionProfile.with_options`.
 """
 
 from __future__ import annotations

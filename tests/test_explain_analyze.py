@@ -167,3 +167,26 @@ def test_explain_accepts_every_shape_explain_analyze_does(backend, group):
     report = evaluator.explain_analyze(query)
     assert rendered == report.plan.explain()
     assert report.rows == len(evaluator.evaluate(query))
+
+
+def test_query_plans_a_lone_pattern_only_when_something_is_pushed_into_it():
+    from repro import create_engine
+
+    engine = create_engine(EncodedGraph(_TRIPLES))
+    lowered = "sparql_physical_cache_misses_total"
+    # A bare lone pattern is a direct index probe: nothing planned or lowered.
+    assert len(engine.query(PREFIX + "SELECT * WHERE { ?s ex:p ?o }")) == 5
+    assert len(engine.query(PREFIX + "SELECT * WHERE { ?s ex:p+ ?o }")) > 5
+    assert engine.metrics()[lowered] == 0
+    assert engine.evaluator.last_physical_plan is None
+    # Under a FILTER it is the one-step pipeline explain() shows, id kernel included.
+    filtered = PREFIX + "SELECT * WHERE { ?s ex:p ?o FILTER(?o != ex:a) }"
+    assert len(engine.query(filtered)) == 2
+    assert engine.metrics()[lowered] == 1
+    assert engine.evaluator.last_physical_plan.explain() == engine.explain(filtered) == (
+        "Project [?o, ?s] decode=id\n"
+        "└─ IndexNestedLoopJoin steps=1\n"
+        "   └─ Filter (?o != <http://ex.org/a>) kernel=id\n"
+        "      └─ Scan TP(?s <http://ex.org/p> ?o) est=5"
+    )
+    assert engine.metrics()["sparql_filter_term_fallbacks_total"] == 0

@@ -45,7 +45,7 @@ from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import DECODED, EX
+from tests.helpers import DECODED, EX, NAIVE
 
 OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
 
@@ -241,6 +241,11 @@ def _evaluators(triples):
     yield SparqlEvaluator(Dataset.from_graph(Graph(triples)))
     yield SparqlEvaluator(
         Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.BASELINE
+    )
+    # The oracle that shares no code with the step compiler.
+    yield SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)), profile=NAIVE)
+    yield SparqlEvaluator(
+        Dataset.from_graph(Graph(triples)), profile=NAIVE.with_options(use_id_paths=False)
     )
 
 

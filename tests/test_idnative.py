@@ -44,7 +44,7 @@ from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import EX
+from tests.helpers import EX, NAIVE
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -56,13 +56,16 @@ def tp(subject, predicate, obj):
 
 
 def _all_configurations(graph_triples):
-    """Both backends x (FULL, ID_NATIVE, BASELINE) execution profiles.
+    """Both backends x (FULL, ID_NATIVE, BASELINE, NAIVE, NAIVE on term paths).
 
     The FULL profile may lower cyclic BGPs to the leapfrog-triejoin
     operator on the encoded backend; ID_NATIVE pins the binary
     index-nested-loop pipeline, so any divergence between the two
     isolates the WCOJ operator; BASELINE is the decoded post-filtered
-    differential oracle.
+    pipeline — the same compiled steps with terms in the registers.  The
+    two NAIVE profiles are the oracle that shares no code with the step
+    compiler: unplanned, pattern by pattern through ``match_triple`` and
+    ``CompatIndex``.
     """
     configurations = []
     for backend in (Graph, EncodedGraph):
@@ -71,6 +74,8 @@ def _all_configurations(graph_triples):
             ExecutionProfile.FULL,
             ExecutionProfile.ID_NATIVE,
             ExecutionProfile.BASELINE,
+            NAIVE,
+            NAIVE.with_options(use_id_paths=False),
         ):
             configurations.append(SparqlEvaluator(dataset, profile=profile))
     return configurations
@@ -300,6 +305,23 @@ class TestIdNativeEvaluation:
         )
         assert rows == Counter({(EX.loop,): 1})
 
+    def test_constant_in_no_triple_empties_the_bgp(self):
+        rows = _assert_all_equal(
+            PREFIX + "SELECT ?s ?o WHERE { ?s ex:p ex:never_seen . ?s ex:q ?o }",
+            self._triples(),
+        )
+        assert not rows
+
+    @pytest.mark.parametrize("closure", ["*", "?"])
+    def test_bound_non_node_endpoint_of_a_zero_length_path(self, closure):
+        # ?a ranges over predicates; only ex:r is also a node of the graph,
+        # so only it may match itself at length zero.
+        triples = self._triples() + [Triple(EX.r, EX.p, EX.o1)]
+        rows = _assert_all_equal(
+            PREFIX + f"SELECT ?a ?t WHERE {{ ?s ?a ?o . ?a ex:p{closure} ?t }}", triples
+        )
+        assert set(rows) == {(EX.r, EX.r), (EX.r, EX.o1)}
+
     def test_path_step_requires_evaluator_only_off_the_id_engine(self):
         from repro.sparql.algebra import PathPattern
         from repro.sparql.paths import LinkPath
@@ -361,6 +383,10 @@ class TestIdNativeEvaluation:
         plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
         initial = Binding({x: EX.unseen_subject})
         assert list(physical.execute(plan, graph, initial=initial)) == []
+        # What the unplanned oracle says of the same join.
+        naive = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
+        values = "SELECT * WHERE { VALUES ?x { ex:unseen_subject } ?x ex:p ?o }"
+        assert len(naive.evaluate(parse_query(PREFIX + values))) == 0
 
     def test_ask_short_circuits_through_id_pipeline(self):
         dataset = Dataset.from_graph(EncodedGraph(self._triples()))

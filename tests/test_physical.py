@@ -19,6 +19,7 @@ Four angles on the logical-plan → physical-DAG lowering:
 from collections import Counter
 
 import gc
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.rdf.terms import Triple, Variable
 from repro.sparql import physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
+from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.parser import parse_query
 from repro.sparql.physical import (
     IndexNestedLoopJoin,
@@ -352,6 +354,74 @@ class TestExecution:
         counters = {entry["operator"]: entry for entry in plan.counters()}
         assert counters["Project"]["rows"] == len(rows)
         assert counters["IndexNestedLoopJoin"]["rows"] == len(rows)
+
+    @pytest.mark.parametrize(
+        "backend, profile, explained, analyzed",
+        [
+            # Recorded at PR 18 (the per-row term interpreter), to the digit.
+            (
+                Graph,
+                ExecutionProfile.FULL,
+                """\
+Project [?a, ?b, ?c] decode=term
+└─ Filter (<http://ex.org/a> = <http://ex.org/a>) kernel=term
+   └─ IndexNestedLoopJoin steps=3
+      ├─ Filter (?a != ?b) kernel=term
+      │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5
+      ├─ Filter (?c != <http://ex.org/b>) kernel=term
+      │  └─ Scan TP(?b <http://ex.org/p> ?c) est=1
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
+                [
+                    "rows=2 probes=0",
+                    "rows=1 probes=1",
+                    "rows=2 probes=0",
+                    "rows=5 probes=5",
+                    "rows=5 probes=1 actual=5/probe err=1x",
+                    "rows=2 probes=5",
+                    "rows=5 probes=5 actual=1/probe err=1x",
+                    "rows=2 probes=2 actual=1/probe err=0.33x",
+                ],
+            ),
+            (
+                EncodedGraph,
+                ExecutionProfile.BASELINE,
+                """\
+Project [?a, ?b, ?c] decode=term
+└─ IndexNestedLoopJoin steps=3
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
+   └─ Filter (?a != ?b) && (?c != <http://ex.org/b>) && (<http://ex.org/a> = <http://ex.org/a>) kernel=term
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
+                [
+                    "rows=2 probes=0",
+                    "rows=2 probes=0",
+                    "rows=5 probes=1 actual=5/probe err=1x",
+                    "rows=5 probes=5 actual=1/probe err=1x",
+                    "rows=2 probes=3",
+                    "rows=3 probes=5 actual=0.6/probe err=0.56x",
+                ],
+            ),
+        ],
+        ids=["hash-full", "encoded-baseline"],
+    )
+    def test_term_space_counts_of_a_filtered_bgp(self, backend, profile, explained, analyzed):
+        graph = backend(_TRIPLES)
+        a, b, c = _vars("a", "b", "c")
+        conditions = (
+            Comparison("!=", VariableExpr(a), VariableExpr(b)),
+            Comparison("!=", VariableExpr(c), TermExpr(EX.b)),
+            Comparison("=", TermExpr(EX.a), TermExpr(EX.a)),
+        )
+        plan = lower_bgp(graph, _triangle_patterns(), conditions, profile)
+        assert plan.space == "term" and plan.explain() == explained
+        assert len(list(physical.execute(plan, graph, timed=True))) == 2
+        header, *lines = plan.explain_analyze(total_seconds=0.0).splitlines()
+        assert header == "EXPLAIN ANALYZE (term space) total=0.00ms"
+        # The tree of explain(), each line followed by its time and counts.
+        assert [re.sub(r"^[ │├└─]*", "", line.split(" | ")[0]) for line in lines] == [
+            re.sub(r"^[ │├└─]*", "", line) for line in explained.splitlines()
+        ]
+        assert [re.sub(r".* \| time=[0-9.]+ms ", "", line) for line in lines] == analyzed
 
     def test_term_plan_requires_path_evaluator_lazily(self):
         graph = Graph(_TRIPLES)
