@@ -190,7 +190,7 @@ def bind_store_metrics(
     counters = graph.enable_counters()
     registry.counter(
         f"{prefix}_index_probes_total",
-        "Triple-index probes (match_triple_ids calls)",
+        "Triple-index probes (calls of the store's id probe surface)",
         callback=lambda: counters.index_probes,
     )
     registry.counter(

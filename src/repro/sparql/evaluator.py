@@ -267,7 +267,7 @@ class SparqlEvaluator:
     # ------------------------------------------------------------------
     def _evaluate_select(self, query: SelectQuery) -> SolutionSequence:
         dataset = self._active_dataset(query.dataset_clauses)
-        bindings, carried = self._eval_select_pattern(query, dataset)
+        bindings, project = self._eval_select_pattern(query, dataset)
         if query.has_aggregates():
             bindings = self._apply_grouping(query, bindings)
         else:
@@ -278,8 +278,8 @@ class SparqlEvaluator:
             bindings = apply_order_by(query.order_by, bindings)
         variables = query.projected_variables()
         if (
-            carried is not None
-            and set(carried) == set(variables)
+            project is not None
+            and set(project.variables) == set(variables)
             and not query.has_aggregates()
         ):
             # The rows are still the pipeline's (no grouping; an AS alias
@@ -288,7 +288,9 @@ class SparqlEvaluator:
         else:
             wanted = frozenset(variables)
             projected = [binding.project(wanted) for binding in bindings]
-        if query.distinct or query.reduced:
+        if (query.distinct or query.reduced) and not (project is not None and project.distinct):
+            # A distinct ``Project`` has dropped the duplicates already, as
+            # id tuples, keeping the same first occurrences.
             projected = distinct_rows(projected)
         if query.offset:
             projected = projected[query.offset:]
@@ -298,37 +300,45 @@ class SparqlEvaluator:
 
     def _query_stream(
         self, query: Query, dataset: Dataset
-    ) -> Tuple[Iterator[Binding], Optional[Tuple[Variable, ...]]]:
-        """Stream a query form's pattern; say which variables its rows carry.
+    ) -> Tuple[Iterator[Binding], Optional[physical.Project]]:
+        """Stream a query form's pattern; say what its rows are.
 
         When the whole pattern is one planned pipeline
         (:meth:`_pipeline`) the variables the query form reads from
         its rows (:func:`_variables_read`) go down as the projection, so
-        an id-space plan decodes nothing else, and the second element is
-        the plan's ``Project`` list: exactly the domain of every row.  It
-        is ``None`` for any other pattern, which streams as
-        :meth:`_eval_pattern_stream` does.
+        an id-space plan decodes nothing else, and DISTINCT
+        (:func:`_distinct_projection`) goes down with them; the second
+        element is the plan's ``Project``, whose ``variables`` are exactly
+        the domain of every row and whose ``distinct`` says that no row
+        comes twice.  It is ``None`` for any other pattern, which streams
+        as :meth:`_eval_pattern_stream` does.
         """
         graph = dataset.default_graph
         pipeline = self._pipeline(query.pattern)
         if pipeline is None or (pipeline[1] and not self.profile.use_filter_pushdown):
             return self._eval_pattern_stream(query.pattern, graph, dataset), None
         bgp, conditions = pipeline
-        stream = self._eval_bgp_stream(bgp, graph, conditions, project=_variables_read(query))
-        return stream, self.last_physical_plan.root.variables
+        stream = self._eval_bgp_stream(
+            bgp,
+            graph,
+            conditions,
+            project=_variables_read(query),
+            distinct=_distinct_projection(query),
+        )
+        return stream, self.last_physical_plan.root
 
     def _eval_select_pattern(
         self, query: SelectQuery, dataset: Dataset
-    ) -> Tuple[List[Binding], Optional[Tuple[Variable, ...]]]:
+    ) -> Tuple[List[Binding], Optional[physical.Project]]:
         """Evaluate a SELECT query's pattern, short-circuiting when safe.
 
         A query whose only solution modifiers are LIMIT/OFFSET consumes
         exactly ``offset + limit`` solutions from the streaming pipeline;
         anything involving ordering, grouping or DISTINCT needs the full
         multiset.  Returns the rows and :meth:`_query_stream`'s word on
-        the variables they carry.
+        what they are.
         """
-        stream, carried = self._query_stream(query, dataset)
+        stream, project = self._query_stream(query, dataset)
         can_short_circuit = (
             query.limit is not None
             and not query.order_by
@@ -345,8 +355,8 @@ class SparqlEvaluator:
             close = getattr(stream, "close", None)
             if close is not None:
                 close()
-            return results, carried
-        return list(stream), carried
+            return results, project
+        return list(stream), project
 
     def _evaluate_ask(self, query: AskQuery) -> bool:
         dataset = self._active_dataset(query.dataset_clauses)
@@ -488,12 +498,14 @@ class SparqlEvaluator:
         conditions: Tuple[Expression, ...],
         profile: ExecutionProfile,
         project: Optional[Tuple[Variable, ...]] = None,
+        distinct: Optional[Tuple[Variable, ...]] = None,
     ) -> physical.PhysicalPlan:
         """Plan + lower a BGP — what :attr:`lowered_plans` builds on a miss.
 
         Lowering (operator construction, WCOJ eligibility analysis) is
         pure in the pattern tuple, the FILTER conjuncts, the profile, the
-        projection and the graph statistics, which is exactly the cache key.  The
+        projection, the DISTINCT projection and the graph statistics,
+        which is exactly the cache key.  The
         logical plan comes through :attr:`logical_plans`, so one BGP
         under different FILTER conjuncts is ordered once.  With a tracer
         attached the two steps run under ``plan`` / ``lower`` spans.
@@ -501,7 +513,9 @@ class SparqlEvaluator:
         with self._span("plan"):
             plan = self.logical_plans.get(graph, patterns)
         with self._span("lower") as span:
-            physical_plan = physical.lower_plan(plan, graph, conditions, profile, project)
+            physical_plan = physical.lower_plan(
+                plan, graph, conditions, profile, project, distinct
+            )
             span.annotate(space=physical_plan.space)
             if physical_plan.wcoj_fallback is not None:
                 span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
@@ -516,6 +530,7 @@ class SparqlEvaluator:
         active_graph: Graph,
         conditions: Tuple[Expression, ...] = (),
         project: Optional[Tuple[Variable, ...]] = None,
+        distinct: Optional[Tuple[Variable, ...]] = None,
     ) -> physical.PhysicalPlan:
         """The (cached) physical plan of a BGP under FILTER ``conditions``.
 
@@ -523,8 +538,10 @@ class SparqlEvaluator:
         execution reports its own counters (see ``physical.execute``).
         """
         key = (node.patterns, conditions, self.profile)
-        if project is not None:
-            # Without one, the key every other caller (live views) looks up.
+        if distinct is not None:
+            key += (project, distinct)
+        elif project is not None:
+            # Without either, the key every other caller (live views) looks up.
             key += (project,)
         physical_plan = self.lowered_plans.get(active_graph, *key)
         self.last_physical_plan = physical_plan
@@ -537,6 +554,7 @@ class SparqlEvaluator:
         conditions: Tuple[Expression, ...] = (),
         timed: bool = False,
         project: Optional[Tuple[Variable, ...]] = None,
+        distinct: Optional[Tuple[Variable, ...]] = None,
     ) -> Iterator[Binding]:
         """Plan, lower and stream a BGP through the physical executor.
 
@@ -549,9 +567,10 @@ class SparqlEvaluator:
         allows.  ``timed`` turns on per-operator self time (for
         :meth:`explain_analyze`).  ``project`` names the variables the
         caller reads from the rows (sorted by name; ``None``: all of
-        them) — an id-space plan decodes no others.
+        them) — an id-space plan decodes no others — and ``distinct`` the
+        projection of a DISTINCT query (:func:`_distinct_projection`).
         """
-        physical_plan = self._lower(node, active_graph, conditions, project)
+        physical_plan = self._lower(node, active_graph, conditions, project, distinct)
         engine = (
             self._id_path_engine(active_graph)
             if physical_plan.space == "id" and self.profile.use_id_paths
@@ -614,14 +633,22 @@ class SparqlEvaluator:
 
     def _explainable(
         self, query: Query, caller: str
-    ) -> Tuple[BGP, Tuple[Expression, ...], Graph, Optional[Tuple[Variable, ...]]]:
-        """The planned pipeline of ``query`` that ``caller`` renders.
+    ) -> Tuple[
+        BGP,
+        Graph,
+        Tuple[Expression, ...],
+        Optional[Tuple[Variable, ...]],
+        Optional[Tuple[Variable, ...]],
+    ]:
+        """The planned pipeline of ``query`` that ``caller`` renders, as
+        :meth:`_lower` takes it.
 
         Returns the BGP (a lone triple/path pattern is promoted to one:
-        :meth:`_pipeline` with the rendering as what is pushed), the
-        FILTER conjuncts scoped over it, the graph it runs on and the
-        variables the query form reads from its rows — what evaluation
-        hands to :meth:`_eval_bgp_stream`, so the plan shown is the plan run.
+        :meth:`_pipeline` with the rendering as what is pushed), the graph
+        it runs on, the FILTER conjuncts scoped over it, the variables the
+        query form reads from its rows and its DISTINCT projection — what
+        evaluation hands to :meth:`_eval_bgp_stream`, so the plan shown is
+        the plan run.
         """
         pipeline = self._pipeline(query.pattern, pushing=True)
         if pipeline is None:
@@ -629,8 +656,9 @@ class SparqlEvaluator:
                 f"{caller} supports planned BGPs (optionally FILTER-wrapped); "
                 f"got {type(query.pattern).__name__}"
             )
-        dataset = self._active_dataset(query.dataset_clauses)
-        return (*pipeline, dataset.default_graph, _variables_read(query))
+        bgp, conditions = pipeline
+        graph = self._active_dataset(query.dataset_clauses).default_graph
+        return bgp, graph, conditions, _variables_read(query), _distinct_projection(query)
 
     def explain(self, query: Query) -> str:
         """Render the physical operator plan for a query's pattern.
@@ -642,8 +670,7 @@ class SparqlEvaluator:
         plan is also left in :attr:`last_physical_plan` so callers can
         execute-then-inspect per-operator counters.
         """
-        pattern, conditions, graph, project = self._explainable(query, "explain()")
-        return self._lower(pattern, graph, conditions, project).explain()
+        return self._lower(*self._explainable(query, "explain()")).explain()
 
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeReport:
         """Execute a query's planned BGP and render the measured plan.
@@ -663,9 +690,11 @@ class SparqlEvaluator:
 
             with self._span("parse"):
                 query = parse_query(query)
-        pattern, conditions, graph, project = self._explainable(query, "explain_analyze()")
+        pattern, graph, conditions, project, distinct = self._explainable(
+            query, "explain_analyze()"
+        )
         stream = self._eval_bgp_stream(
-            pattern, graph, conditions, timed=True, project=project
+            pattern, graph, conditions, timed=True, project=project, distinct=distinct
         )
         physical_plan = self.last_physical_plan
         started = perf_counter()
@@ -1017,6 +1046,21 @@ def _variables_read(query: Query) -> Optional[Tuple[Variable, ...]]:
     for condition in query.order_by:
         read |= condition.expression.variables()
     return tuple(sorted(read, key=lambda variable: variable.name))
+
+
+def _distinct_projection(query: Query) -> Optional[Tuple[Variable, ...]]:
+    """The projection (sorted by name) of a SELECT DISTINCT / REDUCED that
+    only orders and slices its pattern's rows — no grouping, aggregate or
+    HAVING in between — else ``None``.  What the lowering pass compares
+    with the variables a plan emits (``lower_plan(distinct=)``)."""
+    if (
+        isinstance(query, SelectQuery)
+        and (query.distinct or query.reduced)
+        and not query.has_aggregates()
+        and query.having is None
+    ):
+        return tuple(sorted(query.projected_variables(), key=lambda variable: variable.name))
+    return None
 
 
 def apply_order_by(

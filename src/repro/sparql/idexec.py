@@ -11,9 +11,10 @@ store (:mod:`repro.store.encoded`), or the term itself — same steps,
 same layout, same counters.
 
 * **Registers.**  A short header (this execution's result-row and
-  term-fallback counts, the store's probe function, the path machinery),
+  term-fallback counts, the store's probe functions, the path machinery),
   then per-operator row/probe counters, one pre-filled register per
-  pattern constant, one register per variable and one per hash table.
+  pattern constant, one register per variable, one per hash table and,
+  for a DISTINCT plan, one for the set of rows emitted so far.
   Everything a step touches is addressed by an index fixed at compile
   time; the file is copied from a template per execution, so a cached
   plan is re-entrant and every execution publishes its own counters to
@@ -31,6 +32,22 @@ same layout, same counters.
   matches into a table keyed by the equality key once per execution and
   probe it per outer row.
 
+* **A probe is a dict lookup (id space).**  Which way a scan reads the
+  store follows from the positions its probe leaves free
+  (:func:`access_path`).  With at most one — most probes of a join: every
+  step after the first is entered with a variable bound — the step asks
+  the store for a verdict (S P O) or for the index *entry* of the two
+  bound keys, and a miss, a hit or a single id *returns* the rows of the
+  next step: no generator frame, no id tuple (:func:`_member_step`,
+  :func:`_entry_step`).  Only an entry that is a set of ids fans out, in
+  one frame (:func:`_fan_out`) — the frame every other step runs in too,
+  fed by a stream of matches (:func:`_step`): two or three free
+  positions, where the matches span entries and ``?x p ?x`` has to be
+  checked per triple, a ``HashProbe``'s build scan, a path, and every
+  term-space probe.  Each shape has one implementation; under
+  ``execute(timed=True)`` a lookup goes through the framed form too, so
+  per-scan times and counts need no step of their own.
+
 * **FILTER kernels (id space).**  ``= != < <= > >=`` between variables
   and/or constants and ``sameTerm`` run on ids, kind tags and — for
   literals — per-id *comparison keys* (:func:`comparison_key`) memoised
@@ -45,6 +62,9 @@ same layout, same counters.
 * **Result boundary.**  Only the variables of the plan's ``Project`` are
   decoded, through a precomputed variable order so the
   :class:`~repro.sparql.solutions.Binding` construction skips its sort.
+  A ``Project`` that is ``distinct`` drops a row whose id tuple it has
+  emitted before — first, so a dropped row costs a tuple and a set probe,
+  no decode and no ``Binding`` (:func:`emit_step`).
 
 Id-mode property-path steps hand bound endpoint *ids* straight to the
 :class:`~repro.sparql.idpaths.IdPathEngine`; term-mode ones bridge
@@ -59,6 +79,7 @@ from __future__ import annotations
 
 import operator
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Term, Variable
@@ -83,6 +104,7 @@ from repro.store.dictionary import (
     TermDictionary,
     term_structure,
 )
+from repro.store.encoded import PROBE_SURFACE
 
 Registers = List[object]
 #: A compiled conjunct: the verdict for the row currently in the registers.
@@ -95,12 +117,19 @@ Step = Callable[[Registers], Iterable[Binding]]
 _FALLBACKS = 0  #: conjunct evaluations that ran in term space
 _RESULTS = 1  #: rows emitted at the result boundary
 _FREE = 2  #: always ``None``: what a free pattern position reads
-_MATCH = 3  #: ``graph.match_triple_ids`` (fetched per execution: counters wrap it)
-_TIMED = 4  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
-_GRAPH = 5
-_PATH_ENGINE = 6
-_PATH_EVALUATOR = 7
-HEADER: Tuple[object, ...] = (0, 0, None, None, None, None, None, None)
+_SINK = 3  #: written, never read: where a probe that binds nothing puts its rows
+#: The store's probes, ``KeySpace.match`` and the four of ``KeySpace.entries``
+#: (fetched per execution: ``enable_counters()`` shadows them on the graph).
+_MATCH = 4
+_MEMBER = 5
+_OBJECTS = 6
+_SUBJECTS = 7
+_PREDICATES = 8
+_TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
+_GRAPH = 10
+_PATH_ENGINE = 11
+_PATH_EVALUATOR = 12
+HEADER: Tuple[object, ...] = (0, 0) + (None,) * 11
 
 
 def supports_id_execution(graph: object) -> bool:
@@ -108,9 +137,17 @@ def supports_id_execution(graph: object) -> bool:
 
     Duck-typed rather than an ``isinstance`` check so alternative encoded
     backends (a future sharded store, mmap snapshots, ...) opt in by
-    implementing ``match_triple_ids`` + ``dictionary``.
+    implementing a ``dictionary``
+    (:class:`~repro.store.dictionary.TermDictionary`) and the id probe
+    surface (:data:`repro.store.encoded.PROBE_SURFACE`): the general probe
+    ``match_triple_ids(s, p, o)`` (``None`` = wildcard, id triples out) and
+    the four dict-lookup probes of the shapes with at most one free
+    position — ``contains_ids(s, p, o)`` (a verdict) and
+    ``object_entry_ids(s, p)`` / ``subject_entry_ids(p, o)`` /
+    ``predicate_entry_ids(s, o)``, each returning ``None``, the one
+    matching id, or the set of them.
     """
-    return hasattr(graph, "match_triple_ids") and hasattr(graph, "dictionary")
+    return hasattr(graph, "dictionary") and all(hasattr(graph, name) for name in PROBE_SURFACE)
 
 
 # ----------------------------------------------------------------------
@@ -444,8 +481,15 @@ def compile_conditions(
     return test
 
 
-def flush_term_fallbacks(registers: Registers, term_fallbacks) -> None:
-    """Add an execution's term-space conjunct evaluations to the counter."""
+def publish(
+    counters: Iterable[Tuple[object, int, int]], registers: Registers, term_fallbacks
+) -> None:
+    """Hand a finished (or closed) execution's counts over: each
+    ``(operator stats, rows register, probes register)`` to its operator,
+    the term-space conjunct evaluations to the ``term_fallbacks`` counter."""
+    for stats, rows, probes in counters:
+        stats.rows = registers[rows]
+        stats.probes = registers[probes]
     if term_fallbacks is not None and registers[_FALLBACKS]:
         term_fallbacks.inc(registers[_FALLBACKS])
 
@@ -472,6 +516,12 @@ class KeySpace(NamedTuple):
     #: Index probe on three keys (``None`` = wildcard) -> key triples.  Fetched
     #: per execution: ``enable_counters()`` shadows it on the graph instance.
     match: Callable[[Optional[Key], Optional[Key], Optional[Key]], Iterable[KeyTriple]]
+    #: Id space: the store's dict-lookup probes of the shapes with at most
+    #: one free position — ``contains_ids``, ``object_entry_ids``,
+    #: ``subject_entry_ids``, ``predicate_entry_ids`` (see
+    #: :func:`supports_id_execution`), fetched per execution like ``match``.
+    #: Term space has none: four ``None``.
+    entries: Tuple[Optional[Callable], Optional[Callable], Optional[Callable], Optional[Callable]]
     #: ``(conjuncts, register_of, bound)`` -> one test over the registers.
     conditions: Callable[[Sequence[Expression], Dict[Variable, int], Set[Variable]], Optional[Test]]
 
@@ -495,13 +545,19 @@ def key_space(graph, name: str) -> KeySpace:
             dictionary.encode,
             dictionary.term,
             graph.match_triple_ids,
+            (
+                graph.contains_ids,
+                graph.object_entry_ids,
+                graph.subject_entry_ids,
+                graph.predicate_entry_ids,
+            ),
             conditions,
         )
 
     def match(subject, predicate, obj):
         return map(tuple, graph.triples(subject, predicate, obj))
 
-    return KeySpace(name, _identity, _identity, _identity, match, _term_conditions)
+    return KeySpace(name, _identity, _identity, _identity, match, (None,) * 4, _term_conditions)
 
 
 def _term_conditions(
@@ -568,13 +624,58 @@ def pattern_layout(
     return reads, writes, repeats
 
 
+def probe_shape(parts: Sequence, bound: Set[Variable]) -> str:
+    """A triple pattern probed with ``bound`` bound, as ``SPO`` with ``?``
+    for every position the probe leaves free (``SP?``, ``?P?``, ...)."""
+    return "".join(
+        "?" if isinstance(part, Variable) and part not in bound else letter
+        for letter, part in zip("SPO", parts)
+    )
+
+
+def access_path(shape: str, space: str) -> str:
+    """How a scan of ``shape`` (:func:`probe_shape`) reads the store in ``space``.
+
+    In id space a probe with at most one free position is a dict lookup:
+    ``"member"`` (S P O: one verdict) or ``"entry"`` (the index entry
+    itself: no id, one, or the set) — see :func:`_member_step` /
+    :func:`_entry_step`.  Everything else is ``"match"``, a stream of key
+    triples (:func:`_scan_rows`): two or three free positions, where the
+    matches span index entries and a repeated variable (``?x p ?x``) must
+    be checked per triple, and every term-space probe, which reads any
+    graph through ``triples``.  The one decision, for the compiler and for
+    what ``explain`` prints.
+    """
+    free = shape.count("?")
+    if space != "id" or free > 1:
+        return "match"
+    return "entry" if free else "member"
+
+
+#: shape -> (accessor register, the two positions it is keyed on, the one it binds).
+_ENTRY_PROBES = {
+    "SP?": (_OBJECTS, 0, 1, 2),
+    "?PO": (_SUBJECTS, 1, 2, 0),
+    "S?O": (_PREDICATES, 0, 2, 1),
+}
+
+
 # ----------------------------------------------------------------------
 # the compiled pipeline
 # ----------------------------------------------------------------------
 class CompiledPipeline:
     """One plan compiled for one domain of the initial binding."""
 
-    __slots__ = ("key_of", "version", "template", "first", "initial", "counters", "needs_paths")
+    __slots__ = (
+        "key_of",
+        "version",
+        "template",
+        "first",
+        "initial",
+        "counters",
+        "needs_paths",
+        "emitted",
+    )
 
     def __init__(self, key_of: Callable, version: int) -> None:
         #: What the compiled form is valid for: constants were resolved
@@ -592,6 +693,9 @@ class CompiledPipeline:
         self.counters: List[Tuple[object, int, int]] = []
         #: True when a path step bridges through the term-level evaluator.
         self.needs_paths = False
+        #: Register of a DISTINCT plan's set of emitted rows (fresh per
+        #: execution), else ``None``.
+        self.emitted: Optional[int] = None
 
 
 def run(
@@ -611,15 +715,22 @@ def run(
     """
     space = key_space(graph, plan.space)
     domain = tuple(initial)
-    compiled = plan._compiled.get(domain)
+    form = (domain, plan.root.distinct)
+    compiled = plan._compiled.get(form)
     if compiled is None or compiled.version != graph.version or compiled.key_of != space.key_of:
-        compiled = plan._compiled[domain] = _compile(plan, graph, space, set(domain), path_engine)
+        compiled = plan._compiled[form] = _compile(plan, graph, space, set(domain), path_engine)
     if compiled.first is None:
         return iter(())
     if compiled.needs_paths and path_evaluator is None:
         raise TypeError("plan contains a path pattern but no path evaluator")
     registers = compiled.template.copy()
     registers[_MATCH] = space.match
+    (
+        registers[_MEMBER],
+        registers[_OBJECTS],
+        registers[_SUBJECTS],
+        registers[_PREDICATES],
+    ) = space.entries
     registers[_TIMED] = timed_iter
     registers[_GRAPH] = graph
     registers[_PATH_ENGINE] = path_engine
@@ -629,6 +740,8 @@ def run(
     # term space.
     for variable, register in compiled.initial:
         registers[register] = space.encode(initial[variable])
+    if compiled.emitted is not None:
+        registers[compiled.emitted] = set()
     return _stream(compiled, registers, term_fallbacks)
 
 
@@ -638,10 +751,7 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
     finally:
         # Runs after every step's own ``finally`` has flushed its batched
         # counts into the registers — on exhaustion and on ``close()``.
-        for stats, rows, probes in compiled.counters:
-            stats.rows = registers[rows]
-            stats.probes = registers[probes]
-        flush_term_fallbacks(registers, term_fallbacks)
+        publish(compiled.counters, registers, term_fallbacks)
 
 
 def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[IdPathEngine]):
@@ -685,7 +795,9 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
         makers.append(partial(_gate_step, test=test, rows=gate_rows, probes=gate_probes))
         join = join.child
     compiled.counters.append((root.stats, _RESULTS, zero))
-    compiled.counters.append((join.stats, _RESULTS, zero))
+    #: Where the rows that reach the result boundary are counted: by the
+    #: last step, or — a join without inputs — by the boundary itself.
+    joined = _RESULTS
 
     for input_op in join.inputs:
         leaf, conditions, filter_stats = input_op, (), None
@@ -706,11 +818,28 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
         for variable in fresh:
             register_of[variable] = allocate()
         bound.update(fresh)
+        make = None
         if isinstance(leaf, (Scan, HashProbe)):
             layout = pattern_layout(parts, before, register_of, scan_constant)
             if layout is None:
                 return compiled
-            bind = _scan_rows(*layout)
+            reads = layout[0]
+            shape = probe_shape(parts, before)
+            # A HashProbe's build scan shares no variable with the rows above it.
+            access = access_path(shape, space.name) if isinstance(leaf, Scan) else "match"
+            if access == "member":
+                make = partial(_member_step, reads=reads)
+            elif access == "entry":
+                fetch, first, second, written = _ENTRY_PROBES[shape]
+                make = partial(
+                    _entry_step,
+                    fetch=fetch,
+                    first=reads[first],
+                    second=reads[second],
+                    target=register_of[parts[written]],
+                )
+            else:
+                bind = _scan_rows(*layout)
             if isinstance(leaf, HashProbe):
                 bind = _hash_probe_rows(
                     bind,
@@ -756,6 +885,8 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
                 free_ends=tuple((variable, register_of[variable]) for variable in fresh),
                 space=space,
             )
+        if make is None:
+            make = partial(_step, bind=bind)
 
         rows, probes = allocate(0), allocate(0)
         compiled.counters.append((leaf.stats, rows, probes))
@@ -764,10 +895,10 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
             passed = allocate(0)
             # A filter tests every row its input produced.
             compiled.counters.append((filter_stats, passed, rows))
+        joined = rows if passed is None else passed
         makers.append(
             partial(
-                _step,
-                bind=bind,
+                make,
                 test=space.conditions(conditions, register_of, bound),
                 rows=rows,
                 probes=probes,
@@ -776,12 +907,16 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
             )
         )
 
+    compiled.counters.append((join.stats, joined, zero))
+    if root.distinct:
+        compiled.emitted = allocate()
     step: Step = emit_step(
         tuple(
             (variable, register_of[variable])
             for variable in sorted(set(root.variables) | domain, key=lambda v: v.name)
         ),
         space.decode,
+        compiled.emitted,
     )
     for make in reversed(makers):
         step = make(step)
@@ -795,11 +930,18 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
 _NO_BINDINGS = (EMPTY_BINDING,)
 
 
-def emit_step(pairs: Tuple[Tuple[Variable, int], ...], decode: Callable) -> Step:
+def emit_step(
+    pairs: Tuple[Tuple[Variable, int], ...], decode: Callable, emitted: Optional[int] = None
+) -> Step:
     """The result boundary: decode ``pairs`` (already in variable order).
 
     The step returns a one-row tuple rather than yielding, so the step
-    above it pays no generator per result row.
+    above it pays no generator per result row.  ``emitted`` is the
+    register of a DISTINCT plan's set of emitted rows
+    (``Project.distinct``): a row whose key tuple is in it is dropped
+    here, before a term is decoded or a :class:`Binding` built, and does
+    not count as a result; the first occurrence passes, so the rows keep
+    the order ``distinct_rows`` would have left them in.
     """
     from_sorted = Binding.from_sorted_items
     if not pairs:
@@ -808,17 +950,31 @@ def emit_step(pairs: Tuple[Tuple[Variable, int], ...], decode: Callable) -> Step
             registers[_RESULTS] += 1
             return _NO_BINDINGS
 
+    else:
+
+        def emit(registers: Registers) -> Iterable[Binding]:
+            registers[_RESULTS] += 1
+            return (
+                from_sorted(
+                    tuple([(variable, decode(registers[register])) for variable, register in pairs])
+                ),
+            )
+
+    if emitted is None:
         return emit
+    # The row's key: its id tuple — the id itself for a single variable, and
+    # without variables the one value every row has, an always-``None`` register.
+    key_of = itemgetter(*[register for _, register in pairs] or [_FREE])
 
-    def emit(registers: Registers) -> Iterable[Binding]:
-        registers[_RESULTS] += 1
-        return (
-            from_sorted(
-                tuple([(variable, decode(registers[register])) for variable, register in pairs])
-            ),
-        )
+    def emit_distinct(registers: Registers) -> Iterable[Binding]:
+        key = key_of(registers)
+        seen = registers[emitted]
+        if key in seen:
+            return ()
+        seen.add(key)
+        return emit(registers)
 
-    return emit
+    return emit_distinct
 
 
 def _gate_step(next_step: Step, test: Test, rows: int, probes: int) -> Step:
@@ -832,6 +988,36 @@ def _gate_step(next_step: Step, test: Test, rows: int, probes: int) -> Step:
     return step
 
 
+def _fan_out(
+    next_step: Step, target: int, test: Optional[Test], rows: int, passed: Optional[int]
+) -> Callable[[Registers, Iterable], Iterable[Binding]]:
+    """The framed half of every join step: for each of a probe's ``values``,
+    written to ``target``, that ``test`` passes, the rows of ``next_step``.
+
+    Row counts batch into locals and flush in the ``finally`` block: on
+    the innermost loops a list increment per intermediate row is
+    measurable, an ``int +=`` is not.  The flush also runs when a
+    partially consumed stream is closed, so abandoned executions still
+    report the rows they actually produced.
+    """
+
+    def fan_out(registers: Registers, values: Iterable) -> Iterable[Binding]:
+        seen = kept = 0
+        try:
+            for value in values:
+                registers[target] = value
+                seen += 1
+                if test is None or test(registers):
+                    kept += 1
+                    yield from next_step(registers)
+        finally:
+            registers[rows] += seen
+            if passed is not None:
+                registers[passed] += kept
+
+    return fan_out
+
+
 def _step(
     next_step: Step,
     bind: Callable[[Registers], Iterable],
@@ -841,32 +1027,103 @@ def _step(
     passed: Optional[int],
     stats,
 ) -> Step:
-    """One join step: for every row ``bind`` writes into the registers and
-    ``test`` passes, the rows of ``next_step``.
-
-    Row counts batch into locals and flush in the ``finally`` block: on
-    the innermost loops a list increment per intermediate row is
-    measurable, an ``int +=`` is not.  The flush also runs when a
-    partially consumed stream is closed, so abandoned executions still
-    report the rows they actually produced.
-    """
+    """The general join step: ``bind`` writes each of its rows into the
+    registers itself and yields nothing worth keeping (:data:`_SINK`)."""
+    fan_out = _fan_out(next_step, _SINK, test, rows, passed)
 
     def step(registers: Registers) -> Iterable[Binding]:
         registers[probes] += 1
         candidates = bind(registers)
         if registers[_TIMED] is not None:
             candidates = registers[_TIMED](candidates, stats)
-        seen = kept = 0
-        try:
-            for _ in candidates:
-                seen += 1
-                if test is None or test(registers):
-                    kept += 1
-                    yield from next_step(registers)
-        finally:
-            registers[rows] += seen
-            if passed is not None:
-                registers[passed] += kept
+        return fan_out(registers, candidates)
+
+    return step
+
+
+def _probed(fetch: Callable, *keys: Key) -> Iterable:
+    """What ``fetch(*keys)`` found, one value at a time, fetched on the
+    first ``next()``: how ``execute(timed=True)`` puts a dict-lookup probe
+    under its scan's timer and through the framed half of its step."""
+    entry = fetch(*keys)
+    if type(entry) is set:
+        yield from entry
+    elif entry is not None and entry is not False:
+        yield entry
+
+
+def _member_step(
+    next_step: Step,
+    reads: Sequence[int],
+    test: Optional[Test],
+    rows: int,
+    probes: int,
+    passed: Optional[int],
+    stats,
+) -> Step:
+    """An S P O probe (id space): one verdict, nothing bound, and no frame —
+    a hit *returns* the rows of ``next_step``, as :func:`_gate_step` does."""
+    subject, predicate, obj = reads
+    fan_out = _fan_out(next_step, _SINK, test, rows, passed)
+
+    def step(registers: Registers) -> Iterable[Binding]:
+        registers[probes] += 1
+        if registers[_TIMED] is not None:
+            found = _probed(
+                registers[_MEMBER], registers[subject], registers[predicate], registers[obj]
+            )
+            return fan_out(registers, registers[_TIMED](found, stats))
+        if not registers[_MEMBER](registers[subject], registers[predicate], registers[obj]):
+            return ()
+        registers[rows] += 1
+        if test is not None:
+            if not test(registers):
+                return ()
+            registers[passed] += 1
+        return next_step(registers)
+
+    return step
+
+
+def _entry_step(
+    next_step: Step,
+    fetch: int,
+    first: int,
+    second: int,
+    target: int,
+    test: Optional[Test],
+    rows: int,
+    probes: int,
+    passed: Optional[int],
+    stats,
+) -> Step:
+    """A probe with one free position (id space): the store hands over the
+    index entry of the two bound keys (``registers[fetch]``, one of the
+    ``KeySpace.entries``) and ``target`` takes what it holds.
+
+    A miss returns no rows and a single id returns the rows of
+    ``next_step``, both without a frame of this step's own; only an id set
+    fans out, in one frame (:func:`_fan_out`).
+    """
+    fan_out = _fan_out(next_step, target, test, rows, passed)
+
+    def step(registers: Registers) -> Iterable[Binding]:
+        registers[probes] += 1
+        if registers[_TIMED] is not None:
+            found = _probed(registers[fetch], registers[first], registers[second])
+            return fan_out(registers, registers[_TIMED](found, stats))
+        entry = registers[fetch](registers[first], registers[second])
+        if entry is None:
+            return ()
+        if type(entry) is set:
+            return fan_out(registers, entry)
+        registers[target] = entry
+        registers[rows] += 1
+        if test is not None:
+            if not test(registers):
+                return ()
+            registers[passed] += 1
+        return next_step(registers)
 
     return step
 

@@ -189,9 +189,11 @@ class OperatorStats:
     downstream; ``seconds`` is wall time measured only under
     ``execute(..., timed=True)`` (self time for leaf and intersection
     operators, total pipeline time on the ``Project`` root).  Counters
-    are reset at the start of every :func:`execute` call — cached plans
-    therefore report the numbers of exactly one run, never an
-    accumulation across reuses.  Surfaced through :meth:`PhysicalPlan.counters`
+    are reset at the start of every :func:`execute` call and written when
+    an execution's stream ends or is closed, from counts it kept to itself
+    — cached plans therefore report the numbers of exactly one run, never
+    an accumulation across reuses or a mixture of two runs in flight.
+    Surfaced through :meth:`PhysicalPlan.counters`
     for the bench metrics hooks and ``explain(counters=True)``.
     """
 
@@ -239,10 +241,16 @@ class Scan(PhysicalOperator):
     node: TriplePatternNode
     estimate: float
     source_index: int
+    #: The access path of a binary pipeline's scan when nothing is
+    #: pre-bound — probe shape and how the store is read
+    #: (:func:`repro.sparql.idexec.access_path`), e.g. ``"SP? entry"``.
+    #: ``None`` under a :class:`LeapfrogJoin`, which reads sorted runs.
+    access: Optional[str] = None
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
     def describe(self) -> str:
-        return f"Scan {self.node!r} est={self.estimate:g}"
+        label = f"Scan {self.node!r} est={self.estimate:g}"
+        return label if self.access is None else f"{label} probe={self.access}"
 
 
 @dataclass(eq=False)
@@ -364,11 +372,14 @@ class Project(PhysicalOperator):
 
     ``variables`` is what an id-space plan decodes per result row: every
     plan variable, or the subset the query reads above the BGP.
+    ``distinct`` plans emit each row once: a repeated id tuple is dropped
+    before anything is decoded (``rows`` counts the rows that were not).
     """
 
     child: PhysicalOperator
     variables: Tuple[Variable, ...]
     decode: str
+    distinct: bool = False
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -376,7 +387,7 @@ class Project(PhysicalOperator):
 
     def describe(self) -> str:
         rendered = ", ".join(repr(v) for v in self.variables)
-        return f"Project [{rendered}] decode={self.decode}"
+        return f"Project [{rendered}] {'distinct ' if self.distinct else ''}decode={self.decode}"
 
 
 @dataclass(eq=False)
@@ -395,9 +406,11 @@ class PhysicalPlan:
     _operator_cache: Optional[List[PhysicalOperator]] = field(
         default=None, repr=False
     )
-    #: Compiled pipelines by domain of the initial binding
+    #: Compiled pipelines by (domain of the initial binding, ``root.distinct``)
     #: (:func:`repro.sparql.idexec.run` fills and validates it).
-    _compiled: Dict[Tuple[Variable, ...], object] = field(default_factory=dict, repr=False)
+    _compiled: Dict[Tuple[Tuple[Variable, ...], bool], object] = field(
+        default_factory=dict, repr=False
+    )
 
     def operators(self) -> List[PhysicalOperator]:
         """Every operator of the DAG in depth-first pre-order.
@@ -733,6 +746,7 @@ def lower_plan(
     conditions: Sequence[Expression] = (),
     profile: ExecutionProfile = ExecutionProfile.FULL,
     project: Optional[Tuple[Variable, ...]] = None,
+    distinct: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
     """Lower a logical BGP plan to a physical operator DAG.
 
@@ -750,6 +764,15 @@ def lower_plan(
     ``project`` names the variables read above the BGP; an id-space plan
     decodes only those at the result boundary (``None``: every plan
     variable).  A term-space plan has nothing to decode and ignores it.
+
+    ``distinct`` is the projection (sorted by name) of a query that keeps
+    one row per distinct projected row and does nothing else to its rows
+    in between (``None``: not such a query).  When an id-space plan emits
+    exactly those variables its ``Project`` is ``distinct``: equal rows
+    are equal id tuples, dropped at the result boundary before decoding.
+    Not so when the plan emits more (a variable read only by ORDER BY) or
+    less (an ``AS`` alias, a projected variable the pattern does not
+    bind), nor in term space, where there is no decode to save.
     """
     id_space = profile.use_id_execution and supports_id_execution(graph)
     space = "id" if id_space else "term"
@@ -797,7 +820,13 @@ def lower_plan(
                     leaf = HashProbe(step.node, *link, step.estimate, step.source_index)
                     slot = tuple(c for c in slot if c is not link[0])
                 else:
-                    leaf = Scan(step.node, step.estimate, step.source_index)
+                    shape = idexec.probe_shape(tuple(step.node.triple), bound)
+                    leaf = Scan(
+                        step.node,
+                        step.estimate,
+                        step.source_index,
+                        f"{shape} {idexec.access_path(shape, space)}",
+                    )
             elif isinstance(step.node, PathPattern):
                 leaf = PathExpand(step.node, step.estimate, step.source_index, path_mode)
             else:  # pragma: no cover - plan_bgp only admits the two kinds above
@@ -814,7 +843,7 @@ def lower_plan(
         result_variables &= set(project)
     ordered = tuple(sorted(result_variables, key=lambda v: v.name))
     return PhysicalPlan(
-        root=Project(child, ordered, space),
+        root=Project(child, ordered, space, id_space and ordered == distinct),
         space=space,
         source=plan,
         wcoj_fallback=wcoj_fallback,
@@ -827,9 +856,10 @@ def lower_bgp(
     conditions: Sequence[Expression] = (),
     profile: ExecutionProfile = ExecutionProfile.FULL,
     project: Optional[Tuple[Variable, ...]] = None,
+    distinct: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
     """Plan and lower a BGP in one call (convenience for tests/tools)."""
-    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile, project)
+    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile, project, distinct)
 
 
 # ----------------------------------------------------------------------
@@ -882,10 +912,12 @@ def execute(
     conjunct evaluations an id-space plan had to run on decoded terms.
 
     Every execution reports its own rows and probes even when the
-    physical plan came out of a cache: counters are reset here, and the
-    compiled pipeline (:mod:`repro.sparql.idexec`, either key space)
-    counts per execution and publishes when its stream ends or is
-    closed, so nested and interleaved executions of one plan do not mix.
+    physical plan came out of a cache: counters are reset here, and both
+    executors — the compiled pipeline (:mod:`repro.sparql.idexec`, either
+    key space) and the leapfrog triejoin — count in registers of the
+    execution and publish when its stream ends or is closed
+    (:func:`repro.sparql.idexec.publish`), so nested and interleaved
+    executions of one plan do not mix.
     ``timed=True`` additionally measures per-operator self time into
     :attr:`OperatorStats.seconds` (one extra clock read per produced row
     — ``explain_analyze`` turns it on, normal evaluation leaves it off).
@@ -980,17 +1012,33 @@ def _execute_leapfrog(
     The partial solution lives in a register list behind the id
     executor's header — one register per variable (``None`` while
     unbound) and per pattern constant — so FILTER conjuncts compile to
-    the same kernels as in the binary pipeline.
+    the same kernels as in the binary pipeline, and so do the counts:
+    every operator's rows and probes are registers of this execution,
+    published to the plan's :class:`OperatorStats` when the stream ends
+    or is closed (:func:`repro.sparql.idexec.publish`).
     """
     dictionary = graph.dictionary
     var_order = join.var_order
     levels = len(var_order)
     registers: List[object] = list(idexec.HEADER)
+    counters: List[Tuple[OperatorStats, int, int]] = []
+
+    def allocate(value: object = None) -> int:
+        registers.append(value)
+        return len(registers) - 1
+
+    def counted(stats: OperatorStats) -> Tuple[int, int]:
+        """The rows and probes registers of an operator."""
+        rows, probes = allocate(0), allocate(0)
+        counters.append((stats, rows, probes))
+        return rows, probes
+
+    counters.append((plan.root.stats, idexec._RESULTS, allocate(0)))
+    joined, _ = counted(join.stats)
     register_of: Dict[Variable, int] = {}
     for variable in (*initial, *var_order):
         if variable not in register_of:
-            register_of[variable] = len(registers)
-            registers.append(None)
+            register_of[variable] = allocate()
     bound = set(initial)
     try:
         # encode (not id_for): an initial term outside the graph gets a
@@ -998,18 +1046,18 @@ def _execute_leapfrog(
         for variable, term in initial.items():
             registers[register_of[variable]] = dictionary.encode(term)
         if prefilter_op is not None:
-            prefilter_op.stats.probes += 1
+            gate_rows, gate_probes = counted(prefilter_op.stats)
+            registers[gate_probes] += 1
             gate = idexec.compile_conditions(
                 prefilter_op.conditions, dictionary, register_of, bound
             )
             if not gate(registers):
                 return
-            prefilter_op.stats.rows += 1
-        # (subject register, predicate id, object register, stats): a
-        # constant gets a pre-filled register, so "the other end" of a
-        # pattern reads the same way whether it is a constant, a bound
-        # variable or (None) a variable of a deeper level.
-        compiled: List[Tuple[int, int, int, OperatorStats]] = []
+            registers[gate_rows] += 1
+        # (subject register, predicate id, object register, rows register,
+        # probes register, stats): a constant gets a pre-filled register, so
+        # "the other end" of a pattern reads the same way whether it is a
+        # constant, a bound variable or (None) a variable of a deeper level.
         occurrences: List[List[Tuple[Tuple, int]]] = [[] for _ in range(levels)]
         level_of = {variable: level for level, variable in enumerate(var_order)}
         for scan in join.scans:
@@ -1025,22 +1073,21 @@ def _execute_leapfrog(
                     term_id = dictionary.id_for(part)
                     if term_id is None:
                         return
-                    ends.append(len(registers))
-                    registers.append(term_id)
-            entry = (ends[0], predicate_id, ends[1], scan.stats)
-            compiled.append(entry)
+                    ends.append(allocate(term_id))
+            scan_rows, scan_probes = counted(scan.stats)
+            entry = (ends[0], predicate_id, ends[1], scan_rows, scan_probes, scan.stats)
             if isinstance(triple.subject, Variable):
                 occurrences[level_of[triple.subject]].append((entry, 0))
             if isinstance(triple.object, Variable):
                 occurrences[level_of[triple.object]].append((entry, 1))
             if not scan.node.variables():
                 # Fully ground: constrains no variable, one membership check.
-                scan.stats.probes += 1
+                registers[scan_probes] += 1
                 if not graph.pattern_cardinality_ids(
                     registers[ends[0]], predicate_id, registers[ends[1]]
                 ):
                     return
-                scan.stats.rows += 1
+                registers[scan_rows] += 1
         level_tests = []
         for level, slot in enumerate(join.level_conditions):
             if level < levels:
@@ -1060,19 +1107,20 @@ def _execute_leapfrog(
             scan-level "rows produced" of the leapfrog pipeline, and the
             actual the per-probe cardinality estimates are compared against.
             """
-            stats = entry[3]
-            stats.probes += 1
+            subject, predicate_id, obj, rows, probes, stats = entry
+            registers[probes] += 1
             if timed:
                 started = perf_counter()
-                run = _candidate_run(entry, position)
+                run = _candidate_run(subject, predicate_id, obj, position)
                 stats.seconds += perf_counter() - started
             else:
-                run = _candidate_run(entry, position)
-            stats.rows += len(run)
+                run = _candidate_run(subject, predicate_id, obj, position)
+            registers[rows] += len(run)
             return run
 
-        def _candidate_run(entry: Tuple, position: int) -> Sequence[int]:
-            subject, predicate_id, obj, _stats = entry
+        def _candidate_run(
+            subject: int, predicate_id: int, obj: int, position: int
+        ) -> Sequence[int]:
             if position == 0:  # level variable sits at the subject
                 other = registers[obj]
                 if other is None:
@@ -1091,17 +1139,15 @@ def _execute_leapfrog(
                 )
             ),
             dictionary.term,
+            allocate(set()) if plan.root.distinct else None,
         )
-        join_stats = join.stats
-        project_stats = plan.root.stats
         final_test = level_tests[levels]
 
         def emit() -> Iterable[Binding]:
             """The result row in the registers (none if a post-filter rejects it)."""
             if final_test is not None and not final_test(registers):
                 return ()
-            join_stats.rows += 1
-            project_stats.rows += 1
+            registers[joined] += 1
             return emit_row(registers)
 
         def recurse(level: int) -> Iterator[Binding]:
@@ -1124,7 +1170,7 @@ def _execute_leapfrog(
                 # The galloping search is the join's own work; its time lands
                 # on the LeapfrogJoin operator, the run construction above on
                 # the scans that produced each array.
-                intersection = _timed_iter(intersection, join_stats)
+                intersection = _timed_iter(intersection, join.stats)
             for value in intersection:
                 registers[register] = value
                 if test is None or test(registers):
@@ -1133,4 +1179,4 @@ def _execute_leapfrog(
 
         yield from recurse(0) if levels else emit()
     finally:
-        idexec.flush_term_fallbacks(registers, term_fallbacks)
+        idexec.publish(counters, registers, term_fallbacks)

@@ -39,6 +39,20 @@ IdIndex = Dict[int, Dict[int, Entry]]
 #: Shared empty inner level for miss-free two-level probes.
 _EMPTY: Dict[int, Entry] = {}
 
+#: The id probe surface: what the id-native join pipeline
+#: (:mod:`repro.sparql.idexec`) asks a store.  ``match_triple_ids`` answers
+#: every probe shape with a stream of id triples; the other four answer the
+#: shapes with at most one free position by a dict lookup — a verdict, or the
+#: index *entry* itself (``None``, one id, or the id set: not to be mutated).
+#: One call of any of them is one index probe (:class:`StoreCounters`).
+PROBE_SURFACE = (
+    "match_triple_ids",
+    "contains_ids",
+    "object_entry_ids",
+    "subject_entry_ids",
+    "predicate_entry_ids",
+)
+
 
 # ----------------------------------------------------------------------
 # hybrid entry helpers
@@ -75,14 +89,6 @@ def _entry_discard(inner: Dict[int, Entry], key: int, value: int) -> None:
         del inner[key]
 
 
-def _entry_contains(entry: Optional[Entry], value: int) -> bool:
-    if entry is None:
-        return False
-    if type(entry) is set:
-        return value in entry
-    return entry == value
-
-
 def _entry_len(entry: Optional[Entry]) -> int:
     if entry is None:
         return 0
@@ -109,7 +115,8 @@ class StoreCounters:
     __slots__ = ("index_probes", "sorted_run_builds", "sorted_run_invalidations")
 
     def __init__(self) -> None:
-        #: match_triple_ids calls (one per index probe of the id executor).
+        #: Calls of the id probe surface (:data:`PROBE_SURFACE`): one per
+        #: index probe of the id executor, whichever accessor served it.
         self.index_probes = 0
         #: Sorted id runs materialised for the leapfrog operator.
         self.sorted_run_builds = 0
@@ -151,8 +158,8 @@ class EncodedGraph(ChangeCapture):
         self._sorted_runs: Dict[Tuple, List[int]] = {}
         self._sorted_runs_version = -1
         # Observability counters, absent until enable_counters(): the
-        # sorted-run sites below guard on None, match_triple_ids counting
-        # happens in an instance-attribute wrapper installed on demand.
+        # sorted-run sites below guard on None, probe counting happens in
+        # instance-attribute wrappers installed on demand.
         self._counters: Optional[StoreCounters] = None
         if triples:
             for triple in triples:
@@ -166,26 +173,25 @@ class EncodedGraph(ChangeCapture):
     def enable_counters(self) -> StoreCounters:
         """Switch on store-level counters (idempotent) and return them.
 
-        A disabled store pays nothing: the counting wrapper over
-        :meth:`match_triple_ids` is installed here as an instance
-        attribute (shadowing the class method — generator construction
-        defers the body, so the call-time increment is all the wrapper
-        adds), and the sorted-run sites are a ``None``-checked ``+=``.
-        Counters are per instance; ``copy()`` clones start disabled.
+        A disabled store pays nothing: one counting wrapper per method of
+        the id probe surface (:data:`PROBE_SURFACE`) is installed here as
+        an instance attribute shadowing the class method — a call-time
+        increment is all it adds — and the sorted-run sites are a
+        ``None``-checked ``+=``.  Counters are per instance; ``copy()``
+        clones start disabled.
         """
         if self._counters is None:
             counters = self._counters = StoreCounters()
-            unwrapped = type(self).match_triple_ids
 
-            def counting_match_triple_ids(
-                sid: Optional[int] = None,
-                pid: Optional[int] = None,
-                oid: Optional[int] = None,
-            ) -> Iterator[Tuple[int, int, int]]:
-                counters.index_probes += 1
-                return unwrapped(self, sid, pid, oid)
+            def counting(unwrapped):
+                def counted(*ids, **named):
+                    counters.index_probes += 1
+                    return unwrapped(self, *ids, **named)
 
-            self.match_triple_ids = counting_match_triple_ids
+                return counted
+
+            for name in PROBE_SURFACE:
+                setattr(self, name, counting(getattr(type(self), name)))
         return self._counters
 
     @property
@@ -324,9 +330,9 @@ class EncodedGraph(ChangeCapture):
         oid = lookup(triple.object)
         if sid is None or pid is None or oid is None:
             return
-        by_predicate = self._spo.get(sid)
-        if by_predicate is None or not _entry_contains(by_predicate.get(pid), oid):
+        if not type(self).contains_ids(self, sid, pid, oid):
             return
+        by_predicate = self._spo[sid]
         _entry_discard(by_predicate, pid, oid)
         if not by_predicate:
             del self._spo[sid]
@@ -384,8 +390,7 @@ class EncodedGraph(ChangeCapture):
         oid = lookup(triple.object)
         if sid is None or pid is None or oid is None:
             return False
-        by_predicate = self._spo.get(sid)
-        return by_predicate is not None and _entry_contains(by_predicate.get(pid), oid)
+        return type(self).contains_ids(self, sid, pid, oid)
 
     def __repr__(self) -> str:
         return f"EncodedGraph({self._len} triples, {len(self._dict)} dictionary terms)"
@@ -563,6 +568,25 @@ class EncodedGraph(ChangeCapture):
     # ------------------------------------------------------------------
     # id-level pattern matching (used by the id-native BGP executor)
     # ------------------------------------------------------------------
+    def contains_ids(self, sid: int, pid: int, oid: int) -> bool:
+        """True when the id triple is in the graph: the S P O membership test."""
+        entry = self._spo.get(sid, _EMPTY).get(pid)
+        if type(entry) is set:
+            return oid in entry
+        return entry == oid
+
+    def object_entry_ids(self, sid: int, pid: int) -> Optional[Entry]:
+        """The index entry of ``(sid, pid, ?)``: ``None``, one id or the id set."""
+        return self._spo.get(sid, _EMPTY).get(pid)
+
+    def subject_entry_ids(self, pid: int, oid: int) -> Optional[Entry]:
+        """The index entry of ``(?, pid, oid)``: ``None``, one id or the id set."""
+        return self._pos.get(pid, _EMPTY).get(oid)
+
+    def predicate_entry_ids(self, sid: int, oid: int) -> Optional[Entry]:
+        """The index entry of ``(sid, ?, oid)``: ``None``, one id or the id set."""
+        return self._osp.get(oid, _EMPTY).get(sid)
+
     def match_triple_ids(
         self,
         sid: Optional[int] = None,
@@ -573,16 +597,15 @@ class EncodedGraph(ChangeCapture):
 
         The id-space counterpart of :meth:`triples`: ``None`` components
         are wildcards, the most selective index for the probe shape is
-        used, and no term is ever decoded — this is the surface the
-        id-native join pipeline (:mod:`repro.sparql.idexec`) runs on.
+        used, and no term is ever decoded.  The general member of the id
+        probe surface (:data:`PROBE_SURFACE`): every shape, one generator
+        and one tuple per match.
         """
         if sid is not None:
             if pid is not None:
                 if oid is not None:  # S P O — membership probe
-                    by_predicate = self._spo.get(sid)
-                    if by_predicate is not None and _entry_contains(
-                        by_predicate.get(pid), oid
-                    ):
+                    # The class's, not the instance's: counted once, here.
+                    if type(self).contains_ids(self, sid, pid, oid):
                         yield sid, pid, oid
                     return
                 entry = self._spo.get(sid, {}).get(pid)  # S P ?
@@ -633,10 +656,7 @@ class EncodedGraph(ChangeCapture):
     ) -> int:
         """Exact number of triples matching an id pattern (``None`` = wildcard)."""
         if sid is not None and pid is not None and oid is not None:
-            by_predicate = self._spo.get(sid)
-            if by_predicate is None:
-                return 0
-            return 1 if _entry_contains(by_predicate.get(pid), oid) else 0
+            return int(type(self).contains_ids(self, sid, pid, oid))
         if sid is not None:
             if pid is not None:
                 return _entry_len(self._spo.get(sid, {}).get(pid))

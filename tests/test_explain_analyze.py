@@ -42,23 +42,23 @@ _GOLDEN = {
 EXPLAIN ANALYZE (term space) total=_
 └─ Project [?a, ?b, ?c, ?s] decode=term | time=_ rows=1 probes=0
    └─ IndexNestedLoopJoin steps=3 | time=_ rows=1 probes=0
-      ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 | time=_ rows=1 probes=1 actual=1/probe err=1x
-      ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 | time=_ rows=1 probes=1 actual=1/probe err=1x
-      └─ Scan TP(?s <http://ex.org/q> ?b) est=1 | time=_ rows=1 probes=1 actual=1/probe err=1x""",
+      ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match | time=_ rows=1 probes=1 actual=1/probe err=1x
+      ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? match | time=_ rows=1 probes=1 actual=1/probe err=1x
+      └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? match | time=_ rows=1 probes=1 actual=1/probe err=1x""",
     ("term", "triangle"): """\
 EXPLAIN ANALYZE (term space) total=_
 └─ Project [?a, ?b, ?c] decode=term | time=_ rows=3 probes=0
    └─ IndexNestedLoopJoin steps=3 | time=_ rows=3 probes=0
-      ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 | time=_ rows=5 probes=1 actual=5/probe err=1x
-      ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 | time=_ rows=5 probes=5 actual=1/probe err=1x
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 | time=_ rows=3 probes=5 actual=0.6/probe err=0.56x""",
+      ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match | time=_ rows=5 probes=1 actual=5/probe err=1x
+      ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match | time=_ rows=5 probes=5 actual=1/probe err=1x
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match | time=_ rows=3 probes=5 actual=0.6/probe err=0.56x""",
     ("id", "star"): """\
 EXPLAIN ANALYZE (id space) total=_
 └─ Project [?a, ?b, ?c, ?s] decode=id | time=_ rows=1 probes=0
    └─ IndexNestedLoopJoin steps=3 | time=_ rows=1 probes=0
-      ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 | time=_ rows=1 probes=1 actual=1/probe err=1x
-      ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 | time=_ rows=1 probes=1 actual=1/probe err=1x
-      └─ Scan TP(?s <http://ex.org/q> ?b) est=1 | time=_ rows=1 probes=1 actual=1/probe err=1x""",
+      ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match | time=_ rows=1 probes=1 actual=1/probe err=1x
+      ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? entry | time=_ rows=1 probes=1 actual=1/probe err=1x
+      └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? entry | time=_ rows=1 probes=1 actual=1/probe err=1x""",
     ("id", "triangle"): """\
 EXPLAIN ANALYZE (id space) total=_
 └─ Project [?a, ?b, ?c] decode=id | time=_ rows=3 probes=0
@@ -187,6 +187,6 @@ def test_query_plans_a_lone_pattern_only_when_something_is_pushed_into_it():
         "Project [?o, ?s] decode=id\n"
         "└─ IndexNestedLoopJoin steps=1\n"
         "   └─ Filter (?o != <http://ex.org/a>) kernel=id\n"
-        "      └─ Scan TP(?s <http://ex.org/p> ?o) est=5"
+        "      └─ Scan TP(?s <http://ex.org/p> ?o) est=5 probe=?P? match"
     )
     assert engine.metrics()["sparql_filter_term_fallbacks_total"] == 0

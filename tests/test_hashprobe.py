@@ -112,10 +112,10 @@ class TestLoweringRule:
         assert rendered == """\
 Project [?m, ?n, ?x, ?y] decode=id
 └─ IndexNestedLoopJoin steps=4
-   ├─ Scan TP(?x <http://ex.org/kind> <http://ex.org/A>) est=11
-   ├─ Scan TP(?x <http://ex.org/name> ?n) est=1
+   ├─ Scan TP(?x <http://ex.org/kind> <http://ex.org/A>) est=11 probe=?PO entry
+   ├─ Scan TP(?x <http://ex.org/name> ?n) est=1 probe=SP? entry
    ├─ HashProbe TP(?y <http://ex.org/label> ?m) on (?n = ?m) build_est=11
-   └─ Scan TP(?y <http://ex.org/kind> <http://ex.org/B>) est=0.5"""
+   └─ Scan TP(?y <http://ex.org/kind> <http://ex.org/B>) est=0.5 probe=SPO member"""
         (probe,) = _hash_probes(evaluator.last_physical_plan)
         assert (probe.probe, probe.build) == (Variable("n"), Variable("m"))
 
@@ -290,12 +290,23 @@ def _two_hop_triples():
 
 _TWO_HOP = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:q ?c }"
 
+
+def _clique_triples():
+    """Every ordered pair of six nodes: 6 * 5 * 4 = 120 directed triangles."""
+    nodes = [EX[f"n{index}"] for index in range(6)]
+    return [Triple(a, EX.p, b) for a in nodes for b in nodes if a != b]
+
+
+_TRIANGLE = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }"
+
 #: name -> (backend, triples, profile, query, result rows): the ``HashProbe``
-#: plan in id space, and a two-pattern join in term space on either backend.
+#: plan in id space, a two-pattern join in term space on either backend, and
+#: the leapfrog triejoin, which counts in its own registers too.
 _COUNTED = {
     "hashprobe/id": (EncodedGraph, _people_triples, ExecutionProfile.FULL, _IMPLICIT_JOIN, 19),
     "join/hash": (Graph, _two_hop_triples, ExecutionProfile.FULL, _TWO_HOP, 80),
     "join/id-baseline": (EncodedGraph, _two_hop_triples, ExecutionProfile.BASELINE, _TWO_HOP, 80),
+    "leapfrog/id": (EncodedGraph, _clique_triples, ExecutionProfile.FULL, _TRIANGLE, 120),
 }
 _every_counted_plan = pytest.mark.parametrize("name", sorted(_COUNTED))
 
@@ -330,12 +341,24 @@ class TestCounters:
     def test_each_execution_reports_its_own_counts_when_interleaved(self, name):
         graph, plan = self._plan(name)
         total = _COUNTED[name][-1]
-        assert (plan.space, bool(_hash_probes(plan))) in (("id", True), ("term", False))
+        join = plan.root.child
+        assert (plan.space, bool(_hash_probes(plan)), type(join).__name__) in (
+            ("id", True, "IndexNestedLoopJoin"),
+            ("term", False, "IndexNestedLoopJoin"),
+            ("id", False, "LeapfrogJoin"),
+        )
         list(physical.execute(plan, graph))
         full = self._counts(plan)
         if plan.space == "term":
             # Project, IndexNestedLoopJoin, Scan ?a p ?b, Scan ?b q ?c: a lone run's.
             assert full == [(80, 0), (80, 0), (20, 1), (80, 20)]
+        if _hash_probes(plan):
+            # Project, join, Scan ?x kind A, Scan ?x name ?n, HashProbe, Scan ?y kind B —
+            # the counts of the streamed scans, now a stream, an entry and a verdict.
+            assert full == [(19, 0), (19, 0), (11, 1), (11, 11), (19, 11), (19, 19)]
+        if isinstance(join, physical.LeapfrogJoin):
+            # Project, LeapfrogJoin, then per scan (candidate ids, sorted runs fetched).
+            assert full == [(120, 0), (120, 0), (36, 7), (186, 36), (156, 31)]
         partial_stream = physical.execute(plan, graph)
         next(partial_stream), next(partial_stream)
         partial_stream.close()
@@ -409,7 +432,7 @@ class TestProjection:
 
     def test_explain_shows_the_decoded_set(self):
         engine = create_engine(EncodedGraph(_people_triples()))
-        assert engine.explain(self._QUERY).splitlines()[0] == "Project [?n] decode=id"
+        assert engine.explain(self._QUERY).splitlines()[0] == "Project [?n] distinct decode=id"
         ordered = self._QUERY + " ORDER BY ?x"
         assert engine.explain(ordered).splitlines()[0] == "Project [?n, ?x] decode=id"
         counted = PREFIX + "SELECT (COUNT(?x) AS ?c) WHERE { ?x ex:kind ex:A . ?x ex:name ?n }"

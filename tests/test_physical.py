@@ -156,43 +156,43 @@ _GOLDEN = {
     ("term", _STAR): """\
 Project [?a, ?b, ?c, ?s] decode=term
 └─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?s <http://ex.org/r> ?c) est=1
-   ├─ Scan TP(?s <http://ex.org/p> ?a) est=1
-   └─ Scan TP(?s <http://ex.org/q> ?b) est=1""",
+   ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match
+   ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? match
+   └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? match""",
     ("term", _CHAIN): """\
 Project [?a, ?b, ?c] decode=term
 └─ IndexNestedLoopJoin steps=2
-   ├─ Scan TP(?b <http://ex.org/q> ?c) est=2
-   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667""",
+   ├─ Scan TP(?b <http://ex.org/q> ?c) est=2 probe=?P? match
+   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667 probe=?PO match""",
     ("term", _TRIANGLE): """\
 Project [?a, ?b, ?c] decode=term
 └─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
-   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
+   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
     ("term", _PATH): """\
 Project [?a, ?b, ?c] decode=term
 └─ IndexNestedLoopJoin steps=2
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
    └─ PathExpand[term] Path(?b OneOrMore(Link(http://ex.org/q)) ?c) est=1.6""",
     ("term", _FILTERED_TRIANGLE): """\
 Project [?a, ?b, ?c] decode=term
 └─ IndexNestedLoopJoin steps=3
    ├─ Filter (?a != ?b) kernel=term
-   │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
-   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
+   │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
+   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
     ("id", _STAR): """\
 Project [?a, ?b, ?c, ?s] decode=id
 └─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?s <http://ex.org/r> ?c) est=1
-   ├─ Scan TP(?s <http://ex.org/p> ?a) est=1
-   └─ Scan TP(?s <http://ex.org/q> ?b) est=1""",
+   ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match
+   ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? entry
+   └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? entry""",
     ("id", _CHAIN): """\
 Project [?a, ?b, ?c] decode=id
 └─ IndexNestedLoopJoin steps=2
-   ├─ Scan TP(?b <http://ex.org/q> ?c) est=2
-   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667""",
+   ├─ Scan TP(?b <http://ex.org/q> ?c) est=2 probe=?P? match
+   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667 probe=?PO entry""",
     ("id", _TRIANGLE): """\
 Project [?a, ?b, ?c] decode=id
 └─ LeapfrogJoin order=[?a, ?b, ?c]
@@ -202,7 +202,7 @@ Project [?a, ?b, ?c] decode=id
     ("id", _PATH): """\
 Project [?a, ?b, ?c] decode=id
 └─ IndexNestedLoopJoin steps=2
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
    └─ PathExpand[id] Path(?b OneOrMore(Link(http://ex.org/q)) ?c) est=1.6""",
     ("id", _FILTERED_TRIANGLE): """\
 Project [?a, ?b, ?c] decode=id
@@ -358,7 +358,7 @@ class TestExecution:
     @pytest.mark.parametrize(
         "backend, profile, explained, analyzed",
         [
-            # Recorded at PR 18 (the per-row term interpreter), to the digit.
+            # Counts recorded at PR 18 (the per-row term interpreter), to the digit.
             (
                 Graph,
                 ExecutionProfile.FULL,
@@ -367,10 +367,10 @@ Project [?a, ?b, ?c] decode=term
 └─ Filter (<http://ex.org/a> = <http://ex.org/a>) kernel=term
    └─ IndexNestedLoopJoin steps=3
       ├─ Filter (?a != ?b) kernel=term
-      │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5
+      │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
       ├─ Filter (?c != <http://ex.org/b>) kernel=term
-      │  └─ Scan TP(?b <http://ex.org/p> ?c) est=1
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
+      │  └─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
                 [
                     "rows=2 probes=0",
                     "rows=1 probes=1",
@@ -388,10 +388,10 @@ Project [?a, ?b, ?c] decode=term
                 """\
 Project [?a, ?b, ?c] decode=term
 └─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
    └─ Filter (?a != ?b) && (?c != <http://ex.org/b>) && (<http://ex.org/a> = <http://ex.org/a>) kernel=term
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
                 [
                     "rows=2 probes=0",
                     "rows=2 probes=0",
