@@ -1,82 +1,18 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration for the paper's figure / table / ablation renderings.
 
-Every benchmark regenerates one table or figure of the paper through the
-drivers in :mod:`repro.harness.experiments`.  The configurations below keep
-the datasets small enough that the whole suite finishes in a few minutes;
-the ``examples/run_full_evaluation.py`` script runs the same drivers at
-larger scale.
-
-Structured metric output
-------------------------
-The perf-gate benches (planner / store / idjoin) report their headline
-numbers through the session-scoped :func:`bench_metrics` fixture in
-addition to asserting on them.  When the ``REPRO_BENCH_JSON`` environment
-variable names a path, every recorded entry is dumped there as a JSON
-array at session end — ``benchmarks/record_trajectory.py`` turns that raw
-dump into the committed-schema ``BENCH_<pr>.json`` trajectory artifact
-that CI uploads.  (An environment variable rather than a pytest option so
-the hook works no matter which directory pytest was invoked on.)
+Every file here regenerates one table or figure of the paper through the
+drivers in :mod:`repro.harness.experiments` and asserts its shape and
+answers; ``pytest-benchmark``'s ``benchmark`` fixture records how long the
+rendering took and asserts nothing.  The configurations below keep the
+datasets small enough that the whole directory finishes in seconds; the
+``examples/run_full_evaluation.py`` script runs the same drivers at larger
+scale.  Performance is measured by ``bench/run.py`` and compared by
+``bench/compare.py``, nowhere else.
 """
-
-import json
-import os
-from typing import List
 
 import pytest
 
 from repro.harness.experiments import ExperimentConfig
-
-
-class BenchMetrics:
-    """Collects structured benchmark metrics across a pytest session."""
-
-    def __init__(self) -> None:
-        self.entries: List[dict] = []
-
-    def record(
-        self, suite: str, test: str, metric: str, value: float, unit: str, **extra
-    ) -> None:
-        """Record one measurement (a speedup ratio, bytes/triple, ...)."""
-        entry = {
-            "suite": suite,
-            "test": test,
-            "metric": metric,
-            "value": float(value),
-            "unit": unit,
-        }
-        entry.update(extra)
-        self.entries.append(entry)
-
-    def record_phases(self, suite: str, test: str, tracer) -> None:
-        """Record a tracer's per-phase totals as ``phase_<name>_seconds``.
-
-        One entry per phase span name (parse / plan / lower / execute):
-        the per-phase wall-time breakdown carried by the trajectory
-        artifact.  Informational — the trajectory gate only enforces the
-        ``speedup_ratio`` metrics.
-        """
-        for name, seconds in sorted(tracer.phase_totals().items()):
-            self.record(suite, test, f"phase_{name}_seconds", seconds, "s")
-
-
-def pytest_configure(config):
-    config._repro_bench_metrics = BenchMetrics()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    collector = getattr(session.config, "_repro_bench_metrics", None)
-    if not path or collector is None:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(collector.entries, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def bench_metrics(request) -> BenchMetrics:
-    """The session's metric collector (see module docstring)."""
-    return request.config._repro_bench_metrics
 
 
 @pytest.fixture(scope="session")

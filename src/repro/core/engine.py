@@ -25,7 +25,7 @@ and materialises it for that query alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.data_translation import DataTranslator
 from repro.core.ontology import Ontology
@@ -35,31 +35,9 @@ from repro.datalog.engine import DatalogEngine, Materialisation
 from repro.datalog.rules import Program
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI
 from repro.sparql.algebra import DatasetClause, Query
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
-
-
-def resolve_dataset_clauses(
-    dataset: Dataset, clauses: Sequence[DatasetClause]
-) -> Dataset:
-    """Build the active dataset described by FROM / FROM NAMED clauses."""
-    if not clauses:
-        return dataset
-    default = Graph()
-    named: Dict[IRI, Graph] = {}
-    for clause in clauses:
-        graph = dataset.named_graphs.get(clause.graph)
-        if graph is None:
-            # Conventionally, FROM over an unknown IRI falls back to the
-            # default graph so self-contained examples keep working.
-            graph = dataset.default_graph
-        if clause.named:
-            named[clause.graph] = graph
-        else:
-            default.update(graph)
-    return Dataset(default, named)
 
 
 class SparqLogEngine:
@@ -178,9 +156,7 @@ class SparqLogEngine:
 
     def _data_program(self, clauses: Sequence[DatasetClause]) -> Program:
         """T_D of the active dataset plus the ontology rules (a fresh program)."""
-        program = self._data_translator.translate(
-            resolve_dataset_clauses(self.dataset, clauses)
-        )
+        program = self._data_translator.translate(self.dataset.active(clauses))
         if self.ontology is not None and len(self.ontology):
             program.extend(self.ontology.to_rules())
         return program

@@ -65,6 +65,7 @@ class SolutionTranslator:
             key=lambda column: column[0].name,
         )
         to_term = self._to_rdf_term
+        nulls: Dict[SkolemTerm, BlankNode] = {}
         bindings: List[Binding] = []
         for row in rows:
             bindings.append(
@@ -73,7 +74,7 @@ class SolutionTranslator:
                         [
                             (variable, term)
                             for variable, column in columns
-                            if (term := to_term(row[column])) is not None
+                            if (term := to_term(row[column], nulls)) is not None
                         ]
                     )
                 )
@@ -92,13 +93,14 @@ class SolutionTranslator:
         return SolutionSequence(output_variables, bindings)
 
     @staticmethod
-    def _to_rdf_term(value: object) -> Optional[RdfTerm]:
+    def _to_rdf_term(value: object, nulls: Dict[SkolemTerm, BlankNode]) -> Optional[RdfTerm]:
         """Convert a Datalog ground value back to an RDF term (or None)."""
         if isinstance(value, RdfTerm):
             return value
         if isinstance(value, SkolemTerm):
-            # Labelled nulls from existential rules behave like blank nodes.
-            return BlankNode(f"null{abs(hash(value)) % 10_000_000}")
+            # Labelled nulls from existential rules behave like blank nodes:
+            # one per distinct null of this result, numbered as they come.
+            return nulls.setdefault(value, BlankNode(f"null{len(nulls)}"))
         if value == "null" or value is None:
             return None
         if isinstance(value, str):

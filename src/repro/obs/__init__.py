@@ -15,8 +15,8 @@ The subsystem has three parts, all plain-Python and import-cheap:
   store's index-probe / dictionary / sorted-run counters.
 
 * :mod:`repro.obs.export` — structured JSON trace dumps validated
-  against ``trace_schema.json`` (the same dependency-free validator
-  subset the bench trajectory uses) and Chrome ``trace_event`` output
+  against ``trace_schema.json`` (by a dependency-free validator) and
+  Chrome ``trace_event`` output
   loadable in ``about:tracing`` / Perfetto.
 """
 

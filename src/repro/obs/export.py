@@ -3,10 +3,9 @@
 Two serialisations of one :class:`~repro.obs.tracer.Tracer`:
 
 * :func:`trace_to_dict` — the structured dump, validated against the
-  committed ``trace_schema.json`` with the same dependency-free
-  validator subset the bench trajectory uses
-  (:mod:`benchmarks.record_trajectory`), so traces are a stable,
-  diffable artifact rather than ad-hoc prints.
+  committed ``trace_schema.json`` by a dependency-free validator
+  (:func:`validate_trace`), so traces are a stable, diffable artifact
+  rather than ad-hoc prints.
 
 * :func:`to_chrome_trace` — the Chrome ``trace_event`` JSON array
   format: save it with :func:`json.dump` and load the file in
@@ -84,8 +83,8 @@ def validate_trace(payload: object, schema: Optional[dict] = None) -> List[str]:
 
     Implements exactly the subset ``trace_schema.json`` uses — object
     required/properties, array items, type / minimum / minLength,
-    ``additionalProperties: false`` — mirroring the bench-trajectory
-    validator so the gate needs no third-party dependency.
+    ``additionalProperties: false`` — so validation needs no third-party
+    dependency.
     """
     problems: List[str] = []
     _validate(payload, schema if schema is not None else trace_schema(), "$", problems)

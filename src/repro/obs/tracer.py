@@ -160,7 +160,7 @@ class Tracer:
     def phase_totals(self, category: str = "phase") -> Dict[str, float]:
         """Total seconds per span name within one category.
 
-        The per-phase breakdown the bench trajectory records: summing
+        The per-phase breakdown of a traced run: summing
         repeated spans (one per query of a workload loop) gives the
         share of wall time spent parsing / planning / lowering /
         executing.

@@ -429,6 +429,25 @@ class Dataset:
             return self.default_graph
         return self.named_graphs.get(name, Graph())
 
+    def active(self, clauses: Sequence) -> "Dataset":
+        """The dataset a query's FROM / FROM NAMED clauses describe (``self`` without any).
+
+        FROM graphs are merged into a fresh default graph, FROM NAMED ones
+        keep their name; conventionally an unknown IRI stands for the
+        default graph, so self-contained examples keep working.
+        """
+        if not clauses:
+            return self
+        default = Graph()
+        named: Dict[IRI, Graph] = {}
+        for clause in clauses:
+            graph = self.named_graphs.get(clause.graph, self.default_graph)
+            if clause.named:
+                named[clause.graph] = graph
+            else:
+                default.update(graph)
+        return Dataset(default, named)
+
     def names(self) -> Set[IRI]:
         """Return the IRIs of all named graphs."""
         return set(self.named_graphs.keys())

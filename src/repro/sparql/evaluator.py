@@ -42,12 +42,11 @@ from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI, Literal, Term, Triple, Variable, term_sort_key
+from repro.rdf.terms import Literal, Term, Triple, Variable, term_sort_key
 from repro.sparql.algebra import (
     AskQuery,
     BGP,
     Bind,
-    DatasetClause,
     EmptyPattern,
     Filter,
     GraphGraphPattern,
@@ -241,32 +240,10 @@ class SparqlEvaluator:
         raise EvaluationError(f"unsupported query form {type(query).__name__}")
 
     # ------------------------------------------------------------------
-    # dataset handling
-    # ------------------------------------------------------------------
-    def _active_dataset(self, clauses: Sequence[DatasetClause]) -> Dataset:
-        """Build the dataset the query runs against from FROM clauses."""
-        if not clauses:
-            return self.dataset
-        default = Graph()
-        named: Dict[IRI, Graph] = {}
-        for clause in clauses:
-            graph = self.dataset.named_graphs.get(clause.graph)
-            if graph is None and clause.graph not in self.dataset.named_graphs:
-                # FROM over the conventional "default" IRI maps to the default graph.
-                graph = self.dataset.default_graph
-            if graph is None:
-                graph = Graph()
-            if clause.named:
-                named[clause.graph] = graph
-            else:
-                default.update(graph)
-        return Dataset(default, named)
-
-    # ------------------------------------------------------------------
     # query forms
     # ------------------------------------------------------------------
     def _evaluate_select(self, query: SelectQuery) -> SolutionSequence:
-        dataset = self._active_dataset(query.dataset_clauses)
+        dataset = self.dataset.active(query.dataset_clauses)
         bindings, project = self._eval_select_pattern(query, dataset)
         if query.has_aggregates():
             bindings = self._apply_grouping(query, bindings)
@@ -359,7 +336,7 @@ class SparqlEvaluator:
         return list(stream), project
 
     def _evaluate_ask(self, query: AskQuery) -> bool:
-        dataset = self._active_dataset(query.dataset_clauses)
+        dataset = self.dataset.active(query.dataset_clauses)
         stream, _ = self._query_stream(query, dataset)
         try:
             return next(iter(stream), None) is not None
@@ -657,7 +634,7 @@ class SparqlEvaluator:
                 f"got {type(query.pattern).__name__}"
             )
         bgp, conditions = pipeline
-        graph = self._active_dataset(query.dataset_clauses).default_graph
+        graph = self.dataset.active(query.dataset_clauses).default_graph
         return bgp, graph, conditions, _variables_read(query), _distinct_projection(query)
 
     def explain(self, query: Query) -> str:

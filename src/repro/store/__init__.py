@@ -16,8 +16,7 @@ Backend selection
 * ``"encoded"`` — :class:`EncodedGraph` (dictionary-encoded ids).
 
 The workload generators and the experiment harness accept a ``backend=``
-switch that is routed here; the ``REPRO_STORE_BACKEND`` environment
-variable sets the default for a whole process.
+switch that is routed here.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterable, Optional
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Triple
-from repro.store.bulk import bulk_load_ntriples, bulk_load_path, bulk_load_turtle
+from repro.store.bulk import bulk_load_ntriples, bulk_load_path, bulk_load_turtle, infer_format
 from repro.store.dictionary import TermDictionary
 from repro.store.encoded import EncodedGraph
 from repro.store.snapshot import SnapshotError, load_snapshot, save_snapshot
@@ -38,26 +37,7 @@ GRAPH_BACKENDS = {
     "encoded": EncodedGraph,
 }
 
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV_VAR = "REPRO_STORE_BACKEND"
-
 DEFAULT_BACKEND = "hash"
-
-
-def default_backend() -> str:
-    """Return the process-wide default backend name."""
-    return os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-
-
-def _infer_format(path, format: Optional[str]) -> str:
-    if format is not None:
-        return format
-    suffix = os.path.splitext(os.fspath(path))[1].lower()
-    if suffix in (".nt", ".ntriples"):
-        return "ntriples"
-    if suffix in (".ttl", ".turtle"):
-        return "turtle"
-    raise ValueError(f"cannot infer RDF format from {path!r}")
 
 
 def open_graph(
@@ -79,7 +59,7 @@ def open_graph(
       unless you want an empty graph persisted there).
 
     ``snapshot=`` implies (and requires) the encoded backend; otherwise
-    ``backend=None`` falls back to ``REPRO_STORE_BACKEND`` then ``"hash"``.
+    ``backend=None`` means ``"hash"``.
     """
     if snapshot is not None:
         if backend is None:
@@ -91,7 +71,7 @@ def open_graph(
         if os.path.exists(snapshot):
             return load_snapshot(snapshot)
     if backend is None:
-        backend = default_backend()
+        backend = DEFAULT_BACKEND
     if backend not in GRAPH_BACKENDS:
         raise ValueError(
             f"unknown graph backend {backend!r}; available: {sorted(GRAPH_BACKENDS)}"
@@ -106,7 +86,7 @@ def open_graph(
 
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        if _infer_format(path, format) == "ntriples":
+        if infer_format(path, format) == "ntriples":
             graph = parse_ntriples(text)
         else:
             graph = parse_turtle(text)
@@ -120,10 +100,10 @@ def create_graph(
 ):
     """Build an empty (or pre-filled) graph for the named backend.
 
-    ``backend=None`` falls back to ``REPRO_STORE_BACKEND`` and then to
-    ``"hash"``, so existing callers keep the seed behaviour untouched.
+    ``backend=None`` means ``"hash"``, so existing callers keep the seed
+    behaviour untouched.
     """
-    name = backend if backend is not None else default_backend()
+    name = backend if backend is not None else DEFAULT_BACKEND
     try:
         factory = GRAPH_BACKENDS[name]
     except KeyError:
@@ -134,7 +114,6 @@ def create_graph(
 
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "EncodedGraph",
     "GRAPH_BACKENDS",
@@ -144,7 +123,6 @@ __all__ = [
     "bulk_load_path",
     "bulk_load_turtle",
     "create_graph",
-    "default_backend",
     "load_snapshot",
     "open_graph",
     "save_snapshot",

@@ -179,6 +179,18 @@ def bulk_load_turtle(
     return graph
 
 
+def infer_format(path, format: Optional[str] = None) -> str:
+    """``format`` when given, else what the file extension of ``path`` says."""
+    if format is not None:
+        return format
+    suffix = os.path.splitext(os.fspath(path))[1].lower()
+    if suffix in (".nt", ".ntriples"):
+        return "ntriples"
+    if suffix in (".ttl", ".turtle"):
+        return "turtle"
+    raise ValueError(f"cannot infer RDF format from {path!r}")
+
+
 def bulk_load_path(
     path: Union[str, os.PathLike],
     format: Optional[str] = None,
@@ -190,14 +202,7 @@ def bulk_load_path(
     ``.nt`` / ``.ntriples`` select N-Triples and ``.ttl`` / ``.turtle``
     select Turtle.
     """
-    if format is None:
-        suffix = os.path.splitext(os.fspath(path))[1].lower()
-        if suffix in (".nt", ".ntriples"):
-            format = "ntriples"
-        elif suffix in (".ttl", ".turtle"):
-            format = "turtle"
-        else:
-            raise ValueError(f"cannot infer RDF format from {path!r}")
+    format = infer_format(path, format)
     with open(path, "r", encoding="utf-8") as handle:
         if format == "ntriples":
             return bulk_load_ntriples(handle, graph)

@@ -45,6 +45,16 @@ def directors_graph() -> Graph:
     return graph
 
 
+def chain_graph(n_chains: int) -> Graph:
+    """gMark-style chains of three :p edges, one chain's end marked :hit."""
+    graph = Graph()
+    for i in range(n_chains):
+        for step in range(3):
+            graph.add(Triple(EX[f"c{i}_{step}"], EX.p, EX[f"c{i}_{step + 1}"]))
+    graph.add(Triple(EX.c0_3, EX.hit, EX.flag))
+    return graph
+
+
 def countries_dataset() -> Dataset:
     return Dataset.from_graph(countries_graph())
 
@@ -63,6 +73,19 @@ def rows_multiset(result: Union[SolutionSequence, bool]) -> Counter:
 def assert_same_solutions(left, right) -> None:
     """Assert two engine results are equal as multisets."""
     assert rows_multiset(left) == rows_multiset(right)
+
+
+def scan_work(evaluator) -> tuple:
+    """``(probes, rows)`` of the evaluator's latest execution, summed over its scans.
+
+    Index probes issued and rows they returned: the deterministic price
+    of a join ("Skew Strikes Back"), what the count gates assert instead
+    of elapsed time.
+    """
+    scans = [
+        entry for entry in evaluator.last_physical_plan.counters() if entry["operator"] == "Scan"
+    ]
+    return sum(entry["probes"] for entry in scans), sum(entry["rows"] for entry in scans)
 
 
 #: The two :class:`~repro.sparql.plancache.PlanCache` instances of an

@@ -1,6 +1,8 @@
 """Tests for the experiment harness (timing, reporting, drivers)."""
 
+import ast
 import time
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,29 @@ class TestExperimentDrivers:
         for report in reports.values():
             counts = report.outcome_counts("SparqLog")
             assert sum(counts.values()) == 4
+
+
+def test_tier1_asserts_counts_not_clocks():
+    """``benchmarks/`` renders the paper's figures and tables and asserts
+    shape and answers; elapsed time is measured in one place, ``bench/run.py``
+    (``pytest-benchmark``'s ``benchmark`` fixture records and never asserts).
+    So no module there may import a clock, and the retired ratio trajectory's
+    names may not come back anywhere tier-1 collects."""
+    root = Path(__file__).resolve().parent.parent
+    # Spelt in halves: a grep for the names finds nothing, this file included.
+    retired = ("bench" "_metrics", "REPRO_BENCH" "_JSON", "record" "_trajectory")
+    offences = []
+    for path in sorted([*root.glob("benchmarks/*.py"), *root.glob("tests/*.py")]):
+        source = path.read_text(encoding="utf-8")
+        offences += [f"{path.name}: {name}" for name in retired if name in source]
+        if path.parent.name != "benchmarks":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                offences += [
+                    f"{path.name}: imports {name}"
+                    for name in names
+                    if name.split(".")[0] == "time" or name == "perf_counter"
+                ]
+    assert offences == []

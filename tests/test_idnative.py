@@ -20,6 +20,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import bind_store_metrics
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Triple, Variable, XSD_INTEGER
 from repro.sparql.evaluator import SparqlEvaluator
@@ -42,9 +43,9 @@ from repro.sparql.idexec import (
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
-from repro.store import EncodedGraph
+from repro.store import EncodedGraph, bulk_load_ntriples
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import DECODED, EX, NAIVE
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -395,6 +396,65 @@ class TestIdNativeEvaluation:
             PREFIX + "ASK WHERE { ?s ex:p ?o . FILTER(sameTerm(?o, ex:o1)) }"
         )
         assert evaluator.evaluate(query) is True
+
+
+# ----------------------------------------------------------------------
+# what id execution and FILTER pushdown buy, in store probes and decodes
+# ----------------------------------------------------------------------
+class TestIdJoinWork:
+    """A 90k-triple two-fan workload on the encoded store: 4 999 subjects,
+    each with a ``:small`` and a larger ``:big`` fan.  The store's own
+    counters (``bind_store_metrics``) price the id pipeline against the
+    decoded, post-filtered one for the same answer: index probes issued
+    and terms decoded."""
+
+    WORK = ("store_index_probes_total", "store_dictionary_decodes_total")
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        lines = []
+        for i in range(90_000):
+            # 4999 is coprime with the predicate strides: every subject gets both fans.
+            subject = f"<http://ex.org/s{i % 4999}>"
+            if i % 4 == 0:
+                lines.append(f"{subject} <http://ex.org/small> <http://ex.org/o{(i // 4) % 9973}> .")
+            elif i % 1000 == 1:
+                lines.append(f"{subject} <http://ex.org/big> <http://ex.org/hub> .")
+            else:
+                lines.append(f"{subject} <http://ex.org/big> <http://ex.org/b{(i // 3) % 14983}> .")
+        return bulk_load_ntriples("\n".join(lines))
+
+    def _run(self, graph, profile, text):
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=profile)
+        bind_store_metrics(evaluator.metrics_registry, graph)
+        before = evaluator.metrics()
+        result = evaluator.evaluate(parse_query(PREFIX + text))
+        after = evaluator.metrics()
+        return Counter(result.rows()), tuple(after[name] - before[name] for name in self.WORK)
+
+    def test_filter_selective_join(self, graph):
+        text = "SELECT ?s ?a ?b WHERE { ?s ex:small ?a . ?s ex:big ?b . FILTER(?a = ex:o42) }"
+        rows, work = self._run(graph, ExecutionProfile.FULL, text)
+        decoded_rows, decoded_work = self._run(graph, DECODED, text)
+        assert rows == decoded_rows and sum(rows.values()) == 40
+        # The conjunct kills a :small row as an id, right after the scan that
+        # binds ?a: :big is probed for the 3 surviving subjects only, and
+        # nothing is decoded but the 3 columns of the 40 answers.
+        assert work == (1 + 3, 3 * 40)
+        # Decoded and post-filtered: a :big probe for each of the 22 500
+        # :small rows, every scanned triple and joined row boxed as terms.
+        assert decoded_work == (1 + 22_500, 975_198)
+
+    def test_join_without_a_filter(self, graph):
+        text = "SELECT ?s ?a WHERE { ?s ex:small ?a . ?s ex:big ex:hub }"
+        rows, work = self._run(graph, ExecutionProfile.FULL, text)
+        decoded_rows, decoded_work = self._run(graph, DECODED, text)
+        assert rows == decoded_rows and sum(rows.values()) == 409
+        # Same plan, same probes; the id pipeline decodes the 2 projected
+        # columns of the answers, the decoded one all 3 terms of the 499
+        # triples its scans touched.
+        assert work == (91, 2 * 409)
+        assert decoded_work == (91, 3 * 499)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ the term-level ALP procedure:
   random graphs, with random bound/free endpoints, return the identical
   multiset through the id engine and the term-level fallback, on both
   backends and through both join pipelines,
-* gMark workload parity: every query of a recursive-only gMark workload
-  agrees between the id path engine and the ALP baseline.
+* gMark workload parity: every query of a recursive-only gMark workload,
+  and a fixed mix of eleven path shapes, agree between the id path engine
+  and the ALP baseline.
 """
 
 from collections import Counter
@@ -506,3 +507,42 @@ def test_gmark_recursive_workload_parity():
         assert Counter(actual.rows()) == Counter(expected.rows()), query.query_id
         compared += 1
     assert compared == 12
+
+
+def test_gmark_fixed_path_mix_parity():
+    """A fixed mix of path shapes on a gMark test-scenario graph (80 nodes,
+    4 predicates): bound-subject closures over compound inner paths, a
+    sequence feeding a closure (which the term-level evaluator computes as a
+    two-free closure joined afterwards), backward expansion from a bound
+    object, bounded repetition, a two-variable closure, both-endpoints-bound
+    reachability (bidirectional search) and three non-recursive paths.  The
+    id engine must return the ALP baseline's bags; how fast it does is the
+    ``gmark_native`` workload of ``bench/run.py``."""
+    from repro.workloads.gmark import GMarkWorkload, test_scenario
+
+    node = "<http://example.org/gMark/Node{}>".format
+    queries = [
+        f"SELECT ?y WHERE {{ {node(52)} (gmark:p0|gmark:p1)+ ?y }}",
+        f"SELECT ?y WHERE {{ {node(72)} (gmark:p2|^gmark:p0)* ?y }}",
+        f"SELECT ?y WHERE {{ {node(62)} gmark:p2/(gmark:p3/gmark:p1)+ ?y }}",
+        f"SELECT ?x WHERE {{ ?x (gmark:p0)+ {node(10)} }}",
+        f"SELECT ?x WHERE {{ ?x (gmark:p1/gmark:p2)/(gmark:p2)* {node(12)} }}",
+        f"SELECT ?y WHERE {{ {node(14)} gmark:p0{{1,4}} ?y }}",
+        "SELECT ?x ?y WHERE { ?x (gmark:p3)+ ?y }",
+        f"ASK {{ {node(52)} (gmark:p0|gmark:p1)+ {node(10)} }}",
+        "SELECT ?x ?y WHERE { ?x gmark:p0/gmark:p1 ?y }",
+        f"SELECT ?y WHERE {{ {node(52)} (gmark:p0|gmark:p2)/gmark:p1 ?y }}",
+        "SELECT ?x ?y WHERE { ?x ^gmark:p2/gmark:p3 ?y }",
+    ]
+    dataset = GMarkWorkload(scenario=test_scenario(), scale=0.1, backend="encoded").dataset()
+    idnative = SparqlEvaluator(dataset)
+    termlevel = SparqlEvaluator(dataset, profile=TERM_PATHS)
+    for text in queries:
+        parsed = parse_query("PREFIX gmark: <http://example.org/gMark/>\n" + text)
+        expected = termlevel.evaluate(parsed)
+        actual = idnative.evaluate(parsed)
+        if isinstance(expected, bool):
+            assert actual is expected is True, text
+        else:
+            assert Counter(actual.rows()) == Counter(expected.rows()), text
+            assert len(expected) > 0, text

@@ -678,6 +678,35 @@ class TestMaintenanceCounts:
         assert view.rows() == [(EX.n1, EX.n3), (EX.n2, EX.n4), (EX.n3, EX.n5)]
 
 
+@pytest.mark.parametrize(
+    "backend, nodes",
+    [(EncodedGraph, 2_500), (EncodedGraph, 5_000), (EncodedGraph, 10_000), (Graph, 2_500), (Graph, 5_000)],
+)
+def test_maintenance_costs_the_change_not_the_graph(backend, nodes):
+    """Every node has out-degree 2; 200 edges are removed one by one and
+    added back.  A change seeds both patterns of the two-hop view and probes
+    the other one once — the same work on a graph two and four times the
+    size, where re-evaluation joins all of it."""
+    edges = [
+        Triple(EX[f"n{i}"], EX.p, EX[f"n{(i * stride + shift) % nodes}"])
+        for i in range(nodes)
+        for stride, shift in ((7, 1), (13, 5))
+    ]
+    engine = create_engine(backend(edges))
+    view = engine.materialize(TWO_HOP)
+    assert view.maintenance == "delta"
+    graph = engine.graph
+    counters = graph.enable_counters() if backend is EncodedGraph else None
+    for mutate in (graph.remove, graph.add):
+        for triple in edges[:200]:
+            mutate(triple)
+    stats = view.delta_stats
+    assert (stats.batches, stats.changes, stats.seed_matches, stats.rows) == (400, 400, 800, 1_508)
+    if counters is not None:
+        assert counters.index_probes == 800
+    assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
+
+
 # ----------------------------------------------------------------------
 # explain
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
-from tests.helpers import EX
+from tests.helpers import EX, chain_graph
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -224,10 +224,47 @@ class TestExporters:
             assert event["pid"] == 1 and event["tid"] == 1
 
 
+    def test_an_evaluation_trace_round_trips_through_both_exporters(self):
+        tracer = Tracer("triangle")
+        evaluator = SparqlEvaluator(Dataset.from_graph(Graph(_TRIPLES)), tracer=tracer)
+        with tracer.span("parse"):
+            query = parse_query(_TRIANGLE)
+        evaluator.evaluate(query)
+        assert {"parse", "plan", "lower", "execute"} <= set(tracer.phase_totals())
+        payload = trace_to_dict(tracer)
+        assert validate_trace(payload) == []
+        assert any(span["category"] == "operator" for span in payload["spans"])
+        events = to_chrome_trace(tracer)["traceEvents"]
+        assert len(events) == len(payload["spans"])
+        assert all(e["ph"] == "X" and e["ts"] >= 0 and e["dur"] >= 0 for e in events)
+
+
 # ----------------------------------------------------------------------
 # evaluator integration
 # ----------------------------------------------------------------------
 class TestEvaluatorObservability:
+    @pytest.mark.parametrize("n_chains", [100, 400])
+    def test_tracing_costs_spans_per_query_not_per_row(self, n_chains):
+        """An enabled tracer records a handful of spans per evaluation
+        however many rows flow, a disabled one none, and neither changes an
+        answer.  (The time it costs is ``bench.trace_overhead_ratio`` of
+        ``bench/run.py``.)"""
+        dataset = Dataset.from_graph(chain_graph(n_chains))
+        query = parse_query(PREFIX + "SELECT ?a WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?d }")
+        expected = MultiSet(SparqlEvaluator(dataset).evaluate(query).rows())
+        assert sum(expected.values()) == n_chains
+        off, on = Tracer("off", enabled=False), Tracer("on")
+        assert MultiSet(SparqlEvaluator(dataset, tracer=off).evaluate(query).rows()) == expected
+        assert off.spans == []
+        traced = SparqlEvaluator(dataset, tracer=on)
+        assert MultiSet(traced.evaluate(query).rows()) == expected
+        # plan, lower, execute, evaluate and one summary per operator
+        # (Project, the join, three scans); a warm plan cache saves two.
+        assert len(on.spans) == 9
+        on.clear()
+        assert MultiSet(traced.evaluate(query).rows()) == expected
+        assert len(on.spans) == 7
+
     def test_cache_metrics(self):
         evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)))
         query = parse_query(_TRIANGLE)

@@ -42,9 +42,9 @@ from repro.sparql.physical import (
 )
 from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
-from repro.store import EncodedGraph
+from repro.store import EncodedGraph, bulk_load_ntriples
 
-from tests.helpers import DECODED, EX, PLAN_CACHES, plan_cache_lookup
+from tests.helpers import DECODED, EX, PLAN_CACHES, plan_cache_lookup, scan_work
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -434,6 +434,77 @@ Project [?a, ?b, ?c] decode=term
         )
         with pytest.raises(TypeError):
             list(physical.execute(plan, graph))
+
+
+# ----------------------------------------------------------------------
+# leapfrog vs binary on the skewed hub workload, in index probes
+# ----------------------------------------------------------------------
+class TestSkewedCyclicWorkload:
+    """The classic worst case for binary plans ("Skew Strikes Back"): 700
+    spokes point at one hub and back, so a binary triangle plan enumerates
+    every wedge through the hub — Θ(N²) probes that almost all die at the
+    closing pattern — while leapfrog fetches one sorted run per candidate;
+    a 12-clique supplies the answers and an ``r`` chain the acyclic case.
+    Summed scan ``probes`` of both plans, exact counts (493 685 vs 4 492
+    and 522 725 vs 10 698); not the scans' ``rows``, which on the leapfrog
+    side are run lengths galloped through."""
+
+    P = "<http://ex.org/p>"
+    TRIANGLE = f"{{ ?a {P} ?b . ?b {P} ?c . ?c {P} ?a }}"
+    CLIQUE4 = f"{{ ?a {P} ?b . ?a {P} ?c . ?a {P} ?d . ?b {P} ?c . ?b {P} ?d . ?c {P} ?d }}"
+    N_CHAIN = 2000
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        hub = "<http://ex.org/hub>"
+        lines = []
+        for i in range(700):
+            lines += [f"<http://ex.org/n{i}> {self.P} {hub} .", f"{hub} {self.P} <http://ex.org/n{i}> ."]
+        lines += [
+            f"<http://ex.org/c{i}> {self.P} <http://ex.org/c{j}> ."
+            for i in range(12)
+            for j in range(12)
+            if i != j
+        ]
+        lines += [
+            f"<http://ex.org/u{i}> <http://ex.org/r> <http://ex.org/u{i + 1}> ."
+            for i in range(self.N_CHAIN)
+        ]
+        return bulk_load_ntriples("\n".join(lines))
+
+    @pytest.mark.parametrize("pattern", [TRIANGLE, CLIQUE4], ids=["triangle", "clique4"])
+    def test_leapfrog_issues_a_third_of_the_probes_at_most(self, graph, pattern):
+        dataset = Dataset.from_graph(graph)
+        query = parse_query("SELECT * WHERE " + pattern)
+        binary = SparqlEvaluator(dataset, profile=ExecutionProfile.ID_NATIVE)
+        leapfrog = SparqlEvaluator(dataset)
+        binary_rows = Counter(binary.evaluate(query).rows())
+        leapfrog_rows = Counter(leapfrog.evaluate(query).rows())
+        assert isinstance(binary.last_physical_plan.root.child, IndexNestedLoopJoin)
+        assert isinstance(leapfrog.last_physical_plan.root.child, LeapfrogJoin)
+        assert binary_rows == leapfrog_rows and binary_rows
+        binary_probes, leapfrog_probes = scan_work(binary)[0], scan_work(leapfrog)[0]
+        assert binary_probes >= 3 * leapfrog_probes, (binary_probes, leapfrog_probes)
+
+    def test_acyclic_chain_pays_nothing_for_the_wcoj_option(self, graph):
+        """GYO finds the chain acyclic: same operator and the same scan work
+        with leapfrog allowed or not, no fallback to report, no sorted run
+        built — the eligibility analysis never touches the store."""
+        dataset = Dataset.from_graph(graph)
+        r = "<http://ex.org/r>"
+        query = parse_query(f"SELECT * WHERE {{ ?a {r} ?b . ?b {r} ?c . ?c {r} ?d }}")
+        counters = graph.enable_counters()
+        builds = counters.sorted_run_builds
+        allowed = SparqlEvaluator(dataset)
+        pinned = SparqlEvaluator(dataset, profile=ExecutionProfile.ID_NATIVE)
+        rows = Counter(allowed.evaluate(query).rows())
+        assert rows == Counter(pinned.evaluate(query).rows())
+        assert sum(rows.values()) == self.N_CHAIN - 2
+        plan = allowed.last_physical_plan
+        assert isinstance(plan.root.child, IndexNestedLoopJoin) and plan.wcoj_fallback is None
+        # 1 + N + (N - 1) probes returning N + (N - 1) + (N - 2) rows.
+        assert scan_work(allowed) == scan_work(pinned) == (2 * self.N_CHAIN, 3 * self.N_CHAIN - 3)
+        assert counters.sorted_run_builds == builds
 
 
 # ----------------------------------------------------------------------

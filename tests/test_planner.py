@@ -12,14 +12,17 @@ from repro.sparql.parser import parse_query
 from repro.sparql.paths import LinkPath, OneOrMorePath
 from repro.sparql.physical import execute, lower_bgp
 from repro.sparql.plan import plan_bgp
+from repro.store import EncodedGraph
 
 from tests.helpers import (
     EX,
     NAIVE,
     PLAN_CACHES,
+    chain_graph,
     countries_dataset,
     plan_cache_lookup,
     rows_multiset,
+    scan_work,
 )
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
@@ -288,6 +291,81 @@ class TestPlannedEvaluatorEquivalence:
             assert len(planned) == len(naive)
         else:
             assert rows_multiset(planned) == rows_multiset(naive)
+
+
+def ring_graph(n_nodes: int) -> Graph:
+    """gMark-style cycle: a :p ring, :q chords closing p/q/p at every node, one :marked."""
+    graph = Graph()
+    for i in range(n_nodes):
+        graph.add(Triple(EX[f"n{i}"], EX.p, EX[f"n{(i + 1) % n_nodes}"]))
+        graph.add(Triple(EX[f"n{i}"], EX.q, EX[f"n{(i - 2) % n_nodes}"]))
+    graph.add(Triple(EX.n0, EX.marked, EX.yes))
+    return graph
+
+
+class TestPlannedWorkDoesNotGrowWithTheData:
+    """What the planner buys, counted: the selective pattern is listed
+    last and runs first, so the scans issue the same probes and touch the
+    same rows however many unselective subjects the graph holds — where
+    textual order pays for every one of them."""
+
+    STAR = "{ ?v ex:a ?x . ?v ex:b ?y . ?v ex:selective ex:target }"
+    #: shape -> (graph builder, base size, pattern, plan order, scan (probes, rows), answers)
+    SHAPES = {
+        # s0; its five :a edges; the five :b edges once per :a row.
+        "star": (lambda n: star_graph(n, fanout=5), 350, STAR, [2, 0, 1], (7, 31), 25),
+        "chain": (
+            chain_graph,
+            250,
+            "{ ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?d . ?d ex:hit ex:flag }",
+            [3, 2, 1, 0],
+            (4, 4),
+            1,
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_selective_pattern_last(self, shape, backend):
+        build, size, pattern, order, work, answers = self.SHAPES[shape]
+        query = parse_query(PREFIX + "SELECT * WHERE " + pattern)
+        for n in (size, 2 * size):
+            dataset = Dataset.from_graph(backend(build(n)))
+            evaluator = SparqlEvaluator(dataset)
+            result = evaluator.evaluate(query)
+            assert evaluator.last_physical_plan.source.order() == order
+            assert scan_work(evaluator) == work, n
+            assert len(result) == answers
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        assert rows_multiset(result) == rows_multiset(naive)
+
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph])
+    def test_ask_stops_at_the_first_solution(self, backend):
+        query = parse_query(PREFIX + "ASK WHERE " + self.STAR)
+        for n in (350, 700):
+            evaluator = SparqlEvaluator(Dataset.from_graph(backend(star_graph(n, fanout=5))))
+            assert evaluator.evaluate(query) is True
+            # One probe per pattern, one row each: 3 of the SELECT's 7 probes.
+            assert scan_work(evaluator) == (3, 3)
+
+    @pytest.mark.parametrize("backend, probes", [(Graph, 4), (EncodedGraph, 7)])
+    def test_cycle_starts_from_the_marked_node(self, backend, probes):
+        """A cycle joins back on its first variable; starting at the one
+        :marked node keeps it to a handful of probes (binary: one per
+        pattern; leapfrog on the encoded store: one per sorted run)."""
+        query = parse_query(
+            PREFIX
+            + "SELECT ?a ?b WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a . ?a ex:marked ex:yes }"
+        )
+        for n in (120, 240):
+            dataset = Dataset.from_graph(backend(ring_graph(n)))
+            evaluator = SparqlEvaluator(dataset)
+            result = evaluator.evaluate(query)
+            assert evaluator.last_physical_plan.source.order() == [3, 0, 1, 2]
+            assert scan_work(evaluator)[0] == probes, n
+            assert len(result) == 1
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        assert rows_multiset(result) == rows_multiset(naive)
 
 
 class TestPlanCache:

@@ -6,10 +6,11 @@ import pytest
 
 from collections import Counter
 
-from repro.core.engine import SparqLogEngine, resolve_dataset_clauses
+from repro.core.engine import SparqLogEngine
 from repro.core.ontology import Ontology
 from repro.core.solution_translation import SolutionTranslator
 from repro.datalog.engine import EvaluationLimitExceeded
+from repro.datalog.terms import SkolemTerm
 from repro.obs import Tracer, trace_to_dict
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, RDF, Literal, Triple, Variable
@@ -264,16 +265,12 @@ class TestDatasetClauses:
         return dataset
 
     def test_resolve_from_merges_into_default(self):
-        active = resolve_dataset_clauses(
-            self._dataset(), [DatasetClause(IRI("http://g1"), named=False)]
-        )
+        active = self._dataset().active([DatasetClause(IRI("http://g1"), named=False)])
         assert len(active.default_graph) == 5
         assert not active.named_graphs
 
     def test_resolve_from_named_keeps_named(self):
-        active = resolve_dataset_clauses(
-            self._dataset(), [DatasetClause(IRI("http://g2"), named=True)]
-        )
+        active = self._dataset().active([DatasetClause(IRI("http://g2"), named=True)])
         assert len(active.default_graph) == 0
         assert IRI("http://g2") in active.named_graphs
 
@@ -320,6 +317,30 @@ class TestSolutionTranslation:
         relations = {translation.answer_predicate: {(Literal("true", None),)}}
         assert translator.translate(relations, translation) is True
         assert translator.translate({}, translation) is False
+
+    def test_labelled_nulls_map_to_blank_nodes_one_to_one(self):
+        from repro.core.query_translation import QueryTranslator
+        from repro.sparql.parser import parse_query
+
+        translation = QueryTranslator().translate(
+            parse_query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }")
+        )
+        x, y = Variable("x"), Variable("y")
+        # ?x: 20 000 distinct nulls; ?y: the null that is row i // 2's ?x.
+        rows = {
+            ("id",) * translation.has_id_column
+            + tuple(
+                SkolemTerm("f", (EX.a, f"n{i if variable == x else i // 2}"))
+                for variable in translation.answer_variables
+            )
+            for i in range(20_000)
+        }
+        result = SolutionTranslator().translate({translation.answer_predicate: rows}, translation)
+        xs = [binding[x] for binding in result]
+        ys = [binding[y] for binding in result]
+        assert len(set(xs)) == 20_000 and len(set(ys)) == 10_000
+        assert set(ys) <= set(xs)
+        assert sum(left == right for left, right in zip(xs, ys)) == 1  # row 0 alone
 
     def test_distinct_projection_after_translation(self):
         engine = SparqLogEngine(countries_dataset())

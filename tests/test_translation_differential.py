@@ -18,7 +18,8 @@ from repro.compliance.compare import results_equal
 from repro.core.engine import SparqLogEngine
 from repro.core.solution_translation import SolutionTranslator
 from repro.datalog.engine import DatalogEngine
-from repro.rdf.graph import Dataset
+from repro.rdf.graph import Dataset, Graph
+from repro.rdf.terms import IRI, Triple
 from repro.sparql.algebra import SelectQuery
 from repro.sparql.parser import parse_query
 from repro.workloads.beseppi import BeSEPPIWorkload
@@ -26,6 +27,8 @@ from repro.workloads.feasible import FeasibleWorkload
 from repro.workloads.gmark import GMarkWorkload
 from repro.workloads.ontology_bench import OntologyBenchmark
 from repro.workloads.sp2bench import SP2BenchWorkload
+
+from tests.helpers import EX, countries_graph
 
 WORKLOADS = {
     "sp2bench": lambda: SP2BenchWorkload(scale=0.05),
@@ -71,3 +74,25 @@ def test_warm_engine_agrees_with_from_scratch_and_native(name):
     # One materialisation served every query.
     assert warm.base_rebuilds == 1
     assert warm.base_hits == len(queries) - 1
+
+
+def test_from_clauses_resolve_alike_on_both_engines():
+    """FROM / FROM NAMED over a known and an unknown IRI (which stands for
+    the default graph): one rule, ``Dataset.active``, read by both engines."""
+    dataset = Dataset(Graph([Triple(EX.here, EX.borders, EX.there)]))
+    dataset.add_named_graph(IRI("http://g1"), countries_graph())
+    native, translated = create_engine(dataset), SparqLogEngine(dataset)
+    for text, answers in [
+        ("SELECT ?s ?o FROM <http://g1> WHERE { ?s ?p ?o }", 5),
+        ("SELECT ?s ?o FROM <http://unknown> WHERE { ?s ?p ?o }", 1),
+        ("SELECT ?s ?o FROM <http://g1> FROM <http://unknown> WHERE { ?s ?p ?o }", 6),
+        (
+            "SELECT ?g ?s FROM NAMED <http://g1> FROM NAMED <http://unknown>"
+            " WHERE { GRAPH ?g { ?s ?p ?o } }",
+            6,
+        ),
+        ("SELECT ?s FROM NAMED <http://g1> WHERE { ?s ?p ?o }", 0),
+    ]:
+        answer = native.query(text)
+        assert len(answer) == answers, text
+        assert results_equal(answer, translated.query(text)), text
