@@ -16,7 +16,9 @@ The engine supports the language fragment SparqLog's translation targets:
 
 Evaluation is bottom-up, one strongly connected component of the
 dependency graph after the other: a component without recursion runs each
-rule once, a recursive one semi-naive; each rule is compiled once.  A
+rule once, a recursive one semi-naive; each rule is compiled once — and,
+through ``DatalogEngine.prepare`` / ``run``, once for every run of the
+same ``PreparedProgram`` on the same base.  A
 program that declares ``@output`` predicates is first unfolded
 (:mod:`repro.datalog.optimise`): single-rule predicates outside the answer
 are replaced by their bodies, so chains of one-rule-per-operator
@@ -38,7 +40,12 @@ from repro.datalog.rules import (
     Program,
     Rule,
 )
-from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded, Materialisation
+from repro.datalog.engine import (
+    DatalogEngine,
+    EvaluationLimitExceeded,
+    Materialisation,
+    PreparedProgram,
+)
 from repro.datalog.optimise import unfold
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.wardedness import WardednessReport, analyze_wardedness
@@ -55,6 +62,7 @@ __all__ = [
     "FilterCondition",
     "Materialisation",
     "Negation",
+    "PreparedProgram",
     "Program",
     "Rule",
     "SkolemTerm",

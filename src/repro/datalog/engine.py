@@ -11,13 +11,20 @@ rewritten by :func:`repro.datalog.optimise.unfold`, so that what is
 evaluated is a few multi-atom joins rather than one materialised relation
 per algebra operator.
 
-Rules are *compiled once per component*: after :meth:`DatalogEngine._order_body`
-has fixed the body order from the live relation sizes, every rule is
-lowered to a chain of closures over one register file (a plain list).
-Variables become register indexes and constants pre-filled registers, so
-an index key, the values an atom binds and the head tuple are all built
-by ``operator.itemgetter`` — the per-row work is tuple indexing, never a
-substitution dictionary.
+Evaluation is two steps, :meth:`DatalogEngine.prepare` and
+:meth:`DatalogEngine.run`, and :meth:`DatalogEngine.materialise` is one
+after the other.  ``prepare`` does what depends on the program alone —
+unfolding, the components and their rule groups — and returns a
+:class:`PreparedProgram`.  ``run`` evaluates it on a base; the first run on
+a base also *orders and compiles* every component as it reaches it: after
+:meth:`DatalogEngine._order_body` has fixed the body order from the live
+relation sizes, every rule is lowered to a chain of steps over one
+register file (:mod:`repro.datalog.steps`).  The prepared program keeps
+the ordered bodies and the compiled chains for as long as it is run on the
+same base, so a second run only runs the fixpoint.  Reusing a body order
+is exact, not approximate: with the program and the base fixed, evaluation
+is deterministic, so every relation size the ordering would price on a
+later run is the size it saw on the first.
 
 The evaluated state is a :class:`Materialisation` (relations with their
 lazily built hash indexes, plus the fact count).  A program can be
@@ -37,12 +44,12 @@ from __future__ import annotations
 import itertools
 import time
 from collections import defaultdict
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
     AggregateRule,
-    AggregateSpec,
     Assignment,
     Atom,
     BodyElement,
@@ -51,22 +58,32 @@ from repro.datalog.rules import (
     Negation,
     Program,
     Rule,
-    SkolemExpr,
 )
 from repro.datalog.optimise import unfold
-from repro.datalog.stratify import components
-from repro.datalog.terms import SkolemTerm, Var, ground_value
-from repro.obs.tracer import NULL_SPAN, Tracer
-from repro.rdf.terms import Literal, Term as RdfTerm, term_sort_key
-from repro.sparql.expressions import (
-    Comparison as FilterComparison,
-    TermExpr,
-    VariableExpr,
-    satisfies,
+from repro.datalog.steps import (
+    CLOCK_CADENCE,
+    Plan,
+    RegisterFile,
+    Registers,
+    StepMaker,
+    aggregate,
+    assignment_step,
+    comparison_step,
+    emit,
+    emit_and_keep,
+    filter_step,
+    getter,
+    link,
+    negation_step,
+    scan_step,
+    skolem_step,
+    tuple_getter,
 )
-from repro.sparql.functions import ExpressionError, term_compare
+from repro.datalog.steps import compare_values  # noqa: F401  (part of this module's surface)
+from repro.datalog.stratify import Component, components
+from repro.datalog.terms import Var, ground_value
+from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.sparql.physical import select_cheapest
-from repro.sparql.solutions import Binding
 
 
 class EvaluationLimitExceeded(RuntimeError):
@@ -74,32 +91,6 @@ class EvaluationLimitExceeded(RuntimeError):
 
 
 GroundTuple = Tuple[object, ...]
-Registers = List[object]
-#: One compiled body element (or the head): runs on the register file and
-#: calls the next step once per solution it finds.
-Step = Callable[[Registers], None]
-StepMaker = Callable[[Step], Step]
-#: A compiled rule: calling it enumerates the body and derives the heads.
-Plan = Callable[[], None]
-
-#: The deadline is read once per this many body-atom probes (and once per
-#: this many derived facts), never per row.
-_CLOCK_CADENCE = 4096
-
-
-def _getter(positions: Sequence[int]) -> Callable:
-    """``itemgetter`` over ``positions``: a scalar for one, a tuple for more."""
-    if not positions:
-        return lambda _sequence: ()
-    return itemgetter(*positions)
-
-
-def _tuple_getter(positions: Sequence[int]) -> Callable:
-    """Like :func:`_getter` but a 1-tuple for a single position."""
-    if len(positions) == 1:
-        (position,) = positions
-        return lambda sequence: (sequence[position],)
-    return _getter(positions)
 
 
 class Relation:
@@ -138,12 +129,15 @@ class Relation:
         round; compiled rules hold on to its index dictionaries, so those
         are emptied and rebuilt in place.
         """
-        self.tuples = tuples = set(rows)
+        tuples = set(rows)
         self._distinct_cache.clear()
         for key_of, index in self._indexes.values():
             index.clear()
             for row in tuples:
                 index.setdefault(key_of(row), []).append(row)
+        # Last: interrupted half-way (a timeout signal), the relation still
+        # counts as filled and the next run empties it again.
+        self.tuples = tuples
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -161,7 +155,7 @@ class Relation:
         existing = self._indexes.get(positions)
         if existing is not None:
             return existing[1]
-        key_of = _getter(positions)
+        key_of = getter(positions)
         index: Dict[object, List[GroundTuple]] = {}
         for row in self.tuples:
             index.setdefault(key_of(row), []).append(row)
@@ -193,7 +187,7 @@ class Materialisation:
     overlay exactly as it bounds one program evaluated in one go.
     """
 
-    __slots__ = ("relations", "fact_count")
+    __slots__ = ("relations", "fact_count", "__weakref__")
 
     def __init__(self, relations: Dict[str, Relation], fact_count: int) -> None:
         self.relations = relations
@@ -205,6 +199,153 @@ class Materialisation:
 
 
 _EMPTY = Materialisation({}, 0)
+
+
+class _CompiledComponent:
+    """One component as it runs on one base: ordered bodies, compiled plans.
+
+    ``rounds`` and ``derived`` are the delta rounds and new facts of its
+    most recent run.
+    """
+
+    __slots__ = ("component", "ordered", "plans", "rounds", "derived", "_rendered")
+
+    def __init__(
+        self,
+        component: Component,
+        ordered: List[Tuple[object, List[BodyElement], List[Optional[float]]]],
+        plans: List[Plan],
+    ) -> None:
+        self.component = component
+        #: (rule, ordered body, estimates) — aggregate rules first.
+        self.ordered = ordered
+        self.plans = plans
+        self.rounds = 0
+        self.derived = 0
+        self._rendered: Optional[List[Dict[str, object]]] = None
+
+    def record(self) -> Dict[str, object]:
+        """What a ``datalog.stratum`` span says of the most recent run."""
+        if self._rendered is None:
+            self._rendered = [
+                {
+                    "head": repr(rule.head),
+                    "body": [list(pair) for pair in zip(map(repr, body), estimates)],
+                }
+                for rule, body, estimates in self.ordered
+            ]
+        return {
+            "predicates": sorted(self.component.predicates),
+            "recursive": self.component.recursive,
+            "rules": len(self.ordered),
+            "rounds": self.rounds,
+            "derived": self.derived,
+            "plans": self._rendered,
+        }
+
+
+class _Bound:
+    """What a prepared program keeps while it is run on one base by one engine.
+
+    ``relations`` are the base's plus one scratch relation per predicate
+    the program adds; ``scratch`` lists every relation a run fills (delta
+    relations of recursive components included), ``compiled`` has a slot
+    per rule group, filled when a run first reaches it.
+    """
+
+    __slots__ = ("engine", "base", "relations", "scratch", "compiled")
+
+    def __init__(
+        self,
+        engine: "DatalogEngine",
+        base: Materialisation,
+        relations: Dict[str, Relation],
+        scratch: List[Relation],
+        groups: int,
+    ) -> None:
+        self.engine = engine
+        self.base = base
+        self.relations = relations
+        self.scratch = scratch
+        self.compiled: List[Optional[_CompiledComponent]] = [None] * groups
+
+
+class PreparedProgram:
+    """A program as :meth:`DatalogEngine.prepare` leaves it, ready to be run.
+
+    Two lifetimes live here.  What depends on the program alone is fixed
+    for good: the predicates it defines (which a base must not have), the
+    ``unfolding`` record (``rules_before``, ``rules_after``, ``unfolded``;
+    ``None`` for a program without ``@output``), every predicate that needs
+    a relation, the ground facts and, per component that has rules, its
+    aggregate and plain rules in evaluation order.  What also depends on
+    the base — scratch relations, ordered bodies, compiled plans — is built
+    by the first :meth:`DatalogEngine.run` on that base, reused by later
+    runs on the same base and replaced when another base is run on;
+    :meth:`unbind` drops it (and every reference to the base) at once.
+
+    The relations of a run's result are the prepared program's own: they
+    are emptied when it runs again and by :meth:`release`.  The tuple
+    *sets* are never reused, so whoever holds one keeps it as it was.
+    """
+
+    __slots__ = ("defined", "unfolding", "predicates", "facts", "groups", "_bound")
+
+    def __init__(
+        self,
+        defined: Set[str],
+        unfolding: Optional[Dict[str, object]],
+        predicates: Tuple[str, ...],
+        facts: List[Tuple[str, GroundTuple]],
+        groups: List[Tuple[Component, List[AggregateRule], List[Rule]]],
+    ) -> None:
+        self.defined = defined
+        self.unfolding = unfolding
+        self.predicates = predicates
+        self.facts = facts
+        self.groups = groups
+        self._bound: Optional[_Bound] = None
+
+    def bound_to(self, base: Materialisation) -> bool:
+        """Whether the base-level state is the one built on ``base``."""
+        return self._bound is not None and self._bound.base is base
+
+    def unbind(self) -> None:
+        """Drop everything that depends on a base, the base included."""
+        self._bound = None
+
+    def release(self) -> None:
+        """Empty the scratch relations: no derived tuple stays behind."""
+        if self._bound is not None:
+            for relation in self._bound.scratch:
+                if relation.tuples:
+                    relation.replace(())
+
+    def evaluated(self) -> List[Dict[str, object]]:
+        """Per component run on the current base, in order, what its
+        ``datalog.stratum`` span says: ``predicates``, ``recursive``,
+        ``rules``, the ``rounds`` and ``derived`` of the most recent run,
+        and per rule the ordered body with the estimates (``plans``)."""
+        if self._bound is None:
+            return []
+        return [compiled.record() for compiled in self._bound.compiled if compiled is not None]
+
+    def _bind(self, engine: "DatalogEngine", base: Materialisation) -> _Bound:
+        bound = self._bound
+        if bound is None or bound.base is not base or bound.engine is not engine:
+            clash = self.defined & base.relations.keys()
+            if clash:
+                raise ValueError(
+                    f"program defines predicates of its base materialisation: {sorted(clash)}"
+                )
+            relations = dict(base.relations)
+            scratch: List[Relation] = []
+            for predicate in self.predicates:
+                if predicate not in relations:
+                    relations[predicate] = relation = Relation()
+                    scratch.append(relation)
+            bound = self._bound = _Bound(engine, base, relations, scratch, len(self.groups))
+        return bound
 
 
 class DatalogEngine:
@@ -245,6 +386,9 @@ class DatalogEngine:
     def materialise(self, program: Program, base: Materialisation = _EMPTY) -> Materialisation:
         """Evaluate ``program`` on top of ``base`` and keep the evaluated state.
 
+        :meth:`prepare`, then :meth:`run`; the prepared program is dropped,
+        so the result owns its relations.
+
         The program may read the base's predicates but not define them
         (``ValueError``): the base is closed under its own rules, and a new
         fact below them would leave it stale.
@@ -255,39 +399,37 @@ class DatalogEngine:
         the rewrite replaced by their bodies are not materialised at all.
         A program without directives is evaluated exactly as written.
         """
-        self._deadline = (
-            time.monotonic() + self.timeout_seconds
-            if self.timeout_seconds is not None
-            else None
-        )
-        self._fact_count = base.fact_count
-        self.fixpoint_iterations = 0
-        tracer = self.tracer
+        return self.run(self.prepare(program), base)
 
+    def prepare(self, program: Program) -> PreparedProgram:
+        """Everything evaluation needs that the program alone decides.
+
+        Unfolds a program that declares ``@output`` (one ``datalog.unfold``
+        span), walks the components and groups the rules by the component
+        that derives them.  Reads no relation; ``program`` is not modified
+        and may change afterwards.
+        """
+        tracer = self.tracer
         defined = {fact.predicate for fact in program.facts}
         defined.update(rule.head.predicate for rule in program.rules)
         defined.update(rule.head.predicate for rule in program.aggregate_rules)
-        clash = defined & base.relations.keys()
-        if clash:
-            raise ValueError(
-                f"program defines predicates of its base materialisation: {sorted(clash)}"
-            )
 
         keep = program.output_predicates()
+        unfolding: Optional[Dict[str, object]] = None
         if keep:
             # The program says which predicates are its answer: the others
             # need not exist, and chains of them are evaluated as one join.
             span = tracer.span("datalog.unfold", "datalog") if tracer is not None else NULL_SPAN
             with span:
                 written, program = program, unfold(program, keep)
-                if tracer is not None:
-                    remaining = {rule.head.predicate for rule in program.rules}
-                    heads = dict.fromkeys(rule.head.predicate for rule in written.rules)
-                    span.annotate(
-                        rules_before=len(written.rules),
-                        rules_after=len(program.rules),
-                        unfolded=[head for head in heads if head not in remaining],
-                    )
+                remaining = {rule.head.predicate for rule in program.rules}
+                heads = dict.fromkeys(rule.head.predicate for rule in written.rules)
+                unfolding = {
+                    "rules_before": len(written.rules),
+                    "rules_after": len(program.rules),
+                    "unfolded": [head for head in heads if head not in remaining],
+                }
+                span.annotate(**unfolding)
 
         rules_by_head: Dict[str, List[Rule]] = defaultdict(list)
         for rule in program.rules:
@@ -295,18 +437,7 @@ class DatalogEngine:
         aggregates_by_head: Dict[str, List[AggregateRule]] = defaultdict(list)
         for aggregate_rule in program.aggregate_rules:
             aggregates_by_head[aggregate_rule.head.predicate].append(aggregate_rule)
-
-        relations: Dict[str, Relation] = dict(base.relations)
-        # An output predicate whose every rule the rewrite found unsatisfiable
-        # is mentioned nowhere any more; it is empty, not absent.
-        for predicate in (*program.predicates(), *keep):
-            if predicate not in relations:
-                relations[predicate] = Relation()
-        for fact in program.facts:
-            values = tuple(ground_value(argument) for argument in fact.arguments)
-            if relations[fact.predicate].add(values):
-                self._count_fact()
-
+        groups: List[Tuple[Component, List[AggregateRule], List[Rule]]] = []
         for component in components(program):
             rules = [
                 rule
@@ -318,55 +449,114 @@ class DatalogEngine:
                 for predicate in component.predicates
                 for aggregate_rule in aggregates_by_head.get(predicate, ())
             ]
-            if not rules and not aggregates:
-                continue
+            if rules or aggregates:
+                groups.append((component, aggregates, rules))
+        facts = [
+            (fact.predicate, tuple(ground_value(argument) for argument in fact.arguments))
+            for fact in program.facts
+        ]
+        # An output predicate whose every rule the rewrite found unsatisfiable
+        # is mentioned nowhere any more; it is empty, not absent.
+        return PreparedProgram(defined, unfolding, (*program.predicates(), *keep), facts, groups)
+
+    def run(self, prepared: PreparedProgram, base: Materialisation = _EMPTY) -> Materialisation:
+        """Evaluate a prepared program on top of ``base``.
+
+        ``max_facts``, ``timeout_seconds`` and ``tracer`` are read now.  The
+        first run on a base orders and compiles each component when it
+        reaches it — everything the component reads from outside is then
+        complete — and the prepared program keeps that; a later run on the
+        same base empties the scratch relations and runs the plans (one
+        ``datalog.stratum`` span per component either way).  A run that
+        raised leaves nothing the next one could trip over.
+        """
+        self._deadline = (
+            time.monotonic() + self.timeout_seconds
+            if self.timeout_seconds is not None
+            else None
+        )
+        self._fact_count = base.fact_count
+        self.fixpoint_iterations = 0
+        tracer = self.tracer
+
+        bound = prepared._bind(self, base)
+        relations = bound.relations
+        prepared.release()
+        for predicate, values in prepared.facts:
+            if relations[predicate].add(values):
+                self._count_fact()
+
+        compiled_components = bound.compiled
+        for position, group in enumerate(prepared.groups):
             span = tracer.span("datalog.stratum", "datalog") if tracer is not None else NULL_SPAN
             with span:
                 self._check_limits()
+                compiled = compiled_components[position]
+                if compiled is None:
+                    compiled = self._compile_component(*group, bound)
+                    compiled_components[position] = compiled
                 rounds, facts = self.fixpoint_iterations, self._fact_count
-                # Everything read from outside the component is complete, so
-                # every body is ordered before anything runs.  Aggregate
-                # rules read strictly below their component.
-                volatile = component.predicates if component.recursive else ()
-                aggregate_bodies = [self._order_body(rule.body, relations) for rule in aggregates]
-                bodies = [self._order_body(rule.body, relations, volatile) for rule in rules]
-                for aggregate_rule, (body, _) in zip(aggregates, aggregate_bodies):
-                    self._evaluate_aggregate_rule(aggregate_rule, body, relations)
-                ordered = [(rule, body) for rule, (body, _) in zip(rules, bodies)]
-                if component.recursive:
-                    self._fixpoint(ordered, relations)
-                else:
-                    # No rule reads what another derives here: one pass each.
-                    for rule, body in ordered:
-                        self._compile_rule(rule, body, relations)()
+                for plan in compiled.plans:
+                    plan()
+                compiled.rounds = self.fixpoint_iterations - rounds
+                compiled.derived = self._fact_count - facts
                 if tracer is not None:
-                    span.annotate(
-                        predicates=sorted(component.predicates),
-                        recursive=component.recursive,
-                        rules=len(aggregates) + len(rules),
-                        rounds=self.fixpoint_iterations - rounds,
-                        derived=self._fact_count - facts,
-                        plans=[
-                            {
-                                "head": repr(rule.head),
-                                "body": [list(pair) for pair in zip(map(repr, body), estimates)],
-                            }
-                            for rule, (body, estimates) in zip(
-                                (*aggregates, *rules), (*aggregate_bodies, *bodies)
-                            )
-                        ],
-                    )
+                    span.annotate(**compiled.record())
         return Materialisation(relations, self._fact_count)
+
+    def _compile_component(
+        self,
+        component: Component,
+        aggregates: List[AggregateRule],
+        rules: List[Rule],
+        bound: _Bound,
+    ) -> _CompiledComponent:
+        """Order and compile one component's rules on the bound relations.
+
+        Called when a run reaches the component: everything read from
+        outside it is complete, so every body is ordered before anything
+        runs.  Aggregate rules read strictly below their component and run
+        first; a component without recursion then runs each rule once —
+        no rule reads what another derives here.
+        """
+        relations = bound.relations
+        volatile = component.predicates if component.recursive else ()
+        aggregate_bodies = [self._order_body(rule.body, relations) for rule in aggregates]
+        bodies = [self._order_body(rule.body, relations, volatile) for rule in rules]
+        plans = [
+            self._compile_aggregate_rule(aggregate_rule, body, relations)
+            for aggregate_rule, (body, _) in zip(aggregates, aggregate_bodies)
+        ]
+        ordered = [(rule, body) for rule, (body, _) in zip(rules, bodies)]
+        if component.recursive:
+            plans.append(self._compile_fixpoint(ordered, relations, bound.scratch))
+        else:
+            plans.extend(self._compile_rule(rule, body, relations) for rule, body in ordered)
+        return _CompiledComponent(
+            component,
+            [
+                (rule, body, estimates)
+                for rule, (body, estimates) in zip(
+                    (*aggregates, *rules), (*aggregate_bodies, *bodies)
+                )
+            ],
+            plans,
+        )
 
     # ------------------------------------------------------------------
     # fixpoint computation
     # ------------------------------------------------------------------
-    def _fixpoint(
+    def _compile_fixpoint(
         self,
         rules: Sequence[Tuple[Rule, List[BodyElement]]],
         relations: Dict[str, Relation],
-    ) -> None:
-        """Semi-naive evaluation of a recursive component's ordered rules."""
+        scratch: List[Relation],
+    ) -> Plan:
+        """Semi-naive evaluation of a recursive component's ordered rules.
+
+        The delta relations join ``scratch``: what empties the relations a
+        run fills empties them too.
+        """
         # Per head predicate the rows derived in the running round; per
         # recursive predicate the previous round's rows as a relation of
         # their own, refilled in place so each delta plan is compiled once
@@ -397,20 +587,29 @@ class DatalogEngine:
                         rule, body, relations, fresh, derived, position, delta
                     )
                     delta_plans.append((delta, plan))
+        scratch.extend(deltas.values())
 
-        # Initial round: evaluate every rule against the full relations.
-        for plan in plans:
-            plan()
-        while any(fresh.values()):
-            self.fixpoint_iterations += 1
-            self._check_limits()
-            for predicate, rows in fresh.items():
-                if predicate in deltas:
-                    deltas[predicate].replace(rows)
-                rows.clear()
-            for delta, plan in delta_plans:
-                if delta.tuples:
+        def fixpoint() -> None:
+            try:
+                # Initial round: evaluate every rule against the full relations.
+                for plan in plans:
                     plan()
+                while any(fresh.values()):
+                    self.fixpoint_iterations += 1
+                    self._check_limits()
+                    for predicate, rows in fresh.items():
+                        if predicate in deltas:
+                            deltas[predicate].replace(rows)
+                        rows.clear()
+                    for delta, plan in delta_plans:
+                        if delta.tuples:
+                            plan()
+            finally:
+                # Empty already unless a limit was hit half-way through a round.
+                for rows in fresh.values():
+                    rows.clear()
+
+        return fixpoint
 
     def _order_body(
         self,
@@ -523,7 +722,7 @@ class DatalogEngine:
         ``derived`` (the next round's delta) and ``growing`` names the
         predicates the component's plans derive into meanwhile.
         """
-        registers = _RegisterFile()
+        registers = RegisterFile()
         makers = self._lower_body(body, registers, relations, growing, delta_position, delta)
 
         frontier: Optional[List[int]] = None
@@ -534,7 +733,7 @@ class DatalogEngine:
                 def unbound(regs: Registers, argument: Var = argument) -> None:
                     raise ValueError(f"unbound head variable {argument!r} in rule {rule!r}")
 
-                return _link(makers, unbound, registers)
+                return link(makers, unbound, registers)
             # An existential head variable: a Skolem term over the frontier,
             # whose order is fixed here rather than per derived row.
             if frontier is None:
@@ -544,31 +743,20 @@ class DatalogEngine:
                     if variable in registers.slots
                 ]
             functor = f"∃{rule.label or rule.head.predicate}:{argument.name}"
-            makers.append(_skolem_step(functor, frontier, registers.bind(argument)))
+            makers.append(skolem_step(functor, frontier, registers.bind(argument)))
 
-        head = _tuple_getter([registers.operand(argument) for argument in rule.head.arguments])
+        head = tuple_getter([registers.operand(argument) for argument in rule.head.arguments])
         add = relations[rule.head.predicate].add
-        count_fact = self._count_fact
-
         if derived is None:
-            def emit(regs: Registers) -> None:
-                if add(head(regs)):
-                    count_fact()
+            last = partial(emit, head, add, self._count_fact)
         else:
-            keep = derived.append
-
-            def emit(regs: Registers) -> None:
-                row = head(regs)
-                if add(row):
-                    count_fact()
-                    keep(row)
-
-        return _link(makers, emit, registers)
+            last = partial(emit_and_keep, head, add, self._count_fact, derived.append)
+        return link(makers, last, registers)
 
     def _lower_body(
         self,
         body: Sequence[BodyElement],
-        registers: "_RegisterFile",
+        registers: RegisterFile,
         relations: Dict[str, Relation],
         growing: Iterable[str] = (),
         delta_position: int = -1,
@@ -581,148 +769,75 @@ class DatalogEngine:
                 source = delta if position == delta_position else relations[element.predicate]
                 # A rule may add to the very relation it is scanning.
                 snapshot = source is not delta and element.predicate in growing
-                makers.append(self._atom_step(element, source, registers, snapshot))
+                makers.append(
+                    scan_step(
+                        element, source, registers, snapshot, self._probe_tick, self._check_limits
+                    )
+                )
             elif isinstance(element, Negation):
                 makers.append(
-                    _negation_step(element.atom, relations[element.atom.predicate], registers)
+                    negation_step(element.atom, relations[element.atom.predicate], registers)
                 )
             elif isinstance(element, Comparison):
-                makers.append(_comparison_step(element, registers))
+                makers.append(comparison_step(element, registers))
             elif isinstance(element, Assignment):
-                makers.append(_assignment_step(element, registers))
+                makers.append(assignment_step(element, registers))
             elif isinstance(element, FilterCondition):
-                makers.append(_filter_step(element, registers))
+                makers.append(filter_step(element, registers))
             else:
                 raise TypeError(f"unsupported body element {element!r}")
         return makers
 
-    def _atom_step(
-        self, atom: Atom, relation: Relation, registers: "_RegisterFile", snapshot: bool
-    ) -> StepMaker:
-        """A positive atom: probe the index on its bound positions, bind the rest."""
-        bound_positions: List[int] = []
-        key_slots: List[int] = []
-        free_positions: List[int] = []
-        free_variables: List[Var] = []
-        # (position, earlier position) pairs of one variable within the atom.
-        repeats: List[Tuple[int, int]] = []
-        for position, argument in enumerate(atom.arguments):
-            if not isinstance(argument, Var) or argument in registers.slots:
-                bound_positions.append(position)
-                key_slots.append(registers.operand(argument))
-            elif argument in free_variables:
-                repeats.append((position, free_positions[free_variables.index(argument)]))
-            else:
-                free_positions.append(position)
-                free_variables.append(argument)
-        # The atom's new variables get adjacent registers: one slice write.
-        low = len(registers.values)
-        for variable in free_variables:
-            registers.bind(variable)
-        high = len(registers.values)
-        positions = tuple(bound_positions)
-        key_of = _getter(key_slots)
-        take = _tuple_getter(free_positions)
-        tick, check_clock = self._probe_tick, self._check_limits
-
-        def make(next_step: Step) -> Step:
-            lookup = None
-
-            if repeats:
-                def step(regs: Registers) -> None:
-                    nonlocal lookup
-                    if lookup is None:
-                        lookup = _lookup(relation, positions, snapshot)
-                    if not tick() % _CLOCK_CADENCE:
-                        check_clock()
-                    for row in lookup(key_of(regs)) or ():
-                        for position, earlier in repeats:
-                            if row[position] != row[earlier]:
-                                break
-                        else:
-                            regs[low:high] = take(row)
-                            next_step(regs)
-            elif not free_positions:
-                def step(regs: Registers) -> None:
-                    nonlocal lookup
-                    if lookup is None:
-                        lookup = _lookup(relation, positions, snapshot)
-                    if not tick() % _CLOCK_CADENCE:
-                        check_clock()
-                    if lookup(key_of(regs)):
-                        next_step(regs)
-            elif len(free_positions) == 1:
-                (only,) = free_positions
-
-                def step(regs: Registers) -> None:
-                    nonlocal lookup
-                    if lookup is None:
-                        lookup = _lookup(relation, positions, snapshot)
-                    if not tick() % _CLOCK_CADENCE:
-                        check_clock()
-                    rows = lookup(key_of(regs))
-                    if rows:
-                        for row in rows:
-                            regs[low] = row[only]
-                            next_step(regs)
-            else:
-                def step(regs: Registers) -> None:
-                    nonlocal lookup
-                    if lookup is None:
-                        lookup = _lookup(relation, positions, snapshot)
-                    if not tick() % _CLOCK_CADENCE:
-                        check_clock()
-                    rows = lookup(key_of(regs))
-                    if rows:
-                        for row in rows:
-                            regs[low:high] = take(row)
-                            next_step(regs)
-            return step
-
-        return make
-
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    def _evaluate_aggregate_rule(
+    def _compile_aggregate_rule(
         self,
         aggregate_rule: AggregateRule,
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
-    ) -> None:
-        registers = _RegisterFile()
+    ) -> Plan:
+        registers = RegisterFile()
         makers = self._lower_body(body, registers, relations)
         # Every body solution, as a copy of the whole register file.
         members: List[Registers] = []
-        _link(makers, lambda regs: members.append(regs[:]), registers)()
+        enumerate_body = link(makers, lambda regs: members.append(regs[:]), registers)
 
         group_variables = aggregate_rule.group_variables
-        group_of = _tuple_getter([registers.operand(variable) for variable in group_variables])
-        groups: Dict[Tuple, List[Registers]] = defaultdict(list)
-        for member in members:
-            groups[group_of(member)].append(member)
+        group_of = tuple_getter([registers.operand(variable) for variable in group_variables])
         relation = relations[aggregate_rule.head.predicate]
-        for key, group in groups.items():
-            values_by_target: Dict[Var, object] = {}
-            for spec in aggregate_rule.aggregates:
-                if spec.argument is None:
-                    values: List[object] = [1] * len(group)
-                else:
-                    slot = registers.operand(spec.argument)
-                    values = [member[slot] for member in group if member[slot] is not None]
-                values_by_target[spec.target] = _aggregate(spec, values)
-            row: List[object] = []
-            for argument in aggregate_rule.head.arguments:
-                if not isinstance(argument, Var):
-                    row.append(ground_value(argument))
-                elif argument in group_variables:
-                    row.append(key[group_variables.index(argument)])
-                elif argument in values_by_target:
-                    row.append(values_by_target[argument])
-                else:
-                    row.append(group[0][registers.operand(argument)])
-            if relation.add(tuple(row)):
-                self._count_fact()
+
+        def evaluate() -> None:
+            groups: Dict[Tuple, List[Registers]] = defaultdict(list)
+            try:
+                enumerate_body()
+                for member in members:
+                    groups[group_of(member)].append(member)
+            finally:
+                members.clear()
+            for key, group in groups.items():
+                values_by_target: Dict[Var, object] = {}
+                for spec in aggregate_rule.aggregates:
+                    if spec.argument is None:
+                        values: List[object] = [1] * len(group)
+                    else:
+                        slot = registers.operand(spec.argument)
+                        values = [member[slot] for member in group if member[slot] is not None]
+                    values_by_target[spec.target] = aggregate(spec, values)
+                row: List[object] = []
+                for argument in aggregate_rule.head.arguments:
+                    if not isinstance(argument, Var):
+                        row.append(ground_value(argument))
+                    elif argument in group_variables:
+                        row.append(key[group_variables.index(argument)])
+                    elif argument in values_by_target:
+                        row.append(values_by_target[argument])
+                    else:
+                        row.append(group[0][registers.operand(argument)])
+                if relation.add(tuple(row)):
+                    self._count_fact()
+
+        return evaluate
 
     # ------------------------------------------------------------------
     # limits
@@ -733,53 +848,12 @@ class DatalogEngine:
             raise EvaluationLimitExceeded(
                 f"derived more than {self.max_facts} facts"
             )
-        if self._fact_count % _CLOCK_CADENCE == 0:
+        if self._fact_count % CLOCK_CADENCE == 0:
             self._check_limits()
 
     def _check_limits(self) -> None:
         if self._deadline is not None and time.monotonic() >= self._deadline:
             raise EvaluationLimitExceeded("evaluation timeout exceeded")
-
-
-# ----------------------------------------------------------------------
-# compiled rule bodies
-# ----------------------------------------------------------------------
-class _RegisterFile:
-    """Compile-time register allocation for one rule.
-
-    ``values`` is the register file the compiled steps run on: register 0
-    stays ``None`` and stands for any variable that is never bound, every
-    constant occurrence gets a pre-filled register, and a variable gets
-    the next free register where the body first binds it.
-    """
-
-    __slots__ = ("values", "slots")
-
-    def __init__(self) -> None:
-        self.values: Registers = [None]
-        self.slots: Dict[Var, int] = {}
-
-    def bind(self, variable: Var) -> int:
-        """Allocate the register of a variable bound from here on."""
-        self.slots[variable] = slot = len(self.values)
-        self.values.append(None)
-        return slot
-
-    def operand(self, term: object) -> int:
-        """The register to read ``term`` from."""
-        if isinstance(term, Var):
-            return self.slots.get(term, 0)
-        self.values.append(ground_value(term))
-        return len(self.values) - 1
-
-
-def _link(makers: Sequence[StepMaker], last: Step, registers: _RegisterFile) -> Plan:
-    """Chain the steps back to front; the plan runs them on the register file."""
-    step = last
-    for make in reversed(makers):
-        step = make(step)
-    values = registers.values
-    return lambda: step(values)
 
 
 def _matching_rows(atom: Atom, relation: Relation) -> float:
@@ -797,207 +871,5 @@ def _matching_rows(atom: Atom, relation: Relation) -> float:
     )
     if not positions:
         return float(len(relation))
-    key = _getter(positions)([ground_value(argument) for argument in atom.arguments])
+    key = getter(positions)([ground_value(argument) for argument in atom.arguments])
     return float(len(relation.index(positions).get(key, ())))
-
-
-def _lookup(relation: Relation, positions: Tuple[int, ...], snapshot: bool = False) -> Callable:
-    """``key -> candidate rows`` (falsy when there are none) on ``positions``."""
-    if positions:
-        return relation.index(positions).get
-    if snapshot:
-        return lambda _key: tuple(relation.tuples)
-    return lambda _key: relation.tuples
-
-
-def _negation_step(atom: Atom, relation: Relation, registers: _RegisterFile) -> StepMaker:
-    """``not atom``: no row agrees on the bound positions (others are existential)."""
-    positions: List[int] = []
-    key_slots: List[int] = []
-    for position, argument in enumerate(atom.arguments):
-        if not isinstance(argument, Var) or argument in registers.slots:
-            positions.append(position)
-            key_slots.append(registers.operand(argument))
-    key_of = _getter(key_slots)
-
-    def make(next_step: Step) -> Step:
-        lookup = None
-
-        def step(regs: Registers) -> None:
-            nonlocal lookup
-            if lookup is None:
-                lookup = _lookup(relation, tuple(positions))
-            if not lookup(key_of(regs)):
-                next_step(regs)
-
-        return step
-
-    return make
-
-
-def _comparison_step(comparison: Comparison, registers: _RegisterFile) -> StepMaker:
-    operator = comparison.operator
-    left, right = registers.operand(comparison.left), registers.operand(comparison.right)
-
-    def make(next_step: Step) -> Step:
-        def step(regs: Registers) -> None:
-            first, second = regs[left], regs[right]
-            # None is an unbound variable: the comparison fails.
-            if first is not None and second is not None and compare_values(operator, first, second):
-                next_step(regs)
-
-        return step
-
-    return make
-
-
-def _skolem_step(functor: str, argument_slots: Sequence[int], target: int) -> StepMaker:
-    """``target := functor(arguments)`` for a variable not bound before."""
-    arguments = _tuple_getter(argument_slots)
-
-    def make(next_step: Step) -> Step:
-        def step(regs: Registers) -> None:
-            regs[target] = SkolemTerm(functor, arguments(regs))
-            next_step(regs)
-
-        return step
-
-    return make
-
-
-def _assignment_step(assignment: Assignment, registers: _RegisterFile) -> StepMaker:
-    expression = assignment.expression
-    bound = assignment.variable in registers.slots
-    if isinstance(expression, SkolemExpr):
-        slots = [registers.operand(argument) for argument in expression.arguments]
-        if not bound:
-            return _skolem_step(expression.functor, slots, registers.bind(assignment.variable))
-        functor, arguments = expression.functor, _tuple_getter(slots)
-
-        def value_of(regs: Registers) -> object:
-            return SkolemTerm(functor, arguments(regs))
-    else:
-        value_of = itemgetter(registers.operand(expression))
-    target = registers.slots[assignment.variable] if bound else registers.bind(assignment.variable)
-
-    def make(next_step: Step) -> Step:
-        if bound:
-            def step(regs: Registers) -> None:
-                if regs[target] == value_of(regs):
-                    next_step(regs)
-        else:
-            def step(regs: Registers) -> None:
-                regs[target] = value_of(regs)
-                next_step(regs)
-        return step
-
-    return make
-
-
-def _filter_step(condition: FilterCondition, registers: _RegisterFile) -> StepMaker:
-    """An embedded SPARQL filter over the bound variables carrying RDF terms."""
-    expression = condition.expression
-    slot_of = {
-        variable: registers.slots[datalog_variable]
-        for variable, datalog_variable in condition.variable_map
-        if datalog_variable in registers.slots
-    }
-    if isinstance(expression, FilterComparison) and all(
-        isinstance(side, (VariableExpr, TermExpr)) for side in (expression.left, expression.right)
-    ):
-        # One comparison of variables / constants: no Binding, no interpreter.
-        # An unbound or non-RDF operand and a type error reject the row,
-        # as ``satisfies`` does.
-        operator = expression.operator
-        left, right = (
-            registers.operand(side.term)
-            if isinstance(side, TermExpr)
-            else slot_of.get(side.variable, 0)
-            for side in (expression.left, expression.right)
-        )
-
-        def make_comparison(next_step: Step) -> Step:
-            def step(regs: Registers) -> None:
-                first, second = regs[left], regs[right]
-                if isinstance(first, RdfTerm) and isinstance(second, RdfTerm):
-                    try:
-                        passed = term_compare(operator, first, second)
-                    except ExpressionError:
-                        return
-                    if passed:
-                        next_step(regs)
-
-            return step
-
-        return make_comparison
-
-    pairs = sorted(slot_of.items(), key=lambda pair: pair[0].name)
-
-    def make(next_step: Step) -> Step:
-        def step(regs: Registers) -> None:
-            items = tuple(
-                (variable, regs[slot]) for variable, slot in pairs if isinstance(regs[slot], RdfTerm)
-            )
-            if satisfies(expression, Binding.from_sorted_items(items)):
-                next_step(regs)
-
-        return step
-
-    return make
-
-
-def compare_values(operator: str, left: object, right: object) -> bool:
-    """Compare two ground Datalog values with SPARQL-aware semantics."""
-    if isinstance(left, RdfTerm) and isinstance(right, RdfTerm):
-        try:
-            return term_compare(operator, left, right)
-        except ExpressionError:
-            return False
-    if operator == "=":
-        return left == right
-    if operator == "!=":
-        return left != right
-    try:
-        if operator == "<":
-            return left < right
-        if operator == "<=":
-            return left <= right
-        if operator == ">":
-            return left > right
-        if operator == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    raise ValueError(f"unknown comparison operator {operator!r}")
-
-
-def _aggregate(spec: AggregateSpec, raw_values: List[object]):
-    """Compute one aggregate over a group's bound argument values."""
-    operation = spec.operation.upper()
-    if spec.distinct:
-        raw_values = list(dict.fromkeys(raw_values))
-    if operation == "COUNT":
-        return Literal.from_python(len(raw_values))
-
-    numeric: List[float] = []
-    for value in raw_values:
-        if isinstance(value, Literal):
-            value = value.as_python()
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            numeric.append(value)
-    if operation in ("MIN", "MAX"):
-        if not raw_values:
-            return None
-        ordered = sorted(
-            raw_values,
-            key=lambda value: term_sort_key(value) if isinstance(value, RdfTerm) else (0, str(value)),
-        )
-        return ordered[0] if operation == "MIN" else ordered[-1]
-    if not numeric:
-        return None
-    if operation == "SUM":
-        total = sum(numeric)
-        return Literal.from_python(int(total) if float(total).is_integer() else total)
-    if operation == "AVG":
-        return Literal.from_python(sum(numeric) / len(numeric))
-    raise ValueError(f"unsupported aggregate operation {operation!r}")

@@ -7,7 +7,7 @@ parse queries yourself.  :func:`create_engine` assembles all of it into
 one :class:`Engine` handle:
 
 * ``engine.query(...)`` — parse + evaluate (SELECT → solution sequence,
-  ASK → bool),
+  ASK → bool); a query text is parsed once per engine,
 * ``engine.materialize(...)`` — a live :class:`~repro.ivm.views.MaterializedView`
   maintained through change capture (see :mod:`repro.ivm`),
 * ``engine.explain(...)`` / ``engine.explain_analyze(...)`` — plan
@@ -30,10 +30,15 @@ from repro.rdf.graph import Dataset, Graph
 from repro.sparql.algebra import Query
 from repro.sparql.evaluator import ExplainAnalyzeReport, SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.plancache import BoundedMap
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import SolutionSequence
 from repro.ivm.views import MaterializedView, ViewRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_SPAN, Tracer
+
+
+#: How many query texts an engine keeps parsed.
+PARSED_TEXTS = 256
 
 
 class Engine:
@@ -48,6 +53,11 @@ class Engine:
         self.dataset = dataset
         self.evaluator = SparqlEvaluator(dataset, profile=profile, tracer=tracer)
         self.views = ViewRegistry(self.evaluator, tracer)
+        # text -> algebra; the nodes are frozen, so every caller shares them.
+        self._parsed = BoundedMap(PARSED_TEXTS)
+        self._parsed.bind_metrics(
+            self.evaluator.metrics_registry, "sparql_parse_cache", "Query texts"
+        )
         self._closed = False
 
     # -- introspection -------------------------------------------------
@@ -72,11 +82,20 @@ class Engine:
         )
 
     # -- querying ------------------------------------------------------
+    def _parse(self, query: Union[str, Query]) -> Query:
+        """The algebra of ``query``; a text is parsed the first time it is seen."""
+        if isinstance(query, str):
+            return self._parsed.get(query, self._parse_text)
+        return query
+
+    def _parse_text(self, text: str) -> Query:
+        tracer = self.tracer
+        with tracer.span("parse") if tracer is not None else NULL_SPAN:
+            return parse_query(text)
+
     def query(self, query: Union[str, Query]) -> Union[SolutionSequence, bool]:
         """Parse (if needed) and evaluate a SPARQL query."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self.evaluator.evaluate(query)
+        return self.evaluator.evaluate(self._parse(query))
 
     def explain(self, query: Union[str, Query]) -> str:
         """Render the physical plan of the query's BGP.
@@ -89,9 +108,7 @@ class Engine:
         compile) costs ten times the probe; for it the rendering is the
         plan of the equivalent singleton BGP.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self.evaluator.explain(query)
+        return self.evaluator.explain(self._parse(query))
 
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeReport:
         """Execute the query's BGP and render the plan with measured counters.
@@ -100,7 +117,7 @@ class Engine:
         *bare* lone pattern is measured here as a singleton BGP on the
         physical layer, while :meth:`query` probes the index directly.
         """
-        return self.evaluator.explain_analyze(query)
+        return self.evaluator.explain_analyze(self._parse(query))
 
     def metrics(self):
         """Snapshot every engine metric (plan caches, IVM, store)."""
@@ -119,7 +136,7 @@ class Engine:
         """
         if self._closed:
             raise RuntimeError("engine is closed")
-        return self.views.materialize(query, graph=graph)
+        return self.views.materialize(self._parse(query), graph=graph)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -1,13 +1,70 @@
-"""The evaluator's plan cache: one class, instantiated once for logical
-:class:`~repro.sparql.plan.BGPPlan` values and once for lowered
-:class:`~repro.sparql.physical.PhysicalPlan` values."""
+"""What the engines keep between queries.
+
+:class:`PlanCache` is the evaluator's plan cache: one class, instantiated
+once for logical :class:`~repro.sparql.plan.BGPPlan` values and once for
+lowered :class:`~repro.sparql.physical.PhysicalPlan` values.
+:class:`BoundedMap` is what both engines keep per query *text*: the parsed
+algebra on the native engine, the whole prepared form on the translation
+path."""
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Tuple
+from functools import partial
+from typing import Callable, Dict, Hashable, Tuple
 
-from repro.obs.metrics import Counter
+from repro.obs.metrics import Counter, MetricsRegistry
+
+
+class BoundedMap:
+    """``key -> build(key)``, built on first request, at most ``size`` entries.
+
+    For values that are a pure function of their key (a query text), so an
+    entry is never stale.  Beyond ``size`` the oldest *inserted* entry
+    goes — not LRU, for the reason :class:`PlanCache` gives: no upkeep on
+    a hit.  A ``build`` that raises inserts nothing.  ``hits``, ``misses``
+    and ``evictions`` are plain counts; :meth:`bind_metrics` exposes them.
+    """
+
+    __slots__ = ("size", "hits", "misses", "evictions", "_entries")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._entries: Dict[Hashable, object] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def values(self):
+        return self._entries.values()
+
+    def bind_metrics(self, registry: MetricsRegistry, prefix: str, what: str) -> None:
+        """Register ``<prefix>_{hits,misses,evictions}_total`` callbacks reading this map."""
+        for count, event in (
+            ("hits", "found kept"),
+            ("misses", "built"),
+            ("evictions", "dropped because the map was full"),
+        ):
+            registry.counter(
+                f"{prefix}_{count}_total", f"{what} {event}", callback=partial(getattr, self, count)
+            )
+
+    def get(self, key: Hashable, build: Callable):
+        """The value for ``key``, built by ``build(key)`` on a miss."""
+        entries = self._entries
+        value = entries.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = entries[key] = build(key)
+        if len(entries) > self.size:
+            del entries[next(iter(entries))]
+            self.evictions += 1
+        return value
 
 
 class PlanCache:

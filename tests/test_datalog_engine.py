@@ -315,6 +315,87 @@ class TestMaterialisation:
             DatalogEngine(max_facts=11).evaluate(upper, base)
 
 
+class TestPrepareAndRun:
+    """``materialise`` is ``prepare`` then ``run``; a prepared program can run again."""
+
+    def test_second_run_reuses_orders_and_plans_and_aliases_nothing(self, monkeypatch):
+        lower, upper = closure_program()
+        upper.add_rule(Rule(Atom("reach", (X, Y)), (Atom("far", (X, Y)),)))
+        upper.add_rule(Rule(Atom("reach", (X, Z)), (Atom("reach", (X, Y)), Atom("tc", (Y, Z)))))
+        upper.aggregate_rules.append(
+            AggregateRule(
+                Atom("fanout", (X, Z)), (Atom("reach", (X, Y)),), (X,), (AggregateSpec("COUNT", Y, Z),)
+            )
+        )
+        engine = DatalogEngine()
+        base = engine.materialise(lower)
+        expected = DatalogEngine().evaluate(upper, base)
+        assert expected["fanout"] == {("a", Literal.from_python(2)), ("b", Literal.from_python(1))}
+
+        ordered = []
+        order_body = DatalogEngine._order_body
+        monkeypatch.setattr(
+            DatalogEngine,
+            "_order_body",
+            lambda self, *args: ordered.append(args[0]) or order_body(self, *args),
+        )
+        prepared = engine.prepare(upper)
+        first = engine.run(prepared, base)
+        assert first.fact_count == 9 + 3 + 3 + 2 and len(ordered) == 4
+        held = first.tuples()
+        assert held == expected
+        # The relations are the prepared program's, the tuple sets the caller's.
+        second = engine.run(prepared, base)
+        assert len(ordered) == 4 and second.fact_count == first.fact_count
+        assert second.tuples() == expected and held == expected
+        assert all(second.tuples()[name] is not held[name] for name in ("far", "reach", "fanout"))
+        assert [record["derived"] for record in prepared.evaluated()] == [3, 3, 2]
+        prepared.release()
+        assert held == expected and not second.relations["reach"].tuples
+        assert len(second.relations["tc"]) == 6  # the base is not the prepared program's
+
+        # Another base: ordered and compiled anew, and the old one let go.
+        wider = edge_program([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+        wider.rules = list(lower.rules)
+        other = engine.materialise(wider)
+        assert prepared.bound_to(base) and not prepared.bound_to(other)
+        reference = DatalogEngine().evaluate(upper, other)
+        del ordered[:]
+        assert engine.run(prepared, other).tuples() == reference
+        assert prepared.bound_to(other) and len(ordered) == 4
+        prepared.unbind()
+        assert not prepared.bound_to(other) and prepared.evaluated() == []
+
+    def test_limits_are_those_of_the_engine_and_moment_of_the_run(self):
+        lower, upper = closure_program()
+        base = DatalogEngine().materialise(lower)
+        engine = DatalogEngine()
+        prepared = engine.prepare(upper)
+        assert engine.run(prepared, base).tuples()["far"]
+        engine.max_facts = 11
+        with pytest.raises(EvaluationLimitExceeded):
+            engine.run(prepared, base)
+        engine.max_facts = 12
+        assert len(engine.run(prepared, base).tuples()["far"]) == 3
+        engine.timeout_seconds = 0
+        with pytest.raises(EvaluationLimitExceeded):
+            engine.run(prepared, base)
+        # Compiled steps count through the engine that compiled them, so
+        # another engine compiles its own — and applies its own limits.
+        with pytest.raises(EvaluationLimitExceeded):
+            DatalogEngine(max_facts=11).run(prepared, base)
+        assert len(DatalogEngine().run(prepared, base).tuples()["far"]) == 3
+
+    def test_prepare_reads_the_program_once(self):
+        program = edge_program([("a", "b")])
+        program.add_rule(Rule(Atom("node", (X,)), (Atom("edge", (X, Y)),)))
+        engine = DatalogEngine()
+        prepared = engine.prepare(program)
+        program.add_fact(Atom("edge", (c("b"), c("c"))))
+        program.rules.clear()
+        assert engine.run(prepared).tuples() == {"edge": {("a", "b")}, "node": {("a",)}}
+
+
 class TestStratumSpans:
     def test_one_span_per_stratum_with_rules(self):
         # One span per evaluated component: ``edge`` has no rules, so none.

@@ -22,6 +22,7 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.plancache import BoundedMap
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -240,3 +241,49 @@ class TestEngine:
         engine.materialize(QUERY)
         text = repr(engine)
         assert "full" in text and "views=1" in text
+
+    def test_a_text_is_parsed_once_per_engine(self):
+        graph = Graph(triples())
+        engine = create_engine(graph)
+        first = engine.query(QUERY)
+        for _ in range(4):
+            assert list(engine.query(QUERY).rows()) == list(first.rows())
+        engine.explain(QUERY)
+        engine.explain_analyze(QUERY)
+        engine.materialize(QUERY)
+        metrics = engine.metrics()
+        assert metrics["sparql_parse_cache_misses_total"] == 1
+        assert metrics["sparql_parse_cache_hits_total"] == 7
+        # A write does not touch what a text means; another engine parses for itself.
+        graph.add(Triple(EX.n3, EX.p, EX.n4))
+        assert len(engine.query(QUERY)) == 3
+        assert engine.metrics()["sparql_parse_cache_misses_total"] == 1
+        other = create_engine(graph)
+        other.query(QUERY)
+        assert other.metrics()["sparql_parse_cache_misses_total"] == 1
+        with pytest.raises(Exception):
+            engine.query("SELECT WHERE")
+        assert engine.metrics()["sparql_parse_cache_evictions_total"] == 0
+
+
+class TestBoundedMap:
+    def test_builds_once_and_evicts_the_oldest_inserted(self):
+        built = []
+
+        def build(key):
+            built.append(key)
+            return key.upper()
+
+        cache = BoundedMap(2)
+        assert [cache.get(key, build) for key in "abab"] == ["A", "B", "A", "B"]
+        assert built == ["a", "b"] and (cache.hits, cache.misses, cache.evictions) == (2, 2, 0)
+        assert cache.get("c", build) == "C"  # "a" goes, although it was hit last
+        assert len(cache) == 2 and cache.evictions == 1
+        assert cache.get("b", build) == "B" and cache.get("a", build) == "A"
+        assert built == ["a", "b", "c", "a"] and list(cache.values()) == ["C", "A"]
+
+    def test_a_build_that_raises_inserts_nothing(self):
+        cache = BoundedMap(2)
+        with pytest.raises(KeyError):
+            cache.get("a", {}.__getitem__)
+        assert len(cache) == 0 and (cache.hits, cache.misses) == (0, 1)

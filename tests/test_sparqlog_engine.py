@@ -1,15 +1,19 @@
 """Tests for the SparqLog engine façade and the solution translation."""
 
 import re
+import weakref
 
 import pytest
 
 from collections import Counter
 
+import repro.core.engine as core_engine
+import repro.datalog.engine as datalog_engine
 from repro.core.engine import SparqLogEngine
 from repro.core.ontology import Ontology
+from repro.core.query_translation import QueryTranslator
 from repro.core.solution_translation import SolutionTranslator
-from repro.datalog.engine import EvaluationLimitExceeded
+from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded
 from repro.datalog.terms import SkolemTerm
 from repro.obs import Tracer, trace_to_dict
 from repro.rdf.graph import Dataset, Graph
@@ -253,6 +257,217 @@ component select4: recursive=False rounds=0 derived=21
   select4(V_x, V_y, D) :-
     D := «'default'»
     path2(V_x, V_y, «'default'»)  [est 21]"""
+
+
+def count_query_work(monkeypatch) -> Counter:
+    """Count what a query costs between its text and its first probe.
+
+    Calls of parse, T_Q, ``unfold``, ``components``, ``_order_body`` and
+    ``_compile_rule`` — outside ``DatalogEngine.materialise``, which is how
+    the T_D closure is built and is not the query's work.
+    """
+    calls: Counter = Counter()
+    closing = []
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if not closing:
+                calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(core_engine, "parse_query", "parse")
+    counted(QueryTranslator, "translate", "translate")
+    counted(datalog_engine, "unfold", "unfold")
+    counted(datalog_engine, "components", "components")
+    counted(DatalogEngine, "_order_body", "order")
+    counted(DatalogEngine, "_compile_rule", "compile")
+    materialise = DatalogEngine.materialise
+
+    def closure(*args, **kwargs):
+        closing.append(True)
+        try:
+            return materialise(*args, **kwargs)
+        finally:
+            closing.pop()
+
+    monkeypatch.setattr(DatalogEngine, "materialise", closure)
+    return calls
+
+
+#: A recursive component, a join above it and an OPTIONAL: several rules,
+#: several components, a delta plan compiled on first use.
+REACHES = (
+    PREFIX
+    + "SELECT ?x ?z ?a WHERE { ?x ex:p+ ?y . ?y ex:knows ?z OPTIONAL { ?z ex:age ?a } }"
+)
+PER_TEXT = ("parse", "translate", "unfold", "components")
+PER_BASE = ("order", "compile")
+
+
+class TestPreparedOnce:
+    """A text is prepared once; counts, not clocks."""
+
+    def test_identical_text_only_runs_the_fixpoint(self, monkeypatch):
+        graph = people_graph()
+        engine = SparqLogEngine(Dataset.from_graph(graph))
+        calls = count_query_work(monkeypatch)
+        first = rows_multiset(engine.query(REACHES))
+        assert len(first) > 0
+        after_first = dict(calls)
+        assert all(after_first[step] == 1 for step in PER_TEXT)
+        assert all(after_first[step] >= 2 for step in PER_BASE)
+        for _ in range(5):
+            assert rows_multiset(engine.query(REACHES)) == first
+        assert dict(calls) == after_first
+        assert (engine.prepared_hits, engine.prepared_misses) == (5, 1)
+        assert engine.prepared_rebinds == 0 and engine.last_fixpoint_iterations >= 1
+
+        # A write keeps the text level; bodies are ordered and compiled once more.
+        graph.add(Triple(EX.n6, EX.knows, EX.n0))
+        changed = rows_multiset(engine.query(REACHES))
+        assert len(changed) > len(first)
+        for step in PER_TEXT:
+            assert calls[step] == 1, step
+        for step in PER_BASE:
+            assert calls[step] == 2 * after_first[step], step
+        assert engine.prepared_rebinds == 1
+        engine.query(REACHES)
+        assert calls["order"] == 2 * after_first["order"] and engine.prepared_rebinds == 1
+        assert changed == rows_multiset(SparqLogEngine(Dataset.from_graph(graph)).query(REACHES))
+
+    def test_parsed_query_is_prepared_run_and_dropped(self, monkeypatch):
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()))
+        parsed = core_engine.parse_query(REACHES)
+        calls = count_query_work(monkeypatch)
+        assert rows_multiset(engine.query(parsed)) == rows_multiset(engine.query(parsed))
+        assert calls["translate"] == calls["unfold"] == 2 and calls["parse"] == 0
+        assert (engine.prepared_hits, engine.prepared_misses) == (0, 0)
+
+    def test_from_query_reuses_the_text_and_rebuilds_the_base_level(self, monkeypatch):
+        dataset = Dataset()
+        dataset.add_named_graph(IRI("http://g1"), countries_graph())
+        engine = SparqLogEngine(dataset)
+        calls = count_query_work(monkeypatch)
+        text = PREFIX + "SELECT ?x FROM <http://g1> WHERE { ex:spain ex:borders+ ?x }"
+        for asked in range(1, 4):
+            assert len(engine.query(text)) == 4
+            assert all(calls[step] == 1 for step in PER_TEXT)
+            assert calls["order"] == asked * 3 and calls["compile"] >= asked * 3
+            assert (engine.base_rebuilds, engine.prepared_rebinds) == (asked, asked - 1)
+        # Nothing of a per-call dataset is kept.
+        assert not engine._prepared.get(text, None).program.bound_to(engine._base)
+        assert engine._base is None
+
+    def test_limits_are_checked_on_the_hit_path(self):
+        big = Graph()
+        for index in range(60):
+            big.add(Triple(IRI(f"http://n/{index}"), EX.p, IRI(f"http://m/{index}")))
+        engine = SparqLogEngine(Dataset.from_graph(big), max_facts=500)
+        cartesian = PREFIX + "SELECT ?a ?b ?c ?d WHERE { ?a ex:p ?b . ?c ex:p ?d }"
+        for _ in range(2):
+            with pytest.raises(EvaluationLimitExceeded):
+                engine.query(cartesian)
+        assert engine.prepared_hits == 1
+        engine.max_facts = 5_000_000
+        assert len(engine.query(cartesian)) == 3600
+        assert len(engine.query(cartesian)) == 3600
+        engine.timeout_seconds = 0.0
+        with pytest.raises(EvaluationLimitExceeded):
+            engine.query(cartesian)
+        engine.timeout_seconds = None
+        assert len(engine.query(cartesian)) == 3600
+
+    def test_fact_limit_inside_a_recursive_component_leaves_the_text_usable(self):
+        graph = people_graph()
+        engine = SparqLogEngine(Dataset.from_graph(graph))
+        closure = PREFIX + "SELECT ?x ?y WHERE { ?x ex:p+ ?y }"
+        expected = rows_multiset(engine.query(closure))
+        base = engine._base
+        engine.max_facts = base.fact_count + 10  # the closure has 21 pairs
+        with pytest.raises(EvaluationLimitExceeded):
+            engine.query(closure)
+        engine.max_facts = 5_000_000
+        assert rows_multiset(engine.query(closure)) == expected
+        assert engine._base is base and engine.prepared_rebinds == 0
+
+    def test_results_are_not_aliased_and_the_old_base_is_dropped(self):
+        graph = people_graph()
+        engine = SparqLogEngine(Dataset.from_graph(graph))
+        held = engine.query(REACHES)
+        snapshot = rows_multiset(held)
+        engine.query(BORDERS)  # a second text compiled on the same base
+        old_base = weakref.ref(engine._base)
+        graph.add(Triple(EX.n6, EX.knows, EX.n0))
+        assert rows_multiset(engine.query(REACHES)) != snapshot
+        assert rows_multiset(held) == snapshot
+        assert old_base() is None
+        # No derived tuple stays in a prepared form between runs.
+        bound = [prepared.program._bound for prepared in engine._prepared.values()]
+        assert bound[0] is not None and bound[1] is None  # BORDERS was not asked again
+        assert bound[0].scratch and not any(len(relation) for relation in bound[0].scratch)
+
+    def test_one_text_over_the_bound_evicts_one(self, monkeypatch):
+        monkeypatch.setattr(core_engine, "PREPARED_TEXTS", 4)
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()))
+        texts = [
+            PREFIX + f"SELECT ?x WHERE {{ ex:n{index} ex:p+ ?x }}" for index in range(5)
+        ]
+        for _ in range(2):
+            for index, text in enumerate(texts):
+                assert len(engine.query(text)) == 6 - index
+        # Five texts through four slots, oldest out first: every ask a miss.
+        assert (engine.prepared_hits, engine.prepared_misses) == (0, 10)
+        assert engine.prepared_evictions == 6 and len(engine._prepared) == 4
+        assert len(engine.query(texts[-1])) == 2 and engine.prepared_hits == 1
+
+    def test_explain_says_what_was_reused(self):
+        graph = people_graph()
+        engine = SparqLogEngine(Dataset.from_graph(graph))
+        built = engine.explain(REACHES)
+        assert built.startswith("unfold: ")
+        assert engine.explain(REACHES).split("\n", 1) == [
+            "prepared: reused (parse, T_Q, unfold, body orders, compiled rules)",
+            built,
+        ]
+        graph.add(Triple(EX.n9, EX.age, Literal.from_python(1)))
+        assert engine.explain(REACHES).split("\n", 1) == [
+            "prepared: reused (parse, T_Q, unfold); ordered and compiled anew",
+            SparqLogEngine(Dataset.from_graph(graph)).explain(REACHES),
+        ]
+        # ``query`` and ``explain`` share the prepared form.
+        engine.query(REACHES)
+        assert (engine.prepared_hits, engine.prepared_misses) == (3, 1)
+
+    def test_metrics_and_spans(self):
+        tracer = Tracer("prepared")
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()), tracer=tracer)
+        for _ in range(3):
+            engine.query(REACHES)
+        metrics = engine.metrics()
+        assert metrics == {
+            "sparqlog_base_hits_total": 2,
+            "sparqlog_base_rebuilds_total": 1,
+            "sparqlog_prepared_hits_total": 2,
+            "sparqlog_prepared_misses_total": 1,
+            "sparqlog_prepared_evictions_total": 0,
+            "sparqlog_prepared_rebinds_total": 0,
+            "sparqlog_prepared_texts": 1,
+            "sparqlog_last_fixpoint_iterations": engine.last_fixpoint_iterations,
+        }
+        assert "sparqlog_prepared_hits_total 2" in engine.metrics_registry.render_prometheus()
+        # Unfolding ran once; every run evaluated every component.
+        names = Counter(span.name for span in tracer.spans if span.parent is None)
+        assert names["datalog.unfold"] == 1
+        assert names["datalog.stratum"] % 3 == 0 and names["datalog.stratum"] >= 6
+        strata = [s for s in tracer.spans if s.name == "datalog.stratum" and s.parent is None]
+        per_run = len(strata) // 3
+        for first, later in zip(strata[:per_run], strata[2 * per_run:]):
+            assert first.args == later.args
+        trace_to_dict(tracer, validate=True)
 
 
 class TestDatasetClauses:

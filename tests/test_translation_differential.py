@@ -9,19 +9,28 @@ engine's answer must be bag-equal to
   (``DatalogEngine().evaluate(engine.translate(q)[0])`` followed by T_S), and
 * the native engine in its ``FULL`` profile on the same triples (for the
   ontology workload: on the graph saturated under the ontology).
+
+The engine keeps what it prepared for a query text, so at the end a
+hypothesis test interleaves texts, writes, axioms, dataset swaps and runs
+that hit the fact limit, and compares with a fresh engine at every step.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionProfile, create_engine
 from repro.compliance.compare import results_equal
 from repro.core.engine import SparqLogEngine
+from repro.core.ontology import Ontology
 from repro.core.solution_translation import SolutionTranslator
-from repro.datalog.engine import DatalogEngine
+from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Triple
 from repro.sparql.algebra import SelectQuery
 from repro.sparql.parser import parse_query
+from repro.store import EncodedGraph
 from repro.workloads.beseppi import BeSEPPIWorkload
 from repro.workloads.feasible import FeasibleWorkload
 from repro.workloads.gmark import GMarkWorkload
@@ -96,3 +105,111 @@ def test_from_clauses_resolve_alike_on_both_engines():
         answer = native.query(text)
         assert len(answer) == answers, text
         assert results_equal(answer, translated.query(text)), text
+
+
+# ----------------------------------------------------------------------
+# hypothesis differential: a long-lived engine against a fresh one
+# ----------------------------------------------------------------------
+_PREFIX = "PREFIX ex: <http://ex.org/>\n"
+#: One text per operator family the prepared form has to get right.
+_TEXTS = [
+    _PREFIX + "SELECT ?x ?z WHERE { ?x ex:p ?y . ?y ex:p ?z }",
+    _PREFIX + "SELECT ?x ?z WHERE { ?x ex:p ?y OPTIONAL { ?y ex:q ?z } }",
+    _PREFIX + "SELECT ?x ?y WHERE { ?x ex:p ?y MINUS { ?y ex:q ?z } }",
+    _PREFIX + "SELECT ?x ?y WHERE { ?x ex:p ?y . ?x ex:q ?z FILTER(?y != ?z) }",
+    _PREFIX + "SELECT ?y WHERE { ex:n0 ex:p+ ?y }",
+    _PREFIX + "SELECT ?x ?y WHERE { ?x (ex:p|ex:q)* ?y }",
+    _PREFIX + "SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x ex:p ?y } GROUP BY ?x",
+    _PREFIX + "ASK WHERE { ?x ex:p+ ex:n0 }",
+    _PREFIX + "SELECT ?g ?x WHERE { GRAPH ?g { ?x ex:q ?y } }",
+    _PREFIX + "SELECT ?x WHERE { ?x a ex:C }",
+]
+_DIFF_NODES = [EX[f"n{index}"] for index in range(4)]
+_diff_edge = st.tuples(
+    st.sampled_from(_DIFF_NODES), st.sampled_from([EX.p, EX.q]), st.sampled_from(_DIFF_NODES)
+)
+_AXIOMS = [
+    lambda ontology: ontology.add_subproperty(EX.q, EX.p),
+    lambda ontology: ontology.add_domain(EX.p, EX.C),
+    lambda ontology: ontology.add_subclass(EX.C, EX.D),
+]
+_step = st.one_of(
+    st.tuples(st.just("query"), st.integers(0, len(_TEXTS) - 1)),
+    st.tuples(st.just("query"), st.integers(0, len(_TEXTS) - 1)),
+    st.tuples(st.just("toggle"), _diff_edge, st.booleans()),
+    st.tuples(st.just("axiom"), st.integers(0, len(_AXIOMS) - 1)),
+    st.tuples(st.just("load"), st.just(None)),
+    st.tuples(st.just("limit"), st.integers(0, len(_TEXTS) - 1)),
+)
+
+
+_ROUNDS = re.compile(r" rounds=\d+")
+
+
+def _two_graph_dataset(backend, edges) -> Dataset:
+    default, named = backend(), backend()
+    for position, edge in enumerate(edges):
+        (named if position % 3 == 0 else default).add(Triple(*edge))
+    dataset = Dataset(default)
+    dataset.add_named_graph(IRI("http://g1"), named)
+    return dataset
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    first=st.lists(_diff_edge, min_size=0, max_size=10),
+    second=st.lists(_diff_edge, min_size=0, max_size=10),
+    steps=st.lists(_step, min_size=1, max_size=14),
+    backend_index=st.integers(min_value=0, max_value=1),
+)
+def test_long_lived_engine_equals_a_fresh_one_at_every_step(first, second, steps, backend_index):
+    """Whatever happened before — the same text, other texts, writes to
+    either graph, a new axiom, another dataset, a run cut short by the fact
+    limit — a warm engine answers like one built for the occasion."""
+    backend = (Graph, EncodedGraph)[backend_index]
+    datasets = [_two_graph_dataset(backend, first), _two_graph_dataset(backend, second)]
+    ontology = Ontology()
+    engine = SparqLogEngine(datasets[0], ontology=ontology)
+
+    def check(text):
+        fresh = SparqLogEngine(engine.dataset, ontology=ontology)
+        assert results_equal(engine.query(text), fresh.query(parse_query(text))), text
+        # Same bodies in the same order deriving the same number of tuples
+        # (delta rounds depend on set iteration order).
+        warm = engine.explain(text)
+        assert warm.startswith("prepared: reused")
+        assert _ROUNDS.sub("", warm.split("\n", 1)[1]) == _ROUNDS.sub("", fresh.explain(text)), text
+
+    for step in steps:
+        if step[0] == "query":
+            check(_TEXTS[step[1]])
+        elif step[0] == "toggle":
+            graph = engine.dataset.named_graphs[IRI("http://g1")] if step[2] else (
+                engine.dataset.default_graph
+            )
+            triple = Triple(*step[1])
+            if triple in graph:
+                graph.remove(triple)
+            else:
+                graph.add(triple)
+        elif step[0] == "axiom":
+            _AXIOMS[step[1]](ontology)
+        elif step[0] == "load":
+            datasets.reverse()
+            engine.load(datasets[0])
+        else:
+            # A run that dies on the limit — at the first fact or half-way
+            # through — must leave nothing the next run could trip over.
+            text = _TEXTS[step[1]]
+            for headroom in (0, 2, 5):
+                engine.query("ASK { ?s ?p ?o }")  # the base exists and is current
+                engine.max_facts = engine._base.fact_count + headroom
+                try:
+                    engine.query(text)
+                except EvaluationLimitExceeded:
+                    pass
+                engine.max_facts = 5_000_000
+            check(text)
+    for text in _TEXTS:
+        check(text)
+    assert engine.prepared_misses <= len(_TEXTS) + 1
