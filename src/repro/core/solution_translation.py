@@ -11,14 +11,14 @@ DISTINCT, LIMIT and OFFSET.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.query_translation import TranslationResult
 from repro.datalog.terms import SkolemTerm
 from repro.rdf.terms import BlankNode, Literal, Term as RdfTerm
-from repro.sparql.algebra import AskQuery, OrderCondition, SelectQuery
-from repro.sparql.evaluator import apply_order_by
-from repro.sparql.solutions import Binding, SolutionSequence, distinct_rows
+from repro.sparql.algebra import SelectQuery
+from repro.sparql.modifiers import apply_modifiers
+from repro.sparql.solutions import Binding, SolutionSequence
 
 
 class SolutionTranslator:
@@ -80,17 +80,8 @@ class SolutionTranslator:
                 )
             )
 
-        if query.order_by:
-            bindings = self._order(bindings, query.order_by)
-        if query.distinct or query.reduced:
-            bindings = distinct_rows(bindings)
-        if query.offset:
-            bindings = bindings[query.offset:]
-        if query.limit is not None:
-            bindings = bindings[: query.limit]
-
-        output_variables = query.projected_variables()
-        return SolutionSequence(output_variables, bindings)
+        # The native evaluator's tail, so both engines order alike.
+        return SolutionSequence(query.projected_variables(), apply_modifiers(query, bindings))
 
     @staticmethod
     def _to_rdf_term(value: object, nulls: Dict[SkolemTerm, BlankNode]) -> Optional[RdfTerm]:
@@ -108,16 +99,3 @@ class SolutionTranslator:
         if isinstance(value, (int, float, bool)):
             return Literal.from_python(value)
         return None
-
-    @staticmethod
-    def _order(
-        bindings: List[Binding], conditions: Sequence[OrderCondition]
-    ) -> List[Binding]:
-        """Sort the rows by the ORDER BY keys.
-
-        Delegates to the reference evaluator's shared helper so both
-        engines use the identical comparator (unbound / errored keys sort
-        strictly first under ASC and strictly last under DESC, the
-        reference-engine placement).
-        """
-        return apply_order_by(conditions, bindings)

@@ -46,7 +46,7 @@ import time
 from collections import defaultdict
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
     AggregateRule,
@@ -62,9 +62,11 @@ from repro.datalog.rules import (
 from repro.datalog.optimise import unfold
 from repro.datalog.steps import (
     CLOCK_CADENCE,
+    GroundTuple,
     Plan,
     RegisterFile,
     Registers,
+    Relation,
     StepMaker,
     aggregate,
     assignment_step,
@@ -79,102 +81,14 @@ from repro.datalog.steps import (
     skolem_step,
     tuple_getter,
 )
-from repro.datalog.steps import compare_values  # noqa: F401  (part of this module's surface)
 from repro.datalog.stratify import Component, components
 from repro.datalog.terms import Var, ground_value
 from repro.obs.tracer import NULL_SPAN, Tracer
-from repro.sparql.physical import select_cheapest
+from repro.sparql.ordering import select_cheapest
 
 
 class EvaluationLimitExceeded(RuntimeError):
     """Raised when the fact limit or the wall-clock timeout is exceeded."""
-
-
-GroundTuple = Tuple[object, ...]
-
-
-class Relation:
-    """The extension of one predicate: a set of ground tuples plus indexes."""
-
-    __slots__ = ("tuples", "_indexes", "_distinct_cache")
-
-    def __init__(self) -> None:
-        self.tuples: Set[GroundTuple] = set()
-        # positions -> (key getter, key -> rows); one position keys by the
-        # bare value, several by the tuple of values.
-        self._indexes: Dict[Tuple[int, ...], Tuple[Callable, Dict[object, List[GroundTuple]]]] = {}
-        # position -> (relation size when computed, distinct count)
-        self._distinct_cache: Dict[int, Tuple[int, int]] = {}
-
-    def add(self, row: GroundTuple) -> bool:
-        """Insert a row; returns True when the row is new."""
-        tuples = self.tuples
-        size = len(tuples)
-        tuples.add(row)
-        if len(tuples) == size:
-            return False
-        for key_of, index in self._indexes.values():
-            key = key_of(row)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-        return True
-
-    def replace(self, rows: Iterable[GroundTuple]) -> None:
-        """Make ``rows`` the whole extension, keeping the index objects.
-
-        The semi-naive loop refills one delta relation per predicate every
-        round; compiled rules hold on to its index dictionaries, so those
-        are emptied and rebuilt in place.
-        """
-        tuples = set(rows)
-        self._distinct_cache.clear()
-        for key_of, index in self._indexes.values():
-            index.clear()
-            for row in tuples:
-                index.setdefault(key_of(row), []).append(row)
-        # Last: interrupted half-way (a timeout signal), the relation still
-        # counts as filled and the next run empties it again.
-        self.tuples = tuples
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self) -> Iterator[GroundTuple]:
-        return iter(self.tuples)
-
-    def index(self, positions: Tuple[int, ...]) -> Dict[object, List[GroundTuple]]:
-        """Return (building lazily) a hash index on the given positions.
-
-        ``positions`` is non-empty and ascending.  The dictionary stays the
-        same object for the life of the relation and is kept up to date by
-        :meth:`add`; no bucket is ever empty.
-        """
-        existing = self._indexes.get(positions)
-        if existing is not None:
-            return existing[1]
-        key_of = getter(positions)
-        index: Dict[object, List[GroundTuple]] = {}
-        for row in self.tuples:
-            index.setdefault(key_of(row), []).append(row)
-        self._indexes[positions] = (key_of, index)
-        return index
-
-    def distinct_count(self, position: int) -> int:
-        """Number of distinct values at ``position`` (cached per size).
-
-        Used by the body-ordering cost model; the cache is invalidated by
-        growth so estimates stay honest without rescanning on every call.
-        """
-        cached = self._distinct_cache.get(position)
-        size = len(self.tuples)
-        if cached is not None and cached[0] == size:
-            return cached[1]
-        count = len({row[position] for row in self.tuples if position < len(row)})
-        self._distinct_cache[position] = (size, count)
-        return count
 
 
 class Materialisation:

@@ -13,14 +13,16 @@ Compiled rules are kept for as long as the base they were compiled on
 (:class:`repro.datalog.engine.PreparedProgram`), so their size matters: a
 step is a ``functools.partial`` over a module-level function — its
 constants in one tuple — rather than a closure with a cell per constant,
-and the getters thousands of steps share are made once.
+and the getters thousands of steps share are made once.  What the scan
+steps read is here too: a :class:`Relation`, whose index dictionaries a
+compiled rule holds on to.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
     AggregateSpec,
@@ -40,9 +42,6 @@ from repro.sparql.expressions import (
 )
 from repro.sparql.functions import ExpressionError, term_compare
 from repro.sparql.solutions import Binding
-
-if TYPE_CHECKING:
-    from repro.datalog.engine import Relation
 
 Registers = List[object]
 #: One compiled body element (or the head): runs on the register file and
@@ -80,6 +79,93 @@ def tuple_getter(positions: Sequence[int]) -> Callable:
 @lru_cache(maxsize=4096)
 def _cached_single(position: int) -> Callable:
     return lambda sequence: (sequence[position],)
+
+
+GroundTuple = Tuple[object, ...]
+
+
+class Relation:
+    """The extension of one predicate: a set of ground tuples plus indexes."""
+
+    __slots__ = ("tuples", "_indexes", "_distinct_cache")
+
+    def __init__(self) -> None:
+        self.tuples: Set[GroundTuple] = set()
+        # positions -> (key getter, key -> rows); one position keys by the
+        # bare value, several by the tuple of values.
+        self._indexes: Dict[Tuple[int, ...], Tuple[Callable, Dict[object, List[GroundTuple]]]] = {}
+        # position -> (relation size when computed, distinct count)
+        self._distinct_cache: Dict[int, Tuple[int, int]] = {}
+
+    def add(self, row: GroundTuple) -> bool:
+        """Insert a row; returns True when the row is new."""
+        tuples = self.tuples
+        size = len(tuples)
+        tuples.add(row)
+        if len(tuples) == size:
+            return False
+        for key_of, index in self._indexes.values():
+            key = key_of(row)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+        return True
+
+    def replace(self, rows: Iterable[GroundTuple]) -> None:
+        """Make ``rows`` the whole extension, keeping the index objects.
+
+        The semi-naive loop refills one delta relation per predicate every
+        round; compiled rules hold on to its index dictionaries, so those
+        are emptied and rebuilt in place.
+        """
+        tuples = set(rows)
+        self._distinct_cache.clear()
+        for key_of, index in self._indexes.values():
+            index.clear()
+            for row in tuples:
+                index.setdefault(key_of(row), []).append(row)
+        # Last: interrupted half-way (a timeout signal), the relation still
+        # counts as filled and the next run empties it again.
+        self.tuples = tuples
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def __iter__(self) -> Iterator[GroundTuple]:
+        return iter(self.tuples)
+
+    def index(self, positions: Tuple[int, ...]) -> Dict[object, List[GroundTuple]]:
+        """Return (building lazily) a hash index on the given positions.
+
+        ``positions`` is non-empty and ascending.  The dictionary stays the
+        same object for the life of the relation and is kept up to date by
+        :meth:`add`; no bucket is ever empty.
+        """
+        existing = self._indexes.get(positions)
+        if existing is not None:
+            return existing[1]
+        key_of = getter(positions)
+        index: Dict[object, List[GroundTuple]] = {}
+        for row in self.tuples:
+            index.setdefault(key_of(row), []).append(row)
+        self._indexes[positions] = (key_of, index)
+        return index
+
+    def distinct_count(self, position: int) -> int:
+        """Number of distinct values at ``position`` (cached per size).
+
+        Used by the body-ordering cost model; the cache is invalidated by
+        growth so estimates stay honest without rescanning on every call.
+        """
+        cached = self._distinct_cache.get(position)
+        size = len(self.tuples)
+        if cached is not None and cached[0] == size:
+            return cached[1]
+        count = len({row[position] for row in self.tuples if position < len(row)})
+        self._distinct_cache[position] = (size, count)
+        return count
 
 
 class RegisterFile:
@@ -142,7 +228,7 @@ def emit_and_keep(
 
 def scan_step(
     atom: Atom,
-    relation: "Relation",
+    relation: Relation,
     registers: RegisterFile,
     snapshot: bool,
     tick: Callable[[], int],
@@ -255,7 +341,7 @@ def _scan_many(source, key_of, tick, check_clock, low, high, take, next_step, re
             next_step(regs)
 
 
-def negation_step(atom: Atom, relation: "Relation", registers: RegisterFile) -> StepMaker:
+def negation_step(atom: Atom, relation: Relation, registers: RegisterFile) -> StepMaker:
     """``not atom``: no row agrees on the bound positions (others are existential)."""
     positions: List[int] = []
     key_slots: List[int] = []

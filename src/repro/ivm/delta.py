@@ -1,9 +1,9 @@
 """Differentiated BGP plans: O(|Δ|) maintenance of join views.
 
 The physical layer (:mod:`repro.sparql.physical`) executes a BGP as a
-``Project ∘ Filter? ∘ IndexNestedLoopJoin`` DAG over ``Scan`` leaves.
-This module *differentiates* that DAG: :func:`differentiate` turns an
-eligible :class:`~repro.sparql.physical.PhysicalPlan` into a
+``Project ∘ Filter? ∘ join`` DAG over ``Scan`` leaves.  This module
+*differentiates* that DAG: :func:`differentiate` turns an eligible
+:class:`~repro.sparql.operators.PhysicalPlan` into a
 :class:`DeltaPipeline` whose :meth:`~DeltaPipeline.apply` consumes a
 ±1-weighted batch of triple changes and emits the exact Z-set of result
 rows the change adds to / retracts from the view — without re-running
@@ -46,10 +46,11 @@ resolve lazily — one that is in no triple yet matches nothing and is
 looked up again on the next batch — so a compiled pipeline stays valid
 for the life of its graph.
 
-Plans containing a :class:`~repro.sparql.physical.LeapfrogJoin` or
-:class:`~repro.sparql.physical.PathExpand` operator are not
+The differentiated join reads a plan's patterns and conjuncts, never its
+join operator: joins commute, so a binary and a multiway plan of one BGP
+have the same delta.  Only a plan with a property-path step is not
 differentiated — :func:`differentiate` returns ``None`` and the view
-layer (:mod:`repro.ivm.views`) falls back to scoped re-evaluation.
+layer (:mod:`repro.ivm.views`) re-evaluates instead.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Triple, Variable
-from repro.sparql import idexec, physical
+from repro.sparql import idexec
+from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.expressions import Expression, satisfies
+from repro.sparql.kernels import FREE, HEADER, Registers, Test, condition_kernel
+from repro.sparql.operators import PhysicalPlan, condition_label
 from repro.sparql.solutions import EMPTY_BINDING
 from repro.ivm.zset import ZSet
 
@@ -72,19 +76,16 @@ RowDelta = ZSet
 
 Key = idexec.Key
 KeyTriple = idexec.KeyTriple
-Registers = List[object]
 Step = Callable[[Registers], None]
-Test = Callable[[Registers], bool]
 #: Per seed position: the conjuncts decidable on the seed alone, then the
 #: remaining plan positions in probe order, each with the conjuncts that
 #: become decidable there.
 ProbeOrder = Tuple[Tuple[Expression, ...], Tuple[Tuple[int, Tuple[Expression, ...]], ...]]
 
-# Register file: the id executor's header (its always-``None`` register,
-# the conjunct kernels' term-fallback count), then what one batch brings
-# along; constants and variables are allocated behind by the compiler.
-_FREE = idexec._FREE
-_WEIGHT = len(idexec.HEADER)  #: weight of the change being joined
+# Register file: the compiled pipeline's header (its always-``None``
+# register, the conjunct kernels' term-fallback count), then what one batch
+# brings along; constants and variables are allocated behind by the compiler.
+_WEIGHT = len(HEADER)  #: weight of the change being joined
 _DELTA = _WEIGHT + 1  #: key row -> weight accumulated over the batch
 _NEW = _WEIGHT + 2  #: overlay of ``G_k``: absent set here, present dict behind it
 _OLD = _WEIGHT + 4  #: overlay of ``G_{k-1}``, same layout
@@ -172,7 +173,7 @@ def _unifier(
     positions of a variable occurring twice among the free ones.
     """
     checks = tuple(
-        (position, register) for position, register in enumerate(reads) if register != _FREE
+        (position, register) for position, register in enumerate(reads) if register != FREE
     )
 
     def unify(registers: Registers, ids: KeyTriple) -> bool:
@@ -243,7 +244,6 @@ class DeltaPipeline:
         patterns: Sequence[Triple],
         conditions: Sequence[Expression],
         variables: Sequence[Variable],
-        prefilters: Tuple[Expression, ...] = (),
     ) -> None:
         self.patterns = tuple(patterns)
         self.variables = tuple(variables)
@@ -259,14 +259,15 @@ class DeltaPipeline:
                 return graph.match_triple_ids(subject, predicate, obj)
 
         # Variable-free conjuncts are constant: evaluate once.  A false
-        # prefilter makes the view permanently empty, so every delta is ∅.
-        self._live = all(satisfies(c, EMPTY_BINDING) for c in prefilters)
+        # one makes the view permanently empty, so every delta is ∅.
+        self._live = all(satisfies(c, EMPTY_BINDING) for c in conditions if not c.variables())
+        conditions = [c for c in conditions if c.variables()]
         self.orders: Tuple[ProbeOrder, ...] = tuple(
             _probe_order(self.patterns, conditions, seed) for seed in range(len(self.patterns))
         )
         # The present halves are dicts for their order: rows must not be
         # found in hash order.
-        self._registers: Registers = [*idexec.HEADER, 0, None, set(), {}, set(), {}]
+        self._registers: Registers = [*HEADER, 0, None, set(), {}, set(), {}]
         #: ``(register, term)`` of the constants that are in no triple yet.
         self._unresolved: List[Tuple[int, Term]] = []
         self._seeds = self._compile(match)
@@ -306,7 +307,7 @@ class DeltaPipeline:
             bound |= _pattern_variables(pattern)
             return reads, _unifier(reads, tuple(writes), tuple(repeats))
 
-        projection = tuple(register_of.get(variable, _FREE) for variable in self.variables)
+        projection = tuple(register_of.get(variable, FREE) for variable in self.variables)
 
         def emit(registers: Registers) -> None:
             stats.rows += 1
@@ -402,8 +403,8 @@ class DeltaPipeline:
 
         def anchored(conditions: Tuple[Expression, ...]) -> str:
             return "".join(
-                f"; Filter {physical._condition_label(c)} "
-                f"kernel={idexec.condition_kernel(c) if id_space else 'term'}"
+                f"; Filter {condition_label(c)} "
+                f"kernel={condition_kernel(c) if id_space else 'term'}"
                 for c in conditions
             )
 
@@ -420,39 +421,22 @@ class DeltaPipeline:
 
 
 def differentiate(
-    plan: physical.PhysicalPlan,
+    plan: PhysicalPlan,
     graph,
     variables: Sequence[Variable],
 ) -> Optional[DeltaPipeline]:
     """Differentiate a lowered physical plan, or ``None`` if ineligible.
 
-    Eligible plans are ``Project ∘ Filter? ∘ IndexNestedLoopJoin`` DAGs
-    whose every input is a (possibly Filter-wrapped) triple ``Scan`` or
-    ``HashProbe`` (differentiated as the scan + equality it stands for) —
-    the shape the lowering pass emits for acyclic all-triple BGPs.
-    ``LeapfrogJoin`` plans (cyclic BGPs) and plans containing
-    ``PathExpand`` (property paths) return ``None``; their views are
-    maintained by scoped re-evaluation instead.  ``variables`` fixes the
-    projection of the emitted row deltas.
+    Eligible is every plan whose leaves are triple patterns, whatever
+    joins them: the pipeline takes the patterns in plan order and every
+    FILTER conjunct an operator decides (a ``HashProbe`` is the scan and
+    the equality it stands for — a delta touches one side of the implicit
+    join at a time), and anchors them itself.  A plan with a property-path
+    step returns ``None``; its view is maintained by scoped re-evaluation.
+    ``variables`` fixes the projection of the emitted row deltas.
     """
-    child = plan.root.child
-    prefilters: Tuple[Expression, ...] = ()
-    if isinstance(child, physical.Filter):
-        prefilters = child.conditions
-        child = child.child
-    if not isinstance(child, physical.IndexNestedLoopJoin):
+    nodes = [step.node for step in plan.source.steps]
+    if not all(isinstance(node, TriplePatternNode) for node in nodes):
         return None
-    patterns: List[Triple] = []
-    conditions: List[Expression] = []
-    for leaf in child.inputs:
-        if isinstance(leaf, physical.Filter):
-            conditions.extend(leaf.conditions)
-            leaf = leaf.child
-        if isinstance(leaf, physical.HashProbe):
-            # A delta touches one side of the implicit join at a time:
-            # the pattern is scanned like any other, its equality checked.
-            conditions.append(leaf.condition)
-        elif not isinstance(leaf, physical.Scan):
-            return None
-        patterns.append(leaf.node.triple)
-    return DeltaPipeline(graph, patterns, conditions, variables, prefilters)
+    conjuncts = [c for operator in plan.operators() for c in operator.conjuncts()]
+    return DeltaPipeline(graph, [node.triple for node in nodes], conjuncts, variables)

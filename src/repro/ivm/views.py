@@ -7,11 +7,11 @@ change-capture listener per watched graph (the hook added to
 routes every ±1-weighted triple batch to the views over that graph:
 
 * **Delta maintenance** — queries whose physical plan differentiates
-  (acyclic all-triple BGPs plus FILTER, see :mod:`repro.ivm.delta`) are
+  (all-triple BGPs plus FILTER, see :mod:`repro.ivm.delta`) are
   updated in O(|Δ|) through a :class:`~repro.ivm.delta.DeltaPipeline`.
 
 * **Scoped re-evaluation** — every other supported query (property
-  paths, UNION/OPTIONAL/MINUS, leapfrog plans, solution modifiers) falls
+  paths, UNION/OPTIONAL/MINUS, solution modifiers) falls
   back to re-running the query and diffing the result Z-set, *scoped* by
   a relevant-predicate gate: batches that touch none of the query's
   constant predicates are skipped without re-evaluating, and views with
@@ -53,7 +53,6 @@ from repro.sparql.algebra import (
     TriplePatternNode,
     walk,
 )
-from repro.sparql import physical
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
 from repro.ivm.delta import DeltaBatch, DeltaPipeline, RowDelta, differentiate
@@ -454,8 +453,8 @@ class ViewRegistry:
         pipeline, or ``None`` and why not.  Delta eligibility: no
         solution modifiers beyond DISTINCT/REDUCED, plain-variable
         projection, and a pattern peeling (FILTER*) down to a plannable
-        all-triple BGP whose lowered plan differentiates (acyclic →
-        IndexNestedLoopJoin of Scans).  DISTINCT is handled by
+        all-triple BGP, whose lowered plan differentiates whatever its
+        join operator.  DISTINCT is handled by
         maintaining the un-DISTINCT state (multiplicities are required to
         know when a deletion empties a row) and presenting the support.
         """
@@ -485,11 +484,6 @@ class ViewRegistry:
         bgp, conditions = planned
         plan = evaluator.lowered_plans.get(graph, bgp.patterns, conditions, evaluator.profile)
         pipeline = differentiate(plan, graph, query.projected_variables())
-        if pipeline is None:
-            joined = plan.root.child
-            if isinstance(joined, physical.Filter):
-                joined = joined.child
-            return None, f"{type(joined).__name__} plans do not differentiate", query, False
         state_query = (
             replace(query, distinct=False, reduced=False) if distinct else query
         )

@@ -12,31 +12,32 @@ The parser turns a SPARQL query string into an algebra tree
 Query planning and execution
 ----------------------------
 
-Basic graph patterns are *not* executed in textual order.  The planner in
-:mod:`repro.sparql.plan` prices every triple / path pattern against the
-exact incremental statistics kept by :class:`repro.rdf.Graph`
-(per-predicate cardinalities, distinct subject/object counts), greedily
-orders the patterns by estimated cardinality with bound-variable
-propagation, and materialises the result as a :class:`~repro.sparql.plan.BGPPlan`
-— an explicit, inspectable plan object.  The same cardinality model
-drives body-atom ordering in :class:`repro.datalog.engine.DatalogEngine`.
+Basic graph patterns are *not* executed in textual order: they are
+ordered by estimated cardinality, lowered to a physical operator DAG and
+compiled, once per plan, into one streaming pipeline, so ASK and
+plain-LIMIT queries short-circuit instead of materialising intermediate
+multisets.  The modules, lowest first — each imports only modules above
+it in this table:
 
-The ordered plan is then *lowered* to a physical operator DAG
-(:func:`repro.sparql.physical.lower_plan`): the lowering pass picks
-term-space or id-space operators per backend capability, attaches FILTER
-conjuncts as ``Filter`` operators, and selects the leapfrog-triejoin
-:class:`~repro.sparql.physical.LeapfrogJoin` operator — worst-case
-optimal over the encoded store's sorted id runs — when statistics detect
-a cyclic join graph, and a hash probe
-(:class:`~repro.sparql.physical.HashProbe`) where a FILTER equality is a
-pattern's only link to the rest.  :func:`repro.sparql.physical.execute`
-is the one way to run a lowered plan (a binary plan of either space
-compiled once by :mod:`repro.sparql.idexec`): a streaming pipeline in which each partial
-solution substitutes its bound variables into the next pattern before
-probing the SPO/POS/OSP indexes, so ASK and plain-LIMIT queries
-short-circuit instead of materialising full intermediate multisets.
-``SparqlEvaluator.explain()`` renders the lowered DAG, and executed plans
-expose per-operator row/probe counters.
+=============  ============================================================
+``ordering``   ``greedy_order`` / ``select_cheapest`` (shared with the
+               Datalog engine's body ordering), ``is_cyclic`` (GYO)
+``plan``       cost model over the graph's exact statistics, ``plan_bgp``
+               -> ``BGPPlan`` (plans as data), ``attach_filters``
+``operators``  the physical IR — ``Scan``, ``HashProbe``, ``PathExpand``,
+               ``Filter``, ``IndexNestedLoopJoin``, ``LeapfrogJoin``,
+               ``Project`` — and ``PhysicalPlan`` (counters, ``explain``)
+``kernels``    the register file header; id-space FILTER kernels
+``leapfrog``   the worst-case-optimal join: eligibility, variable order,
+               sorted intersection, its levels as pipeline steps
+``idexec``     the one executor: key spaces, the step compiler (binary
+               and hash probes, paths, leapfrog levels), result boundary
+``physical``   ``lower_plan`` (operator choice per backend capability and
+               profile) and ``execute``
+``modifiers``  grouping, aggregates and the ORDER BY -> DISTINCT -> OFFSET
+               -> LIMIT tail, shared with the solution translation T_S
+``evaluator``  the algebra walk, plan caches, ``explain[_analyze]``
+=============  ============================================================
 
 All of it is configured by one value, an
 :class:`~repro.sparql.profile.ExecutionProfile` handed to
@@ -75,14 +76,9 @@ from repro.sparql.paths import (
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
-from repro.sparql.physical import (
-    IndexNestedLoopJoin,
-    LeapfrogJoin,
-    PhysicalPlan,
-    lower_bgp,
-    lower_plan,
-    supports_leapfrog,
-)
+from repro.sparql.leapfrog import supports_leapfrog
+from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin, PhysicalPlan
+from repro.sparql.physical import lower_bgp, lower_plan
 from repro.sparql.plan import BGPPlan, PlanStep, plan_bgp
 from repro.sparql.solutions import Binding, SolutionSequence
 

@@ -35,14 +35,14 @@ textual-order evaluation used as the differential-testing baseline.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import Literal, Term, Triple, Variable, term_sort_key
+from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import (
     AskQuery,
     BGP,
@@ -54,7 +54,6 @@ from repro.sparql.algebra import (
     Join,
     LeftJoin,
     Minus,
-    OrderCondition,
     PathPattern,
     Query,
     SelectQuery,
@@ -65,9 +64,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.alp import EvaluationError, eval_path_pattern_terms
 from repro.sparql.expressions import (
-    Aggregate,
     Expression,
-    VariableExpr,
     conjuncts,
     evaluate as evaluate_expression,
     satisfies,
@@ -75,6 +72,9 @@ from repro.sparql.expressions import (
 from repro.sparql.functions import ExpressionError
 from repro.sparql import physical
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
+from repro.sparql.modifiers import apply_grouping, apply_modifiers, apply_projection_expressions
+from repro.sparql.operators import PhysicalPlan, Project
+from repro.sparql.parser import parse_query
 from repro.sparql.plan import match_triple, plan_bgp
 from repro.sparql.plancache import PlanCache
 from repro.sparql.profile import ExecutionProfile
@@ -83,7 +83,6 @@ from repro.sparql.solutions import (
     CompatIndex,
     EMPTY_BINDING,
     SolutionSequence,
-    distinct_rows,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
@@ -94,13 +93,13 @@ class ExplainAnalyzeReport:
     """Result of :meth:`SparqlEvaluator.explain_analyze`.
 
     ``text`` is the rendered operator tree (what ``str(report)`` gives);
-    ``plan`` keeps the executed :class:`~repro.sparql.physical.PhysicalPlan`
-    so callers can inspect :meth:`~repro.sparql.physical.PhysicalPlan.analysis`
+    ``plan`` keeps the executed :class:`~repro.sparql.operators.PhysicalPlan`
+    so callers can inspect :meth:`~repro.sparql.operators.PhysicalPlan.analysis`
     programmatically.
     """
 
     text: str
-    plan: "physical.PhysicalPlan" = field(repr=False)
+    plan: PhysicalPlan = field(repr=False)
     total_seconds: float = 0.0
     rows: int = 0
 
@@ -124,7 +123,7 @@ class SparqlEvaluator:
         self.profile = profile if profile is not None else ExecutionProfile.FULL
         # The most recent physical plan produced by lowering — inspection
         # hook for tests, benchmarks and explain()-style tooling.
-        self.last_physical_plan: Optional[physical.PhysicalPlan] = None
+        self.last_physical_plan: Optional[PhysicalPlan] = None
         # Small LRU of IdPathEngine per graph so repeated path steps —
         # including ones alternating across GRAPH clauses — share each
         # graph's node-set cache instead of rebuilding it per pattern.
@@ -246,38 +245,33 @@ class SparqlEvaluator:
         dataset = self.dataset.active(query.dataset_clauses)
         bindings, project = self._eval_select_pattern(query, dataset)
         if query.has_aggregates():
-            bindings = self._apply_grouping(query, bindings)
+            bindings = apply_grouping(query, bindings)
         else:
-            bindings = self._apply_projection_expressions(query, bindings)
+            bindings = apply_projection_expressions(query, bindings)
         if query.having is not None and not query.group_by and not query.has_aggregates():
             bindings = [b for b in bindings if satisfies(query.having, b)]
-        if query.order_by:
-            bindings = apply_order_by(query.order_by, bindings)
         variables = query.projected_variables()
-        if (
+        # Nothing to project when the rows are still the pipeline's (no
+        # grouping; an AS alias would be in one set only) and their
+        # domain is the projection.
+        projected = (
             project is not None
             and set(project.variables) == set(variables)
             and not query.has_aggregates()
-        ):
-            # The rows are still the pipeline's (no grouping; an AS alias
-            # would be in one set only) and their domain is the projection.
-            projected = bindings
-        else:
-            wanted = frozenset(variables)
-            projected = [binding.project(wanted) for binding in bindings]
-        if (query.distinct or query.reduced) and not (project is not None and project.distinct):
+        )
+        rows = apply_modifiers(
+            query,
+            bindings,
+            wanted=None if projected else frozenset(variables),
             # A distinct ``Project`` has dropped the duplicates already, as
             # id tuples, keeping the same first occurrences.
-            projected = distinct_rows(projected)
-        if query.offset:
-            projected = projected[query.offset:]
-        if query.limit is not None:
-            projected = projected[: query.limit]
-        return SolutionSequence(variables, projected)
+            deduplicated=project is not None and project.distinct,
+        )
+        return SolutionSequence(variables, rows)
 
     def _query_stream(
         self, query: Query, dataset: Dataset
-    ) -> Tuple[Iterator[Binding], Optional[physical.Project]]:
+    ) -> Tuple[Iterator[Binding], Optional[Project]]:
         """Stream a query form's pattern; say what its rows are.
 
         When the whole pattern is one planned pipeline
@@ -306,7 +300,7 @@ class SparqlEvaluator:
 
     def _eval_select_pattern(
         self, query: SelectQuery, dataset: Dataset
-    ) -> Tuple[List[Binding], Optional[physical.Project]]:
+    ) -> Tuple[List[Binding], Optional[Project]]:
         """Evaluate a SELECT query's pattern, short-circuiting when safe.
 
         A query whose only solution modifiers are LIMIT/OFFSET consumes
@@ -476,7 +470,7 @@ class SparqlEvaluator:
         profile: ExecutionProfile,
         project: Optional[Tuple[Variable, ...]] = None,
         distinct: Optional[Tuple[Variable, ...]] = None,
-    ) -> physical.PhysicalPlan:
+    ) -> PhysicalPlan:
         """Plan + lower a BGP — what :attr:`lowered_plans` builds on a miss.
 
         Lowering (operator construction, WCOJ eligibility analysis) is
@@ -508,7 +502,7 @@ class SparqlEvaluator:
         conditions: Tuple[Expression, ...] = (),
         project: Optional[Tuple[Variable, ...]] = None,
         distinct: Optional[Tuple[Variable, ...]] = None,
-    ) -> physical.PhysicalPlan:
+    ) -> PhysicalPlan:
         """The (cached) physical plan of a BGP under FILTER ``conditions``.
 
         Cached plans share their ``OperatorStats`` objects, but every
@@ -568,7 +562,7 @@ class SparqlEvaluator:
 
     def _traced_execution(
         self,
-        physical_plan: physical.PhysicalPlan,
+        physical_plan: PhysicalPlan,
         stream: Iterator[Binding],
         tracer: Tracer,
     ) -> Iterator[Binding]:
@@ -663,8 +657,6 @@ class SparqlEvaluator:
         for programmatic inspection.
         """
         if isinstance(query, str):
-            from repro.sparql.parser import parse_query
-
             with self._span("parse"):
                 query = parse_query(query)
         pattern, graph, conditions, project, distinct = self._explainable(
@@ -886,119 +878,6 @@ class SparqlEvaluator:
             cache.popitem(last=False)
         return engine
 
-    # ------------------------------------------------------------------
-    # solution modifiers
-    # ------------------------------------------------------------------
-    def _apply_projection_expressions(
-        self, query: SelectQuery, bindings: List[Binding]
-    ) -> List[Binding]:
-        """Evaluate (expr AS ?var) projection items for non-grouped queries."""
-        expression_items = [
-            item for item in query.projection if item.expression is not None
-        ]
-        if not expression_items:
-            return bindings
-        results: List[Binding] = []
-        for binding in bindings:
-            extended = binding
-            for item in expression_items:
-                try:
-                    value = evaluate_expression(item.expression, extended)
-                except ExpressionError:
-                    continue
-                extended = extended.extend(item.variable, value)
-            results.append(extended)
-        return results
-
-    def _apply_grouping(
-        self, query: SelectQuery, bindings: List[Binding]
-    ) -> List[Binding]:
-        group_keys = query.group_by
-        groups: Dict[Tuple, List[Binding]] = defaultdict(list)
-        for binding in bindings:
-            key_parts = []
-            for key_expression in group_keys:
-                try:
-                    key_parts.append(evaluate_expression(key_expression, binding))
-                except ExpressionError:
-                    key_parts.append(None)
-            groups[tuple(key_parts)].append(binding)
-        if not group_keys:
-            groups = {(): bindings}
-
-        results: List[Binding] = []
-        for key_parts, group in groups.items():
-            if not group and not bindings:
-                continue
-            mapping: Dict[Variable, Term] = {}
-            for key_expression, value in zip(group_keys, key_parts):
-                if isinstance(key_expression, VariableExpr) and value is not None:
-                    mapping[key_expression.variable] = value
-            for item in query.projection:
-                if item.expression is None:
-                    if group and item.variable in group[0]:
-                        mapping[item.variable] = group[0][item.variable]
-                    continue
-                if isinstance(item.expression, Aggregate):
-                    value = self._evaluate_aggregate(item.expression, group)
-                else:
-                    try:
-                        value = evaluate_expression(item.expression, group[0]) if group else None
-                    except ExpressionError:
-                        value = None
-                if value is not None:
-                    mapping[item.variable] = value
-            candidate = Binding(mapping)
-            if query.having is not None and not satisfies(query.having, candidate):
-                continue
-            results.append(candidate)
-        return results
-
-    def _evaluate_aggregate(
-        self, aggregate: Aggregate, group: List[Binding]
-    ) -> Optional[Term]:
-        values: List[Term] = []
-        if aggregate.argument is None:
-            values = [Literal.from_python(1) for _ in group]
-        else:
-            for binding in group:
-                try:
-                    values.append(evaluate_expression(aggregate.argument, binding))
-                except ExpressionError:
-                    continue
-        if aggregate.distinct:
-            seen = set()
-            unique: List[Term] = []
-            for value in values:
-                if value not in seen:
-                    seen.add(value)
-                    unique.append(value)
-            values = unique
-        operation = aggregate.operation.upper()
-        if operation == "COUNT":
-            return Literal.from_python(len(values))
-        if not values:
-            return None
-        if operation == "SAMPLE":
-            return values[0]
-        if operation in ("MIN", "MAX"):
-            ordered = sorted(values, key=term_sort_key)
-            return ordered[0] if operation == "MIN" else ordered[-1]
-        numeric: List[float] = []
-        for value in values:
-            if isinstance(value, Literal):
-                as_python = value.as_python()
-                if isinstance(as_python, (int, float)) and not isinstance(as_python, bool):
-                    numeric.append(as_python)
-        if not numeric:
-            return None
-        if operation == "SUM":
-            total = sum(numeric)
-            return Literal.from_python(int(total) if float(total).is_integer() else total)
-        if operation == "AVG":
-            return Literal.from_python(sum(numeric) / len(numeric))
-        raise EvaluationError(f"unsupported aggregate {operation}")
-
 
 def _variables_read(query: Query) -> Optional[Tuple[Variable, ...]]:
     """The variables a query form reads from its pattern's rows, sorted by name.
@@ -1039,55 +918,3 @@ def _distinct_projection(query: Query) -> Optional[Tuple[Variable, ...]]:
         return tuple(sorted(query.projected_variables(), key=lambda variable: variable.name))
     return None
 
-
-def apply_order_by(
-    conditions: Sequence[OrderCondition], bindings: List[Binding]
-) -> List[Binding]:
-    """Sort bindings by the ORDER BY conditions.
-
-    SPARQL ranks an unbound (or errored) key lowest, and DESC reverses
-    the whole ordering — so unbound rows sort strictly *first* under ASC
-    and strictly *last* under DESC, matching the reference engines (Jena
-    ARQ, Virtuoso).  The bound/unbound flag therefore participates in the
-    direction: ASC keeps ``(0, unbound) < (1, bound)`` while DESC flips
-    the flag and wraps the bound part in the comparison inverter, giving
-    ``(0, bound-descending) < (1, unbound)``.  Within one flag value the
-    compared shapes are always identical (both unbound, or both wrapped
-    the same way).  Shared by the reference evaluator and the
-    translated-solution engine so both stay order-consistent.
-    """
-
-    def sort_key(binding: Binding):
-        key = []
-        for condition in conditions:
-            try:
-                value = evaluate_expression(condition.expression, binding)
-            except ExpressionError:
-                value = None
-            if value is None:
-                key.append((0, ()) if condition.ascending else (1, ()))
-            else:
-                part = term_sort_key(value)
-                key.append(
-                    (1, part) if condition.ascending else (0, _Reversed(part))
-                )
-        return key
-
-    return sorted(bindings, key=sort_key)
-
-
-class _Reversed:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_Reversed"):
-        if not isinstance(other, _Reversed):
-            return NotImplemented
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.value == self.value

@@ -1,25 +1,23 @@
-"""Execution of index-nested-loop plans: compiled once per plan, in its key space.
+"""The one executor: a physical plan compiled once, in its key space, and run.
 
-The physical layer hands every
-:class:`~repro.sparql.physical.IndexNestedLoopJoin` plan to :func:`run`,
-which compiles it — once per plan and per domain of the initial binding,
-cached on the plan for as long as the graph version it was compiled
-against — into a chain of step closures over one per-execution *register
-file* (a plain list).  What a register holds for a term is the plan's
-``space`` (:class:`KeySpace`): its integer id on the dictionary-encoded
-store (:mod:`repro.store.encoded`), or the term itself — same steps,
-same layout, same counters.
+The physical layer hands every plan to :func:`run`, which compiles it —
+once per plan and per domain of the initial binding, kept with the plan
+for as long as the graph version it was compiled against — into a chain
+of step closures over one per-execution *register file*
+(:mod:`repro.sparql.kernels`).  What a register holds for a term is the
+plan's ``space`` (:class:`KeySpace`): its integer id on the
+dictionary-encoded store (:mod:`repro.store.encoded`), or the term itself
+— same steps, same layout, same counters.
 
-* **Registers.**  A short header (this execution's result-row and
-  term-fallback counts, the store's probe functions, the path machinery),
-  then per-operator row/probe counters, one pre-filled register per
-  pattern constant, one register per variable, one per hash table and,
-  for a DISTINCT plan, one for the set of rows emitted so far.
-  Everything a step touches is addressed by an index fixed at compile
-  time; the file is copied from a template per execution, so a cached
-  plan is re-entrant and every execution publishes its own counters to
-  the plan's :class:`~repro.sparql.physical.OperatorStats` when its
-  stream ends or is closed.
+* **Registers.**  The header, then per-operator row/probe counters, one
+  pre-filled register per pattern constant, one register per variable,
+  one per hash table and, for a DISTINCT plan, one for the set of rows
+  emitted so far.  Everything a step touches is addressed by an index
+  fixed at compile time; the file is copied from a template per
+  execution, so a cached plan is re-entrant and every execution publishes
+  its own counters to the plan's
+  :class:`~repro.sparql.operators.OperatorStats` when its stream ends or
+  is closed.
 
 * **Steps.**  Decided at compile time per step (:func:`pattern_layout`):
   the three registers the index probe reads (a constant, a bound
@@ -28,9 +26,10 @@ same layout, same counters.
   at all, the conjuncts that run after it, and — for path steps — which
   endpoints are bound.  What is left per row is a register write, a
   counter increment and the next step.  Id space only:
-  :class:`~repro.sparql.physical.HashProbe` steps build their pattern's
+  :class:`~repro.sparql.operators.HashProbe` steps build their pattern's
   matches into a table keyed by the equality key once per execution and
-  probe it per outer row.
+  probe it per outer row, and a cyclic BGP's multiway join is one step
+  per variable level (:func:`repro.sparql.leapfrog.compile_levels`).
 
 * **A probe is a dict lookup (id space).**  Which way a scan reads the
   store follows from the positions its probe leaves free
@@ -48,17 +47,6 @@ same layout, same counters.
   ``execute(timed=True)`` a lookup goes through the framed form too, so
   per-scan times and counts need no step of their own.
 
-* **FILTER kernels (id space).**  ``= != < <= > >=`` between variables
-  and/or constants and ``sameTerm`` run on ids, kind tags and — for
-  literals — per-id *comparison keys* (:func:`comparison_key`) memoised
-  in :attr:`TermDictionary.compare_keys
-  <repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
-  ``Binding``, no expression walk.  Every other conjunct decodes only the
-  variables it mentions and runs the term-level semantics, counted as a
-  term fallback — which is all a term-space conjunct ever does,
-  uncounted.  :func:`condition_kernel` tells the two apart by shape,
-  which is what ``explain`` prints.
-
 * **Result boundary.**  Only the variables of the plan's ``Project`` are
   decoded, through a precomputed variable order so the
   :class:`~repro.sparql.solutions.Binding` construction skips its sort.
@@ -70,66 +58,49 @@ Id-mode property-path steps hand bound endpoint *ids* straight to the
 :class:`~repro.sparql.idpaths.IdPathEngine`; term-mode ones bridge
 through the term-level path machinery, re-interning the fresh endpoints.
 
-The leapfrog executor (:mod:`repro.sparql.physical`) runs on the same
-register header and kernels (:func:`compile_condition`), the live-view
-join (:mod:`repro.ivm.delta`) on the same key spaces and layout.
+The live-view join (:mod:`repro.ivm.delta`) runs on the same key spaces
+and layout.
 """
 
 from __future__ import annotations
 
-import operator
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Term, Variable
-from repro.sparql.algebra import TriplePatternNode
-from repro.sparql.expressions import (
-    Comparison,
-    Expression,
-    FunctionCall,
-    TermExpr,
-    VariableExpr,
-    satisfies,
+from repro.rdf.terms import Term, Variable
+from repro.sparql import leapfrog
+from repro.sparql.algebra import PathPattern, TriplePatternNode
+from repro.sparql.expressions import Expression, satisfies
+from repro.sparql.idpaths import ABSENT, IdPathEngine
+from repro.sparql.kernels import (
+    FALLBACKS,
+    FREE,
+    GRAPH,
+    HEADER,
+    MATCH,
+    MEMBER,
+    OBJECTS,
+    PATH_ENGINE,
+    PATH_EVALUATOR,
+    PREDICATES,
+    RESULTS,
+    SINK,
+    SUBJECTS,
+    TIMED,
+    Registers,
+    Step,
+    Test,
+    compile_conditions,
+    equality_key_of,
 )
-from repro.sparql.idpaths import _ABSENT, IdPathEngine
+from repro.sparql.operators import Filter, HashProbe, IndexNestedLoopJoin, Scan
 from repro.sparql.paths import matches_zero_length, normalize_path
-from repro.sparql.plan import _match_path
+from repro.sparql.plan import PathEvaluator
 from repro.sparql.solutions import Binding, EMPTY_BINDING
-from repro.store.dictionary import (
-    _KIND_MASK,
-    KIND_BLANK,
-    KIND_IRI,
-    KIND_LITERAL,
-    TermDictionary,
-    term_structure,
-)
+from repro.store.dictionary import TermDictionary
 from repro.store.encoded import PROBE_SURFACE
-
-Registers = List[object]
-#: A compiled conjunct: the verdict for the row currently in the registers.
-Test = Callable[[Registers], bool]
-#: A compiled step: the result rows below the row currently in the registers.
-Step = Callable[[Registers], Iterable[Binding]]
-
-# Register file header.  Counters first, then what an execution brings
-# along; everything after ``HEADER`` is allocated by the compiler.
-_FALLBACKS = 0  #: conjunct evaluations that ran in term space
-_RESULTS = 1  #: rows emitted at the result boundary
-_FREE = 2  #: always ``None``: what a free pattern position reads
-_SINK = 3  #: written, never read: where a probe that binds nothing puts its rows
-#: The store's probes, ``KeySpace.match`` and the four of ``KeySpace.entries``
-#: (fetched per execution: ``enable_counters()`` shadows them on the graph).
-_MATCH = 4
-_MEMBER = 5
-_OBJECTS = 6
-_SUBJECTS = 7
-_PREDICATES = 8
-_TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
-_GRAPH = 10
-_PATH_ENGINE = 11
-_PATH_EVALUATOR = 12
-HEADER: Tuple[object, ...] = (0, 0) + (None,) * 11
 
 
 def supports_id_execution(graph: object) -> bool:
@@ -148,350 +119,6 @@ def supports_id_execution(graph: object) -> bool:
     matching id, or the set of them.
     """
     return hasattr(graph, "dictionary") and all(hasattr(graph, name) for name in PROBE_SURFACE)
-
-
-# ----------------------------------------------------------------------
-# comparison keys
-# ----------------------------------------------------------------------
-def comparison_key(kind: int, key) -> Tuple[object, int, object, str]:
-    """``(equality key, order class, order value, lexical form)`` of a term.
-
-    ``kind`` / ``key`` are the term's interned structure
-    (:meth:`TermDictionary.structural_key`,
-    :func:`repro.store.dictionary.term_structure`).  The tuple restates
-    :func:`repro.sparql.functions.term_compare` per operand, so that a
-    comparison is a few tuple reads:
-
-    * two terms are ``=`` exactly when their *equality keys* are equal —
-      numeric literals by ``float(lexical)``, simple and ``xsd:string``
-      literals by lexical form, everything else (IRIs, blank nodes,
-      malformed or NaN numerics, language-tagged and other typed
-      literals) by its full structure, i.e. only to itself;
-    * ``< <= > >=`` compare the *order values* of two terms of the same
-      even *order class* (0 IRI by value, 2 numeric by float, 4 any other
-      literal by lexical form), compare lexical forms when exactly one
-      side is a non-numeric literal and the other a literal, and are an
-      error — false under FILTER — otherwise (odd classes: 1 blank node,
-      3 malformed or NaN numeric).
-    """
-    if kind == KIND_IRI:
-        return (0, key), 0, key, key
-    if kind == KIND_BLANK:
-        return (1, key), 1, None, key
-    lexical, datatype, language = key
-    if datatype in NUMERIC_DATATYPE_VALUES:
-        try:
-            value = float(lexical)
-        except ValueError:
-            value = None
-        if value is not None and value == value:
-            return (2, value), 2, value, lexical
-        return (3,) + key, 3, None, lexical
-    if language is None and (datatype is None or datatype == XSD_STRING.value):
-        return (4, lexical), 4, lexical, lexical
-    return (5,) + key, 4, lexical, lexical
-
-
-def _key_miss(dictionary: TermDictionary) -> Callable[[int], tuple]:
-    """The cold half of a key lookup: compute, memoise, return.
-
-    Kernels read ``dictionary.compare_keys[term_id]`` inline and only
-    call this on ``KeyError``.
-    """
-    keys = dictionary.compare_keys
-    structural_key = dictionary.structural_key
-
-    def miss(term_id: int) -> tuple:
-        key = keys[term_id] = comparison_key(*structural_key(term_id))
-        return key
-
-    return miss
-
-
-def _mixed_order(compare: Callable, left: tuple, right: tuple) -> bool:
-    """Ordering of two terms of different order classes (see :func:`comparison_key`)."""
-    left_class, right_class = left[1], right[1]
-    if left_class >= 2 and right_class >= 2 and (left_class == 4 or right_class == 4):
-        return compare(left[3], right[3])
-    return False
-
-
-# ----------------------------------------------------------------------
-# compiled FILTER conjuncts
-# ----------------------------------------------------------------------
-_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _kernel_operands(condition: Expression) -> Optional[Tuple[Expression, Expression]]:
-    """The two operands of a conjunct the id kernels cover, else ``None``."""
-    if isinstance(condition, Comparison):
-        if condition.operator not in ("=", "!=") and condition.operator not in _ORDERINGS:
-            return None
-        operands = (condition.left, condition.right)
-    elif (
-        isinstance(condition, FunctionCall)
-        and condition.name.upper() == "SAMETERM"
-        and len(condition.arguments) == 2
-    ):
-        operands = (condition.arguments[0], condition.arguments[1])
-    else:
-        return None
-    if all(isinstance(operand, (VariableExpr, TermExpr)) for operand in operands):
-        return operands
-    return None
-
-
-def condition_kernel(condition: Expression) -> str:
-    """``"id"`` when the conjunct runs as an id-space kernel, else ``"term"``.
-
-    A property of the conjunct's shape alone — comparisons and
-    ``sameTerm`` between variables and/or constants — so the lowering
-    pass can print it without a dictionary.
-    """
-    return "id" if _kernel_operands(condition) is not None else "term"
-
-
-def _never(_registers: Registers) -> bool:
-    return False
-
-
-def compile_condition(
-    condition: Expression,
-    dictionary: TermDictionary,
-    register_of: Dict[Variable, int],
-    bound: Set[Variable],
-) -> Test:
-    """Compile a FILTER conjunct to a test over the register file.
-
-    ``bound`` is the set of variables that hold an id where the test
-    runs; ``register_of`` says where.  A kernel operand outside ``bound``
-    is an unbound variable — an error, which FILTER reads as false — so
-    the whole test folds to a constant.
-    """
-    operands = _kernel_operands(condition)
-    if operands is None:
-        return _term_test(condition, dictionary, register_of, bound)
-    variables = condition.variables()
-    if not variables:
-        verdict = satisfies(condition, EMPTY_BINDING)
-        return lambda _registers: verdict
-    if not variables <= bound:
-        return _never
-    left, right = operands
-    name = condition.operator if isinstance(condition, Comparison) else "sameTerm"
-    if isinstance(left, TermExpr):
-        # One constant at most from here on: keep it on the right.
-        left, right = right, left
-        name = _FLIPPED.get(name, name)
-    first = register_of[left.variable]
-    if name == "sameTerm":
-        return _same_term_test(True, first, right, dictionary, register_of)
-    if isinstance(right, VariableExpr):
-        second = register_of[right.variable]
-        if name in _ORDERINGS:
-            return _ordering_test(_ORDERINGS[name], first, second, dictionary)
-        return _equality_test(name == "=", first, second, dictionary)
-    kind, key = term_structure(right.term)
-    if name in _ORDERINGS:
-        constant = comparison_key(kind, key)
-        return _constant_ordering_test(_ORDERINGS[name], first, constant, dictionary)
-    if kind != KIND_LITERAL:
-        # An IRI or blank node is equal only to itself.
-        return _same_term_test(name == "=", first, right, dictionary, register_of)
-    return _constant_equality_test(name == "=", first, comparison_key(kind, key)[0], dictionary)
-
-
-def _same_term_test(
-    same: bool,
-    first: int,
-    right: Expression,
-    dictionary: TermDictionary,
-    register_of: Dict[Variable, int],
-) -> Test:
-    """``sameTerm`` (or its negation): structural identity, which interning
-    makes id identity."""
-    if isinstance(right, VariableExpr):
-        second = register_of[right.variable]
-        return lambda registers: (registers[first] == registers[second]) == same
-    constant = dictionary.id_for(right.term)
-    if constant is not None:
-        return lambda registers: (registers[first] == constant) == same
-    # Not interned now, but a cached plan may outlive that (a zero-length
-    # path endpoint or an initial binding interns without a version bump):
-    # compare structures, which holds either way.
-    structure = term_structure(right.term)
-    structural_key = dictionary.structural_key
-    return lambda registers: (structural_key(registers[first]) == structure) == same
-
-
-# The kernels below consult the comparison-key memo for literal ids only:
-# an IRI or blank node is equal only to itself (id equality) and ordered
-# only against another IRI (by value, read from the dictionary), so a
-# FILTER over a large scan of resources leaves nothing behind.
-def _equality_test(equal: bool, first: int, second: int, dictionary: TermDictionary) -> Test:
-    keys = dictionary.compare_keys
-    miss = _key_miss(dictionary)
-
-    def test(registers: Registers) -> bool:
-        left = registers[first]
-        right = registers[second]
-        if left == right:
-            return equal
-        if left & _KIND_MASK != KIND_LITERAL or right & _KIND_MASK != KIND_LITERAL:
-            return not equal
-        try:
-            left_key = keys[left]
-        except KeyError:
-            left_key = miss(left)
-        try:
-            right_key = keys[right]
-        except KeyError:
-            right_key = miss(right)
-        return (left_key[0] == right_key[0]) == equal
-
-    return test
-
-
-def _constant_equality_test(
-    equal: bool, first: int, constant: object, dictionary: TermDictionary
-) -> Test:
-    """``?x = "literal"``: ``constant`` is the literal's equality key."""
-    keys = dictionary.compare_keys
-    miss = _key_miss(dictionary)
-
-    # Decided on keys alone, never on the constant's id: the constant need
-    # not be in the dictionary, now or for as long as the plan is cached.
-    def test(registers: Registers) -> bool:
-        term_id = registers[first]
-        if term_id & _KIND_MASK != KIND_LITERAL:
-            return not equal
-        try:
-            key = keys[term_id]
-        except KeyError:
-            key = miss(term_id)
-        return (key[0] == constant) == equal
-
-    return test
-
-
-def _ordering_test(compare: Callable, first: int, second: int, dictionary: TermDictionary) -> Test:
-    keys = dictionary.compare_keys
-    miss = _key_miss(dictionary)
-    structural_key = dictionary.structural_key
-
-    def test(registers: Registers) -> bool:
-        left = registers[first]
-        right = registers[second]
-        if left & _KIND_MASK != KIND_LITERAL or right & _KIND_MASK != KIND_LITERAL:
-            return (
-                left & _KIND_MASK == KIND_IRI
-                and right & _KIND_MASK == KIND_IRI
-                and compare(structural_key(left)[1], structural_key(right)[1])
-            )
-        try:
-            left_key = keys[left]
-        except KeyError:
-            left_key = miss(left)
-        try:
-            right_key = keys[right]
-        except KeyError:
-            right_key = miss(right)
-        order_class = left_key[1]
-        if order_class == right_key[1]:
-            return not order_class & 1 and compare(left_key[2], right_key[2])
-        return _mixed_order(compare, left_key, right_key)
-
-    return test
-
-
-def _constant_ordering_test(
-    compare: Callable, first: int, constant: tuple, dictionary: TermDictionary
-) -> Test:
-    keys = dictionary.compare_keys
-    miss = _key_miss(dictionary)
-    structural_key = dictionary.structural_key
-    constant_class = constant[1]
-    constant_value = constant[2]
-
-    def test(registers: Registers) -> bool:
-        term_id = registers[first]
-        if term_id & _KIND_MASK != KIND_LITERAL:
-            return (
-                constant_class == 0
-                and term_id & _KIND_MASK == KIND_IRI
-                and compare(structural_key(term_id)[1], constant_value)
-            )
-        try:
-            key = keys[term_id]
-        except KeyError:
-            key = miss(term_id)
-        if key[1] == constant_class:
-            return not constant_class & 1 and compare(key[2], constant_value)
-        return _mixed_order(compare, key, constant)
-
-    return test
-
-
-def _term_test(
-    condition: Expression,
-    dictionary: TermDictionary,
-    register_of: Dict[Variable, int],
-    bound: Set[Variable],
-) -> Test:
-    """The fallback: decode only what the conjunct mentions, evaluate on terms."""
-    decode = dictionary.term
-    needed = tuple(
-        (variable, register_of[variable])
-        for variable in sorted(condition.variables() & bound, key=lambda v: v.name)
-    )
-    from_sorted = Binding.from_sorted_items
-
-    def test(registers: Registers) -> bool:
-        registers[_FALLBACKS] += 1
-        return satisfies(
-            condition,
-            from_sorted(
-                tuple([(variable, decode(registers[register])) for variable, register in needed])
-            ),
-        )
-
-    return test
-
-
-def compile_conditions(
-    conditions: Sequence[Expression],
-    dictionary: TermDictionary,
-    register_of: Dict[Variable, int],
-    bound: Set[Variable],
-) -> Optional[Test]:
-    """One test for a filter slot's conjunction; ``None`` for an empty slot."""
-    tests = [compile_condition(c, dictionary, register_of, bound) for c in conditions]
-    if not tests:
-        return None
-    if len(tests) == 1:
-        return tests[0]
-
-    def test(registers: Registers) -> bool:
-        for conjunct in tests:
-            if not conjunct(registers):
-                return False
-        return True
-
-    return test
-
-
-def publish(
-    counters: Iterable[Tuple[object, int, int]], registers: Registers, term_fallbacks
-) -> None:
-    """Hand a finished (or closed) execution's counts over: each
-    ``(operator stats, rows register, probes register)`` to its operator,
-    the term-space conjunct evaluations to the ``term_fallbacks`` counter."""
-    for stats, rows, probes in counters:
-        stats.rows = registers[rows]
-        stats.probes = registers[probes]
-    if term_fallbacks is not None and registers[_FALLBACKS]:
-        term_fallbacks.inc(registers[_FALLBACKS])
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +242,7 @@ def pattern_layout(
         elif part in bound:
             reads.append(register_of[part])
         else:
-            reads.append(_FREE)
+            reads.append(FREE)
             if part in first_position:
                 repeats.append((position, first_position[part]))
             else:
@@ -654,48 +281,37 @@ def access_path(shape: str, space: str) -> str:
 
 #: shape -> (accessor register, the two positions it is keyed on, the one it binds).
 _ENTRY_PROBES = {
-    "SP?": (_OBJECTS, 0, 1, 2),
-    "?PO": (_SUBJECTS, 1, 2, 0),
-    "S?O": (_PREDICATES, 0, 2, 1),
+    "SP?": (OBJECTS, 0, 1, 2),
+    "?PO": (SUBJECTS, 1, 2, 0),
+    "S?O": (PREDICATES, 0, 2, 1),
 }
 
 
 # ----------------------------------------------------------------------
 # the compiled pipeline
 # ----------------------------------------------------------------------
+@dataclass(slots=True, eq=False)
 class CompiledPipeline:
     """One plan compiled for one domain of the initial binding."""
 
-    __slots__ = (
-        "key_of",
-        "version",
-        "template",
-        "first",
-        "initial",
-        "counters",
-        "needs_paths",
-        "emitted",
-    )
-
-    def __init__(self, key_of: Callable, version: int) -> None:
-        #: What the compiled form is valid for: constants were resolved
-        #: through this ``key_of`` (a dictionary's, or the identity) at
-        #: this graph version.
-        self.key_of = key_of
-        self.version = version
-        self.template: Registers = list(HEADER)
-        #: Entry step; ``None`` when a pattern constant is in no triple,
-        #: so the plan has no solutions at this version.
-        self.first: Optional[Step] = None
-        #: ``(variable, register)`` of the initial binding's domain.
-        self.initial: Tuple[Tuple[Variable, int], ...] = ()
-        #: ``(operator stats, rows register, probes register)`` to publish.
-        self.counters: List[Tuple[object, int, int]] = []
-        #: True when a path step bridges through the term-level evaluator.
-        self.needs_paths = False
-        #: Register of a DISTINCT plan's set of emitted rows (fresh per
-        #: execution), else ``None``.
-        self.emitted: Optional[int] = None
+    #: What the compiled form is valid for: constants were resolved
+    #: through this ``key_of`` (a dictionary's, or the identity) at
+    #: this graph version.
+    key_of: Callable
+    version: int
+    template: Registers = field(default_factory=lambda: list(HEADER))
+    #: Entry step; ``None`` when a pattern constant is in no triple,
+    #: so the plan has no solutions at this version.
+    first: Optional[Step] = None
+    #: ``(variable, register)`` of the initial binding's domain.
+    initial: Tuple[Tuple[Variable, int], ...] = ()
+    #: ``(operator stats, rows register, probes register)`` to publish.
+    counters: List[Tuple[object, int, int]] = field(default_factory=list)
+    #: True when a path step bridges through the term-level evaluator.
+    needs_paths: bool = False
+    #: Register of a DISTINCT plan's set of emitted rows (fresh per
+    #: execution), else ``None``.
+    emitted: Optional[int] = None
 
 
 def run(
@@ -707,7 +323,7 @@ def run(
     timed_iter: Optional[Callable],
     term_fallbacks,
 ) -> Iterable[Binding]:
-    """Execute an index-nested-loop ``plan`` in its key space, streaming bindings.
+    """Execute ``plan`` in its key space, streaming bindings.
 
     ``timed_iter`` is the physical layer's self-time wrapper under
     ``execute(timed=True)``; ``term_fallbacks`` an optional counter
@@ -724,17 +340,17 @@ def run(
     if compiled.needs_paths and path_evaluator is None:
         raise TypeError("plan contains a path pattern but no path evaluator")
     registers = compiled.template.copy()
-    registers[_MATCH] = space.match
+    registers[MATCH] = space.match
     (
-        registers[_MEMBER],
-        registers[_OBJECTS],
-        registers[_SUBJECTS],
-        registers[_PREDICATES],
+        registers[MEMBER],
+        registers[OBJECTS],
+        registers[SUBJECTS],
+        registers[PREDICATES],
     ) = space.entries
-    registers[_TIMED] = timed_iter
-    registers[_GRAPH] = graph
-    registers[_PATH_ENGINE] = path_engine
-    registers[_PATH_EVALUATOR] = path_evaluator
+    registers[TIMED] = timed_iter
+    registers[GRAPH] = graph
+    registers[PATH_ENGINE] = path_engine
+    registers[PATH_EVALUATOR] = path_evaluator
     # encode (not key_of): an initial term outside the graph gets a fresh
     # id that simply never matches a probe — as the term itself does in
     # term space.
@@ -750,15 +366,18 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
         yield from compiled.first(registers)
     finally:
         # Runs after every step's own ``finally`` has flushed its batched
-        # counts into the registers — on exhaustion and on ``close()``.
-        publish(compiled.counters, registers, term_fallbacks)
+        # counts into the registers — on exhaustion and on ``close()``:
+        # each operator takes its counts, the ``term_fallbacks`` counter
+        # the conjunct evaluations that left id space.
+        for stats, rows, probes in compiled.counters:
+            stats.rows = registers[rows]
+            stats.probes = registers[probes]
+        if term_fallbacks is not None and registers[FALLBACKS]:
+            term_fallbacks.inc(registers[FALLBACKS])
 
 
 def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[IdPathEngine]):
     """Compile ``plan`` for executions whose initial binding has ``domain``."""
-    # physical imports this module at load time, hence not at the top.
-    from repro.sparql.physical import Filter, HashProbe, Scan
-
     compiled = CompiledPipeline(space.key_of, graph.version)
     template = compiled.template
 
@@ -794,12 +413,18 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
         test = space.conditions(join.conditions, register_of, bound)
         makers.append(partial(_gate_step, test=test, rows=gate_rows, probes=gate_probes))
         join = join.child
-    compiled.counters.append((root.stats, _RESULTS, zero))
+    compiled.counters.append((root.stats, RESULTS, zero))
     #: Where the rows that reach the result boundary are counted: by the
     #: last step, or — a join without inputs — by the boundary itself.
-    joined = _RESULTS
+    joined = RESULTS
 
-    for input_op in join.inputs:
+    multiway = not isinstance(join, IndexNestedLoopJoin)
+    inputs = join.children()
+    if multiway:
+        # A cyclic BGP's join: a pattern without variables is a membership probe
+        # like any other input; the variable levels follow as steps of their own.
+        inputs = [scan for scan in inputs if not scan.node.variables()]
+    for input_op in inputs:
         leaf, conditions, filter_stats = input_op, (), None
         if isinstance(leaf, Filter):
             leaf, conditions, filter_stats = leaf.child, leaf.conditions, leaf.stats
@@ -858,7 +483,7 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
                 # can only match zero-length; where the path cannot, it
                 # empties the whole BGP.
                 term_id = engine.endpoint_id(part, path)
-                return None if term_id is _ABSENT else term_id
+                return None if term_id is ABSENT else term_id
 
             layout = pattern_layout(parts, before, register_of, prefilled(endpoint_id))
             if layout is None:
@@ -870,7 +495,7 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
                 # A *substituted* variable endpoint only ranges over graph
                 # nodes, so its zero-length self-match requires node
                 # membership (constants stay syntactic) — the id-space
-                # mirror of plan._match_path's pre-check.
+                # mirror of _match_path's pre-check.
                 node_checks=tuple(register_of[part] for part in parts if part in before)
                 if matches_zero_length(path)
                 else (),
@@ -907,6 +532,15 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
             )
         )
 
+    if multiway:
+        levels = leapfrog.compile_levels(
+            join, allocate, scan_constant, register_of, bound, space.conditions, compiled.counters
+        )
+        if levels is None:
+            return compiled
+        joined = allocate(0)
+        makers += levels
+        makers.append(partial(_count_step, rows=joined))
     compiled.counters.append((join.stats, joined, zero))
     if root.distinct:
         compiled.emitted = allocate()
@@ -947,13 +581,13 @@ def emit_step(
     if not pairs:
 
         def emit(registers: Registers) -> Iterable[Binding]:
-            registers[_RESULTS] += 1
+            registers[RESULTS] += 1
             return _NO_BINDINGS
 
     else:
 
         def emit(registers: Registers) -> Iterable[Binding]:
-            registers[_RESULTS] += 1
+            registers[RESULTS] += 1
             return (
                 from_sorted(
                     tuple([(variable, decode(registers[register])) for variable, register in pairs])
@@ -964,7 +598,7 @@ def emit_step(
         return emit
     # The row's key: its id tuple — the id itself for a single variable, and
     # without variables the one value every row has, an always-``None`` register.
-    key_of = itemgetter(*[register for _, register in pairs] or [_FREE])
+    key_of = itemgetter(*[register for _, register in pairs] or [FREE])
 
     def emit_distinct(registers: Registers) -> Iterable[Binding]:
         key = key_of(registers)
@@ -982,6 +616,14 @@ def _gate_step(next_step: Step, test: Test, rows: int, probes: int) -> Step:
         registers[probes] += 1
         if not test(registers):
             return ()
+        registers[rows] += 1
+        return next_step(registers)
+
+    return step
+
+
+def _count_step(next_step: Step, rows: int) -> Step:
+    def step(registers: Registers) -> Iterable[Binding]:
         registers[rows] += 1
         return next_step(registers)
 
@@ -1028,14 +670,14 @@ def _step(
     stats,
 ) -> Step:
     """The general join step: ``bind`` writes each of its rows into the
-    registers itself and yields nothing worth keeping (:data:`_SINK`)."""
-    fan_out = _fan_out(next_step, _SINK, test, rows, passed)
+    registers itself and yields nothing worth keeping (:data:`SINK`)."""
+    fan_out = _fan_out(next_step, SINK, test, rows, passed)
 
     def step(registers: Registers) -> Iterable[Binding]:
         registers[probes] += 1
         candidates = bind(registers)
-        if registers[_TIMED] is not None:
-            candidates = registers[_TIMED](candidates, stats)
+        if registers[TIMED] is not None:
+            candidates = registers[TIMED](candidates, stats)
         return fan_out(registers, candidates)
 
     return step
@@ -1064,16 +706,16 @@ def _member_step(
     """An S P O probe (id space): one verdict, nothing bound, and no frame —
     a hit *returns* the rows of ``next_step``, as :func:`_gate_step` does."""
     subject, predicate, obj = reads
-    fan_out = _fan_out(next_step, _SINK, test, rows, passed)
+    fan_out = _fan_out(next_step, SINK, test, rows, passed)
 
     def step(registers: Registers) -> Iterable[Binding]:
         registers[probes] += 1
-        if registers[_TIMED] is not None:
+        if registers[TIMED] is not None:
             found = _probed(
-                registers[_MEMBER], registers[subject], registers[predicate], registers[obj]
+                registers[MEMBER], registers[subject], registers[predicate], registers[obj]
             )
-            return fan_out(registers, registers[_TIMED](found, stats))
-        if not registers[_MEMBER](registers[subject], registers[predicate], registers[obj]):
+            return fan_out(registers, registers[TIMED](found, stats))
+        if not registers[MEMBER](registers[subject], registers[predicate], registers[obj]):
             return ()
         registers[rows] += 1
         if test is not None:
@@ -1109,9 +751,9 @@ def _entry_step(
 
     def step(registers: Registers) -> Iterable[Binding]:
         registers[probes] += 1
-        if registers[_TIMED] is not None:
+        if registers[TIMED] is not None:
             found = _probed(registers[fetch], registers[first], registers[second])
-            return fan_out(registers, registers[_TIMED](found, stats))
+            return fan_out(registers, registers[TIMED](found, stats))
         entry = registers[fetch](registers[first], registers[second])
         if entry is None:
             return ()
@@ -1142,7 +784,7 @@ def _scan_rows(
     subject, predicate, obj = reads
 
     def rows(registers: Registers) -> Iterable:
-        for ids in registers[_MATCH](registers[subject], registers[predicate], registers[obj]):
+        for ids in registers[MATCH](registers[subject], registers[predicate], registers[obj]):
             for position, earlier in repeats:
                 if ids[position] != ids[earlier]:
                     break
@@ -1167,21 +809,11 @@ def _hash_probe_rows(
     The pattern shares no variable with the rows above it, so its matches
     (``scan``) are the same for every outer row of one execution; what
     each wrote goes into a table keyed by the equality key
-    (:func:`comparison_key`) of the pattern-side variable, and an outer
+    (:func:`repro.sparql.kernels.equality_key_of`) of the pattern-side variable, and an outer
     row looks up the key of its own.  Equal keys are exactly ``=``, so the
     pairs produced are those the cross product would have kept.
     """
-    keys = dictionary.compare_keys
-    miss = _key_miss(dictionary)
-
-    def equality_key(term_id: int) -> object:
-        if term_id & _KIND_MASK != KIND_LITERAL:
-            # Equal only to itself; an int never collides with a literal's key.
-            return term_id
-        try:
-            return keys[term_id][0]
-        except KeyError:
-            return miss(term_id)[0]
+    equality_key = equality_key_of(dictionary)
 
     def rows(registers: Registers) -> Iterable:
         built = registers[table]
@@ -1213,15 +845,15 @@ def _id_path_rows(
     that must hold a graph node for the path to match at all.
     """
     subject, obj = reads
-    subject_target = targets[0] if subject == _FREE else None
-    object_target = targets[1] if obj == _FREE else None
+    subject_target = targets[0] if subject == FREE else None
+    object_target = targets[1] if obj == FREE else None
     # ?x path ?x with both ends free: one register, and only loops match.
     looped = subject_target is not None and subject_target == object_target
 
     def rows(registers: Registers) -> Iterable:
-        engine = registers[_PATH_ENGINE]
+        engine = registers[PATH_ENGINE]
         if engine is None:
-            engine = registers[_PATH_ENGINE] = IdPathEngine(registers[_GRAPH])
+            engine = registers[PATH_ENGINE] = IdPathEngine(registers[GRAPH])
         for register in node_checks:
             if not engine.is_node(registers[register]):
                 return
@@ -1256,10 +888,60 @@ def _term_path_rows(
             {variable: decode(registers[register]) for variable, register in bound_ends}
         )
         for extension in _match_path(
-            registers[_GRAPH], node, base, registers[_PATH_EVALUATOR]
+            registers[GRAPH], node, base, registers[PATH_EVALUATOR]
         ):
             for variable, register in free_ends:
                 registers[register] = encode(extension[variable])
             yield
 
     return rows
+
+
+def _match_path(
+    graph,
+    node: PathPattern,
+    binding: Binding,
+    path_evaluator: PathEvaluator,
+) -> Iterable[Binding]:
+    """Yield extensions of ``binding`` matching a path pattern.
+
+    Bound endpoint variables are substituted before evaluation so closure
+    operators expand from a single node instead of the whole graph.
+
+    Substitution must not change semantics: a *syntactic* constant
+    endpoint of a zero-length-admitting path (``?``, ``*``) matches
+    itself even when it is not a node of the graph, but a variable
+    endpoint only ever ranges over graph nodes, so a substituted value
+    that is not a node cannot produce any solution — neither a
+    zero-length one (join semantics pair only nodes of G) nor an edge
+    traversal (a non-node has no edges).
+    """
+    substituted = False
+    subject = node.subject
+    if isinstance(subject, Variable):
+        value = binding.get(subject)
+        if value is not None:
+            subject = value
+            substituted = True
+    obj = node.object
+    if isinstance(obj, Variable):
+        value = binding.get(obj)
+        if value is not None:
+            obj = value
+            substituted = True
+    if substituted and matches_zero_length(node.path):
+        for endpoint, original in ((subject, node.subject), (obj, node.object)):
+            if endpoint is not original and not (
+                graph.subject_cardinality(endpoint)
+                or graph.object_cardinality(endpoint)
+            ):
+                return
+    substituted = (
+        node
+        if subject is node.subject and obj is node.object
+        else PathPattern(subject, node.path, obj)
+    )
+    for result in path_evaluator(substituted, graph):
+        # Substitution removed every variable already bound, so the result
+        # binds only fresh variables and the merge is always compatible.
+        yield binding.merge(result) if len(result) else binding

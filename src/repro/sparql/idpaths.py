@@ -84,7 +84,7 @@ _CLOSURE_FACTOR = 4.0
 
 #: Sentinel for a constant endpoint that is neither interned nor able to
 #: match syntactically: the pattern can have no solutions.
-_ABSENT = object()
+ABSENT = object()
 
 
 def supports_id_paths(graph: object) -> bool:
@@ -143,7 +143,7 @@ class IdPathEngine:
         subject, obj = node.subject, node.object
         subject_id = self.endpoint_id(subject, path)
         object_id = self.endpoint_id(obj, path)
-        if subject_id is _ABSENT or object_id is _ABSENT:
+        if subject_id is ABSENT or object_id is ABSENT:
             return []
         decode = self._dict.term
         row = Binding.from_sorted_items
@@ -176,7 +176,7 @@ class IdPathEngine:
         dictionary resolves to its id.  An *unknown* constant can only
         ever match syntactically — via a zero-length path — so it is
         interned (append-only, bounded by such queries) only when the
-        path admits zero length; otherwise the sentinel ``_ABSENT``
+        path admits zero length; otherwise the sentinel ``ABSENT``
         marks the whole pattern as empty, mirroring the unknown-constant
         bail-out of the triple-pattern pipeline.  Note the zero-admitting
         intern does mutate shared store state: the term lands in the
@@ -193,7 +193,7 @@ class IdPathEngine:
             return term_id
         if matches_zero_length(path):
             return self._dict.encode(part)
-        return _ABSENT
+        return ABSENT
 
     def pair_ids(
         self,

@@ -1,0 +1,415 @@
+"""The register file of a compiled join and the FILTER kernels that read it.
+
+Every compiled join — the pipeline of :mod:`repro.sparql.idexec`, a
+leapfrog level (:mod:`repro.sparql.leapfrog`), a live view's seeds
+(:mod:`repro.ivm.delta`) — runs over one *register file*, a plain list:
+the header below, then whatever its compiler allocates behind it.
+
+The kernels are the id-space FILTER conjuncts: ``= != < <= > >=`` between
+variables and/or constants and ``sameTerm`` run on ids, kind tags and —
+for literals — per-id *comparison keys* (:func:`comparison_key`) memoised
+in :attr:`TermDictionary.compare_keys
+<repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
+``Binding``, no expression walk.  Every other conjunct decodes only the
+variables it mentions and runs the term-level semantics, counted as a
+term fallback.  :func:`condition_kernel` tells the two apart by shape,
+which is what ``explain`` prints.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Variable
+from repro.sparql.expressions import (
+    Comparison,
+    Expression,
+    FunctionCall,
+    TermExpr,
+    VariableExpr,
+    satisfies,
+)
+from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.store.dictionary import (
+    _KIND_MASK,
+    KIND_BLANK,
+    KIND_IRI,
+    KIND_LITERAL,
+    TermDictionary,
+    term_structure,
+)
+
+Registers = List[object]
+#: A compiled conjunct: the verdict for the row currently in the registers.
+Test = Callable[[Registers], bool]
+#: A compiled step: the result rows below the row currently in the registers.
+Step = Callable[[Registers], Iterable[Binding]]
+
+# Register file header.  Counters first, then what an execution brings
+# along; everything after ``HEADER`` is allocated by the compiler.
+FALLBACKS = 0  #: conjunct evaluations that ran in term space
+RESULTS = 1  #: rows emitted at the result boundary
+FREE = 2  #: always ``None``: what a free pattern position reads
+SINK = 3  #: written, never read: where a probe that binds nothing puts its rows
+#: The store's probes, ``KeySpace.match`` and the four of ``KeySpace.entries``
+#: (fetched per execution: ``enable_counters()`` shadows them on the graph).
+MATCH = 4
+MEMBER = 5
+OBJECTS = 6
+SUBJECTS = 7
+PREDICATES = 8
+TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
+GRAPH = 10
+PATH_ENGINE = 11
+PATH_EVALUATOR = 12
+HEADER: Tuple[object, ...] = (0, 0) + (None,) * 11
+
+
+# ----------------------------------------------------------------------
+# comparison keys
+# ----------------------------------------------------------------------
+def comparison_key(kind: int, key) -> Tuple[object, int, object, str]:
+    """``(equality key, order class, order value, lexical form)`` of a term.
+
+    ``kind`` / ``key`` are the term's interned structure
+    (:meth:`TermDictionary.structural_key`,
+    :func:`repro.store.dictionary.term_structure`).  The tuple restates
+    :func:`repro.sparql.functions.term_compare` per operand, so that a
+    comparison is a few tuple reads:
+
+    * two terms are ``=`` exactly when their *equality keys* are equal —
+      numeric literals by ``float(lexical)``, simple and ``xsd:string``
+      literals by lexical form, everything else (IRIs, blank nodes,
+      malformed or NaN numerics, language-tagged and other typed
+      literals) by its full structure, i.e. only to itself;
+    * ``< <= > >=`` compare the *order values* of two terms of the same
+      even *order class* (0 IRI by value, 2 numeric by float, 4 any other
+      literal by lexical form), compare lexical forms when exactly one
+      side is a non-numeric literal and the other a literal, and are an
+      error — false under FILTER — otherwise (odd classes: 1 blank node,
+      3 malformed or NaN numeric).
+    """
+    if kind == KIND_IRI:
+        return (0, key), 0, key, key
+    if kind == KIND_BLANK:
+        return (1, key), 1, None, key
+    lexical, datatype, language = key
+    if datatype in NUMERIC_DATATYPE_VALUES:
+        try:
+            value = float(lexical)
+        except ValueError:
+            value = None
+        if value is not None and value == value:
+            return (2, value), 2, value, lexical
+        return (3,) + key, 3, None, lexical
+    if language is None and (datatype is None or datatype == XSD_STRING.value):
+        return (4, lexical), 4, lexical, lexical
+    return (5,) + key, 4, lexical, lexical
+
+
+def _key_miss(dictionary: TermDictionary) -> Callable[[int], tuple]:
+    """The cold half of a key lookup: compute, memoise, return.
+
+    Kernels read ``dictionary.compare_keys[term_id]`` inline and only
+    call this on ``KeyError``.
+    """
+    keys = dictionary.compare_keys
+    structural_key = dictionary.structural_key
+
+    def miss(term_id: int) -> tuple:
+        key = keys[term_id] = comparison_key(*structural_key(term_id))
+        return key
+
+    return miss
+
+
+def equality_key_of(dictionary: TermDictionary) -> Callable[[int], object]:
+    """Id -> a key two ids share exactly when they are ``=``: what a hash
+    join on an equality conjunct is keyed by."""
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+
+    def equality_key(term_id: int) -> object:
+        if term_id & _KIND_MASK != KIND_LITERAL:
+            # Equal only to itself; an int never collides with a literal's key.
+            return term_id
+        try:
+            return keys[term_id][0]
+        except KeyError:
+            return miss(term_id)[0]
+
+    return equality_key
+
+
+def _mixed_order(compare: Callable, left: tuple, right: tuple) -> bool:
+    """Ordering of two terms of different order classes (see :func:`comparison_key`)."""
+    left_class, right_class = left[1], right[1]
+    if left_class >= 2 and right_class >= 2 and (left_class == 4 or right_class == 4):
+        return compare(left[3], right[3])
+    return False
+
+
+# ----------------------------------------------------------------------
+# compiled FILTER conjuncts
+# ----------------------------------------------------------------------
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _kernel_operands(condition: Expression) -> Optional[Tuple[Expression, Expression]]:
+    """The two operands of a conjunct the id kernels cover, else ``None``."""
+    if isinstance(condition, Comparison):
+        if condition.operator not in ("=", "!=") and condition.operator not in _ORDERINGS:
+            return None
+        operands = (condition.left, condition.right)
+    elif (
+        isinstance(condition, FunctionCall)
+        and condition.name.upper() == "SAMETERM"
+        and len(condition.arguments) == 2
+    ):
+        operands = (condition.arguments[0], condition.arguments[1])
+    else:
+        return None
+    if all(isinstance(operand, (VariableExpr, TermExpr)) for operand in operands):
+        return operands
+    return None
+
+
+def condition_kernel(condition: Expression) -> str:
+    """``"id"`` when the conjunct runs as an id-space kernel, else ``"term"``.
+
+    A property of the conjunct's shape alone — comparisons and
+    ``sameTerm`` between variables and/or constants — so the lowering
+    pass can print it without a dictionary.
+    """
+    return "id" if _kernel_operands(condition) is not None else "term"
+
+
+def _never(_registers: Registers) -> bool:
+    return False
+
+
+def compile_condition(
+    condition: Expression,
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+    bound: Set[Variable],
+) -> Test:
+    """Compile a FILTER conjunct to a test over the register file.
+
+    ``bound`` is the set of variables that hold an id where the test
+    runs; ``register_of`` says where.  A kernel operand outside ``bound``
+    is an unbound variable — an error, which FILTER reads as false — so
+    the whole test folds to a constant.
+    """
+    operands = _kernel_operands(condition)
+    if operands is None:
+        return _term_test(condition, dictionary, register_of, bound)
+    variables = condition.variables()
+    if not variables:
+        verdict = satisfies(condition, EMPTY_BINDING)
+        return lambda _registers: verdict
+    if not variables <= bound:
+        return _never
+    left, right = operands
+    name = condition.operator if isinstance(condition, Comparison) else "sameTerm"
+    if isinstance(left, TermExpr):
+        # One constant at most from here on: keep it on the right.
+        left, right = right, left
+        name = _FLIPPED.get(name, name)
+    first = register_of[left.variable]
+    if name == "sameTerm":
+        return _same_term_test(True, first, right, dictionary, register_of)
+    if isinstance(right, VariableExpr):
+        second = register_of[right.variable]
+        if name in _ORDERINGS:
+            return _ordering_test(_ORDERINGS[name], first, second, dictionary)
+        return _equality_test(name == "=", first, second, dictionary)
+    kind, key = term_structure(right.term)
+    if name in _ORDERINGS:
+        constant = comparison_key(kind, key)
+        return _constant_ordering_test(_ORDERINGS[name], first, constant, dictionary)
+    if kind != KIND_LITERAL:
+        # An IRI or blank node is equal only to itself.
+        return _same_term_test(name == "=", first, right, dictionary, register_of)
+    return _constant_equality_test(name == "=", first, comparison_key(kind, key)[0], dictionary)
+
+
+def _same_term_test(
+    same: bool,
+    first: int,
+    right: Expression,
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+) -> Test:
+    """``sameTerm`` (or its negation): structural identity, which interning
+    makes id identity."""
+    if isinstance(right, VariableExpr):
+        second = register_of[right.variable]
+        return lambda registers: (registers[first] == registers[second]) == same
+    constant = dictionary.id_for(right.term)
+    if constant is not None:
+        return lambda registers: (registers[first] == constant) == same
+    # Not interned now, but a cached plan may outlive that (a zero-length
+    # path endpoint or an initial binding interns without a version bump):
+    # compare structures, which holds either way.
+    structure = term_structure(right.term)
+    structural_key = dictionary.structural_key
+    return lambda registers: (structural_key(registers[first]) == structure) == same
+
+
+# The kernels below consult the comparison-key memo for literal ids only:
+# an IRI or blank node is equal only to itself (id equality) and ordered
+# only against another IRI (by value, read from the dictionary), so a
+# FILTER over a large scan of resources leaves nothing behind.
+def _equality_test(equal: bool, first: int, second: int, dictionary: TermDictionary) -> Test:
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+
+    def test(registers: Registers) -> bool:
+        left = registers[first]
+        right = registers[second]
+        if left == right:
+            return equal
+        if left & _KIND_MASK != KIND_LITERAL or right & _KIND_MASK != KIND_LITERAL:
+            return not equal
+        try:
+            left_key = keys[left]
+        except KeyError:
+            left_key = miss(left)
+        try:
+            right_key = keys[right]
+        except KeyError:
+            right_key = miss(right)
+        return (left_key[0] == right_key[0]) == equal
+
+    return test
+
+
+def _constant_equality_test(
+    equal: bool, first: int, constant: object, dictionary: TermDictionary
+) -> Test:
+    """``?x = "literal"``: ``constant`` is the literal's equality key."""
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+
+    # Decided on keys alone, never on the constant's id: the constant need
+    # not be in the dictionary, now or for as long as the plan is cached.
+    def test(registers: Registers) -> bool:
+        term_id = registers[first]
+        if term_id & _KIND_MASK != KIND_LITERAL:
+            return not equal
+        try:
+            key = keys[term_id]
+        except KeyError:
+            key = miss(term_id)
+        return (key[0] == constant) == equal
+
+    return test
+
+
+def _ordering_test(compare: Callable, first: int, second: int, dictionary: TermDictionary) -> Test:
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+    structural_key = dictionary.structural_key
+
+    def test(registers: Registers) -> bool:
+        left = registers[first]
+        right = registers[second]
+        if left & _KIND_MASK != KIND_LITERAL or right & _KIND_MASK != KIND_LITERAL:
+            return (
+                left & _KIND_MASK == KIND_IRI
+                and right & _KIND_MASK == KIND_IRI
+                and compare(structural_key(left)[1], structural_key(right)[1])
+            )
+        try:
+            left_key = keys[left]
+        except KeyError:
+            left_key = miss(left)
+        try:
+            right_key = keys[right]
+        except KeyError:
+            right_key = miss(right)
+        order_class = left_key[1]
+        if order_class == right_key[1]:
+            return not order_class & 1 and compare(left_key[2], right_key[2])
+        return _mixed_order(compare, left_key, right_key)
+
+    return test
+
+
+def _constant_ordering_test(
+    compare: Callable, first: int, constant: tuple, dictionary: TermDictionary
+) -> Test:
+    keys = dictionary.compare_keys
+    miss = _key_miss(dictionary)
+    structural_key = dictionary.structural_key
+    constant_class = constant[1]
+    constant_value = constant[2]
+
+    def test(registers: Registers) -> bool:
+        term_id = registers[first]
+        if term_id & _KIND_MASK != KIND_LITERAL:
+            return (
+                constant_class == 0
+                and term_id & _KIND_MASK == KIND_IRI
+                and compare(structural_key(term_id)[1], constant_value)
+            )
+        try:
+            key = keys[term_id]
+        except KeyError:
+            key = miss(term_id)
+        if key[1] == constant_class:
+            return not constant_class & 1 and compare(key[2], constant_value)
+        return _mixed_order(compare, key, constant)
+
+    return test
+
+
+def _term_test(
+    condition: Expression,
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+    bound: Set[Variable],
+) -> Test:
+    """The fallback: decode only what the conjunct mentions, evaluate on terms."""
+    decode = dictionary.term
+    needed = tuple(
+        (variable, register_of[variable])
+        for variable in sorted(condition.variables() & bound, key=lambda v: v.name)
+    )
+    from_sorted = Binding.from_sorted_items
+
+    def test(registers: Registers) -> bool:
+        registers[FALLBACKS] += 1
+        return satisfies(
+            condition,
+            from_sorted(
+                tuple([(variable, decode(registers[register])) for variable, register in needed])
+            ),
+        )
+
+    return test
+
+
+def compile_conditions(
+    conditions: Sequence[Expression],
+    dictionary: TermDictionary,
+    register_of: Dict[Variable, int],
+    bound: Set[Variable],
+) -> Optional[Test]:
+    """One test for a filter slot's conjunction; ``None`` for an empty slot."""
+    tests = [compile_condition(c, dictionary, register_of, bound) for c in conditions]
+    if not tests:
+        return None
+    if len(tests) == 1:
+        return tests[0]
+
+    def test(registers: Registers) -> bool:
+        for conjunct in tests:
+            if not conjunct(registers):
+                return False
+        return True
+
+    return test

@@ -1,0 +1,209 @@
+"""Solution modifiers: what a SELECT does to the rows of its pattern.
+
+Pure functions of the query and the rows: projection expressions,
+grouping and aggregates, and the ORDER BY → DISTINCT → OFFSET → LIMIT tail
+(:func:`apply_modifiers`) that the native evaluator and the solution
+translation T_S (:mod:`repro.core.solution_translation`) share.  The
+Datalog engine's ``aggregate`` step stays separate: it also serves
+non-RDF ground values.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+
+from repro.rdf.terms import Literal, Term, Variable, term_sort_key
+from repro.sparql.algebra import OrderCondition, SelectQuery
+from repro.sparql.alp import EvaluationError
+from repro.sparql.expressions import (
+    Aggregate,
+    VariableExpr,
+    evaluate as evaluate_expression,
+    satisfies,
+)
+from repro.sparql.functions import ExpressionError
+from repro.sparql.solutions import Binding, distinct_rows
+
+
+def apply_projection_expressions(query: SelectQuery, bindings: List[Binding]) -> List[Binding]:
+    """Evaluate (expr AS ?var) projection items for non-grouped queries."""
+    expression_items = [
+        item for item in query.projection if item.expression is not None
+    ]
+    if not expression_items:
+        return bindings
+    results: List[Binding] = []
+    for binding in bindings:
+        extended = binding
+        for item in expression_items:
+            try:
+                value = evaluate_expression(item.expression, extended)
+            except ExpressionError:
+                continue
+            extended = extended.extend(item.variable, value)
+        results.append(extended)
+    return results
+
+
+def apply_grouping(query: SelectQuery, bindings: List[Binding]) -> List[Binding]:
+    group_keys = query.group_by
+    groups: Dict[Tuple, List[Binding]] = defaultdict(list)
+    for binding in bindings:
+        key_parts = []
+        for key_expression in group_keys:
+            try:
+                key_parts.append(evaluate_expression(key_expression, binding))
+            except ExpressionError:
+                key_parts.append(None)
+        groups[tuple(key_parts)].append(binding)
+    if not group_keys:
+        groups = {(): bindings}
+
+    results: List[Binding] = []
+    for key_parts, group in groups.items():
+        if not group and not bindings:
+            continue
+        mapping: Dict[Variable, Term] = {}
+        for key_expression, value in zip(group_keys, key_parts):
+            if isinstance(key_expression, VariableExpr) and value is not None:
+                mapping[key_expression.variable] = value
+        for item in query.projection:
+            if item.expression is None:
+                if group and item.variable in group[0]:
+                    mapping[item.variable] = group[0][item.variable]
+                continue
+            if isinstance(item.expression, Aggregate):
+                value = evaluate_aggregate(item.expression, group)
+            else:
+                try:
+                    value = evaluate_expression(item.expression, group[0]) if group else None
+                except ExpressionError:
+                    value = None
+            if value is not None:
+                mapping[item.variable] = value
+        candidate = Binding(mapping)
+        if query.having is not None and not satisfies(query.having, candidate):
+            continue
+        results.append(candidate)
+    return results
+
+
+def evaluate_aggregate(aggregate: Aggregate, group: List[Binding]) -> Optional[Term]:
+    values: List[Term] = []
+    if aggregate.argument is None:
+        values = [Literal.from_python(1) for _ in group]
+    else:
+        for binding in group:
+            try:
+                values.append(evaluate_expression(aggregate.argument, binding))
+            except ExpressionError:
+                continue
+    if aggregate.distinct:
+        seen = set()
+        unique: List[Term] = []
+        for value in values:
+            if value not in seen:
+                seen.add(value)
+                unique.append(value)
+        values = unique
+    operation = aggregate.operation.upper()
+    if operation == "COUNT":
+        return Literal.from_python(len(values))
+    if not values:
+        return None
+    if operation == "SAMPLE":
+        return values[0]
+    if operation in ("MIN", "MAX"):
+        ordered = sorted(values, key=term_sort_key)
+        return ordered[0] if operation == "MIN" else ordered[-1]
+    numeric: List[float] = []
+    for value in values:
+        if isinstance(value, Literal):
+            as_python = value.as_python()
+            if isinstance(as_python, (int, float)) and not isinstance(as_python, bool):
+                numeric.append(as_python)
+    if not numeric:
+        return None
+    if operation == "SUM":
+        total = sum(numeric)
+        return Literal.from_python(int(total) if float(total).is_integer() else total)
+    if operation == "AVG":
+        return Literal.from_python(sum(numeric) / len(numeric))
+    raise EvaluationError(f"unsupported aggregate {operation}")
+
+
+def apply_modifiers(
+    query: SelectQuery,
+    rows: List[Binding],
+    wanted: Optional[AbstractSet[Variable]] = None,
+    deduplicated: bool = False,
+) -> List[Binding]:
+    """ORDER BY, then the projection onto ``wanted`` (``None``: the rows
+    are projected already), then DISTINCT / REDUCED (unless the rows come
+    ``deduplicated``), OFFSET and LIMIT — in the order the spec applies them.
+    """
+    if query.order_by:
+        rows = apply_order_by(query.order_by, rows)
+    if wanted is not None:
+        rows = [row.project(wanted) for row in rows]
+    if (query.distinct or query.reduced) and not deduplicated:
+        rows = distinct_rows(rows)
+    if query.offset:
+        rows = rows[query.offset:]
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return rows
+
+
+def apply_order_by(
+    conditions: Sequence[OrderCondition], bindings: List[Binding]
+) -> List[Binding]:
+    """Sort bindings by the ORDER BY conditions.
+
+    SPARQL ranks an unbound (or errored) key lowest, and DESC reverses
+    the whole ordering — so unbound rows sort strictly *first* under ASC
+    and strictly *last* under DESC, matching the reference engines (Jena
+    ARQ, Virtuoso).  The bound/unbound flag therefore participates in the
+    direction: ASC keeps ``(0, unbound) < (1, bound)`` while DESC flips
+    the flag and wraps the bound part in the comparison inverter, giving
+    ``(0, bound-descending) < (1, unbound)``.  Within one flag value the
+    compared shapes are always identical (both unbound, or both wrapped
+    the same way).  Shared by the reference evaluator and the
+    translated-solution engine so both stay order-consistent.
+    """
+
+    def sort_key(binding: Binding):
+        key = []
+        for condition in conditions:
+            try:
+                value = evaluate_expression(condition.expression, binding)
+            except ExpressionError:
+                value = None
+            if value is None:
+                key.append((0, ()) if condition.ascending else (1, ()))
+            else:
+                part = term_sort_key(value)
+                key.append(
+                    (1, part) if condition.ascending else (0, _Reversed(part))
+                )
+        return key
+
+    return sorted(bindings, key=sort_key)
+
+
+class _Reversed:
+    """Wrapper inverting comparison order for DESC sort keys."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __lt__(self, other: "_Reversed"):
+        if not isinstance(other, _Reversed):
+            return NotImplemented
+        return other.value < self.value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Reversed) and other.value == self.value

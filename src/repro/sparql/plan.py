@@ -20,17 +20,15 @@ explicit planning pipeline:
    :class:`PlanStep` values, i.e. *plans as data* that can be inspected,
    logged and (in later work) cached or shipped to shards.
 
-3. **FILTER attachment and direct probes** — :func:`attach_filters`
+3. **FILTER attachment and the direct probe** — :func:`attach_filters`
    assigns each FILTER conjunct to the earliest step binding its
    variables; :func:`match_triple` answers one lone triple pattern from
-   a single SPO/POS/OSP index probe, and the path-step matcher
-   substitutes a partial solution's bound endpoints into a path pattern
-   before handing it to the term-level path machinery.
+   a single SPO/POS/OSP index probe.
 
 A plan is run by lowering it (:func:`repro.sparql.physical.lower_plan`)
 and executing the result (:func:`repro.sparql.physical.execute`); the
-greedy ordering loop lives in that layer too, shared with the Datalog
-engine's body ordering.
+greedy ordering loop is :func:`repro.sparql.ordering.greedy_order`,
+shared with the Datalog engine's body ordering.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Triple, Variable
 from repro.sparql.algebra import GraphPatternNode, PathPattern, TriplePatternNode
 from repro.sparql.expressions import Expression
+from repro.sparql.ordering import greedy_order
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -222,12 +221,7 @@ def plan_bgp(graph: Graph, patterns: Sequence[GraphPatternNode]) -> BGPPlan:
     Cartesian product — is only chosen when no connected pattern remains.
     Ties fall back to source order, keeping planning deterministic.
     """
-    # The ordering loop itself lives in the physical layer
-    # (physical.greedy_order), shared with the Datalog engine's body
-    # ordering; imported lazily because physical imports this module.
-    from repro.sparql import physical
-
-    ordered = physical.greedy_order(
+    ordered = greedy_order(
         patterns,
         lambda node: node.variables(),
         lambda node, bound: estimate_cardinality(graph, node, bound),
@@ -243,26 +237,35 @@ def plan_bgp(graph: Graph, patterns: Sequence[GraphPatternNode]) -> BGPPlan:
 def attach_filters(
     plan: BGPPlan, conditions: Sequence[Expression]
 ) -> StepFilters:
-    """Assign each FILTER conjunct to the earliest step binding its variables.
+    """Assign each FILTER conjunct to the earliest step binding its variables
+    (:func:`attach_conditions` over what each plan step binds)."""
+    return attach_conditions([step.node.variables() for step in plan.steps], conditions)
+
+
+def attach_conditions(
+    binds: Sequence[Set[Variable]], conditions: Sequence[Expression]
+) -> StepFilters:
+    """Assign each conjunct to the earliest of the steps — ``binds`` says
+    what each one binds — after which its variables are all bound.
 
     Once every variable a condition mentions is bound, later steps can
     only *extend* a row with other variables — they never rebind existing
     ones — so the condition's verdict is final and checking it early
     prunes the row before the remaining joins multiply it.  Conditions
     with no variables land in slot 0 (checked once, before any probing);
-    conditions mentioning a variable the plan never binds land after the
+    conditions mentioning a variable no step binds land after the
     last step, where they evaluate exactly as a post-filter would (the
     unbound variable raises, and the error counts as "not satisfied").
     """
-    slots: List[List[Expression]] = [[] for _ in range(len(plan.steps) + 1)]
+    slots: List[List[Expression]] = [[] for _ in range(len(binds) + 1)]
     bound_after: List[Set[Variable]] = []
     bound: Set[Variable] = set()
-    for step in plan.steps:
-        bound = bound | step.node.variables()
+    for variables in binds:
+        bound = bound | variables
         bound_after.append(bound)
     for condition in conditions:
         variables = condition.variables()
-        target = len(plan.steps)
+        target = len(binds)
         if not variables:
             target = 0
         else:
@@ -275,7 +278,7 @@ def attach_filters(
 
 
 # ----------------------------------------------------------------------
-# direct probes: a lone triple pattern, and the term-level path step
+# direct probe: a lone triple pattern
 # ----------------------------------------------------------------------
 def match_triple(graph: Graph, pattern: Triple) -> Iterator[Binding]:
     """Yield the solutions of one triple pattern from a single index probe.
@@ -300,52 +303,3 @@ def match_triple(graph: Graph, pattern: Triple) -> Iterator[Binding]:
             tuple([(variable, values[position]) for variable, position in slots])
         )
 
-
-def _match_path(
-    graph: Graph,
-    node: PathPattern,
-    binding: Binding,
-    path_evaluator: PathEvaluator,
-) -> Iterator[Binding]:
-    """Yield extensions of ``binding`` matching a path pattern.
-
-    Bound endpoint variables are substituted before evaluation so closure
-    operators expand from a single node instead of the whole graph.
-
-    Substitution must not change semantics: a *syntactic* constant
-    endpoint of a zero-length-admitting path (``?``, ``*``) matches
-    itself even when it is not a node of the graph, but a variable
-    endpoint only ever ranges over graph nodes, so a substituted value
-    that is not a node cannot produce any solution — neither a
-    zero-length one (join semantics pair only nodes of G) nor an edge
-    traversal (a non-node has no edges).
-    """
-    substituted = False
-    subject = node.subject
-    if isinstance(subject, Variable):
-        value = binding.get(subject)
-        if value is not None:
-            subject = value
-            substituted = True
-    obj = node.object
-    if isinstance(obj, Variable):
-        value = binding.get(obj)
-        if value is not None:
-            obj = value
-            substituted = True
-    if substituted and _matches_zero_length(node.path):
-        for endpoint, original in ((subject, node.subject), (obj, node.object)):
-            if endpoint is not original and not (
-                graph.subject_cardinality(endpoint)
-                or graph.object_cardinality(endpoint)
-            ):
-                return
-    substituted = (
-        node
-        if subject is node.subject and obj is node.object
-        else PathPattern(subject, node.path, obj)
-    )
-    for result in path_evaluator(substituted, graph):
-        # Substitution removed every variable already bound, so the result
-        # binds only fresh variables and the merge is always compatible.
-        yield binding.merge(result) if len(result) else binding

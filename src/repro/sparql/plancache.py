@@ -2,7 +2,7 @@
 
 :class:`PlanCache` is the evaluator's plan cache: one class, instantiated
 once for logical :class:`~repro.sparql.plan.BGPPlan` values and once for
-lowered :class:`~repro.sparql.physical.PhysicalPlan` values.
+lowered :class:`~repro.sparql.operators.PhysicalPlan` values.
 :class:`BoundedMap` is what both engines keep per query *text*: the parsed
 algebra on the native engine, the whole prepared form on the translation
 path."""

@@ -101,7 +101,7 @@ class TermDictionary:
         #: encode/decode paths) until enable_counters().
         self._counters: Optional[DictionaryCounters] = None
         #: Per-id memo of the id executor's FILTER comparison keys
-        #: (:func:`repro.sparql.idexec.comparison_key`), filled on first
+        #: (:func:`repro.sparql.kernels.comparison_key`), filled on first
         #: comparison of a literal's id (other kinds compare on the id).  It lives here because it is valid exactly
         #: as long as the id space: a key is a function of the term and ids
         #: are never reused, so nothing ever invalidates an entry.  Interning

@@ -6,7 +6,6 @@ from repro.datalog.engine import (
     DatalogEngine,
     EvaluationLimitExceeded,
     Materialisation,
-    compare_values,
 )
 from repro.datalog.rules import (
     AggregateRule,
@@ -19,6 +18,7 @@ from repro.datalog.rules import (
     Rule,
     SkolemExpr,
 )
+from repro.datalog.steps import compare_values
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.terms import Const, SkolemTerm, Var
 from repro.obs import Tracer, trace_to_dict

@@ -25,7 +25,7 @@ from repro.core.engine import SparqLogEngine
 from repro.core.query_translation import UnsupportedFeatureError
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Triple, Variable
-from repro.sparql import evaluator as evaluator_module, physical
+from repro.sparql import evaluator as evaluator_module, operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
@@ -176,7 +176,7 @@ def test_the_plan_says_whether_it_drops_at_the_boundary(query, distinct, sliced)
         assert plans[name] is None or plans[name].root.distinct is False
     assert plans["naive/hash"] is None
     if "ex:link ?a" in query:
-        assert isinstance(plans["full/id"].root.child, physical.LeapfrogJoin)
+        assert isinstance(plans["full/id"].root.child, operators.LeapfrogJoin)
 
 
 @_cases
@@ -240,7 +240,7 @@ def test_a_distinct_plan_under_initial_bindings(join):
     dropping = physical.lower_bgp(graph, nodes, project=project, distinct=project)
     keeping = physical.lower_bgp(graph, nodes, project=project)
     assert dropping.root.distinct and not keeping.root.distinct
-    assert isinstance(dropping.root.child, physical.LeapfrogJoin) is (join == "leapfrog")
+    assert isinstance(dropping.root.child, operators.LeapfrogJoin) is (join == "leapfrog")
     for initial in initials:
         kept = list(physical.execute(keeping, graph, initial=initial))
         dropped = list(physical.execute(dropping, graph, initial=initial))

@@ -123,3 +123,75 @@ def test_tier1_asserts_counts_not_clocks():
                     if name.split(".")[0] == "time" or name == "perf_counter"
                 ]
     assert offences == []
+
+
+def test_imports_point_one_way_and_modules_stay_small():
+    """The layering of ``src/repro`` as the code states it: the module import
+    graph — every ``import`` statement, at any nesting level, ``TYPE_CHECKING``
+    blocks included — has no cycle, no module is over 1 000 lines, the Datalog
+    engine and T_S stay clear of the SPARQL physical layer and evaluator, and
+    no module reaches into another for the private names a cycle used to hide."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sources = {}
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        sources[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    # (module, name) that may only be spelt inside ``module`` itself.
+    private = {
+        ("plan", "_match_path"),
+        ("idpaths", "_ABSENT"),
+        ("idexec", "_FREE"),
+        ("physical", "_condition_label"),
+    }
+    offences = []
+    imports = {module: set() for module in sources}
+    for module, path in sources.items():
+        source = path.read_text(encoding="utf-8")
+        lines = source.count("\n")
+        if lines > 1000:
+            offences.append(f"{module}: {lines} lines")
+        package_of = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                targets = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # ``from ..x import y`` counts from the package the module is in.
+                above = package_of.split(".")[: len(package_of.split(".")) + 1 - node.level]
+                origin = ".".join([*(above if node.level else []), *filter(None, [node.module])])
+                targets = [(origin, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (node.value.id, node.attr) in private:
+                    offences.append(f"{module}: {node.value.id}.{node.attr}")
+                continue
+            else:
+                continue
+            for origin, name in targets:
+                if (origin.rpartition(".")[2], name) in private:
+                    offences.append(f"{module}: imports {name} from {origin}")
+                # ``from package import submodule`` is an import of the submodule.
+                target = f"{origin}.{name}" if f"{origin}.{name}" in sources else origin
+                if target in sources and target != module:
+                    imports[module].add(target)
+    for module, targets in imports.items():
+        if module.startswith("repro.datalog") or module == "repro.core.solution_translation":
+            offences += [
+                f"{module}: imports {target}"
+                for target in sorted(targets & {"repro.sparql.physical", "repro.sparql.evaluator"})
+            ]
+
+    def reachable(start):
+        seen, stack = set(), [start]
+        while stack:
+            for target in imports[stack.pop()] - seen:
+                seen.add(target)
+                stack.append(target)
+        return seen
+
+    reach = {module: reachable(module) for module in imports}
+    cycles = {
+        tuple(sorted(other for other in reach[module] if module in reach[other]))
+        for module in imports
+        if module in reach[module]
+    }
+    offences += [f"import cycle: {', '.join(cycle)}" for cycle in sorted(cycles)]
+    assert offences == []

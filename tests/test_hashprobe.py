@@ -29,7 +29,7 @@ from repro.rdf.terms import (
     XSD_INTEGER,
     XSD_STRING,
 )
-from repro.sparql import physical
+from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, VariableExpr
@@ -99,7 +99,7 @@ def _evaluators(triples):
 
 
 def _hash_probes(plan):
-    return [op for op in plan.operators() if isinstance(op, physical.HashProbe)]
+    return [op for op in plan.operators() if isinstance(op, operators.HashProbe)]
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +356,7 @@ class TestCounters:
             # Project, join, Scan ?x kind A, Scan ?x name ?n, HashProbe, Scan ?y kind B —
             # the counts of the streamed scans, now a stream, an entry and a verdict.
             assert full == [(19, 0), (19, 0), (11, 1), (11, 11), (19, 11), (19, 19)]
-        if isinstance(join, physical.LeapfrogJoin):
+        if isinstance(join, operators.LeapfrogJoin):
             # Project, LeapfrogJoin, then per scan (candidate ids, sorted runs fetched).
             assert full == [(120, 0), (120, 0), (36, 7), (186, 36), (156, 31)]
         partial_stream = physical.execute(plan, graph)
@@ -554,7 +554,7 @@ class TestObservability:
         engine = create_engine(EncodedGraph(triples))
         triangle = "?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a ."
         assert len(engine.query(PREFIX + f"SELECT * WHERE {{ {triangle} FILTER(?a != ?b) }}")) == 3
-        assert isinstance(engine.evaluator.last_physical_plan.root.child, physical.LeapfrogJoin)
+        assert isinstance(engine.evaluator.last_physical_plan.root.child, operators.LeapfrogJoin)
         assert engine.metrics()["sparql_filter_term_fallbacks_total"] == 0
         assert len(engine.query(PREFIX + f"SELECT * WHERE {{ {triangle} FILTER(isIRI(?c)) }}")) == 3
         assert engine.metrics()["sparql_filter_term_fallbacks_total"] == 3

@@ -1,6 +1,6 @@
 """The id-space FILTER comparison kernels against the term-level semantics.
 
-:func:`repro.sparql.idexec.compile_condition` decides ``= != < <= > >=``
+:func:`repro.sparql.kernels.compile_condition` decides ``= != < <= > >=``
 between variables and/or constants on ids and memoised comparison keys;
 :func:`repro.sparql.expressions.satisfies` is what those six operators
 mean.  The two must agree on every pair of operands:
@@ -39,7 +39,7 @@ from repro.rdf.terms import (
 )
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr, satisfies
-from repro.sparql.idexec import HEADER, compile_condition, condition_kernel
+from repro.sparql.kernels import HEADER, compile_condition, condition_kernel
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding

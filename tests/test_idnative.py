@@ -34,12 +34,8 @@ from repro.sparql.expressions import (
     conjuncts,
 )
 from repro.sparql import physical
-from repro.sparql.idexec import (
-    HEADER,
-    compile_condition,
-    condition_kernel,
-    supports_id_execution,
-)
+from repro.sparql.idexec import supports_id_execution
+from repro.sparql.kernels import HEADER, compile_condition, condition_kernel
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding

@@ -293,24 +293,29 @@ class TestReevalFallback:
         engine.graph.remove(chain(2, 3))
         assert view.rows() == [(EX.n2,)]
 
-    def test_cyclic_bgp_leapfrog_plan_falls_back(self):
+    def test_cyclic_bgp_leapfrog_plan_is_maintained_by_deltas(self):
         triangle = (
             "PREFIX ex: <http://ex.org/>\n"
             "SELECT ?a ?b ?c WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }"
         )
         engine = create_engine(EncodedGraph([chain(1, 2), chain(2, 3)]))
         view = engine.materialize(triangle)
-        # The encoded backend lowers this cyclic BGP to LeapfrogJoin,
-        # which does not differentiate.
-        assert view.maintenance == "reeval"
+        # The encoded backend lowers this cyclic BGP to a multiway join; the
+        # delta reads its patterns, not its join operator.
+        assert "LeapfrogJoin" in engine.explain(triangle)
+        assert view.maintenance == "delta"
+        refreshes = engine.metrics()["ivm_view_refreshes_total"]
         engine.graph.add(chain(3, 1))
         assert len(view.rows()) == 3
+        engine.graph.remove(chain(1, 2))
+        assert view.rows() == []
+        assert engine.metrics()["ivm_view_refreshes_total"] == refreshes
 
     def test_irrelevant_predicate_batches_are_gated(self):
         engine = create_engine(EncodedGraph([chain(1, 2), chain(2, 3)]))
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\n"
-            "SELECT ?a ?c WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }"
+            "SELECT ?a ?c WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a } ORDER BY ?a"
         )
         assert view.maintenance == "reeval"
         view.rows()
@@ -762,12 +767,32 @@ class TestExplain:
         engine = create_engine(EncodedGraph([chain(1, 2)]))
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\n"
-            "SELECT ?a ?b ?c WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a }"
+            "SELECT ?a ?b ?c WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a } ORDER BY ?a"
         )
         assert view.explain() == (
             "MaterializedView maintenance=reeval\n"
-            "  reason: LeapfrogJoin plans do not differentiate\n"
+            "  reason: solution modifiers, aggregates or select expressions\n"
             "  re-evaluated after: batches touching <http://ex.org/p>, <http://ex.org/q>"
+        )
+
+    def test_cyclic_view_golden(self):
+        # A LeapfrogJoin plan: the same seeds and probes as any other join.
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
+        view = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\n"
+            "SELECT ?a ?b ?c WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a }"
+        )
+        assert view.explain() == (
+            "MaterializedView maintenance=delta keys=id\n"
+            "  seed #0 (?b <http://ex.org/q> ?c)\n"
+            "    probe #1 (?a <http://ex.org/p> ?b) state=old\n"
+            "    probe #2 (?c <http://ex.org/p> ?a) state=old\n"
+            "  seed #1 (?a <http://ex.org/p> ?b)\n"
+            "    probe #0 (?b <http://ex.org/q> ?c) state=new\n"
+            "    probe #2 (?c <http://ex.org/p> ?a) state=old\n"
+            "  seed #2 (?c <http://ex.org/p> ?a)\n"
+            "    probe #0 (?b <http://ex.org/q> ?c) state=new\n"
+            "    probe #1 (?a <http://ex.org/p> ?b) state=new"
         )
 
     def test_apply_span_reports_seed_matches(self):
@@ -884,6 +909,12 @@ _SELF_JOINS = [
         tp(_VARIABLES[2], EX.q, _NODES[0]),
     ),
     (tp(_VARIABLES[0], _VARIABLES[1], _VARIABLES[2]), tp(_VARIABLES[2], EX.p, _VARIABLES[0])),
+    # Cyclic: a LeapfrogJoin plan on the encoded backend.
+    (
+        tp(_VARIABLES[0], EX.p, _VARIABLES[1]),
+        tp(_VARIABLES[1], EX.p, _VARIABLES[2]),
+        tp(_VARIABLES[2], EX.p, _VARIABLES[0]),
+    ),
 ]
 _small_edge = st.tuples(
     st.sampled_from(_NODES[:4]), st.sampled_from(_PREDICATES), st.sampled_from(_NODES[:4])

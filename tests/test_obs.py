@@ -329,7 +329,7 @@ class TestEvaluatorObservability:
         counters = evaluator.last_physical_plan.counters()
         assert counters[0]["rows"] == 1  # stopped after the first witness
 
-    def test_wcoj_fallback_warns_counts_and_traces(self, caplog):
+    def test_wcoj_fallback_counts_and_traces_without_a_warning(self, caplog):
         tracer = Tracer("f")
         evaluator = SparqlEvaluator(
             Dataset.from_graph(EncodedGraph(_TRIPLES)), tracer=tracer
@@ -339,10 +339,12 @@ class TestEvaluatorObservability:
         query = parse_query(
             PREFIX + "SELECT * WHERE { ?a ?p ?b . ?b ?p ?c . ?c ?p ?a }"
         )
-        with caplog.at_level(logging.WARNING, logger="repro.sparql.physical"):
+        with caplog.at_level(logging.DEBUG):
             evaluator.evaluate(query)
-        assert "variable predicate" in caplog.text
-        assert "WCOJ selection rejected" in caplog.text
+        # A counter, a span annotation, a plan field and a line of explain
+        # say it; under write churn (one fresh lowering per store version)
+        # a log record per rejection would be noise.
+        assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
         assert evaluator.metrics()["sparql_wcoj_fallback_total"] == 1
         assert evaluator.last_physical_plan.wcoj_fallback == "variable predicate"
         execute = next(span for span in tracer.spans if span.name == "execute")

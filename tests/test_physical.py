@@ -30,16 +30,10 @@ from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.parser import parse_query
-from repro.sparql.physical import (
-    IndexNestedLoopJoin,
-    LeapfrogJoin,
-    PathExpand,
-    Scan,
-    _leapfrog_intersect,
-    is_cyclic,
-    lower_bgp,
-    supports_leapfrog,
-)
+from repro.sparql.leapfrog import intersect, supports_leapfrog
+from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin, PathExpand, Scan
+from repro.sparql.ordering import is_cyclic
+from repro.sparql.physical import lower_bgp
 from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph, bulk_load_ntriples
@@ -103,30 +97,30 @@ class TestIsCyclic:
 # ----------------------------------------------------------------------
 class TestLeapfrogIntersect:
     def test_no_arrays_yields_nothing(self):
-        assert list(_leapfrog_intersect([])) == []
+        assert list(intersect([])) == []
 
     def test_single_array_yields_all(self):
-        assert list(_leapfrog_intersect([[1, 4, 9]])) == [1, 4, 9]
+        assert list(intersect([[1, 4, 9]])) == [1, 4, 9]
 
     def test_empty_member_short_circuits(self):
-        assert list(_leapfrog_intersect([[1, 2, 3], []])) == []
+        assert list(intersect([[1, 2, 3], []])) == []
 
     def test_pairwise_intersection(self):
-        assert list(_leapfrog_intersect([[1, 3, 5, 7], [2, 3, 6, 7]])) == [3, 7]
+        assert list(intersect([[1, 3, 5, 7], [2, 3, 6, 7]])) == [3, 7]
 
     def test_three_way_intersection(self):
         arrays = [[1, 2, 3, 4, 5], [2, 4, 6, 8], [4, 5, 6, 7]]
-        assert list(_leapfrog_intersect(arrays)) == [4]
+        assert list(intersect(arrays)) == [4]
 
     def test_disjoint_arrays(self):
-        assert list(_leapfrog_intersect([[1, 3], [2, 4]])) == []
+        assert list(intersect([[1, 3], [2, 4]])) == []
 
     def test_identical_arrays(self):
-        assert list(_leapfrog_intersect([[2, 5, 8], [2, 5, 8], [2, 5, 8]])) == [2, 5, 8]
+        assert list(intersect([[2, 5, 8], [2, 5, 8], [2, 5, 8]])) == [2, 5, 8]
 
     def test_skewed_galloping(self):
         wide = list(range(0, 10_000, 3))
-        assert list(_leapfrog_intersect([wide, [9, 27, 5000, 9998]])) == [9, 27]
+        assert list(intersect([wide, [9, 27, 5000, 9998]])) == [9, 27]
 
 
 # ----------------------------------------------------------------------

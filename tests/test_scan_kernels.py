@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Triple, Variable, XSD_INTEGER
-from repro.sparql import idexec, physical
+from repro.sparql import idexec, operators, physical
 from repro.sparql.algebra import TriplePatternNode, peel_filters
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
@@ -79,7 +79,7 @@ def _oracle(triples, patterns, filter_text, initial: Binding, select: str = "*")
 
 
 def _scans(plan):
-    return [op for op in plan.operators() if isinstance(op, physical.Scan)]
+    return [op for op in plan.operators() if isinstance(op, operators.Scan)]
 
 
 # ----------------------------------------------------------------------

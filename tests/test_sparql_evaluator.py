@@ -339,7 +339,7 @@ class TestOrderByEdgeCases:
         assert subjects == sorted(subjects, reverse=True)
 
     def test_reversed_wrapper_rejects_foreign_comparand(self):
-        from repro.sparql.evaluator import _Reversed
+        from repro.sparql.modifiers import _Reversed
 
         with pytest.raises(TypeError):
             _Reversed((1, "a")) < (1, "a")

@@ -20,6 +20,7 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, RDF, Literal, Triple, Variable
 from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
+from repro.sparql.modifiers import apply_order_by
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 from repro.workloads.sp2bench import SP2BenchWorkload
@@ -570,7 +571,7 @@ class TestSolutionTranslation:
 
 
 class TestSolutionTranslationOrderBy:
-    """The translated-solution engine shares the evaluator's comparator."""
+    """The comparator both engines order by (:func:`repro.sparql.modifiers.apply_modifiers`)."""
 
     def _rows(self):
         lastname = Variable("l")
@@ -580,8 +581,8 @@ class TestSolutionTranslationOrderBy:
 
     def test_unbound_sorts_first_ascending(self):
         lastname, bound, unbound = self._rows()
-        ordered = SolutionTranslator._order(
-            [bound, unbound], (OrderCondition(VariableExpr(lastname), True),)
+        ordered = apply_order_by(
+            (OrderCondition(VariableExpr(lastname), True),), [bound, unbound]
         )
         assert ordered == [unbound, bound]
 
@@ -590,7 +591,7 @@ class TestSolutionTranslationOrderBy:
         # whole ordering, so unbound keys move to the end (reference-engine
         # behaviour), in the translation exactly as in the evaluator.
         lastname, bound, unbound = self._rows()
-        ordered = SolutionTranslator._order(
-            [unbound, bound], (OrderCondition(VariableExpr(lastname), False),)
+        ordered = apply_order_by(
+            (OrderCondition(VariableExpr(lastname), False),), [unbound, bound]
         )
         assert ordered == [bound, unbound]
