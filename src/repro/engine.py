@@ -7,12 +7,13 @@ parse queries yourself.  :func:`create_engine` assembles all of it into
 one :class:`Engine` handle:
 
 * ``engine.query(...)`` — parse + evaluate (SELECT → solution sequence,
-  ASK → bool); a query text is parsed once per engine,
+  ASK → bool); a query text is parsed and prepared
+  (:mod:`repro.sparql.evaltree`) once per engine,
 * ``engine.materialize(...)`` — a live :class:`~repro.ivm.views.MaterializedView`
   maintained through change capture (see :mod:`repro.ivm`),
 * ``engine.explain(...)`` / ``engine.explain_analyze(...)`` — plan
   inspection,
-* ``engine.metrics()`` — the evaluator's metric snapshot (plan caches,
+* ``engine.metrics()`` — the evaluator's metric snapshot (plan cache,
   WCOJ fallbacks, IVM counters),
 * ``engine.close()`` — detaches every live view; the engine is a context
   manager.
@@ -28,6 +29,7 @@ from typing import Optional, Union
 
 from repro.rdf.graph import Dataset, Graph
 from repro.sparql.algebra import Query
+from repro.sparql.evaltree import PreparedQuery
 from repro.sparql.evaluator import ExplainAnalyzeReport, SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.plancache import BoundedMap
@@ -37,12 +39,12 @@ from repro.ivm.views import MaterializedView, ViewRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
 
 
-#: How many query texts an engine keeps parsed.
+#: How many query texts an engine keeps parsed and prepared.
 PARSED_TEXTS = 256
 
 
 class Engine:
-    """One session over a dataset: evaluator, plan caches, live views."""
+    """One session over a dataset: evaluator, plan cache, live views."""
 
     def __init__(
         self,
@@ -53,7 +55,8 @@ class Engine:
         self.dataset = dataset
         self.evaluator = SparqlEvaluator(dataset, profile=profile, tracer=tracer)
         self.views = ViewRegistry(self.evaluator, tracer)
-        # text -> algebra; the nodes are frozen, so every caller shares them.
+        # text -> algebra + evaluation tree: pure in the text and the profile,
+        # and the nodes are frozen, so every caller shares them.
         self._parsed = BoundedMap(PARSED_TEXTS)
         self._parsed.bind_metrics(
             self.evaluator.metrics_registry, "sparql_parse_cache", "Query texts"
@@ -82,20 +85,22 @@ class Engine:
         )
 
     # -- querying ------------------------------------------------------
-    def _parse(self, query: Union[str, Query]) -> Query:
-        """The algebra of ``query``; a text is parsed the first time it is seen."""
+    def _prepare(self, query: Union[str, Query]) -> Union[Query, PreparedQuery]:
+        """A text parsed and prepared, the first time it is seen only; a parsed
+        query as it is (the evaluator prepares it on the spot)."""
         if isinstance(query, str):
-            return self._parsed.get(query, self._parse_text)
+            return self._parsed.get(query, self._prepare_text)
         return query
 
-    def _parse_text(self, text: str) -> Query:
+    def _prepare_text(self, text: str) -> PreparedQuery:
         tracer = self.tracer
         with tracer.span("parse") if tracer is not None else NULL_SPAN:
-            return parse_query(text)
+            query = parse_query(text)
+        return self.evaluator.prepare(query)
 
     def query(self, query: Union[str, Query]) -> Union[SolutionSequence, bool]:
         """Parse (if needed) and evaluate a SPARQL query."""
-        return self.evaluator.evaluate(self._parse(query))
+        return self.evaluator.evaluate(self._prepare(query))
 
     def explain(self, query: Union[str, Query]) -> str:
         """Render the physical plan of the query's BGP.
@@ -104,11 +109,11 @@ class Engine:
         pattern, each optionally FILTER-wrapped, and shows the plan
         :meth:`query` runs — with one exception: a *bare* lone pattern
         (no FILTER over it) is answered by ``query`` from a direct index
-        probe, because a plan-cache miss (~65 µs to plan, lower and
-        compile) costs ten times the probe; for it the rendering is the
-        plan of the equivalent singleton BGP.
+        probe (:mod:`repro.sparql.evaltree` has the rule and the
+        measurement behind it); for it the rendering is the plan of the
+        equivalent singleton BGP.
         """
-        return self.evaluator.explain(self._parse(query))
+        return self.evaluator.explain(self._prepare(query))
 
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeReport:
         """Execute the query's BGP and render the plan with measured counters.
@@ -117,10 +122,10 @@ class Engine:
         *bare* lone pattern is measured here as a singleton BGP on the
         physical layer, while :meth:`query` probes the index directly.
         """
-        return self.evaluator.explain_analyze(self._parse(query))
+        return self.evaluator.explain_analyze(self._prepare(query))
 
     def metrics(self):
-        """Snapshot every engine metric (plan caches, IVM, store)."""
+        """Snapshot every engine metric (plan cache, IVM, store)."""
         return self.evaluator.metrics()
 
     # -- live views ----------------------------------------------------
@@ -136,7 +141,9 @@ class Engine:
         """
         if self._closed:
             raise RuntimeError("engine is closed")
-        return self.views.materialize(self._parse(query), graph=graph)
+        if isinstance(query, str):
+            query = self._prepare(query).query
+        return self.views.materialize(query, graph=graph)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -1,12 +1,12 @@
-"""Incremental view maintenance (IVM) over the physical operator layer.
+"""Incremental view maintenance (IVM).
 
 Z-set (weighted-multiset) deltas flow from the stores' change-capture
-hooks through differentiated physical plans into continuously
-maintained materialized views:
+hooks through differentiated joins into continuously maintained
+materialized views:
 
 * :mod:`repro.ivm.zset` — the ±weighted-row primitives,
-* :mod:`repro.ivm.delta` — differentiation of physical BGP plans
-  (:func:`~repro.ivm.delta.differentiate`, :class:`~repro.ivm.delta.DeltaPipeline`),
+* :mod:`repro.ivm.delta` — the differentiated join of a pipeline's triple
+  patterns (:class:`~repro.ivm.delta.DeltaPipeline`),
 * :mod:`repro.ivm.views` — :class:`~repro.ivm.views.MaterializedView` and
   the :class:`~repro.ivm.views.ViewRegistry` that feeds views from change
   capture.
@@ -23,7 +23,7 @@ The public entry point is the engine facade::
     view.rows()   # always current, maintained in O(|change|)
 """
 
-from repro.ivm.delta import DeltaPipeline, DeltaStats, differentiate
+from repro.ivm.delta import DeltaPipeline, DeltaStats
 from repro.ivm.views import MaterializedView, ViewRegistry
 from repro.ivm.zset import (
     ZSet,
@@ -41,7 +41,6 @@ __all__ = [
     "MaterializedView",
     "ViewRegistry",
     "ZSet",
-    "differentiate",
     "zset_add",
     "zset_diff",
     "zset_expand",

@@ -1,13 +1,12 @@
-"""Differentiated BGP plans: O(|Δ|) maintenance of join views.
+"""Differentiated BGPs: O(|Δ|) maintenance of join views.
 
-The physical layer (:mod:`repro.sparql.physical`) executes a BGP as a
-``Project ∘ Filter? ∘ join`` DAG over ``Scan`` leaves.  This module
-*differentiates* that DAG: :func:`differentiate` turns an eligible
-:class:`~repro.sparql.operators.PhysicalPlan` into a
-:class:`DeltaPipeline` whose :meth:`~DeltaPipeline.apply` consumes a
-±1-weighted batch of triple changes and emits the exact Z-set of result
-rows the change adds to / retracts from the view — without re-running
-the query.
+A query whose evaluation tree is one
+:class:`~repro.sparql.evaltree.Pipeline` of triple patterns runs as a
+join under FILTER conjuncts.  This module *differentiates* that join: a
+:class:`DeltaPipeline` over the pipeline's triples and conjuncts
+consumes, in :meth:`~DeltaPipeline.apply`, a ±1-weighted batch of triple
+changes and emits the exact Z-set of result rows the change adds to /
+retracts from the view — without re-running the query.
 
 The maintenance rule is the classical join differentiation (counting
 algorithm of Gupta/Mumick, the linear case of DBSP's bilinear-operator
@@ -46,11 +45,13 @@ resolve lazily — one that is in no triple yet matches nothing and is
 looked up again on the next batch — so a compiled pipeline stays valid
 for the life of its graph.
 
-The differentiated join reads a plan's patterns and conjuncts, never its
-join operator: joins commute, so a binary and a multiway plan of one BGP
-have the same delta.  Only a plan with a property-path step is not
-differentiated — :func:`differentiate` returns ``None`` and the view
-layer (:mod:`repro.ivm.views`) re-evaluates instead.
+The differentiated join takes the patterns as written, not a physical
+plan: joins commute and the telescoped sum is exact for any fixed order
+of the factors, so however the query itself is planned (binary or
+multiway) the delta is the same, and the probe order per seed is this
+module's own (:func:`_probe_order`).  A pipeline with a property-path
+pattern is not differentiated: the view layer (:mod:`repro.ivm.views`)
+re-evaluates instead.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Triple, Variable
 from repro.sparql import idexec
-from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.expressions import Expression, satisfies
 from repro.sparql.kernels import FREE, HEADER, Registers, Test, condition_kernel
-from repro.sparql.operators import PhysicalPlan, condition_label
+from repro.sparql.operators import condition_label
 from repro.sparql.solutions import EMPTY_BINDING
+from repro.store.encoded import is_id_store
 from repro.ivm.zset import ZSet
 
 #: One change-capture batch, as delivered by the store listeners.
@@ -230,7 +231,9 @@ def _shift(registers: Registers, side: int, triple: KeyTriple, weight: int) -> N
 
 
 class DeltaPipeline:
-    """The differentiated form of one physical BGP plan.
+    """The differentiated form of one BGP of triple patterns under
+    FILTER ``conditions``; ``variables`` fixes the projection of the
+    emitted row deltas.
 
     :meth:`apply` maps a change batch to the Z-set of projected result
     rows it adds (positive weights) and retracts (negative weights),
@@ -248,9 +251,7 @@ class DeltaPipeline:
         self.patterns = tuple(patterns)
         self.variables = tuple(variables)
         self.stats = DeltaStats()
-        self.space = idexec.key_space(
-            graph, "id" if idexec.supports_id_execution(graph) else "term"
-        )
+        self.space = idexec.key_space(graph, "id" if is_id_store(graph) else "term")
         match = self.space.match
         if self.space.name == "id":
             # A view outlives an execution: read the probe off the instance
@@ -418,25 +419,3 @@ class DeltaPipeline:
                     f"state={state}{anchored(conditions)}"
                 )
         return lines
-
-
-def differentiate(
-    plan: PhysicalPlan,
-    graph,
-    variables: Sequence[Variable],
-) -> Optional[DeltaPipeline]:
-    """Differentiate a lowered physical plan, or ``None`` if ineligible.
-
-    Eligible is every plan whose leaves are triple patterns, whatever
-    joins them: the pipeline takes the patterns in plan order and every
-    FILTER conjunct an operator decides (a ``HashProbe`` is the scan and
-    the equality it stands for — a delta touches one side of the implicit
-    join at a time), and anchors them itself.  A plan with a property-path
-    step returns ``None``; its view is maintained by scoped re-evaluation.
-    ``variables`` fixes the projection of the emitted row deltas.
-    """
-    nodes = [step.node for step in plan.source.steps]
-    if not all(isinstance(node, TriplePatternNode) for node in nodes):
-        return None
-    conjuncts = [c for operator in plan.operators() for c in operator.conjuncts()]
-    return DeltaPipeline(graph, [node.triple for node in nodes], conjuncts, variables)

@@ -6,9 +6,10 @@ change-capture listener per watched graph (the hook added to
 ``Graph.add/remove`` and ``EncodedGraph``'s insert/remove paths) and
 routes every ±1-weighted triple batch to the views over that graph:
 
-* **Delta maintenance** — queries whose physical plan differentiates
-  (all-triple BGPs plus FILTER, see :mod:`repro.ivm.delta`) are
-  updated in O(|Δ|) through a :class:`~repro.ivm.delta.DeltaPipeline`.
+* **Delta maintenance** — queries whose evaluation tree is one pipeline
+  of triple patterns (an all-triple BGP plus FILTER, see
+  :mod:`repro.ivm.delta`) are updated in O(|Δ|) through a
+  :class:`~repro.ivm.delta.DeltaPipeline`.
 
 * **Scoped re-evaluation** — every other supported query (property
   paths, UNION/OPTIONAL/MINUS, solution modifiers) falls
@@ -55,7 +56,8 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.parser import parse_query
 from repro.sparql.solutions import SolutionSequence
-from repro.ivm.delta import DeltaBatch, DeltaPipeline, RowDelta, differentiate
+from repro.sparql.evaltree import PreparedQuery
+from repro.ivm.delta import DeltaBatch, DeltaPipeline, RowDelta
 from repro.ivm.zset import ZSet, zset_diff, zset_from_rows
 
 #: A view row: terms aligned with the view's projected variables.
@@ -108,7 +110,7 @@ class MaterializedView:
         self,
         registry: "ViewRegistry",
         query: SelectQuery,
-        state_query: SelectQuery,
+        state_query: PreparedQuery,
         graph,
         pipeline: Optional[DeltaPipeline],
         distinct: bool,
@@ -139,7 +141,7 @@ class MaterializedView:
     # -- introspection -------------------------------------------------
     @property
     def maintenance(self) -> str:
-        """``"delta"`` (differentiated plan) or ``"reeval"`` (fallback)."""
+        """``"delta"`` (differentiated join) or ``"reeval"`` (fallback)."""
         return "delta" if self._pipeline is not None else "reeval"
 
     @property
@@ -446,18 +448,19 @@ class ViewRegistry:
 
     def _build_maintenance(
         self, query: SelectQuery, graph
-    ) -> Tuple[Optional[DeltaPipeline], Optional[str], SelectQuery, bool]:
+    ) -> Tuple[Optional[DeltaPipeline], Optional[str], PreparedQuery, bool]:
         """Choose delta vs. re-eval maintenance for ``query``.
 
-        Returns ``(pipeline, reason, state query, distinct)``: a delta
-        pipeline, or ``None`` and why not.  Delta eligibility: no
+        Returns ``(pipeline, reason, prepared state query, distinct)``: a
+        delta pipeline, or ``None`` and why not.  Delta eligibility: no
         solution modifiers beyond DISTINCT/REDUCED, plain-variable
-        projection, and a pattern peeling (FILTER*) down to a plannable
-        all-triple BGP, whose lowered plan differentiates whatever its
-        join operator.  DISTINCT is handled by
+        projection, and an evaluation tree that is one pipeline of triple
+        patterns (:attr:`~repro.sparql.evaltree.PreparedQuery.pipeline`),
+        however the query itself is planned.  DISTINCT is handled by
         maintaining the un-DISTINCT state (multiplicities are required to
         know when a deletion empties a row) and presenting the support.
         """
+        prepared = self.evaluator.prepare(query)
         distinct = query.distinct or query.reduced
         if (
             query.order_by
@@ -468,32 +471,30 @@ class ViewRegistry:
             or query.has_aggregates()
             or any(item.expression is not None for item in query.projection)
         ):
-            return None, "solution modifiers, aggregates or select expressions", query, False
-        evaluator = self.evaluator
-        if not evaluator.profile.use_planner:
-            return None, "the profile runs without the planner", query, False
-        # The evaluator's definition of a planned pipeline, with the
-        # differentiation as what is pushed into a lone pattern.
-        planned = evaluator._pipeline(query.pattern, pushing=True)
+            return None, "solution modifiers, aggregates or select expressions", prepared, False
+        planned = prepared.pipeline
         if (
             planned is None
-            or not planned[0].patterns
-            or not all(isinstance(p, TriplePatternNode) for p in planned[0].patterns)
+            or not planned.bgp.patterns
+            or not all(isinstance(p, TriplePatternNode) for p in planned.bgp.patterns)
         ):
-            return None, "the pattern is not a FILTER-wrapped BGP of triple patterns", query, False
-        bgp, conditions = planned
-        plan = evaluator.lowered_plans.get(graph, bgp.patterns, conditions, evaluator.profile)
-        pipeline = differentiate(plan, graph, query.projected_variables())
-        state_query = (
-            replace(query, distinct=False, reduced=False) if distinct else query
+            reason = "the pattern is not a FILTER-wrapped BGP of triple patterns"
+            return None, reason, prepared, False
+        pipeline = DeltaPipeline(
+            graph,
+            [node.triple for node in planned.bgp.patterns],
+            planned.conditions,
+            query.projected_variables(),
         )
-        return pipeline, None, state_query, distinct
+        if distinct:
+            prepared = self.evaluator.prepare(replace(query, distinct=False, reduced=False))
+        return pipeline, None, prepared, distinct
 
     def _state_evaluator(self, graph):
         """The evaluator that re-evaluates views watching ``graph``.
 
         Views on the default graph share the registry's evaluator (and
-        its plan caches); a view over any other graph gets a dedicated
+        its plan cache); a view over any other graph gets a dedicated
         evaluator with the same profile and tracer, so its state is
         always computed against the graph it actually watches.
         """

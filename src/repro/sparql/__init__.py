@@ -20,6 +20,8 @@ multisets.  The modules, lowest first — each imports only modules above
 it in this table:
 
 =============  ============================================================
+``evaltree``   algebra -> evaluation tree, once per query: ``Pipeline``,
+               where each FILTER conjunct goes, ``prepare_query``
 ``ordering``   ``greedy_order`` / ``select_cheapest`` (shared with the
                Datalog engine's body ordering), ``is_cyclic`` (GYO)
 ``plan``       cost model over the graph's exact statistics, ``plan_bgp``
@@ -36,7 +38,8 @@ it in this table:
                profile) and ``execute``
 ``modifiers``  grouping, aggregates and the ORDER BY -> DISTINCT -> OFFSET
                -> LIMIT tail, shared with the solution translation T_S
-``evaluator``  the algebra walk, plan caches, ``explain[_analyze]``
+``evaluator``  the walk over the evaluation tree, the plan cache,
+               ``explain[_analyze]``
 =============  ============================================================
 
 All of it is configured by one value, an
@@ -75,8 +78,7 @@ from repro.sparql.paths import (
 )
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.idpaths import IdPathEngine, supports_id_paths
-from repro.sparql.leapfrog import supports_leapfrog
+from repro.sparql.idpaths import IdPathEngine
 from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin, PhysicalPlan
 from repro.sparql.physical import lower_bgp, lower_plan
 from repro.sparql.plan import BGPPlan, PlanStep, plan_bgp
@@ -120,6 +122,4 @@ __all__ = [
     "lower_plan",
     "parse_query",
     "plan_bgp",
-    "supports_id_paths",
-    "supports_leapfrog",
 ]

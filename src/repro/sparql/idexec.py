@@ -82,7 +82,6 @@ from repro.sparql.kernels import (
     MATCH,
     MEMBER,
     OBJECTS,
-    PATH_ENGINE,
     PATH_EVALUATOR,
     PREDICATES,
     RESULTS,
@@ -100,25 +99,6 @@ from repro.sparql.paths import matches_zero_length, normalize_path
 from repro.sparql.plan import PathEvaluator
 from repro.sparql.solutions import Binding, EMPTY_BINDING
 from repro.store.dictionary import TermDictionary
-from repro.store.encoded import PROBE_SURFACE
-
-
-def supports_id_execution(graph: object) -> bool:
-    """True when ``graph`` exposes the id-level store surface.
-
-    Duck-typed rather than an ``isinstance`` check so alternative encoded
-    backends (a future sharded store, mmap snapshots, ...) opt in by
-    implementing a ``dictionary``
-    (:class:`~repro.store.dictionary.TermDictionary`) and the id probe
-    surface (:data:`repro.store.encoded.PROBE_SURFACE`): the general probe
-    ``match_triple_ids(s, p, o)`` (``None`` = wildcard, id triples out) and
-    the four dict-lookup probes of the shapes with at most one free
-    position — ``contains_ids(s, p, o)`` (a verdict) and
-    ``object_entry_ids(s, p)`` / ``subject_entry_ids(p, o)`` /
-    ``predicate_entry_ids(s, o)``, each returning ``None``, the one
-    matching id, or the set of them.
-    """
-    return hasattr(graph, "dictionary") and all(hasattr(graph, name) for name in PROBE_SURFACE)
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +125,8 @@ class KeySpace(NamedTuple):
     match: Callable[[Optional[Key], Optional[Key], Optional[Key]], Iterable[KeyTriple]]
     #: Id space: the store's dict-lookup probes of the shapes with at most
     #: one free position — ``contains_ids``, ``object_entry_ids``,
-    #: ``subject_entry_ids``, ``predicate_entry_ids`` (see
-    #: :func:`supports_id_execution`), fetched per execution like ``match``.
+    #: ``subject_entry_ids``, ``predicate_entry_ids``
+    #: (:data:`repro.store.encoded.PROBE_SURFACE`), fetched per execution like ``match``.
     #: Term space has none: four ``None``.
     entries: Tuple[Optional[Callable], Optional[Callable], Optional[Callable], Optional[Callable]]
     #: ``(conjuncts, register_of, bound)`` -> one test over the registers.
@@ -318,7 +298,6 @@ def run(
     plan,
     graph,
     path_evaluator,
-    path_engine: Optional[IdPathEngine],
     initial: Binding,
     timed_iter: Optional[Callable],
     term_fallbacks,
@@ -334,7 +313,7 @@ def run(
     form = (domain, plan.root.distinct)
     compiled = plan._compiled.get(form)
     if compiled is None or compiled.version != graph.version or compiled.key_of != space.key_of:
-        compiled = plan._compiled[form] = _compile(plan, graph, space, set(domain), path_engine)
+        compiled = plan._compiled[form] = _compile(plan, graph, space, set(domain))
     if compiled.first is None:
         return iter(())
     if compiled.needs_paths and path_evaluator is None:
@@ -349,7 +328,6 @@ def run(
     ) = space.entries
     registers[TIMED] = timed_iter
     registers[GRAPH] = graph
-    registers[PATH_ENGINE] = path_engine
     registers[PATH_EVALUATOR] = path_evaluator
     # encode (not key_of): an initial term outside the graph gets a fresh
     # id that simply never matches a probe — as the term itself does in
@@ -376,7 +354,7 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
             term_fallbacks.inc(registers[FALLBACKS])
 
 
-def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[IdPathEngine]):
+def _compile(plan, graph, space, domain: Set[Variable]):
     """Compile ``plan`` for executions whose initial binding has ``domain``."""
     compiled = CompiledPipeline(space.key_of, graph.version)
     template = compiled.template
@@ -475,7 +453,7 @@ def _compile(plan, graph, space, domain: Set[Variable], path_engine: Optional[Id
                     dictionary=graph.dictionary,
                 )
         elif leaf.mode == "id":
-            engine = path_engine if path_engine is not None else IdPathEngine(graph)
+            engine = IdPathEngine(graph)
             path = normalize_path(node.path)
 
             def endpoint_id(part):
@@ -851,9 +829,7 @@ def _id_path_rows(
     looped = subject_target is not None and subject_target == object_target
 
     def rows(registers: Registers) -> Iterable:
-        engine = registers[PATH_ENGINE]
-        if engine is None:
-            engine = registers[PATH_ENGINE] = IdPathEngine(registers[GRAPH])
+        engine = IdPathEngine(registers[GRAPH])
         for register in node_checks:
             if not engine.is_node(registers[register]):
                 return

@@ -87,46 +87,23 @@ _CLOSURE_FACTOR = 4.0
 ABSENT = object()
 
 
-def supports_id_paths(graph: object) -> bool:
-    """True when ``graph`` exposes the id-level navigation surface.
-
-    Duck-typed like :func:`repro.sparql.idexec.supports_id_execution`:
-    any backend providing the dictionary plus the id navigation methods
-    (``node_ids``, ``objects_for_ids``, ...) can host the path engine.
-    """
-    return all(
-        hasattr(graph, name)
-        for name in (
-            "dictionary",
-            "match_triple_ids",
-            "pattern_cardinality_ids",
-            "node_ids",
-            "predicate_ids",
-            "objects_for_ids",
-            "subjects_for_ids",
-            "out_edges_ids",
-            "in_edges_ids",
-            "distinct_subjects_ids",
-            "distinct_objects_ids",
-            "distinct_predicates",
-        )
-    )
-
-
 class IdPathEngine:
-    """Evaluates property paths over an id-capable graph (encoded store)."""
+    """Evaluates property paths over the encoded store.
 
-    __slots__ = ("_graph", "_dict", "_nodes_cache", "_nodes_version")
+    Stateless beyond the graph it reads: building one costs nothing, and
+    the node-id set it consults is the store's (``node_ids()``, kept per
+    version stamp there).
+    """
+
+    __slots__ = ("_graph", "_dict")
 
     def __init__(self, graph) -> None:
         self._graph = graph
         self._dict = graph.dictionary
-        self._nodes_cache: Optional[Set[int]] = None
-        self._nodes_version: Optional[int] = None
 
     @property
     def graph(self):
-        """The id-capable graph this engine evaluates over."""
+        """The encoded graph this engine evaluates over."""
         return self._graph
 
     # ------------------------------------------------------------------
@@ -137,7 +114,7 @@ class IdPathEngine:
 
         Multiset-identical to :func:`repro.sparql.alp.eval_path_pattern_terms`;
         used by the evaluator when the profile allows id paths and the
-        active graph is id-capable.
+        active graph is the encoded store.
         """
         path = normalize_path(node.path)
         subject, obj = node.subject, node.object
@@ -167,7 +144,7 @@ class IdPathEngine:
 
     def is_node(self, term_id: int) -> bool:
         """True when the id occurs in subject or object position."""
-        return term_id in self._nodes()
+        return term_id in self._graph.node_ids()
 
     def endpoint_id(self, part, path: PropertyPath):
         """Resolve a syntactic endpoint to an id without growing the store.
@@ -391,7 +368,7 @@ class IdPathEngine:
             return {(subject, subject)}
         if obj is not None:
             return {(obj, obj)}
-        return {(node, node) for node in self._nodes()}
+        return {(node, node) for node in self._graph.node_ids()}
 
     # ------------------------------------------------------------------
     # closure expansion
@@ -427,7 +404,7 @@ class IdPathEngine:
             return
         # Two free endpoints: per-start expansion from the smaller side.
         _, sources, targets = self.relation_stats(inner)
-        nodes = self._nodes()
+        nodes = self._graph.node_ids()
         pairs: Set[IdPair] = set()
         if sources <= targets:
             step = self._forward_step(inner)
@@ -608,14 +585,3 @@ class IdPathEngine:
             subjects_for = self._graph.subjects_for_ids
             return lambda node: subjects_for(pid, node)
         return self._forward_step(reverse_path(path))
-
-    # ------------------------------------------------------------------
-    # node-set cache
-    # ------------------------------------------------------------------
-    def _nodes(self) -> Set[int]:
-        """Ids of every graph node, cached per graph mutation stamp."""
-        version = getattr(self._graph, "version", None)
-        if self._nodes_cache is None or version != self._nodes_version:
-            self._nodes_cache = self._graph.node_ids()
-            self._nodes_version = version
-        return self._nodes_cache

@@ -61,9 +61,8 @@ SUBJECTS = 7
 PREDICATES = 8
 TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
 GRAPH = 10
-PATH_ENGINE = 11
-PATH_EVALUATOR = 12
-HEADER: Tuple[object, ...] = (0, 0) + (None,) * 11
+PATH_EVALUATOR = 11
+HEADER: Tuple[object, ...] = (0, 0) + (None,) * 10
 
 
 # ----------------------------------------------------------------------

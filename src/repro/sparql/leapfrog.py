@@ -46,18 +46,14 @@ _RUNS = {
 }
 
 
-def supports_leapfrog(graph: object) -> bool:
-    """True when ``graph`` exposes sorted id runs (duck-typed, like id exec)."""
-    return all(hasattr(graph, name) for name, _ in _RUNS.values())
-
-
-def assessment(plan: BGPPlan, graph) -> Tuple[bool, Optional[str]]:
+def assessment(plan: BGPPlan) -> Tuple[bool, Optional[str]]:
     """Can (and should) this plan run as a leapfrog triejoin — and if a
     *cyclic* plan can't, why not?
 
-    Eligibility requires the sorted-run surface, at least three pure
-    triple patterns with constant predicates and no repeated variable
-    inside one pattern, and — the actual trigger — a cyclic join
+    Eligibility requires (beside the encoded store's sorted runs: the
+    caller asks for id-space plans only) at least three pure triple
+    patterns with constant predicates and no repeated variable inside
+    one pattern, and — the actual trigger — a cyclic join
     hypergraph, where every binary join order is worst-case suboptimal.
     Acyclic plans stay on the binary pipeline, which GYO-reduces to the
     optimal shape anyway, so rejecting them is not a fallback and yields
@@ -68,8 +64,6 @@ def assessment(plan: BGPPlan, graph) -> Tuple[bool, Optional[str]]:
     if len(plan.steps) < 3:
         return False, None
     reason: Optional[str] = None
-    if not supports_leapfrog(graph):
-        reason = "store exposes no sorted id runs"
     edges = []
     for step in plan.steps:
         node = step.node

@@ -59,10 +59,6 @@ class PhysicalOperator:
     def children(self) -> Tuple["PhysicalOperator", ...]:
         return ()
 
-    def conjuncts(self) -> Tuple[Expression, ...]:
-        """The FILTER conjuncts this operator itself decides."""
-        return ()
-
     def describe(self) -> str:  # pragma: no cover - every subclass overrides
         raise NotImplementedError
 
@@ -142,9 +138,6 @@ class HashProbe(PhysicalOperator):
     source_index: int
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
-    def conjuncts(self) -> Tuple[Expression, ...]:
-        return (self.condition,)
-
     def describe(self) -> str:
         return (
             f"HashProbe {self.node!r} on {condition_label(self.condition)} "
@@ -166,9 +159,6 @@ class Filter(PhysicalOperator):
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    def conjuncts(self) -> Tuple[Expression, ...]:
-        return self.conditions
 
     def describe(self) -> str:
         rendered = " && ".join(condition_label(c) for c in self.conditions)
@@ -206,9 +196,6 @@ class LeapfrogJoin(PhysicalOperator):
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return self.scans
-
-    def conjuncts(self) -> Tuple[Expression, ...]:
-        return tuple(c for slot in self.level_conditions for c in slot)
 
     def describe(self) -> str:
         order = ", ".join(repr(v) for v in self.var_order)

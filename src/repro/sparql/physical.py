@@ -6,8 +6,8 @@ explicit *physical* plan — a small DAG of the operator classes of
 :mod:`repro.sparql.operators` — and executes it.
 
 * **Lowering** — :func:`lower_plan` chooses term-space vs. id-space
-  operators per *backend capability* (duck-typed store surfaces): an
-  id-capable graph gets ids in the registers, everything else the terms
+  operators per *backend capability*: the dictionary-encoded store
+  gets ids in the registers, everything else the terms
   themselves (``plan.space``, the one selector of the key space).  The
   :class:`~repro.sparql.profile.ExecutionProfile` it is handed can only
   *disable* a capability (to recover the differential reference
@@ -35,7 +35,6 @@ from repro.rdf.terms import Variable
 from repro.sparql import idexec, leapfrog
 from repro.sparql.algebra import PathPattern, TriplePatternNode
 from repro.sparql.expressions import Comparison, Expression, VariableExpr
-from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.kernels import condition_kernel
 from repro.sparql.operators import (
     Filter,
@@ -57,6 +56,7 @@ from repro.sparql.plan import (
 )
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.store.encoded import is_id_store
 
 
 # ----------------------------------------------------------------------
@@ -109,11 +109,10 @@ def lower_plan(
 ) -> PhysicalPlan:
     """Lower a logical BGP plan to a physical operator DAG.
 
-    Chooses the execution space from the backend's capabilities
-    (``supports_id_execution`` → id pipeline) intersected with what
-    ``profile`` allows; picks the leapfrog join for cyclic join
-    graphs on a sorted-run-capable store, :class:`IndexNestedLoopJoin`
-    otherwise.  FILTER conjuncts (``conditions``) become :class:`Filter`
+    Chooses the execution space from the backend
+    (:func:`~repro.store.encoded.is_id_store` → id pipeline) intersected
+    with what ``profile`` allows; picks the leapfrog join for cyclic join
+    graphs in id space, :class:`IndexNestedLoopJoin` otherwise.  FILTER conjuncts (``conditions``) become :class:`Filter`
     operators at the earliest input binding their variables; with
     ``profile.use_filter_pushdown`` off they all run at the final slot,
     i.e. as a plain post-filter.  In id space a step linked to the steps
@@ -133,7 +132,7 @@ def lower_plan(
     less (an ``AS`` alias, a projected variable the pattern does not
     bind), nor in term space, where there is no decode to save.
     """
-    id_space = profile.use_id_execution and idexec.supports_id_execution(graph)
+    id_space = profile.use_id_execution and is_id_store(graph)
     space = "id" if id_space else "term"
     step_filters: StepFilters
     if conditions and profile.use_filter_pushdown:
@@ -146,15 +145,11 @@ def lower_plan(
     use_leapfrog = False
     wcoj_fallback: Optional[str] = None
     if id_space and profile.use_wcoj:
-        use_leapfrog, wcoj_fallback = leapfrog.assessment(plan, graph)
+        use_leapfrog, wcoj_fallback = leapfrog.assessment(plan)
     if use_leapfrog:
         join = leapfrog.lower_join(plan, graph, [c for c in flat_conditions if c.variables()])
     else:
-        path_mode = (
-            "id"
-            if id_space and profile.use_id_paths and supports_id_paths(graph)
-            else "term"
-        )
+        path_mode = "id" if id_space and profile.use_id_paths else "term"
         inputs: List[PhysicalOperator] = []
         bound: Set[Variable] = set()
         for position, step in enumerate(plan.steps):
@@ -234,7 +229,6 @@ def execute(
     plan: PhysicalPlan,
     graph,
     path_evaluator: Optional[PathEvaluator] = None,
-    path_engine: Optional[IdPathEngine] = None,
     initial: Binding = EMPTY_BINDING,
     timed: bool = False,
     term_fallbacks=None,
@@ -242,8 +236,7 @@ def execute(
     """Execute a physical plan, streaming bindings.
 
     ``path_evaluator`` backs term-mode :class:`PathExpand` operators (and
-    the bridge inside id pipelines); ``path_engine`` is an optional
-    pre-built :class:`IdPathEngine` (the evaluator passes its cached one).
+    the bridge inside id pipelines).
     ``initial`` pre-binds variables: every solution extends it, and a
     pre-bound term the graph has never seen simply matches nothing.
     ``term_fallbacks`` is an optional counter (``inc(n)``) of FILTER
@@ -264,7 +257,6 @@ def execute(
         plan,
         graph,
         path_evaluator,
-        path_engine,
         initial,
         _timed_iter if timed else None,
         term_fallbacks,

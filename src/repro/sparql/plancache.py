@@ -1,11 +1,10 @@
 """What the engines keep between queries.
 
-:class:`PlanCache` is the evaluator's plan cache: one class, instantiated
-once for logical :class:`~repro.sparql.plan.BGPPlan` values and once for
-lowered :class:`~repro.sparql.operators.PhysicalPlan` values.
+:class:`PlanCache` is the evaluator's cache of lowered
+:class:`~repro.sparql.operators.PhysicalPlan` values.
 :class:`BoundedMap` is what both engines keep per query *text*: the parsed
-algebra on the native engine, the whole prepared form on the translation
-path."""
+algebra with its evaluation tree on the native engine, the whole prepared
+form on the translation path."""
 
 from __future__ import annotations
 
@@ -98,8 +97,7 @@ class PlanCache:
       rank them.
 
     Hits, misses and evictions (bound overflow or dead graph) go to the
-    counters handed in, so each instance reports under its own metric
-    names.
+    counters handed in.
     """
 
     def __init__(

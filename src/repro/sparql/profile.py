@@ -2,7 +2,10 @@
 
 An :class:`ExecutionProfile` is handed to
 :func:`repro.create_engine` / :class:`~repro.sparql.evaluator.SparqlEvaluator`
-(``profile=``) and travels unchanged down to
+(``profile=``) and travels unchanged to the evaluation-tree pass
+(:func:`repro.sparql.evaltree.prepare_query`, the one reader of
+``use_planner`` and, beside the lowering pass, of
+``use_filter_pushdown``), down to
 :func:`repro.sparql.physical.lower_plan` and into the plan-cache key.
 Its fields exist for differential testing and ablation benchmarks; five
 independent booleans make 32 nominal configurations of which only a

@@ -157,6 +157,9 @@ class EncodedGraph(ChangeCapture):
         # mutation invalidates the whole cache lazily on next access.
         self._sorted_runs: Dict[Tuple, List[int]] = {}
         self._sorted_runs_version = -1
+        # The node-id set of the path engine, valid for one version stamp too.
+        self._node_ids: Optional[Set[int]] = None
+        self._node_ids_version = -1
         # Observability counters, absent until enable_counters(): the
         # sorted-run sites below guard on None, probe counting happens in
         # instance-attribute wrappers installed on demand.
@@ -675,8 +678,14 @@ class EncodedGraph(ChangeCapture):
     # id-level navigation (used by the id-native path engine)
     # ------------------------------------------------------------------
     def node_ids(self) -> Set[int]:
-        """Ids of every term in subject or object position (graph nodes)."""
-        return set(self._spo) | set(self._osp)
+        """Ids of every term in subject or object position (graph nodes).
+
+        Built once per version stamp and shared: not to be mutated.
+        """
+        if self._node_ids is None or self._node_ids_version != self._version:
+            self._node_ids = set(self._spo) | set(self._osp)
+            self._node_ids_version = self._version
+        return self._node_ids
 
     def predicate_ids(self) -> Iterator[int]:
         """Ids of every predicate with at least one triple."""
@@ -779,3 +788,10 @@ class EncodedGraph(ChangeCapture):
             for pid, entry in by_predicate.items():
                 for oid in _entry_iter(entry):
                     yield sid, pid, oid
+
+
+def is_id_store(graph: object) -> bool:
+    """True for the dictionary-encoded store: the one backend with the id
+    probe surface, id navigation and sorted id runs that id-space plans,
+    the id path engine and the leapfrog join run on."""
+    return isinstance(graph, EncodedGraph)

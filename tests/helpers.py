@@ -88,21 +88,11 @@ def scan_work(evaluator) -> tuple:
     return sum(entry["probes"] for entry in scans), sum(entry["rows"] for entry in scans)
 
 
-#: The two :class:`~repro.sparql.plancache.PlanCache` instances of an
-#: evaluator, by attribute name — cache-policy tests run over both.
-PLAN_CACHES = ["logical_plans", "lowered_plans"]
-
-
-def plan_cache_lookup(evaluator, cache_name: str):
-    """``(cache, lookup)`` for one of an evaluator's plan caches.
+def plan_cache_lookup(evaluator):
+    """``(cache, lookup)`` for an evaluator's plan cache.
 
     ``lookup(graph, patterns)`` goes through ``cache.get`` with the key
-    shape that instance is used with, so one test body exercises the
-    logical and the lowered-plan cache alike.
+    shape the evaluator uses for a BGP without FILTERs or projection.
     """
-    cache = getattr(evaluator, cache_name)
-    if cache_name == "logical_plans":
-        return cache, lambda graph, patterns: cache.get(graph, patterns)
-    return cache, lambda graph, patterns: cache.get(
-        graph, patterns, (), evaluator.profile
-    )
+    cache = evaluator.lowered_plans
+    return cache, lambda graph, patterns: cache.get(graph, patterns, (), evaluator.profile)

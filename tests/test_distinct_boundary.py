@@ -25,7 +25,7 @@ from repro.core.engine import SparqLogEngine
 from repro.core.query_translation import UnsupportedFeatureError
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Triple, Variable
-from repro.sparql import evaluator as evaluator_module, operators, physical
+from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
@@ -157,9 +157,7 @@ def _dropping_after_decoding(parsed):
     """The answer of ``FULL`` on the encoded store with the flag withheld:
     every joined row decoded and boxed, ``distinct_rows`` afterwards."""
     evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_triples())))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluator_module, "_distinct_projection", lambda query: None)
-        answer = evaluator.evaluate(parsed)
+    answer = evaluator.evaluate(evaluator.prepare(parsed)._replace(distinct=None))
     assert not evaluator.last_physical_plan.root.distinct
     return answer
 
@@ -266,7 +264,7 @@ def test_one_text_with_and_without_distinct_is_two_lowered_plans():
     assert (plain_plan.root.distinct, distinct_plan.root.distinct) == (False, True)
     assert dropped.bindings == distinct_rows(plain.bindings) and len(dropped) < len(plain)
     metrics = evaluator.metrics()
-    assert metrics["sparql_physical_cache_size"] == 2 and metrics["sparql_plan_cache_size"] == 1
+    assert metrics["sparql_physical_cache_size"] == 2
     assert metrics["sparql_physical_cache_misses_total"] == 2
     # Both stay cached: the two forms hit their own slot from now on.
     assert evaluator.evaluate(parse_query(text % "REDUCED")).bindings == dropped.bindings

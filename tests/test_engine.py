@@ -20,6 +20,8 @@ from repro import (
 )
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple
+from repro.sparql import evaluator as evaluator_module
+from repro.sparql.evaltree import prepare_query
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.plancache import BoundedMap
@@ -264,6 +266,37 @@ class TestEngine:
         with pytest.raises(Exception):
             engine.query("SELECT WHERE")
         assert engine.metrics()["sparql_parse_cache_evictions_total"] == 0
+
+
+    def test_a_text_is_prepared_once_per_engine(self, monkeypatch):
+        calls = []
+
+        def counting(query, profile):
+            calls.append(query)
+            return prepare_query(query, profile)
+
+        monkeypatch.setattr(evaluator_module, "prepare_query", counting)
+        nested = (
+            "PREFIX ex: <http://ex.org/>\n"
+            "SELECT ?a WHERE { ?a ex:p ?b MINUS { ?b ex:p ?c } FILTER(?a != ?b) }"
+        )
+        graph = Graph(triples())
+        engine = create_engine(graph)
+        for text in (QUERY, nested):
+            first = engine.query(text)
+            assert len(calls) == 1  # cold: the pass runs once ...
+            graph.add(Triple(EX.n9, EX.p, EX.n9))
+            graph.remove(Triple(EX.n9, EX.p, EX.n9))
+            for _ in range(3):
+                assert list(engine.query(text).rows()) == list(first.rows())
+            assert len(calls) == 1  # ... and warm, never: not per call, not per write.
+            calls.clear()
+        engine.explain(QUERY)
+        assert calls == []
+        # A parsed query is prepared on the spot, every time.
+        engine.query(parse_query(QUERY))
+        engine.query(parse_query(QUERY))
+        assert len(calls) == 2
 
 
 class TestBoundedMap:

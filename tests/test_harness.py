@@ -195,3 +195,41 @@ def test_imports_point_one_way_and_modules_stay_small():
     }
     offences += [f"import cycle: {', '.join(cycle)}" for cycle in sorted(cycles)]
     assert offences == []
+
+
+def test_pipelines_and_filter_placement_are_decided_in_one_place():
+    """What runs as a pipeline and where a FILTER conjunct goes is the
+    evaluation-tree pass's decision alone (``repro.sparql.evaltree``): nothing
+    else in ``src/repro`` reads ``use_planner``, and ``use_filter_pushdown`` is
+    read there and where a pipeline's conjuncts meet its steps
+    (``physical.lower_plan``).  The profile still has its five fields and
+    three presets."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    readers = {"use_planner": set(), "use_filter_pushdown": set()}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).with_suffix("").as_posix().replace("/", ".")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and node.attr in readers:
+                    readers[node.attr].add(f"{module}.{function.name}")
+    assert readers == {
+        "use_planner": {"sparql.evaltree.prepare_query"},
+        "use_filter_pushdown": {"sparql.evaltree.prepare_query", "sparql.physical.lower_plan"},
+    }
+
+    from dataclasses import fields
+
+    from repro.sparql.profile import ExecutionProfile
+
+    assert [field.name for field in fields(ExecutionProfile)] == [
+        "name",
+        "use_planner",
+        "use_id_execution",
+        "use_filter_pushdown",
+        "use_id_paths",
+        "use_wcoj",
+    ]
+    presets = [name for name, value in vars(ExecutionProfile).items() if isinstance(value, ExecutionProfile)]
+    assert sorted(presets) == ["BASELINE", "FULL", "ID_NATIVE"]

@@ -34,12 +34,12 @@ from repro.sparql.expressions import (
     conjuncts,
 )
 from repro.sparql import physical
-from repro.sparql.idexec import supports_id_execution
 from repro.sparql.kernels import HEADER, compile_condition, condition_kernel
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph, bulk_load_ntriples
+from repro.store.encoded import is_id_store
 
 from tests.helpers import DECODED, EX, NAIVE
 
@@ -249,9 +249,11 @@ class TestIdNativeEvaluation:
             Triple(EX.o1, EX.r, EX.s2),
         ]
 
-    def test_supports_id_execution_detection(self):
-        assert supports_id_execution(EncodedGraph())
-        assert not supports_id_execution(Graph())
+    def test_the_encoded_store_is_the_id_store(self):
+        # One test for id execution, id paths and the leapfrog join.
+        assert is_id_store(EncodedGraph())
+        assert is_id_store(EncodedGraph().copy())
+        assert not is_id_store(Graph())
 
     def test_filtered_bgp_matches_across_configurations(self):
         rows = _assert_all_equal(

@@ -26,7 +26,7 @@ from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import BGP, PathPattern, ProjectionItem, SelectQuery, TriplePatternNode
 from repro.sparql.alp import eval_path_pattern_terms
 from repro.sparql.evaluator import SparqlEvaluator
-from repro.sparql.idpaths import IdPathEngine, supports_id_paths
+from repro.sparql.idpaths import IdPathEngine
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
@@ -106,10 +106,6 @@ class TestEngineSurface:
                 Triple(EX.c, EX.q, EX.d),
             ]
         )
-
-    def test_supports_id_paths_detection(self):
-        assert supports_id_paths(self._graph())
-        assert not supports_id_paths(Graph())
 
     def test_forward_closure_from_bound_subject(self):
         graph = self._graph()

@@ -271,10 +271,8 @@ class TestEvaluatorObservability:
         evaluator.evaluate(query)
         evaluator.evaluate(query)
         metrics = evaluator.metrics()
-        assert metrics["sparql_plan_cache_misses_total"] == 1
         assert metrics["sparql_physical_cache_misses_total"] == 1
         assert metrics["sparql_physical_cache_hits_total"] == 1
-        assert metrics["sparql_plan_cache_size"] == 1
         assert metrics["sparql_physical_cache_size"] == 1
 
     def test_phase_spans_and_operator_events(self):

@@ -30,7 +30,7 @@ from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.parser import parse_query
-from repro.sparql.leapfrog import intersect, supports_leapfrog
+from repro.sparql.leapfrog import intersect
 from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin, PathExpand, Scan
 from repro.sparql.ordering import is_cyclic
 from repro.sparql.physical import lower_bgp
@@ -38,7 +38,7 @@ from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph, bulk_load_ntriples
 
-from tests.helpers import DECODED, EX, PLAN_CACHES, plan_cache_lookup, scan_work
+from tests.helpers import DECODED, EX, plan_cache_lookup, scan_work
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -240,10 +240,6 @@ def _triangle_patterns():
 
 
 class TestOperatorSelection:
-    def test_encoded_graph_supports_leapfrog_surface(self):
-        assert supports_leapfrog(EncodedGraph())
-        assert not supports_leapfrog(Graph())
-
     def test_triangle_selects_leapfrog_on_encoded(self):
         graph = EncodedGraph(_TRIPLES)
         plan = lower_bgp(graph, _triangle_patterns())
@@ -504,11 +500,10 @@ class TestSkewedCyclicWorkload:
 # ----------------------------------------------------------------------
 # plan cache hygiene
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cache_name", PLAN_CACHES)
-def test_plan_cache_purges_dead_graph_entries(cache_name):
+def test_plan_cache_purges_dead_graph_entries():
     dataset = Dataset.from_graph(EncodedGraph(_TRIPLES))
     evaluator = SparqlEvaluator(dataset)
-    cache, lookup = plan_cache_lookup(evaluator, cache_name)
+    cache, lookup = plan_cache_lookup(evaluator)
     s, o, t = _vars("s", "o", "t")
 
     transient = EncodedGraph(_TRIPLES)
@@ -520,8 +515,6 @@ def test_plan_cache_purges_dead_graph_entries(cache_name):
     # The next miss sweeps every entry whose graph has been collected.
     lookup(dataset.default_graph, (tp(s, EX.p, o), tp(o, EX.p, t)))
     assert len(cache) == 1
-    # (One counter serves both caches; a lowered-plan miss sweeps the
-    # logical cache as well.)
     assert evaluator.metrics()["sparql_plan_cache_evictions_total"] >= 1
 
 

@@ -17,7 +17,6 @@ from repro.store import EncodedGraph
 from tests.helpers import (
     EX,
     NAIVE,
-    PLAN_CACHES,
     chain_graph,
     countries_dataset,
     plan_cache_lookup,
@@ -381,24 +380,8 @@ class TestPlanCache:
         second = evaluator.evaluate(query)
         assert rows_multiset(first) == rows_multiset(second)
         metrics = evaluator.metrics()
-        # The second run is served by the lowered-plan cache, which
-        # subsumes the logical lookup.
-        assert metrics["sparql_plan_cache_misses_total"] == 1
         assert metrics["sparql_physical_cache_misses_total"] == 1
         assert metrics["sparql_physical_cache_hits_total"] == 1
-
-    def test_logical_plan_shared_across_filter_conjuncts(self):
-        evaluator = SparqlEvaluator(countries_dataset())
-        bgp = "?a ex:borders ?b . ?b ex:borders ?c"
-        evaluator.evaluate(parse_query(PREFIX + f"SELECT * WHERE {{ {bgp} }}"))
-        evaluator.evaluate(
-            parse_query(PREFIX + f"SELECT * WHERE {{ {bgp} FILTER(?a != ?c) }}")
-        )
-        metrics = evaluator.metrics()
-        # Two lowered plans (different conjuncts), one join order.
-        assert metrics["sparql_physical_cache_misses_total"] == 2
-        assert metrics["sparql_plan_cache_misses_total"] == 1
-        assert metrics["sparql_plan_cache_hits_total"] == 1
 
     def test_mutation_invalidates_cache(self):
         dataset = countries_dataset()
@@ -408,7 +391,7 @@ class TestPlanCache:
         before = rows_multiset(evaluator.evaluate(query))
         dataset.default_graph.add(Triple(EX.austria, EX.borders, EX.italy))
         after = evaluator.evaluate(query)
-        assert evaluator.metrics()["sparql_plan_cache_misses_total"] == 2
+        assert evaluator.metrics()["sparql_physical_cache_misses_total"] == 2
         naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
         assert rows_multiset(after) != before
@@ -424,10 +407,9 @@ class TestPlanCache:
         graph.remove(triple)  # removing a missing triple does not bump
         assert graph.version == 2
 
-    @pytest.mark.parametrize("cache_name", PLAN_CACHES)
-    def test_cache_is_bounded(self, cache_name):
+    def test_cache_is_bounded(self):
         evaluator = SparqlEvaluator(countries_dataset())
-        cache, lookup = plan_cache_lookup(evaluator, cache_name)
+        cache, lookup = plan_cache_lookup(evaluator)
         cache.size = 4
         graph = evaluator.dataset.default_graph
         a, b = Variable("a"), Variable("b")
@@ -445,10 +427,9 @@ class TestPlanCache:
         # ... the oldest is rebuilt.
         assert lookup(graph, keys[0]) is not plans[0]
 
-    @pytest.mark.parametrize("cache_name", PLAN_CACHES)
-    def test_version_bump_invalidates_entry(self, cache_name):
+    def test_version_bump_invalidates_entry(self):
         evaluator = SparqlEvaluator(countries_dataset())
-        cache, lookup = plan_cache_lookup(evaluator, cache_name)
+        cache, lookup = plan_cache_lookup(evaluator)
         graph = evaluator.dataset.default_graph
         a, b, c = Variable("a"), Variable("b"), Variable("c")
         patterns = (tp(a, EX.borders, b), tp(b, EX.borders, c))
@@ -457,13 +438,12 @@ class TestPlanCache:
         graph.add(Triple(EX.austria, EX.borders, EX.italy))
         assert lookup(graph, patterns) is not plan
 
-    @pytest.mark.parametrize("cache_name", PLAN_CACHES)
-    def test_recycled_id_does_not_hit(self, cache_name):
+    def test_recycled_id_does_not_hit(self):
         # id() values are reused after garbage collection: an entry must
         # only hit while the graph that produced it is the one queried.
         # The policy never looks inside a graph or a plan, so stand-ins
         # make the recycling reproducible.
-        cache = getattr(SparqlEvaluator(Dataset()), cache_name)
+        cache = SparqlEvaluator(Dataset()).lowered_plans
         cache.build = lambda graph, *key: object()
 
         class StubGraph:
@@ -493,5 +473,5 @@ class TestPlanCache:
         second = SparqlEvaluator(countries_dataset())
         first.evaluate(query)
         second.evaluate(query)
-        assert first.metrics()["sparql_plan_cache_misses_total"] == 1
-        assert second.metrics()["sparql_plan_cache_misses_total"] == 1
+        assert first.metrics()["sparql_physical_cache_misses_total"] == 1
+        assert second.metrics()["sparql_physical_cache_misses_total"] == 1

@@ -386,17 +386,61 @@ _BGP_QUERIES = [
 ]
 
 
+# FILTER / OPTIONAL / MINUS / UNION nested every way the evaluation-tree pass
+# (repro.sparql.evaltree) tells apart: a pipeline, a lone pattern or a UNION
+# at the core; up to two OPTIONAL / MINUS around it, whose conditions split
+# into a conjunct the right side binds and one it does not; FILTERs above
+# that travel down through MINUS, stop at OPTIONAL and UNION, read a variable
+# an OPTIONAL may leave unbound.
+_CORES = [
+    "?x ex:p ?y",
+    "?x ex:p ?y . ?y ex:q ?z",
+    "{ ?x ex:p ?y } UNION { ?x ex:q ?y }",
+]
+_WRAPPERS = [
+    "",
+    "OPTIONAL { ?y ex:q ?w FILTER(?w != ?y && ?w != ?x) }",
+    "OPTIONAL { ?y ex:p ?w . ?w ex:q ?v FILTER(?v != ?y) FILTER(?w != ?x) }",
+    "MINUS { ?x ex:q ?y }",
+    "MINUS { ?y ex:p ?u FILTER(?u != ?x) }",
+]
+_OUTER_FILTERS = [
+    "",
+    "FILTER(?x != ?y)",
+    "FILTER(?x != ?y && ?y != ex:n0) FILTER(!bound(?w))",
+    "FILTER(bound(?w) && ?w != ex:n1)",
+]
+_NESTED_QUERIES = [
+    f"PREFIX ex: <http://ex.org/> {form} {{ {core} {first} {second} {outer} }}"
+    for core in _CORES
+    for first in _WRAPPERS
+    for second in _WRAPPERS
+    for outer in _OUTER_FILTERS
+    for form in ("SELECT * WHERE", "ASK")
+]
+
+
 class TestPlannerDifferentialProperties:
-    @given(edges_strategy, st.sampled_from(_BGP_QUERIES))
-    @settings(max_examples=60, deadline=None)
-    def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text):
+    @given(
+        edges_strategy,
+        st.sampled_from(_BGP_QUERIES + _NESTED_QUERIES),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text, pushdown, encoded):
+        """The prepared evaluation tree against the oracle that has none."""
         from repro.sparql.evaluator import SparqlEvaluator
         from repro.sparql.parser import parse_query
+        from repro.sparql.profile import ExecutionProfile
+        from repro.store.encoded import EncodedGraph
         from tests.helpers import NAIVE
 
-        dataset = Dataset.from_graph(graph_from_edges(edges))
+        graph = graph_from_edges(edges)
+        dataset = Dataset.from_graph(EncodedGraph(graph) if encoded else graph)
         query = parse_query(query_text)
-        planned = SparqlEvaluator(dataset).evaluate(query)
+        profile = ExecutionProfile.FULL.with_options(use_filter_pushdown=pushdown)
+        planned = SparqlEvaluator(dataset, profile=profile).evaluate(query)
         naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
