@@ -231,13 +231,13 @@ class SparqlEvaluator:
         if query.having is not None and not query.group_by and not query.has_aggregates():
             bindings = [b for b in bindings if satisfies(query.having, b)]
         variables = query.projected_variables()
-        # Nothing to project when the rows are still the pipeline's (no
-        # grouping; an AS alias would be in one set only) and their
-        # domain is the projection.
-        projected = (
-            project is not None
-            and set(project.variables) == set(variables)
-            and not query.has_aggregates()
+        # Nothing to project when the rows are still the pattern's (no
+        # grouping; an AS alias would be in one set only) and no row binds
+        # a variable outside the projection.
+        projected = not query.has_aggregates() and (
+            set(project.variables) == set(variables)
+            if project is not None
+            else prepared.tree.variables() <= set(variables)
         )
         rows = apply_modifiers(
             query,
