@@ -37,7 +37,7 @@ from repro.sparql.paths import (
     ZeroOrMorePath,
     ZeroOrOnePath,
 )
-from repro.sparql.solutions import Binding, SolutionSequence
+from repro.sparql.solutions import SolutionSequence
 
 
 def _contains_recursive_modifier(path: PropertyPath) -> bool:
@@ -124,18 +124,20 @@ class VirtuosoLikeEngine(SparqlEngine):
         self, result: SolutionSequence, node: PathPattern
     ) -> SolutionSequence:
         """Remove (x, x) rows of ``+`` paths — the cycle start-node bug."""
-        subject, obj = node.subject, node.object
-        if not isinstance(subject, Variable) or isinstance(obj, Variable):
-            # The error shows up in the bound-object / bound-subject cases too,
-            # but only when subject equals object; handled below generically.
-            pass
-        kept: List[Binding] = []
-        for binding in result.bindings:
-            subject_value = (
-                binding.get(subject) if isinstance(subject, Variable) else subject
-            )
-            object_value = binding.get(obj) if isinstance(obj, Variable) else obj
-            if subject_value is not None and subject_value == object_value:
+        position = {variable.name: p for p, variable in enumerate(result.variables)}
+
+        def value(row, part):
+            """An endpoint's term in ``row``: a constant itself, a variable's
+            column (``None`` when unbound or not projected)."""
+            if not isinstance(part, Variable):
+                return part
+            p = position.get(part.name)
+            return None if p is None else row[p]
+
+        kept = []
+        for row in result.rows():
+            subject_value = value(row, node.subject)
+            if subject_value is not None and subject_value == value(row, node.object):
                 continue
-            kept.append(binding)
-        return SolutionSequence(result.variables, kept)
+            kept.append(row)
+        return SolutionSequence.from_rows(result.variables, kept)

@@ -11,14 +11,14 @@ DISTINCT, LIMIT and OFFSET.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.core.query_translation import TranslationResult
 from repro.datalog.terms import SkolemTerm
 from repro.rdf.terms import BlankNode, Literal, Term as RdfTerm
 from repro.sparql.algebra import SelectQuery
-from repro.sparql.modifiers import apply_modifiers
-from repro.sparql.solutions import Binding, SolutionSequence
+from repro.sparql.modifiers import apply_modifiers, result_header
+from repro.sparql.solutions import SolutionSequence
 
 
 class SolutionTranslator:
@@ -55,33 +55,25 @@ class SolutionTranslator:
         query = translation.query
         assert isinstance(query, SelectQuery)
         offset = 1 if translation.has_id_column else 0
-        # The row layout — which column fills which variable, in name
-        # order — is the translation's: fixed here, not per row.
-        columns = sorted(
-            {
-                variable: offset + position
-                for position, variable in enumerate(translation.answer_variables)
-            }.items(),
-            key=lambda column: column[0].name,
-        )
+        # The row layout — which column fills which header position — is
+        # the translation's: fixed here, not per row.  A header variable
+        # the answer relation lacks stays unbound.
+        header = result_header(query)
+        column_of = {
+            variable: offset + position
+            for position, variable in enumerate(translation.answer_variables)
+        }
+        columns = [column_of.get(variable) for variable in header]
         to_term = self._to_rdf_term
         nulls: Dict[SkolemTerm, BlankNode] = {}
-        bindings: List[Binding] = []
-        for row in rows:
-            bindings.append(
-                Binding.from_sorted_items(
-                    tuple(
-                        [
-                            (variable, term)
-                            for variable, column in columns
-                            if (term := to_term(row[column], nulls)) is not None
-                        ]
-                    )
-                )
-            )
-
+        solutions = [
+            tuple([None if column is None else to_term(row[column], nulls) for column in columns])
+            for row in rows
+        ]
         # The native evaluator's tail, so both engines order alike.
-        return SolutionSequence(query.projected_variables(), apply_modifiers(query, bindings))
+        return SolutionSequence.from_rows(
+            query.projected_variables(), apply_modifiers(query, header, solutions)
+        )
 
     @staticmethod
     def _to_rdf_term(value: object, nulls: Dict[SkolemTerm, BlankNode]) -> Optional[RdfTerm]:

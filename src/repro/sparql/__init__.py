@@ -35,9 +35,10 @@ it in this table:
 ``idexec``     the one executor: key spaces, the step compiler (binary
                and hash probes, paths, leapfrog levels), result boundary
 ``physical``   ``lower_plan`` (operator choice per backend capability and
-               profile) and ``execute``
+               profile), ``execute_rows`` (term tuples) and ``execute``
 ``modifiers``  grouping, aggregates and the ORDER BY -> DISTINCT -> OFFSET
-               -> LIMIT tail, shared with the solution translation T_S
+               -> LIMIT tail over header-aligned tuples, shared with the
+               solution translation T_S
 ``evaluator``  the walk over the evaluation tree, the plan cache,
                ``explain[_analyze]``
 =============  ============================================================

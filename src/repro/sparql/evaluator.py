@@ -62,7 +62,12 @@ from repro.sparql.expressions import (
 from repro.sparql.functions import ExpressionError
 from repro.sparql import physical
 from repro.sparql.idpaths import IdPathEngine
-from repro.sparql.modifiers import apply_grouping, apply_modifiers, apply_projection_expressions
+from repro.sparql.modifiers import (
+    apply_grouping,
+    apply_modifiers,
+    apply_projection_expressions,
+    result_header,
+)
 from repro.sparql.operators import PhysicalPlan, Project
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import match_triple, plan_bgp
@@ -73,6 +78,8 @@ from repro.sparql.solutions import (
     CompatIndex,
     EMPTY_BINDING,
     SolutionSequence,
+    project_rows,
+    realign_rows,
 )
 from repro.store.encoded import is_id_store
 from repro.obs.metrics import MetricsRegistry
@@ -208,7 +215,7 @@ class SparqlEvaluator:
     def _evaluate(self, prepared: PreparedQuery) -> Union[SolutionSequence, bool]:
         query = prepared.query
         if isinstance(query, AskQuery):
-            return bool(_take(self._query_stream(prepared)[0], 1))
+            return bool(_take(self._query_stream(prepared)[1], 1))
         if not isinstance(query, SelectQuery):
             raise EvaluationError(f"unsupported query form {type(query).__name__}")
         # A query whose only solution modifiers are LIMIT/OFFSET consumes
@@ -222,53 +229,73 @@ class SparqlEvaluator:
             and not query.has_aggregates()
             and query.having is None
         )
-        stream, project = self._query_stream(prepared)
-        bindings = _take(stream, (query.offset or 0) + query.limit if sliced_only else None)
-        if query.has_aggregates():
-            bindings = apply_grouping(query, bindings)
+        layout, stream, project = self._query_stream(prepared)
+        rows = _take(stream, (query.offset or 0) + query.limit if sliced_only else None)
+        header = result_header(query)
+        if (
+            query.has_aggregates()
+            or query.having is not None
+            or any(item.expression is not None for item in query.projection)
+        ):
+            # Grouping, HAVING and (expr AS ?var) read rows as bindings.
+            bindings = rows if layout is None else list(physical.as_bindings(layout, iter(rows)))
+            if query.has_aggregates():
+                bindings = apply_grouping(query, bindings)
+            else:
+                bindings = apply_projection_expressions(query, bindings)
+            if query.having is not None and not query.has_aggregates():
+                bindings = [b for b in bindings if satisfies(query.having, b)]
+            rows = project_rows(header, bindings)
+        elif layout is None:
+            # A walk result: projected onto the header once, here.
+            rows = project_rows(header, rows)
         else:
-            bindings = apply_projection_expressions(query, bindings)
-        if query.having is not None and not query.group_by and not query.has_aggregates():
-            bindings = [b for b in bindings if satisfies(query.having, b)]
-        variables = query.projected_variables()
-        # Nothing to project when the rows are still the pattern's (no
-        # grouping; an AS alias would be in one set only) and no row binds
-        # a variable outside the projection.
-        projected = not query.has_aggregates() and (
-            set(project.variables) == set(variables)
-            if project is not None
-            else prepared.tree.variables() <= set(variables)
-        )
+            rows = realign_rows(rows, layout, header)
         rows = apply_modifiers(
             query,
-            bindings,
-            wanted=None if projected else frozenset(variables),
+            header,
+            rows,
             # A distinct ``Project`` has dropped the duplicates already, as
             # id tuples, keeping the same first occurrences.
             deduplicated=project is not None and project.distinct,
         )
-        return SolutionSequence(variables, rows)
+        return SolutionSequence.from_rows(query.projected_variables(), rows)
 
     def _query_stream(
         self, prepared: PreparedQuery
-    ) -> Tuple[Iterator[Binding], Optional[Project]]:
+    ) -> Tuple[Optional[Tuple[Variable, ...]], Iterator, Optional[Project]]:
         """Stream a query form's pattern; say what its rows are.
 
-        When the tree is one :class:`~repro.sparql.evaltree.Pipeline` the
-        variables the query form reads from its rows go down as the
-        projection, so an id-space plan decodes nothing else, and DISTINCT
-        goes down with them; the second element is the plan's ``Project``,
-        whose ``variables`` are exactly the domain of every row and whose
-        ``distinct`` says that no row comes twice.  It is ``None`` for any
-        other tree, which streams as :meth:`_eval` does.
+        Returns ``(layout, rows, project)``.  When the tree is one
+        :class:`~repro.sparql.evaltree.Pipeline` the variables the query
+        form reads from its rows go down as the projection, so an id-space
+        plan decodes nothing else, and DISTINCT goes down with them: the
+        rows are tuples aligned with ``layout``, the plan's ``Project``
+        variables, and ``project`` is that ``Project``, whose ``distinct``
+        says that no row comes twice.  A lone path pattern on the encoded
+        store is evaluated by the id path engine into tuples of the
+        endpoint variables the query reads (by name, like a ``Project``).
+        Any other tree — and every tree without the planner — streams
+        bindings as :meth:`_eval` does, with ``layout`` and ``project``
+        ``None``.
         """
         dataset = self.dataset.active(prepared.query.dataset_clauses)
         graph = dataset.default_graph
         tree = prepared.tree
-        if type(tree) is not Pipeline:
-            return iter(self._eval(tree, graph, dataset)), None
-        stream = self._run(tree, graph, project=prepared.project, distinct=prepared.distinct)
-        return stream, self.last_physical_plan.root
+        if type(tree) is Pipeline:
+            layout, stream = self._run(
+                tree, graph, project=prepared.project, distinct=prepared.distinct
+            )
+            return layout, stream, self.last_physical_plan.root
+        if type(tree) is PathPattern and prepared.pipeline is not None and self._id_paths(graph):
+            read = prepared.project  # None: SELECT *, every endpoint
+            layout = tuple(
+                variable
+                for variable, _ in tree.endpoint_slots()
+                if read is None or variable in read
+            )
+            return layout, iter(IdPathEngine(graph).rows(tree, layout)), None
+        return None, iter(self._eval(tree, graph, dataset)), None
 
     # ------------------------------------------------------------------
     # the walk
@@ -404,17 +431,20 @@ class SparqlEvaluator:
             for row in node.rows
         ]
 
+    def _id_paths(self, graph: Graph) -> bool:
+        return self.profile.use_id_paths and is_id_store(graph)
+
     def _eval_path_pattern(self, node: PathPattern, graph: Graph) -> List[Binding]:
         """Evaluate a path pattern: on the encoded store through the id
         engine (:mod:`repro.sparql.idpaths` — integer frontiers, decode only
         at the result boundary); with id paths off, or on a term-only
         backend, by the spec's term-level ALP procedure (:mod:`repro.sparql.alp`)."""
-        if self.profile.use_id_paths and is_id_store(graph):
+        if self._id_paths(graph):
             return IdPathEngine(graph).evaluate(node)
         return eval_path_pattern_terms(node, graph)
 
     _WALK = {
-        Pipeline: lambda self, node, graph, dataset: self._run(node, graph),
+        Pipeline: lambda self, node, graph, dataset: physical.as_bindings(*self._run(node, graph)),
         TriplePatternNode: lambda self, node, graph, dataset: match_triple(graph, node.triple),
         PathPattern: lambda self, node, graph, dataset: self._eval_path_pattern(node, graph),
         EmptyPattern: lambda self, node, graph, dataset: [EMPTY_BINDING],
@@ -486,8 +516,9 @@ class SparqlEvaluator:
         timed: bool = False,
         project: Optional[Tuple[Variable, ...]] = None,
         distinct: Optional[Tuple[Variable, ...]] = None,
-    ) -> Iterator[Binding]:
-        """Plan, lower and stream a pipeline through the physical executor.
+    ) -> Tuple[Tuple[Variable, ...], Iterator[tuple]]:
+        """Plan, lower and stream a pipeline through the physical executor:
+        ``(layout, rows)``, tuples of terms aligned with its ``Project`` variables.
 
         The lowering pass attaches each FILTER conjunct to the earliest
         operator binding its variables and chooses term- or id-space
@@ -497,7 +528,8 @@ class SparqlEvaluator:
         ``distinct`` are :class:`~repro.sparql.evaltree.PreparedQuery`'s.
         """
         physical_plan = self._lower(pipeline, active_graph, project, distinct)
-        stream = physical.execute(
+        layout = physical_plan.root.variables
+        stream = physical.execute_rows(
             physical_plan,
             active_graph,
             path_evaluator=self._eval_path_pattern,
@@ -506,15 +538,15 @@ class SparqlEvaluator:
         )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
-            return self._traced_execution(physical_plan, stream, tracer)
-        return stream
+            return layout, self._traced_execution(physical_plan, stream, tracer)
+        return layout, stream
 
     def _traced_execution(
         self,
         physical_plan: PhysicalPlan,
-        stream: Iterator[Binding],
+        stream: Iterator[tuple],
         tracer: Tracer,
-    ) -> Iterator[Binding]:
+    ) -> Iterator[tuple]:
         """Wrap a BGP execution stream in an ``execute`` span.
 
         The span covers first ``next()`` to exhaustion (or close: LIMIT /
@@ -527,9 +559,9 @@ class SparqlEvaluator:
         with tracer.span("execute", space=physical_plan.space) as span:
             rows = 0
             try:
-                for binding in stream:
+                for row in stream:
                     rows += 1
-                    yield binding
+                    yield row
             finally:
                 # An abandoned stream (LIMIT / ASK) publishes its batched
                 # counters when closed: do that before sampling them.
@@ -594,7 +626,7 @@ class SparqlEvaluator:
             with self._span("parse"):
                 query = parse_query(query)
         pipeline, graph, project, distinct = self._explainable(query, "explain_analyze()")
-        stream = self._run(pipeline, graph, timed=True, project=project, distinct=distinct)
+        _, stream = self._run(pipeline, graph, timed=True, project=project, distinct=distinct)
         physical_plan = self.last_physical_plan
         started = perf_counter()
         rows = sum(1 for _ in stream)
@@ -607,7 +639,7 @@ class SparqlEvaluator:
         )
 
 
-def _take(stream: Iterator[Binding], count: Optional[int]) -> List[Binding]:
+def _take(stream: Iterator, count: Optional[int]) -> list:
     """The first ``count`` rows of ``stream`` (``None``: all of them).
 
     The abandoned tail is closed now, not at garbage collection: the

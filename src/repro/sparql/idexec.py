@@ -48,11 +48,11 @@ dictionary-encoded store (:mod:`repro.store.encoded`), or the term itself
   per-scan times and counts need no step of their own.
 
 * **Result boundary.**  Only the variables of the plan's ``Project`` are
-  decoded, through a precomputed variable order so the
-  :class:`~repro.sparql.solutions.Binding` construction skips its sort.
-  A ``Project`` that is ``distinct`` drops a row whose id tuple it has
+  decoded, into a plain tuple in name order (:func:`row_header`): the
+  executor builds no :class:`~repro.sparql.solutions.Binding`.  A
+  ``Project`` that is ``distinct`` drops a row whose id tuple it has
   emitted before — first, so a dropped row costs a tuple and a set probe,
-  no decode and no ``Binding`` (:func:`emit_step`).
+  no decode (:func:`emit_step`).
 
 Id-mode property-path steps hand bound endpoint *ids* straight to the
 :class:`~repro.sparql.idpaths.IdPathEngine`; term-mode ones bridge
@@ -97,7 +97,7 @@ from repro.sparql.kernels import (
 from repro.sparql.operators import Filter, HashProbe, IndexNestedLoopJoin, Scan
 from repro.sparql.paths import matches_zero_length, normalize_path
 from repro.sparql.plan import PathEvaluator
-from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.sparql.solutions import Binding
 from repro.store.dictionary import TermDictionary
 
 
@@ -301,8 +301,9 @@ def run(
     initial: Binding,
     timed_iter: Optional[Callable],
     term_fallbacks,
-) -> Iterable[Binding]:
-    """Execute ``plan`` in its key space, streaming bindings.
+) -> Iterable[tuple]:
+    """Execute ``plan`` in its key space, streaming rows: tuples of terms
+    aligned with :func:`row_header` of ``plan`` and ``initial``.
 
     ``timed_iter`` is the physical layer's self-time wrapper under
     ``execute(timed=True)``; ``term_fallbacks`` an optional counter
@@ -339,7 +340,7 @@ def run(
     return _stream(compiled, registers, term_fallbacks)
 
 
-def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) -> Iterable[Binding]:
+def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) -> Iterable[tuple]:
     try:
         yield from compiled.first(registers)
     finally:
@@ -523,10 +524,7 @@ def _compile(plan, graph, space, domain: Set[Variable]):
     if root.distinct:
         compiled.emitted = allocate()
     step: Step = emit_step(
-        tuple(
-            (variable, register_of[variable])
-            for variable in sorted(set(root.variables) | domain, key=lambda v: v.name)
-        ),
+        tuple(register_of[variable] for variable in row_header(plan, domain)),
         space.decode,
         compiled.emitted,
     )
@@ -539,46 +537,47 @@ def _compile(plan, graph, space, domain: Set[Variable]):
 # ----------------------------------------------------------------------
 # steps
 # ----------------------------------------------------------------------
-_NO_BINDINGS = (EMPTY_BINDING,)
+_NO_COLUMNS = ((),)
+
+
+def row_header(plan, domain: Iterable[Variable] = ()) -> Tuple[Variable, ...]:
+    """The variables of each row :func:`run` emits, in tuple order: the
+    plan's ``Project`` variables and the initial binding's ``domain``, by name."""
+    return tuple(sorted(set(plan.root.variables).union(domain), key=lambda v: v.name))
 
 
 def emit_step(
-    pairs: Tuple[Tuple[Variable, int], ...], decode: Callable, emitted: Optional[int] = None
+    columns: Tuple[int, ...], decode: Callable, emitted: Optional[int] = None
 ) -> Step:
-    """The result boundary: decode ``pairs`` (already in variable order).
+    """The result boundary: decode the ``columns`` registers into one tuple.
 
     The step returns a one-row tuple rather than yielding, so the step
     above it pays no generator per result row.  ``emitted`` is the
     register of a DISTINCT plan's set of emitted rows
     (``Project.distinct``): a row whose key tuple is in it is dropped
-    here, before a term is decoded or a :class:`Binding` built, and does
-    not count as a result; the first occurrence passes, so the rows keep
-    the order ``distinct_rows`` would have left them in.
+    here, before a term is decoded, and does not count as a result; the
+    first occurrence passes, so the rows keep the order ``distinct_rows``
+    would have left them in.
     """
-    from_sorted = Binding.from_sorted_items
-    if not pairs:
+    if not columns:
 
-        def emit(registers: Registers) -> Iterable[Binding]:
+        def emit(registers: Registers) -> Iterable[tuple]:
             registers[RESULTS] += 1
-            return _NO_BINDINGS
+            return _NO_COLUMNS
 
     else:
 
-        def emit(registers: Registers) -> Iterable[Binding]:
+        def emit(registers: Registers) -> Iterable[tuple]:
             registers[RESULTS] += 1
-            return (
-                from_sorted(
-                    tuple([(variable, decode(registers[register])) for variable, register in pairs])
-                ),
-            )
+            return (tuple([decode(registers[register]) for register in columns]),)
 
     if emitted is None:
         return emit
     # The row's key: its id tuple — the id itself for a single variable, and
     # without variables the one value every row has, an always-``None`` register.
-    key_of = itemgetter(*[register for _, register in pairs] or [FREE])
+    key_of = itemgetter(*columns or [FREE])
 
-    def emit_distinct(registers: Registers) -> Iterable[Binding]:
+    def emit_distinct(registers: Registers) -> Iterable[tuple]:
         key = key_of(registers)
         seen = registers[emitted]
         if key in seen:
@@ -590,7 +589,7 @@ def emit_step(
 
 
 def _gate_step(next_step: Step, test: Test, rows: int, probes: int) -> Step:
-    def step(registers: Registers) -> Iterable[Binding]:
+    def step(registers: Registers) -> Iterable[tuple]:
         registers[probes] += 1
         if not test(registers):
             return ()
@@ -601,7 +600,7 @@ def _gate_step(next_step: Step, test: Test, rows: int, probes: int) -> Step:
 
 
 def _count_step(next_step: Step, rows: int) -> Step:
-    def step(registers: Registers) -> Iterable[Binding]:
+    def step(registers: Registers) -> Iterable[tuple]:
         registers[rows] += 1
         return next_step(registers)
 
@@ -610,7 +609,7 @@ def _count_step(next_step: Step, rows: int) -> Step:
 
 def _fan_out(
     next_step: Step, target: int, test: Optional[Test], rows: int, passed: Optional[int]
-) -> Callable[[Registers, Iterable], Iterable[Binding]]:
+) -> Callable[[Registers, Iterable], Iterable[tuple]]:
     """The framed half of every join step: for each of a probe's ``values``,
     written to ``target``, that ``test`` passes, the rows of ``next_step``.
 
@@ -621,7 +620,7 @@ def _fan_out(
     report the rows they actually produced.
     """
 
-    def fan_out(registers: Registers, values: Iterable) -> Iterable[Binding]:
+    def fan_out(registers: Registers, values: Iterable) -> Iterable[tuple]:
         seen = kept = 0
         try:
             for value in values:
@@ -651,7 +650,7 @@ def _step(
     registers itself and yields nothing worth keeping (:data:`SINK`)."""
     fan_out = _fan_out(next_step, SINK, test, rows, passed)
 
-    def step(registers: Registers) -> Iterable[Binding]:
+    def step(registers: Registers) -> Iterable[tuple]:
         registers[probes] += 1
         candidates = bind(registers)
         if registers[TIMED] is not None:
@@ -686,7 +685,7 @@ def _member_step(
     subject, predicate, obj = reads
     fan_out = _fan_out(next_step, SINK, test, rows, passed)
 
-    def step(registers: Registers) -> Iterable[Binding]:
+    def step(registers: Registers) -> Iterable[tuple]:
         registers[probes] += 1
         if registers[TIMED] is not None:
             found = _probed(
@@ -727,7 +726,7 @@ def _entry_step(
     """
     fan_out = _fan_out(next_step, target, test, rows, passed)
 
-    def step(registers: Registers) -> Iterable[Binding]:
+    def step(registers: Registers) -> Iterable[tuple]:
         registers[probes] += 1
         if registers[TIMED] is not None:
             found = _probed(registers[fetch], registers[first], registers[second])

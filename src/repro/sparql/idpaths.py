@@ -52,7 +52,7 @@ two implementations to the same multisets on random paths and graphs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Variable
 from repro.sparql.algebra import PathPattern
@@ -110,21 +110,15 @@ class IdPathEngine:
     # public surface
     # ------------------------------------------------------------------
     def evaluate(self, node: PathPattern) -> List[Binding]:
-        """Evaluate a path pattern, decoding only at the result boundary.
+        """Evaluate a path pattern into bindings of its endpoint variables.
 
         Multiset-identical to :func:`repro.sparql.alp.eval_path_pattern_terms`;
         used by the evaluator when the profile allows id paths and the
         active graph is the encoded store.
         """
-        path = normalize_path(node.path)
-        subject, obj = node.subject, node.object
-        subject_id = self.endpoint_id(subject, path)
-        object_id = self.endpoint_id(obj, path)
-        if subject_id is ABSENT or object_id is ABSENT:
-            return []
+        pairs = self._endpoint_pairs(node)
         decode = self._dict.term
         row = Binding.from_sorted_items
-        pairs = self.pair_ids(path, subject_id, object_id)
         slots = node.endpoint_slots()
         if len(slots) == 2:
             (first, i), (second, j) = slots
@@ -135,12 +129,34 @@ class IdPathEngine:
         if not slots:
             return [EMPTY_BINDING for _ in pairs]
         ((variable, side),) = slots
-        same_variable = subject == obj
-        return [
-            row(((variable, decode(pair[side])),))
-            for pair in pairs
-            if not same_variable or pair[0] == pair[1]
-        ]
+        return [row(((variable, decode(pair[side])),)) for pair in pairs]
+
+    def rows(self, node: PathPattern, header: Sequence[Variable]) -> List[tuple]:
+        """Evaluate a path pattern into tuples aligned with ``header``, some
+        of its endpoint variables: terms are decoded exactly once, at this
+        result boundary, and only for the endpoints ``header`` names."""
+        side_of = dict(node.endpoint_slots())
+        sides = [side_of[variable] for variable in header]
+        pairs = self._endpoint_pairs(node)
+        decode = self._dict.term
+        if len(sides) == 2:
+            first, second = sides
+            return [(decode(pair[first]), decode(pair[second])) for pair in pairs]
+        return [tuple([decode(pair[side]) for side in sides]) for pair in pairs]
+
+    def _endpoint_pairs(self, node: PathPattern) -> Iterable[IdPair]:
+        """The ``(start, end)`` id pairs that solve ``node``: none when a
+        constant endpoint cannot match, only ``(a, a)`` for ``?x path ?x``."""
+        path = normalize_path(node.path)
+        subject, obj = node.subject, node.object
+        subject_id = self.endpoint_id(subject, path)
+        object_id = self.endpoint_id(obj, path)
+        if subject_id is ABSENT or object_id is ABSENT:
+            return ()
+        pairs = self.pair_ids(path, subject_id, object_id)
+        if isinstance(subject, Variable) and subject == obj:
+            return (pair for pair in pairs if pair[0] == pair[1])
+        return pairs
 
     def is_node(self, term_id: int) -> bool:
         """True when the id occurs in subject or object position."""

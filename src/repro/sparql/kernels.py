@@ -43,8 +43,8 @@ from repro.store.dictionary import (
 Registers = List[object]
 #: A compiled conjunct: the verdict for the row currently in the registers.
 Test = Callable[[Registers], bool]
-#: A compiled step: the result rows below the row currently in the registers.
-Step = Callable[[Registers], Iterable[Binding]]
+#: A compiled step: the result rows (term tuples) below the row currently in the registers.
+Step = Callable[[Registers], Iterable[tuple]]
 
 # Register file header.  Counters first, then what an execution brings
 # along; everything after ``HEADER`` is allocated by the compiler.

@@ -11,7 +11,7 @@ non-RDF ground values.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Literal, Term, Variable, term_sort_key
 from repro.sparql.algebra import OrderCondition, SelectQuery
@@ -23,7 +23,7 @@ from repro.sparql.expressions import (
     satisfies,
 )
 from repro.sparql.functions import ExpressionError
-from repro.sparql.solutions import Binding, distinct_rows
+from repro.sparql.solutions import Binding, Row, distinct_rows
 
 
 def apply_projection_expressions(query: SelectQuery, bindings: List[Binding]) -> List[Binding]:
@@ -133,20 +133,33 @@ def evaluate_aggregate(aggregate: Aggregate, group: List[Binding]) -> Optional[T
     raise EvaluationError(f"unsupported aggregate {operation}")
 
 
+def result_header(query: SelectQuery) -> Tuple[Variable, ...]:
+    """The row layout the modifier tail takes for ``query``: the projection,
+    then the other variables ORDER BY reads, by name."""
+    projected = query.projected_variables()
+    extra = set()
+    for condition in query.order_by:
+        extra |= condition.expression.variables()
+    extra.difference_update(projected)
+    return tuple(projected) + tuple(sorted(extra, key=lambda variable: variable.name))
+
+
 def apply_modifiers(
     query: SelectQuery,
-    rows: List[Binding],
-    wanted: Optional[AbstractSet[Variable]] = None,
+    header: Sequence[Variable],
+    rows: List[Row],
     deduplicated: bool = False,
-) -> List[Binding]:
-    """ORDER BY, then the projection onto ``wanted`` (``None``: the rows
-    are projected already), then DISTINCT / REDUCED (unless the rows come
-    ``deduplicated``), OFFSET and LIMIT — in the order the spec applies them.
+) -> List[Row]:
+    """ORDER BY, then the projection, then DISTINCT / REDUCED (unless the
+    rows come ``deduplicated``), OFFSET and LIMIT — in the order the spec
+    applies them — over tuples aligned with ``header``
+    (:func:`result_header`): the projection is its leading columns.
     """
     if query.order_by:
-        rows = apply_order_by(query.order_by, rows)
-    if wanted is not None:
-        rows = [row.project(wanted) for row in rows]
+        rows = apply_order_by(query.order_by, header, rows)
+    width = len(query.projected_variables())
+    if width < len(header):
+        rows = [row[:width] for row in rows]
     if (query.distinct or query.reduced) and not deduplicated:
         rows = distinct_rows(rows)
     if query.offset:
@@ -157,9 +170,9 @@ def apply_modifiers(
 
 
 def apply_order_by(
-    conditions: Sequence[OrderCondition], bindings: List[Binding]
-) -> List[Binding]:
-    """Sort bindings by the ORDER BY conditions.
+    conditions: Sequence[OrderCondition], header: Sequence[Variable], rows: List[Row]
+) -> List[Row]:
+    """Sort tuples aligned with ``header`` by the ORDER BY conditions.
 
     SPARQL ranks an unbound (or errored) key lowest, and DESC reverses
     the whole ordering — so unbound rows sort strictly *first* under ASC
@@ -170,14 +183,17 @@ def apply_order_by(
     ``(0, bound-descending) < (1, unbound)``.  Within one flag value the
     compared shapes are always identical (both unbound, or both wrapped
     the same way).  Shared by the reference evaluator and the
-    translated-solution engine so both stay order-consistent.
+    translated-solution engine so both stay order-consistent.  The keys
+    are evaluated on one :class:`_RowView` moved from row to row.
     """
+    view = _RowView(header)
 
-    def sort_key(binding: Binding):
+    def sort_key(row: Row):
+        view.row = row
         key = []
         for condition in conditions:
             try:
-                value = evaluate_expression(condition.expression, binding)
+                value = evaluate_expression(condition.expression, view)
             except ExpressionError:
                 value = None
             if value is None:
@@ -189,7 +205,23 @@ def apply_order_by(
                 )
         return key
 
-    return sorted(bindings, key=sort_key)
+    return sorted(rows, key=sort_key)
+
+
+class _RowView:
+    """A tuple aligned with a header, read as a binding by the expression
+    evaluator (which only calls ``get``)."""
+
+    __slots__ = ("_slot", "row")
+
+    def __init__(self, header: Sequence[Variable]) -> None:
+        self._slot = {variable.name: position for position, variable in enumerate(header)}
+        self.row: Row = ()
+
+    def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
+        position = self._slot.get(variable.name)
+        value = None if position is None else self.row[position]
+        return default if value is None else value
 
 
 class _Reversed:

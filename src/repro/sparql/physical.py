@@ -225,15 +225,17 @@ def _timed_iter(iterator: Iterator, stats: OperatorStats) -> Iterator:
         yield item
 
 
-def execute(
+def execute_rows(
     plan: PhysicalPlan,
     graph,
     path_evaluator: Optional[PathEvaluator] = None,
     initial: Binding = EMPTY_BINDING,
     timed: bool = False,
     term_fallbacks=None,
-) -> Iterator[Binding]:
-    """Execute a physical plan, streaming bindings.
+) -> Iterator[tuple]:
+    """Execute a physical plan, streaming rows: tuples of terms aligned with
+    :func:`repro.sparql.idexec.row_header` (the ``Project`` variables, with
+    ``initial``'s domain, by name).
 
     ``path_evaluator`` backs term-mode :class:`PathExpand` operators (and
     the bridge inside id pipelines).
@@ -265,3 +267,29 @@ def execute(
         return _timed_iter(stream, plan.root.stats)
     return stream
 
+
+def execute(
+    plan: PhysicalPlan,
+    graph,
+    path_evaluator: Optional[PathEvaluator] = None,
+    initial: Binding = EMPTY_BINDING,
+    timed: bool = False,
+    term_fallbacks=None,
+) -> Iterator[Binding]:
+    """:func:`execute_rows`, each row as the :class:`Binding` it is."""
+    rows = execute_rows(plan, graph, path_evaluator, initial, timed, term_fallbacks)
+    return as_bindings(idexec.row_header(plan, initial), rows)
+
+
+def as_bindings(header: Tuple[Variable, ...], rows: Iterator[tuple]) -> Iterator[Binding]:
+    """The :class:`Binding` of each executor row aligned with ``header``
+    (sorted by name, every variable bound), built as it is asked for;
+    closing the stream closes the execution."""
+    from_sorted = Binding.from_sorted_items
+    try:
+        for row in rows:
+            yield from_sorted(tuple(zip(header, row)))
+    finally:
+        close = getattr(rows, "close", None)
+        if close is not None:
+            close()

@@ -4,14 +4,16 @@ A *solution mapping* (binding) assigns RDF terms to a subset of the query
 variables.  The result of evaluating a graph pattern is a *multiset* of
 solution mappings; after solution modifiers are applied it becomes a
 sequence.  :class:`Binding` is an immutable, hashable mapping so bindings
-can be counted, deduplicated and compared across engines.
+can be counted, deduplicated and compared across engines; the walk's
+operators pair them.  A result, :class:`SolutionSequence`, is a header
+plus plain term tuples: a ``Binding`` per row is built only on request.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Term, Variable, term_sort_key
 
@@ -293,23 +295,60 @@ def _probe_plan(
     return tuple([left_domain.index(var) for var in shared]), table
 
 
-def distinct_rows(bindings: Iterable[Binding]) -> List[Binding]:
+def distinct_rows(rows: Iterable) -> list:
     """The rows with duplicates removed, first occurrence kept (DISTINCT / REDUCED)."""
-    seen = set()
-    unique: List[Binding] = []
+    return list(dict.fromkeys(rows))
+
+
+#: A solution as a plain tuple of terms aligned with a header (``None``: unbound).
+Row = Tuple[Optional[Term], ...]
+
+
+def project_rows(header: Sequence[Variable], bindings: Iterable[Binding]) -> List[Row]:
+    """``bindings`` projected onto ``header``, one tuple each.
+
+    Variables are matched by name, so no row hashes a :class:`Variable`.
+    """
+    slot = {variable.name: position for position, variable in enumerate(header)}
+    blank = [None] * len(header)
+    rows: List[Row] = []
     for binding in bindings:
-        if binding not in seen:
-            seen.add(binding)
-            unique.append(binding)
-    return unique
+        row = blank.copy()
+        for variable, term in binding._items:
+            position = slot.get(variable.name)
+            if position is not None:
+                row[position] = term
+        rows.append(tuple(row))
+    return rows
+
+
+def realign_rows(
+    rows: List[Row], layout: Sequence[Variable], header: Sequence[Variable]
+) -> List[Row]:
+    """Tuples aligned with ``layout`` re-aligned with ``header`` (``None``
+    for a header variable ``layout`` lacks); ``rows`` itself when the two agree."""
+    if tuple(layout) == tuple(header):
+        return rows
+    slot = {variable.name: position for position, variable in enumerate(layout)}
+    columns = [slot.get(variable.name) for variable in header]
+    if len(columns) > 1 and None not in columns:
+        return list(map(itemgetter(*columns), rows))
+    return [tuple([None if c is None else row[c] for c in columns]) for row in rows]
 
 
 class SolutionSequence:
-    """An ordered multiset of solution mappings plus the projection variables.
+    """A header of variables plus the solutions as plain tuples aligned with it.
 
     The class is the common result type of every engine in this repository
-    so the compliance framework can compare answers across systems.
+    so the compliance framework can compare answers across systems.  The
+    header (:attr:`variables`) is fixed once; every row is a tuple of terms
+    in header order, ``None`` where the variable is unbound.  :meth:`rows`,
+    ``len``, equality, :meth:`distinct` and :meth:`to_set` read the tuples;
+    :attr:`bindings` (and iteration) builds one :class:`Binding` per row
+    the first time a caller asks, and keeps them.
     """
+
+    __slots__ = ("variables", "_rows", "_bindings")
 
     def __init__(
         self,
@@ -317,42 +356,74 @@ class SolutionSequence:
         bindings: Iterable[Binding],
     ) -> None:
         self.variables: List[Variable] = list(variables)
-        self.bindings: List[Binding] = list(bindings)
+        self._rows: List[Row] = project_rows(self.variables, bindings)
+        self._bindings: Optional[List[Binding]] = None
+
+    @classmethod
+    def from_rows(cls, variables: Iterable[Variable], rows: List[Row]) -> "SolutionSequence":
+        """The sequence of ``rows``, tuples already aligned with ``variables``
+        (kept as they are: the caller hands the list over)."""
+        sequence = object.__new__(cls)
+        sequence.variables = list(variables)
+        sequence._rows = rows
+        sequence._bindings = None
+        return sequence
+
+    @property
+    def bindings(self) -> List[Binding]:
+        """One :class:`Binding` per row, built on first use; unbound
+        variables are absent from it."""
+        if self._bindings is None:
+            # One (variable, position) per name, in name order: no row sorts.
+            first: Dict[str, Tuple[Variable, int]] = {}
+            for position, variable in enumerate(self.variables):
+                first.setdefault(variable.name, (variable, position))
+            pairs = [first[name] for name in sorted(first)]
+            from_sorted = Binding.from_sorted_items
+            self._bindings = [
+                from_sorted(
+                    tuple([(variable, row[p]) for variable, p in pairs if row[p] is not None])
+                )
+                for row in self._rows
+            ]
+        return self._bindings
 
     def __len__(self) -> int:
-        return len(self.bindings)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Binding]:
         return iter(self.bindings)
 
     def __repr__(self) -> str:
-        return f"SolutionSequence({len(self.bindings)} rows, vars={self.variables})"
+        return f"SolutionSequence({len(self._rows)} rows, vars={self.variables})"
 
     def __eq__(self, other: object) -> bool:
-        """Bag equality: same multiset of rows (order-insensitive)."""
+        """Bag equality: the same header up to order and the same multiset of
+        rows, aligned by variable name (row order is ignored)."""
         if not isinstance(other, SolutionSequence):
             return NotImplemented
-        return Counter(self.bindings) == Counter(other.bindings)
+        names = sorted(variable.name for variable in self.variables)
+        if names != sorted(variable.name for variable in other.variables):
+            return False
+        theirs = realign_rows(other._rows, other.variables, self.variables)
+        return Counter(self._rows) == Counter(theirs)
 
     def counter(self) -> Counter:
-        """Return the multiset view of the rows."""
+        """Return the multiset view of the rows, as bindings."""
         return Counter(self.bindings)
 
     def distinct(self) -> "SolutionSequence":
         """Return a copy with duplicate rows removed (first occurrence kept)."""
-        return SolutionSequence(self.variables, distinct_rows(self.bindings))
+        return SolutionSequence.from_rows(self.variables, distinct_rows(self._rows))
 
-    def rows(self) -> List[Tuple[Optional[Term], ...]]:
+    def rows(self) -> List[Row]:
         """Return rows as tuples aligned with ``self.variables``."""
-        return [
-            tuple(binding.get(var) for var in self.variables)
-            for binding in self.bindings
-        ]
+        return list(self._rows)
 
     def sorted_rows(self) -> List[Tuple[Optional[Term], ...]]:
         """Rows in a deterministic order (useful for tests and reports)."""
-        return sorted(self.rows(), key=lambda row: [term_sort_key(t) for t in row])
+        return sorted(self._rows, key=lambda row: [term_sort_key(t) for t in row])
 
     def to_set(self) -> set:
         """Return the set of rows (ignoring duplicates)."""
-        return set(self.rows())
+        return set(self._rows)

@@ -2,11 +2,11 @@
 
 When a query keeps one row per distinct projected row and the plan emits
 exactly the projection, ``Project.distinct`` drops a repeated *id tuple*
-before a term is decoded or a ``Binding`` built; ``_evaluate_select`` then
-skips ``distinct_rows``.  Pinned here:
+before a term is decoded; the evaluator's modifier tail then skips
+``distinct_rows``.  Pinned here:
 
 * a count test: a q4-shaped query decodes ``distinct rows x projected
-  width`` terms and builds no ``Binding`` for a dropped row;
+  width`` terms and builds no ``Binding``;
 * which queries carry the flag, read off the plan;
 * the answers: bag-equal across ``FULL`` on both backends, ``BASELINE``,
   the unplanned ``NAIVE`` oracle and ``SparqLogEngine``, and row for row
@@ -64,9 +64,9 @@ def test_q4_decodes_and_boxes_only_the_rows_it_keeps(monkeypatch):
     assert plan.explain().splitlines()[0] == "Project [?name1, ?name2] distinct decode=id"
     joined, emitted = plan.root.child.stats.rows, plan.root.stats.rows
     assert joined > emitted == len(result) > 0  # the join produced duplicates
-    assert len(set(result.bindings)) == len(result)
     assert decodes.decodes - before == len(result) * 2  # ?name1, ?name2 per kept row
-    assert len(built) == len(result)  # and not one Binding for a dropped row
+    assert built == []  # rows are tuples: no Binding, kept or dropped
+    assert len(set(result.rows())) == len(result)
     # The reference: decode everything the join produced, then drop.
     reference = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_EXEC)
     assert reference.evaluate(parse_query(q4)).bindings == result.bindings

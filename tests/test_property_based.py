@@ -446,3 +446,57 @@ class TestPlannerDifferentialProperties:
             assert planned == naive
         else:
             assert Counter(planned.rows()) == Counter(naive.rows())
+
+
+# ----------------------------------------------------------------------
+# differential property: the result boundary, every engine
+# ----------------------------------------------------------------------
+# The roots that reach the boundary differently: a pipeline and a lone
+# path pattern emit tuples, UNION and OPTIONAL roots are walked as
+# bindings and projected once; each under the modifier tail, an unbound
+# projected variable included.
+_BOUNDARY_CORES = [
+    "?x ex:p ?y . ?y ex:q ?z",
+    "?x ex:p+ ?z",
+    "{ ?x ex:p ?z } UNION { ?x ex:q ?z }",
+    "?x ex:p ?y OPTIONAL { ?y ex:q ?z }",
+]
+#: (form, its ORDER BY is a total order on the projected rows)
+_BOUNDARY_FORMS = [
+    ("SELECT ?z ?x WHERE {{ {} }}", False),
+    ("SELECT ?x ?z WHERE {{ {} }} ORDER BY DESC(?z) ?x", True),
+    ("SELECT DISTINCT ?z ?x WHERE {{ {} }}", False),
+    ("SELECT ?x ?z WHERE {{ {} }} ORDER BY ?x ?z OFFSET 1 LIMIT 3", True),
+    ("SELECT DISTINCT ?x ?missing ?z WHERE {{ {} }} ORDER BY ?z", False),
+]
+
+
+class TestResultBoundaryProperties:
+    @given(
+        edges_strategy,
+        st.sampled_from(_BOUNDARY_CORES),
+        st.sampled_from(_BOUNDARY_FORMS),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_engine_gives_one_sequence(self, edges, core, form):
+        from repro.sparql.evaluator import SparqlEvaluator
+        from repro.sparql.parser import parse_query
+        from repro.store.encoded import EncodedGraph
+        from tests.helpers import NAIVE
+
+        template, ordered = form
+        text = "PREFIX ex: <http://ex.org/> " + template.format(core)
+        query = parse_query(text)
+        graph = graph_from_edges(edges)
+        memory = Dataset.from_graph(graph)
+        answers = [
+            SparqlEvaluator(memory).evaluate(query),
+            SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph))).evaluate(query),
+            SparqlEvaluator(memory, profile=NAIVE).evaluate(query),
+            SparqLogEngine(memory, timeout_seconds=30).query(text),
+        ]
+        for answer in answers[1:]:
+            assert answer == answers[0]
+            assert answer.variables == answers[0].variables
+            if ordered:
+                assert answer.rows() == answers[0].rows()

@@ -21,7 +21,6 @@ from repro.rdf.terms import IRI, RDF, Literal, Triple, Variable
 from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
 from repro.sparql.modifiers import apply_order_by
-from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 from repro.workloads.sp2bench import SP2BenchWorkload
 
@@ -575,14 +574,14 @@ class TestSolutionTranslationOrderBy:
 
     def _rows(self):
         lastname = Variable("l")
-        bound = Binding({lastname: Literal("Lucas")})
-        unbound = Binding({})
+        bound = (Literal("Lucas"),)
+        unbound = (None,)
         return lastname, bound, unbound
 
     def test_unbound_sorts_first_ascending(self):
         lastname, bound, unbound = self._rows()
         ordered = apply_order_by(
-            (OrderCondition(VariableExpr(lastname), True),), [bound, unbound]
+            (OrderCondition(VariableExpr(lastname), True),), [lastname], [bound, unbound]
         )
         assert ordered == [unbound, bound]
 
@@ -592,6 +591,6 @@ class TestSolutionTranslationOrderBy:
         # behaviour), in the translation exactly as in the evaluator.
         lastname, bound, unbound = self._rows()
         ordered = apply_order_by(
-            (OrderCondition(VariableExpr(lastname), False),), [unbound, bound]
+            (OrderCondition(VariableExpr(lastname), False),), [lastname], [unbound, bound]
         )
         assert ordered == [bound, unbound]
