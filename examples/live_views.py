@@ -22,7 +22,7 @@ WHERE { ?a ex:follows ?b . ?b ex:follows ?c . FILTER(?a != ?c) }
 
 
 def main() -> None:
-    graph = open_graph(backend="encoded")
+    graph = open_graph()
     for who, whom in [("ada", "brin"), ("brin", "cody"), ("cody", "dana")]:
         graph.add(Triple(EX[who], EX.follows, EX[whom]))
 

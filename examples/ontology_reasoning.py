@@ -16,6 +16,7 @@ from repro import (
     Namespace,
     SparqLogEngine,
     StardogLikeEngine,
+    open_graph,
     parse_turtle,
 )
 
@@ -80,7 +81,7 @@ def short(term) -> str:
 
 
 def main() -> None:
-    dataset = Dataset.from_graph(parse_turtle(TURTLE_DATA))
+    dataset = Dataset.from_graph(parse_turtle(TURTLE_DATA, graph=open_graph()))
     ontology = build_ontology()
     sparqlog = SparqLogEngine(dataset, ontology=ontology)
     stardog = StardogLikeEngine(dataset, ontology=ontology)

@@ -14,6 +14,7 @@ from repro import (
     NativeSparqlEngine,
     SparqLogEngine,
     VirtuosoLikeEngine,
+    open_graph,
     parse_turtle,
 )
 from repro.baselines.interface import EngineError
@@ -50,7 +51,7 @@ def short(term) -> str:
 
 
 def main() -> None:
-    dataset = Dataset.from_graph(parse_turtle(TURTLE_DATA))
+    dataset = Dataset.from_graph(parse_turtle(TURTLE_DATA, graph=open_graph()))
     sparqlog = SparqLogEngine(dataset)
     native = NativeSparqlEngine(dataset)
     virtuoso = VirtuosoLikeEngine(dataset)

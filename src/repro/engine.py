@@ -35,6 +35,7 @@ from repro.sparql.parser import parse_query
 from repro.sparql.plancache import BoundedMap
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import SolutionSequence
+from repro.store import create_graph
 from repro.ivm.views import MaterializedView, ViewRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
 
@@ -166,15 +167,16 @@ def create_engine(
 ) -> Engine:
     """Build an :class:`Engine` over a graph or dataset.
 
-    ``data`` may be a graph of either backend (it becomes the default
-    graph), a full :class:`~repro.rdf.graph.Dataset`, or ``None`` for an
-    empty dataset.  ``profile`` selects the execution configuration
-    (default :attr:`ExecutionProfile.FULL
-    <repro.sparql.profile.ExecutionProfile.FULL>`); ``tracer`` attaches
+    ``data`` may be a graph (it becomes the default graph), a full
+    :class:`~repro.rdf.graph.Dataset`, or ``None`` for an empty encoded
+    store.  ``profile`` selects the execution configuration (default
+    :attr:`ExecutionProfile.FULL
+    <repro.sparql.profile.ExecutionProfile.FULL>`), which plans on an
+    :class:`~repro.store.EncodedGraph` only; ``tracer`` attaches
     phase/operator tracing to everything the engine runs.
     """
     if data is None:
-        dataset = Dataset()
+        dataset = Dataset(create_graph())
     elif isinstance(data, Dataset):
         dataset = data
     elif isinstance(data, Graph) or hasattr(data, "triples"):

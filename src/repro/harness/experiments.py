@@ -51,7 +51,7 @@ class ExperimentConfig:
     timeout_seconds: float = 10.0
     seed: int = 1
     #: Storage backend for the generated workload graphs (see
-    #: :mod:`repro.store`): ``None`` (process default), "hash" or "encoded".
+    #: :mod:`repro.store`): ``None`` (the default, "encoded") or "hash".
     backend: Optional[str] = None
 
     def limited(self, queries: Sequence) -> List:

@@ -15,7 +15,7 @@ The public entry point is the engine facade::
 
     from repro import create_engine, open_graph
 
-    engine = create_engine(open_graph("data.nt", backend="encoded"))
+    engine = create_engine(open_graph("data.nt"))
     view = engine.materialize(
         "SELECT ?a ?c WHERE { ?a <p> ?b . ?b <p> ?c }"
     )

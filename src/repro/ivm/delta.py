@@ -27,23 +27,22 @@ has although the store does not (``G_k = G_m − Σ_{j>k} w_j·t_j``) —
 consulted on every probe.  Because change capture only fires on effective
 transitions, presence under any overlay stays in ``{0, 1}``.
 
-**One join, compiled once, in the store's key space.**  Each seed
+**One join, compiled once, over the encoded store's ids.**  Each seed
 position is compiled when the pipeline is built into a chain of step
-closures over one register list, with the key space and the register
-layout of the step compiler (:class:`repro.sparql.idexec.KeySpace`,
-:func:`~repro.sparql.idexec.pattern_layout`): per step the three
-registers the probe reads (a constant's, a bound variable's, or the
-always-``None`` one), the registers a match writes and the
+closures over one register list, with the register layout of the step
+compiler (:func:`repro.sparql.idexec.pattern_layout`): per step the
+three registers the probe reads (a constant's, a bound variable's, or
+the always-``None`` one), the registers a match writes and the
 repeated-variable checks; then what is this module's own — the side
 whose overlay applies and the FILTER conjuncts that become decidable
-there.  The registers hold term ids on a dictionary-encoded store, where
-probes are ``match_triple_ids`` and conjuncts the id-space comparison
-kernels, and the terms themselves otherwise.  Changed triples are
-translated to keys on entry, delta rows accumulate as key tuples, and
-only rows with a non-zero net weight are decoded.  Pattern constants
-resolve lazily — one that is in no triple yet matches nothing and is
-looked up again on the next batch — so a compiled pipeline stays valid
-for the life of its graph.
+there.  The registers hold term ids, probes are ``match_triple_ids`` and
+conjuncts the id comparison kernels
+(:func:`repro.sparql.kernels.compile_conditions`).  Changed triples are
+translated to ids on entry, delta rows accumulate as id tuples, and only
+rows with a non-zero net weight are decoded.  Pattern constants resolve
+lazily — one that is in no triple yet matches nothing and is looked up
+again on the next batch — so a compiled pipeline stays valid for the
+life of its graph.
 
 The differentiated join takes the patterns as written, not a physical
 plan: joins commute and the telescoped sum is exact for any fixed order
@@ -63,10 +62,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.rdf.terms import Term, Triple, Variable
 from repro.sparql import idexec
 from repro.sparql.expressions import Expression, satisfies
-from repro.sparql.kernels import FREE, HEADER, Registers, Test, condition_kernel
+from repro.sparql.kernels import (
+    FREE,
+    HEADER,
+    Registers,
+    Test,
+    compile_conditions,
+    condition_kernel,
+)
 from repro.sparql.operators import condition_label
 from repro.sparql.solutions import EMPTY_BINDING
-from repro.store.encoded import is_id_store
+from repro.store.encoded import require_encoded
 from repro.ivm.zset import ZSet
 
 #: One change-capture batch, as delivered by the store listeners.
@@ -75,8 +81,7 @@ DeltaBatch = Sequence[Tuple[Triple, int]]
 #: A view delta: result row (terms aligned with the projection) -> weight.
 RowDelta = ZSet
 
-Key = idexec.Key
-KeyTriple = idexec.KeyTriple
+IdTriple = Tuple[int, int, int]
 Step = Callable[[Registers], None]
 #: Per seed position: the conjuncts decidable on the seed alone, then the
 #: remaining plan positions in probe order, each with the conjuncts that
@@ -87,12 +92,12 @@ ProbeOrder = Tuple[Tuple[Expression, ...], Tuple[Tuple[int, Tuple[Expression, ..
 # register, the conjunct kernels' term-fallback count), then what one batch
 # brings along; constants and variables are allocated behind by the compiler.
 _WEIGHT = len(HEADER)  #: weight of the change being joined
-_DELTA = _WEIGHT + 1  #: key row -> weight accumulated over the batch
+_DELTA = _WEIGHT + 1  #: id row -> weight accumulated over the batch
 _NEW = _WEIGHT + 2  #: overlay of ``G_k``: absent set here, present dict behind it
 _OLD = _WEIGHT + 4  #: overlay of ``G_{k-1}``, same layout
 
 #: Held by the register of a pattern constant that is in no triple yet:
-#: equal to no key, and a probe on it finds nothing.
+#: equal to no id, and a probe on it finds nothing.
 _UNRESOLVED = object()
 
 
@@ -160,13 +165,13 @@ def _probe_order(
     return seed_conditions, tuple(order)
 
 
-Unifier = Callable[[Registers, KeyTriple], bool]
+Unifier = Callable[[Registers, IdTriple], bool]
 
 
 def _unifier(
     reads: Sequence[int], writes: Sequence[Tuple[int, int]], repeats: Sequence[Tuple[int, int]]
 ) -> Unifier:
-    """Match one given key triple against a pattern, binding what it frees.
+    """Match one given id triple against a pattern, binding what it frees.
 
     ``reads`` are the registers the three positions are compared with
     (the always-``None`` one where the pattern is free), ``writes`` pairs
@@ -177,7 +182,7 @@ def _unifier(
         (position, register) for position, register in enumerate(reads) if register != FREE
     )
 
-    def unify(registers: Registers, ids: KeyTriple) -> bool:
+    def unify(registers: Registers, ids: IdTriple) -> bool:
         for position, register in checks:
             if registers[register] != ids[position]:
                 return False
@@ -216,7 +221,7 @@ def _probe_step(
     return step
 
 
-def _shift(registers: Registers, side: int, triple: KeyTriple, weight: int) -> None:
+def _shift(registers: Registers, side: int, triple: IdTriple, weight: int) -> None:
     """Move ``triple``'s presence in one virtual state by ``weight`` (±1)."""
     absent, present = registers[side], registers[side + 1]
     if weight > 0:
@@ -251,13 +256,13 @@ class DeltaPipeline:
         self.patterns = tuple(patterns)
         self.variables = tuple(variables)
         self.stats = DeltaStats()
-        self.space = idexec.key_space(graph, "id" if is_id_store(graph) else "term")
-        match = self.space.match
-        if self.space.name == "id":
-            # A view outlives an execution: read the probe off the instance
-            # per call, where enable_counters() shadows it.
-            def match(subject, predicate, obj):
-                return graph.match_triple_ids(subject, predicate, obj)
+        require_encoded(graph)
+        self.dictionary = graph.dictionary
+
+        # A view outlives an execution: read the probe off the instance per
+        # call, where enable_counters() shadows it.
+        def match(subject, predicate, obj):
+            return graph.match_triple_ids(subject, predicate, obj)
 
         # Variable-free conjuncts are constant: evaluate once.  A false
         # one makes the view permanently empty, so every delta is ∅.
@@ -274,11 +279,11 @@ class DeltaPipeline:
         self._seeds = self._compile(match)
         self._resolve_constants()
 
-    def _compile(self, match: Callable) -> List[Callable[[Registers, KeyTriple], None]]:
+    def _compile(self, match: Callable) -> List[Callable[[Registers, IdTriple], None]]:
         """One seed closure per pattern position over the shared registers,
         probing the store through ``match``."""
         registers = self._registers
-        space = self.space
+        dictionary = self.dictionary
         stats = self.stats
 
         def allocate(value: object = None) -> int:
@@ -317,7 +322,7 @@ class DeltaPipeline:
             delta[row] = delta.get(row, 0) + registers[_WEIGHT]
 
         def seed_of(unify: Unifier, test: Optional[Test], first: Step):
-            def seed(registers: Registers, ids: KeyTriple) -> None:
+            def seed(registers: Registers, ids: IdTriple) -> None:
                 if unify(registers, ids) and (test is None or test(registers)):
                     stats.seed_matches += 1
                     first(registers)
@@ -328,11 +333,11 @@ class DeltaPipeline:
         for seed, (seed_conditions, order) in enumerate(self.orders):
             bound: Set[Variable] = set()
             _, unify_seed = layout(seed, bound)
-            seed_test = space.conditions(seed_conditions, register_of, bound)
+            seed_test = compile_conditions(seed_conditions, dictionary, register_of, bound)
             probes = []
             for position, anchored in order:
                 reads, unify = layout(position, bound)
-                test = space.conditions(anchored, register_of, bound)
+                test = compile_conditions(anchored, dictionary, register_of, bound)
                 # Plan positions before the seed join the new state.
                 probes.append((reads, unify, test, _NEW if position < seed else _OLD))
             step: Step = emit
@@ -342,14 +347,14 @@ class DeltaPipeline:
         return seeds
 
     def _resolve_constants(self) -> None:
-        key_of = self.space.key_of
+        id_for = self.dictionary.id_for
         still = []
         for register, term in self._unresolved:
-            key = key_of(term)
-            if key is None:
+            term_id = id_for(term)
+            if term_id is None:
                 still.append((register, term))
             else:
-                self._registers[register] = key
+                self._registers[register] = term_id
         self._unresolved = still
 
     def apply(self, batch: DeltaBatch) -> RowDelta:
@@ -366,12 +371,12 @@ class DeltaPipeline:
         if self._unresolved:
             self._resolve_constants()
         registers = self._registers
-        key_of = self.space.key_of
+        id_for = self.dictionary.id_for
         changes = [
-            ((key_of(triple.subject), key_of(triple.predicate), key_of(triple.object)), weight)
+            ((id_for(triple.subject), id_for(triple.predicate), id_for(triple.object)), weight)
             for triple, weight in batch
         ]
-        delta: Dict[Tuple[Key, ...], int] = {}
+        delta: Dict[Tuple[int, ...], int] = {}
         registers[_DELTA] = delta
         try:
             # Both sides start at G_0 = live − batch; giving each change's
@@ -391,21 +396,19 @@ class DeltaPipeline:
             for side in (_NEW, _OLD):
                 registers[side].clear()
                 registers[side + 1].clear()
-        decode = self.space.decode
+        decode = self.dictionary.term
         return {
-            tuple([None if key is None else decode(key) for key in row]): weight
+            tuple([None if term_id is None else decode(term_id) for term_id in row]): weight
             for row, weight in delta.items()
             if weight
         }
 
     def explain(self) -> List[str]:
         """Per seed position, the probe order with every conjunct's anchor."""
-        id_space = self.space.name == "id"
 
         def anchored(conditions: Tuple[Expression, ...]) -> str:
             return "".join(
-                f"; Filter {condition_label(c)} "
-                f"kernel={condition_kernel(c) if id_space else 'term'}"
+                f"; Filter {condition_label(c)} kernel={condition_kernel(c)}"
                 for c in conditions
             )
 

@@ -152,8 +152,7 @@ class MaterializedView:
     def explain(self) -> str:
         """How this view is maintained.
 
-        A delta view: the key space of its join (``id`` / ``term``) and,
-        per seed position — the pattern a changed triple is unified with
+        A delta view: per seed position — the pattern a changed triple is unified with
         — the order the other patterns are probed in, the virtual state
         each reads (``new`` = with the change, ``old`` = without) and
         every FILTER conjunct at the step that decides it, with the
@@ -161,7 +160,7 @@ class MaterializedView:
         differentiated, and which batches the predicate gate lets through.
         """
         if self._pipeline is not None:
-            lines = [f"MaterializedView maintenance=delta keys={self._pipeline.space.name}"]
+            lines = ["MaterializedView maintenance=delta"]
             lines += [f"  {line}" for line in self._pipeline.explain()]
             return "\n".join(lines)
         if self._relevant_predicates is None:
@@ -412,9 +411,10 @@ class ViewRegistry:
         """Create a continuously-maintained view of a SELECT query.
 
         ``graph`` defaults to the evaluator's default graph and must
-        support change capture (both store backends do).  Queries with
-        FROM clauses or GRAPH patterns are rejected — change capture is
-        per-graph, and those shapes read beyond the watched graph.
+        support change capture (both stores do); under the planner it must
+        be the encoded store, or no view is made (``TypeError``).  Queries
+        with FROM clauses or GRAPH patterns are rejected — change capture
+        is per-graph, and those shapes read beyond the watched graph.
         """
         if isinstance(query, str):
             query = parse_query(query)

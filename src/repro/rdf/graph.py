@@ -421,24 +421,26 @@ class Dataset:
     def graph(self, name: Optional[IRI] = None) -> Graph:
         """Return the named graph for ``name`` or the default graph.
 
-        A missing named graph is returned as an empty graph, matching the
-        SPARQL semantics of evaluating ``GRAPH <iri>`` against an unknown
-        graph.
+        A missing named graph is returned as an empty graph of the default
+        graph's store, matching the SPARQL semantics of evaluating
+        ``GRAPH <iri>`` against an unknown graph.
         """
         if name is None:
             return self.default_graph
-        return self.named_graphs.get(name, Graph())
+        graph = self.named_graphs.get(name)
+        return type(self.default_graph)() if graph is None else graph
 
     def active(self, clauses: Sequence) -> "Dataset":
         """The dataset a query's FROM / FROM NAMED clauses describe (``self`` without any).
 
-        FROM graphs are merged into a fresh default graph, FROM NAMED ones
-        keep their name; conventionally an unknown IRI stands for the
-        default graph, so self-contained examples keep working.
+        FROM graphs are merged into a fresh default graph of the default
+        graph's store, FROM NAMED ones keep their name; conventionally an
+        unknown IRI stands for the default graph, so self-contained
+        examples keep working.
         """
         if not clauses:
             return self
-        default = Graph()
+        default = type(self.default_graph)()
         named: Dict[IRI, Graph] = {}
         for clause in clauses:
             graph = self.named_graphs.get(clause.graph, self.default_graph)

@@ -29,13 +29,14 @@ it in this table:
 ``operators``  the physical IR — ``Scan``, ``HashProbe``, ``PathExpand``,
                ``Filter``, ``IndexNestedLoopJoin``, ``LeapfrogJoin``,
                ``Project`` — and ``PhysicalPlan`` (counters, ``explain``)
-``kernels``    the register file header; id-space FILTER kernels
+``kernels``    the register file header; the id FILTER kernels
 ``leapfrog``   the worst-case-optimal join: eligibility, variable order,
                sorted intersection, its levels as pipeline steps
-``idexec``     the one executor: key spaces, the step compiler (binary
-               and hash probes, paths, leapfrog levels), result boundary
-``physical``   ``lower_plan`` (operator choice per backend capability and
-               profile), ``execute_rows`` (term tuples) and ``execute``
+``idexec``     the one executor: the step compiler over the encoded
+               store's ids (binary and hash probes, paths, leapfrog
+               levels), result boundary
+``physical``   ``lower_plan`` (operator choice per plan and profile),
+               ``execute_rows`` (term tuples) and ``execute``
 ``modifiers``  grouping, aggregates and the ORDER BY -> DISTINCT -> OFFSET
                -> LIMIT tail over header-aligned tuples, shared with the
                solution translation T_S
@@ -45,9 +46,11 @@ it in this table:
 
 All of it is configured by one value, an
 :class:`~repro.sparql.profile.ExecutionProfile` handed to
-``SparqlEvaluator(dataset, profile=...)`` (and on to ``lower_plan``); a
-profile with the planner off recovers the naive textual-order evaluation
-the property-based tests use as the differential baseline.
+``SparqlEvaluator(dataset, profile=...)`` (and on to ``lower_plan``).
+Planned evaluation runs on :class:`~repro.store.encoded.EncodedGraph`
+only; a profile with the planner off recovers the naive textual-order
+evaluation over any store's term surface, which the property-based tests
+use as the differential baseline.
 """
 
 from repro.sparql.algebra import (

@@ -8,10 +8,10 @@ makes term-level evaluation slow on the gMark workloads, matching the
 performance shape reported in the paper.
 
 This is the differential oracle for the id-native path engine
-(:mod:`repro.sparql.idpaths`) and the only path machinery on term-only
-backends; :class:`~repro.sparql.evaluator.SparqlEvaluator` picks between
-the two per graph and profile.  :func:`eval_path_pattern_terms` is the
-entry point.
+(:mod:`repro.sparql.idpaths`): the unplanned evaluation runs it on any
+store's term surface, planned evaluation runs the id engine
+(:class:`~repro.sparql.evaluator.SparqlEvaluator` picks by profile).
+:func:`eval_path_pattern_terms` is the entry point.
 """
 
 from __future__ import annotations

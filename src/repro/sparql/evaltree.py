@@ -174,7 +174,7 @@ def _place_optional(node: LeftJoin, pushdown: bool) -> LeftJoin:
 
 def _variables_read(query: Query) -> Optional[Tuple[Variable, ...]]:
     """The variables a query form reads from its pattern's rows, sorted by
-    name, so an id-space plan decodes nothing else.
+    name, so a plan decodes nothing else.
 
     For a SELECT: projection ∪ projection/aggregate expressions ∪ GROUP BY
     ∪ HAVING ∪ ORDER BY, or ``None`` for ``SELECT *``, which reads them

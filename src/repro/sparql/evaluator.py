@@ -13,7 +13,7 @@ once per query, before evaluation, by :mod:`repro.sparql.evaltree`; the
 evaluator walks the tree that pass leaves and decides nothing.  A
 pipeline's triple and path patterns are reordered by estimated
 cardinality (:mod:`repro.sparql.plan`), lowered to a physical operator
-DAG (:mod:`repro.sparql.physical`: term- or id-space per backend, a
+DAG over the encoded store's ids (:mod:`repro.sparql.physical`: a
 leapfrog triejoin for cyclic BGPs), cached per graph state
 (:mod:`repro.sparql.plancache`) and executed as a stream, so ASK and
 plain LIMIT queries short-circuit instead of materialising the full join.
@@ -21,8 +21,14 @@ plain LIMIT queries short-circuit instead of materialising the full join.
 Execution is configured by one value, an
 :class:`repro.sparql.profile.ExecutionProfile` (``profile=`` — presets
 ``FULL`` / ``ID_NATIVE`` / ``BASELINE``, see that module for what each
-field switches); a profile with the planner off recovers the naive
-textual-order evaluation used as the differential-testing baseline.
+field switches).  Planned evaluation runs on
+:class:`~repro.store.encoded.EncodedGraph` only: every graph of a
+query's dataset is checked before any work, and another store raises a
+``TypeError``.  A profile with the planner off recovers the naive
+textual-order evaluation used as the differential-testing baseline; it
+reads only the term surface (index probes through ``triples``, property
+paths by the term-level ALP procedure of :mod:`repro.sparql.alp`), so
+it runs on either store.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ from repro.sparql.solutions import (
     project_rows,
     realign_rows,
 )
-from repro.store.encoded import is_id_store
+from repro.store.encoded import require_encoded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
 
@@ -144,7 +150,7 @@ class SparqlEvaluator:
         )
         self._term_fallbacks = registry.counter(
             "sparql_filter_term_fallbacks_total",
-            "FILTER conjunct evaluations an id-space plan ran on decoded terms",
+            "FILTER conjunct evaluations a plan ran on decoded terms",
         )
         self._index_builds = registry.counter(
             "sparql_compat_index_builds_total",
@@ -268,18 +274,18 @@ class SparqlEvaluator:
 
         Returns ``(layout, rows, project)``.  When the tree is one
         :class:`~repro.sparql.evaltree.Pipeline` the variables the query
-        form reads from its rows go down as the projection, so an id-space
-        plan decodes nothing else, and DISTINCT goes down with them: the
+        form reads from its rows go down as the projection, so the plan
+        decodes nothing else, and DISTINCT goes down with them: the
         rows are tuples aligned with ``layout``, the plan's ``Project``
         variables, and ``project`` is that ``Project``, whose ``distinct``
-        says that no row comes twice.  A lone path pattern on the encoded
-        store is evaluated by the id path engine into tuples of the
+        says that no row comes twice.  A lone path pattern under the
+        planner is evaluated by the id path engine into tuples of the
         endpoint variables the query reads (by name, like a ``Project``).
         Any other tree — and every tree without the planner — streams
         bindings as :meth:`_eval` does, with ``layout`` and ``project``
         ``None``.
         """
-        dataset = self.dataset.active(prepared.query.dataset_clauses)
+        dataset = self._active(prepared.query)
         graph = dataset.default_graph
         tree = prepared.tree
         if type(tree) is Pipeline:
@@ -287,7 +293,7 @@ class SparqlEvaluator:
                 tree, graph, project=prepared.project, distinct=prepared.distinct
             )
             return layout, stream, self.last_physical_plan.root
-        if type(tree) is PathPattern and prepared.pipeline is not None and self._id_paths(graph):
+        if type(tree) is PathPattern and prepared.pipeline is not None:
             read = prepared.project  # None: SELECT *, every endpoint
             layout = tuple(
                 variable
@@ -296,6 +302,17 @@ class SparqlEvaluator:
             )
             return layout, iter(IdPathEngine(graph).rows(tree, layout)), None
         return None, iter(self._eval(tree, graph, dataset)), None
+
+    def _active(self, query: Query) -> Dataset:
+        """The dataset ``query``'s FROM / FROM NAMED clauses describe; under
+        the planner each of its graphs must be the encoded store, checked
+        here, before any work (:func:`~repro.store.encoded.require_encoded`)."""
+        dataset = self.dataset.active(query.dataset_clauses)
+        if self.profile.use_planner:
+            require_encoded(dataset.default_graph)
+            for graph in dataset.named_graphs.values():
+                require_encoded(graph)
+        return dataset
 
     # ------------------------------------------------------------------
     # the walk
@@ -431,15 +448,12 @@ class SparqlEvaluator:
             for row in node.rows
         ]
 
-    def _id_paths(self, graph: Graph) -> bool:
-        return self.profile.use_id_paths and is_id_store(graph)
-
     def _eval_path_pattern(self, node: PathPattern, graph: Graph) -> List[Binding]:
-        """Evaluate a path pattern: on the encoded store through the id
-        engine (:mod:`repro.sparql.idpaths` — integer frontiers, decode only
-        at the result boundary); with id paths off, or on a term-only
-        backend, by the spec's term-level ALP procedure (:mod:`repro.sparql.alp`)."""
-        if self._id_paths(graph):
+        """Evaluate a path pattern: under the planner through the id engine
+        (:mod:`repro.sparql.idpaths` — integer frontiers, decode only at
+        the result boundary), without it by the spec's term-level ALP
+        procedure (:mod:`repro.sparql.alp`)."""
+        if self.profile.use_planner:
             return IdPathEngine(graph).evaluate(node)
         return eval_path_pattern_terms(node, graph)
 
@@ -484,7 +498,6 @@ class SparqlEvaluator:
             physical_plan = physical.lower_plan(
                 plan, graph, conditions, profile, project, distinct
             )
-            span.annotate(space=physical_plan.space)
             if physical_plan.wcoj_fallback is not None:
                 span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
                 # Counted per fresh lowering, not per execution: the cache
@@ -521,20 +534,16 @@ class SparqlEvaluator:
         ``(layout, rows)``, tuples of terms aligned with its ``Project`` variables.
 
         The lowering pass attaches each FILTER conjunct to the earliest
-        operator binding its variables and chooses term- or id-space
-        operators (and the leapfrog triejoin for cyclic BGPs) per backend,
-        within what the profile allows.  ``timed`` turns on per-operator
-        self time (for :meth:`explain_analyze`); ``project`` and
-        ``distinct`` are :class:`~repro.sparql.evaltree.PreparedQuery`'s.
+        operator binding its variables and chooses the leapfrog triejoin
+        for cyclic BGPs, within what the profile allows.  ``timed`` turns
+        on per-operator self time (for :meth:`explain_analyze`);
+        ``project`` and ``distinct`` are
+        :class:`~repro.sparql.evaltree.PreparedQuery`'s.
         """
         physical_plan = self._lower(pipeline, active_graph, project, distinct)
         layout = physical_plan.root.variables
         stream = physical.execute_rows(
-            physical_plan,
-            active_graph,
-            path_evaluator=self._eval_path_pattern,
-            timed=timed,
-            term_fallbacks=self._term_fallbacks,
+            physical_plan, active_graph, timed=timed, term_fallbacks=self._term_fallbacks
         )
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -556,7 +565,7 @@ class SparqlEvaluator:
         just populated — a handful of span records per query, never one
         per row.
         """
-        with tracer.span("execute", space=physical_plan.space) as span:
+        with tracer.span("execute") as span:
             rows = 0
             try:
                 for row in stream:
@@ -594,7 +603,7 @@ class SparqlEvaluator:
                 f"{caller} supports planned BGPs (optionally FILTER-wrapped); "
                 f"got {type(prepared.query.pattern).__name__}"
             )
-        graph = self.dataset.active(prepared.query.dataset_clauses).default_graph
+        graph = self._active(prepared.query).default_graph
         return prepared.pipeline, graph, prepared.project, prepared.distinct
 
     def explain(self, query: Union[Query, PreparedQuery]) -> str:

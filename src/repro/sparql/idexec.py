@@ -1,13 +1,13 @@
-"""The one executor: a physical plan compiled once, in its key space, and run.
+"""The one executor: a physical plan compiled once over the encoded store, and run.
 
 The physical layer hands every plan to :func:`run`, which compiles it —
 once per plan and per domain of the initial binding, kept with the plan
 for as long as the graph version it was compiled against — into a chain
 of step closures over one per-execution *register file*
-(:mod:`repro.sparql.kernels`).  What a register holds for a term is the
-plan's ``space`` (:class:`KeySpace`): its integer id on the
-dictionary-encoded store (:mod:`repro.store.encoded`), or the term itself
-— same steps, same layout, same counters.
+(:mod:`repro.sparql.kernels`).  A register holds a term's integer id on
+the dictionary-encoded store (:mod:`repro.store.encoded`); terms exist
+only where a FILTER conjunct falls back to them and at the result
+boundary.
 
 * **Registers.**  The header, then per-operator row/probe counters, one
   pre-filled register per pattern constant, one register per variable,
@@ -25,25 +25,24 @@ dictionary-encoded store (:mod:`repro.store.encoded`), or the term itself
   registers a match writes, whether repeated-variable checks are needed
   at all, the conjuncts that run after it, and — for path steps — which
   endpoints are bound.  What is left per row is a register write, a
-  counter increment and the next step.  Id space only:
+  counter increment and the next step.
   :class:`~repro.sparql.operators.HashProbe` steps build their pattern's
   matches into a table keyed by the equality key once per execution and
   probe it per outer row, and a cyclic BGP's multiway join is one step
   per variable level (:func:`repro.sparql.leapfrog.compile_levels`).
 
-* **A probe is a dict lookup (id space).**  Which way a scan reads the
-  store follows from the positions its probe leaves free
-  (:func:`access_path`).  With at most one — most probes of a join: every
-  step after the first is entered with a variable bound — the step asks
-  the store for a verdict (S P O) or for the index *entry* of the two
-  bound keys, and a miss, a hit or a single id *returns* the rows of the
-  next step: no generator frame, no id tuple (:func:`_member_step`,
-  :func:`_entry_step`).  Only an entry that is a set of ids fans out, in
-  one frame (:func:`_fan_out`) — the frame every other step runs in too,
-  fed by a stream of matches (:func:`_step`): two or three free
-  positions, where the matches span entries and ``?x p ?x`` has to be
-  checked per triple, a ``HashProbe``'s build scan, a path, and every
-  term-space probe.  Each shape has one implementation; under
+* **A probe is a dict lookup.**  Which way a scan reads the store follows
+  from the positions its probe leaves free (:func:`access_path`).  With
+  at most one — most probes of a join: every step after the first is
+  entered with a variable bound — the step asks the store for a verdict
+  (S P O) or for the index *entry* of the two bound ids, and a miss, a
+  hit or a single id *returns* the rows of the next step: no generator
+  frame, no id tuple (:func:`_member_step`, :func:`_entry_step`).  Only
+  an entry that is a set of ids fans out, in one frame (:func:`_fan_out`)
+  — the frame every other step runs in too, fed by a stream of matches
+  (:func:`_step`): two or three free positions, where the matches span
+  entries and ``?x p ?x`` has to be checked per triple, a ``HashProbe``'s
+  build scan, and a path.  Each shape has one implementation; under
   ``execute(timed=True)`` a lookup goes through the framed form too, so
   per-scan times and counts need no step of their own.
 
@@ -54,12 +53,9 @@ dictionary-encoded store (:mod:`repro.store.encoded`), or the term itself
   emitted before — first, so a dropped row costs a tuple and a set probe,
   no decode (:func:`emit_step`).
 
-Id-mode property-path steps hand bound endpoint *ids* straight to the
-:class:`~repro.sparql.idpaths.IdPathEngine`; term-mode ones bridge
-through the term-level path machinery, re-interning the fresh endpoints.
-
-The live-view join (:mod:`repro.ivm.delta`) runs on the same key spaces
-and layout.
+Property-path steps hand bound endpoint ids straight to the
+:class:`~repro.sparql.idpaths.IdPathEngine`.  The live-view join
+(:mod:`repro.ivm.delta`) uses the same register layout.
 """
 
 from __future__ import annotations
@@ -67,12 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Variable
 from repro.sparql import leapfrog
-from repro.sparql.algebra import PathPattern, TriplePatternNode
-from repro.sparql.expressions import Expression, satisfies
+from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.idpaths import ABSENT, IdPathEngine
 from repro.sparql.kernels import (
     FALLBACKS,
@@ -82,7 +77,6 @@ from repro.sparql.kernels import (
     MATCH,
     MEMBER,
     OBJECTS,
-    PATH_EVALUATOR,
     PREDICATES,
     RESULTS,
     SINK,
@@ -96,102 +90,13 @@ from repro.sparql.kernels import (
 )
 from repro.sparql.operators import Filter, HashProbe, IndexNestedLoopJoin, Scan
 from repro.sparql.paths import matches_zero_length, normalize_path
-from repro.sparql.plan import PathEvaluator
 from repro.sparql.solutions import Binding
 from repro.store.dictionary import TermDictionary
 
 
 # ----------------------------------------------------------------------
-# key spaces
+# probe layout
 # ----------------------------------------------------------------------
-#: What a register holds for a term: its id in id space, the term in term space.
-Key = object
-KeyTriple = Tuple[Key, Key, Key]
-
-
-class KeySpace(NamedTuple):
-    """What the registers of a compiled join hold and how one graph is read in it:
-    consulted when compiling and once per execution (or change batch of
-    :mod:`repro.ivm.delta`), never per row."""
-
-    name: str  #: ``"id"`` or ``"term"``: a plan's ``space``
-    #: Term -> key; ``None`` while the term is in no triple of the store.
-    key_of: Callable[[Term], Optional[Key]]
-    #: Term -> key, always: a term outside the graph gets a key no probe finds.
-    encode: Callable[[Term], Key]
-    decode: Callable[[Key], Term]
-    #: Index probe on three keys (``None`` = wildcard) -> key triples.  Fetched
-    #: per execution: ``enable_counters()`` shadows it on the graph instance.
-    match: Callable[[Optional[Key], Optional[Key], Optional[Key]], Iterable[KeyTriple]]
-    #: Id space: the store's dict-lookup probes of the shapes with at most
-    #: one free position — ``contains_ids``, ``object_entry_ids``,
-    #: ``subject_entry_ids``, ``predicate_entry_ids``
-    #: (:data:`repro.store.encoded.PROBE_SURFACE`), fetched per execution like ``match``.
-    #: Term space has none: four ``None``.
-    entries: Tuple[Optional[Callable], Optional[Callable], Optional[Callable], Optional[Callable]]
-    #: ``(conjuncts, register_of, bound)`` -> one test over the registers.
-    conditions: Callable[[Sequence[Expression], Dict[Variable, int], Set[Variable]], Optional[Test]]
-
-
-def _identity(term):
-    return term
-
-
-def key_space(graph, name: str) -> KeySpace:
-    """Ids and the comparison kernels on a dictionary-encoded store
-    (``"id"``), the terms themselves on any graph (``"term"``)."""
-    if name == "id":
-        dictionary = graph.dictionary
-
-        def conditions(conjuncts, register_of, bound):
-            return compile_conditions(conjuncts, dictionary, register_of, bound)
-
-        return KeySpace(
-            name,
-            dictionary.id_for,
-            dictionary.encode,
-            dictionary.term,
-            graph.match_triple_ids,
-            (
-                graph.contains_ids,
-                graph.object_entry_ids,
-                graph.subject_entry_ids,
-                graph.predicate_entry_ids,
-            ),
-            conditions,
-        )
-
-    def match(subject, predicate, obj):
-        return map(tuple, graph.triples(subject, predicate, obj))
-
-    return KeySpace(name, _identity, _identity, _identity, match, (None,) * 4, _term_conditions)
-
-
-def _term_conditions(
-    conditions: Sequence[Expression], register_of: Dict[Variable, int], bound: Set[Variable]
-) -> Optional[Test]:
-    """Term-space conjuncts: on a :class:`Binding` of just the variables they read."""
-    if not conditions:
-        return None
-    mentioned = set().union(*(condition.variables() for condition in conditions))
-    needed = tuple(
-        (variable, register_of[variable])
-        for variable in sorted(mentioned & bound, key=lambda v: v.name)
-    )
-    from_sorted = Binding.from_sorted_items
-
-    def test(registers: Registers) -> bool:
-        binding = from_sorted(
-            tuple([(variable, registers[register]) for variable, register in needed])
-        )
-        for condition in conditions:
-            if not satisfies(condition, binding):
-                return False
-        return True
-
-    return test
-
-
 def pattern_layout(
     parts: Sequence,
     bound: Set[Variable],
@@ -240,21 +145,20 @@ def probe_shape(parts: Sequence, bound: Set[Variable]) -> str:
     )
 
 
-def access_path(shape: str, space: str) -> str:
-    """How a scan of ``shape`` (:func:`probe_shape`) reads the store in ``space``.
+def access_path(shape: str) -> str:
+    """How a scan of ``shape`` (:func:`probe_shape`) reads the store.
 
-    In id space a probe with at most one free position is a dict lookup:
-    ``"member"`` (S P O: one verdict) or ``"entry"`` (the index entry
-    itself: no id, one, or the set) — see :func:`_member_step` /
-    :func:`_entry_step`.  Everything else is ``"match"``, a stream of key
-    triples (:func:`_scan_rows`): two or three free positions, where the
-    matches span index entries and a repeated variable (``?x p ?x``) must
-    be checked per triple, and every term-space probe, which reads any
-    graph through ``triples``.  The one decision, for the compiler and for
-    what ``explain`` prints.
+    A probe with at most one free position is a dict lookup: ``"member"``
+    (S P O: one verdict) or ``"entry"`` (the index entry itself: no id,
+    one, or the set) — see :func:`_member_step` / :func:`_entry_step`.
+    Everything else is ``"match"``, a stream of id triples
+    (:func:`_scan_rows`): two or three free positions, where the matches
+    span index entries and a repeated variable (``?x p ?x``) must be
+    checked per triple.  The one decision, for the compiler and for what
+    ``explain`` prints.
     """
     free = shape.count("?")
-    if space != "id" or free > 1:
+    if free > 1:
         return "match"
     return "entry" if free else "member"
 
@@ -275,9 +179,8 @@ class CompiledPipeline:
     """One plan compiled for one domain of the initial binding."""
 
     #: What the compiled form is valid for: constants were resolved
-    #: through this ``key_of`` (a dictionary's, or the identity) at
-    #: this graph version.
-    key_of: Callable
+    #: through this dictionary at this graph version.
+    dictionary: TermDictionary
     version: int
     template: Registers = field(default_factory=lambda: list(HEADER))
     #: Entry step; ``None`` when a pattern constant is in no triple,
@@ -287,8 +190,6 @@ class CompiledPipeline:
     initial: Tuple[Tuple[Variable, int], ...] = ()
     #: ``(operator stats, rows register, probes register)`` to publish.
     counters: List[Tuple[object, int, int]] = field(default_factory=list)
-    #: True when a path step bridges through the term-level evaluator.
-    needs_paths: bool = False
     #: Register of a DISTINCT plan's set of emitted rows (fresh per
     #: execution), else ``None``.
     emitted: Optional[int] = None
@@ -297,44 +198,41 @@ class CompiledPipeline:
 def run(
     plan,
     graph,
-    path_evaluator,
     initial: Binding,
     timed_iter: Optional[Callable],
     term_fallbacks,
 ) -> Iterable[tuple]:
-    """Execute ``plan`` in its key space, streaming rows: tuples of terms
-    aligned with :func:`row_header` of ``plan`` and ``initial``.
+    """Execute ``plan`` on the encoded store ``graph``, streaming rows:
+    tuples of terms aligned with :func:`row_header` of ``plan`` and ``initial``.
 
     ``timed_iter`` is the physical layer's self-time wrapper under
     ``execute(timed=True)``; ``term_fallbacks`` an optional counter
-    (``inc(n)``) of conjunct evaluations that left id space.
+    (``inc(n)``) of conjunct evaluations that ran on decoded terms.
     """
-    space = key_space(graph, plan.space)
+    dictionary = graph.dictionary
     domain = tuple(initial)
     form = (domain, plan.root.distinct)
     compiled = plan._compiled.get(form)
-    if compiled is None or compiled.version != graph.version or compiled.key_of != space.key_of:
-        compiled = plan._compiled[form] = _compile(plan, graph, space, set(domain))
+    if (
+        compiled is None
+        or compiled.version != graph.version
+        or compiled.dictionary is not dictionary
+    ):
+        compiled = plan._compiled[form] = _compile(plan, graph, set(domain))
     if compiled.first is None:
         return iter(())
-    if compiled.needs_paths and path_evaluator is None:
-        raise TypeError("plan contains a path pattern but no path evaluator")
     registers = compiled.template.copy()
-    registers[MATCH] = space.match
-    (
-        registers[MEMBER],
-        registers[OBJECTS],
-        registers[SUBJECTS],
-        registers[PREDICATES],
-    ) = space.entries
+    registers[MATCH] = graph.match_triple_ids
+    registers[MEMBER] = graph.contains_ids
+    registers[OBJECTS] = graph.object_entry_ids
+    registers[SUBJECTS] = graph.subject_entry_ids
+    registers[PREDICATES] = graph.predicate_entry_ids
     registers[TIMED] = timed_iter
     registers[GRAPH] = graph
-    registers[PATH_EVALUATOR] = path_evaluator
-    # encode (not key_of): an initial term outside the graph gets a fresh
-    # id that simply never matches a probe — as the term itself does in
-    # term space.
+    # encode (not id_for): an initial term outside the graph gets a fresh
+    # id that simply never matches a probe.
     for variable, register in compiled.initial:
-        registers[register] = space.encode(initial[variable])
+        registers[register] = dictionary.encode(initial[variable])
     if compiled.emitted is not None:
         registers[compiled.emitted] = set()
     return _stream(compiled, registers, term_fallbacks)
@@ -347,7 +245,7 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
         # Runs after every step's own ``finally`` has flushed its batched
         # counts into the registers — on exhaustion and on ``close()``:
         # each operator takes its counts, the ``term_fallbacks`` counter
-        # the conjunct evaluations that left id space.
+        # the conjunct evaluations that ran on decoded terms.
         for stats, rows, probes in compiled.counters:
             stats.rows = registers[rows]
             stats.probes = registers[probes]
@@ -355,25 +253,25 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
             term_fallbacks.inc(registers[FALLBACKS])
 
 
-def _compile(plan, graph, space, domain: Set[Variable]):
+def _compile(plan, graph, domain: Set[Variable]):
     """Compile ``plan`` for executions whose initial binding has ``domain``."""
-    compiled = CompiledPipeline(space.key_of, graph.version)
+    dictionary = graph.dictionary
+    compiled = CompiledPipeline(dictionary, graph.version)
     template = compiled.template
 
     def allocate(value: object = None) -> int:
         template.append(value)
         return len(template) - 1
 
-    def prefilled(key_of: Callable[[Term], Optional[Key]]):
+    def prefilled(id_of: Callable[[Term], Optional[int]]):
         def constant_register(_position: int, term: Term) -> Optional[int]:
-            key = key_of(term)
-            return None if key is None else allocate(key)
+            term_id = id_of(term)
+            return None if term_id is None else allocate(term_id)
 
         return constant_register
 
-    # An id-space constant the dictionary has never seen is in no triple;
-    # a term-space constant is its own key.
-    scan_constant = prefilled(space.key_of)
+    # A constant the dictionary has never seen is in no triple.
+    scan_constant = prefilled(dictionary.id_for)
     zero = allocate(0)
     register_of: Dict[Variable, int] = {}
     bound: Set[Variable] = set()
@@ -389,7 +287,7 @@ def _compile(plan, graph, space, domain: Set[Variable]):
         # Conjuncts without variables: one verdict per execution.
         gate_rows, gate_probes = allocate(0), allocate(0)
         compiled.counters.append((join.stats, gate_rows, gate_probes))
-        test = space.conditions(join.conditions, register_of, bound)
+        test = compile_conditions(join.conditions, dictionary, register_of, bound)
         makers.append(partial(_gate_step, test=test, rows=gate_rows, probes=gate_probes))
         join = join.child
     compiled.counters.append((root.stats, RESULTS, zero))
@@ -414,14 +312,10 @@ def _compile(plan, graph, space, domain: Set[Variable]):
             else (node.subject, node.object)
         )
         before = set(bound)
-        fresh = [
-            part
-            for part in dict.fromkeys(parts)
-            if isinstance(part, Variable) and part not in bound
-        ]
-        for variable in fresh:
-            register_of[variable] = allocate()
-        bound.update(fresh)
+        for variable in dict.fromkeys(parts):
+            if isinstance(variable, Variable) and variable not in bound:
+                register_of[variable] = allocate()
+                bound.add(variable)
         make = None
         if isinstance(leaf, (Scan, HashProbe)):
             layout = pattern_layout(parts, before, register_of, scan_constant)
@@ -430,7 +324,7 @@ def _compile(plan, graph, space, domain: Set[Variable]):
             reads = layout[0]
             shape = probe_shape(parts, before)
             # A HashProbe's build scan shares no variable with the rows above it.
-            access = access_path(shape, space.name) if isinstance(leaf, Scan) else "match"
+            access = access_path(shape) if isinstance(leaf, Scan) else "match"
             if access == "member":
                 make = partial(_member_step, reads=reads)
             elif access == "entry":
@@ -451,9 +345,9 @@ def _compile(plan, graph, space, domain: Set[Variable]):
                     build_register=register_of[leaf.build],
                     written=tuple(target for target, _ in layout[1]),
                     table=allocate(),
-                    dictionary=graph.dictionary,
+                    dictionary=dictionary,
                 )
-        elif leaf.mode == "id":
+        else:
             engine = IdPathEngine(graph)
             path = normalize_path(node.path)
 
@@ -473,21 +367,10 @@ def _compile(plan, graph, space, domain: Set[Variable]):
                 targets=[register_of.get(part) for part in parts],
                 # A *substituted* variable endpoint only ranges over graph
                 # nodes, so its zero-length self-match requires node
-                # membership (constants stay syntactic) — the id-space
-                # mirror of _match_path's pre-check.
+                # membership (constants stay syntactic).
                 node_checks=tuple(register_of[part] for part in parts if part in before)
                 if matches_zero_length(path)
                 else (),
-            )
-        else:
-            compiled.needs_paths = True
-            bind = _term_path_rows(
-                node,
-                bound_ends=tuple(
-                    (part, register_of[part]) for part in dict.fromkeys(parts) if part in before
-                ),
-                free_ends=tuple((variable, register_of[variable]) for variable in fresh),
-                space=space,
             )
         if make is None:
             make = partial(_step, bind=bind)
@@ -503,7 +386,7 @@ def _compile(plan, graph, space, domain: Set[Variable]):
         makers.append(
             partial(
                 make,
-                test=space.conditions(conditions, register_of, bound),
+                test=compile_conditions(conditions, dictionary, register_of, bound),
                 rows=rows,
                 probes=probes,
                 passed=passed,
@@ -513,7 +396,7 @@ def _compile(plan, graph, space, domain: Set[Variable]):
 
     if multiway:
         levels = leapfrog.compile_levels(
-            join, allocate, scan_constant, register_of, bound, space.conditions, compiled.counters
+            join, allocate, scan_constant, register_of, bound, dictionary, compiled.counters
         )
         if levels is None:
             return compiled
@@ -525,7 +408,7 @@ def _compile(plan, graph, space, domain: Set[Variable]):
         compiled.emitted = allocate()
     step: Step = emit_step(
         tuple(register_of[variable] for variable in row_header(plan, domain)),
-        space.decode,
+        dictionary.term,
         compiled.emitted,
     )
     for make in reversed(makers):
@@ -554,7 +437,7 @@ def emit_step(
     The step returns a one-row tuple rather than yielding, so the step
     above it pays no generator per result row.  ``emitted`` is the
     register of a DISTINCT plan's set of emitted rows
-    (``Project.distinct``): a row whose key tuple is in it is dropped
+    (``Project.distinct``): a row whose id tuple is in it is dropped
     here, before a term is decoded, and does not count as a result; the
     first occurrence passes, so the rows keep the order ``distinct_rows``
     would have left them in.
@@ -660,11 +543,11 @@ def _step(
     return step
 
 
-def _probed(fetch: Callable, *keys: Key) -> Iterable:
-    """What ``fetch(*keys)`` found, one value at a time, fetched on the
+def _probed(fetch: Callable, *ids: int) -> Iterable:
+    """What ``fetch(*ids)`` found, one value at a time, fetched on the
     first ``next()``: how ``execute(timed=True)`` puts a dict-lookup probe
     under its scan's timer and through the framed half of its step."""
-    entry = fetch(*keys)
+    entry = fetch(*ids)
     if type(entry) is set:
         yield from entry
     elif entry is not None and entry is not False:
@@ -680,7 +563,7 @@ def _member_step(
     passed: Optional[int],
     stats,
 ) -> Step:
-    """An S P O probe (id space): one verdict, nothing bound, and no frame —
+    """An S P O probe: one verdict, nothing bound, and no frame —
     a hit *returns* the rows of ``next_step``, as :func:`_gate_step` does."""
     subject, predicate, obj = reads
     fan_out = _fan_out(next_step, SINK, test, rows, passed)
@@ -716,9 +599,9 @@ def _entry_step(
     passed: Optional[int],
     stats,
 ) -> Step:
-    """A probe with one free position (id space): the store hands over the
-    index entry of the two bound keys (``registers[fetch]``, one of the
-    ``KeySpace.entries``) and ``target`` takes what it holds.
+    """A probe with one free position: the store hands over the index
+    entry of the two bound ids (``registers[fetch]``, one of its
+    ``*_entry_ids`` lookups) and ``target`` takes what it holds.
 
     A miss returns no rows and a single id returns the rows of
     ``next_step``, both without a frame of this step's own; only an id set
@@ -842,81 +725,3 @@ def _id_path_rows(
             yield
 
     return rows
-
-
-def _term_path_rows(
-    node,
-    bound_ends: Tuple[Tuple[Variable, int], ...],
-    free_ends: Tuple[Tuple[Variable, int], ...],
-    space: KeySpace,
-) -> Callable[[Registers], Iterable]:
-    """A property path over the term-level machinery, bridged per probe:
-    decode the bound endpoints, evaluate, re-intern the fresh ones (both
-    the identity in term space)."""
-    decode = space.decode
-    # Interning is idempotent for graph terms and harmlessly append-only
-    # for the rare zero-length-path endpoint outside the graph.
-    encode = space.encode
-
-    def rows(registers: Registers) -> Iterable:
-        base = Binding(
-            {variable: decode(registers[register]) for variable, register in bound_ends}
-        )
-        for extension in _match_path(
-            registers[GRAPH], node, base, registers[PATH_EVALUATOR]
-        ):
-            for variable, register in free_ends:
-                registers[register] = encode(extension[variable])
-            yield
-
-    return rows
-
-
-def _match_path(
-    graph,
-    node: PathPattern,
-    binding: Binding,
-    path_evaluator: PathEvaluator,
-) -> Iterable[Binding]:
-    """Yield extensions of ``binding`` matching a path pattern.
-
-    Bound endpoint variables are substituted before evaluation so closure
-    operators expand from a single node instead of the whole graph.
-
-    Substitution must not change semantics: a *syntactic* constant
-    endpoint of a zero-length-admitting path (``?``, ``*``) matches
-    itself even when it is not a node of the graph, but a variable
-    endpoint only ever ranges over graph nodes, so a substituted value
-    that is not a node cannot produce any solution — neither a
-    zero-length one (join semantics pair only nodes of G) nor an edge
-    traversal (a non-node has no edges).
-    """
-    substituted = False
-    subject = node.subject
-    if isinstance(subject, Variable):
-        value = binding.get(subject)
-        if value is not None:
-            subject = value
-            substituted = True
-    obj = node.object
-    if isinstance(obj, Variable):
-        value = binding.get(obj)
-        if value is not None:
-            obj = value
-            substituted = True
-    if substituted and matches_zero_length(node.path):
-        for endpoint, original in ((subject, node.subject), (obj, node.object)):
-            if endpoint is not original and not (
-                graph.subject_cardinality(endpoint)
-                or graph.object_cardinality(endpoint)
-            ):
-                return
-    substituted = (
-        node
-        if subject is node.subject and obj is node.object
-        else PathPattern(subject, node.path, obj)
-    )
-    for result in path_evaluator(substituted, graph):
-        # Substitution removed every variable already bound, so the result
-        # binds only fresh variables and the merge is always compatible.
-        yield binding.merge(result) if len(result) else binding

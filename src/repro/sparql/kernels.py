@@ -5,9 +5,10 @@ leapfrog level (:mod:`repro.sparql.leapfrog`), a live view's seeds
 (:mod:`repro.ivm.delta`) — runs over one *register file*, a plain list:
 the header below, then whatever its compiler allocates behind it.
 
-The kernels are the id-space FILTER conjuncts: ``= != < <= > >=`` between
-variables and/or constants and ``sameTerm`` run on ids, kind tags and —
-for literals — per-id *comparison keys* (:func:`comparison_key`) memoised
+The kernels are the FILTER conjuncts decided without a term:
+``= != < <= > >=`` between variables and/or constants and ``sameTerm``
+run on ids, kind tags and — for literals — per-id *comparison keys*
+(:func:`comparison_key`) memoised
 in :attr:`TermDictionary.compare_keys
 <repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
 ``Binding``, no expression walk.  Every other conjunct decodes only the
@@ -48,21 +49,20 @@ Step = Callable[[Registers], Iterable[tuple]]
 
 # Register file header.  Counters first, then what an execution brings
 # along; everything after ``HEADER`` is allocated by the compiler.
-FALLBACKS = 0  #: conjunct evaluations that ran in term space
+FALLBACKS = 0  #: conjunct evaluations that ran on decoded terms
 RESULTS = 1  #: rows emitted at the result boundary
 FREE = 2  #: always ``None``: what a free pattern position reads
 SINK = 3  #: written, never read: where a probe that binds nothing puts its rows
-#: The store's probes, ``KeySpace.match`` and the four of ``KeySpace.entries``
-#: (fetched per execution: ``enable_counters()`` shadows them on the graph).
-MATCH = 4
-MEMBER = 5
-OBJECTS = 6
-SUBJECTS = 7
-PREDICATES = 8
+#: The store's id probes (:data:`repro.store.encoded.PROBE_SURFACE`), fetched
+#: per execution: ``enable_counters()`` shadows them on the graph instance.
+MATCH = 4  #: ``match_triple_ids``
+MEMBER = 5  #: ``contains_ids``
+OBJECTS = 6  #: ``object_entry_ids``
+SUBJECTS = 7  #: ``subject_entry_ids``
+PREDICATES = 8  #: ``predicate_entry_ids``
 TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
 GRAPH = 10
-PATH_EVALUATOR = 11
-HEADER: Tuple[object, ...] = (0, 0) + (None,) * 10
+HEADER: Tuple[object, ...] = (0, 0) + (None,) * 9
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +176,7 @@ def _kernel_operands(condition: Expression) -> Optional[Tuple[Expression, Expres
 
 
 def condition_kernel(condition: Expression) -> str:
-    """``"id"`` when the conjunct runs as an id-space kernel, else ``"term"``.
+    """``"id"`` when the conjunct runs as an id kernel, else ``"term"``.
 
     A property of the conjunct's shape alone — comparisons and
     ``sameTerm`` between variables and/or constants — so the lowering

@@ -27,10 +27,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.rdf.terms import Term, Variable
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.expressions import Expression
-from repro.sparql.kernels import GRAPH, TIMED, Registers, Step, Test
+from repro.sparql.kernels import GRAPH, TIMED, Registers, Step, Test, compile_conditions
 from repro.sparql.operators import LeapfrogJoin, Scan
 from repro.sparql.ordering import is_cyclic
 from repro.sparql.plan import BGPPlan, attach_conditions
+from repro.store.dictionary import TermDictionary
 
 # ----------------------------------------------------------------------
 # lowering: eligibility, variable order, level conditions
@@ -50,8 +51,7 @@ def assessment(plan: BGPPlan) -> Tuple[bool, Optional[str]]:
     """Can (and should) this plan run as a leapfrog triejoin — and if a
     *cyclic* plan can't, why not?
 
-    Eligibility requires (beside the encoded store's sorted runs: the
-    caller asks for id-space plans only) at least three pure triple
+    Eligibility requires at least three pure triple
     patterns with constant predicates and no repeated variable inside
     one pattern, and — the actual trigger — a cyclic join
     hypergraph, where every binary join order is worst-case suboptimal.
@@ -155,7 +155,7 @@ def compile_levels(
     constant_register: Callable[[int, Term], Optional[int]],
     register_of: Dict[Variable, int],
     bound: Set[Variable],
-    conditions: Callable[..., Optional[Test]],
+    dictionary: TermDictionary,
     counters: List[Tuple[object, int, int]],
 ) -> Optional[List[Callable[[Step], Step]]]:
     """The step makers of ``join``'s variable levels, outermost first, or
@@ -208,7 +208,7 @@ def compile_levels(
                 _member_level if variable in prebound else _level_step,
                 target=register_of[variable],
                 runs=tuple(level_runs),
-                test=conditions(slot, register_of, bound),
+                test=compile_conditions(slot, dictionary, register_of, bound),
                 stats=join.stats,
             )
         )

@@ -101,21 +101,17 @@ class Scan(PhysicalOperator):
 
 @dataclass(eq=False)
 class PathExpand(PhysicalOperator):
-    """Property-path expansion; ``mode`` records the chosen machinery.
-
-    ``"id"`` runs the id-native :class:`~repro.sparql.idpaths.IdPathEngine`;
-    ``"term"`` runs the evaluator's term-level ALP procedure (on a term
-    backend, or as the decode/re-intern bridge inside an id pipeline).
-    """
+    """Property-path expansion by the id path engine
+    (:class:`~repro.sparql.idpaths.IdPathEngine`): bound endpoint ids in,
+    id pairs out."""
 
     node: PathPattern
     estimate: float
     source_index: int
-    mode: str = "term"
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
     def describe(self) -> str:
-        return f"PathExpand[{self.mode}] {self.node!r} est={self.estimate:g}"
+        return f"PathExpand {self.node!r} est={self.estimate:g}"
 
 
 @dataclass(eq=False)
@@ -151,10 +147,10 @@ class Filter(PhysicalOperator):
 
     child: PhysicalOperator
     conditions: Tuple[Expression, ...]
-    #: Where the conjuncts are decided: ``"id"`` (id-space comparison
-    #: kernels), ``"term"`` (decoded, term-level semantics — always so in
-    #: a term-space plan) or ``"id+term"`` for a mixed slot.
-    kernel: str = "term"
+    #: Where the conjuncts are decided: ``"id"`` (the comparison kernels
+    #: on ids), ``"term"`` (decoded, term-level semantics) or ``"id+term"``
+    #: for a mixed slot.
+    kernel: str
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -212,17 +208,16 @@ class LeapfrogJoin(PhysicalOperator):
 
 @dataclass(eq=False)
 class Project(PhysicalOperator):
-    """Result boundary: decodes ids / fixes the output variable order.
+    """Result boundary: decodes ids and fixes the output variable order.
 
-    ``variables`` is what an id-space plan decodes per result row: every
-    plan variable, or the subset the query reads above the BGP.
+    ``variables`` is what the plan decodes per result row: every plan
+    variable, or the subset the query reads above the BGP.
     ``distinct`` plans emit each row once: a repeated id tuple is dropped
     before anything is decoded (``rows`` counts the rows that were not).
     """
 
     child: PhysicalOperator
     variables: Tuple[Variable, ...]
-    decode: str
     distinct: bool = False
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 
@@ -231,15 +226,14 @@ class Project(PhysicalOperator):
 
     def describe(self) -> str:
         rendered = ", ".join(repr(v) for v in self.variables)
-        return f"Project [{rendered}] {'distinct ' if self.distinct else ''}decode={self.decode}"
+        return f"Project [{rendered}]{' distinct' if self.distinct else ''}"
 
 
 @dataclass(eq=False)
 class PhysicalPlan:
-    """A lowered BGP: the operator DAG plus the space it executes in."""
+    """A lowered BGP: the operator DAG and the logical plan it came from."""
 
     root: Project
-    space: str
     source: BGPPlan
     #: Why a GYO-cyclic BGP was *not* given the leapfrog operator (e.g.
     #: ``"variable predicate"``); ``None`` for acyclic plans and for
@@ -368,10 +362,7 @@ class PhysicalPlan:
         }
         lines: List[str] = []
         if total_seconds is not None:
-            lines.append(
-                f"EXPLAIN ANALYZE ({self.space} space) "
-                f"total={total_seconds * 1e3:.2f}ms"
-            )
+            lines.append(f"EXPLAIN ANALYZE total={total_seconds * 1e3:.2f}ms")
 
         def annotate(operator: PhysicalOperator) -> str:
             entry = analysis[id(operator)]

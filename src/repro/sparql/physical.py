@@ -5,18 +5,16 @@ Logical planning (:mod:`repro.sparql.plan`) stops at an ordered
 explicit *physical* plan — a small DAG of the operator classes of
 :mod:`repro.sparql.operators` — and executes it.
 
-* **Lowering** — :func:`lower_plan` chooses term-space vs. id-space
-  operators per *backend capability*: the dictionary-encoded store
-  gets ids in the registers, everything else the terms
-  themselves (``plan.space``, the one selector of the key space).  The
-  :class:`~repro.sparql.profile.ExecutionProfile` it is handed can only
-  *disable* a capability (to recover the differential reference
-  configurations), never force an unsupported one.  FILTER conjuncts
-  arrive here and become :class:`~repro.sparql.operators.Filter`
+* **Lowering** — :func:`lower_plan` builds the operators of a plan over
+  the dictionary-encoded store, the one store planned evaluation runs on
+  (any other raises :func:`~repro.store.encoded.require_encoded`'s
+  ``TypeError``).  The :class:`~repro.sparql.profile.ExecutionProfile`
+  it is handed can switch FILTER pushdown and the leapfrog join *off*,
+  to recover the differential reference configurations.  FILTER
+  conjuncts arrive here and become :class:`~repro.sparql.operators.Filter`
   operators wrapped around the earliest input that binds their variables
-  (:func:`repro.sparql.plan.attach_filters`); a GYO-cyclic BGP on a
-  store with sorted id runs gets the worst-case-optimal
-  :class:`~repro.sparql.operators.LeapfrogJoin`
+  (:func:`repro.sparql.plan.attach_filters`); a GYO-cyclic BGP gets the
+  worst-case-optimal :class:`~repro.sparql.operators.LeapfrogJoin`
   (:mod:`repro.sparql.leapfrog`), everything else the binary
   :class:`~repro.sparql.operators.IndexNestedLoopJoin`.
 
@@ -47,16 +45,10 @@ from repro.sparql.operators import (
     Project,
     Scan,
 )
-from repro.sparql.plan import (
-    BGPPlan,
-    PathEvaluator,
-    StepFilters,
-    attach_filters,
-    plan_bgp,
-)
+from repro.sparql.plan import BGPPlan, StepFilters, attach_filters, plan_bgp
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, EMPTY_BINDING
-from repro.store.encoded import is_id_store
+from repro.store.encoded import require_encoded
 
 
 # ----------------------------------------------------------------------
@@ -91,12 +83,11 @@ def _implicit_join(
     return None
 
 
-def _filtered(child: PhysicalOperator, slot: Tuple[Expression, ...], id_space: bool):
+def _filtered(child: PhysicalOperator, slot: Tuple[Expression, ...]):
     """``child`` under a :class:`Filter` for ``slot`` (bare when empty)."""
     if not slot:
         return child
-    kernels = {condition_kernel(c) for c in slot} if id_space else {"term"}
-    return Filter(child, slot, "+".join(sorted(kernels)))
+    return Filter(child, slot, "+".join(sorted({condition_kernel(c) for c in slot})))
 
 
 def lower_plan(
@@ -107,33 +98,29 @@ def lower_plan(
     project: Optional[Tuple[Variable, ...]] = None,
     distinct: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
-    """Lower a logical BGP plan to a physical operator DAG.
+    """Lower a logical BGP plan to a physical operator DAG over the encoded store.
 
-    Chooses the execution space from the backend
-    (:func:`~repro.store.encoded.is_id_store` → id pipeline) intersected
-    with what ``profile`` allows; picks the leapfrog join for cyclic join
-    graphs in id space, :class:`IndexNestedLoopJoin` otherwise.  FILTER conjuncts (``conditions``) become :class:`Filter`
-    operators at the earliest input binding their variables; with
+    Picks the leapfrog join for cyclic join graphs (unless
+    ``profile.use_wcoj`` is off), :class:`IndexNestedLoopJoin` otherwise.
+    FILTER conjuncts (``conditions``) become :class:`Filter` operators at
+    the earliest input binding their variables; with
     ``profile.use_filter_pushdown`` off they all run at the final slot,
-    i.e. as a plain post-filter.  In id space a step linked to the steps
-    before it only by an equality conjunct becomes a :class:`HashProbe`
+    i.e. as a plain post-filter.  A step linked to the steps before it
+    only by an equality conjunct becomes a :class:`HashProbe`
     (:func:`_implicit_join`).
 
-    ``project`` names the variables read above the BGP; an id-space plan
-    decodes only those at the result boundary (``None``: every plan
-    variable).  A term-space plan has nothing to decode and ignores it.
+    ``project`` names the variables read above the BGP; the plan decodes
+    only those at the result boundary (``None``: every plan variable).
 
     ``distinct`` is the projection (sorted by name) of a query that keeps
     one row per distinct projected row and does nothing else to its rows
-    in between (``None``: not such a query).  When an id-space plan emits
-    exactly those variables its ``Project`` is ``distinct``: equal rows
-    are equal id tuples, dropped at the result boundary before decoding.
-    Not so when the plan emits more (a variable read only by ORDER BY) or
-    less (an ``AS`` alias, a projected variable the pattern does not
-    bind), nor in term space, where there is no decode to save.
+    in between (``None``: not such a query).  When the plan emits exactly
+    those variables its ``Project`` is ``distinct``: equal rows are equal
+    id tuples, dropped at the result boundary before decoding.  Not so
+    when the plan emits more (a variable read only by ORDER BY) or less
+    (an ``AS`` alias, a projected variable the pattern does not bind).
     """
-    id_space = profile.use_id_execution and is_id_store(graph)
-    space = "id" if id_space else "term"
+    require_encoded(graph)
     step_filters: StepFilters
     if conditions and profile.use_filter_pushdown:
         step_filters = attach_filters(plan, tuple(conditions))
@@ -144,19 +131,18 @@ def lower_plan(
     join: PhysicalOperator
     use_leapfrog = False
     wcoj_fallback: Optional[str] = None
-    if id_space and profile.use_wcoj:
+    if profile.use_wcoj:
         use_leapfrog, wcoj_fallback = leapfrog.assessment(plan)
     if use_leapfrog:
         join = leapfrog.lower_join(plan, graph, [c for c in flat_conditions if c.variables()])
     else:
-        path_mode = "id" if id_space and profile.use_id_paths else "term"
         inputs: List[PhysicalOperator] = []
         bound: Set[Variable] = set()
         for position, step in enumerate(plan.steps):
             leaf: PhysicalOperator
             slot = step_filters[position + 1]
             if isinstance(step.node, TriplePatternNode):
-                link = _implicit_join(step.node, slot, bound) if id_space else None
+                link = _implicit_join(step.node, slot, bound)
                 if link is not None:
                     leaf = HashProbe(step.node, *link, step.estimate, step.source_index)
                     slot = tuple(c for c in slot if c is not link[0])
@@ -166,26 +152,25 @@ def lower_plan(
                         step.node,
                         step.estimate,
                         step.source_index,
-                        f"{shape} {idexec.access_path(shape, space)}",
+                        f"{shape} {idexec.access_path(shape)}",
                     )
             elif isinstance(step.node, PathPattern):
-                leaf = PathExpand(step.node, step.estimate, step.source_index, path_mode)
+                leaf = PathExpand(step.node, step.estimate, step.source_index)
             else:  # pragma: no cover - plan_bgp only admits the two kinds above
                 raise TypeError(f"unsupported plan node {type(step.node).__name__}")
-            inputs.append(_filtered(leaf, slot, id_space))
+            inputs.append(_filtered(leaf, slot))
             bound |= step.node.variables()
         join = IndexNestedLoopJoin(tuple(inputs))
         prefilters = step_filters[0]
-    child = _filtered(join, prefilters, id_space)
+    child = _filtered(join, prefilters)
     result_variables: Set[Variable] = set()
     for step in plan.steps:
         result_variables |= step.node.variables()
-    if id_space and project is not None:
+    if project is not None:
         result_variables &= set(project)
     ordered = tuple(sorted(result_variables, key=lambda v: v.name))
     return PhysicalPlan(
-        root=Project(child, ordered, space, id_space and ordered == distinct),
-        space=space,
+        root=Project(child, ordered, ordered == distinct),
         source=plan,
         wcoj_fallback=wcoj_fallback,
     )
@@ -228,7 +213,6 @@ def _timed_iter(iterator: Iterator, stats: OperatorStats) -> Iterator:
 def execute_rows(
     plan: PhysicalPlan,
     graph,
-    path_evaluator: Optional[PathEvaluator] = None,
     initial: Binding = EMPTY_BINDING,
     timed: bool = False,
     term_fallbacks=None,
@@ -237,32 +221,23 @@ def execute_rows(
     :func:`repro.sparql.idexec.row_header` (the ``Project`` variables, with
     ``initial``'s domain, by name).
 
-    ``path_evaluator`` backs term-mode :class:`PathExpand` operators (and
-    the bridge inside id pipelines).
     ``initial`` pre-binds variables: every solution extends it, and a
     pre-bound term the graph has never seen simply matches nothing.
     ``term_fallbacks`` is an optional counter (``inc(n)``) of FILTER
-    conjunct evaluations an id-space plan had to run on decoded terms.
+    conjunct evaluations the plan had to run on decoded terms.
 
     Every execution reports its own rows and probes even when the
     physical plan came out of a cache: counters are reset here, and the
-    compiled pipeline (:mod:`repro.sparql.idexec`, either key space,
-    either join operator) counts in registers of the execution and
-    publishes when its stream ends or is closed, so nested and
-    interleaved executions of one plan do not mix.
+    compiled pipeline (:mod:`repro.sparql.idexec`, either join operator)
+    counts in registers of the execution and publishes when its stream
+    ends or is closed, so nested and interleaved executions of one plan
+    do not mix.
     ``timed=True`` additionally measures per-operator self time into
     :attr:`OperatorStats.seconds` (one extra clock read per produced row
     — ``explain_analyze`` turns it on, normal evaluation leaves it off).
     """
     plan.reset_stats()
-    stream = idexec.run(
-        plan,
-        graph,
-        path_evaluator,
-        initial,
-        _timed_iter if timed else None,
-        term_fallbacks,
-    )
+    stream = idexec.run(plan, graph, initial, _timed_iter if timed else None, term_fallbacks)
     if timed:
         return _timed_iter(stream, plan.root.stats)
     return stream
@@ -271,13 +246,12 @@ def execute_rows(
 def execute(
     plan: PhysicalPlan,
     graph,
-    path_evaluator: Optional[PathEvaluator] = None,
     initial: Binding = EMPTY_BINDING,
     timed: bool = False,
     term_fallbacks=None,
 ) -> Iterator[Binding]:
     """:func:`execute_rows`, each row as the :class:`Binding` it is."""
-    rows = execute_rows(plan, graph, path_evaluator, initial, timed, term_fallbacks)
+    rows = execute_rows(plan, graph, initial, timed, term_fallbacks)
     return as_bindings(idexec.row_header(plan, initial), rows)
 
 

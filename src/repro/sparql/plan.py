@@ -34,7 +34,7 @@ shared with the Datalog engine's body ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Triple, Variable
@@ -55,11 +55,6 @@ from repro.sparql.paths import (
     matches_zero_length as _matches_zero_length,
 )
 from repro.sparql.solutions import Binding
-
-#: Callback evaluating a (possibly partially substituted) path pattern
-#: against a graph; the evaluator passes its own path machinery in so this
-#: module does not depend on the evaluator (avoiding an import cycle).
-PathEvaluator = Callable[[PathPattern, Graph], List[Binding]]
 
 #: Per-step FILTER attachment produced by :func:`attach_filters`: slot 0
 #: holds conditions checked against the initial binding, slot ``i + 1``

@@ -139,21 +139,6 @@ class Binding:
         merged.extend(theirs[position:])
         return Binding.from_sorted_items(tuple(merged))
 
-    def project(self, variables: Iterable[Variable]) -> "Binding":
-        """Restrict the mapping to ``variables``.
-
-        Returns ``self`` when nothing is dropped.  A caller projecting many
-        rows passes one ``set`` / ``frozenset``, which is used as is.
-        """
-        wanted = (
-            variables if isinstance(variables, (set, frozenset)) else set(variables)
-        )
-        items = self._items
-        kept = tuple([item for item in items if item[0] in wanted])
-        if len(kept) == len(items):
-            return self
-        return Binding.from_sorted_items(kept)
-
     def extend(self, variable: Variable, term: Term) -> "Binding":
         """Return a new mapping with one extra (or replaced) assignment."""
         items = self._items

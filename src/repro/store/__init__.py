@@ -1,10 +1,10 @@
 """Dictionary-encoded storage subsystem.
 
-The store package provides a second storage backend beneath the ``Graph``
-API: terms are interned to integer ids (:mod:`repro.store.dictionary`) and
-triples live in id-encoded SPO / POS / OSP indexes
-(:mod:`repro.store.encoded`), cutting the per-triple footprint to a
-fraction of the boxed-object seed graph.  A streaming bulk loader
+The store the native engine executes on: terms are interned to integer
+ids (:mod:`repro.store.dictionary`) and triples live in id-encoded SPO /
+POS / OSP indexes (:mod:`repro.store.encoded`), at a fraction of the
+per-triple footprint of the boxed-object seed graph.  Planned evaluation
+runs on :class:`EncodedGraph` only.  A streaming bulk loader
 (:mod:`repro.store.bulk`) ingests N-Triples / Turtle in one pass, and
 binary snapshots (:mod:`repro.store.snapshot`) give instant warm starts.
 
@@ -12,8 +12,11 @@ Backend selection
 -----------------
 :func:`create_graph` builds a graph for a named backend:
 
-* ``"hash"`` — the seed :class:`repro.rdf.graph.Graph` (boxed terms),
-* ``"encoded"`` — :class:`EncodedGraph` (dictionary-encoded ids).
+* ``"encoded"`` (the default) — :class:`EncodedGraph` (dictionary-encoded
+  ids), the store the native engine runs on;
+* ``"hash"`` — the seed :class:`repro.rdf.graph.Graph` (boxed terms): a
+  store for the translation path and the unplanned reference evaluation,
+  which read only the term surface.
 
 The workload generators and the experiment harness accept a ``backend=``
 switch that is routed here.
@@ -37,7 +40,7 @@ GRAPH_BACKENDS = {
     "encoded": EncodedGraph,
 }
 
-DEFAULT_BACKEND = "hash"
+DEFAULT_BACKEND = "encoded"
 
 
 def open_graph(
@@ -58,20 +61,17 @@ def open_graph(
     * ``open_graph(snapshot="data.snap")`` — snapshot only (must exist
       unless you want an empty graph persisted there).
 
-    ``snapshot=`` implies (and requires) the encoded backend; otherwise
-    ``backend=None`` means ``"hash"``.
+    ``backend=None`` means ``"encoded"``; ``snapshot=`` requires it.
     """
+    if backend is None:
+        backend = DEFAULT_BACKEND
     if snapshot is not None:
-        if backend is None:
-            backend = "encoded"
-        elif backend != "encoded":
+        if backend != "encoded":
             raise ValueError(
                 f"snapshots require the encoded backend, not {backend!r}"
             )
         if os.path.exists(snapshot):
             return load_snapshot(snapshot)
-    if backend is None:
-        backend = DEFAULT_BACKEND
     if backend not in GRAPH_BACKENDS:
         raise ValueError(
             f"unknown graph backend {backend!r}; available: {sorted(GRAPH_BACKENDS)}"
@@ -98,11 +98,8 @@ def open_graph(
 def create_graph(
     backend: Optional[str] = None, triples: Optional[Iterable[Triple]] = None
 ):
-    """Build an empty (or pre-filled) graph for the named backend.
-
-    ``backend=None`` means ``"hash"``, so existing callers keep the seed
-    behaviour untouched.
-    """
+    """Build an empty (or pre-filled) graph for the named backend
+    (``None``: :data:`DEFAULT_BACKEND`, the encoded store)."""
     name = backend if backend is not None else DEFAULT_BACKEND
     try:
         factory = GRAPH_BACKENDS[name]

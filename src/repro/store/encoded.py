@@ -1,8 +1,10 @@
-"""Dictionary-encoded triple store implementing the full ``Graph`` surface.
+"""Dictionary-encoded triple store: the one store planned evaluation runs on.
 
-:class:`EncodedGraph` is a drop-in replacement for
-:class:`repro.rdf.graph.Graph`: the SPARQL evaluator, the BGP planner and
-the Datalog translation run unchanged on top of it.  Internally every term
+:class:`EncodedGraph` implements the full :class:`repro.rdf.graph.Graph`
+surface, so the unplanned evaluator and the Datalog translation read it
+as they read any graph, and beside it the id surface the native engine
+executes on (:data:`PROBE_SURFACE`, id navigation, sorted id runs;
+:func:`require_encoded` is the one check of it).  Internally every term
 is interned to an integer id by a :class:`~repro.store.dictionary.TermDictionary`
 and the three pattern-matching indexes (SPO / POS / OSP) are nested dicts
 over those ids, so the per-triple footprint is a few machine words instead
@@ -19,8 +21,7 @@ a singleton Python set costs >200 bytes.
 
 The same exact, incrementally-maintained statistics as the seed graph are
 kept (per-position occurrence counts, per-predicate distinct subjects), so
-:meth:`pattern_cardinality` stays O(1) and the cost-based planner works
-identically on both backends.
+:meth:`pattern_cardinality` stays O(1) for the cost-based planner.
 """
 
 from __future__ import annotations
@@ -790,8 +791,14 @@ class EncodedGraph(ChangeCapture):
                     yield sid, pid, oid
 
 
-def is_id_store(graph: object) -> bool:
-    """True for the dictionary-encoded store: the one backend with the id
-    probe surface, id navigation and sorted id runs that id-space plans,
-    the id path engine and the leapfrog join run on."""
-    return isinstance(graph, EncodedGraph)
+def require_encoded(graph: object) -> None:
+    """The one check of planned evaluation: it runs on :class:`EncodedGraph`
+    only — the store with the id probe surface, id navigation and sorted
+    id runs its pipelines, path engine and leapfrog join read.  Any other
+    graph raises ``TypeError``."""
+    if not isinstance(graph, EncodedGraph):
+        raise TypeError(
+            f"planned evaluation runs on an EncodedGraph, not {type(graph).__name__}: "
+            "build the graph with repro.open_graph() / create_graph(), or evaluate "
+            "it unplanned (use_planner=False)"
+        )

@@ -10,24 +10,19 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal, Triple
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import SolutionSequence
+from repro.store import EncodedGraph
 
 EX = Namespace("http://ex.org/")
 
-# The unnamed differential configurations the suites compare against
-# ``ExecutionProfile.FULL`` (the named presets live in ``profile.py``).
-#: Textual-order evaluation: the planner's baseline.
+#: Textual-order evaluation, the planner's baseline: the oracle that shares
+#: no code with the step compiler, reading any store's term surface (the
+#: named presets live in ``profile.py``).
 NAIVE = ExecutionProfile.FULL.with_options(use_planner=False)
-#: The term-space pipeline with post-pass FILTERs on any backend.
-DECODED = ExecutionProfile.FULL.with_options(
-    use_id_execution=False, use_filter_pushdown=False
-)
-#: The term-level ALP path procedure on any backend.
-TERM_PATHS = ExecutionProfile.FULL.with_options(use_id_paths=False)
 
 
-def countries_graph() -> Graph:
+def countries_graph() -> EncodedGraph:
     """The bordering-countries example graph from the paper (Section 4.2)."""
-    graph = Graph()
+    graph = EncodedGraph()
     graph.add(Triple(EX.spain, EX.borders, EX.france))
     graph.add(Triple(EX.france, EX.borders, EX.belgium))
     graph.add(Triple(EX.france, EX.borders, EX.germany))
@@ -36,18 +31,18 @@ def countries_graph() -> Graph:
     return graph
 
 
-def directors_graph() -> Graph:
+def directors_graph() -> EncodedGraph:
     """The film-directors example graph from the paper (Section 3.1)."""
-    graph = Graph()
+    graph = EncodedGraph()
     graph.add(Triple(EX.glucas, EX.name, Literal("George")))
     graph.add(Triple(EX.glucas, EX.lastname, Literal("Lucas")))
     graph.add(Triple(EX.sspielberg, EX.name, Literal("Steven")))
     return graph
 
 
-def chain_graph(n_chains: int) -> Graph:
+def chain_graph(n_chains: int) -> EncodedGraph:
     """gMark-style chains of three :p edges, one chain's end marked :hit."""
-    graph = Graph()
+    graph = EncodedGraph()
     for i in range(n_chains):
         for step in range(3):
             graph.add(Triple(EX[f"c{i}_{step}"], EX.p, EX[f"c{i}_{step + 1}"]))
@@ -61,6 +56,15 @@ def countries_dataset() -> Dataset:
 
 def directors_dataset() -> Dataset:
     return Dataset.from_graph(directors_graph())
+
+
+def on_hash_store(dataset: Dataset) -> Dataset:
+    """``dataset`` copied onto the hash store, where ``NAIVE`` runs as the
+    oracle that shares neither code nor store with planned evaluation."""
+    return Dataset(
+        Graph(dataset.default_graph),
+        {name: Graph(graph) for name, graph in dataset.named_graphs.items()},
+    )
 
 
 def rows_multiset(result: Union[SolutionSequence, bool]) -> Counter:

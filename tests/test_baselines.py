@@ -6,8 +6,9 @@ from repro.baselines.interface import EngineError
 from repro.baselines.native import NativeSparqlEngine
 from repro.baselines.stardog_like import StardogLikeEngine
 from repro.baselines.virtuoso_like import VirtuosoLikeEngine
-from repro.rdf.graph import Dataset, Graph
+from repro.rdf.graph import Dataset
 from repro.rdf.terms import RDF, Triple
+from repro.store import EncodedGraph
 
 from tests.helpers import EX, countries_dataset
 from tests.test_ontology import university_graph, university_ontology
@@ -29,7 +30,7 @@ class TestNativeEngine:
 
     def test_load_replaces_dataset(self):
         engine = NativeSparqlEngine(countries_dataset())
-        engine.load(Dataset.from_graph(Graph()))
+        engine.load(Dataset.from_graph(EncodedGraph()))
         assert len(engine.query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }")) == 0
 
 
@@ -45,7 +46,7 @@ class TestVirtuosoLikeDeviations:
         assert (EX.austria,) in result.to_set()
 
     def test_one_or_more_drops_cycle_start_node(self):
-        cyclic = Graph(
+        cyclic = EncodedGraph(
             [
                 Triple(EX.a, EX.p, EX.b),
                 Triple(EX.b, EX.p, EX.c),
@@ -98,7 +99,7 @@ class TestStardogLike:
         engine = StardogLikeEngine(
             Dataset.from_graph(university_graph()), ontology=university_ontology()
         )
-        engine.load(Dataset.from_graph(Graph()))
+        engine.load(Dataset.from_graph(EncodedGraph()))
         result = engine.query(
             PREFIX
             + "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"

@@ -12,8 +12,9 @@ import pytest
 from repro.baselines.native import NativeSparqlEngine
 from repro.core.engine import SparqLogEngine
 from repro.compliance.compare import results_equal
-from repro.rdf.graph import Dataset, Graph
+from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Triple
+from repro.store import EncodedGraph
 from repro.workloads.beseppi import BeSEPPIWorkload
 from repro.workloads.sp2bench import SP2BenchWorkload
 
@@ -108,7 +109,7 @@ def test_sp2bench_differential_small_scale():
 
 def test_named_graph_differential():
     dataset = countries_dataset()
-    dataset.add_named_graph(IRI("http://g1"), Graph([Triple(EX.a, EX.p, EX.b)]))
+    dataset.add_named_graph(IRI("http://g1"), EncodedGraph([Triple(EX.a, EX.p, EX.b)]))
     queries = [
         "SELECT ?s ?o WHERE { GRAPH <http://g1> { ?s ex:p ?o } }",
         "SELECT ?g ?s WHERE { GRAPH ?g { ?s ex:p ?o } }",

@@ -1,4 +1,4 @@
-"""DISTINCT at the result boundary of an id-space plan.
+"""DISTINCT at the result boundary of a plan.
 
 When a query keeps one row per distinct projected row and the plan emits
 exactly the projection, ``Project.distinct`` drops a repeated *id tuple*
@@ -8,8 +8,8 @@ before a term is decoded; the evaluator's modifier tail then skips
 * a count test: a q4-shaped query decodes ``distinct rows x projected
   width`` terms and builds no ``Binding``;
 * which queries carry the flag, read off the plan;
-* the answers: bag-equal across ``FULL`` on both backends, ``BASELINE``,
-  the unplanned ``NAIVE`` oracle and ``SparqLogEngine``, and row for row
+* the answers: bag-equal across ``FULL``, ``BASELINE``, the unplanned
+  ``NAIVE`` oracle on the hash store and ``SparqLogEngine``, and row for row
   those of the same plan decoding first and dropping afterwards (the flag
   withheld from the lowering pass), for DISTINCT / REDUCED x ORDER BY / LIMIT / OFFSET /
   ``SELECT *`` / ``AS`` / an unbound projected variable / HAVING / GROUP BY
@@ -38,9 +38,6 @@ from tests.helpers import EX, NAIVE
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
-#: The same plan in term space: decodes nothing, drops through ``distinct_rows``.
-TERM_EXEC = ExecutionProfile.FULL.with_options(use_id_execution=False)
-
 
 # ----------------------------------------------------------------------
 # the count test
@@ -61,15 +58,14 @@ def test_q4_decodes_and_boxes_only_the_rows_it_keeps(monkeypatch):
     result = evaluator.evaluate(parse_query(q4))
 
     plan = evaluator.last_physical_plan
-    assert plan.explain().splitlines()[0] == "Project [?name1, ?name2] distinct decode=id"
+    assert plan.explain().splitlines()[0] == "Project [?name1, ?name2] distinct"
     joined, emitted = plan.root.child.stats.rows, plan.root.stats.rows
     assert joined > emitted == len(result) > 0  # the join produced duplicates
     assert decodes.decodes - before == len(result) * 2  # ?name1, ?name2 per kept row
     assert built == []  # rows are tuples: no Binding, kept or dropped
     assert len(set(result.rows())) == len(result)
     # The reference: decode everything the join produced, then drop.
-    reference = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_EXEC)
-    assert reference.evaluate(parse_query(q4)).bindings == result.bindings
+    assert _dropping_after_decoding(parse_query(q4), graph).bindings == result.bindings
 
 
 # ----------------------------------------------------------------------
@@ -133,16 +129,10 @@ def _answers(query):
     parsed = parse_query(PREFIX + query.replace("'", '"'))
     evaluators = {
         "full/id": SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples))),
-        "term-exec/id": SparqlEvaluator(
-            Dataset.from_graph(EncodedGraph(triples)), profile=TERM_EXEC
-        ),
-        "full/hash": SparqlEvaluator(Dataset.from_graph(Graph(triples))),
         "baseline/id": SparqlEvaluator(
             Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.BASELINE
         ),
-        "naive/hash": SparqlEvaluator(
-            Dataset.from_graph(Graph(triples)), profile=NAIVE.with_options(use_id_paths=False)
-        ),
+        "naive/hash": SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE),
     }
     answers = {name: evaluator.evaluate(parsed) for name, evaluator in evaluators.items()}
     if "HAVING" not in query:  # ungrouped HAVING is outside the translated fragment
@@ -153,10 +143,11 @@ def _answers(query):
     return parsed, evaluators, answers
 
 
-def _dropping_after_decoding(parsed):
-    """The answer of ``FULL`` on the encoded store with the flag withheld:
-    every joined row decoded and boxed, ``distinct_rows`` afterwards."""
-    evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_triples())))
+def _dropping_after_decoding(parsed, graph=None):
+    """The answer of ``FULL`` with the flag withheld: every joined row
+    decoded and boxed, ``distinct_rows`` afterwards."""
+    graph = EncodedGraph(_triples()) if graph is None else graph
+    evaluator = SparqlEvaluator(Dataset.from_graph(graph))
     answer = evaluator.evaluate(evaluator.prepare(parsed)._replace(distinct=None))
     assert not evaluator.last_physical_plan.root.distinct
     return answer
@@ -167,11 +158,13 @@ def test_the_plan_says_whether_it_drops_at_the_boundary(query, distinct, sliced)
     _, evaluators, _ = _answers(query)
     plans = {name: evaluator.last_physical_plan for name, evaluator in evaluators.items()}
     assert plans["full/id"].root.distinct is distinct
-    assert ("distinct decode=id" in plans["full/id"].explain().splitlines()[0]) is distinct
-    # Term space has no decode to save; the unplanned oracle has no plan
-    # (nor has BASELINE for a lone pattern: it pushes no FILTER into one).
-    for name in ("term-exec/id", "full/hash", "baseline/id"):
-        assert plans[name] is None or plans[name].root.distinct is False
+    assert plans["full/id"].explain().splitlines()[0].endswith("] distinct") is distinct
+    # BASELINE keeps its FILTERs above the plan, so its rows are not the
+    # projection's (and a lone pattern, with no FILTER pushed into it, has
+    # no plan); the unplanned oracle has no plan.
+    assert plans["baseline/id"] is None or plans["baseline/id"].root.distinct is (
+        distinct and "FILTER" not in query
+    )
     assert plans["naive/hash"] is None
     if "ex:link ?a" in query:
         assert isinstance(plans["full/id"].root.child, operators.LeapfrogJoin)
@@ -192,7 +185,7 @@ def test_answers_are_those_of_every_other_engine_in_the_pipeline_order(query, di
         else:
             assert Counter(answer.rows()) == Counter(full.rows()), name
     if parsed.order_by and not sliced:
-        for name in ("full/hash", "baseline/id"):
+        for name in ("baseline/id", "naive/hash"):
             keys = [tuple(row[v] for v in _order_variables(parsed) if v in row) for row in full]
             other = [
                 tuple(row[v] for v in _order_variables(parsed) if v in row) for row in answers[name]

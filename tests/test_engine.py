@@ -10,6 +10,8 @@ Covers the API-redesign surface:
   explain, metrics, live views and lifecycle.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -27,7 +29,7 @@ from repro.sparql.parser import parse_query
 from repro.sparql.plancache import BoundedMap
 from repro.store import EncodedGraph
 
-from tests.helpers import EX
+from tests.helpers import EX, NAIVE
 
 
 NT = (
@@ -51,23 +53,12 @@ def triples():
 class TestExecutionProfile:
     def test_presets(self):
         full = ExecutionProfile.FULL
-        assert (
-            full.use_planner
-            and full.use_id_execution
-            and full.use_filter_pushdown
-            and full.use_id_paths
-            and full.use_wcoj
-        )
+        assert full.use_planner and full.use_filter_pushdown and full.use_wcoj
         id_native = ExecutionProfile.ID_NATIVE
-        assert id_native.use_id_execution and not id_native.use_wcoj
+        assert id_native.use_filter_pushdown and not id_native.use_wcoj
         baseline = ExecutionProfile.BASELINE
         assert baseline.use_planner
-        assert not (
-            baseline.use_id_execution
-            or baseline.use_filter_pushdown
-            or baseline.use_id_paths
-            or baseline.use_wcoj
-        )
+        assert not (baseline.use_filter_pushdown or baseline.use_wcoj)
         assert str(full) == "full"
         assert str(baseline) == "baseline"
 
@@ -75,15 +66,15 @@ class TestExecutionProfile:
         derived = ExecutionProfile.FULL.with_options(use_wcoj=False)
         assert derived.name == "custom"
         assert not derived.use_wcoj
-        assert derived.use_id_paths
+        assert derived.use_filter_pushdown
         named = ExecutionProfile.FULL.with_options(name="ablation", use_wcoj=False)
         assert named.name == "ablation"
 
     def test_evaluator_accepts_profile(self):
-        dataset = Dataset.from_graph(Graph(triples()))
+        dataset = Dataset.from_graph(EncodedGraph(triples()))
         evaluator = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)
         assert evaluator.profile is ExecutionProfile.BASELINE
-        assert not evaluator.profile.use_id_execution
+        assert not evaluator.profile.use_filter_pushdown
         assert len(list(evaluator.evaluate(parse_query(QUERY)).rows())) == 2
 
     def test_default_profile_is_full(self):
@@ -103,14 +94,14 @@ class TestSingleConfigurationSurface:
 # open_graph
 # ----------------------------------------------------------------------
 class TestOpenGraph:
-    def test_empty_default_backend(self):
+    def test_empty_default_backend_is_the_encoded_store(self):
         graph = open_graph()
-        assert isinstance(graph, Graph)
+        assert isinstance(graph, EncodedGraph)
         assert len(graph) == 0
 
-    def test_empty_encoded_backend(self):
-        graph = open_graph(backend="encoded")
-        assert isinstance(graph, EncodedGraph)
+    def test_empty_hash_backend(self):
+        graph = open_graph(backend="hash")
+        assert isinstance(graph, Graph) and not isinstance(graph, EncodedGraph)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -186,29 +177,29 @@ class TestCreateEngine:
 
     def test_over_nothing(self):
         engine = create_engine()
-        assert len(engine.graph) == 0
+        assert isinstance(engine.graph, EncodedGraph) and len(engine.graph) == 0
 
     def test_rejects_garbage(self):
         with pytest.raises(TypeError):
             create_engine(42)
 
     def test_profile_is_threaded_through(self):
-        engine = create_engine(Graph(), profile=ExecutionProfile.BASELINE)
+        engine = create_engine(EncodedGraph(), profile=ExecutionProfile.BASELINE)
         assert engine.profile is ExecutionProfile.BASELINE
 
 
 class TestEngine:
     def test_query_parses_strings(self):
-        engine = create_engine(Graph(triples()))
+        engine = create_engine(EncodedGraph(triples()))
         rows = list(engine.query(QUERY).rows())
         assert len(rows) == 2
 
     def test_query_accepts_parsed_queries(self):
-        engine = create_engine(Graph(triples()))
+        engine = create_engine(EncodedGraph(triples()))
         assert len(list(engine.query(parse_query(QUERY)).rows())) == 2
 
     def test_ask_query_returns_bool(self):
-        engine = create_engine(Graph(triples()))
+        engine = create_engine(EncodedGraph(triples()))
         assert engine.query("ASK { ?s ?p ?o }") is True
 
     def test_explain_renders_a_plan(self):
@@ -225,13 +216,13 @@ class TestEngine:
         assert report.rows
 
     def test_metrics_exposes_ivm_counters(self):
-        engine = create_engine(Graph(triples()))
+        engine = create_engine(EncodedGraph(triples()))
         snapshot = engine.metrics()
         assert "ivm_views_active" in snapshot
         assert snapshot["ivm_views_active"] == 0
 
     def test_context_manager_closes_views(self):
-        graph = Graph(triples())
+        graph = EncodedGraph(triples())
         with create_engine(graph) as engine:
             view = engine.materialize(QUERY)
             assert len(view) == 2
@@ -239,13 +230,13 @@ class TestEngine:
         assert graph._delta_listeners == []
 
     def test_repr_mentions_profile_and_views(self):
-        engine = create_engine(Graph(triples()))
+        engine = create_engine(EncodedGraph(triples()))
         engine.materialize(QUERY)
         text = repr(engine)
         assert "full" in text and "views=1" in text
 
     def test_a_text_is_parsed_once_per_engine(self):
-        graph = Graph(triples())
+        graph = EncodedGraph(triples())
         engine = create_engine(graph)
         first = engine.query(QUERY)
         for _ in range(4):
@@ -280,7 +271,7 @@ class TestEngine:
             "PREFIX ex: <http://ex.org/>\n"
             "SELECT ?a WHERE { ?a ex:p ?b MINUS { ?b ex:p ?c } FILTER(?a != ?b) }"
         )
-        graph = Graph(triples())
+        graph = EncodedGraph(triples())
         engine = create_engine(graph)
         for text in (QUERY, nested):
             first = engine.query(text)
@@ -297,6 +288,122 @@ class TestEngine:
         engine.query(parse_query(QUERY))
         engine.query(parse_query(QUERY))
         assert len(calls) == 2
+
+
+# ----------------------------------------------------------------------
+# one substrate: planned evaluation runs on the encoded store only
+# ----------------------------------------------------------------------
+class _CountingGraph(Graph):
+    """A hash graph that counts the reads of its term surface."""
+
+    reads = 0
+
+    def triples(self, subject=None, predicate=None, obj=None):
+        self.reads += 1
+        return super().triples(subject, predicate, obj)
+
+
+def _cycle_triples():
+    """``triples()`` closed into the cycle n1 -> n2 -> n3 -> n1."""
+    return triples() + [Triple(EX.n3, EX.p, EX.n1)]
+
+
+#: id -> a query reaching one route of the planned engine, over
+#: ``_cycle_triples()`` in the default graph and in the named graph ``ex:g``.
+_ROUTES = {
+    "lone-pattern": "SELECT * WHERE { ?a ex:p ?b }",
+    "pipeline": "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c }",
+    "filtered-pipeline": "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c FILTER(?a != ex:n1) }",
+    "leapfrog": "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }",
+    "lone-path": "SELECT ?b WHERE { ex:n1 ex:p+ ?b }",
+    "path-in-walk": "SELECT * WHERE { ?a ex:p ex:n2 OPTIONAL { ?a ex:p/ex:p ?c } }",
+    "union": "SELECT * WHERE { { ?a ex:p ?b } UNION { ?a ex:p* ?b } }",
+    "minus": "SELECT * WHERE { ?a ex:p ?b MINUS { ?b ex:p ex:n1 } }",
+    "ask": "ASK { ?a ex:p ?b . ?b ex:p ex:n1 }",
+    "aggregate": "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:p+ ?b } GROUP BY ?a",
+    "graph-iri": "SELECT * WHERE { GRAPH ex:g { ?a ex:p ?b } }",
+    "graph-variable": "SELECT * WHERE { GRAPH ?g { ?a ex:p ?b . ?b ex:p ?c } }",
+    "from": "SELECT * FROM ex:g WHERE { ?a ex:p ?b }",
+    "from-named": "SELECT * FROM NAMED ex:g WHERE { GRAPH ?g { ?a ex:p+ ?b } }",
+}
+_every_route = pytest.mark.parametrize("route", sorted(_ROUTES))
+
+
+def _route(route):
+    return "PREFIX ex: <http://ex.org/>\n" + _ROUTES[route]
+
+
+#: id -> (engine method, query): the entry points besides ``query``.
+_ENTRY_POINTS = {
+    "explain-pipeline": ("explain", QUERY),
+    "explain-path": ("explain", _route("lone-path")),
+    "explain_analyze-pipeline": ("explain_analyze", QUERY),
+    "explain_analyze-path": ("explain_analyze", _route("lone-path")),
+    "materialize-delta": ("materialize", QUERY),
+    "materialize-reeval": ("materialize", _route("lone-path")),
+}
+
+
+class TestOneSubstrate:
+    @_every_route
+    def test_a_planned_query_on_a_hash_default_graph_raises_before_any_work(self, route):
+        graph = _CountingGraph(_cycle_triples())
+        engine = create_engine(Dataset(graph, {EX.g: EncodedGraph(_cycle_triples())}))
+        with pytest.raises(TypeError, match="EncodedGraph.*open_graph"):
+            engine.query(_route(route))
+        assert graph.reads == 0
+
+    @pytest.mark.parametrize("route", sorted(set(_ROUTES) - {"from"}))
+    def test_a_hash_named_graph_is_checked_with_the_default_one(self, route):
+        # Before either is read.  (``FROM ex:g`` alone copies the named graph
+        # into one of the default graph's store: nothing hash is left.)
+        named = _CountingGraph(_cycle_triples())
+        engine = create_engine(Dataset(EncodedGraph(_cycle_triples()), {EX.g: named}))
+        with pytest.raises(TypeError, match="EncodedGraph.*open_graph"):
+            engine.query(_route(route))
+        assert named.reads == 0
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_every_entry_point_raises_before_any_work(self, entry):
+        method, text = _ENTRY_POINTS[entry]
+        graph = _CountingGraph(_cycle_triples())
+        engine = create_engine(graph)
+        with pytest.raises(TypeError, match="EncodedGraph.*open_graph"):
+            getattr(engine, method)(text)
+        assert graph.reads == 0
+        assert engine.views.views == [] and graph._delta_listeners == []
+
+    @_every_route
+    def test_the_unplanned_reference_answers_every_route_on_the_hash_store(self, route):
+        # It reads the term surface of any store, and agrees with the
+        # planned engine on the encoded one.
+        text = _route(route)
+        hashed = Dataset(Graph(_cycle_triples()), {EX.g: Graph(_cycle_triples())})
+        naive = create_engine(hashed, NAIVE).query(text)
+        encoded = Dataset(EncodedGraph(_cycle_triples()), {EX.g: EncodedGraph(_cycle_triples())})
+        planned = create_engine(encoded).query(text)
+        if isinstance(naive, bool):
+            assert naive is planned is True
+        else:
+            assert len(naive) > 0
+            assert Counter(naive.rows()) == Counter(planned.rows())
+
+    def test_from_clauses_build_graphs_of_the_default_graph_store(self):
+        default = EncodedGraph(triples())
+        other = EncodedGraph([Triple(EX.n3, EX.p, EX.n4)])
+        dataset = Dataset(default, {EX.g: other})
+        text = (
+            "PREFIX ex: <http://ex.org/>\n"
+            "SELECT * FROM ex:g FROM NAMED ex:g "
+            "WHERE { { ?a ex:p ?b } UNION { GRAPH ?g { ?a ex:p ?b } } }"
+        )
+        active = dataset.active(parse_query(text).dataset_clauses)
+        assert isinstance(active.default_graph, EncodedGraph)
+        assert isinstance(dataset.graph(EX.missing), EncodedGraph)
+        planned = create_engine(dataset).query(text)
+        reference = Dataset(Graph(default), {EX.g: Graph(other)})
+        assert Counter(planned.rows()) == Counter(create_engine(reference, NAIVE).query(text).rows())
+        assert len(planned) == 2
 
 
 class TestBoundedMap:

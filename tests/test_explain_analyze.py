@@ -4,7 +4,7 @@ The rendered tree is deterministic except for wall-clock times, which a
 normalisation regex blanks out; everything else — operator structure,
 join-order, estimated cardinalities, actual rows/probes and the
 estimated-vs-actual error column — is compared verbatim against golden
-text in both execution spaces.  Separate tests cover the misestimate
+text.  Separate tests cover the misestimate
 flag (``!`` beyond 10x error), the WCOJ-fallback footer, string-input
 parsing, the report surface and rejection of non-BGP forms.
 """
@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.rdf.graph import Dataset, Graph
+from repro.rdf.graph import Dataset
 from repro.rdf.terms import Triple
 from repro.sparql.evaluator import EvaluationError, SparqlEvaluator
 from repro.sparql.parser import parse_query
@@ -38,30 +38,16 @@ _STAR = PREFIX + "SELECT * WHERE { ?s ex:p ?a . ?s ex:q ?b . ?s ex:r ?c }"
 _TRIANGLE = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }"
 
 _GOLDEN = {
-    ("term", "star"): """\
-EXPLAIN ANALYZE (term space) total=_
-└─ Project [?a, ?b, ?c, ?s] decode=term | time=_ rows=1 probes=0
-   └─ IndexNestedLoopJoin steps=3 | time=_ rows=1 probes=0
-      ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match | time=_ rows=1 probes=1 actual=1/probe err=1x
-      ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? match | time=_ rows=1 probes=1 actual=1/probe err=1x
-      └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? match | time=_ rows=1 probes=1 actual=1/probe err=1x""",
-    ("term", "triangle"): """\
-EXPLAIN ANALYZE (term space) total=_
-└─ Project [?a, ?b, ?c] decode=term | time=_ rows=3 probes=0
-   └─ IndexNestedLoopJoin steps=3 | time=_ rows=3 probes=0
-      ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match | time=_ rows=5 probes=1 actual=5/probe err=1x
-      ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match | time=_ rows=5 probes=5 actual=1/probe err=1x
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match | time=_ rows=3 probes=5 actual=0.6/probe err=0.56x""",
-    ("id", "star"): """\
-EXPLAIN ANALYZE (id space) total=_
-└─ Project [?a, ?b, ?c, ?s] decode=id | time=_ rows=1 probes=0
+    "star": """\
+EXPLAIN ANALYZE total=_
+└─ Project [?a, ?b, ?c, ?s] | time=_ rows=1 probes=0
    └─ IndexNestedLoopJoin steps=3 | time=_ rows=1 probes=0
       ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match | time=_ rows=1 probes=1 actual=1/probe err=1x
       ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? entry | time=_ rows=1 probes=1 actual=1/probe err=1x
       └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? entry | time=_ rows=1 probes=1 actual=1/probe err=1x""",
-    ("id", "triangle"): """\
-EXPLAIN ANALYZE (id space) total=_
-└─ Project [?a, ?b, ?c] decode=id | time=_ rows=3 probes=0
+    "triangle": """\
+EXPLAIN ANALYZE total=_
+└─ Project [?a, ?b, ?c] | time=_ rows=3 probes=0
    └─ LeapfrogJoin order=[?a, ?b, ?c] | time=_ rows=3 probes=0
       ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 | time=_ rows=8 probes=4 actual=2/probe err=2.5x
       ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 | time=_ rows=18 probes=6 actual=3/probe err=0.33x
@@ -74,21 +60,19 @@ def _normalize(text: str) -> str:
     return re.sub(r"(time|total)=\d+(\.\d+)?ms", r"\1=_", text)
 
 
-def _evaluator(graph_cls) -> SparqlEvaluator:
-    return SparqlEvaluator(Dataset.from_graph(graph_cls(_TRIPLES)))
+def _evaluator() -> SparqlEvaluator:
+    return SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)))
 
 
-@pytest.mark.parametrize("graph_cls", [Graph, EncodedGraph], ids=["term", "id"])
 @pytest.mark.parametrize("query_name", ["star", "triangle"])
-def test_explain_analyze_golden(graph_cls, query_name):
-    space = "term" if graph_cls is Graph else "id"
+def test_explain_analyze_golden(query_name):
     query = _STAR if query_name == "star" else _TRIANGLE
-    report = _evaluator(graph_cls).explain_analyze(query)
-    assert _normalize(report.text) == _GOLDEN[(space, query_name)]
+    report = _evaluator().explain_analyze(query)
+    assert _normalize(report.text) == _GOLDEN[query_name]
 
 
 def test_report_surface():
-    report = _evaluator(EncodedGraph).explain_analyze(_TRIANGLE)
+    report = _evaluator().explain_analyze(_TRIANGLE)
     assert report.rows == 3
     assert report.total_seconds > 0.0
     assert str(report) == report.text
@@ -101,8 +85,8 @@ def test_report_surface():
 
 
 def test_accepts_parsed_queries_too():
-    text_report = _evaluator(Graph).explain_analyze(_STAR)
-    parsed_report = _evaluator(Graph).explain_analyze(parse_query(_STAR))
+    text_report = _evaluator().explain_analyze(_STAR)
+    parsed_report = _evaluator().explain_analyze(parse_query(_STAR))
     assert _normalize(parsed_report.text) == _normalize(text_report.text)
 
 
@@ -128,7 +112,7 @@ def test_misestimate_beyond_10x_is_flagged():
 
 
 def test_wcoj_fallback_footer():
-    evaluator = _evaluator(EncodedGraph)
+    evaluator = _evaluator()
     report = evaluator.explain_analyze(
         PREFIX + "SELECT * WHERE { ?a ?p ?b . ?b ?p ?c . ?c ?p ?a }"
     )
@@ -136,7 +120,7 @@ def test_wcoj_fallback_footer():
 
 
 def test_non_bgp_forms_are_rejected():
-    evaluator = _evaluator(Graph)
+    evaluator = _evaluator()
     union = PREFIX + (
         "SELECT * WHERE { { ?s ex:p ?a } UNION { ?s ex:q ?a } }"
     )
@@ -146,7 +130,6 @@ def test_non_bgp_forms_are_rejected():
         evaluator.explain(parse_query(union))
 
 
-@pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
 @pytest.mark.parametrize(
     "group",
     [
@@ -158,10 +141,10 @@ def test_non_bgp_forms_are_rejected():
     ],
     ids=["triple", "path", "filtered-triple", "filtered-path", "filtered-bgp"],
 )
-def test_explain_accepts_every_shape_explain_analyze_does(backend, group):
+def test_explain_accepts_every_shape_explain_analyze_does(group):
     # Regression: explain() used to reject lone triple/path patterns that
     # explain_analyze() accepted (the two peel loops had drifted).
-    evaluator = _evaluator(backend)
+    evaluator = _evaluator()
     query = parse_query(PREFIX + "SELECT * WHERE { " + group + " }")
     rendered = evaluator.explain(query)
     report = evaluator.explain_analyze(query)
@@ -184,7 +167,7 @@ def test_query_plans_a_lone_pattern_only_when_something_is_pushed_into_it():
     assert len(engine.query(filtered)) == 2
     assert engine.metrics()[lowered] == 1
     assert engine.evaluator.last_physical_plan.explain() == engine.explain(filtered) == (
-        "Project [?o, ?s] decode=id\n"
+        "Project [?o, ?s]\n"
         "└─ IndexNestedLoopJoin steps=1\n"
         "   └─ Filter (?o != <http://ex.org/a>) kernel=id\n"
         "      └─ Scan TP(?s <http://ex.org/p> ?o) est=5 probe=?P? match"

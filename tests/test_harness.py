@@ -199,11 +199,12 @@ def test_imports_point_one_way_and_modules_stay_small():
 
 def test_pipelines_and_filter_placement_are_decided_in_one_place():
     """What runs as a pipeline and where a FILTER conjunct goes is the
-    evaluation-tree pass's decision alone (``repro.sparql.evaltree``): nothing
-    else in ``src/repro`` reads ``use_planner``, and ``use_filter_pushdown`` is
-    read there and where a pipeline's conjuncts meet its steps
-    (``physical.lower_plan``).  The profile still has its five fields and
-    three presets."""
+    evaluation-tree pass's decision alone (``repro.sparql.evaltree``): beside
+    it only the evaluator reads ``use_planner``, to pick the substrate — the
+    store check and the path procedure — and ``use_filter_pushdown`` is read
+    there and where a pipeline's conjuncts meet its steps
+    (``physical.lower_plan``).  The profile has its three switches and three
+    presets."""
     package = Path(__file__).resolve().parent.parent / "src" / "repro"
     readers = {"use_planner": set(), "use_filter_pushdown": set()}
     for path in sorted(package.rglob("*.py")):
@@ -215,7 +216,11 @@ def test_pipelines_and_filter_placement_are_decided_in_one_place():
                 if isinstance(node, ast.Attribute) and node.attr in readers:
                     readers[node.attr].add(f"{module}.{function.name}")
     assert readers == {
-        "use_planner": {"sparql.evaltree.prepare_query"},
+        "use_planner": {
+            "sparql.evaltree.prepare_query",
+            "sparql.evaluator._active",
+            "sparql.evaluator._eval_path_pattern",
+        },
         "use_filter_pushdown": {"sparql.evaltree.prepare_query", "sparql.physical.lower_plan"},
     }
 
@@ -226,10 +231,31 @@ def test_pipelines_and_filter_placement_are_decided_in_one_place():
     assert [field.name for field in fields(ExecutionProfile)] == [
         "name",
         "use_planner",
-        "use_id_execution",
         "use_filter_pushdown",
-        "use_id_paths",
         "use_wcoj",
     ]
     presets = [name for name, value in vars(ExecutionProfile).items() if isinstance(value, ExecutionProfile)]
     assert sorted(presets) == ["BASELINE", "FULL", "ID_NATIVE"]
+
+
+def test_the_native_engine_has_one_row_space():
+    """Planned evaluation runs on the encoded store's ids only: no module of
+    the SPARQL or view layers asks which store it got (``is_id_store``) or
+    builds a key space of terms (``"term"``), so a second row space cannot
+    grow back beside the first."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offences = []
+    for path in sorted([*package.glob("sparql/*.py"), *package.glob("ivm/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+                offences += [f"{path.name}: imports is_id_store" for name in names if name == "is_id_store"]
+            elif isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+                if called in ("key_space", "KeySpace") or any(
+                    isinstance(argument, ast.Constant) and argument.value == "term"
+                    for argument in node.args
+                ):
+                    offences.append(f"{path.name}:{node.lineno}: builds a term key space")
+    assert offences == []

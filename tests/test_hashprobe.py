@@ -6,9 +6,9 @@ boundary, and what ``explain`` / ``metrics`` show of it.
 shares no variable with the steps before it, linked only by a FILTER
 conjunct ``?bound = ?fresh``, is built once and probed per outer row.
 It must return exactly what the cross product + filter returned — so it
-is compared with the term pipeline (``use_id_execution=False``) and
-``BASELINE`` on both backends, in particular where two *different* terms
-are ``=`` (``"1"^^xsd:integer`` / ``"1.0"^^xsd:decimal``, ``"a"`` /
+is compared with ``BASELINE`` and the unplanned ``NAIVE`` oracle on the
+hash store, in particular where two *different* terms are ``=``
+(``"1"^^xsd:integer`` / ``"1.0"^^xsd:decimal``, ``"a"`` /
 ``"a"^^xsd:string``) and where a term is ``=`` to nothing else.
 """
 
@@ -32,7 +32,7 @@ from repro.rdf.terms import (
 from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
-from repro.sparql.expressions import Comparison, VariableExpr
+from repro.sparql.expressions import Comparison, VariableExpr, satisfies
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
@@ -80,22 +80,11 @@ _IMPLICIT_JOIN = (
 
 def _evaluators(triples):
     yield "full/id", SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)))
-    yield "term-exec/id", SparqlEvaluator(
-        Dataset.from_graph(EncodedGraph(triples)),
-        profile=ExecutionProfile.FULL.with_options(use_id_execution=False),
-    )
     yield "baseline/id", SparqlEvaluator(
         Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.BASELINE
     )
-    yield "full/hash", SparqlEvaluator(Dataset.from_graph(Graph(triples)))
-    yield "baseline/hash", SparqlEvaluator(
-        Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.BASELINE
-    )
     # The oracle that shares no code with the step compiler.
-    yield "naive/id", SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)), profile=NAIVE)
-    yield "naive/hash", SparqlEvaluator(
-        Dataset.from_graph(Graph(triples)), profile=NAIVE.with_options(use_id_paths=False)
-    )
+    yield "naive/hash", SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
 
 
 def _hash_probes(plan):
@@ -110,7 +99,7 @@ class TestLoweringRule:
         evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_people_triples())))
         rendered = evaluator.explain(parse_query(_IMPLICIT_JOIN))
         assert rendered == """\
-Project [?m, ?n, ?x, ?y] decode=id
+Project [?m, ?n, ?x, ?y]
 └─ IndexNestedLoopJoin steps=4
    ├─ Scan TP(?x <http://ex.org/kind> <http://ex.org/A>) est=11 probe=?PO entry
    ├─ Scan TP(?x <http://ex.org/name> ?n) est=1 probe=SP? entry
@@ -150,22 +139,12 @@ Project [?m, ?n, ?x, ?y] decode=id
         evaluator.explain(parse_query(PREFIX + "SELECT * WHERE { " + body + " }"))
         assert not _hash_probes(evaluator.last_physical_plan)
 
-    def test_term_space_and_post_filter_plans_have_no_hash_probe(self):
+    def test_post_filter_plans_have_no_hash_probe(self):
         query = parse_query(_IMPLICIT_JOIN)
-        triples = _people_triples()
-        for evaluator in (
-            SparqlEvaluator(Dataset.from_graph(Graph(triples))),
-            SparqlEvaluator(
-                Dataset.from_graph(EncodedGraph(triples)),
-                profile=ExecutionProfile.FULL.with_options(use_id_execution=False),
-            ),
-        ):
-            evaluator.evaluate(query)
-            assert not _hash_probes(evaluator.last_physical_plan)
         # Pushdown off: the conjunct sits after the last step, which here
         # is connected to the prefix, so there is nothing to link.
         post_filter = SparqlEvaluator(
-            Dataset.from_graph(EncodedGraph(triples)),
+            Dataset.from_graph(EncodedGraph(_people_triples())),
             profile=ExecutionProfile.FULL.with_options(use_filter_pushdown=False),
         )
         post_filter.evaluate(query)
@@ -183,7 +162,7 @@ class TestDifferential:
             results[name] = Counter(evaluator.evaluate(query).rows())
             if name == "full/id":
                 assert _hash_probes(evaluator.last_physical_plan)
-        reference = results["baseline/hash"]
+        reference = results["naive/hash"]
         pairs = {(row[2], row[3]) for row in reference}
         # Different terms, one value — and terms that equal only themselves.
         assert (Literal("1", XSD_INTEGER), Literal("1.0", XSD_DECIMAL)) in pairs
@@ -256,20 +235,21 @@ class TestDifferential:
         ]
         plan = physical.lower_bgp(graph, patterns, (condition,))
         assert _hash_probes(plan)
-        term_plan = physical.lower_bgp(
-            Graph(_people_triples()), patterns, (condition,)
-        )
+        cross_product = physical.lower_bgp(graph, patterns)
+
+        def filtered(initial=Binding()):
+            rows = physical.execute(cross_product, graph, initial=initial)
+            return Counter(row for row in rows if satisfies(condition, row))
+
         everything = Counter(physical.execute(plan, graph))
-        assert everything == Counter(physical.execute(term_plan, Graph(_people_triples())))
+        assert everything == filtered()
         for initial in (
             Binding({x: EX.a0}),  # restricts the outer side
             Binding({y: EX.b0}),  # restricts the build pattern
             Binding({m: Literal("1.0", XSD_DECIMAL)}),  # pre-binds the build key
             Binding({n: Literal("1", XSD_INTEGER), m: Literal("01", XSD_INTEGER)}),
         ):
-            expected = Counter(
-                physical.execute(term_plan, Graph(_people_triples()), initial=initial)
-            )
+            expected = filtered(initial)
             assert Counter(physical.execute(plan, graph, initial=initial)) == expected
             assert sum(expected.values()) > 0
         # The variants were compiled per domain and the unrestricted one survives.
@@ -299,22 +279,21 @@ def _clique_triples():
 
 _TRIANGLE = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }"
 
-#: name -> (backend, triples, profile, query, result rows): the ``HashProbe``
-#: plan in id space, a two-pattern join in term space on either backend, and
-#: the leapfrog triejoin, which counts in its own registers too.
+#: name -> (triples, profile, query, result rows): the ``HashProbe`` plan, a
+#: two-pattern join, and the leapfrog triejoin, which counts in its own
+#: registers too.
 _COUNTED = {
-    "hashprobe/id": (EncodedGraph, _people_triples, ExecutionProfile.FULL, _IMPLICIT_JOIN, 19),
-    "join/hash": (Graph, _two_hop_triples, ExecutionProfile.FULL, _TWO_HOP, 80),
-    "join/id-baseline": (EncodedGraph, _two_hop_triples, ExecutionProfile.BASELINE, _TWO_HOP, 80),
-    "leapfrog/id": (EncodedGraph, _clique_triples, ExecutionProfile.FULL, _TRIANGLE, 120),
+    "hashprobe": (_people_triples, ExecutionProfile.FULL, _IMPLICIT_JOIN, 19),
+    "join/baseline": (_two_hop_triples, ExecutionProfile.BASELINE, _TWO_HOP, 80),
+    "leapfrog": (_clique_triples, ExecutionProfile.FULL, _TRIANGLE, 120),
 }
 _every_counted_plan = pytest.mark.parametrize("name", sorted(_COUNTED))
 
 
 class TestCounters:
-    def _plan(self, name="hashprobe/id"):
-        backend, triples, profile, query, _ = _COUNTED[name]
-        graph = backend(triples())
+    def _plan(self, name="hashprobe"):
+        triples, profile, query, _ = _COUNTED[name]
+        graph = EncodedGraph(triples())
         evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=profile)
         evaluator.evaluate(parse_query(query))
         return graph, evaluator.last_physical_plan
@@ -342,14 +321,14 @@ class TestCounters:
         graph, plan = self._plan(name)
         total = _COUNTED[name][-1]
         join = plan.root.child
-        assert (plan.space, bool(_hash_probes(plan)), type(join).__name__) in (
-            ("id", True, "IndexNestedLoopJoin"),
-            ("term", False, "IndexNestedLoopJoin"),
-            ("id", False, "LeapfrogJoin"),
+        assert (bool(_hash_probes(plan)), type(join).__name__) in (
+            (True, "IndexNestedLoopJoin"),
+            (False, "IndexNestedLoopJoin"),
+            (False, "LeapfrogJoin"),
         )
         list(physical.execute(plan, graph))
         full = self._counts(plan)
-        if plan.space == "term":
+        if name == "join/baseline":
             # Project, IndexNestedLoopJoin, Scan ?a p ?b, Scan ?b q ?c: a lone run's.
             assert full == [(80, 0), (80, 0), (20, 1), (80, 20)]
         if _hash_probes(plan):
@@ -404,7 +383,7 @@ class TestCounters:
     @_every_counted_plan
     def test_compiled_form_is_reused_until_the_graph_changes(self, name):
         graph, plan = self._plan(name)
-        profile = _COUNTED[name][2]
+        profile = _COUNTED[name][1]
         list(physical.execute(plan, graph))
         compiled = dict(plan._compiled)
         list(physical.execute(plan, graph))
@@ -415,7 +394,6 @@ class TestCounters:
         absent = physical.lower_bgp(
             graph, [TriplePatternNode(Triple(x, EX.kind, EX.C))], profile=profile
         )
-        assert absent.space == plan.space
         assert list(physical.execute(absent, graph)) == []
         graph.add(Triple(EX.late, EX.kind, EX.C))
         assert list(physical.execute(absent, graph)) == [Binding({x: EX.late})]
@@ -432,18 +410,15 @@ class TestProjection:
 
     def test_explain_shows_the_decoded_set(self):
         engine = create_engine(EncodedGraph(_people_triples()))
-        assert engine.explain(self._QUERY).splitlines()[0] == "Project [?n] distinct decode=id"
+        assert engine.explain(self._QUERY).splitlines()[0] == "Project [?n] distinct"
         ordered = self._QUERY + " ORDER BY ?x"
-        assert engine.explain(ordered).splitlines()[0] == "Project [?n, ?x] decode=id"
+        assert engine.explain(ordered).splitlines()[0] == "Project [?n, ?x]"
         counted = PREFIX + "SELECT (COUNT(?x) AS ?c) WHERE { ?x ex:kind ex:A . ?x ex:name ?n }"
-        assert engine.explain(counted).splitlines()[0] == "Project [?x] decode=id"
+        assert engine.explain(counted).splitlines()[0] == "Project [?x]"
         everything = PREFIX + "SELECT * WHERE { ?x ex:kind ex:A . ?x ex:name ?n }"
-        assert engine.explain(everything).splitlines()[0] == "Project [?n, ?x] decode=id"
+        assert engine.explain(everything).splitlines()[0] == "Project [?n, ?x]"
         ask = PREFIX + "ASK { ?x ex:kind ex:A . ?x ex:name ?n }"
-        assert engine.explain(ask).splitlines()[0] == "Project [] decode=id"
-        # The term pipeline has nothing to decode.
-        term = create_engine(Graph(_people_triples()))
-        assert term.explain(self._QUERY).splitlines()[0] == "Project [?n, ?x] decode=term"
+        assert engine.explain(ask).splitlines()[0] == "Project []"
 
     def test_only_the_read_variables_are_decoded(self):
         graph = EncodedGraph(_people_triples())
@@ -539,10 +514,6 @@ class TestObservability:
         ask = "ASK { ?x ex:kind ex:A . ?x ex:name ?n . FILTER(isIRI(?x)) }"
         assert engine.query(PREFIX + ask) is True
         assert engine.metrics()[name] == 2 * len(_VALUES) + 1
-        # The term pipeline has no id space to fall back from.
-        term = create_engine(Graph(_people_triples()))
-        term.query(PREFIX + body % "isLiteral(?n)")
-        assert term.metrics()[name] == 0
 
     def test_leapfrog_level_filters_use_the_same_kernels_and_counter(self):
         triples = [

@@ -1,4 +1,4 @@
-"""The id-space FILTER comparison kernels against the term-level semantics.
+"""The id FILTER comparison kernels against the term-level semantics.
 
 :func:`repro.sparql.kernels.compile_condition` decides ``= != < <= > >=``
 between variables and/or constants on ids and memoised comparison keys;
@@ -13,7 +13,7 @@ mean.  The two must agree on every pair of operands:
   variable/constant, constant/variable);
 * by hypothesis over generated lexical forms and datatypes;
 * end to end: the same operands as data, compared by a pushed-down
-  FILTER, across both backends and the differential profiles.
+  FILTER, across the differential profiles and the unplanned oracle.
 """
 
 from collections import Counter
@@ -45,7 +45,7 @@ from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import DECODED, EX, NAIVE
+from tests.helpers import EX, NAIVE
 
 OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
 
@@ -234,23 +234,15 @@ def _evaluators(triples):
     yield SparqlEvaluator(
         Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.ID_NATIVE
     )
-    yield SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)), profile=DECODED)
     yield SparqlEvaluator(
         Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.BASELINE
     )
-    yield SparqlEvaluator(Dataset.from_graph(Graph(triples)))
-    yield SparqlEvaluator(
-        Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.BASELINE
-    )
     # The oracle that shares no code with the step compiler.
-    yield SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)), profile=NAIVE)
-    yield SparqlEvaluator(
-        Dataset.from_graph(Graph(triples)), profile=NAIVE.with_options(use_id_paths=False)
-    )
+    yield SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
 
 
 @pytest.mark.parametrize("operator", OPERATORS)
-def test_filtered_self_join_agrees_across_profiles_and_backends(operator):
+def test_filtered_self_join_agrees_across_profiles(operator):
     triples = [Triple(EX[f"s{index}"], EX.p, term) for index, term in enumerate(TERMS)]
     query = parse_query(
         "PREFIX ex: <http://ex.org/>\n"
@@ -267,7 +259,7 @@ def test_filtered_self_join_agrees_across_profiles_and_backends(operator):
     "constant",
     ['"01"^^<http://www.w3.org/2001/XMLSchema#integer>', '"a"', '"zzz"', "ex:a", "ex:never_seen", "1.5"],
 )
-def test_filter_against_a_constant_agrees_across_profiles_and_backends(operator, constant):
+def test_filter_against_a_constant_agrees_across_profiles(operator, constant):
     triples = [Triple(EX[f"s{index}"], EX.p, term) for index, term in enumerate(TERMS)]
     query = parse_query(
         "PREFIX ex: <http://ex.org/>\n"

@@ -8,11 +8,11 @@ Three layers of assurance that the id-space pipeline
   distinct dictionary ids for value-equal literals), path patterns
   inside an id-native plan,
 * a hypothesis differential property: random BGP + FILTER queries on
-  random graphs return the identical multiset of solutions across all
-  four evaluator configurations (hash / encoded backend x decoded /
-  optimised pipeline),
+  random graphs return the identical multiset of solutions under
+  ``FULL``, ``ID_NATIVE``, ``BASELINE`` and the unplanned ``NAIVE``
+  oracle on the hash store,
 * a workload differential: every query of all five paper workloads,
-  id-native vs decoded, on the encoded backend.
+  ``FULL`` vs the post-filtered binary joins of ``BASELINE``.
 """
 
 from collections import Counter
@@ -39,9 +39,8 @@ from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph, bulk_load_ntriples
-from repro.store.encoded import is_id_store
 
-from tests.helpers import DECODED, EX, NAIVE
+from tests.helpers import EX, NAIVE
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -53,28 +52,25 @@ def tp(subject, predicate, obj):
 
 
 def _all_configurations(graph_triples):
-    """Both backends x (FULL, ID_NATIVE, BASELINE, NAIVE, NAIVE on term paths).
+    """FULL, ID_NATIVE and BASELINE on the encoded store, NAIVE on the hash one.
 
     The FULL profile may lower cyclic BGPs to the leapfrog-triejoin
-    operator on the encoded backend; ID_NATIVE pins the binary
-    index-nested-loop pipeline, so any divergence between the two
-    isolates the WCOJ operator; BASELINE is the decoded post-filtered
-    pipeline — the same compiled steps with terms in the registers.  The
-    two NAIVE profiles are the oracle that shares no code with the step
-    compiler: unplanned, pattern by pattern through ``match_triple`` and
-    ``CompatIndex``.
+    operator; ID_NATIVE pins the binary index-nested-loop pipeline, so any
+    divergence between the two isolates the WCOJ operator; BASELINE runs
+    the same binary steps with every FILTER after the last one.  NAIVE is
+    the oracle that shares no code with the step compiler: unplanned,
+    pattern by pattern through ``match_triple`` and ``CompatIndex``.
     """
-    configurations = []
-    for backend in (Graph, EncodedGraph):
-        dataset = Dataset.from_graph(backend(graph_triples))
+    encoded = Dataset.from_graph(EncodedGraph(graph_triples))
+    configurations = [
+        SparqlEvaluator(encoded, profile=profile)
         for profile in (
             ExecutionProfile.FULL,
             ExecutionProfile.ID_NATIVE,
             ExecutionProfile.BASELINE,
-            NAIVE,
-            NAIVE.with_options(use_id_paths=False),
-        ):
-            configurations.append(SparqlEvaluator(dataset, profile=profile))
+        )
+    ]
+    configurations.append(SparqlEvaluator(Dataset.from_graph(Graph(graph_triples)), profile=NAIVE))
     return configurations
 
 
@@ -249,12 +245,6 @@ class TestIdNativeEvaluation:
             Triple(EX.o1, EX.r, EX.s2),
         ]
 
-    def test_the_encoded_store_is_the_id_store(self):
-        # One test for id execution, id paths and the leapfrog join.
-        assert is_id_store(EncodedGraph())
-        assert is_id_store(EncodedGraph().copy())
-        assert not is_id_store(Graph())
-
     def test_filtered_bgp_matches_across_configurations(self):
         rows = _assert_all_equal(
             PREFIX
@@ -321,48 +311,30 @@ class TestIdNativeEvaluation:
         )
         assert set(rows) == {(EX.r, EX.r), (EX.r, EX.o1)}
 
-    def test_path_step_requires_evaluator_only_off_the_id_engine(self):
+    def test_path_step_runs_on_the_id_engine_of_the_encoded_store_only(self):
         from repro.sparql.algebra import PathPattern
         from repro.sparql.paths import LinkPath
 
         patterns = [PathPattern(Variable("a"), LinkPath(EX.p), Variable("b"))]
         encoded = EncodedGraph(self._triples())
-        # The id engine needs no term-level path evaluator at all ...
-        id_plan = physical.lower_bgp(encoded, patterns)
-        assert id_plan.space == "id"
-        assert len(list(physical.execute(id_plan, encoded))) == 2
-        # ... but the term-level bridge inside an id pipeline requires one,
-        bridge_plan = physical.lower_bgp(
-            encoded,
-            patterns,
-            profile=ExecutionProfile.FULL.with_options(use_id_paths=False),
-        )
-        assert bridge_plan.space == "id"
-        with pytest.raises(TypeError):
-            list(physical.execute(bridge_plan, encoded))
-        # ... and so does the term pipeline.
-        plain = Graph(self._triples())
-        term_plan = physical.lower_bgp(plain, patterns)
-        assert term_plan.space == "term"
-        with pytest.raises(TypeError):
-            list(physical.execute(term_plan, plain))
+        plan = physical.lower_bgp(encoded, patterns)
+        assert len(list(physical.execute(plan, encoded))) == 2
+        with pytest.raises(TypeError, match="EncodedGraph"):
+            physical.lower_bgp(Graph(self._triples()), patterns)
 
-    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
-    def test_unseen_constant_empties_the_bgp(self, backend):
-        graph = backend(self._triples())
+    def test_unseen_constant_empties_the_bgp(self):
+        graph = EncodedGraph(self._triples())
         s, o = Variable("s"), Variable("o")
         # The second pattern alone has matches; the unseen constant in the
         # first one empties the whole conjunction, whatever the join order.
         plan = physical.lower_bgp(graph, [tp(s, EX.p, EX.never_seen), tp(s, EX.q, o)])
-        before = len(graph.dictionary) if backend is EncodedGraph else None
+        before = len(graph.dictionary)
         assert list(physical.execute(plan, graph)) == []
-        if backend is EncodedGraph:
-            # Looking the constant up must not intern it.
-            assert len(graph.dictionary) == before
+        # Looking the constant up must not intern it.
+        assert len(graph.dictionary) == before
 
-    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
-    def test_initial_binding_seeds_every_solution(self, backend):
-        graph = backend(self._triples())
+    def test_initial_binding_seeds_every_solution(self):
+        graph = EncodedGraph(self._triples())
         x, o, extra = Variable("x"), Variable("o"), Variable("extra")
         plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
         assert len(list(physical.execute(plan, graph))) == 2
@@ -375,15 +347,14 @@ class TestIdNativeEvaluation:
         other = list(physical.execute(plan, graph, initial=Binding({x: EX.s2})))
         assert other == [Binding({x: EX.s2, o: EX.o2})]
 
-    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
-    def test_initial_binding_with_foreign_term_yields_nothing(self, backend):
-        graph = backend(self._triples())
+    def test_initial_binding_with_foreign_term_yields_nothing(self):
+        graph = EncodedGraph(self._triples())
         x, o = Variable("x"), Variable("o")
         plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
         initial = Binding({x: EX.unseen_subject})
         assert list(physical.execute(plan, graph, initial=initial)) == []
         # What the unplanned oracle says of the same join.
-        naive = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
+        naive = SparqlEvaluator(Dataset.from_graph(Graph(self._triples())), profile=NAIVE)
         values = "SELECT * WHERE { VALUES ?x { ex:unseen_subject } ?x ex:p ?o }"
         assert len(naive.evaluate(parse_query(PREFIX + values))) == 0
 
@@ -397,14 +368,14 @@ class TestIdNativeEvaluation:
 
 
 # ----------------------------------------------------------------------
-# what id execution and FILTER pushdown buy, in store probes and decodes
+# what FILTER pushdown and late decoding buy, in store probes and decodes
 # ----------------------------------------------------------------------
 class TestIdJoinWork:
     """A 90k-triple two-fan workload on the encoded store: 4 999 subjects,
     each with a ``:small`` and a larger ``:big`` fan.  The store's own
-    counters (``bind_store_metrics``) price the id pipeline against the
-    decoded, post-filtered one for the same answer: index probes issued
-    and terms decoded."""
+    counters (``bind_store_metrics``) price the pipeline against the
+    post-filtered one for the same answer: index probes issued and terms
+    decoded."""
 
     WORK = ("store_index_probes_total", "store_dictionary_decodes_total")
 
@@ -433,26 +404,23 @@ class TestIdJoinWork:
     def test_filter_selective_join(self, graph):
         text = "SELECT ?s ?a ?b WHERE { ?s ex:small ?a . ?s ex:big ?b . FILTER(?a = ex:o42) }"
         rows, work = self._run(graph, ExecutionProfile.FULL, text)
-        decoded_rows, decoded_work = self._run(graph, DECODED, text)
-        assert rows == decoded_rows and sum(rows.values()) == 40
+        baseline_rows, baseline_work = self._run(graph, ExecutionProfile.BASELINE, text)
+        assert rows == baseline_rows and sum(rows.values()) == 40
         # The conjunct kills a :small row as an id, right after the scan that
         # binds ?a: :big is probed for the 3 surviving subjects only, and
         # nothing is decoded but the 3 columns of the 40 answers.
         assert work == (1 + 3, 3 * 40)
-        # Decoded and post-filtered: a :big probe for each of the 22 500
-        # :small rows, every scanned triple and joined row boxed as terms.
-        assert decoded_work == (1 + 22_500, 975_198)
+        # Post-filtered: a :big probe for each of the 22 500 :small rows, and
+        # the FILTER above the pipeline reads every joined row as terms.
+        assert baseline_work == (1 + 22_500, 907_698)
 
     def test_join_without_a_filter(self, graph):
         text = "SELECT ?s ?a WHERE { ?s ex:small ?a . ?s ex:big ex:hub }"
         rows, work = self._run(graph, ExecutionProfile.FULL, text)
-        decoded_rows, decoded_work = self._run(graph, DECODED, text)
-        assert rows == decoded_rows and sum(rows.values()) == 409
-        # Same plan, same probes; the id pipeline decodes the 2 projected
-        # columns of the answers, the decoded one all 3 terms of the 499
-        # triples its scans touched.
+        assert sum(rows.values()) == 409
+        # The pipeline decodes the 2 projected columns of the answers, not
+        # the terms of the triples its scans touched.
         assert work == (91, 2 * 409)
-        assert decoded_work == (91, 3 * 499)
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +472,7 @@ conditions = st.lists(condition, min_size=0, max_size=2)
 @settings(max_examples=60, deadline=None)
 @given(edges=edges, bgp=patterns, filter_conditions=conditions)
 def test_differential_random_bgp_filters(edges, bgp, filter_conditions):
-    """Id-native and decoded pipelines agree on both backends."""
+    """Every planned configuration agrees with the unplanned oracle."""
     from repro.sparql.algebra import (
         BGP,
         Filter,
@@ -557,11 +525,11 @@ _CYCLIC_SHAPES = [
     filter_conditions=conditions,
 )
 def test_differential_cyclic_bgps(edges, shape, filter_conditions):
-    """Cyclic BGPs: leapfrog, binary-join and decoded pipelines agree.
+    """Cyclic BGPs: leapfrog, binary-join and unplanned evaluations agree.
 
-    The default encoded-backend evaluator lowers these shapes to the
-    LeapfrogJoin operator, so this property differentially pins the WCOJ
-    implementation against every pre-existing pipeline.
+    The default evaluator lowers these shapes to the LeapfrogJoin
+    operator, so this property differentially pins the WCOJ
+    implementation against every other evaluation.
     """
     from repro.sparql.algebra import BGP, Filter, ProjectionItem, SelectQuery
 
@@ -606,7 +574,7 @@ def _workloads():
 
 @pytest.mark.parametrize("name,workload", _workloads(), ids=lambda value: value if isinstance(value, str) else "")
 def test_differential_workload_queries(name, workload):
-    """Every workload query: id-native multiset == decoded multiset."""
+    """Every workload query: FULL multiset == post-filtered binary-join multiset."""
     dataset = workload.dataset()
     idnative = SparqlEvaluator(dataset)
     decoded = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)

@@ -9,8 +9,9 @@ the term-level ALP procedure:
   non-closure operators,
 * a hypothesis differential property: random path expressions over
   random graphs, with random bound/free endpoints, return the identical
-  multiset through the id engine and the term-level fallback, on both
-  backends and through both join pipelines,
+  multiset through the id engine (under ``FULL`` and ``BASELINE``) and
+  through the term-level ALP procedure of the unplanned evaluation on the
+  hash store,
 * gMark workload parity: every query of a recursive-only gMark workload,
   and a fixed mix of eleven path shapes, agree between the id path engine
   and the ALP baseline.
@@ -45,7 +46,7 @@ from repro.sparql.paths import (
 )
 from repro.store import EncodedGraph
 
-from tests.helpers import DECODED, EX, TERM_PATHS
+from tests.helpers import EX, NAIVE
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -63,24 +64,15 @@ def _select(pattern_nodes):
     )
 
 
-#: FULL, term-level paths only, the decoded post-filtered pipeline (still
-#: with id paths), and the all-off naive evaluator.
-_PROFILES = (
-    ExecutionProfile.FULL,
-    TERM_PATHS,
-    DECODED,
-    DECODED.with_options(use_id_paths=False, use_planner=False),
-)
-
-
 def _evaluators(triples):
-    """Every (backend, pipeline, path engine) combination under test."""
-    evaluators = []
-    for backend in (Graph, EncodedGraph):
-        dataset = Dataset.from_graph(backend(triples))
-        for profile in _PROFILES:
-            evaluators.append(SparqlEvaluator(dataset, profile=profile))
-    return evaluators
+    """The id path engine under ``FULL`` and the post-filtered ``BASELINE``,
+    the term-level ALP procedure under the unplanned ``NAIVE``."""
+    encoded = Dataset.from_graph(EncodedGraph(triples))
+    return [
+        SparqlEvaluator(encoded),
+        SparqlEvaluator(encoded, profile=ExecutionProfile.BASELINE),
+        SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE),
+    ]
 
 
 def _assert_configurations_agree(pattern_nodes, triples):
@@ -463,18 +455,15 @@ def test_differential_random_paths(edges, path, subject, obj):
 @given(edges=_edges, path=_path_expressions)
 def test_differential_engine_vs_term_alp(edges, path):
     """Engine pair semantics == term ALP, compared at the binding level."""
-    graph = EncodedGraph(Triple(*edge) for edge in edges)
-    dataset = Dataset.from_graph(graph)
-    idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, profile=TERM_PATHS)
+    triples = [Triple(*edge) for edge in edges]
     node = PathPattern(X, path, Y)
     expected = Counter(
         tuple(sorted(binding.items()))
-        for binding in termlevel._eval_path_pattern(node, graph)
+        for binding in eval_path_pattern_terms(node, Graph(triples))
     )
     actual = Counter(
         tuple(sorted(binding.items()))
-        for binding in idnative._eval_path_pattern(node, graph)
+        for binding in IdPathEngine(EncodedGraph(triples)).evaluate(node)
     )
     assert actual == expected
 
@@ -486,15 +475,10 @@ def test_gmark_recursive_workload_parity():
     from repro.workloads.gmark import GMarkWorkload, test_scenario
 
     workload = GMarkWorkload(
-        scenario=test_scenario(),
-        scale=0.15,
-        backend="encoded",
-        recursive_only=True,
-        query_count=12,
+        scenario=test_scenario(), scale=0.15, recursive_only=True, query_count=12
     )
-    dataset = workload.dataset()
-    idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, profile=TERM_PATHS)
+    idnative = SparqlEvaluator(workload.dataset())
+    termlevel = SparqlEvaluator(Dataset.from_graph(Graph(workload.graph)), profile=NAIVE)
     compared = 0
     for query in workload.queries():
         parsed = parse_query(query.text)
@@ -530,9 +514,9 @@ def test_gmark_fixed_path_mix_parity():
         f"SELECT ?y WHERE {{ {node(52)} (gmark:p0|gmark:p2)/gmark:p1 ?y }}",
         "SELECT ?x ?y WHERE { ?x ^gmark:p2/gmark:p3 ?y }",
     ]
-    dataset = GMarkWorkload(scenario=test_scenario(), scale=0.1, backend="encoded").dataset()
-    idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, profile=TERM_PATHS)
+    graph = GMarkWorkload(scenario=test_scenario(), scale=0.1).graph
+    idnative = SparqlEvaluator(Dataset.from_graph(graph))
+    termlevel = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=NAIVE)
     for text in queries:
         parsed = parse_query("PREFIX gmark: <http://example.org/gMark/>\n" + text)
         expected = termlevel.evaluate(parsed)

@@ -15,8 +15,8 @@ Four layers:
 * count tests — what a read, a write and a re-plan cost, as counters,
 * hypothesis differentials — random add/remove churn against random
   BGP + FILTER views, and multi-triple ``update()`` batches against
-  self-join views, on both backends: the maintained Z-set equals the
-  re-evaluated multiset, in presentation order, at every step.
+  self-join views: the maintained Z-set equals the re-evaluated multiset,
+  in presentation order, at every step.
 """
 
 import math
@@ -38,8 +38,9 @@ from repro.ivm import ViewRegistry, zset_diff, zset_from_rows, zset_merge
 from repro.ivm.views import _row_sort_key
 from repro.obs import Tracer
 
-from tests.helpers import EX
+from tests.helpers import EX, NAIVE
 
+#: Both stores capture changes; views are maintained on the encoded one.
 BACKENDS = [Graph, EncodedGraph]
 
 
@@ -182,13 +183,12 @@ class TestEncodedLoaderCapture:
 # ----------------------------------------------------------------------
 # delta views
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDeltaViews:
-    def _engine(self, backend, triples=()):
-        return create_engine(backend(list(triples)))
+    def _engine(self, triples=()):
+        return create_engine(EncodedGraph(list(triples)))
 
-    def test_two_hop_churn_matches_reference(self, backend):
-        engine = self._engine(backend, [chain(1, 2), chain(2, 3)])
+    def test_two_hop_churn_matches_reference(self):
+        engine = self._engine([chain(1, 2), chain(2, 3)])
         view = engine.materialize(TWO_HOP)
         assert view.maintenance == "delta"
         query = parse_query(TWO_HOP)
@@ -205,9 +205,9 @@ class TestDeltaViews:
             getattr(engine.graph, action)(triple)
             assert Counter(view.rows()) == fresh_counter(engine.evaluator, query)
 
-    def test_bag_multiplicities_maintained(self, backend):
+    def test_bag_multiplicities_maintained(self):
         # SELECT ?a projects away ?b: two outgoing edges → multiplicity 2.
-        engine = self._engine(backend, [chain(1, 2), chain(1, 3)])
+        engine = self._engine([chain(1, 2), chain(1, 3)])
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\nSELECT ?a WHERE { ?a ex:p ?b }"
         )
@@ -218,8 +218,8 @@ class TestDeltaViews:
         engine.graph.remove(chain(1, 2))
         assert view.rows() == []
 
-    def test_distinct_view_reports_support_transitions(self, backend):
-        engine = self._engine(backend, [chain(1, 2), chain(1, 3)])
+    def test_distinct_view_reports_support_transitions(self):
+        engine = self._engine([chain(1, 2), chain(1, 3)])
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\nSELECT DISTINCT ?a WHERE { ?a ex:p ?b }"
         )
@@ -235,8 +235,8 @@ class TestDeltaViews:
         assert events == [[((EX.n1,), -1)]]
         assert view.rows() == []
 
-    def test_on_change_delivers_weighted_rows_and_unsubscribes(self, backend):
-        engine = self._engine(backend, [chain(1, 2)])
+    def test_on_change_delivers_weighted_rows_and_unsubscribes(self):
+        engine = self._engine([chain(1, 2)])
         view = engine.materialize(TWO_HOP)
         events = []
         unsubscribe = view.on_change(events.append)
@@ -246,8 +246,8 @@ class TestDeltaViews:
         engine.graph.remove(chain(2, 3))
         assert len(events) == 1
 
-    def test_closed_view_detaches_and_refuses_reads(self, backend):
-        engine = self._engine(backend, [chain(1, 2)])
+    def test_closed_view_detaches_and_refuses_reads(self):
+        engine = self._engine([chain(1, 2)])
         view = engine.materialize(TWO_HOP)
         assert len(engine.graph._delta_listeners) == 1
         view.close()
@@ -257,8 +257,8 @@ class TestDeltaViews:
             view.rows()
         view.close()  # idempotent
 
-    def test_engine_close_closes_views(self, backend):
-        engine = self._engine(backend, [chain(1, 2)])
+    def test_engine_close_closes_views(self):
+        engine = self._engine([chain(1, 2)])
         view = engine.materialize(TWO_HOP)
         engine.close()
         assert view.closed
@@ -266,9 +266,9 @@ class TestDeltaViews:
         with pytest.raises(RuntimeError):
             engine.materialize(TWO_HOP)
 
-    def test_view_over_non_default_graph(self, backend):
-        engine = self._engine(backend, [chain(1, 2)])
-        other = backend([chain(7, 8)])
+    def test_view_over_non_default_graph(self):
+        engine = self._engine([chain(1, 2)])
+        other = EncodedGraph([chain(7, 8)])
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\nSELECT ?a WHERE { ?a ex:p ?b }",
             graph=other,
@@ -300,7 +300,7 @@ class TestReevalFallback:
         )
         engine = create_engine(EncodedGraph([chain(1, 2), chain(2, 3)]))
         view = engine.materialize(triangle)
-        # The encoded backend lowers this cyclic BGP to a multiway join; the
+        # The planner lowers this cyclic BGP to a multiway join; the
         # delta reads its patterns, not its join operator.
         assert "LeapfrogJoin" in engine.explain(triangle)
         assert view.maintenance == "delta"
@@ -362,7 +362,7 @@ class TestReevalFallback:
         assert events == [[((EX.n3,), 1)]]
 
     def test_union_view_stays_fresh(self):
-        engine = create_engine(Graph([chain(1, 2)]))
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\n"
             "SELECT ?s WHERE { { ?s ex:p ?o } UNION { ?o ex:p ?s } }"
@@ -378,19 +378,19 @@ class TestReevalFallback:
 # ----------------------------------------------------------------------
 class TestMaterializeValidation:
     def test_ask_queries_are_rejected(self):
-        engine = create_engine(Graph())
+        engine = create_engine(EncodedGraph())
         with pytest.raises(ValueError):
             engine.materialize("ASK { ?s ?p ?o }")
 
     def test_from_clauses_are_rejected(self):
-        engine = create_engine(Graph())
+        engine = create_engine(EncodedGraph())
         with pytest.raises(ValueError):
             engine.materialize(
                 "SELECT ?s FROM <http://ex.org/g> WHERE { ?s ?p ?o }"
             )
 
     def test_graph_patterns_are_rejected(self):
-        engine = create_engine(Graph())
+        engine = create_engine(EncodedGraph())
         with pytest.raises(ValueError):
             engine.materialize(
                 "SELECT ?s WHERE { GRAPH <http://ex.org/g> { ?s ?p ?o } }"
@@ -435,8 +435,9 @@ class TestLoaderFreshness:
         assert view.rows() == [(EX.n1, EX.n2)]
 
     def test_hash_update_loop_cannot_leave_a_stale_view(self):
+        # The unplanned evaluation re-evaluates views over the hash store.
         graph = Graph()
-        engine, view = self._view(graph)
+        view = create_engine(graph, NAIVE).materialize(self.QUERY)
         graph.update([chain(1, 2), chain(2, 3)])
         assert view.rows() == [(EX.n1, EX.n2), (EX.n2, EX.n3)]
 
@@ -458,7 +459,7 @@ class TestLoaderFreshness:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_one_listener_per_graph_and_detach_on_last_close(self):
-        graph = Graph([chain(1, 2)])
+        graph = EncodedGraph([chain(1, 2)])
         registry = ViewRegistry(SparqlEvaluator(Dataset.from_graph(graph)))
         query = "PREFIX ex: <http://ex.org/>\nSELECT ?a WHERE { ?a ex:p ?b }"
         first = registry.materialize(query)
@@ -470,7 +471,7 @@ class TestRegistry:
         assert graph._delta_listeners == []
 
     def test_metrics_registered(self):
-        engine = create_engine(Graph([chain(1, 2)]))
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\nSELECT ?a WHERE { ?a ex:p ?b }"
         )
@@ -493,10 +494,9 @@ PLAIN_TWO_HOP = (
 EDGES = "PREFIX ex: <http://ex.org/>\nSELECT ?a ?b WHERE { ?a ex:p ?b }"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSubscriberRobustness:
-    def test_reentrant_mutation_cannot_double_count(self, backend):
-        engine = create_engine(backend())
+    def test_reentrant_mutation_cannot_double_count(self):
+        engine = create_engine(EncodedGraph())
         graph = engine.graph
         # Notified first: its subscriber adds (y p z) while (x p y) is
         # being delivered.  Unchecked, the join view below is handed
@@ -515,8 +515,8 @@ class TestSubscriberRobustness:
             engine.evaluator, parse_query(PLAIN_TWO_HOP)
         )
 
-    def test_closing_and_subscribing_inside_a_callback_stay_legal(self, backend):
-        engine = create_engine(backend())
+    def test_closing_and_subscribing_inside_a_callback_stay_legal(self):
+        engine = create_engine(EncodedGraph())
         view = engine.materialize(EDGES)
         other = engine.materialize(EDGES)
         late = []
@@ -533,8 +533,8 @@ class TestSubscriberRobustness:
         assert late == [[((EX.n2, EX.n3), 1)]]
         assert view.rows() == [(EX.n1, EX.n2), (EX.n2, EX.n3)]
 
-    def test_raising_subscriber_costs_nobody_else_their_delta(self, backend):
-        engine = create_engine(backend([chain(1, 2)]))
+    def test_raising_subscriber_costs_nobody_else_their_delta(self):
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
         first = engine.materialize(EDGES)
         second = engine.materialize(TWO_HOP)
         seen_by_sibling, seen_by_second = [], []
@@ -561,14 +561,13 @@ class TestSubscriberRobustness:
 # ----------------------------------------------------------------------
 # what a read, a write and a re-plan cost (counts, no wall clock)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestMaintenanceCounts:
-    def test_a_write_keys_what_it_changed_and_a_read_nothing(self, backend):
+    def test_a_write_keys_what_it_changed_and_a_read_nothing(self):
         # A 30 x 30 bipartite two-hop through one hub: 900 rows.
         size = 30
         triples = [Triple(EX[f"a{i}"], EX.p, EX.hub) for i in range(size)]
         triples += [Triple(EX.hub, EX.p, EX[f"c{i}"]) for i in range(size)]
-        engine = create_engine(backend(triples))
+        engine = create_engine(EncodedGraph(triples))
         view = engine.materialize(PLAIN_TWO_HOP)
         rows = len(view)
         assert rows == size * size
@@ -590,8 +589,8 @@ class TestMaintenanceCounts:
             assert keys == sorted(keys)
         assert len(view) == rows
 
-    def test_a_delta_larger_than_the_order_pays_for_sorts_once(self, backend):
-        engine = create_engine(backend([chain(1, 2)]))
+    def test_a_delta_larger_than_the_order_pays_for_sorts_once(self):
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
         view = engine.materialize(EDGES)
         before = engine.metrics()["ivm_view_sort_keys_total"]
         engine.graph.update([chain(9 - i, 10 - i) for i in range(6)])
@@ -599,7 +598,7 @@ class TestMaintenanceCounts:
         keys = [_row_sort_key(row) for row in view.rows()]
         assert keys == sorted(keys) and len(keys) == 7
 
-    def test_rows_that_do_not_order_can_come_and_go(self, backend):
+    def test_rows_that_do_not_order_can_come_and_go(self):
         # NaN is neither below nor above any number, so once it is in the
         # order a bisect may look for a row on the wrong side of it: after
         # 4, NaN, 5, 2 the order is [4, NaN, 2, 5] and the search for 4
@@ -607,7 +606,7 @@ class TestMaintenanceCounts:
         def value(lexical):
             return Triple(EX[f"s{lexical}"], EX.p, Literal(lexical, XSD_DOUBLE))
 
-        engine = create_engine(backend())
+        engine = create_engine(EncodedGraph())
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\nSELECT ?v WHERE { ?s ex:p ?v }"
         )
@@ -626,8 +625,8 @@ class TestMaintenanceCounts:
             assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
         assert view.rows() == [(Literal("2", XSD_DOUBLE),), (Literal("3", XSD_DOUBLE),)]
 
-    def test_replanning_under_churn_keeps_one_slot_per_query(self, backend):
-        engine = create_engine(backend([chain(1, 2), chain(2, 3)]))
+    def test_replanning_under_churn_keeps_one_slot_per_query(self):
+        engine = create_engine(EncodedGraph([chain(1, 2), chain(2, 3)]))
         evaluator = engine.evaluator
         for round_number in range(50):
             engine.graph.add(chain(100 + round_number, 101 + round_number))
@@ -637,14 +636,13 @@ class TestMaintenanceCounts:
         assert metrics["sparql_plan_cache_evictions_total"] == 0
         assert metrics["sparql_physical_cache_misses_total"] == 50
 
-    def test_constant_interned_after_the_view_starts_matching(self, backend):
-        engine = create_engine(backend([chain(1, 2)]))
+    def test_constant_interned_after_the_view_starts_matching(self):
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\nSELECT ?s WHERE { ?s ex:p ex:late }"
         )
         assert view.maintenance == "delta"
-        if backend is EncodedGraph:
-            assert engine.graph.dictionary.id_for(EX.late) is None
+        assert engine.graph.dictionary.id_for(EX.late) is None
         refreshes = engine.metrics()["ivm_view_refreshes_total"]
         engine.graph.add(chain(1, 3))
         assert view.rows() == []
@@ -654,8 +652,8 @@ class TestMaintenanceCounts:
         assert view.rows() == []
         assert engine.metrics()["ivm_view_refreshes_total"] == refreshes
 
-    def test_delta_stats_of_a_fixed_churn_script(self, backend):
-        engine = create_engine(backend([chain(i, i + 1) for i in range(1, 9)]))
+    def test_delta_stats_of_a_fixed_churn_script(self):
+        engine = create_engine(EncodedGraph([chain(i, i + 1) for i in range(1, 9)]))
         view = engine.materialize(TWO_HOP)
         graph = engine.graph
         for step in range(30):
@@ -665,7 +663,7 @@ class TestMaintenanceCounts:
             else:
                 graph.add(triple)
         stats = view.delta_stats
-        # The values the term-space join (before PR 18) counted.
+        # The counts of the term-keyed join this one replaced, unchanged.
         assert (stats.batches, stats.changes, stats.seed_matches, stats.rows) == (
             30,
             30,
@@ -674,8 +672,8 @@ class TestMaintenanceCounts:
         )
         assert len(view.rows()) == 11
 
-    def test_update_is_one_batch_to_the_views(self, backend):
-        engine = create_engine(backend([chain(1, 2)]))
+    def test_update_is_one_batch_to_the_views(self):
+        engine = create_engine(EncodedGraph([chain(1, 2)]))
         view = engine.materialize(TWO_HOP)
         engine.graph.update([chain(2, 3), chain(3, 4), chain(4, 5)])
         assert engine.metrics()["ivm_delta_batches_total"] == 1
@@ -683,11 +681,8 @@ class TestMaintenanceCounts:
         assert view.rows() == [(EX.n1, EX.n3), (EX.n2, EX.n4), (EX.n3, EX.n5)]
 
 
-@pytest.mark.parametrize(
-    "backend, nodes",
-    [(EncodedGraph, 2_500), (EncodedGraph, 5_000), (EncodedGraph, 10_000), (Graph, 2_500), (Graph, 5_000)],
-)
-def test_maintenance_costs_the_change_not_the_graph(backend, nodes):
+@pytest.mark.parametrize("nodes", [2_500, 5_000, 10_000])
+def test_maintenance_costs_the_change_not_the_graph(nodes):
     """Every node has out-degree 2; 200 edges are removed one by one and
     added back.  A change seeds both patterns of the two-hop view and probes
     the other one once — the same work on a graph two and four times the
@@ -697,18 +692,17 @@ def test_maintenance_costs_the_change_not_the_graph(backend, nodes):
         for i in range(nodes)
         for stride, shift in ((7, 1), (13, 5))
     ]
-    engine = create_engine(backend(edges))
+    engine = create_engine(EncodedGraph(edges))
     view = engine.materialize(TWO_HOP)
     assert view.maintenance == "delta"
     graph = engine.graph
-    counters = graph.enable_counters() if backend is EncodedGraph else None
+    counters = graph.enable_counters()
     for mutate in (graph.remove, graph.add):
         for triple in edges[:200]:
             mutate(triple)
     stats = view.delta_stats
     assert (stats.batches, stats.changes, stats.seed_matches, stats.rows) == (400, 400, 800, 1_508)
-    if counters is not None:
-        assert counters.index_probes == 800
+    assert counters.index_probes == 800
     assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
 
 
@@ -728,25 +722,21 @@ class TestExplain:
         )
         cites = "<http://localhost/vocabulary/bench/cites>"
         assert view.explain() == (
-            "MaterializedView maintenance=delta keys=id\n"
+            "MaterializedView maintenance=delta\n"
             f"  seed #0 (?a {cites} ?b)\n"
             f"    probe #1 (?b {cites} ?c) state=old; Filter (?a != ?c) kernel=id\n"
             f"  seed #1 (?b {cites} ?c)\n"
             f"    probe #0 (?a {cites} ?b) state=new; Filter (?a != ?c) kernel=id"
         )
 
-    def test_term_space_and_term_kernels_are_named(self):
-        engine = create_engine(Graph())
-        view = engine.materialize(TWO_HOP)
-        assert "keys=term" in view.explain()
-        assert "kernel=id" not in view.explain()
+    def test_term_kernels_are_named(self):
         engine = create_engine(EncodedGraph())
         view = engine.materialize(
             "PREFIX ex: <http://ex.org/>\n"
             'SELECT ?a WHERE { ?a ex:p ?b FILTER(regex(str(?b), "x")) }'
         )
         assert view.explain() == (
-            "MaterializedView maintenance=delta keys=id\n"
+            "MaterializedView maintenance=delta\n"
             '  seed #0 (?a <http://ex.org/p> ?b); Filter REGEX(STR(?b), "x") kernel=term'
         )
 
@@ -784,7 +774,7 @@ class TestExplain:
             "SELECT ?a ?b ?c WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a }"
         )
         assert view.explain() == (
-            "MaterializedView maintenance=delta keys=id\n"
+            "MaterializedView maintenance=delta\n"
             "  seed #0 (?a <http://ex.org/p> ?b)\n"
             "    probe #1 (?b <http://ex.org/q> ?c) state=old\n"
             "    probe #2 (?c <http://ex.org/p> ?a) state=old\n"
@@ -865,13 +855,9 @@ _condition = st.one_of(
     bgp=st.lists(_pattern, min_size=1, max_size=3),
     filter_conditions=st.lists(_condition, min_size=0, max_size=2),
     distinct=st.booleans(),
-    backend_index=st.integers(min_value=0, max_value=1),
 )
-def test_differential_random_churn(
-    initial, churn, bgp, filter_conditions, distinct, backend_index
-):
+def test_differential_random_churn(initial, churn, bgp, filter_conditions, distinct):
     """Maintained views equal re-evaluation after every add/remove."""
-    backend = BACKENDS[backend_index]
     pattern_node = BGP(tuple(tp(*parts) for parts in bgp))
     for condition in filter_conditions:
         pattern_node = Filter(pattern_node, condition)
@@ -881,7 +867,7 @@ def test_differential_random_churn(
         pattern=pattern_node,
         distinct=distinct,
     )
-    engine = create_engine(backend(Triple(*edge) for edge in initial))
+    engine = create_engine(EncodedGraph(Triple(*edge) for edge in initial))
     view = engine.materialize(query)
     reference = SparqlEvaluator(engine.dataset)
     for edge in churn:
@@ -910,7 +896,7 @@ _SELF_JOINS = [
         tp(_VARIABLES[2], EX.q, _NODES[0]),
     ),
     (tp(_VARIABLES[0], _VARIABLES[1], _VARIABLES[2]), tp(_VARIABLES[2], EX.p, _VARIABLES[0])),
-    # Cyclic: a LeapfrogJoin plan on the encoded backend.
+    # Cyclic: a LeapfrogJoin plan.
     (
         tp(_VARIABLES[0], EX.p, _VARIABLES[1]),
         tp(_VARIABLES[1], EX.p, _VARIABLES[2]),
@@ -929,14 +915,10 @@ _small_edge = st.tuples(
     shape=st.integers(min_value=0, max_value=len(_SELF_JOINS) - 1),
     filtered=st.booleans(),
     distinct=st.booleans(),
-    backend_index=st.integers(min_value=0, max_value=1),
 )
-def test_differential_update_batches_over_self_joins(
-    initial, batches, shape, filtered, distinct, backend_index
-):
+def test_differential_update_batches_over_self_joins(initial, batches, shape, filtered, distinct):
     """Multi-change batches: every change joins its own virtual old and new
     state, so edges of one ``update()`` must see each other exactly once."""
-    backend = BACKENDS[backend_index]
     pattern_node = BGP(_SELF_JOINS[shape])
     if filtered:
         pattern_node = Filter(
@@ -949,7 +931,7 @@ def test_differential_update_batches_over_self_joins(
         pattern=pattern_node,
         distinct=distinct,
     )
-    engine = create_engine(backend(Triple(*edge) for edge in initial))
+    engine = create_engine(EncodedGraph(Triple(*edge) for edge in initial))
     view = engine.materialize(query)
     assert view.maintenance == "delta"
     reference = SparqlEvaluator(engine.dataset)

@@ -226,7 +226,7 @@ class TestExporters:
 
     def test_an_evaluation_trace_round_trips_through_both_exporters(self):
         tracer = Tracer("triangle")
-        evaluator = SparqlEvaluator(Dataset.from_graph(Graph(_TRIPLES)), tracer=tracer)
+        evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)), tracer=tracer)
         with tracer.span("parse"):
             query = parse_query(_TRIANGLE)
         evaluator.evaluate(query)

@@ -4,6 +4,7 @@ from repro.core.engine import SparqLogEngine
 from repro.core.ontology import Ontology, OntologyAxiom
 from repro.datalog.wardedness import analyze_wardedness
 from repro.rdf.graph import Dataset, Graph
+from repro.store import EncodedGraph
 from repro.rdf.terms import BlankNode, IRI, RDF, RDFS, Triple
 
 from tests.helpers import EX
@@ -11,8 +12,8 @@ from tests.helpers import EX
 PREFIX = "PREFIX ex: <http://ex.org/>\nPREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
 
 
-def university_graph() -> Graph:
-    graph = Graph()
+def university_graph() -> EncodedGraph:
+    graph = EncodedGraph()
     graph.add(Triple(EX.alice, RDF.type, EX.Professor))
     graph.add(Triple(EX.bob, RDF.type, EX.Student))
     graph.add(Triple(EX.alice, EX.teaches, EX.databases))

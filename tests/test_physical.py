@@ -5,15 +5,16 @@ Four angles on the logical-plan → physical-DAG lowering:
 * unit tests for the analysis primitives — GYO cyclicity detection and
   the leapfrog sorted-intersection kernel,
 * golden ``explain()`` renderings for the canonical BGP shapes (star,
-  chain, triangle, path-bearing, filtered) on both backends, pinning
-  which operator the lowering picks and how the tree reads,
+  chain, triangle, path-bearing, filtered) under ``FULL`` and
+  ``BASELINE``, pinning which operator the lowering picks and how the
+  tree reads,
 * behavioural tests: leapfrog-vs-binary multiset parity, eligibility
-  fallbacks (variable predicates, repeated variables, too few patterns,
-  term-only backends), per-operator row/probe counters, and the
-  evaluator's plan-cache dead-entry purge,
+  fallbacks (variable predicates, repeated variables, too few patterns),
+  per-operator row/probe counters, and the evaluator's plan-cache
+  dead-entry purge,
 * differential tests for the extended FILTER pushdown: OPTIONAL-scoped
   conditions and FILTER-over-MINUS agree with the pushdown-disabled
-  baseline.
+  baseline and the unplanned oracle.
 """
 
 from collections import Counter
@@ -31,14 +32,14 @@ from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.parser import parse_query
 from repro.sparql.leapfrog import intersect
-from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin, PathExpand, Scan
+from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin
 from repro.sparql.ordering import is_cyclic
 from repro.sparql.physical import lower_bgp
 from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph, bulk_load_ntriples
 
-from tests.helpers import DECODED, EX, plan_cache_lookup, scan_work
+from tests.helpers import EX, NAIVE, plan_cache_lookup, scan_work
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -147,83 +148,75 @@ _FILTERED_TRIANGLE = (
 )
 
 _GOLDEN = {
-    ("term", _STAR): """\
-Project [?a, ?b, ?c, ?s] decode=term
-└─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match
-   ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? match
-   └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? match""",
-    ("term", _CHAIN): """\
-Project [?a, ?b, ?c] decode=term
-└─ IndexNestedLoopJoin steps=2
-   ├─ Scan TP(?b <http://ex.org/q> ?c) est=2 probe=?P? match
-   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667 probe=?PO match""",
-    ("term", _TRIANGLE): """\
-Project [?a, ?b, ?c] decode=term
-└─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
-   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
-    ("term", _PATH): """\
-Project [?a, ?b, ?c] decode=term
-└─ IndexNestedLoopJoin steps=2
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   └─ PathExpand[term] Path(?b OneOrMore(Link(http://ex.org/q)) ?c) est=1.6""",
-    ("term", _FILTERED_TRIANGLE): """\
-Project [?a, ?b, ?c] decode=term
-└─ IndexNestedLoopJoin steps=3
-   ├─ Filter (?a != ?b) kernel=term
-   │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
-   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
-    ("id", _STAR): """\
-Project [?a, ?b, ?c, ?s] decode=id
+    _STAR: """\
+Project [?a, ?b, ?c, ?s]
 └─ IndexNestedLoopJoin steps=3
    ├─ Scan TP(?s <http://ex.org/r> ?c) est=1 probe=?P? match
    ├─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? entry
    └─ Scan TP(?s <http://ex.org/q> ?b) est=1 probe=SP? entry""",
-    ("id", _CHAIN): """\
-Project [?a, ?b, ?c] decode=id
+    _CHAIN: """\
+Project [?a, ?b, ?c]
 └─ IndexNestedLoopJoin steps=2
    ├─ Scan TP(?b <http://ex.org/q> ?c) est=2 probe=?P? match
    └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667 probe=?PO entry""",
-    ("id", _TRIANGLE): """\
-Project [?a, ?b, ?c] decode=id
+    _TRIANGLE: """\
+Project [?a, ?b, ?c]
 └─ LeapfrogJoin order=[?a, ?b, ?c]
    ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
    ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
    └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
-    ("id", _PATH): """\
-Project [?a, ?b, ?c] decode=id
+    _PATH: """\
+Project [?a, ?b, ?c]
 └─ IndexNestedLoopJoin steps=2
    ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   └─ PathExpand[id] Path(?b OneOrMore(Link(http://ex.org/q)) ?c) est=1.6""",
-    ("id", _FILTERED_TRIANGLE): """\
-Project [?a, ?b, ?c] decode=id
+   └─ PathExpand Path(?b OneOrMore(Link(http://ex.org/q)) ?c) est=1.6""",
+    _FILTERED_TRIANGLE: """\
+Project [?a, ?b, ?c]
 └─ LeapfrogJoin order=[?a, ?b, ?c] filters=[(?a != ?b)@?b]
    ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
    ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
    └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
 }
 
+#: Where ``BASELINE`` reads differently: binary joins only, every FILTER
+#: conjunct after the last step.  The other shapes render as under ``FULL``.
+_BASELINE_GOLDEN = {
+    _TRIANGLE: """\
+Project [?a, ?b, ?c]
+└─ IndexNestedLoopJoin steps=3
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
+   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
+    _FILTERED_TRIANGLE: """\
+Project [?a, ?b, ?c]
+└─ IndexNestedLoopJoin steps=3
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
+   └─ Filter (?a != ?b) kernel=id
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
+}
 
-@pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
+
+@pytest.mark.parametrize(
+    "profile", [ExecutionProfile.FULL, ExecutionProfile.BASELINE], ids=["full", "baseline"]
+)
 @pytest.mark.parametrize(
     "query_text",
     [_STAR, _CHAIN, _TRIANGLE, _PATH, _FILTERED_TRIANGLE],
     ids=["star", "chain", "triangle", "path", "filtered-triangle"],
 )
-def test_golden_explain(backend, query_text):
-    evaluator = SparqlEvaluator(Dataset.from_graph(backend(_TRIPLES)))
-    space = "id" if backend is EncodedGraph else "term"
+def test_golden_explain(query_text, profile):
+    evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)), profile=profile)
     rendered = evaluator.explain(parse_query(query_text))
-    assert rendered == _GOLDEN[(space, query_text)]
+    golden = _GOLDEN[query_text]
+    if profile is ExecutionProfile.BASELINE:
+        golden = _BASELINE_GOLDEN.get(query_text, golden)
+    assert rendered == golden
     assert evaluator.last_physical_plan is not None
-    assert evaluator.last_physical_plan.space == space
 
 
 def test_explain_rejects_unplanned_patterns():
-    evaluator = SparqlEvaluator(Dataset.from_graph(Graph(_TRIPLES)))
+    evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)))
     query = parse_query(
         PREFIX + "SELECT * WHERE { { ?s ex:p ?o } UNION { ?s ex:q ?o } }"
     )
@@ -244,11 +237,6 @@ class TestOperatorSelection:
         graph = EncodedGraph(_TRIPLES)
         plan = lower_bgp(graph, _triangle_patterns())
         assert isinstance(plan.root.child, LeapfrogJoin)
-
-    def test_triangle_stays_binary_on_term_backend(self):
-        graph = Graph(_TRIPLES)
-        plan = lower_bgp(graph, _triangle_patterns())
-        assert isinstance(plan.root.child, IndexNestedLoopJoin)
 
     def test_wcoj_option_off_pins_binary_join(self):
         graph = EncodedGraph(_TRIPLES)
@@ -281,16 +269,6 @@ class TestOperatorSelection:
         graph = EncodedGraph(_TRIPLES)
         a, b = _vars("a", "b")
         plan = lower_bgp(graph, [tp(a, EX.p, b), tp(b, EX.p, a)])
-        assert isinstance(plan.root.child, IndexNestedLoopJoin)
-
-    def test_id_execution_off_lowers_to_term_space(self):
-        graph = EncodedGraph(_TRIPLES)
-        plan = lower_bgp(
-            graph,
-            _triangle_patterns(),
-            profile=ExecutionProfile.FULL.with_options(use_id_execution=False),
-        )
-        assert plan.space == "term"
         assert isinstance(plan.root.child, IndexNestedLoopJoin)
 
 
@@ -346,21 +324,20 @@ class TestExecution:
         assert counters["IndexNestedLoopJoin"]["rows"] == len(rows)
 
     @pytest.mark.parametrize(
-        "backend, profile, explained, analyzed",
+        "profile, explained, analyzed",
         [
-            # Counts recorded at PR 18 (the per-row term interpreter), to the digit.
+            # The counts the per-row term interpreter recorded, to the digit.
             (
-                Graph,
-                ExecutionProfile.FULL,
+                ExecutionProfile.ID_NATIVE,
                 """\
-Project [?a, ?b, ?c] decode=term
-└─ Filter (<http://ex.org/a> = <http://ex.org/a>) kernel=term
+Project [?a, ?b, ?c]
+└─ Filter (<http://ex.org/a> = <http://ex.org/a>) kernel=id
    └─ IndexNestedLoopJoin steps=3
-      ├─ Filter (?a != ?b) kernel=term
+      ├─ Filter (?a != ?b) kernel=id
       │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-      ├─ Filter (?c != <http://ex.org/b>) kernel=term
-      │  └─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
+      ├─ Filter (?c != <http://ex.org/b>) kernel=id
+      │  └─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
                 [
                     "rows=2 probes=0",
                     "rows=1 probes=1",
@@ -373,15 +350,14 @@ Project [?a, ?b, ?c] decode=term
                 ],
             ),
             (
-                EncodedGraph,
                 ExecutionProfile.BASELINE,
                 """\
-Project [?a, ?b, ?c] decode=term
+Project [?a, ?b, ?c]
 └─ IndexNestedLoopJoin steps=3
    ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? match
-   └─ Filter (?a != ?b) && (?c != <http://ex.org/b>) && (<http://ex.org/a> = <http://ex.org/a>) kernel=term
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO match""",
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
+   └─ Filter (?a != ?b) && (?c != <http://ex.org/b>) && (<http://ex.org/a> = <http://ex.org/a>) kernel=id
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
                 [
                     "rows=2 probes=0",
                     "rows=2 probes=0",
@@ -392,10 +368,10 @@ Project [?a, ?b, ?c] decode=term
                 ],
             ),
         ],
-        ids=["hash-full", "encoded-baseline"],
+        ids=["pushdown", "baseline"],
     )
-    def test_term_space_counts_of_a_filtered_bgp(self, backend, profile, explained, analyzed):
-        graph = backend(_TRIPLES)
+    def test_counts_of_a_filtered_bgp(self, profile, explained, analyzed):
+        graph = EncodedGraph(_TRIPLES)
         a, b, c = _vars("a", "b", "c")
         conditions = (
             Comparison("!=", VariableExpr(a), VariableExpr(b)),
@@ -403,27 +379,15 @@ Project [?a, ?b, ?c] decode=term
             Comparison("=", TermExpr(EX.a), TermExpr(EX.a)),
         )
         plan = lower_bgp(graph, _triangle_patterns(), conditions, profile)
-        assert plan.space == "term" and plan.explain() == explained
+        assert plan.explain() == explained
         assert len(list(physical.execute(plan, graph, timed=True))) == 2
         header, *lines = plan.explain_analyze(total_seconds=0.0).splitlines()
-        assert header == "EXPLAIN ANALYZE (term space) total=0.00ms"
+        assert header == "EXPLAIN ANALYZE total=0.00ms"
         # The tree of explain(), each line followed by its time and counts.
         assert [re.sub(r"^[ │├└─]*", "", line.split(" | ")[0]) for line in lines] == [
             re.sub(r"^[ │├└─]*", "", line) for line in explained.splitlines()
         ]
         assert [re.sub(r".* \| time=[0-9.]+ms ", "", line) for line in lines] == analyzed
-
-    def test_term_plan_requires_path_evaluator_lazily(self):
-        graph = Graph(_TRIPLES)
-        query = parse_query(_PATH)
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph))
-        evaluator.explain(query)  # rendering alone never executes
-        plan = evaluator.last_physical_plan
-        assert any(
-            isinstance(operator, PathExpand) for operator in plan.operators()
-        )
-        with pytest.raises(TypeError):
-            list(physical.execute(plan, graph))
 
 
 # ----------------------------------------------------------------------
@@ -554,20 +518,19 @@ _PUSHDOWN_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["term", "id"])
 @pytest.mark.parametrize(
     "query_text",
     _PUSHDOWN_QUERIES,
     ids=["optional", "optional-partial", "minus", "minus-nested", "minus-empty"],
 )
-def test_extended_pushdown_matches_baseline(backend, query_text):
-    dataset = Dataset.from_graph(backend(_PUSHDOWN_TRIPLES))
-    pushdown = SparqlEvaluator(dataset)
-    baseline = SparqlEvaluator(dataset, profile=DECODED)
+def test_extended_pushdown_matches_baseline(query_text):
+    dataset = Dataset.from_graph(EncodedGraph(_PUSHDOWN_TRIPLES))
     query = parse_query(query_text)
-    assert Counter(pushdown.evaluate(query).rows()) == Counter(
-        baseline.evaluate(query).rows()
-    )
+    pushdown = Counter(SparqlEvaluator(dataset).evaluate(query).rows())
+    baseline = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)
+    assert pushdown == Counter(baseline.evaluate(query).rows())
+    naive = SparqlEvaluator(Dataset.from_graph(Graph(_PUSHDOWN_TRIPLES)), profile=NAIVE)
+    assert pushdown == Counter(naive.evaluate(query).rows())
 
 
 def test_optional_pushdown_keeps_unmatched_left_rows():

@@ -12,6 +12,7 @@ from repro.sparql.parser import parse_query
 from repro.sparql.paths import LinkPath, OneOrMorePath
 from repro.sparql.physical import execute, lower_bgp
 from repro.sparql.plan import plan_bgp
+from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
 from tests.helpers import (
@@ -19,6 +20,7 @@ from tests.helpers import (
     NAIVE,
     chain_graph,
     countries_dataset,
+    on_hash_store,
     plan_cache_lookup,
     rows_multiset,
     scan_work,
@@ -27,18 +29,24 @@ from tests.helpers import (
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 
-def run_bgp(graph, patterns, path_evaluator=None):
+def run_bgp(graph, patterns):
     """Plan, lower and lazily run a BGP on the physical layer alone."""
-    return execute(lower_bgp(graph, patterns), graph, path_evaluator=path_evaluator)
+    return execute(lower_bgp(graph, patterns), graph)
+
+
+def planned_and_naive(triples):
+    """``FULL`` on the encoded store and the unplanned oracle on the hash one."""
+    planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)))
+    return planned, SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
 
 
 def tp(subject, predicate, obj) -> TriplePatternNode:
     return TriplePatternNode(Triple(subject, predicate, obj))
 
 
-def star_graph(n_subjects: int = 50, fanout: int = 3) -> Graph:
+def star_graph(n_subjects: int = 50, fanout: int = 3) -> EncodedGraph:
     """Many subjects with :a / :b edges, exactly one with a :selective edge."""
-    graph = Graph()
+    graph = EncodedGraph()
     for i in range(n_subjects):
         subject = EX[f"s{i}"]
         for j in range(fanout):
@@ -179,37 +187,27 @@ class TestStreamingExecution:
         assert all(binding[v] == EX.s0 for binding in streamed)
 
     def test_execution_is_lazy(self):
-        class CountingGraph(Graph):
-            probes = 0
-
-            def triples(self, subject=None, predicate=None, obj=None):
-                CountingGraph.probes += 1
-                return super().triples(subject, predicate, obj)
-
-        graph = CountingGraph()
-        for i in range(100):
-            graph.add(Triple(EX[f"s{i}"], EX.p, EX[f"o{i}"]))
+        graph = EncodedGraph(Triple(EX[f"s{i}"], EX.p, EX[f"o{i}"]) for i in range(100))
+        counters = graph.enable_counters()
         v, o = Variable("v"), Variable("o")
         stream = run_bgp(graph, [tp(v, EX.p, o)])
-        CountingGraph.probes = 0
         first = next(iter(stream))
         assert first is not None
         # One probe produced the first solution; the other 99 were not paid.
-        assert CountingGraph.probes == 1
+        assert counters.index_probes == 1
 
     def test_repeated_variable_within_pattern(self):
-        graph = Graph([Triple(EX.a, EX.p, EX.a), Triple(EX.a, EX.p, EX.b)])
+        graph = EncodedGraph([Triple(EX.a, EX.p, EX.a), Triple(EX.a, EX.p, EX.b)])
         x = Variable("x")
         results = list(run_bgp(graph, [tp(x, EX.p, x)]))
         assert len(results) == 1
         assert results[0][x] == EX.a
 
     def test_path_pattern_endpoint_substitution(self):
-        graph = Graph()
+        graph = EncodedGraph()
         for i in range(5):
             graph.add(Triple(EX[f"n{i}"], EX.next, EX[f"n{i+1}"]))
         graph.add(Triple(EX.n0, EX.start, EX.go))
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph))
         v, end = Variable("v"), Variable("end")
         patterns = [
             PathPattern(v, OneOrMorePath(LinkPath(EX.next)), end),
@@ -218,9 +216,7 @@ class TestStreamingExecution:
         plan = plan_bgp(graph, patterns)
         # The selective triple pattern must be probed before the closure.
         assert plan.order() == [1, 0]
-        results = list(
-            run_bgp(graph, patterns, path_evaluator=evaluator._eval_path_pattern)
-        )
+        results = list(run_bgp(graph, patterns))
         assert {binding[end] for binding in results} == {
             EX[f"n{i}"] for i in range(1, 6)
         }
@@ -232,38 +228,35 @@ class TestZeroLengthPathSubstitution:
         # Regression: substituting a bound variable into p?/p* used to make
         # the evaluator treat it like a syntactic constant, which matches
         # itself even off-graph; a variable endpoint only ranges over nodes.
-        graph = Graph([Triple(EX.s, EX.a, EX.o)])
-        ds = Dataset.from_graph(graph)
+        planned_evaluator, naive_evaluator = planned_and_naive([Triple(EX.s, EX.a, EX.o)])
         query = parse_query(
             PREFIX + "SELECT ?p ?z WHERE { ?s ?p ?o . ?p ex:q? ?z }"
         )
-        planned = SparqlEvaluator(ds).evaluate(query)
-        naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
+        planned = planned_evaluator.evaluate(query)
+        naive = naive_evaluator.evaluate(query)
         assert rows_multiset(planned) == rows_multiset(naive)
         assert len(planned) == 0
 
     def test_repeat_and_nested_closure_zero_length_guard(self):
         # RepeatPath{0,} and p+ over a zero-admitting inner path also admit
         # zero-length matches; the substitution guard must cover them.
-        graph = Graph([Triple(EX.s, EX.P, EX.o)])
-        ds = Dataset.from_graph(graph)
+        planned_evaluator, naive_evaluator = planned_and_naive([Triple(EX.s, EX.P, EX.o)])
         for path_text in ("ex:q{0,}", "(ex:q?)+", "ex:q{0,2}"):
             query = parse_query(
                 PREFIX + "SELECT ?p ?z WHERE { ?s ?p ?o . ?p " + path_text + " ?z }"
             )
-            planned = SparqlEvaluator(ds).evaluate(query)
-            naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
+            planned = planned_evaluator.evaluate(query)
+            naive = naive_evaluator.evaluate(query)
             assert rows_multiset(planned) == rows_multiset(naive), path_text
             assert len(planned) == 0, path_text
 
     def test_substituted_node_endpoint_keeps_zero_length_match(self):
-        graph = Graph([Triple(EX.s, EX.a, EX.o)])
-        ds = Dataset.from_graph(graph)
+        planned_evaluator, naive_evaluator = planned_and_naive([Triple(EX.s, EX.a, EX.o)])
         query = parse_query(
             PREFIX + "SELECT ?s ?z WHERE { ?s ?p ?o . ?s ex:q* ?z }"
         )
-        planned = SparqlEvaluator(ds).evaluate(query)
-        naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
+        planned = planned_evaluator.evaluate(query)
+        naive = naive_evaluator.evaluate(query)
         assert rows_multiset(planned) == rows_multiset(naive)
         assert (EX.s, EX.s) in planned.to_set()
 
@@ -282,7 +275,7 @@ class TestPlannedEvaluatorEquivalence:
         dataset = countries_dataset()
         query = parse_query(PREFIX + query_text)
         planned = SparqlEvaluator(dataset).evaluate(query)
-        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         elif "LIMIT" in query_text:
@@ -292,9 +285,9 @@ class TestPlannedEvaluatorEquivalence:
             assert rows_multiset(planned) == rows_multiset(naive)
 
 
-def ring_graph(n_nodes: int) -> Graph:
+def ring_graph(n_nodes: int) -> EncodedGraph:
     """gMark-style cycle: a :p ring, :q chords closing p/q/p at every node, one :marked."""
-    graph = Graph()
+    graph = EncodedGraph()
     for i in range(n_nodes):
         graph.add(Triple(EX[f"n{i}"], EX.p, EX[f"n{(i + 1) % n_nodes}"]))
         graph.add(Triple(EX[f"n{i}"], EX.q, EX[f"n{(i - 2) % n_nodes}"]))
@@ -323,47 +316,49 @@ class TestPlannedWorkDoesNotGrowWithTheData:
         ),
     }
 
-    @pytest.mark.parametrize("backend", [Graph, EncodedGraph])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_selective_pattern_last(self, shape, backend):
+    def test_selective_pattern_last(self, shape):
         build, size, pattern, order, work, answers = self.SHAPES[shape]
         query = parse_query(PREFIX + "SELECT * WHERE " + pattern)
         for n in (size, 2 * size):
-            dataset = Dataset.from_graph(backend(build(n)))
+            dataset = Dataset.from_graph(build(n))
             evaluator = SparqlEvaluator(dataset)
             result = evaluator.evaluate(query)
             assert evaluator.last_physical_plan.source.order() == order
             assert scan_work(evaluator) == work, n
             assert len(result) == answers
-        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
         assert rows_multiset(result) == rows_multiset(naive)
 
-    @pytest.mark.parametrize("backend", [Graph, EncodedGraph])
-    def test_ask_stops_at_the_first_solution(self, backend):
+    def test_ask_stops_at_the_first_solution(self):
         query = parse_query(PREFIX + "ASK WHERE " + self.STAR)
         for n in (350, 700):
-            evaluator = SparqlEvaluator(Dataset.from_graph(backend(star_graph(n, fanout=5))))
+            evaluator = SparqlEvaluator(Dataset.from_graph(star_graph(n, fanout=5)))
             assert evaluator.evaluate(query) is True
             # One probe per pattern, one row each: 3 of the SELECT's 7 probes.
             assert scan_work(evaluator) == (3, 3)
 
-    @pytest.mark.parametrize("backend, probes", [(Graph, 4), (EncodedGraph, 7)])
-    def test_cycle_starts_from_the_marked_node(self, backend, probes):
+    @pytest.mark.parametrize(
+        "profile, probes",
+        [(ExecutionProfile.FULL, 7), (ExecutionProfile.ID_NATIVE, 4)],
+        ids=["leapfrog", "binary"],
+    )
+    def test_cycle_starts_from_the_marked_node(self, profile, probes):
         """A cycle joins back on its first variable; starting at the one
-        :marked node keeps it to a handful of probes (binary: one per
-        pattern; leapfrog on the encoded store: one per sorted run)."""
+        :marked node keeps it to a handful of probes (binary joins: one per
+        pattern; the leapfrog join: one sorted run per pattern end)."""
         query = parse_query(
             PREFIX
             + "SELECT ?a ?b WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a . ?a ex:marked ex:yes }"
         )
         for n in (120, 240):
-            dataset = Dataset.from_graph(backend(ring_graph(n)))
-            evaluator = SparqlEvaluator(dataset)
+            dataset = Dataset.from_graph(ring_graph(n))
+            evaluator = SparqlEvaluator(dataset, profile=profile)
             result = evaluator.evaluate(query)
             assert evaluator.last_physical_plan.source.order() == [3, 0, 1, 2]
             assert scan_work(evaluator)[0] == probes, n
             assert len(result) == 1
-        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
         assert rows_multiset(result) == rows_multiset(naive)
 
 
@@ -392,7 +387,7 @@ class TestPlanCache:
         dataset.default_graph.add(Triple(EX.austria, EX.borders, EX.italy))
         after = evaluator.evaluate(query)
         assert evaluator.metrics()["sparql_physical_cache_misses_total"] == 2
-        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
         assert rows_multiset(after) != before
 

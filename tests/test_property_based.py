@@ -30,7 +30,8 @@ from repro.datalog.terms import Const, Var
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple, Variable
-from repro.sparql.solutions import Binding
+from repro.sparql.solutions import Binding, project_rows
+from repro.store import EncodedGraph
 
 # ----------------------------------------------------------------------
 # strategies
@@ -131,8 +132,9 @@ class TestBindingProperties:
     @given(binding_strategy, st.sets(st.sampled_from([Variable("a"), Variable("b")])))
     @settings(max_examples=50, deadline=None)
     def test_projection_domain(self, binding, variables):
-        projected = binding.project(variables)
-        assert projected.variables() <= variables
+        header = sorted(variables, key=lambda variable: variable.name)
+        (row,) = project_rows(header, [binding])
+        assert row == tuple(binding.get(variable) for variable in header)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +362,7 @@ class TestTranslationDifferentialProperties:
     @given(edges_strategy, st.sampled_from(_PROPERTY_QUERIES))
     @settings(max_examples=40, deadline=None)
     def test_sparqlog_matches_reference_on_random_graphs(self, edges, query_text):
-        dataset = Dataset.from_graph(graph_from_edges(edges))
+        dataset = Dataset.from_graph(EncodedGraph(graph_from_edges(edges)))
         native = NativeSparqlEngine(dataset).query(query_text)
         translated = SparqLogEngine(dataset, timeout_seconds=30).query(query_text)
         assert results_equal(native, translated)
@@ -425,23 +427,21 @@ class TestPlannerDifferentialProperties:
         edges_strategy,
         st.sampled_from(_BGP_QUERIES + _NESTED_QUERIES),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text, pushdown, encoded):
+    def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text, pushdown):
         """The prepared evaluation tree against the oracle that has none."""
         from repro.sparql.evaluator import SparqlEvaluator
         from repro.sparql.parser import parse_query
         from repro.sparql.profile import ExecutionProfile
-        from repro.store.encoded import EncodedGraph
         from tests.helpers import NAIVE
 
         graph = graph_from_edges(edges)
-        dataset = Dataset.from_graph(EncodedGraph(graph) if encoded else graph)
         query = parse_query(query_text)
         profile = ExecutionProfile.FULL.with_options(use_filter_pushdown=pushdown)
-        planned = SparqlEvaluator(dataset, profile=profile).evaluate(query)
-        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
+        planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph)), profile=profile)
+        planned = planned.evaluate(query)
+        naive = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         else:
@@ -481,7 +481,6 @@ class TestResultBoundaryProperties:
     def test_every_engine_gives_one_sequence(self, edges, core, form):
         from repro.sparql.evaluator import SparqlEvaluator
         from repro.sparql.parser import parse_query
-        from repro.store.encoded import EncodedGraph
         from tests.helpers import NAIVE
 
         template, ordered = form
@@ -490,7 +489,6 @@ class TestResultBoundaryProperties:
         graph = graph_from_edges(edges)
         memory = Dataset.from_graph(graph)
         answers = [
-            SparqlEvaluator(memory).evaluate(query),
             SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph))).evaluate(query),
             SparqlEvaluator(memory, profile=NAIVE).evaluate(query),
             SparqLogEngine(memory, timeout_seconds=30).query(text),

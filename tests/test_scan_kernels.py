@@ -1,6 +1,6 @@
 """The shape-specialised scan steps of the compiled id pipeline.
 
-In id space a scan with at most one free position asks the store for a
+A scan with at most one free position asks the store for a
 verdict (``contains_ids``) or for the index entry itself
 (``object_entry_ids`` / ``subject_entry_ids`` / ``predicate_entry_ids``)
 instead of streaming ``match_triple_ids``; everything else — two or three
@@ -30,7 +30,6 @@ from repro.sparql import idexec, operators, physical
 from repro.sparql.algebra import TriplePatternNode, peel_filters
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
-from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
@@ -141,7 +140,6 @@ def test_differential_against_the_unplanned_oracle(edges, data):
         label="filter",
     )
     plan = physical.lower_bgp(graph, nodes, _conditions(filter_text) if filter_text else ())
-    assert plan.space == "id"
     rows = Counter(physical.execute(plan, graph, initial=initial))
     assert rows == _oracle(present if len(graph) else [], nodes, filter_text, initial)
 
@@ -196,9 +194,6 @@ def test_each_shape_takes_its_access_path_and_answers_like_the_oracle(parts, acc
         assert rows == _oracle(list(graph), [tp(*parts)], "", Binding()), kind
         if kind in ("one-id", "set", "shrunk") and EX.v not in parts:
             assert rows, (kind, access)
-    # The term key space reads every shape through ``triples``.
-    term = physical.lower_bgp(graph, [tp(*parts)], profile=ExecutionProfile.BASELINE)
-    assert _scans(term)[0].access == access.split()[0] + " match"
 
 
 @_shapes
@@ -240,10 +235,10 @@ def test_the_access_path_follows_what_is_bound_at_execution():
         assert len(found) == rows
         assert all(row[variable] == term for row in found for variable, term in initial.items())
         assert store.index_probes - before == 1
-    assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X}), "id") == "entry"
-    assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X, Y}), "id") == "member"
-    assert idexec.access_path(idexec.probe_shape((X, EX.p, X), {X}), "id") == "member"
-    assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X, Y}), "term") == "match"
+    assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X})) == "entry"
+    assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X, Y})) == "member"
+    assert idexec.access_path(idexec.probe_shape((X, EX.p, X), {X})) == "member"
+    assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), set())) == "match"
 
 
 # ----------------------------------------------------------------------

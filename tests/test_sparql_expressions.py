@@ -24,7 +24,7 @@ from repro.sparql.functions import (
     numeric_value,
     term_compare,
 )
-from repro.sparql.solutions import Binding
+from repro.sparql.solutions import Binding, project_rows
 
 X = Variable("x")
 Y = Variable("y")
@@ -196,9 +196,9 @@ class TestBinding:
         assert not _binding(x=lit(1)).is_compatible(_binding(x=lit(2)))
         assert _binding(x=lit(1)).is_compatible(_binding(x=lit(1), y=lit(3)))
 
-    def test_project_and_extend(self):
+    def test_project_rows_and_extend(self):
         binding = _binding(x=lit(1), y=lit(2))
-        assert binding.project([X]).variables() == {X}
+        assert project_rows([X], [binding]) == [(lit(1),)]
         assert binding.extend(Variable("z"), lit(9))[Variable("z")] == lit(9)
 
     def test_equality_and_hash(self):

@@ -1,4 +1,7 @@
-"""Tests for property-path semantics in the reference evaluator."""
+"""Tests for property-path semantics: the id path engine of planned
+evaluation and the term-level ALP procedure of the unplanned one."""
+
+from collections import Counter
 
 import pytest
 
@@ -17,13 +20,22 @@ from repro.sparql.paths import (
     normalize_path,
 )
 
-from tests.helpers import EX, TERM_PATHS, countries_dataset
+from repro.store import EncodedGraph
+
+from tests.helpers import EX, NAIVE, countries_dataset
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 
 def run(dataset, query_text):
-    return SparqlEvaluator(dataset).evaluate(parse_query(PREFIX + query_text))
+    """The answer on the encoded store (the id path engine), checked against
+    the unplanned evaluation on the hash store (the term-level ALP)."""
+    query = parse_query(PREFIX + query_text)
+    graph = dataset.default_graph
+    planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph))).evaluate(query)
+    unplanned = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=NAIVE).evaluate(query)
+    assert Counter(planned.rows()) == Counter(unplanned.rows())
+    return planned
 
 
 def cyclic_dataset() -> Dataset:
@@ -272,7 +284,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_reachability_probe_stops_at_adjacent_target(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_PATHS)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
         graph.probes = 0
         result = evaluator.evaluate(
             parse_query(PREFIX + "ASK { ex:n0 ex:next+ ex:n1 }")
@@ -285,7 +297,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_unreachable_target_still_correct(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_PATHS)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
         assert (
             evaluator.evaluate(
                 parse_query(PREFIX + "ASK { ex:n5 ex:next+ ex:n0 }")
@@ -295,7 +307,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_short_circuit_preserves_bound_pair_results(self):
         graph = self._long_chain(20)
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=TERM_PATHS)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
         result = evaluator.evaluate(
             parse_query(PREFIX + "SELECT ?x WHERE { ex:n0 ex:next* ex:n20 . ?x ex:next ex:n1 }")
         )

@@ -13,6 +13,7 @@ from repro.rdf.ntriples import NTriplesParseError, parse_ntriples, serialize_ntr
 from repro.rdf.terms import BlankNode, IRI, Literal, Triple, Variable
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.store import (
     EncodedGraph,
     GRAPH_BACKENDS,
@@ -27,7 +28,7 @@ from repro.store import (
 )
 from repro.store.dictionary import KIND_BLANK, KIND_IRI, KIND_LITERAL
 
-from tests.helpers import EX, countries_graph
+from tests.helpers import EX, NAIVE, countries_graph
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +455,8 @@ def test_encoded_store_retains_half_the_bytes_per_triple_at_most():
 
 
 class TestBackendFactory:
-    def test_default_is_hash(self):
-        assert type(create_graph()) is Graph
+    def test_default_is_the_encoded_store(self):
+        assert type(create_graph()) is EncodedGraph
 
     def test_named_backends(self):
         assert type(create_graph("hash")) is Graph
@@ -472,7 +473,8 @@ class TestBackendFactory:
 
 
 class TestPlannedQueryDifferential:
-    """Planned SPARQL evaluation is backend-independent."""
+    """Planned evaluation on the encoded store answers as the unplanned one
+    on the hash store."""
 
     QUERIES = [
         "SELECT ?a ?c WHERE { ?a ex:borders ?b . ?b ex:borders ?c }",
@@ -488,9 +490,9 @@ class TestPlannedQueryDifferential:
         query = parse_query("PREFIX ex: <http://ex.org/>\n" + query_text)
         triples = list(countries_graph())
         results = []
-        for backend in ("hash", "encoded"):
+        for backend, profile in (("hash", NAIVE), ("encoded", ExecutionProfile.FULL)):
             graph = create_graph(backend, triples)
-            evaluator = SparqlEvaluator(Dataset.from_graph(graph))
+            evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=profile)
             outcome = evaluator.evaluate(query)
             results.append(
                 outcome if isinstance(outcome, bool) else Counter(outcome.rows())
@@ -504,9 +506,9 @@ class TestPlannedQueryDifferential:
             "SELECT ?s ?o ?o2 WHERE { ?s <http://ex.org/a> ?o . ?o <http://ex.org/a> ?o2 }"
         )
         rows = []
-        for backend in ("hash", "encoded"):
+        for backend, profile in (("hash", NAIVE), ("encoded", ExecutionProfile.FULL)):
             graph = create_graph(backend, triple_list)
-            result = SparqlEvaluator(Dataset.from_graph(graph)).evaluate(query)
+            result = SparqlEvaluator(Dataset.from_graph(graph), profile=profile).evaluate(query)
             rows.append(Counter(result.rows()))
         assert rows[0] == rows[1]
 

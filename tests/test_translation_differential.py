@@ -88,7 +88,7 @@ def test_warm_engine_agrees_with_from_scratch_and_native(name):
 def test_from_clauses_resolve_alike_on_both_engines():
     """FROM / FROM NAMED over a known and an unknown IRI (which stands for
     the default graph): one rule, ``Dataset.active``, read by both engines."""
-    dataset = Dataset(Graph([Triple(EX.here, EX.borders, EX.there)]))
+    dataset = Dataset(EncodedGraph([Triple(EX.here, EX.borders, EX.there)]))
     dataset.add_named_graph(IRI("http://g1"), countries_graph())
     native, translated = create_engine(dataset), SparqLogEngine(dataset)
     for text, answers in [
