@@ -108,11 +108,10 @@ class Engine:
 
         Accepts a planned BGP, a lone triple pattern or a lone path
         pattern, each optionally FILTER-wrapped, and shows the plan
-        :meth:`query` runs — with one exception: a *bare* lone pattern
-        (no FILTER over it) is answered by ``query`` from a direct index
-        probe (:mod:`repro.sparql.evaltree` has the rule and the
-        measurement behind it); for it the rendering is the plan of the
-        equivalent singleton BGP.
+        :meth:`query` runs — with one exception: a *bare* lone path
+        pattern (no FILTER over it) is answered by ``query`` on the id
+        path engine (:mod:`repro.sparql.evaltree` has the rule); for it
+        the rendering is the plan of the equivalent singleton BGP.
         """
         return self.evaluator.explain(self._prepare(query))
 
@@ -120,8 +119,8 @@ class Engine:
         """Execute the query's BGP and render the plan with measured counters.
 
         Same shapes as :meth:`explain`, with the same exception: a
-        *bare* lone pattern is measured here as a singleton BGP on the
-        physical layer, while :meth:`query` probes the index directly.
+        *bare* lone path pattern is measured here as a singleton BGP on
+        the physical layer, while :meth:`query` runs the id path engine.
         """
         return self.evaluator.explain_analyze(self._prepare(query))
 

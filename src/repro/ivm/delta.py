@@ -65,10 +65,12 @@ from repro.sparql.expressions import Expression, satisfies
 from repro.sparql.kernels import (
     FREE,
     HEADER,
+    UNRESOLVED,
     Registers,
     Test,
     compile_conditions,
     condition_kernel,
+    resolve_constants,
 )
 from repro.sparql.operators import condition_label
 from repro.sparql.solutions import EMPTY_BINDING
@@ -95,10 +97,6 @@ _WEIGHT = len(HEADER)  #: weight of the change being joined
 _DELTA = _WEIGHT + 1  #: id row -> weight accumulated over the batch
 _NEW = _WEIGHT + 2  #: overlay of ``G_k``: absent set here, present dict behind it
 _OLD = _WEIGHT + 4  #: overlay of ``G_{k-1}``, same layout
-
-#: Held by the register of a pattern constant that is in no triple yet:
-#: equal to no id, and a probe on it finds nothing.
-_UNRESOLVED = object()
 
 
 @dataclass
@@ -299,7 +297,7 @@ class DeltaPipeline:
                     if part not in register_of:
                         register_of[part] = allocate()
                 else:
-                    constant_registers[position] = allocate(_UNRESOLVED)
+                    constant_registers[position] = allocate(UNRESOLVED)
                     self._unresolved.append((constant_registers[position], part))
             constants.append(constant_registers)
 
@@ -347,15 +345,7 @@ class DeltaPipeline:
         return seeds
 
     def _resolve_constants(self) -> None:
-        id_for = self.dictionary.id_for
-        still = []
-        for register, term in self._unresolved:
-            term_id = id_for(term)
-            if term_id is None:
-                still.append((register, term))
-            else:
-                self._registers[register] = term_id
-        self._unresolved = still
+        self._unresolved = resolve_constants(self._registers, self._unresolved, self.dictionary)
 
     def apply(self, batch: DeltaBatch) -> RowDelta:
         """Return the view delta (row -> ±weight) caused by ``batch``.

@@ -17,6 +17,7 @@ O(1) lookup, which is what the BGP join planner
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import IRI, Term, Triple
@@ -44,7 +45,7 @@ class ChangeCapture:
         self._delta_listeners: List[Callable[[DeltaBatch], None]] = []
         # True while listeners run: a mutation from inside one is refused.
         self._notifying = False
-        # The batch update() is collecting, None outside update().
+        # The batch a _one_batch() block is collecting, None outside one.
         self._coalescing: Optional[List[Tuple[Triple, int]]] = None
 
     def add_change_listener(self, listener: Callable[[DeltaBatch], None]) -> None:
@@ -52,8 +53,8 @@ class ChangeCapture:
 
         The listener is called *after* the mutation is applied, on every
         mutation path of the backend, with a batch of ``(triple, ±1)``
-        deltas: one change per ``add`` / ``remove`` (or loader insert),
-        one batch per :meth:`update` call.  It must not mutate the graph
+        deltas: one change per ``add`` / ``remove``, one batch per
+        :meth:`update` call or bulk load.  It must not mutate the graph
         re-entrantly — every mutation path raises ``RuntimeError`` while
         listeners run, before touching the graph.  Materialized views
         (:mod:`repro.ivm`) use this to stay consistent in O(|delta|).
@@ -74,16 +75,23 @@ class ChangeCapture:
         Change listeners receive the effective additions as one batch
         when the call ends (also when it ends in an exception).
         """
-        if not self._delta_listeners:
+        with self._one_batch():
             for triple in triples:
                 self.add(triple)
+
+    @contextmanager
+    def _one_batch(self) -> Iterator[None]:
+        """Deliver the effective changes made inside the block to the
+        listeners as one batch, when it ends — also when it ends in an
+        exception.  Nested blocks join the outermost one."""
+        if not self._delta_listeners or self._coalescing is not None:
+            yield
             return
         if self._notifying:
             self._refuse_reentrant_mutation()
         batch = self._coalescing = []
         try:
-            for triple in triples:
-                self.add(triple)
+            yield
         finally:
             self._coalescing = None
             if batch:

@@ -16,7 +16,9 @@ pattern, under the conjuncts above it       becomes
 ``FILTER`` (pushdown off)                   itself, over its placed pattern
 BGP of triple / path patterns               ``Pipeline(bgp, conjuncts)``
 lone triple / path pattern, conjuncts       ``Pipeline`` of the singleton BGP
-lone triple / path pattern, none            itself: a direct index probe
+lone triple pattern at the root, none       ``Pipeline`` of the singleton BGP
+lone path pattern, or nested triple         itself: the id path engine, a
+pattern, none                               direct index probe
 ``MINUS``                                   the conjuncts go to its left side
 ``OPTIONAL``, right side one of the three   condition conjuncts whose
 rows above (under its own FILTERs)          variables that BGP binds go into
@@ -34,11 +36,16 @@ compatibility forces shared values equal.  Conjunct by conjunct is
 faithful to the conjunction everywhere: an errored conjunct reads as
 unsatisfied either way (:func:`repro.sparql.expressions.conjuncts`).
 
-A *bare* lone pattern stays bare because promoting it, though measured
-faster on a warm plan cache (``gmark_native`` 825 -> 967 ops/s), costs a
-plan-cache miss — plan, lower and compile, ~65 µs against a 6 µs probe —
-once per store version: ``ivm_churn`` ``op_geomean_ms`` 0.218 -> 0.289.
-It waits for compiled plans that outlive a version (ROADMAP item 3).
+A bare lone triple pattern at the root is a one-step plan: its rows are
+then the root pipeline's id tuples, decoded once, instead of
+``Binding`` s projected afterwards.  Plans and their compiled steps
+outlive store versions while the statistics they were planned on hold
+(:mod:`repro.sparql.plancache`), so a write no longer makes that plan
+cost a re-plan.  A lone *path* root already emits tuples
+(``IdPathEngine.rows``) without a plan.  A bare pattern *nested* under
+UNION / OPTIONAL / MINUS stays a direct index probe: an engine that
+evaluates many texts once each would pay a cold plan for every such
+promotion (ROADMAP item 2).
 
 With ``use_planner`` off the pass is the identity: the textual-order
 oracle shares nothing with it.
@@ -115,6 +122,8 @@ def prepare_query(query: Query, profile: ExecutionProfile) -> PreparedQuery:
     core = peel_filters(tree, above)
     if type(core) in _LEAVES:
         core = Pipeline(BGP((core,)))
+        if type(tree) is TriplePatternNode:
+            tree = core
     if type(core) is not Pipeline:
         return PreparedQuery(query, tree, None, None, None)
     if above:

@@ -14,8 +14,9 @@ evaluator walks the tree that pass leaves and decides nothing.  A
 pipeline's triple and path patterns are reordered by estimated
 cardinality (:mod:`repro.sparql.plan`), lowered to a physical operator
 DAG over the encoded store's ids (:mod:`repro.sparql.physical`: a
-leapfrog triejoin for cyclic BGPs), cached per graph state
-(:mod:`repro.sparql.plancache`) and executed as a stream, so ASK and
+leapfrog triejoin for cyclic BGPs), cached per graph while the
+statistics it was planned on hold (:mod:`repro.sparql.plancache`) and
+executed as a stream, so ASK and
 plain LIMIT queries short-circuit instead of materialising the full join.
 
 Execution is configured by one value, an
@@ -76,7 +77,7 @@ from repro.sparql.modifiers import (
 )
 from repro.sparql.operators import PhysicalPlan, Project
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import match_triple, plan_bgp
+from repro.sparql.plan import match_triple, plan_bgp, statistics_hold
 from repro.sparql.plancache import PlanCache
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import (
@@ -136,6 +137,10 @@ class SparqlEvaluator:
         lowered_hits = registry.counter(
             "sparql_physical_cache_hits_total", "Lowered physical plan cache hits"
         )
+        revalidations = registry.counter(
+            "sparql_physical_cache_revalidations_total",
+            "Physical plan cache hits kept across a store version (statistics within band)",
+        )
         lowered_misses = registry.counter(
             "sparql_physical_cache_misses_total",
             "Physical plans lowered fresh (cache misses)",
@@ -162,9 +167,15 @@ class SparqlEvaluator:
         )
         #: Lowered physical plans, ``lowered_plans.get(graph, patterns,
         #: conditions, profile[, project[, distinct]])`` — a hit skips
-        #: planning, operator construction and eligibility analysis alike.
+        #: planning, operator construction and eligibility analysis alike,
+        #: and a plan outlives writes that leave its statistics in band.
         self.lowered_plans = PlanCache(
-            self._lower_fresh, lowered_hits, lowered_misses, evictions
+            self._lower_fresh,
+            lambda graph, plan: statistics_hold(graph, plan.source.statistics),
+            lowered_hits,
+            revalidations,
+            lowered_misses,
+            evictions,
         )
         registry.gauge(
             "sparql_physical_cache_size",
@@ -488,9 +499,10 @@ class SparqlEvaluator:
         """Plan + lower a BGP — what :attr:`lowered_plans` builds on a miss.
 
         Both steps are pure in the pattern tuple, the FILTER conjuncts, the
-        profile, the projection, the DISTINCT projection and the graph
-        statistics, which is exactly the cache key.  With a tracer
-        attached they run under ``plan`` / ``lower`` spans.
+        profile, the projection, the DISTINCT projection — the cache key —
+        and the graph statistics, which the plan records and the cache
+        re-checks after a write.  With a tracer attached they run under
+        ``plan`` / ``lower`` spans.
         """
         with self._span("plan"):
             plan = plan_bgp(graph, patterns)

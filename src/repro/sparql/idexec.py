@@ -2,7 +2,8 @@
 
 The physical layer hands every plan to :func:`run`, which compiles it —
 once per plan and per domain of the initial binding, kept with the plan
-for as long as the graph version it was compiled against — into a chain
+across store versions for as long as the graph's term dictionary is the
+one it was compiled against — into a chain
 of step closures over one per-execution *register file*
 (:mod:`repro.sparql.kernels`).  A register holds a term's integer id on
 the dictionary-encoded store (:mod:`repro.store.encoded`); terms exist
@@ -10,7 +11,9 @@ only where a FILTER conjunct falls back to them and at the result
 boundary.
 
 * **Registers.**  The header, then per-operator row/probe counters, one
-  pre-filled register per pattern constant, one register per variable,
+  pre-filled register per pattern constant (``UNRESOLVED`` while the
+  dictionary has no id for it: :func:`run` looks again at the start of
+  every execution and has no rows while one is left), one register per variable,
   one per hash table and, for a DISTINCT plan, one for the set of rows
   emitted so far.  Everything a step touches is addressed by an index
   fixed at compile time; the file is copied from a template per
@@ -82,11 +85,13 @@ from repro.sparql.kernels import (
     SINK,
     SUBJECTS,
     TIMED,
+    UNRESOLVED,
     Registers,
     Step,
     Test,
     compile_conditions,
     equality_key_of,
+    resolve_constants,
 )
 from repro.sparql.operators import Filter, HashProbe, IndexNestedLoopJoin, Scan
 from repro.sparql.paths import matches_zero_length, normalize_path
@@ -101,8 +106,8 @@ def pattern_layout(
     parts: Sequence,
     bound: Set[Variable],
     register_of: Dict[Variable, int],
-    constant_register: Callable[[int, Term], Optional[int]],
-) -> Optional[Tuple[List[int], List[Tuple[int, int]], List[Tuple[int, int]]]]:
+    constant_register: Callable[[int, Term], int],
+) -> Tuple[List[int], List[Tuple[int, int]], List[Tuple[int, int]]]:
     """``(reads, writes, repeats)`` of one pattern probed with ``bound`` bound.
 
     ``reads`` is the register each position is read from: a constant's
@@ -111,8 +116,7 @@ def pattern_layout(
     always-``None`` one when this probe binds it.  ``writes`` pairs a
     register with the match position that fills it, ``repeats`` the
     positions of a variable occurring twice among the free ones
-    (``?x p ?x``).  ``None`` when a constant has no register: it is in
-    no triple, so nothing matches.
+    (``?x p ?x``).
     """
     reads: List[int] = []
     writes: List[Tuple[int, int]] = []
@@ -120,10 +124,7 @@ def pattern_layout(
     first_position: Dict[Variable, int] = {}
     for position, part in enumerate(parts):
         if not isinstance(part, Variable):
-            register = constant_register(position, part)
-            if register is None:
-                return None
-            reads.append(register)
+            reads.append(constant_register(position, part))
         elif part in bound:
             reads.append(register_of[part])
         else:
@@ -176,16 +177,19 @@ _ENTRY_PROBES = {
 # ----------------------------------------------------------------------
 @dataclass(slots=True, eq=False)
 class CompiledPipeline:
-    """One plan compiled for one domain of the initial binding."""
+    """One plan compiled for one domain of the initial binding.
 
-    #: What the compiled form is valid for: constants were resolved
-    #: through this dictionary at this graph version.
+    Valid for every version of every graph over ``dictionary``: ids are
+    resolved through it, and it only grows."""
+
     dictionary: TermDictionary
-    version: int
     template: Registers = field(default_factory=lambda: list(HEADER))
-    #: Entry step; ``None`` when a pattern constant is in no triple,
-    #: so the plan has no solutions at this version.
+    #: Entry step.
     first: Optional[Step] = None
+    #: ``(register, term)`` of the pattern constants the dictionary had no
+    #: id for when last looked at: their registers hold ``UNRESOLVED``,
+    #: and while one is left an execution has no rows.
+    unresolved: List[Tuple[int, Term]] = field(default_factory=list)
     #: ``(variable, register)`` of the initial binding's domain.
     initial: Tuple[Tuple[Variable, int], ...] = ()
     #: ``(operator stats, rows register, probes register)`` to publish.
@@ -213,14 +217,16 @@ def run(
     domain = tuple(initial)
     form = (domain, plan.root.distinct)
     compiled = plan._compiled.get(form)
-    if (
-        compiled is None
-        or compiled.version != graph.version
-        or compiled.dictionary is not dictionary
-    ):
+    if compiled is None or compiled.dictionary is not dictionary:
         compiled = plan._compiled[form] = _compile(plan, graph, set(domain))
-    if compiled.first is None:
-        return iter(())
+    if compiled.unresolved:
+        # A constant interned since fills its register for good; one still
+        # unknown is in no triple, so this execution has no rows.
+        compiled.unresolved = resolve_constants(
+            compiled.template, compiled.unresolved, dictionary
+        )
+        if compiled.unresolved:
+            return iter(())
     registers = compiled.template.copy()
     registers[MATCH] = graph.match_triple_ids
     registers[MEMBER] = graph.contains_ids
@@ -256,7 +262,7 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
 def _compile(plan, graph, domain: Set[Variable]):
     """Compile ``plan`` for executions whose initial binding has ``domain``."""
     dictionary = graph.dictionary
-    compiled = CompiledPipeline(dictionary, graph.version)
+    compiled = CompiledPipeline(dictionary)
     template = compiled.template
 
     def allocate(value: object = None) -> int:
@@ -264,13 +270,17 @@ def _compile(plan, graph, domain: Set[Variable]):
         return len(template) - 1
 
     def prefilled(id_of: Callable[[Term], Optional[int]]):
-        def constant_register(_position: int, term: Term) -> Optional[int]:
+        def constant_register(_position: int, term: Term) -> int:
             term_id = id_of(term)
-            return None if term_id is None else allocate(term_id)
+            if term_id is not None:
+                return allocate(term_id)
+            # Not in the dictionary, so in no triple — yet: resolved by run().
+            register = allocate(UNRESOLVED)
+            compiled.unresolved.append((register, term))
+            return register
 
         return constant_register
 
-    # A constant the dictionary has never seen is in no triple.
     scan_constant = prefilled(dictionary.id_for)
     zero = allocate(0)
     register_of: Dict[Variable, int] = {}
@@ -319,8 +329,6 @@ def _compile(plan, graph, domain: Set[Variable]):
         make = None
         if isinstance(leaf, (Scan, HashProbe)):
             layout = pattern_layout(parts, before, register_of, scan_constant)
-            if layout is None:
-                return compiled
             reads = layout[0]
             shape = probe_shape(parts, before)
             # A HashProbe's build scan shares no variable with the rows above it.
@@ -354,13 +362,11 @@ def _compile(plan, graph, domain: Set[Variable]):
             def endpoint_id(part):
                 # The engine's unknown-constant rule: an unseen constant
                 # can only match zero-length; where the path cannot, it
-                # empties the whole BGP.
+                # empties the whole BGP until it is interned.
                 term_id = engine.endpoint_id(part, path)
                 return None if term_id is ABSENT else term_id
 
             layout = pattern_layout(parts, before, register_of, prefilled(endpoint_id))
-            if layout is None:
-                return compiled
             bind = _id_path_rows(
                 path,
                 layout[0],
@@ -395,13 +401,10 @@ def _compile(plan, graph, domain: Set[Variable]):
         )
 
     if multiway:
-        levels = leapfrog.compile_levels(
+        makers += leapfrog.compile_levels(
             join, allocate, scan_constant, register_of, bound, dictionary, compiled.counters
         )
-        if levels is None:
-            return compiled
         joined = allocate(0)
-        makers += levels
         makers.append(partial(_count_step, rows=joined))
     compiled.counters.append((join.stats, joined, zero))
     if root.distinct:

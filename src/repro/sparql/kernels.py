@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Variable
+from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Term, Variable
 from repro.sparql.expressions import (
     Comparison,
     Expression,
@@ -63,6 +63,29 @@ PREDICATES = 8  #: ``predicate_entry_ids``
 TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
 GRAPH = 10
 HEADER: Tuple[object, ...] = (0, 0) + (None,) * 9
+
+#: Held by the register of a pattern constant the dictionary has no id
+#: for yet: equal to no id, so nothing matches it until it is resolved.
+UNRESOLVED = object()
+
+
+def resolve_constants(
+    registers: Registers, unresolved: Sequence[Tuple[int, Term]], dictionary: TermDictionary
+) -> List[Tuple[int, Term]]:
+    """Write into ``registers`` the id of each ``(register, term)`` of
+    ``unresolved`` the dictionary has by now; return those it still lacks.
+
+    The dictionary only grows, so a resolved register never goes stale.
+    """
+    id_for = dictionary.id_for
+    still = []
+    for register, term in unresolved:
+        term_id = id_for(term)
+        if term_id is None:
+            still.append((register, term))
+        else:
+            registers[register] = term_id
+    return still
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +273,9 @@ def _same_term_test(
     constant = dictionary.id_for(right.term)
     if constant is not None:
         return lambda registers: (registers[first] == constant) == same
-    # Not interned now, but a cached plan may outlive that (a zero-length
-    # path endpoint or an initial binding interns without a version bump):
-    # compare structures, which holds either way.
+    # Not interned now, but a compiled form outlives that (it is kept
+    # across writes, and a zero-length path endpoint or an initial binding
+    # interns without one): compare structures, which holds either way.
     structure = term_structure(right.term)
     structural_key = dictionary.structural_key
     return lambda registers: (structural_key(registers[first]) == structure) == same

@@ -152,16 +152,17 @@ def lower_join(plan: BGPPlan, graph, conditions: Sequence[Expression]) -> Leapfr
 def compile_levels(
     join: LeapfrogJoin,
     allocate: Callable[..., int],
-    constant_register: Callable[[int, Term], Optional[int]],
+    constant_register: Callable[[int, Term], int],
     register_of: Dict[Variable, int],
     bound: Set[Variable],
     dictionary: TermDictionary,
     counters: List[Tuple[object, int, int]],
-) -> Optional[List[Callable[[Step], Step]]]:
-    """The step makers of ``join``'s variable levels, outermost first, or
-    ``None`` when a pattern constant is in no triple.  The arguments are
-    the step compiler's own state (:func:`repro.sparql.idexec._compile`),
-    used and extended as every other input does.
+) -> List[Callable[[Step], Step]]:
+    """The step makers of ``join``'s variable levels, outermost first.
+    The arguments are the step compiler's own state
+    (:func:`repro.sparql.idexec._compile`), used and extended as every
+    other input does: a pattern constant's register may be filled only
+    at run start.
 
     Every level's candidate runs are *exact* projections of the
     participating patterns onto the level variable (given the bindings
@@ -190,8 +191,6 @@ def compile_levels(
             register_of[part] if isinstance(part, Variable) else constant_register(position, part)
             for position, part in enumerate(triple)
         ]
-        if None in reads:
-            return None
         rows, probes = allocate(0), allocate(0)
         counters.append((scan.stats, rows, probes))
         for position, other in ((0, 2), (2, 0)):

@@ -25,6 +25,12 @@ explicit planning pipeline:
    variables; :func:`match_triple` answers one lone triple pattern from
    a single SPO/POS/OSP index probe.
 
+4. **Validity across writes** — a plan records the leaf counts it was
+   chosen on (:func:`leaf_statistics`); a cached plan is kept after a
+   write while :func:`statistics_hold` (each count within a factor 2,
+   none crossing zero): the inputs its order was priced on have not
+   moved enough to reorder it.
+
 A plan is run by lowering it (:func:`repro.sparql.physical.lower_plan`)
 and executing the result (:func:`repro.sparql.physical.execute`); the
 greedy ordering loop is :func:`repro.sparql.ordering.greedy_order`,
@@ -79,11 +85,19 @@ class PlanStep:
         return f"PlanStep({self.node!r}, est={self.estimate:g})"
 
 
+#: A store count a plan was chosen on: a constants-only triple pattern
+#: (``None`` for a free position) and how many triples matched it then.
+Statistic = Tuple[Tuple[Optional[Term], Optional[Term], Optional[Term]], int]
+
+
 @dataclass(frozen=True)
 class BGPPlan:
     """An ordered join plan for a basic graph pattern."""
 
     steps: Tuple[PlanStep, ...]
+    #: The leaf cardinalities the order was chosen on (:func:`leaf_statistics`):
+    #: the plan stays a good one while :func:`statistics_hold`.
+    statistics: Tuple[Statistic, ...] = ()
 
     def order(self) -> List[int]:
         """Return the source indexes of the patterns in execution order."""
@@ -222,8 +236,62 @@ def plan_bgp(graph: Graph, patterns: Sequence[GraphPatternNode]) -> BGPPlan:
         lambda node, bound: estimate_cardinality(graph, node, bound),
     )
     return BGPPlan(
-        tuple(PlanStep(node, estimate, index) for index, node, estimate in ordered)
+        tuple(PlanStep(node, estimate, index) for index, node, estimate in ordered),
+        leaf_statistics(graph, patterns),
     )
+
+
+# ----------------------------------------------------------------------
+# plan validity across store versions
+# ----------------------------------------------------------------------
+_WHOLE_GRAPH = (None, None, None)
+
+
+def _path_iris(path: PropertyPath) -> Iterator[Term]:
+    """Every predicate IRI a property path names."""
+    if isinstance(path, LinkPath):
+        yield path.iri
+    elif isinstance(path, NegatedPropertySet):
+        yield from path.forward + path.inverse
+    elif isinstance(path, (SequencePath, AlternativePath)):
+        yield from _path_iris(path.left)
+        yield from _path_iris(path.right)
+    else:  # inverse, closures, ``?`` and repetitions wrap one path
+        yield from _path_iris(path.path)
+
+
+def leaf_statistics(graph: Graph, patterns: Sequence[GraphPatternNode]) -> Tuple[Statistic, ...]:
+    """The O(1) store counts a plan of ``patterns`` is chosen on, read now.
+
+    Per triple leaf its constants-only pattern count, and ``len(graph)``
+    where its predicate is a variable; per path leaf the count of every
+    predicate it names, and ``len(graph)``, which zero-length, negated and
+    two-free-endpoint closure estimates read.
+    """
+    keys: Dict[Tuple[Optional[Term], ...], None] = {}
+    for node in patterns:
+        if isinstance(node, TriplePatternNode):
+            key = tuple(map(_component, node.triple))
+            keys[key] = None
+            if key[1] is None:
+                keys[_WHOLE_GRAPH] = None
+        else:
+            for iri in _path_iris(node.path):
+                keys[(None, iri, None)] = None
+            keys[_WHOLE_GRAPH] = None
+    return tuple((key, graph.pattern_cardinality(*key)) for key in keys)
+
+
+def statistics_hold(graph: Graph, statistics: Sequence[Statistic]) -> bool:
+    """Whether a plan chosen on ``statistics`` still fits ``graph``: every
+    count is within a factor 2 of the one recorded, and none went from or
+    to zero.  The one validity check of a plan kept across writes."""
+    count = graph.pattern_cardinality
+    for pattern, planned in statistics:
+        now = count(*pattern)
+        if now != planned and (not now or not planned or now > 2 * planned or planned > 2 * now):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +346,10 @@ def attach_conditions(
 def match_triple(graph: Graph, pattern: Triple) -> Iterator[Binding]:
     """Yield the solutions of one triple pattern from a single index probe.
 
-    What the evaluator runs for a bare lone pattern and for every pattern
-    of the unplanned (textual-order) evaluation; joins go through the
-    compiled pipeline (:mod:`repro.sparql.idexec`) instead.
+    What the evaluator runs for a bare triple pattern below the root and
+    for every pattern of the unplanned (textual-order) evaluation; joins
+    and a lone triple pattern at the root go through the compiled
+    pipeline (:mod:`repro.sparql.idexec`) instead.
     """
     free: Dict[Variable, int] = {}
     repeats: List[Tuple[int, int]] = []

@@ -1,7 +1,8 @@
 """What the engines keep between queries.
 
 :class:`PlanCache` is the evaluator's cache of lowered
-:class:`~repro.sparql.operators.PhysicalPlan` values.
+:class:`~repro.sparql.operators.PhysicalPlan` values, kept across writes
+while the statistics each was planned on hold.
 :class:`BoundedMap` is what both engines keep per query *text*: the parsed
 algebra with its evaluation tree on the native engine, the whole prepared
 form on the translation path."""
@@ -70,18 +71,23 @@ class PlanCache:
     """Bounded cache of plans built by ``build(graph, *key)``.
 
     Planning and lowering are pure in what is planned and in the graph's
-    statistics, so a plan is reusable exactly while the graph is
-    unchanged.  The policy, stated once:
+    statistics, and a plan answers correctly on any contents of its
+    graph: what a write can make stale is only the *choice* of plan.  So
+    a plan is kept while ``holds(graph, plan)`` — the statistics it was
+    chosen on have not moved enough to change that choice.  The policy,
+    stated once:
 
     * **One slot per (graph, key)** — an entry is ``(id(graph), key) ->
-      (weak graph reference, graph.version, plan)``.  Every mutation
-      bumps the graph's version stamp; a slot whose stamp differs is a
-      miss and is overwritten in place (keeping its place in the
-      eviction order), because a plan for an older version can never be
-      asked for again.  A graph under write churn therefore holds one
-      entry per distinct query, not one per query and version.  A key
-      with an unhashable component is built afresh every time (counted
-      as a miss).
+      [weak graph reference, graph.version, plan]``.  Every mutation
+      bumps the graph's version stamp.  At the stamped version a lookup
+      is a hit without looking further.  At another, ``holds`` decides:
+      true restamps the slot and is a hit (also counted as a
+      revalidation), false is a miss and the slot is overwritten in
+      place (keeping its place in the eviction order), because a plan
+      for an older version can never be asked for again.  A graph under
+      write churn therefore holds one entry per distinct query, not one
+      per query and version.  A key with an unhashable component is
+      built afresh every time (counted as a miss).
     * **id() reuse** — ``id()`` values are recycled after garbage
       collection, so a slot only counts as a hit while the graph its weak
       reference names is still the one being queried.
@@ -96,24 +102,28 @@ class PlanCache:
       hot path, and the cache exists to amortise repeated queries, not to
       rank them.
 
-    Hits, misses and evictions (bound overflow or dead graph) go to the
-    counters handed in.
+    Hits, revalidations (the hits across a version), misses and
+    evictions (bound overflow or dead graph) go to the counters handed in.
     """
 
     def __init__(
         self,
         build: Callable,
+        holds: Callable[[object, object], bool],
         hits: Counter,
+        revalidations: Counter,
         misses: Counter,
         evictions: Counter,
         size: int = 256,
     ) -> None:
         self.build = build
+        self.holds = holds
         self.size = size
         self._hits = hits
+        self._revalidations = revalidations
         self._misses = misses
         self._evictions = evictions
-        self._entries: Dict[Tuple, Tuple[weakref.ref, int, object]] = {}
+        self._entries: Dict[Tuple, list] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -127,9 +137,16 @@ class PlanCache:
             cached = entries.get(slot)
         except TypeError:  # unhashable pattern or condition component
             slot = cached = None
-        if cached is not None and cached[1] == version and cached[0]() is graph:
-            self._hits.inc()
-            return cached[2]
+        if cached is not None and cached[0]() is graph:
+            if cached[1] == version:
+                self._hits.inc()
+                return cached[2]
+            if self.holds(graph, cached[2]):
+                # Restamped in place: no second hash of the key.
+                cached[1] = version
+                self._hits.inc()
+                self._revalidations.inc()
+                return cached[2]
         self._misses.inc()
         plan = self.build(graph, *key)
         if slot is not None:
@@ -138,7 +155,7 @@ class PlanCache:
             ]
             for stale in dead:
                 del entries[stale]
-            entries[slot] = (weakref.ref(graph), version, plan)
+            entries[slot] = [weakref.ref(graph), version, plan]
             evicted = len(dead)
             if len(entries) > self.size:
                 del entries[next(iter(entries))]

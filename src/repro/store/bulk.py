@@ -121,61 +121,65 @@ def bulk_load_ntriples(
             encode(subject), encode(predicate), encode(obj), stats=incremental
         )
 
-    try:
-        for line_number, line in enumerate(_iter_lines(source), start=1):
-            if not line or line.isspace():
-                continue
-            statement = match_statement(line)
-            if statement is None:
-                stripped = line.lstrip()
-                if stripped.startswith("#"):
+    # Listeners get the load's effective inserts as one batch, delivered
+    # when the block ends: after the statistics and the version stamp
+    # below, also when a parse error aborts the load part-way.
+    with graph._one_batch():
+        try:
+            for line_number, line in enumerate(_iter_lines(source), start=1):
+                if not line or line.isspace():
                     continue
-                # The strict parser accepts a few shapes the fast regex
-                # rejects (e.g. trailing text after the dot) and fails
-                # with the seed path's diagnostics.
-                mutated |= load_strict(line, line_number)
-                continue
-            subject_token, predicate_token, object_token = statement.groups()
-            if object_token[0] == "_" and line[statement.end(3)] == ".":
-                # A blank-node object directly followed by the dot: the
-                # strict parser's greedy label regex consumes that dot
-                # into the label, so defer to it rather than silently
-                # accepting a statement the seed path rejects.
-                mutated |= load_strict(line, line_number)
-                continue
-            sid = token_ids.get(subject_token)
-            if sid is None:
-                sid = encode_token(subject_token)
-            pid = token_ids.get(predicate_token)
-            if pid is None:
-                pid = encode_token(predicate_token)
-            oid = token_ids.get(object_token)
-            if oid is None:
-                oid = encode_token(object_token)
-            mutated |= add_ids(sid, pid, oid, stats=incremental)
-    finally:
-        # Keep the graph observably consistent even when a parse error
-        # aborts the load part-way: statistics must cover every triple
-        # already inserted, and the version stamp must record the change.
-        # Change-capture listeners need no handling here: _add_ids
-        # notifies them per effective insert even with stats deferred, so
-        # materialized views stay consistent through bulk loads too.
-        if not incremental:
-            graph._rebuild_statistics()
-            if mutated:
-                graph._version += 1
+                statement = match_statement(line)
+                if statement is None:
+                    stripped = line.lstrip()
+                    if stripped.startswith("#"):
+                        continue
+                    # The strict parser accepts a few shapes the fast regex
+                    # rejects (e.g. trailing text after the dot) and fails
+                    # with the seed path's diagnostics.
+                    mutated |= load_strict(line, line_number)
+                    continue
+                subject_token, predicate_token, object_token = statement.groups()
+                if object_token[0] == "_" and line[statement.end(3)] == ".":
+                    # A blank-node object directly followed by the dot: the
+                    # strict parser's greedy label regex consumes that dot
+                    # into the label, so defer to it rather than silently
+                    # accepting a statement the seed path rejects.
+                    mutated |= load_strict(line, line_number)
+                    continue
+                sid = token_ids.get(subject_token)
+                if sid is None:
+                    sid = encode_token(subject_token)
+                pid = token_ids.get(predicate_token)
+                if pid is None:
+                    pid = encode_token(predicate_token)
+                oid = token_ids.get(object_token)
+                if oid is None:
+                    oid = encode_token(object_token)
+                mutated |= add_ids(sid, pid, oid, stats=incremental)
+        finally:
+            # Keep the graph observably consistent even when a parse error
+            # aborts the load part-way: statistics must cover every triple
+            # already inserted, and the version stamp must record the change.
+            if not incremental:
+                graph._rebuild_statistics()
+                if mutated:
+                    graph._version += 1
     return graph
 
 
 def bulk_load_turtle(
     source: Source, graph: Optional[EncodedGraph] = None
 ) -> EncodedGraph:
-    """Stream a Turtle document into an :class:`EncodedGraph` in one pass."""
+    """Stream a Turtle document into an :class:`EncodedGraph` in one pass;
+    listeners get its effective inserts as one batch, as from
+    :func:`bulk_load_ntriples`."""
     from repro.rdf.turtle import parse_turtle
 
     if graph is None:
         graph = EncodedGraph()
-    parse_turtle(_read_text(source), graph=graph)
+    with graph._one_batch():
+        parse_turtle(_read_text(source), graph=graph)
     return graph
 
 

@@ -4,7 +4,7 @@ One row per shape: the query, the tree under ``FULL``, the tree with FILTER
 pushdown off, and — where it differs from a root ``Pipeline`` — what
 ``explain`` and live views read (``PreparedQuery.pipeline``).  Trees are
 rendered compactly: ``P[n; conjuncts]`` a pipeline of ``n`` patterns,
-``tp`` / ``path`` a bare lone pattern, ``F(c, x)`` FILTER, ``M`` MINUS,
+``tp`` / ``path`` a bare pattern, ``F(c, x)`` FILTER, ``M`` MINUS,
 ``O(left, right; condition)`` OPTIONAL, ``U`` UNION, ``J`` join, ``B``
 BIND, ``G`` GRAPH, ``V`` VALUES.
 """
@@ -77,7 +77,7 @@ _TABLE = [
         "=",
         "P[2; (?a != ?c), (?b != <http://ex.org/x>), (?c != <http://ex.org/y>)]",
     ),
-    ("bare-lone-triple", "?a ex:p ?b", "tp", "tp", "P[1]", "P[1]"),
+    ("bare-lone-triple", "?a ex:p ?b", "P[1]", "P[1]", "=", "="),
     ("bare-lone-path", "?a ex:p+ ?b", "path", "path", "P[1]", "P[1]"),
     (
         "lone-triple-filtered",

@@ -152,20 +152,28 @@ def test_explain_accepts_every_shape_explain_analyze_does(group):
     assert report.rows == len(evaluator.evaluate(query))
 
 
-def test_query_plans_a_lone_pattern_only_when_something_is_pushed_into_it():
+def test_query_plans_a_lone_triple_root_and_a_filtered_lone_pattern_not_a_bare_path():
     from repro import create_engine
 
     engine = create_engine(EncodedGraph(_TRIPLES))
     lowered = "sparql_physical_cache_misses_total"
-    # A bare lone pattern is a direct index probe: nothing planned or lowered.
-    assert len(engine.query(PREFIX + "SELECT * WHERE { ?s ex:p ?o }")) == 5
+    # A bare lone path root is the id path engine's: nothing planned or lowered.
     assert len(engine.query(PREFIX + "SELECT * WHERE { ?s ex:p+ ?o }")) > 5
     assert engine.metrics()[lowered] == 0
     assert engine.evaluator.last_physical_plan is None
-    # Under a FILTER it is the one-step pipeline explain() shows, id kernel included.
+    # A bare lone triple root is the one-step pipeline explain() shows.
+    bare = PREFIX + "SELECT * WHERE { ?s ex:p ?o }"
+    assert len(engine.query(bare)) == 5
+    assert engine.metrics()[lowered] == 1
+    assert engine.evaluator.last_physical_plan.explain() == engine.explain(bare) == (
+        "Project [?o, ?s]\n"
+        "└─ IndexNestedLoopJoin steps=1\n"
+        "   └─ Scan TP(?s <http://ex.org/p> ?o) est=5 probe=?P? match"
+    )
+    # Under a FILTER too, id kernel included.
     filtered = PREFIX + "SELECT * WHERE { ?s ex:p ?o FILTER(?o != ex:a) }"
     assert len(engine.query(filtered)) == 2
-    assert engine.metrics()[lowered] == 1
+    assert engine.metrics()[lowered] == 2
     assert engine.evaluator.last_physical_plan.explain() == engine.explain(filtered) == (
         "Project [?o, ?s]\n"
         "└─ IndexNestedLoopJoin steps=1\n"

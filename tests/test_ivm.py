@@ -27,13 +27,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro import create_engine
 from repro.rdf.graph import Dataset, Graph
+from repro.rdf.ntriples import NTriplesParseError
 from repro.rdf.terms import Literal, Triple, Variable, XSD_DOUBLE, XSD_INTEGER
 from repro.rdf.turtle import parse_turtle
 from repro.sparql.algebra import BGP, Filter, ProjectionItem, SelectQuery, TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, FunctionCall, TermExpr, VariableExpr
 from repro.sparql.parser import parse_query
-from repro.store import EncodedGraph, bulk_load_ntriples, load_snapshot, save_snapshot
+from repro.store import (
+    EncodedGraph,
+    bulk_load_ntriples,
+    bulk_load_turtle,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.ivm import ViewRegistry, zset_diff, zset_from_rows, zset_merge
 from repro.ivm.views import _row_sort_key
 from repro.obs import Tracer
@@ -139,28 +146,53 @@ class TestChangeCapture:
 
 
 class TestEncodedLoaderCapture:
-    def test_bulk_load_fresh_notifies_per_insert(self):
-        graph = EncodedGraph()
-        seen = []
-        graph.add_change_listener(seen.extend)
+    @staticmethod
+    def _watched(graph):
+        """``(graph, batches)``: every batch delivered, with the graph's
+        version and size when it arrived."""
+        batches = []
+        graph.add_change_listener(
+            lambda batch: batches.append((list(batch), graph.version, len(graph)))
+        )
+        return graph, batches
+
+    def test_bulk_load_fresh_notifies_once_after_the_statistics(self):
+        graph, batches = self._watched(EncodedGraph())
         bulk_load_ntriples(
             "<http://ex.org/n1> <http://ex.org/p> <http://ex.org/n2> .\n"
             "<http://ex.org/n2> <http://ex.org/p> <http://ex.org/n3> .\n"
             "<http://ex.org/n1> <http://ex.org/p> <http://ex.org/n2> .\n",
             graph,
         )
-        assert seen == [(chain(1, 2), 1), (chain(2, 3), 1)]
+        assert batches == [([(chain(1, 2), 1), (chain(2, 3), 1)], 1, 2)]
+        assert graph.predicate_cardinality(EX.p) == 2
 
-    def test_bulk_load_incremental_notifies(self):
-        graph = EncodedGraph([chain(1, 2)])
-        seen = []
-        graph.add_change_listener(seen.extend)
+    def test_bulk_load_incremental_notifies_once(self):
+        graph, batches = self._watched(EncodedGraph([chain(1, 2)]))
         bulk_load_ntriples(
             "<http://ex.org/n1> <http://ex.org/p> <http://ex.org/n2> .\n"
-            "<http://ex.org/n5> <http://ex.org/p> <http://ex.org/n6> .\n",
+            "<http://ex.org/n5> <http://ex.org/p> <http://ex.org/n6> .\n"
+            "<http://ex.org/n6> <http://ex.org/p> <http://ex.org/n7> .\n",
             graph,
         )
-        assert seen == [(chain(5, 6), 1)]
+        assert batches == [([(chain(5, 6), 1), (chain(6, 7), 1)], 3, 3)]
+
+    def test_an_aborted_bulk_load_notifies_what_it_inserted_once(self):
+        graph, batches = self._watched(EncodedGraph())
+        with pytest.raises(NTriplesParseError):
+            bulk_load_ntriples(
+                "<http://ex.org/n1> <http://ex.org/p> <http://ex.org/n2> .\n"
+                "<http://ex.org/n2> <http://ex.org/p> <http://ex.org/n3> .\n"
+                "this is not a statement\n",
+                graph,
+            )
+        assert batches == [([(chain(1, 2), 1), (chain(2, 3), 1)], 1, 2)]
+        assert graph.predicate_cardinality(EX.p) == 2
+
+    def test_bulk_load_turtle_notifies_once(self):
+        graph, batches = self._watched(EncodedGraph())
+        bulk_load_turtle("@prefix ex: <http://ex.org/> . ex:n1 ex:p ex:n2 , ex:n3 .", graph)
+        assert batches == [([(chain(1, 2), 1), (chain(1, 3), 1)], 2, 2)]
 
     def test_turtle_streaming_notifies(self):
         graph = EncodedGraph()
@@ -434,6 +466,35 @@ class TestLoaderFreshness:
         )
         assert view.rows() == [(EX.n1, EX.n2)]
 
+    @pytest.mark.parametrize("load", ["ntriples", "turtle"])
+    def test_a_load_reaches_the_views_as_one_batch_and_one_refresh(self, load):
+        graph = EncodedGraph([chain(1, 2)])
+        engine = create_engine(graph)
+        delta = engine.materialize(TWO_HOP)
+        path = engine.materialize("PREFIX ex: <http://ex.org/>\nSELECT ?b WHERE { ex:n1 ex:p+ ?b }")
+        assert (delta.maintenance, path.maintenance) == ("delta", "reeval")
+        path.on_change(lambda events: None)  # re-evaluated per batch, not per read
+        before = engine.metrics()
+        edges = [(2, 3), (3, 4), (4, 5)]
+        if load == "ntriples":
+            bulk_load_ntriples(
+                "".join(f"<http://ex.org/n{s}> <http://ex.org/p> <http://ex.org/n{o}> .\n"
+                        for s, o in edges),
+                graph,
+            )
+        else:
+            bulk_load_turtle(
+                "@prefix ex: <http://ex.org/> . "
+                + " ".join(f"ex:n{s} ex:p ex:n{o} ." for s, o in edges),
+                graph,
+            )
+        for view in (delta, path):
+            assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
+        after = engine.metrics()
+        assert after["ivm_delta_batches_total"] - before["ivm_delta_batches_total"] == 1
+        assert after["ivm_view_refreshes_total"] - before["ivm_view_refreshes_total"] == 1
+        assert delta.delta_stats.changes == 3 and len(path.rows()) == 4
+
     def test_hash_update_loop_cannot_leave_a_stale_view(self):
         # The unplanned evaluation re-evaluates views over the hash store.
         graph = Graph()
@@ -625,16 +686,34 @@ class TestMaintenanceCounts:
             assert Counter(view.rows()) == fresh_counter(engine.evaluator, view.query)
         assert view.rows() == [(Literal("2", XSD_DOUBLE),), (Literal("3", XSD_DOUBLE),)]
 
-    def test_replanning_under_churn_keeps_one_slot_per_query(self):
-        engine = create_engine(EncodedGraph([chain(1, 2), chain(2, 3)]))
-        evaluator = engine.evaluator
-        for round_number in range(50):
-            engine.graph.add(chain(100 + round_number, 101 + round_number))
-            engine.query(TWO_HOP)
-        assert len(evaluator.lowered_plans) == 1
+    def test_an_adhoc_query_under_churn_is_planned_once_until_the_band_is_crossed(self):
+        engine = create_engine(EncodedGraph([chain(i, i + 1) for i in range(1, 21)]))
+        graph = engine.graph
+        pool = [chain(i, i + 2) for i in range(1, 7)]
+        query = parse_query(TWO_HOP)
+        for batch in range(40):
+            # Toggle three edges of the pool: 20 to 26 ex:p triples, in band.
+            toggled = [pool[(batch + k) % len(pool)] for k in (0, 1, 3)]
+            removes = [triple for triple in toggled if triple in graph]
+            graph.update([triple for triple in toggled if triple not in graph])
+            for triple in removes:
+                graph.remove(triple)
+            rows = Counter(tuple(row) for row in engine.query(TWO_HOP).rows())
+            assert rows == fresh_counter(SparqlEvaluator(Dataset.from_graph(graph)), query)
         metrics = engine.metrics()
+        assert metrics["sparql_physical_cache_misses_total"] == 1
+        assert metrics["sparql_physical_cache_hits_total"] == 39
+        assert metrics["sparql_physical_cache_revalidations_total"] == 39
+        assert len(engine.evaluator.lowered_plans) == 1
         assert metrics["sparql_plan_cache_evictions_total"] == 0
-        assert metrics["sparql_physical_cache_misses_total"] == 50
+        # Past twice the count the plan was made on: one re-plan, in the same slot.
+        graph.update([chain(100 + i, 101 + i) for i in range(2 * len(graph))])
+        engine.query(TWO_HOP)
+        engine.query(TWO_HOP)
+        metrics = engine.metrics()
+        assert metrics["sparql_physical_cache_misses_total"] == 2
+        assert metrics["sparql_physical_cache_revalidations_total"] == 39
+        assert len(engine.evaluator.lowered_plans) == 1
 
     def test_constant_interned_after_the_view_starts_matching(self):
         engine = create_engine(EncodedGraph([chain(1, 2)]))

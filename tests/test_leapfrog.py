@@ -10,8 +10,8 @@ What that must keep:
   conjunct, an initial binding, ``timed`` and a DISTINCT projection;
 * the bag of rows of the binary pipeline (``ID_NATIVE``) over random cyclic
   BGPs under the same variations;
-* and, new with the merge, that a second execution at the same graph
-  version compiles nothing.
+* and, new with the merge, that a second execution compiles nothing, at
+  the same graph version or a later one.
 """
 
 from collections import Counter
@@ -129,24 +129,35 @@ def test_a_second_execution_compiles_nothing(monkeypatch):
     assert calls == {"compile": 1, "id_for": 5}
     assert list(plan._compiled.values()) == [compiled]
     # Another domain of the initial binding is another form; a new graph
-    # version replaces a form, it does not add one.
+    # version compiles nothing and resolves nothing again.
     bound = list(physical.execute(plan, graph, initial=Binding({B: node(1)})))
     assert bound == [row for row in first if row[B] == node(1)] and bound
     assert calls["compile"] == 2 and len(plan._compiled) == 2
+    looked_up = calls["id_for"]
     graph.add(Triple(node(1), EX.q, node(1)))  # n1 -> n2 -> n0 -> n1 qualifies now
     assert len(list(physical.execute(plan, graph))) == len(first) + 1
-    assert calls["compile"] == 3 and len(plan._compiled) == 2
-    assert compiled not in plan._compiled.values()
+    assert calls["compile"] == 2 and len(plan._compiled) == 2
+    assert compiled in plan._compiled.values()
+    assert calls["id_for"] == looked_up
 
 
-def test_an_unknown_constant_compiles_to_no_pipeline():
+def test_an_unknown_constant_gates_every_execution_until_it_is_interned():
     graph = _fixed_graph()
-    plan = physical.lower_bgp(graph, _TRIANGLE + (tp(A, EX.q, UNSEEN),))
+    patterns = _TRIANGLE + (tp(A, EX.q, UNSEEN),)
+    plan = physical.lower_bgp(graph, patterns)
     assert isinstance(plan.root.child, LeapfrogJoin)
     assert list(physical.execute(plan, graph)) == []
     (compiled,) = plan._compiled.values()
-    assert compiled.first is None
+    assert [term for _, term in compiled.unresolved] == [UNSEEN]
     assert all(entry["rows"] == entry["probes"] == 0 for entry in plan.counters())
+    assert list(physical.execute(plan, graph)) == []
+    # Interned and matched later: the same compiled form answers.
+    graph.add(Triple(node(0), EX.q, UNSEEN))
+    rows = Counter(physical.execute(plan, graph))
+    assert list(plan._compiled.values()) == [compiled] and not compiled.unresolved
+    fresh = physical.lower_bgp(graph, patterns)
+    assert rows == Counter(physical.execute(fresh, graph))
+    assert sum(rows.values()) == 2 and all(row[A] == node(0) for row in rows)
 
 
 # ----------------------------------------------------------------------

@@ -378,18 +378,37 @@ class TestPlanCache:
         assert metrics["sparql_physical_cache_misses_total"] == 1
         assert metrics["sparql_physical_cache_hits_total"] == 1
 
-    def test_mutation_invalidates_cache(self):
+    def test_a_write_in_band_keeps_the_plan_and_answers_the_new_data(self):
         dataset = countries_dataset()
         evaluator = SparqlEvaluator(dataset)
         query = self._two_pattern_query()
         evaluator.evaluate(query)
         before = rows_multiset(evaluator.evaluate(query))
-        dataset.default_graph.add(Triple(EX.austria, EX.borders, EX.italy))
+        dataset.default_graph.add(Triple(EX.austria, EX.borders, EX.italy))  # 5 -> 6 borders
         after = evaluator.evaluate(query)
-        assert evaluator.metrics()["sparql_physical_cache_misses_total"] == 2
+        metrics = evaluator.metrics()
+        assert metrics["sparql_physical_cache_misses_total"] == 1
+        assert metrics["sparql_physical_cache_hits_total"] == 2
+        assert metrics["sparql_physical_cache_revalidations_total"] == 1
         naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
         assert rows_multiset(after) != before
+
+    def test_a_write_out_of_band_replans_and_answers_the_new_data(self):
+        dataset = countries_dataset()
+        evaluator = SparqlEvaluator(dataset)
+        query = self._two_pattern_query()
+        evaluator.evaluate(query)
+        # 5 -> 11 borders: more than twice the count the plan was made on.
+        dataset.default_graph.update(
+            Triple(EX[f"c{index}"], EX.borders, EX[f"c{index + 1}"]) for index in range(6)
+        )
+        after = evaluator.evaluate(query)
+        metrics = evaluator.metrics()
+        assert metrics["sparql_physical_cache_misses_total"] == 2
+        assert metrics["sparql_physical_cache_revalidations_total"] == 0
+        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+        assert rows_multiset(after) == rows_multiset(naive)
 
     def test_version_stamp_semantics(self):
         graph = Graph()
@@ -422,7 +441,7 @@ class TestPlanCache:
         # ... the oldest is rebuilt.
         assert lookup(graph, keys[0]) is not plans[0]
 
-    def test_version_bump_invalidates_entry(self):
+    def test_a_version_bump_keeps_an_entry_while_its_counts_stay_in_band(self):
         evaluator = SparqlEvaluator(countries_dataset())
         cache, lookup = plan_cache_lookup(evaluator)
         graph = evaluator.dataset.default_graph
@@ -430,8 +449,33 @@ class TestPlanCache:
         patterns = (tp(a, EX.borders, b), tp(b, EX.borders, c))
         plan = lookup(graph, patterns)
         assert lookup(graph, patterns) is plan
-        graph.add(Triple(EX.austria, EX.borders, EX.italy))
-        assert lookup(graph, patterns) is not plan
+        graph.add(Triple(EX.austria, EX.borders, EX.italy))  # 5 -> 6
+        assert lookup(graph, patterns) is plan
+        graph.remove(Triple(EX.austria, EX.borders, EX.italy))
+        for subject, obj in ((EX.spain, EX.france), (EX.france, EX.belgium), (EX.belgium, EX.germany)):
+            graph.remove(Triple(subject, EX.borders, obj))
+        assert graph.pattern_cardinality(None, EX.borders, None) == 2  # 5 -> 2: under half
+        replanned = lookup(graph, patterns)
+        assert replanned is not plan
+        assert lookup(graph, patterns) is replanned and len(cache) == 1
+
+    def test_a_count_crossing_zero_replans_both_ways(self):
+        evaluator = SparqlEvaluator(countries_dataset())
+        cache, lookup = plan_cache_lookup(evaluator)
+        graph = evaluator.dataset.default_graph
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        patterns = (tp(a, EX.borders, b), tp(b, EX.flows, c))
+        plan = lookup(graph, patterns)  # no ex:flows triple: planned first
+        assert plan.source.order() == [1, 0]
+        graph.add(Triple(EX.france, EX.flows, EX.rhine))  # 0 -> 1
+        refilled = lookup(graph, patterns)
+        assert refilled is not plan
+        graph.add(Triple(EX.germany, EX.flows, EX.rhine))  # 1 -> 2: in band
+        assert lookup(graph, patterns) is refilled
+        graph.remove(Triple(EX.france, EX.flows, EX.rhine))
+        graph.remove(Triple(EX.germany, EX.flows, EX.rhine))  # 2 -> 0
+        assert lookup(graph, patterns) is not refilled
+        assert evaluator.metrics()["sparql_physical_cache_misses_total"] == 3
 
     def test_recycled_id_does_not_hit(self):
         # id() values are reused after garbage collection: an entry must

@@ -349,7 +349,7 @@ def test_explain_analyze_counts_what_the_untimed_run_counts_and_times_every_scan
     assert all(scan.stats.seconds == 0.0 for scan in _scans(plan))
 
 
-def test_a_mutation_between_two_executions_recompiles_and_answers_correctly():
+def test_a_mutation_between_two_executions_keeps_the_compiled_form_and_answers_correctly():
     triples = _library_triples()
     graph = EncodedGraph(triples)
     _, plan, result = _library_plan(graph)
@@ -363,8 +363,9 @@ def test_a_mutation_between_two_executions_recompiles_and_answers_correctly():
     for change, triple in changes:
         change(triple)
     rows = Counter(physical.execute(plan, graph))
+    # The steps read the store per execution, so a write leaves them valid.
     (after,) = plan._compiled.values()
-    assert after is not before and after.version == graph.version
+    assert after is before
     nodes = [step.node for step in plan.source.steps]
     assert rows == _oracle(list(graph), nodes, '?n != "name0"', Binding(), "?b ?n ?t")
     assert rows != Counter(result.bindings)
