@@ -19,8 +19,8 @@ one :class:`Engine` handle:
   manager.
 
 Execution is configured with an
-:class:`~repro.sparql.profile.ExecutionProfile` (presets ``FULL``,
-``ID_NATIVE``, ``BASELINE``) — the only configuration value there is.
+:class:`~repro.sparql.profile.ExecutionProfile` (presets ``FULL`` and
+``NAIVE``) — the only configuration value there is.
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ from repro.sparql.kernels import (
     resolve_constants,
 )
 from repro.sparql.operators import condition_label
+from repro.sparql.plan import attach_conditions
 from repro.sparql.solutions import EMPTY_BINDING
 from repro.store.encoded import require_encoded
 from repro.ivm.zset import ZSet
@@ -125,21 +126,14 @@ def _probe_order(
     binds first (O(1) unification against the changed triple), then the
     remaining positions greedily by how many of their components are
     already bound, with every FILTER conjunct re-anchored to the earliest
-    point its variables are all bound.  Per-change work is then
+    point its variables are all bound — the planner's rule,
+    :func:`repro.sparql.plan.attach_conditions`.  Per-change work is then
     proportional to the bindings joined through the changed triple, not
     to the graph.
     """
-    pending = [(condition, condition.variables()) for condition in conditions]
     bound = _pattern_variables(patterns[seed])
-
-    def take_ready() -> Tuple[Expression, ...]:
-        ready = tuple(c for c, vs in pending if vs <= bound)
-        pending[:] = [(c, vs) for c, vs in pending if not vs <= bound]
-        return ready
-
-    seed_conditions = take_ready()
     remaining = [i for i in range(len(patterns)) if i != seed]
-    order: List[Tuple[int, Tuple[Expression, ...]]] = []
+    probes: List[int] = []
     while remaining:
 
         def bound_components(position: int) -> Tuple[bool, int]:
@@ -152,15 +146,11 @@ def _probe_order(
         best = max(remaining, key=bound_components)
         remaining.remove(best)
         bound |= _pattern_variables(patterns[best])
-        order.append((best, take_ready()))
-    if pending:  # conjuncts with variables the BGP never binds
-        leftovers = tuple(c for c, _ in pending)
-        if order:
-            position, anchored = order[-1]
-            order[-1] = (position, anchored + leftovers)
-        else:
-            seed_conditions += leftovers
-    return seed_conditions, tuple(order)
+        probes.append(best)
+    slots = attach_conditions(
+        [_pattern_variables(patterns[position]) for position in [seed, *probes]], conditions
+    )
+    return slots[0] + slots[1], tuple(zip(probes, slots[2:]))
 
 
 Unifier = Callable[[Registers, IdTriple], bool]

@@ -6,17 +6,15 @@ component can be answered without a full scan.  A :class:`Dataset` holds a
 default graph plus zero or more named graphs, mirroring the structure that
 SPARQL's ``FROM`` / ``FROM NAMED`` / ``GRAPH`` constructs operate on.
 
-The graph also maintains cheap incremental statistics — per-term occurrence
-counts and per-predicate distinct subject counts — kept up to date on every
-``add`` / ``remove``.  Together with the three indexes they make every
-triple-pattern cardinality (:meth:`Graph.pattern_cardinality`) an exact
-O(1) lookup, which is what the BGP join planner
-(:mod:`repro.sparql.plan`) builds its cost model on.
+The hash graph keeps no planner statistics: the cost-based planner runs on
+the dictionary-encoded store (:class:`repro.store.encoded.EncodedGraph`)
+only, and this graph serves the textual-order evaluation, the SparqLog
+translation and the differential tests.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -135,13 +133,6 @@ class Graph(ChangeCapture):
         self._osp: Dict[Term, Dict[Term, Set[Term]]] = defaultdict(
             lambda: defaultdict(set)
         )
-        # Incremental statistics: occurrence counts per term position and
-        # per-predicate distinct-subject counts (the POS index already gives
-        # per-predicate distinct objects as len(self._pos[p])).
-        self._subject_counts: Counter = Counter()
-        self._predicate_counts: Counter = Counter()
-        self._object_counts: Counter = Counter()
-        self._pred_subject_counts: Dict[Term, Counter] = defaultdict(Counter)
         self._version = 0
         if triples:
             for triple in triples:
@@ -175,10 +166,6 @@ class Graph(ChangeCapture):
         self._spo[subject][predicate].add(obj)
         self._pos[predicate][obj].add(subject)
         self._osp[obj][subject].add(predicate)
-        self._subject_counts[subject] += 1
-        self._predicate_counts[predicate] += 1
-        self._object_counts[obj] += 1
-        self._pred_subject_counts[predicate][subject] += 1
         self._version += 1
         if self._delta_listeners:
             self._notify_delta(((triple, 1),))
@@ -191,9 +178,9 @@ class Graph(ChangeCapture):
         """Remove a triple; missing triples are ignored.
 
         Emptied index entries are pruned so that the index keys stay exactly
-        the set of terms still occurring in some triple — the statistics API
-        and :meth:`subjects` / :meth:`predicates` / :meth:`objects` rely on
-        this, and it keeps memory bounded under add/remove churn.
+        the set of terms still occurring in some triple — :meth:`subjects` /
+        :meth:`predicates` / :meth:`objects` rely on this, and it keeps
+        memory bounded under add/remove churn.
         """
         if self._notifying:
             self._refuse_reentrant_mutation()
@@ -204,13 +191,6 @@ class Graph(ChangeCapture):
         self._prune_index(self._spo, subject, predicate, obj)
         self._prune_index(self._pos, predicate, obj, subject)
         self._prune_index(self._osp, obj, subject, predicate)
-        self._decrement(self._subject_counts, subject)
-        self._decrement(self._predicate_counts, predicate)
-        self._decrement(self._object_counts, obj)
-        per_subject = self._pred_subject_counts[predicate]
-        self._decrement(per_subject, subject)
-        if not per_subject:
-            del self._pred_subject_counts[predicate]
         self._version += 1
         if self._delta_listeners:
             self._notify_delta(((triple, -1),))
@@ -230,12 +210,6 @@ class Graph(ChangeCapture):
             del inner[second]
             if not inner:
                 del index[first]
-
-    @staticmethod
-    def _decrement(counts: Counter, key: Term) -> None:
-        counts[key] -= 1
-        if counts[key] <= 0:
-            del counts[key]
 
     # ------------------------------------------------------------------
     # inspection
@@ -326,65 +300,6 @@ class Graph(ChangeCapture):
     def nodes(self) -> Set[Term]:
         """Return every term occurring in subject or object position."""
         return set(self._spo) | set(self._osp)
-
-    # ------------------------------------------------------------------
-    # statistics (incremental, exact)
-    # ------------------------------------------------------------------
-    def subject_cardinality(self, subject: Term) -> int:
-        """Number of triples with the given subject."""
-        return self._subject_counts.get(subject, 0)
-
-    def predicate_cardinality(self, predicate: Term) -> int:
-        """Number of triples with the given predicate."""
-        return self._predicate_counts.get(predicate, 0)
-
-    def object_cardinality(self, obj: Term) -> int:
-        """Number of triples with the given object."""
-        return self._object_counts.get(obj, 0)
-
-    def distinct_subjects(self, predicate: Optional[Term] = None) -> int:
-        """Number of distinct subjects (optionally restricted to a predicate)."""
-        if predicate is None:
-            return len(self._spo)
-        return len(self._pred_subject_counts.get(predicate, ()))
-
-    def distinct_predicates(self) -> int:
-        """Number of distinct predicates."""
-        return len(self._pos)
-
-    def distinct_objects(self, predicate: Optional[Term] = None) -> int:
-        """Number of distinct objects (optionally restricted to a predicate)."""
-        if predicate is None:
-            return len(self._osp)
-        return len(self._pos.get(predicate, ()))
-
-    def pattern_cardinality(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> int:
-        """Exact number of triples matching the pattern (``None`` = wildcard).
-
-        Every combination of bound components is answered in O(1) from the
-        indexes and the incremental counters; this is the ground truth the
-        BGP planner's cost model uses.
-        """
-        if subject is not None and predicate is not None and obj is not None:
-            return 1 if Triple(subject, predicate, obj) in self._triples else 0
-        if subject is not None:
-            if predicate is not None:
-                return len(self._spo.get(subject, {}).get(predicate, ()))
-            if obj is not None:
-                return len(self._osp.get(obj, {}).get(subject, ()))
-            return self._subject_counts.get(subject, 0)
-        if predicate is not None:
-            if obj is not None:
-                return len(self._pos.get(predicate, {}).get(obj, ()))
-            return self._predicate_counts.get(predicate, 0)
-        if obj is not None:
-            return self._object_counts.get(obj, 0)
-        return len(self._triples)
 
     def objects_for(self, subject: Term, predicate: Term) -> Set[Term]:
         """Return the set of objects for a fixed subject and predicate."""

@@ -35,7 +35,7 @@ it in this table:
 ``idexec``     the one executor: the step compiler over the encoded
                store's ids (binary and hash probes, paths, leapfrog
                levels), result boundary
-``physical``   ``lower_plan`` (operator choice per plan and profile),
+``physical``   ``lower_plan`` (operator choice per plan),
                ``execute_rows`` (term tuples) and ``execute``
 ``modifiers``  grouping, aggregates and the ORDER BY -> DISTINCT -> OFFSET
                -> LIMIT tail over header-aligned tuples, shared with the
@@ -46,11 +46,10 @@ it in this table:
 
 All of it is configured by one value, an
 :class:`~repro.sparql.profile.ExecutionProfile` handed to
-``SparqlEvaluator(dataset, profile=...)`` (and on to ``lower_plan``).
-Planned evaluation runs on :class:`~repro.store.encoded.EncodedGraph`
-only; a profile with the planner off recovers the naive textual-order
-evaluation over any store's term surface, which the property-based tests
-use as the differential baseline.
+``SparqlEvaluator(dataset, profile=...)``: ``FULL`` plans, on
+:class:`~repro.store.encoded.EncodedGraph` only; ``NAIVE`` recovers the
+textual-order evaluation over any store's term surface, which the
+property-based tests use as the differential baseline.
 """
 
 from repro.sparql.algebra import (

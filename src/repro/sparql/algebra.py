@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.terms import IRI, Term, Triple, Variable
-from repro.sparql.expressions import Aggregate, Expression, conjuncts
+from repro.sparql.expressions import Aggregate, Expression
 from repro.sparql.paths import PropertyPath
 
 
@@ -300,20 +300,6 @@ def walk(node: GraphPatternNode):
     yield node
     for child in node.children():
         yield from walk(child)
-
-
-def peel_filters(
-    node: GraphPatternNode, conditions: List[Expression]
-) -> GraphPatternNode:
-    """Strip nested FILTER wrappers, collecting their conjuncts.
-
-    Returns the pattern the FILTER stack scopes over; the conjuncts are
-    appended to ``conditions``, outermost FILTER first.
-    """
-    while isinstance(node, Filter):
-        conditions.extend(conjuncts(node.condition))
-        node = node.pattern
-    return node
 
 
 def pattern_features(query: Query) -> set:

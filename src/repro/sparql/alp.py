@@ -158,8 +158,9 @@ def _negated_pairs(
 
 def _is_graph_node(graph: Graph, term: Term) -> bool:
     """True when ``term`` occurs in subject or object position."""
-    return bool(
-        graph.subject_cardinality(term) or graph.object_cardinality(term)
+    return (
+        next(graph.triples(term, None, None), None) is not None
+        or next(graph.triples(None, None, term), None) is not None
     )
 
 

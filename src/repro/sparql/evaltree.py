@@ -11,9 +11,8 @@ query text.
 ==========================================  ==================================
 pattern, under the conjuncts above it       becomes
 ==========================================  ==================================
-``FILTER`` (pushdown on)                    nothing: its conjuncts join those
+``FILTER``                                  nothing: its conjuncts join those
                                             travelling down, outermost first
-``FILTER`` (pushdown off)                   itself, over its placed pattern
 BGP of triple / path patterns               ``Pipeline(bgp, conjuncts)``
 lone triple / path pattern, conjuncts       ``Pipeline`` of the singleton BGP
 lone triple pattern at the root, none       ``Pipeline`` of the singleton BGP
@@ -72,7 +71,6 @@ from repro.sparql.algebra import (
     SelectQuery,
     TriplePatternNode,
     Union,
-    peel_filters,
 )
 from repro.sparql.expressions import And, Expression, conjuncts
 from repro.sparql.profile import ExecutionProfile
@@ -103,9 +101,9 @@ class PreparedQuery(NamedTuple):
     #: What the evaluator walks.
     tree: GraphPatternNode
     #: The whole pattern as one pipeline, if it is one — what ``explain``
-    #: renders and a live view differentiates: a root :class:`Pipeline`
-    #: (with the FILTERs a profile without pushdown left above it) or the
-    #: singleton of a lone pattern; ``None`` otherwise and without the planner.
+    #: renders and a live view differentiates: a root :class:`Pipeline` or
+    #: the singleton of a lone pattern; ``None`` otherwise and without the
+    #: planner.
     pipeline: Optional[Pipeline]
     #: With a ``pipeline``, what goes down with it (``lower_plan(project=,
     #: distinct=)``): :func:`_variables_read` and :func:`_distinct_projection`.
@@ -117,47 +115,40 @@ def prepare_query(query: Query, profile: ExecutionProfile) -> PreparedQuery:
     """The evaluation tree of ``query`` under ``profile`` (module docstring)."""
     if not profile.use_planner:
         return PreparedQuery(query, query.pattern, None, None, None)
-    tree = _place(query.pattern, (), profile.use_filter_pushdown)
-    above: List[Expression] = []
-    core = peel_filters(tree, above)
+    tree = core = _place(query.pattern, ())
     if type(core) in _LEAVES:
         core = Pipeline(BGP((core,)))
         if type(tree) is TriplePatternNode:
             tree = core
     if type(core) is not Pipeline:
         return PreparedQuery(query, tree, None, None, None)
-    if above:
-        core = Pipeline(core.bgp, tuple(above) + core.conditions)
     return PreparedQuery(query, tree, core, _variables_read(query), _distinct_projection(query))
 
 
-def _place(node: GraphPatternNode, outer: Conjuncts, pushdown: bool) -> GraphPatternNode:
-    """``node`` placed, under the conjuncts ``outer`` (outermost first;
-    empty without ``pushdown``)."""
+def _place(node: GraphPatternNode, outer: Conjuncts) -> GraphPatternNode:
+    """``node`` placed, under the conjuncts ``outer`` (outermost first)."""
     kind = type(node)
     if kind is Filter:
-        if pushdown:
-            return _place(node.pattern, outer + tuple(conjuncts(node.condition)), True)
-        return Filter(_place(node.pattern, (), False), node.condition)
+        return _place(node.pattern, outer + tuple(conjuncts(node.condition)))
     if kind in _LEAVES:
         return Pipeline(BGP((node,)), outer) if outer else node
     if kind is Pipeline:  # a tree, placed again
         return Pipeline(node.bgp, outer + node.conditions) if outer else node
     if kind is Minus:
-        return Minus(_place(node.left, outer, pushdown), _place(node.right, (), pushdown))
+        return Minus(_place(node.left, outer), _place(node.right, ()))
     if kind is BGP:
         if all(type(pattern) in _LEAVES for pattern in node.patterns):
             return Pipeline(node, outer)
         # Built by hand with something else inside: joined one by one.
-        placed = BGP(tuple(_place(pattern, (), pushdown) for pattern in node.patterns))
+        placed = BGP(tuple(_place(pattern, ()) for pattern in node.patterns))
     elif kind is LeftJoin:
-        placed = _place_optional(node, pushdown)
+        placed = _place_optional(node)
     elif kind in (Join, Union):
-        placed = kind(_place(node.left, (), pushdown), _place(node.right, (), pushdown))
+        placed = kind(_place(node.left, ()), _place(node.right, ()))
     elif kind is GraphGraphPattern:
-        placed = GraphGraphPattern(node.graph, _place(node.pattern, (), pushdown))
+        placed = GraphGraphPattern(node.graph, _place(node.pattern, ()))
     elif kind is Bind:
-        placed = Bind(_place(node.pattern, (), pushdown), node.variable, node.expression)
+        placed = Bind(_place(node.pattern, ()), node.variable, node.expression)
     else:
         placed = node
     for condition in reversed(outer):
@@ -165,10 +156,10 @@ def _place(node: GraphPatternNode, outer: Conjuncts, pushdown: bool) -> GraphPat
     return placed
 
 
-def _place_optional(node: LeftJoin, pushdown: bool) -> LeftJoin:
-    right = _place(node.right, (), pushdown)
+def _place_optional(node: LeftJoin) -> LeftJoin:
+    right = _place(node.right, ())
     condition = node.condition
-    if pushdown and condition is not None and (type(right) is Pipeline or type(right) in _LEAVES):
+    if condition is not None and (type(right) is Pipeline or type(right) in _LEAVES):
         bound = right.variables()
         pushed: List[Expression] = []
         kept: List[Expression] = []
@@ -176,9 +167,9 @@ def _place_optional(node: LeftJoin, pushdown: bool) -> LeftJoin:
             variables = conjunct.variables()
             (pushed if variables and variables <= bound else kept).append(conjunct)
         if pushed:
-            right = _place(right, tuple(pushed), True)
+            right = _place(right, tuple(pushed))
             condition = reduce(And, kept) if kept else None
-    return LeftJoin(_place(node.left, (), pushdown), right, condition)
+    return LeftJoin(_place(node.left, ()), right, condition)
 
 
 def _variables_read(query: Query) -> Optional[Tuple[Variable, ...]]:

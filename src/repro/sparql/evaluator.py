@@ -21,15 +21,13 @@ plain LIMIT queries short-circuit instead of materialising the full join.
 
 Execution is configured by one value, an
 :class:`repro.sparql.profile.ExecutionProfile` (``profile=`` — presets
-``FULL`` / ``ID_NATIVE`` / ``BASELINE``, see that module for what each
-field switches).  Planned evaluation runs on
+``FULL`` and ``NAIVE``).  Planned evaluation (``FULL``) runs on
 :class:`~repro.store.encoded.EncodedGraph` only: every graph of a
 query's dataset is checked before any work, and another store raises a
-``TypeError``.  A profile with the planner off recovers the naive
-textual-order evaluation used as the differential-testing baseline; it
-reads only the term surface (index probes through ``triples``, property
-paths by the term-level ALP procedure of :mod:`repro.sparql.alp`), so
-it runs on either store.
+``TypeError``.  ``NAIVE`` recovers the textual-order evaluation used as
+the differential-testing baseline; it reads only the term surface (index
+probes through ``triples``, property paths by the term-level ALP
+procedure of :mod:`repro.sparql.alp`), so it runs on either store.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ class SparqlEvaluator:
     ) -> None:
         self.dataset = dataset
         #: The execution profile — the one configuration value, handed as is
-        #: to the evaluation-tree pass, the lowering pass and the plan-cache key.
+        #: to the evaluation-tree pass.
         self.profile = profile if profile is not None else ExecutionProfile.FULL
         # The most recent physical plan produced by lowering — inspection
         # hook for tests, benchmarks and explain()-style tooling.
@@ -166,7 +164,7 @@ class SparqlEvaluator:
             "Hash lookups of left rows in a compatibility index",
         )
         #: Lowered physical plans, ``lowered_plans.get(graph, patterns,
-        #: conditions, profile[, project[, distinct]])`` — a hit skips
+        #: conditions[, project[, distinct]])`` — a hit skips
         #: planning, operator construction and eligibility analysis alike,
         #: and a plan outlives writes that leave its statistics in band.
         self.lowered_plans = PlanCache(
@@ -492,14 +490,13 @@ class SparqlEvaluator:
         graph: Graph,
         patterns: Tuple[GraphPatternNode, ...],
         conditions: Tuple[Expression, ...],
-        profile: ExecutionProfile,
         project: Optional[Tuple[Variable, ...]] = None,
         distinct: Optional[Tuple[Variable, ...]] = None,
     ) -> PhysicalPlan:
         """Plan + lower a BGP — what :attr:`lowered_plans` builds on a miss.
 
         Both steps are pure in the pattern tuple, the FILTER conjuncts, the
-        profile, the projection, the DISTINCT projection — the cache key —
+        projection, the DISTINCT projection — the cache key —
         and the graph statistics, which the plan records and the cache
         re-checks after a write.  With a tracer attached they run under
         ``plan`` / ``lower`` spans.
@@ -507,9 +504,7 @@ class SparqlEvaluator:
         with self._span("plan"):
             plan = plan_bgp(graph, patterns)
         with self._span("lower") as span:
-            physical_plan = physical.lower_plan(
-                plan, graph, conditions, profile, project, distinct
-            )
+            physical_plan = physical.lower_plan(plan, graph, conditions, project, distinct)
             if physical_plan.wcoj_fallback is not None:
                 span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
                 # Counted per fresh lowering, not per execution: the cache
@@ -530,7 +525,7 @@ class SparqlEvaluator:
         execution reports its own counters (see ``physical.execute``).
         """
         physical_plan = self.last_physical_plan = self.lowered_plans.get(
-            active_graph, pipeline.bgp.patterns, pipeline.conditions, self.profile, project, distinct
+            active_graph, pipeline.bgp.patterns, pipeline.conditions, project, distinct
         )
         return physical_plan
 
@@ -547,7 +542,7 @@ class SparqlEvaluator:
 
         The lowering pass attaches each FILTER conjunct to the earliest
         operator binding its variables and chooses the leapfrog triejoin
-        for cyclic BGPs, within what the profile allows.  ``timed`` turns
+        for cyclic BGPs.  ``timed`` turns
         on per-operator self time (for :meth:`explain_analyze`);
         ``project`` and ``distinct`` are
         :class:`~repro.sparql.evaltree.PreparedQuery`'s.

@@ -8,9 +8,7 @@ explicit *physical* plan — a small DAG of the operator classes of
 * **Lowering** — :func:`lower_plan` builds the operators of a plan over
   the dictionary-encoded store, the one store planned evaluation runs on
   (any other raises :func:`~repro.store.encoded.require_encoded`'s
-  ``TypeError``).  The :class:`~repro.sparql.profile.ExecutionProfile`
-  it is handed can switch FILTER pushdown and the leapfrog join *off*,
-  to recover the differential reference configurations.  FILTER
+  ``TypeError``).  FILTER
   conjuncts arrive here and become :class:`~repro.sparql.operators.Filter`
   operators wrapped around the earliest input that binds their variables
   (:func:`repro.sparql.plan.attach_filters`); a GYO-cyclic BGP gets the
@@ -45,8 +43,7 @@ from repro.sparql.operators import (
     Project,
     Scan,
 )
-from repro.sparql.plan import BGPPlan, StepFilters, attach_filters, plan_bgp
-from repro.sparql.profile import ExecutionProfile
+from repro.sparql.plan import BGPPlan, attach_filters, plan_bgp
 from repro.sparql.solutions import Binding, EMPTY_BINDING
 from repro.store.encoded import require_encoded
 
@@ -94,18 +91,15 @@ def lower_plan(
     plan: BGPPlan,
     graph,
     conditions: Sequence[Expression] = (),
-    profile: ExecutionProfile = ExecutionProfile.FULL,
     project: Optional[Tuple[Variable, ...]] = None,
     distinct: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
     """Lower a logical BGP plan to a physical operator DAG over the encoded store.
 
-    Picks the leapfrog join for cyclic join graphs (unless
-    ``profile.use_wcoj`` is off), :class:`IndexNestedLoopJoin` otherwise.
+    Picks the leapfrog join where :func:`repro.sparql.leapfrog.assessment`
+    admits it (a cyclic join graph), :class:`IndexNestedLoopJoin` otherwise.
     FILTER conjuncts (``conditions``) become :class:`Filter` operators at
-    the earliest input binding their variables; with
-    ``profile.use_filter_pushdown`` off they all run at the final slot,
-    i.e. as a plain post-filter.  A step linked to the steps before it
+    the earliest input binding their variables.  A step linked to the steps before it
     only by an equality conjunct becomes a :class:`HashProbe`
     (:func:`_implicit_join`).
 
@@ -121,20 +115,12 @@ def lower_plan(
     (an ``AS`` alias, a projected variable the pattern does not bind).
     """
     require_encoded(graph)
-    step_filters: StepFilters
-    if conditions and profile.use_filter_pushdown:
-        step_filters = attach_filters(plan, tuple(conditions))
-    else:
-        step_filters = ((),) * len(plan.steps) + (tuple(conditions),)
-    flat_conditions = [c for slot in step_filters for c in slot]
-    prefilters = tuple(c for c in flat_conditions if not c.variables())
+    step_filters = attach_filters(plan, tuple(conditions))
+    prefilters = step_filters[0]
     join: PhysicalOperator
-    use_leapfrog = False
-    wcoj_fallback: Optional[str] = None
-    if profile.use_wcoj:
-        use_leapfrog, wcoj_fallback = leapfrog.assessment(plan)
+    use_leapfrog, wcoj_fallback = leapfrog.assessment(plan)
     if use_leapfrog:
-        join = leapfrog.lower_join(plan, graph, [c for c in flat_conditions if c.variables()])
+        join = leapfrog.lower_join(plan, graph, [c for slot in step_filters[1:] for c in slot])
     else:
         inputs: List[PhysicalOperator] = []
         bound: Set[Variable] = set()
@@ -161,7 +147,6 @@ def lower_plan(
             inputs.append(_filtered(leaf, slot))
             bound |= step.node.variables()
         join = IndexNestedLoopJoin(tuple(inputs))
-        prefilters = step_filters[0]
     child = _filtered(join, prefilters)
     result_variables: Set[Variable] = set()
     for step in plan.steps:
@@ -180,12 +165,11 @@ def lower_bgp(
     graph,
     patterns: Sequence,
     conditions: Sequence[Expression] = (),
-    profile: ExecutionProfile = ExecutionProfile.FULL,
     project: Optional[Tuple[Variable, ...]] = None,
     distinct: Optional[Tuple[Variable, ...]] = None,
 ) -> PhysicalPlan:
     """Plan and lower a BGP in one call (convenience for tests/tools)."""
-    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile, project, distinct)
+    return lower_plan(plan_bgp(graph, patterns), graph, conditions, project, distinct)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ explicit planning pipeline:
 
 1. **Cost model** — :func:`estimate_cardinality` prices a triple or path
    pattern against the exact incremental statistics kept by
-   :class:`repro.rdf.Graph` (per-predicate cardinalities, distinct
+   :class:`repro.store.encoded.EncodedGraph` (per-predicate cardinalities, distinct
    subject/object counts).  Patterns whose variables are already bound by
    earlier plan steps are priced with the classic ``card / distinct``
    selectivity division.
@@ -61,6 +61,7 @@ from repro.sparql.paths import (
     matches_zero_length as _matches_zero_length,
 )
 from repro.sparql.solutions import Binding
+from repro.store.encoded import require_encoded
 
 #: Per-step FILTER attachment produced by :func:`attach_filters`: slot 0
 #: holds conditions checked against the initial binding, slot ``i + 1``
@@ -128,7 +129,7 @@ def estimate_triple_pattern(
     """Estimate the number of matches for ``triple`` given bound variables.
 
     Components that are ground terms are priced exactly via
-    :meth:`Graph.pattern_cardinality`; variable components already in
+    :meth:`EncodedGraph.pattern_cardinality`; variable components already in
     ``bound`` (value unknown at plan time) divide the estimate by the
     number of distinct terms in that position.
     """
@@ -228,8 +229,10 @@ def plan_bgp(graph: Graph, patterns: Sequence[GraphPatternNode]) -> BGPPlan:
     the already-bound set is chosen (all patterns qualify at the first
     step or when nothing is bound yet); a disconnected pattern — i.e. a
     Cartesian product — is only chosen when no connected pattern remains.
-    Ties fall back to source order, keeping planning deterministic.
+    Ties fall back to source order, keeping planning deterministic.  The
+    statistics are the encoded store's; any other store raises a ``TypeError``.
     """
+    require_encoded(graph)
     ordered = greedy_order(
         patterns,
         lambda node: node.variables(),

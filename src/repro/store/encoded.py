@@ -19,9 +19,10 @@ is upgraded to a ``set`` of ids on the second element.  This halves the
 resident size of the store compared to always-``set`` inner levels —
 a singleton Python set costs >200 bytes.
 
-The same exact, incrementally-maintained statistics as the seed graph are
-kept (per-position occurrence counts, per-predicate distinct subjects), so
-:meth:`pattern_cardinality` stays O(1) for the cost-based planner.
+Exact, incrementally-maintained statistics (per-position occurrence counts,
+per-predicate distinct subjects) are kept beside the indexes, so
+:meth:`pattern_cardinality` stays O(1) for the cost-based planner; the hash
+graph keeps none.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ class StoreCounters:
 class EncodedGraph(ChangeCapture):
     """A set of RDF triples stored as dictionary-encoded integer ids.
 
-    Implements the same collection protocol, pattern matching and
-    statistics API as :class:`repro.rdf.graph.Graph`; see that class for
-    the semantics of every method.
+    Implements the same collection protocol and pattern matching as
+    :class:`repro.rdf.graph.Graph` (see that class for the semantics of
+    those methods), plus the statistics the cost-based planner reads.
     """
 
     def __init__(
@@ -148,7 +149,7 @@ class EncodedGraph(ChangeCapture):
         self._osp: IdIndex = {}
         self._len = 0
         self._version = 0
-        # Exact incremental statistics over ids, mirroring the seed graph's.
+        # Exact incremental statistics over ids, read by the planner.
         self._subject_counts: Dict[int, int] = {}
         self._predicate_counts: Dict[int, int] = {}
         self._object_counts: Dict[int, int] = {}
@@ -800,5 +801,5 @@ def require_encoded(graph: object) -> None:
         raise TypeError(
             f"planned evaluation runs on an EncodedGraph, not {type(graph).__name__}: "
             "build the graph with repro.open_graph() / create_graph(), or evaluate "
-            "it unplanned (use_planner=False)"
+            "it unplanned (ExecutionProfile.NAIVE)"
         )

@@ -8,17 +8,10 @@ from typing import Union
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal, Triple
-from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import SolutionSequence
 from repro.store import EncodedGraph
 
 EX = Namespace("http://ex.org/")
-
-#: Textual-order evaluation, the planner's baseline: the oracle that shares
-#: no code with the step compiler, reading any store's term surface (the
-#: named presets live in ``profile.py``).
-NAIVE = ExecutionProfile.FULL.with_options(use_planner=False)
-
 
 def countries_graph() -> EncodedGraph:
     """The bordering-countries example graph from the paper (Section 4.2)."""
@@ -59,8 +52,9 @@ def directors_dataset() -> Dataset:
 
 
 def on_hash_store(dataset: Dataset) -> Dataset:
-    """``dataset`` copied onto the hash store, where ``NAIVE`` runs as the
-    oracle that shares neither code nor store with planned evaluation."""
+    """``dataset`` copied onto the hash store, where ``ExecutionProfile.NAIVE``
+    runs as the oracle that shares neither code nor store with planned
+    evaluation."""
     return Dataset(
         Graph(dataset.default_graph),
         {name: Graph(graph) for name, graph in dataset.named_graphs.items()},
@@ -99,4 +93,4 @@ def plan_cache_lookup(evaluator):
     shape the evaluator uses for a BGP without FILTERs or projection.
     """
     cache = evaluator.lowered_plans
-    return cache, lambda graph, patterns: cache.get(graph, patterns, (), evaluator.profile)
+    return cache, lambda graph, patterns: cache.get(graph, patterns, ())

@@ -8,8 +8,8 @@ before a term is decoded; the evaluator's modifier tail then skips
 * a count test: a q4-shaped query decodes ``distinct rows x projected
   width`` terms and builds no ``Binding``;
 * which queries carry the flag, read off the plan;
-* the answers: bag-equal across ``FULL``, ``BASELINE``, the unplanned
-  ``NAIVE`` oracle on the hash store and ``SparqLogEngine``, and row for row
+* the answers: bag-equal across ``FULL``, the unplanned ``NAIVE`` oracle
+  on the hash store and ``SparqLogEngine``, and row for row
   those of the same plan decoding first and dropping afterwards (the flag
   withheld from the lowering pass), for DISTINCT / REDUCED x ORDER BY / LIMIT / OFFSET /
   ``SELECT *`` / ``AS`` / an unbound projected variable / HAVING / GROUP BY
@@ -34,7 +34,7 @@ from repro.sparql.solutions import Binding, distinct_rows
 from repro.store import EncodedGraph
 from repro.workloads.sp2bench import SP2BenchWorkload, sp2bench_queries
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -129,10 +129,9 @@ def _answers(query):
     parsed = parse_query(PREFIX + query.replace("'", '"'))
     evaluators = {
         "full/id": SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples))),
-        "baseline/id": SparqlEvaluator(
-            Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.BASELINE
+        "naive/hash": SparqlEvaluator(
+            Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE
         ),
-        "naive/hash": SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE),
     }
     answers = {name: evaluator.evaluate(parsed) for name, evaluator in evaluators.items()}
     if "HAVING" not in query:  # ungrouped HAVING is outside the translated fragment
@@ -159,13 +158,7 @@ def test_the_plan_says_whether_it_drops_at_the_boundary(query, distinct, sliced)
     plans = {name: evaluator.last_physical_plan for name, evaluator in evaluators.items()}
     assert plans["full/id"].root.distinct is distinct
     assert plans["full/id"].explain().splitlines()[0].endswith("] distinct") is distinct
-    # BASELINE keeps its FILTERs above the plan, so its rows are not the
-    # projection's (and a lone pattern, with no FILTER pushed into it, has
-    # no plan); the unplanned oracle has no plan.
-    assert plans["baseline/id"] is None or plans["baseline/id"].root.distinct is (
-        distinct and "FILTER" not in query
-    )
-    assert plans["naive/hash"] is None
+    assert plans["naive/hash"] is None  # the unplanned oracle has no plan
     if "ex:link ?a" in query:
         assert isinstance(plans["full/id"].root.child, operators.LeapfrogJoin)
 
@@ -185,12 +178,12 @@ def test_answers_are_those_of_every_other_engine_in_the_pipeline_order(query, di
         else:
             assert Counter(answer.rows()) == Counter(full.rows()), name
     if parsed.order_by and not sliced:
-        for name in ("baseline/id", "naive/hash"):
-            keys = [tuple(row[v] for v in _order_variables(parsed) if v in row) for row in full]
-            other = [
-                tuple(row[v] for v in _order_variables(parsed) if v in row) for row in answers[name]
-            ]
-            assert keys == other, name
+        keys = [tuple(row[v] for v in _order_variables(parsed) if v in row) for row in full]
+        other = [
+            tuple(row[v] for v in _order_variables(parsed) if v in row)
+            for row in answers["naive/hash"]
+        ]
+        assert keys == other
 
 
 def _order_variables(parsed):

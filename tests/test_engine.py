@@ -29,7 +29,7 @@ from repro.sparql.parser import parse_query
 from repro.sparql.plancache import BoundedMap
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 
 NT = (
@@ -52,29 +52,15 @@ def triples():
 # ----------------------------------------------------------------------
 class TestExecutionProfile:
     def test_presets(self):
-        full = ExecutionProfile.FULL
-        assert full.use_planner and full.use_filter_pushdown and full.use_wcoj
-        id_native = ExecutionProfile.ID_NATIVE
-        assert id_native.use_filter_pushdown and not id_native.use_wcoj
-        baseline = ExecutionProfile.BASELINE
-        assert baseline.use_planner
-        assert not (baseline.use_filter_pushdown or baseline.use_wcoj)
-        assert str(full) == "full"
-        assert str(baseline) == "baseline"
-
-    def test_with_options_renames_to_custom(self):
-        derived = ExecutionProfile.FULL.with_options(use_wcoj=False)
-        assert derived.name == "custom"
-        assert not derived.use_wcoj
-        assert derived.use_filter_pushdown
-        named = ExecutionProfile.FULL.with_options(name="ablation", use_wcoj=False)
-        assert named.name == "ablation"
+        full, naive = ExecutionProfile.FULL, ExecutionProfile.NAIVE
+        assert full.use_planner and not naive.use_planner
+        assert full == ExecutionProfile()
+        assert (str(full), str(naive)) == ("full", "naive")
 
     def test_evaluator_accepts_profile(self):
         dataset = Dataset.from_graph(EncodedGraph(triples()))
-        evaluator = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)
-        assert evaluator.profile is ExecutionProfile.BASELINE
-        assert not evaluator.profile.use_filter_pushdown
+        evaluator = SparqlEvaluator(dataset, profile=ExecutionProfile.NAIVE)
+        assert evaluator.profile is ExecutionProfile.NAIVE
         assert len(list(evaluator.evaluate(parse_query(QUERY)).rows())) == 2
 
     def test_default_profile_is_full(self):
@@ -87,7 +73,7 @@ class TestSingleConfigurationSurface:
         # The per-knob constructor kwargs were removed, not deprecated:
         # an ExecutionProfile is the only way to configure an evaluator.
         with pytest.raises(TypeError):
-            SparqlEvaluator(Dataset(), use_wcoj=False)
+            SparqlEvaluator(Dataset(), use_planner=False)
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +170,8 @@ class TestCreateEngine:
             create_engine(42)
 
     def test_profile_is_threaded_through(self):
-        engine = create_engine(EncodedGraph(), profile=ExecutionProfile.BASELINE)
-        assert engine.profile is ExecutionProfile.BASELINE
+        engine = create_engine(EncodedGraph(), profile=ExecutionProfile.NAIVE)
+        assert engine.profile is ExecutionProfile.NAIVE
 
 
 class TestEngine:
@@ -379,7 +365,7 @@ class TestOneSubstrate:
         # planned engine on the encoded one.
         text = _route(route)
         hashed = Dataset(Graph(_cycle_triples()), {EX.g: Graph(_cycle_triples())})
-        naive = create_engine(hashed, NAIVE).query(text)
+        naive = create_engine(hashed, ExecutionProfile.NAIVE).query(text)
         encoded = Dataset(EncodedGraph(_cycle_triples()), {EX.g: EncodedGraph(_cycle_triples())})
         planned = create_engine(encoded).query(text)
         if isinstance(naive, bool):
@@ -402,7 +388,8 @@ class TestOneSubstrate:
         assert isinstance(dataset.graph(EX.missing), EncodedGraph)
         planned = create_engine(dataset).query(text)
         reference = Dataset(Graph(default), {EX.g: Graph(other)})
-        assert Counter(planned.rows()) == Counter(create_engine(reference, NAIVE).query(text).rows())
+        naive = create_engine(reference, ExecutionProfile.NAIVE).query(text)
+        assert Counter(planned.rows()) == Counter(naive.rows())
         assert len(planned) == 2
 
 

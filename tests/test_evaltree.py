@@ -1,8 +1,8 @@
 """The algebra -> evaluation-tree pass (``repro.sparql.evaltree``), as a table.
 
-One row per shape: the query, the tree under ``FULL``, the tree with FILTER
-pushdown off, and — where it differs from a root ``Pipeline`` — what
-``explain`` and live views read (``PreparedQuery.pipeline``).  Trees are
+One row per shape: the query, the tree under ``FULL`` and — where it
+differs from a root ``Pipeline`` — what ``explain`` and live views read
+(``PreparedQuery.pipeline``).  Trees are
 rendered compactly: ``P[n; conjuncts]`` a pipeline of ``n`` patterns,
 ``tp`` / ``path`` a bare pattern, ``F(c, x)`` FILTER, ``M`` MINUS,
 ``O(left, right; condition)`` OPTIONAL, ``U`` UNION, ``J`` join, ``B``
@@ -19,10 +19,8 @@ from repro.sparql.expressions import conjuncts
 from repro.sparql.operators import condition_label
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from tests.helpers import NAIVE
 
 FULL = ExecutionProfile.FULL
-NO_PUSHDOWN = FULL.with_options(use_filter_pushdown=False)
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 
@@ -57,122 +55,83 @@ def render(node) -> str:
     return f"{letter}({', '.join(render(child) for child in node.children())})"
 
 
-# (id, group graph pattern, tree under FULL, tree without pushdown,
-#  pipeline under FULL, pipeline without pushdown) — a pipeline of "=" is the tree.
+# (id, group graph pattern, tree, pipeline) — a pipeline of "=" is the tree.
 _TABLE = [
-    ("bgp", "?a ex:p ?b . ?b ex:q ?c", "P[2]", "P[2]", "=", "="),
+    ("bgp", "?a ex:p ?b . ?b ex:q ?c", "P[2]", "="),
     (
         "filters-outermost-first",
         "?a ex:p ?b . ?b ex:q ?c FILTER(?a != ?c) FILTER(?b != ?c)",
         "P[2; (?b != ?c), (?a != ?c)]",
-        "F((?b != ?c), F((?a != ?c), P[2]))",
         "=",
-        "P[2; (?b != ?c), (?a != ?c)]",
     ),
     (
         "conjunction-splits-in-order",
         "?a ex:p ?b . ?b ex:q ?c FILTER(?a != ?c && ?b != ex:x && ?c != ex:y)",
         "P[2; (?a != ?c), (?b != <http://ex.org/x>), (?c != <http://ex.org/y>)]",
-        "F((?a != ?c), (?b != <http://ex.org/x>), (?c != <http://ex.org/y>), P[2])",
         "=",
-        "P[2; (?a != ?c), (?b != <http://ex.org/x>), (?c != <http://ex.org/y>)]",
     ),
-    ("bare-lone-triple", "?a ex:p ?b", "P[1]", "P[1]", "=", "="),
-    ("bare-lone-path", "?a ex:p+ ?b", "path", "path", "P[1]", "P[1]"),
-    (
-        "lone-triple-filtered",
-        "?a ex:p ?b FILTER(?a != ?b)",
-        "P[1; (?a != ?b)]",
-        "F((?a != ?b), tp)",
-        "=",
-        "P[1; (?a != ?b)]",
-    ),
-    (
-        "lone-path-filtered",
-        "?a ex:p* ?b FILTER(?a != ?b)",
-        "P[1; (?a != ?b)]",
-        "F((?a != ?b), path)",
-        "=",
-        "P[1; (?a != ?b)]",
-    ),
+    ("bare-lone-triple", "?a ex:p ?b", "P[1]", "="),
+    ("bare-lone-path", "?a ex:p+ ?b", "path", "P[1]"),
+    ("lone-triple-filtered", "?a ex:p ?b FILTER(?a != ?b)", "P[1; (?a != ?b)]", "="),
+    ("lone-path-filtered", "?a ex:p* ?b FILTER(?a != ?b)", "P[1; (?a != ?b)]", "="),
     (
         "filter-through-minus",
         "?a ex:p ?b MINUS { ?a ex:q ?b } FILTER(?a != ?b)",
         "M(P[1; (?a != ?b)], tp)",
-        "F((?a != ?b), M(tp, tp))",
-        None,
         None,
     ),
     (
         "filter-through-minus-twice",
         "?a ex:p ?b . ?b ex:p ?c MINUS { ?a ex:q ?b } MINUS { ?b ex:q ?c } FILTER(?a != ?c)",
         "M(M(P[2; (?a != ?c)], tp), tp)",
-        "F((?a != ?c), M(M(P[2], tp), tp))",
-        None,
         None,
     ),
     (
         "filter-inside-minus-right",
         "?a ex:p ?b MINUS { ?a ex:q ?c FILTER(?c != ex:x) }",
         "M(tp, P[1; (?c != <http://ex.org/x>)])",
-        "M(tp, F((?c != <http://ex.org/x>), tp))",
-        None,
         None,
     ),
     (
         "residual-over-union",
         "{ ?a ex:p ?b } UNION { ?a ex:q ?b } FILTER(?a != ?b && ?a != ex:x)",
         "F((?a != ?b), F((?a != <http://ex.org/x>), U(tp, tp)))",
-        "F((?a != ?b), (?a != <http://ex.org/x>), U(tp, tp))",
-        None,
         None,
     ),
     (
         "optional-pushed-and-residual",
         "?a ex:p ?b OPTIONAL { ?b ex:q ?c FILTER(?c != ?b && ?c != ?a) }",
         "O(tp, P[1; (?c != ?b)]; (?c != ?a))",
-        "O(tp, tp; (?c != ?b), (?c != ?a))",
-        None,
         None,
     ),
     (
         "optional-condition-before-the-right-side's-own-filter",
         "?a ex:p ?b OPTIONAL { ?b ex:q ?c . ?c ex:q ?d FILTER(?c != ?b) FILTER(?d != ex:x) }",
         "O(tp, P[2; (?d != <http://ex.org/x>), (?c != ?b)]; -)",
-        "O(tp, F((?c != ?b), P[2]); (?d != <http://ex.org/x>))",
-        None,
         None,
     ),
     (
         "optional-all-residual",
         "?a ex:p ?b OPTIONAL { ?b ex:q ?c FILTER(?a != ex:x && ex:x = ex:x) }",
         "O(tp, tp; (?a != <http://ex.org/x>), (<http://ex.org/x> = <http://ex.org/x>))",
-        "O(tp, tp; (?a != <http://ex.org/x>), (<http://ex.org/x> = <http://ex.org/x>))",
-        None,
         None,
     ),
     (
         "optional-right-not-a-pipeline",
         "?a ex:p ?b OPTIONAL { { ?b ex:q ?c } UNION { ?b ex:p ?c } FILTER(?c != ?b) }",
         "O(tp, U(tp, tp); (?c != ?b))",
-        "O(tp, U(tp, tp); (?c != ?b))",
-        None,
         None,
     ),
     (
         "filter-over-bind",
         "?a ex:p ?b . ?b ex:q ?c BIND(?a AS ?d) FILTER(?d != ?c)",
         "F((?d != ?c), B(P[2]))",
-        "F((?d != ?c), B(P[2]))",
-        None,
         None,
     ),
     (
         "graph-and-values",
         "VALUES ?a { ex:x } GRAPH ?g { ?a ex:p ?b FILTER(?a != ?b) }",
         "J(V, G(P[1; (?a != ?b)]))",
-        "J(V, G(F((?a != ?b), tp)))",
-        None,
         None,
     ),
 ]
@@ -189,26 +148,22 @@ def _pipeline(prepared) -> object:
 
 @pytest.mark.parametrize("row", _TABLE, ids=_IDS)
 def test_where_every_conjunct_lands(row):
-    _, group, full, no_pushdown, full_pipeline, plain_pipeline = row
+    _, group, tree, pipeline = row
     query = _query(group)
-    for profile, tree, pipeline in (
-        (FULL, full, full_pipeline),
-        (NO_PUSHDOWN, no_pushdown, plain_pipeline),
-    ):
-        prepared = prepare_query(query, profile)
-        assert render(prepared.tree) == tree
-        assert _pipeline(prepared) == (tree if pipeline == "=" else pipeline)
-        if pipeline == "=":
-            assert prepared.pipeline is prepared.tree
-        # Idempotent: a tree placed again is itself.
-        again = prepare_query(replace(query, pattern=prepared.tree), profile)
-        assert again.tree == prepared.tree and again.pipeline == prepared.pipeline
+    prepared = prepare_query(query, FULL)
+    assert render(prepared.tree) == tree
+    assert _pipeline(prepared) == (tree if pipeline == "=" else pipeline)
+    if pipeline == "=":
+        assert prepared.pipeline is prepared.tree
+    # Idempotent: a tree placed again is itself.
+    again = prepare_query(replace(query, pattern=prepared.tree), FULL)
+    assert again.tree == prepared.tree and again.pipeline == prepared.pipeline
 
 
 @pytest.mark.parametrize("group", [row[1] for row in _TABLE], ids=_IDS)
 def test_without_the_planner_the_pass_is_the_identity(group):
     query = _query(group)
-    prepared = prepare_query(query, NAIVE)
+    prepared = prepare_query(query, ExecutionProfile.NAIVE)
     assert prepared.tree is query.pattern
     assert (prepared.pipeline, prepared.project, prepared.distinct) == (None, None, None)
 

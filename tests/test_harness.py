@@ -201,41 +201,42 @@ def test_pipelines_and_filter_placement_are_decided_in_one_place():
     """What runs as a pipeline and where a FILTER conjunct goes is the
     evaluation-tree pass's decision alone (``repro.sparql.evaltree``): beside
     it only the evaluator reads ``use_planner``, to pick the substrate — the
-    store check and the path procedure — and ``use_filter_pushdown`` is read
-    there and where a pipeline's conjuncts meet its steps
-    (``physical.lower_plan``).  The profile has its three switches and three
-    presets."""
+    store check and the path procedure.  No other ``use_*`` switch is read
+    anywhere, the lowering pass (and so the plan-cache key) takes no
+    profile, and the profile has its
+    one field and two presets."""
     package = Path(__file__).resolve().parent.parent / "src" / "repro"
-    readers = {"use_planner": set(), "use_filter_pushdown": set()}
+    readers = {}
     for path in sorted(package.rglob("*.py")):
         module = path.relative_to(package).with_suffix("").as_posix().replace("/", ".")
+        if module == "sparql.profile":  # the profile naming itself reads nothing
+            continue
         for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(function):
-                if isinstance(node, ast.Attribute) and node.attr in readers:
-                    readers[node.attr].add(f"{module}.{function.name}")
+                if isinstance(node, ast.Attribute) and node.attr.startswith("use_"):
+                    readers.setdefault(node.attr, set()).add(f"{module}.{function.name}")
     assert readers == {
         "use_planner": {
             "sparql.evaltree.prepare_query",
             "sparql.evaluator._active",
             "sparql.evaluator._eval_path_pattern",
         },
-        "use_filter_pushdown": {"sparql.evaltree.prepare_query", "sparql.physical.lower_plan"},
     }
 
+    import inspect
     from dataclasses import fields
 
+    from repro.sparql import physical
+    from repro.sparql.evaluator import SparqlEvaluator
     from repro.sparql.profile import ExecutionProfile
 
-    assert [field.name for field in fields(ExecutionProfile)] == [
-        "name",
-        "use_planner",
-        "use_filter_pushdown",
-        "use_wcoj",
-    ]
+    for lowering in (physical.lower_plan, physical.lower_bgp, SparqlEvaluator._lower_fresh):
+        assert "profile" not in inspect.signature(lowering).parameters, lowering.__name__
+    assert [field.name for field in fields(ExecutionProfile)] == ["use_planner"]
     presets = [name for name, value in vars(ExecutionProfile).items() if isinstance(value, ExecutionProfile)]
-    assert sorted(presets) == ["BASELINE", "FULL", "ID_NATIVE"]
+    assert sorted(presets) == ["FULL", "NAIVE"]
 
 
 def test_the_native_engine_has_one_row_space():

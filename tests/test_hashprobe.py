@@ -6,8 +6,8 @@ boundary, and what ``explain`` / ``metrics`` show of it.
 shares no variable with the steps before it, linked only by a FILTER
 conjunct ``?bound = ?fresh``, is built once and probed per outer row.
 It must return exactly what the cross product + filter returned — so it
-is compared with ``BASELINE`` and the unplanned ``NAIVE`` oracle on the
-hash store, in particular where two *different* terms are ``=``
+is compared with the unplanned ``NAIVE`` oracle on the hash store, in
+particular where two *different* terms are ``=``
 (``"1"^^xsd:integer`` / ``"1.0"^^xsd:decimal``, ``"a"`` /
 ``"a"^^xsd:string``) and where a term is ``=`` to nothing else.
 """
@@ -38,7 +38,7 @@ from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -80,11 +80,10 @@ _IMPLICIT_JOIN = (
 
 def _evaluators(triples):
     yield "full/id", SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)))
-    yield "baseline/id", SparqlEvaluator(
-        Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.BASELINE
-    )
     # The oracle that shares no code with the step compiler.
-    yield "naive/hash", SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
+    yield "naive/hash", SparqlEvaluator(
+        Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE
+    )
 
 
 def _hash_probes(plan):
@@ -138,17 +137,6 @@ Project [?m, ?n, ?x, ?y]
         evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)))
         evaluator.explain(parse_query(PREFIX + "SELECT * WHERE { " + body + " }"))
         assert not _hash_probes(evaluator.last_physical_plan)
-
-    def test_post_filter_plans_have_no_hash_probe(self):
-        query = parse_query(_IMPLICIT_JOIN)
-        # Pushdown off: the conjunct sits after the last step, which here
-        # is connected to the prefix, so there is nothing to link.
-        post_filter = SparqlEvaluator(
-            Dataset.from_graph(EncodedGraph(_people_triples())),
-            profile=ExecutionProfile.FULL.with_options(use_filter_pushdown=False),
-        )
-        post_filter.evaluate(query)
-        assert not _hash_probes(post_filter.last_physical_plan)
 
 
 # ----------------------------------------------------------------------
@@ -279,22 +267,22 @@ def _clique_triples():
 
 _TRIANGLE = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a }"
 
-#: name -> (triples, profile, query, result rows): the ``HashProbe`` plan, a
+#: name -> (triples, query, result rows): the ``HashProbe`` plan, a
 #: two-pattern join, and the leapfrog triejoin, which counts in its own
 #: registers too.
 _COUNTED = {
-    "hashprobe": (_people_triples, ExecutionProfile.FULL, _IMPLICIT_JOIN, 19),
-    "join/baseline": (_two_hop_triples, ExecutionProfile.BASELINE, _TWO_HOP, 80),
-    "leapfrog": (_clique_triples, ExecutionProfile.FULL, _TRIANGLE, 120),
+    "hashprobe": (_people_triples, _IMPLICIT_JOIN, 19),
+    "join": (_two_hop_triples, _TWO_HOP, 80),
+    "leapfrog": (_clique_triples, _TRIANGLE, 120),
 }
 _every_counted_plan = pytest.mark.parametrize("name", sorted(_COUNTED))
 
 
 class TestCounters:
     def _plan(self, name="hashprobe"):
-        triples, profile, query, _ = _COUNTED[name]
+        triples, query, _ = _COUNTED[name]
         graph = EncodedGraph(triples())
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=profile)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph))
         evaluator.evaluate(parse_query(query))
         return graph, evaluator.last_physical_plan
 
@@ -383,7 +371,6 @@ class TestCounters:
     @_every_counted_plan
     def test_compiled_form_is_reused_until_the_graph_changes(self, name):
         graph, plan = self._plan(name)
-        profile = _COUNTED[name][1]
         list(physical.execute(plan, graph))
         compiled = dict(plan._compiled)
         list(physical.execute(plan, graph))
@@ -391,9 +378,7 @@ class TestCounters:
         # A constant that is in no triple empties the plan only as long
         # as that stays true.
         x = Variable("x")
-        absent = physical.lower_bgp(
-            graph, [TriplePatternNode(Triple(x, EX.kind, EX.C))], profile=profile
-        )
+        absent = physical.lower_bgp(graph, [TriplePatternNode(Triple(x, EX.kind, EX.C))])
         assert list(physical.execute(absent, graph)) == []
         graph.add(Triple(EX.late, EX.kind, EX.C))
         assert list(physical.execute(absent, graph)) == [Binding({x: EX.late})]

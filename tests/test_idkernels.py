@@ -45,7 +45,7 @@ from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
 
@@ -231,14 +231,8 @@ def test_kernels_agree_with_term_semantics_on_generated_operands(
 # ----------------------------------------------------------------------
 def _evaluators(triples):
     yield SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)))
-    yield SparqlEvaluator(
-        Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.ID_NATIVE
-    )
-    yield SparqlEvaluator(
-        Dataset.from_graph(EncodedGraph(triples)), profile=ExecutionProfile.BASELINE
-    )
     # The oracle that shares no code with the step compiler.
-    yield SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
+    yield SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE)
 
 
 @pytest.mark.parametrize("operator", OPERATORS)

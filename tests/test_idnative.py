@@ -9,10 +9,9 @@ Three layers of assurance that the id-space pipeline
   inside an id-native plan,
 * a hypothesis differential property: random BGP + FILTER queries on
   random graphs return the identical multiset of solutions under
-  ``FULL``, ``ID_NATIVE``, ``BASELINE`` and the unplanned ``NAIVE``
-  oracle on the hash store,
+  ``FULL`` and the unplanned ``NAIVE`` oracle on the hash store,
 * a workload differential: every query of all five paper workloads,
-  ``FULL`` vs the post-filtered binary joins of ``BASELINE``.
+  ``FULL`` vs ``NAIVE`` on a hash copy.
 """
 
 from collections import Counter
@@ -40,7 +39,7 @@ from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph, bulk_load_ntriples
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX, on_hash_store
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -52,26 +51,17 @@ def tp(subject, predicate, obj):
 
 
 def _all_configurations(graph_triples):
-    """FULL, ID_NATIVE and BASELINE on the encoded store, NAIVE on the hash one.
+    """FULL on the encoded store, NAIVE on the hash one.
 
-    The FULL profile may lower cyclic BGPs to the leapfrog-triejoin
-    operator; ID_NATIVE pins the binary index-nested-loop pipeline, so any
-    divergence between the two isolates the WCOJ operator; BASELINE runs
-    the same binary steps with every FILTER after the last one.  NAIVE is
-    the oracle that shares no code with the step compiler: unplanned,
-    pattern by pattern through ``match_triple`` and ``CompatIndex``.
+    FULL lowers cyclic BGPs to the leapfrog-triejoin operator and pushes
+    every FILTER conjunct into the pipeline; NAIVE is the oracle that
+    shares no code with the step compiler: unplanned, pattern by pattern
+    through ``match_triple`` and ``CompatIndex``.
     """
-    encoded = Dataset.from_graph(EncodedGraph(graph_triples))
-    configurations = [
-        SparqlEvaluator(encoded, profile=profile)
-        for profile in (
-            ExecutionProfile.FULL,
-            ExecutionProfile.ID_NATIVE,
-            ExecutionProfile.BASELINE,
-        )
+    return [
+        SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph_triples))),
+        SparqlEvaluator(Dataset.from_graph(Graph(graph_triples)), profile=ExecutionProfile.NAIVE),
     ]
-    configurations.append(SparqlEvaluator(Dataset.from_graph(Graph(graph_triples)), profile=NAIVE))
-    return configurations
 
 
 def _assert_all_equal(query_text, graph_triples):
@@ -90,7 +80,7 @@ def _assert_all_equal(query_text, graph_triples):
 # ----------------------------------------------------------------------
 class TestAttachFilters:
     def _plan(self):
-        graph = Graph([Triple(EX.s, EX.p, EX.o), Triple(EX.o, EX.q, EX.t)])
+        graph = EncodedGraph([Triple(EX.s, EX.p, EX.o), Triple(EX.o, EX.q, EX.t)])
         x, y = Variable("x"), Variable("y")
         return plan_bgp(graph, [tp(EX.s, EX.p, x), tp(x, EX.q, y)]), x, y
 
@@ -354,7 +344,9 @@ class TestIdNativeEvaluation:
         initial = Binding({x: EX.unseen_subject})
         assert list(physical.execute(plan, graph, initial=initial)) == []
         # What the unplanned oracle says of the same join.
-        naive = SparqlEvaluator(Dataset.from_graph(Graph(self._triples())), profile=NAIVE)
+        naive = SparqlEvaluator(
+            Dataset.from_graph(Graph(self._triples())), profile=ExecutionProfile.NAIVE
+        )
         values = "SELECT * WHERE { VALUES ?x { ex:unseen_subject } ?x ex:p ?o }"
         assert len(naive.evaluate(parse_query(PREFIX + values))) == 0
 
@@ -373,9 +365,8 @@ class TestIdNativeEvaluation:
 class TestIdJoinWork:
     """A 90k-triple two-fan workload on the encoded store: 4 999 subjects,
     each with a ``:small`` and a larger ``:big`` fan.  The store's own
-    counters (``bind_store_metrics``) price the pipeline against the
-    post-filtered one for the same answer: index probes issued and terms
-    decoded."""
+    counters (``bind_store_metrics``) price the pipeline: index probes
+    issued and terms decoded."""
 
     WORK = ("store_index_probes_total", "store_dictionary_decodes_total")
 
@@ -393,8 +384,8 @@ class TestIdJoinWork:
                 lines.append(f"{subject} <http://ex.org/big> <http://ex.org/b{(i // 3) % 14983}> .")
         return bulk_load_ntriples("\n".join(lines))
 
-    def _run(self, graph, profile, text):
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=profile)
+    def _run(self, graph, text):
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph))
         bind_store_metrics(evaluator.metrics_registry, graph)
         before = evaluator.metrics()
         result = evaluator.evaluate(parse_query(PREFIX + text))
@@ -403,20 +394,22 @@ class TestIdJoinWork:
 
     def test_filter_selective_join(self, graph):
         text = "SELECT ?s ?a ?b WHERE { ?s ex:small ?a . ?s ex:big ?b . FILTER(?a = ex:o42) }"
-        rows, work = self._run(graph, ExecutionProfile.FULL, text)
-        baseline_rows, baseline_work = self._run(graph, ExecutionProfile.BASELINE, text)
-        assert rows == baseline_rows and sum(rows.values()) == 40
+        rows, work = self._run(graph, text)
+        expected = Counter(
+            (s, a, b)
+            for s, _, a in graph.triples(None, EX.small, EX.o42)
+            for _, _, b in graph.triples(s, EX.big, None)
+        )
+        assert rows == expected and sum(rows.values()) == 40
         # The conjunct kills a :small row as an id, right after the scan that
         # binds ?a: :big is probed for the 3 surviving subjects only, and
-        # nothing is decoded but the 3 columns of the 40 answers.
+        # nothing is decoded but the 3 columns of the 40 answers (a FILTER
+        # above the pipeline would probe :big for all 22 500 :small rows).
         assert work == (1 + 3, 3 * 40)
-        # Post-filtered: a :big probe for each of the 22 500 :small rows, and
-        # the FILTER above the pipeline reads every joined row as terms.
-        assert baseline_work == (1 + 22_500, 907_698)
 
     def test_join_without_a_filter(self, graph):
         text = "SELECT ?s ?a WHERE { ?s ex:small ?a . ?s ex:big ex:hub }"
-        rows, work = self._run(graph, ExecutionProfile.FULL, text)
+        rows, work = self._run(graph, text)
         assert sum(rows.values()) == 409
         # The pipeline decodes the 2 projected columns of the answers, not
         # the terms of the triples its scans touched.
@@ -574,10 +567,10 @@ def _workloads():
 
 @pytest.mark.parametrize("name,workload", _workloads(), ids=lambda value: value if isinstance(value, str) else "")
 def test_differential_workload_queries(name, workload):
-    """Every workload query: FULL multiset == post-filtered binary-join multiset."""
+    """Every workload query: FULL multiset == the unplanned oracle's on a hash copy."""
     dataset = workload.dataset()
     idnative = SparqlEvaluator(dataset)
-    decoded = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)
+    decoded = SparqlEvaluator(on_hash_store(dataset), profile=ExecutionProfile.NAIVE)
     compared = 0
     for query in workload.queries()[:8]:
         try:

@@ -9,7 +9,7 @@ the term-level ALP procedure:
   non-closure operators,
 * a hypothesis differential property: random path expressions over
   random graphs, with random bound/free endpoints, return the identical
-  multiset through the id engine (under ``FULL`` and ``BASELINE``) and
+  multiset through the id engine (under ``FULL``) and
   through the term-level ALP procedure of the unplanned evaluation on the
   hash store,
 * gMark workload parity: every query of a recursive-only gMark workload,
@@ -46,7 +46,7 @@ from repro.sparql.paths import (
 )
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -65,13 +65,11 @@ def _select(pattern_nodes):
 
 
 def _evaluators(triples):
-    """The id path engine under ``FULL`` and the post-filtered ``BASELINE``,
-    the term-level ALP procedure under the unplanned ``NAIVE``."""
-    encoded = Dataset.from_graph(EncodedGraph(triples))
+    """The id path engine under ``FULL``, the term-level ALP procedure under
+    the unplanned ``NAIVE``."""
     return [
-        SparqlEvaluator(encoded),
-        SparqlEvaluator(encoded, profile=ExecutionProfile.BASELINE),
-        SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE),
+        SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples))),
+        SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE),
     ]
 
 
@@ -478,7 +476,9 @@ def test_gmark_recursive_workload_parity():
         scenario=test_scenario(), scale=0.15, recursive_only=True, query_count=12
     )
     idnative = SparqlEvaluator(workload.dataset())
-    termlevel = SparqlEvaluator(Dataset.from_graph(Graph(workload.graph)), profile=NAIVE)
+    termlevel = SparqlEvaluator(
+        Dataset.from_graph(Graph(workload.graph)), profile=ExecutionProfile.NAIVE
+    )
     compared = 0
     for query in workload.queries():
         parsed = parse_query(query.text)
@@ -516,7 +516,7 @@ def test_gmark_fixed_path_mix_parity():
     ]
     graph = GMarkWorkload(scenario=test_scenario(), scale=0.1).graph
     idnative = SparqlEvaluator(Dataset.from_graph(graph))
-    termlevel = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=NAIVE)
+    termlevel = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=ExecutionProfile.NAIVE)
     for text in queries:
         parsed = parse_query("PREFIX gmark: <http://example.org/gMark/>\n" + text)
         expected = termlevel.evaluate(parsed)

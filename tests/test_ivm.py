@@ -34,6 +34,7 @@ from repro.sparql.algebra import BGP, Filter, ProjectionItem, SelectQuery, Tripl
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, FunctionCall, TermExpr, VariableExpr
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.store import (
     EncodedGraph,
     bulk_load_ntriples,
@@ -45,7 +46,7 @@ from repro.ivm import ViewRegistry, zset_diff, zset_from_rows, zset_merge
 from repro.ivm.views import _row_sort_key
 from repro.obs import Tracer
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 #: Both stores capture changes; views are maintained on the encoded one.
 BACKENDS = [Graph, EncodedGraph]
@@ -498,7 +499,7 @@ class TestLoaderFreshness:
     def test_hash_update_loop_cannot_leave_a_stale_view(self):
         # The unplanned evaluation re-evaluates views over the hash store.
         graph = Graph()
-        view = create_engine(graph, NAIVE).materialize(self.QUERY)
+        view = create_engine(graph, ExecutionProfile.NAIVE).materialize(self.QUERY)
         graph.update([chain(1, 2), chain(2, 3)])
         assert view.rows() == [(EX.n1, EX.n2), (EX.n2, EX.n3)]
 
@@ -806,6 +807,34 @@ class TestExplain:
             f"    probe #1 (?b {cites} ?c) state=old; Filter (?a != ?c) kernel=id\n"
             f"  seed #1 (?b {cites} ?c)\n"
             f"    probe #0 (?a {cites} ?b) state=new; Filter (?a != ?c) kernel=id"
+        )
+
+    def test_conjuncts_anchor_where_their_variables_are_bound(self):
+        # The planner's rule (plan.attach_conditions) per seed: at the seed,
+        # at the probe completing a conjunct's variables, and one whose
+        # variable no pattern binds (?z) at the last probe.
+        engine = create_engine(EncodedGraph())
+        view = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\n"
+            "SELECT * WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:r ?d "
+            "FILTER(?a != ?b && ?a != ?c && ?d != ex:x && ?a != ?d && ?z != ex:x) }"
+        )
+        p, q, r = (f"<http://ex.org/{name}>" for name in "pqr")
+        x = "<http://ex.org/x>"
+        last = f"Filter (?a != ?d) kernel=id; Filter (?z != {x}) kernel=id"
+        assert view.explain() == (
+            "MaterializedView maintenance=delta\n"
+            f"  seed #0 (?a {p} ?b); Filter (?a != ?b) kernel=id\n"
+            f"    probe #1 (?b {q} ?c) state=old; Filter (?a != ?c) kernel=id\n"
+            f"    probe #2 (?c {r} ?d) state=old; Filter (?d != {x}) kernel=id; {last}\n"
+            f"  seed #1 (?b {q} ?c)\n"
+            f"    probe #0 (?a {p} ?b) state=new; Filter (?a != ?b) kernel=id; "
+            "Filter (?a != ?c) kernel=id\n"
+            f"    probe #2 (?c {r} ?d) state=old; Filter (?d != {x}) kernel=id; {last}\n"
+            f"  seed #2 (?c {r} ?d); Filter (?d != {x}) kernel=id\n"
+            f"    probe #1 (?b {q} ?c) state=new\n"
+            f"    probe #0 (?a {p} ?b) state=new; Filter (?a != ?b) kernel=id; "
+            f"Filter (?a != ?c) kernel=id; {last}"
         )
 
     def test_term_kernels_are_named(self):

@@ -31,7 +31,6 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
-from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
 from tests.helpers import EX, chain_graph
@@ -351,20 +350,17 @@ class TestEvaluatorObservability:
         evaluator.evaluate(query)
         assert evaluator.metrics()["sparql_wcoj_fallback_total"] == 1
 
-    def test_acyclic_and_disabled_wcoj_stay_silent(self, caplog):
+    def test_acyclic_and_leapfrog_bgps_stay_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.sparql.physical"):
             evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)))
             evaluator.evaluate(
                 parse_query(PREFIX + "SELECT * WHERE { ?s ex:p ?a . ?s ex:q ?b }")
             )
             assert evaluator.metrics()["sparql_wcoj_fallback_total"] == 0
-            # Deliberate opt-out is not a fallback either.
-            opted_out = SparqlEvaluator(
-                Dataset.from_graph(EncodedGraph(_TRIPLES)),
-                profile=ExecutionProfile.ID_NATIVE,
-            )
-            opted_out.evaluate(parse_query(_TRIANGLE))
-            assert opted_out.metrics()["sparql_wcoj_fallback_total"] == 0
+            # A cyclic BGP the leapfrog join takes is not a fallback either.
+            evaluator.evaluate(parse_query(_TRIANGLE))
+            assert evaluator.last_physical_plan.wcoj_fallback is None
+            assert evaluator.metrics()["sparql_wcoj_fallback_total"] == 0
         assert not [
             record
             for record in caplog.records

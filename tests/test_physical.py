@@ -5,19 +5,18 @@ Four angles on the logical-plan → physical-DAG lowering:
 * unit tests for the analysis primitives — GYO cyclicity detection and
   the leapfrog sorted-intersection kernel,
 * golden ``explain()`` renderings for the canonical BGP shapes (star,
-  chain, triangle, path-bearing, filtered) under ``FULL`` and
-  ``BASELINE``, pinning which operator the lowering picks and how the
-  tree reads,
-* behavioural tests: leapfrog-vs-binary multiset parity, eligibility
+  chain, triangle, path-bearing, filtered), pinning which operator the
+  lowering picks and how the tree reads,
+* behavioural tests: leapfrog-vs-oracle multiset parity, eligibility
   fallbacks (variable predicates, repeated variables, too few patterns),
   per-operator row/probe counters, and the evaluator's plan-cache
   dead-entry purge,
 * differential tests for the extended FILTER pushdown: OPTIONAL-scoped
-  conditions and FILTER-over-MINUS agree with the pushdown-disabled
-  baseline and the unplanned oracle.
+  conditions and FILTER-over-MINUS agree with the unplanned oracle.
 """
 
 from collections import Counter
+from itertools import permutations
 
 import gc
 import re
@@ -39,7 +38,7 @@ from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph, bulk_load_ntriples
 
-from tests.helpers import EX, NAIVE, plan_cache_lookup, scan_work
+from tests.helpers import EX, plan_cache_lookup, scan_work
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -146,6 +145,13 @@ _FILTERED_TRIANGLE = (
     PREFIX
     + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?a . FILTER(?a != ?b) }"
 )
+_FILTERED_CHAIN = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:q ?c FILTER(?c != ex:b) }"
+_FILTERED_STAR = PREFIX + "SELECT * WHERE { ?s ex:p ?a . ?s ex:q ?b FILTER(?a != ?b) }"
+_DISTINCT_CHAIN = PREFIX + "SELECT DISTINCT ?a WHERE { ?a ex:p ?b . ?b ex:q ?c }"
+_BOUND_STAR = PREFIX + "SELECT * WHERE { ex:s1 ex:p ?a . ex:s1 ex:q ?b }"
+_TWO_CYCLE = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?a }"
+_FOUR_CYCLE = PREFIX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:p ?c . ?c ex:p ?d . ?d ex:p ?a }"
+_VARIABLE_PREDICATE_TRIANGLE = PREFIX + "SELECT * WHERE { ?a ?x ?b . ?b ex:p ?c . ?c ex:p ?a }"
 
 _GOLDEN = {
     _STAR: """\
@@ -176,42 +182,88 @@ Project [?a, ?b, ?c]
    ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
    ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
    └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
-}
-
-#: Where ``BASELINE`` reads differently: binary joins only, every FILTER
-#: conjunct after the last step.  The other shapes render as under ``FULL``.
-_BASELINE_GOLDEN = {
-    _TRIANGLE: """\
+    # Pushdown in a binary join: the conjunct sits on the step binding ?c.
+    _FILTERED_CHAIN: """\
 Project [?a, ?b, ?c]
-└─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
-   └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
-    _FILTERED_TRIANGLE: """\
-Project [?a, ?b, ?c]
-└─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
+└─ IndexNestedLoopJoin steps=2
+   ├─ Filter (?c != <http://ex.org/b>) kernel=id
+   │  └─ Scan TP(?b <http://ex.org/q> ?c) est=2 probe=?P? match
+   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667 probe=?PO entry""",
+    # ... and on the second step, the first binding both its variables.
+    _FILTERED_STAR: """\
+Project [?a, ?b, ?s]
+└─ IndexNestedLoopJoin steps=2
+   ├─ Scan TP(?s <http://ex.org/q> ?b) est=2 probe=?P? match
    └─ Filter (?a != ?b) kernel=id
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
+      └─ Scan TP(?s <http://ex.org/p> ?a) est=1 probe=SP? entry""",
+    _DISTINCT_CHAIN: """\
+Project [?a] distinct
+└─ IndexNestedLoopJoin steps=2
+   ├─ Scan TP(?b <http://ex.org/q> ?c) est=2 probe=?P? match
+   └─ Scan TP(?a <http://ex.org/p> ?b) est=1.66667 probe=?PO entry""",
+    _BOUND_STAR: """\
+Project [?a, ?b]
+└─ IndexNestedLoopJoin steps=2
+   ├─ Scan TP(<http://ex.org/s1> <http://ex.org/p> ?a) est=1 probe=SP? entry
+   └─ Scan TP(<http://ex.org/s1> <http://ex.org/q> ?b) est=1 probe=SP? entry""",
+    # Cyclic, but two patterns never take the leapfrog join.
+    _TWO_CYCLE: """\
+Project [?a, ?b]
+└─ IndexNestedLoopJoin steps=2
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
+   └─ Scan TP(?b <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
+    _FOUR_CYCLE: """\
+Project [?a, ?b, ?c, ?d]
+└─ LeapfrogJoin order=[?a, ?b, ?c, ?d]
+   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
+   ├─ Scan TP(?c <http://ex.org/p> ?d) est=1
+   └─ Scan TP(?d <http://ex.org/p> ?a) est=0.333333""",
+    # Cyclic, but the variable predicate sends it back to binary joins.
+    _VARIABLE_PREDICATE_TRIANGLE: """\
+Project [?a, ?b, ?c, ?x]
+└─ IndexNestedLoopJoin steps=3
+   ├─ Scan TP(?b <http://ex.org/p> ?c) est=5 probe=?P? match
+   ├─ Scan TP(?c <http://ex.org/p> ?a) est=1 probe=SP? entry
+   └─ Scan TP(?a ?x ?b) est=0.533333 probe=S?O entry""",
 }
 
 
-@pytest.mark.parametrize(
-    "profile", [ExecutionProfile.FULL, ExecutionProfile.BASELINE], ids=["full", "baseline"]
-)
 @pytest.mark.parametrize(
     "query_text",
-    [_STAR, _CHAIN, _TRIANGLE, _PATH, _FILTERED_TRIANGLE],
-    ids=["star", "chain", "triangle", "path", "filtered-triangle"],
+    [
+        _STAR,
+        _CHAIN,
+        _TRIANGLE,
+        _PATH,
+        _FILTERED_TRIANGLE,
+        _FILTERED_CHAIN,
+        _FILTERED_STAR,
+        _DISTINCT_CHAIN,
+        _BOUND_STAR,
+        _TWO_CYCLE,
+        _FOUR_CYCLE,
+        _VARIABLE_PREDICATE_TRIANGLE,
+    ],
+    ids=[
+        "star",
+        "chain",
+        "triangle",
+        "path",
+        "filtered-triangle",
+        "filtered-chain",
+        "filtered-star",
+        "distinct-chain",
+        "bound-star",
+        "two-cycle",
+        "four-cycle",
+        "variable-predicate-triangle",
+    ],
 )
-def test_golden_explain(query_text, profile):
-    evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)), profile=profile)
+def test_golden_explain(query_text):
+    evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_TRIPLES)))
     rendered = evaluator.explain(parse_query(query_text))
-    golden = _GOLDEN[query_text]
-    if profile is ExecutionProfile.BASELINE:
-        golden = _BASELINE_GOLDEN.get(query_text, golden)
-    assert rendered == golden
+    assert rendered == _GOLDEN[query_text]
     assert evaluator.last_physical_plan is not None
 
 
@@ -237,13 +289,6 @@ class TestOperatorSelection:
         graph = EncodedGraph(_TRIPLES)
         plan = lower_bgp(graph, _triangle_patterns())
         assert isinstance(plan.root.child, LeapfrogJoin)
-
-    def test_wcoj_option_off_pins_binary_join(self):
-        graph = EncodedGraph(_TRIPLES)
-        plan = lower_bgp(
-            graph, _triangle_patterns(), profile=ExecutionProfile.ID_NATIVE
-        )
-        assert isinstance(plan.root.child, IndexNestedLoopJoin)
 
     def test_acyclic_bgp_stays_binary(self):
         graph = EncodedGraph(_TRIPLES)
@@ -273,7 +318,7 @@ class TestOperatorSelection:
 
 
 # ----------------------------------------------------------------------
-# leapfrog-vs-binary parity and counters
+# leapfrog-vs-oracle parity and counters
 # ----------------------------------------------------------------------
 class TestExecution:
     def _clique(self, size=6):
@@ -286,17 +331,14 @@ class TestExecution:
         ]
         return EncodedGraph(triples)
 
-    def test_leapfrog_matches_binary_on_clique(self):
+    def test_leapfrog_matches_the_oracle_on_clique(self):
         graph = self._clique()
-        patterns = _triangle_patterns()
-        leapfrog = lower_bgp(graph, patterns)
-        binary = lower_bgp(graph, patterns, profile=ExecutionProfile.ID_NATIVE)
+        leapfrog = lower_bgp(graph, _triangle_patterns())
         assert isinstance(leapfrog.root.child, LeapfrogJoin)
-        assert isinstance(binary.root.child, IndexNestedLoopJoin)
-        left = Counter(map(str, physical.execute(leapfrog, graph)))
-        right = Counter(map(str, physical.execute(binary, graph)))
-        assert left == right
-        assert sum(left.values()) == 6 * 5 * 4  # ordered triangles of K6
+        rows = Counter(physical.execute(leapfrog, graph))
+        naive = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=ExecutionProfile.NAIVE)
+        assert rows == Counter(naive.evaluate(parse_query(_TRIANGLE)).bindings)
+        assert sum(rows.values()) == 6 * 5 * 4  # ordered triangles of K6
 
     def test_counters_populate_after_execution(self):
         graph = self._clique(4)
@@ -324,20 +366,20 @@ class TestExecution:
         assert counters["IndexNestedLoopJoin"]["rows"] == len(rows)
 
     @pytest.mark.parametrize(
-        "profile, explained, analyzed",
+        "patterns, explained, analyzed",
         [
-            # The counts the per-row term interpreter recorded, to the digit.
+            # The first two steps of the triangle's binary plan: the counts the
+            # per-row term interpreter recorded for them, to the digit.
             (
-                ExecutionProfile.ID_NATIVE,
+                2,
                 """\
 Project [?a, ?b, ?c]
 └─ Filter (<http://ex.org/a> = <http://ex.org/a>) kernel=id
-   └─ IndexNestedLoopJoin steps=3
+   └─ IndexNestedLoopJoin steps=2
       ├─ Filter (?a != ?b) kernel=id
       │  └─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-      ├─ Filter (?c != <http://ex.org/b>) kernel=id
-      │  └─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
+      └─ Filter (?c != <http://ex.org/b>) kernel=id
+         └─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry""",
                 [
                     "rows=2 probes=0",
                     "rows=1 probes=1",
@@ -346,31 +388,30 @@ Project [?a, ?b, ?c]
                     "rows=5 probes=1 actual=5/probe err=1x",
                     "rows=2 probes=5",
                     "rows=5 probes=5 actual=1/probe err=1x",
-                    "rows=2 probes=2 actual=1/probe err=0.33x",
                 ],
             ),
             (
-                ExecutionProfile.BASELINE,
+                3,
                 """\
 Project [?a, ?b, ?c]
-└─ IndexNestedLoopJoin steps=3
-   ├─ Scan TP(?a <http://ex.org/p> ?b) est=5 probe=?P? match
-   ├─ Scan TP(?b <http://ex.org/p> ?c) est=1 probe=SP? entry
-   └─ Filter (?a != ?b) && (?c != <http://ex.org/b>) && (<http://ex.org/a> = <http://ex.org/a>) kernel=id
-      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333 probe=SPO member""",
+└─ Filter (<http://ex.org/a> = <http://ex.org/a>) kernel=id
+   └─ LeapfrogJoin order=[?a, ?b, ?c] filters=[(?a != ?b)@?b, (?c != <http://ex.org/b>)@?c]
+      ├─ Scan TP(?a <http://ex.org/p> ?b) est=5
+      ├─ Scan TP(?b <http://ex.org/p> ?c) est=1
+      └─ Scan TP(?c <http://ex.org/p> ?a) est=0.333333""",
                 [
                     "rows=2 probes=0",
+                    "rows=1 probes=1",
                     "rows=2 probes=0",
-                    "rows=5 probes=1 actual=5/probe err=1x",
-                    "rows=5 probes=5 actual=1/probe err=1x",
-                    "rows=2 probes=3",
-                    "rows=3 probes=5 actual=0.6/probe err=0.56x",
+                    "rows=8 probes=4 actual=2/probe err=2.5x",
+                    "rows=18 probes=6 actual=3/probe err=0.33x",
+                    "rows=8 probes=4 actual=2/probe err=0.17x",
                 ],
             ),
         ],
-        ids=["pushdown", "baseline"],
+        ids=["binary", "leapfrog"],
     )
-    def test_counts_of_a_filtered_bgp(self, profile, explained, analyzed):
+    def test_counts_of_a_filtered_bgp(self, patterns, explained, analyzed):
         graph = EncodedGraph(_TRIPLES)
         a, b, c = _vars("a", "b", "c")
         conditions = (
@@ -378,7 +419,7 @@ Project [?a, ?b, ?c]
             Comparison("!=", VariableExpr(c), TermExpr(EX.b)),
             Comparison("=", TermExpr(EX.a), TermExpr(EX.a)),
         )
-        plan = lower_bgp(graph, _triangle_patterns(), conditions, profile)
+        plan = lower_bgp(graph, _triangle_patterns()[:patterns], conditions)
         assert plan.explain() == explained
         assert len(list(physical.execute(plan, graph, timed=True))) == 2
         header, *lines = plan.explain_analyze(total_seconds=0.0).splitlines()
@@ -397,11 +438,11 @@ class TestSkewedCyclicWorkload:
     """The classic worst case for binary plans ("Skew Strikes Back"): 700
     spokes point at one hub and back, so a binary triangle plan enumerates
     every wedge through the hub — Θ(N²) probes that almost all die at the
-    closing pattern — while leapfrog fetches one sorted run per candidate;
-    a 12-clique supplies the answers and an ``r`` chain the acyclic case.
-    Summed scan ``probes`` of both plans, exact counts (493 685 vs 4 492
-    and 522 725 vs 10 698); not the scans' ``rows``, which on the leapfrog
-    side are run lengths galloped through."""
+    closing pattern (493 685 for the triangle, 522 725 for the 4-clique)
+    — while leapfrog fetches one sorted run per candidate; a 12-clique
+    supplies the answers and an ``r`` chain the acyclic case.  Pinned:
+    the leapfrog plans' summed scan ``probes``, exact counts; not the
+    scans' ``rows``, which are run lengths galloped through."""
 
     P = "<http://ex.org/p>"
     TRIANGLE = f"{{ ?a {P} ?b . ?b {P} ?c . ?c {P} ?a }}"
@@ -426,38 +467,36 @@ class TestSkewedCyclicWorkload:
         ]
         return bulk_load_ntriples("\n".join(lines))
 
-    @pytest.mark.parametrize("pattern", [TRIANGLE, CLIQUE4], ids=["triangle", "clique4"])
-    def test_leapfrog_issues_a_third_of_the_probes_at_most(self, graph, pattern):
-        dataset = Dataset.from_graph(graph)
-        query = parse_query("SELECT * WHERE " + pattern)
-        binary = SparqlEvaluator(dataset, profile=ExecutionProfile.ID_NATIVE)
-        leapfrog = SparqlEvaluator(dataset)
-        binary_rows = Counter(binary.evaluate(query).rows())
-        leapfrog_rows = Counter(leapfrog.evaluate(query).rows())
-        assert isinstance(binary.last_physical_plan.root.child, IndexNestedLoopJoin)
+    @pytest.mark.parametrize(
+        "pattern, width, probes",
+        [(TRIANGLE, 3, 4_492), (CLIQUE4, 4, 10_698)],
+        ids=["triangle", "clique4"],
+    )
+    def test_leapfrog_probes_stay_off_the_wedges(self, graph, pattern, width, probes):
+        leapfrog = SparqlEvaluator(Dataset.from_graph(graph))
+        rows = Counter(leapfrog.evaluate(parse_query("SELECT * WHERE " + pattern)).rows())
         assert isinstance(leapfrog.last_physical_plan.root.child, LeapfrogJoin)
-        assert binary_rows == leapfrog_rows and binary_rows
-        binary_probes, leapfrog_probes = scan_work(binary)[0], scan_work(leapfrog)[0]
-        assert binary_probes >= 3 * leapfrog_probes, (binary_probes, leapfrog_probes)
+        # Every ordered tuple of distinct clique nodes, nothing through the hub.
+        clique = [EX[f"c{index}"] for index in range(12)]
+        assert rows == Counter(permutations(clique, width))
+        assert scan_work(leapfrog)[0] == probes
 
-    def test_acyclic_chain_pays_nothing_for_the_wcoj_option(self, graph):
-        """GYO finds the chain acyclic: same operator and the same scan work
-        with leapfrog allowed or not, no fallback to report, no sorted run
+    def test_acyclic_chain_pays_nothing_for_the_leapfrog_assessment(self, graph):
+        """GYO finds the chain acyclic: the binary join with the scan work of
+        a plain index-nested-loop plan, no fallback to report, no sorted run
         built — the eligibility analysis never touches the store."""
-        dataset = Dataset.from_graph(graph)
         r = "<http://ex.org/r>"
         query = parse_query(f"SELECT * WHERE {{ ?a {r} ?b . ?b {r} ?c . ?c {r} ?d }}")
         counters = graph.enable_counters()
         builds = counters.sorted_run_builds
-        allowed = SparqlEvaluator(dataset)
-        pinned = SparqlEvaluator(dataset, profile=ExecutionProfile.ID_NATIVE)
-        rows = Counter(allowed.evaluate(query).rows())
-        assert rows == Counter(pinned.evaluate(query).rows())
-        assert sum(rows.values()) == self.N_CHAIN - 2
-        plan = allowed.last_physical_plan
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph))
+        rows = Counter(evaluator.evaluate(query).rows())
+        chain = [EX[f"u{index}"] for index in range(self.N_CHAIN + 1)]
+        assert rows == Counter(zip(chain, chain[1:], chain[2:], chain[3:]))
+        plan = evaluator.last_physical_plan
         assert isinstance(plan.root.child, IndexNestedLoopJoin) and plan.wcoj_fallback is None
         # 1 + N + (N - 1) probes returning N + (N - 1) + (N - 2) rows.
-        assert scan_work(allowed) == scan_work(pinned) == (2 * self.N_CHAIN, 3 * self.N_CHAIN - 3)
+        assert scan_work(evaluator) == (2 * self.N_CHAIN, 3 * self.N_CHAIN - 3)
         assert counters.sorted_run_builds == builds
 
 
@@ -523,13 +562,13 @@ _PUSHDOWN_QUERIES = [
     _PUSHDOWN_QUERIES,
     ids=["optional", "optional-partial", "minus", "minus-nested", "minus-empty"],
 )
-def test_extended_pushdown_matches_baseline(query_text):
+def test_extended_pushdown_matches_the_oracle(query_text):
     dataset = Dataset.from_graph(EncodedGraph(_PUSHDOWN_TRIPLES))
     query = parse_query(query_text)
     pushdown = Counter(SparqlEvaluator(dataset).evaluate(query).rows())
-    baseline = SparqlEvaluator(dataset, profile=ExecutionProfile.BASELINE)
-    assert pushdown == Counter(baseline.evaluate(query).rows())
-    naive = SparqlEvaluator(Dataset.from_graph(Graph(_PUSHDOWN_TRIPLES)), profile=NAIVE)
+    naive = SparqlEvaluator(
+        Dataset.from_graph(Graph(_PUSHDOWN_TRIPLES)), profile=ExecutionProfile.NAIVE
+    )
     assert pushdown == Counter(naive.evaluate(query).rows())
 
 

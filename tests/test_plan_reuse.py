@@ -22,10 +22,11 @@ from repro.sparql import idexec, physical
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.operators import LeapfrogJoin
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 #: ``ex:late`` and ``ex:r`` are in no starting triple, so not in the dictionary.
@@ -109,7 +110,9 @@ def test_one_engine_under_writes_answers_as_a_fresh_one(base, operations):
 
     def oracle(position):
         query = parse_query(QUERIES[position])
-        return SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=NAIVE).evaluate(query)
+        return SparqlEvaluator(
+            Dataset.from_graph(Graph(graph)), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
 
     for operation in operations:
         kind = operation[0]

@@ -8,6 +8,7 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Triple, Variable
 from repro.sparql.algebra import BGP, PathPattern, TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
+from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin
 from repro.sparql.parser import parse_query
 from repro.sparql.paths import LinkPath, OneOrMorePath
 from repro.sparql.physical import execute, lower_bgp
@@ -17,7 +18,6 @@ from repro.store import EncodedGraph
 
 from tests.helpers import (
     EX,
-    NAIVE,
     chain_graph,
     countries_dataset,
     on_hash_store,
@@ -37,7 +37,9 @@ def run_bgp(graph, patterns):
 def planned_and_naive(triples):
     """``FULL`` on the encoded store and the unplanned oracle on the hash one."""
     planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(triples)))
-    return planned, SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
+    return planned, SparqlEvaluator(
+        Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE
+    )
 
 
 def tp(subject, predicate, obj) -> TriplePatternNode:
@@ -106,7 +108,7 @@ class TestPlanBGP:
     def test_chain_propagates_bound_variables(self):
         # ?x :p ?y . ?y :q ?z with a single :q edge: the :q pattern goes
         # first and the :p pattern is then priced as a bound probe.
-        graph = Graph()
+        graph = EncodedGraph()
         for i in range(20):
             graph.add(Triple(EX[f"x{i}"], EX.p, EX[f"y{i}"]))
         graph.add(Triple(EX.y0, EX.q, EX.z0))
@@ -141,7 +143,7 @@ class TestPlanBGP:
         # match every node; the selective ground pattern must go first.
         from repro.sparql.paths import ZeroOrMorePath
 
-        graph = Graph()
+        graph = EncodedGraph()
         for i in range(50):
             graph.add(Triple(EX[f"s{i}"], EX.q, EX[f"o{i}"]))
         x, y = Variable("x"), Variable("y")
@@ -157,7 +159,7 @@ class TestPlanBGP:
         # wrappers: ^(p*) and (p*|q) still pair every node with itself.
         from repro.sparql.paths import AlternativePath, InversePath, ZeroOrMorePath
 
-        graph = Graph()
+        graph = EncodedGraph()
         for i in range(50):
             graph.add(Triple(EX[f"s{i}"], EX.q, EX[f"o{i}"]))
         x, y = Variable("x"), Variable("y")
@@ -275,7 +277,9 @@ class TestPlannedEvaluatorEquivalence:
         dataset = countries_dataset()
         query = parse_query(PREFIX + query_text)
         planned = SparqlEvaluator(dataset).evaluate(query)
-        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(
+            on_hash_store(dataset), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         elif "LIMIT" in query_text:
@@ -327,7 +331,9 @@ class TestPlannedWorkDoesNotGrowWithTheData:
             assert evaluator.last_physical_plan.source.order() == order
             assert scan_work(evaluator) == work, n
             assert len(result) == answers
-        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(
+            on_hash_store(dataset), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
         assert rows_multiset(result) == rows_multiset(naive)
 
     def test_ask_stops_at_the_first_solution(self):
@@ -339,26 +345,32 @@ class TestPlannedWorkDoesNotGrowWithTheData:
             assert scan_work(evaluator) == (3, 3)
 
     @pytest.mark.parametrize(
-        "profile, probes",
-        [(ExecutionProfile.FULL, 7), (ExecutionProfile.ID_NATIVE, 4)],
+        "closing, join, probes",
+        [("ex:p", LeapfrogJoin, 7), ("?r", IndexNestedLoopJoin, 4)],
         ids=["leapfrog", "binary"],
     )
-    def test_cycle_starts_from_the_marked_node(self, profile, probes):
+    def test_cycle_starts_from_the_marked_node(self, closing, join, probes):
         """A cycle joins back on its first variable; starting at the one
-        :marked node keeps it to a handful of probes (binary joins: one per
-        pattern; the leapfrog join: one sorted run per pattern end)."""
+        :marked node keeps it to a handful of probes (the leapfrog join: one
+        sorted run per pattern end; binary joins, where a variable predicate
+        on the closing edge rules the leapfrog join out: one per pattern)."""
         query = parse_query(
             PREFIX
-            + "SELECT ?a ?b WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:p ?a . ?a ex:marked ex:yes }"
+            + "SELECT ?a ?b WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c "
+            + closing
+            + " ?a . ?a ex:marked ex:yes }"
         )
         for n in (120, 240):
             dataset = Dataset.from_graph(ring_graph(n))
-            evaluator = SparqlEvaluator(dataset, profile=profile)
+            evaluator = SparqlEvaluator(dataset)
             result = evaluator.evaluate(query)
             assert evaluator.last_physical_plan.source.order() == [3, 0, 1, 2]
+            assert isinstance(evaluator.last_physical_plan.root.child, join)
             assert scan_work(evaluator)[0] == probes, n
             assert len(result) == 1
-        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(
+            on_hash_store(dataset), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
         assert rows_multiset(result) == rows_multiset(naive)
 
 
@@ -390,7 +402,9 @@ class TestPlanCache:
         assert metrics["sparql_physical_cache_misses_total"] == 1
         assert metrics["sparql_physical_cache_hits_total"] == 2
         assert metrics["sparql_physical_cache_revalidations_total"] == 1
-        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(
+            on_hash_store(dataset), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
         assert rows_multiset(after) != before
 
@@ -407,7 +421,9 @@ class TestPlanCache:
         metrics = evaluator.metrics()
         assert metrics["sparql_physical_cache_misses_total"] == 2
         assert metrics["sparql_physical_cache_revalidations_total"] == 0
-        naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+        naive = SparqlEvaluator(
+            on_hash_store(dataset), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
 
     def test_version_stamp_semantics(self):

@@ -426,22 +426,20 @@ class TestPlannerDifferentialProperties:
     @given(
         edges_strategy,
         st.sampled_from(_BGP_QUERIES + _NESTED_QUERIES),
-        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text, pushdown):
+    def test_planned_bgp_multiset_equals_textual_order(self, edges, query_text):
         """The prepared evaluation tree against the oracle that has none."""
         from repro.sparql.evaluator import SparqlEvaluator
         from repro.sparql.parser import parse_query
         from repro.sparql.profile import ExecutionProfile
-        from tests.helpers import NAIVE
 
         graph = graph_from_edges(edges)
         query = parse_query(query_text)
-        profile = ExecutionProfile.FULL.with_options(use_filter_pushdown=pushdown)
-        planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph)), profile=profile)
-        planned = planned.evaluate(query)
-        naive = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE).evaluate(query)
+        planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph))).evaluate(query)
+        naive = SparqlEvaluator(
+            Dataset.from_graph(graph), profile=ExecutionProfile.NAIVE
+        ).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         else:
@@ -481,7 +479,7 @@ class TestResultBoundaryProperties:
     def test_every_engine_gives_one_sequence(self, edges, core, form):
         from repro.sparql.evaluator import SparqlEvaluator
         from repro.sparql.parser import parse_query
-        from tests.helpers import NAIVE
+        from repro.sparql.profile import ExecutionProfile
 
         template, ordered = form
         text = "PREFIX ex: <http://ex.org/> " + template.format(core)
@@ -490,7 +488,7 @@ class TestResultBoundaryProperties:
         memory = Dataset.from_graph(graph)
         answers = [
             SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph))).evaluate(query),
-            SparqlEvaluator(memory, profile=NAIVE).evaluate(query),
+            SparqlEvaluator(memory, profile=ExecutionProfile.NAIVE).evaluate(query),
             SparqLogEngine(memory, timeout_seconds=30).query(text),
         ]
         for answer in answers[1:]:

@@ -76,7 +76,6 @@ class TestGraph:
         assert len(graph._spo) == 0
         assert len(graph._pos) == 0
         assert len(graph._osp) == 0
-        assert graph.predicate_cardinality(EX.p) == 0
 
     def test_remove_keeps_sibling_entries(self):
         graph = countries_graph()

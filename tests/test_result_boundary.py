@@ -24,10 +24,11 @@ from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import PathPattern
 from repro.sparql.evaltree import Pipeline
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, SolutionSequence
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -106,7 +107,7 @@ _TAILS = [
 def test_order_by_and_distinct_match_the_naive_oracle(form, ordered, body):
     text = PREFIX + form.format(body)
     full = create_engine(EncodedGraph(_triples())).query(text)
-    naive = create_engine(Graph(_triples()), profile=NAIVE).query(text)
+    naive = create_engine(Graph(_triples()), profile=ExecutionProfile.NAIVE).query(text)
     assert full == naive and full.variables == naive.variables
     if ordered:
         assert full.rows() == naive.rows()

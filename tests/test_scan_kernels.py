@@ -27,13 +27,15 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Literal, Triple, Variable, XSD_INTEGER
 from repro.sparql import idexec, operators, physical
-from repro.sparql.algebra import TriplePatternNode, peel_filters
+from repro.sparql.algebra import TriplePatternNode
+from repro.sparql.expressions import conjuncts
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE
+from tests.helpers import EX
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -51,10 +53,8 @@ def tp(subject, predicate, obj) -> TriplePatternNode:
 
 def _conditions(text: str):
     """The conjuncts of ``FILTER(text)`` as expressions."""
-    found = []
     query = parse_query(PREFIX + "SELECT * WHERE { ?x ?y ?z FILTER(%s) }" % text)
-    peel_filters(query.pattern, found)
-    return tuple(found)
+    return tuple(conjuncts(query.pattern.condition))
 
 
 def _oracle(triples, patterns, filter_text, initial: Binding, select: str = "*") -> Counter:
@@ -72,7 +72,7 @@ def _oracle(triples, patterns, filter_text, initial: Binding, select: str = "*")
         body += " . "
     if filter_text:
         body += f"FILTER({filter_text})"
-    evaluator = SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=NAIVE)
+    evaluator = SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE)
     query = parse_query(PREFIX + "SELECT %s WHERE { %s }" % (select, body))
     return Counter(evaluator.evaluate(query).bindings)
 

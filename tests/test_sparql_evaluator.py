@@ -10,10 +10,11 @@ from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, SolutionSequence, project_rows
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE, countries_dataset, directors_dataset, on_hash_store
+from tests.helpers import EX, countries_dataset, directors_dataset, on_hash_store
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -21,7 +22,7 @@ PREFIX = "PREFIX ex: <http://ex.org/>\n"
 def run(dataset, query_text):
     query = parse_query(PREFIX + query_text)
     result = SparqlEvaluator(dataset).evaluate(query)
-    naive = SparqlEvaluator(on_hash_store(dataset), profile=NAIVE).evaluate(query)
+    naive = SparqlEvaluator(on_hash_store(dataset), profile=ExecutionProfile.NAIVE).evaluate(query)
     if isinstance(result, bool):
         assert result == naive
     else:

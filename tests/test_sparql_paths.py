@@ -9,6 +9,7 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.paths import (
     OneOrMorePath,
     RepeatPath,
@@ -22,7 +23,7 @@ from repro.sparql.paths import (
 
 from repro.store import EncodedGraph
 
-from tests.helpers import EX, NAIVE, countries_dataset
+from tests.helpers import EX, countries_dataset
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
@@ -33,7 +34,9 @@ def run(dataset, query_text):
     query = parse_query(PREFIX + query_text)
     graph = dataset.default_graph
     planned = SparqlEvaluator(Dataset.from_graph(EncodedGraph(graph))).evaluate(query)
-    unplanned = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=NAIVE).evaluate(query)
+    unplanned = SparqlEvaluator(
+        Dataset.from_graph(Graph(graph)), profile=ExecutionProfile.NAIVE
+    ).evaluate(query)
     assert Counter(planned.rows()) == Counter(unplanned.rows())
     return planned
 
@@ -284,7 +287,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_reachability_probe_stops_at_adjacent_target(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=ExecutionProfile.NAIVE)
         graph.probes = 0
         result = evaluator.evaluate(
             parse_query(PREFIX + "ASK { ex:n0 ex:next+ ex:n1 }")
@@ -297,7 +300,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_unreachable_target_still_correct(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=ExecutionProfile.NAIVE)
         assert (
             evaluator.evaluate(
                 parse_query(PREFIX + "ASK { ex:n5 ex:next+ ex:n0 }")
@@ -307,7 +310,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_short_circuit_preserves_bound_pair_results(self):
         graph = self._long_chain(20)
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NAIVE)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=ExecutionProfile.NAIVE)
         result = evaluator.evaluate(
             parse_query(PREFIX + "SELECT ?x WHERE { ex:n0 ex:next* ex:n20 . ?x ex:next ex:n1 }")
         )
