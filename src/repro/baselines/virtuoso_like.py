@@ -140,4 +140,4 @@ class VirtuosoLikeEngine(SparqlEngine):
             if subject_value is not None and subject_value == value(row, node.object):
                 continue
             kept.append(row)
-        return SolutionSequence.from_rows(result.variables, kept)
+        return SolutionSequence(result.variables, kept)

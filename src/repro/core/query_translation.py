@@ -230,6 +230,7 @@ class QueryTranslator:
                     argument=argument_var,
                     target=datalog_variable(item.variable),
                     distinct=aggregate.distinct,
+                    unbound=NULL.value,
                 )
             )
             output_variables.append(item.variable)

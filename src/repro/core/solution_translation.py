@@ -71,7 +71,7 @@ class SolutionTranslator:
             for row in rows
         ]
         # The native evaluator's tail, so both engines order alike.
-        return SolutionSequence.from_rows(
+        return SolutionSequence(
             query.projected_variables(), apply_modifiers(query, header, solutions)
         )
 

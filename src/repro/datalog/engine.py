@@ -736,7 +736,12 @@ class DatalogEngine:
                         values: List[object] = [1] * len(group)
                     else:
                         slot = registers.operand(spec.argument)
-                        values = [member[slot] for member in group if member[slot] is not None]
+                        unbound = spec.unbound
+                        values = [
+                            member[slot]
+                            for member in group
+                            if member[slot] is not None and member[slot] != unbound
+                        ]
                     values_by_target[spec.target] = aggregate(spec, values)
                 row: List[object] = []
                 for argument in aggregate_rule.head.arguments:

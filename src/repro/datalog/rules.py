@@ -215,13 +215,16 @@ class AggregateSpec:
 
     ``operation`` is COUNT / SUM / MIN / MAX / AVG; ``argument`` is the
     body variable aggregated over (``None`` means COUNT(*)); ``target`` is
-    the head variable receiving the value.
+    the head variable receiving the value.  A value equal to ``unbound``
+    (the translation's stand-in for an unbound variable) is skipped like a
+    missing one.
     """
 
     operation: str
     argument: Optional[Var]
     target: Var
     distinct: bool = False
+    unbound: Hashable = None
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ it in this table:
 ``idexec``     the one executor: the step compiler over the encoded
                store's ids (binary and hash probes, paths, leapfrog
                levels), result boundary
-``physical``   ``lower_plan`` (operator choice per plan),
-               ``execute_rows`` (term tuples) and ``execute``
+``physical``   ``lower_plan`` (operator choice per plan) and
+               ``execute_rows``, the stream of term tuples
 ``modifiers``  grouping, aggregates and the ORDER BY -> DISTINCT -> OFFSET
                -> LIMIT tail over header-aligned tuples, shared with the
                solution translation T_S

@@ -35,21 +35,22 @@ from repro.sparql.paths import (
     matches_zero_length,
     normalize_path,
 )
-from repro.sparql.solutions import Binding
 
 
 class EvaluationError(RuntimeError):
     """Raised when a query cannot be evaluated (re-exported by the evaluator)."""
 
 
-def eval_path_pattern_terms(node: PathPattern, graph: Graph) -> List[Binding]:
+def eval_path_pattern_terms(node: PathPattern, graph: Graph) -> List[Tuple[Term, ...]]:
+    """The solutions of ``node``: tuples of terms aligned with its endpoint
+    variables in name order (:meth:`~repro.sparql.algebra.PathPattern.endpoint_slots`)."""
     path = normalize_path(node.path)
     subject, obj = node.subject, node.object
-    slots = node.endpoint_slots()
+    sides = [side for _, side in node.endpoint_slots()]
     subject_free = isinstance(subject, Variable)
     object_free = isinstance(obj, Variable)
     same_variable = subject_free and subject == obj
-    results: List[Binding] = []
+    results: List[Tuple[Term, ...]] = []
     for pair in path_pairs(path, graph, subject, obj):
         start, end = pair
         if (
@@ -58,11 +59,7 @@ def eval_path_pattern_terms(node: PathPattern, graph: Graph) -> List[Binding]:
             or not (object_free or obj == end)
         ):
             continue
-        results.append(
-            Binding.from_sorted_items(
-                tuple([(variable, pair[side]) for variable, side in slots])
-            )
-        )
+        results.append(tuple([pair[side] for side in sides]))
     return results
 
 

@@ -36,8 +36,8 @@ faithful to the conjunction everywhere: an errored conjunct reads as
 unsatisfied either way (:func:`repro.sparql.expressions.conjuncts`).
 
 A bare lone triple pattern at the root is a one-step plan: its rows are
-then the root pipeline's id tuples, decoded once, instead of
-``Binding`` s projected afterwards.  Plans and their compiled steps
+then the root pipeline's id tuples, decoded once for the projected
+variables only.  Plans and their compiled steps
 outlive store versions while the statistics they were planned on hold
 (:mod:`repro.sparql.plancache`), so a write no longer makes that plan
 cost a re-plan.  A lone *path* root already emits tuples

@@ -19,6 +19,10 @@ statistics it was planned on hold (:mod:`repro.sparql.plancache`) and
 executed as a stream, so ASK and
 plain LIMIT queries short-circuit instead of materialising the full join.
 
+A solution has one shape from the executor to the result: a tuple of
+terms aligned with a header of variables (``None`` for unbound); every
+node of the walk yields ``(header, rows)`` (:meth:`SparqlEvaluator._eval`).
+
 Execution is configured by one value, an
 :class:`repro.sparql.profile.ExecutionProfile` (``profile=`` — presets
 ``FULL`` and ``NAIVE``).  Planned evaluation (``FULL``) runs on
@@ -59,11 +63,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.alp import EvaluationError, eval_path_pattern_terms
 from repro.sparql.evaltree import Pipeline, PreparedQuery, prepare_query
-from repro.sparql.expressions import (
-    Expression,
-    evaluate as evaluate_expression,
-    satisfies,
-)
+from repro.sparql.expressions import Expression, evaluate as evaluate_expression, satisfies
 from repro.sparql.functions import ExpressionError
 from repro.sparql import physical
 from repro.sparql.idpaths import IdPathEngine
@@ -79,16 +79,18 @@ from repro.sparql.plan import match_triple, plan_bgp, statistics_hold
 from repro.sparql.plancache import PlanCache
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import (
-    Binding,
     CompatIndex,
-    EMPTY_BINDING,
+    Row,
+    RowView,
     SolutionSequence,
-    project_rows,
     realign_rows,
 )
 from repro.store.encoded import require_encoded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
+
+#: What one node of the walk evaluates to: a header and the rows aligned with it.
+Rows = Tuple[Tuple[Variable, ...], Iterable[Row]]
 
 
 @dataclass
@@ -246,53 +248,37 @@ class SparqlEvaluator:
         )
         layout, stream, project = self._query_stream(prepared)
         rows = _take(stream, (query.offset or 0) + query.limit if sliced_only else None)
-        header = result_header(query)
-        if (
-            query.has_aggregates()
-            or query.having is not None
-            or any(item.expression is not None for item in query.projection)
-        ):
-            # Grouping, HAVING and (expr AS ?var) read rows as bindings.
-            bindings = rows if layout is None else list(physical.as_bindings(layout, iter(rows)))
-            if query.has_aggregates():
-                bindings = apply_grouping(query, bindings)
-            else:
-                bindings = apply_projection_expressions(query, bindings)
-            if query.having is not None and not query.has_aggregates():
-                bindings = [b for b in bindings if satisfies(query.having, b)]
-            rows = project_rows(header, bindings)
-        elif layout is None:
-            # A walk result: projected onto the header once, here.
-            rows = project_rows(header, rows)
+        if query.has_aggregates():
+            layout, rows = apply_grouping(query, layout, rows)
         else:
-            rows = realign_rows(rows, layout, header)
+            layout, rows = apply_projection_expressions(query, layout, rows)
+        header = result_header(query)
+        rows = realign_rows(rows, layout, header)
         rows = apply_modifiers(
             query,
             header,
-            rows,
+            rows if type(rows) is list else list(rows),
             # A distinct ``Project`` has dropped the duplicates already, as
             # id tuples, keeping the same first occurrences.
             deduplicated=project is not None and project.distinct,
         )
-        return SolutionSequence.from_rows(query.projected_variables(), rows)
+        return SolutionSequence(query.projected_variables(), rows)
 
     def _query_stream(
         self, prepared: PreparedQuery
-    ) -> Tuple[Optional[Tuple[Variable, ...]], Iterator, Optional[Project]]:
-        """Stream a query form's pattern; say what its rows are.
+    ) -> Tuple[Tuple[Variable, ...], Iterator[Row], Optional[Project]]:
+        """Stream a query form's pattern: ``(layout, rows, project)``, the
+        rows tuples of terms aligned with ``layout``.
 
-        Returns ``(layout, rows, project)``.  When the tree is one
-        :class:`~repro.sparql.evaltree.Pipeline` the variables the query
-        form reads from its rows go down as the projection, so the plan
-        decodes nothing else, and DISTINCT goes down with them: the
-        rows are tuples aligned with ``layout``, the plan's ``Project``
-        variables, and ``project`` is that ``Project``, whose ``distinct``
-        says that no row comes twice.  A lone path pattern under the
-        planner is evaluated by the id path engine into tuples of the
-        endpoint variables the query reads (by name, like a ``Project``).
-        Any other tree — and every tree without the planner — streams
-        bindings as :meth:`_eval` does, with ``layout`` and ``project``
-        ``None``.
+        When the tree is one :class:`~repro.sparql.evaltree.Pipeline` the
+        variables the query form reads from its rows go down as the
+        projection, so the plan decodes nothing else, and DISTINCT goes
+        down with them: ``layout`` is the plan's ``Project`` variables and
+        ``project`` that ``Project``, whose ``distinct`` says that no row
+        comes twice.  A lone path pattern under the planner is evaluated by
+        the id path engine into tuples of the endpoint variables the query
+        reads (by name, like a ``Project``).  Any other tree is walked
+        (:meth:`_eval`), with ``project`` ``None``.
         """
         dataset = self._active(prepared.query)
         graph = dataset.default_graph
@@ -302,15 +288,11 @@ class SparqlEvaluator:
                 tree, graph, project=prepared.project, distinct=prepared.distinct
             )
             return layout, stream, self.last_physical_plan.root
-        if type(tree) is PathPattern and prepared.pipeline is not None:
-            read = prepared.project  # None: SELECT *, every endpoint
-            layout = tuple(
-                variable
-                for variable, _ in tree.endpoint_slots()
-                if read is None or variable in read
-            )
-            return layout, iter(IdPathEngine(graph).rows(tree, layout)), None
-        return None, iter(self._eval(tree, graph, dataset)), None
+        if type(tree) is PathPattern:
+            layout, rows = self._eval_path_pattern(tree, graph, prepared.project)
+        else:
+            layout, rows = self._eval(tree, graph, dataset)
+        return layout, iter(rows), None
 
     def _active(self, query: Query) -> Dataset:
         """The dataset ``query``'s FROM / FROM NAMED clauses describe; under
@@ -326,17 +308,17 @@ class SparqlEvaluator:
     # ------------------------------------------------------------------
     # the walk
     # ------------------------------------------------------------------
-    def _eval(
-        self, node: GraphPatternNode, active_graph: Graph, dataset: Dataset
-    ) -> Iterable[Binding]:
-        """The rows of one node of an evaluation tree.
+    def _eval(self, node: GraphPatternNode, active_graph: Graph, dataset: Dataset) -> Rows:
+        """The rows of one node of an evaluation tree: ``(header, rows)``,
+        each row a tuple of terms aligned with ``header`` (variables matched
+        by name, ``None`` for unbound).
 
         The one walk: it dispatches on the node's type and decides nothing
-        (:mod:`repro.sparql.evaltree` did).  A pipeline, a lone pattern,
-        FILTER, UNION and the left side of MINUS stream, so ASK and
-        LIMIT-only queries stop as soon as enough solutions exist; an
-        operator that pairs rows (join, OPTIONAL, the right side of MINUS,
-        ``GRAPH ?g``) materialises what it pairs.
+        (:mod:`repro.sparql.evaltree` did); each operator fixes its header
+        once per evaluation.  A pipeline, a lone pattern, FILTER, UNION,
+        BIND and the left side of MINUS stream, so ASK and LIMIT-only
+        queries stop early; join, OPTIONAL, the right side of MINUS and
+        ``GRAPH ?g`` materialise what they pair.
         """
         try:
             rows_of = self._WALK[type(node)]
@@ -346,35 +328,50 @@ class SparqlEvaluator:
 
     def _rows(
         self, node: GraphPatternNode, active_graph: Graph, dataset: Dataset
-    ) -> List[Binding]:
-        rows = self._eval(node, active_graph, dataset)
-        return rows if type(rows) is list else list(rows)
+    ) -> Tuple[Tuple[Variable, ...], List[Row]]:
+        header, rows = self._eval(node, active_graph, dataset)
+        return header, rows if type(rows) is list else list(rows)
 
-    def _eval_filter(self, node: Filter, active_graph: Graph, dataset: Dataset):
-        condition = node.condition
-        inner = self._eval(node.pattern, active_graph, dataset)
-        return (binding for binding in inner if satisfies(condition, binding))
+    def _eval_filter(self, node: Filter, active_graph: Graph, dataset: Dataset) -> Rows:
+        header, rows = self._eval(node.pattern, active_graph, dataset)
+        view, condition = RowView(header), node.condition
+        return header, (row for row in rows if satisfies(condition, view.at(row)))
 
-    def _eval_unplanned_bgp(self, node: BGP, active_graph: Graph, dataset: Dataset):
+    def _eval_unplanned_bgp(self, node: BGP, active_graph: Graph, dataset: Dataset) -> Rows:
         """Textual order, pattern by pattern: what runs without the planner."""
-        results = [EMPTY_BINDING]
+        header, rows = (), [()]
         for pattern in node.patterns:
-            results = self._join(results, self._rows(pattern, active_graph, dataset))
-            if not results:
+            header, rows = self._join(header, rows, *self._rows(pattern, active_graph, dataset))
+            if not rows:
                 break
-        return results
+        return header, rows
 
-    def _eval_join(self, node: Join, active_graph: Graph, dataset: Dataset):
-        left = self._rows(node.left, active_graph, dataset)
+    def _eval_join(self, node: Join, active_graph: Graph, dataset: Dataset) -> Rows:
+        header, left = self._rows(node.left, active_graph, dataset)
         if not left:
-            return left
-        return self._join(left, self._rows(node.right, active_graph, dataset))
+            return header, left
+        return self._join(header, left, *self._rows(node.right, active_graph, dataset))
 
-    def _eval_union(self, node: UnionNode, active_graph: Graph, dataset: Dataset):
-        yield from self._eval(node.left, active_graph, dataset)
-        yield from self._eval(node.right, active_graph, dataset)
+    def _eval_union(self, node: UnionNode, active_graph: Graph, dataset: Dataset) -> Rows:
+        """Left rows, then right rows, both under one header: the left's,
+        then the other variables the right side may bind.  The right side
+        is evaluated only once the left one is exhausted."""
+        left_header, left = self._eval(node.left, active_graph, dataset)
+        header = _widened(left_header, node.right)
+        pad = (None,) * (len(header) - len(left_header))
+        left = (row + pad for row in left) if pad else left
+        return header, self._union_rows(left, node.right, active_graph, dataset, header)
 
-    def _eval_minus(self, node: Minus, active_graph: Graph, dataset: Dataset):
+    def _union_rows(self, left, right, active_graph, dataset, header):
+        yield from left
+        right_header, rows = self._eval(right, active_graph, dataset)
+        yield from realign_rows(rows, right_header, header)
+
+    def _eval_minus(self, node: Minus, active_graph: Graph, dataset: Dataset) -> Rows:
+        header, left = self._eval(node.left, active_graph, dataset)
+        return header, self._minus_rows(node.right, active_graph, dataset, header, left)
+
+    def _minus_rows(self, right, active_graph, dataset, header, left):
         """``left MINUS right``, streaming the left rows.
 
         The right side is evaluated lazily, on the first left row, so an
@@ -383,94 +380,91 @@ class SparqlEvaluator:
         """
         index: Optional[CompatIndex] = None
         try:
-            for left_binding in self._eval(node.left, active_graph, dataset):
+            for row in left:
                 if index is None:
-                    index = self._compat_index(self._rows(node.right, active_graph, dataset))
-                if not index.excludes(left_binding):
-                    yield left_binding
+                    index = self._compat_index(header, *self._rows(right, active_graph, dataset))
+                if not index.excludes(row):
+                    yield row
         finally:
             if index is not None:
                 self._index_probes.inc(index.probes)
 
-    def _compat_index(self, rows: List[Binding]) -> CompatIndex:
+    def _compat_index(self, left_header, right_header, rows: List[Row]) -> CompatIndex:
         """Index the right-hand rows of one operator evaluation (counted)."""
         self._index_builds.inc()
-        return CompatIndex(rows)
+        return CompatIndex(left_header, right_header, rows)
 
-    def _join(self, left: List[Binding], right: List[Binding]) -> List[Binding]:
+    def _join(self, left_header, left: List[Row], right_header, right: List[Row]) -> Rows:
         """Bag join of two solution multisets on compatible mappings."""
         if not left or not right:
-            return []
-        index = self._compat_index(right)
-        results: List[Binding] = []
-        for left_binding in left:
-            results.extend(index.merged(left_binding))
+            return left_header, []
+        index = self._compat_index(left_header, right_header, right)
+        results: List[Row] = []
+        for row in left:
+            results.extend(index.merged(row))
         self._index_probes.inc(index.probes)
-        return results
+        return index.header, results
 
-    def _eval_left_join(self, node: LeftJoin, active_graph: Graph, dataset: Dataset):
-        left = self._rows(node.left, active_graph, dataset)
+    def _eval_left_join(self, node: LeftJoin, active_graph: Graph, dataset: Dataset) -> Rows:
+        header, left = self._rows(node.left, active_graph, dataset)
         if not left:
-            return left
+            return header, left
         condition = node.condition
-        index = self._compat_index(self._rows(node.right, active_graph, dataset))
-        results: List[Binding] = []
-        for left_binding in left:
-            extended = index.merged(left_binding)
+        index = self._compat_index(header, *self._rows(node.right, active_graph, dataset))
+        view = RowView(index.header)
+        pad = (None,) * (len(index.header) - len(header))
+        results: List[Row] = []
+        for row in left:
+            extended = index.merged(row)
             if condition is not None:
-                extended = [merged for merged in extended if satisfies(condition, merged)]
+                extended = [merged for merged in extended if satisfies(condition, view.at(merged))]
             if extended:
                 results.extend(extended)
             else:
-                results.append(left_binding)
+                results.append(row + pad)
         self._index_probes.inc(index.probes)
-        return results
+        return index.header, results
 
-    def _eval_graph(self, node: GraphGraphPattern, active_graph: Graph, dataset: Dataset):
+    def _eval_graph(self, node: GraphGraphPattern, active_graph: Graph, dataset: Dataset) -> Rows:
         if isinstance(node.graph, Variable):
-            results: List[Binding] = []
+            header, rows = _widened((node.graph,), node.pattern), []
             for name, graph in dataset.named_graphs.items():
-                index = self._compat_index(self._rows(node.pattern, graph, dataset))
-                results.extend(index.merged(Binding({node.graph: name})))
+                index = self._compat_index((node.graph,), *self._rows(node.pattern, graph, dataset))
+                rows.extend(realign_rows(index.merged((name,)), index.header, header))
                 self._index_probes.inc(index.probes)
-            return results
+            return header, rows
         graph = dataset.named_graphs.get(node.graph)
         if graph is None:
-            return []
+            return (), []
         return self._eval(node.pattern, graph, dataset)
 
-    def _eval_bind(self, node: Bind, active_graph: Graph, dataset: Dataset):
-        for binding in self._eval(node.pattern, active_graph, dataset):
-            try:
-                value = evaluate_expression(node.expression, binding)
-            except ExpressionError:
-                yield binding
-                continue
-            if node.variable in binding and binding[node.variable] != value:
-                continue
-            yield binding.extend(node.variable, value)
+    def _eval_bind(self, node: Bind, active_graph: Graph, dataset: Dataset) -> Rows:
+        header, rows = self._eval(node.pattern, active_graph, dataset)
+        names = [variable.name for variable in header]
+        target = names.index(node.variable.name) if node.variable.name in names else None
+        extended = header if target is not None else header + (node.variable,)
+        return extended, _bind_rows(node.expression, header, rows, target)
 
-    def _eval_values(self, node: ValuesPattern, active_graph: Graph, dataset: Dataset):
-        variables = node.variables_list
-        return [
-            Binding({v: value for v, value in zip(variables, row) if value is not None})
-            for row in node.rows
-        ]
+    def _eval_values(self, node: ValuesPattern, active_graph: Graph, dataset: Dataset) -> Rows:
+        return node.variables_list, list(node.rows)
 
-    def _eval_path_pattern(self, node: PathPattern, graph: Graph) -> List[Binding]:
-        """Evaluate a path pattern: under the planner through the id engine
-        (:mod:`repro.sparql.idpaths` — integer frontiers, decode only at
-        the result boundary), without it by the spec's term-level ALP
-        procedure (:mod:`repro.sparql.alp`)."""
-        if self.profile.use_planner:
-            return IdPathEngine(graph).evaluate(node)
-        return eval_path_pattern_terms(node, graph)
+    def _eval_path_pattern(self, node: PathPattern, graph: Graph, read=None) -> Rows:
+        """Evaluate a path pattern into tuples of its endpoint variables:
+        under the planner through the id engine (:mod:`repro.sparql.idpaths`
+        — integer frontiers, decode only at the result boundary, and only
+        the endpoints in ``read`` when it is given), without it by the
+        spec's term-level ALP procedure (:mod:`repro.sparql.alp`)."""
+        slots = node.endpoint_slots()
+        if not self.profile.use_planner:
+            return tuple(variable for variable, _ in slots), eval_path_pattern_terms(node, graph)
+        header = tuple(variable for variable, _ in slots if read is None or variable in read)
+        return header, IdPathEngine(graph).rows(node, header)
 
     _WALK = {
-        Pipeline: lambda self, node, graph, dataset: physical.as_bindings(*self._run(node, graph)),
+        Pipeline: lambda self, node, graph, dataset: self._run(node, graph),
         TriplePatternNode: lambda self, node, graph, dataset: match_triple(graph, node.triple),
         PathPattern: lambda self, node, graph, dataset: self._eval_path_pattern(node, graph),
-        EmptyPattern: lambda self, node, graph, dataset: [EMPTY_BINDING],
+        EmptyPattern: lambda self, node, graph, dataset: ((), [()]),
         BGP: _eval_unplanned_bgp,
         Filter: _eval_filter,
         Join: _eval_join,
@@ -522,7 +516,7 @@ class SparqlEvaluator:
         """The (cached) physical plan of a pipeline.
 
         Cached plans share their ``OperatorStats`` objects, but every
-        execution reports its own counters (see ``physical.execute``).
+        execution reports its own counters (see ``physical.execute_rows``).
         """
         physical_plan = self.last_physical_plan = self.lowered_plans.get(
             active_graph, pipeline.bgp.patterns, pipeline.conditions, project, distinct
@@ -631,7 +625,7 @@ class SparqlEvaluator:
         Accepts a query string (parsed here, under a ``parse`` span when
         a tracer is attached) or a parsed query; supports the same shapes
         as :meth:`explain`.  The plan executes with per-operator timing
-        enabled (``execute(..., timed=True)``) and the stream is drained
+        enabled (``execute_rows(..., timed=True)``) and the stream is drained
         fully, so the report shows wall time, actual rows/probes, and the
         estimated-vs-actual cardinality error per operator — errors
         beyond 10x in either direction are flagged ``!``.  ``str()`` of
@@ -653,6 +647,35 @@ class SparqlEvaluator:
             total_seconds=total_seconds,
             rows=rows,
         )
+
+
+def _widened(header: Tuple[Variable, ...], node: GraphPatternNode) -> Tuple[Variable, ...]:
+    """``header``, then the other variables ``node`` may bind, by name: one
+    header for rows of either (UNION, and ``GRAPH ?g`` over every graph)."""
+    names = {variable.name for variable in header}
+    extra = [variable for variable in node.variables() if variable.name not in names]
+    return header + tuple(sorted(extra, key=lambda variable: variable.name))
+
+
+def _bind_rows(
+    expression: Expression, header: Tuple[Variable, ...], rows: Iterable[Row], target: Optional[int]
+) -> Iterator[Row]:
+    """BIND over ``rows``: the value goes to column ``target``, or a new
+    last column when ``target`` is ``None``.  An expression error leaves the
+    variable unbound; a row that binds it already to another value is dropped."""
+    view = RowView(header)
+    for row in rows:
+        try:
+            value = evaluate_expression(expression, view.at(row))
+        except ExpressionError:
+            yield row if target is not None else row + (None,)
+            continue
+        if target is None:
+            yield row + (value,)
+        elif row[target] is None:
+            yield row[:target] + (value,) + row[target + 1:]
+        elif row[target] == value:
+            yield row
 
 
 def _take(stream: Iterator, count: Optional[int]) -> list:

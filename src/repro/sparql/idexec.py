@@ -46,7 +46,7 @@ boundary.
   (:func:`_step`): two or three free positions, where the matches span
   entries and ``?x p ?x`` has to be checked per triple, a ``HashProbe``'s
   build scan, and a path.  Each shape has one implementation; under
-  ``execute(timed=True)`` a lookup goes through the framed form too, so
+  ``execute_rows(timed=True)`` a lookup goes through the framed form too, so
   per-scan times and counts need no step of their own.
 
 * **Result boundary.**  Only the variables of the plan's ``Project`` are
@@ -210,7 +210,7 @@ def run(
     tuples of terms aligned with :func:`row_header` of ``plan`` and ``initial``.
 
     ``timed_iter`` is the physical layer's self-time wrapper under
-    ``execute(timed=True)``; ``term_fallbacks`` an optional counter
+    ``execute_rows(timed=True)``; ``term_fallbacks`` an optional counter
     (``inc(n)``) of conjunct evaluations that ran on decoded terms.
     """
     dictionary = graph.dictionary
@@ -548,7 +548,7 @@ def _step(
 
 def _probed(fetch: Callable, *ids: int) -> Iterable:
     """What ``fetch(*ids)`` found, one value at a time, fetched on the
-    first ``next()``: how ``execute(timed=True)`` puts a dict-lookup probe
+    first ``next()``: how ``execute_rows(timed=True)`` puts a dict-lookup probe
     under its scan's timer and through the framed half of its step."""
     entry = fetch(*ids)
     if type(entry) is set:

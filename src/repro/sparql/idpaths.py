@@ -71,7 +71,7 @@ from repro.sparql.paths import (
     normalize_path,
     reverse_path,
 )
-from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.sparql.solutions import Binding
 
 #: An id pair (start, end) matched by a path.
 IdPair = Tuple[int, int]
@@ -110,26 +110,11 @@ class IdPathEngine:
     # public surface
     # ------------------------------------------------------------------
     def evaluate(self, node: PathPattern) -> List[Binding]:
-        """Evaluate a path pattern into bindings of its endpoint variables.
-
-        Multiset-identical to :func:`repro.sparql.alp.eval_path_pattern_terms`;
-        used by the evaluator when the profile allows id paths and the
-        active graph is the encoded store.
-        """
-        pairs = self._endpoint_pairs(node)
-        decode = self._dict.term
+        """:meth:`rows` of every endpoint variable, each as the
+        :class:`Binding` it is (the evaluator itself reads :meth:`rows`)."""
+        header = [variable for variable, _ in node.endpoint_slots()]
         row = Binding.from_sorted_items
-        slots = node.endpoint_slots()
-        if len(slots) == 2:
-            (first, i), (second, j) = slots
-            return [
-                row(((first, decode(pair[i])), (second, decode(pair[j]))))
-                for pair in pairs
-            ]
-        if not slots:
-            return [EMPTY_BINDING for _ in pairs]
-        ((variable, side),) = slots
-        return [row(((variable, decode(pair[side])),)) for pair in pairs]
+        return [row(tuple(zip(header, values))) for values in self.rows(node, header)]
 
     def rows(self, node: PathPattern, header: Sequence[Variable]) -> List[tuple]:
         """Evaluate a path pattern into tuples aligned with ``header``, some

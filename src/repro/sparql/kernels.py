@@ -11,9 +11,9 @@ run on ids, kind tags and — for literals — per-id *comparison keys*
 (:func:`comparison_key`) memoised
 in :attr:`TermDictionary.compare_keys
 <repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
-``Binding``, no expression walk.  Every other conjunct decodes only the
-variables it mentions and runs the term-level semantics, counted as a
-term fallback.  :func:`condition_kernel` tells the two apart by shape,
+expression walk.  Every other conjunct runs the term-level semantics on a
+view of the registers that decodes a variable when the expression reads
+it, counted as a term fallback.  :func:`condition_kernel` tells the two apart by shape,
 which is what ``explain`` prints.
 """
 
@@ -31,7 +31,7 @@ from repro.sparql.expressions import (
     VariableExpr,
     satisfies,
 )
-from repro.sparql.solutions import Binding, EMPTY_BINDING
+from repro.sparql.solutions import RowView
 from repro.store.dictionary import (
     _KIND_MASK,
     KIND_BLANK,
@@ -60,7 +60,7 @@ MEMBER = 5  #: ``contains_ids``
 OBJECTS = 6  #: ``object_entry_ids``
 SUBJECTS = 7  #: ``subject_entry_ids``
 PREDICATES = 8  #: ``predicate_entry_ids``
-TIMED = 9  #: ``physical._timed_iter`` under ``execute(timed=True)``, else ``None``
+TIMED = 9  #: ``physical._timed_iter`` under ``execute_rows(timed=True)``, else ``None``
 GRAPH = 10
 HEADER: Tuple[object, ...] = (0, 0) + (None,) * 9
 
@@ -230,7 +230,7 @@ def compile_condition(
         return _term_test(condition, dictionary, register_of, bound)
     variables = condition.variables()
     if not variables:
-        verdict = satisfies(condition, EMPTY_BINDING)
+        verdict = satisfies(condition, RowView(()))
         return lambda _registers: verdict
     if not variables <= bound:
         return _never
@@ -389,28 +389,36 @@ def _constant_ordering_test(
     return test
 
 
+class _DecodedView(RowView):
+    """The registers of a compiled join read as a row of terms: a variable
+    is decoded when the expression reads it, not before."""
+
+    __slots__ = ("_decode",)
+
+    def __init__(self, variables, registers, decode: Callable[[int], Term]) -> None:
+        super().__init__(variables, registers)
+        self._decode = decode
+
+    def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
+        register = self._slot.get(variable.name)
+        return default if register is None else self._decode(self.row[register])
+
+
 def _term_test(
     condition: Expression,
     dictionary: TermDictionary,
     register_of: Dict[Variable, int],
     bound: Set[Variable],
 ) -> Test:
-    """The fallback: decode only what the conjunct mentions, evaluate on terms."""
-    decode = dictionary.term
-    needed = tuple(
-        (variable, register_of[variable])
-        for variable in sorted(condition.variables() & bound, key=lambda v: v.name)
-    )
-    from_sorted = Binding.from_sorted_items
+    """The fallback: the term-level semantics on a :class:`_DecodedView` of
+    the registers (a mentioned variable outside ``bound`` reads unbound)."""
+    variables = [variable for variable in condition.variables() if variable in bound]
+    registers = [register_of[variable] for variable in variables]
+    view = _DecodedView(variables, registers, dictionary.term)
 
     def test(registers: Registers) -> bool:
         registers[FALLBACKS] += 1
-        return satisfies(
-            condition,
-            from_sorted(
-                tuple([(variable, decode(registers[register])) for variable, register in needed])
-            ),
-        )
+        return satisfies(condition, view.at(registers))
 
     return test
 

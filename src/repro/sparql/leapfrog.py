@@ -220,7 +220,7 @@ def _candidate_runs(registers: Registers, runs: Sequence[Tuple]) -> List[Sequenc
     ``rows`` counts the candidate ids each run contributes — the
     scan-level "rows produced" of the leapfrog pipeline, and the actual
     the per-probe cardinality estimates are compared against.  Under
-    ``execute(timed=True)`` building a run is its scan's self time.
+    ``execute_rows(timed=True)`` building a run is its scan's self time.
     """
     graph = registers[GRAPH]
     timed = registers[TIMED] is not None

@@ -23,90 +23,117 @@ from repro.sparql.expressions import (
     satisfies,
 )
 from repro.sparql.functions import ExpressionError
-from repro.sparql.solutions import Binding, Row, distinct_rows
+from repro.sparql.solutions import Row, RowView, distinct_rows
 
 
-def apply_projection_expressions(query: SelectQuery, bindings: List[Binding]) -> List[Binding]:
-    """Evaluate (expr AS ?var) projection items for non-grouped queries."""
-    expression_items = [
-        item for item in query.projection if item.expression is not None
-    ]
-    if not expression_items:
-        return bindings
-    results: List[Binding] = []
-    for binding in bindings:
-        extended = binding
-        for item in expression_items:
-            try:
-                value = evaluate_expression(item.expression, extended)
-            except ExpressionError:
-                continue
-            extended = extended.extend(item.variable, value)
-        results.append(extended)
-    return results
+Header = Tuple[Variable, ...]
 
 
-def apply_grouping(query: SelectQuery, bindings: List[Binding]) -> List[Binding]:
+def apply_projection_expressions(
+    query: SelectQuery, header: Header, rows: List[Row]
+) -> Tuple[Header, List[Row]]:
+    """The ``(expr AS ?var)`` items of a query without grouping, then its
+    HAVING, over tuples aligned with ``header``: ``(header, rows)`` with a
+    column for every new variable.  An item sees the ones before it; an
+    error leaves its variable as it was."""
+    items = [item for item in query.projection if item.expression is not None]
+    if items:
+        slot = {variable.name: position for position, variable in enumerate(header)}
+        extended = list(header)
+        for item in items:
+            if slot.setdefault(item.variable.name, len(extended)) == len(extended):
+                extended.append(item.variable)
+        targets = [(item.expression, slot[item.variable.name]) for item in items]
+        pad = [None] * (len(extended) - len(header))
+        header = tuple(extended)
+        view = RowView(header)
+        results: List[Row] = []
+        for row in rows:
+            values = list(row) + pad
+            view.at(values)
+            for expression, target in targets:
+                try:
+                    values[target] = evaluate_expression(expression, view)
+                except ExpressionError:
+                    continue
+            results.append(tuple(values))
+        rows = results
+    if query.having is not None:
+        view = RowView(header)
+        rows = [row for row in rows if satisfies(query.having, view.at(row))]
+    return header, rows
+
+
+def apply_grouping(
+    query: SelectQuery, header: Header, rows: List[Row]
+) -> Tuple[Header, List[Row]]:
+    """GROUP BY, the projection's aggregates and HAVING over tuples aligned
+    with ``header``: ``(header, rows)``, one row per group kept, under the
+    group-key variables and the projected ones."""
     group_keys = query.group_by
-    groups: Dict[Tuple, List[Binding]] = defaultdict(list)
-    for binding in bindings:
+    view = RowView(header)
+    groups: Dict[Tuple, List[Row]] = defaultdict(list)
+    for row in rows:
+        view.at(row)
         key_parts = []
         for key_expression in group_keys:
             try:
-                key_parts.append(evaluate_expression(key_expression, binding))
+                key_parts.append(evaluate_expression(key_expression, view))
             except ExpressionError:
                 key_parts.append(None)
-        groups[tuple(key_parts)].append(binding)
+        groups[tuple(key_parts)].append(row)
     if not group_keys:
-        groups = {(): bindings}
+        groups = {(): rows}
 
-    results: List[Binding] = []
+    keys = [key.variable for key in group_keys if isinstance(key, VariableExpr)]
+    names: Dict[str, Variable] = {}
+    for variable in keys + [item.variable for item in query.projection]:
+        names.setdefault(variable.name, variable)
+    grouped = tuple(names.values())
+    slot = {name: position for position, name in enumerate(names)}
+    candidate = RowView(grouped)
+    results: List[Row] = []
     for key_parts, group in groups.items():
-        if not group and not bindings:
+        if not group and not rows:
             continue
-        mapping: Dict[Variable, Term] = {}
+        values: List[Optional[Term]] = [None] * len(grouped)
         for key_expression, value in zip(group_keys, key_parts):
             if isinstance(key_expression, VariableExpr) and value is not None:
-                mapping[key_expression.variable] = value
+                values[slot[key_expression.variable.name]] = value
         for item in query.projection:
             if item.expression is None:
-                if group and item.variable in group[0]:
-                    mapping[item.variable] = group[0][item.variable]
-                continue
-            if isinstance(item.expression, Aggregate):
-                value = evaluate_aggregate(item.expression, group)
+                value = view.at(group[0]).get(item.variable) if group else None
+            elif isinstance(item.expression, Aggregate):
+                value = evaluate_aggregate(item.expression, view, group)
             else:
                 try:
-                    value = evaluate_expression(item.expression, group[0]) if group else None
+                    value = None
+                    if group:
+                        value = evaluate_expression(item.expression, view.at(group[0]))
                 except ExpressionError:
                     value = None
             if value is not None:
-                mapping[item.variable] = value
-        candidate = Binding(mapping)
-        if query.having is not None and not satisfies(query.having, candidate):
+                values[slot[item.variable.name]] = value
+        row = tuple(values)
+        if query.having is not None and not satisfies(query.having, candidate.at(row)):
             continue
-        results.append(candidate)
-    return results
+        results.append(row)
+    return grouped, results
 
 
-def evaluate_aggregate(aggregate: Aggregate, group: List[Binding]) -> Optional[Term]:
+def evaluate_aggregate(aggregate: Aggregate, view: RowView, group: List[Row]) -> Optional[Term]:
+    """``aggregate`` over the rows of one group, read through ``view``."""
     values: List[Term] = []
     if aggregate.argument is None:
         values = [Literal.from_python(1) for _ in group]
     else:
-        for binding in group:
+        for row in group:
             try:
-                values.append(evaluate_expression(aggregate.argument, binding))
+                values.append(evaluate_expression(aggregate.argument, view.at(row)))
             except ExpressionError:
                 continue
     if aggregate.distinct:
-        seen = set()
-        unique: List[Term] = []
-        for value in values:
-            if value not in seen:
-                seen.add(value)
-                unique.append(value)
-        values = unique
+        values = list(dict.fromkeys(values))
     operation = aggregate.operation.upper()
     if operation == "COUNT":
         return Literal.from_python(len(values))
@@ -184,12 +211,13 @@ def apply_order_by(
     compared shapes are always identical (both unbound, or both wrapped
     the same way).  Shared by the reference evaluator and the
     translated-solution engine so both stay order-consistent.  The keys
-    are evaluated on one :class:`_RowView` moved from row to row.
+    are evaluated on one :class:`~repro.sparql.solutions.RowView` moved
+    from row to row.
     """
-    view = _RowView(header)
+    view = RowView(header)
 
     def sort_key(row: Row):
-        view.row = row
+        view.at(row)
         key = []
         for condition in conditions:
             try:
@@ -206,22 +234,6 @@ def apply_order_by(
         return key
 
     return sorted(rows, key=sort_key)
-
-
-class _RowView:
-    """A tuple aligned with a header, read as a binding by the expression
-    evaluator (which only calls ``get``)."""
-
-    __slots__ = ("_slot", "row")
-
-    def __init__(self, header: Sequence[Variable]) -> None:
-        self._slot = {variable.name: position for position, variable in enumerate(header)}
-        self.row: Row = ()
-
-    def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
-        position = self._slot.get(variable.name)
-        value = None if position is None else self.row[position]
-        return default if value is None else value
 
 
 class _Reversed:

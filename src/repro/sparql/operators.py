@@ -33,7 +33,7 @@ class OperatorStats:
     ``probes`` counts index/engine lookups issued by the operator (or
     rows tested, for filters); ``rows`` counts rows the operator passed
     downstream; ``seconds`` is wall time measured only under
-    ``execute(..., timed=True)`` (self time for leaf and intersection
+    ``execute_rows(..., timed=True)`` (self time for leaf and intersection
     operators, total pipeline time on the ``Project`` root).  Counters
     are reset at the start of every :func:`execute` call and written when
     an execution's stream ends or is closed, from counts it kept to itself
@@ -352,7 +352,7 @@ class PhysicalPlan:
         row/probe counters, and — on estimate-carrying operators — the
         per-probe actual cardinality with the est/actual error, marked
         ``!`` beyond 10x either way.  Meaningful after
-        ``execute(..., timed=True)``; :meth:`SparqlEvaluator.explain_analyze
+        ``execute_rows(..., timed=True)``; :meth:`SparqlEvaluator.explain_analyze
         <repro.sparql.evaluator.SparqlEvaluator.explain_analyze>` wraps
         execution and rendering in one call.
         """

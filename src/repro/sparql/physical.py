@@ -16,10 +16,11 @@ explicit *physical* plan — a small DAG of the operator classes of
   (:mod:`repro.sparql.leapfrog`), everything else the binary
   :class:`~repro.sparql.operators.IndexNestedLoopJoin`.
 
-* **Executor** — :func:`execute` is the one entry point for running a
-  planned BGP, always as a stream, and reaches one executor: whatever
-  the join operator, the plan is compiled once into a chain of step
-  closures by :mod:`repro.sparql.idexec` and kept with the plan.
+* **Executor** — :func:`execute_rows` is the one entry point for running
+  a planned BGP, always as a stream of term tuples aligned with
+  :func:`repro.sparql.idexec.row_header`, and reaches one executor:
+  whatever the join operator, the plan is compiled once into a chain of
+  step closures by :mod:`repro.sparql.idexec` and kept with the plan.
 """
 
 from __future__ import annotations
@@ -225,29 +226,3 @@ def execute_rows(
     if timed:
         return _timed_iter(stream, plan.root.stats)
     return stream
-
-
-def execute(
-    plan: PhysicalPlan,
-    graph,
-    initial: Binding = EMPTY_BINDING,
-    timed: bool = False,
-    term_fallbacks=None,
-) -> Iterator[Binding]:
-    """:func:`execute_rows`, each row as the :class:`Binding` it is."""
-    rows = execute_rows(plan, graph, initial, timed, term_fallbacks)
-    return as_bindings(idexec.row_header(plan, initial), rows)
-
-
-def as_bindings(header: Tuple[Variable, ...], rows: Iterator[tuple]) -> Iterator[Binding]:
-    """The :class:`Binding` of each executor row aligned with ``header``
-    (sorted by name, every variable bound), built as it is asked for;
-    closing the stream closes the execution."""
-    from_sorted = Binding.from_sorted_items
-    try:
-        for row in rows:
-            yield from_sorted(tuple(zip(header, row)))
-    finally:
-        close = getattr(rows, "close", None)
-        if close is not None:
-            close()

@@ -32,7 +32,7 @@ explicit planning pipeline:
    moved enough to reorder it.
 
 A plan is run by lowering it (:func:`repro.sparql.physical.lower_plan`)
-and executing the result (:func:`repro.sparql.physical.execute`); the
+and executing the result (:func:`repro.sparql.physical.execute_rows`); the
 greedy ordering loop is :func:`repro.sparql.ordering.greedy_order`,
 shared with the Datalog engine's body ordering.
 """
@@ -60,7 +60,6 @@ from repro.sparql.paths import (
     ZeroOrOnePath,
     matches_zero_length as _matches_zero_length,
 )
-from repro.sparql.solutions import Binding
 from repro.store.encoded import require_encoded
 
 #: Per-step FILTER attachment produced by :func:`attach_filters`: slot 0
@@ -346,27 +345,25 @@ def attach_conditions(
 # ----------------------------------------------------------------------
 # direct probe: a lone triple pattern
 # ----------------------------------------------------------------------
-def match_triple(graph: Graph, pattern: Triple) -> Iterator[Binding]:
-    """Yield the solutions of one triple pattern from a single index probe.
-
-    What the evaluator runs for a bare triple pattern below the root and
-    for every pattern of the unplanned (textual-order) evaluation; joins
-    and a lone triple pattern at the root go through the compiled
-    pipeline (:mod:`repro.sparql.idexec`) instead.
-    """
+def match_triple(
+    graph: Graph, pattern: Triple
+) -> Tuple[Tuple[Variable, ...], Iterator[Tuple[Term, ...]]]:
+    """The solutions of one triple pattern from a single index probe:
+    ``(header, rows)``, the pattern's variables in name order and a stream
+    of term tuples aligned with them.  What the evaluator runs for a bare
+    triple pattern below the root and for every pattern of the unplanned
+    evaluation; anything else runs on the compiled pipeline."""
     free: Dict[Variable, int] = {}
     repeats: List[Tuple[int, int]] = []
     for position, part in enumerate(pattern):
         if isinstance(part, Variable) and free.setdefault(part, position) != position:
             repeats.append((free[part], position))
-    # Which triple position fills which variable, in name order: the
-    # layout of every solution, fixed here and not per matching triple.
+    # Which triple position fills which column: fixed here, not per triple.
     slots = sorted(free.items(), key=lambda slot: slot[0].name)
-    for triple in graph.triples(*map(_component, pattern)):
-        values = (triple.subject, triple.predicate, triple.object)
-        if repeats and any(values[first] != values[again] for first, again in repeats):
-            continue
-        yield Binding.from_sorted_items(
-            tuple([(variable, values[position]) for variable, position in slots])
-        )
-
+    positions = [position for _, position in slots]
+    rows = (
+        tuple([values[position] for position in positions])
+        for values in map(tuple, graph.triples(*map(_component, pattern)))
+        if not repeats or all(values[first] == values[again] for first, again in repeats)
+    )
+    return tuple(variable for variable, _ in slots), rows

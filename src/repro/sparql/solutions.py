@@ -1,12 +1,16 @@
 """Solution mappings and solution sequences.
 
-A *solution mapping* (binding) assigns RDF terms to a subset of the query
+A *solution mapping* assigns RDF terms to a subset of the query
 variables.  The result of evaluating a graph pattern is a *multiset* of
 solution mappings; after solution modifiers are applied it becomes a
-sequence.  :class:`Binding` is an immutable, hashable mapping so bindings
-can be counted, deduplicated and compared across engines; the walk's
-operators pair them.  A result, :class:`SolutionSequence`, is a header
-plus plain term tuples: a ``Binding`` per row is built only on request.
+sequence.  The native engine holds a solution in one shape from the
+executor to the result: a tuple of terms aligned with a header of
+variables, ``None`` where a variable is unbound.  The walk's operators
+pair such rows through :class:`CompatIndex` and expressions read them
+through :class:`RowView`; a result, :class:`SolutionSequence`, is a
+header plus those tuples.  :class:`Binding` — an immutable, hashable
+mapping — is what a caller gets from :attr:`SolutionSequence.bindings`,
+built only on request.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ from repro.rdf.terms import Term, Variable, term_sort_key
 class Binding:
     """An immutable solution mapping from variables to RDF terms.
 
-    Unbound variables are simply absent; the SPARQL compatibility relation
-    and OPTIONAL semantics are expressed in terms of the *domain* of the
-    mapping.  The items are kept sorted by variable name, which is what
-    equality and hashing rely on; the hash is computed on first use, so a
-    row that is never counted or deduplicated never pays for it.
+    Unbound variables are simply absent.  It is the public per-row view
+    of a result (:attr:`SolutionSequence.bindings`,
+    :meth:`SolutionSequence.counter`) and the definition of compatibility
+    the tests check the engine's :class:`CompatIndex` against
+    (:meth:`is_compatible`).  The items are kept sorted by variable name,
+    which is what equality and hashing rely on; the hash is computed on
+    first use, so a row that is never counted or deduplicated never pays
+    for it.
     """
 
     __slots__ = ("_items", "_hash")
@@ -43,10 +50,9 @@ class Binding:
         """Build a binding from pairs already sorted by variable name.
 
         Skips the per-construction sort of ``__init__`` — a producer that
-        fixes its variable order once per pattern (the executors, the path
-        engines, the compatibility index) builds every row through here.
-        The caller guarantees sortedness and distinct variables;
-        equality/hashing rely on it.
+        fixes its variable order once (:attr:`SolutionSequence.bindings`)
+        builds every row through here.  The caller guarantees sortedness
+        and distinct variables; equality/hashing rely on it.
         """
         binding = object.__new__(cls)
         binding._items = items
@@ -115,44 +121,6 @@ class Binding:
                 return False
         return True
 
-    def merge(self, other: "Binding") -> "Binding":
-        """Union of two compatible mappings (``self`` wins a shared variable)."""
-        mine, theirs = self._items, other._items
-        if not theirs:
-            return self
-        if not mine:
-            return other
-        if mine[-1][0].name < theirs[0][0].name:
-            return Binding.from_sorted_items(mine + theirs)
-        if theirs[-1][0].name < mine[0][0].name:
-            return Binding.from_sorted_items(theirs + mine)
-        merged: List[Tuple[Variable, Term]] = []
-        position, end = 0, len(theirs)
-        for item in mine:
-            name = item[0].name
-            while position < end and theirs[position][0].name < name:
-                merged.append(theirs[position])
-                position += 1
-            if position < end and theirs[position][0].name == name:
-                position += 1
-            merged.append(item)
-        merged.extend(theirs[position:])
-        return Binding.from_sorted_items(tuple(merged))
-
-    def extend(self, variable: Variable, term: Term) -> "Binding":
-        """Return a new mapping with one extra (or replaced) assignment."""
-        items = self._items
-        name = variable.name
-        position = 0
-        for var, _ in items:
-            if var.name >= name:
-                break
-            position += 1
-        replaced = position < len(items) and items[position][0].name == name
-        return Binding.from_sorted_items(
-            items[:position] + ((variable, term),) + items[position + replaced:]
-        )
-
 
 def _item_name(item: Tuple[Variable, Term]) -> str:
     return item[0].name
@@ -161,123 +129,187 @@ def _item_name(item: Tuple[Variable, Term]) -> str:
 EMPTY_BINDING = Binding()
 
 
+#: A solution as a plain tuple of terms aligned with a header (``None``: unbound).
+Row = Tuple[Optional[Term], ...]
+
+
+class RowView:
+    """A row aligned with a header, read as a solution mapping, by name.
+
+    The one way an expression reads a solution (FILTER, OPTIONAL
+    conditions, BIND, grouping, HAVING, ``(expr AS ?v)``, ORDER BY keys):
+    :func:`repro.sparql.expressions.evaluate` only calls :meth:`get`, and
+    :meth:`at` moves the view to the next row.  ``positions`` says where
+    each header variable sits in the row (default: its index), so a view
+    can also read a register file.
+    """
+
+    __slots__ = ("_slot", "row")
+
+    def __init__(
+        self, header: Sequence[Variable], positions: Optional[Sequence[int]] = None
+    ) -> None:
+        if positions is None:
+            positions = range(len(header))
+        self._slot = {variable.name: position for variable, position in zip(header, positions)}
+        self.row: Sequence = ()
+
+    def at(self, row: Sequence) -> "RowView":
+        """This view, over ``row``."""
+        self.row = row
+        return self
+
+    def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
+        position = self._slot.get(variable.name)
+        value = None if position is None else self.row[position]
+        return default if value is None else value
+
+
 class CompatIndex:
     """Right-hand rows of a join-like operator, indexed for compatibility probes.
 
-    SPARQL pairs solution multisets by *compatibility*: a left row ``l``
-    and a right row ``r`` are compatible iff they agree on ``dom(l) ∩
-    dom(r)`` (an unbound variable constrains nothing).  The rows are
-    partitioned by their domain, so against left rows of one domain the
-    shared set is a constant per partition, every row of the partition
-    binds all of it, and "compatible" is exactly "equal on the shared
-    variables": one hash lookup, built lazily per (partition, shared set)
-    the first time a left row of that domain arrives.  A partition that
-    shares nothing with the left row is compatible wholesale.  That holds
-    for any mix of domains on either side (UNION- or OPTIONAL-fed), so
-    there is no pairwise fallback.
+    A left and a right row are compatible iff they agree on the variables
+    both bind.  The right rows are partitioned by which of their slots are
+    bound, so for left rows with one bound set the shared variables are a
+    constant per partition, every row of it binds them all, and
+    "compatible" is exactly "equal on them": one hash lookup, the table
+    built lazily per (partition, shared set).  A partition sharing nothing
+    is compatible wholesale, so no mix of bound sets (UNION- or
+    OPTIONAL-fed) needs a pairwise fallback.
 
-    The three operators read it differently: join / OPTIONAL / GRAPH take
-    :meth:`merged`, MINUS takes :meth:`excludes`.  ``probes`` counts hash
-    lookups.  An index serves one operator evaluation and is dropped.
+    Both sides are tuples under headers fixed for one operator evaluation
+    (matched by name); a merged row is the left row, its unbound shared
+    slots filled from the right, then the right-only columns: aligned with
+    :attr:`header`.  Join / OPTIONAL / GRAPH take :meth:`merged`, MINUS
+    :meth:`excludes`; ``probes`` counts hash lookups.
     """
 
-    __slots__ = ("_partitions", "_plans", "_last_domain", "_last_plan", "probes")
+    __slots__ = ("header", "_shared", "_extra", "_partitions", "_plans", "probes")
 
-    def __init__(self, rows: Iterable[Binding]) -> None:
-        partitions: Dict[Tuple[Variable, ...], List[Tuple[int, Binding]]] = {}
-        domain: Optional[Tuple[Variable, ...]] = None
-        members: List[Tuple[int, Binding]] = []
+    def __init__(
+        self, left_header: Sequence[Variable], right_header: Sequence[Variable], rows: Iterable[Row]
+    ) -> None:
+        left_slot = {variable.name: position for position, variable in enumerate(left_header)}
+        #: (left position, right position) of every variable both headers name.
+        self._shared: List[Tuple[int, int]] = []
+        extra: List[int] = []
+        for position, variable in enumerate(right_header):
+            left = left_slot.get(variable.name)
+            if left is None:
+                extra.append(position)
+            else:
+                self._shared.append((left, position))
+        #: The merged rows' variables: the left header, then the right-only ones.
+        self.header: Tuple[Variable, ...] = tuple(left_header) + tuple(
+            right_header[position] for position in extra
+        )
+        self._extra = _columns(extra)
+        full = tuple(range(len(right_header)))
+        partitions: Dict[Tuple[int, ...], List[Tuple[int, Row]]] = {}
+        mask: Optional[Tuple[int, ...]] = None
+        members: List[Tuple[int, Row]] = []
         for member in enumerate(rows):
-            row_domain = tuple([var for var, _ in member[1]._items])
-            # Consecutive rows mostly come from one producer and carry the
-            # same Variable objects: the comparison is settled by identity.
-            if row_domain != domain:
-                domain = row_domain
-                members = partitions.setdefault(domain, [])
+            row_mask = full if None not in member[1] else _bound(member[1])
+            if row_mask != mask:
+                mask = row_mask
+                members = partitions.setdefault(mask, [])
             members.append(member)
-        #: Per domain: the (position, row) members in right-hand order and
+        #: Per bound set: the (position, row) members in right-hand order and
         #: the hash tables built so far, keyed by the positions hashed.
-        self._partitions = [
-            (domain, members, {}) for domain, members in partitions.items()
-        ]
-        self._plans: Dict[Tuple[Variable, ...], list] = {}
-        self._last_domain: Optional[Tuple[Variable, ...]] = None
-        self._last_plan: list = []
+        self._partitions = [(mask, members, {}) for mask, members in partitions.items()]
+        self._plans: Dict[Optional[Tuple[int, ...]], list] = {}
         self.probes = 0
 
-    def _plan(self, items: Tuple[Tuple[Variable, Term], ...]) -> list:
-        """Per partition, how a left row with these items probes it.
+    def _plan(self, left: Row) -> list:
+        """Per partition, how a left row with this bound set probes it.
 
-        One ``(key_positions, table)`` per partition: ``key_positions``
-        index the left items holding the shared variables and ``table``
-        maps their values to the partition's members — or ``None`` and
-        all the members when nothing is shared.
+        One ``(key_of, table, fills)`` per partition: ``key_of`` reads the
+        shared values off the left row and ``table`` maps them to the
+        partition's members — or ``None`` and all the members when nothing
+        is shared; ``fills`` are the (left, right) positions of a variable
+        the left row leaves unbound and the partition binds.
         """
-        domain = tuple([var for var, _ in items])
-        if domain == self._last_domain:
-            return self._last_plan
-        plan = self._plans.get(domain)
+        mask = None if None not in left else _bound(left)
+        plan = self._plans.get(mask)
         if plan is None:
-            plan = self._plans[domain] = [
-                _probe_plan(domain, *partition) for partition in self._partitions
+            bound = set(range(len(left))) if mask is None else set(mask)
+            plan = self._plans[mask] = [
+                self._probe_plan(bound, *partition) for partition in self._partitions
             ]
-        self._last_domain, self._last_plan = domain, plan
         return plan
 
-    def excludes(self, left: Binding) -> bool:
+    def _probe_plan(self, left_bound, right_bound, members, tables):
+        """One entry of :meth:`_plan`; builds the hash table it needs."""
+        right_bound = set(right_bound)
+        shared = [(l, r) for l, r in self._shared if l in left_bound and r in right_bound]
+        fills = [(l, r) for l, r in self._shared if l not in left_bound and r in right_bound]
+        if not shared:
+            return None, members, fills
+        right_positions = tuple([r for _, r in shared])
+        table = tables.get(right_positions)
+        if table is None:
+            table = tables[right_positions] = {}
+            key_of = itemgetter(*right_positions)
+            for member in members:
+                table.setdefault(key_of(member[1]), []).append(member)
+        return itemgetter(*[l for l, _ in shared]), table, fills
+
+    def excludes(self, left: Row) -> bool:
         """MINUS: some row is compatible with ``left`` *and* shares a variable."""
-        items = left._items
-        for key_positions, table in self._plan(items):
-            if key_positions is not None:
+        for key_of, table, _ in self._plan(left):
+            if key_of is not None:
                 self.probes += 1
-                if tuple([items[position][1] for position in key_positions]) in table:
+                if key_of(left) in table:
                     return True
         return False
 
-    def merged(self, left: Binding) -> List[Binding]:
+    def merged(self, left: Row) -> List[Row]:
         """``left`` merged with each compatible row, in right-hand order."""
-        items = left._items
-        found: List[Tuple[int, Binding]] = []
-        hits = 0
-        for key_positions, table in self._plan(items):
-            if key_positions is None:
+        found = []
+        for key_of, table, fills in self._plan(left):
+            if key_of is None:
                 members = table
             else:
                 self.probes += 1
-                members = table.get(
-                    tuple([items[position][1] for position in key_positions])
-                )
+                members = table.get(key_of(left))
                 if members is None:
                     continue
-            hits += 1
-            found.extend(members)
-        if hits > 1:
-            found.sort(key=_position)
-        return [left.merge(row) for _, row in found]
+            found.append((members, fills))
+        extra = self._extra
+        if len(found) == 1:
+            members, fills = found[0]
+            return [(_filled(left, r, fills) if fills else left) + extra(r) for _, r in members]
+        ordered = sorted(
+            [(position, row, fills) for members, fills in found for position, row in members],
+            key=_position,
+        )
+        return [
+            (_filled(left, row, fills) if fills else left) + extra(row)
+            for _, row, fills in ordered
+        ]
 
 
 _position = itemgetter(0)
 
 
-def _probe_plan(
-    left_domain: Tuple[Variable, ...],
-    right_domain: Tuple[Variable, ...],
-    members: List[Tuple[int, Binding]],
-    tables: Dict[Tuple[int, ...], Dict[Tuple[Term, ...], List[Tuple[int, Binding]]]],
-):
-    """One entry of :meth:`CompatIndex._plan`; builds the hash table it needs."""
-    shared = [var for var in left_domain if var in right_domain]
-    if not shared:
-        return None, members
-    right_positions = tuple([right_domain.index(var) for var in shared])
-    table = tables.get(right_positions)
-    if table is None:
-        table = tables[right_positions] = {}
-        for member in members:
-            row_items = member[1]._items
-            key = tuple([row_items[position][1] for position in right_positions])
-            table.setdefault(key, []).append(member)
-    return tuple([left_domain.index(var) for var in shared]), table
+def _bound(row: Row) -> Tuple[int, ...]:
+    """The positions ``row`` binds."""
+    return tuple([position for position, term in enumerate(row) if term is not None])
+
+
+def _filled(left: Row, right: Row, fills: List[Tuple[int, int]]) -> Row:
+    """``left`` with the ``(left, right)`` positions of ``fills`` copied from ``right``."""
+    row = list(left)
+    for position, source in fills:
+        row[position] = right[source]
+    return tuple(row)
+
+
+def _columns(positions: Sequence[int]):
+    """A function from a row to the tuple of its ``positions``."""
+    if len(positions) == 1:
+        return lambda row, position=positions[0]: (row[position],)
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 def distinct_rows(rows: Iterable) -> list:
@@ -285,40 +317,19 @@ def distinct_rows(rows: Iterable) -> list:
     return list(dict.fromkeys(rows))
 
 
-#: A solution as a plain tuple of terms aligned with a header (``None``: unbound).
-Row = Tuple[Optional[Term], ...]
-
-
-def project_rows(header: Sequence[Variable], bindings: Iterable[Binding]) -> List[Row]:
-    """``bindings`` projected onto ``header``, one tuple each.
-
-    Variables are matched by name, so no row hashes a :class:`Variable`.
-    """
-    slot = {variable.name: position for position, variable in enumerate(header)}
-    blank = [None] * len(header)
-    rows: List[Row] = []
-    for binding in bindings:
-        row = blank.copy()
-        for variable, term in binding._items:
-            position = slot.get(variable.name)
-            if position is not None:
-                row[position] = term
-        rows.append(tuple(row))
-    return rows
-
-
 def realign_rows(
-    rows: List[Row], layout: Sequence[Variable], header: Sequence[Variable]
-) -> List[Row]:
-    """Tuples aligned with ``layout`` re-aligned with ``header`` (``None``
-    for a header variable ``layout`` lacks); ``rows`` itself when the two agree."""
+    rows: Iterable[Row], layout: Sequence[Variable], header: Sequence[Variable]
+) -> Iterable[Row]:
+    """Tuples aligned with ``layout`` re-aligned with ``header`` by name
+    (``None`` for a header variable ``layout`` lacks), lazily; ``rows``
+    itself when the two agree."""
     if tuple(layout) == tuple(header):
         return rows
     slot = {variable.name: position for position, variable in enumerate(layout)}
     columns = [slot.get(variable.name) for variable in header]
-    if len(columns) > 1 and None not in columns:
-        return list(map(itemgetter(*columns), rows))
-    return [tuple([None if c is None else row[c] for c in columns]) for row in rows]
+    if None not in columns:
+        return map(_columns(columns), rows)
+    return (tuple([None if c is None else row[c] for c in columns]) for row in rows)
 
 
 class SolutionSequence:
@@ -335,24 +346,12 @@ class SolutionSequence:
 
     __slots__ = ("variables", "_rows", "_bindings")
 
-    def __init__(
-        self,
-        variables: Iterable[Variable],
-        bindings: Iterable[Binding],
-    ) -> None:
+    def __init__(self, variables: Iterable[Variable], rows: Iterable[Row]) -> None:
+        """The sequence of ``rows``, tuples aligned with ``variables`` (a
+        list is kept as it is: the caller hands it over)."""
         self.variables: List[Variable] = list(variables)
-        self._rows: List[Row] = project_rows(self.variables, bindings)
+        self._rows: List[Row] = rows if type(rows) is list else list(rows)
         self._bindings: Optional[List[Binding]] = None
-
-    @classmethod
-    def from_rows(cls, variables: Iterable[Variable], rows: List[Row]) -> "SolutionSequence":
-        """The sequence of ``rows``, tuples already aligned with ``variables``
-        (kept as they are: the caller hands the list over)."""
-        sequence = object.__new__(cls)
-        sequence.variables = list(variables)
-        sequence._rows = rows
-        sequence._bindings = None
-        return sequence
 
     @property
     def bindings(self) -> List[Binding]:
@@ -399,7 +398,7 @@ class SolutionSequence:
 
     def distinct(self) -> "SolutionSequence":
         """Return a copy with duplicate rows removed (first occurrence kept)."""
-        return SolutionSequence.from_rows(self.variables, distinct_rows(self._rows))
+        return SolutionSequence(self.variables, distinct_rows(self._rows))
 
     def rows(self) -> List[Row]:
         """Return rows as tuples aligned with ``self.variables``."""

@@ -490,17 +490,9 @@ class EncodedGraph(ChangeCapture):
     # ------------------------------------------------------------------
     # statistics (incremental, exact)
     # ------------------------------------------------------------------
-    def subject_cardinality(self, subject: Term) -> int:
-        sid = self._dict.id_for(subject)
-        return self._subject_counts.get(sid, 0) if sid is not None else 0
-
     def predicate_cardinality(self, predicate: Term) -> int:
         pid = self._dict.id_for(predicate)
         return self._predicate_counts.get(pid, 0) if pid is not None else 0
-
-    def object_cardinality(self, obj: Term) -> int:
-        oid = self._dict.id_for(obj)
-        return self._object_counts.get(oid, 0) if oid is not None else 0
 
     def distinct_subjects(self, predicate: Optional[Term] = None) -> int:
         if predicate is None:

@@ -5,8 +5,9 @@ these tests pin it to the literal definition it replaces:
 
 * a hypothesis differential against the spec's nested loop over
   ``Binding.is_compatible`` (plus MINUS's shared-domain condition) on
-  generated multisets with heterogeneous domains, unbound shared
-  variables, empty shared sets and duplicates — on the index itself and,
+  generated tuple rows under differing headers, with heterogeneous bound
+  sets, unbound shared variables, empty shared sets and duplicates — on
+  the index itself (each tuple read as the mapping of its bound slots) and,
   through VALUES tables, on the evaluator's join / OPTIONAL / MINUS, the
   OPTIONAL with residual conditions that error or test ``!bound``;
 * end-to-end MINUS / OPTIONAL / UNION-under-OPTIONAL / GRAPH ?g queries,
@@ -42,11 +43,26 @@ def row(**values):
     return Binding({Variable(name): Literal.from_python(value) for name, value in values.items()})
 
 
+def mapping(header, values):
+    """The solution mapping a tuple aligned with ``header`` stands for."""
+    return Binding({variable: term for variable, term in zip(header, values) if term is not None})
+
+
+def aligned(header, *mappings):
+    """``mappings`` as tuples aligned with ``header`` (``None``: unbound)."""
+    return [tuple(binding.get(variable) for variable in header) for binding in mappings]
+
+
 # ----------------------------------------------------------------------
 # the definitions the index must reproduce
 # ----------------------------------------------------------------------
+def union(left, right):
+    """The merge of two compatible mappings."""
+    return Binding({**right.as_dict(), **left.as_dict()})
+
+
 def spec_join(left, right):
-    return [l.merge(r) for l in left for r in right if l.is_compatible(r)]
+    return [union(l, r) for l in left for r in right if l.is_compatible(r)]
 
 
 def spec_minus(left, right):
@@ -61,68 +77,104 @@ def spec_left_join(left, right, condition=None):
     results = []
     for l in left:
         extended = [
-            l.merge(r)
+            union(l, r)
             for r in right
             if l.is_compatible(r)
-            and (condition is None or satisfies(condition, l.merge(r)))
+            and (condition is None or satisfies(condition, union(l, r)))
         ]
         results.extend(extended or [l])
     return results
 
 
-# Three values over four variables: collisions, duplicates, every domain
-# from the empty one to all four, and shared variables bound on one side
+# One side of an operator: a header (some of the four variables, in any
+# order) and tuples aligned with it.  Three values per slot, ``None`` among
+# them: collisions, duplicates, every bound set from the empty one to all
+# four, headers that share nothing, and shared variables bound on one side
 # only are all frequent.
-_rows = st.lists(
-    st.dictionaries(st.sampled_from(VARIABLES), st.integers(0, 2), max_size=4),
-    max_size=8,
-).map(
-    lambda mappings: [
-        Binding({variable: Literal.from_python(value) for variable, value in mapping.items()})
-        for mapping in mappings
-    ]
-)
+_term = st.one_of(st.none(), st.integers(0, 2).map(Literal.from_python))
+
+
+@st.composite
+def _sides(draw):
+    header = tuple(draw(st.permutations(VARIABLES))[: draw(st.integers(0, 4))])
+    rows = draw(st.lists(st.tuples(*[_term] * len(header)), max_size=8))
+    return header, rows
+
+
+def _mappings(side):
+    header, rows = side
+    return [mapping(header, values) for values in rows]
 
 
 # ----------------------------------------------------------------------
 # the index against the definitions
 # ----------------------------------------------------------------------
+def index_of(*right):
+    """The index over ``right`` and left rows, both aligned with ``abcd``."""
+    return CompatIndex(VARIABLES, VARIABLES, aligned(VARIABLES, *right))
+
+
+def merged(index, left):
+    (values,) = aligned(VARIABLES, left)
+    return [mapping(index.header, merged) for merged in index.merged(values)]
+
+
+def excludes(index, left):
+    (values,) = aligned(VARIABLES, left)
+    return index.excludes(values)
+
+
 class TestIndexAgainstSpec:
-    @given(_rows, _rows)
+    @given(_sides(), _sides())
     @settings(max_examples=300, deadline=None)
     def test_merged_is_the_compatible_rows_in_right_order(self, left, right):
-        index = CompatIndex(right)
-        for l in left:
-            assert index.merged(l) == [l.merge(r) for r in right if l.is_compatible(r)]
+        (left_header, left_rows), (right_header, right_rows) = left, right
+        index = CompatIndex(left_header, right_header, right_rows)
+        assert index.header[: len(left_header)] == left_header
+        assert set(index.header) == set(left_header) | set(right_header)
+        rights = _mappings(right)
+        for values in left_rows:
+            l = mapping(left_header, values)
+            found = index.merged(values)
+            assert all(len(merged) == len(index.header) for merged in found)
+            assert [mapping(index.header, merged) for merged in found] == [
+                union(l, r) for r in rights if l.is_compatible(r)
+            ]
 
-    @given(_rows, _rows)
+    @given(_sides(), _sides())
     @settings(max_examples=300, deadline=None)
     def test_excludes_is_the_minus_condition(self, left, right):
-        index = CompatIndex(right)
-        assert [l for l in left if not index.excludes(l)] == spec_minus(left, right)
+        (left_header, left_rows), (right_header, right_rows) = left, right
+        index = CompatIndex(left_header, right_header, right_rows)
+        kept = [values for values in left_rows if not index.excludes(values)]
+        assert [mapping(left_header, values) for values in kept] == spec_minus(
+            _mappings(left), _mappings(right)
+        )
 
     def test_unbound_shared_variable_constrains_nothing(self):
-        right = [row(a=1, b=1), row(a=1), row(a=2, b=1), row(b=2)]
-        index = CompatIndex(right)
-        assert index.merged(row(a=1)) == [row(a=1, b=1), row(a=1), row(a=1, b=2)]
-        assert index.merged(row(b=1)) == [row(a=1, b=1), row(a=1, b=1), row(a=2, b=1)]
-        assert index.merged(row(a=1, b=2)) == [row(a=1, b=2), row(a=1, b=2)]
+        index = index_of(row(a=1, b=1), row(a=1), row(a=2, b=1), row(b=2))
+        assert merged(index, row(a=1)) == [row(a=1, b=1), row(a=1), row(a=1, b=2)]
+        assert merged(index, row(b=1)) == [row(a=1, b=1), row(a=1, b=1), row(a=2, b=1)]
+        assert merged(index, row(a=1, b=2)) == [row(a=1, b=2), row(a=1, b=2)]
 
     def test_empty_shared_set_cross_multiplies_but_never_excludes(self):
-        right = [row(c=1), row(c=2), row(c=1)]
-        index = CompatIndex(right)
-        assert index.merged(row(a=0)) == [row(a=0, c=1), row(a=0, c=2), row(a=0, c=1)]
-        assert not index.excludes(row(a=0))
+        index = index_of(row(c=1), row(c=2), row(c=1))
+        assert merged(index, row(a=0)) == [row(a=0, c=1), row(a=0, c=2), row(a=0, c=1)]
+        assert not excludes(index, row(a=0))
         assert index.probes == 0
         # The empty mapping shares nothing with anything.
-        assert not CompatIndex([Binding()]).excludes(row(a=0))
-        assert CompatIndex([Binding()]).merged(row(a=0)) == [row(a=0)]
-        assert not index.excludes(Binding())
+        assert not excludes(index_of(Binding()), row(a=0))
+        assert merged(index_of(Binding()), row(a=0)) == [row(a=0)]
+        assert not excludes(index, Binding())
+        # Nor do headers without a common variable.
+        disjoint = CompatIndex(VARIABLES[:2], VARIABLES[2:], [(EX.x, None)])
+        assert disjoint.header == VARIABLES
+        assert disjoint.merged((EX.y, EX.z)) == [(EX.y, EX.z, EX.x, None)]
+        assert not disjoint.excludes((EX.y, EX.z))
 
     def test_right_order_is_kept_across_partitions(self):
-        right = [row(a=1, b=1), row(a=1), row(a=1, b=1), row(a=1, c=3), row(a=1)]
-        merged = CompatIndex(right).merged(row(a=1, b=1))
-        assert merged == [
+        index = index_of(row(a=1, b=1), row(a=1), row(a=1, b=1), row(a=1, c=3), row(a=1))
+        assert merged(index, row(a=1, b=1)) == [
             row(a=1, b=1),
             row(a=1, b=1),
             row(a=1, b=1),
@@ -131,39 +183,39 @@ class TestIndexAgainstSpec:
         ]
 
     def test_duplicates_multiply(self):
-        index = CompatIndex([row(a=1, b=5)] * 3)
-        assert index.merged(row(a=1)) == [row(a=1, b=5)] * 3
-        assert index.excludes(row(a=1))
-        assert not index.excludes(row(a=2))
+        index = index_of(*[row(a=1, b=5)] * 3)
+        assert merged(index, row(a=1)) == [row(a=1, b=5)] * 3
+        assert excludes(index, row(a=1))
+        assert not excludes(index, row(a=2))
 
     def test_one_probe_per_left_row_and_partition_sharing_a_variable(self):
-        index = CompatIndex([row(a=i) for i in range(50)] + [row(c=1)])
+        index = index_of(*[row(a=i) for i in range(50)], row(c=1))
         for i in range(20):
-            index.merged(row(a=i, b=0))
+            merged(index, row(a=i, b=0))
         assert index.probes == 20
         for i in range(10):
-            index.excludes(row(a=100 + i))
+            excludes(index, row(a=100 + i))
         assert index.probes == 30
 
     def test_equal_variables_need_not_be_identical_objects(self):
-        index = CompatIndex([Binding({Variable("a"): EX.x, Variable("b"): EX.y})])
-        assert index.merged(Binding({Variable("a"): EX.x})) == [
-            Binding({Variable("a"): EX.x, Variable("b"): EX.y})
-        ]
-        assert index.excludes(Binding({Variable("b"): EX.y, Variable("z"): EX.x}))
+        index = CompatIndex([Variable("a")], [Variable("a"), Variable("b")], [(EX.x, EX.y)])
+        assert index.header == (Variable("a"), Variable("b"))
+        assert index.merged((EX.x,)) == [(EX.x, EX.y)]
+        minus = CompatIndex([Variable("b"), Variable("z")], [Variable("a"), Variable("b")], [(EX.x, EX.y)])
+        assert minus.excludes((EX.y, EX.x))
 
 
 # ----------------------------------------------------------------------
 # the evaluator's operators over VALUES tables against the definitions
 # ----------------------------------------------------------------------
-def _values(rows):
+def _values(side):
     """A VALUES block over all four variables, UNDEF where a row is unbound."""
     lines = " ".join(
         "(" + " ".join(
             binding[variable].lexical if variable in binding else "UNDEF"
             for variable in VARIABLES
         ) + ")"
-        for binding in rows
+        for binding in _mappings(side)
     )
     return "VALUES (?a ?b ?c ?d) { " + lines + " }"
 
@@ -186,36 +238,38 @@ CONDITIONS = [
 
 
 class TestEvaluatorOperatorsAgainstSpec:
-    @given(_rows, _rows)
+    @given(_sides(), _sides())
     @settings(max_examples=150, deadline=None)
     def test_join(self, left, right):
         _, result = _evaluate(f"SELECT * WHERE {{ {{ {_values(left)} }} {{ {_values(right)} }} }}")
-        assert result == Counter(spec_join(left, right))
+        assert result == Counter(spec_join(_mappings(left), _mappings(right)))
 
-    @given(_rows, _rows)
+    @given(_sides(), _sides())
     @settings(max_examples=150, deadline=None)
     def test_minus(self, left, right):
         _, result = _evaluate(
             f"SELECT * WHERE {{ {{ {_values(left)} }} MINUS {{ {_values(right)} }} }}"
         )
-        assert result == Counter(spec_minus(left, right))
+        assert result == Counter(spec_minus(_mappings(left), _mappings(right)))
 
-    @given(_rows, _rows)
+    @given(_sides(), _sides())
     @settings(max_examples=150, deadline=None)
     def test_optional(self, left, right):
         _, result = _evaluate(
             f"SELECT * WHERE {{ {{ {_values(left)} }} OPTIONAL {{ {_values(right)} }} }}"
         )
-        assert result == Counter(spec_left_join(left, right))
+        assert result == Counter(spec_left_join(_mappings(left), _mappings(right)))
 
-    @given(_rows, _rows, st.sampled_from(CONDITIONS))
+    @given(_sides(), _sides(), st.sampled_from(CONDITIONS))
     @settings(max_examples=300, deadline=None)
     def test_optional_with_residual_condition(self, left, right, condition):
         query, result = _evaluate(
             f"SELECT * WHERE {{ {{ {_values(left)} }} "
             f"OPTIONAL {{ {_values(right)} FILTER({condition}) }} }}"
         )
-        assert result == Counter(spec_left_join(left, right, query.pattern.condition))
+        assert result == Counter(
+            spec_left_join(_mappings(left), _mappings(right), query.pattern.condition)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -17,16 +17,14 @@ from repro.baselines.native import NativeSparqlEngine
 from repro.baselines.virtuoso_like import VirtuosoLikeEngine
 from repro.core.engine import SparqLogEngine
 from repro.rdf.terms import BlankNode, IRI, Literal, Variable
-from repro.sparql.solutions import Binding, SolutionSequence
+from repro.sparql.solutions import SolutionSequence
 from repro.workloads.beseppi import BeSEPPIWorkload
 
 from tests.helpers import countries_dataset
 
 
 def sequence(rows):
-    variables = [Variable("x")]
-    bindings = [Binding({Variable("x"): value}) for value in rows]
-    return SolutionSequence(variables, bindings)
+    return SolutionSequence([Variable("x")], [(value,) for value in rows])
 
 
 A, B, C = IRI("http://a"), IRI("http://b"), IRI("http://c")

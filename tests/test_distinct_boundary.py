@@ -28,6 +28,7 @@ from repro.rdf.terms import Literal, Triple, Variable
 from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
+from repro.sparql.idexec import row_header
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import Binding, distinct_rows
@@ -226,16 +227,17 @@ def test_a_distinct_plan_under_initial_bindings(join):
     assert dropping.root.distinct and not keeping.root.distinct
     assert isinstance(dropping.root.child, operators.LeapfrogJoin) is (join == "leapfrog")
     for initial in initials:
-        kept = list(physical.execute(keeping, graph, initial=initial))
-        dropped = list(physical.execute(dropping, graph, initial=initial))
+        assert row_header(dropping, initial) == row_header(keeping, initial)
+        kept = list(physical.execute_rows(keeping, graph, initial=initial))
+        dropped = list(physical.execute_rows(dropping, graph, initial=initial))
         assert dropped == distinct_rows(kept)
         assert dropping.root.stats.rows == len(dropped)
         assert dropping.root.child.stats.rows == keeping.root.child.stats.rows == len(kept)
     # Interleaved executions of the one plan keep their own sets of seen rows.
-    first, second = physical.execute(dropping, graph), physical.execute(dropping, graph)
+    first, second = physical.execute_rows(dropping, graph), physical.execute_rows(dropping, graph)
     rows = [next(first), next(second)]
     assert rows[0] == rows[1]
-    expected = distinct_rows(physical.execute(keeping, graph))
+    expected = distinct_rows(physical.execute_rows(keeping, graph))
     assert [rows[0], *first] == [rows[1], *second] == expected
 
 

@@ -260,3 +260,17 @@ def test_the_native_engine_has_one_row_space():
                 ):
                     offences.append(f"{path.name}:{node.lineno}: builds a term key space")
     assert offences == []
+
+
+def test_the_native_engine_holds_one_row_shape():
+    """From the executor to the result a solution is a tuple of terms under a
+    header: the walk, the modifier tail, the planner, the ALP oracle and the
+    FILTER kernels neither import nor name ``Binding``, the public per-row
+    view a result builds on request."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro" / "sparql"
+    offences = [
+        f"{name}.py"
+        for name in ("evaluator", "modifiers", "plan", "alp", "kernels")
+        if "Binding" in (package / f"{name}.py").read_text(encoding="utf-8")
+    ]
+    assert offences == []

@@ -33,9 +33,10 @@ from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, VariableExpr, satisfies
+from repro.sparql.idexec import row_header
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding
+from repro.sparql.solutions import Binding, RowView
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -224,12 +225,15 @@ class TestDifferential:
         plan = physical.lower_bgp(graph, patterns, (condition,))
         assert _hash_probes(plan)
         cross_product = physical.lower_bgp(graph, patterns)
+        header = row_header(plan)
+        view = RowView(header)
 
         def filtered(initial=Binding()):
-            rows = physical.execute(cross_product, graph, initial=initial)
-            return Counter(row for row in rows if satisfies(condition, row))
+            assert row_header(cross_product, initial) == row_header(plan, initial) == header
+            rows = physical.execute_rows(cross_product, graph, initial=initial)
+            return Counter(row for row in rows if satisfies(condition, view.at(row)))
 
-        everything = Counter(physical.execute(plan, graph))
+        everything = Counter(physical.execute_rows(plan, graph))
         assert everything == filtered()
         for initial in (
             Binding({x: EX.a0}),  # restricts the outer side
@@ -238,10 +242,10 @@ class TestDifferential:
             Binding({n: Literal("1", XSD_INTEGER), m: Literal("01", XSD_INTEGER)}),
         ):
             expected = filtered(initial)
-            assert Counter(physical.execute(plan, graph, initial=initial)) == expected
+            assert Counter(physical.execute_rows(plan, graph, initial=initial)) == expected
             assert sum(expected.values()) > 0
         # The variants were compiled per domain and the unrestricted one survives.
-        assert Counter(physical.execute(plan, graph)) == everything
+        assert Counter(physical.execute_rows(plan, graph)) == everything
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +298,7 @@ class TestCounters:
         graph, plan = self._plan()
         store = graph.enable_counters()
         before = store.index_probes
-        rows = list(physical.execute(plan, graph))
+        rows = list(physical.execute_rows(plan, graph))
         (probe,) = _hash_probes(plan)
         outer = len(_VALUES)
         assert probe.stats.probes == outer
@@ -314,7 +318,7 @@ class TestCounters:
             (False, "IndexNestedLoopJoin"),
             (False, "LeapfrogJoin"),
         )
-        list(physical.execute(plan, graph))
+        list(physical.execute_rows(plan, graph))
         full = self._counts(plan)
         if name == "join/baseline":
             # Project, IndexNestedLoopJoin, Scan ?a p ?b, Scan ?b q ?c: a lone run's.
@@ -326,7 +330,7 @@ class TestCounters:
         if isinstance(join, operators.LeapfrogJoin):
             # Project, LeapfrogJoin, then per scan (candidate ids, sorted runs fetched).
             assert full == [(120, 0), (120, 0), (36, 7), (186, 36), (156, 31)]
-        partial_stream = physical.execute(plan, graph)
+        partial_stream = physical.execute_rows(plan, graph)
         next(partial_stream), next(partial_stream)
         partial_stream.close()
         partial = self._counts(plan)
@@ -334,8 +338,8 @@ class TestCounters:
 
         # Two executions of the one cached plan, advanced in turns; the
         # first is abandoned after two rows, as LIMIT 2 would.
-        first = physical.execute(plan, graph)
-        second = physical.execute(plan, graph)
+        first = physical.execute_rows(plan, graph)
+        second = physical.execute_rows(plan, graph)
         rows = [next(first), next(second), next(first), next(second)]
         first.close()
         assert self._counts(plan) == partial
@@ -347,11 +351,11 @@ class TestCounters:
     def test_nested_execution_of_the_same_plan(self, name):
         graph, plan = self._plan(name)
         rows = _COUNTED[name][-1]
-        list(physical.execute(plan, graph))
+        list(physical.execute_rows(plan, graph))
         full = self._counts(plan)
         total = 0
-        for _ in physical.execute(plan, graph):
-            total += len(list(physical.execute(plan, graph)))
+        for _ in physical.execute_rows(plan, graph):
+            total += len(list(physical.execute_rows(plan, graph)))
             assert self._counts(plan) == full  # the inner run's own
         assert total == rows * rows
         assert self._counts(plan) == full  # the outer run's own
@@ -371,17 +375,18 @@ class TestCounters:
     @_every_counted_plan
     def test_compiled_form_is_reused_until_the_graph_changes(self, name):
         graph, plan = self._plan(name)
-        list(physical.execute(plan, graph))
+        list(physical.execute_rows(plan, graph))
         compiled = dict(plan._compiled)
-        list(physical.execute(plan, graph))
+        list(physical.execute_rows(plan, graph))
         assert plan._compiled == compiled
         # A constant that is in no triple empties the plan only as long
         # as that stays true.
         x = Variable("x")
         absent = physical.lower_bgp(graph, [TriplePatternNode(Triple(x, EX.kind, EX.C))])
-        assert list(physical.execute(absent, graph)) == []
+        assert list(physical.execute_rows(absent, graph)) == []
         graph.add(Triple(EX.late, EX.kind, EX.C))
-        assert list(physical.execute(absent, graph)) == [Binding({x: EX.late})]
+        assert row_header(absent) == (x,)
+        assert list(physical.execute_rows(absent, graph)) == [(EX.late,)]
 
 
 # ----------------------------------------------------------------------

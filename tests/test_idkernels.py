@@ -13,7 +13,9 @@ mean.  The two must agree on every pair of operands:
   variable/constant, constant/variable);
 * by hypothesis over generated lexical forms and datatypes;
 * end to end: the same operands as data, compared by a pushed-down
-  FILTER, across the differential profiles and the unplanned oracle.
+  FILTER, across the differential profiles and the unplanned oracle;
+* a conjunct no kernel decides runs on the registers through a view: no
+  ``Binding`` per tested row, a variable decoded only when it is read.
 """
 
 from collections import Counter
@@ -37,6 +39,8 @@ from repro.rdf.terms import (
     XSD_INTEGER,
     XSD_STRING,
 )
+from repro.sparql import physical
+from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr, satisfies
 from repro.sparql.kernels import HEADER, compile_condition, condition_kernel
@@ -262,3 +266,49 @@ def test_filter_against_a_constant_agrees_across_profiles(operator, constant):
     results = [Counter(evaluator.evaluate(query).rows()) for evaluator in _evaluators(triples)]
     for other in results[1:]:
         assert other == results[0]
+
+
+# ----------------------------------------------------------------------
+# the term fallback reads the registers through a view
+# ----------------------------------------------------------------------
+class _Counter:
+    def __init__(self):
+        self.total = 0
+
+    def inc(self, amount=1):
+        self.total += amount
+
+
+def test_a_term_fallback_builds_no_binding_and_decodes_what_it_reads(monkeypatch):
+    graph = _graph(TERMS)
+    s, o = Variable("s"), Variable("o")
+    # ``isIRI(?s)`` holds for every subject, so ``IF`` never reads ``?o``.
+    query = parse_query(
+        "PREFIX ex: <http://ex.org/>\n"
+        "SELECT ?s WHERE { ?s ex:p ?o FILTER(IF(isIRI(?s), true, STRLEN(STR(?o)) > 100)) }"
+    )
+    condition = query.pattern.condition
+    assert condition_kernel(condition) == "term"
+    plan = physical.lower_bgp(
+        graph, [TriplePatternNode(Triple(s, EX.p, o))], (condition,), project=(s,)
+    )
+    built = []
+    init, from_sorted = Binding.__init__, Binding.from_sorted_items.__func__
+
+    def counted_init(self, mapping=None):
+        built.append(1)
+        init(self, mapping)
+
+    monkeypatch.setattr(Binding, "__init__", counted_init)
+    monkeypatch.setattr(
+        Binding,
+        "from_sorted_items",
+        classmethod(lambda cls, items: built.append(1) or from_sorted(cls, items)),
+    )
+    decodes, fallbacks = graph.dictionary.enable_counters(), _Counter()
+    before = decodes.decodes
+    rows = list(physical.execute_rows(plan, graph, term_fallbacks=fallbacks))
+    assert len(rows) == fallbacks.total == len(TERMS)
+    assert built == []
+    # ``?s`` once for the conjunct and once for the result row, ``?o`` never.
+    assert decodes.decodes - before == 2 * len(TERMS)

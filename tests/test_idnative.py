@@ -33,6 +33,7 @@ from repro.sparql.expressions import (
     conjuncts,
 )
 from repro.sparql import physical
+from repro.sparql.idexec import row_header
 from repro.sparql.kernels import HEADER, compile_condition, condition_kernel
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
@@ -308,7 +309,7 @@ class TestIdNativeEvaluation:
         patterns = [PathPattern(Variable("a"), LinkPath(EX.p), Variable("b"))]
         encoded = EncodedGraph(self._triples())
         plan = physical.lower_bgp(encoded, patterns)
-        assert len(list(physical.execute(plan, encoded))) == 2
+        assert len(list(physical.execute_rows(plan, encoded))) == 2
         with pytest.raises(TypeError, match="EncodedGraph"):
             physical.lower_bgp(Graph(self._triples()), patterns)
 
@@ -319,7 +320,7 @@ class TestIdNativeEvaluation:
         # first one empties the whole conjunction, whatever the join order.
         plan = physical.lower_bgp(graph, [tp(s, EX.p, EX.never_seen), tp(s, EX.q, o)])
         before = len(graph.dictionary)
-        assert list(physical.execute(plan, graph)) == []
+        assert list(physical.execute_rows(plan, graph)) == []
         # Looking the constant up must not intern it.
         assert len(graph.dictionary) == before
 
@@ -327,22 +328,24 @@ class TestIdNativeEvaluation:
         graph = EncodedGraph(self._triples())
         x, o, extra = Variable("x"), Variable("o"), Variable("extra")
         plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
-        assert len(list(physical.execute(plan, graph))) == 2
+        assert len(list(physical.execute_rows(plan, graph))) == 2
         # A pre-bound plan variable restricts the probe; a pre-bound
         # variable the plan never mentions rides along into every row.
         initial = Binding({x: EX.s1, extra: EX.o2})
-        rows = list(physical.execute(plan, graph, initial=initial))
-        assert rows == [Binding({x: EX.s1, o: EX.o1, extra: EX.o2})]
+        assert row_header(plan, initial) == (extra, o, x)
+        rows = list(physical.execute_rows(plan, graph, initial=initial))
+        assert rows == [(EX.o2, EX.o1, EX.s1)]
         # The same plan object is reusable with another seed.
-        other = list(physical.execute(plan, graph, initial=Binding({x: EX.s2})))
-        assert other == [Binding({x: EX.s2, o: EX.o2})]
+        other = Binding({x: EX.s2})
+        assert row_header(plan, other) == (o, x)
+        assert list(physical.execute_rows(plan, graph, initial=other)) == [(EX.o2, EX.s2)]
 
     def test_initial_binding_with_foreign_term_yields_nothing(self):
         graph = EncodedGraph(self._triples())
         x, o = Variable("x"), Variable("o")
         plan = physical.lower_plan(plan_bgp(graph, [tp(x, EX.p, o)]), graph)
         initial = Binding({x: EX.unseen_subject})
-        assert list(physical.execute(plan, graph, initial=initial)) == []
+        assert list(physical.execute_rows(plan, graph, initial=initial)) == []
         # What the unplanned oracle says of the same join.
         naive = SparqlEvaluator(
             Dataset.from_graph(Graph(self._triples())), profile=ExecutionProfile.NAIVE

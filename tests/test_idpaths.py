@@ -185,9 +185,10 @@ class TestEngineSurface:
 
 
 class TestResultRowLayout:
-    """``evaluate`` fixes the variable order once per pattern: rows stay
-    sorted by name (what ``Binding`` equality and hashing rely on), on
-    the id engine and on the term-level procedure alike."""
+    """The variable order is fixed once per pattern, by name: ``evaluate``'s
+    bindings stay sorted (what ``Binding`` equality and hashing rely on),
+    and the term-level procedure's tuples and ``rows`` under the same
+    header hold the same terms in that order."""
 
     TRIPLES = [
         Triple(EX.a, EX.p, EX.b),
@@ -196,10 +197,13 @@ class TestResultRowLayout:
     ]
 
     def _rows(self, node):
-        by_id = IdPathEngine(EncodedGraph(self.TRIPLES)).evaluate(node)
+        engine = IdPathEngine(EncodedGraph(self.TRIPLES))
+        header = [variable for variable, _ in node.endpoint_slots()]
+        by_id = engine.evaluate(node)
         by_term = eval_path_pattern_terms(node, Graph(self.TRIPLES))
-        assert Counter(by_id) == Counter(by_term)
-        for binding in by_id + by_term:
+        assert Counter(tuple([term for _, term in b.items()]) for b in by_id) == Counter(by_term)
+        assert Counter(engine.rows(node, header)) == Counter(by_term)
+        for binding in by_id:
             names = [variable.name for variable, _ in binding.items()]
             assert names == sorted(set(names))
             assert binding == Binding(binding.as_dict())
@@ -452,18 +456,13 @@ def test_differential_random_paths(edges, path, subject, obj):
 @settings(max_examples=40, deadline=None)
 @given(edges=_edges, path=_path_expressions)
 def test_differential_engine_vs_term_alp(edges, path):
-    """Engine pair semantics == term ALP, compared at the binding level."""
+    """Engine pair semantics == term ALP, compared row by row under ``(?x, ?y)``."""
     triples = [Triple(*edge) for edge in edges]
     node = PathPattern(X, path, Y)
-    expected = Counter(
-        tuple(sorted(binding.items()))
-        for binding in eval_path_pattern_terms(node, Graph(triples))
-    )
-    actual = Counter(
-        tuple(sorted(binding.items()))
-        for binding in IdPathEngine(EncodedGraph(triples)).evaluate(node)
-    )
-    assert actual == expected
+    expected = Counter(eval_path_pattern_terms(node, Graph(triples)))
+    engine = IdPathEngine(EncodedGraph(triples))
+    assert Counter(engine.rows(node, [X, Y])) == expected
+    assert Counter((b[X], b[Y]) for b in engine.evaluate(node)) == expected
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.operators import LeapfrogJoin
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding
+from repro.sparql.solutions import Binding, realign_rows
 from repro.store import EncodedGraph
 from repro.store.dictionary import TermDictionary
 
@@ -100,9 +100,12 @@ def test_counts_are_those_of_the_interpreted_join(
     plan = physical.lower_bgp(graph, patterns, conditions, project=distinct, distinct=distinct)
     assert isinstance(plan.root.child, LeapfrogJoin)
     assert plan.root.distinct is (distinct is not None)
-    found = list(physical.execute(plan, graph, initial=Binding(initial), timed=timed))
+    found = list(physical.execute_rows(plan, graph, initial=Binding(initial), timed=timed))
+    header = idexec.row_header(plan, initial)
     assert len(found) == rows
-    assert all(row[variable] == term for row in found for variable, term in initial.items())
+    assert all(
+        row[header.index(variable)] == term for row in found for variable, term in initial.items()
+    )
     assert [(entry["rows"], entry["probes"]) for entry in plan.counters()] == counts
 
 
@@ -122,22 +125,25 @@ def test_a_second_execution_compiles_nothing(monkeypatch):
 
     monkeypatch.setattr(idexec, "_compile", counting("compile", idexec._compile))
     monkeypatch.setattr(TermDictionary, "id_for", counting("id_for", TermDictionary.id_for))
-    first = list(physical.execute(plan, graph))
+    first = list(physical.execute_rows(plan, graph))
+    column = idexec.row_header(plan).index(B)
     # Three predicates + one constant object, resolved once.
     assert calls == {"compile": 1, "id_for": 5}
     (compiled,) = plan._compiled.values()
-    assert list(physical.execute(plan, graph)) == first
-    assert list(physical.execute(plan, graph, timed=True)) == first
+    assert list(physical.execute_rows(plan, graph)) == first
+    assert list(physical.execute_rows(plan, graph, timed=True)) == first
     assert calls == {"compile": 1, "id_for": 5}
     assert list(plan._compiled.values()) == [compiled]
     # Another domain of the initial binding is another form; a new graph
     # version compiles nothing and resolves nothing again.
-    bound = list(physical.execute(plan, graph, initial=Binding({B: node(1)})))
-    assert bound == [row for row in first if row[B] == node(1)] and bound
+    initial = Binding({B: node(1)})
+    assert idexec.row_header(plan, initial) == idexec.row_header(plan)
+    bound = list(physical.execute_rows(plan, graph, initial=initial))
+    assert bound == [row for row in first if row[column] == node(1)] and bound
     assert calls["compile"] == 2 and len(plan._compiled) == 2
     looked_up = calls["id_for"]
     graph.add(Triple(node(1), EX.q, node(1)))  # n1 -> n2 -> n0 -> n1 qualifies now
-    assert len(list(physical.execute(plan, graph))) == len(first) + 1
+    assert len(list(physical.execute_rows(plan, graph))) == len(first) + 1
     assert calls["compile"] == 2 and len(plan._compiled) == 2
     assert compiled in plan._compiled.values()
     assert calls["id_for"] == looked_up
@@ -148,18 +154,19 @@ def test_an_unknown_constant_gates_every_execution_until_it_is_interned():
     patterns = _TRIANGLE + (tp(A, EX.q, UNSEEN),)
     plan = physical.lower_bgp(graph, patterns)
     assert isinstance(plan.root.child, LeapfrogJoin)
-    assert list(physical.execute(plan, graph)) == []
+    assert list(physical.execute_rows(plan, graph)) == []
     (compiled,) = plan._compiled.values()
     assert [term for _, term in compiled.unresolved] == [UNSEEN]
     assert all(entry["rows"] == entry["probes"] == 0 for entry in plan.counters())
-    assert list(physical.execute(plan, graph)) == []
+    assert list(physical.execute_rows(plan, graph)) == []
     # Interned and matched later: the same compiled form answers.
     graph.add(Triple(node(0), EX.q, UNSEEN))
-    rows = Counter(physical.execute(plan, graph))
+    rows = Counter(physical.execute_rows(plan, graph))
     assert list(plan._compiled.values()) == [compiled] and not compiled.unresolved
     fresh = physical.lower_bgp(graph, patterns)
-    assert rows == Counter(physical.execute(fresh, graph))
-    assert sum(rows.values()) == 2 and all(row[A] == node(0) for row in rows)
+    assert rows == Counter(physical.execute_rows(fresh, graph))
+    column = idexec.row_header(plan).index(A)
+    assert sum(rows.values()) == 2 and all(row[column] == node(0) for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +209,10 @@ _operand = st.sampled_from(
 _condition = st.builds(Comparison, st.sampled_from(["=", "!=", "<"]), _operand, _operand)
 
 
-def _naive(graph, patterns, conditions, initial, projection) -> Counter:
+def _naive(graph, patterns, conditions, initial, projection, header) -> Counter:
     """FILTER(VALUES(initial) . patterns) by the unplanned oracle on a hash
-    copy, projected like the plan's rows (``projection`` and ``initial``'s
-    domain, each row once) when there is a ``projection``."""
+    copy, as tuples aligned with the plan's ``header``: each row once when
+    there is a ``projection`` (the header is then it and ``initial``'s domain)."""
     pattern = BGP(tuple(patterns))
     if initial:
         variables = tuple(initial)
@@ -214,11 +221,9 @@ def _naive(graph, patterns, conditions, initial, projection) -> Counter:
         pattern = Filter(pattern, condition)
     query = SelectQuery(projection=(), pattern=pattern, select_all=True)
     evaluator = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=ExecutionProfile.NAIVE)
-    rows = evaluator.evaluate(query).bindings
-    if projection is None:
-        return Counter(rows)
-    kept = set(projection) | set(initial)
-    return Counter({Binding({v: t for v, t in row.items() if v in kept}) for row in rows})
+    answer = evaluator.evaluate(query)
+    rows = realign_rows(answer.rows(), answer.variables, header)
+    return Counter(rows if projection is None else set(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,8 +253,11 @@ def test_leapfrog_equals_the_unplanned_oracle(
     )
     # The join under the root, or under the gate of a variable-free conjunct.
     assert any(isinstance(operator, LeapfrogJoin) for operator in plan.operators()[1:3])
-    leapfrog = Counter(physical.execute(plan, graph, initial=Binding(initial), timed=timed))
-    assert leapfrog == _naive(graph, patterns, conditions, initial, projection)
+    leapfrog = Counter(
+        physical.execute_rows(plan, graph, initial=Binding(initial), timed=timed)
+    )
+    header = idexec.row_header(plan, initial)
+    assert leapfrog == _naive(graph, patterns, conditions, initial, projection, header)
     if distinct:
         assert set(leapfrog.values()) <= {1}
     if binding == "unseen":

@@ -29,6 +29,7 @@ from repro.sparql import physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
+from repro.sparql.idexec import row_header
 from repro.sparql.parser import parse_query
 from repro.sparql.leapfrog import intersect
 from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin
@@ -36,6 +37,7 @@ from repro.sparql.ordering import is_cyclic
 from repro.sparql.physical import lower_bgp
 from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
+from repro.sparql.solutions import realign_rows
 from repro.store import EncodedGraph, bulk_load_ntriples
 
 from tests.helpers import EX, plan_cache_lookup, scan_work
@@ -335,15 +337,17 @@ class TestExecution:
         graph = self._clique()
         leapfrog = lower_bgp(graph, _triangle_patterns())
         assert isinstance(leapfrog.root.child, LeapfrogJoin)
-        rows = Counter(physical.execute(leapfrog, graph))
+        header = row_header(leapfrog)
+        rows = Counter(physical.execute_rows(leapfrog, graph))
         naive = SparqlEvaluator(Dataset.from_graph(Graph(graph)), profile=ExecutionProfile.NAIVE)
-        assert rows == Counter(naive.evaluate(parse_query(_TRIANGLE)).bindings)
+        answer = naive.evaluate(parse_query(_TRIANGLE))
+        assert rows == Counter(realign_rows(answer.rows(), answer.variables, header))
         assert sum(rows.values()) == 6 * 5 * 4  # ordered triangles of K6
 
     def test_counters_populate_after_execution(self):
         graph = self._clique(4)
         plan = lower_bgp(graph, _triangle_patterns())
-        list(physical.execute(plan, graph))
+        list(physical.execute_rows(plan, graph))
         counters = plan.counters()
         assert counters[0]["operator"] == "Project"
         assert counters[0]["rows"] == 4 * 3 * 2
@@ -360,7 +364,7 @@ class TestExecution:
         graph = EncodedGraph(_TRIPLES)
         a, b = _vars("a", "b")
         plan = lower_bgp(graph, [tp(a, EX.p, b), tp(b, EX.p, a)])
-        rows = list(physical.execute(plan, graph))
+        rows = list(physical.execute_rows(plan, graph))
         counters = {entry["operator"]: entry for entry in plan.counters()}
         assert counters["Project"]["rows"] == len(rows)
         assert counters["IndexNestedLoopJoin"]["rows"] == len(rows)
@@ -421,7 +425,7 @@ Project [?a, ?b, ?c]
         )
         plan = lower_bgp(graph, _triangle_patterns()[:patterns], conditions)
         assert plan.explain() == explained
-        assert len(list(physical.execute(plan, graph, timed=True))) == 2
+        assert len(list(physical.execute_rows(plan, graph, timed=True))) == 2
         header, *lines = plan.explain_analyze(total_seconds=0.0).splitlines()
         assert header == "EXPLAIN ANALYZE total=0.00ms"
         # The tree of explain(), each line followed by its time and counts.

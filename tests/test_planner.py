@@ -11,7 +11,8 @@ from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.operators import IndexNestedLoopJoin, LeapfrogJoin
 from repro.sparql.parser import parse_query
 from repro.sparql.paths import LinkPath, OneOrMorePath
-from repro.sparql.physical import execute, lower_bgp
+from repro.sparql.idexec import row_header
+from repro.sparql.physical import execute_rows, lower_bgp
 from repro.sparql.plan import plan_bgp
 from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
@@ -30,8 +31,10 @@ PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 
 def run_bgp(graph, patterns):
-    """Plan, lower and lazily run a BGP on the physical layer alone."""
-    return execute(lower_bgp(graph, patterns), graph)
+    """Plan, lower and lazily run a BGP on the physical layer alone: the
+    header and the stream of term tuples aligned with it."""
+    plan = lower_bgp(graph, patterns)
+    return row_header(plan), execute_rows(plan, graph)
 
 
 def planned_and_naive(triples):
@@ -63,8 +66,8 @@ class TestGraphStatistics:
         graph = star_graph(10, 2)
         assert graph.predicate_cardinality(EX.a) == 20
         assert graph.predicate_cardinality(EX.selective) == 1
-        assert graph.subject_cardinality(EX.s0) == 5
-        assert graph.object_cardinality(EX.target) == 1
+        assert graph.pattern_cardinality(subject=EX.s0) == 5
+        assert graph.pattern_cardinality(obj=EX.target) == 1
         assert graph.distinct_subjects(EX.a) == 10
         assert graph.distinct_objects(EX.a) == 20
         assert graph.distinct_predicates() == 3
@@ -77,7 +80,7 @@ class TestGraphStatistics:
         for j in range(2):
             graph.remove(Triple(EX.s1, EX.a, EX[f"a1_{j}"]))
         assert graph.distinct_subjects(EX.a) == 3
-        assert graph.subject_cardinality(EX.s1) == 2  # the :b edges remain
+        assert graph.pattern_cardinality(subject=EX.s1) == 2  # the :b edges remain
 
     def test_pattern_cardinality_exact_for_every_shape(self):
         graph = countries_dataset().default_graph
@@ -184,16 +187,17 @@ class TestStreamingExecution:
         graph = star_graph(20, 2)
         v, x, y = Variable("v"), Variable("x"), Variable("y")
         patterns = [tp(v, EX.a, x), tp(v, EX.b, y), tp(v, EX.selective, EX.target)]
-        streamed = list(run_bgp(graph, patterns))
+        header, stream = run_bgp(graph, patterns)
+        streamed = list(stream)
         assert len(streamed) == 4  # 2 :a edges x 2 :b edges of s0
-        assert all(binding[v] == EX.s0 for binding in streamed)
+        assert all(row[header.index(v)] == EX.s0 for row in streamed)
 
     def test_execution_is_lazy(self):
         graph = EncodedGraph(Triple(EX[f"s{i}"], EX.p, EX[f"o{i}"]) for i in range(100))
         counters = graph.enable_counters()
         v, o = Variable("v"), Variable("o")
-        stream = run_bgp(graph, [tp(v, EX.p, o)])
-        first = next(iter(stream))
+        _, stream = run_bgp(graph, [tp(v, EX.p, o)])
+        first = next(stream)
         assert first is not None
         # One probe produced the first solution; the other 99 were not paid.
         assert counters.index_probes == 1
@@ -201,9 +205,9 @@ class TestStreamingExecution:
     def test_repeated_variable_within_pattern(self):
         graph = EncodedGraph([Triple(EX.a, EX.p, EX.a), Triple(EX.a, EX.p, EX.b)])
         x = Variable("x")
-        results = list(run_bgp(graph, [tp(x, EX.p, x)]))
-        assert len(results) == 1
-        assert results[0][x] == EX.a
+        header, stream = run_bgp(graph, [tp(x, EX.p, x)])
+        assert header == (x,)
+        assert list(stream) == [(EX.a,)]
 
     def test_path_pattern_endpoint_substitution(self):
         graph = EncodedGraph()
@@ -218,11 +222,12 @@ class TestStreamingExecution:
         plan = plan_bgp(graph, patterns)
         # The selective triple pattern must be probed before the closure.
         assert plan.order() == [1, 0]
-        results = list(run_bgp(graph, patterns))
-        assert {binding[end] for binding in results} == {
+        header, stream = run_bgp(graph, patterns)
+        results = list(stream)
+        assert {row[header.index(end)] for row in results} == {
             EX[f"n{i}"] for i in range(1, 6)
         }
-        assert all(binding[v] == EX.n0 for binding in results)
+        assert all(row[header.index(v)] == EX.n0 for row in results)
 
 
 class TestZeroLengthPathSubstitution:

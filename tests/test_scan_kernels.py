@@ -32,7 +32,7 @@ from repro.sparql.expressions import conjuncts
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding
+from repro.sparql.solutions import Binding, realign_rows
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -57,9 +57,10 @@ def _conditions(text: str):
     return tuple(conjuncts(query.pattern.condition))
 
 
-def _oracle(triples, patterns, filter_text, initial: Binding, select: str = "*") -> Counter:
+def _oracle(triples, patterns, filter_text, initial: Binding, header, select: str = "*") -> Counter:
     """The unplanned evaluation of VALUES(initial) . patterns . FILTER on a
-    fresh hash graph: neither the step compiler nor the store under test."""
+    fresh hash graph, as tuples aligned with ``header``: neither the step
+    compiler nor the store under test."""
     body = ""
     if initial:
         names = " ".join(f"?{variable.name}" for variable, _ in initial.items())
@@ -74,7 +75,8 @@ def _oracle(triples, patterns, filter_text, initial: Binding, select: str = "*")
         body += f"FILTER({filter_text})"
     evaluator = SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE)
     query = parse_query(PREFIX + "SELECT %s WHERE { %s }" % (select, body))
-    return Counter(evaluator.evaluate(query).bindings)
+    answer = evaluator.evaluate(query)
+    return Counter(realign_rows(answer.rows(), answer.variables, header))
 
 
 def _scans(plan):
@@ -140,8 +142,9 @@ def test_differential_against_the_unplanned_oracle(edges, data):
         label="filter",
     )
     plan = physical.lower_bgp(graph, nodes, _conditions(filter_text) if filter_text else ())
-    rows = Counter(physical.execute(plan, graph, initial=initial))
-    assert rows == _oracle(present if len(graph) else [], nodes, filter_text, initial)
+    rows = Counter(physical.execute_rows(plan, graph, initial=initial))
+    header = idexec.row_header(plan, initial)
+    assert rows == _oracle(present if len(graph) else [], nodes, filter_text, initial, header)
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +193,9 @@ def test_each_shape_takes_its_access_path_and_answers_like_the_oracle(parts, acc
         plan = physical.lower_bgp(graph, [tp(*parts)])
         (scan,) = _scans(plan)
         assert scan.access == access and scan.describe().endswith(f" probe={access}")
-        rows = Counter(physical.execute(plan, graph))
-        assert rows == _oracle(list(graph), [tp(*parts)], "", Binding()), kind
+        rows = Counter(physical.execute_rows(plan, graph))
+        header = idexec.row_header(plan)
+        assert rows == _oracle(list(graph), [tp(*parts)], "", Binding(), header), kind
         if kind in ("one-id", "set", "shrunk") and EX.v not in parts:
             assert rows, (kind, access)
 
@@ -200,7 +204,7 @@ def test_each_shape_takes_its_access_path_and_answers_like_the_oracle(parts, acc
 def test_a_specialised_shape_never_streams_match_triple_ids(parts, access, monkeypatch):
     _, graph = list(_entry_graphs())[2]
     plan = physical.lower_bgp(graph, [tp(*parts)])
-    expected = Counter(physical.execute(plan, graph))
+    expected = Counter(physical.execute_rows(plan, graph))
     streamed = []
     original = graph.match_triple_ids
 
@@ -209,8 +213,8 @@ def test_a_specialised_shape_never_streams_match_triple_ids(parts, access, monke
         return original(*ids)
 
     monkeypatch.setattr(graph, "match_triple_ids", streaming, raising=False)
-    assert Counter(physical.execute(plan, graph)) == expected
-    assert Counter(physical.execute(plan, graph, timed=True)) == expected
+    assert Counter(physical.execute_rows(plan, graph)) == expected
+    assert Counter(physical.execute_rows(plan, graph, timed=True)) == expected
     assert bool(streamed) == access.endswith("match")
 
 
@@ -231,9 +235,12 @@ def test_the_access_path_follows_what_is_bound_at_execution():
         (Binding({X: _OUTSIDE}), 0),
     ):
         before = store.index_probes
-        found = list(physical.execute(plan, graph, initial=initial))
+        found = list(physical.execute_rows(plan, graph, initial=initial))
+        header = idexec.row_header(plan, initial)
         assert len(found) == rows
-        assert all(row[variable] == term for row in found for variable, term in initial.items())
+        assert all(
+            row[header.index(variable)] == term for row in found for variable, term in initial.items()
+        )
         assert store.index_probes - before == 1
     assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X})) == "entry"
     assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X, Y})) == "member"
@@ -313,7 +320,7 @@ def test_one_index_probe_per_scan_probe_whenever_counters_are_enabled(enable):
         store = graph.enable_counters()
     for timed in (False, True):
         before = store.index_probes
-        assert len(list(physical.execute(plan, graph, timed=timed))) == 24
+        assert len(list(physical.execute_rows(plan, graph, timed=timed))) == 24
         assert plan._compiled == compiled  # the cached form, freshly fetched accessors
         probes = sum(scan.stats.probes for scan in _scans(plan))
         assert store.index_probes - before == probes == 1 + 9 + 12 + 24
@@ -345,7 +352,7 @@ def test_explain_analyze_counts_what_the_untimed_run_counts_and_times_every_scan
     assert all(scan.stats.seconds > 0.0 for scan in _scans(plan))
     assert plan.root.stats.seconds >= max(scan.stats.seconds for scan in _scans(plan))
     # ... and an untimed run leaves no time behind.
-    list(physical.execute(plan, graph))
+    list(physical.execute_rows(plan, graph))
     assert all(scan.stats.seconds == 0.0 for scan in _scans(plan))
 
 
@@ -362,10 +369,11 @@ def test_a_mutation_between_two_executions_keeps_the_compiled_form_and_answers_c
     ]
     for change, triple in changes:
         change(triple)
-    rows = Counter(physical.execute(plan, graph))
+    rows = Counter(physical.execute_rows(plan, graph))
     # The steps read the store per execution, so a write leaves them valid.
     (after,) = plan._compiled.values()
     assert after is before
     nodes = [step.node for step in plan.source.steps]
-    assert rows == _oracle(list(graph), nodes, '?n != "name0"', Binding(), "?b ?n ?t")
-    assert rows != Counter(result.bindings)
+    header = idexec.row_header(plan)
+    assert rows == _oracle(list(graph), nodes, '?n != "name0"', Binding(), header, "?b ?n ?t")
+    assert rows != Counter(realign_rows(result.rows(), result.variables, header))

@@ -9,7 +9,7 @@ from repro.core.skolem import SET_ID, SkolemFunctionGenerator
 from repro.datalog.rules import Assignment, SkolemExpr
 from repro.datalog.terms import Var
 from repro.rdf.terms import IRI, Literal, Variable
-from repro.sparql.solutions import Binding, SolutionSequence
+from repro.sparql.solutions import SolutionSequence
 
 
 class TestSkolemGenerator:
@@ -65,9 +65,9 @@ class TestSolutionSequence:
     def _sequence(self):
         x, y = Variable("x"), Variable("y")
         rows = [
-            Binding({x: IRI("http://a"), y: Literal("1")}),
-            Binding({x: IRI("http://a"), y: Literal("1")}),
-            Binding({x: IRI("http://b")}),
+            (IRI("http://a"), Literal("1")),
+            (IRI("http://a"), Literal("1")),
+            (IRI("http://b"), None),
         ]
         return SolutionSequence([x, y], rows)
 
@@ -78,7 +78,7 @@ class TestSolutionSequence:
 
     def test_bag_equality_ignores_order(self):
         left = self._sequence()
-        right = SolutionSequence(left.variables, list(reversed(left.bindings)))
+        right = SolutionSequence(left.variables, list(reversed(left.rows())))
         assert left == right
 
     def test_distinct(self):

@@ -11,7 +11,7 @@ from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, SolutionSequence, project_rows
+from repro.sparql.solutions import Binding, RowView, SolutionSequence, realign_rows
 from repro.store import EncodedGraph
 
 from tests.helpers import EX, countries_dataset, directors_dataset, on_hash_store
@@ -202,19 +202,13 @@ class TestBinding:
 
     def _equal_rows(self):
         A, B, C = self.A, self.B, self.C
-        full = Binding({C: EX.z, A: EX.x, B: EX.y})
         return [
             Binding({A: EX.x, B: EX.y}),
             Binding({B: EX.y, A: EX.x}),
             Binding.from_sorted_items(((A, EX.x), (B, EX.y))),
-            SolutionSequence([A, B], [full]).bindings[0],
-            SolutionSequence([B, A, Variable("unused")], [full]).bindings[0],
-            Binding({A: EX.x}).merge(Binding({B: EX.y})),
-            Binding({B: EX.y}).merge(Binding({A: EX.x})),
-            Binding({A: EX.x, B: EX.y}).merge(Binding({B: EX.y})),
-            Binding({A: EX.x}).extend(B, EX.y),
-            Binding({B: EX.y}).extend(A, EX.x),
-            Binding({A: EX.x, B: EX.z}).extend(B, EX.y),
+            SolutionSequence([A, B], [(EX.x, EX.y)]).bindings[0],
+            SolutionSequence([B, A, Variable("unused")], [(EX.y, EX.x, None)]).bindings[0],
+            SolutionSequence([C, B, A], [(None, EX.y, EX.x)]).bindings[0],
             Binding({Variable("a"): EX.x, Variable("b"): EX.y}),
         ]
 
@@ -225,7 +219,7 @@ class TestBinding:
             assert hash(binding) == hash(rows[0])
             assert binding.items() == rows[0].items()
         assert Binding({self.A: EX.x}) != rows[0]
-        assert Binding() == Binding.from_sorted_items(()) == SolutionSequence([], rows).bindings[0]
+        assert Binding() == Binding.from_sorted_items(()) == SolutionSequence([], [()]).bindings[0]
         assert hash(Binding()) == hash(Binding.from_sorted_items(()))
 
     def test_rows_are_counter_and_set_keys(self):
@@ -233,36 +227,29 @@ class TestBinding:
         other = Binding({self.A: EX.x, self.B: EX.z})
         assert Counter(rows + [other]) == {rows[0]: len(rows), other: 1}
         assert set(rows) == {rows[3]}
-        assert len(SolutionSequence([self.A, self.B], rows + [other]).distinct()) == 2
-        assert SolutionSequence([self.A], rows) == SolutionSequence([self.A], rows[::-1])
+        tuples = [(binding.get(self.A), binding.get(self.B)) for binding in rows + [other]]
+        assert len(SolutionSequence([self.A, self.B], tuples).distinct()) == 2
+        assert SolutionSequence([self.A, self.B], tuples) == SolutionSequence(
+            [self.B, self.A], [(b, a) for a, b in reversed(tuples)]
+        )
 
-    def test_project_rows_matches_by_name_and_leaves_unbound_none(self):
+    def test_realign_rows_matches_by_name_and_leaves_unbound_none(self):
         A, B, C = self.A, self.B, self.C
-        binding = Binding({A: EX.x, B: EX.y})
-        assert project_rows([B, C, Variable("a")], [binding]) == [(EX.y, None, EX.x)]
-        assert project_rows([], [binding, Binding()]) == [(), ()]
+        rows = [(EX.x, EX.y)]
+        assert list(realign_rows(rows, [A, B], [B, C, Variable("a")])) == [(EX.y, None, EX.x)]
+        assert list(realign_rows(rows, [A, B], [Variable("b")])) == [(EX.y,)]
+        assert list(realign_rows([(EX.x,), (None,)], [A], [])) == [(), ()]
+        assert realign_rows(rows, [A, B], [Variable("a"), Variable("b")]) is rows
 
-    def test_merge_keeps_items_sorted_and_left_wins(self):
+    def test_a_row_view_reads_by_name_and_unbound_as_absent(self):
         A, B, C = self.A, self.B, self.C
-        D = Variable("d")
-        merged = Binding({A: EX.x, C: EX.z}).merge(Binding({B: EX.y, D: EX.w}))
-        assert merged.items() == ((A, EX.x), (B, EX.y), (C, EX.z), (D, EX.w))
-        merged = Binding({B: EX.y, D: EX.w}).merge(Binding({A: EX.x, B: EX.other, C: EX.z}))
-        assert merged.items() == ((A, EX.x), (B, EX.y), (C, EX.z), (D, EX.w))
-        assert Binding({C: EX.z}).merge(Binding({A: EX.x})).items() == ((A, EX.x), (C, EX.z))
-        binding = Binding({A: EX.x})
-        assert binding.merge(Binding()) is binding
-        assert Binding().merge(binding) is binding
-
-    def test_extend_inserts_in_order_and_replaces(self):
-        A, B, C = self.A, self.B, self.C
-        binding = Binding({A: EX.x, C: EX.z})
-        assert binding.extend(B, EX.y).items() == ((A, EX.x), (B, EX.y), (C, EX.z))
-        assert binding.extend(Variable("0"), EX.y).items()[0] == (Variable("0"), EX.y)
-        assert binding.extend(Variable("d"), EX.y).items()[-1] == (Variable("d"), EX.y)
-        assert binding.extend(Variable("c"), EX.y).items() == ((A, EX.x), (C, EX.y))
-        assert binding.items() == ((A, EX.x), (C, EX.z))
-        assert Binding().extend(A, EX.x) == Binding({A: EX.x})
+        view = RowView([A, B]).at((EX.x, None))
+        assert view.get(Variable("a")) == EX.x
+        assert view.get(B) is None and view.get(B, EX.z) == EX.z
+        assert view.get(C) is None
+        assert view.at((None, EX.y)).get(B) == EX.y and view.get(A) is None
+        # A view over a register file: the header's variables sit at ``positions``.
+        assert RowView([A], [2]).at(("r0", "r1", EX.x)).get(A) == EX.x
 
     def test_lookup_by_equal_but_distinct_variable(self):
         binding = Binding({self.A: EX.x})

@@ -24,7 +24,7 @@ from repro.sparql.functions import (
     numeric_value,
     term_compare,
 )
-from repro.sparql.solutions import Binding, project_rows
+from repro.sparql.solutions import Binding, CompatIndex, SolutionSequence
 
 X = Variable("x")
 Y = Variable("y")
@@ -186,20 +186,20 @@ class TestExpressionEvaluation:
 
 class TestBinding:
     def test_merge_and_compatibility(self):
-        left = _binding(x=lit(1))
-        right = _binding(y=lit(2))
-        merged = left.merge(right)
-        assert merged[X] == lit(1)
-        assert merged[Y] == lit(2)
+        # Rows are merged as tuples under the joined header.
+        index = CompatIndex([X], [Y], [(lit(2),)])
+        assert index.header == (X, Y)
+        assert index.merged((lit(1),)) == [(lit(1), lit(2))]
+        assert _binding(x=lit(1)).is_compatible(_binding(y=lit(2)))
 
     def test_incompatible(self):
         assert not _binding(x=lit(1)).is_compatible(_binding(x=lit(2)))
         assert _binding(x=lit(1)).is_compatible(_binding(x=lit(1), y=lit(3)))
 
-    def test_project_rows_and_extend(self):
-        binding = _binding(x=lit(1), y=lit(2))
-        assert project_rows([X], [binding]) == [(lit(1),)]
-        assert binding.extend(Variable("z"), lit(9))[Variable("z")] == lit(9)
+    def test_rows_read_as_bindings(self):
+        sequence = SolutionSequence([X, Y], [(lit(1), None), (lit(1), lit(2))])
+        assert sequence.bindings == [_binding(x=lit(1)), _binding(x=lit(1), y=lit(2))]
+        assert sequence.bindings[1][Y] == lit(2)
 
     def test_equality_and_hash(self):
         assert _binding(x=lit(1)) == _binding(x=lit(1))

@@ -94,6 +94,18 @@ class TestEngineBasics:
         with pytest.raises(EvaluationLimitExceeded):
             engine.query(PREFIX + "SELECT ?x WHERE { ex:spain ex:borders ?x }")
 
+    def test_an_aggregate_skips_an_unbound_argument(self):
+        # The translation's "null" stands for an unbound ?z: it is no value.
+        graph = Graph(
+            [Triple(EX.a, EX.p, EX.b), Triple(EX.a, EX.p, EX.c), Triple(EX.c, EX.q, EX.d)]
+        )
+        text = (
+            PREFIX + "SELECT ?x (COUNT(?z) AS ?n) (MAX(?z) AS ?m) "
+            "WHERE { ?x ex:p ?y OPTIONAL { ?y ex:q ?z } } GROUP BY ?x"
+        )
+        result = SparqLogEngine(Dataset.from_graph(graph)).query(text)
+        assert result.rows() == [(EX.a, Literal.from_python(1), EX.d)]
+
 
 BORDERS = PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }"
 

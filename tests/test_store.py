@@ -305,8 +305,8 @@ class TestBulkLoader:
             )
         for index in range(5):
             subject = IRI(f"http://e/s{index}")
-            assert one_shot.subject_cardinality(subject) == chunked.subject_cardinality(
-                subject
+            assert one_shot.pattern_cardinality(subject=subject) == chunked.pattern_cardinality(
+                subject=subject
             )
 
     def test_failed_load_leaves_graph_consistent(self):
@@ -322,7 +322,7 @@ class TestBulkLoader:
             )
         assert len(graph) == 2
         assert graph.pattern_cardinality(EX.a, None, None) == 2
-        assert graph.subject_cardinality(EX.a) == 2
+        assert graph.pattern_cardinality(obj=EX.c) == 1
         assert graph.version == version + 1
 
     def test_loads_into_existing_graph(self):
