@@ -171,7 +171,10 @@ class SparqLogEngine:
         """Render what is evaluated for ``query`` — not T_Q as written.
 
         The query is run and its prepared form rendered: how many T_Q
-        rules were left after unfolding and which predicates went, then
+        rules were left after unfolding and which predicates went; what
+        trimming did to tuple IDs, if anything (an ``ids:`` line: the
+        columns nothing read, as ``predicate:position``, the assignments
+        nothing read and the Skolem chains fused into one term); then
         every evaluated component in order with its ``recursive`` flag,
         the semi-naive rounds and derived tuples of this run, and each of
         its rules with the body in the order it runs in; ``[est n]`` after
@@ -194,6 +197,14 @@ class SparqLogEngine:
                     f"unfold: {unfolding['rules_before']} rules -> {unfolding['rules_after']}"
                     f" (unfolded: {', '.join(unfolding['unfolded']) or 'none'})"
                 )
+                columns = unfolding["columns_dropped"]
+                if columns or unfolding["assignments_dropped"] or unfolding["chains_fused"]:
+                    lines.append(
+                        f"ids: {len(columns)} columns dropped"
+                        + (f" ({', '.join(columns)})" if columns else "")
+                        + f", {unfolding['assignments_dropped']} assignments dropped"
+                        f", {unfolding['chains_fused']} chains fused"
+                    )
             for component in prepared.program.evaluated():
                 lines.append(
                     f"component {', '.join(component['predicates'])}:"

@@ -11,13 +11,21 @@ distinguishable duplicates, while the provenance stays inspectable.
 The zero-or-one / zero-or-more / one-or-more property paths instead force
 the ID to a fixed constant (the empty list in the paper, ``SET_ID`` here)
 because the SPARQL standard mandates set semantics for them.
+
+:meth:`SkolemFunctionGenerator.tuple_id_assignment` is the one place a
+tuple ID is made, and it marks it: the expression is a
+:class:`~repro.datalog.rules.TupleIdExpr`.  An ID value only has to tell
+derivations apart, so the engine's rewrite
+(:func:`repro.datalog.optimise.trim`) may drop an ID nothing reads and
+fuse a chain of IDs into one term — a one-to-one renaming that keeps the
+bag of data columns.  Every other Skolem term keeps its value.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
-from repro.datalog.rules import Assignment, SkolemExpr
+from repro.datalog.rules import Assignment, TupleIdExpr
 from repro.datalog.terms import Const, Var
 
 #: The constant tuple ID shared by all set-semantics derivations
@@ -49,9 +57,11 @@ class SkolemFunctionGenerator:
         by name so the ID is independent of atom order.
         """
         rule_id = self.next_rule_id()
-        sorted_variables: List[Var] = sorted(set(body_variables), key=lambda v: v.name)
+        # Deduplicated and sorted by name; a name hashes faster than a Var.
+        by_name = {variable.name: variable for variable in body_variables}
+        arguments = tuple([by_name[name] for name in sorted(by_name)])
         functor = f"f{rule_id}" + (f":{label}" if label else "")
-        return Assignment(id_variable, SkolemExpr(functor, tuple(sorted_variables)))
+        return Assignment(id_variable, TupleIdExpr(functor, arguments))
 
     @staticmethod
     def set_semantics_assignment(id_variable: Var) -> Assignment:

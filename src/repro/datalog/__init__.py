@@ -22,7 +22,9 @@ same ``PreparedProgram`` on the same base.  A
 program that declares ``@output`` predicates is first unfolded
 (:mod:`repro.datalog.optimise`): single-rule predicates outside the answer
 are replaced by their bodies, so chains of one-rule-per-operator
-intermediates become joins the engine orders as a whole.  The evaluated
+intermediates become joins the engine orders as a whole, and then trimmed:
+columns and assignments no reader uses go, and chains of tuple IDs become
+one Skolem term.  The evaluated
 state (a ``Materialisation``) can serve as the read-only base of further
 evaluations.  A wardedness analysis (:mod:`repro.datalog.wardedness`)
 checks the syntactic Warded Datalog± condition of the generated programs.

@@ -9,12 +9,14 @@ conditions are evaluated as soon as their variables are bound.  A program
 that declares ``@output`` predicates — T_Q always does — is first
 rewritten by :func:`repro.datalog.optimise.unfold`, so that what is
 evaluated is a few multi-atom joins rather than one materialised relation
-per algebra operator.
+per algebra operator, and then by :func:`repro.datalog.optimise.trim`,
+so that only the tuple IDs the answer's bag needs are built, one Skolem
+term per row.
 
 Evaluation is two steps, :meth:`DatalogEngine.prepare` and
 :meth:`DatalogEngine.run`, and :meth:`DatalogEngine.materialise` is one
 after the other.  ``prepare`` does what depends on the program alone —
-unfolding, the components and their rule groups — and returns a
+unfolding and trimming, the components and their rule groups — and returns a
 :class:`PreparedProgram`.  ``run`` evaluates it on a base; the first run on
 a base also *orders and compiles* every component as it reaches it: after
 :meth:`DatalogEngine._order_body` has fixed the body order from the live
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -59,7 +61,7 @@ from repro.datalog.rules import (
     Program,
     Rule,
 )
-from repro.datalog.optimise import unfold
+from repro.datalog.optimise import trim, unfold
 from repro.datalog.steps import (
     CLOCK_CADENCE,
     GroundTuple,
@@ -189,8 +191,10 @@ class PreparedProgram:
 
     Two lifetimes live here.  What depends on the program alone is fixed
     for good: the predicates it defines (which a base must not have), the
-    ``unfolding`` record (``rules_before``, ``rules_after``, ``unfolded``;
-    ``None`` for a program without ``@output``), every predicate that needs
+    ``unfolding`` record (``rules_before``, ``rules_after``, ``unfolded``,
+    and what :func:`~repro.datalog.optimise.trim` did: ``columns_dropped``,
+    ``assignments_dropped``, ``chains_fused``; ``None`` for a program
+    without ``@output``), every predicate that needs
     a relation, the ground facts and, per component that has rules, its
     aggregate and plain rules in evaluation order.  What also depends on
     the base — scratch relations, ordered bodies, compiled plans — is built
@@ -308,20 +312,27 @@ class DatalogEngine:
         fact below them would leave it stale.
 
         A program with ``@output`` directives has named its answer, so it
-        is unfolded first (:func:`repro.datalog.optimise.unfold`): the
-        output predicates come out tuple for tuple as written, predicates
-        the rewrite replaced by their bodies are not materialised at all.
-        A program without directives is evaluated exactly as written.
+        is unfolded and trimmed first (:func:`repro.datalog.optimise.unfold`,
+        :func:`~repro.datalog.optimise.trim`): the output predicates come
+        out tuple for tuple as written, except that tuple-ID values
+        (:class:`~repro.datalog.rules.TupleIdExpr`) are renamed one-to-one,
+        so the bag of their other columns — what T_S reads — is the same.
+        Predicates the rewrite replaced by their bodies are not materialised
+        at all.  A program without directives is evaluated exactly as
+        written.
         """
         return self.run(self.prepare(program), base)
 
     def prepare(self, program: Program) -> PreparedProgram:
         """Everything evaluation needs that the program alone decides.
 
-        Unfolds a program that declares ``@output`` (one ``datalog.unfold``
-        span), walks the components and groups the rules by the component
-        that derives them.  Reads no relation; ``program`` is not modified
-        and may change afterwards.
+        Unfolds a program that declares ``@output``, then drops the
+        columns and assignments nothing reads and fuses tuple-ID chains
+        (:func:`~repro.datalog.optimise.trim`) — one ``datalog.unfold``
+        span, annotated with the ``unfolding`` record —, walks the
+        components and groups the rules by the component that derives
+        them.  Reads no relation; ``program`` is not modified and may
+        change afterwards.
         """
         tracer = self.tracer
         defined = {fact.predicate for fact in program.facts}
@@ -332,16 +343,19 @@ class DatalogEngine:
         unfolding: Optional[Dict[str, object]] = None
         if keep:
             # The program says which predicates are its answer: the others
-            # need not exist, and chains of them are evaluated as one join.
+            # need not exist, chains of them are evaluated as one join, and
+            # what no reader uses of them is not computed.
             span = tracer.span("datalog.unfold", "datalog") if tracer is not None else NULL_SPAN
             with span:
                 written, program = program, unfold(program, keep)
                 remaining = {rule.head.predicate for rule in program.rules}
                 heads = dict.fromkeys(rule.head.predicate for rule in written.rules)
+                program, trimmed = trim(program, keep)
                 unfolding = {
                     "rules_before": len(written.rules),
                     "rules_after": len(program.rules),
                     "unfolded": [head for head in heads if head not in remaining],
+                    **trimmed,
                 }
                 span.annotate(**unfolding)
 
@@ -538,11 +552,14 @@ class DatalogEngine:
 
         Negations, comparisons, assignments and filters are placed as soon
         as their input variables are bound — before the next atom is
-        chosen, so a selection never waits behind a join.  Positive atoms
-        are then ordered by estimated candidate count: the rows agreeing
-        with the atom's constants (:func:`_matching_rows`), divided by the
-        distinct count of every position a bound variable fixes — the
-        independence model of the SPARQL BGP planner.  Predicates in
+        chosen, so a selection never waits behind a join.  Among those
+        ready at once, an assignment whose variable only the head reads
+        (a tuple ID) comes after the others, so it is built only for the
+        rows that the comparisons, filters and negations let through.
+        Positive atoms are then ordered by estimated candidate count: the
+        rows agreeing with the atom's constants (:func:`_matching_rows`),
+        divided by the distinct count of every position a bound variable
+        fixes — the independence model of the SPARQL BGP planner.  Predicates in
         ``volatile`` (the heads of a recursive component, whose extensions
         grow during the fixpoint) are priced pessimistically so stable
         atoms bind variables first.  Ties are broken by source position,
@@ -574,10 +591,21 @@ class DatalogEngine:
                         rows /= max(1, relation.distinct_count(position))
             return rows
 
+        # An assignment whose variable only the head reads (a tuple ID) can
+        # reject nothing: it waits for every ready step that can.
+        mentions = Counter(
+            variable for element in pending for variable in element.variables()
+        )
+        head_only = {
+            id(element)
+            for element in pending
+            if isinstance(element, Assignment) and mentions[element.variable] == 1
+        }
+
         while pending:
-            placed = True
-            while placed:
-                placed = False
+            while True:
+                chosen: Optional[BodyElement] = None
+                waiting: Optional[BodyElement] = None
                 for element in pending:
                     if isinstance(element, Atom):
                         continue
@@ -586,13 +614,18 @@ class DatalogEngine:
                     else:
                         required = element.variables()
                     if required <= bound:
-                        ordered.append(element)
-                        estimates.append(None)
-                        if isinstance(element, Assignment):
-                            bound.add(element.variable)
-                        pending.remove(element)
-                        placed = True
-                        break
+                        if id(element) not in head_only:
+                            chosen = element
+                            break
+                        waiting = waiting or element
+                chosen = chosen or waiting
+                if chosen is None:
+                    break
+                ordered.append(chosen)
+                estimates.append(None)
+                if isinstance(chosen, Assignment):
+                    bound.add(chosen.variable)
+                pending.remove(chosen)
             atoms = [element for element in pending if isinstance(element, Atom)]
             if not atoms:
                 # What is left waits for a variable nothing binds: it runs

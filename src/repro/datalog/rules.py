@@ -91,6 +91,20 @@ class SkolemExpr:
         return f"#{self.functor}[{inner}]"
 
 
+class TupleIdExpr(SkolemExpr):
+    """A :class:`SkolemExpr` that builds a tuple ID of the bag model.
+
+    Made only by :meth:`repro.core.skolem.SkolemFunctionGenerator.tuple_id_assignment`.
+    An ID value only tells derivations apart — it goes into a head or into
+    another tuple ID, and nothing joins or compares on it —, so the rewrite
+    of :func:`repro.datalog.optimise.trim` may rename it one-to-one (fuse a
+    chain of them into one term) where a plain :class:`SkolemExpr` keeps
+    its value.  Evaluated exactly like its base class.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A built-in assignment ``Var = expression``.
@@ -190,21 +204,24 @@ class Rule:
         Variables introduced by assignments count as bound, and existential
         head variables are exempt.
         """
-        bound: Set[Var] = set()
+        # By name: a variable's hash is Python code, a string's is not.
+        bound: Set[str] = set()
         for element in self.body:
-            if isinstance(element, Atom):
-                bound.update(element.arguments)  # constants in it are harmless
-            elif isinstance(element, Assignment):
-                bound.add(element.variable)
+            if type(element) is Atom:
+                bound.update([term.name for term in element.arguments if type(term) is Var])
+            elif type(element) is Assignment:
+                bound.add(element.variable.name)
         for argument in self.head.arguments:
             if (
-                isinstance(argument, Var)
-                and argument not in bound
+                type(argument) is Var
+                and argument.name not in bound
                 and argument not in self.existential_variables
             ):
                 return False
         for element in self.body:
-            if isinstance(element, (Negation, Comparison)) and not element.variables() <= bound:
+            if type(element) in (Negation, Comparison) and not all(
+                variable.name in bound for variable in element.variables()
+            ):
                 return False
         return True
 

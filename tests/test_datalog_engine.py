@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.skolem import SkolemFunctionGenerator
 from repro.datalog.engine import (
     DatalogEngine,
     EvaluationLimitExceeded,
@@ -472,6 +473,30 @@ class TestBodyOrder:
         program.add_rule(Rule(Atom("out", (X,)), (Atom("t", (X, c("c1"), c("c2"))),)))
         (body,) = evaluated_bodies(program)
         assert body == [("t(X, «'c1'», «'c2'»)", 3.0)]
+
+    def test_tuple_ids_are_built_only_for_rows_that_survive(self, monkeypatch):
+        # The ID and the comparison are ready at once, the ID first in the
+        # source: the comparison that rejects half the rows runs first.
+        built = []
+        init = SkolemTerm.__init__
+
+        def counted_init(self, functor, arguments):
+            built.append(functor)
+            init(self, functor, arguments)
+
+        monkeypatch.setattr(SkolemTerm, "__init__", counted_init)
+        program = Program()
+        for index in range(10):
+            program.add_fact(Atom("e", (c(index), c(index * 2))))
+        identifier = SkolemFunctionGenerator().tuple_id_assignment(W, [X, Y])
+        program.add_rule(
+            Rule(Atom("out", (W, X)), (Atom("e", (X, Y)), identifier, Comparison("<", X, c(5))))
+        )
+        (body,) = evaluated_bodies(program)
+        assert [element for element, _ in body] == ["e(X, Y)", "X < «5»", repr(identifier)]
+        built.clear()
+        rows = DatalogEngine().evaluate(program)["out"]
+        assert len(rows) == len(built) == 5
 
 
 class TestStratification:

@@ -274,3 +274,23 @@ def test_the_native_engine_holds_one_row_shape():
         if "Binding" in (package / f"{name}.py").read_text(encoding="utf-8")
     ]
     assert offences == []
+
+
+def test_only_the_skolem_generator_marks_tuple_ids():
+    """A :class:`TupleIdExpr` may be renamed by ``optimise.trim``, so only
+    ``SkolemFunctionGenerator.tuple_id_assignment`` (``core/skolem.py``) may
+    make one: no other module of ``src/repro`` calls the class by name (the
+    rewrites rebuild a marked expression through ``type(expression)``)."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    makers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                function = node.func
+                if isinstance(function, ast.Attribute):
+                    called = function.attr
+                else:
+                    called = getattr(function, "id", "")
+                if called == "TupleIdExpr":
+                    makers.add(path.relative_to(package).as_posix())
+    assert makers == {"core/skolem.py"}

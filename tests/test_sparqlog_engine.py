@@ -22,7 +22,8 @@ from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
 from repro.sparql.modifiers import apply_order_by
 from repro.store import EncodedGraph
-from repro.workloads.sp2bench import SP2BenchWorkload
+from repro.workloads.gmark import generate_gmark_graph, generate_gmark_queries, social_scenario
+from repro.workloads.sp2bench import SP2BenchWorkload, sp2bench_queries
 
 from tests.helpers import (
     EX,
@@ -269,6 +270,66 @@ component select4: recursive=False rounds=0 derived=21
   select4(V_x, V_y, D) :-
     D := «'default'»
     path2(V_x, V_y, «'default'»)  [est 21]"""
+
+
+    def test_explain_says_which_tuple_ids_went(self):
+        # Query social-19 of the benchmark's gMark set: the alternative
+        # under ``?`` (path7) is read only by the set-semantics path8, so
+        # its ID column and the two assignments building it go, and each
+        # remaining chain of IDs is one term.
+        tracer = Tracer("social-19")
+        engine = SparqLogEngine(Dataset.from_graph(people_graph()), tracer=tracer)
+        text = engine.explain(
+            "PREFIX gmark: <http://example.org/gMark/>\n"
+            "SELECT ?x ?y WHERE { ?x (^gmark:livesIn|gmark:influences)"
+            "/((gmark:influences|gmark:livesIn))? ?y }"
+        )
+        assert text.split("\n")[:2] == [
+            "unfold: 14 rules -> 7 (unfolded: path1, path2, path3, path5, path6, path9, ans10)",
+            "ids: 1 columns dropped (path7:0), 4 assignments dropped, 5 chains fused",
+        ]
+        (unfolding,) = [span for span in tracer.spans if span.name == "datalog.unfold"]
+        assert unfolding.args["columns_dropped"] == ["path7:0"]
+        assert (unfolding.args["assignments_dropped"], unfolding.args["chains_fused"]) == (4, 5)
+        trace_to_dict(tracer, validate=True)
+        assert "  path7(X, Y, «'default'») :-" in text
+        fused = "Id := #f12:select∘f11:path-pattern∘f10:sequence[D, Id1~2, Id2, V_x, Y, V_y]"
+        assert fused in text
+
+
+def _tiny_suites():
+    """The benchmark's tiny ``*_sparqlog`` inputs: gMark social at scale 0.02
+    with 6 queries, SP2Bench at scale 0.02 with its first 5."""
+    scenario = social_scenario().scaled(0.02)
+    graph = generate_gmark_graph(scenario, seed=7)
+    gmark = [query.text for query in generate_gmark_queries(scenario, graph, seed=38, count=6)]
+    sp2bench = SP2BenchWorkload(scale=0.02, seed=1)
+    return {
+        "gmark": (Dataset.from_graph(graph), gmark),
+        "sp2bench": (sp2bench.dataset(), [query.text for query in sp2bench_queries()[:5]]),
+    }
+
+
+#: Skolem terms a warm pass builds: at most this many (the tuple IDs the
+#: answers need); 460 and 369 before unfolding trimmed and fused them.
+_SKOLEM_TERMS_PER_WARM_PASS = {"gmark": 185, "sp2bench": 90}
+
+
+def test_a_warm_pass_builds_a_tuple_id_per_row_not_per_operator(monkeypatch):
+    built = []
+    init = SkolemTerm.__init__
+
+    def counted_init(self, functor, arguments):
+        built.append(functor)
+        init(self, functor, arguments)
+
+    monkeypatch.setattr(SkolemTerm, "__init__", counted_init)
+    for name, (dataset, texts) in _tiny_suites().items():
+        engine = SparqLogEngine(dataset)
+        answers = [len(engine.query(text)) for text in texts]
+        built.clear()
+        assert [len(engine.query(text)) for text in texts] == answers
+        assert 0 < len(built) <= _SKOLEM_TERMS_PER_WARM_PASS[name], name
 
 
 def count_query_work(monkeypatch) -> Counter:
