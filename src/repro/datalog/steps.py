@@ -34,14 +34,8 @@ from repro.datalog.rules import (
 )
 from repro.datalog.terms import SkolemTerm, Var, ground_value
 from repro.rdf.terms import Literal, Term as RdfTerm, term_sort_key
-from repro.sparql.expressions import (
-    Comparison as FilterComparison,
-    TermExpr,
-    VariableExpr,
-    satisfies,
-)
+from repro.sparql.expressions import compile_test
 from repro.sparql.functions import ExpressionError, term_compare
-from repro.sparql.solutions import Binding
 
 Registers = List[object]
 #: One compiled body element (or the head): runs on the register file and
@@ -415,48 +409,28 @@ def _bind_value(target: int, value_of: Callable, next_step: Step, regs: Register
 
 
 def filter_step(condition: FilterCondition, registers: RegisterFile) -> StepMaker:
-    """An embedded SPARQL filter over the bound variables carrying RDF terms."""
-    expression = condition.expression
+    """An embedded SPARQL filter, compiled once over the register file.  A
+    variable reads its register; the expression compiler takes a value that
+    is no RDF term (a Skolem term, a variable never bound in the body:
+    register 0) as unbound."""
     slot_of = {
         variable: registers.slots[datalog_variable]
         for variable, datalog_variable in condition.variable_map
         if datalog_variable in registers.slots
     }
-    if isinstance(expression, FilterComparison) and all(
-        isinstance(side, (VariableExpr, TermExpr)) for side in (expression.left, expression.right)
-    ):
-        # One comparison of variables / constants: no Binding, no interpreter.
-        # An unbound or non-RDF operand and a type error reject the row,
-        # as ``satisfies`` does.
-        operator = expression.operator
-        left, right = (
-            registers.operand(side.term)
-            if isinstance(side, TermExpr)
-            else slot_of.get(side.variable, 0)
-            for side in (expression.left, expression.right)
-        )
 
-        return step(_filter_compare, operator, left, right)
-    pairs = sorted(slot_of.items(), key=lambda pair: pair[0].name)
-    return step(_filter, expression, pairs)
+    def reader(variable) -> Callable[[Registers], object]:
+        return getter([slot_of.get(variable, 0)])
+
+    return step(_filter, compile_test(condition.expression, reader))
 
 
-def _filter_compare(operator: str, left: int, right: int, next_step: Step, regs: Registers) -> None:
-    first, second = regs[left], regs[right]
-    if isinstance(first, RdfTerm) and isinstance(second, RdfTerm):
-        try:
-            passed = term_compare(operator, first, second)
-        except ExpressionError:
-            return
-        if passed:
-            next_step(regs)
-
-
-def _filter(expression, pairs, next_step: Step, regs: Registers) -> None:
-    items = tuple(
-        (variable, regs[slot]) for variable, slot in pairs if isinstance(regs[slot], RdfTerm)
-    )
-    if satisfies(expression, Binding.from_sorted_items(items)):
+def _filter(test: Callable[[Registers], bool], next_step: Step, regs: Registers) -> None:
+    try:
+        passed = test(regs)
+    except ExpressionError:  # FILTER reads an error as false
+        return
+    if passed:
         next_step(regs)
 
 

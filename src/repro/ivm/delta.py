@@ -61,7 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Triple, Variable
 from repro.sparql import idexec
-from repro.sparql.expressions import Expression, satisfies
+from repro.sparql.expressions import Expression, compile_condition, positional
 from repro.sparql.kernels import (
     FREE,
     HEADER,
@@ -74,7 +74,6 @@ from repro.sparql.kernels import (
 )
 from repro.sparql.operators import condition_label
 from repro.sparql.plan import attach_conditions
-from repro.sparql.solutions import EMPTY_BINDING
 from repro.store.encoded import require_encoded
 from repro.ivm.zset import ZSet
 
@@ -254,7 +253,8 @@ class DeltaPipeline:
 
         # Variable-free conjuncts are constant: evaluate once.  A false
         # one makes the view permanently empty, so every delta is ∅.
-        self._live = all(satisfies(c, EMPTY_BINDING) for c in conditions if not c.variables())
+        nothing = positional(())
+        self._live = all(compile_condition(c, nothing)(()) for c in conditions if not c.variables())
         conditions = [c for c in conditions if c.variables()]
         self.orders: Tuple[ProbeOrder, ...] = tuple(
             _probe_order(self.patterns, conditions, seed) for seed in range(len(self.patterns))

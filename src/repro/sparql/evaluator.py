@@ -63,7 +63,12 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.alp import EvaluationError, eval_path_pattern_terms
 from repro.sparql.evaltree import Pipeline, PreparedQuery, prepare_query
-from repro.sparql.expressions import Expression, evaluate as evaluate_expression, satisfies
+from repro.sparql.expressions import (
+    Expression,
+    compile_condition,
+    compile_expression,
+    positional,
+)
 from repro.sparql.functions import ExpressionError
 from repro.sparql import physical
 from repro.sparql.idpaths import IdPathEngine
@@ -81,7 +86,6 @@ from repro.sparql.profile import ExecutionProfile
 from repro.sparql.solutions import (
     CompatIndex,
     Row,
-    RowView,
     SolutionSequence,
     realign_rows,
 )
@@ -334,8 +338,8 @@ class SparqlEvaluator:
 
     def _eval_filter(self, node: Filter, active_graph: Graph, dataset: Dataset) -> Rows:
         header, rows = self._eval(node.pattern, active_graph, dataset)
-        view, condition = RowView(header), node.condition
-        return header, (row for row in rows if satisfies(condition, view.at(row)))
+        condition = compile_condition(node.condition, positional(header))
+        return header, (row for row in rows if condition(row))
 
     def _eval_unplanned_bgp(self, node: BGP, active_graph: Graph, dataset: Dataset) -> Rows:
         """Textual order, pattern by pattern: what runs without the planner."""
@@ -409,15 +413,16 @@ class SparqlEvaluator:
         header, left = self._rows(node.left, active_graph, dataset)
         if not left:
             return header, left
-        condition = node.condition
         index = self._compat_index(header, *self._rows(node.right, active_graph, dataset))
-        view = RowView(index.header)
+        condition = node.condition
+        if condition is not None:
+            condition = compile_condition(condition, positional(index.header))
         pad = (None,) * (len(index.header) - len(header))
         results: List[Row] = []
         for row in left:
             extended = index.merged(row)
             if condition is not None:
-                extended = [merged for merged in extended if satisfies(condition, view.at(merged))]
+                extended = [merged for merged in extended if condition(merged)]
             if extended:
                 results.extend(extended)
             else:
@@ -663,10 +668,10 @@ def _bind_rows(
     """BIND over ``rows``: the value goes to column ``target``, or a new
     last column when ``target`` is ``None``.  An expression error leaves the
     variable unbound; a row that binds it already to another value is dropped."""
-    view = RowView(header)
+    value_of = compile_expression(expression, positional(header))
     for row in rows:
         try:
-            value = evaluate_expression(expression, view.at(row))
+            value = value_of(row)
         except ExpressionError:
             yield row if target is not None else row + (None,)
             continue

@@ -1,32 +1,62 @@
-"""SPARQL filter / projection expression AST and evaluation.
+"""SPARQL filter / projection expressions: the AST and its compiler.
 
 Expressions appear in FILTER constraints, BIND assignments, ORDER BY keys,
-aggregate arguments and HAVING clauses.  Evaluation follows the SPARQL 1.1
-error semantics: evaluating an expression over a solution mapping either
-yields an RDF term / value or raises :class:`ExpressionError`; FILTER
-treats an error as "not satisfied", while most functions propagate errors.
+aggregate arguments, GROUP BY keys and HAVING clauses.  Evaluation follows
+the SPARQL 1.1 error semantics: an expression over a solution either
+yields an RDF term or raises :class:`ExpressionError`; FILTER treats an
+error as "not satisfied", while most functions propagate errors.
+
+This module is the one implementation of those semantics, as a compiler.
+An operator compiles its expression once, when it runs (a pipeline's
+FILTER conjunct when the pipeline is compiled, so it is cached with the
+plan), and calls the closure per row:
+
+* :func:`compile_expression` ``(expression, reader) -> (row -> Term)``,
+  which raises :class:`ExpressionError` as the semantics prescribes;
+* :func:`compile_condition` ``(expression, reader) -> (row -> bool)``,
+  FILTER semantics: an error counts as false (:func:`compile_test` is the
+  same verdict raising the error, for a caller that catches it itself).
+
+A *reader* maps a variable to its accessor on the rows the closure will
+see; the accessor gives the variable's term, and anything that is not a
+:class:`~repro.rdf.terms.Term` (``None``, or a non-RDF value of a rule's
+register file) where it is unbound: :func:`positional` for term tuples
+under a header, :func:`binding_reader` for a
+:class:`~repro.sparql.solutions.Binding`, and the register readers of
+:mod:`repro.sparql.kernels` (a decoded id) and :mod:`repro.datalog.steps`
+(a rule's register file).
+
+The node type and the function name are dispatched at compile time;
+boolean nodes (comparisons, ``&&`` / ``||`` / ``!``, ``IN``, ``BOUND`` and
+the built-in predicates of :data:`repro.sparql.functions.PREDICATES`)
+give a Python ``bool`` where a verdict is wanted, and a constant REGEX
+pattern or string needle is prepared once.  Compiling never raises: a
+malformed constant regex, an unknown function, a wrong argument count or
+``BOUND`` over a non-variable compile to a closure that raises
+:class:`ExpressionError` when it runs.  :func:`evaluate` and
+:func:`satisfies` compile and call once over a ``Binding``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.rdf.terms import (
-    IRI,
-    Literal,
-    Term,
-    Variable,
-    XSD_BOOLEAN,
-)
+from repro.rdf.terms import Literal, Term, Variable
 from repro.sparql.functions import (
+    COMPARISONS,
+    FALSE,
+    PREDICATES,
+    TRUE,
     ExpressionError,
-    apply_function,
+    builtin,
     effective_boolean_value,
     numeric_value,
-    term_compare,
+    regex_pattern,
+    string_value,
+    terms_equal,
 )
-from repro.sparql.solutions import Binding
 
 
 class Expression:
@@ -179,162 +209,342 @@ class Aggregate(Expression):
         return self.argument.variables() if self.argument is not None else set()
 
 
-TRUE_LITERAL = Literal("true", XSD_BOOLEAN)
-FALSE_LITERAL = Literal("false", XSD_BOOLEAN)
+#: A row as a compiled expression sees it: a term tuple, a register file, a Binding.
+Row = Any
+#: Variable -> its accessor on a row (not a ``Term``: unbound).
+Reader = Callable[[Variable], Callable[[Row], Optional[Term]]]
+Value = Callable[[Row], Term]
+Test = Callable[[Row], bool]
 
 
-def _boolean(value: bool) -> Literal:
-    return TRUE_LITERAL if value else FALSE_LITERAL
+def unbound(_row: Row) -> None:
+    """The accessor of a variable the rows never bind."""
+    return None
 
 
-def evaluate(expression: Expression, binding: Binding) -> Term:
-    """Evaluate ``expression`` under ``binding``.
+def positional(header: Sequence[Variable]) -> Reader:
+    """The reader of term tuples aligned with ``header`` (matched by name)."""
+    slot = {variable.name: position for position, variable in enumerate(header)}
 
-    Returns an RDF term.  Raises :class:`ExpressionError` when the SPARQL
-    semantics prescribes an error (e.g. unbound variable used in a numeric
-    comparison, type errors, malformed regular expressions).
-    """
-    if isinstance(expression, VariableExpr):
-        value = binding.get(expression.variable)
-        if value is None:
-            raise ExpressionError(f"unbound variable {expression.variable}")
-        return value
-    if isinstance(expression, TermExpr):
-        return expression.term
-    if isinstance(expression, And):
-        return _evaluate_and(expression, binding)
-    if isinstance(expression, Or):
-        return _evaluate_or(expression, binding)
-    if isinstance(expression, Not):
-        value = effective_boolean_value(evaluate(expression.operand, binding))
-        return _boolean(not value)
-    if isinstance(expression, Comparison):
-        return _evaluate_comparison(expression, binding)
-    if isinstance(expression, Arithmetic):
-        return _evaluate_arithmetic(expression, binding)
-    if isinstance(expression, UnaryMinus):
-        value = numeric_value(evaluate(expression.operand, binding))
-        return Literal.from_python(-value)
-    if isinstance(expression, FunctionCall):
-        return _evaluate_function(expression, binding)
-    if isinstance(expression, InExpr):
-        return _evaluate_in(expression, binding)
-    if isinstance(expression, Aggregate):
-        raise ExpressionError("aggregate evaluated outside GROUP BY context")
-    raise ExpressionError(f"unknown expression node: {expression!r}")
+    def reader(variable: Variable) -> Callable[[Row], Optional[Term]]:
+        position = slot.get(variable.name)
+        return unbound if position is None else operator.itemgetter(position)
+
+    return reader
 
 
-def _evaluate_and(expression: And, binding: Binding) -> Literal:
-    # SPARQL's three-valued logic: an error on one side can still yield
-    # false if the other side is false.
-    left_error = right_error = None
-    left_value = right_value = None
-    try:
-        left_value = effective_boolean_value(evaluate(expression.left, binding))
-    except ExpressionError as error:
-        left_error = error
-    try:
-        right_value = effective_boolean_value(evaluate(expression.right, binding))
-    except ExpressionError as error:
-        right_error = error
-    if left_error is None and right_error is None:
-        return _boolean(left_value and right_value)
-    if left_error is None and left_value is False:
-        return FALSE_LITERAL
-    if right_error is None and right_value is False:
-        return FALSE_LITERAL
-    raise left_error or right_error
+def binding_reader(variable: Variable) -> Callable[[Row], Optional[Term]]:
+    """The reader of :class:`~repro.sparql.solutions.Binding` rows."""
+    return lambda binding: binding.get(variable)
 
 
-def _evaluate_or(expression: Or, binding: Binding) -> Literal:
-    left_error = right_error = None
-    left_value = right_value = None
-    try:
-        left_value = effective_boolean_value(evaluate(expression.left, binding))
-    except ExpressionError as error:
-        left_error = error
-    try:
-        right_value = effective_boolean_value(evaluate(expression.right, binding))
-    except ExpressionError as error:
-        right_error = error
-    if left_error is None and right_error is None:
-        return _boolean(left_value or right_value)
-    if left_error is None and left_value is True:
-        return TRUE_LITERAL
-    if right_error is None and right_value is True:
-        return TRUE_LITERAL
-    raise left_error or right_error
+def compile_expression(expression: Expression, reader: Reader) -> Value:
+    """``expression`` as a function of a row: its term, or :class:`ExpressionError`."""
+    return _value(expression, reader)
 
 
-def _evaluate_comparison(expression: Comparison, binding: Binding) -> Literal:
-    left = evaluate(expression.left, binding)
-    right = evaluate(expression.right, binding)
-    result = term_compare(expression.operator, left, right)
-    return _boolean(result)
+def compile_test(expression: Expression, reader: Reader) -> Test:
+    """``expression``'s effective boolean value on a row, or
+    :class:`ExpressionError`: :func:`compile_condition` without the error
+    handling, for a caller that catches the error itself (one call less per
+    row)."""
+    return _test(expression, reader)
 
 
-def _evaluate_arithmetic(expression: Arithmetic, binding: Binding) -> Literal:
-    left = numeric_value(evaluate(expression.left, binding))
-    right = numeric_value(evaluate(expression.right, binding))
-    operator = expression.operator
-    if operator == "+":
-        return Literal.from_python(left + right)
-    if operator == "-":
-        return Literal.from_python(left - right)
-    if operator == "*":
-        return Literal.from_python(left * right)
-    if operator == "/":
-        if right == 0:
-            raise ExpressionError("division by zero")
-        return Literal.from_python(left / right)
-    raise ExpressionError(f"unknown arithmetic operator {operator!r}")
+def compile_condition(expression: Expression, reader: Reader) -> Test:
+    """``expression`` as a FILTER verdict on a row: an error is false."""
+    test = _test(expression, reader)
 
-
-def _evaluate_function(expression: FunctionCall, binding: Binding) -> Term:
-    name = expression.name.upper()
-    if name == "BOUND":
-        argument = expression.arguments[0]
-        if not isinstance(argument, VariableExpr):
-            raise ExpressionError("BOUND expects a variable")
-        return _boolean(binding.get(argument.variable) is not None)
-    if name == "COALESCE":
-        for argument in expression.arguments:
-            try:
-                return evaluate(argument, binding)
-            except ExpressionError:
-                continue
-        raise ExpressionError("COALESCE: all arguments errored")
-    if name == "IF":
-        condition = effective_boolean_value(evaluate(expression.arguments[0], binding))
-        chosen = expression.arguments[1] if condition else expression.arguments[2]
-        return evaluate(chosen, binding)
-    arguments = [evaluate(argument, binding) for argument in expression.arguments]
-    return apply_function(name, arguments)
-
-
-def _evaluate_in(expression: InExpr, binding: Binding) -> Literal:
-    operand = evaluate(expression.operand, binding)
-    found = False
-    saved_error: Optional[ExpressionError] = None
-    for option in expression.options:
+    def condition(row: Row) -> bool:
         try:
-            if term_compare("=", operand, evaluate(option, binding)):
-                found = True
-                break
+            return test(row)
+        except ExpressionError:
+            return False
+
+    return condition
+
+
+def evaluate(expression: Expression, binding) -> Term:
+    """Evaluate ``expression`` once under a ``Binding`` (compile, then call)."""
+    return compile_expression(expression, binding_reader)(binding)
+
+
+def satisfies(expression: Expression, binding) -> bool:
+    """FILTER semantics once under a ``Binding``: errors count as "not satisfied"."""
+    return compile_condition(expression, binding_reader)(binding)
+
+
+# ----------------------------------------------------------------------
+# the compiler: one function per node kind, dispatched on its type
+# ----------------------------------------------------------------------
+def _is_test(expression: Expression) -> bool:
+    """Whether the node's value is a truth value (compiled by ``_TESTS``)."""
+    if type(expression) is FunctionCall:
+        name = expression.name.upper()
+        return name == "BOUND" or name in PREDICATES
+    return type(expression) in _TESTS
+
+
+def _value(expression: Expression, reader: Reader) -> Value:
+    if _is_test(expression):
+        test = _test(expression, reader)
+        return lambda row: TRUE if test(row) else FALSE
+    compile_node = _VALUES.get(type(expression))
+    if compile_node is None:
+        return _fails(f"unknown expression node: {expression!r}")
+    return compile_node(expression, reader)
+
+
+def _test(expression: Expression, reader: Reader) -> Test:
+    """The node's effective boolean value; raises as its value would."""
+    if _is_test(expression):
+        return _TESTS[type(expression)](expression, reader)
+    if type(expression) is TermExpr:
+        try:
+            verdict = effective_boolean_value(expression.term)
         except ExpressionError as error:
-            saved_error = error
-    if not found and saved_error is not None:
-        raise saved_error
-    return _boolean(found != expression.negated)
+            return _fails(str(error))
+        return lambda _row: verdict
+    value = _value(expression, reader)
+    return lambda row: effective_boolean_value(value(row))
 
 
-def satisfies(expression: Expression, binding: Binding) -> bool:
-    """FILTER semantics: errors count as "condition not satisfied"."""
+def _fails(message: str) -> Callable[[Row], Any]:
+    """What an expression that can only err compiles to."""
+
+    def fail(_row: Row) -> Any:
+        raise ExpressionError(message)
+
+    return fail
+
+
+def _variable(expression: VariableExpr, reader: Reader) -> Value:
+    read = reader(expression.variable)
+    message = f"unbound variable {expression.variable}"
+
+    def value(row: Row) -> Term:
+        term = read(row)
+        if isinstance(term, Term):
+            return term
+        raise ExpressionError(message)
+
+    return value
+
+
+def _constant(expression: TermExpr, _reader: Reader) -> Value:
+    term = expression.term
+    return lambda _row: term
+
+
+def _divide(left, right):
+    if right == 0:
+        raise ExpressionError("division by zero")
+    return left / right
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+
+def _arithmetic(expression: Arithmetic, reader: Reader) -> Value:
+    apply = _ARITHMETIC.get(expression.operator)
+    if apply is None:
+        return _fails(f"unknown arithmetic operator {expression.operator!r}")
+    left, right = _value(expression.left, reader), _value(expression.right, reader)
+    return lambda row: Literal.from_python(apply(numeric_value(left(row)), numeric_value(right(row))))
+
+
+def _negation(expression: UnaryMinus, reader: Reader) -> Value:
+    operand = _value(expression.operand, reader)
+    return lambda row: Literal.from_python(-numeric_value(operand(row)))
+
+
+def _aggregate(_expression: Aggregate, _reader: Reader) -> Value:
+    return _fails("aggregate evaluated outside GROUP BY context")
+
+
+def _applied(implementation: Callable, arguments: List[Value]) -> Callable[[Row], Any]:
+    """``implementation`` over the arguments' values."""
+    if len(arguments) == 1:
+        (only,) = arguments
+        return lambda row: implementation(only(row))
+    if len(arguments) == 2:
+        first, second = arguments
+        return lambda row: implementation(first(row), second(row))
+    return lambda row: implementation(*[argument(row) for argument in arguments])
+
+
+def _call(expression: FunctionCall, reader: Reader) -> Value:
+    """A built-in that returns a term; COALESCE and IF evaluate only what they take."""
+    name = expression.name.upper()
+    if name == "IF":
+        if len(expression.arguments) != 3:
+            return _fails(f"IF takes 3 arguments, got {len(expression.arguments)}")
+        condition = _test(expression.arguments[0], reader)
+        chosen, otherwise = (_value(argument, reader) for argument in expression.arguments[1:])
+        return lambda row: chosen(row) if condition(row) else otherwise(row)
+    arguments = [_value(argument, reader) for argument in expression.arguments]
+    if name == "COALESCE":
+
+        def coalesce(row: Row) -> Term:
+            for argument in arguments:
+                try:
+                    return argument(row)
+                except ExpressionError:
+                    pass
+            raise ExpressionError("COALESCE: all arguments errored")
+
+        return coalesce
     try:
-        return effective_boolean_value(evaluate(expression, binding))
-    except ExpressionError:
-        return False
+        implementation = builtin(name, len(arguments))
+    except ExpressionError as error:
+        return _fails(str(error))
+    return _applied(implementation, arguments)
 
+
+#: Predicates over a haystack and a constant needle: ``test(haystack, needle)``.
+_NEEDLES = {"CONTAINS": str.__contains__, "STRSTARTS": str.startswith, "STRENDS": str.endswith}
+
+
+def _predicate(expression: FunctionCall, reader: Reader) -> Test:
+    name = expression.name.upper()
+    arguments = expression.arguments
+    if name == "BOUND":
+        if len(arguments) != 1 or type(arguments[0]) is not VariableExpr:
+            return _fails("BOUND expects a variable")
+        read = reader(arguments[0].variable)
+        return lambda row: isinstance(read(row), Term)
+    try:
+        implementation = builtin(name, len(arguments))
+        if name == "REGEX" and all(type(argument) is TermExpr for argument in arguments[1:]):
+            search = regex_pattern(*(argument.term for argument in arguments[1:])).search
+            text = _value(arguments[0], reader)
+            return lambda row: search(string_value(text(row))) is not None
+        if name in _NEEDLES and type(arguments[1]) is TermExpr:
+            test, needle = _NEEDLES[name], string_value(arguments[1].term)
+            haystack = _value(arguments[0], reader)
+            return lambda row: test(string_value(haystack(row)), needle)
+    except ExpressionError as error:
+        return _fails(str(error))
+    return _applied(implementation, [_value(argument, reader) for argument in arguments])
+
+
+def _comparison(expression: Comparison, reader: Reader) -> Test:
+    compare = COMPARISONS.get(expression.operator)
+    if compare is None:
+        return _fails(f"unknown comparison operator {expression.operator!r}")
+    left, right = expression.left, expression.right
+    message = f"unbound variable in {expression.operator!r} comparison"
+    # Variables and constants, the common operands, are read in place.
+    if type(left) is VariableExpr and type(right) is VariableExpr:
+        first, second = reader(left.variable), reader(right.variable)
+
+        def both(row: Row) -> bool:
+            left_term, right_term = first(row), second(row)
+            if isinstance(left_term, Term) and isinstance(right_term, Term):
+                return compare(left_term, right_term)
+            raise ExpressionError(message)
+
+        return both
+    if type(left) is VariableExpr and type(right) is TermExpr:
+        read, constant = reader(left.variable), right.term
+
+        def against(row: Row) -> bool:
+            term = read(row)
+            if isinstance(term, Term):
+                return compare(term, constant)
+            raise ExpressionError(message)
+
+        return against
+    if type(right) is TermExpr:
+        constant, value = right.term, _value(left, reader)
+        return lambda row: compare(value(row), constant)
+    if type(left) is TermExpr:
+        constant, value = left.term, _value(right, reader)
+        return lambda row: compare(constant, value(row))
+    left_value, right_value = _value(left, reader), _value(right, reader)
+    return lambda row: compare(left_value(row), right_value(row))
+
+
+def _and(expression: And, reader: Reader) -> Test:
+    # SPARQL's three-valued logic: an error on one side still gives false
+    # when the other side is false.
+    left, right = _test(expression.left, reader), _test(expression.right, reader)
+
+    def test(row: Row) -> bool:
+        try:
+            verdict = left(row)
+        except ExpressionError as error:
+            try:
+                if not right(row):
+                    return False
+            except ExpressionError:
+                pass
+            raise error
+        return verdict and right(row)
+
+    return test
+
+
+def _or(expression: Or, reader: Reader) -> Test:
+    left, right = _test(expression.left, reader), _test(expression.right, reader)
+
+    def test(row: Row) -> bool:
+        try:
+            verdict = left(row)
+        except ExpressionError as error:
+            try:
+                if right(row):
+                    return True
+            except ExpressionError:
+                pass
+            raise error
+        return verdict or right(row)
+
+    return test
+
+
+def _not(expression: Not, reader: Reader) -> Test:
+    operand = _test(expression.operand, reader)
+    return lambda row: not operand(row)
+
+
+def _in(expression: InExpr, reader: Reader) -> Test:
+    operand = _value(expression.operand, reader)
+    options = [_value(option, reader) for option in expression.options]
+    negated = expression.negated
+
+    def test(row: Row) -> bool:
+        term = operand(row)
+        error = None
+        for option in options:
+            try:
+                if terms_equal(term, option(row)):
+                    return not negated
+            except ExpressionError as raised:
+                error = raised
+        if error is not None:
+            raise error
+        return negated
+
+    return test
+
+
+_TESTS = {
+    And: _and,
+    Or: _or,
+    Not: _not,
+    Comparison: _comparison,
+    InExpr: _in,
+    FunctionCall: _predicate,
+}
+_VALUES = {
+    VariableExpr: _variable,
+    TermExpr: _constant,
+    Arithmetic: _arithmetic,
+    UnaryMinus: _negation,
+    FunctionCall: _call,
+    Aggregate: _aggregate,
+}
 
 def conjuncts(expression: Expression) -> List[Expression]:
     """Split an expression into its top-level conjuncts.

@@ -5,12 +5,24 @@ for the functions SparqLog supports (Table 1 of the paper plus the
 FEASIBLE-driven additions: UCASE, DATATYPE, CONTAINS, ...).  They operate
 on :class:`repro.rdf.terms.Term` values and raise :class:`ExpressionError`
 where the standard prescribes a type error.
+
+Every built-in is one entry of :data:`BUILTINS`, name -> implementation
+over already-evaluated argument terms; the expression compiler
+(:mod:`repro.sparql.expressions`) looks a call up there once, through
+:func:`builtin`.  The names in :data:`PREDICATES` return a Python ``bool``
+— the compiler uses it as a FILTER verdict without building a literal —
+and the others a term.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from typing import List, Union
+from functools import partial
+from inspect import CO_VARARGS
+from typing import Callable, Dict, List, Optional, Union
+from urllib.parse import quote
 
 from repro.rdf.terms import (
     BlankNode,
@@ -27,6 +39,9 @@ class ExpressionError(Exception):
 
 
 Number = Union[int, float]
+
+TRUE = Literal("true", XSD_BOOLEAN)
+FALSE = Literal("false", XSD_BOOLEAN)
 
 
 def effective_boolean_value(term: Term) -> bool:
@@ -73,30 +88,11 @@ def string_value(term: Term) -> str:
     raise ExpressionError(f"no string value for {term!r}")
 
 
-def term_compare(operator: str, left: Term, right: Term) -> bool:
-    """Evaluate a SPARQL comparison operator over two RDF terms.
-
-    Equality covers IRIs, blank nodes and literals; ordering comparisons
-    require both operands to be numeric literals, both strings, or both
-    comparable by lexical form (dateTime strings order correctly this way).
-    """
-    if operator in ("=", "!="):
-        equal = _terms_equal(left, right)
-        return equal if operator == "=" else not equal
-
-    left_key, right_key = _ordering_values(left, right)
-    if operator == "<":
-        return left_key < right_key
-    if operator == "<=":
-        return left_key <= right_key
-    if operator == ">":
-        return left_key > right_key
-    if operator == ">=":
-        return left_key >= right_key
-    raise ExpressionError(f"unknown comparison operator {operator!r}")
-
-
-def _terms_equal(left: Term, right: Term) -> bool:
+# ----------------------------------------------------------------------
+# comparison
+# ----------------------------------------------------------------------
+def terms_equal(left: Term, right: Term) -> bool:
+    """SPARQL ``=`` (RDFterm-equal, with numeric and string value equality)."""
     if isinstance(left, Literal) and isinstance(right, Literal):
         if left == right:
             return True
@@ -114,148 +110,202 @@ def _terms_equal(left: Term, right: Term) -> bool:
     return left == right
 
 
-def _ordering_values(left: Term, right: Term):
+def _ordered(compare: Callable[[object, object], bool], left: Term, right: Term) -> bool:
+    """``compare`` (``operator.lt`` ...) on the order values of two terms."""
     if isinstance(left, Literal) and isinstance(right, Literal):
         if left.is_numeric() and right.is_numeric():
             try:
-                return float(left.lexical), float(right.lexical)
+                left_value, right_value = float(left.lexical), float(right.lexical)
             except ValueError as error:
                 raise ExpressionError("malformed numeric literal") from error
-        return left.lexical, right.lexical
+            return compare(left_value, right_value)
+        return compare(left.lexical, right.lexical)
     if isinstance(left, IRI) and isinstance(right, IRI):
-        return left.value, right.value
+        return compare(left.value, right.value)
     raise ExpressionError(f"terms not order-comparable: {left!r} vs {right!r}")
 
 
-def _as_regex_flags(flag_string: str) -> int:
-    flags = 0
-    if "i" in flag_string:
-        flags |= re.IGNORECASE
-    if "s" in flag_string:
-        flags |= re.DOTALL
-    if "m" in flag_string:
-        flags |= re.MULTILINE
-    if "x" in flag_string:
-        flags |= re.VERBOSE
-    return flags
+#: Comparison operator -> test over two terms.  Equality covers IRIs,
+#: blank nodes and literals; ordering requires both operands numeric
+#: literals, both other literals (by lexical form: dateTime strings order
+#: correctly this way) or both IRIs, and is an error otherwise.
+COMPARISONS: Dict[str, Callable[[Term, Term], bool]] = {
+    "=": terms_equal,
+    "!=": lambda left, right: not terms_equal(left, right),
+    "<": partial(_ordered, operator.lt),
+    "<=": partial(_ordered, operator.le),
+    ">": partial(_ordered, operator.gt),
+    ">=": partial(_ordered, operator.ge),
+}
 
 
-def _boolean_literal(value: bool) -> Literal:
-    return Literal("true" if value else "false", XSD_BOOLEAN)
+def term_compare(operator: str, left: Term, right: Term) -> bool:
+    """Evaluate a SPARQL comparison operator over two RDF terms."""
+    compare = COMPARISONS.get(operator)
+    if compare is None:
+        raise ExpressionError(f"unknown comparison operator {operator!r}")
+    return compare(left, right)
 
 
-def apply_function(name: str, arguments: List[Term]) -> Term:
-    """Dispatch a SPARQL built-in function over already-evaluated arguments."""
-    name = name.upper()
-
-    # -- term tests ------------------------------------------------------
-    if name in ("ISIRI", "ISURI"):
-        return _boolean_literal(isinstance(arguments[0], IRI))
-    if name == "ISBLANK":
-        return _boolean_literal(isinstance(arguments[0], BlankNode))
-    if name == "ISLITERAL":
-        return _boolean_literal(isinstance(arguments[0], Literal))
-    if name == "ISNUMERIC":
-        term = arguments[0]
-        return _boolean_literal(isinstance(term, Literal) and term.is_numeric())
-    if name == "SAMETERM":
-        return _boolean_literal(arguments[0] == arguments[1])
-
-    # -- accessors -------------------------------------------------------
-    if name == "STR":
-        return Literal(string_value(arguments[0]))
-    if name == "LANG":
-        term = arguments[0]
-        if not isinstance(term, Literal):
-            raise ExpressionError("LANG expects a literal")
-        return Literal(term.language or "")
-    if name == "DATATYPE":
-        term = arguments[0]
-        if not isinstance(term, Literal):
-            raise ExpressionError("DATATYPE expects a literal")
-        return term.effective_datatype
-    if name == "IRI" or name == "URI":
-        return IRI(string_value(arguments[0]))
-    if name == "LANGMATCHES":
-        tag = string_value(arguments[0]).lower()
-        pattern = string_value(arguments[1]).lower()
-        if pattern == "*":
-            return _boolean_literal(bool(tag))
-        return _boolean_literal(tag == pattern or tag.startswith(pattern + "-"))
-
-    # -- strings ---------------------------------------------------------
-    if name == "REGEX":
-        text = string_value(arguments[0])
-        pattern = string_value(arguments[1])
-        flags = _as_regex_flags(string_value(arguments[2])) if len(arguments) > 2 else 0
-        try:
-            return _boolean_literal(re.search(pattern, text, flags) is not None)
-        except re.error as error:
-            raise ExpressionError(f"malformed regex {pattern!r}") from error
-    if name == "UCASE":
-        return _string_result(arguments[0], string_value(arguments[0]).upper())
-    if name == "LCASE":
-        return _string_result(arguments[0], string_value(arguments[0]).lower())
-    if name == "STRLEN":
-        return Literal.from_python(len(string_value(arguments[0])))
-    if name == "CONTAINS":
-        return _boolean_literal(string_value(arguments[1]) in string_value(arguments[0]))
-    if name == "STRSTARTS":
-        return _boolean_literal(
-            string_value(arguments[0]).startswith(string_value(arguments[1]))
-        )
-    if name == "STRENDS":
-        return _boolean_literal(
-            string_value(arguments[0]).endswith(string_value(arguments[1]))
-        )
-    if name == "STRBEFORE":
-        haystack, needle = string_value(arguments[0]), string_value(arguments[1])
-        index = haystack.find(needle)
-        return Literal(haystack[:index] if index >= 0 else "")
-    if name == "STRAFTER":
-        haystack, needle = string_value(arguments[0]), string_value(arguments[1])
-        index = haystack.find(needle)
-        return Literal(haystack[index + len(needle):] if index >= 0 else "")
-    if name == "SUBSTR":
-        text = string_value(arguments[0])
-        start = int(numeric_value(arguments[1]))
-        if len(arguments) > 2:
-            length = int(numeric_value(arguments[2]))
-            return Literal(text[start - 1:start - 1 + length])
-        return Literal(text[start - 1:])
-    if name == "CONCAT":
-        return Literal("".join(string_value(argument) for argument in arguments))
-    if name == "REPLACE":
-        text = string_value(arguments[0])
-        pattern = string_value(arguments[1])
-        replacement = string_value(arguments[2])
-        try:
-            return Literal(re.sub(pattern, replacement, text))
-        except re.error as error:
-            raise ExpressionError(f"malformed regex {pattern!r}") from error
-    if name == "ENCODE_FOR_URI":
-        text = string_value(arguments[0])
-        return Literal(re.sub(r"[^A-Za-z0-9_.~-]", lambda m: f"%{ord(m.group()):02X}", text))
-
-    # -- numerics ----------------------------------------------------------
-    if name == "ABS":
-        return Literal.from_python(abs(numeric_value(arguments[0])))
-    if name == "CEIL":
-        import math
-
-        return Literal.from_python(int(math.ceil(numeric_value(arguments[0]))))
-    if name == "FLOOR":
-        import math
-
-        return Literal.from_python(int(math.floor(numeric_value(arguments[0]))))
-    if name == "ROUND":
-        return Literal.from_python(round(numeric_value(arguments[0])))
-
-    raise ExpressionError(f"unsupported function {name}")
+# ----------------------------------------------------------------------
+# built-ins
+# ----------------------------------------------------------------------
+def regex_pattern(pattern: Term, flags: Optional[Term] = None) -> "re.Pattern":
+    """The compiled regular expression of a REGEX / REPLACE pattern and flags."""
+    source = string_value(pattern)
+    flag_string = string_value(flags) if flags is not None else ""
+    compiled = 0
+    for letter, flag in (("i", re.IGNORECASE), ("s", re.DOTALL), ("m", re.MULTILINE), ("x", re.VERBOSE)):
+        if letter in flag_string:
+            compiled |= flag
+    try:
+        return re.compile(source, compiled)
+    except re.error as error:
+        raise ExpressionError(f"malformed regex {source!r}") from error
 
 
 def _string_result(source: Term, new_value: str) -> Literal:
-    """Preserve the language tag / datatype of the source string argument."""
+    """A string of the same kind as ``source``: its language tag / datatype kept."""
     if isinstance(source, Literal):
         return Literal(new_value, source.datatype, source.language)
     return Literal(new_value)
+
+
+def _xpath_round(value: Number) -> Number:
+    """``fn:round``: half-way values go up; infinities and NaN stay."""
+    if isinstance(value, int) or not math.isfinite(value):
+        return value
+    return math.floor(value + 0.5)
+
+
+def _lang_matches(tag: Term, pattern: Term) -> bool:
+    tag_value = string_value(tag).lower()
+    range_value = string_value(pattern).lower()
+    if range_value == "*":
+        return bool(tag_value)
+    return tag_value == range_value or tag_value.startswith(range_value + "-")
+
+
+def _regex(text: Term, pattern: Term, flags: Optional[Term] = None) -> bool:
+    value = string_value(text)
+    return regex_pattern(pattern, flags).search(value) is not None
+
+
+def _lang(term: Term) -> Literal:
+    if not isinstance(term, Literal):
+        raise ExpressionError("LANG expects a literal")
+    return Literal(term.language or "")
+
+
+def _datatype(term: Term) -> IRI:
+    if not isinstance(term, Literal):
+        raise ExpressionError("DATATYPE expects a literal")
+    return term.effective_datatype
+
+
+def _strbefore(haystack: Term, needle: Term) -> Literal:
+    text = string_value(haystack)
+    index = text.find(string_value(needle))
+    return _string_result(haystack, text[:index]) if index >= 0 else Literal("")
+
+
+def _strafter(haystack: Term, needle: Term) -> Literal:
+    text, found = string_value(haystack), string_value(needle)
+    index = text.find(found)
+    return _string_result(haystack, text[index + len(found):]) if index >= 0 else Literal("")
+
+
+def _substr(text: Term, start: Term, length: Optional[Term] = None) -> Literal:
+    """``fn:substring``: the characters at 1-based positions ``p`` with
+    ``round(start) <= p < round(start) + round(length)``."""
+    value = string_value(text)
+    first = _xpath_round(numeric_value(start))
+    last = math.inf if length is None else first + _xpath_round(numeric_value(length))
+    begin = max(first, 1)
+    if first != first or not last > begin:  # NaN, or no position in range
+        return _string_result(text, "")
+    return _string_result(text, value[int(begin) - 1 : None if last == math.inf else int(last) - 1])
+
+
+def _replace(text: Term, pattern: Term, replacement: Term) -> Literal:
+    value = string_value(text)
+    compiled = regex_pattern(pattern)
+    try:
+        return Literal(compiled.sub(string_value(replacement), value))
+    except re.error as error:
+        raise ExpressionError(f"malformed replacement {replacement!r}") from error
+
+
+def _integral(to_integer: Callable[[Number], int], term: Term) -> Literal:
+    value = numeric_value(term)
+    if isinstance(value, float) and not math.isfinite(value):
+        return Literal.from_python(value)  # NaN and the infinities round to themselves
+    return Literal.from_python(int(to_integer(value)))
+
+
+#: Built-in name (upper case) -> implementation over argument terms.
+BUILTINS: Dict[str, Callable] = {
+    # term tests and predicates: a Python bool (PREDICATES)
+    "ISIRI": lambda term: isinstance(term, IRI),
+    "ISURI": lambda term: isinstance(term, IRI),
+    "ISBLANK": lambda term: isinstance(term, BlankNode),
+    "ISLITERAL": lambda term: isinstance(term, Literal),
+    "ISNUMERIC": lambda term: isinstance(term, Literal) and term.is_numeric(),
+    "SAMETERM": lambda left, right: left == right,
+    "LANGMATCHES": _lang_matches,
+    "REGEX": _regex,
+    "CONTAINS": lambda haystack, needle: string_value(needle) in string_value(haystack),
+    "STRSTARTS": lambda haystack, needle: string_value(haystack).startswith(string_value(needle)),
+    "STRENDS": lambda haystack, needle: string_value(haystack).endswith(string_value(needle)),
+    # accessors
+    "STR": lambda term: Literal(string_value(term)),
+    "LANG": _lang,
+    "DATATYPE": _datatype,
+    "IRI": lambda term: IRI(string_value(term)),
+    "URI": lambda term: IRI(string_value(term)),
+    # strings
+    "UCASE": lambda term: _string_result(term, string_value(term).upper()),
+    "LCASE": lambda term: _string_result(term, string_value(term).lower()),
+    "STRLEN": lambda term: Literal.from_python(len(string_value(term))),
+    "STRBEFORE": _strbefore,
+    "STRAFTER": _strafter,
+    "SUBSTR": _substr,
+    "CONCAT": lambda *arguments: Literal("".join(string_value(argument) for argument in arguments)),
+    "REPLACE": _replace,
+    # the UTF-8 bytes of everything but the unreserved characters, percent-encoded
+    "ENCODE_FOR_URI": lambda term: Literal(quote(string_value(term), safe="")),
+    # numerics
+    "ABS": lambda term: Literal.from_python(abs(numeric_value(term))),
+    "CEIL": lambda term: _integral(math.ceil, term),
+    "FLOOR": lambda term: _integral(math.floor, term),
+    "ROUND": lambda term: _integral(round, term),
+}
+
+#: The built-ins whose implementation returns a Python ``bool``.
+PREDICATES = frozenset(
+    ("ISIRI", "ISURI", "ISBLANK", "ISLITERAL", "ISNUMERIC", "SAMETERM", "LANGMATCHES", "REGEX",
+     "CONTAINS", "STRSTARTS", "STRENDS")
+)
+
+
+def builtin(name: str, count: int) -> Callable:
+    """The implementation of built-in ``name`` (upper case) called with
+    ``count`` arguments; an unknown name or a wrong count is an error."""
+    implementation = BUILTINS.get(name)
+    if implementation is None:
+        raise ExpressionError(f"unsupported function {name}")
+    code = implementation.__code__
+    most = code.co_argcount
+    least = most - len(implementation.__defaults__ or ())
+    if count < least or (count > most and not code.co_flags & CO_VARARGS):
+        raise ExpressionError(f"{name} takes {least}..{most} arguments, got {count}")
+    return implementation
+
+
+def apply_function(name: str, arguments: List[Term]) -> Term:
+    """Apply a SPARQL built-in to already-evaluated arguments."""
+    name = name.upper()
+    result = builtin(name, len(arguments))(*arguments)
+    if name in PREDICATES:
+        return TRUE if result else FALSE
+    return result

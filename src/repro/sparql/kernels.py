@@ -11,10 +11,12 @@ run on ids, kind tags and — for literals — per-id *comparison keys*
 (:func:`comparison_key`) memoised
 in :attr:`TermDictionary.compare_keys
 <repro.store.dictionary.TermDictionary.compare_keys>`: no ``Term``, no
-expression walk.  Every other conjunct runs the term-level semantics on a
-view of the registers that decodes a variable when the expression reads
-it, counted as a term fallback.  :func:`condition_kernel` tells the two apart by shape,
-which is what ``explain`` prints.
+expression evaluation.  Every other conjunct runs its closure from the
+expression compiler (:func:`repro.sparql.expressions.compile_condition`),
+compiled once with the pipeline over a register reader that decodes a
+variable when the closure reads it; each run is counted as a term
+fallback.  :func:`condition_kernel` tells the two apart by shape, which is
+what ``explain`` prints.
 """
 
 from __future__ import annotations
@@ -23,15 +25,8 @@ import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Term, Variable
-from repro.sparql.expressions import (
-    Comparison,
-    Expression,
-    FunctionCall,
-    TermExpr,
-    VariableExpr,
-    satisfies,
-)
-from repro.sparql.solutions import RowView
+from repro.sparql import expressions
+from repro.sparql.expressions import Comparison, Expression, FunctionCall, TermExpr, VariableExpr
 from repro.store.dictionary import (
     _KIND_MASK,
     KIND_BLANK,
@@ -230,7 +225,7 @@ def compile_condition(
         return _term_test(condition, dictionary, register_of, bound)
     variables = condition.variables()
     if not variables:
-        verdict = satisfies(condition, RowView(()))
+        verdict = expressions.compile_condition(condition, expressions.positional(()))(())
         return lambda _registers: verdict
     if not variables <= bound:
         return _never
@@ -389,19 +384,20 @@ def _constant_ordering_test(
     return test
 
 
-class _DecodedView(RowView):
-    """The registers of a compiled join read as a row of terms: a variable
-    is decoded when the expression reads it, not before."""
+def register_reader(
+    dictionary: TermDictionary, register_of: Dict[Variable, int], bound: Set[Variable]
+) -> expressions.Reader:
+    """The expression reader of a register file: a variable of ``bound`` is
+    decoded from its register when the closure reads it, any other is unbound."""
+    decode = dictionary.term
 
-    __slots__ = ("_decode",)
+    def reader(variable: Variable) -> Callable[[Registers], Optional[Term]]:
+        if variable not in bound:
+            return expressions.unbound
+        register = register_of[variable]
+        return lambda registers: decode(registers[register])
 
-    def __init__(self, variables, registers, decode: Callable[[int], Term]) -> None:
-        super().__init__(variables, registers)
-        self._decode = decode
-
-    def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
-        register = self._slot.get(variable.name)
-        return default if register is None else self._decode(self.row[register])
+    return reader
 
 
 def _term_test(
@@ -410,15 +406,15 @@ def _term_test(
     register_of: Dict[Variable, int],
     bound: Set[Variable],
 ) -> Test:
-    """The fallback: the term-level semantics on a :class:`_DecodedView` of
-    the registers (a mentioned variable outside ``bound`` reads unbound)."""
-    variables = [variable for variable in condition.variables() if variable in bound]
-    registers = [register_of[variable] for variable in variables]
-    view = _DecodedView(variables, registers, dictionary.term)
+    """The fallback: the conjunct's compiled closure over the registers."""
+    verdict = expressions.compile_test(condition, register_reader(dictionary, register_of, bound))
 
     def test(registers: Registers) -> bool:
         registers[FALLBACKS] += 1
-        return satisfies(condition, view.at(registers))
+        try:
+            return verdict(registers)
+        except expressions.ExpressionError:  # FILTER reads an error as false
+            return False
 
     return test
 

@@ -18,12 +18,14 @@ from repro.sparql.algebra import OrderCondition, SelectQuery
 from repro.sparql.alp import EvaluationError
 from repro.sparql.expressions import (
     Aggregate,
+    Value,
     VariableExpr,
-    evaluate as evaluate_expression,
-    satisfies,
+    compile_condition,
+    compile_expression,
+    positional,
 )
 from repro.sparql.functions import ExpressionError
-from repro.sparql.solutions import Row, RowView, distinct_rows
+from repro.sparql.solutions import Row, distinct_rows
 
 
 Header = Tuple[Variable, ...]
@@ -43,24 +45,26 @@ def apply_projection_expressions(
         for item in items:
             if slot.setdefault(item.variable.name, len(extended)) == len(extended):
                 extended.append(item.variable)
-        targets = [(item.expression, slot[item.variable.name]) for item in items]
         pad = [None] * (len(extended) - len(header))
         header = tuple(extended)
-        view = RowView(header)
+        reader = positional(header)
+        # Each item reads the row being extended, so it sees the ones before it.
+        targets = [
+            (compile_expression(item.expression, reader), slot[item.variable.name]) for item in items
+        ]
         results: List[Row] = []
         for row in rows:
             values = list(row) + pad
-            view.at(values)
-            for expression, target in targets:
+            for value_of, target in targets:
                 try:
-                    values[target] = evaluate_expression(expression, view)
+                    values[target] = value_of(values)
                 except ExpressionError:
                     continue
             results.append(tuple(values))
         rows = results
     if query.having is not None:
-        view = RowView(header)
-        rows = [row for row in rows if satisfies(query.having, view.at(row))]
+        having = compile_condition(query.having, positional(header))
+        rows = [row for row in rows if having(row)]
     return header, rows
 
 
@@ -71,14 +75,14 @@ def apply_grouping(
     with ``header``: ``(header, rows)``, one row per group kept, under the
     group-key variables and the projected ones."""
     group_keys = query.group_by
-    view = RowView(header)
+    reader = positional(header)
+    key_values = [compile_expression(key, reader) for key in group_keys]
     groups: Dict[Tuple, List[Row]] = defaultdict(list)
     for row in rows:
-        view.at(row)
         key_parts = []
-        for key_expression in group_keys:
+        for value_of in key_values:
             try:
-                key_parts.append(evaluate_expression(key_expression, view))
+                key_parts.append(value_of(row))
             except ExpressionError:
                 key_parts.append(None)
         groups[tuple(key_parts)].append(row)
@@ -91,7 +95,19 @@ def apply_grouping(
         names.setdefault(variable.name, variable)
     grouped = tuple(names.values())
     slot = {name: position for position, name in enumerate(names)}
-    candidate = RowView(grouped)
+    # Per item: (slot, aggregate or None, what it reads of a row).
+    items = []
+    for item in query.projection:
+        expression = item.expression
+        if expression is None:
+            items.append((slot[item.variable.name], None, reader(item.variable)))
+        elif isinstance(expression, Aggregate):
+            argument = expression.argument
+            value_of = None if argument is None else compile_expression(argument, reader)
+            items.append((slot[item.variable.name], expression, value_of))
+        else:
+            items.append((slot[item.variable.name], None, compile_expression(expression, reader)))
+    having = None if query.having is None else compile_condition(query.having, positional(grouped))
     results: List[Row] = []
     for key_parts, group in groups.items():
         if not group and not rows:
@@ -100,36 +116,35 @@ def apply_grouping(
         for key_expression, value in zip(group_keys, key_parts):
             if isinstance(key_expression, VariableExpr) and value is not None:
                 values[slot[key_expression.variable.name]] = value
-        for item in query.projection:
-            if item.expression is None:
-                value = view.at(group[0]).get(item.variable) if group else None
-            elif isinstance(item.expression, Aggregate):
-                value = evaluate_aggregate(item.expression, view, group)
+        for target, aggregate, value_of in items:
+            if aggregate is not None:
+                value = evaluate_aggregate(aggregate, value_of, group)
             else:
                 try:
-                    value = None
-                    if group:
-                        value = evaluate_expression(item.expression, view.at(group[0]))
+                    value = value_of(group[0]) if group else None
                 except ExpressionError:
                     value = None
             if value is not None:
-                values[slot[item.variable.name]] = value
+                values[target] = value
         row = tuple(values)
-        if query.having is not None and not satisfies(query.having, candidate.at(row)):
+        if having is not None and not having(row):
             continue
         results.append(row)
     return grouped, results
 
 
-def evaluate_aggregate(aggregate: Aggregate, view: RowView, group: List[Row]) -> Optional[Term]:
-    """``aggregate`` over the rows of one group, read through ``view``."""
+def evaluate_aggregate(
+    aggregate: Aggregate, argument: Optional[Value], group: List[Row]
+) -> Optional[Term]:
+    """``aggregate`` over the rows of one group; ``argument`` is its
+    compiled argument (``None`` for ``COUNT(*)``)."""
     values: List[Term] = []
-    if aggregate.argument is None:
+    if argument is None:
         values = [Literal.from_python(1) for _ in group]
     else:
         for row in group:
             try:
-                values.append(evaluate_expression(aggregate.argument, view.at(row)))
+                values.append(argument(row))
             except ExpressionError:
                 continue
     if aggregate.distinct:
@@ -210,27 +225,27 @@ def apply_order_by(
     ``(0, bound-descending) < (1, unbound)``.  Within one flag value the
     compared shapes are always identical (both unbound, or both wrapped
     the same way).  Shared by the reference evaluator and the
-    translated-solution engine so both stay order-consistent.  The keys
-    are evaluated on one :class:`~repro.sparql.solutions.RowView` moved
-    from row to row.
+    translated-solution engine so both stay order-consistent.  Each key
+    is compiled once, then read per row.
     """
-    view = RowView(header)
+    reader = positional(header)
+    keys = [
+        (compile_expression(condition.expression, reader), condition.ascending)
+        for condition in conditions
+    ]
 
     def sort_key(row: Row):
-        view.at(row)
         key = []
-        for condition in conditions:
+        for value_of, ascending in keys:
             try:
-                value = evaluate_expression(condition.expression, view)
+                value = value_of(row)
             except ExpressionError:
                 value = None
             if value is None:
-                key.append((0, ()) if condition.ascending else (1, ()))
+                key.append((0, ()) if ascending else (1, ()))
             else:
                 part = term_sort_key(value)
-                key.append(
-                    (1, part) if condition.ascending else (0, _Reversed(part))
-                )
+                key.append((1, part) if ascending else (0, _Reversed(part)))
         return key
 
     return sorted(rows, key=sort_key)

@@ -6,9 +6,9 @@ solution mappings; after solution modifiers are applied it becomes a
 sequence.  The native engine holds a solution in one shape from the
 executor to the result: a tuple of terms aligned with a header of
 variables, ``None`` where a variable is unbound.  The walk's operators
-pair such rows through :class:`CompatIndex` and expressions read them
-through :class:`RowView`; a result, :class:`SolutionSequence`, is a
-header plus those tuples.  :class:`Binding` — an immutable, hashable
+pair such rows through :class:`CompatIndex` and compiled expressions read
+them by position (:func:`repro.sparql.expressions.positional`); a result,
+:class:`SolutionSequence`, is a header plus those tuples.  :class:`Binding` — an immutable, hashable
 mapping — is what a caller gets from :attr:`SolutionSequence.bindings`,
 built only on request.
 """
@@ -131,38 +131,6 @@ EMPTY_BINDING = Binding()
 
 #: A solution as a plain tuple of terms aligned with a header (``None``: unbound).
 Row = Tuple[Optional[Term], ...]
-
-
-class RowView:
-    """A row aligned with a header, read as a solution mapping, by name.
-
-    The one way an expression reads a solution (FILTER, OPTIONAL
-    conditions, BIND, grouping, HAVING, ``(expr AS ?v)``, ORDER BY keys):
-    :func:`repro.sparql.expressions.evaluate` only calls :meth:`get`, and
-    :meth:`at` moves the view to the next row.  ``positions`` says where
-    each header variable sits in the row (default: its index), so a view
-    can also read a register file.
-    """
-
-    __slots__ = ("_slot", "row")
-
-    def __init__(
-        self, header: Sequence[Variable], positions: Optional[Sequence[int]] = None
-    ) -> None:
-        if positions is None:
-            positions = range(len(header))
-        self._slot = {variable.name: position for variable, position in zip(header, positions)}
-        self.row: Sequence = ()
-
-    def at(self, row: Sequence) -> "RowView":
-        """This view, over ``row``."""
-        self.row = row
-        return self
-
-    def get(self, variable: Variable, default: Optional[Term] = None) -> Optional[Term]:
-        position = self._slot.get(variable.name)
-        value = None if position is None else self.row[position]
-        return default if value is None else value
 
 
 class CompatIndex:

@@ -294,3 +294,29 @@ def test_only_the_skolem_generator_marks_tuple_ids():
                 if called == "TupleIdExpr":
                     makers.add(path.relative_to(package).as_posix())
     assert makers == {"core/skolem.py"}
+
+
+def test_expressions_are_compiled_not_walked_per_row():
+    """An expression runs as the closure its operator compiled once
+    (``expressions.compile_expression`` / ``compile_condition``): outside
+    ``sparql/expressions.py`` no module of ``src/repro`` imports the
+    one-shot wrappers ``evaluate`` / ``satisfies`` or a row view to feed
+    them, so a per-row evaluation cannot come back."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    banned = {"evaluate", "satisfies", "RowView"}
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package).as_posix() == "sparql/expressions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                offences += [
+                    f"{path.relative_to(package)}:{node.lineno}: imports {alias.name}"
+                    for alias in node.names
+                    if alias.name in banned
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr in banned and (
+                isinstance(node.value, ast.Name) and node.value.id in ("expressions", "solutions")
+            ):
+                offences.append(f"{path.relative_to(package)}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert offences == []

@@ -32,11 +32,11 @@ from repro.rdf.terms import (
 from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
-from repro.sparql.expressions import Comparison, VariableExpr, satisfies
+from repro.sparql.expressions import Comparison, VariableExpr, compile_condition, positional
 from repro.sparql.idexec import row_header
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, RowView
+from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -226,12 +226,12 @@ class TestDifferential:
         assert _hash_probes(plan)
         cross_product = physical.lower_bgp(graph, patterns)
         header = row_header(plan)
-        view = RowView(header)
+        test = compile_condition(condition, positional(header))
 
         def filtered(initial=Binding()):
             assert row_header(cross_product, initial) == row_header(plan, initial) == header
             rows = physical.execute_rows(cross_product, graph, initial=initial)
-            return Counter(row for row in rows if satisfies(condition, view.at(row)))
+            return Counter(row for row in rows if test(row))
 
         everything = Counter(physical.execute_rows(plan, graph))
         assert everything == filtered()

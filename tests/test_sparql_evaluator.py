@@ -11,7 +11,8 @@ from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, RowView, SolutionSequence, realign_rows
+from repro.sparql.expressions import positional
+from repro.sparql.solutions import Binding, SolutionSequence, realign_rows
 from repro.store import EncodedGraph
 
 from tests.helpers import EX, countries_dataset, directors_dataset, on_hash_store
@@ -241,15 +242,14 @@ class TestBinding:
         assert list(realign_rows([(EX.x,), (None,)], [A], [])) == [(), ()]
         assert realign_rows(rows, [A, B], [Variable("a"), Variable("b")]) is rows
 
-    def test_a_row_view_reads_by_name_and_unbound_as_absent(self):
+    def test_a_positional_reader_reads_by_name_and_unbound_as_absent(self):
         A, B, C = self.A, self.B, self.C
-        view = RowView([A, B]).at((EX.x, None))
-        assert view.get(Variable("a")) == EX.x
-        assert view.get(B) is None and view.get(B, EX.z) == EX.z
-        assert view.get(C) is None
-        assert view.at((None, EX.y)).get(B) == EX.y and view.get(A) is None
-        # A view over a register file: the header's variables sit at ``positions``.
-        assert RowView([A], [2]).at(("r0", "r1", EX.x)).get(A) == EX.x
+        reader = positional([A, B])
+        row = (EX.x, None)
+        assert reader(Variable("a"))(row) == EX.x
+        assert reader(B)(row) is None
+        assert reader(C)(row) is None
+        assert reader(B)((None, EX.y)) == EX.y and reader(A)((None, EX.y)) is None
 
     def test_lookup_by_equal_but_distinct_variable(self):
         binding = Binding({self.A: EX.x})
