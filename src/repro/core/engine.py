@@ -10,7 +10,7 @@ the auxiliary rules (``term``, ``comp``, ``subjectOrObject``), ontology
 axioms (if any) are added as Datalog± rules, and the Datalog engine closes
 that program into a :class:`~repro.datalog.engine.Materialisation` — the
 only copy of the data the engine keeps, with the hash indexes the queries
-build on it.
+build on it and its value table: every relation holds id tuples.
 
 **Per query text, for good** (T_Q never reads the data): the parsed
 algebra, the T_Q translation and its
@@ -21,15 +21,19 @@ the oldest inserted evicted first).
 
 **Per query text and materialisation**: the ordered rule bodies and the
 compiled step chains, built by the first run of the text on the
-materialisation and dropped the moment the materialisation is replaced.
+materialisation and dropped the moment the materialisation is replaced;
+the text's constants, interned into the materialisation's value table
+when the text is first run on it, live as long as the table.
 Reusing them is exact: program and base being fixed, evaluation is
 deterministic, so a later run would order every body on the sizes the
 first one saw.
 
 **Per run**, then, only the fixpoint itself — empty relations for what the
 query derives, the deadline and the fact count, both limits checked where
-they always were — and T_S, which converts the answer relation into a
-SPARQL solution sequence.
+they always were — and T_S, which decodes the answer relation's id rows
+into a SPARQL solution sequence.  The ids the run interned (tuple IDs,
+labelled nulls, aggregate results) are dropped with its rows when the
+query returns.
 
 A query with FROM / FROM NAMED clauses assembles its own active dataset
 and materialises it for that call alone: its text level is reused, its
@@ -148,9 +152,12 @@ class SparqLogEngine:
     def query(self, query: Union[str, Query]) -> Union[SolutionSequence, bool]:
         """Evaluate a SPARQL query; a text seen before only runs its fixpoint."""
         prepared, reused = self._prepare(query)
+        translation = prepared.translation
         try:
-            relations = self._run(prepared, reused).tuples()
-            return self._solution_translator.translate(relations, prepared.translation)
+            result = self._run(prepared, reused)
+            return self._solution_translator.translate_rows(
+                result.rows(translation.answer_predicate), translation, result.table
+            )
         finally:
             self._done(prepared)
 

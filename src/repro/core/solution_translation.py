@@ -1,20 +1,25 @@
 """Solution translation T_S: Datalog± answers → SPARQL solution sequences.
 
-The Datalog engine returns the extension of the answer predicate as a set
-of ground tuples.  The solution translation drops the tuple-ID column
-(whose only purpose is duplicate preservation), maps the ``"null"``
-constant back to an unbound variable, converts labelled nulls (Skolem
-terms produced by existential ontology rules) to blank nodes, and applies
-the solution modifiers recorded as ``@post`` directives: ORDER BY,
-DISTINCT, LIMIT and OFFSET.
+The SparqLog engine hands over the answer predicate's rows as the
+fixpoint stores them — tuples of value-table ids — together with the
+table (:mod:`repro.datalog.values`); each row is decoded straight into its
+solution tuple.  The decoded sets of ``DatalogEngine.evaluate`` are taken
+as well (:meth:`SolutionTranslator.translate`).  The solution translation
+drops the tuple-ID column (whose only purpose is duplicate preservation),
+maps the ``"null"`` constant back to an unbound variable, converts
+labelled nulls (Skolem ids or terms produced by existential ontology
+rules) to blank nodes, one per distinct null, and applies the solution
+modifiers recorded as ``@post`` directives: ORDER BY, DISTINCT, LIMIT and
+OFFSET.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Optional, Set, Tuple, Union
 
 from repro.core.query_translation import TranslationResult
 from repro.datalog.terms import SkolemTerm
+from repro.datalog.values import SkolemKey, ValueTable
 from repro.rdf.terms import BlankNode, Literal, Term as RdfTerm
 from repro.sparql.algebra import SelectQuery
 from repro.sparql.modifiers import apply_modifiers, result_header
@@ -29,20 +34,32 @@ class SolutionTranslator:
         relations: Dict[str, Set[Tuple]],
         translation: TranslationResult,
     ) -> Union[SolutionSequence, bool]:
-        """Translate the answer relation according to the query form."""
-        rows = relations.get(translation.answer_predicate, set())
+        """Translate the answer relation of decoded ``relations``
+        (what :meth:`~repro.datalog.engine.DatalogEngine.evaluate` returns)."""
+        return self.translate_rows(relations.get(translation.answer_predicate, ()), translation)
+
+    def translate_rows(
+        self,
+        rows: Iterable[Tuple],
+        translation: TranslationResult,
+        table: Optional[ValueTable] = None,
+    ) -> Union[SolutionSequence, bool]:
+        """Translate the answer relation's ``rows`` according to the query
+        form.  With ``table`` the rows are id rows, decoded value by value
+        straight into the solution tuples."""
+        value = table.values.__getitem__ if table is not None else _same
         if translation.form == "ASK":
-            return self._translate_ask(rows)
-        return self._translate_select(rows, translation)
+            return self._translate_ask(rows, value)
+        return self._translate_select(rows, translation, value)
 
     # ------------------------------------------------------------------
     # ASK
     # ------------------------------------------------------------------
     @staticmethod
-    def _translate_ask(rows: Iterable[Tuple]) -> bool:
+    def _translate_ask(rows: Iterable[Tuple], value: Callable[[object], object]) -> bool:
         for row in rows:
-            value = row[0]
-            if isinstance(value, Literal) and value.lexical == "true":
+            first = value(row[0])
+            if isinstance(first, Literal) and first.lexical == "true":
                 return True
         return False
 
@@ -50,7 +67,10 @@ class SolutionTranslator:
     # SELECT
     # ------------------------------------------------------------------
     def _translate_select(
-        self, rows: Iterable[Tuple], translation: TranslationResult
+        self,
+        rows: Iterable[Tuple],
+        translation: TranslationResult,
+        value: Callable[[object], object],
     ) -> SolutionSequence:
         query = translation.query
         assert isinstance(query, SelectQuery)
@@ -65,9 +85,14 @@ class SolutionTranslator:
         }
         columns = [column_of.get(variable) for variable in header]
         to_term = self._to_rdf_term
-        nulls: Dict[SkolemTerm, BlankNode] = {}
+        nulls: Dict[Hashable, BlankNode] = {}
         solutions = [
-            tuple([None if column is None else to_term(row[column], nulls) for column in columns])
+            tuple(
+                [
+                    None if column is None else to_term(value(row[column]), nulls)
+                    for column in columns
+                ]
+            )
             for row in rows
         ]
         # The native evaluator's tail, so both engines order alike.
@@ -76,11 +101,11 @@ class SolutionTranslator:
         )
 
     @staticmethod
-    def _to_rdf_term(value: object, nulls: Dict[SkolemTerm, BlankNode]) -> Optional[RdfTerm]:
+    def _to_rdf_term(value: object, nulls: Dict[Hashable, BlankNode]) -> Optional[RdfTerm]:
         """Convert a Datalog ground value back to an RDF term (or None)."""
         if isinstance(value, RdfTerm):
             return value
-        if isinstance(value, SkolemTerm):
+        if isinstance(value, (SkolemKey, SkolemTerm)):
             # Labelled nulls from existential rules behave like blank nodes:
             # one per distinct null of this result, numbered as they come.
             return nulls.setdefault(value, BlankNode(f"null{len(nulls)}"))
@@ -91,3 +116,7 @@ class SolutionTranslator:
         if isinstance(value, (int, float, bool)):
             return Literal.from_python(value)
         return None
+
+
+def _same(value: object) -> object:
+    return value

@@ -10,8 +10,8 @@ that declares ``@output`` predicates — T_Q always does — is first
 rewritten by :func:`repro.datalog.optimise.unfold`, so that what is
 evaluated is a few multi-atom joins rather than one materialised relation
 per algebra operator, and then by :func:`repro.datalog.optimise.trim`,
-so that only the tuple IDs the answer's bag needs are built, one Skolem
-term per row.
+so that only the tuple IDs the answer's bag needs are built, one interned
+id per row.
 
 Evaluation is two steps, :meth:`DatalogEngine.prepare` and
 :meth:`DatalogEngine.run`, and :meth:`DatalogEngine.materialise` is one
@@ -28,12 +28,22 @@ is exact, not approximate: with the program and the base fixed, evaluation
 is deterministic, so every relation size the ordering would price on a
 later run is the size it saw on the first.
 
-The evaluated state is a :class:`Materialisation` (relations with their
-lazily built hash indexes, plus the fact count).  A program can be
-evaluated *on top of* a materialisation: the base relations are shared,
-never written, and keep their indexes between evaluations — which is how
-the SparqLog engine closes a dataset's T_D program once and then runs
-only the query rules per query.
+The evaluated state is a :class:`Materialisation`: relations with their
+lazily built hash indexes, the fact count and a value table
+(:mod:`repro.datalog.values`).  The fixpoint runs on ids: facts are
+interned when a program is bound to a base, rule constants pre-fill their
+registers as ids, and a tuple ID or labelled null is interned from its
+functor and argument ids, so every relation holds int tuples.  A term is
+decoded only where it is read — by an embedded filter, a comparison, an
+aggregate's arguments — and by whoever reads the result:
+:meth:`Materialisation.tuples` (and so :meth:`DatalogEngine.evaluate`)
+decodes every relation, T_S decodes the answer rows.  A program can be
+evaluated *on top of* a materialisation: the base relations and table are
+shared, the relations never written, and keep their indexes between
+evaluations — which is how the SparqLog engine closes a dataset's T_D
+program once and then runs only the query rules per query.  What a run
+interns beyond the base's values and the program's constants goes when
+the prepared program is released.
 
 Existential head variables are instantiated with Skolem terms over the
 frontier variables, which is exactly the abstraction the paper adopts for
@@ -60,6 +70,7 @@ from repro.datalog.rules import (
     Negation,
     Program,
     Rule,
+    SkolemExpr,
 )
 from repro.datalog.optimise import trim, unfold
 from repro.datalog.steps import (
@@ -85,6 +96,7 @@ from repro.datalog.steps import (
 )
 from repro.datalog.stratify import Component, components
 from repro.datalog.terms import Var, ground_value
+from repro.datalog.values import ValueTable
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.sparql.ordering import select_cheapest
 
@@ -94,26 +106,43 @@ class EvaluationLimitExceeded(RuntimeError):
 
 
 class Materialisation:
-    """An evaluated program: its relations and how many facts they hold.
+    """An evaluated program: its relations, its value table, its fact count.
 
     ``relations`` has an entry for every predicate the evaluated program
-    mentions (defined or only read).  Used as the ``base`` of a further
-    evaluation, the relations are shared — read, indexed, never written —
-    and ``fact_count`` carries over, so ``max_facts`` bounds base plus
-    overlay exactly as it bounds one program evaluated in one go.
+    mentions (defined or only read), and holds id tuples: ``table``
+    (:mod:`repro.datalog.values`) says what each id stands for.  Used as
+    the ``base`` of a further evaluation, the relations are shared — read,
+    indexed, never written —, so is the table, and ``fact_count`` carries
+    over, so ``max_facts`` bounds base plus overlay exactly as it bounds
+    one program evaluated in one go.
     """
 
-    __slots__ = ("relations", "fact_count", "__weakref__")
+    __slots__ = ("relations", "fact_count", "table", "__weakref__")
 
-    def __init__(self, relations: Dict[str, Relation], fact_count: int) -> None:
+    def __init__(
+        self, relations: Dict[str, Relation], fact_count: int, table: Optional[ValueTable] = None
+    ) -> None:
         self.relations = relations
         self.fact_count = fact_count
+        self.table = table
 
-    def tuples(self) -> Dict[str, Set[GroundTuple]]:
-        """Predicate -> set of ground tuples (the sets are live, not copies)."""
-        return {predicate: relation.tuples for predicate, relation in self.relations.items()}
+    def rows(self, predicate: str) -> Set[GroundTuple]:
+        """The id tuples of ``predicate`` (the live set; empty if it has none)."""
+        relation = self.relations.get(predicate)
+        return relation.tuples if relation is not None else set()
+
+    def tuples(self) -> Dict[str, Set[Tuple[object, ...]]]:
+        """Predicate -> set of value tuples, decoded (fresh sets)."""
+        if self.table is None:  # no run made it: it holds nothing
+            return {}
+        value = self.table.decoded().__getitem__
+        return {
+            predicate: {tuple(map(value, row)) for row in relation.tuples}
+            for predicate, relation in self.relations.items()
+        }
 
 
+#: The base of a run on no base.  It has no table: such a run makes its own.
 _EMPTY = Materialisation({}, 0)
 
 
@@ -166,10 +195,14 @@ class _Bound:
     ``relations`` are the base's plus one scratch relation per predicate
     the program adds; ``scratch`` lists every relation a run fills (delta
     relations of recursive components included), ``compiled`` has a slot
-    per rule group, filled when a run first reaches it.
+    per rule group, filled when a run first reaches it.  ``table`` is the
+    base's value table (a fresh one on no base), in which the program's
+    constants were interned; ``facts`` are its facts as id rows per
+    relation, and
+    ``run`` is the table's token of the latest run (0 when none is open).
     """
 
-    __slots__ = ("engine", "base", "relations", "scratch", "compiled")
+    __slots__ = ("engine", "base", "relations", "scratch", "compiled", "table", "facts", "run")
 
     def __init__(
         self,
@@ -178,12 +211,17 @@ class _Bound:
         relations: Dict[str, Relation],
         scratch: List[Relation],
         groups: int,
+        table: ValueTable,
+        facts: List[Tuple[Relation, List[GroundTuple]]],
     ) -> None:
         self.engine = engine
         self.base = base
         self.relations = relations
         self.scratch = scratch
         self.compiled: List[Optional[_CompiledComponent]] = [None] * groups
+        self.table = table
+        self.facts = facts
+        self.run = 0
 
 
 class PreparedProgram:
@@ -195,7 +233,7 @@ class PreparedProgram:
     and what :func:`~repro.datalog.optimise.trim` did: ``columns_dropped``,
     ``assignments_dropped``, ``chains_fused``; ``None`` for a program
     without ``@output``), every predicate that needs
-    a relation, the ground facts and, per component that has rules, its
+    a relation, the ground facts (per predicate) and, per component that has rules, its
     aggregate and plain rules in evaluation order.  What also depends on
     the base — scratch relations, ordered bodies, compiled plans — is built
     by the first :meth:`DatalogEngine.run` on that base, reused by later
@@ -203,24 +241,36 @@ class PreparedProgram:
     :meth:`unbind` drops it (and every reference to the base) at once.
 
     The relations of a run's result are the prepared program's own: they
-    are emptied when it runs again and by :meth:`release`.  The tuple
+    are emptied when it runs again and by :meth:`release`, which also drops
+    the ids the run interned; the program's constants and facts are
+    interned when it is bound and stay as long as the base.  The tuple
     *sets* are never reused, so whoever holds one keeps it as it was.
     """
 
-    __slots__ = ("defined", "unfolding", "predicates", "facts", "groups", "_bound")
+    __slots__ = ("defined", "unfolding", "predicates", "facts", "constants", "groups", "_bound")
 
     def __init__(
         self,
         defined: Set[str],
         unfolding: Optional[Dict[str, object]],
         predicates: Tuple[str, ...],
-        facts: List[Tuple[str, GroundTuple]],
+        facts: List[Tuple[str, List[Tuple[object, ...]]]],
         groups: List[Tuple[Component, List[AggregateRule], List[Rule]]],
     ) -> None:
         self.defined = defined
         self.unfolding = unfolding
         self.predicates = predicates
         self.facts = facts
+        #: Every value the rules mention: interned when the program is bound,
+        #: so that no rule compiled during a run adds to the table.
+        self.constants = tuple(
+            dict.fromkeys(
+                value
+                for _, aggregates, rules in groups
+                for rule in (*aggregates, *rules)
+                for value in _constants(rule)
+            )
+        )
         self.groups = groups
         self._bound: Optional[_Bound] = None
 
@@ -230,14 +280,19 @@ class PreparedProgram:
 
     def unbind(self) -> None:
         """Drop everything that depends on a base, the base included."""
+        self.release()
         self._bound = None
 
     def release(self) -> None:
-        """Empty the scratch relations: no derived tuple stays behind."""
-        if self._bound is not None:
-            for relation in self._bound.scratch:
+        """Empty the scratch relations and drop the ids the run added to the
+        table (:meth:`ValueTable.end`): no derived tuple stays behind."""
+        bound = self._bound
+        if bound is not None:
+            for relation in bound.scratch:
                 if relation.tuples:
                     relation.replace(())
+            bound.table.end(bound.run)
+            bound.run = 0
 
     def evaluated(self) -> List[Dict[str, object]]:
         """Per component run on the current base, in order, what its
@@ -262,7 +317,15 @@ class PreparedProgram:
                 if predicate not in relations:
                     relations[predicate] = relation = Relation()
                     scratch.append(relation)
-            bound = self._bound = _Bound(engine, base, relations, scratch, len(self.groups))
+            table = base.table if base.table is not None else ValueTable()
+            for value in self.constants:
+                table.intern(value)
+            facts = [
+                (relations[predicate], table.intern_rows(rows)) for predicate, rows in self.facts
+            ]
+            bound = self._bound = _Bound(
+                engine, base, relations, scratch, len(self.groups), table, facts
+            )
         return bound
 
 
@@ -293,11 +356,12 @@ class DatalogEngine:
     # ------------------------------------------------------------------
     def evaluate(
         self, program: Program, base: Materialisation = _EMPTY
-    ) -> Dict[str, Set[GroundTuple]]:
-        """Evaluate the program and return predicate -> set of ground tuples.
+    ) -> Dict[str, Set[Tuple[object, ...]]]:
+        """Evaluate the program and return predicate -> set of value tuples.
 
         With ``base``, the program runs on top of that materialisation and
-        the result covers both.
+        the result covers both.  The sets are decoded from the id rows
+        (:meth:`Materialisation.tuples`).
         """
         return self.materialise(program, base).tuples()
 
@@ -379,13 +443,14 @@ class DatalogEngine:
             ]
             if rules or aggregates:
                 groups.append((component, aggregates, rules))
-        facts = [
-            (fact.predicate, tuple(ground_value(argument) for argument in fact.arguments))
-            for fact in program.facts
-        ]
+        facts: Dict[str, List[Tuple[object, ...]]] = {}
+        for fact in program.facts:
+            facts.setdefault(fact.predicate, []).append(tuple(map(ground_value, fact.arguments)))
         # An output predicate whose every rule the rewrite found unsatisfiable
         # is mentioned nowhere any more; it is empty, not absent.
-        return PreparedProgram(defined, unfolding, (*program.predicates(), *keep), facts, groups)
+        return PreparedProgram(
+            defined, unfolding, (*program.predicates(), *keep), list(facts.items()), groups
+        )
 
     def run(self, prepared: PreparedProgram, base: Materialisation = _EMPTY) -> Materialisation:
         """Evaluate a prepared program on top of ``base``.
@@ -407,12 +472,14 @@ class DatalogEngine:
         self.fixpoint_iterations = 0
         tracer = self.tracer
 
+        prepared.release()
         bound = prepared._bind(self, base)
         relations = bound.relations
-        prepared.release()
-        for predicate, values in prepared.facts:
-            if relations[predicate].add(values):
-                self._count_fact()
+        bound.run = bound.table.begin()
+        for relation, rows in bound.facts:
+            for row in rows:
+                if relation.add(row):
+                    self._count_fact()
 
         compiled_components = bound.compiled
         for position, group in enumerate(prepared.groups):
@@ -430,7 +497,7 @@ class DatalogEngine:
                 compiled.derived = self._fact_count - facts
                 if tracer is not None:
                     span.annotate(**compiled.record())
-        return Materialisation(relations, self._fact_count)
+        return Materialisation(relations, self._fact_count, bound.table)
 
     def _compile_component(
         self,
@@ -447,19 +514,19 @@ class DatalogEngine:
         first; a component without recursion then runs each rule once —
         no rule reads what another derives here.
         """
-        relations = bound.relations
+        relations, table = bound.relations, bound.table
         volatile = component.predicates if component.recursive else ()
-        aggregate_bodies = [self._order_body(rule.body, relations) for rule in aggregates]
-        bodies = [self._order_body(rule.body, relations, volatile) for rule in rules]
+        aggregate_bodies = [self._order_body(rule.body, relations, table) for rule in aggregates]
+        bodies = [self._order_body(rule.body, relations, table, volatile) for rule in rules]
         plans = [
-            self._compile_aggregate_rule(aggregate_rule, body, relations)
+            self._compile_aggregate_rule(aggregate_rule, body, relations, table)
             for aggregate_rule, (body, _) in zip(aggregates, aggregate_bodies)
         ]
         ordered = [(rule, body) for rule, (body, _) in zip(rules, bodies)]
         if component.recursive:
-            plans.append(self._compile_fixpoint(ordered, relations, bound.scratch))
+            plans.append(self._compile_fixpoint(ordered, relations, table, bound.scratch))
         else:
-            plans.extend(self._compile_rule(rule, body, relations) for rule, body in ordered)
+            plans.extend(self._compile_rule(rule, body, relations, table) for rule, body in ordered)
         return _CompiledComponent(
             component,
             [
@@ -478,6 +545,7 @@ class DatalogEngine:
         self,
         rules: Sequence[Tuple[Rule, List[BodyElement]]],
         relations: Dict[str, Relation],
+        table: ValueTable,
         scratch: List[Relation],
     ) -> Plan:
         """Semi-naive evaluation of a recursive component's ordered rules.
@@ -507,12 +575,12 @@ class DatalogEngine:
 
         for rule, body in rules:
             derived = fresh[rule.head.predicate]
-            plans.append(self._compile_rule(rule, body, relations, fresh, derived))
+            plans.append(self._compile_rule(rule, body, relations, table, fresh, derived))
             for position, element in enumerate(body):
                 if isinstance(element, Atom) and element.predicate in fresh:
                     delta = deltas[element.predicate]
                     plan = compiled_on_first_run(
-                        rule, body, relations, fresh, derived, position, delta
+                        rule, body, relations, table, fresh, derived, position, delta
                     )
                     delta_plans.append((delta, plan))
         scratch.extend(deltas.values())
@@ -543,6 +611,7 @@ class DatalogEngine:
         self,
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
+        table: ValueTable,
         volatile: Sequence[str] = (),
     ) -> Tuple[List[BodyElement], List[Optional[float]]]:
         """Greedy sideways-information-passing order for body evaluation.
@@ -572,7 +641,7 @@ class DatalogEngine:
         # Per stable atom the rows agreeing with its constants; what the
         # variables bound so far leave of them is worked out per choice.
         matching = {
-            id(element): _matching_rows(element, relations[element.predicate])
+            id(element): _matching_rows(element, relations[element.predicate], table)
             for element in pending
             if isinstance(element, Atom) and element.predicate not in volatile
         }
@@ -655,6 +724,7 @@ class DatalogEngine:
         rule: Rule,
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
+        table: ValueTable,
         growing: Iterable[str] = (),
         derived: Optional[List[GroundTuple]] = None,
         delta_position: int = -1,
@@ -669,7 +739,7 @@ class DatalogEngine:
         ``derived`` (the next round's delta) and ``growing`` names the
         predicates the component's plans derive into meanwhile.
         """
-        registers = RegisterFile()
+        registers = RegisterFile(table)
         makers = self._lower_body(body, registers, relations, growing, delta_position, delta)
 
         frontier: Optional[List[int]] = None
@@ -690,7 +760,7 @@ class DatalogEngine:
                     if variable in registers.slots
                 ]
             functor = f"∃{rule.label or rule.head.predicate}:{argument.name}"
-            makers.append(skolem_step(functor, frontier, registers.bind(argument)))
+            makers.append(skolem_step(table, functor, frontier, registers.bind(argument)))
 
         head = tuple_getter([registers.operand(argument) for argument in rule.head.arguments])
         add = relations[rule.head.predicate].add
@@ -743,8 +813,11 @@ class DatalogEngine:
         aggregate_rule: AggregateRule,
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
+        table: ValueTable,
     ) -> Plan:
-        registers = RegisterFile()
+        """Group the body's solutions and aggregate each group: argument
+        values are decoded, and each result is stored as a run's id."""
+        registers = RegisterFile(table)
         makers = self._lower_body(body, registers, relations)
         # Every body solution, as a copy of the whole register file.
         members: List[Registers] = []
@@ -753,6 +826,16 @@ class DatalogEngine:
         group_variables = aggregate_rule.group_variables
         group_of = tuple_getter([registers.operand(variable) for variable in group_variables])
         relation = relations[aggregate_rule.head.predicate]
+        # Per spec: its argument's register, or None for COUNT(*), and the
+        # ids it skips — ``None``'s (id 0: unbound) and the stand-in's.
+        arguments = [
+            (
+                None if spec.argument is None else registers.operand(spec.argument),
+                frozenset({0, table.intern(spec.unbound)}),
+            )
+            for spec in aggregate_rule.aggregates
+        ]
+        value = table.value
 
         def evaluate() -> None:
             groups: Dict[Tuple, List[Registers]] = defaultdict(list)
@@ -763,23 +846,19 @@ class DatalogEngine:
             finally:
                 members.clear()
             for key, group in groups.items():
-                values_by_target: Dict[Var, object] = {}
-                for spec in aggregate_rule.aggregates:
-                    if spec.argument is None:
+                values_by_target: Dict[Var, int] = {}
+                for spec, (slot, skipped) in zip(aggregate_rule.aggregates, arguments):
+                    if slot is None:
                         values: List[object] = [1] * len(group)
                     else:
-                        slot = registers.operand(spec.argument)
-                        unbound = spec.unbound
                         values = [
-                            member[slot]
-                            for member in group
-                            if member[slot] is not None and member[slot] != unbound
+                            value(member[slot]) for member in group if member[slot] not in skipped
                         ]
-                    values_by_target[spec.target] = aggregate(spec, values)
-                row: List[object] = []
+                    values_by_target[spec.target] = table.add(aggregate(spec, values))
+                row: List[int] = []
                 for argument in aggregate_rule.head.arguments:
                     if not isinstance(argument, Var):
-                        row.append(ground_value(argument))
+                        row.append(table.intern(ground_value(argument)))
                     elif argument in group_variables:
                         row.append(key[group_variables.index(argument)])
                     elif argument in values_by_target:
@@ -808,7 +887,7 @@ class DatalogEngine:
             raise EvaluationLimitExceeded("evaluation timeout exceeded")
 
 
-def _matching_rows(atom: Atom, relation: Relation) -> float:
+def _matching_rows(atom: Atom, relation: Relation, table: ValueTable) -> float:
     """How many rows of ``relation`` agree with the constants of ``atom``.
 
     Counted, not estimated: the size of the constants' bucket in the index
@@ -823,5 +902,32 @@ def _matching_rows(atom: Atom, relation: Relation) -> float:
     )
     if not positions:
         return float(len(relation))
-    key = getter(positions)([ground_value(argument) for argument in atom.arguments])
+    key = getter(positions)(
+        [
+            None if isinstance(argument, Var) else table.intern(ground_value(argument))
+            for argument in atom.arguments
+        ]
+    )
     return float(len(relation.index(positions).get(key, ())))
+
+
+def _constants(rule) -> List[object]:
+    """Every value a rule or aggregate rule mentions: what its compiled
+    steps pre-fill registers with, and the values its aggregates skip."""
+    atoms = [rule.head]
+    terms: List[object] = []
+    for element in rule.body:
+        if isinstance(element, Negation):
+            element = element.atom
+        if isinstance(element, Atom):
+            atoms.append(element)
+        elif isinstance(element, Comparison):
+            terms += (element.left, element.right)
+        elif isinstance(element, Assignment):
+            expression = element.expression
+            terms += expression.arguments if isinstance(expression, SkolemExpr) else (expression,)
+    for atom in atoms:
+        terms += atom.arguments
+    values = [ground_value(term) for term in terms if not isinstance(term, Var)]
+    values += [spec.unbound for spec in getattr(rule, "aggregates", ())]
+    return values

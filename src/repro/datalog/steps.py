@@ -2,12 +2,16 @@
 
 :class:`repro.datalog.engine.DatalogEngine` orders a rule's body and then
 lowers it here: variables become indexes into one register file (a plain
-list), constants pre-filled registers, and every body element one *step* —
-a function that runs on the register file and calls the next step once per
-solution it finds; the last step derives the head.  An index key, the
-values an atom binds and the head tuple are all built by
-``operator.itemgetter``, so the per-row work is tuple indexing, never a
-substitution dictionary.
+list), constants registers pre-filled with their ids in the base's
+:class:`~repro.datalog.values.ValueTable`, and every body element one
+*step* — a function that runs on the register file and calls the next step
+once per solution it finds; the last step derives the head.  Registers and
+relation rows hold ids only: a tuple ID or labelled null is interned from
+its functor and argument ids, and a value is decoded only by a filter's
+register reader, a comparison and (in the engine) an aggregate.  An index
+key, the values an atom binds and the head tuple are all built by
+``operator.itemgetter``, so the per-row work is tuple indexing over ints,
+never a substitution dictionary.
 
 Compiled rules are kept for as long as the base they were compiled on
 (:class:`repro.datalog.engine.PreparedProgram`), so their size matters: a
@@ -32,7 +36,8 @@ from repro.datalog.rules import (
     FilterCondition,
     SkolemExpr,
 )
-from repro.datalog.terms import SkolemTerm, Var, ground_value
+from repro.datalog.terms import Var, ground_value
+from repro.datalog.values import ValueTable
 from repro.rdf.terms import Literal, Term as RdfTerm, term_sort_key
 from repro.sparql.expressions import compile_test
 from repro.sparql.functions import ExpressionError, term_compare
@@ -79,7 +84,11 @@ GroundTuple = Tuple[object, ...]
 
 
 class Relation:
-    """The extension of one predicate: a set of ground tuples plus indexes."""
+    """The extension of one predicate: a set of id tuples plus indexes.
+
+    The engine stores rows of value-table ids, so inserts and probes hash
+    ints; the class itself takes any hashable rows.
+    """
 
     __slots__ = ("tuples", "_indexes", "_distinct_cache")
 
@@ -165,29 +174,31 @@ class Relation:
 class RegisterFile:
     """Compile-time register allocation for one rule.
 
-    ``values`` is the register file the compiled steps run on: register 0
-    stays ``None`` and stands for any variable that is never bound, every
-    constant occurrence gets a pre-filled register, and a variable gets
-    the next free register where the body first binds it.
+    ``values`` is the register file the compiled steps run on, and every
+    register holds an id of ``table``: register 0 holds the id of ``None``
+    and stands for any variable that is never bound, every constant
+    occurrence gets a register pre-filled with the constant's id, and a
+    variable gets the next free register where the body first binds it.
     """
 
-    __slots__ = ("values", "slots")
+    __slots__ = ("values", "slots", "table")
 
-    def __init__(self) -> None:
-        self.values: Registers = [None]
+    def __init__(self, table: ValueTable) -> None:
+        self.values: Registers = [0]
         self.slots: Dict[Var, int] = {}
+        self.table = table
 
     def bind(self, variable: Var) -> int:
         """Allocate the register of a variable bound from here on."""
         self.slots[variable] = slot = len(self.values)
-        self.values.append(None)
+        self.values.append(0)
         return slot
 
     def operand(self, term: object) -> int:
         """The register to read ``term`` from."""
         if isinstance(term, Var):
             return self.slots.get(term, 0)
-        self.values.append(ground_value(term))
+        self.values.append(self.table.intern(ground_value(term)))
         return len(self.values) - 1
 
 
@@ -355,28 +366,38 @@ def _scan_absent(source, key_of, next_step, regs) -> None:
 def comparison_step(comparison: Comparison, registers: RegisterFile) -> StepMaker:
     return step(
         _compare,
+        registers.table.value,
         comparison.operator,
         registers.operand(comparison.left),
         registers.operand(comparison.right),
     )
 
 
-def _compare(operator: str, left: int, right: int, next_step: Step, regs: Registers) -> None:
-    first, second = regs[left], regs[right]
+def _compare(
+    value: Callable, operator: str, left: int, right: int, next_step: Step, regs: Registers
+) -> None:
+    first, second = value(regs[left]), value(regs[right])
     # None is an unbound variable: the comparison fails.
     if first is not None and second is not None and compare_values(operator, first, second):
         next_step(regs)
 
 
-def skolem_step(functor: str, argument_slots: Sequence[int], target: int) -> StepMaker:
+def skolem_step(
+    table: ValueTable, functor: str, argument_slots: Sequence[int], target: int
+) -> StepMaker:
     """``target := functor(arguments)`` for a variable not bound before."""
-    return step(_bind_skolem, functor, tuple_getter(argument_slots), target)
+    return step(_bind_skolem, table.skolem, functor, tuple_getter(argument_slots), target)
 
 
 def _bind_skolem(
-    functor: str, arguments: Callable, target: int, next_step: Step, regs: Registers
+    skolem: Callable,
+    functor: str,
+    arguments: Callable,
+    target: int,
+    next_step: Step,
+    regs: Registers,
 ) -> None:
-    regs[target] = SkolemTerm(functor, arguments(regs))
+    regs[target] = skolem(functor, arguments(regs))
     next_step(regs)
 
 
@@ -386,16 +407,21 @@ def assignment_step(assignment: Assignment, registers: RegisterFile) -> StepMake
     if isinstance(expression, SkolemExpr):
         slots = [registers.operand(argument) for argument in expression.arguments]
         if not bound:
-            return skolem_step(expression.functor, slots, registers.bind(assignment.variable))
-        functor, arguments = expression.functor, tuple_getter(slots)
-
-        def value_of(regs: Registers) -> object:
-            return SkolemTerm(functor, arguments(regs))
+            return skolem_step(
+                registers.table, expression.functor, slots, registers.bind(assignment.variable)
+            )
+        value_of = partial(
+            _skolem_of, registers.table.skolem, expression.functor, tuple_getter(slots)
+        )
     else:
         value_of = getter([registers.operand(expression)])
     if bound:
         return step(_check_value, registers.slots[assignment.variable], value_of)
     return step(_bind_value, registers.bind(assignment.variable), value_of)
+
+
+def _skolem_of(skolem: Callable, functor: str, arguments: Callable, regs: Registers) -> int:
+    return skolem(functor, arguments(regs))
 
 
 def _check_value(target: int, value_of: Callable, next_step: Step, regs: Registers) -> None:
@@ -410,17 +436,19 @@ def _bind_value(target: int, value_of: Callable, next_step: Step, regs: Register
 
 def filter_step(condition: FilterCondition, registers: RegisterFile) -> StepMaker:
     """An embedded SPARQL filter, compiled once over the register file.  A
-    variable reads its register; the expression compiler takes a value that
-    is no RDF term (a Skolem term, a variable never bound in the body:
-    register 0) as unbound."""
+    variable reads the value of its register's id; the expression compiler
+    takes a value that is no RDF term (a tuple ID or labelled null, a
+    variable never bound in the body: register 0) as unbound."""
     slot_of = {
         variable: registers.slots[datalog_variable]
         for variable, datalog_variable in condition.variable_map
         if datalog_variable in registers.slots
     }
+    values = registers.table.values
 
     def reader(variable) -> Callable[[Registers], object]:
-        return getter([slot_of.get(variable, 0)])
+        slot = slot_of.get(variable, 0)
+        return lambda regs: values[regs[slot]]
 
     return step(_filter, compile_test(condition.expression, reader))
 

@@ -33,6 +33,7 @@ class Const:
         return f"«{self.value!r}»"
 
 
+@dataclass(frozen=True)
 class SkolemTerm:
     """A ground functional term ``f(a1, ..., an)``.
 
@@ -41,31 +42,13 @@ class SkolemTerm:
     model (Appendix C), and they stand in for the labelled nulls that
     existential rule heads introduce during the chase.
 
-    Immutable by convention.  Tuple IDs nest (the ID of a join holds the
-    IDs of its operands) and every relation insert and index probe hashes
-    them, so the hash is computed once, at construction.
+    The fixpoint builds none: it stores a tuple ID or null as an id of its
+    functor and argument ids (:mod:`repro.datalog.values`), and a Skolem
+    term is what such an id decodes to.
     """
 
-    __slots__ = ("functor", "arguments", "_hash")
-
-    def __init__(self, functor: str, arguments: Tuple[Hashable, ...]) -> None:
-        self.functor = functor
-        self.arguments = arguments
-        self._hash = hash((functor, arguments))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not SkolemTerm:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.functor == other.functor
-            and self.arguments == other.arguments
-        )
+    functor: str
+    arguments: Tuple[Hashable, ...]
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(argument) for argument in self.arguments)

@@ -22,8 +22,9 @@ from repro.datalog.rules import (
 from repro.datalog.steps import compare_values
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.terms import Const, SkolemTerm, Var
+from repro.datalog.values import ValueTable
 from repro.obs import Tracer, trace_to_dict
-from repro.rdf.terms import Literal
+from repro.rdf.terms import IRI, Literal
 
 
 def c(value):
@@ -154,6 +155,77 @@ class TestExistentialsAndAggregates:
         ((person, parent),) = result["has_parent"]
         assert person == "alice"
         assert isinstance(parent, SkolemTerm)
+
+    def test_values_of_every_kind_are_stored_as_ids_and_come_back_as_they_went_in(self):
+        a, x = IRI("http://ex.org/a"), Literal("x")
+        program = Program()
+        program.add_fact(Atom("item", (c(a), c("label"), c(1))))
+        program.add_fact(Atom("item", (c(x), c("other"), c(2))))
+        program.add_rule(
+            Rule(
+                Atom("tagged", (W, X, Y)),
+                (Atom("item", (X, Z, Y)), Assignment(W, SkolemExpr("id", (X, Y)))),
+            )
+        )
+        # An existential head over a tuple ID: a null nesting a Skolem term.
+        program.add_rule(
+            Rule(
+                Atom("wrapped", (W, Z)),
+                (Atom("tagged", (W, X, Y)),),
+                existential_variables=(Z,),
+                label="wrap",
+            )
+        )
+        program.add_rule(
+            Rule(Atom("small", (X, c("yes"))), (Atom("item", (X, Z, Y)), Comparison("<", Y, c(2))))
+        )
+        materialised = DatalogEngine().materialise(program)
+        assert all(
+            type(value) is int
+            for relation in materialised.relations.values()
+            for row in relation
+            for value in row
+        )
+        first, second = SkolemTerm("id", (a, 1)), SkolemTerm("id", (x, 2))
+        expected = {
+            "item": {(a, "label", 1), (x, "other", 2)},
+            "tagged": {(first, a, 1), (second, x, 2)},
+            "wrapped": {
+                (first, SkolemTerm("∃wrap:Z", (first,))),
+                (second, SkolemTerm("∃wrap:Z", (second,))),
+            },
+            "small": {(a, "yes")},
+        }
+        assert materialised.tuples() == expected == DatalogEngine().evaluate(program)
+
+
+class TestValueTable:
+    def test_a_run_drops_what_it_added_and_keeps_what_was_interned(self):
+        table = ValueTable()
+        kept = table.intern(Literal("a"))
+        run = table.begin()
+        null = table.skolem("f", (kept,))
+        table.add(Literal.from_python(3))
+        assert table.value(null) == SkolemTerm("f", (Literal("a"),))
+        assert table.intern(Literal("a")) == kept and len(table) == 4
+        table.end(run)
+        assert len(table) == 2 and table.values == [None, Literal("a")]
+        assert table.add(Literal.from_python(3)) == null  # the ids are handed out again
+
+    def test_a_run_keeps_what_a_later_run_or_an_intern_may_hold(self):
+        table = ValueTable()
+        first = table.begin()
+        table.skolem("f", (0,))
+        second = table.begin()
+        table.skolem("g", (0,))
+        table.end(first)  # a later run began and may hold its ids: nothing goes
+        assert len(table) == 3
+        constant = table.intern("c")  # interned during a run: kept, with every id below
+        table.skolem("h", (0,))
+        table.end(second)
+        assert len(table) == 4 and table.value(constant) == "c"
+        table.end(second)
+        assert len(table) == 4
 
     def test_aggregate_count(self):
         program = edge_program([("a", "b"), ("a", "c"), ("b", "c")])
@@ -477,14 +549,15 @@ class TestBodyOrder:
     def test_tuple_ids_are_built_only_for_rows_that_survive(self, monkeypatch):
         # The ID and the comparison are ready at once, the ID first in the
         # source: the comparison that rejects half the rows runs first.
+        # Counted: the tuple IDs interned during the run.
         built = []
-        init = SkolemTerm.__init__
+        skolem = ValueTable.skolem
 
-        def counted_init(self, functor, arguments):
+        def counted_skolem(self, functor, arguments):
             built.append(functor)
-            init(self, functor, arguments)
+            return skolem(self, functor, arguments)
 
-        monkeypatch.setattr(SkolemTerm, "__init__", counted_init)
+        monkeypatch.setattr(ValueTable, "skolem", counted_skolem)
         program = Program()
         for index in range(10):
             program.add_fact(Atom("e", (c(index), c(index * 2))))

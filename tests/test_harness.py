@@ -296,6 +296,26 @@ def test_only_the_skolem_generator_marks_tuple_ids():
     assert makers == {"core/skolem.py"}
 
 
+def test_the_fixpoint_builds_no_skolem_term():
+    """The fixpoint stores a tuple ID or labelled null as an interned id
+    (``datalog/values.py``), and a :class:`SkolemTerm` is built only when
+    the value table decodes one: no other module of ``src/repro/datalog``
+    calls the class, so a per-row object cannot come back."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro" / "datalog"
+    makers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                function = node.func
+                if isinstance(function, ast.Attribute):
+                    called = function.attr
+                else:
+                    called = getattr(function, "id", "")
+                if called == "SkolemTerm":
+                    makers.add(path.relative_to(package).as_posix())
+    assert makers == {"values.py"}
+
+
 def test_expressions_are_compiled_not_walked_per_row():
     """An expression runs as the closure its operator compiled once
     (``expressions.compile_expression`` / ``compile_condition``): outside

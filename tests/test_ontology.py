@@ -94,6 +94,17 @@ class TestReasoningThroughSparqLog:
         (advisor,) = result.rows()[0]
         assert isinstance(advisor, BlankNode)
 
+    def test_distinct_labelled_nulls_are_distinct_blank_nodes(self):
+        graph = university_graph()
+        graph.add(Triple(EX.carol, RDF.type, EX.Student))
+        ontology = university_ontology()
+        ontology.add_existential(EX.Student, EX.hasAdvisor, EX.Professor)
+        engine = SparqLogEngine(Dataset.from_graph(graph), ontology=ontology)
+        rows = engine.query(PREFIX + "SELECT ?s ?a WHERE { ?s ex:hasAdvisor ?a }").rows()
+        assert sorted(student for student, _ in rows) == [EX.bob, EX.carol]
+        advisors = {advisor for _, advisor in rows}
+        assert len(advisors) == 2 and all(isinstance(a, BlankNode) for a in advisors)
+
     def test_without_ontology_no_inference(self):
         engine = SparqLogEngine(Dataset.from_graph(university_graph()))
         result = engine.query(PREFIX + "SELECT ?x WHERE { ?x rdf:type ex:Person }")

@@ -15,9 +15,10 @@ from repro.core.query_translation import QueryTranslator
 from repro.core.solution_translation import SolutionTranslator
 from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded
 from repro.datalog.terms import SkolemTerm
+from repro.datalog.values import SkolemKey, ValueTable
 from repro.obs import Tracer, trace_to_dict
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI, RDF, Literal, Triple, Variable
+from repro.rdf.terms import IRI, RDF, BlankNode, Literal, Triple, Variable
 from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
 from repro.sparql.modifiers import apply_order_by
@@ -310,26 +311,85 @@ def _tiny_suites():
     }
 
 
-#: Skolem terms a warm pass builds: at most this many (the tuple IDs the
-#: answers need); 460 and 369 before unfolding trimmed and fused them.
+#: Tuple IDs a warm pass interns: at most this many (the IDs the answers
+#: need); 460 and 369 Skolem terms before unfolding trimmed and fused them.
 _SKOLEM_TERMS_PER_WARM_PASS = {"gmark": 185, "sp2bench": 90}
 
 
 def test_a_warm_pass_builds_a_tuple_id_per_row_not_per_operator(monkeypatch):
     built = []
-    init = SkolemTerm.__init__
+    skolem = ValueTable.skolem
 
-    def counted_init(self, functor, arguments):
+    def counted_skolem(self, functor, arguments):
         built.append(functor)
-        init(self, functor, arguments)
+        return skolem(self, functor, arguments)
 
-    monkeypatch.setattr(SkolemTerm, "__init__", counted_init)
+    monkeypatch.setattr(ValueTable, "skolem", counted_skolem)
     for name, (dataset, texts) in _tiny_suites().items():
         engine = SparqLogEngine(dataset)
         answers = [len(engine.query(text)) for text in texts]
         built.clear()
         assert [len(engine.query(text)) for text in texts] == answers
         assert 0 < len(built) <= _SKOLEM_TERMS_PER_WARM_PASS[name], name
+
+
+def test_no_run_local_id_outlives_its_query(monkeypatch):
+    # Pass 1 interns each text's constants for good; what a run interns
+    # beyond them (tuple IDs, nulls, aggregate results) goes with the run.
+    during = []
+    translate_rows = SolutionTranslator.translate_rows
+
+    def counted(self, rows, translation, table=None):
+        during.append(len(table))
+        return translate_rows(self, rows, translation, table)
+
+    monkeypatch.setattr(SolutionTranslator, "translate_rows", counted)
+    for name, (dataset, texts) in _tiny_suites().items():
+        engine = SparqLogEngine(dataset)
+        for text in texts:
+            engine.query(text)
+        table = engine._base.table
+        during.clear()
+        sizes = []
+        for _ in range(2):
+            for text in texts:
+                engine.query(text)
+                sizes.append(len(table))
+        assert len(set(sizes)) == 1, (name, sizes)
+        # The runs did intern tuple IDs, and none is left between queries.
+        assert max(during) > sizes[0], name
+        assert not any(type(value) is SkolemKey for value in table.values), name
+
+
+#: RDF-term hashes of one warm pass of the tiny suites before the fixpoint
+#: ran on interned ids (every insert and probe hashed term tuples), and the
+#: factor they must at least fall by: 1 050 -> 0 and 1 314 -> 80 when pinned.
+_TERM_HASHES_ON_TERM_TUPLES = {"gmark": 1050, "sp2bench": 1314}
+_TERM_HASH_FACTOR = 10
+
+
+def test_a_warm_pass_decodes_terms_only_where_they_are_read(monkeypatch):
+    counts = Counter()
+    for term_class in (IRI, Literal, BlankNode):
+        def counted_hash(self, original=term_class.__hash__):
+            counts["hash"] += 1
+            return original(self)
+
+        monkeypatch.setattr(term_class, "__hash__", counted_hash)
+    init = SkolemTerm.__init__
+
+    def counted_init(self, functor, arguments):
+        counts["skolem"] += 1
+        init(self, functor, arguments)
+
+    monkeypatch.setattr(SkolemTerm, "__init__", counted_init)
+    for name, (dataset, texts) in _tiny_suites().items():
+        engine = SparqLogEngine(dataset)
+        answers = [len(engine.query(text)) for text in texts]
+        counts.clear()
+        assert [len(engine.query(text)) for text in texts] == answers
+        assert counts["skolem"] == 0, name
+        assert counts["hash"] <= _TERM_HASHES_ON_TERM_TUPLES[name] // _TERM_HASH_FACTOR, name
 
 
 def count_query_work(monkeypatch) -> Counter:
