@@ -6,12 +6,18 @@ hashes terms, every compound inner path re-materialises its full
 extension, and every result crossing the planner boundary is re-interned.
 On the dictionary-encoded store none of that is necessary — the SPO / POS
 / OSP indexes already join over integer ids.  :class:`IdPathEngine`
-evaluates property paths directly over that id surface:
+evaluates property paths directly over that id surface, set-at-a-time:
 
+* :meth:`IdPathEngine.pair_ids` returns an operator's *whole* extension
+  as one collection of ``(start, end)`` id pairs — a ``list`` for the bag
+  operators (link, inverse, alternative, sequence, negated set), a
+  ``set`` for closures and ``?`` — built from its operands' collections,
+  so no pair is resumed through a chain of generators,
+* a link reads one index entry when an end is bound
+  (:meth:`~repro.store.encoded.EncodedGraph.object_entry_ids` /
+  ``subject_entry_ids``) and one pass over the predicate's entries when
+  both are free (``pairs_for_ids``), without constructing a single term,
 * frontiers and visited sets are plain ``set`` objects over ints,
-* one-step expansion probes :meth:`EncodedGraph.objects_for_ids` /
-  :meth:`~repro.store.encoded.EncodedGraph.subjects_for_ids` (and the
-  edge iterators for negated sets) without constructing a single term,
 * terms are decoded exactly once, at the result boundary.
 
 Direction selection
@@ -21,22 +27,30 @@ statistics (:meth:`pattern_cardinality_ids` and the per-predicate
 distinct-subject/object counts), in the spirit of the frontier-size
 arguments of the worst-case-optimal-join literature:
 
-* **bound subject** — forward breadth-first expansion from it,
-* **bound object** — the path is reversed down to its leaves
-  (:func:`repro.sparql.paths.reverse_path`) and expanded forward from the
-  object, probing POS directly,
+* **bound subject** — forward expansion from it,
+* **bound object** — backward expansion from it: each hop is the inner
+  path with its *object* bound, so a link probes POS directly,
 * **both endpoints bound** — bidirectional meet-in-the-middle: the two
   frontiers grow alternately, always expanding the one whose
   ``len(frontier) * estimated-branching`` is smaller, and the search
   stops at the first meeting node,
-* **both endpoints free** — per-start expansion (the inherently
-  quadratic case) runs from whichever side has fewer distinct start
-  nodes.
+* **both endpoints free** — the inner path's extension is built once as
+  an adjacency dict, keyed by whichever side has fewer distinct nodes,
+  and expanded from its keys only: a node without an inner edge is never
+  a start.  ``*`` then adds the zero-length pair of every graph node.
+
+A closure expands over a successor memo that lives for one
+:meth:`~IdPathEngine.pair_ids` call: a node's inner successors are
+computed once, however many starts reach it — the keys of a two-free
+closure, or the middles a sequence resolves through a closure (a link's
+successors are one index read and need no memo).  Nothing outlives the
+call.
 
 Sequences bind their middle variable from the cheaper side: the side with
 the smaller estimated extension is materialised (restricted by any bound
-endpoint) and the other side is evaluated once per *distinct* middle
-node, preserving bag multiplicities by multiplication.
+endpoint), the other side is resolved once per *distinct* middle node
+into a ``middle -> ends`` dict, and each materialised pair emits the ends
+of its middle, preserving bag multiplicities.
 
 Semantics
 ---------
@@ -46,13 +60,14 @@ preserve duplicates, a bound endpoint of a zero-length-admitting path
 matches itself even when it does not occur in the graph, and negated
 property sets evaluate their forward and inverse parts independently.
 The hypothesis differential suite in ``tests/test_idpaths.py`` holds the
-two implementations to the same multisets on random paths and graphs.
+two implementations to the same multisets on random paths and graphs,
+as lone patterns and as path steps inside a pipeline.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Callable, Collection, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Variable
 from repro.sparql.algebra import PathPattern
@@ -69,14 +84,13 @@ from repro.sparql.paths import (
     ZeroOrOnePath,
     matches_zero_length,
     normalize_path,
-    reverse_path,
 )
 from repro.sparql.solutions import Binding
 
 #: An id pair (start, end) matched by a path.
 IdPair = Tuple[int, int]
-#: One-step successor function over ids.
-StepFn = Callable[[int], Iterable[int]]
+#: One hop of a path from a node: its successors (or predecessors).
+StepFn = Callable[[int], Collection[int]]
 
 #: Cost multiplier for closure operators in the direction heuristics,
 #: mirroring the planner's ``_CLOSURE_COST_FACTOR``.
@@ -85,6 +99,41 @@ _CLOSURE_FACTOR = 4.0
 #: Sentinel for a constant endpoint that is neither interned nor able to
 #: match syntactically: the pattern can have no solutions.
 ABSENT = object()
+
+
+class _Successors(dict):
+    """A closure's successor memo, ``node -> successors``: a missing node's
+    are computed once by ``hop``, however many starts reach it.  Built
+    inside one :meth:`IdPathEngine.pair_ids` call and dropped with it."""
+
+    __slots__ = ("_hop",)
+
+    def __init__(self, hop: StepFn) -> None:
+        self._hop = hop
+
+    def __missing__(self, node: int) -> Collection[int]:
+        successors = self[node] = self._hop(node)
+        return successors
+
+
+def _ids(entry) -> Tuple[int, ...]:
+    """A store index entry — ``None``, one id or an id set — as a sequence."""
+    if type(entry) is set:
+        return tuple(entry)
+    return () if entry is None else (entry,)
+
+
+def _expand(hop: StepFn, start: int, zero: bool) -> Set[int]:
+    """Nodes reachable from ``start`` in one or more ``hop``s, and ``start``
+    itself when ``zero`` (zero or more hops)."""
+    reached: Set[int] = {start} if zero else set()
+    stack = list(hop(start))
+    while stack:
+        node = stack.pop()
+        if node not in reached:
+            reached.add(node)
+            stack += hop(node)
+    return reached
 
 
 class IdPathEngine:
@@ -129,7 +178,7 @@ class IdPathEngine:
             return [(decode(pair[first]), decode(pair[second])) for pair in pairs]
         return [tuple([decode(pair[side]) for side in sides]) for pair in pairs]
 
-    def _endpoint_pairs(self, node: PathPattern) -> Iterable[IdPair]:
+    def _endpoint_pairs(self, node: PathPattern) -> Collection[IdPair]:
         """The ``(start, end)`` id pairs that solve ``node``: none when a
         constant endpoint cannot match, only ``(a, a)`` for ``?x path ?x``."""
         path = normalize_path(node.path)
@@ -140,7 +189,7 @@ class IdPathEngine:
             return ()
         pairs = self.pair_ids(path, subject_id, object_id)
         if isinstance(subject, Variable) and subject == obj:
-            return (pair for pair in pairs if pair[0] == pair[1])
+            return [pair for pair in pairs if pair[0] == pair[1]]
         return pairs
 
     def is_node(self, term_id: int) -> bool:
@@ -178,51 +227,35 @@ class IdPathEngine:
         path: PropertyPath,
         subject: Optional[int],
         obj: Optional[int],
-    ) -> Iterator[IdPair]:
-        """Yield the ``(start, end)`` id pairs matched by ``path``.
+    ) -> Collection[IdPair]:
+        """The ``(start, end)`` id pairs matched by ``path``, as one collection.
 
-        ``subject`` / ``obj`` are bound endpoint ids (``None`` = free);
-        the yielded pairs are exactly the extension of the path restricted
-        to those endpoints, with the term-level duplicate semantics
-        (closures and ``?`` distinct, everything else a bag).  A bound
-        endpoint behaves syntactically: a zero-length-admitting path
-        matches a bound id even when it is not a node of the graph.
+        ``subject`` / ``obj`` are bound endpoint ids (``None`` = free); the
+        pairs are exactly the extension of the path restricted to those
+        endpoints, with the term-level duplicate semantics: a ``list`` (a
+        bag) for links, inverses, alternatives, sequences and negated sets,
+        a ``set`` for closures and ``?``.  A bound endpoint behaves
+        syntactically: a zero-length-admitting path matches a bound id even
+        when it is not a node of the graph.  The caller owns the result.
         """
         if isinstance(path, LinkPath):
-            pid = self._dict.id_for(path.iri)
-            if pid is None:
-                return
-            for sid, _pid, oid in self._graph.match_triple_ids(subject, pid, obj):
-                yield sid, oid
-            return
-        if isinstance(path, InversePath):
-            for end, start in self.pair_ids(path.path, obj, subject):
-                yield start, end
-            return
-        if isinstance(path, AlternativePath):
-            yield from self.pair_ids(path.left, subject, obj)
-            yield from self.pair_ids(path.right, subject, obj)
-            return
+            return self._link_pairs(path, subject, obj)
         if isinstance(path, SequencePath):
-            yield from self._sequence_pairs(path, subject, obj)
-            return
-        if isinstance(path, NegatedPropertySet):
-            yield from self._negated_pairs(path, subject, obj)
-            return
+            return self._sequence_pairs(path, subject, obj)
+        if isinstance(path, InversePath):
+            return [(start, end) for end, start in self.pair_ids(path.path, obj, subject)]
+        if isinstance(path, AlternativePath):
+            return [*self.pair_ids(path.left, subject, obj), *self.pair_ids(path.right, subject, obj)]
+        if isinstance(path, (OneOrMorePath, ZeroOrMorePath)):
+            return self._closure_pairs(path, subject, obj)
         if isinstance(path, ZeroOrOnePath):
             pairs = self._zero_pairs(subject, obj)
             pairs.update(self.pair_ids(path.path, subject, obj))
-            yield from pairs
-            return
-        if isinstance(path, OneOrMorePath):
-            yield from self._closure_pairs(path.path, subject, obj, include_zero=False)
-            return
-        if isinstance(path, ZeroOrMorePath):
-            yield from self._closure_pairs(path.path, subject, obj, include_zero=True)
-            return
+            return pairs
+        if isinstance(path, NegatedPropertySet):
+            return self._negated_pairs(path, subject, obj)
         if isinstance(path, RepeatPath):  # defensive: normalize_path removes these
-            yield from self.pair_ids(normalize_path(path), subject, obj)
-            return
+            return self.pair_ids(normalize_path(path), subject, obj)
         raise TypeError(f"unsupported property path {path!r}")
 
     # ------------------------------------------------------------------
@@ -276,15 +309,38 @@ class IdPathEngine:
     # ------------------------------------------------------------------
     # non-closure operators
     # ------------------------------------------------------------------
+    def _link_pairs(
+        self, path: LinkPath, subject: Optional[int], obj: Optional[int]
+    ) -> List[IdPair]:
+        """One index entry when an end is bound, one pass over the
+        predicate's entries when both are free."""
+        pid = self._dict.id_for(path.iri)
+        if pid is None:
+            return []
+        graph = self._graph
+        if subject is not None:
+            if obj is not None:
+                return [(subject, obj)] if graph.contains_ids(subject, pid, obj) else []
+            entry = graph.object_entry_ids(subject, pid)
+            if type(entry) is set:
+                return list(zip(repeat(subject), entry))
+            return [] if entry is None else [(subject, entry)]
+        if obj is not None:
+            entry = graph.subject_entry_ids(pid, obj)
+            if type(entry) is set:
+                return list(zip(entry, repeat(obj)))
+            return [] if entry is None else [(entry, obj)]
+        return graph.pairs_for_ids(pid)
+
     def _sequence_pairs(
         self, path: SequencePath, subject: Optional[int], obj: Optional[int]
-    ) -> Iterator[IdPair]:
+    ) -> List[IdPair]:
         """Bag join of a sequence, binding the middle from the cheaper side.
 
         One side is materialised (with its outer endpoint restriction
-        applied) and the other is evaluated once per distinct middle id
-        with that middle *bound*, so closures on the unmaterialised side
-        expand from single nodes instead of the whole graph.
+        applied) and the other is resolved once per distinct middle id with
+        that middle *bound*, so closures on the unmaterialised side expand
+        from single nodes instead of the whole graph.
         """
         if subject is not None:
             left_first = True
@@ -294,70 +350,62 @@ class IdPathEngine:
             left_edges = self.relation_stats(path.left)[0]
             right_edges = self.relation_stats(path.right)[0]
             left_first = left_edges <= right_edges
+        pairs: List[IdPair] = []
         if left_first:
-            cache: Dict[int, List[int]] = {}
+            hop, ends_of = self._step(path.right, True, obj), {}
             for start, middle in self.pair_ids(path.left, subject, None):
-                ends = cache.get(middle)
+                ends = ends_of.get(middle)
                 if ends is None:
-                    ends = cache[middle] = [
-                        end for _, end in self.pair_ids(path.right, middle, obj)
-                    ]
-                for end in ends:
-                    yield start, end
+                    ends = ends_of[middle] = hop(middle)
+                if ends:
+                    pairs += zip(repeat(start), ends)
         else:
-            cache = {}
+            hop, starts_of = self._step(path.left, False, subject), {}
             for middle, end in self.pair_ids(path.right, None, obj):
-                starts = cache.get(middle)
+                starts = starts_of.get(middle)
                 if starts is None:
-                    starts = cache[middle] = [
-                        start for start, _ in self.pair_ids(path.left, subject, middle)
-                    ]
-                for start in starts:
-                    yield start, end
+                    starts = starts_of[middle] = hop(middle)
+                if starts:
+                    pairs += zip(starts, repeat(end))
+        return pairs
 
     def _negated_pairs(
         self, path: NegatedPropertySet, subject: Optional[int], obj: Optional[int]
-    ) -> Iterator[IdPair]:
-        """Negated-set pairs with bound endpoints pushed into the indexes."""
-        graph = self._graph
+    ) -> List[IdPair]:
+        """Negated-set pairs: the forward part, then the inverse part read
+        as the forward one with the endpoints swapped."""
         id_for = self._dict.id_for
-        forward = {pid for pid in map(id_for, path.forward) if pid is not None}
-        inverse = {pid for pid in map(id_for, path.inverse) if pid is not None}
+        pairs: List[IdPair] = []
         if path.forward or not path.inverse:
-            # Forward part: any triple (s, p, o) with p outside the set.
-            if subject is not None:
-                for pid, oid in graph.out_edges_ids(subject):
-                    if pid not in forward and (obj is None or oid == obj):
-                        yield subject, oid
-            elif obj is not None:
-                for pid, sid in graph.in_edges_ids(obj):
-                    if pid not in forward:
-                        yield sid, obj
-            else:
-                for pid in graph.predicate_ids():
-                    if pid in forward:
-                        continue
-                    for sid, _pid, oid in graph.match_triple_ids(None, pid, None):
-                        yield sid, oid
+            forward = {pid for pid in map(id_for, path.forward) if pid is not None}
+            pairs += self._outside(forward, subject, obj)
         if path.inverse:
-            # Inverse part: pairs (x, y) for triples (y, p, x), p outside.
-            if subject is not None:
-                for pid, sid in graph.in_edges_ids(subject):
-                    if pid not in inverse and (obj is None or sid == obj):
-                        yield subject, sid
-            elif obj is not None:
-                for pid, oid in graph.out_edges_ids(obj):
-                    if pid not in inverse:
-                        yield oid, obj
-            else:
-                for pid in graph.predicate_ids():
-                    if pid in inverse:
-                        continue
-                    for sid, _pid, oid in graph.match_triple_ids(None, pid, None):
-                        yield oid, sid
+            inverse = {pid for pid in map(id_for, path.inverse) if pid is not None}
+            pairs += [(start, end) for end, start in self._outside(inverse, obj, subject)]
+        return pairs
+
+    def _outside(
+        self, forbidden: Set[int], subject: Optional[int], obj: Optional[int]
+    ) -> List[IdPair]:
+        """``(s, o)`` of the triples whose predicate is not ``forbidden``,
+        with bound endpoints pushed into the indexes."""
+        graph = self._graph
+        if subject is not None:
+            return [
+                (subject, oid)
+                for pid, oid in graph.out_edges_ids(subject)
+                if pid not in forbidden and (obj is None or oid == obj)
+            ]
+        if obj is not None:
+            return [(sid, obj) for pid, sid in graph.in_edges_ids(obj) if pid not in forbidden]
+        pairs: List[IdPair] = []
+        for pid in graph.predicate_ids():
+            if pid not in forbidden:
+                pairs += graph.pairs_for_ids(pid)
+        return pairs
 
     def _zero_pairs(self, subject: Optional[int], obj: Optional[int]) -> Set[IdPair]:
-        """Zero-length pairs under the endpoint restriction.
+        """Zero-length pairs under the endpoint restriction, as a new set.
 
         Mirrors the term-level rule set: free-free pairs every graph node
         with itself; a bound endpoint matches itself syntactically (even
@@ -369,70 +417,45 @@ class IdPathEngine:
             return {(subject, subject)}
         if obj is not None:
             return {(obj, obj)}
-        return {(node, node) for node in self._graph.node_ids()}
+        nodes = self._graph.node_ids()
+        return set(zip(nodes, nodes))
 
     # ------------------------------------------------------------------
     # closure expansion
     # ------------------------------------------------------------------
     def _closure_pairs(
-        self,
-        inner: PropertyPath,
-        subject: Optional[int],
-        obj: Optional[int],
-        include_zero: bool,
-    ) -> Iterator[IdPair]:
+        self, path: PropertyPath, subject: Optional[int], obj: Optional[int]
+    ) -> Set[IdPair]:
         """``inner+`` / ``inner*`` with set semantics, direction-selected."""
+        inner, include_zero = path.path, isinstance(path, ZeroOrMorePath)
         if subject is not None and obj is not None:
-            if include_zero and subject == obj:
-                yield subject, obj
-                return
-            if self._reachable(inner, subject, obj):
-                yield subject, obj
-            return
+            if (include_zero and subject == obj) or self._reachable(inner, subject, obj):
+                return {(subject, obj)}
+            return set()
         if subject is not None:
-            reached = self._expand(self._forward_step(inner), subject)
-            if include_zero:
-                reached.add(subject)
-            for end in reached:
-                yield subject, end
-            return
+            reached = _expand(self._successors(inner, True), subject, include_zero)
+            return set(zip(repeat(subject), reached))
         if obj is not None:
-            reached = self._expand(self._backward_step(inner), obj)
-            if include_zero:
-                reached.add(obj)
-            for start in reached:
-                yield start, obj
-            return
-        # Two free endpoints: per-start expansion from the smaller side.
+            reached = _expand(self._successors(inner, False), obj, include_zero)
+            return set(zip(reached, repeat(obj)))
+        # Two free endpoints: the inner extension once, as the memo keyed
+        # by the side with fewer distinct nodes, expanded from its keys.
         _, sources, targets = self.relation_stats(inner)
-        nodes = self._graph.node_ids()
+        forward = sources <= targets
+        successors = _Successors(lambda node: [])
+        for start, end in self.pair_ids(inner, None, None):
+            if forward:
+                successors[start].append(end)
+            else:
+                successors[end].append(start)
         pairs: Set[IdPair] = set()
-        if sources <= targets:
-            step = self._forward_step(inner)
-            for start in nodes:
-                for end in self._expand(step, start):
-                    pairs.add((start, end))
-        else:
-            step = self._backward_step(inner)
-            for end in nodes:
-                for start in self._expand(step, end):
-                    pairs.add((start, end))
+        for key in list(successors):
+            reached = _expand(successors.__getitem__, key, False)
+            pairs.update(zip(repeat(key), reached) if forward else zip(reached, repeat(key)))
         if include_zero:
-            for node in nodes:
-                pairs.add((node, node))
-        yield from pairs
-
-    def _expand(self, step: StepFn, start: int) -> Set[int]:
-        """Nodes reachable from ``start`` in one or more ``step`` hops."""
-        reached: Set[int] = set()
-        frontier = deque(step(start))
-        while frontier:
-            current = frontier.popleft()
-            if current in reached:
-                continue
-            reached.add(current)
-            frontier.extend(step(current))
-        return reached
+            nodes = self._graph.node_ids()
+            pairs.update(zip(nodes, nodes))
+        return pairs
 
     def _reachable(self, inner: PropertyPath, subject: int, obj: int) -> bool:
         """Bidirectional meet-in-the-middle: is ``obj`` >=1 steps from ``subject``?
@@ -448,8 +471,8 @@ class IdPathEngine:
         edges, sources, targets = self.relation_stats(inner)
         forward_branch = edges / max(sources, 1.0)
         backward_branch = edges / max(targets, 1.0)
-        forward = self._forward_step(inner)
-        backward = self._backward_step(inner)
+        forward = self._successors(inner, True)
+        backward = self._successors(inner, False)
         forward_seen: Set[int] = set(forward(subject))
         if obj in forward_seen:
             return True
@@ -501,88 +524,35 @@ class IdPathEngine:
             forward_frontier = fresh
         return False
 
-    # ------------------------------------------------------------------
-    # one-step successor functions
-    # ------------------------------------------------------------------
-    def _forward_step(self, path: PropertyPath) -> StepFn:
-        """Compile a path into a node -> successors function over ids."""
-        graph = self._graph
-        if isinstance(path, LinkPath):
-            pid = self._dict.id_for(path.iri)
+    def _successors(self, inner: PropertyPath, forward: bool) -> StepFn:
+        """A closure's hop over ``inner``: an index read for a (possibly
+        inverted) link, otherwise memoised for the life of the hop."""
+        hop, leaf = self._step(inner, forward), inner
+        while isinstance(leaf, InversePath):
+            leaf = leaf.path
+        return hop if isinstance(leaf, LinkPath) else _Successors(hop).__getitem__
+
+    def _step(self, inner: PropertyPath, forward: bool, far: Optional[int] = None) -> StepFn:
+        """One hop of ``inner`` from a node: its ends (``forward``) or its
+        starts, restricted to the bound far endpoint ``far``.  With ``far``
+        free, a (possibly inverted) link hop is one index entry, and a
+        closure hop expands over one successor memo for every node the
+        step is called on."""
+        while isinstance(inner, InversePath):
+            inner, forward = inner.path, not forward
+        if far is None and isinstance(inner, LinkPath):
+            pid = self._dict.id_for(inner.iri)
             if pid is None:
                 return lambda node: ()
-            objects_for = graph.objects_for_ids
-            return lambda node: objects_for(node, pid)
-        if isinstance(path, InversePath):
-            return self._backward_step(path.path)
-        if isinstance(path, AlternativePath):
-            left = self._forward_step(path.left)
-            right = self._forward_step(path.right)
+            if forward:
+                objects_of = self._graph.object_entry_ids
+                return lambda node: _ids(objects_of(node, pid))
+            subjects_of = self._graph.subject_entry_ids
+            return lambda node: _ids(subjects_of(pid, node))
+        if far is None and isinstance(inner, (OneOrMorePath, ZeroOrMorePath)):
+            hop, zero = self._successors(inner.path, forward), isinstance(inner, ZeroOrMorePath)
+            return lambda node: _expand(hop, node, zero)
+        if forward:
+            return lambda node: [end for _, end in self.pair_ids(inner, node, far)]
+        return lambda node: [start for start, _ in self.pair_ids(inner, far, node)]
 
-            def alternative_step(node: int) -> Iterator[int]:
-                yield from left(node)
-                yield from right(node)
-
-            return alternative_step
-        if isinstance(path, SequencePath):
-            left = self._forward_step(path.left)
-            right = self._forward_step(path.right)
-
-            def sequence_step(node: int) -> Iterator[int]:
-                seen: Set[int] = set()
-                for middle in left(node):
-                    if middle in seen:
-                        continue
-                    seen.add(middle)
-                    yield from right(middle)
-
-            return sequence_step
-        if isinstance(path, ZeroOrOnePath):
-            inner = self._forward_step(path.path)
-
-            def zero_or_one_step(node: int) -> Iterator[int]:
-                yield node
-                yield from inner(node)
-
-            return zero_or_one_step
-        if isinstance(path, OneOrMorePath):
-            inner = self._forward_step(path.path)
-            return lambda node: self._expand(inner, node)
-        if isinstance(path, ZeroOrMorePath):
-            inner = self._forward_step(path.path)
-
-            def zero_or_more_step(node: int) -> Iterator[int]:
-                yield node
-                yield from self._expand(inner, node)
-
-            return zero_or_more_step
-        if isinstance(path, NegatedPropertySet):
-            id_for = self._dict.id_for
-            forward = {p for p in map(id_for, path.forward) if p is not None}
-            inverse = {p for p in map(id_for, path.inverse) if p is not None}
-            scan_forward = bool(path.forward or not path.inverse)
-            scan_inverse = bool(path.inverse)
-
-            def negated_step(node: int) -> Iterator[int]:
-                if scan_forward:
-                    for pid, oid in graph.out_edges_ids(node):
-                        if pid not in forward:
-                            yield oid
-                if scan_inverse:
-                    for pid, sid in graph.in_edges_ids(node):
-                        if pid not in inverse:
-                            yield sid
-            return negated_step
-        if isinstance(path, RepeatPath):  # defensive: normalized away upstream
-            return self._forward_step(normalize_path(path))
-        raise TypeError(f"unsupported property path {path!r}")
-
-    def _backward_step(self, path: PropertyPath) -> StepFn:
-        """Successor function of the reversed path (predecessors)."""
-        if isinstance(path, LinkPath):
-            pid = self._dict.id_for(path.iri)
-            if pid is None:
-                return lambda node: ()
-            subjects_for = self._graph.subjects_for_ids
-            return lambda node: subjects_for(pid, node)
-        return self._forward_step(reverse_path(path))

@@ -247,11 +247,10 @@ def matches_zero_length(path: PropertyPath) -> bool:
 def reverse_path(path: PropertyPath) -> PropertyPath:
     """Return a path matching exactly the reversed (end, start) pairs.
 
-    Used by the id-native engine to expand a closure *backwards* from a
-    selective object endpoint: the reversal is pushed down to the leaves
-    (``^p`` at each link, sequence operands swapped) so backward
-    expansion probes the POS index directly instead of wrapping the whole
-    path in an :class:`InversePath` interpreter shim.
+    The reversal is pushed down to the leaves (``^p`` at each link,
+    sequence operands swapped, negated sets' parts exchanged).  An algebra
+    identity the path engines are held to (``tests/test_idpaths.py``); the
+    id engine itself expands backwards by binding a path's object instead.
     """
     if isinstance(path, LinkPath):
         return InversePath(path)

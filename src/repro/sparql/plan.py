@@ -194,10 +194,10 @@ def estimate_path_pattern(
     subject_bound = not isinstance(node.subject, Variable) or node.subject in bound
     object_bound = not isinstance(node.object, Variable) or node.object in bound
     if node.path.is_recursive() and not subject_bound and not object_bound:
-        # A recursive path with two free endpoints expands from *every*
-        # node (ALP / id-engine alike): price the per-start expansion so
-        # the planner binds an endpoint first whenever any other pattern
-        # can provide one.  Square root keeps the penalty comparable to
+        # A recursive path with two free endpoints expands from every node
+        # (ALP) or every node with an inner edge (id engine): price the
+        # per-start expansion so the planner binds an endpoint first
+        # whenever any other pattern can provide one.  Square root keeps the penalty comparable to
         # the join-selectivity divisions rather than dwarfing them.
         estimate *= max(1.0, float(graph.distinct_subjects())) ** 0.5
     if subject_bound:

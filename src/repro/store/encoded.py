@@ -27,6 +27,7 @@ graph keeps none.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.rdf.graph import ChangeCapture
@@ -685,19 +686,16 @@ class EncodedGraph(ChangeCapture):
         """Ids of every predicate with at least one triple."""
         return iter(self._pos)
 
-    def objects_for_ids(self, sid: int, pid: int) -> Iterator[int]:
-        """Yield object ids of triples ``(sid, pid, ?)`` — forward step."""
-        entry = self._spo.get(sid, _EMPTY).get(pid)
-        if entry is not None:
-            return _entry_iter(entry)
-        return iter(())
-
-    def subjects_for_ids(self, pid: int, oid: int) -> Iterator[int]:
-        """Yield subject ids of triples ``(?, pid, oid)`` — backward step."""
-        entry = self._pos.get(pid, _EMPTY).get(oid)
-        if entry is not None:
-            return _entry_iter(entry)
-        return iter(())
+    def pairs_for_ids(self, pid: int) -> List[Tuple[int, int]]:
+        """``(sid, oid)`` of every triple ``(?, pid, ?)``, as a new list: one
+        pass over the predicate's POS entries — a whole link at once."""
+        pairs: List[Tuple[int, int]] = []
+        for oid, entry in self._pos.get(pid, _EMPTY).items():
+            if type(entry) is set:
+                pairs += zip(entry, repeat(oid))
+            else:
+                pairs.append((entry, oid))
+        return pairs
 
     def out_edges_ids(self, sid: int) -> Iterator[Tuple[int, int]]:
         """Yield ``(pid, oid)`` for every triple with subject ``sid``."""

@@ -340,3 +340,23 @@ def test_expressions_are_compiled_not_walked_per_row():
             ):
                 offences.append(f"{path.relative_to(package)}:{node.lineno}: {node.value.id}.{node.attr}")
     assert offences == []
+
+
+def test_property_paths_are_evaluated_set_at_a_time():
+    """Every operator of ``sparql/idpaths.py`` returns its whole extension
+    as one collection: the module defines no generator function (no
+    ``yield`` / ``yield from``), so a chain of per-pair generators cannot
+    come back.  And the SPARQL layer reads the store through its public id
+    surface: no module of ``src/repro/sparql`` names an index attribute of
+    ``EncodedGraph`` (``_spo``, ``_pos``, ``_osp``)."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro" / "sparql"
+    paths = sorted(package.glob("*.py"))
+    assert package / "idpaths.py" in paths
+    offences = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "idpaths.py" and isinstance(node, (ast.Yield, ast.YieldFrom)):
+                offences.append(f"{path.name}:{node.lineno}: yields")
+            elif isinstance(node, ast.Attribute) and node.attr in ("_spo", "_pos", "_osp"):
+                offences.append(f"{path.name}:{node.lineno}: reads {node.attr}")
+    assert offences == []

@@ -11,7 +11,8 @@ the term-level ALP procedure:
   random graphs, with random bound/free endpoints, return the identical
   multiset through the id engine (under ``FULL``) and
   through the term-level ALP procedure of the unplanned evaluation on the
-  hash store,
+  hash store — as lone patterns and as a pipeline's path step with a
+  bound endpoint per outer row,
 * gMark workload parity: every query of a recursive-only gMark workload,
   and a fixed mix of eleven path shapes, agree between the id path engine
   and the ALP baseline.
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import BGP, PathPattern, ProjectionItem, SelectQuery, TriplePatternNode
+from repro.sparql import physical
 from repro.sparql.alp import eval_path_pattern_terms
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.idpaths import IdPathEngine
@@ -51,6 +53,7 @@ from tests.helpers import EX
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 X, Y = Variable("x"), Variable("y")
+S, M, O = Variable("s"), Variable("m"), Variable("o")
 
 
 def _select(pattern_nodes):
@@ -463,6 +466,151 @@ def test_differential_engine_vs_term_alp(edges, path):
     engine = IdPathEngine(EncodedGraph(triples))
     assert Counter(engine.rows(node, [X, Y])) == expected
     assert Counter((b[X], b[Y]) for b in engine.evaluate(node)) == expected
+
+
+def _assert_path_step_agrees(outer, step, triples):
+    """``outer . step`` with the path step of a pipeline run once per outer
+    row, the shared endpoint ``?m`` bound (``initial=``), against ``NAIVE``
+    on the whole BGP.  Rows are aligned by variable name on both sides."""
+    graph = EncodedGraph(triples)
+    plan = physical.lower_bgp(graph, [step])
+    naive = _evaluators(triples)[1]
+    rows = Counter()
+    for binding in naive.evaluate(_select([outer])).bindings:
+        rows.update(physical.execute_rows(plan, graph, initial=binding))
+    assert rows == Counter(naive.evaluate(_select([outer, step])).rows())
+
+
+@settings(max_examples=80, deadline=None)
+@given(edges=_edges, path=_path_expressions)
+def test_differential_path_step_with_bound_subject(edges, path):
+    """``?x ex:p ?m . ?m <path> ?o``: the step starts from each bound ``?m``."""
+    _assert_path_step_agrees(
+        TriplePatternNode(Triple(X, EX.p, M)),
+        PathPattern(M, path, O),
+        [Triple(*edge) for edge in edges],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(edges=_edges, path=_path_expressions)
+def test_differential_path_step_with_bound_object(edges, path):
+    """``?s <path> ?m . ?m ex:q ?y``: the step ends at each bound ``?m``."""
+    _assert_path_step_agrees(
+        TriplePatternNode(Triple(M, EX.q, Y)),
+        PathPattern(S, path, M),
+        [Triple(*edge) for edge in edges],
+    )
+
+
+# ----------------------------------------------------------------------
+# no state outlives a call; what one call costs the store
+# ----------------------------------------------------------------------
+class TestCallScope:
+    """``pair_ids`` returns a collection the caller owns and keeps nothing:
+    one engine answers from the store as it is at each call, and the node
+    set the store shares (``node_ids()``, "not to be mutated") is read,
+    never aliased or changed."""
+
+    def test_one_engine_sees_a_later_write(self):
+        graph = EncodedGraph([Triple(EX.a, EX.p, EX.b), Triple(EX.c, EX.r, EX.a)])
+        engine = IdPathEngine(graph)
+        star = PathPattern(X, ZeroOrMorePath(LinkPath(EX.p)), Y)
+        sequence = PathPattern(X, SequencePath(LinkPath(EX.r), star.path), Y)
+        before = {node: set(engine.rows(node, [X, Y])) for node in (star, sequence)}
+        graph.add(Triple(EX.b, EX.p, EX.d))
+        after = {node: set(engine.rows(node, [X, Y])) for node in (star, sequence)}
+        assert after[star] - before[star] == {(EX.a, EX.d), (EX.b, EX.d), (EX.d, EX.d)}
+        assert after[sequence] - before[sequence] == {(EX.c, EX.d)}
+        for node in (star, sequence):
+            assert after[node] == set(eval_path_pattern_terms(node, Graph(graph)))
+
+    def test_closures_leave_the_store_node_set_alone(self):
+        graph = EncodedGraph(
+            [Triple(EX.a, EX.p, EX.b), Triple(EX.b, EX.p, EX.a), Triple(EX.c, EX.q, EX.d)]
+        )
+        engine = IdPathEngine(graph)
+        nodes = graph.node_ids()
+        snapshot = set(nodes)
+        a = graph.dictionary.id_for(EX.a)
+        ghost = graph.dictionary.encode(EX.ghost)
+        link = LinkPath(EX.p)
+        for path in (
+            ZeroOrMorePath(link),
+            ZeroOrOnePath(link),
+            OneOrMorePath(link),
+            ZeroOrMorePath(AlternativePath(link, InversePath(LinkPath(EX.q)))),
+        ):
+            for subject, obj in ((None, None), (a, None), (None, a), (ghost, None), (a, a)):
+                pairs = engine.pair_ids(path, subject, obj)
+                assert isinstance(pairs, set) and pairs is not nodes
+                pairs.clear()  # the caller owns the result
+            engine.rows(PathPattern(X, path, Y), [X, Y])
+        assert graph.node_ids() is nodes
+        assert nodes == snapshot
+
+
+class TestStoreCallCounts:
+    """Triple-reading id calls into the store per free-free pattern (every
+    public ``*_ids`` accessor but the statistics and id sets), no clocks.
+
+    The graph: a 999-edge ``ex:q`` chain, a 10-edge ``ex:p`` chain and 200
+    ``ex:r`` edges into the ``ex:p`` chain's head, 1 211 nodes.  A per-pair
+    generator engine that expanded a two-free closure from every graph node
+    made 1 266 calls for ``?x ex:p+ ?y`` and 2 477 for
+    ``?x ex:r/ex:p* ?y``.  Set-at-a-time: ``ex:p+`` reads ``ex:p``'s
+    entries once and expands over that adjacency (1 call);
+    ``ex:r/ex:p*`` materialises ``ex:p*`` the same way and reads one
+    ``ex:r`` entry per distinct middle, the 1 211 nodes ``*`` pairs with
+    themselves (1 212 calls)."""
+
+    #: The ``*_ids`` accessors that read no triple: statistics and id sets.
+    UNCOUNTED = (
+        "node_ids",
+        "predicate_ids",
+        "pattern_cardinality_ids",
+        "distinct_subjects_ids",
+        "distinct_objects_ids",
+    )
+
+    def _graph(self):
+        triples = [Triple(EX[f"q{i}"], EX.q, EX[f"q{i + 1}"]) for i in range(999)]
+        triples += [Triple(EX[f"p{i}"], EX.p, EX[f"p{i + 1}"]) for i in range(10)]
+        triples += [Triple(EX[f"r{i}"], EX.r, EX.p0) for i in range(200)]
+        graph = EncodedGraph(triples)
+        assert len(graph.node_ids()) == 1_211
+        return graph
+
+    def _calls(self, path):
+        graph = self._graph()
+        calls = Counter()
+
+        def counting(name, method):
+            def counted(*ids):
+                calls[name] += 1
+                return method(*ids)
+
+            return counted
+
+        # Every public id accessor that reads triples, whichever the engine uses.
+        for name in dir(type(graph)):
+            if name.endswith("_ids") and not name.startswith("_") and name not in self.UNCOUNTED:
+                setattr(graph, name, counting(name, getattr(graph, name)))
+        # Counted after the pairs are taken in full, lazily produced or not.
+        pairs = Counter(IdPathEngine(graph).pair_ids(normalize_path(path), None, None))
+        return sum(calls.values()), pairs
+
+    def test_two_free_closure_reads_its_inner_path_once(self):
+        calls, pairs = self._calls(OneOrMorePath(LinkPath(EX.p)))
+        assert len(pairs) == 55 and set(pairs.values()) == {1}
+        assert calls <= 12
+
+    def test_sequence_into_a_star_reads_one_entry_per_middle(self):
+        calls, pairs = self._calls(
+            SequencePath(LinkPath(EX.r), ZeroOrMorePath(LinkPath(EX.p)))
+        )
+        assert len(pairs) == 200 * 11 and set(pairs.values()) == {1}
+        assert calls <= 1_212
 
 
 # ----------------------------------------------------------------------
