@@ -1,10 +1,12 @@
 """The standard-compliant native engine (the "Jena Fuseki" role).
 
-A thin wrapper around the reference algebra evaluator.  Its behaviour is
-fully standard-compliant — the paper's compliance experiments find Fuseki
-correct on every benchmark query — while its property-path evaluation
-re-expands paths from each candidate start node, which is what makes it
-slow on the recursive gMark workloads (Section 6.3).
+A thin wrapper around the native evaluator (``ExecutionProfile.FULL``).
+Its behaviour is fully standard-compliant — the paper's compliance
+experiments find Fuseki correct on every benchmark query.  It does not
+model Fuseki's cost on the recursive gMark workloads (Section 6.3): its
+property paths run set-at-a-time in :mod:`repro.sparql.idpaths`, every
+path operator computing its whole extension of id pairs at once and a
+closure expanding over one successor memo per call.
 """
 
 from __future__ import annotations

@@ -3,13 +3,14 @@
 Stardog answers SPARQL queries under ontologies.  The reproduction models
 it as *materialisation followed by native evaluation*: the ontology
 closure (subclass, subproperty, domain, range) is computed up front over
-the dataset and the query is evaluated by the standard algebra evaluator.
+the dataset and the query is evaluated by the native evaluator
+(``ExecutionProfile.FULL``).
 
-Because the underlying evaluator expands recursive property paths per
-start node, the engine shows the behaviour the paper reports for Stardog:
-competitive on ordinary queries, but much slower than SparqLog — up to a
-timeout — on recursive property-path queries with two variables, where
-SparqLog's single semi-naive transitive-closure fixpoint wins.
+The paper reports Stardog much slower than SparqLog — up to a timeout —
+on recursive property-path queries with two variables.  This engine does
+not model that cost: the native evaluator runs property paths
+set-at-a-time (:mod:`repro.sparql.idpaths`), a closure expanding over one
+successor memo per call rather than anew from each start node.
 """
 
 from __future__ import annotations

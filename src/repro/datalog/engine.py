@@ -81,7 +81,6 @@ from repro.datalog.steps import (
     Registers,
     Relation,
     StepMaker,
-    aggregate,
     assignment_step,
     comparison_step,
     emit,
@@ -98,6 +97,8 @@ from repro.datalog.stratify import Component, components
 from repro.datalog.terms import Var, ground_value
 from repro.datalog.values import ValueTable
 from repro.obs.tracer import NULL_SPAN, Tracer
+from repro.rdf.terms import Literal, Term as RdfTerm
+from repro.sparql.functions import TRUE, aggregate
 from repro.sparql.ordering import select_cheapest
 
 
@@ -815,8 +816,11 @@ class DatalogEngine:
         relations: Dict[str, Relation],
         table: ValueTable,
     ) -> Plan:
-        """Group the body's solutions and aggregate each group: argument
-        values are decoded, and each result is stored as a run's id."""
+        """Group the body's solutions and aggregate each group with
+        :func:`repro.sparql.functions.aggregate`: argument values are
+        decoded — a value that is no RDF term (a hand-written program's)
+        as ``Literal.from_python`` makes it — and each result is stored as
+        a run's id."""
         registers = RegisterFile(table)
         makers = self._lower_body(body, registers, relations)
         # Every body solution, as a copy of the whole register file.
@@ -849,12 +853,15 @@ class DatalogEngine:
                 values_by_target: Dict[Var, int] = {}
                 for spec, (slot, skipped) in zip(aggregate_rule.aggregates, arguments):
                     if slot is None:
-                        values: List[object] = [1] * len(group)
+                        values: List[RdfTerm] = [TRUE] * len(group)
                     else:
+                        ids = [member[slot] for member in group if member[slot] not in skipped]
                         values = [
-                            value(member[slot]) for member in group if member[slot] not in skipped
+                            term if isinstance(term, RdfTerm) else Literal.from_python(term)
+                            for term in map(value, ids)
                         ]
-                    values_by_target[spec.target] = table.add(aggregate(spec, values))
+                    result = aggregate(spec.operation, values, spec.distinct)
+                    values_by_target[spec.target] = table.add(result)
                 row: List[int] = []
                 for argument in aggregate_rule.head.arguments:
                     if not isinstance(argument, Var):

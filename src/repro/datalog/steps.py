@@ -8,7 +8,11 @@ list), constants registers pre-filled with their ids in the base's
 once per solution it finds; the last step derives the head.  Registers and
 relation rows hold ids only: a tuple ID or labelled null is interned from
 its functor and argument ids, and a value is decoded only by a filter's
-register reader, a comparison and (in the engine) an aggregate.  An index
+register reader, a comparison and (in the engine) an aggregate's argument.
+The value rules are not here: a filter compiles through
+:mod:`repro.sparql.expressions`, a comparison of terms is
+:func:`repro.sparql.functions.term_compare`, and the engine's aggregate
+rules call :func:`repro.sparql.functions.aggregate`.  An index
 key, the values an atom binds and the head tuple are all built by
 ``operator.itemgetter``, so the per-row work is tuple indexing over ints,
 never a substitution dictionary.
@@ -29,7 +33,6 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
-    AggregateSpec,
     Assignment,
     Atom,
     Comparison,
@@ -38,7 +41,7 @@ from repro.datalog.rules import (
 )
 from repro.datalog.terms import Var, ground_value
 from repro.datalog.values import ValueTable
-from repro.rdf.terms import Literal, Term as RdfTerm, term_sort_key
+from repro.rdf.terms import Term as RdfTerm
 from repro.sparql.expressions import compile_test
 from repro.sparql.functions import ExpressionError, term_compare
 
@@ -485,35 +488,3 @@ def compare_values(operator: str, left: object, right: object) -> bool:
     except TypeError:
         return False
     raise ValueError(f"unknown comparison operator {operator!r}")
-
-
-def aggregate(spec: AggregateSpec, raw_values: List[object]):
-    """Compute one aggregate over a group's bound argument values."""
-    operation = spec.operation.upper()
-    if spec.distinct:
-        raw_values = list(dict.fromkeys(raw_values))
-    if operation == "COUNT":
-        return Literal.from_python(len(raw_values))
-
-    numeric: List[float] = []
-    for value in raw_values:
-        if isinstance(value, Literal):
-            value = value.as_python()
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            numeric.append(value)
-    if operation in ("MIN", "MAX"):
-        if not raw_values:
-            return None
-        ordered = sorted(
-            raw_values,
-            key=lambda value: term_sort_key(value) if isinstance(value, RdfTerm) else (0, str(value)),
-        )
-        return ordered[0] if operation == "MIN" else ordered[-1]
-    if not numeric:
-        return None
-    if operation == "SUM":
-        total = sum(numeric)
-        return Literal.from_python(int(total) if float(total).is_integer() else total)
-    if operation == "AVG":
-        return Literal.from_python(sum(numeric) / len(numeric))
-    raise ValueError(f"unsupported aggregate operation {operation!r}")

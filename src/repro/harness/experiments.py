@@ -50,9 +50,6 @@ class ExperimentConfig:
     query_limit: Optional[int] = None
     timeout_seconds: float = 10.0
     seed: int = 1
-    #: Storage backend for the generated workload graphs (see
-    #: :mod:`repro.store`): ``None`` (the default, "encoded") or "hash".
-    backend: Optional[str] = None
 
     def limited(self, queries: Sequence) -> List:
         if self.query_limit is None:
@@ -163,29 +160,19 @@ def table2_benchmark_features(config: Optional[ExperimentConfig] = None) -> str:
     workloads = [
         (
             "SP2Bench",
-            SP2BenchWorkload(
-                scale=config.scale, seed=config.seed, backend=config.backend
-            ).queries(),
+            SP2BenchWorkload(scale=config.scale, seed=config.seed).queries(),
         ),
         (
             "FEASIBLE (S)",
-            FeasibleWorkload(
-                scale=config.scale, seed=config.seed, backend=config.backend
-            ).queries(),
+            FeasibleWorkload(scale=config.scale, seed=config.seed).queries(),
         ),
         (
             "gMark Social",
-            GMarkWorkload(
-                social_scenario(), scale=config.scale, seed=config.seed,
-                backend=config.backend,
-            ).queries(),
+            GMarkWorkload(social_scenario(), scale=config.scale, seed=config.seed).queries(),
         ),
         (
             "gMark Test",
-            GMarkWorkload(
-                test_scenario(), scale=config.scale, seed=config.seed,
-                backend=config.backend,
-            ).queries(),
+            GMarkWorkload(test_scenario(), scale=config.scale, seed=config.seed).queries(),
         ),
     ]
     headers = ["Benchmark", "Queries"] + [abbrev for _, abbrev in TABLE2_COLUMNS]
@@ -211,7 +198,7 @@ def table3_beseppi_compliance(
 ) -> Tuple[ComplianceReport, str]:
     """Run the BeSEPPI-like suite on the three engines and tabulate errors."""
     config = config or ExperimentConfig()
-    workload = BeSEPPIWorkload(backend=config.backend)
+    workload = BeSEPPIWorkload()
     queries = config.limited(workload.queries())
     engines = [
         VirtuosoLikeEngine(workload.dataset()),
@@ -274,8 +261,8 @@ def feasible_sp2bench_compliance(
     reports: Dict[str, ComplianceReport] = {}
     lines: List[str] = []
     for workload in (
-        FeasibleWorkload(scale=config.scale, seed=config.seed, backend=config.backend),
-        SP2BenchWorkload(scale=config.scale, seed=config.seed, backend=config.backend),
+        FeasibleWorkload(scale=config.scale, seed=config.seed),
+        SP2BenchWorkload(scale=config.scale, seed=config.seed),
     ):
         dataset = workload.dataset()
         engines = [
@@ -318,9 +305,7 @@ def figure7_sp2bench_performance(
     config: Optional[ExperimentConfig] = None,
 ) -> PerformanceSeries:
     config = config or ExperimentConfig()
-    workload = SP2BenchWorkload(
-        scale=config.scale, seed=config.seed, backend=config.backend
-    )
+    workload = SP2BenchWorkload(scale=config.scale, seed=config.seed)
     queries = config.limited(workload.queries())
     return _run_performance(
         "SP2Bench (Figure 7)",
@@ -339,8 +324,7 @@ def figure8_gmark_social(
 ) -> PerformanceSeries:
     config = config or ExperimentConfig()
     workload = GMarkWorkload(
-        social_scenario(), scale=config.scale, seed=config.seed,
-        query_count=config.query_limit, backend=config.backend,
+        social_scenario(), scale=config.scale, seed=config.seed, query_count=config.query_limit
     )
     return _run_performance(
         "gMark Social (Figure 8)",
@@ -356,8 +340,7 @@ def figure9_gmark_test(
 ) -> PerformanceSeries:
     config = config or ExperimentConfig()
     workload = GMarkWorkload(
-        test_scenario(), scale=config.scale, seed=config.seed,
-        query_count=config.query_limit, backend=config.backend,
+        test_scenario(), scale=config.scale, seed=config.seed, query_count=config.query_limit
     )
     return _run_performance(
         "gMark Test (Figure 9)",
@@ -390,15 +373,9 @@ def table7_8_gmark_summary(series: PerformanceSeries) -> str:
 def table6_benchmark_statistics(config: Optional[ExperimentConfig] = None) -> str:
     config = config or ExperimentConfig()
     workloads = [
-        GMarkWorkload(
-            social_scenario(), scale=config.scale, seed=config.seed,
-            backend=config.backend,
-        ),
-        GMarkWorkload(
-            test_scenario(), scale=config.scale, seed=config.seed,
-            backend=config.backend,
-        ),
-        SP2BenchWorkload(scale=config.scale, seed=config.seed, backend=config.backend),
+        GMarkWorkload(social_scenario(), scale=config.scale, seed=config.seed),
+        GMarkWorkload(test_scenario(), scale=config.scale, seed=config.seed),
+        SP2BenchWorkload(scale=config.scale, seed=config.seed),
     ]
     headers = ["Benchmark", "#Triples", "#Predicates", "#Queries"]
     rows = []
@@ -422,9 +399,7 @@ def figure10_ontology(
     config: Optional[ExperimentConfig] = None,
 ) -> PerformanceSeries:
     config = config or ExperimentConfig()
-    benchmark = OntologyBenchmark(
-        scale=config.scale, seed=config.seed, backend=config.backend
-    )
+    benchmark = OntologyBenchmark(scale=config.scale, seed=config.seed)
     queries = config.limited(benchmark.queries())
     engine_factories = {
         "SparqLog": lambda dataset: SparqLogEngine(

@@ -104,7 +104,8 @@ class Literal(Term):
 
     The lexical form is kept verbatim.  ``as_python`` converts the value to
     a native Python object for numeric and boolean datatypes, which is what
-    filter-expression evaluation and the Datalog built-ins operate on.
+    :func:`term_sort_key` orders on; SPARQL's value rules read a number
+    through :func:`repro.sparql.functions.numeric` instead.
     """
 
     lexical: str

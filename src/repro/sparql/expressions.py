@@ -43,8 +43,9 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.rdf.terms import Literal, Term, Variable
+from repro.rdf.terms import Term, Variable
 from repro.sparql.functions import (
+    ARITHMETIC,
     COMPARISONS,
     FALSE,
     PREDICATES,
@@ -52,7 +53,7 @@ from repro.sparql.functions import (
     ExpressionError,
     builtin,
     effective_boolean_value,
-    numeric_value,
+    negative,
     regex_pattern,
     string_value,
     terms_equal,
@@ -336,26 +337,17 @@ def _constant(expression: TermExpr, _reader: Reader) -> Value:
     return lambda _row: term
 
 
-def _divide(left, right):
-    if right == 0:
-        raise ExpressionError("division by zero")
-    return left / right
-
-
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
-
-
 def _arithmetic(expression: Arithmetic, reader: Reader) -> Value:
-    apply = _ARITHMETIC.get(expression.operator)
+    apply = ARITHMETIC.get(expression.operator)
     if apply is None:
         return _fails(f"unknown arithmetic operator {expression.operator!r}")
     left, right = _value(expression.left, reader), _value(expression.right, reader)
-    return lambda row: Literal.from_python(apply(numeric_value(left(row)), numeric_value(right(row))))
+    return lambda row: apply(left(row), right(row))
 
 
 def _negation(expression: UnaryMinus, reader: Reader) -> Value:
     operand = _value(expression.operand, reader)
-    return lambda row: Literal.from_python(-numeric_value(operand(row)))
+    return lambda row: negative(operand(row))
 
 
 def _aggregate(_expression: Aggregate, _reader: Reader) -> Value:

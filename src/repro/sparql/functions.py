@@ -1,4 +1,4 @@
-"""SPARQL built-in functions, comparison and effective boolean value.
+"""SPARQL built-in functions, numbers, aggregates, comparison and EBV.
 
 These routines implement the operator mapping of SPARQL 1.1 (Section 17)
 for the functions SparqLog supports (Table 1 of the paper plus the
@@ -11,7 +11,27 @@ over already-evaluated argument terms; the expression compiler
 (:mod:`repro.sparql.expressions`) looks a call up there once, through
 :func:`builtin`.  The names in :data:`PREDICATES` return a Python ``bool``
 — the compiler uses it as a FILTER verdict without building a literal —
-and the others a term.
+and the others a term.  The §18.5 set functions are one function,
+:func:`aggregate`, which the native grouping
+(:func:`repro.sparql.modifiers.apply_grouping`) and the Datalog engine's
+aggregate rules both call.
+
+Numbers follow one rule, §17.3's numeric type promotion, and every
+numeric result goes through it: :func:`numeric` reads a literal as a
+*rank* — integer (with the types derived from it) < decimal < float <
+double — and a value (``int``, an exact :class:`~decimal.Decimal`, or
+``float``), :func:`numeric_literal` writes a rank and a value back (an
+integer or decimal in its canonical lexical form).  An operation over two
+numbers takes the larger rank, and integer ÷ integer is a decimal; the
+arithmetic operators (:data:`ARITHMETIC`, :func:`negative`), ``ABS`` /
+``CEIL`` / ``FLOOR`` / ``ROUND`` and ``SUM`` / ``AVG`` keep that type.
+``ROUND`` and ``SUBSTR`` round half-way values up (``fn:round``,
+:func:`_xpath_round`).  One deviation from the spec: a literal that is
+neither numeric nor boolean but whose lexical form reads as a number
+(plain literals holding digits are common in benchmark data) counts as
+an xsd:double if the form has a ``.`` or an exponent, else as an
+xsd:integer.  Division by zero is an error at every rank (F&O gives a
+double INF or NaN).
 """
 
 from __future__ import annotations
@@ -19,18 +39,25 @@ from __future__ import annotations
 import math
 import operator
 import re
+from decimal import Decimal
 from functools import partial
 from inspect import CO_VARARGS
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import quote
 
 from repro.rdf.terms import (
     BlankNode,
     IRI,
     Literal,
+    NUMERIC_DATATYPE_VALUES,
     Term,
+    XSD,
     XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
     XSD_STRING,
+    term_sort_key,
 )
 
 
@@ -38,7 +65,7 @@ class ExpressionError(Exception):
     """A SPARQL expression evaluation error (type error, unbound var, ...)."""
 
 
-Number = Union[int, float]
+Number = Union[int, Decimal, float]
 
 TRUE = Literal("true", XSD_BOOLEAN)
 FALSE = Literal("false", XSD_BOOLEAN)
@@ -61,22 +88,104 @@ def effective_boolean_value(term: Term) -> bool:
     raise ExpressionError(f"no EBV for {term!r}")
 
 
-def numeric_value(term: Term) -> Number:
-    """Return the numeric value of a literal or raise an error."""
+# ----------------------------------------------------------------------
+# numbers (§17.3)
+# ----------------------------------------------------------------------
+#: The ranks of numeric type promotion, lowest first.
+INTEGER, DECIMAL, FLOAT, DOUBLE = range(4)
+
+_RANKS: Dict[IRI, int] = {IRI(value): INTEGER for value in NUMERIC_DATATYPE_VALUES}
+_RANKS.update({XSD_DECIMAL: DECIMAL, XSD.float: FLOAT, XSD_DOUBLE: DOUBLE})
+#: Per rank: its datatype and the Python type of its values.
+_DATATYPES = (XSD_INTEGER, XSD_DECIMAL, XSD.float, XSD_DOUBLE)
+_TYPES = (int, Decimal, float, float)
+
+
+def _decimal(lexical: str) -> Decimal:
+    value = Decimal(lexical)
+    if not value.is_finite():
+        raise ValueError(lexical)
+    return value
+
+
+_PARSERS = (int, _decimal, float, float)
+
+
+def numeric(term: Term) -> Tuple[int, Number]:
+    """The rank and the value of a number; anything else is an error (an
+    ill-formed numeric literal, a boolean, a non-literal).  A literal of
+    another datatype whose lexical form reads as a number counts as one:
+    the module docstring's deviation."""
     if isinstance(term, Literal):
-        value = term.as_python()
-        if isinstance(value, bool):
-            raise ExpressionError(f"not a number: {term!r}")
-        if isinstance(value, (int, float)):
-            return value
-        # Plain literals holding digits are accepted (common in benchmark data).
+        lexical = term.lexical
+        rank = _RANKS.get(term.datatype)
         try:
-            if "." in term.lexical or "e" in term.lexical.lower():
-                return float(term.lexical)
-            return int(term.lexical)
-        except ValueError as error:
-            raise ExpressionError(f"not a number: {term!r}") from error
+            if rank is not None:
+                return rank, _PARSERS[rank](lexical)
+            if term.datatype != XSD_BOOLEAN:
+                if "." in lexical or "e" in lexical.lower():
+                    return DOUBLE, float(lexical)
+                return INTEGER, int(lexical)
+        except (ValueError, ArithmeticError):
+            pass
     raise ExpressionError(f"not a number: {term!r}")
+
+
+#: How XML Schema writes the float and double values Python writes otherwise.
+_SPECIAL = {"inf": "INF", "-inf": "-INF", "nan": "NaN"}
+
+
+def numeric_literal(rank: int, value: Number) -> Literal:
+    """The literal of ``value`` as a number of ``rank``: an integer or a
+    decimal in its canonical lexical form (a decimal with at least one
+    digit either side of the point), a float or double as Python writes it
+    (``INF`` / ``-INF`` / ``NaN`` as XML Schema does)."""
+    value = _TYPES[rank](value)
+    if rank != DECIMAL:
+        lexical = str(value)
+        return Literal(_SPECIAL.get(lexical, lexical), _DATATYPES[rank])
+    integral, _, fraction = format(value, "f").partition(".")
+    fraction = fraction.rstrip("0") or "0"
+    if integral == "-0" and fraction == "0":
+        integral = "0"
+    return Literal(f"{integral}.{fraction}", XSD_DECIMAL)
+
+
+def _operate(
+    apply: Callable[[Number, Number], Number], left: Tuple[int, Number], right: Tuple[int, Number]
+) -> Tuple[int, Number]:
+    """``apply`` over two (rank, value) numbers at the larger rank; integer
+    division is at the decimal rank."""
+    rank = max(left[0], right[0])
+    if rank == INTEGER and apply is operator.truediv:
+        rank = DECIMAL
+    kind = _TYPES[rank]
+    try:
+        return rank, apply(kind(left[1]), kind(right[1]))
+    except ArithmeticError as error:  # division by zero, decimal overflow
+        raise ExpressionError(f"arithmetic error: {error!r}") from error
+
+
+def _arithmetic(apply: Callable[[Number, Number], Number], left: Term, right: Term) -> Literal:
+    return numeric_literal(*_operate(apply, numeric(left), numeric(right)))
+
+
+#: Arithmetic operator -> implementation over two terms.
+ARITHMETIC: Dict[str, Callable[[Term, Term], Literal]] = {
+    symbol: partial(_arithmetic, apply)
+    for symbol, apply in (
+        ("+", operator.add),
+        ("-", operator.sub),
+        ("*", operator.mul),
+        ("/", operator.truediv),
+    )
+}
+
+
+def negative(term: Term) -> Literal:
+    """Unary minus."""
+    rank, value = numeric(term)
+    return numeric_literal(rank, -value)
 
 
 def string_value(term: Term) -> str:
@@ -175,7 +284,7 @@ def _xpath_round(value: Number) -> Number:
     """``fn:round``: half-way values go up; infinities and NaN stay."""
     if isinstance(value, int) or not math.isfinite(value):
         return value
-    return math.floor(value + 0.5)
+    return math.floor(value + type(value)("0.5"))
 
 
 def _lang_matches(tag: Term, pattern: Term) -> bool:
@@ -219,8 +328,8 @@ def _substr(text: Term, start: Term, length: Optional[Term] = None) -> Literal:
     """``fn:substring``: the characters at 1-based positions ``p`` with
     ``round(start) <= p < round(start) + round(length)``."""
     value = string_value(text)
-    first = _xpath_round(numeric_value(start))
-    last = math.inf if length is None else first + _xpath_round(numeric_value(length))
+    first = _xpath_round(numeric(start)[1])
+    last = math.inf if length is None else first + _xpath_round(numeric(length)[1])
     begin = max(first, 1)
     if first != first or not last > begin:  # NaN, or no position in range
         return _string_result(text, "")
@@ -236,11 +345,17 @@ def _replace(text: Term, pattern: Term, replacement: Term) -> Literal:
         raise ExpressionError(f"malformed replacement {replacement!r}") from error
 
 
-def _integral(to_integer: Callable[[Number], int], term: Term) -> Literal:
-    value = numeric_value(term)
-    if isinstance(value, float) and not math.isfinite(value):
-        return Literal.from_python(value)  # NaN and the infinities round to themselves
-    return Literal.from_python(int(to_integer(value)))
+def _integral(to_integer: Callable[[Number], Number], term: Term) -> Literal:
+    """CEIL / FLOOR / ROUND: an integral value of the argument's type."""
+    rank, value = numeric(term)
+    if math.isfinite(value):  # NaN and the infinities round to themselves
+        value = to_integer(value)
+    return numeric_literal(rank, value)
+
+
+def _abs(term: Term) -> Literal:
+    rank, value = numeric(term)
+    return numeric_literal(rank, abs(value))
 
 
 #: Built-in name (upper case) -> implementation over argument terms.
@@ -275,10 +390,10 @@ BUILTINS: Dict[str, Callable] = {
     # the UTF-8 bytes of everything but the unreserved characters, percent-encoded
     "ENCODE_FOR_URI": lambda term: Literal(quote(string_value(term), safe="")),
     # numerics
-    "ABS": lambda term: Literal.from_python(abs(numeric_value(term))),
+    "ABS": _abs,
     "CEIL": lambda term: _integral(math.ceil, term),
     "FLOOR": lambda term: _integral(math.floor, term),
-    "ROUND": lambda term: _integral(round, term),
+    "ROUND": lambda term: _integral(_xpath_round, term),
 }
 
 #: The built-ins whose implementation returns a Python ``bool``.
@@ -286,6 +401,37 @@ PREDICATES = frozenset(
     ("ISIRI", "ISURI", "ISBLANK", "ISLITERAL", "ISNUMERIC", "SAMETERM", "LANGMATCHES", "REGEX",
      "CONTAINS", "STRSTARTS", "STRENDS")
 )
+
+
+def aggregate(operation: str, values: Sequence[Term], distinct: bool = False) -> Optional[Term]:
+    """A §18.5 set function over the values of one group's argument, the
+    ones whose evaluation erred already left out (``COUNT(*)``: one value
+    per solution).  ``None`` — the target stays unbound — where the set
+    function errs, as ``SUM`` / ``AVG`` over a non-number do, and for
+    every function but ``COUNT`` over no value at all."""
+    operation = operation.upper()
+    if distinct:
+        values = list(dict.fromkeys(values))
+    if operation == "COUNT":
+        return numeric_literal(INTEGER, len(values))
+    if operation not in ("SUM", "AVG", "MIN", "MAX", "SAMPLE"):
+        raise ValueError(f"unsupported aggregate {operation!r}")
+    if not values:
+        return None
+    if operation == "SAMPLE":
+        return values[0]
+    if operation in ("MIN", "MAX"):
+        ordered = sorted(values, key=term_sort_key)
+        return ordered[0] if operation == "MIN" else ordered[-1]
+    total: Tuple[int, Number] = (INTEGER, 0)
+    try:
+        for value in values:
+            total = _operate(operator.add, total, numeric(value))
+        if operation == "AVG":
+            total = _operate(operator.truediv, total, (INTEGER, len(values)))
+    except ExpressionError:
+        return None
+    return numeric_literal(*total)
 
 
 def builtin(name: str, count: int) -> Callable:

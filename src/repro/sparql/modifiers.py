@@ -1,11 +1,12 @@
 """Solution modifiers: what a SELECT does to the rows of its pattern.
 
 Pure functions of the query and the rows: projection expressions,
-grouping and aggregates, and the ORDER BY → DISTINCT → OFFSET → LIMIT tail
+grouping, and the ORDER BY → DISTINCT → OFFSET → LIMIT tail
 (:func:`apply_modifiers`) that the native evaluator and the solution
-translation T_S (:mod:`repro.core.solution_translation`) share.  The
-Datalog engine's ``aggregate`` step stays separate: it also serves
-non-RDF ground values.
+translation T_S (:mod:`repro.core.solution_translation`) share.  What an
+aggregate computes is :func:`repro.sparql.functions.aggregate`, the one
+implementation the Datalog engine's aggregate rules call too; grouping
+only collects each group's argument values for it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.rdf.terms import Literal, Term, Variable, term_sort_key
+from repro.rdf.terms import Term, Variable, term_sort_key
 from repro.sparql.algebra import OrderCondition, SelectQuery
-from repro.sparql.alp import EvaluationError
 from repro.sparql.expressions import (
     Aggregate,
     Value,
@@ -24,7 +24,7 @@ from repro.sparql.expressions import (
     compile_expression,
     positional,
 )
-from repro.sparql.functions import ExpressionError
+from repro.sparql.functions import TRUE, ExpressionError, aggregate
 from repro.sparql.solutions import Row, distinct_rows
 
 
@@ -95,7 +95,7 @@ def apply_grouping(
         names.setdefault(variable.name, variable)
     grouped = tuple(names.values())
     slot = {name: position for position, name in enumerate(names)}
-    # Per item: (slot, aggregate or None, what it reads of a row).
+    # Per item: (slot, Aggregate or None, what it reads of a row).
     items = []
     for item in query.projection:
         expression = item.expression
@@ -116,9 +116,9 @@ def apply_grouping(
         for key_expression, value in zip(group_keys, key_parts):
             if isinstance(key_expression, VariableExpr) and value is not None:
                 values[slot[key_expression.variable.name]] = value
-        for target, aggregate, value_of in items:
-            if aggregate is not None:
-                value = evaluate_aggregate(aggregate, value_of, group)
+        for target, spec, value_of in items:
+            if spec is not None:
+                value = aggregate(spec.operation, _arguments(value_of, group), spec.distinct)
             else:
                 try:
                     value = value_of(group[0]) if group else None
@@ -133,46 +133,18 @@ def apply_grouping(
     return grouped, results
 
 
-def evaluate_aggregate(
-    aggregate: Aggregate, argument: Optional[Value], group: List[Row]
-) -> Optional[Term]:
-    """``aggregate`` over the rows of one group; ``argument`` is its
-    compiled argument (``None`` for ``COUNT(*)``)."""
-    values: List[Term] = []
+def _arguments(argument: Optional[Value], group: List[Row]) -> List[Term]:
+    """An aggregate's argument over the rows of one group, an error left
+    out; ``argument`` is ``None`` for ``COUNT(*)``: one value per row."""
     if argument is None:
-        values = [Literal.from_python(1) for _ in group]
-    else:
-        for row in group:
-            try:
-                values.append(argument(row))
-            except ExpressionError:
-                continue
-    if aggregate.distinct:
-        values = list(dict.fromkeys(values))
-    operation = aggregate.operation.upper()
-    if operation == "COUNT":
-        return Literal.from_python(len(values))
-    if not values:
-        return None
-    if operation == "SAMPLE":
-        return values[0]
-    if operation in ("MIN", "MAX"):
-        ordered = sorted(values, key=term_sort_key)
-        return ordered[0] if operation == "MIN" else ordered[-1]
-    numeric: List[float] = []
-    for value in values:
-        if isinstance(value, Literal):
-            as_python = value.as_python()
-            if isinstance(as_python, (int, float)) and not isinstance(as_python, bool):
-                numeric.append(as_python)
-    if not numeric:
-        return None
-    if operation == "SUM":
-        total = sum(numeric)
-        return Literal.from_python(int(total) if float(total).is_integer() else total)
-    if operation == "AVG":
-        return Literal.from_python(sum(numeric) / len(numeric))
-    raise EvaluationError(f"unsupported aggregate {operation}")
+        return [TRUE] * len(group)
+    values: List[Term] = []
+    for row in group:
+        try:
+            values.append(argument(row))
+        except ExpressionError:
+            continue
+    return values
 
 
 def result_header(query: SelectQuery) -> Tuple[Variable, ...]:

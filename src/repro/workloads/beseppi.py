@@ -73,9 +73,9 @@ PREDICATES = ("p", "q", "r")
 OUTSIDE_NODE = "n99"
 
 
-def beseppi_graph(backend: Optional[str] = None) -> Graph:
+def beseppi_graph() -> Graph:
     """Return the fixed benchmark graph."""
-    graph = create_graph(backend)
+    graph = create_graph()
     for subject, predicate, obj in _EDGES:
         object_term: Term = obj if isinstance(obj, Literal) else B[obj]
         graph.add(Triple(B[subject], B[predicate], object_term))
@@ -355,8 +355,8 @@ class BeSEPPIWorkload:
 
     name = "BeSEPPI"
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        self._graph = beseppi_graph(backend)
+    def __init__(self) -> None:
+        self._graph = beseppi_graph()
         self._queries = self._build_queries()
 
     @property

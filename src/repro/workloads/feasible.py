@@ -17,7 +17,7 @@ people, talks, organisations, spread over a default and a named graph) and
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.rdf.graph import Dataset, Graph
 from repro.store import create_graph
@@ -48,12 +48,11 @@ def generate_swdf_graph(
     n_conferences: int = 14,
     n_organisations: int = 30,
     seed: int = 3,
-    backend: Optional[str] = None,
 ) -> Dataset:
     """Generate the SWDF-like dataset (default graph + one named graph)."""
     rng = random.Random(seed)
-    default = create_graph(backend)
-    metadata = create_graph(backend)
+    default = create_graph()
+    metadata = create_graph()
 
     organisations = []
     for index in range(n_organisations):
@@ -288,9 +287,7 @@ class FeasibleWorkload:
 
     name = "FEASIBLE (S)"
 
-    def __init__(
-        self, scale: float = 1.0, seed: int = 3, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, scale: float = 1.0, seed: int = 3) -> None:
         self.seed = seed
         self._dataset = generate_swdf_graph(
             n_people=max(20, int(150 * scale)),
@@ -298,7 +295,6 @@ class FeasibleWorkload:
             n_conferences=max(4, int(14 * scale)),
             n_organisations=max(5, int(30 * scale)),
             seed=seed,
-            backend=backend,
         )
         self._queries = feasible_queries(seed=seed + 2)
 

@@ -124,12 +124,10 @@ def test_scenario() -> GMarkScenario:
     return GMarkScenario("test", node_counts, edges)
 
 
-def generate_gmark_graph(
-    scenario: GMarkScenario, seed: int = 7, backend: Optional[str] = None
-) -> Graph:
+def generate_gmark_graph(scenario: GMarkScenario, seed: int = 7) -> Graph:
     """Materialise a graph instance of the scenario."""
     rng = random.Random(seed)
-    graph = create_graph(backend)
+    graph = create_graph()
     nodes: Dict[str, List[IRI]] = {}
     for node_type, count in scenario.node_counts.items():
         nodes[node_type] = [GMARK[f"{node_type}{index}"] for index in range(count)]
@@ -242,13 +240,12 @@ class GMarkWorkload:
         scale: float = 1.0,
         seed: int = 7,
         query_count: Optional[int] = None,
-        backend: Optional[str] = None,
         recursive_only: bool = False,
     ) -> None:
         self.scenario = (scenario or social_scenario()).scaled(scale)
         self.seed = seed
         self.name = f"gMark-{self.scenario.name}"
-        self._graph = generate_gmark_graph(self.scenario, seed=seed, backend=backend)
+        self._graph = generate_gmark_graph(self.scenario, seed=seed)
         self._queries = generate_gmark_queries(
             self.scenario,
             self._graph,

@@ -13,7 +13,7 @@ reference hierarchy ontology, and eight queries numbered as in Figure 10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.ontology import Ontology
 from repro.rdf.graph import Dataset, Graph
@@ -150,9 +150,7 @@ class OntologyBenchmark:
 
     name = "SP2Bench+Ontology"
 
-    def __init__(
-        self, scale: float = 0.5, seed: int = 1, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, scale: float = 0.5, seed: int = 1) -> None:
         self._graph: Graph = generate_sp2bench_graph(
             n_articles=max(20, int(400 * scale)),
             n_inproceedings=max(15, int(300 * scale)),
@@ -160,7 +158,6 @@ class OntologyBenchmark:
             n_journals=max(5, int(40 * scale)),
             n_proceedings=max(5, int(30 * scale)),
             seed=seed,
-            backend=backend,
         )
         self.ontology = build_ontology()
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.rdf.graph import Dataset, Graph
 from repro.store import create_graph
@@ -82,7 +82,6 @@ def generate_sp2bench_graph(
     n_journals: int = 40,
     n_proceedings: int = 30,
     seed: int = 1,
-    backend: Optional[str] = None,
 ) -> Graph:
     """Generate a DBLP-like graph.
 
@@ -91,7 +90,7 @@ def generate_sp2bench_graph(
     experiments a larger one (both just scale these counts).
     """
     rng = random.Random(seed)
-    graph = create_graph(backend)
+    graph = create_graph()
 
     persons = []
     for index in range(n_persons):
@@ -389,9 +388,7 @@ class SP2BenchWorkload:
 
     name = "SP2Bench"
 
-    def __init__(
-        self, scale: float = 1.0, seed: int = 1, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, scale: float = 1.0, seed: int = 1) -> None:
         self.scale = scale
         self.seed = seed
         self._graph: Graph = generate_sp2bench_graph(
@@ -401,7 +398,6 @@ class SP2BenchWorkload:
             n_journals=max(5, int(40 * scale)),
             n_proceedings=max(5, int(30 * scale)),
             seed=seed,
-            backend=backend,
         )
 
     @property

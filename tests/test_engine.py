@@ -4,7 +4,7 @@ Covers the API-redesign surface:
 
 * :class:`~repro.sparql.profile.ExecutionProfile` presets as the one
   configuration surface of the evaluator,
-* :func:`repro.open_graph` — one entry point over files, backends and
+* :func:`repro.open_graph` — one entry point over files and
   snapshot warm starts,
 * :func:`repro.create_engine` / :class:`~repro.engine.Engine` — query,
   explain, metrics, live views and lifecycle.
@@ -85,32 +85,22 @@ class TestOpenGraph:
         assert isinstance(graph, EncodedGraph)
         assert len(graph) == 0
 
-    def test_empty_hash_backend(self):
-        graph = open_graph(backend="hash")
-        assert isinstance(graph, Graph) and not isinstance(graph, EncodedGraph)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            open_graph(backend="btree")
-
-    @pytest.mark.parametrize("backend", ["hash", "encoded"])
-    def test_load_ntriples_by_extension(self, tmp_path, backend):
+    def test_load_ntriples_by_extension(self, tmp_path):
         source = tmp_path / "data.nt"
         source.write_text(NT)
-        graph = open_graph(source, backend=backend)
+        graph = open_graph(source)
         assert set(graph.triples()) == set(triples())
 
-    @pytest.mark.parametrize("backend", ["hash", "encoded"])
-    def test_load_turtle_by_extension(self, tmp_path, backend):
+    def test_load_turtle_by_extension(self, tmp_path):
         source = tmp_path / "data.ttl"
         source.write_text(TTL)
-        graph = open_graph(source, backend=backend)
+        graph = open_graph(source)
         assert len(graph) == 2
 
     def test_format_override_beats_extension(self, tmp_path):
         source = tmp_path / "data.rdf"
         source.write_text(NT)
-        graph = open_graph(source, backend="encoded", format="ntriples")
+        graph = open_graph(source, format="ntriples")
         assert len(graph) == 2
 
     def test_unknown_extension_without_format(self, tmp_path):
@@ -130,10 +120,6 @@ class TestOpenGraph:
         source.write_text("")
         warm = open_graph(source, snapshot=snapshot)
         assert set(warm.triples()) == set(triples())
-
-    def test_snapshot_requires_encoded_backend(self, tmp_path):
-        with pytest.raises(ValueError):
-            open_graph(snapshot=tmp_path / "data.snap", backend="hash")
 
     def test_snapshot_only_persists_empty_graph(self, tmp_path):
         snapshot = tmp_path / "empty.snap"

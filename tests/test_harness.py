@@ -360,3 +360,31 @@ def test_property_paths_are_evaluated_set_at_a_time():
             elif isinstance(node, ast.Attribute) and node.attr in ("_spo", "_pos", "_osp"):
                 offences.append(f"{path.name}:{node.lineno}: reads {node.attr}")
     assert offences == []
+
+
+def test_value_semantics_live_in_one_module():
+    """Aggregates and the numeric type rule are ``sparql/functions.py``'s:
+    outside it (and the tokenizer and parser, which read the keywords) no
+    module of ``src/repro`` holds the constant ``"SUM"`` or ``"AVG"``, so a
+    second aggregate implementation cannot come back; ``src/repro/datalog``
+    defines no function named like an aggregate; and ``functions.py``
+    does not call Python's half-to-even ``round`` — ``ROUND`` and
+    ``SUBSTR`` share ``fn:round`` (``_xpath_round``)."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    readers = {"sparql/functions.py", "sparql/tokenizer.py", "sparql/parser.py"}
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in ("SUM", "AVG"):
+                if name not in readers:
+                    offences.append(f"{name}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if name.startswith("datalog/") and node.name.strip("_") in (
+                    "aggregate", "evaluate_aggregate", "compute_aggregate"
+                ):
+                    offences.append(f"{name}:{node.lineno}: defines {node.name}")
+            elif isinstance(node, ast.Name) and node.id == "round":
+                if name == "sparql/functions.py":
+                    offences.append(f"{name}:{node.lineno}: uses round")
+    assert offences == []

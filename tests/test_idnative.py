@@ -560,11 +560,11 @@ def _workloads():
     from repro.workloads.sp2bench import SP2BenchWorkload
 
     return [
-        ("sp2bench", SP2BenchWorkload(scale=0.04, backend="encoded")),
-        ("gmark", GMarkWorkload(scenario=test_scenario(), scale=0.2, backend="encoded")),
-        ("beseppi", BeSEPPIWorkload(backend="encoded")),
-        ("feasible", FeasibleWorkload(scale=0.05, backend="encoded")),
-        ("ontology", OntologyBenchmark(scale=0.05, backend="encoded")),
+        ("sp2bench", SP2BenchWorkload(scale=0.04)),
+        ("gmark", GMarkWorkload(scenario=test_scenario(), scale=0.2)),
+        ("beseppi", BeSEPPIWorkload()),
+        ("feasible", FeasibleWorkload(scale=0.05)),
+        ("ontology", OntologyBenchmark(scale=0.05)),
     ]
 
 

@@ -98,8 +98,8 @@ def test_a_warm_select_builds_no_binding_and_decodes_the_projection(built, body,
 
 #: name -> (the suite at small scale on the encoded store, queries it walks).
 _SUITES = {
-    "feasible": (lambda: FeasibleWorkload(scale=0.2, backend="encoded"), 39),
-    "sp2bench": (lambda: SP2BenchWorkload(scale=0.05, backend="encoded"), 4),
+    "feasible": (lambda: FeasibleWorkload(scale=0.2), 39),
+    "sp2bench": (lambda: SP2BenchWorkload(scale=0.05), 4),
 }
 
 

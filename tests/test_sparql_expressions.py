@@ -46,7 +46,6 @@ from repro.sparql.functions import (
     ExpressionError,
     apply_function,
     effective_boolean_value,
-    numeric_value,
     term_compare,
 )
 from repro.sparql.kernels import register_reader
@@ -137,7 +136,9 @@ class TestFunctions:
         assert apply_function("ABS", [lit(-3)]).as_python() == 3
         assert apply_function("CEIL", [lit(2.1)]).as_python() == 3
         assert apply_function("FLOOR", [lit(2.9)]).as_python() == 2
-        assert apply_function("ROUND", [lit(2.5)]).as_python() == 2
+        # fn:round rounds half-way values up (F&O 3.1 §4.4.4), not to even.
+        assert apply_function("ROUND", [lit(2.5)]).as_python() == 3
+        assert apply_function("ROUND", [lit(-2.5)]).as_python() == -2
 
     def test_unknown_function_errors(self):
         with pytest.raises(ExpressionError):

@@ -108,6 +108,22 @@ class TestEngineBasics:
         result = SparqLogEngine(Dataset.from_graph(graph)).query(text)
         assert result.rows() == [(EX.a, Literal.from_python(1), EX.d)]
 
+    def test_sample_answers_with_a_member_of_its_group(self):
+        # SAMPLE may return any member (§18.5.1.8), so membership is the contract.
+        members = {EX.a: {Literal.from_python(1), Literal.from_python(2)}, EX.b: {EX.c}}
+        graph = Graph(
+            [Triple(item, EX.v, value) for item, values in members.items() for value in values]
+        )
+        engine = SparqLogEngine(Dataset.from_graph(graph))
+        grouped = engine.query(
+            PREFIX + "SELECT ?x (SAMPLE(?o) AS ?s) WHERE { ?x ex:v ?o } GROUP BY ?x"
+        ).rows()
+        assert sorted(item for item, _ in grouped) == [EX.a, EX.b]
+        for item, sample in grouped:
+            assert sample in members[item]
+        (only,) = engine.query(PREFIX + "SELECT (SAMPLE(?o) AS ?s) WHERE { ?x ex:v ?o }").rows()
+        assert only[0] in members[EX.a] | members[EX.b]
+
 
 BORDERS = PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }"
 

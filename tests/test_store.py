@@ -16,7 +16,6 @@ from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
 from repro.store import (
     EncodedGraph,
-    GRAPH_BACKENDS,
     SnapshotError,
     TermDictionary,
     bulk_load_ntriples,
@@ -466,18 +465,9 @@ class TestBackendFactory:
     def test_default_is_the_encoded_store(self):
         assert type(create_graph()) is EncodedGraph
 
-    def test_named_backends(self):
-        assert type(create_graph("hash")) is Graph
-        assert type(create_graph("encoded")) is EncodedGraph
-        assert set(GRAPH_BACKENDS) == {"hash", "encoded"}
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            create_graph("btree")
-
     def test_prefilled(self):
         triples = list(countries_graph())
-        assert len(create_graph("encoded", triples)) == len(triples)
+        assert len(create_graph(triples)) == len(triples)
 
 
 class TestPlannedQueryDifferential:
@@ -498,9 +488,9 @@ class TestPlannedQueryDifferential:
         query = parse_query("PREFIX ex: <http://ex.org/>\n" + query_text)
         triples = list(countries_graph())
         results = []
-        configurations = (("hash", ExecutionProfile.NAIVE), ("encoded", ExecutionProfile.FULL))
-        for backend, profile in configurations:
-            graph = create_graph(backend, triples)
+        configurations = ((Graph, ExecutionProfile.NAIVE), (EncodedGraph, ExecutionProfile.FULL))
+        for store, profile in configurations:
+            graph = store(triples)
             evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=profile)
             outcome = evaluator.evaluate(query)
             results.append(
@@ -515,9 +505,9 @@ class TestPlannedQueryDifferential:
             "SELECT ?s ?o ?o2 WHERE { ?s <http://ex.org/a> ?o . ?o <http://ex.org/a> ?o2 }"
         )
         rows = []
-        configurations = (("hash", ExecutionProfile.NAIVE), ("encoded", ExecutionProfile.FULL))
-        for backend, profile in configurations:
-            graph = create_graph(backend, triple_list)
+        configurations = ((Graph, ExecutionProfile.NAIVE), (EncodedGraph, ExecutionProfile.FULL))
+        for store, profile in configurations:
+            graph = store(triple_list)
             result = SparqlEvaluator(Dataset.from_graph(graph), profile=profile).evaluate(query)
             rows.append(Counter(result.rows()))
         assert rows[0] == rows[1]
