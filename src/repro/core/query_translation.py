@@ -249,6 +249,7 @@ class QueryTranslator:
                 group_variables=tuple(datalog_variable(v) for v in group_variables),
                 aggregates=tuple(aggregate_specs),
                 label=name,
+                solution_variables=tuple(map(datalog_variable, inner.variables)),
             )
         )
         program.add_directive("output", name)

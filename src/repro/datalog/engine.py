@@ -19,9 +19,12 @@ after the other.  ``prepare`` does what depends on the program alone —
 unfolding and trimming, the components and their rule groups — and returns a
 :class:`PreparedProgram`.  ``run`` evaluates it on a base; the first run on
 a base also *orders and compiles* every component as it reaches it: after
-:meth:`DatalogEngine._order_body` has fixed the body order from the live
+:func:`~repro.datalog.order.order_body` has fixed the body order from the live
 relation sizes, every rule is lowered to a chain of steps over one
-register file (:mod:`repro.datalog.steps`).  The prepared program keeps
+register file (:mod:`repro.datalog.steps`); a FILTER's ``=`` between a
+variable an atom binds and one bound before it makes that atom's scan a
+hash probe on the value's equality key (:mod:`repro.datalog.order`).  The
+prepared program keeps
 the ordered bodies and the compiled chains for as long as it is run on the
 same base, so a second run only runs the fixpoint.  Reusing a body order
 is exact, not approximate: with the program and the base fixed, evaluation
@@ -55,9 +58,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
@@ -73,6 +75,7 @@ from repro.datalog.rules import (
     SkolemExpr,
 )
 from repro.datalog.optimise import trim, unfold
+from repro.datalog.order import filter_equalities, order_body
 from repro.datalog.steps import (
     CLOCK_CADENCE,
     GroundTuple,
@@ -86,7 +89,6 @@ from repro.datalog.steps import (
     emit,
     emit_and_keep,
     filter_step,
-    getter,
     link,
     negation_step,
     scan_step,
@@ -98,8 +100,7 @@ from repro.datalog.terms import Var, ground_value
 from repro.datalog.values import ValueTable
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.rdf.terms import Literal, Term as RdfTerm
-from repro.sparql.functions import TRUE, aggregate
-from repro.sparql.ordering import select_cheapest
+from repro.sparql.functions import aggregate
 
 
 class EvaluationLimitExceeded(RuntimeError):
@@ -517,8 +518,8 @@ class DatalogEngine:
         """
         relations, table = bound.relations, bound.table
         volatile = component.predicates if component.recursive else ()
-        aggregate_bodies = [self._order_body(rule.body, relations, table) for rule in aggregates]
-        bodies = [self._order_body(rule.body, relations, table, volatile) for rule in rules]
+        aggregate_bodies = [order_body(rule.body, relations, table) for rule in aggregates]
+        bodies = [order_body(rule.body, relations, table, volatile) for rule in rules]
         plans = [
             self._compile_aggregate_rule(aggregate_rule, body, relations, table)
             for aggregate_rule, (body, _) in zip(aggregates, aggregate_bodies)
@@ -607,115 +608,6 @@ class DatalogEngine:
                     rows.clear()
 
         return fixpoint
-
-    def _order_body(
-        self,
-        body: Sequence[BodyElement],
-        relations: Dict[str, Relation],
-        table: ValueTable,
-        volatile: Sequence[str] = (),
-    ) -> Tuple[List[BodyElement], List[Optional[float]]]:
-        """Greedy sideways-information-passing order for body evaluation.
-
-        Returns the ordered body and, for every positive atom in it, the
-        estimate it was chosen on (``None`` for the other elements).
-
-        Negations, comparisons, assignments and filters are placed as soon
-        as their input variables are bound — before the next atom is
-        chosen, so a selection never waits behind a join.  Among those
-        ready at once, an assignment whose variable only the head reads
-        (a tuple ID) comes after the others, so it is built only for the
-        rows that the comparisons, filters and negations let through.
-        Positive atoms are then ordered by estimated candidate count: the
-        rows agreeing with the atom's constants (:func:`_matching_rows`),
-        divided by the distinct count of every position a bound variable
-        fixes — the independence model of the SPARQL BGP planner.  Predicates in
-        ``volatile`` (the heads of a recursive component, whose extensions
-        grow during the fixpoint) are priced pessimistically so stable
-        atoms bind variables first.  Ties are broken by source position,
-        keeping ordering deterministic.
-        """
-        pending = list(body)
-        ordered: List[BodyElement] = []
-        estimates: List[Optional[float]] = []
-        bound: Set[Var] = set()
-        # Per stable atom the rows agreeing with its constants; what the
-        # variables bound so far leave of them is worked out per choice.
-        matching = {
-            id(element): _matching_rows(element, relations[element.predicate], table)
-            for element in pending
-            if isinstance(element, Atom) and element.predicate not in volatile
-        }
-        # A recursive predicate's extension grows during the fixpoint, so
-        # it is priced above every stable relation.
-        ceiling = sum(len(relation) for relation in relations.values()) + 1.0 if volatile else 0.0
-
-        def estimate(atom: Atom) -> float:
-            rows = matching.get(id(atom))
-            if rows is None:
-                return ceiling
-            if rows:
-                relation = relations[atom.predicate]
-                for position, argument in enumerate(atom.arguments):
-                    if isinstance(argument, Var) and argument in bound:
-                        rows /= max(1, relation.distinct_count(position))
-            return rows
-
-        # An assignment whose variable only the head reads (a tuple ID) can
-        # reject nothing: it waits for every ready step that can.
-        mentions = Counter(
-            variable for element in pending for variable in element.variables()
-        )
-        head_only = {
-            id(element)
-            for element in pending
-            if isinstance(element, Assignment) and mentions[element.variable] == 1
-        }
-
-        while pending:
-            while True:
-                chosen: Optional[BodyElement] = None
-                waiting: Optional[BodyElement] = None
-                for element in pending:
-                    if isinstance(element, Atom):
-                        continue
-                    if isinstance(element, Assignment):
-                        required = element.input_variables()
-                    else:
-                        required = element.variables()
-                    if required <= bound:
-                        if id(element) not in head_only:
-                            chosen = element
-                            break
-                        waiting = waiting or element
-                chosen = chosen or waiting
-                if chosen is None:
-                    break
-                ordered.append(chosen)
-                estimates.append(None)
-                if isinstance(chosen, Assignment):
-                    bound.add(chosen.variable)
-                pending.remove(chosen)
-            atoms = [element for element in pending if isinstance(element, Atom)]
-            if not atoms:
-                # What is left waits for a variable nothing binds: it runs
-                # on whatever bindings exist (unbound comparisons fail,
-                # matching safe-rule expectations).
-                ordered.extend(pending)
-                estimates.extend([None] * len(pending))
-                break
-            # Atom choice goes through the shared greedy-ordering helper of
-            # the physical layer — the same cost-first, source-position-tie
-            # rule the BGP planner lowers with.
-            costs = [estimate(atom) for atom in atoms]
-            position, best = select_cheapest(
-                list(enumerate(atoms)), lambda item: costs[item[0]], itemgetter(0)
-            )
-            ordered.append(best)
-            estimates.append(costs[position])
-            bound |= best.variables()
-            pending.remove(best)
-        return ordered, estimates
 
     # ------------------------------------------------------------------
     # rule compilation
@@ -830,6 +722,10 @@ class DatalogEngine:
         group_variables = aggregate_rule.group_variables
         group_of = tuple_getter([registers.operand(variable) for variable in group_variables])
         relation = relations[aggregate_rule.head.predicate]
+        # What tells two solutions apart for COUNT(DISTINCT *).
+        solution_of = tuple_getter(
+            [registers.operand(v) for v in aggregate_rule.solution_variables or registers.slots]
+        )
         # Per spec: its argument's register, or None for COUNT(*), and the
         # ids it skips — ``None``'s (id 0: unbound) and the stand-in's.
         arguments = [
@@ -849,11 +745,13 @@ class DatalogEngine:
                     groups[group_of(member)].append(member)
             finally:
                 members.clear()
+            if not group_variables and not groups:
+                groups[()] = []  # no GROUP BY: one group, even of no solution
             for key, group in groups.items():
                 values_by_target: Dict[Var, int] = {}
                 for spec, (slot, skipped) in zip(aggregate_rule.aggregates, arguments):
-                    if slot is None:
-                        values: List[RdfTerm] = [TRUE] * len(group)
+                    if slot is None:  # COUNT(*): one value per solution
+                        values: Sequence = list(map(solution_of, group)) if spec.distinct else group
                     else:
                         ids = [member[slot] for member in group if member[slot] not in skipped]
                         values = [
@@ -871,7 +769,7 @@ class DatalogEngine:
                     elif argument in values_by_target:
                         row.append(values_by_target[argument])
                     else:
-                        row.append(group[0][registers.operand(argument)])
+                        row.append(group[0][registers.operand(argument)] if group else 0)
                 if relation.add(tuple(row)):
                     self._count_fact()
 
@@ -894,30 +792,6 @@ class DatalogEngine:
             raise EvaluationLimitExceeded("evaluation timeout exceeded")
 
 
-def _matching_rows(atom: Atom, relation: Relation, table: ValueTable) -> float:
-    """How many rows of ``relation`` agree with the constants of ``atom``.
-
-    Counted, not estimated: the size of the constants' bucket in the index
-    on their positions.  Constants such as ``rdf:type`` and a class
-    correlate, so dividing by distinct counts can be off by orders of
-    magnitude.
-    """
-    positions = tuple(
-        position
-        for position, argument in enumerate(atom.arguments)
-        if not isinstance(argument, Var)
-    )
-    if not positions:
-        return float(len(relation))
-    key = getter(positions)(
-        [
-            None if isinstance(argument, Var) else table.intern(ground_value(argument))
-            for argument in atom.arguments
-        ]
-    )
-    return float(len(relation.index(positions).get(key, ())))
-
-
 def _constants(rule) -> List[object]:
     """Every value a rule or aggregate rule mentions: what its compiled
     steps pre-fill registers with, and the values its aggregates skip."""
@@ -933,6 +807,9 @@ def _constants(rule) -> List[object]:
         elif isinstance(element, Assignment):
             expression = element.expression
             terms += expression.arguments if isinstance(expression, SkolemExpr) else (expression,)
+        elif isinstance(element, FilterCondition):
+            # The constants a filter equality may key a scan by.
+            terms += [operand for _, operand, _, _ in filter_equalities(element)]
     for atom in atoms:
         terms += atom.arguments
     values = [ground_value(term) for term in terms if not isinstance(term, Var)]

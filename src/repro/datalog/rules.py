@@ -249,7 +249,11 @@ class AggregateRule:
     """A grouping rule: evaluate the body, group by ``group_variables``.
 
     The head receives the group variables plus one value per
-    :class:`AggregateSpec`.  Aggregate rules are evaluated after the
+    :class:`AggregateSpec`.  Without group variables there is one group,
+    also when the body has no solution.  ``solution_variables`` are what
+    tells two body solutions apart for ``COUNT(DISTINCT *)`` (the
+    translation's in-scope SPARQL variables, never a tuple ID); empty,
+    every variable of the body.  Aggregate rules are evaluated after the
     fixpoint of the stratum containing their body predicates, mirroring
     Vadalog's (stratified) aggregation support.
     """
@@ -259,6 +263,7 @@ class AggregateRule:
     group_variables: Tuple[Var, ...]
     aggregates: Tuple[AggregateSpec, ...]
     label: str = ""
+    solution_variables: Tuple[Var, ...] = ()
 
     def body_predicates(self) -> Set[str]:
         predicates: Set[str] = set()

@@ -17,6 +17,15 @@ key, the values an atom binds and the head tuple are all built by
 ``operator.itemgetter``, so the per-row work is tuple indexing over ints,
 never a substitution dictionary.
 
+A scan probes the index on the positions bound when it runs.  The body
+ordering (:mod:`repro.datalog.order`) may also hand it a
+:class:`KeyedAtom`: a FILTER in the body equates a variable the atom binds
+with one bound before it (or a constant), and the same scan step then
+probes on one more column — that value's
+:meth:`~repro.datalog.values.ValueTable.equality_key` for ``=``, its id
+for ``sameTerm`` —, against an index :class:`Relation` keeps like any
+other.  The filter step after it still decides every row found.
+
 Compiled rules are kept for as long as the base they were compiled on
 (:class:`repro.datalog.engine.PreparedProgram`), so their size matters: a
 step is a ``functools.partial`` over a module-level function — its
@@ -28,9 +37,10 @@ compiled rule holds on to.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.rules import (
     Assignment,
@@ -81,6 +91,13 @@ def tuple_getter(positions: Sequence[int]) -> Callable:
 @lru_cache(maxsize=4096)
 def _cached_single(position: int) -> Callable:
     return lambda sequence: (sequence[position],)
+
+
+def keyed_key(plain: Callable, keyed: Tuple[int, ...], key: Callable, sequence) -> tuple:
+    """The values ``plain`` takes of ``sequence`` (a tuple), then ``key`` of
+    the value at each of the ``keyed`` positions: the index key of a keyed
+    scan, made alike from a row and from the register file."""
+    return plain(sequence) + tuple([key(sequence[position]) for position in keyed])
 
 
 GroundTuple = Tuple[object, ...]
@@ -142,21 +159,36 @@ class Relation:
     def __iter__(self) -> Iterator[GroundTuple]:
         return iter(self.tuples)
 
-    def index(self, positions: Tuple[int, ...]) -> Dict[object, List[GroundTuple]]:
+    def index(
+        self,
+        positions: Tuple[int, ...],
+        keyed: Tuple[int, ...] = (),
+        key: Optional[Callable[[object], object]] = None,
+    ) -> Dict[object, List[GroundTuple]]:
         """Return (building lazily) a hash index on the given positions.
 
-        ``positions`` is non-empty and ascending.  The dictionary stays the
-        same object for the life of the relation and is kept up to date by
-        :meth:`add`; no bucket is ever empty.
+        ``positions`` and ``keyed`` are ascending, and not both empty.  A
+        row is keyed by its values at ``positions`` — the bare value for
+        one position, their tuple for more — or, with ``keyed`` positions,
+        by the tuple of those values followed by ``key`` of the value at
+        each keyed position (:func:`keyed_key`; the engine's ``key`` is
+        :meth:`ValueTable.equality_key
+        <repro.datalog.values.ValueTable.equality_key>`).  The dictionary
+        stays the same object for the life of the relation and is kept up
+        to date by :meth:`add`; no bucket is ever empty.
         """
-        existing = self._indexes.get(positions)
+        spec = (positions, keyed) if keyed else positions
+        existing = self._indexes.get(spec)
         if existing is not None:
             return existing[1]
-        key_of = getter(positions)
+        if keyed:
+            key_of = partial(keyed_key, tuple_getter(positions), keyed, key)
+        else:
+            key_of = getter(positions)
         index: Dict[object, List[GroundTuple]] = {}
         for row in self.tuples:
             index.setdefault(key_of(row), []).append(row)
-        self._indexes[positions] = (key_of, index)
+        self._indexes[spec] = (key_of, index)
         return index
 
     def distinct_count(self, position: int) -> int:
@@ -234,6 +266,27 @@ def emit_and_keep(
         keep(row)
 
 
+@dataclass(frozen=True)
+class KeyedAtom(Atom):
+    """A positive atom of an ordered body that FILTER equalities key.
+
+    Per entry of ``keys``, ``(position, operand, by_value)``: a top-level
+    conjunct of a filter in the body says that the variable the atom binds
+    at ``position`` equals ``operand`` — a variable bound before the atom,
+    or a constant.  The scan then probes on that too: by
+    :meth:`ValueTable.equality_key
+    <repro.datalog.values.ValueTable.equality_key>` for SPARQL ``=``
+    (``by_value``), by id for ``sameTerm``.  The filter still runs after
+    the scan on every row it finds.  ``probe`` names the conjuncts.
+    """
+
+    keys: Tuple[Tuple[int, object, bool], ...] = ()
+    probe: str = ""
+
+    def __repr__(self) -> str:
+        return f"{Atom.__repr__(self)}  probe[{self.probe}]"
+
+
 def scan_step(
     atom: Atom,
     relation: Relation,
@@ -244,24 +297,32 @@ def scan_step(
 ) -> StepMaker:
     """A positive atom: probe the index on its bound positions, bind the rest.
 
-    ``snapshot``: the rule may add to the very relation it scans.  ``tick``
-    counts probes; every :data:`CLOCK_CADENCE` of them ``check_clock`` runs.
+    A :class:`KeyedAtom` probes on its keyed positions too, and still binds
+    their variables from the rows found: a ``sameTerm`` key is one more
+    bound position, an ``=`` key a column of equality keys behind the
+    bound positions' ids (:func:`keyed_key`).  ``snapshot``: the rule may
+    add to the very relation it scans.  ``tick`` counts probes; every
+    :data:`CLOCK_CADENCE` of them ``check_clock`` runs.
     """
-    bound_positions: List[int] = []
-    key_slots: List[int] = []
+    bound: List[Tuple[int, int]] = []  # (position, register of its key)
     free_positions: List[int] = []
     free_variables: List[Var] = []
     # (position, earlier position) pairs of one variable within the atom.
     repeats: List[Tuple[int, int]] = []
     for position, argument in enumerate(atom.arguments):
         if not isinstance(argument, Var) or argument in registers.slots:
-            bound_positions.append(position)
-            key_slots.append(registers.operand(argument))
+            bound.append((position, registers.operand(argument)))
         elif argument in free_variables:
             repeats.append((position, free_positions[free_variables.index(argument)]))
         else:
             free_positions.append(position)
             free_variables.append(argument)
+    keyed: List[Tuple[int, int]] = []
+    for position, operand, by_value in atom.keys if isinstance(atom, KeyedAtom) else ():
+        (keyed if by_value else bound).append((position, registers.operand(operand)))
+    bound.sort()
+    bound_positions = tuple(position for position, _ in bound)
+    key_slots = [slot for _, slot in bound]
     # The atom's new variables get adjacent registers: one slice write.
     low = len(registers.values)
     for variable in free_variables:
@@ -269,8 +330,17 @@ def scan_step(
     high = len(registers.values)
     # The index is asked for when the step first runs: most steps of a
     # rule that finds nothing are never reached.
-    source = [None, relation, tuple(bound_positions), snapshot]
-    common = (source, getter(key_slots), tick, check_clock)
+    if keyed:
+        keyed_positions = tuple(position for position, _ in keyed)
+        key = registers.table.equality_key
+        source = [None, relation, bound_positions, snapshot, keyed_positions, key]
+        key_of = partial(
+            keyed_key, tuple_getter(key_slots), tuple(slot for _, slot in keyed), key
+        )
+    else:
+        source = [None, relation, bound_positions, snapshot, (), None]
+        key_of = getter(key_slots)
+    common = (source, key_of, tick, check_clock)
     if repeats:
         return step(_scan_repeats, *common, repeats, low, high, tuple_getter(free_positions))
     if not free_positions:
@@ -283,12 +353,13 @@ def scan_step(
 def _lookup(source: List) -> Callable:
     """``key -> candidate rows`` (falsy when there are none) of a scan.
 
-    ``source`` is ``[lookup or None, relation, positions, snapshot]``; the
-    lookup is made — the index built — on first use and kept in place.
+    ``source`` is ``[lookup or None, relation, positions, snapshot, keyed
+    positions, key]`` (:meth:`Relation.index`); the lookup is made — the
+    index built — on first use and kept in place.
     """
-    _, relation, positions, snapshot = source
-    if positions:
-        lookup = relation.index(positions).get
+    _, relation, positions, snapshot, keyed, key = source
+    if positions or keyed:
+        lookup = relation.index(positions, keyed, key).get
     elif snapshot:
         # A rule may add to the very relation it is scanning.
         def lookup(_key):
@@ -357,7 +428,9 @@ def negation_step(atom: Atom, relation: Relation, registers: RegisterFile) -> St
         if not isinstance(argument, Var) or argument in registers.slots:
             positions.append(position)
             key_slots.append(registers.operand(argument))
-    return step(_scan_absent, [None, relation, tuple(positions), False], getter(key_slots))
+    return step(
+        _scan_absent, [None, relation, tuple(positions), False, (), None], getter(key_slots)
+    )
 
 
 def _scan_absent(source, key_of, next_step, regs) -> None:

@@ -18,6 +18,10 @@ bound to it.  What a run adds beyond that — the tuple IDs and nulls of
 — belongs to the run: :meth:`ValueTable.begin` marks where it starts and
 :meth:`ValueTable.end` drops it, so a table shared by a long-lived base
 does not grow with every query run on it.
+
+:meth:`ValueTable.equality_key` is the key a FILTER ``=`` probes an index
+by: :func:`repro.sparql.kernels.equality_key`, the native engine's key
+rule, cached per id with the id's lifetime.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datalog.terms import SkolemTerm
+from repro.sparql.kernels import equality_key
 
 
 class SkolemKey(tuple):
@@ -39,7 +44,7 @@ class SkolemKey(tuple):
 class ValueTable:
     """``intern(value) -> id`` and ``value(id)`` for one base and its runs."""
 
-    __slots__ = ("values", "_ids", "_skolems", "_kept", "_run", "_mark")
+    __slots__ = ("values", "_ids", "_skolems", "_keys", "_keyed_run", "_kept", "_run", "_mark")
 
     def __init__(self) -> None:
         #: id -> value (a :class:`SkolemKey` for a Skolem id); read by
@@ -47,6 +52,10 @@ class ValueTable:
         self.values: List[object] = [None]
         self._ids: Dict[Hashable, int] = {None: 0}
         self._skolems: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        # id -> its equality key, filled as keys are asked for; whether an
+        # id end() may drop has one.
+        self._keys: Dict[int, object] = {}
+        self._keyed_run = False
         # Ids below this are kept by every end(): something interned them.
         self._kept = 1
         # The latest run and where it started (None once it ended).
@@ -106,6 +115,18 @@ class ValueTable:
             return SkolemTerm(functor, tuple([self.value(a) for a in arguments]))
         return value
 
+    def equality_key(self, ident: int) -> object:
+        """A key two ids share when their values may be SPARQL ``=``: a
+        literal's value key, any other value's own id
+        (:func:`repro.sparql.kernels.equality_key`)."""
+        try:
+            return self._keys[ident]
+        except KeyError:
+            key = self._keys[ident] = equality_key(self.values[ident], ident)
+            if ident >= self._kept:
+                self._keyed_run = True
+            return key
+
     def decoded(self) -> List[object]:
         """id -> value for every id, Skolem ids built into Skolem terms: the
         lookup list of a bulk decode (``tuple(map(decoded.__getitem__, row))``).
@@ -134,6 +155,11 @@ class ValueTable:
         mark = max(self._mark, self._kept)
         self._mark = None
         values = self.values
+        if self._keyed_run:
+            self._keyed_run = False
+            keys = self._keys
+            for ident in range(mark, len(values)):
+                keys.pop(ident, None)
         for value in values[mark:]:
             if value.__class__ is SkolemKey:
                 del self._skolems[value]

@@ -72,7 +72,7 @@ from repro.sparql.algebra import (
     TriplePatternNode,
     Union,
 )
-from repro.sparql.expressions import And, Expression, conjuncts
+from repro.sparql.expressions import Aggregate, And, Expression, conjuncts
 from repro.sparql.profile import ExecutionProfile
 
 _LEAVES = (TriplePatternNode, PathPattern)
@@ -177,12 +177,17 @@ def _variables_read(query: Query) -> Optional[Tuple[Variable, ...]]:
     name, so a plan decodes nothing else.
 
     For a SELECT: projection ∪ projection/aggregate expressions ∪ GROUP BY
-    ∪ HAVING ∪ ORDER BY, or ``None`` for ``SELECT *``, which reads them
-    all.  An ASK reads none.
+    ∪ HAVING ∪ ORDER BY, or ``None`` for ``SELECT *`` and
+    ``COUNT(DISTINCT *)``, which read them all.  An ASK reads none.
     """
     if not isinstance(query, SelectQuery):
         return ()
-    if query.select_all:
+    if query.select_all or any(
+        isinstance(item.expression, Aggregate)
+        and item.expression.argument is None
+        and item.expression.distinct
+        for item in query.projection
+    ):
         return None
     read = set()
     for item in query.projection:

@@ -406,9 +406,11 @@ PREDICATES = frozenset(
 def aggregate(operation: str, values: Sequence[Term], distinct: bool = False) -> Optional[Term]:
     """A §18.5 set function over the values of one group's argument, the
     ones whose evaluation erred already left out (``COUNT(*)``: one value
-    per solution).  ``None`` — the target stays unbound — where the set
-    function errs, as ``SUM`` / ``AVG`` over a non-number do, and for
-    every function but ``COUNT`` over no value at all."""
+    per solution, which DISTINCT tells apart by the whole solution).
+    ``None`` — the target stays unbound — where the set function errs, as
+    ``SUM`` / ``AVG`` over a non-number do, and for ``MIN``, ``MAX`` and
+    ``SAMPLE`` over no value at all; ``COUNT``, ``SUM`` and ``AVG`` of no
+    value are ``0``."""
     operation = operation.upper()
     if distinct:
         values = list(dict.fromkeys(values))
@@ -417,7 +419,7 @@ def aggregate(operation: str, values: Sequence[Term], distinct: bool = False) ->
     if operation not in ("SUM", "AVG", "MIN", "MAX", "SAMPLE"):
         raise ValueError(f"unsupported aggregate {operation!r}")
     if not values:
-        return None
+        return numeric_literal(INTEGER, 0) if operation in ("SUM", "AVG") else None
     if operation == "SAMPLE":
         return values[0]
     if operation in ("MIN", "MAX"):

@@ -17,6 +17,9 @@ compiled once with the pipeline over a register reader that decodes a
 variable when the closure reads it; each run is counted as a term
 fallback.  :func:`condition_kernel` tells the two apart by shape, which is
 what ``explain`` prints.
+
+:func:`equality_key` is the same equality rule for a value outside the
+dictionary: the Datalog engine's value table keys a FILTER ``=`` probe by it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Term, Variable
+from repro.rdf.terms import NUMERIC_DATATYPE_VALUES, XSD_STRING, Literal, Term, Variable
 from repro.sparql import expressions
 from repro.sparql.expressions import Comparison, Expression, FunctionCall, TermExpr, VariableExpr
 from repro.store.dictionary import (
@@ -159,6 +162,17 @@ def equality_key_of(dictionary: TermDictionary) -> Callable[[int], object]:
     return equality_key
 
 
+def equality_key(value: object, ident: int) -> object:
+    """The key of :func:`equality_key_of` for a value held outside a
+    :class:`TermDictionary` (the Datalog engine's value table): a literal's
+    equality key, and for anything else — an IRI, a blank node, a plain
+    value, a Skolem key — ``ident``, its own id.  An int never equals a
+    literal's tuple key, so only literals are ever equal across ids."""
+    if isinstance(value, Literal):
+        return comparison_key(*term_structure(value))[0]
+    return ident
+
+
 def _mixed_order(compare: Callable, left: tuple, right: tuple) -> bool:
     """Ordering of two terms of different order classes (see :func:`comparison_key`)."""
     left_class, right_class = left[1], right[1]
@@ -174,7 +188,7 @@ _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": opera
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _kernel_operands(condition: Expression) -> Optional[Tuple[Expression, Expression]]:
+def kernel_operands(condition: Expression) -> Optional[Tuple[Expression, Expression]]:
     """The two operands of a conjunct the id kernels cover, else ``None``."""
     if isinstance(condition, Comparison):
         if condition.operator not in ("=", "!=") and condition.operator not in _ORDERINGS:
@@ -200,7 +214,7 @@ def condition_kernel(condition: Expression) -> str:
     ``sameTerm`` between variables and/or constants — so the lowering
     pass can print it without a dictionary.
     """
-    return "id" if _kernel_operands(condition) is not None else "term"
+    return "id" if kernel_operands(condition) is not None else "term"
 
 
 def _never(_registers: Registers) -> bool:
@@ -220,7 +234,7 @@ def compile_condition(
     is an unbound variable — an error, which FILTER reads as false — so
     the whole test folds to a constant.
     """
-    operands = _kernel_operands(condition)
+    operands = kernel_operands(condition)
     if operands is None:
         return _term_test(condition, dictionary, register_of, bound)
     variables = condition.variables()

@@ -24,7 +24,7 @@ from repro.sparql.expressions import (
     compile_expression,
     positional,
 )
-from repro.sparql.functions import TRUE, ExpressionError, aggregate
+from repro.sparql.functions import ExpressionError, aggregate
 from repro.sparql.solutions import Row, distinct_rows
 
 
@@ -73,7 +73,8 @@ def apply_grouping(
 ) -> Tuple[Header, List[Row]]:
     """GROUP BY, the projection's aggregates and HAVING over tuples aligned
     with ``header``: ``(header, rows)``, one row per group kept, under the
-    group-key variables and the projected ones."""
+    group-key variables and the projected ones.  Without GROUP BY the rows
+    are one group, also when there are none (§18.5)."""
     group_keys = query.group_by
     reader = positional(header)
     key_values = [compile_expression(key, reader) for key in group_keys]
@@ -110,8 +111,6 @@ def apply_grouping(
     having = None if query.having is None else compile_condition(query.having, positional(grouped))
     results: List[Row] = []
     for key_parts, group in groups.items():
-        if not group and not rows:
-            continue
         values: List[Optional[Term]] = [None] * len(grouped)
         for key_expression, value in zip(group_keys, key_parts):
             if isinstance(key_expression, VariableExpr) and value is not None:
@@ -135,9 +134,10 @@ def apply_grouping(
 
 def _arguments(argument: Optional[Value], group: List[Row]) -> List[Term]:
     """An aggregate's argument over the rows of one group, an error left
-    out; ``argument`` is ``None`` for ``COUNT(*)``: one value per row."""
+    out; ``argument`` is ``None`` for ``COUNT(*)``: the rows themselves,
+    so that DISTINCT tells solutions apart by every variable."""
     if argument is None:
-        return [TRUE] * len(group)
+        return group
     values: List[Term] = []
     for row in group:
         try:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.datalog.engine as datalog_engine
 from repro.core.skolem import SkolemFunctionGenerator
 from repro.datalog.engine import (
     DatalogEngine,
@@ -227,6 +228,22 @@ class TestValueTable:
         table.end(second)
         assert len(table) == 4
 
+    def test_equality_keys_are_the_kernels_and_go_with_their_run(self):
+        integer = IRI("http://www.w3.org/2001/XMLSchema#integer")
+        table = ValueTable()
+        one = table.intern(Literal("1", integer))
+        also_one = table.intern(Literal("01", integer))
+        resource = table.intern(IRI("http://ex.org/a"))
+        assert table.equality_key(one) == table.equality_key(also_one) == (2, 1.0)
+        assert table.equality_key(resource) == resource  # equal only to itself
+        run = table.begin()
+        two = table.add(Literal("2", integer))
+        assert table.equality_key(two) == (2, 2.0)
+        table.end(run)
+        # The id is handed out again, to a value with another key.
+        assert table.add(IRI("http://ex.org/b")) == two and table.equality_key(two) == two
+        assert table.equality_key(one) == (2, 1.0)
+
     def test_aggregate_count(self):
         program = edge_program([("a", "b"), ("a", "c"), ("b", "c")])
         program.aggregate_rules.append(
@@ -406,11 +423,11 @@ class TestPrepareAndRun:
         assert expected["fanout"] == {("a", Literal.from_python(2)), ("b", Literal.from_python(1))}
 
         ordered = []
-        order_body = DatalogEngine._order_body
+        order_body = datalog_engine.order_body
         monkeypatch.setattr(
-            DatalogEngine,
-            "_order_body",
-            lambda self, *args: ordered.append(args[0]) or order_body(self, *args),
+            datalog_engine,
+            "order_body",
+            lambda *args: ordered.append(args[0]) or order_body(*args),
         )
         prepared = engine.prepare(upper)
         first = engine.run(prepared, base)

@@ -197,6 +197,48 @@ def test_imports_point_one_way_and_modules_stay_small():
     assert offences == []
 
 
+#: What a literal-equality or numeric key is made of: a literal's parts, the
+#: datatype sets and structure of the key rule, the rule itself.
+_KEY_INGREDIENTS = {
+    "lexical", "datatype", "language", "effective_datatype", "is_numeric", "as_python",
+    "NUMERIC_DATATYPE_VALUES", "XSD_STRING", "term_structure", "comparison_key", "numeric",
+}
+
+
+def test_both_engines_share_one_equality_key():
+    """``comparison_key`` is defined once, in ``sparql/kernels.py``; no module
+    of ``datalog/`` reads what a key of its own would be computed from, and
+    the value table takes its keys from the kernels' rule."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    trees = {
+        path.relative_to(package).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    defining = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "comparison_key"
+    ]
+    assert defining == ["sparql/kernels.py"]
+    offences = []
+    for name, tree in trees.items():
+        if not name.startswith("datalog/"):
+            continue
+        for node in ast.walk(tree):
+            spelt = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if spelt in _KEY_INGREDIENTS:
+                offences.append(f"{name}:{node.lineno}: {spelt}")
+    assert offences == []
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(trees["datalog/values.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert ("repro.sparql.kernels", "equality_key") in imported
+
+
 def test_pipelines_and_filter_placement_are_decided_in_one_place():
     """What runs as a pipeline and where a FILTER conjunct goes is the
     evaluation-tree pass's decision alone (``repro.sparql.evaltree``): beside

@@ -13,6 +13,10 @@ what the code returns:
 * §18.5.1 — ``COUNT`` / ``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` / ``SAMPLE``,
   with DISTINCT; ``SUM`` / ``AVG`` over a non-number is an error, so the
   variable stays unbound, and ``AVG`` is ``SUM`` divided by ``COUNT``;
+  ``COUNT(DISTINCT *)`` counts distinct solutions (§18.5.1.1);
+* §18.5 — without GROUP BY the solutions are one group, also when there
+  are none: ``COUNT`` / ``SUM`` / ``AVG`` of it are 0, ``MIN`` / ``MAX`` /
+  ``SAMPLE`` unbound;
 * §15.1 — ORDER BY ranks unbound < blank node < IRI < literal, numbers by
   value.
 
@@ -36,6 +40,8 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, BlankNode, Literal, Triple, XSD
 from repro.sparql import ExecutionProfile
 from repro.store import EncodedGraph
+
+from tests.helpers import countries_graph
 
 EX = "http://ex.org/"
 PREFIXES = "PREFIX ex: <http://ex.org/>\nPREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
@@ -289,3 +295,44 @@ def test_order_by_ranks_kinds_then_numbers_by_value(engines, engine, direction):
     keys = [_kind(row[0]) for row in result.rows()]
     assert keys == (ASCENDING if direction == "ASC" else ASCENDING[::-1])
 
+
+
+# ----------------------------------------------------------------------
+# §18.5: COUNT(DISTINCT *) and the one group of an ungrouped aggregate
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def countries():
+    """The five ``ex:borders`` edges of the paper's example graph."""
+    data = list(countries_graph())
+    return {
+        "FULL": create_engine(EncodedGraph(data)),
+        "NAIVE": create_engine(Graph(data), ExecutionProfile.NAIVE),
+        "SparqLog": SparqLogEngine(Dataset.from_graph(Graph(data))),
+    }
+
+
+#: (pattern, aggregate, the spec's value): no GROUP BY, so one group.
+UNGROUPED = [
+    # COUNT(DISTINCT *) counts distinct solutions, not one per group; COUNT(*) the bag
+    ("?s ex:borders ?o", "COUNT(DISTINCT *)", integer("5")),
+    ("{ ?s ex:borders ?o } UNION { ?s ex:borders ?o }", "COUNT(*)", integer("10")),
+    ("{ ?s ex:borders ?o } UNION { ?s ex:borders ?o }", "COUNT(DISTINCT *)", integer("5")),
+    ("?s ex:borders ?o . ?s ex:borders ?o2", "COUNT(DISTINCT *)", integer("7")),
+    # over no solution: one row, COUNT / SUM / AVG 0, the others unbound
+    ("?s ex:nothing ?o", "COUNT(?o)", integer("0")),
+    ("?s ex:nothing ?o", "COUNT(*)", integer("0")),
+    ("?s ex:nothing ?o", "COUNT(DISTINCT *)", integer("0")),
+    ("?s ex:nothing ?o", "SUM(?o)", integer("0")),
+    ("?s ex:nothing ?o", "AVG(?o)", integer("0")),
+    ("?s ex:nothing ?o", "MIN(?o)", None),
+    ("?s ex:nothing ?o", "MAX(?o)", None),
+    ("?s ex:nothing ?o", "SAMPLE(?o)", None),
+]
+
+
+@pytest.mark.parametrize("engine", ALL)
+@pytest.mark.parametrize("pattern, aggregate, expected", UNGROUPED)
+def test_an_ungrouped_aggregate_answers_one_row(countries, engine, pattern, aggregate, expected):
+    result = countries[engine].query(PREFIXES + f"SELECT ({aggregate} AS ?n) WHERE {{ {pattern} }}")
+    (row,) = result.rows()
+    assert_value(row[0], expected)

@@ -27,7 +27,7 @@ from repro.core.ontology import Ontology
 from repro.core.solution_translation import SolutionTranslator
 from repro.datalog.engine import DatalogEngine, EvaluationLimitExceeded
 from repro.rdf.graph import Dataset, Graph
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.terms import IRI, BlankNode, Literal, Triple
 from repro.sparql.algebra import SelectQuery
 from repro.sparql.parser import parse_query
 from repro.store import EncodedGraph
@@ -249,3 +249,71 @@ def test_duplicate_sensitive_shapes_keep_their_bags(edges):
         answer = rows_multiset(translated.query(text))
         assert answer == rows_multiset(planned.query(text)), name
         assert answer == rows_multiset(oracle.query(text)), name
+
+
+# ----------------------------------------------------------------------
+# FILTER equality as a probe: keys never change which rows pass
+# ----------------------------------------------------------------------
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+#: Objects whose ``=`` crosses ids: numerics equal by value across
+#: integer, decimal and double, simple and xsd:string literals equal by
+#: lexical form, language-tagged and unknown-datatype literals equal only
+#: to themselves (and an error against other literals), IRIs and blank nodes.
+_VALUES = [
+    Literal("1", IRI(_XSD + "integer")),
+    Literal("01", IRI(_XSD + "integer")),
+    Literal("1.0", IRI(_XSD + "decimal")),
+    Literal("1.0e0", IRI(_XSD + "double")),
+    Literal("2", IRI(_XSD + "int")),
+    Literal("2.0e0", IRI(_XSD + "double")),
+    Literal("a"),
+    Literal("a", IRI(_XSD + "string")),
+    Literal("1"),
+    Literal("a", language="en"),
+    Literal("a", language="fr"),
+    Literal("a", IRI("http://ex.org/dt")),
+    Literal("1", IRI("http://ex.org/dt")),
+    EX.n0,
+    EX.n1,
+    BlankNode("b0"),
+    BlankNode("b1"),
+]
+_value_edge = st.tuples(
+    st.sampled_from(_DIFF_NODES), st.sampled_from([EX.v, EX.w]), st.sampled_from(_VALUES)
+)
+#: What is compared; only subjects are projected, so blank nodes never
+#: reach an answer.
+_EQUALITY_FILTERS = [
+    "?a = ?b",
+    "?b = ?a",
+    "sameTerm(?a, ?b)",
+    "?a = ?b && ?s != ?t",
+    "?a = ?b || ?s = ?t",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    edges=st.lists(_value_edge, min_size=0, max_size=14),
+    constant=st.sampled_from([value for value in _VALUES if not isinstance(value, BlankNode)]),
+)
+def test_filter_equalities_answer_as_the_native_engine(edges, constant):
+    """``=`` and ``sameTerm`` conjuncts key the scan of the atom binding
+    their other side; the translation path still answers the bag of the
+    native engine, planned (``FULL``) and the oracle (``NAIVE``)."""
+    triples = [Triple(*edge) for edge in edges]
+    translated = SparqLogEngine(Dataset.from_graph(Graph(triples)))
+    planned = create_engine(Dataset.from_graph(EncodedGraph(triples)), ExecutionProfile.FULL)
+    oracle = create_engine(Dataset.from_graph(Graph(triples)), ExecutionProfile.NAIVE)
+    texts = [
+        _PREFIX + f"SELECT ?s ?t WHERE {{ ?s ex:v ?a . ?t ex:w ?b FILTER ({condition}) }}"
+        for condition in _EQUALITY_FILTERS
+    ]
+    texts += [
+        _PREFIX + f"SELECT ?s WHERE {{ ?s ex:v ?a FILTER (?a = {constant.n3()}) }}",
+        _PREFIX + f"SELECT ?s WHERE {{ ?s ex:v ?a FILTER (sameTerm({constant.n3()}, ?a)) }}",
+    ]
+    for text in texts:
+        answer = rows_multiset(translated.query(text))
+        assert answer == rows_multiset(planned.query(text)), text
+        assert answer == rows_multiset(oracle.query(text)), text
