@@ -21,7 +21,8 @@ unfolding and trimming, the components and their rule groups — and returns a
 a base also *orders and compiles* every component as it reaches it: after
 :func:`~repro.datalog.order.order_body` has fixed the body order from the live
 relation sizes, every rule is lowered to a chain of steps over one
-register file (:mod:`repro.datalog.steps`); a FILTER's ``=`` between a
+register file (:mod:`repro.datalog.steps`) whose last step appends the
+head row to the rule's batch; a FILTER's ``=`` between a
 variable an atom binds and one bound before it makes that atom's scan a
 hash probe on the value's equality key (:mod:`repro.datalog.order`).  The
 prepared program keeps
@@ -77,7 +78,7 @@ from repro.datalog.rules import (
 from repro.datalog.optimise import trim, unfold
 from repro.datalog.order import filter_equalities, order_body
 from repro.datalog.steps import (
-    CLOCK_CADENCE,
+    BATCH,
     GroundTuple,
     Plan,
     RegisterFile,
@@ -86,8 +87,7 @@ from repro.datalog.steps import (
     StepMaker,
     assignment_step,
     comparison_step,
-    emit,
-    emit_and_keep,
+    derive,
     filter_step,
     link,
     negation_step,
@@ -148,25 +148,40 @@ class Materialisation:
 _EMPTY = Materialisation({}, 0)
 
 
+#: A compiled rule as a run calls it: the plan that enumerates its body,
+#: its batch, and what merges the batch into its head relation.  Whoever
+#: runs the plan merges what is left of the batch after it.
+RuleRun = Tuple[Plan, List[GroundTuple], Optional[Callable[[], None]]]
+
+
 class _CompiledComponent:
     """One component as it runs on one base: ordered bodies, compiled plans.
 
-    ``rounds`` and ``derived`` are the delta rounds and new facts of its
-    most recent run.
+    ``runs`` are its aggregate rules, then its rules — or, in a recursive
+    component, their fixpoint, whose batch stays empty.  ``rounds`` and
+    ``derived`` are the delta rounds and new facts of its most recent run;
+    per rule ``i`` of ``ordered``, ``counts[2 * i]`` and ``counts[2 * i +
+    1]`` are the rows its body found and the new ones its merges added in
+    that run.
     """
 
-    __slots__ = ("component", "ordered", "plans", "rounds", "derived", "_rendered")
+    __slots__ = (
+        "component", "ordered", "runs", "counts", "zeros", "rounds", "derived", "_rendered"
+    )
 
     def __init__(
         self,
         component: Component,
         ordered: List[Tuple[object, List[BodyElement], List[Optional[float]]]],
-        plans: List[Plan],
+        runs: List[RuleRun],
+        counts: List[int],
     ) -> None:
         self.component = component
         #: (rule, ordered body, estimates) — aggregate rules first.
         self.ordered = ordered
-        self.plans = plans
+        self.runs = runs
+        self.counts = counts
+        self.zeros = (0,) * len(counts)
         self.rounds = 0
         self.derived = 0
         self._rendered: Optional[List[Dict[str, object]]] = None
@@ -181,13 +196,17 @@ class _CompiledComponent:
                 }
                 for rule, body, estimates in self.ordered
             ]
+        counts = self.counts  # per rule: found, derived
         return {
             "predicates": sorted(self.component.predicates),
             "recursive": self.component.recursive,
             "rules": len(self.ordered),
             "rounds": self.rounds,
             "derived": self.derived,
-            "plans": self._rendered,
+            "plans": [
+                {**plan, "found": counts[2 * at], "derived": counts[2 * at + 1]}
+                for at, plan in enumerate(self._rendered)
+            ],
         }
 
 
@@ -300,7 +319,8 @@ class PreparedProgram:
         """Per component run on the current base, in order, what its
         ``datalog.stratum`` span says: ``predicates``, ``recursive``,
         ``rules``, the ``rounds`` and ``derived`` of the most recent run,
-        and per rule the ordered body with the estimates (``plans``)."""
+        and per rule (``plans``) the ordered body with the estimates and
+        the rows that run's body ``found`` and its merges ``derived``."""
         if self._bound is None:
             return []
         return [compiled.record() for compiled in self._bound.compiled if compiled is not None]
@@ -478,10 +498,9 @@ class DatalogEngine:
         bound = prepared._bind(self, base)
         relations = bound.relations
         bound.run = bound.table.begin()
-        for relation, rows in bound.facts:
-            for row in rows:
-                if relation.add(row):
-                    self._count_fact()
+        for relation, rows in bound.facts:  # counted as found / derived nowhere
+            for start in range(0, len(rows), BATCH):
+                self._merge(relation, rows[start : start + BATCH], [0, 0], 0, None)
 
         compiled_components = bound.compiled
         for position, group in enumerate(prepared.groups):
@@ -493,8 +512,16 @@ class DatalogEngine:
                     compiled = self._compile_component(*group, bound)
                     compiled_components[position] = compiled
                 rounds, facts = self.fixpoint_iterations, self._fact_count
-                for plan in compiled.plans:
-                    plan()
+                compiled.counts[:] = compiled.zeros
+                try:
+                    for plan, rows, flush in compiled.runs:
+                        plan()
+                        if rows:
+                            flush()
+                except BaseException:
+                    for _, rows, _ in compiled.runs:  # a limit hit half-way
+                        rows.clear()
+                    raise
                 compiled.rounds = self.fixpoint_iterations - rounds
                 compiled.derived = self._fact_count - facts
                 if tracer is not None:
@@ -520,15 +547,31 @@ class DatalogEngine:
         volatile = component.predicates if component.recursive else ()
         aggregate_bodies = [order_body(rule.body, relations, table) for rule in aggregates]
         bodies = [order_body(rule.body, relations, table, volatile) for rule in rules]
-        plans = [
-            self._compile_aggregate_rule(aggregate_rule, body, relations, table)
-            for aggregate_rule, (body, _) in zip(aggregates, aggregate_bodies)
+        # Per rule a batch and what merges it (and counts what the rule found
+        # and derived); in a recursive component new rows are the next delta.
+        counts = [0] * (2 * (len(aggregates) + len(rules)))
+        fresh = {rule.head.predicate: [] for rule in rules} if component.recursive else {}
+
+        def new_batch(at: int, head: str, keep: Optional[List[GroundTuple]] = None):
+            rows: List[GroundTuple] = []
+            return rows, partial(self._merge, relations[head], rows, counts, 2 * at, keep)
+
+        runs: List[RuleRun] = []
+        for at, (rule, (body, _)) in enumerate(zip(aggregates, aggregate_bodies)):
+            batch = new_batch(at, rule.head.predicate)
+            runs.append((self._compile_aggregate_rule(rule, body, relations, table, batch), *batch))
+        ordered = [
+            (rule, body, new_batch(at, rule.head.predicate, fresh.get(rule.head.predicate)))
+            for at, (rule, (body, _)) in enumerate(zip(rules, bodies), len(aggregates))
         ]
-        ordered = [(rule, body) for rule, (body, _) in zip(rules, bodies)]
         if component.recursive:
-            plans.append(self._compile_fixpoint(ordered, relations, table, bound.scratch))
+            fixpoint = self._compile_fixpoint(ordered, relations, table, bound.scratch, fresh)
+            runs.append((fixpoint, [], None))  # its rules merge their own batches
         else:
-            plans.extend(self._compile_rule(rule, body, relations, table) for rule, body in ordered)
+            runs.extend(
+                (self._compile_rule(rule, body, relations, table, batch), *batch)
+                for rule, body, batch in ordered
+            )
         return _CompiledComponent(
             component,
             [
@@ -537,7 +580,8 @@ class DatalogEngine:
                     (*aggregates, *rules), (*aggregate_bodies, *bodies)
                 )
             ],
-            plans,
+            runs,
+            counts,
         )
 
     # ------------------------------------------------------------------
@@ -545,24 +589,24 @@ class DatalogEngine:
     # ------------------------------------------------------------------
     def _compile_fixpoint(
         self,
-        rules: Sequence[Tuple[Rule, List[BodyElement]]],
+        rules: Sequence[Tuple[Rule, List[BodyElement], Tuple[List[GroundTuple], Callable]]],
         relations: Dict[str, Relation],
         table: ValueTable,
         scratch: List[Relation],
+        fresh: Dict[str, List[GroundTuple]],
     ) -> Plan:
         """Semi-naive evaluation of a recursive component's ordered rules.
 
-        The delta relations join ``scratch``: what empties the relations a
-        run fills empties them too.
+        A round's delta is what the previous round's merges found new
+        (their ``fresh`` list per head predicate).  The delta relations join
+        ``scratch``: what empties the relations a run fills empties them too.
         """
-        # Per head predicate the rows derived in the running round; per
-        # recursive predicate the previous round's rows as a relation of
+        # Per recursive predicate the previous round's rows as a relation of
         # their own, refilled in place so each delta plan is compiled once
         # (when its delta is first non-empty: most never are).
-        fresh: Dict[str, List[GroundTuple]] = {rule.head.predicate: [] for rule, _ in rules}
         deltas: Dict[str, Relation] = defaultdict(Relation)
-        plans: List[Plan] = []
-        delta_plans: List[Tuple[Relation, Plan]] = []
+        plans: List[RuleRun] = []
+        delta_plans: List[Tuple[Relation, RuleRun]] = []
 
         def compiled_on_first_run(*arguments) -> Plan:
             plan: Optional[Plan] = None
@@ -575,23 +619,24 @@ class DatalogEngine:
 
             return run
 
-        for rule, body in rules:
-            derived = fresh[rule.head.predicate]
-            plans.append(self._compile_rule(rule, body, relations, table, fresh, derived))
+        for rule, body, batch in rules:
+            plans.append((self._compile_rule(rule, body, relations, table, batch, fresh), *batch))
             for position, element in enumerate(body):
                 if isinstance(element, Atom) and element.predicate in fresh:
                     delta = deltas[element.predicate]
                     plan = compiled_on_first_run(
-                        rule, body, relations, table, fresh, derived, position, delta
+                        rule, body, relations, table, batch, fresh, position, delta
                     )
-                    delta_plans.append((delta, plan))
+                    delta_plans.append((delta, (plan, *batch)))
         scratch.extend(deltas.values())
 
         def fixpoint() -> None:
             try:
                 # Initial round: evaluate every rule against the full relations.
-                for plan in plans:
+                for plan, rows, flush in plans:
                     plan()
+                    if rows:
+                        flush()
                 while any(fresh.values()):
                     self.fixpoint_iterations += 1
                     self._check_limits()
@@ -599,13 +644,17 @@ class DatalogEngine:
                         if predicate in deltas:
                             deltas[predicate].replace(rows)
                         rows.clear()
-                    for delta, plan in delta_plans:
+                    for delta, (plan, rows, flush) in delta_plans:
                         if delta.tuples:
                             plan()
+                            if rows:
+                                flush()
             finally:
                 # Empty already unless a limit was hit half-way through a round.
                 for rows in fresh.values():
                     rows.clear()
+                for _, batch, _ in plans:
+                    batch.clear()
 
         return fixpoint
 
@@ -618,8 +667,8 @@ class DatalogEngine:
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
         table: ValueTable,
+        batch: Tuple[List[GroundTuple], Callable[[], None]],
         growing: Iterable[str] = (),
-        derived: Optional[List[GroundTuple]] = None,
         delta_position: int = -1,
         delta: Optional[Relation] = None,
     ) -> Plan:
@@ -627,11 +676,14 @@ class DatalogEngine:
 
         Calling the plan enumerates the body depth-first — the atom at
         ``delta_position`` over ``delta``, every other atom over its full,
-        live relation — and adds each new head tuple to the head relation.
-        In a recursive component the new tuples are also appended to
-        ``derived`` (the next round's delta) and ``growing`` names the
-        predicates the component's plans derive into meanwhile.
+        live relation — and appends each head tuple to ``batch``'s rows;
+        its ``flush`` merges them into the head relation once they are
+        :data:`~repro.datalog.steps.BATCH` (:func:`~repro.datalog.steps.derive`)
+        and, for what is left, after the plan (a :data:`RuleRun`).  In a
+        recursive component ``growing`` names the predicates the
+        component's plans derive into meanwhile.
         """
+        rows, flush = batch
         registers = RegisterFile(table)
         makers = self._lower_body(body, registers, relations, growing, delta_position, delta)
 
@@ -656,11 +708,7 @@ class DatalogEngine:
             makers.append(skolem_step(table, functor, frontier, registers.bind(argument)))
 
         head = tuple_getter([registers.operand(argument) for argument in rule.head.arguments])
-        add = relations[rule.head.predicate].add
-        if derived is None:
-            last = partial(emit, head, add, self._count_fact)
-        else:
-            last = partial(emit_and_keep, head, add, self._count_fact, derived.append)
+        last = partial(derive, head, rows.append, rows, flush)
         return link(makers, last, registers)
 
     def _lower_body(
@@ -707,12 +755,14 @@ class DatalogEngine:
         body: Sequence[BodyElement],
         relations: Dict[str, Relation],
         table: ValueTable,
+        batch: Tuple[List[GroundTuple], Callable[[], None]],
     ) -> Plan:
         """Group the body's solutions and aggregate each group with
         :func:`repro.sparql.functions.aggregate`: argument values are
         decoded — a value that is no RDF term (a hand-written program's)
         as ``Literal.from_python`` makes it — and each result is stored as
-        a run's id."""
+        a run's id, one head row per group, into ``batch``."""
+        rows, flush = batch
         registers = RegisterFile(table)
         makers = self._lower_body(body, registers, relations)
         # Every body solution, as a copy of the whole register file.
@@ -721,7 +771,6 @@ class DatalogEngine:
 
         group_variables = aggregate_rule.group_variables
         group_of = tuple_getter([registers.operand(variable) for variable in group_variables])
-        relation = relations[aggregate_rule.head.predicate]
         # What tells two solutions apart for COUNT(DISTINCT *).
         solution_of = tuple_getter(
             [registers.operand(v) for v in aggregate_rule.solution_variables or registers.slots]
@@ -770,22 +819,34 @@ class DatalogEngine:
                         row.append(values_by_target[argument])
                     else:
                         row.append(group[0][registers.operand(argument)] if group else 0)
-                if relation.add(tuple(row)):
-                    self._count_fact()
+                derive(tuple, rows.append, rows, flush, row)
 
         return evaluate
 
     # ------------------------------------------------------------------
     # limits
     # ------------------------------------------------------------------
-    def _count_fact(self) -> None:
-        self._fact_count += 1
+    def _merge(
+        self,
+        relation: Relation,
+        rows: List[GroundTuple],
+        counts: List[int],
+        at: int,
+        keep: Optional[List[GroundTuple]],
+    ) -> None:
+        """Merge a batch into ``relation`` and empty it: its new rows are
+        counted as facts and appended to ``keep`` (the next round's delta),
+        then ``max_facts`` and the deadline are checked.  ``counts[at]`` and
+        ``counts[at + 1]`` add up a rule's found and derived rows."""
+        derived = relation.merge(rows, keep)
+        counts[at] += len(rows)
+        counts[at + 1] += derived
+        rows.clear()
+        self._fact_count += derived
         if self._fact_count > self.max_facts:
-            raise EvaluationLimitExceeded(
-                f"derived more than {self.max_facts} facts"
-            )
-        if self._fact_count % CLOCK_CADENCE == 0:
-            self._check_limits()
+            raise EvaluationLimitExceeded(f"derived more than {self.max_facts} facts")
+        if self._deadline is not None and time.monotonic() >= self._deadline:
+            self._check_limits()  # raises; read inline, as this runs per merge
 
     def _check_limits(self) -> None:
         if self._deadline is not None and time.monotonic() >= self._deadline:

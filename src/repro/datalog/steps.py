@@ -5,7 +5,9 @@ lowers it here: variables become indexes into one register file (a plain
 list), constants registers pre-filled with their ids in the base's
 :class:`~repro.datalog.values.ValueTable`, and every body element one
 *step* — a function that runs on the register file and calls the next step
-once per solution it finds; the last step derives the head.  Registers and
+once per solution it finds; the last step appends the head row to the
+rule's batch (:func:`derive`), which the engine merges into the head
+relation in one pass (:meth:`Relation.merge`).  Registers and
 relation rows hold ids only: a tuple ID or labelled null is interned from
 its functor and argument ids, and a value is decoded only by a filter's
 register reader, a comparison and (in the engine) an aggregate's argument.
@@ -64,8 +66,13 @@ StepMaker = Callable[[Step], Step]
 Plan = Callable[[], None]
 
 #: The deadline is read once per this many body-atom probes (and once per
-#: this many derived facts), never per row.
+#: merged batch), never per row.
 CLOCK_CADENCE = 4096
+
+#: A rule's batch is merged when the rule run ends or holds this many rows,
+#: so it never holds more; as ``max_facts`` is checked per merge, a run that
+#: exceeds it has added at most this many facts beyond it when it raises.
+BATCH = 4096
 
 
 def getter(positions: Sequence[int]) -> Callable:
@@ -120,21 +127,35 @@ class Relation:
         # position -> (relation size when computed, distinct count)
         self._distinct_cache: Dict[int, Tuple[int, int]] = {}
 
-    def add(self, row: GroundTuple) -> bool:
-        """Insert a row; returns True when the row is new."""
+    def merge(self, rows: Sequence[GroundTuple], new: Optional[List[GroundTuple]] = None) -> int:
+        """Insert a batch of rows; returns how many were new.
+
+        ``new``, if given, gets the new rows, each once, in the order they
+        came.  With no index to update and no ``new`` to fill, the batch
+        goes in as one set update; otherwise one loop over it finds the new
+        rows and one loop per index files them.
+        """
         tuples = self.tuples
         size = len(tuples)
-        tuples.add(row)
-        if len(tuples) == size:
-            return False
+        if new is None and not self._indexes:
+            tuples.update(rows)
+            return len(tuples) - size
+        fresh: List[GroundTuple] = []
+        for row in rows:
+            if row not in tuples:
+                tuples.add(row)
+                fresh.append(row)
         for key_of, index in self._indexes.values():
-            key = key_of(row)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-        return True
+            for row in fresh:
+                key = key_of(row)
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [row]
+                else:
+                    bucket.append(row)
+        if new is not None:
+            new += fresh
+        return len(fresh)
 
     def replace(self, rows: Iterable[GroundTuple]) -> None:
         """Make ``rows`` the whole extension, keeping the index objects.
@@ -175,7 +196,7 @@ class Relation:
         :meth:`ValueTable.equality_key
         <repro.datalog.values.ValueTable.equality_key>`).  The dictionary
         stays the same object for the life of the relation and is kept up
-        to date by :meth:`add`; no bucket is ever empty.
+        to date by :meth:`merge`; no bucket is ever empty.
         """
         spec = (positions, keyed) if keyed else positions
         existing = self._indexes.get(spec)
@@ -250,20 +271,12 @@ def link(makers: Sequence[StepMaker], last: Step, registers: RegisterFile) -> Pl
     return partial(chain, registers.values)
 
 
-def emit(head: Callable, add: Callable, count_fact: Callable, regs: Registers) -> None:
-    """The last step of a rule: derive the head, count it if it is new."""
-    if add(head(regs)):
-        count_fact()
-
-
-def emit_and_keep(
-    head: Callable, add: Callable, count_fact: Callable, keep: Callable, regs: Registers
-) -> None:
-    """:func:`emit` in a recursive component: a new row is the next round's delta too."""
-    row = head(regs)
-    if add(row):
-        count_fact()
-        keep(row)
+def derive(head: Callable, append: Callable, rows: List, flush: Callable, regs: Registers) -> None:
+    """The last step of a rule: append the head row to the rule's batch
+    (``rows``), merged by ``flush`` once it holds :data:`BATCH` rows."""
+    append(head(regs))
+    if len(rows) >= BATCH:
+        flush()
 
 
 @dataclass(frozen=True)
@@ -300,9 +313,9 @@ def scan_step(
     A :class:`KeyedAtom` probes on its keyed positions too, and still binds
     their variables from the rows found: a ``sameTerm`` key is one more
     bound position, an ``=`` key a column of equality keys behind the
-    bound positions' ids (:func:`keyed_key`).  ``snapshot``: the rule may
-    add to the very relation it scans.  ``tick`` counts probes; every
-    :data:`CLOCK_CADENCE` of them ``check_clock`` runs.
+    bound positions' ids (:func:`keyed_key`).  ``snapshot``: a full batch
+    may be merged into the very relation the scan walks.  ``tick`` counts
+    probes; every :data:`CLOCK_CADENCE` of them ``check_clock`` runs.
     """
     bound: List[Tuple[int, int]] = []  # (position, register of its key)
     free_positions: List[int] = []
@@ -361,7 +374,7 @@ def _lookup(source: List) -> Callable:
     if positions or keyed:
         lookup = relation.index(positions, keyed, key).get
     elif snapshot:
-        # A rule may add to the very relation it is scanning.
+        # A full batch may be merged into the set while it is walked.
         def lookup(_key):
             return tuple(relation.tuples)
     else:

@@ -20,7 +20,7 @@ from repro.datalog.rules import (
     Rule,
     SkolemExpr,
 )
-from repro.datalog.steps import compare_values
+from repro.datalog.steps import BATCH, Relation, compare_values
 from repro.datalog.stratify import StratificationError, stratify
 from repro.datalog.terms import Const, SkolemTerm, Var
 from repro.datalog.values import ValueTable
@@ -318,6 +318,110 @@ class TestLimits:
         )
         with pytest.raises(EvaluationLimitExceeded):
             DatalogEngine(timeout_seconds=0.05).evaluate(program)
+
+
+    def test_fact_limit_overshoots_by_at_most_one_batch(self, monkeypatch):
+        # 64 x 192 = 3 * BATCH distinct pairs from 256 facts: the first full
+        # batch crosses max_facts, and the head holds that batch and no more.
+        program = Program()
+        for index in range(64):
+            program.add_fact(Atom("n", (c(index),)))
+        for index in range(192):
+            program.add_fact(Atom("m", (c(index),)))
+        program.add_rule(Rule(Atom("pair", (X, Y)), (Atom("n", (X,)), Atom("m", (Y,)))))
+        merged = recorded_merges(monkeypatch)
+        with pytest.raises(EvaluationLimitExceeded):
+            DatalogEngine(max_facts=BATCH).evaluate(program)
+        head = merged[-1][0]
+        assert 0 < len(head) <= BATCH + BATCH
+        assert max(size for _, size in merged) <= BATCH
+
+
+def recorded_merges(monkeypatch):
+    """Record ``(relation, batch size)`` for every ``Relation.merge`` call."""
+    merged = []
+    merge = Relation.merge
+
+    def recording(self, rows, new=None):
+        merged.append((self, len(rows)))
+        return merge(self, rows, new)
+
+    monkeypatch.setattr(Relation, "merge", recording)
+    return merged
+
+
+def chain_closure(length, right_linear=False, reverse=False):
+    """``tc`` over a chain of ``length`` edges (facts in chain order or
+    reversed), as a left- or right-linear closure."""
+    edges = [(f"v{index}", f"v{index + 1}") for index in range(length)]
+    program = edge_program(edges[::-1] if reverse else edges)
+    program.add_rule(Rule(Atom("tc", (X, Y)), (Atom("edge", (X, Y)),)))
+    if right_linear:
+        step = (Atom("edge", (X, Y)), Atom("tc", (Y, Z)))
+    else:
+        step = (Atom("tc", (X, Y)), Atom("edge", (Y, Z)))
+    program.add_rule(Rule(Atom("tc", (X, Z)), step))
+    return program
+
+
+class TestBatchedDerivation:
+    """Head rows reach a relation per batch; what that pins."""
+
+    def test_a_warm_run_merges_ten_thousand_rows_in_three_batches(self, monkeypatch):
+        facts = Program()
+        for index in range(100):
+            facts.add_fact(Atom("n", (c(index),)))
+            facts.add_fact(Atom("m", (c(index),)))
+        program = Program()
+        program.add_rule(Rule(Atom("pair", (X, Y)), (Atom("n", (X,)), Atom("m", (Y,)))))
+        engine = DatalogEngine()
+        base = engine.materialise(facts)
+        prepared = engine.prepare(program)
+        assert len(engine.run(prepared, base).rows("pair")) == 10_000
+        merged = recorded_merges(monkeypatch)
+        result = engine.run(prepared, base)
+        assert len(result.rows("pair")) == 10_000 and result.fact_count == 10_200
+        assert len(merged) == -(-10_000 // BATCH) == 3
+        assert [size for _, size in merged] == [BATCH, BATCH, 10_000 - 2 * BATCH]
+
+    def test_per_rule_counts_tell_found_from_derived(self):
+        # Duplicate derivations: a node with two out-edges is found twice.
+        program = edge_program([("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
+        program.add_rule(Rule(Atom("node", (X,)), (Atom("edge", (X, Y)),)))
+        program.add_rule(Rule(Atom("node", (Y,)), (Atom("edge", (X, Y)),)))
+        program.add_rule(Rule(Atom("tc", (X, Y)), (Atom("edge", (X, Y)),)))
+        program.add_rule(Rule(Atom("tc", (X, Z)), (Atom("tc", (X, Y)), Atom("edge", (Y, Z)))))
+        engine = DatalogEngine()
+        prepared = engine.prepare(program)
+        for _ in range(2):  # counts are per run, not summed over runs
+            engine.run(prepared)
+            counts = {
+                tuple(record["predicates"]): [
+                    (plan["found"], plan["derived"]) for plan in record["plans"]
+                ]
+                for record in prepared.evaluated()
+            }
+            # node: a, a, b, c (3 new), then b, c, c, d (1 new).  tc: the 4
+            # edges; then a-c, a-d, b-d (2 new) on the full relation, and the
+            # same 3 again from the delta round over all 6 (none new).
+            assert counts == {("node",): [(4, 3), (4, 1)], ("tc",): [(4, 4), (6, 2)]}
+        assert [record["derived"] for record in prepared.evaluated()] == [4, 6]
+        assert [record["rounds"] for record in prepared.evaluated()] == [0, 1]
+
+    @pytest.mark.parametrize("right_linear", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("length", [2, 5, 10, 40])
+    def test_a_chain_closure_takes_one_round_per_path_length_beyond_two(
+        self, length, reverse, right_linear
+    ):
+        # The initial round finds the paths of length 1 and 2; round k finds
+        # those of length k + 2, and the round that finds none ends it.  A
+        # row is probed only once its batch is merged, so neither the order
+        # of the facts nor that of the body changes the count.
+        engine = DatalogEngine()
+        result = engine.evaluate(chain_closure(length, right_linear, reverse))
+        assert len(result["tc"]) == length * (length + 1) // 2
+        assert engine.fixpoint_iterations == length - 1
 
 
 class TestCompiledRules:

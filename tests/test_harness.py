@@ -239,6 +239,29 @@ def test_both_engines_share_one_equality_key():
     assert ("repro.sparql.kernels", "equality_key") in imported
 
 
+def test_the_fixpoint_inserts_rows_in_batches_only():
+    """Derived rows reach a relation one batch at a time: ``datalog/steps.py``
+    and ``datalog/engine.py`` define no per-row insertion (``emit``,
+    ``emit_and_keep``, ``_count_fact``), and ``Relation`` has no ``add``:
+    ``Relation.merge`` is the one way in."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro" / "datalog"
+    offences = []
+    for name in ("steps.py", "engine.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (
+                "emit", "emit_and_keep", "_count_fact"
+            ):
+                offences.append(f"{name}:{node.lineno}: def {node.name}")
+            if isinstance(node, ast.ClassDef) and node.name == "Relation":
+                offences += [
+                    f"{name}:{method.lineno}: Relation.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and method.name == "add"
+                ]
+    assert offences == []
+
+
 def test_pipelines_and_filter_placement_are_decided_in_one_place():
     """What runs as a pipeline and where a FILTER conjunct goes is the
     evaluation-tree pass's decision alone (``repro.sparql.evaltree``): beside
