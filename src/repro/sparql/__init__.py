@@ -27,8 +27,9 @@ it in this table:
 ``plan``       cost model over the graph's exact statistics, ``plan_bgp``
                -> ``BGPPlan`` (plans as data), ``attach_filters``
 ``operators``  the physical IR — ``Scan``, ``HashProbe``, ``PathExpand``,
-               ``Filter``, ``IndexNestedLoopJoin``, ``LeapfrogJoin``,
-               ``Project`` — and ``PhysicalPlan`` (counters, ``explain``)
+               ``Filter``, ``IndexNestedLoopJoin``, ``Factor``,
+               ``LeapfrogJoin``, ``Project`` — and ``PhysicalPlan``
+               (counters, ``explain``)
 ``kernels``    the register file header; the id FILTER kernels
 ``leapfrog``   the worst-case-optimal join: eligibility, variable order,
                sorted intersection, its levels as pipeline steps

@@ -155,14 +155,23 @@ def _operate(
     apply: Callable[[Number, Number], Number], left: Tuple[int, Number], right: Tuple[int, Number]
 ) -> Tuple[int, Number]:
     """``apply`` over two (rank, value) numbers at the larger rank; integer
-    division is at the decimal rank."""
+    division is at the decimal rank.  Dividing by zero is an error at the
+    integer and decimal ranks and IEEE 754's ``INF`` / ``-INF`` / ``NaN`` at
+    the float and double ranks (XPath F&O 3.1 ``op:numeric-divide``)."""
     rank = max(left[0], right[0])
     if rank == INTEGER and apply is operator.truediv:
         rank = DECIMAL
     kind = _TYPES[rank]
     try:
         return rank, apply(kind(left[1]), kind(right[1]))
-    except ArithmeticError as error:  # division by zero, decimal overflow
+    except ZeroDivisionError as error:
+        if rank < FLOAT:
+            raise ExpressionError(f"arithmetic error: {error!r}") from error
+        dividend = float(left[1])
+        if dividend == 0 or math.isnan(dividend):
+            return rank, math.nan
+        return rank, math.copysign(math.inf, dividend) * math.copysign(1.0, float(right[1]))
+    except ArithmeticError as error:  # decimal overflow
         raise ExpressionError(f"arithmetic error: {error!r}") from error
 
 

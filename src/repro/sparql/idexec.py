@@ -56,6 +56,16 @@ boundary.
   emitted before — first, so a dropped row costs a tuple and a set probe,
   no decode (:func:`emit_step`).
 
+* **Cut.**  A DISTINCT plan's join may end in a
+  :class:`~repro.sparql.operators.Factor` (:func:`repro.sparql.physical.lower_plan`
+  places it where a variable dies): one step that drops a prefix row
+  whose live id tuple it has seen, runs the suffix — the factor's inputs,
+  compiled like any others, ending in :func:`_collect_step` — once per
+  distinct key into a per-execution memo of the suffix's distinct id
+  tuples, and pairs each new live tuple with its key's list under the
+  conjuncts across the cut (:func:`_factor_step`).  The rows are those of
+  the uncut plan with its duplicates dropped, in its order.
+
 Property-path steps hand bound endpoint ids straight to the
 :class:`~repro.sparql.idpaths.IdPathEngine`.  The live-view join
 (:mod:`repro.ivm.delta`) uses the same register layout.
@@ -93,7 +103,7 @@ from repro.sparql.kernels import (
     equality_key_of,
     resolve_constants,
 )
-from repro.sparql.operators import Filter, HashProbe, IndexNestedLoopJoin, Scan
+from repro.sparql.operators import Factor, Filter, HashProbe, IndexNestedLoopJoin, Scan
 from repro.sparql.paths import matches_zero_length, normalize_path
 from repro.sparql.solutions import Binding
 from repro.store.dictionary import TermDictionary
@@ -194,9 +204,12 @@ class CompiledPipeline:
     initial: Tuple[Tuple[Variable, int], ...] = ()
     #: ``(operator stats, rows register, probes register)`` to publish.
     counters: List[Tuple[object, int, int]] = field(default_factory=list)
-    #: Register of a DISTINCT plan's set of emitted rows (fresh per
-    #: execution), else ``None``.
-    emitted: Optional[int] = None
+    #: ``(operator stats, attribute, register)`` of the other counts to
+    #: publish (a :class:`~repro.sparql.operators.Factor`'s runs and hits).
+    tallies: List[Tuple[object, str, int]] = field(default_factory=list)
+    #: ``(register, container type)`` of what every execution starts empty:
+    #: a DISTINCT plan's emitted rows, a cut's live tuples and memo.
+    fresh: List[Tuple[int, type]] = field(default_factory=list)
 
 
 def run(
@@ -239,8 +252,8 @@ def run(
     # id that simply never matches a probe.
     for variable, register in compiled.initial:
         registers[register] = dictionary.encode(initial[variable])
-    if compiled.emitted is not None:
-        registers[compiled.emitted] = set()
+    for register, container in compiled.fresh:
+        registers[register] = container()
     return _stream(compiled, registers, term_fallbacks)
 
 
@@ -255,6 +268,8 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
         for stats, rows, probes in compiled.counters:
             stats.rows = registers[rows]
             stats.probes = registers[probes]
+        for stats, name, register in compiled.tallies:
+            setattr(stats, name, registers[register])
         if term_fallbacks is not None and registers[FALLBACKS]:
             term_fallbacks.inc(registers[FALLBACKS])
 
@@ -311,10 +326,32 @@ def _compile(plan, graph, domain: Set[Variable]):
         # A cyclic BGP's join: a pattern without variables is a membership probe
         # like any other input; the variable levels follow as steps of their own.
         inputs = [scan for scan in inputs if not scan.node.variables()]
-    for input_op in inputs:
+
+    def compile_input(input_op) -> Tuple[Callable[[Step], Step], int]:
+        """The step maker of one join input, and the register counting the
+        rows it passes on."""
         leaf, conditions, filter_stats = input_op, (), None
         if isinstance(leaf, Filter):
             leaf, conditions, filter_stats = leaf.child, leaf.conditions, leaf.stats
+        make = compile_factor(leaf) if isinstance(leaf, Factor) else compile_leaf(leaf)
+        rows, probes = allocate(0), allocate(0)
+        compiled.counters.append((leaf.stats, rows, probes))
+        passed = None
+        if filter_stats is not None:
+            passed = allocate(0)
+            # A filter tests every row its input produced.
+            compiled.counters.append((filter_stats, passed, rows))
+        maker = partial(
+            make,
+            test=compile_conditions(conditions, dictionary, register_of, bound),
+            rows=rows,
+            probes=probes,
+            passed=passed,
+            stats=leaf.stats,
+        )
+        return maker, rows if passed is None else passed
+
+    def compile_leaf(leaf) -> Callable[..., Step]:
         node = leaf.node
         parts = (
             tuple(node.triple)
@@ -326,7 +363,6 @@ def _compile(plan, graph, domain: Set[Variable]):
             if isinstance(variable, Variable) and variable not in bound:
                 register_of[variable] = allocate()
                 bound.add(variable)
-        make = None
         if isinstance(leaf, (Scan, HashProbe)):
             layout = pattern_layout(parts, before, register_of, scan_constant)
             reads = layout[0]
@@ -334,18 +370,17 @@ def _compile(plan, graph, domain: Set[Variable]):
             # A HashProbe's build scan shares no variable with the rows above it.
             access = access_path(shape) if isinstance(leaf, Scan) else "match"
             if access == "member":
-                make = partial(_member_step, reads=reads)
-            elif access == "entry":
+                return partial(_member_step, reads=reads)
+            if access == "entry":
                 fetch, first, second, written = _ENTRY_PROBES[shape]
-                make = partial(
+                return partial(
                     _entry_step,
                     fetch=fetch,
                     first=reads[first],
                     second=reads[second],
                     target=register_of[parts[written]],
                 )
-            else:
-                bind = _scan_rows(*layout)
+            bind = _scan_rows(*layout)
             if isinstance(leaf, HashProbe):
                 bind = _hash_probe_rows(
                     bind,
@@ -355,50 +390,60 @@ def _compile(plan, graph, domain: Set[Variable]):
                     table=allocate(),
                     dictionary=dictionary,
                 )
-        else:
-            engine = IdPathEngine(graph)
-            path = normalize_path(node.path)
+            return partial(_step, bind=bind)
+        engine = IdPathEngine(graph)
+        path = normalize_path(node.path)
 
-            def endpoint_id(part):
-                # The engine's unknown-constant rule: an unseen constant
-                # can only match zero-length; where the path cannot, it
-                # empties the whole BGP until it is interned.
-                term_id = engine.endpoint_id(part, path)
-                return None if term_id is ABSENT else term_id
+        def endpoint_id(part):
+            # The engine's unknown-constant rule: an unseen constant
+            # can only match zero-length; where the path cannot, it
+            # empties the whole BGP until it is interned.
+            term_id = engine.endpoint_id(part, path)
+            return None if term_id is ABSENT else term_id
 
-            layout = pattern_layout(parts, before, register_of, prefilled(endpoint_id))
-            bind = _id_path_rows(
-                path,
-                layout[0],
-                targets=[register_of.get(part) for part in parts],
-                # A *substituted* variable endpoint only ranges over graph
-                # nodes, so its zero-length self-match requires node
-                # membership (constants stay syntactic).
-                node_checks=tuple(register_of[part] for part in parts if part in before)
-                if matches_zero_length(path)
-                else (),
-            )
-        if make is None:
-            make = partial(_step, bind=bind)
-
-        rows, probes = allocate(0), allocate(0)
-        compiled.counters.append((leaf.stats, rows, probes))
-        passed = None
-        if filter_stats is not None:
-            passed = allocate(0)
-            # A filter tests every row its input produced.
-            compiled.counters.append((filter_stats, passed, rows))
-        joined = rows if passed is None else passed
-        makers.append(
-            partial(
-                make,
-                test=compile_conditions(conditions, dictionary, register_of, bound),
-                rows=rows,
-                probes=probes,
-                passed=passed,
-                stats=leaf.stats,
-            )
+        layout = pattern_layout(parts, before, register_of, prefilled(endpoint_id))
+        bind = _id_path_rows(
+            path,
+            layout[0],
+            targets=[register_of.get(part) for part in parts],
+            # A *substituted* variable endpoint only ranges over graph
+            # nodes, so its zero-length self-match requires node
+            # membership (constants stay syntactic).
+            node_checks=tuple(register_of[part] for part in parts if part in before)
+            if matches_zero_length(path)
+            else (),
         )
+        return partial(_step, bind=bind)
+
+    def compile_factor(factor: Factor) -> Callable[..., Step]:
+        live = [register_of[variable] for variable in factor.key + factor.keep]
+        key = [register_of[variable] for variable in factor.key]
+        suffix_makers = [compile_input(input_op)[0] for input_op in factor.inputs]
+        memo = [register_of[variable] for variable in factor.memo]
+        bucket = allocate()
+        suffix = _collect_step(memo, bucket)
+        for make in reversed(suffix_makers):
+            suffix = make(suffix)
+        runs, hits = allocate(0), allocate(0)
+        compiled.tallies += [(factor.stats, "runs", runs), (factor.stats, "hits", hits)]
+        seen, known = allocate(), allocate()
+        compiled.fresh += [(seen, set), (known, dict)]
+        return partial(
+            _factor_step,
+            suffix=suffix,
+            live_of=itemgetter(*live),
+            key_of=itemgetter(*key or [FREE]),
+            memo=memo,
+            bucket=bucket,
+            seen=seen,
+            known=known,
+            runs=runs,
+            hits=hits,
+        )
+
+    for input_op in inputs:
+        maker, joined = compile_input(input_op)
+        makers.append(maker)
 
     if multiway:
         makers += leapfrog.compile_levels(
@@ -407,12 +452,14 @@ def _compile(plan, graph, domain: Set[Variable]):
         joined = allocate(0)
         makers.append(partial(_count_step, rows=joined))
     compiled.counters.append((join.stats, joined, zero))
+    emitted = None
     if root.distinct:
-        compiled.emitted = allocate()
+        emitted = allocate()
+        compiled.fresh.append((emitted, set))
     step: Step = emit_step(
         tuple(register_of[variable] for variable in row_header(plan, domain)),
         dictionary.term,
-        compiled.emitted,
+        emitted,
     )
     for make in reversed(makers):
         step = make(step)
@@ -521,6 +568,130 @@ def _fan_out(
                 registers[passed] += kept
 
     return fan_out
+
+
+def _spread(
+    next_step: Step,
+    targets: Sequence[int],
+    test: Optional[Test],
+    rows: int,
+    passed: Optional[int],
+) -> Callable[[Registers, Iterable], Iterable[tuple]]:
+    """:func:`_fan_out` for values that are id tuples, one id per register of
+    ``targets``."""
+
+    def fan_out(registers: Registers, values: Iterable) -> Iterable[tuple]:
+        seen = kept = 0
+        try:
+            for value in values:
+                for register, item in zip(targets, value):
+                    registers[register] = item
+                seen += 1
+                if test is None or test(registers):
+                    kept += 1
+                    yield from next_step(registers)
+        finally:
+            registers[rows] += seen
+            if passed is not None:
+                registers[passed] += kept
+
+    return fan_out
+
+
+def _collect_step(memo: Sequence[int], bucket: int) -> Step:
+    """The last step of a cut's suffix: the id tuple of the ``memo``
+    registers joins the run's ordered set (``registers[bucket]``, a dict).
+
+    A suffix with nothing to remember is an existence test: its first row
+    comes back as a result, and the run stops there (:func:`_factor_step`).
+    """
+    if not memo:
+
+        def exists(registers: Registers) -> Iterable[tuple]:
+            return _NO_COLUMNS
+
+        return exists
+    memo_of = itemgetter(*memo)
+
+    def collect(registers: Registers) -> Iterable[tuple]:
+        registers[bucket][memo_of(registers)] = None
+        return ()
+
+    return collect
+
+
+def _factor_step(
+    next_step: Step,
+    suffix: Step,
+    live_of: Callable[[Registers], object],
+    key_of: Callable[[Registers], object],
+    memo: Sequence[int],
+    bucket: int,
+    seen: int,
+    known: int,
+    runs: int,
+    hits: int,
+    test: Optional[Test],
+    rows: int,
+    probes: int,
+    passed: Optional[int],
+    stats,
+) -> Step:
+    """A join-project cut (:class:`~repro.sparql.operators.Factor`).
+
+    A prefix row whose live id tuple (``live_of``) this execution has seen
+    is dropped: everything it could lead to is a duplicate of a row already
+    emitted.  A new one looks up its key (``key_of``) in the execution's
+    memo (``registers[known]``); on a miss the compiled ``suffix`` runs
+    once, into the distinct id tuples of its ``memo`` registers in
+    first-occurrence order.  The row is then paired with that list, and
+    ``test`` — the conjuncts across the cut — runs on each pair.  The
+    suffix reads no prefix register but the key's, so its rows are those
+    every row of the key would have found: the pairs come out in the order
+    of the uncut pipeline with its duplicates dropped.
+    """
+    if len(memo) == 1:
+        fan_out = _fan_out(next_step, memo[0], test, rows, passed)
+    else:
+        fan_out = _spread(next_step, memo, test, rows, passed)
+
+    def step(registers: Registers) -> Iterable[tuple]:
+        registers[probes] += 1
+        live = live_of(registers)
+        emitted = registers[seen]
+        if live in emitted:
+            return ()
+        emitted.add(live)
+        key = key_of(registers)
+        memos = registers[known]
+        values = memos.get(key)
+        if values is None:
+            registers[runs] += 1
+            if memo:
+                registers[bucket] = found = {}
+                for _ in suffix(registers):
+                    pass
+                values = tuple(found)
+            else:
+                values = _NO_COLUMNS if _exists(suffix(registers)) else ()
+            memos[key] = values
+        else:
+            registers[hits] += 1
+        return fan_out(registers, values)
+
+    return step
+
+
+def _exists(rows: Iterable) -> bool:
+    """Whether ``rows`` has one; a stream is closed after it, so its steps
+    flush what they counted."""
+    iterator = iter(rows)
+    try:
+        return next(iterator, None) is not None
+    finally:
+        close = getattr(iterator, "close", None)
+        if close is not None:
+            close()
 
 
 def _step(

@@ -1,8 +1,8 @@
 """The physical plan IR: operator classes, their counters, ``explain``.
 
 :class:`Scan`, :class:`HashProbe`, :class:`IndexNestedLoopJoin`,
-:class:`LeapfrogJoin`, :class:`Filter`, :class:`PathExpand` and
-:class:`Project` describe *how* a BGP runs.  Operators carry the
+:class:`Factor`, :class:`LeapfrogJoin`, :class:`Filter`, :class:`PathExpand`
+and :class:`Project` describe *how* a BGP runs.  Operators carry the
 estimates the lowering pass (:mod:`repro.sparql.physical`) used plus
 mutable :class:`OperatorStats` row/probe counters filled in by an
 execution (:mod:`repro.sparql.idexec`), and the whole tree renders
@@ -51,6 +51,23 @@ class OperatorStats:
         self.rows = 0
         self.probes = 0
         self.seconds = 0.0
+
+
+@dataclass(slots=True)
+class FactorStats(OperatorStats):
+    """A :class:`Factor`'s counters: ``probes`` are the prefix rows that
+    reached the cut, ``rows`` the pairs it formed, ``runs`` the suffix runs
+    (a key the memo did not hold) and ``hits`` the new live tuples whose
+    key it did; the rest of the probes repeated a live tuple and were
+    dropped."""
+
+    runs: int = 0
+    hits: int = 0
+
+    def reset(self) -> None:
+        OperatorStats.reset(self)
+        self.runs = 0
+        self.hits = 0
 
 
 class PhysicalOperator:
@@ -173,6 +190,38 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
     def describe(self) -> str:
         return f"IndexNestedLoopJoin steps={len(self.inputs)}"
+
+
+@dataclass(eq=False)
+class Factor(PhysicalOperator):
+    """A join-project cut: the last input of a DISTINCT binary pipeline,
+    whose ``inputs`` are the rest of the join (the *suffix*).
+
+    After the prefix (the inputs before it) some variable is dead: read by
+    nothing below and not projected.  So a prefix row counts only by its
+    *live* variables, ``key`` (those the suffix reads) and ``keep`` (those
+    only the projection or a conjunct across the cut reads).  A live tuple
+    seen before is dropped; the suffix runs once per distinct key, into a
+    memo of the distinct tuples of ``memo`` (the suffix variables read
+    above it), and each new live tuple is paired with its key's list.  A
+    :class:`Filter` around the factor holds the conjuncts that read across
+    the cut; they run on the pairs.
+    """
+
+    inputs: Tuple[PhysicalOperator, ...]
+    key: Tuple[Variable, ...]
+    keep: Tuple[Variable, ...]
+    memo: Tuple[Variable, ...]
+    stats: FactorStats = field(default_factory=FactorStats, repr=False)
+
+    def children(self) -> Tuple[PhysicalOperator, ...]:
+        return self.inputs
+
+    def describe(self) -> str:
+        key, keep, memo = (
+            ", ".join(repr(v) for v in part) for part in (self.key, self.keep, self.memo)
+        )
+        return f"Factor on ({key}) keep [{keep}] memo [{memo}]"
 
 
 @dataclass(eq=False)
@@ -314,6 +363,7 @@ class PhysicalPlan:
             label = operator.describe()
             if counters:
                 label += f" rows={operator.stats.rows} probes={operator.stats.probes}"
+                label += _tallies(operator.stats)
             return label
 
         return "\n".join(self._tree(label_of))
@@ -370,6 +420,7 @@ class PhysicalPlan:
                 f"{operator.describe()}"
                 f" | time={entry['seconds'] * 1e3:.2f}ms"
                 f" rows={entry['rows']} probes={entry['probes']}"
+                f"{_tallies(operator.stats)}"
             )
             if "estimate" in entry:
                 if "actual_per_probe" in entry:
@@ -390,6 +441,13 @@ class PhysicalPlan:
         if self.wcoj_fallback is not None:
             lines.append(f"-- wcoj fallback: {self.wcoj_fallback}")
         return "\n".join(lines)
+
+
+def _tallies(stats: OperatorStats) -> str:
+    """A :class:`Factor`'s suffix runs and memo hits, as ``explain`` shows them."""
+    if isinstance(stats, FactorStats):
+        return f" runs={stats.runs} hits={stats.hits}"
+    return ""
 
 
 def _estimation_error(estimate: float, actual: float) -> Optional[float]:

@@ -14,7 +14,10 @@ explicit *physical* plan — a small DAG of the operator classes of
   (:func:`repro.sparql.plan.attach_filters`); a GYO-cyclic BGP gets the
   worst-case-optimal :class:`~repro.sparql.operators.LeapfrogJoin`
   (:mod:`repro.sparql.leapfrog`), everything else the binary
-  :class:`~repro.sparql.operators.IndexNestedLoopJoin`.
+  :class:`~repro.sparql.operators.IndexNestedLoopJoin`.  A binary plan
+  whose ``Project`` is ``distinct`` may be cut where a variable dies: the
+  rest of the join becomes a :class:`~repro.sparql.operators.Factor` that
+  runs once per distinct key (:func:`_cut`).
 
 * **Executor** — :func:`execute_rows` is the one entry point for running
   a planned BGP, always as a stream of term tuples aligned with
@@ -26,7 +29,7 @@ explicit *physical* plan — a small DAG of the operator classes of
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Variable
 from repro.sparql import idexec, leapfrog
@@ -34,6 +37,7 @@ from repro.sparql.algebra import PathPattern, TriplePatternNode
 from repro.sparql.expressions import Comparison, Expression, VariableExpr
 from repro.sparql.kernels import condition_kernel
 from repro.sparql.operators import (
+    Factor,
     Filter,
     HashProbe,
     IndexNestedLoopJoin,
@@ -88,6 +92,128 @@ def _filtered(child: PhysicalOperator, slot: Tuple[Expression, ...]):
     return Filter(child, slot, "+".join(sorted({condition_kernel(c) for c in slot})))
 
 
+def _emitted(plan: BGPPlan, project: Optional[Tuple[Variable, ...]]) -> Tuple[Variable, ...]:
+    """The variables a plan decodes per row, by name: every plan variable
+    that is in ``project`` (all of them for ``None``)."""
+    variables: Set[Variable] = set()
+    for step in plan.steps:
+        variables |= step.node.variables()
+    if project is not None:
+        variables &= set(project)
+    return _by_name(variables)
+
+
+def _by_name(variables: Set[Variable]) -> Tuple[Variable, ...]:
+    return tuple(sorted(variables, key=lambda v: v.name))
+
+
+def _distinct_values(node, variable: Variable, graph) -> Optional[float]:
+    """How many distinct values ``variable`` takes in the matches of the
+    triple pattern ``node`` (the store's distinct subjects / objects of its
+    predicate); ``None`` where the store keeps no such count (a path)."""
+    if not isinstance(node, TriplePatternNode):
+        return None
+    subject, predicate, obj = node.triple
+    named = None if isinstance(predicate, Variable) else predicate
+    if variable == subject:
+        return float(graph.distinct_subjects(named))
+    if variable == obj:
+        return float(graph.distinct_objects(named))
+    return float(graph.distinct_predicates())
+
+
+def _per_probe(leaf, graph) -> float:
+    """The rows a step is expected to give per row it extends.  A
+    :class:`HashProbe`'s estimate is its whole build side; an outer row
+    meets the share of it that has one value of the build variable."""
+    if isinstance(leaf, HashProbe):
+        values = _distinct_values(leaf.node, leaf.build, graph)
+        return leaf.build_estimate / max(1.0, values or 1.0)
+    return leaf.estimate
+
+
+def _cut(
+    leaves: Sequence[PhysicalOperator],
+    slots: Sequence[Tuple[Expression, ...]],
+    projected: Set[Variable],
+    graph,
+) -> Optional[Tuple[int, Factor, Tuple[Expression, ...]]]:
+    """Where a DISTINCT pipeline of ``leaves`` (conjuncts: ``slots``,
+    decoded variables: ``projected``) is cut into a prefix and a
+    :class:`Factor` over the suffix: ``(last prefix position, factor, the
+    conjuncts that read across the cut)``, or ``None``.
+
+    One live-variable analysis.  After step ``k`` the prefix has bound
+    ``P``; a variable of ``P`` is *live* when a later step reads it, a later
+    conjunct does or it is projected, and the cut is possible when some
+    variable of ``P`` is dead and the later steps read a strict subset of
+    the live ones (the *key*).  The suffix then runs once per distinct key
+    instead of once per prefix row; priced in probes from the steps'
+    estimates — ``rows`` prefix rows, ``values`` distinct keys (product of
+    the store's distinct subjects / objects at each key variable's binding
+    position), ``probes`` suffix probes per run, and one memo probe per
+    prefix row — a cut saves ``rows * (probes - 1) - values * probes``.
+    The cut goes where that is largest, and nowhere when no position saves.
+    """
+    mentions = [
+        leaf.node.variables() | ({leaf.probe} if isinstance(leaf, HashProbe) else set())
+        for leaf in leaves
+    ]
+    per_probe = [_per_probe(leaf, graph) for leaf in leaves]
+    best: Optional[Tuple[float, int, Set[Variable], Set[Variable]]] = None
+    bound: Set[Variable] = set()
+    binder: Dict[Variable, float] = {}
+    rows = 1.0
+    for k, leaf in enumerate(leaves[:-1]):
+        for variable in leaf.node.variables() - bound:
+            values = _distinct_values(leaf.node, variable, graph)
+            binder[variable] = float("inf") if values is None else values
+        bound = bound | leaf.node.variables()
+        rows *= per_probe[k]
+        later: Set[Variable] = set().union(*mentions[k + 1 :])
+        key = bound & later
+        read = later | projected
+        for slot in slots[k + 1 :]:
+            for condition in slot:
+                read |= condition.variables()
+        live = bound & read
+        if live == bound or live == key:
+            continue
+        values = 1.0
+        for variable in key:
+            values *= binder[variable]
+        probes, reach = 0.0, 1.0
+        for estimate in per_probe[k + 1 :]:
+            probes += reach
+            reach *= estimate
+        saved = rows * (probes - 1.0) - values * probes
+        if saved > 0 and (best is None or saved > best[0]):
+            best = (saved, k, key, bound)
+    if best is None:
+        return None
+    _, k, key, prefix = best
+    suffix_inputs: List[PhysicalOperator] = []
+    deferred: List[Expression] = []
+    read = set(projected)
+    for leaf, slot in zip(leaves[k + 1 :], slots[k + 1 :]):
+        kept = []
+        for condition in slot:
+            if condition.variables() & prefix <= key:
+                kept.append(condition)
+            else:
+                deferred.append(condition)
+                read |= condition.variables()
+        suffix_inputs.append(_filtered(leaf, tuple(kept)))
+    suffix: Set[Variable] = set()
+    for leaf in leaves[k + 1 :]:
+        suffix |= leaf.node.variables()
+    keep = (prefix & read) - key
+    factor = Factor(
+        tuple(suffix_inputs), _by_name(key), _by_name(keep), _by_name((suffix - prefix) & read)
+    )
+    return k, factor, tuple(deferred)
+
+
 def lower_plan(
     plan: BGPPlan,
     graph,
@@ -113,7 +239,9 @@ def lower_plan(
     those variables its ``Project`` is ``distinct``: equal rows are equal
     id tuples, dropped at the result boundary before decoding.  Not so
     when the plan emits more (a variable read only by ORDER BY) or less
-    (an ``AS`` alias, a projected variable the pattern does not bind).
+    (an ``AS`` alias, a projected variable the pattern does not bind).  A
+    binary plan with such a ``Project`` is also cut where a variable dies,
+    when the estimates say it pays (:func:`_cut`).
     """
     require_encoded(graph)
     step_filters = attach_filters(plan, tuple(conditions))
@@ -123,7 +251,8 @@ def lower_plan(
     if use_leapfrog:
         join = leapfrog.lower_join(plan, graph, [c for slot in step_filters[1:] for c in slot])
     else:
-        inputs: List[PhysicalOperator] = []
+        leaves: List[PhysicalOperator] = []
+        slots: List[Tuple[Expression, ...]] = []
         bound: Set[Variable] = set()
         for position, step in enumerate(plan.steps):
             leaf: PhysicalOperator
@@ -145,16 +274,18 @@ def lower_plan(
                 leaf = PathExpand(step.node, step.estimate, step.source_index)
             else:  # pragma: no cover - plan_bgp only admits the two kinds above
                 raise TypeError(f"unsupported plan node {type(step.node).__name__}")
-            inputs.append(_filtered(leaf, slot))
+            leaves.append(leaf)
+            slots.append(slot)
             bound |= step.node.variables()
+        inputs = [_filtered(leaf, slot) for leaf, slot in zip(leaves, slots)]
+        if distinct is not None and _emitted(plan, project) == distinct:
+            cut = _cut(leaves, slots, set(distinct), graph)
+            if cut is not None:
+                position, factor, deferred = cut
+                inputs[position + 1 :] = [_filtered(factor, deferred)]
         join = IndexNestedLoopJoin(tuple(inputs))
     child = _filtered(join, prefilters)
-    result_variables: Set[Variable] = set()
-    for step in plan.steps:
-        result_variables |= step.node.variables()
-    if project is not None:
-        result_variables &= set(project)
-    ordered = tuple(sorted(result_variables, key=lambda v: v.name))
+    ordered = _emitted(plan, project)
     return PhysicalPlan(
         root=Project(child, ordered, ordered == distinct),
         source=plan,

@@ -47,6 +47,7 @@ from repro.ivm.views import _row_sort_key
 from repro.obs import Tracer
 
 from tests.helpers import EX
+from tests.test_join_project import Q4, factors, q4_triples
 
 #: Both stores capture changes; views are maintained on the encoded one.
 BACKENDS = [Graph, EncodedGraph]
@@ -267,6 +268,41 @@ class TestDeltaViews:
         engine.graph.remove(chain(1, 4))
         assert events == [[((EX.n1,), -1)]]
         assert view.rows() == []
+
+    def test_a_view_over_a_cut_distinct_bgp_equals_a_fresh_evaluation(self):
+        # The query's own plan is a join-project plan (a Factor); the view
+        # differentiates the BGP's patterns and conjuncts as written.
+        engine = self._engine(q4_triples())
+        view = engine.materialize(Q4)
+        assert view.maintenance == "delta"
+        query = parse_query(Q4)
+        assert Counter(view.rows()) == fresh_counter(engine.evaluator, query)
+        assert factors(engine.evaluator.last_physical_plan)
+        article, person = EX.a9, EX.p9
+        batches = [
+            # a new article in journal j0 by a new person and an old one
+            (
+                [
+                    Triple(person, EX.name, Literal("n00a")),
+                    Triple(article, EX.type, EX.Article),
+                    Triple(article, EX.journal, EX.j0),
+                    Triple(article, EX.creator, person),
+                    Triple(article, EX.creator, EX.p3),
+                ],
+                [],
+            ),
+            # it moves to j1; an old article loses a creator
+            ([Triple(article, EX.journal, EX.j1)], [Triple(article, EX.journal, EX.j0)]),
+            ([], [Triple(EX.a0_0, EX.creator, EX.p0), Triple(person, EX.name, Literal("n00a"))]),
+            # a whole journal's links go
+            ([], [Triple(EX[f"a2_{index}"], EX.journal, EX.j2) for index in range(5)]),
+        ]
+        for adds, removes in batches:
+            engine.graph.update(adds)
+            for triple in removes:
+                engine.graph.remove(triple)
+            assert Counter(view.rows()) == fresh_counter(engine.evaluator, query)
+            assert factors(engine.evaluator.last_physical_plan)
 
     def test_on_change_delivers_weighted_rows_and_unsubscribes(self):
         engine = self._engine([chain(1, 2)])

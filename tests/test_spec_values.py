@@ -149,6 +149,14 @@ EXPRESSIONS = [
     ("1 / 2e0", double("0.5")),
     ("1 / 0", None),
     ("1.5 / 0.0", None),
+    # ... but a float or double divided by zero is IEEE 754's (XPath F&O 3.1
+    # op:numeric-divide): signed infinity, or NaN for zero by zero
+    ("1.0e0 / 0", double("INF")),
+    ("-1.0e0 / 0", double("-INF")),
+    ("0.0e0 / 0", double("NaN")),
+    ("1 / 0.0e0", double("INF")),
+    ('"1"^^xsd:float / 0', Literal("INF", FLOAT)),
+    ('"-2.5"^^xsd:float / 0.0', Literal("-INF", FLOAT)),
     # unary minus keeps the type
     ("-(1 + 2)", integer("-3")),
     ("-(1.5)", decimal("-1.5")),
