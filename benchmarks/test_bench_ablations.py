@@ -12,9 +12,9 @@
 
 import pytest
 
-from repro.baselines.native import NativeSparqlEngine
 from repro.core.data_translation import DataTranslator
 from repro.core.engine import SparqLogEngine
+from repro.engine import create_engine
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Triple
 from repro.workloads.gmark import GMarkWorkload
@@ -48,7 +48,7 @@ def test_ablation_closure_seminaive_vs_per_source(benchmark, gmark_dataset):
     """Semi-naive Datalog closure vs the native per-source expansion."""
     query = PREFIX + "SELECT DISTINCT ?x ?y WHERE { ?x (gmark:p0|gmark:p1)+ ?y }"
     sparqlog = SparqLogEngine(gmark_dataset, timeout_seconds=60)
-    native = NativeSparqlEngine(gmark_dataset)
+    native = create_engine(gmark_dataset)
 
     def run_both():
         return sparqlog.query(query), native.query(query)

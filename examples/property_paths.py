@@ -11,13 +11,13 @@ Run with:  python examples/property_paths.py
 
 from repro import (
     Dataset,
-    NativeSparqlEngine,
     SparqLogEngine,
     VirtuosoLikeEngine,
+    create_engine,
     open_graph,
     parse_turtle,
 )
-from repro.baselines.interface import EngineError
+from repro.baselines import EngineError
 
 TURTLE_DATA = """
 @prefix ex: <http://ex.org/> .
@@ -53,7 +53,7 @@ def short(term) -> str:
 def main() -> None:
     dataset = Dataset.from_graph(parse_turtle(TURTLE_DATA, graph=open_graph()))
     sparqlog = SparqLogEngine(dataset)
-    native = NativeSparqlEngine(dataset)
+    native = create_engine(dataset)
     virtuoso = VirtuosoLikeEngine(dataset)
 
     for title, body in QUERIES.items():

@@ -8,8 +8,10 @@ full stack needed to reproduce the paper on a laptop:
 * :mod:`repro.sparql` — SPARQL 1.1 parser, algebra and reference evaluator,
 * :mod:`repro.datalog` — Warded Datalog± engine (the Vadalog substrate),
 * :mod:`repro.core` — the SparqLog translation and engine,
-* :mod:`repro.baselines` — the comparison systems (Fuseki-, Virtuoso- and
-  Stardog-like behaviour profiles),
+* :mod:`repro.engine` — the native engine, :func:`create_engine`, which
+  also plays the Fuseki role of the paper's experiments,
+* :mod:`repro.baselines` — the Virtuoso- and Stardog-like behaviour
+  profiles the experiments compare against,
 * :mod:`repro.workloads` — benchmark generators (SP2Bench-, gMark-,
   BeSEPPI-, FEASIBLE-like and the ontology benchmark),
 * :mod:`repro.compliance` — result comparison and the compliance metrics,
@@ -52,11 +54,7 @@ from repro.sparql import ExecutionProfile, SparqlEvaluator, parse_query
 from repro.engine import Engine, create_engine
 from repro.ivm import MaterializedView, ViewRegistry
 from repro.core import Ontology, SparqLogEngine
-from repro.baselines import (
-    NativeSparqlEngine,
-    StardogLikeEngine,
-    VirtuosoLikeEngine,
-)
+from repro.baselines import StardogLikeEngine, VirtuosoLikeEngine
 
 __version__ = "1.0.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "Literal",
     "MaterializedView",
     "Namespace",
-    "NativeSparqlEngine",
     "Ontology",
     "SparqLogEngine",
     "SparqlEvaluator",

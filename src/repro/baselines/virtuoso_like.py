@@ -14,22 +14,21 @@ OpenLink Virtuoso:
 * some queries mishandle duplicates around DISTINCT / UNION (FEASIBLE
   findings: wrongly emitting or omitting duplicates).
 
-This engine wraps the standard-compliant evaluator and then *re-applies*
-those deviations, so the compliance experiments regenerate the paper's
-error taxonomy from an explicit, documented failure model rather than
-from hard-coded result tables.
+This engine answers on one standard-compliant :class:`~repro.engine.Engine`
+over its dataset and then *re-applies* those deviations, so the compliance
+experiments regenerate the paper's error taxonomy from an explicit,
+documented failure model rather than from hard-coded result tables.
 """
 
 from __future__ import annotations
 
 from typing import List, Union
 
-from repro.baselines.interface import EngineError, SparqlEngine
+from repro.engine import Engine
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import Variable
-from repro.sparql.algebra import PathPattern, Query, SelectQuery, walk
-from repro.sparql.evaluator import EvaluationError, SparqlEvaluator
-from repro.sparql.parser import SparqlSyntaxError, parse_query
+from repro.sparql.algebra import PathPattern, SelectQuery, Union as UnionNode, walk
+from repro.sparql.parser import parse_query
 from repro.sparql.paths import (
     AlternativePath,
     OneOrMorePath,
@@ -38,6 +37,11 @@ from repro.sparql.paths import (
     ZeroOrOnePath,
 )
 from repro.sparql.solutions import SolutionSequence
+
+
+class EngineError(RuntimeError):
+    """A query Virtuoso refuses to evaluate; the compliance runner records
+    it, like any other exception, as the "Error" outcome of Table 3."""
 
 
 def _contains_recursive_modifier(path: PropertyPath) -> bool:
@@ -67,19 +71,16 @@ def _contains_alternative(path: PropertyPath) -> bool:
     return False
 
 
-class VirtuosoLikeEngine(SparqlEngine):
-    """Standard evaluator plus Virtuoso's documented deviations."""
+class VirtuosoLikeEngine:
+    """Standard evaluation plus Virtuoso's documented deviations."""
 
-    name = "VirtuosoLike"
+    def __init__(self, dataset: Dataset) -> None:
+        self.engine = Engine(dataset)
 
     def query(self, query_text: str) -> Union[SolutionSequence, bool]:
-        try:
-            parsed = parse_query(query_text)
-        except SparqlSyntaxError as error:
-            raise EngineError(f"parse error: {error}") from error
-
+        parsed = parse_query(query_text)
         path_nodes: List[PathPattern] = [
-            node for node in walk(self._pattern_of(parsed)) if isinstance(node, PathPattern)
+            node for node in walk(parsed.pattern) if isinstance(node, PathPattern)
         ]
         # Deviation 1: recursive paths with two variable endpoints error out.
         for node in path_nodes:
@@ -92,11 +93,7 @@ class VirtuosoLikeEngine(SparqlEngine):
                     "Virtuoso 22023 Error TR...: transitive start not given"
                 )
 
-        evaluator = SparqlEvaluator(self.dataset)
-        try:
-            result = evaluator.evaluate(parsed)
-        except EvaluationError as error:
-            raise EngineError(str(error)) from error
+        result = self.engine.query(parsed)
         if isinstance(result, bool):
             return result
 
@@ -110,15 +107,9 @@ class VirtuosoLikeEngine(SparqlEngine):
         # Deviation 4: duplicate mishandling around UNION in non-DISTINCT
         # queries (the FEASIBLE finding of omitted duplicates).
         if isinstance(parsed, SelectQuery) and not parsed.distinct:
-            from repro.sparql.algebra import Union as UnionNode
-
             if any(isinstance(node, UnionNode) for node in walk(parsed.pattern)):
                 result = result.distinct()
         return result
-
-    @staticmethod
-    def _pattern_of(query: Query):
-        return query.pattern  # SelectQuery and AskQuery both expose .pattern
 
     def _drop_cyclic_start_nodes(
         self, result: SolutionSequence, node: PathPattern

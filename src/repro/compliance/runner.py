@@ -1,7 +1,8 @@
 """Compliance test runner: execute query suites across engines.
 
 The runner follows the experimental protocol of the paper: each query is
-run on every engine (optionally with a timeout), the expected answer comes
+run on every engine (optionally with a timeout,
+:func:`repro.harness.timing.budgeted_call`), the expected answer comes
 either from the benchmark itself (BeSEPPI) or from majority voting across
 the engines (FEASIBLE, SP2Bench), and each answer is classified into the
 Table 3 error taxonomy.
@@ -11,16 +12,16 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.baselines.interface import EngineError
 from repro.compliance.compare import (
     ComparisonOutcome,
     ResultLike,
     classify_result,
     majority_vote,
 )
-from repro.harness.timing import TimeoutError_, call_with_timeout
+from repro.harness.timing import budgeted_call
 from repro.workloads.beseppi import BeSEPPIQuery
 from repro.workloads.sp2bench import BenchmarkQuery
 
@@ -43,12 +44,6 @@ class ComplianceReport:
 
     benchmark: str
     records: List[QueryRecord] = field(default_factory=list)
-
-    def by_engine(self) -> Dict[str, List[QueryRecord]]:
-        grouped: Dict[str, List[QueryRecord]] = defaultdict(list)
-        for record in self.records:
-            grouped[record.engine].append(record)
-        return dict(grouped)
 
     def outcome_counts(self, engine: str) -> Counter:
         return Counter(
@@ -73,31 +68,25 @@ class ComplianceReport:
 
 
 class ComplianceRunner:
-    """Run a query suite over a set of engines and classify the answers."""
+    """Run a query suite over a set of engines and classify the answers.
 
-    def __init__(self, engines: Sequence, timeout_seconds: Optional[float] = None) -> None:
-        self.engines = list(engines)
+    ``engines`` maps the name a report uses to an engine; an engine is
+    anything with ``query(text)``.  Whatever it raises, or running out of
+    ``timeout_seconds``, is the "Error" outcome.
+    """
+
+    def __init__(
+        self, engines: Mapping[str, object], timeout_seconds: Optional[float] = None
+    ) -> None:
+        self.engines = dict(engines)
         self.timeout_seconds = timeout_seconds
 
-    # ------------------------------------------------------------------
-    # execution helpers
-    # ------------------------------------------------------------------
-    def _run_single(self, engine, query_text: str):
-        """Run one query; returns (result_or_None, error_message_or_None)."""
-        try:
-            if self.timeout_seconds is not None:
-                result = call_with_timeout(
-                    lambda: engine.query(query_text), self.timeout_seconds
-                )
-            else:
-                result = engine.query(query_text)
-            return result, None
-        except (EngineError, TimeoutError_) as error:
-            return None, str(error)
-        except NotImplementedError as error:
-            return None, f"unsupported: {error}"
-        except Exception as error:  # noqa: BLE001 - engines may fail arbitrarily
-            return None, f"{type(error).__name__}: {error}"
+    def _run_all(self, query_text: str) -> Dict[str, tuple]:
+        """``name -> (result, error, seconds)`` of one query on every engine."""
+        return {
+            name: budgeted_call(partial(engine.query, query_text), self.timeout_seconds)
+            for name, engine in self.engines.items()
+        }
 
     # ------------------------------------------------------------------
     # benchmark-specific entry points
@@ -113,17 +102,9 @@ class ComplianceRunner:
                 expected = query.expected_boolean
             else:
                 expected = query.expected_rows
-            for engine in self.engines:
-                result, error = self._run_single(engine, query.text)
-                outcome = classify_result(result, expected, errored=error is not None)
+            for name, outcome in self._run_all(query.text).items():
                 report.records.append(
-                    QueryRecord(
-                        engine=engine.name,
-                        query_id=query.query_id,
-                        category=query.category,
-                        outcome=outcome,
-                        error=error,
-                    )
+                    _record(name, query.query_id, query.category, expected, outcome)
                 )
         return report
 
@@ -133,27 +114,23 @@ class ComplianceRunner:
         """Run a suite without expected answers (FEASIBLE / SP2Bench)."""
         report = ComplianceReport(benchmark=benchmark_name)
         for query in queries:
-            results: Dict[str, ResultLike] = {}
-            errors: Dict[str, Optional[str]] = {}
-            for engine in self.engines:
-                result, error = self._run_single(engine, query.text)
-                results[engine.name] = result
-                errors[engine.name] = error
-            expected = majority_vote(list(results.values()))
+            outcomes = self._run_all(query.text)
+            expected = majority_vote([result for result, _, _ in outcomes.values()])
             category = query.features[0] if query.features else "general"
-            for engine in self.engines:
-                outcome = classify_result(
-                    results[engine.name],
-                    expected,
-                    errored=errors[engine.name] is not None,
-                )
+            for name, outcome in outcomes.items():
                 report.records.append(
-                    QueryRecord(
-                        engine=engine.name,
-                        query_id=query.query_id,
-                        category=category,
-                        outcome=outcome,
-                        error=errors[engine.name],
-                    )
+                    _record(name, query.query_id, category, expected, outcome)
                 )
         return report
+
+
+def _record(engine: str, query_id: str, category: str, expected, outcome) -> QueryRecord:
+    result, error, seconds = outcome
+    return QueryRecord(
+        engine=engine,
+        query_id=query_id,
+        category=category,
+        outcome=classify_result(result, expected, errored=error is not None),
+        elapsed_seconds=seconds or 0.0,
+        error=error,
+    )

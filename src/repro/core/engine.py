@@ -86,8 +86,6 @@ class _PreparedQuery:
 class SparqLogEngine:
     """Evaluate SPARQL 1.1 queries by translation to Warded Datalog±."""
 
-    name = "SparqLog"
-
     def __init__(
         self,
         dataset: Dataset,

@@ -7,11 +7,12 @@ compliance runner uses :mod:`repro.harness.timing`, while the experiment
 drivers use the compliance runner).
 """
 
-from repro.harness.timing import TimeoutError_, call_with_timeout, time_call
+from repro.harness.timing import TimeoutError_, budgeted_call, call_with_timeout, time_call
 from repro.harness.report import format_summary, format_table, format_timing_series
 
 __all__ = [
     "TimeoutError_",
+    "budgeted_call",
     "call_with_timeout",
     "format_summary",
     "format_table",

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.interface import EngineError
-from repro.baselines.native import NativeSparqlEngine
 from repro.baselines.stardog_like import StardogLikeEngine
 from repro.baselines.virtuoso_like import VirtuosoLikeEngine
 from repro.compliance.compare import ComparisonOutcome
 from repro.compliance.runner import ComplianceReport, ComplianceRunner
 from repro.core.capabilities import FEATURE_TABLE
 from repro.core.engine import SparqLogEngine
+from repro.engine import create_engine
 from repro.harness.report import format_table, format_timing_series
-from repro.harness.timing import TimeoutError_, call_with_timeout, time_call
+from repro.harness.timing import budgeted_call
 from repro.workloads.beseppi import BeSEPPIWorkload, CATEGORY_COUNTS
 from repro.workloads.feasible import FeasibleWorkload
 from repro.workloads.feature_analysis import (
@@ -92,8 +92,8 @@ def default_engine_factories(
         "SparqLog": lambda dataset: SparqLogEngine(
             dataset, timeout_seconds=timeout_seconds
         ),
-        "Native": lambda dataset: NativeSparqlEngine(dataset),
-        "VirtuosoLike": lambda dataset: VirtuosoLikeEngine(dataset),
+        "Native": create_engine,
+        "VirtuosoLike": VirtuosoLikeEngine,
     }
 
 
@@ -112,21 +112,12 @@ def _run_performance(
         series.errors[engine_name] = []
     for query in queries:
         for engine_name, factory in engine_factories.items():
-            dataset = dataset_factory()
-            engine = factory(dataset)
-
-            def run_query():
-                return engine.query(query.text)
-
-            try:
-                _, elapsed = time_call(
-                    lambda: call_with_timeout(run_query, config.timeout_seconds)
-                )
-                series.times[engine_name].append(elapsed)
-                series.errors[engine_name].append(None)
-            except (EngineError, TimeoutError_, NotImplementedError, Exception) as error:
-                series.times[engine_name].append(None)
-                series.errors[engine_name].append(f"{type(error).__name__}: {error}")
+            engine = factory(dataset_factory())
+            _, error, elapsed = budgeted_call(
+                partial(engine.query, query.text), config.timeout_seconds
+            )
+            series.times[engine_name].append(elapsed)
+            series.errors[engine_name].append(error)
     return series
 
 
@@ -190,6 +181,15 @@ def table2_benchmark_features(config: Optional[ExperimentConfig] = None) -> str:
     )
 
 
+def _compliance_engines(dataset, config: ExperimentConfig) -> Dict:
+    """The three engines of the compliance tables, in their column order."""
+    return {
+        "VirtuosoLike": VirtuosoLikeEngine(dataset),
+        "Native": create_engine(dataset),
+        "SparqLog": SparqLogEngine(dataset, timeout_seconds=config.timeout_seconds),
+    }
+
+
 # ----------------------------------------------------------------------
 # Table 3 — BeSEPPI compliance
 # ----------------------------------------------------------------------
@@ -200,33 +200,27 @@ def table3_beseppi_compliance(
     config = config or ExperimentConfig()
     workload = BeSEPPIWorkload()
     queries = config.limited(workload.queries())
-    engines = [
-        VirtuosoLikeEngine(workload.dataset()),
-        NativeSparqlEngine(workload.dataset()),
-        SparqLogEngine(workload.dataset(), timeout_seconds=config.timeout_seconds),
-    ]
+    engines = _compliance_engines(workload.dataset(), config)
     runner = ComplianceRunner(engines, timeout_seconds=config.timeout_seconds)
     report = runner.run_with_expected("BeSEPPI", queries)
 
     categories = list(CATEGORY_COUNTS)
     headers = ["Expression"]
-    for engine in engines:
+    for name in engines:
         headers += [
-            f"{engine.name} inc&cor",
-            f"{engine.name} com&inc",
-            f"{engine.name} inc&inc",
-            f"{engine.name} error",
+            f"{name} inc&cor",
+            f"{name} com&inc",
+            f"{name} inc&inc",
+            f"{name} error",
         ]
     headers.append("#Queries")
     rows: List[List] = []
-    per_engine = {
-        engine.name: report.outcome_counts_by_category(engine.name) for engine in engines
-    }
+    per_engine = {name: report.outcome_counts_by_category(name) for name in engines}
     query_counts = Counter(query.category for query in queries)
     for category in categories:
         row: List = [category]
-        for engine in engines:
-            counts = per_engine[engine.name].get(category, Counter())
+        for name in engines:
+            counts = per_engine[name].get(category, Counter())
             row += [
                 counts[ComparisonOutcome.INCOMPLETE_CORRECT],
                 counts[ComparisonOutcome.COMPLETE_INCORRECT],
@@ -236,8 +230,8 @@ def table3_beseppi_compliance(
         row.append(query_counts.get(category, 0))
         rows.append(row)
     totals: List = ["Total"]
-    for engine in engines:
-        counts = report.outcome_counts(engine.name)
+    for name in engines:
+        counts = report.outcome_counts(name)
         totals += [
             counts[ComparisonOutcome.INCOMPLETE_CORRECT],
             counts[ComparisonOutcome.COMPLETE_INCORRECT],
@@ -264,23 +258,18 @@ def feasible_sp2bench_compliance(
         FeasibleWorkload(scale=config.scale, seed=config.seed),
         SP2BenchWorkload(scale=config.scale, seed=config.seed),
     ):
-        dataset = workload.dataset()
-        engines = [
-            VirtuosoLikeEngine(dataset),
-            NativeSparqlEngine(dataset),
-            SparqLogEngine(dataset, timeout_seconds=config.timeout_seconds),
-        ]
+        engines = _compliance_engines(workload.dataset(), config)
         runner = ComplianceRunner(engines, timeout_seconds=config.timeout_seconds)
         queries = config.limited(workload.queries())
         report = runner.run_with_majority_vote(workload.name, queries)
         reports[workload.name] = report
         headers = ["Engine", "correct", "incomplete", "incorrect", "both", "error"]
         rows = []
-        for engine in engines:
-            counts = report.outcome_counts(engine.name)
+        for name in engines:
+            counts = report.outcome_counts(name)
             rows.append(
                 [
-                    engine.name,
+                    name,
                     counts[ComparisonOutcome.CORRECT],
                     counts[ComparisonOutcome.INCOMPLETE_CORRECT],
                     counts[ComparisonOutcome.COMPLETE_INCORRECT],

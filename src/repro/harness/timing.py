@@ -5,7 +5,9 @@ the harness uses much smaller budgets, enforced with ``signal.setitimer``
 when running on the main thread (the usual pytest / script case) and
 falling back to unenforced execution otherwise.  Engines that support a
 cooperative timeout (the SparqLog engine's Datalog evaluator) additionally
-check their own deadline.
+check their own deadline.  :func:`budgeted_call` is how the compliance
+runner and the experiment drivers run one query: timed, under the budget,
+any failure recorded rather than raised.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from typing import Callable, Tuple, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -65,3 +67,20 @@ def time_call(
     if tracer is not None and tracer.enabled:
         tracer.event(label, category="harness", duration=elapsed)
     return result, elapsed
+
+
+def budgeted_call(
+    function: Callable[[], T], seconds: Optional[float]
+) -> Tuple[Optional[T], Optional[str], Optional[float]]:
+    """Run ``function`` timed, under a ``seconds`` budget (``None``: none).
+
+    Returns ``(result, None, elapsed_seconds)``, or ``(None, error, None)``
+    when it raised or ran out of time: ``error`` is ``"Type: message"``,
+    whatever the engine raised, so an engine reports failure any way it
+    likes and the tables count it as an error.
+    """
+    try:
+        result, elapsed = time_call(lambda: call_with_timeout(function, seconds))
+    except Exception as error:  # noqa: BLE001 - any failure is the "Error" outcome
+        return None, f"{type(error).__name__}: {error}", None
+    return result, None, elapsed

@@ -141,6 +141,8 @@ class HashProbe(PhysicalOperator):
     ``?build`` and probed with the key of ``?probe`` per outer row — the
     join the conjunct spells out, instead of a cross product filtered
     afterwards.  ``probes`` counts outer rows, ``rows`` the pairs kept.
+    ``build_estimate`` is the pattern's matches, ``estimate`` the rows
+    one outer row meets (the share of them with one value of ``?build``).
     """
 
     node: TriplePatternNode
@@ -148,6 +150,7 @@ class HashProbe(PhysicalOperator):
     probe: Variable
     build: Variable
     build_estimate: float
+    estimate: float
     source_index: int
     stats: OperatorStats = field(default_factory=OperatorStats, repr=False)
 

@@ -122,16 +122,6 @@ def _distinct_values(node, variable: Variable, graph) -> Optional[float]:
     return float(graph.distinct_predicates())
 
 
-def _per_probe(leaf, graph) -> float:
-    """The rows a step is expected to give per row it extends.  A
-    :class:`HashProbe`'s estimate is its whole build side; an outer row
-    meets the share of it that has one value of the build variable."""
-    if isinstance(leaf, HashProbe):
-        values = _distinct_values(leaf.node, leaf.build, graph)
-        return leaf.build_estimate / max(1.0, values or 1.0)
-    return leaf.estimate
-
-
 def _cut(
     leaves: Sequence[PhysicalOperator],
     slots: Sequence[Tuple[Expression, ...]],
@@ -159,7 +149,7 @@ def _cut(
         leaf.node.variables() | ({leaf.probe} if isinstance(leaf, HashProbe) else set())
         for leaf in leaves
     ]
-    per_probe = [_per_probe(leaf, graph) for leaf in leaves]
+    per_probe = [leaf.estimate for leaf in leaves]
     best: Optional[Tuple[float, int, Set[Variable], Set[Variable]]] = None
     bound: Set[Variable] = set()
     binder: Dict[Variable, float] = {}
@@ -260,8 +250,20 @@ def lower_plan(
             if isinstance(step.node, TriplePatternNode):
                 link = _implicit_join(step.node, slot, bound)
                 if link is not None:
-                    leaf = HashProbe(step.node, *link, step.estimate, step.source_index)
-                    slot = tuple(c for c in slot if c is not link[0])
+                    condition, probe, build = link
+                    # The plan's estimate is the whole build side; an outer
+                    # row meets the share with one value of ?build.
+                    values = _distinct_values(step.node, build, graph)
+                    leaf = HashProbe(
+                        step.node,
+                        condition,
+                        probe,
+                        build,
+                        step.estimate,
+                        step.estimate / max(1.0, values or 1.0),
+                        step.source_index,
+                    )
+                    slot = tuple(c for c in slot if c is not condition)
                 else:
                     shape = idexec.probe_shape(tuple(step.node.triple), bound)
                     leaf = Scan(

@@ -369,12 +369,6 @@ class BeSEPPIWorkload:
     def queries(self) -> List[BeSEPPIQuery]:
         return list(self._queries)
 
-    def queries_by_category(self) -> Dict[str, List[BeSEPPIQuery]]:
-        grouped: Dict[str, List[BeSEPPIQuery]] = {}
-        for query in self._queries:
-            grouped.setdefault(query.category, []).append(query)
-        return grouped
-
     def statistics(self) -> Dict[str, int]:
         return {
             "triples": len(self._graph),

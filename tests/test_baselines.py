@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.baselines.interface import EngineError
-from repro.baselines.native import NativeSparqlEngine
 from repro.baselines.stardog_like import StardogLikeEngine
-from repro.baselines.virtuoso_like import VirtuosoLikeEngine
+from repro.baselines.virtuoso_like import EngineError, VirtuosoLikeEngine
+from repro.engine import create_engine
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import RDF, Triple
 from repro.store import EncodedGraph
@@ -18,20 +17,10 @@ PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 class TestNativeEngine:
     def test_select_and_ask(self):
-        engine = NativeSparqlEngine(countries_dataset())
+        engine = create_engine(countries_dataset())
         result = engine.query(PREFIX + "SELECT ?x WHERE { ex:spain ex:borders ?x }")
         assert result.to_set() == {(EX.france,)}
         assert engine.query(PREFIX + "ASK WHERE { ex:spain ex:borders ex:france }") is True
-
-    def test_parse_errors_become_engine_errors(self):
-        engine = NativeSparqlEngine(countries_dataset())
-        with pytest.raises(EngineError):
-            engine.query("SELECT WHERE {")
-
-    def test_load_replaces_dataset(self):
-        engine = NativeSparqlEngine(countries_dataset())
-        engine.load(Dataset.from_graph(EncodedGraph()))
-        assert len(engine.query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }")) == 0
 
 
 class TestVirtuosoLikeDeviations:
@@ -54,7 +43,7 @@ class TestVirtuosoLikeDeviations:
             ]
         )
         virtuoso = VirtuosoLikeEngine(Dataset.from_graph(cyclic))
-        native = NativeSparqlEngine(Dataset.from_graph(cyclic))
+        native = create_engine(Dataset.from_graph(cyclic))
         correct = native.query(PREFIX + "SELECT ?x WHERE { ex:a ex:p+ ?x }")
         deviant = virtuoso.query(PREFIX + "SELECT ?x WHERE { ex:a ex:p+ ?x }")
         assert (EX.a,) in correct.to_set()
@@ -63,7 +52,7 @@ class TestVirtuosoLikeDeviations:
 
     def test_alternative_path_loses_duplicates(self):
         virtuoso = VirtuosoLikeEngine(countries_dataset())
-        native = NativeSparqlEngine(countries_dataset())
+        native = create_engine(countries_dataset())
         query = PREFIX + "SELECT ?x WHERE { ex:spain (ex:borders|ex:borders) ?x }"
         assert len(native.query(query)) == 2
         assert len(virtuoso.query(query)) == 1
@@ -78,7 +67,7 @@ class TestVirtuosoLikeDeviations:
 
     def test_non_path_queries_are_standard(self):
         virtuoso = VirtuosoLikeEngine(countries_dataset())
-        native = NativeSparqlEngine(countries_dataset())
+        native = create_engine(countries_dataset())
         query = PREFIX + "SELECT ?a ?b WHERE { ?a ex:borders ?b FILTER (?a != ex:spain) }"
         assert virtuoso.query(query).to_set() == native.query(query).to_set()
 
@@ -106,6 +95,19 @@ class TestStardogLike:
             + "SELECT ?x WHERE { ?x rdf:type ex:Person }"
         )
         assert len(result) == 0
+
+    def test_one_engine_per_dataset_rebuilt_by_load(self):
+        engine = StardogLikeEngine(
+            Dataset.from_graph(university_graph()), ontology=university_ontology()
+        )
+        query = PREFIX + "SELECT ?x WHERE { ?x ex:involvedIn ?y }"
+        engine.query(query)
+        kept = engine.engine
+        engine.query(query)
+        assert engine.engine is kept
+        engine.load(Dataset.from_graph(university_graph()))
+        engine.query(query)
+        assert engine.engine is not None and engine.engine is not kept
 
     def test_agrees_with_sparqlog_under_ontology(self):
         from repro.core.engine import SparqLogEngine

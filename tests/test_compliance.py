@@ -13,9 +13,9 @@ from repro.compliance.compare import (
     results_equal,
 )
 from repro.compliance.runner import ComplianceRunner
-from repro.baselines.native import NativeSparqlEngine
 from repro.baselines.virtuoso_like import VirtuosoLikeEngine
 from repro.core.engine import SparqLogEngine
+from repro.engine import create_engine
 from repro.rdf.terms import BlankNode, IRI, Literal, Variable
 from repro.sparql.solutions import SolutionSequence
 from repro.workloads.beseppi import BeSEPPIWorkload
@@ -97,14 +97,14 @@ class TestRunner:
     def test_beseppi_runner_on_sample(self):
         workload = BeSEPPIWorkload()
         queries = workload.queries()[:8]
-        engines = [
-            NativeSparqlEngine(workload.dataset()),
-            SparqLogEngine(workload.dataset(), timeout_seconds=20),
-        ]
+        engines = {
+            "Native": create_engine(workload.dataset()),
+            "SparqLog": SparqLogEngine(workload.dataset(), timeout_seconds=20),
+        }
         report = ComplianceRunner(engines).run_with_expected("BeSEPPI", queries)
         assert report.total_queries() == len(queries)
-        for engine in engines:
-            assert report.correct_count(engine.name) == len(queries)
+        for name in engines:
+            assert report.correct_count(name) == len(queries)
 
     def test_majority_vote_runner(self):
         from repro.workloads.sp2bench import BenchmarkQuery
@@ -117,11 +117,43 @@ class TestRunner:
             )
         ]
         dataset = countries_dataset()
-        engines = [
-            NativeSparqlEngine(dataset),
-            VirtuosoLikeEngine(dataset),
-            SparqLogEngine(dataset, timeout_seconds=20),
-        ]
+        engines = {
+            "Native": create_engine(dataset),
+            "VirtuosoLike": VirtuosoLikeEngine(dataset),
+            "SparqLog": SparqLogEngine(dataset, timeout_seconds=20),
+        }
         report = ComplianceRunner(engines).run_with_majority_vote("tiny", queries)
-        for engine in engines:
-            assert report.correct_count(engine.name) == 1
+        for name in engines:
+            assert report.correct_count(name) == 1
+
+    def test_what_an_engine_raises_is_recorded_as_an_error(self):
+        from repro.workloads.sp2bench import BenchmarkQuery
+
+        queries = [
+            BenchmarkQuery("malformed", "SELECT WHERE {", ("BGP",)),
+            BenchmarkQuery(
+                "closure",
+                "PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE { ?x ex:borders+ ?y }",
+                ("PP",),
+            ),
+        ]
+        dataset = countries_dataset()
+        engines = {
+            "Native": create_engine(dataset),
+            "VirtuosoLike": VirtuosoLikeEngine(dataset),
+            "SparqLog": SparqLogEngine(dataset, timeout_seconds=20),
+        }
+        report = ComplianceRunner(engines, timeout_seconds=20).run_with_majority_vote(
+            "errors", queries
+        )
+        records = {(r.engine, r.query_id): r for r in report.records}
+        for name in engines:
+            malformed = records[name, "malformed"]
+            assert malformed.outcome is ComparisonOutcome.ERROR
+            assert malformed.error.startswith("SparqlSyntaxError: ")
+        closure = records["VirtuosoLike", "closure"]
+        assert closure.outcome is ComparisonOutcome.ERROR
+        assert "transitive start" in closure.error
+        for name in ("Native", "SparqLog"):
+            assert records[name, "closure"].outcome is ComparisonOutcome.CORRECT
+            assert records[name, "closure"].error is None

@@ -9,8 +9,8 @@ workloads) and compares results row-for-row.
 
 import pytest
 
-from repro.baselines.native import NativeSparqlEngine
 from repro.core.engine import SparqLogEngine
+from repro.engine import create_engine
 from repro.compliance.compare import results_equal
 from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Triple
@@ -69,7 +69,7 @@ DIRECTOR_QUERIES = [
 
 
 def _compare(dataset, query_text):
-    native = NativeSparqlEngine(dataset)
+    native = create_engine(dataset)
     translated = SparqLogEngine(dataset, timeout_seconds=30)
     native_result = native.query(query_text)
     sparqlog_result = translated.query(query_text)

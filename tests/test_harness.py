@@ -9,7 +9,7 @@ import pytest
 from repro.compliance.compare import ComparisonOutcome
 from repro.harness import experiments
 from repro.harness.report import format_summary, format_table, format_timing_series
-from repro.harness.timing import TimeoutError_, call_with_timeout, time_call
+from repro.harness.timing import TimeoutError_, budgeted_call, call_with_timeout, time_call
 
 
 class TestTiming:
@@ -30,6 +30,15 @@ class TestTiming:
 
     def test_timeout_returns_fast_result(self):
         assert call_with_timeout(lambda: 42, 5) == 42
+
+    def test_budgeted_call_records_a_failure_instead_of_raising(self):
+        result, error, seconds = budgeted_call(lambda: 42, 5)
+        assert (result, error) == (42, None) and seconds >= 0
+
+        def fails():
+            raise ValueError("bad query")
+
+        assert budgeted_call(fails, None) == (None, "ValueError: bad query", None)
 
 
 class TestReport:
@@ -452,4 +461,28 @@ def test_value_semantics_live_in_one_module():
             elif isinstance(node, ast.Name) and node.id == "round":
                 if name == "sparql/functions.py":
                     offences.append(f"{name}:{node.lineno}: uses round")
+    assert offences == []
+
+
+def test_one_native_entry_point():
+    """The native engine is built in one place: no module of ``src/repro``
+    but ``engine.py`` calls ``SparqlEvaluator(``, so a baseline holds an
+    :class:`~repro.engine.Engine` instead of a fresh evaluator per query;
+    no module but ``harness/timing.py`` calls ``call_with_timeout``, the
+    compliance runner and the experiment drivers run a query through
+    ``budgeted_call``; and the retired engine classes do not come back."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    callers = {"SparqlEvaluator": "engine.py", "call_with_timeout": "harness/timing.py"}
+    offences = []
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in callers and callers[called] != name:
+                    offences.append(f"{name}:{node.lineno}: calls {called}")
+            elif isinstance(node, ast.ClassDef) and node.name in (
+                "SparqlEngine", "NativeSparqlEngine"
+            ):
+                offences.append(f"{name}:{node.lineno}: class {node.name}")
     assert offences == []

@@ -108,6 +108,18 @@ Project [?m, ?n, ?x, ?y]
         (probe,) = _hash_probes(evaluator.last_physical_plan)
         assert (probe.probe, probe.build) == (Variable("n"), Variable("m"))
 
+    def test_explain_analyze_prices_a_probe_per_outer_row(self):
+        # 11 label triples over 11 distinct values: one expected per probe.
+        # Found: 19 pairs for 11 outer rows ("1" = "1.0" = "01", "a" = "a"^^xsd:string).
+        report = create_engine(EncodedGraph(_people_triples())).explain_analyze(_IMPLICIT_JOIN)
+        (line,) = [line for line in report.text.splitlines() if "HashProbe" in line]
+        assert "on (?n = ?m) build_est=11 | time=" in line
+        assert line.endswith(" rows=19 probes=11 actual=1.72727/probe err=0.58x")
+        (entry,) = [entry for entry in report.plan.analysis() if entry["operator"] == "HashProbe"]
+        assert entry["estimate"] == 1.0
+        assert (entry["rows"], entry["probes"]) == (19, 11)
+        assert entry["flagged"] is False
+
     def test_remaining_conjuncts_of_the_slot_stay_a_filter(self):
         evaluator = SparqlEvaluator(Dataset.from_graph(EncodedGraph(_people_triples())))
         rendered = evaluator.explain(

@@ -7,7 +7,6 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.native import NativeSparqlEngine
 from repro.compliance.compare import results_equal
 from repro.core.engine import SparqLogEngine
 from repro.datalog.engine import DatalogEngine
@@ -27,6 +26,7 @@ from repro.datalog.stratify import (
     stratify,
 )
 from repro.datalog.terms import Const, Var
+from repro.engine import create_engine
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
 from repro.rdf.terms import IRI, Literal, Triple, Variable
@@ -373,7 +373,7 @@ class TestTranslationDifferentialProperties:
     @settings(max_examples=40, deadline=None)
     def test_sparqlog_matches_reference_on_random_graphs(self, edges, query_text):
         dataset = Dataset.from_graph(EncodedGraph(graph_from_edges(edges)))
-        native = NativeSparqlEngine(dataset).query(query_text)
+        native = create_engine(dataset).query(query_text)
         translated = SparqLogEngine(dataset, timeout_seconds=30).query(query_text)
         assert results_equal(native, translated)
 
