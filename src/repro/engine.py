@@ -67,7 +67,7 @@ class Engine:
     # -- introspection -------------------------------------------------
     @property
     def graph(self):
-        """The dataset's default graph (what views watch by default)."""
+        """The dataset's default graph (what views watch)."""
         return self.dataset.default_graph
 
     @property
@@ -129,21 +129,18 @@ class Engine:
         return self.evaluator.metrics()
 
     # -- live views ----------------------------------------------------
-    def materialize(
-        self, query: Union[str, Query], graph=None
-    ) -> MaterializedView:
+    def materialize(self, query: Union[str, Query]) -> MaterializedView:
         """Materialize a SELECT query as a continuously-maintained view.
 
-        The view stays consistent with every mutation of the watched
-        graph (``graph`` defaults to the engine's default graph) —
-        differentiated plans update in O(|change|), other shapes fall
-        back to scoped re-evaluation.  See :mod:`repro.ivm.views`.
+        The view stays consistent with every mutation of the engine's
+        default graph — differentiated plans update in O(|change|), other
+        shapes fall back to scoped re-evaluation.  See :mod:`repro.ivm.views`.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
         if isinstance(query, str):
             query = self._prepare(query).query
-        return self.views.materialize(query, graph=graph)
+        return self.views.materialize(query)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

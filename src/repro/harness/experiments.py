@@ -350,7 +350,7 @@ def table7_8_gmark_summary(series: PerformanceSeries) -> str:
                 engine_name,
                 series.completed(engine_name),
                 series.failures(engine_name),
-                round(series.total_time(engine_name), 2),
+                series.total_time(engine_name),
             ]
         )
     return format_table(headers, rows, title=f"Summary — {series.workload}")

@@ -29,10 +29,8 @@ from repro.ivm.zset import (
     ZSet,
     zset_add,
     zset_diff,
-    zset_expand,
     zset_from_rows,
     zset_merge,
-    zset_rows,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "ZSet",
     "zset_add",
     "zset_diff",
-    "zset_expand",
     "zset_from_rows",
     "zset_merge",
-    "zset_rows",
 ]

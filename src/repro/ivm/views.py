@@ -1,10 +1,11 @@
 """Materialized views with live change subscriptions.
 
 :class:`ViewRegistry` turns SELECT queries into continuously-maintained
-:class:`MaterializedView` objects.  The registry installs one
-change-capture listener per watched graph (the hook added to
-``Graph.add/remove`` and ``EncodedGraph``'s insert/remove paths) and
-routes every ±1-weighted triple batch to the views over that graph:
+:class:`MaterializedView` objects over the engine's default graph.  The
+registry installs one change-capture listener on that graph while a view
+is open (the hook added to ``Graph.add/remove`` and ``EncodedGraph``'s
+insert/remove paths) and routes every ±1-weighted triple batch to the
+views:
 
 * **Delta maintenance** — queries whose evaluation tree is one pipeline
   of triple patterns (an all-triple BGP plus FILTER, see
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.rdf.graph import Dataset
 from repro.rdf.terms import IRI, Term, Variable, term_sort_key
 from repro.sparql.algebra import (
     GraphGraphPattern,
@@ -98,7 +98,7 @@ def _row_sort_key(row: Row):
 
 
 class MaterializedView:
-    """A continuously-maintained query result over one graph.
+    """A continuously-maintained query result over the engine's default graph.
 
     Views are created through :meth:`ViewRegistry.materialize` (or the
     engine facade's ``materialize``).  :meth:`rows` reads the current
@@ -252,8 +252,7 @@ class MaterializedView:
             self._commit(delta)
 
     def _evaluate_state(self) -> ZSet:
-        evaluator = self._registry._state_evaluator(self.graph)
-        result = evaluator.evaluate(self._state_query)
+        result = self._registry.evaluator.evaluate(self._state_query)
         assert isinstance(result, SolutionSequence)
         return zset_from_rows(tuple(row) for row in result.rows())
 
@@ -357,9 +356,9 @@ def _relevant_predicates(pattern: GraphPatternNode) -> Optional[Set[IRI]]:
 class ViewRegistry:
     """Creates materialized views and feeds them from change capture.
 
-    One listener is installed per watched graph (on first view) and
-    removed when the graph's last view closes, so an idle engine leaves
-    no trace on its graphs.  All IVM metrics live on the evaluator's
+    One listener is installed on the default graph with the first view and
+    removed when the last view closes, so an idle engine leaves no trace
+    on its graph.  All IVM metrics live on the evaluator's
     metrics registry: ``ivm_delta_batches_total``, ``ivm_delta_rows_total``,
     ``ivm_view_refreshes_total``, ``ivm_skipped_batches_total``,
     ``ivm_view_sort_keys_total`` and the ``ivm_views_active`` gauge.
@@ -369,10 +368,8 @@ class ViewRegistry:
         self.evaluator = evaluator
         self.tracer = tracer if tracer is not None else evaluator.tracer
         self._views: List[MaterializedView] = []
-        #: id(graph) -> (graph, installed listener) for active listeners.
-        self._listeners: Dict[int, Tuple[object, Callable]] = {}
-        #: id(graph) -> evaluator for views watching a non-default graph.
-        self._graph_evaluators: Dict[int, object] = {}
+        #: The graph :meth:`_dispatch` listens to while a view is open.
+        self._watched = None
         registry = evaluator.metrics_registry
         self._batches = registry.counter(
             "ivm_delta_batches_total", "Change-capture batches routed to views"
@@ -405,16 +402,15 @@ class ViewRegistry:
         )
 
     # -- view creation ---------------------------------------------------
-    def materialize(
-        self, query: Union[str, Query], graph=None
-    ) -> MaterializedView:
-        """Create a continuously-maintained view of a SELECT query.
+    def materialize(self, query: Union[str, Query]) -> MaterializedView:
+        """Create a continuously-maintained view of a SELECT query over the
+        evaluator's default graph.
 
-        ``graph`` defaults to the evaluator's default graph and must
-        support change capture (both stores do); under the planner it must
-        be the encoded store, or no view is made (``TypeError``).  Queries
-        with FROM clauses or GRAPH patterns are rejected — change capture
-        is per-graph, and those shapes read beyond the watched graph.
+        The graph must support change capture (both stores do); under the
+        planner it must be the encoded store, or no view is made
+        (``TypeError``).  Queries with FROM clauses or GRAPH patterns are
+        rejected — change capture is per-graph, and those shapes read
+        beyond the watched graph.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -429,8 +425,7 @@ class ViewRegistry:
             isinstance(node, GraphGraphPattern) for node in walk(query.pattern)
         ):
             raise ValueError("queries with GRAPH patterns cannot be materialized")
-        if graph is None:
-            graph = self.evaluator.dataset.default_graph
+        graph = self.evaluator.dataset.default_graph
         if not hasattr(graph, "add_change_listener"):
             raise TypeError(
                 f"{type(graph).__name__} does not support change capture"
@@ -490,54 +485,23 @@ class ViewRegistry:
             prepared = self.evaluator.prepare(replace(query, distinct=False, reduced=False))
         return pipeline, None, prepared, distinct
 
-    def _state_evaluator(self, graph):
-        """The evaluator that re-evaluates views watching ``graph``.
-
-        Views on the default graph share the registry's evaluator (and
-        its plan cache); a view over any other graph gets a dedicated
-        evaluator with the same profile and tracer, so its state is
-        always computed against the graph it actually watches.
-        """
-        if graph is self.evaluator.dataset.default_graph:
-            return self.evaluator
-        key = id(graph)
-        cached = self._graph_evaluators.get(key)
-        if cached is None or cached.dataset.default_graph is not graph:
-            cached = type(self.evaluator)(
-                Dataset.from_graph(graph),
-                profile=self.evaluator.profile,
-                tracer=self.evaluator.tracer,
-            )
-            self._graph_evaluators[key] = cached
-        return cached
-
     # -- change capture --------------------------------------------------
     def _attach(self, graph) -> None:
-        key = id(graph)
-        if key in self._listeners:
-            return
-
-        def listener(batch: DeltaBatch) -> None:
-            self._dispatch(graph, batch)
-
-        graph.add_change_listener(listener)
-        self._listeners[key] = (graph, listener)
+        if self._watched is None:
+            graph.add_change_listener(self._dispatch)
+            self._watched = graph
 
     def _detach(self, view: MaterializedView) -> None:
         if view in self._views:
             self._views.remove(view)
-        key = id(view.graph)
-        if key in self._listeners and not any(
-            other.graph is view.graph for other in self._views
-        ):
-            graph, listener = self._listeners.pop(key)
-            graph.remove_change_listener(listener)
-            self._graph_evaluators.pop(key, None)
+        if not self._views and self._watched is not None:
+            self._watched.remove_change_listener(self._dispatch)
+            self._watched = None
 
-    def _dispatch(self, graph, batch: DeltaBatch) -> None:
+    def _dispatch(self, batch: DeltaBatch) -> None:
         self._batches.inc()
         tracer = self.tracer
-        views = [view for view in self._views if view.graph is graph]
+        views = list(self._views)
         calls = [view._apply_batch for view in views]
         if tracer is not None and tracer.enabled:
             with tracer.span(

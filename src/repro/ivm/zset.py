@@ -10,7 +10,7 @@ checks and equality stay structural.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, TypeVar
+from typing import Dict, Hashable, Iterable, TypeVar
 
 Element = TypeVar("Element", bound=Hashable)
 
@@ -54,17 +54,3 @@ def zset_diff(new: ZSet, old: ZSet) -> ZSet:
         if element not in new:
             delta[element] = -weight
     return delta
-
-
-def zset_expand(zset: ZSet) -> Iterator[Element]:
-    """Yield each element ``weight`` times (weights must be positive)."""
-    for element, weight in zset.items():
-        for _ in range(weight):
-            yield element
-
-
-def zset_rows(zset: ZSet, distinct: bool = False) -> List[Element]:
-    """Materialise the bag (or its support, with ``distinct=True``)."""
-    if distinct:
-        return list(zset)
-    return list(zset_expand(zset))

@@ -41,7 +41,15 @@ variables only.  Plans and their compiled steps
 outlive store versions while the statistics they were planned on hold
 (:mod:`repro.sparql.plancache`), so a write no longer makes that plan
 cost a re-plan.  A lone *path* root already emits tuples
-(``IdPathEngine.rows``) without a plan.  A bare pattern *nested* under
+(``IdPathEngine.rows``) without a plan, and stays off the pipeline for
+the cost per row: a one-step plan writes each end pair into registers and
+hands it through a step frame to the result boundary, where
+``IdPathEngine.rows`` decodes the pair set in one loop.  Routed through a
+singleton ``Pipeline``, ``bench/run.py --workload gmark_native`` (49 of
+its 50 queries are bare root paths) kept its median query time and went
+from 3 142-3 409 to 1 732-1 783 ``ops_per_s`` and from 0.82-0.91 to
+1.75-1.96 ``op_p90_ms`` (three alternating 5 s pairs on a 2-core Xeon).
+A bare pattern *nested* under
 UNION / OPTIONAL / MINUS stays a direct index probe: an engine that
 evaluates many texts once each would pay a cold plan for every such
 promotion (ROADMAP item 2).

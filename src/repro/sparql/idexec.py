@@ -1,9 +1,8 @@
 """The one executor: a physical plan compiled once over the encoded store, and run.
 
 The physical layer hands every plan to :func:`run`, which compiles it —
-once per plan and per domain of the initial binding, kept with the plan
-across store versions for as long as the graph's term dictionary is the
-one it was compiled against — into a chain
+once per plan, kept with the plan across store versions for as long as
+the graph's term dictionary is the one it was compiled against — into a chain
 of step closures over one per-execution *register file*
 (:mod:`repro.sparql.kernels`).  A register holds a term's integer id on
 the dictionary-encoded store (:mod:`repro.store.encoded`); terms exist
@@ -105,7 +104,6 @@ from repro.sparql.kernels import (
 )
 from repro.sparql.operators import Factor, Filter, HashProbe, IndexNestedLoopJoin, Scan
 from repro.sparql.paths import matches_zero_length, normalize_path
-from repro.sparql.solutions import Binding
 from repro.store.dictionary import TermDictionary
 
 
@@ -187,7 +185,7 @@ _ENTRY_PROBES = {
 # ----------------------------------------------------------------------
 @dataclass(slots=True, eq=False)
 class CompiledPipeline:
-    """One plan compiled for one domain of the initial binding.
+    """One plan compiled over one term dictionary.
 
     Valid for every version of every graph over ``dictionary``: ids are
     resolved through it, and it only grows."""
@@ -200,8 +198,6 @@ class CompiledPipeline:
     #: id for when last looked at: their registers hold ``UNRESOLVED``,
     #: and while one is left an execution has no rows.
     unresolved: List[Tuple[int, Term]] = field(default_factory=list)
-    #: ``(variable, register)`` of the initial binding's domain.
-    initial: Tuple[Tuple[Variable, int], ...] = ()
     #: ``(operator stats, rows register, probes register)`` to publish.
     counters: List[Tuple[object, int, int]] = field(default_factory=list)
     #: ``(operator stats, attribute, register)`` of the other counts to
@@ -215,23 +211,21 @@ class CompiledPipeline:
 def run(
     plan,
     graph,
-    initial: Binding,
     timed_iter: Optional[Callable],
     term_fallbacks,
 ) -> Iterable[tuple]:
     """Execute ``plan`` on the encoded store ``graph``, streaming rows:
-    tuples of terms aligned with :func:`row_header` of ``plan`` and ``initial``.
+    tuples of terms aligned with :func:`row_header` of ``plan``.
 
     ``timed_iter`` is the physical layer's self-time wrapper under
     ``execute_rows(timed=True)``; ``term_fallbacks`` an optional counter
     (``inc(n)``) of conjunct evaluations that ran on decoded terms.
     """
     dictionary = graph.dictionary
-    domain = tuple(initial)
-    form = (domain, plan.root.distinct)
+    form = plan.root.distinct
     compiled = plan._compiled.get(form)
     if compiled is None or compiled.dictionary is not dictionary:
-        compiled = plan._compiled[form] = _compile(plan, graph, set(domain))
+        compiled = plan._compiled[form] = _compile(plan, graph)
     if compiled.unresolved:
         # A constant interned since fills its register for good; one still
         # unknown is in no triple, so this execution has no rows.
@@ -248,10 +242,6 @@ def run(
     registers[PREDICATES] = graph.predicate_entry_ids
     registers[TIMED] = timed_iter
     registers[GRAPH] = graph
-    # encode (not id_for): an initial term outside the graph gets a fresh
-    # id that simply never matches a probe.
-    for variable, register in compiled.initial:
-        registers[register] = dictionary.encode(initial[variable])
     for register, container in compiled.fresh:
         registers[register] = container()
     return _stream(compiled, registers, term_fallbacks)
@@ -274,8 +264,8 @@ def _stream(compiled: CompiledPipeline, registers: Registers, term_fallbacks) ->
             term_fallbacks.inc(registers[FALLBACKS])
 
 
-def _compile(plan, graph, domain: Set[Variable]):
-    """Compile ``plan`` for executions whose initial binding has ``domain``."""
+def _compile(plan, graph):
+    """Compile ``plan`` over ``graph``'s term dictionary."""
     dictionary = graph.dictionary
     compiled = CompiledPipeline(dictionary)
     template = compiled.template
@@ -300,10 +290,6 @@ def _compile(plan, graph, domain: Set[Variable]):
     zero = allocate(0)
     register_of: Dict[Variable, int] = {}
     bound: Set[Variable] = set()
-    for variable in sorted(domain, key=lambda v: v.name):
-        register_of[variable] = allocate()
-        bound.add(variable)
-    compiled.initial = tuple(register_of.items())
 
     root = plan.root
     join = root.child
@@ -457,7 +443,7 @@ def _compile(plan, graph, domain: Set[Variable]):
         emitted = allocate()
         compiled.fresh.append((emitted, set))
     step: Step = emit_step(
-        tuple(register_of[variable] for variable in row_header(plan, domain)),
+        tuple(register_of[variable] for variable in row_header(plan)),
         dictionary.term,
         emitted,
     )
@@ -473,10 +459,10 @@ def _compile(plan, graph, domain: Set[Variable]):
 _NO_COLUMNS = ((),)
 
 
-def row_header(plan, domain: Iterable[Variable] = ()) -> Tuple[Variable, ...]:
+def row_header(plan) -> Tuple[Variable, ...]:
     """The variables of each row :func:`run` emits, in tuple order: the
-    plan's ``Project`` variables and the initial binding's ``domain``, by name."""
-    return tuple(sorted(set(plan.root.variables).union(domain), key=lambda v: v.name))
+    plan's ``Project`` variables, by name."""
+    return plan.root.variables
 
 
 def emit_step(

@@ -283,8 +283,8 @@ def _same_term_test(
     if constant is not None:
         return lambda registers: (registers[first] == constant) == same
     # Not interned now, but a compiled form outlives that (it is kept
-    # across writes, and a zero-length path endpoint or an initial binding
-    # interns without one): compare structures, which holds either way.
+    # across writes, and a zero-length path endpoint interns without
+    # one): compare structures, which holds either way.
     structure = term_structure(right.term)
     structural_key = dictionary.structural_key
     return lambda registers: (structural_key(registers[first]) == structure) == same

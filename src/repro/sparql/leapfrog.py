@@ -162,7 +162,8 @@ def compile_levels(
     The arguments are the step compiler's own state
     (:func:`repro.sparql.idexec._compile`), used and extended as every
     other input does: a pattern constant's register may be filled only
-    at run start.
+    at run start.  The inputs compiled before the levels are the patterns
+    without variables, so no level variable is bound on entry.
 
     Every level's candidate runs are *exact* projections of the
     participating patterns onto the level variable (given the bindings
@@ -170,15 +171,12 @@ def compile_levels(
     multiset-identical to the binary pipeline on pure-triple BGPs, where
     every pattern admits multiplicity one per assignment.  Which run a
     pattern contributes (:data:`_RUNS`) is fixed here: its other end is
-    known when it is a constant or a variable of the initial binding or
-    of an earlier level.
+    known when it is a constant or the variable of an earlier level.
     """
     var_order = join.var_order
-    prebound = bound & set(var_order)
     level_of = {variable: level for level, variable in enumerate(var_order)}
     for variable in var_order:
-        if variable not in register_of:
-            register_of[variable] = allocate()
+        register_of[variable] = allocate()
     #: Per level, its runs: (accessor, argument registers, the scan's rows
     #: and probes registers, its stats).
     runs: List[List[Tuple]] = [[] for _ in var_order]
@@ -196,7 +194,7 @@ def compile_levels(
         for position, other in ((0, 2), (2, 0)):
             if isinstance(triple[position], Variable):
                 level, end = level_of[triple[position]], triple[other]
-                known = not isinstance(end, Variable) or end in prebound or level_of[end] < level
+                known = not isinstance(end, Variable) or level_of[end] < level
                 fetch, keys = _RUNS[position, known]
                 arguments = tuple(reads[key] for key in keys)
                 runs[level].append((fetch, arguments, rows, probes, scan.stats))
@@ -204,7 +202,7 @@ def compile_levels(
         bound.add(variable)
         makers.append(
             partial(
-                _member_level if variable in prebound else _level_step,
+                _level_step,
                 target=register_of[variable],
                 runs=tuple(level_runs),
                 test=compile_conditions(slot, dictionary, register_of, bound),
@@ -253,25 +251,6 @@ def _level_step(
             registers[target] = value
             if test is None or test(registers):
                 yield from next_step(registers)
-
-    return step
-
-
-def _member_level(
-    next_step: Step, target: int, runs: Sequence[Tuple], test: Optional[Test], stats
-) -> Step:
-    """The level of a variable the initial binding holds: a membership
-    probe into every run, and no frame — a hit *returns* the rows below."""
-
-    def step(registers: Registers) -> Iterable:
-        value = registers[target]
-        for array in _candidate_runs(registers, runs):
-            position = bisect_left(array, value)
-            if position == len(array) or array[position] != value:
-                return ()
-        if test is not None and not test(registers):
-            return ()
-        return next_step(registers)
 
     return step
 

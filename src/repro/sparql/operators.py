@@ -296,9 +296,9 @@ class PhysicalPlan:
     _operator_cache: Optional[List[PhysicalOperator]] = field(
         default=None, repr=False
     )
-    #: Compiled pipelines by (domain of the initial binding, ``root.distinct``)
+    #: Compiled pipelines by ``root.distinct``
     #: (:func:`repro.sparql.idexec.run` fills and validates it).
-    _compiled: Dict[Tuple[Tuple[Variable, ...], bool], object] = field(
+    _compiled: Dict[bool, object] = field(
         default_factory=dict, repr=False
     )
 

@@ -49,7 +49,6 @@ from repro.sparql.operators import (
     Scan,
 )
 from repro.sparql.plan import BGPPlan, attach_filters, plan_bgp
-from repro.sparql.solutions import Binding, EMPTY_BINDING
 from repro.store.encoded import require_encoded
 
 
@@ -331,16 +330,12 @@ def _timed_iter(iterator: Iterator, stats: OperatorStats) -> Iterator:
 def execute_rows(
     plan: PhysicalPlan,
     graph,
-    initial: Binding = EMPTY_BINDING,
     timed: bool = False,
     term_fallbacks=None,
 ) -> Iterator[tuple]:
     """Execute a physical plan, streaming rows: tuples of terms aligned with
-    :func:`repro.sparql.idexec.row_header` (the ``Project`` variables, with
-    ``initial``'s domain, by name).
+    :func:`repro.sparql.idexec.row_header` (the ``Project`` variables, by name).
 
-    ``initial`` pre-binds variables: every solution extends it, and a
-    pre-bound term the graph has never seen simply matches nothing.
     ``term_fallbacks`` is an optional counter (``inc(n)``) of FILTER
     conjunct evaluations the plan had to run on decoded terms.
 
@@ -355,7 +350,7 @@ def execute_rows(
     — ``explain_analyze`` turns it on, normal evaluation leaves it off).
     """
     plan.reset_stats()
-    stream = idexec.run(plan, graph, initial, _timed_iter if timed else None, term_fallbacks)
+    stream = idexec.run(plan, graph, _timed_iter if timed else None, term_fallbacks)
     if timed:
         return _timed_iter(stream, plan.root.stats)
     return stream

@@ -63,8 +63,8 @@ from repro.sparql.paths import (
 from repro.store.encoded import require_encoded
 
 #: Per-step FILTER attachment produced by :func:`attach_filters`: slot 0
-#: holds conditions checked against the initial binding, slot ``i + 1``
-#: those checked right after plan step ``i`` extends a row.
+#: holds conditions without variables, checked once before any step, and
+#: slot ``i + 1`` those checked right after plan step ``i`` extends a row.
 StepFilters = Tuple[Tuple[Expression, ...], ...]
 
 #: Cost multiplier for closure path operators (``+``, ``*``, ``?``): they

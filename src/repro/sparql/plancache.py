@@ -15,6 +15,9 @@ from typing import Callable, Dict, Hashable, Tuple
 
 from repro.obs.metrics import Counter, MetricsRegistry
 
+#: How many lowered plans an evaluator keeps.
+LOWERED_PLANS = 256
+
 
 class BoundedMap:
     """``key -> build(key)``, built on first request, at most ``size`` entries.
@@ -96,7 +99,7 @@ class PlanCache:
       otherwise crowd out plans for live graphs until the bound pushed
       them out.  The walk reads values of a plain ``dict``, so it hashes
       no key.
-    * **Bound** — beyond ``size`` slots the oldest *inserted* slot is
+    * **Bound** — beyond ``size`` (:data:`LOWERED_PLANS`) slots the oldest *inserted* slot is
       evicted.  Deliberately not LRU: recency upkeep on a hit would
       re-hash the whole key (pattern tuples, FILTER expressions) on the
       hot path, and the cache exists to amortise repeated queries, not to
@@ -114,11 +117,10 @@ class PlanCache:
         revalidations: Counter,
         misses: Counter,
         evictions: Counter,
-        size: int = 256,
     ) -> None:
         self.build = build
         self.holds = holds
-        self.size = size
+        self.size = LOWERED_PLANS
         self._hits = hits
         self._revalidations = revalidations
         self._misses = misses

@@ -144,9 +144,6 @@ class _Reader:
         self.offset = end
         return chunk
 
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
 

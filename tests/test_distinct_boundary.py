@@ -13,7 +13,7 @@ before a term is decoded; the evaluator's modifier tail then skips
   those of the same plan decoding first and dropping afterwards (the flag
   withheld from the lowering pass), for DISTINCT / REDUCED x ORDER BY / LIMIT / OFFSET /
   ``SELECT *`` / ``AS`` / an unbound projected variable / HAVING / GROUP BY
-  / a leapfrog plan / OPTIONAL / ``initial=``;
+  / a leapfrog plan / OPTIONAL / constants in the patterns;
 * one query text with and without DISTINCT is two lowered plans.
 """
 
@@ -210,26 +210,34 @@ def test_optional_keeps_its_sides_undropped():
 
 
 @pytest.mark.parametrize("join", ["binary", "leapfrog"])
-def test_a_distinct_plan_under_initial_bindings(join):
+def test_a_distinct_plan_under_constants(join):
     graph = EncodedGraph(_triples())
     a, b, c, x, k, n, y = (Variable(name) for name in "abcxkny")
     if join == "leapfrog":
-        patterns = [(a, EX.link, b), (b, EX.link, c), (c, EX.link, a)]
-        project, initials = (a,), [Binding(), Binding({a: EX.s0}), Binding({b: EX.s1, c: EX.s2})]
+        cycle = [(a, EX.link, b), (b, EX.link, c), (c, EX.link, a)]
+        project = (a,)
+        # A constant end keeps the join graph cyclic; the last is unconstrained.
+        bgps = [
+            cycle + [(a, EX.kind, EX.A)],
+            cycle + [(b, EX.kind, EX.B), (c, EX.kind, EX.B)],
+            cycle,
+        ]
     else:
-        patterns = [(x, EX.kind, k), (x, EX.name, n), (x, EX.link, y)]
+        star = [(x, EX.kind, k), (x, EX.name, n), (x, EX.link, y)]
         project = (k, n)
-        initials = [Binding({y: EX.s2}), Binding({k: EX.A, y: EX.s3}), Binding({x: EX.gone})]
-        initials.append(Binding())
-    nodes = [TriplePatternNode(Triple(*parts)) for parts in patterns]
-    dropping = physical.lower_bgp(graph, nodes, project=project, distinct=project)
-    keeping = physical.lower_bgp(graph, nodes, project=project)
-    assert dropping.root.distinct and not keeping.root.distinct
-    assert isinstance(dropping.root.child, operators.LeapfrogJoin) is (join == "leapfrog")
-    for initial in initials:
-        assert row_header(dropping, initial) == row_header(keeping, initial)
-        kept = list(physical.execute_rows(keeping, graph, initial=initial))
-        dropped = list(physical.execute_rows(dropping, graph, initial=initial))
+        bgps = [
+            [tuple(constants.get(part, part) for part in parts) for parts in star]
+            for constants in ({y: EX.s2}, {x: EX.s1}, {x: EX.gone}, {})
+        ]
+    for patterns in bgps:
+        nodes = [TriplePatternNode(Triple(*parts)) for parts in patterns]
+        dropping = physical.lower_bgp(graph, nodes, project=project, distinct=project)
+        keeping = physical.lower_bgp(graph, nodes, project=project)
+        assert dropping.root.distinct and not keeping.root.distinct
+        assert isinstance(dropping.root.child, operators.LeapfrogJoin) is (join == "leapfrog")
+        assert row_header(dropping) == row_header(keeping)
+        kept = list(physical.execute_rows(keeping, graph))
+        dropped = list(physical.execute_rows(dropping, graph))
         assert dropped == distinct_rows(kept)
         assert dropping.root.stats.rows == len(dropped)
         assert dropping.root.child.stats.rows == keeping.root.child.stats.rows == len(kept)

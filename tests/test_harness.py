@@ -62,6 +62,22 @@ class TestReport:
         assert "stats" in text
         assert "triples" in text
 
+    def test_gmark_summary_prints_totals_below_a_hundredth_of_a_second(self):
+        series = experiments.PerformanceSeries(
+            "gMark",
+            ["q1", "q2"],
+            {"SparqLog": [0.01, 0.0101], "Native": [0.0042, None], "VirtuosoLike": [0.001, 0.002]},
+        )
+        text = experiments.table7_8_gmark_summary(series)
+        cells = {
+            line.split("|")[1].strip(): [cell.strip() for cell in line.split("|")[2:-1]]
+            for line in text.splitlines()
+            if line.startswith("|")
+        }
+        assert cells["SparqLog"] == ["2", "0", "0.0201"]
+        assert cells["Native"] == ["1", "1", "0.0042"]
+        assert cells["VirtuosoLike"] == ["2", "0", "0.0030"]
+
 
 class TestExperimentDrivers:
     CONFIG = experiments.ExperimentConfig(scale=0.04, query_limit=4, timeout_seconds=5)
@@ -486,3 +502,69 @@ def test_one_native_entry_point():
             ):
                 offences.append(f"{name}:{node.lineno}: class {node.name}")
     assert offences == []
+
+
+def test_the_native_engine_keeps_only_the_entries_its_callers_use():
+    """No caller passes an initial binding to the executor or a second graph
+    to the live views, so neither entry exists: ``execute_rows``,
+    ``idexec.run`` and ``row_header`` take no ``initial`` / ``domain``, the
+    ``materialize`` methods no ``graph``, and the leapfrog membership level
+    and the per-graph view evaluator are gone."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    removed = {
+        "sparql/physical.py": {"execute_rows": {"initial", "domain"}},
+        "sparql/idexec.py": {
+            "run": {"initial", "domain"},
+            "_compile": {"initial", "domain"},
+            "row_header": {"initial", "domain"},
+        },
+        "engine.py": {"materialize": {"graph"}},
+        "ivm/views.py": {"materialize": {"graph"}},
+    }
+    gone = {"sparql/leapfrog.py": "_member_level", "ivm/views.py": "_state_evaluator"}
+    offences = []
+    for name in sorted(set(removed) | set(gone)):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == gone.get(name):
+                offences.append(f"{name}:{node.lineno}: defines {node.name}")
+            if isinstance(node, ast.FunctionDef) and node.name in removed.get(name, {}):
+                arguments = node.args.args + node.args.kwonlyargs
+                for argument in arguments:
+                    if argument.arg in removed[name][node.name]:
+                        offences.append(f"{name}:{node.lineno}: {node.name}({argument.arg}=)")
+    assert offences == []
+
+
+def test_every_definition_under_src_is_named_somewhere():
+    """Every function, method and class of ``src/repro`` is named outside its
+    own definition somewhere in ``src/``, ``tests/``, ``bench/``,
+    ``benchmarks/`` or ``examples/``: as a name, an attribute, an imported
+    name or a string that is exactly the name (``getattr`` and
+    ``monkeypatch.setattr`` targets).  A package ``__init__``'s imports and
+    ``__all__`` are re-exports and do not count.  Dunder methods are the
+    language's to call."""
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "repro"
+    named = set()
+    for tree in ("src", "tests", "bench", "benchmarks", "examples"):
+        for path in (root / tree).rglob("*.py"):
+            reexports = path.name == "__init__.py" and package in path.parents
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif reexports:
+                    continue
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    named.add(node.value)
+    unnamed = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in named:
+                    unnamed.append(f"{path.relative_to(package)}:{node.lineno}: {node.name}")
+    assert unnamed == []

@@ -36,7 +36,6 @@ from repro.sparql.expressions import Comparison, VariableExpr, compile_condition
 from repro.sparql.idexec import row_header
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -226,38 +225,29 @@ class TestDifferential:
         for other in results[1:]:
             assert other == results[0]
 
-    def test_initial_binding_on_either_side_of_the_probe(self):
+    def test_a_constant_on_either_side_of_the_probe(self):
         graph = EncodedGraph(_people_triples())
         x, n, y, m = (Variable(name) for name in "xnym")
         condition = Comparison("=", VariableExpr(n), VariableExpr(m))
-        patterns = [
-            TriplePatternNode(Triple(x, EX.name, n)),
-            TriplePatternNode(Triple(y, EX.label, m)),
-        ]
-        plan = physical.lower_bgp(graph, patterns, (condition,))
-        assert _hash_probes(plan)
-        cross_product = physical.lower_bgp(graph, patterns)
-        header = row_header(plan)
-        test = compile_condition(condition, positional(header))
-
-        def filtered(initial=Binding()):
-            assert row_header(cross_product, initial) == row_header(plan, initial) == header
-            rows = physical.execute_rows(cross_product, graph, initial=initial)
-            return Counter(row for row in rows if test(row))
-
-        everything = Counter(physical.execute_rows(plan, graph))
-        assert everything == filtered()
-        for initial in (
-            Binding({x: EX.a0}),  # restricts the outer side
-            Binding({y: EX.b0}),  # restricts the build pattern
-            Binding({m: Literal("1.0", XSD_DECIMAL)}),  # pre-binds the build key
-            Binding({n: Literal("1", XSD_INTEGER), m: Literal("01", XSD_INTEGER)}),
+        for outer, build in (
+            (x, y),
+            (EX.a0, y),  # restricts the outer side
+            (x, EX.b0),  # restricts the build pattern
         ):
-            expected = filtered(initial)
-            assert Counter(physical.execute_rows(plan, graph, initial=initial)) == expected
+            patterns = [
+                TriplePatternNode(Triple(outer, EX.name, n)),
+                TriplePatternNode(Triple(build, EX.label, m)),
+            ]
+            plan = physical.lower_bgp(graph, patterns, (condition,))
+            assert _hash_probes(plan)
+            cross_product = physical.lower_bgp(graph, patterns)
+            header = row_header(plan)
+            assert row_header(cross_product) == header
+            test = compile_condition(condition, positional(header))
+            rows = physical.execute_rows(cross_product, graph)
+            expected = Counter(row for row in rows if test(row))
+            assert Counter(physical.execute_rows(plan, graph)) == expected
             assert sum(expected.values()) > 0
-        # The variants were compiled per domain and the unrestricted one survives.
-        assert Counter(physical.execute_rows(plan, graph)) == everything
 
 
 # ----------------------------------------------------------------------

@@ -26,13 +26,14 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import Triple, Variable
 from repro.sparql.algebra import BGP, PathPattern, ProjectionItem, SelectQuery, TriplePatternNode
-from repro.sparql import physical
+from repro.sparql import idexec, physical
 from repro.sparql.alp import eval_path_pattern_terms
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.idpaths import IdPathEngine
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding
+from repro.sparql.plan import BGPPlan, PlanStep, leaf_statistics
+from repro.sparql.solutions import Binding, realign_rows
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -469,16 +470,17 @@ def test_differential_engine_vs_term_alp(edges, path):
 
 
 def _assert_path_step_agrees(outer, step, triples):
-    """``outer . step`` with the path step of a pipeline run once per outer
-    row, the shared endpoint ``?m`` bound (``initial=``), against ``NAIVE``
-    on the whole BGP.  Rows are aligned by variable name on both sides."""
+    """``outer . step`` lowered with the path step second, so it runs once per
+    outer row with the shared endpoint ``?m`` bound, against ``NAIVE`` on
+    the same BGP.  Rows are aligned by variable name on both sides."""
     graph = EncodedGraph(triples)
-    plan = physical.lower_bgp(graph, [step])
-    naive = _evaluators(triples)[1]
-    rows = Counter()
-    for binding in naive.evaluate(_select([outer])).bindings:
-        rows.update(physical.execute_rows(plan, graph, initial=binding))
-    assert rows == Counter(naive.evaluate(_select([outer, step])).rows())
+    nodes = (outer, step)
+    ordered = tuple(PlanStep(node, 1.0, index) for index, node in enumerate(nodes))
+    plan = physical.lower_plan(BGPPlan(ordered, leaf_statistics(graph, nodes)), graph)
+    assert [line.split()[1] for line in plan.explain().splitlines()[2:]] == ["Scan", "PathExpand"]
+    rows = Counter(physical.execute_rows(plan, graph))
+    answer = _evaluators(triples)[1].evaluate(_select(nodes))
+    assert rows == Counter(realign_rows(answer.rows(), answer.variables, idexec.row_header(plan)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -335,16 +335,14 @@ class TestDeltaViews:
         with pytest.raises(RuntimeError):
             engine.materialize(TWO_HOP)
 
-    def test_view_over_non_default_graph(self):
+    def test_a_view_opened_after_the_last_close_listens_again(self):
         engine = self._engine([chain(1, 2)])
-        other = EncodedGraph([chain(7, 8)])
-        view = engine.materialize(
-            "PREFIX ex: <http://ex.org/>\nSELECT ?a WHERE { ?a ex:p ?b }",
-            graph=other,
-        )
-        assert view.rows() == [(EX.n7,)]
-        other.add(chain(8, 9))
-        assert view.rows() == [(EX.n7,), (EX.n8,)]
+        engine.materialize(TWO_HOP).close()
+        assert engine.graph._delta_listeners == []
+        view = engine.materialize(TWO_HOP)
+        assert len(engine.graph._delta_listeners) == 1
+        engine.graph.add(chain(2, 3))
+        assert view.rows() == [(EX.n1, EX.n3)]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ distinct key into a memo the live tuples are paired with.  Pinned here:
   journals times one journal's suffix probes, a fraction of the uncut
   plan's, and only the kept rows are decoded;
 * a hypothesis differential over random two-armed / chain / star BGPs x
-  a DISTINCT projection x a ``<`` / ``!=`` FILTER x ``initial=``: the rows
+  a DISTINCT projection x a ``<`` / ``!=`` FILTER x a variable made a
+  constant: the rows
   are ``distinct_rows`` of the same BGP lowered without DISTINCT, row for
   row, and the ``NAIVE`` oracle's as a set;
 * the modifiers above a cut plan (ORDER BY, OFFSET, LIMIT) see the
@@ -27,11 +28,11 @@ from repro.rdf.terms import Literal, Triple, Variable, XSD_INTEGER
 from repro.sparql import operators, physical
 from repro.sparql.algebra import TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
-from repro.sparql.expressions import Comparison, VariableExpr
+from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.idexec import row_header
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, distinct_rows, realign_rows
+from repro.sparql.solutions import distinct_rows, realign_rows
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -184,33 +185,37 @@ NODES = [EX[f"n{index}"] for index in range(5)]
 VALUES = NODES + [Literal(str(index), XSD_INTEGER) for index in range(3)]
 
 
-def check(shape, triples, projection, condition, initial):
-    """The cut plan's rows against the uncut plan's and ``NAIVE``'s; returns
-    the cut plan."""
-    patterns = SHAPES[shape]
+def _operand(part):
+    return VariableExpr(part) if isinstance(part, Variable) else TermExpr(part)
+
+
+def check(shape, triples, projection, condition, constant):
+    """The cut plan's rows against the uncut plan's and ``NAIVE``'s, with the
+    variable of ``constant`` (``(variable, term)``, not projected) replaced
+    by its term in the patterns and the FILTER; returns the cut plan."""
+    substitute = dict([constant]) if constant is not None else {}
+    patterns = [tuple(substitute.get(part, part) for part in parts) for parts in SHAPES[shape]]
     graph = EncodedGraph(triples)
     nodes = [TriplePatternNode(Triple(*parts)) for parts in patterns]
     project = tuple(sorted(projection, key=lambda v: v.name))
     conditions = ()
     if condition is not None:
         left, operator, right = condition
-        conditions = (Comparison(operator, VariableExpr(left), VariableExpr(right)),)
+        left, right = substitute.get(left, left), substitute.get(right, right)
+        conditions = (Comparison(operator, _operand(left), _operand(right)),)
     cut = physical.lower_bgp(graph, nodes, conditions, project=project, distinct=project)
     uncut = physical.lower_bgp(graph, nodes, conditions, project=project)
     assert not factors(uncut)  # a DISTINCT-free plan is never cut
     assert cut.source.order() == uncut.source.order()
-    binding = Binding() if initial is None else Binding({initial[0]: initial[1]})
-    header = row_header(cut, binding)
-    assert header == row_header(uncut, binding)
-    rows = list(physical.execute_rows(cut, graph, initial=binding))
-    assert rows == distinct_rows(list(physical.execute_rows(uncut, graph, initial=binding)))
+    header = row_header(cut)
+    assert header == row_header(uncut)
+    rows = list(physical.execute_rows(cut, graph))
+    assert rows == distinct_rows(list(physical.execute_rows(uncut, graph)))
     assert cut.root.stats.rows == len(rows)
 
     body = " . ".join(" ".join(part.n3() for part in parts) for parts in patterns)
     if condition is not None:
-        body += f" FILTER({condition[0].n3()} {condition[1]} {condition[2].n3()})"
-    if initial is not None:
-        body += f" FILTER(sameTerm({initial[0].n3()}, {initial[1].n3()}))"
+        body += f" FILTER({left.n3()} {operator} {right.n3()})"
     naive = SparqlEvaluator(Dataset.from_graph(Graph(triples)), profile=ExecutionProfile.NAIVE)
     head = " ".join(variable.n3() for variable in header)
     answer = naive.evaluate(parse_query(f"SELECT DISTINCT {head} WHERE {{ {body} }}"))
@@ -240,8 +245,9 @@ def cases(draw):
             st.sampled_from(variables), st.sampled_from(["<", "!="]), st.sampled_from(variables)
         )
     )
-    initial = draw(st.none() | st.tuples(st.sampled_from(variables), st.sampled_from(VALUES)))
-    return shape, triples, projection, condition, initial
+    free = [variable for variable in variables if variable not in projection]
+    constant = draw(st.none() | st.tuples(st.sampled_from(free), st.sampled_from(VALUES)))
+    return shape, triples, projection, condition, constant
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -263,22 +269,22 @@ def dense_triples():
 
 
 @pytest.mark.parametrize(
-    "shape, projection, condition, initial",
+    "shape, projection, condition, constant",
     [
         ("two-armed", ("a", "u"), ("a", "!=", "u"), None),
         ("two-armed", ("h", "w"), ("h", "<", "w"), ("b", NODES[0])),
         ("two-armed", ("b", "u"), ("u", "!=", "b"), ("x", NODES[3])),
         ("chain", ("a", "y"), ("a", "!=", "y"), None),
         ("chain", ("b", "x"), None, ("c", NODES[2])),
-        ("chain", ("b", "y"), ("y", "<", "b"), ("a", NODES[1])),
+        ("chain", ("b", "y"), ("y", "<", "b"), ("c", NODES[1])),
     ],
 )
-def test_fixed_cases_are_cut(shape, projection, condition, initial):
+def test_fixed_cases_are_cut(shape, projection, condition, constant):
     if condition is not None:
         condition = (V[condition[0]], condition[1], V[condition[2]])
-    if initial is not None:
-        initial = (V[initial[0]], initial[1])
-    plan = check(shape, dense_triples(), {V[name] for name in projection}, condition, initial)
+    if constant is not None:
+        constant = (V[constant[0]], constant[1])
+    plan = check(shape, dense_triples(), {V[name] for name in projection}, condition, constant)
     assert factors(plan)
 
 

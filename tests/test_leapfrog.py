@@ -7,7 +7,8 @@ What that must keep:
 * to the digit, the rows and probes every operator reported when the join
   still interpreted its DAG per execution — recorded at the commit before
   the merge for a fixed triangle and 4-cycle, with and without a FILTER
-  conjunct, an initial binding, ``timed`` and a DISTINCT projection;
+  conjunct, ``timed`` and a DISTINCT projection; and those recorded at
+  0d1dc52 when a constant end fixes one of the join's variables;
 * the bag of rows of the unplanned ``NAIVE`` oracle on a hash copy over
   random cyclic BGPs under the same variations;
 * and, new with the merge, that a second execution compiles nothing, at
@@ -22,12 +23,12 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Triple, Variable
 from repro.sparql import idexec, physical
-from repro.sparql.algebra import BGP, Filter, Join, SelectQuery, TriplePatternNode, ValuesPattern
+from repro.sparql.algebra import BGP, Filter, SelectQuery, TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.expressions import Comparison, TermExpr, VariableExpr
 from repro.sparql.operators import LeapfrogJoin
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, realign_rows
+from repro.sparql.solutions import realign_rows
 from repro.store import EncodedGraph
 from repro.store.dictionary import TermDictionary
 
@@ -62,50 +63,39 @@ def _fixed_graph():
 
 @pytest.mark.parametrize("timed", [False, True], ids=["plain", "timed"])
 @pytest.mark.parametrize(
-    "patterns, conditions, initial, distinct, rows, counts",
+    "patterns, conditions, distinct, rows, counts",
     [
         # (Project, LeapfrogJoin, Scan ...) as (rows, probes), recorded at eda164a.
-        (_TRIANGLE, (), {}, None, 7, [(7, 0), (7, 0), (22, 9), (91, 22), (35, 15)]),
-        (_TRIANGLE, (_A_NOT_B,), {}, None, 6, [(6, 0), (6, 0), (22, 9), (89, 21), (33, 14)]),
-        (_TRIANGLE, (), {B: node(0)}, None, 2, [(2, 0), (2, 0), (9, 4), (33, 6), (14, 4)]),
-        (_TRIANGLE, (), {B: UNSEEN}, None, 0, [(0, 0), (0, 0), (0, 1), (0, 0), (8, 1)]),
+        (_TRIANGLE, (), None, 7, [(7, 0), (7, 0), (22, 9), (91, 22), (35, 15)]),
+        (_TRIANGLE, (_A_NOT_B,), None, 6, [(6, 0), (6, 0), (22, 9), (89, 21), (33, 14)]),
+        (_TRIANGLE, (), (A,), 5, [(5, 0), (7, 0), (22, 9), (91, 22), (35, 15)]),
+        (_FOUR_CYCLE, (), None, 19, [(19, 0), (19, 0), (22, 9), (91, 22), (165, 41), (61, 28)]),
+        (_FOUR_CYCLE, (), (A,), 8, [(8, 0), (19, 0), (22, 9), (91, 22), (165, 41), (61, 28)]),
+        # A constant end fixes a cycle variable, as the initial binding's
+        # membership level did; recorded at 0d1dc52, before that level went.
         (
-            _TRIANGLE, (_A_NOT_B,), {Z: node(3)}, None, 6,
-            [(6, 0), (6, 0), (22, 9), (89, 21), (33, 14)],
+            _TRIANGLE + (tp(A, EX.q, node(1)),), (), None, 2,
+            [(2, 0), (2, 0), (1, 1), (11, 2), (13, 4), (17, 4)],
         ),
-        (_TRIANGLE, (), {}, (A,), 5, [(5, 0), (7, 0), (22, 9), (91, 22), (35, 15)]),
+        (_TRIANGLE + (tp(B, EX.q, UNSEEN),), (), None, 0, [(0, 0)] * 6),
         (
-            _FOUR_CYCLE, (), {}, None, 19,
-            [(19, 0), (19, 0), (22, 9), (91, 22), (165, 41), (61, 28)],
-        ),
-        (
-            _FOUR_CYCLE, (_A_NOT_B,), {D: node(0)}, None, 4,
-            [(4, 0), (4, 0), (13, 4), (33, 8), (23, 9), (9, 5)],
-        ),
-        (
-            _FOUR_CYCLE, (), {}, (A,), 8,
-            [(8, 0), (19, 0), (22, 9), (91, 22), (165, 41), (61, 28)],
+            _FOUR_CYCLE + (tp(D, EX.q, node(1)),), (_A_NOT_B,), None, 4,
+            [(4, 0), (4, 0), (1, 1), (23, 6), (33, 8), (13, 4), (11, 2)],
         ),
     ],
     ids=[
-        "triangle", "triangle-filter", "triangle-initial-level", "triangle-initial-unseen",
-        "triangle-initial-outside", "triangle-distinct", "four-cycle",
-        "four-cycle-filter-initial", "four-cycle-distinct",
+        "triangle", "triangle-filter", "triangle-distinct", "four-cycle", "four-cycle-distinct",
+        "triangle-constant", "triangle-constant-unseen", "four-cycle-filter-constant",
     ],
 )  # fmt: skip
 def test_counts_are_those_of_the_interpreted_join(
-    patterns, conditions, initial, distinct, rows, counts, timed
+    patterns, conditions, distinct, rows, counts, timed
 ):
     graph = _fixed_graph()
     plan = physical.lower_bgp(graph, patterns, conditions, project=distinct, distinct=distinct)
     assert isinstance(plan.root.child, LeapfrogJoin)
     assert plan.root.distinct is (distinct is not None)
-    found = list(physical.execute_rows(plan, graph, initial=Binding(initial), timed=timed))
-    header = idexec.row_header(plan, initial)
-    assert len(found) == rows
-    assert all(
-        row[header.index(variable)] == term for row in found for variable, term in initial.items()
-    )
+    assert len(list(physical.execute_rows(plan, graph, timed=timed))) == rows
     assert [(entry["rows"], entry["probes"]) for entry in plan.counters()] == counts
 
 
@@ -126,7 +116,6 @@ def test_a_second_execution_compiles_nothing(monkeypatch):
     monkeypatch.setattr(idexec, "_compile", counting("compile", idexec._compile))
     monkeypatch.setattr(TermDictionary, "id_for", counting("id_for", TermDictionary.id_for))
     first = list(physical.execute_rows(plan, graph))
-    column = idexec.row_header(plan).index(B)
     # Three predicates + one constant object, resolved once.
     assert calls == {"compile": 1, "id_for": 5}
     (compiled,) = plan._compiled.values()
@@ -134,19 +123,11 @@ def test_a_second_execution_compiles_nothing(monkeypatch):
     assert list(physical.execute_rows(plan, graph, timed=True)) == first
     assert calls == {"compile": 1, "id_for": 5}
     assert list(plan._compiled.values()) == [compiled]
-    # Another domain of the initial binding is another form; a new graph
-    # version compiles nothing and resolves nothing again.
-    initial = Binding({B: node(1)})
-    assert idexec.row_header(plan, initial) == idexec.row_header(plan)
-    bound = list(physical.execute_rows(plan, graph, initial=initial))
-    assert bound == [row for row in first if row[column] == node(1)] and bound
-    assert calls["compile"] == 2 and len(plan._compiled) == 2
-    looked_up = calls["id_for"]
+    # A new graph version compiles nothing and resolves nothing again.
     graph.add(Triple(node(1), EX.q, node(1)))  # n1 -> n2 -> n0 -> n1 qualifies now
     assert len(list(physical.execute_rows(plan, graph))) == len(first) + 1
-    assert calls["compile"] == 2 and len(plan._compiled) == 2
-    assert compiled in plan._compiled.values()
-    assert calls["id_for"] == looked_up
+    assert calls == {"compile": 1, "id_for": 5}
+    assert list(plan._compiled.values()) == [compiled]
 
 
 def test_an_unknown_constant_gates_every_execution_until_it_is_interned():
@@ -182,7 +163,8 @@ _edge = st.tuples(st.sampled_from(_NODES), st.sampled_from(_PREDICATES), st.samp
 @st.composite
 def _cyclic_bgp(draw):
     """A cycle of three or four variables (random predicates and edge
-    directions), optionally with a chord, a pendant or a ground pattern."""
+    directions), optionally with a chord, a pendant, a constant end (one
+    the graph may not hold) or a ground pattern."""
     variables = _CYCLE_VARIABLES[: draw(st.integers(min_value=3, max_value=4))]
     patterns = []
     for index, left in enumerate(variables):
@@ -197,7 +179,7 @@ def _cyclic_bgp(draw):
     elif extra == "pendant":
         patterns.append(tp(variables[1], predicate, Z))
     elif extra == "constant":
-        patterns.append(tp(variables[0], predicate, draw(st.sampled_from(_NODES))))
+        patterns.append(tp(variables[0], predicate, draw(st.sampled_from(_NODES + [UNSEEN]))))
     elif extra == "ground":
         patterns.append(tp(*draw(_edge)))
     return draw(st.permutations(patterns))
@@ -209,14 +191,11 @@ _operand = st.sampled_from(
 _condition = st.builds(Comparison, st.sampled_from(["=", "!=", "<"]), _operand, _operand)
 
 
-def _naive(graph, patterns, conditions, initial, projection, header) -> Counter:
-    """FILTER(VALUES(initial) . patterns) by the unplanned oracle on a hash
-    copy, as tuples aligned with the plan's ``header``: each row once when
-    there is a ``projection`` (the header is then it and ``initial``'s domain)."""
+def _naive(graph, patterns, conditions, projection, header) -> Counter:
+    """FILTER(patterns) by the unplanned oracle on a hash copy, as tuples
+    aligned with the plan's ``header``: each row once when there is a
+    ``projection`` (the header is then it)."""
     pattern = BGP(tuple(patterns))
-    if initial:
-        variables = tuple(initial)
-        pattern = Join(ValuesPattern(variables, (tuple(initial.values()),)), pattern)
     for condition in conditions:
         pattern = Filter(pattern, condition)
     query = SelectQuery(projection=(), pattern=pattern, select_all=True)
@@ -231,34 +210,21 @@ def _naive(graph, patterns, conditions, initial, projection, header) -> Counter:
     edges=st.lists(_edge, min_size=0, max_size=25),
     patterns=_cyclic_bgp(),
     conditions=st.lists(_condition, min_size=0, max_size=1),
-    binding=st.sampled_from(["none", "level", "outside", "unseen"]),
-    bound=st.sampled_from(_CYCLE_VARIABLES[:3]),
-    value=st.sampled_from(_NODES),
     timed=st.booleans(),
     distinct=st.booleans(),
 )
-def test_leapfrog_equals_the_unplanned_oracle(
-    edges, patterns, conditions, binding, bound, value, timed, distinct
-):
+def test_leapfrog_equals_the_unplanned_oracle(edges, patterns, conditions, timed, distinct):
     graph = EncodedGraph(Triple(*edge) for edge in edges)
-    initial = {
-        "none": {},
-        "level": {bound: value},
-        "outside": {Variable("outside"): value},
-        "unseen": {bound: UNSEEN},
-    }[binding]
     projection = (A, B) if distinct else None
     plan = physical.lower_bgp(
         graph, patterns, tuple(conditions), project=projection, distinct=projection
     )
     # The join under the root, or under the gate of a variable-free conjunct.
     assert any(isinstance(operator, LeapfrogJoin) for operator in plan.operators()[1:3])
-    leapfrog = Counter(
-        physical.execute_rows(plan, graph, initial=Binding(initial), timed=timed)
-    )
-    header = idexec.row_header(plan, initial)
-    assert leapfrog == _naive(graph, patterns, conditions, initial, projection, header)
+    leapfrog = Counter(physical.execute_rows(plan, graph, timed=timed))
+    header = idexec.row_header(plan)
+    assert leapfrog == _naive(graph, patterns, conditions, projection, header)
     if distinct:
         assert set(leapfrog.values()) <= {1}
-    if binding == "unseen":
+    if any(UNSEEN in pattern.triple for pattern in patterns):
         assert not leapfrog

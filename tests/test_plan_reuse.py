@@ -6,8 +6,8 @@ unplanned oracle on a hash copy give at that moment.  The queries cover
 what a kept plan must survive: a constant the dictionary does not know at
 compile time — in a pattern, a path endpoint and a leapfrog core — and
 that is interned later; a predicate emptied and refilled; counts that
-leave the factor-2 band; DISTINCT; and executions of a cached plan under
-an initial binding.  The counts of plan reuse are pinned in
+leave the factor-2 band; DISTINCT; and executions of a cached plan after
+writes.  The counts of plan reuse are pinned in
 ``tests/test_ivm.py`` and ``tests/test_planner.py``.
 """
 
@@ -23,7 +23,6 @@ from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.operators import LeapfrogJoin
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -73,8 +72,8 @@ _operation = st.one_of(
     st.tuples(st.just("arrive"), st.sampled_from(PREDICATES)),
     st.tuples(st.just("empty"), st.sampled_from(PREDICATES)),
     # Run a query on the engine; its plan is then kept and re-run after
-    # every later operation, with or without a node bound to its first variable.
-    st.tuples(st.just("run"), _query, st.one_of(st.none(), st.sampled_from(NODES))),
+    # every later operation.
+    st.tuples(st.just("run"), _query),
 )
 
 
@@ -104,7 +103,7 @@ def test_the_queries_cover_what_a_kept_plan_must_survive():
 def test_one_engine_under_writes_answers_as_a_fresh_one(base, operations):
     graph = EncodedGraph(base)
     engine = create_engine(graph)
-    #: query position -> (the plan it last ran on, the node bound when re-run).
+    #: query position -> the plan it last ran on.
     kept = {}
     grown = 0
 
@@ -138,17 +137,11 @@ def test_one_engine_under_writes_answers_as_a_fresh_one(base, operations):
         else:
             text = QUERIES[operation[1]]
             assert engine.query(text) == create_engine(graph).query(text) == oracle(operation[1])
-            kept[operation[1]] = (engine.evaluator.last_physical_plan, operation[2])
+            kept[operation[1]] = engine.evaluator.last_physical_plan
         # Every kept plan, whatever was written since it was planned.
-        for position, (plan, node) in kept.items():
+        for position, plan in kept.items():
             naive = oracle(position)
-            header, expected = plan.root.variables, naive.rows()
-            initial = Binding()
-            if node is not None:
-                initial = Binding({header[0]: node})
-                column = naive.variables.index(header[0])
-                expected = [row for row in expected if row[column] == node]
-            assert idexec.row_header(plan, initial) == header
-            rows = physical.execute_rows(plan, graph, initial=initial)
-            assert _by_name(header, rows) == _by_name(naive.variables, expected)
+            header = idexec.row_header(plan)
+            rows = physical.execute_rows(plan, graph)
+            assert _by_name(header, rows) == _by_name(naive.variables, naive.rows())
     assert len(engine.evaluator.lowered_plans) <= len(QUERIES)

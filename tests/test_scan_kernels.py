@@ -10,7 +10,7 @@ free positions, a repeated variable — keeps the stream.  Pinned here:
   unplanned ``tests.helpers.NAIVE`` oracle over random small graphs and
   BGPs covering every probe shape x entry kind (absent, one id, a set, a
   set shrunk back to an id by ``remove``) x an attached FILTER x
-  ``initial=`` bindings, in and outside the graph;
+  variables substituted by constants, in and outside the graph;
 * which shape takes which access path, as ``explain`` prints it, and that
   a specialised shape never reaches ``match_triple_ids``;
 * counters: one ``index_probes`` per scan probe whenever
@@ -32,7 +32,7 @@ from repro.sparql.expressions import conjuncts
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.profile import ExecutionProfile
-from repro.sparql.solutions import Binding, realign_rows
+from repro.sparql.solutions import realign_rows
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -57,15 +57,11 @@ def _conditions(text: str):
     return tuple(conjuncts(query.pattern.condition))
 
 
-def _oracle(triples, patterns, filter_text, initial: Binding, header, select: str = "*") -> Counter:
-    """The unplanned evaluation of VALUES(initial) . patterns . FILTER on a
-    fresh hash graph, as tuples aligned with ``header``: neither the step
-    compiler nor the store under test."""
+def _oracle(triples, patterns, filter_text, header, select: str = "*") -> Counter:
+    """The unplanned evaluation of patterns . FILTER on a fresh hash graph,
+    as tuples aligned with ``header``: neither the step compiler nor the
+    store under test."""
     body = ""
-    if initial:
-        names = " ".join(f"?{variable.name}" for variable, _ in initial.items())
-        values = " ".join(term.n3() for _, term in initial.items())
-        body += f"VALUES ({names}) {{ ({values}) }} "
     for node in patterns:
         body += " ".join(
             f"?{part.name}" if isinstance(part, Variable) else part.n3() for part in node.triple
@@ -84,7 +80,7 @@ def _scans(plan):
 
 
 # ----------------------------------------------------------------------
-# hypothesis differential: every shape x entry kind x FILTER x initial=
+# hypothesis differential: every shape x entry kind x FILTER x constants
 # ----------------------------------------------------------------------
 _triple = st.tuples(
     st.sampled_from(_TERMS), st.sampled_from(_TERMS), st.sampled_from(_TERMS + [_ONE, _TWO])
@@ -114,7 +110,7 @@ def test_differential_against_the_unplanned_oracle(edges, data):
     for edge, kept in edges:
         if not kept:
             graph.remove(Triple(*edge))
-    # Patterns and initial bindings are cut from triples of the graph, so
+    # Patterns and their constants are cut from triples of the graph, so
     # most probes find something: an id, a set, a member.
     present = sorted(graph, key=repr) or [Triple(*edges[0][0])]
     nodes = []
@@ -122,15 +118,20 @@ def test_differential_against_the_unplanned_oracle(edges, data):
         source = data.draw(st.sampled_from(present))
         slots = data.draw(st.tuples(_slot, _slot, _object_slot))
         nodes.append(tp(*(part if slot is None else slot for slot, part in zip(slots, source))))
+    # Up to two variables become constants: mostly a term of another triple
+    # of the graph, else one that may miss — ``_OUTSIDE`` is in no triple,
+    # so its constant stays unresolved (a literal is no predicate).
     seed = tuple(data.draw(st.sampled_from(present)))
-    initial = {}
-    for variable in data.draw(st.sets(st.sampled_from([X, Y, Z]), max_size=2), label="initial"):
+    constants = {}
+    for variable in data.draw(st.sets(st.sampled_from([X, Y, Z]), max_size=2), label="constants"):
         positions = [index for index, part in enumerate(nodes[0].triple) if part == variable]
         fitting = seed[positions[0]] if positions else seed[0]
-        initial[variable] = data.draw(st.sampled_from([fitting] * 6 + [_ONE, _OUTSIDE]))
-    initial = Binding(initial)
+        predicate = any(node.triple.predicate == variable for node in nodes)
+        misses = [_OUTSIDE] if predicate else [_ONE, _OUTSIDE]
+        constants[variable] = data.draw(st.sampled_from([fitting] * 6 + misses))
+    nodes = [tp(*(constants.get(part, part) for part in node.triple)) for node in nodes]
     # A FILTER over variables something binds (an unbound one rejects every row).
-    bound = set(initial).union(*(node.variables() for node in nodes))
+    bound = set().union(*(node.variables() for node in nodes))
     filter_text = data.draw(
         st.sampled_from(
             [
@@ -142,9 +143,9 @@ def test_differential_against_the_unplanned_oracle(edges, data):
         label="filter",
     )
     plan = physical.lower_bgp(graph, nodes, _conditions(filter_text) if filter_text else ())
-    rows = Counter(physical.execute_rows(plan, graph, initial=initial))
-    header = idexec.row_header(plan, initial)
-    assert rows == _oracle(present if len(graph) else [], nodes, filter_text, initial, header)
+    rows = Counter(physical.execute_rows(plan, graph))
+    header = idexec.row_header(plan)
+    assert rows == _oracle(present if len(graph) else [], nodes, filter_text, header)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_each_shape_takes_its_access_path_and_answers_like_the_oracle(parts, acc
         assert scan.access == access and scan.describe().endswith(f" probe={access}")
         rows = Counter(physical.execute_rows(plan, graph))
         header = idexec.row_header(plan)
-        assert rows == _oracle(list(graph), [tp(*parts)], "", Binding(), header), kind
+        assert rows == _oracle(list(graph), [tp(*parts)], "", header), kind
         if kind in ("one-id", "set", "shrunk") and EX.v not in parts:
             assert rows, (kind, access)
 
@@ -218,30 +219,25 @@ def test_a_specialised_shape_never_streams_match_triple_ids(parts, access, monke
     assert bool(streamed) == access.endswith("match")
 
 
-def test_the_access_path_follows_what_is_bound_at_execution():
-    """``initial=`` binds positions the rendering (no pre-binding) shows free."""
+def test_the_access_path_follows_what_is_bound():
+    """A position a constant binds is one dict lookup; an unresolved one, none."""
     graph = EncodedGraph(
         [Triple(EX.s, EX.p, EX.o), Triple(EX.s, EX.p, EX.o2), Triple(EX.s2, EX.p, EX.o)]
     )
-    plan = physical.lower_bgp(graph, [tp(X, EX.p, Y)])
-    assert _scans(plan)[0].access == "?P? match"
     store = graph.enable_counters()
-    for initial, rows in (
-        (Binding(), 3),
-        (Binding({X: EX.s}), 2),  # SP? entry: a set
-        (Binding({Y: EX.o2}), 1),  # ?PO entry: one id
-        (Binding({X: EX.s2, Y: EX.o}), 1),  # SPO member
-        (Binding({X: EX.s2, Y: EX.o2}), 0),
-        (Binding({X: _OUTSIDE}), 0),
+    for parts, access, rows, probes in (
+        ((X, EX.p, Y), "?P? match", 3, 1),
+        ((EX.s, EX.p, Y), "SP? entry", 2, 1),  # a set
+        ((X, EX.p, EX.o2), "?PO entry", 1, 1),  # one id
+        ((EX.s2, EX.p, EX.o), "SPO member", 1, 1),
+        ((EX.s2, EX.p, EX.o2), "SPO member", 0, 1),
+        ((_OUTSIDE, EX.p, Y), "SP? entry", 0, 0),  # not interned: nothing to probe
     ):
+        plan = physical.lower_bgp(graph, [tp(*parts)])
+        assert _scans(plan)[0].access == access
         before = store.index_probes
-        found = list(physical.execute_rows(plan, graph, initial=initial))
-        header = idexec.row_header(plan, initial)
-        assert len(found) == rows
-        assert all(
-            row[header.index(variable)] == term for row in found for variable, term in initial.items()
-        )
-        assert store.index_probes - before == 1
+        assert len(list(physical.execute_rows(plan, graph))) == rows
+        assert store.index_probes - before == probes
     assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X})) == "entry"
     assert idexec.access_path(idexec.probe_shape((X, EX.p, Y), {X, Y})) == "member"
     assert idexec.access_path(idexec.probe_shape((X, EX.p, X), {X})) == "member"
@@ -375,5 +371,5 @@ def test_a_mutation_between_two_executions_keeps_the_compiled_form_and_answers_c
     assert after is before
     nodes = [step.node for step in plan.source.steps]
     header = idexec.row_header(plan)
-    assert rows == _oracle(list(graph), nodes, '?n != "name0"', Binding(), header, "?b ?n ?t")
+    assert rows == _oracle(list(graph), nodes, '?n != "name0"', header, "?b ?n ?t")
     assert rows != Counter(realign_rows(result.rows(), result.variables, header))
